@@ -573,64 +573,51 @@ func BenchmarkMegablastVsBlastn(b *testing.B) {
 	}
 }
 
-// BenchmarkReadAtCoalesced compares the vectored piece-read path
-// against the legacy one-RPC-per-stripe-run path on a strided ReadAt
-// (many runs per server), reporting data-server rpcs/op alongside
-// allocs/op.
+// BenchmarkReadAtCoalesced measures a strided ReadAt (many stripe runs
+// per server, carried by one list RPC each), reporting data-server
+// rpcs/op alongside allocs/op.
 func BenchmarkReadAtCoalesced(b *testing.B) {
-	for _, legacy := range []bool{false, true} {
-		name := "coalesced"
-		if legacy {
-			name = "legacy"
-		}
-		b.Run(name, func(b *testing.B) {
-			dep, err := core.StartPVFS(4, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer dep.Close()
-			m := iotrace.NewRPCMetrics()
-			opts := []rpcpool.Option{rpcpool.WithObserver(m)}
-			if legacy {
-				opts = append(opts, rpcpool.WithoutCoalescing())
-			}
-			cl, err := dep.Client(opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cl.Close()
-			payload := make([]byte, 4<<20) // 64 stripes: 16 runs per server
-			if err := chio.WriteFull(cl, "bench", payload); err != nil {
-				b.Fatal(err)
-			}
-			f, err := cl.Open("bench")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer f.Close()
-			buf := make([]byte, len(payload))
-			dataRPCs := func() int64 {
-				var n int64
-				for _, s := range m.Snapshot() {
-					if s.Server != dep.Mgr.Addr() {
-						n += s.Calls
-					}
-				}
-				return n
-			}
-			b.SetBytes(int64(len(payload)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			before := dataRPCs()
-			for i := 0; i < b.N; i++ {
-				if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(dataRPCs()-before)/float64(b.N), "rpcs/op")
-		})
+	dep, err := core.StartPVFS(4, nil)
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer dep.Close()
+	m := iotrace.NewRPCMetrics()
+	cl, err := dep.Client(rpcpool.WithObserver(m))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	payload := make([]byte, 4<<20) // 64 stripes: 16 runs per server
+	if err := chio.WriteFull(cl, "bench", payload); err != nil {
+		b.Fatal(err)
+	}
+	f, err := cl.Open("bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, len(payload))
+	dataRPCs := func() int64 {
+		var n int64
+		for _, s := range m.Snapshot() {
+			if s.Server != dep.Mgr.Addr() {
+				n += s.Calls
+			}
+		}
+		return n
+	}
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	before := dataRPCs()
+	for i := 0; i < b.N; i++ {
+		if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(dataRPCs()-before)/float64(b.N), "rpcs/op")
 }
 
 // BenchmarkSequentialScanReadahead measures a sequential scan in

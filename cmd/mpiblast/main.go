@@ -78,7 +78,6 @@ func main() {
 		ioRetries = flag.Int("io-retries", rpcpool.DefaultRetries, "parallel-FS retry budget per request")
 		ioPool    = flag.Int("io-pool", rpcpool.DefaultPoolSize, "parallel-FS connections per server")
 		rpcStats  = flag.Bool("rpc-stats", false, "print per-server RPC latency/retry counters at exit")
-		noCoal    = flag.Bool("no-coalesce", false, "issue one RPC per stripe run instead of vectored batches (A/B comparison)")
 
 		// Live observability endpoints and run reports.
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/traces and /debug/pprof on this address (empty = off)")
@@ -153,9 +152,6 @@ func main() {
 			rpcpool.WithTimeout(*ioTimeout),
 			rpcpool.WithRetries(*ioRetries),
 			rpcpool.WithPoolSize(*ioPool),
-		}
-		if *noCoal {
-			opts = append(opts, rpcpool.WithoutCoalescing())
 		}
 		if reg != nil {
 			opts = append(opts,

@@ -56,12 +56,13 @@ func main() {
 		}
 		defer d.Close()
 		junk := make([]byte, 1<<20)
+		run := []pvfs.StripeRun{{Length: int64(len(junk))}}
 		for {
 			select {
 			case <-stop:
 				return
 			default:
-				d.WritePiece(context.Background(), 0xbeef, 0, junk) // Figure 8's synchronous 1MB appends
+				d.WriteRuns(context.Background(), 0xbeef, run, junk) // Figure 8's synchronous 1MB appends
 			}
 		}
 	}()

@@ -25,10 +25,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pario/internal/chio"
@@ -236,18 +236,13 @@ func (cl *Client) addDegraded(n int64) {
 	cl.failMu.Unlock()
 }
 
-// partners returns, for each chosen connection, its mirror-pair
-// counterpart (the degraded-mode fallback).
-func (cl *Client) partners(conns []*pvfs.DataConn) []*pvfs.DataConn {
-	out := make([]*pvfs.DataConn, len(conns))
-	for i, d := range conns {
-		if d == cl.primary[i] {
-			out[i] = cl.mirror[i]
-		} else {
-			out[i] = cl.primary[i]
-		}
+// partner returns the other member of mirror pair i, given the chosen
+// one (the degraded-mode fallback).
+func (cl *Client) partner(i int, chosen *pvfs.DataConn) *pvfs.DataConn {
+	if chosen == cl.primary[i] {
+		return cl.mirror[i]
 	}
-	return out
+	return cl.primary[i]
 }
 
 // Dial connects to the manager and both server groups. primaryAddrs
@@ -523,7 +518,7 @@ func (cl *Client) create(ctx context.Context, name string) (chio.File, error) {
 		}
 	}
 	cl.addDegraded(deg)
-	return &file{cl: cl, ctx: ctx, meta: m}, nil
+	return cl.file(ctx, m), nil
 }
 
 // Open implements chio.FileSystem.
@@ -534,7 +529,7 @@ func (cl *Client) open(ctx context.Context, name string) (chio.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &file{cl: cl, ctx: ctx, meta: m}, nil
+	return cl.file(ctx, m), nil
 }
 
 // Stat implements chio.FileSystem.
@@ -607,105 +602,56 @@ func (cl *Client) AsyncErr() error {
 	return cl.asyncErr
 }
 
-// file is an open CEFT file handle.
-type file struct {
-	cl     *Client
-	ctx    context.Context
-	mu     sync.Mutex
-	meta   pvfs.Meta
-	off    int64
-	closed bool
+// file opens m under ctx.
+func (cl *Client) file(ctx context.Context, m pvfs.Meta) *pvfs.File {
+	return pvfs.NewFile(ctx, replicated{cl}, cl.tracer, m)
 }
 
-func (f *file) Name() string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.meta.Name
+// replicated is the CEFT client's pvfs.Store: the striping plan is
+// PVFS's, and this type only decides which member of each mirror pair
+// executes it — both for a write, the preferred (or cooler, or
+// surviving) one for a read.
+type replicated struct{ cl *Client }
+
+func (r replicated) NumServers() int { return len(r.cl.primary) }
+
+func (r replicated) StatSize(ctx context.Context, name string) (int64, error) {
+	m, err := r.cl.meta.Stat(ctx, name)
+	return m.Size, err
 }
 
-var errFileClosed = fmt.Errorf("ceft: file already closed")
-
-// handle returns the file's metadata, or an error once closed.
-func (f *file) handle() (pvfs.Meta, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return pvfs.Meta{}, errFileClosed
-	}
-	return f.meta, nil
+func (r replicated) GrowSize(ctx context.Context, name string, size int64) error {
+	return r.cl.meta.GrowSize(ctx, name, size)
 }
 
-func (f *file) refreshSize(m *pvfs.Meta) error {
-	fresh, err := f.cl.meta.Stat(f.ctx, m.Name)
-	if err != nil {
-		return err
-	}
-	m.Size = fresh.Size
-	f.mu.Lock()
-	if !f.closed {
-		f.meta.Size = fresh.Size
-	}
-	f.mu.Unlock()
-	return nil
-}
-
-// runsWriter issues all of one server's stripe runs. Plain writes
-// coalesce into one vectored RPC; the server-side duplication
-// protocols stay one RPC per run because the dup ops carry a single
-// (offset, data) pair on the wire.
+// runsWriter issues all of one server's stripe runs. Plain writes are
+// one list-I/O RPC; the server-side duplication protocols stay one RPC
+// per run because the dup ops carry a single (offset, data) pair on
+// the wire.
 type runsWriter func(ctx context.Context, d *pvfs.DataConn, handle uint64, runs []pvfs.StripeRun, p []byte) error
 
 func plainWrite(ctx context.Context, d *pvfs.DataConn, handle uint64, runs []pvfs.StripeRun, p []byte) error {
 	return d.WriteRuns(ctx, handle, runs, p)
 }
 
-func dupSyncWrite(ctx context.Context, d *pvfs.DataConn, handle uint64, runs []pvfs.StripeRun, p []byte) error {
-	for _, r := range runs {
-		if err := d.WritePieceDup(ctx, handle, r.ServerOff, p[r.BufOff:r.BufOff+r.Length], true); err != nil {
-			return err
+func dupWrite(sync bool) runsWriter {
+	return func(ctx context.Context, d *pvfs.DataConn, handle uint64, runs []pvfs.StripeRun, p []byte) error {
+		for _, r := range runs {
+			if err := d.WritePieceDup(ctx, handle, r.ServerOff, p[r.BufOff:r.BufOff+r.Length], sync); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-	return nil
 }
 
-func dupAsyncWrite(ctx context.Context, d *pvfs.DataConn, handle uint64, runs []pvfs.StripeRun, p []byte) error {
-	for _, r := range runs {
-		if err := d.WritePieceDup(ctx, handle, r.ServerOff, p[r.BufOff:r.BufOff+r.Length], false); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeRunsPerServer issues the per-server runs of one group using
+// writeGroup issues the per-server runs to one server group using
 // write, returning one error slot per server (nil where the server
-// took all of its runs, or had none).
-func writeRunsPerServer(ctx context.Context, conns []*pvfs.DataConn, runs [][]pvfs.StripeRun, handle uint64, p []byte, write runsWriter) []error {
-	errs := make([]error, len(conns))
-	var wg sync.WaitGroup
-	for server, list := range runs {
-		if len(list) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(server int, list []pvfs.StripeRun) {
-			defer wg.Done()
-			errs[server] = write(ctx, conns[server], handle, list, p)
-		}(server, list)
-	}
-	wg.Wait()
-	return errs
-}
-
-// writeRuns issues the per-server runs of one group using write and
-// returns the first per-server error.
-func writeRuns(ctx context.Context, conns []*pvfs.DataConn, runs [][]pvfs.StripeRun, handle uint64, p []byte, write runsWriter) error {
-	for _, err := range writeRunsPerServer(ctx, conns, runs, handle, p, write) {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+// took all of its runs, or had none) and the first error.
+func writeGroup(ctx context.Context, conns []*pvfs.DataConn, runs [][]pvfs.StripeRun, handle uint64, p []byte, write runsWriter) ([]error, error) {
+	return pvfs.FanOut(runs, func(server int, list []pvfs.StripeRun) error {
+		return write(ctx, conns[server], handle, list, p)
+	})
 }
 
 // degradeWrites retries each failed primary server's runs as plain
@@ -735,31 +681,11 @@ func (cl *Client) degradeWrites(ctx context.Context, errs []error, runs [][]pvfs
 	return nil
 }
 
-// WriteAt duplicates the write onto both groups (RAID-10) using the
-// configured duplication protocol. The root span ties the per-server
-// duplication RPCs into one trace for this application write.
-func (f *file) WriteAt(p []byte, off int64) (int, error) {
-	ctx, sp := f.cl.tracer.Start(f.ctx, "write")
-	n, err := f.writeAt(ctx, p, off)
-	sp.AddBytes(int64(n))
-	sp.Finish(err)
-	return n, err
-}
-
-func (f *file) writeAt(ctx context.Context, p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("ceft: negative write offset")
-	}
-	m, err := f.handle()
-	if err != nil {
-		return 0, err
-	}
-	n := int64(len(p))
-	if n == 0 {
-		return 0, nil
-	}
-	runs := pvfs.Decompose(off, n, m.StripeSize, len(f.cl.primary))
-	switch f.cl.opts.WriteProtocol {
+// WriteRuns duplicates the planned write onto both groups (RAID-10)
+// using the configured duplication protocol.
+func (r replicated) WriteRuns(ctx context.Context, handle uint64, runs [][]pvfs.StripeRun, p []byte) error {
+	cl := r.cl
+	switch cl.opts.WriteProtocol {
 	case ClientSync:
 		// Both groups are written concurrently; a server failure is
 		// tolerated as long as its pair partner took the data (RAID-10
@@ -767,368 +693,109 @@ func (f *file) writeAt(ctx context.Context, p []byte, off int64) (int, error) {
 		var wg sync.WaitGroup
 		var perrs, merrs []error
 		wg.Add(2)
-		go func() { defer wg.Done(); perrs = writeRunsPerServer(ctx, f.cl.primary, runs, m.Handle, p, plainWrite) }()
-		go func() { defer wg.Done(); merrs = writeRunsPerServer(ctx, f.cl.mirror, runs, m.Handle, p, plainWrite) }()
+		go func() { defer wg.Done(); perrs, _ = writeGroup(ctx, cl.primary, runs, handle, p, plainWrite) }()
+		go func() { defer wg.Done(); merrs, _ = writeGroup(ctx, cl.mirror, runs, handle, p, plainWrite) }()
 		wg.Wait()
 		var deg int64
 		for i := range perrs {
 			if perrs[i] != nil && merrs[i] != nil {
-				return 0, perrs[i]
+				return perrs[i]
 			}
 			if perrs[i] != nil || merrs[i] != nil {
 				deg++
 			}
 		}
-		f.cl.addDegraded(deg)
+		cl.addDegraded(deg)
+		return nil
 	case ClientAsync:
-		perrs := writeRunsPerServer(ctx, f.cl.primary, runs, m.Handle, p, plainWrite)
+		perrs, _ := writeGroup(ctx, cl.primary, runs, handle, p, plainWrite)
 		// A dead primary degrades to a synchronous write on its mirror
 		// partner (the background duplicate below rewrites the same
 		// bytes there, which is harmless).
-		if err := f.cl.degradeWrites(ctx, perrs, runs, m.Handle, p); err != nil {
-			return 0, err
-		}
-		dup := append([]byte(nil), p...)
-		f.cl.asyncWG.Add(1)
-		go func() {
-			defer f.cl.asyncWG.Done()
-			// The mirror duplicate outlives the caller's request
-			// context by design (the protocol's weaker guarantee), so
-			// it is not bound to f.ctx.
-			f.cl.recordAsyncErr(writeRuns(context.Background(), f.cl.mirror, runs, m.Handle, dup, plainWrite))
-		}()
-	case ServerSync:
-		perrs := writeRunsPerServer(ctx, f.cl.primary, runs, m.Handle, p, dupSyncWrite)
-		// A dead primary degrades to plain writes on its mirror; an
-		// alive primary's refusal (forward failure, missing mirror
-		// config) still propagates.
-		if err := f.cl.degradeWrites(ctx, perrs, runs, m.Handle, p); err != nil {
-			return 0, err
-		}
-	case ServerAsync:
-		perrs := writeRunsPerServer(ctx, f.cl.primary, runs, m.Handle, p, dupAsyncWrite)
-		if err := f.cl.degradeWrites(ctx, perrs, runs, m.Handle, p); err != nil {
-			return 0, err
-		}
-	default:
-		return 0, fmt.Errorf("ceft: unknown write protocol %v", f.cl.opts.WriteProtocol)
-	}
-	// The size RPC is needed only when the write extends the file: the
-	// cached size can lag the manager's but never exceeds it, so
-	// off+n <= cached size proves the manager already records it.
-	if off+n > m.Size {
-		if err := f.cl.meta.GrowSize(ctx, m.Name, off+n); err != nil {
-			return 0, err
-		}
-		f.mu.Lock()
-		if !f.closed && off+n > f.meta.Size {
-			f.meta.Size = off + n
-		}
-		f.mu.Unlock()
-	}
-	return int(n), nil
-}
-
-// readRuns issues per-server read runs against the chosen conns, each
-// server's runs coalesced into one vectored RPC. fallback, when
-// non-nil, provides each server's mirror partner: when the vectored
-// read fails — including by exhausting the transport's deadline/retry
-// budget with chio.ErrTimeout or chio.ErrServerDown — each of that
-// server's runs is retried individually on the mirror, which is
-// CEFT's RAID-10 degraded mode (a dead or hung server's data remains
-// available on its mirror, and a partial failure degrades per run
-// rather than failing the whole request).
-func readRuns(ctx context.Context, conns, fallback []*pvfs.DataConn, runs [][]pvfs.StripeRun, handle uint64, p []byte, failovers *int64) error {
-	return readRunsWith(ctx, conns, fallback, runs, handle, p, failovers,
-		(*pvfs.DataConn).ReadRuns)
-}
-
-// readRunsList is readRuns over the list-I/O op: each server's runs —
-// which may be unsorted and overlapping, the decomposition of many
-// discontiguous logical ranges — travel as one OpListRead. The mirror
-// fallback is unchanged: a failed server degrades per run onto its
-// partner.
-func readRunsList(ctx context.Context, conns, fallback []*pvfs.DataConn, runs [][]pvfs.StripeRun, handle uint64, p []byte, failovers *int64) error {
-	return readRunsWith(ctx, conns, fallback, runs, handle, p, failovers,
-		(*pvfs.DataConn).ReadRunsList)
-}
-
-func readRunsWith(ctx context.Context, conns, fallback []*pvfs.DataConn, runs [][]pvfs.StripeRun, handle uint64, p []byte, failovers *int64,
-	read func(d *pvfs.DataConn, ctx context.Context, handle uint64, list []pvfs.StripeRun, p []byte) error) error {
-	errs := make([]error, len(conns))
-	var wg sync.WaitGroup
-	var failedOver int64
-	var mu sync.Mutex
-	for server, list := range runs {
-		if len(list) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(server int, list []pvfs.StripeRun) {
-			defer wg.Done()
-			d := conns[server]
-			err := read(d, ctx, handle, list, p)
-			if err == nil {
-				return
-			}
-			if ctx.Err() != nil || fallback == nil || fallback[server] == nil || fallback[server] == d {
-				errs[server] = err
-				return
-			}
-			for _, r := range list {
-				mu.Lock()
-				failedOver++
-				mu.Unlock()
-				if ferr := fallback[server].ReadRun(ctx, handle, r, p); ferr != nil {
-					errs[server] = ferr
-					return
-				}
-			}
-		}(server, list)
-	}
-	wg.Wait()
-	if failovers != nil {
-		*failovers += failedOver
-	}
-	for _, err := range errs {
-		if err != nil {
+		if err := cl.degradeWrites(ctx, perrs, runs, handle, p); err != nil {
 			return err
 		}
+		dup := append([]byte(nil), p...)
+		cl.asyncWG.Add(1)
+		go func() {
+			defer cl.asyncWG.Done()
+			// The mirror duplicate outlives the caller's request
+			// context by design (the protocol's weaker guarantee), so
+			// it is not bound to ctx.
+			_, err := writeGroup(context.Background(), cl.mirror, runs, handle, dup, plainWrite)
+			cl.recordAsyncErr(err)
+		}()
+		return nil
+	case ServerSync, ServerAsync:
+		// The primary servers forward to their mirror partners. A dead
+		// primary degrades to plain writes on its mirror; an alive
+		// primary's refusal (forward failure, missing mirror config)
+		// still propagates.
+		perrs, _ := writeGroup(ctx, cl.primary, runs, handle, p, dupWrite(cl.opts.WriteProtocol == ServerSync))
+		return cl.degradeWrites(ctx, perrs, runs, handle, p)
 	}
-	return nil
+	return fmt.Errorf("ceft: unknown write protocol %v", cl.opts.WriteProtocol)
 }
 
-// ReadAt serves the read with doubled parallelism and hot-spot
-// skipping per the client options.
-func (f *file) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("ceft: negative read offset")
-	}
-	m, err := f.handle()
-	if err != nil {
-		return 0, err
-	}
-	want := int64(len(p))
-	if off+want > m.Size {
-		if err := f.refreshSize(&m); err != nil {
-			return 0, err
+// readGroup executes runs against the preferred server group, honoring
+// hot-spot skipping. A server whose list read fails — including by
+// exhausting the transport's deadline/retry budget with
+// chio.ErrTimeout or chio.ErrServerDown — has its runs re-read from
+// its mirror partner, which is CEFT's RAID-10 degraded mode: a dead or
+// hung server's data remains available on its mirror, and only that
+// server's share of the request is redirected.
+func (cl *Client) readGroup(ctx context.Context, preferPrimary bool, handle uint64, runs [][]pvfs.StripeRun, dst []byte) error {
+	conns, _ := cl.pickConns(ctx, preferPrimary)
+	var failedOver atomic.Int64
+	_, err := pvfs.FanOut(runs, func(server int, list []pvfs.StripeRun) error {
+		d, partner := conns[server], cl.partner(server, conns[server])
+		err := d.ReadRuns(ctx, handle, list, dst)
+		if err == nil || ctx.Err() != nil {
+			return err
 		}
+		failedOver.Add(int64(len(list)))
+		return partner.ReadRuns(ctx, handle, list, dst)
+	})
+	cl.addFailovers(failedOver.Load())
+	return err
+}
+
+// ReadRuns serves the planned read with doubled parallelism and
+// hot-spot skipping per the client options. A contiguous (one-segment)
+// read is cut in half, the first half fetched from the primary group
+// and the second from the mirror group concurrently, so all 2G servers
+// work on it; a multi-segment list already fans out to every server
+// and is served by the preferred group alone.
+func (r replicated) ReadRuns(ctx context.Context, handle uint64, plan pvfs.ReadPlan, dst []byte) error {
+	if !r.cl.opts.DoubledReads || len(plan.Lens) != 1 {
+		return r.cl.readGroup(ctx, true, handle, plan.Runs, dst)
 	}
-	if off >= m.Size {
-		return 0, io.EOF
-	}
-	n := want
-	var outErr error
-	if off+n > m.Size {
-		n = m.Size - off
-		outErr = io.EOF
-	}
-	// No up-front zeroing pass: the runs tile [0, n) of p exactly, and
-	// the vectored read path zero-fills each run's hole/EOF tail.
-	// The root span ties the per-server (and failover) RPC spans below
-	// into one trace for this application read.
-	ctx, sp := f.cl.tracer.Start(f.ctx, "read")
-	g := len(f.cl.primary)
-	if !f.cl.opts.DoubledReads {
-		conns, _ := f.cl.pickConns(ctx, true)
-		runs := pvfs.Decompose(off, n, m.StripeSize, g)
-		var fo int64
-		if err := readRuns(ctx, conns, f.cl.partners(conns), runs, m.Handle, p[:n], &fo); err != nil {
-			sp.Finish(err)
-			return 0, err
-		}
-		f.cl.addFailovers(fo)
-		sp.AddBytes(n)
-		sp.Finish(nil)
-		return int(n), outErr
-	}
-	// Doubled parallelism: first half from the primary group, second
-	// half from the mirror group, concurrently (2G servers active).
-	half := n / 2
-	primConns, _ := f.cl.pickConns(ctx, true)
-	mirrConns, _ := f.cl.pickConns(ctx, false)
+	first, second := pvfs.SplitRuns(plan.Runs, plan.Lens[0]/2)
 	var wg sync.WaitGroup
 	var err1, err2 error
-	if half > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			runs := pvfs.Decompose(off, half, m.StripeSize, g)
-			var fo int64
-			err1 = readRuns(ctx, primConns, f.cl.partners(primConns), runs, m.Handle, p[:half], &fo)
-			f.cl.addFailovers(fo)
-		}()
-	}
-	if n-half > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			runs := pvfs.Decompose(off+half, n-half, m.StripeSize, g)
-			var fo int64
-			err2 = readRuns(ctx, mirrConns, f.cl.partners(mirrConns), runs, m.Handle, p[half:n], &fo)
-			f.cl.addFailovers(fo)
-		}()
-	}
+	wg.Add(2)
+	go func() { defer wg.Done(); err1 = r.cl.readGroup(ctx, true, handle, first, dst) }()
+	go func() { defer wg.Done(); err2 = r.cl.readGroup(ctx, false, handle, second, dst) }()
 	wg.Wait()
 	if err1 != nil {
-		sp.Finish(err1)
-		return 0, err1
+		return err1
 	}
-	if err2 != nil {
-		sp.Finish(err2)
-		return 0, err2
-	}
-	sp.AddBytes(n)
-	sp.Finish(nil)
-	return int(n), outErr
+	return err2
 }
 
-// ReadvAt implements chio.VectorReaderAt: the whole segment list is
-// decomposed into per-server stripe runs and served with one list-I/O
-// RPC per data server, with hot-spot skipping applied to the
-// connection choice and the per-run mirror fallback preserved — a
-// server that fails its list read degrades run by run onto its
-// partner, exactly like the contiguous path. Doubled-group reads do
-// not apply here (the list already fans out to every server); the
-// preferred group serves it.
-func (f *file) ReadvAt(segs []chio.Seg, dst []byte) ([]int64, error) {
-	m, err := f.handle()
-	if err != nil {
-		return nil, err
-	}
-	var maxEnd int64
-	for _, s := range segs {
-		if s.Off < 0 || s.Len < 0 {
-			return nil, fmt.Errorf("ceft: negative segment [%d,+%d)", s.Off, s.Len)
-		}
-		if end := s.Off + s.Len; end > maxEnd {
-			maxEnd = end
-		}
-	}
-	if maxEnd > m.Size {
-		if err := f.refreshSize(&m); err != nil {
-			return nil, err
-		}
-	}
-	var total int64
-	for _, s := range segs {
-		total += s.Len
-	}
-	if total > int64(len(dst)) {
-		return nil, fmt.Errorf("ceft: readv needs %d bytes, dst holds %d", total, len(dst))
-	}
-	g := len(f.cl.primary)
-	perServer := make([][]pvfs.StripeRun, g)
-	lens := make([]int64, len(segs))
-	var base, served int64
-	for i, s := range segs {
-		n := m.Size - s.Off
-		if n < 0 {
-			n = 0
-		}
-		if n > s.Len {
-			n = s.Len
-		}
-		lens[i] = n
-		if n > 0 {
-			for server, list := range pvfs.Decompose(s.Off, n, m.StripeSize, g) {
-				for _, r := range list {
-					r.BufOff += base
-					perServer[server] = append(perServer[server], r)
-				}
-			}
-			served += n
-		}
-		// EOF tails read back as zeros.
-		clear(dst[base+n : base+s.Len])
-		base += s.Len
-	}
-	ctx, sp := f.cl.tracer.Start(f.ctx, "readv")
-	conns, _ := f.cl.pickConns(ctx, true)
-	var fo int64
-	if err := readRunsList(ctx, conns, f.cl.partners(conns), perServer, m.Handle, dst, &fo); err != nil {
-		sp.Finish(err)
-		return nil, err
-	}
-	f.cl.addFailovers(fo)
-	sp.AddBytes(served)
-	sp.Finish(nil)
-	return lens, nil
-}
-
-func (f *file) Read(p []byte) (int, error) {
-	f.mu.Lock()
-	off := f.off
-	f.mu.Unlock()
-	n, err := f.ReadAt(p, off)
-	f.mu.Lock()
-	f.off = off + int64(n)
-	f.mu.Unlock()
-	return n, err
-}
-
-func (f *file) Write(p []byte) (int, error) {
-	f.mu.Lock()
-	off := f.off
-	f.mu.Unlock()
-	n, err := f.WriteAt(p, off)
-	f.mu.Lock()
-	f.off = off + int64(n)
-	f.mu.Unlock()
-	return n, err
-}
-
-func (f *file) Seek(offset int64, whence int) (int64, error) {
-	m, err := f.handle()
-	if err != nil {
-		return 0, err
-	}
-	if whence == io.SeekEnd {
-		if err := f.refreshSize(&m); err != nil {
-			return 0, err
-		}
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var next int64
-	switch whence {
-	case io.SeekStart:
-		next = offset
-	case io.SeekCurrent:
-		next = f.off + offset
-	case io.SeekEnd:
-		next = m.Size + offset
-	default:
-		return 0, fmt.Errorf("ceft: bad whence %d", whence)
-	}
-	if next < 0 {
-		return 0, fmt.Errorf("ceft: negative seek position")
-	}
-	f.off = next
-	return next, nil
-}
-
-// Close settles the configured duplication protocol (client-async
-// waits for the client's background mirror writes; server-async asks
-// every primary server to flush its forward queue) and invalidates the
-// handle. A second Close is a safe no-op.
-func (f *file) Close() error {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return nil
-	}
-	f.closed = true
-	f.meta = pvfs.Meta{}
-	f.mu.Unlock()
-	switch f.cl.opts.WriteProtocol {
+// Settle completes the configured duplication protocol when a file
+// closes: client-async waits for the client's background mirror
+// writes; server-async asks every primary server to flush its forward
+// queue.
+func (r replicated) Settle(ctx context.Context) error {
+	switch r.cl.opts.WriteProtocol {
 	case ClientAsync:
-		f.cl.asyncWG.Wait()
-		return f.cl.AsyncErr()
+		r.cl.asyncWG.Wait()
+		return r.cl.AsyncErr()
 	case ServerAsync:
 		var first error
-		for _, d := range f.cl.primary {
-			if err := d.FlushForwards(f.ctx); err != nil && first == nil {
+		for _, d := range r.cl.primary {
+			if err := d.FlushForwards(ctx); err != nil && first == nil {
 				first = err
 			}
 		}

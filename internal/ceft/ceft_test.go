@@ -473,12 +473,13 @@ func TestHeartbeatDrivenSkip(t *testing.T) {
 		}
 		defer d.Close()
 		junk := make([]byte, 64*1024)
+		run := []pvfs.StripeRun{{Length: int64(len(junk))}}
 		for {
 			select {
 			case <-stop:
 				return
 			default:
-				d.WritePiece(context.Background(), 0xdead, 0, junk)
+				d.WriteRuns(context.Background(), 0xdead, run, junk)
 			}
 		}
 	}()

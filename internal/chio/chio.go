@@ -516,9 +516,18 @@ func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	defer f.d.mu.Unlock()
 	end := off + int64(len(p))
 	if end > int64(len(f.d.data)) {
-		grown := make([]byte, end)
-		copy(grown, f.d.data)
-		f.d.data = grown
+		if end > int64(cap(f.d.data)) {
+			// Grow geometrically so a run of appends copies O(n) bytes in
+			// total rather than the whole file on every write.
+			grown := make([]byte, end, max(end, 2*int64(cap(f.d.data))))
+			copy(grown, f.d.data)
+			f.d.data = grown
+		} else {
+			// A file's data never shrinks (Create starts a new one), so
+			// the spare capacity still holds the zeros it was made with
+			// and a gap before off reads back as zeros.
+			f.d.data = f.d.data[:end]
+		}
 	}
 	copy(f.d.data[off:end], p)
 	return len(p), nil

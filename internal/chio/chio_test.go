@@ -271,6 +271,57 @@ func TestMemFSRandomAccessProperty(t *testing.T) {
 	}
 }
 
+// TestMemFSAppendsCopyLinearly: n appends must copy O(n) bytes in
+// total — the buffer is reallocated a logarithmic number of times, not
+// once per write — and bytes skipped by a write past EOF, before or
+// after such growth, read back as zeros.
+func TestMemFSAppendsCopyLinearly(t *testing.T) {
+	fs := NewMemFS()
+	f, err := fs.Create("log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := f.(*memFile).d
+	const appends = 1 << 14
+	var reallocs, copied int
+	var base *byte
+	for i := 0; i < appends; i++ {
+		size := len(d.data)
+		if _, err := f.Write([]byte{byte(i), byte(i >> 8), 0xFF}); err != nil {
+			t.Fatal(err)
+		}
+		if &d.data[0] != base {
+			base = &d.data[0]
+			reallocs++
+			copied += size
+		}
+	}
+	if total := len(d.data); copied > 2*total || reallocs > 32 {
+		t.Errorf("%d appends of 3 bytes reallocated %d times and copied %d bytes (file is %d)",
+			appends, reallocs, copied, total)
+	}
+
+	// Sparse writes: one landing inside the spare capacity, one forcing
+	// a reallocation. Both gaps must read as zeros.
+	end := int64(len(d.data))
+	for _, gap := range []int64{1, int64(cap(d.data))} {
+		if _, err := f.WriteAt([]byte("x"), end+gap); err != nil {
+			t.Fatal(err)
+		}
+		hole := make([]byte, gap)
+		if _, err := f.ReadAt(hole, end); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(hole, make([]byte, gap)) {
+			t.Errorf("gap of %d bytes before a write past EOF does not read as zeros", gap)
+		}
+		end += gap + 1
+	}
+	if fi, _ := fs.Stat("log"); fi.Size != end {
+		t.Errorf("size = %d, want %d", fi.Size, end)
+	}
+}
+
 func TestBackendNames(t *testing.T) {
 	local, _ := NewLocalFS(t.TempDir())
 	if local.BackendName() != "local" {

@@ -186,10 +186,9 @@ type ServerStat struct {
 	MgrLoad float64 `json:"mgr_load"`
 	// Requests counts handled RPCs (pario_server_requests_total).
 	Requests int64 `json:"requests"`
-	// Ops breaks Requests down by wire op ("piece_read",
-	// "piece_readv", "list_read", ...). The shift of mass from
-	// piece_read toward readv/list ops — and the drop in the total —
-	// is the observable effect of vectored, list and collective I/O.
+	// Ops breaks Requests down by wire op ("list_read", "list_write",
+	// "piece_remove", ...). A drop in the list_read count for the same
+	// bytes is the observable effect of readahead and collective I/O.
 	Ops map[string]int64 `json:"ops,omitempty"`
 	// QueueWaitSeconds sums the emulated-disk delays this server
 	// imposed (pario_iod_queue_wait_seconds).

@@ -3,7 +3,6 @@ package pvfs
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
 
 	"pario/internal/chio"
@@ -19,7 +18,7 @@ type Client struct {
 	cfg  rpcpool.Config
 	ctx  context.Context
 	meta *transport
-	data []*transport
+	data []*DataConn
 }
 
 // Dial connects to the manager and every data server. Transport
@@ -36,8 +35,11 @@ func Dial(mgrAddr string, dataAddrs []string, opts ...rpcpool.Option) (*Client, 
 	}
 	cfg := rpcpool.Apply(opts...)
 	cl := &Client{cfg: cfg, ctx: context.Background(), meta: newTransport(mgrAddr, cfg)}
+	all := []*transport{cl.meta}
 	for _, a := range dataAddrs {
-		cl.data = append(cl.data, newTransport(a, cfg))
+		d := &DataConn{t: newTransport(a, cfg)}
+		cl.data = append(cl.data, d)
+		all = append(all, d.t)
 	}
 	// Establish one connection per server up front so a bad address
 	// fails Dial instead of the first operation.
@@ -47,7 +49,6 @@ func Dial(mgrAddr string, dataAddrs []string, opts ...rpcpool.Option) (*Client, 
 		warmCtx, cancel = context.WithTimeout(warmCtx, cfg.Timeout)
 		defer cancel()
 	}
-	all := append([]*transport{cl.meta}, cl.data...)
 	errs := make([]error, len(all))
 	var wg sync.WaitGroup
 	for i, tr := range all {
@@ -92,7 +93,7 @@ func (cl *Client) Close() error {
 		first = cl.meta.close()
 	}
 	for _, d := range cl.data {
-		if err := d.close(); err != nil && first == nil {
+		if err := d.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -126,14 +127,10 @@ func (cl *Client) Create(name string) (chio.File, error) {
 	var wg sync.WaitGroup
 	for i, d := range cl.data {
 		wg.Add(1)
-		go func(i int, d *transport) {
+		go func() {
 			defer wg.Done()
-			r, err := d.call(cl.ctx, &Request{Op: OpPieceRemove, Handle: m.Handle})
-			if err == nil && !r.OK {
-				err = r.err()
-			}
-			errs[i] = err
-		}(i, d)
+			errs[i] = d.RemovePiece(cl.ctx, m.Handle)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -141,7 +138,7 @@ func (cl *Client) Create(name string) (chio.File, error) {
 			return nil, err
 		}
 	}
-	return &file{cl: cl, meta: m}, nil
+	return cl.file(m), nil
 }
 
 // Open implements chio.FileSystem.
@@ -150,7 +147,7 @@ func (cl *Client) Open(name string) (chio.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &file{cl: cl, meta: resp.Meta}, nil
+	return cl.file(resp.Meta), nil
 }
 
 // Stat implements chio.FileSystem.
@@ -172,10 +169,10 @@ func (cl *Client) Remove(name string) error {
 	var wg sync.WaitGroup
 	for _, d := range cl.data {
 		wg.Add(1)
-		go func(d *transport) {
+		go func() {
 			defer wg.Done()
-			d.call(cl.ctx, &Request{Op: OpPieceRemove, Handle: m.Handle})
-		}(d)
+			d.RemovePiece(cl.ctx, m.Handle) // best effort: the name is already gone
+		}()
 	}
 	wg.Wait()
 	return nil
@@ -203,258 +200,43 @@ func (cl *Client) LoadMap() (map[int]float64, error) {
 	return resp.Loads, nil
 }
 
-// decompose splits the logical range [off, off+length) into one run
-// per data server (consecutive stripes of one server are contiguous
-// in its piece, so at most... they merge into runs; we emit per-server
-// merged run lists). Each server's runs come out in ascending
-// ServerOff (and BufOff) order — the order the vectored ops require.
-func decompose(off, length, stripe int64, nServers int) [][]StripeRun {
-	runs := make([][]StripeRun, nServers)
-	start := off
-	end := off + length
-	for off < end {
-		s := off / stripe
-		server := int(s % int64(nServers))
-		inStripe := off % stripe
-		n := stripe - inStripe
-		if off+n > end {
-			n = end - off
-		}
-		serverOff := (s/int64(nServers))*stripe + inStripe
-		list := runs[server]
-		// Merge only when both the server-local range and the buffer
-		// range continue the previous run (true for consecutive
-		// stripes only when nServers == 1).
-		if k := len(list); k > 0 &&
-			list[k-1].ServerOff+list[k-1].Length == serverOff &&
-			list[k-1].BufOff+list[k-1].Length == off-start {
-			list[k-1].Length += n
-		} else {
-			runs[server] = append(list, StripeRun{
-				Server:    server,
-				ServerOff: serverOff,
-				BufOff:    off - start,
-				Length:    n,
-			})
-		}
-		off += n
-	}
-	return runs
+// file opens m on this client (and its bound context).
+func (cl *Client) file(m Meta) *File {
+	return NewFile(cl.ctx, direct{cl}, cl.cfg.Tracer, m)
 }
 
-// file is an open PVFS file.
-type file struct {
-	cl     *Client
-	mu     sync.Mutex
-	meta   Meta
-	off    int64
-	closed bool
-}
+// direct is the PVFS client's Store: every data server holds the only
+// copy of its pieces, so a plan executes on exactly one connection per
+// server and any failure fails the operation.
+type direct struct{ cl *Client }
 
-func (f *file) Name() string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.meta.Name
-}
+func (d direct) NumServers() int { return len(d.cl.data) }
 
-var errFileClosed = fmt.Errorf("pvfs: file already closed")
-
-// handle returns the file's metadata, or an error once closed.
-func (f *file) handle() (Meta, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return Meta{}, errFileClosed
-	}
-	return f.meta, nil
-}
-
-// refreshSize re-fetches the file size from the manager.
-func (f *file) refreshSize(m *Meta) error {
-	resp, err := f.cl.metaCall(f.cl.ctx, &Request{Op: OpStat, Name: m.Name})
-	if err != nil {
-		return err
-	}
-	m.Size = resp.Meta.Size
-	f.mu.Lock()
-	if !f.closed {
-		f.meta.Size = resp.Meta.Size
-	}
-	f.mu.Unlock()
-	return nil
-}
-
-// ReadAt implements io.ReaderAt with parallel per-server reads.
-func (f *file) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("pvfs: negative read offset")
-	}
-	m, err := f.handle()
+func (d direct) StatSize(ctx context.Context, name string) (int64, error) {
+	resp, err := d.cl.metaCall(ctx, &Request{Op: OpStat, Name: name})
 	if err != nil {
 		return 0, err
 	}
-	want := int64(len(p))
-	if off+want > m.Size {
-		// The file may have grown since open.
-		if err := f.refreshSize(&m); err != nil {
-			return 0, err
-		}
-	}
-	if off >= m.Size {
-		return 0, io.EOF
-	}
-	n := want
-	var outErr error
-	if off+n > m.Size {
-		n = m.Size - off
-		outErr = io.EOF
-	}
-	// The runs tile [0, n) of p exactly, and the vectored read path
-	// zero-fills each run's hole/EOF tail itself, so no up-front
-	// whole-buffer zeroing pass is needed.
-	// The root span (when tracing is on) ties the per-server RPC spans
-	// issued below into one trace for this application-level read.
-	ctx, sp := f.cl.cfg.Tracer.Start(f.cl.ctx, "read")
-	runs := decompose(off, n, m.StripeSize, len(f.cl.data))
-	errs := make([]error, len(f.cl.data))
-	var wg sync.WaitGroup
-	for server, list := range runs {
-		if len(list) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(server int, list []StripeRun) {
-			defer wg.Done()
-			errs[server] = readRunsVec(ctx, f.cl.data[server], m.Handle, list, p)
-		}(server, list)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			sp.Finish(err)
-			return 0, err
-		}
-	}
-	sp.AddBytes(n)
-	sp.Finish(nil)
-	return int(n), outErr
+	return resp.Meta.Size, nil
 }
 
-// WriteAt implements io.WriterAt with parallel per-server writes.
-func (f *file) WriteAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("pvfs: negative write offset")
-	}
-	m, err := f.handle()
-	if err != nil {
-		return 0, err
-	}
-	n := int64(len(p))
-	if n == 0 {
-		return 0, nil
-	}
-	ctx, sp := f.cl.cfg.Tracer.Start(f.cl.ctx, "write")
-	runs := decompose(off, n, m.StripeSize, len(f.cl.data))
-	errs := make([]error, len(f.cl.data))
-	var wg sync.WaitGroup
-	for server, list := range runs {
-		if len(list) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(server int, list []StripeRun) {
-			defer wg.Done()
-			errs[server] = writeRunsVec(ctx, f.cl.data[server], m.Handle, list, p)
-		}(server, list)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			sp.Finish(err)
-			return 0, err
-		}
-	}
-	sp.AddBytes(n)
-	sp.Finish(nil)
-	// The size RPC is needed only when the write extends the file. Our
-	// cached size can lag the manager's (another writer may have grown
-	// the file) but never exceeds it, so off+n <= cached size proves the
-	// manager already records at least off+n and the RPC is redundant.
-	if off+n > m.Size {
-		if _, err := f.cl.metaCall(f.cl.ctx, &Request{Op: OpSetSize, Name: m.Name, Length: off + n}); err != nil {
-			return 0, err
-		}
-		f.mu.Lock()
-		if !f.closed && off+n > f.meta.Size {
-			f.meta.Size = off + n
-		}
-		f.mu.Unlock()
-	}
-	return int(n), nil
+func (d direct) GrowSize(ctx context.Context, name string, size int64) error {
+	_, err := d.cl.metaCall(ctx, &Request{Op: OpSetSize, Name: name, Length: size})
+	return err
 }
 
-func (f *file) Read(p []byte) (int, error) {
-	f.mu.Lock()
-	off := f.off
-	f.mu.Unlock()
-	n, err := f.ReadAt(p, off)
-	f.mu.Lock()
-	f.off = off + int64(n)
-	f.mu.Unlock()
-	return n, err
+func (d direct) ReadRuns(ctx context.Context, handle uint64, plan ReadPlan, dst []byte) error {
+	_, err := FanOut(plan.Runs, func(server int, list []StripeRun) error {
+		return d.cl.data[server].ReadRuns(ctx, handle, list, dst)
+	})
+	return err
 }
 
-func (f *file) Write(p []byte) (int, error) {
-	f.mu.Lock()
-	off := f.off
-	f.mu.Unlock()
-	n, err := f.WriteAt(p, off)
-	f.mu.Lock()
-	f.off = off + int64(n)
-	f.mu.Unlock()
-	return n, err
+func (d direct) WriteRuns(ctx context.Context, handle uint64, runs [][]StripeRun, p []byte) error {
+	_, err := FanOut(runs, func(server int, list []StripeRun) error {
+		return d.cl.data[server].WriteRuns(ctx, handle, list, p)
+	})
+	return err
 }
 
-func (f *file) Seek(offset int64, whence int) (int64, error) {
-	m, err := f.handle()
-	if err != nil {
-		return 0, err
-	}
-	if whence == io.SeekEnd {
-		if err := f.refreshSize(&m); err != nil {
-			return 0, err
-		}
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var next int64
-	switch whence {
-	case io.SeekStart:
-		next = offset
-	case io.SeekCurrent:
-		next = f.off + offset
-	case io.SeekEnd:
-		next = m.Size + offset
-	default:
-		return 0, fmt.Errorf("pvfs: bad whence %d", whence)
-	}
-	if next < 0 {
-		return 0, fmt.Errorf("pvfs: negative seek position")
-	}
-	f.off = next
-	return next, nil
-}
-
-// Close invalidates the handle: subsequent operations on the file
-// fail, and a second Close is a safe no-op. The client's pooled
-// connections are shared across files and stay open.
-func (f *file) Close() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return nil
-	}
-	f.closed = true
-	f.meta = Meta{}
-	return nil
-}
+func (d direct) Settle(context.Context) error { return nil }

@@ -159,23 +159,6 @@ func (d *DataConn) call(ctx context.Context, req *Request) (*Response, error) {
 	return resp, nil
 }
 
-// ReadPiece reads up to n bytes of the piece at the server-local
-// offset. Short or empty results mean the piece is shorter (holes
-// read as missing bytes; callers zero-fill).
-func (d *DataConn) ReadPiece(ctx context.Context, handle uint64, off, n int64) ([]byte, error) {
-	resp, err := d.call(ctx, &Request{Op: OpPieceRead, Handle: handle, Offset: off, Length: n})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Data, nil
-}
-
-// WritePiece writes data at the server-local offset.
-func (d *DataConn) WritePiece(ctx context.Context, handle uint64, off int64, data []byte) error {
-	_, err := d.call(ctx, &Request{Op: OpPieceWrite, Handle: handle, Offset: off, Data: data})
-	return err
-}
-
 // WritePieceDup writes data at the server-local offset and has the
 // server duplicate it to its mirror partner: synchronously (ack after
 // the mirror confirms) or asynchronously (ack immediately, forward in
@@ -197,28 +180,6 @@ func (d *DataConn) FlushForwards(ctx context.Context) error {
 	return err
 }
 
-// ReadRuns reads every stripe run in runs (which must all name this
-// server) into p, scattering each run's bytes at its BufOff and
-// zero-filling hole/EOF tails. Multiple runs coalesce into a single
-// vectored RPC unless the connection was dialed WithoutCoalescing.
-func (d *DataConn) ReadRuns(ctx context.Context, handle uint64, runs []StripeRun, p []byte) error {
-	return readRunsVec(ctx, d.t, handle, runs, p)
-}
-
-// ReadRun reads one stripe run into p[r.BufOff:r.BufOff+r.Length],
-// decoding the payload directly into the destination (no per-RPC
-// payload allocation) and zero-filling any hole/EOF tail.
-func (d *DataConn) ReadRun(ctx context.Context, handle uint64, r StripeRun, p []byte) error {
-	return readRunInto(ctx, d.t, handle, r, p)
-}
-
-// WriteRuns writes every stripe run in runs (which must all name this
-// server) from p, coalescing multiple runs into a single vectored RPC
-// unless the connection was dialed WithoutCoalescing.
-func (d *DataConn) WriteRuns(ctx context.Context, handle uint64, runs []StripeRun, p []byte) error {
-	return writeRunsVec(ctx, d.t, handle, runs, p)
-}
-
 // RemovePiece deletes the server's piece of the handle.
 func (d *DataConn) RemovePiece(ctx context.Context, handle uint64) error {
 	_, err := d.call(ctx, &Request{Op: OpPieceRemove, Handle: handle})
@@ -232,21 +193,4 @@ func (d *DataConn) Ping(ctx context.Context) (int, error) {
 		return 0, err
 	}
 	return int(resp.N), nil
-}
-
-// StripeRun is an exported stripe decomposition element for layered
-// file systems (CEFT) that need direct per-server access.
-type StripeRun struct {
-	Server    int
-	ServerOff int64
-	BufOff    int64
-	Length    int64
-}
-
-// Decompose splits the logical byte range [off, off+length) into
-// per-server run lists under round-robin striping. Each server's list
-// is in ascending ServerOff (and BufOff) order, the order the vectored
-// piece ops require.
-func Decompose(off, length, stripe int64, nServers int) [][]StripeRun {
-	return decompose(off, length, stripe, nServers)
 }

@@ -118,17 +118,17 @@ func TestDataConnPieceOps(t *testing.T) {
 		t.Fatalf("ping: %d %v", id, err)
 	}
 	payload := []byte("stripe piece data")
-	if err := d.WritePiece(bg, 77, 10, payload); err != nil {
+	run := []StripeRun{{ServerOff: 10, Length: int64(len(payload))}}
+	if err := d.WriteRuns(bg, 77, run, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.ReadPiece(bg, 77, 10, int64(len(payload)))
-	if err != nil || !bytes.Equal(got, payload) {
+	got := make([]byte, len(payload))
+	if err := d.ReadRuns(bg, 77, run, got); err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("read back: %q %v", got, err)
 	}
-	// Reading a missing piece returns empty data, not an error (holes).
-	got, err = d.ReadPiece(bg, 9999, 0, 100)
-	if err != nil || len(got) != 0 {
-		t.Fatalf("hole read: %d bytes, %v", len(got), err)
+	// Reading a missing piece is not an error: holes read as zeros.
+	if err := d.ReadRuns(bg, 9999, run, got); err != nil || !bytes.Equal(got, make([]byte, len(got))) {
+		t.Fatalf("hole read: %q %v", got, err)
 	}
 	if err := d.RemovePiece(bg, 77); err != nil {
 		t.Fatal(err)
@@ -184,25 +184,6 @@ func TestDupWithoutMirrorFails(t *testing.T) {
 	defer d.Close()
 	if err := d.WritePieceDup(bg, 1, 0, []byte("x"), true); err == nil {
 		t.Error("sync dup without mirror accepted")
-	}
-}
-
-func TestDecomposeExported(t *testing.T) {
-	runs := Decompose(0, 100, 10, 2)
-	if len(runs) != 2 {
-		t.Fatalf("runs: %d servers", len(runs))
-	}
-	var total int64
-	for _, list := range runs {
-		for _, r := range list {
-			total += r.Length
-			if r.Server != 0 && r.Server != 1 {
-				t.Errorf("bad server %d", r.Server)
-			}
-		}
-	}
-	if total != 100 {
-		t.Errorf("coverage: %d of 100", total)
 	}
 }
 

@@ -1,0 +1,260 @@
+package pvfs
+
+import (
+	"context"
+	"fmt"
+	"io"
+	"sync"
+
+	"pario/internal/chio"
+	"pario/internal/telemetry"
+)
+
+// Store is what an open striped file needs from the client that
+// opened it: the manager's view of the file's size, and the execution
+// of a striping plan against the data servers. The PVFS client talks
+// to each server directly; CEFT-PVFS picks a replica per server. All
+// methods must be safe for concurrent use.
+type Store interface {
+	// NumServers is the number of data servers files are striped over.
+	NumServers() int
+	// StatSize fetches the file's current size from the manager.
+	StatSize(ctx context.Context, name string) (int64, error)
+	// GrowSize records that the file extends to at least size bytes.
+	GrowSize(ctx context.Context, name string, size int64) error
+	// ReadRuns fetches plan's runs of the piece set handle into dst.
+	ReadRuns(ctx context.Context, handle uint64, plan ReadPlan, dst []byte) error
+	// WriteRuns stores runs (one list per data server, BufOff indexing
+	// p) into the piece set handle.
+	WriteRuns(ctx context.Context, handle uint64, runs [][]StripeRun, p []byte) error
+	// Settle runs once when a file closes, after the handle is
+	// invalidated; a store with deferred writes completes them here.
+	Settle(ctx context.Context) error
+}
+
+// File is an open striped file: the cached metadata, the sequential
+// cursor, and every chio.File operation, planned here and executed by
+// a Store. It implements chio.VectorReaderAt; a contiguous read is a
+// one-segment list.
+type File struct {
+	st     Store
+	ctx    context.Context
+	tracer *telemetry.Tracer
+
+	mu     sync.Mutex
+	meta   Meta
+	off    int64
+	closed bool
+}
+
+// NewFile returns an open file over st whose operations run under ctx.
+// tracer, when non-nil, records a root span per application-level
+// read or write, tying the per-server RPC spans below it into one
+// trace.
+func NewFile(ctx context.Context, st Store, tracer *telemetry.Tracer, m Meta) *File {
+	return &File{st: st, ctx: ctx, tracer: tracer, meta: m}
+}
+
+// Name implements chio.File.
+func (f *File) Name() string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.meta.Name
+}
+
+var errFileClosed = fmt.Errorf("pvfs: file already closed")
+
+// handle returns the file's metadata, or an error once closed.
+func (f *File) handle() (Meta, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return Meta{}, errFileClosed
+	}
+	return f.meta, nil
+}
+
+// refreshSize re-fetches the file size from the manager.
+func (f *File) refreshSize(m *Meta) error {
+	size, err := f.st.StatSize(f.ctx, m.Name)
+	if err != nil {
+		return err
+	}
+	m.Size = size
+	f.mu.Lock()
+	if !f.closed {
+		f.meta.Size = size
+	}
+	f.mu.Unlock()
+	return nil
+}
+
+// readv is ReadvAt under a root span called spanName; it also returns
+// the metadata the read was planned against.
+func (f *File) readv(spanName string, segs []chio.Seg, dst []byte) ([]int64, Meta, error) {
+	m, err := f.handle()
+	if err != nil {
+		return nil, m, err
+	}
+	for _, s := range segs {
+		if s.Off+s.Len > m.Size {
+			// The file may have grown since open.
+			if err := f.refreshSize(&m); err != nil {
+				return nil, m, err
+			}
+			break
+		}
+	}
+	plan, err := PlanRead(segs, dst, m, f.st.NumServers())
+	if err != nil {
+		return nil, m, err
+	}
+	var served int64
+	for _, n := range plan.Lens {
+		served += n
+	}
+	if served == 0 {
+		return plan.Lens, m, nil // all of it past EOF: nothing to fetch
+	}
+	ctx, sp := f.tracer.Start(f.ctx, spanName)
+	if err := f.st.ReadRuns(ctx, m.Handle, plan, dst); err != nil {
+		sp.Finish(err)
+		return nil, m, err
+	}
+	sp.AddBytes(served)
+	sp.Finish(nil)
+	return plan.Lens, m, nil
+}
+
+// ReadvAt implements chio.VectorReaderAt: the whole segment list costs
+// one list-I/O RPC per data server, issued in parallel. Holes read as
+// zeros; segments past EOF come back short with their dst tails zeroed.
+func (f *File) ReadvAt(segs []chio.Seg, dst []byte) ([]int64, error) {
+	lens, _, err := f.readv("readv", segs, dst)
+	return lens, err
+}
+
+// ReadAt implements io.ReaderAt as a one-segment list read.
+func (f *File) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("pvfs: negative read offset")
+	}
+	lens, m, err := f.readv("read", []chio.Seg{{Off: off, Len: int64(len(p))}}, p)
+	if err != nil {
+		return 0, err
+	}
+	if off >= m.Size || lens[0] < int64(len(p)) {
+		err = io.EOF
+	}
+	return int(lens[0]), err
+}
+
+// WriteAt implements io.WriterAt: the range is decomposed into
+// per-server runs for the store to write, and the manager's size is
+// advanced when the write extends the file.
+func (f *File) WriteAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("pvfs: negative write offset")
+	}
+	m, err := f.handle()
+	if err != nil {
+		return 0, err
+	}
+	n := int64(len(p))
+	if n == 0 {
+		return 0, nil
+	}
+	ctx, sp := f.tracer.Start(f.ctx, "write")
+	err = f.st.WriteRuns(ctx, m.Handle, decompose(off, n, m.StripeSize, f.st.NumServers()), p)
+	// The size RPC is needed only when the write extends the file. Our
+	// cached size can lag the manager's (another writer may have grown
+	// the file) but never exceeds it, so off+n <= cached size proves the
+	// manager already records at least off+n and the RPC is redundant.
+	if err == nil && off+n > m.Size {
+		if err = f.st.GrowSize(ctx, m.Name, off+n); err == nil {
+			f.mu.Lock()
+			if !f.closed && off+n > f.meta.Size {
+				f.meta.Size = off + n
+			}
+			f.mu.Unlock()
+		}
+	}
+	if err != nil {
+		sp.Finish(err)
+		return 0, err
+	}
+	sp.AddBytes(n)
+	sp.Finish(nil)
+	return int(n), nil
+}
+
+// Read implements io.Reader at the file's cursor.
+func (f *File) Read(p []byte) (int, error) {
+	f.mu.Lock()
+	off := f.off
+	f.mu.Unlock()
+	n, err := f.ReadAt(p, off)
+	f.mu.Lock()
+	f.off = off + int64(n)
+	f.mu.Unlock()
+	return n, err
+}
+
+// Write implements io.Writer at the file's cursor.
+func (f *File) Write(p []byte) (int, error) {
+	f.mu.Lock()
+	off := f.off
+	f.mu.Unlock()
+	n, err := f.WriteAt(p, off)
+	f.mu.Lock()
+	f.off = off + int64(n)
+	f.mu.Unlock()
+	return n, err
+}
+
+// Seek implements io.Seeker.
+func (f *File) Seek(offset int64, whence int) (int64, error) {
+	m, err := f.handle()
+	if err != nil {
+		return 0, err
+	}
+	if whence == io.SeekEnd {
+		if err := f.refreshSize(&m); err != nil {
+			return 0, err
+		}
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var next int64
+	switch whence {
+	case io.SeekStart:
+		next = offset
+	case io.SeekCurrent:
+		next = f.off + offset
+	case io.SeekEnd:
+		next = m.Size + offset
+	default:
+		return 0, fmt.Errorf("pvfs: bad whence %d", whence)
+	}
+	if next < 0 {
+		return 0, fmt.Errorf("pvfs: negative seek position")
+	}
+	f.off = next
+	return next, nil
+}
+
+// Close invalidates the handle — subsequent operations on the file
+// fail — and lets the store settle. A second Close is a safe no-op.
+// The client's pooled connections are shared across files and stay
+// open.
+func (f *File) Close() error {
+	f.mu.Lock()
+	if f.closed {
+		f.mu.Unlock()
+		return nil
+	}
+	f.closed = true
+	f.meta = Meta{}
+	f.mu.Unlock()
+	return f.st.Settle(f.ctx)
+}

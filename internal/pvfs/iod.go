@@ -3,8 +3,8 @@ package pvfs
 import (
 	"fmt"
 	"io"
+	"math"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -193,54 +193,40 @@ func (ds *DataServer) handle(req *Request) *Response {
 	ds.recordArrival()
 	defer ds.recordDone()
 	start := time.Now()
-	if t := atomic.LoadInt64(&ds.throttleNsPerKiB); t > 0 {
-		n := req.Length
-		switch req.Op {
-		case OpPieceWrite, OpPieceWritev, OpListWrite:
-			n = int64(len(req.Data))
-		case OpPieceReadv, OpListRead:
-			n = 0
-			for _, s := range req.Segs {
-				n += s.Length
-			}
-		}
-		kib := (n + 1023) / 1024
-		wait := time.Duration(t * kib)
-		time.Sleep(wait)
-		ds.tel.observeQueueWait(wait)
-	}
 	resp := ds.dispatch(req)
 	ds.tel.observe(req, resp, start, time.Since(start))
 	return resp
 }
 
-// dispatch routes one decoded request to its op handler.
+// throttle emulates a loaded disk: serving n bytes costs the
+// configured per-KiB delay.
+func (ds *DataServer) throttle(n int64) {
+	t := atomic.LoadInt64(&ds.throttleNsPerKiB)
+	if t <= 0 {
+		return
+	}
+	wait := time.Duration(t * ((n + 1023) / 1024))
+	time.Sleep(wait)
+	ds.tel.observeQueueWait(wait)
+}
+
+// dispatch routes one decoded request to its op handler. Piece data
+// has one read handler and one write handler, both over segment lists;
+// the decode-only contiguous ops are lifted to one-segment lists here.
 func (ds *DataServer) dispatch(req *Request) *Response {
 	switch req.Op {
 	case OpPieceRead:
-		f, err := ds.store.Open(pieceName(req.Handle))
-		if err != nil {
-			// Reading a hole (piece never written): return zeros up
-			// to nothing; the client trims by file size.
-			return &Response{OK: true, Data: nil}
-		}
-		defer f.Close()
-		buf := make([]byte, req.Length)
-		n, err := f.ReadAt(buf, req.Offset)
-		if err != nil && err != io.EOF {
-			return errResp("piece read: %v", err)
-		}
-		return &Response{OK: true, Data: buf[:n]}
-	case OpPieceReadv:
-		return ds.handleReadv(req)
-	case OpListRead:
-		return ds.handleListRead(req)
+		resp := ds.handleRead(req.Handle, []Seg{{Offset: req.Offset, Length: req.Length}})
+		resp.SegLens = nil // the contiguous reply shape is Data alone
+		return resp
+	case OpPieceReadv, OpListRead:
+		return ds.handleRead(req.Handle, req.Segs)
 	case OpPieceWrite:
-		return ds.handleWrite(req)
-	case OpPieceWritev:
-		return ds.handleWritev(req)
-	case OpListWrite:
-		return ds.handleListWrite(req)
+		ds.throttle(int64(len(req.Data)))
+		return ds.handleWrite(req.Handle, oneSeg(req), req.Data)
+	case OpPieceWritev, OpListWrite:
+		ds.throttle(int64(len(req.Data)))
+		return ds.handleWrite(req.Handle, req.Segs, req.Data)
 	case OpPieceRemove:
 		err := ds.store.Remove(pieceName(req.Handle))
 		if err != nil && !isNotExist(err) {
@@ -250,7 +236,7 @@ func (ds *DataServer) dispatch(req *Request) *Response {
 	case OpPing:
 		return &Response{OK: true, N: int64(ds.ID)}
 	case OpPieceWriteDupSync:
-		if resp := ds.localWrite(req); !resp.OK {
+		if resp := ds.handleWrite(req.Handle, oneSeg(req), req.Data); !resp.OK {
 			return resp
 		}
 		if err := ds.forward(req); err != nil {
@@ -258,7 +244,7 @@ func (ds *DataServer) dispatch(req *Request) *Response {
 		}
 		return &Response{OK: true, N: int64(len(req.Data))}
 	case OpPieceWriteDupAsync:
-		if resp := ds.localWrite(req); !resp.OK {
+		if resp := ds.handleWrite(req.Handle, oneSeg(req), req.Data); !resp.OK {
 			return resp
 		}
 		ds.startForwarder()
@@ -278,247 +264,173 @@ func (ds *DataServer) dispatch(req *Request) *Response {
 	return errResp("data server: unknown op %d", req.Op)
 }
 
-// handleReadv serves a vectored piece read: the piece is opened once
-// and every requested segment read positionally into one response
-// buffer — the server side of list-I/O. Segments past the piece's end
-// (holes, EOF) come back short; SegLens tells the client how much of
-// each segment was served so it can zero-fill the rest.
-func (ds *DataServer) handleReadv(req *Request) *Response {
-	lens := make([]int64, len(req.Segs))
-	f, err := ds.store.Open(pieceName(req.Handle))
+// oneSeg is the segment list of a contiguous write request: Data at
+// Offset.
+func oneSeg(req *Request) []Seg {
+	return []Seg{{Offset: req.Offset, Length: int64(len(req.Data))}}
+}
+
+// checkSegs validates a segment list off the wire — offsets and
+// lengths non-negative, summed length within maxRequestBytes — and
+// reports the sum and whether the list is ascending and disjoint, the
+// shape striping produces.
+func checkSegs(segs []Seg) (total int64, ascending bool, err error) {
+	ascending = true
+	var end int64
+	for _, s := range segs {
+		if s.Offset < 0 || s.Length < 0 || s.Offset > math.MaxInt64-s.Length {
+			return 0, false, fmt.Errorf("bad segment [%d,+%d)", s.Offset, s.Length)
+		}
+		if s.Length > maxRequestBytes-total {
+			return 0, false, fmt.Errorf("segments claim more than %d bytes", maxRequestBytes)
+		}
+		total += s.Length
+		if s.Offset < end {
+			ascending = false
+		}
+		end = s.Offset + s.Length
+	}
+	return total, ascending, nil
+}
+
+// byOffset returns the indices of segs in ascending offset order.
+func byOffset(segs []Seg) []int {
+	return sortedIndex(len(segs), func(i int) int64 { return segs[i].Offset })
+}
+
+// handleRead serves a list read: any segment list — unsorted,
+// overlapping, over holes, past the piece's end — with each piece byte
+// read at most once. The reply's Data is the served bytes concatenated
+// in request order; SegLens says how much of each segment was served
+// (short means hole or end of piece, and the client zero-fills).
+func (ds *DataServer) handleRead(handle uint64, segs []Seg) *Response {
+	total, ascending, err := checkSegs(segs)
+	if err != nil {
+		return errResp("list read: %v", err)
+	}
+	ds.throttle(total)
+	lens := make([]int64, len(segs))
+	f, err := ds.store.Open(pieceName(handle))
 	if err != nil {
 		// Piece never written: every segment is a hole.
 		return &Response{OK: true, SegLens: lens}
 	}
 	defer f.Close()
-	var total int64
-	for _, s := range req.Segs {
-		total += s.Length
-	}
-	buf := make([]byte, 0, total)
-	for i, s := range req.Segs {
-		start := len(buf)
-		buf = buf[:start+int(s.Length)]
-		n, err := f.ReadAt(buf[start:], s.Offset)
-		if err != nil && err != io.EOF {
-			return errResp("piece readv: %v", err)
-		}
-		lens[i] = int64(n)
-		buf = buf[:start+n]
-	}
-	return &Response{OK: true, Data: buf, SegLens: lens}
-}
-
-// handleWritev applies a vectored piece write: the piece is opened (or
-// created) once and every segment written positionally from the
-// request's concatenated payload.
-func (ds *DataServer) handleWritev(req *Request) *Response {
-	var total int64
-	for _, s := range req.Segs {
-		total += s.Length
-	}
-	if total != int64(len(req.Data)) {
-		return errResp("piece writev: payload %d bytes, segments claim %d", len(req.Data), total)
-	}
-	ds.filesMu.Lock()
-	f, err := ds.store.Open(pieceName(req.Handle))
+	// Nothing is served past the piece's end, so the reply is sized by
+	// what the piece holds, not by what the request claims.
+	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
-		f, err = ds.store.Create(pieceName(req.Handle))
+		return errResp("list read: %v", err)
 	}
-	ds.filesMu.Unlock()
-	if err != nil {
-		return errResp("piece create: %v", err)
+	var need int64
+	for i, s := range segs {
+		lens[i] = min(max(size-s.Offset, 0), s.Length)
+		need += lens[i]
 	}
-	defer f.Close()
-	data := req.Data
-	for _, s := range req.Segs {
-		if _, err := f.WriteAt(data[:s.Length], s.Offset); err != nil {
-			return errResp("piece writev: %v", err)
+	buf := make([]byte, 0, need)
+	if ascending {
+		// Request order is piece order and nothing overlaps, so each
+		// segment is read straight into its place in the reply.
+		for i, s := range segs {
+			if lens[i] == 0 {
+				continue
+			}
+			n, err := f.ReadAt(buf[len(buf):len(buf)+int(lens[i])], s.Offset)
+			if err != nil && err != io.EOF {
+				return errResp("list read: %v", err)
+			}
+			lens[i] = int64(n)
+			buf = buf[:len(buf)+n]
 		}
-		data = data[s.Length:]
+		return &Response{OK: true, Data: buf, SegLens: lens}
 	}
-	return &Response{OK: true, N: int64(len(req.Data))}
-}
 
-// handleListRead serves a list-I/O read: an arbitrary — possibly
-// unsorted, possibly overlapping — segment list satisfied with a
-// single sorted pass over the piece. The segments are sorted by
-// offset, overlapping and adjacent ones merged into maximal extents,
-// each extent read once, and the extent bytes fanned back out to the
-// segments in request order. Per-segment semantics match OpPieceReadv:
-// short segments are holes or EOF and SegLens tells the client how
-// much of each was served.
-func (ds *DataServer) handleListRead(req *Request) *Response {
-	lens := make([]int64, len(req.Segs))
-	for _, s := range req.Segs {
-		if s.Offset < 0 || s.Length < 0 {
-			return errResp("list read: negative segment [%d,+%d)", s.Offset, s.Length)
-		}
-	}
-	f, err := ds.store.Open(pieceName(req.Handle))
-	if err != nil {
-		// Piece never written: every segment is a hole.
-		return &Response{OK: true, SegLens: lens}
-	}
-	defer f.Close()
-
-	order := make([]int, len(req.Segs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return req.Segs[order[a]].Offset < req.Segs[order[b]].Offset
-	})
-
-	// One ascending pass: walk the sorted segments, growing the current
-	// extent while the next segment overlaps or abuts it, and read each
-	// finished extent exactly once.
+	// General list: overlapping and adjacent segments merge into maximal
+	// extents, each extent is read once, and the extent bytes fan back
+	// out to the segments in request order.
 	type extent struct {
-		off  int64
-		data []byte // served bytes (may be shorter than requested: EOF)
+		off, end int64
+		data     []byte // served bytes
 	}
 	var extents []extent
-	segExt := make([]int, len(req.Segs)) // segment -> extent index
-	var lo, hi int64
-	open := false
-	flush := func() *Response {
-		if !open {
-			return nil
+	segExt := make([]int, len(segs)) // segment -> extent index
+	for _, i := range byOffset(segs) {
+		s := segs[i]
+		if n := len(extents); n > 0 && s.Offset <= extents[n-1].end {
+			extents[n-1].end = max(extents[n-1].end, s.Offset+s.Length)
+		} else {
+			extents = append(extents, extent{off: s.Offset, end: s.Offset + s.Length})
 		}
-		buf := make([]byte, hi-lo)
-		n, err := f.ReadAt(buf, lo)
+		segExt[i] = len(extents) - 1
+	}
+	for k := range extents {
+		e := &extents[k]
+		if e.off >= size {
+			break // this extent and every later one lie past the end
+		}
+		e.data = make([]byte, min(e.end, size)-e.off)
+		n, err := f.ReadAt(e.data, e.off)
 		if err != nil && err != io.EOF {
 			return errResp("list read: %v", err)
 		}
-		extents = append(extents, extent{off: lo, data: buf[:n]})
-		open = false
-		return nil
+		e.data = e.data[:n]
 	}
-	for _, i := range order {
-		s := req.Segs[i]
-		if s.Length == 0 {
-			segExt[i] = -1
-			continue
-		}
-		if open && s.Offset <= hi {
-			if end := s.Offset + s.Length; end > hi {
-				hi = end
-			}
-		} else {
-			if resp := flush(); resp != nil {
-				return resp
-			}
-			lo, hi, open = s.Offset, s.Offset+s.Length, true
-		}
-		segExt[i] = len(extents)
-	}
-	if resp := flush(); resp != nil {
-		return resp
-	}
-
-	var total int64
-	for _, s := range req.Segs {
-		total += s.Length
-	}
-	buf := make([]byte, 0, total)
-	for i, s := range req.Segs {
-		if segExt[i] < 0 {
-			continue
-		}
+	for i, s := range segs {
 		e := extents[segExt[i]]
 		rel := s.Offset - e.off
-		served := int64(len(e.data)) - rel
-		if served < 0 {
-			served = 0
+		lens[i] = min(max(int64(len(e.data))-rel, 0), s.Length)
+		if lens[i] > 0 {
+			buf = append(buf, e.data[rel:rel+lens[i]]...)
 		}
-		if served > s.Length {
-			served = s.Length
-		}
-		lens[i] = served
-		buf = append(buf, e.data[rel:rel+served]...)
 	}
 	return &Response{OK: true, Data: buf, SegLens: lens}
 }
 
-// handleListWrite applies a list-I/O write: the segment list may be
-// unsorted (the piece is written in one ascending pass) but must not
-// overlap. Request.Data carries the segments' bytes concatenated in
-// request order.
-func (ds *DataServer) handleListWrite(req *Request) *Response {
-	var total int64
-	starts := make([]int64, len(req.Segs))
-	for i, s := range req.Segs {
-		if s.Offset < 0 || s.Length < 0 {
-			return errResp("list write: negative segment [%d,+%d)", s.Offset, s.Length)
-		}
-		starts[i] = total
-		total += s.Length
+// handleWrite applies a list write to this server's piece: data is the
+// segments' bytes concatenated in request order. The list may be
+// unsorted but must not overlap; an overlapping list is rejected whole.
+func (ds *DataServer) handleWrite(handle uint64, segs []Seg, data []byte) *Response {
+	total, ascending, err := checkSegs(segs)
+	if err != nil {
+		return errResp("list write: %v", err)
 	}
-	if total != int64(len(req.Data)) {
-		return errResp("list write: payload %d bytes, segments claim %d", len(req.Data), total)
+	if total != int64(len(data)) {
+		return errResp("list write: payload %d bytes, segments claim %d", len(data), total)
 	}
-	order := make([]int, len(req.Segs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return req.Segs[order[a]].Offset < req.Segs[order[b]].Offset
-	})
-	for k := 1; k < len(order); k++ {
-		prev, cur := req.Segs[order[k-1]], req.Segs[order[k]]
-		if prev.Offset+prev.Length > cur.Offset {
-			return errResp("list write: overlapping segments [%d,+%d) and [%d,+%d)",
-				prev.Offset, prev.Length, cur.Offset, cur.Length)
+	if !ascending {
+		order := byOffset(segs)
+		for k := 1; k < len(order); k++ {
+			prev, cur := segs[order[k-1]], segs[order[k]]
+			if prev.Offset+prev.Length > cur.Offset {
+				return errResp("list write: overlapping segments [%d,+%d) and [%d,+%d)",
+					prev.Offset, prev.Length, cur.Offset, cur.Length)
+			}
 		}
 	}
 	ds.filesMu.Lock()
-	f, err := ds.store.Open(pieceName(req.Handle))
+	f, err := ds.store.Open(pieceName(handle))
 	if err != nil {
-		f, err = ds.store.Create(pieceName(req.Handle))
+		f, err = ds.store.Create(pieceName(handle))
 	}
 	ds.filesMu.Unlock()
 	if err != nil {
 		return errResp("piece create: %v", err)
 	}
 	defer f.Close()
-	for _, i := range order {
-		s := req.Segs[i]
+	for _, s := range segs {
 		if s.Length == 0 {
 			continue
 		}
-		if _, err := f.WriteAt(req.Data[starts[i]:starts[i]+s.Length], s.Offset); err != nil {
+		if _, err := f.WriteAt(data[:s.Length], s.Offset); err != nil {
 			return errResp("list write: %v", err)
 		}
+		data = data[s.Length:]
 	}
-	return &Response{OK: true, N: int64(len(req.Data))}
+	return &Response{OK: true, N: total}
 }
 
-// handleWrite applies a piece write to this server's store.
-func (ds *DataServer) handleWrite(req *Request) *Response {
-	ds.filesMu.Lock()
-	f, err := ds.store.Open(pieceName(req.Handle))
-	if err != nil {
-		f, err = ds.store.Create(pieceName(req.Handle))
-	}
-	ds.filesMu.Unlock()
-	if err != nil {
-		return errResp("piece create: %v", err)
-	}
-	defer f.Close()
-	if _, err := f.WriteAt(req.Data, req.Offset); err != nil {
-		return errResp("piece write: %v", err)
-	}
-	return &Response{OK: true, N: int64(len(req.Data))}
-}
-
-// localWrite applies a duplication write to this server's own piece.
-func (ds *DataServer) localWrite(req *Request) *Response {
-	local := *req
-	local.Op = OpPieceWrite
-	return ds.handleWrite(&local)
-}
-
-// forward synchronously delivers a write to the mirror partner.
+// forward synchronously delivers a duplication write to the mirror
+// partner, which applies it as an ordinary list write.
 func (ds *DataServer) forward(req *Request) error {
 	if ds.mirrorAddr == "" {
 		return fmt.Errorf("no mirror partner configured on server %d", ds.ID)
@@ -532,8 +444,10 @@ func (ds *DataServer) forward(req *Request) error {
 		}
 		ds.fwdConn = c
 	}
-	fwd := *req
-	fwd.Op = OpPieceWrite
+	fwd := Request{
+		Op: OpListWrite, Handle: req.Handle, Segs: oneSeg(req), Data: req.Data,
+		TraceID: req.TraceID, SpanID: req.SpanID,
+	}
 	var resp Response
 	err := ds.fwdConn.call(&fwd, &resp)
 	if err != nil {

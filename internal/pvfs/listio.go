@@ -3,67 +3,53 @@ package pvfs
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
-
-	"pario/internal/chio"
 )
 
-// This file is the client half of list I/O (OpListRead/OpListWrite):
-// the noncontiguous generalization of the vectored path in
-// vectored.go. Where OpPieceReadv carries one server's stripe runs of
-// a single contiguous logical range, a list request carries an
-// arbitrary (offset, length) list — the per-server decomposition of
-// many discontiguous logical ranges at once — so a whole scatter read
-// still costs one RPC per data server. Runs that are contiguous in
-// the server's piece are merged into one wire segment before sending;
-// the response is scattered back per run.
+// This file is the client half of the one data op (list I/O in the
+// ROMIO/PVFS literature): everything a read or write needs from one
+// data server travels as a single OpListRead or OpListWrite, whether
+// it is one contiguous run or the per-server decomposition of many
+// discontiguous logical ranges. A strided read touching k stripes of
+// one server costs 1 RPC instead of k.
 
-// listReadRuns reads every run in runs (all on the server behind t)
-// into p with a single OpListRead, scattering each run's bytes at its
-// BufOff and zero-filling hole/EOF tails. Runs may be unsorted and may
-// overlap in the piece; piece-contiguous runs travel as one wire
-// segment. With WithoutCoalescing the runs degrade to one OpPieceRead
-// each, the same A/B baseline as the vectored path.
-func listReadRuns(ctx context.Context, t *transport, handle uint64, runs []StripeRun, p []byte) error {
+// ReadRuns reads every stripe run in runs (which must all name this
+// server) into p with one list read, scattering each run's bytes at
+// its BufOff and zero-filling hole/EOF tails. Runs may be unsorted and
+// may overlap in the piece.
+func (d *DataConn) ReadRuns(ctx context.Context, handle uint64, runs []StripeRun, p []byte) error {
 	if len(runs) == 0 {
 		return nil
 	}
-	if t.cfg.NoCoalesce {
-		for _, r := range runs {
-			if err := readRunInto(ctx, t, handle, r, p); err != nil {
-				return err
-			}
-		}
-		t.observeBatch(len(runs), len(runs))
-		return nil
-	}
-	order := make([]int, len(runs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return runs[order[a]].ServerOff < runs[order[b]].ServerOff
-	})
-	// Merge piece-overlapping/adjacent runs into maximal wire segments.
-	segs := make([]Seg, 0, len(runs))
-	group := make([]int, len(runs)) // run -> wire segment index
-	for _, i := range order {
-		r := runs[i]
-		if k := len(segs); k > 0 && r.ServerOff <= segs[k-1].Offset+segs[k-1].Length {
-			if end := r.ServerOff + r.Length; end > segs[k-1].Offset+segs[k-1].Length {
-				segs[k-1].Length = end - segs[k-1].Offset
-			}
-		} else {
-			segs = append(segs, Seg{Offset: r.ServerOff, Length: r.Length})
-		}
-		group[i] = len(segs) - 1
-	}
+	segs, group := mergeRuns(runs)
 	resp := getResp()
-	defer putResp(resp)
-	if err := t.callInto(ctx, &Request{Op: OpListRead, Handle: handle, Segs: segs}, resp); err != nil {
+	pooled := resp.Data
+	if len(runs) == 1 {
+		// A lone run's reply is decoded directly into its destination:
+		// gob reuses a preset slice whose capacity suffices, so the bytes
+		// move once with no intermediate payload buffer. The capacity is
+		// capped at the run length so an over-long reply cannot scribble
+		// past the run's region.
+		r := runs[0]
+		resp.Data = p[r.BufOff : r.BufOff : r.BufOff+r.Length]
+	}
+	err := d.t.callInto(ctx, &Request{Op: OpListRead, Handle: handle, Segs: segs}, resp)
+	if err == nil {
+		err = scatter(resp, segs, group, runs, p)
+	}
+	if len(runs) == 1 {
+		resp.Data = pooled // the pool keeps its own payload buffer, not the caller's memory
+	}
+	putResp(resp)
+	if err != nil {
 		return err
 	}
+	d.t.observeBatch(len(runs), 1)
+	return nil
+}
+
+// scatter copies a list-read reply's segment payloads to the runs'
+// destinations in p and zero-fills what the server could not serve.
+func scatter(resp *Response, segs []Seg, group []int, runs []StripeRun, p []byte) error {
 	if !resp.OK {
 		return resp.err()
 	}
@@ -71,9 +57,14 @@ func listReadRuns(ctx context.Context, t *transport, handle uint64, runs []Strip
 		return fmt.Errorf("pvfs: list read returned %d segment lengths for %d segments",
 			len(resp.SegLens), len(segs))
 	}
-	// Slice the concatenated payload back into per-wire-segment views.
+	// Slice the concatenated payload back into per-segment views (on
+	// the stack for the few-segment lists striping produces).
 	data := resp.Data
-	views := make([][]byte, len(segs))
+	var few [4][]byte
+	views := few[:]
+	if len(segs) > len(few) {
+		views = make([][]byte, len(segs))
+	}
 	for i, s := range segs {
 		got := resp.SegLens[i]
 		if got < 0 || got > s.Length || got > int64(len(data)) {
@@ -86,27 +77,88 @@ func listReadRuns(ctx context.Context, t *transport, handle uint64, runs []Strip
 	for i, r := range runs {
 		view := views[group[i]]
 		rel := r.ServerOff - segs[group[i]].Offset
-		served := int64(len(view)) - rel
-		if served < 0 {
-			served = 0
+		served := min(max(int64(len(view))-rel, 0), r.Length)
+		dst := p[r.BufOff : r.BufOff+r.Length]
+		if served > 0 && &dst[0] != &view[rel] { // else decoded in place
+			copy(dst, view[rel:rel+served])
 		}
-		if served > r.Length {
-			served = r.Length
-		}
-		copy(p[r.BufOff:r.BufOff+served], view[rel:rel+served])
 		// Holes and EOF read back as zeros.
-		clear(p[r.BufOff+served : r.BufOff+r.Length])
+		clear(dst[served:])
 	}
-	t.observeBatch(len(runs), 1)
 	return nil
 }
 
-// listWriteSegs writes segs (arbitrary non-overlapping server-local
-// ranges) with a single OpListWrite; data is the segments' bytes
-// concatenated in request order.
-func listWriteSegs(ctx context.Context, t *transport, handle uint64, segs []Seg, data []byte) error {
+// oneGroup is mergeRuns' group result for a single run.
+var oneGroup = []int{0}
+
+// mergeRuns turns one server's runs into its wire segment list: the
+// runs in ascending piece order, with overlapping and piece-adjacent
+// ones merged into maximal segments. Consecutive stripes of one server
+// abut in its piece even when they are far apart in the logical file,
+// so a stripe-aligned read that decompose split at every stripe
+// boundary collapses to one segment per server here — a smaller
+// request on the wire and one ReadAt instead of k on the server.
+// group[i] is the segment that covers runs[i].
+func mergeRuns(runs []StripeRun) (segs []Seg, group []int) {
+	if len(runs) == 1 {
+		return []Seg{{Offset: runs[0].ServerOff, Length: runs[0].Length}}, oneGroup
+	}
+	var order []int // nil while the runs are already in piece order
+	for i := 1; i < len(runs); i++ {
+		if runs[i].ServerOff < runs[i-1].ServerOff {
+			order = sortedIndex(len(runs), func(i int) int64 { return runs[i].ServerOff })
+			break
+		}
+	}
+	segs = make([]Seg, 0, len(runs))
+	group = make([]int, len(runs))
+	for k := range runs {
+		i := k
+		if order != nil {
+			i = order[k]
+		}
+		r := runs[i]
+		if n := len(segs); n > 0 && r.ServerOff <= segs[n-1].Offset+segs[n-1].Length {
+			segs[n-1].Length = max(segs[n-1].Length, r.ServerOff+r.Length-segs[n-1].Offset)
+		} else {
+			segs = append(segs, Seg{Offset: r.ServerOff, Length: r.Length})
+		}
+		group[i] = len(segs) - 1
+	}
+	return segs, group
+}
+
+// WriteRuns writes every stripe run in runs (which must all name this
+// server) from p with one list write. Runs must not overlap in the
+// piece (the server rejects a list that does); piece-adjacent runs
+// travel as one segment.
+func (d *DataConn) WriteRuns(ctx context.Context, handle uint64, runs []StripeRun, p []byte) error {
+	if len(runs) == 0 {
+		return nil
+	}
+	// The payload is the runs' bytes in list order, which stays the
+	// segments' bytes in list order when consecutive runs merge.
+	segs := make([]Seg, 0, len(runs))
+	for _, r := range runs {
+		if n := len(segs); n > 0 && segs[n-1].Offset+segs[n-1].Length == r.ServerOff {
+			segs[n-1].Length += r.Length
+		} else {
+			segs = append(segs, Seg{Offset: r.ServerOff, Length: r.Length})
+		}
+	}
+	data := p[runs[0].BufOff : runs[0].BufOff+runs[0].Length]
+	if len(runs) > 1 {
+		var total int64
+		for _, r := range runs {
+			total += r.Length
+		}
+		data = make([]byte, 0, total)
+		for _, r := range runs {
+			data = append(data, p[r.BufOff:r.BufOff+r.Length]...)
+		}
+	}
 	resp := getResp()
-	err := t.callInto(ctx, &Request{Op: OpListWrite, Handle: handle, Segs: segs, Data: data}, resp)
+	err := d.t.callInto(ctx, &Request{Op: OpListWrite, Handle: handle, Segs: segs, Data: data}, resp)
 	if err == nil && !resp.OK {
 		err = resp.err()
 	}
@@ -114,127 +166,6 @@ func listWriteSegs(ctx context.Context, t *transport, handle uint64, segs []Seg,
 	if err != nil {
 		return err
 	}
-	t.observeBatch(len(segs), 1)
+	d.t.observeBatch(len(runs), 1)
 	return nil
-}
-
-// ReadRunsList reads every stripe run in runs (which must all name
-// this server) into p with one list-I/O RPC. Unlike ReadRuns the runs
-// may be unsorted and may overlap in the piece — the server serves
-// the whole list in one sorted pass. CEFT's noncontiguous read path
-// rides this.
-func (d *DataConn) ReadRunsList(ctx context.Context, handle uint64, runs []StripeRun, p []byte) error {
-	return listReadRuns(ctx, d.t, handle, runs, p)
-}
-
-// ListRead reads the given server-local segments in one RPC,
-// returning the served bytes concatenated in request order plus each
-// segment's served length (short = hole or piece EOF).
-func (d *DataConn) ListRead(ctx context.Context, handle uint64, segs []Seg) ([]byte, []int64, error) {
-	resp, err := d.call(ctx, &Request{Op: OpListRead, Handle: handle, Segs: segs})
-	if err != nil {
-		return nil, nil, err
-	}
-	return resp.Data, resp.SegLens, nil
-}
-
-// ListWrite writes the given non-overlapping server-local segments in
-// one RPC; data carries the segments' bytes concatenated in request
-// order.
-func (d *DataConn) ListWrite(ctx context.Context, handle uint64, segs []Seg, data []byte) error {
-	return listWriteSegs(ctx, d.t, handle, segs, data)
-}
-
-// clampSegs validates segs against dst and the file size: it returns
-// the per-segment byte counts the file can serve (the rest of each
-// segment's dst region is an EOF tail the caller zero-fills) and the
-// sum of the requested lengths.
-func clampSegs(segs []chio.Seg, dstLen int, size int64) (lens []int64, total int64, err error) {
-	lens = make([]int64, len(segs))
-	for i, s := range segs {
-		if s.Off < 0 || s.Len < 0 {
-			return nil, 0, fmt.Errorf("pvfs: negative segment [%d,+%d)", s.Off, s.Len)
-		}
-		total += s.Len
-		served := size - s.Off
-		if served < 0 {
-			served = 0
-		}
-		if served > s.Len {
-			served = s.Len
-		}
-		lens[i] = served
-	}
-	if total > int64(dstLen) {
-		return nil, 0, fmt.Errorf("pvfs: readv needs %d bytes, dst holds %d", total, dstLen)
-	}
-	return lens, total, nil
-}
-
-// ReadvAt implements chio.VectorReaderAt: every segment is decomposed
-// into per-server stripe runs and the whole scatter list travels as
-// one list-I/O RPC per data server, issued in parallel. Per-segment
-// semantics match ReadAt: holes read as zeros, segments past EOF come
-// back short with their dst tails zeroed.
-func (f *file) ReadvAt(segs []chio.Seg, dst []byte) ([]int64, error) {
-	m, err := f.handle()
-	if err != nil {
-		return nil, err
-	}
-	var maxEnd int64
-	for _, s := range segs {
-		if end := s.Off + s.Len; end > maxEnd {
-			maxEnd = end
-		}
-	}
-	if maxEnd > m.Size {
-		// The file may have grown since open.
-		if err := f.refreshSize(&m); err != nil {
-			return nil, err
-		}
-	}
-	lens, _, err := clampSegs(segs, len(dst), m.Size)
-	if err != nil {
-		return nil, err
-	}
-	nServers := len(f.cl.data)
-	perServer := make([][]StripeRun, nServers)
-	var base, served int64
-	for i, s := range segs {
-		if lens[i] > 0 {
-			for server, list := range decompose(s.Off, lens[i], m.StripeSize, nServers) {
-				for _, r := range list {
-					r.BufOff += base
-					perServer[server] = append(perServer[server], r)
-				}
-			}
-			served += lens[i]
-		}
-		// EOF tails read back as zeros.
-		clear(dst[base+lens[i] : base+s.Len])
-		base += s.Len
-	}
-	ctx, sp := f.cl.cfg.Tracer.Start(f.cl.ctx, "readv")
-	errs := make([]error, nServers)
-	var wg sync.WaitGroup
-	for server, list := range perServer {
-		if len(list) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(server int, list []StripeRun) {
-			defer wg.Done()
-			errs[server] = listReadRuns(ctx, f.cl.data[server], m.Handle, list, dst)
-		}(server, list)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			sp.Finish(err)
-			return nil, err
-		}
-	}
-	sp.AddBytes(served)
-	sp.Finish(nil)
-	return lens, nil
 }

@@ -59,11 +59,12 @@ func TestListReadPropertyRandomSegments(t *testing.T) {
 			// lengths 0..511.
 			segs[i] = Seg{Offset: int64(v) % 3500, Length: int64(v>>7) % 512}
 		}
-		data, lens, err := d.ListRead(bg, handle, segs)
+		resp, err := d.call(bg, &Request{Op: OpListRead, Handle: handle, Segs: segs})
 		if err != nil {
-			t.Logf("ListRead: %v", err)
+			t.Logf("list read: %v", err)
 			return false
 		}
+		data, lens := resp.Data, resp.SegLens
 		if len(lens) != len(segs) {
 			return false
 		}
@@ -114,28 +115,28 @@ func TestListWriteUnsortedAndOverlapRejected(t *testing.T) {
 
 	// Unsorted, disjoint: payload is request order, not piece order.
 	payload := []byte("BBBBAAAA")
-	if err := d.ListWrite(bg, handle, []Seg{
+	if _, err := d.call(bg, &Request{Op: OpListWrite, Handle: handle, Data: payload, Segs: []Seg{
 		{Offset: 100, Length: 4}, // "BBBB"
 		{Offset: 0, Length: 4},   // "AAAA"
-	}, payload); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
-	got, lens, err := d.ListRead(bg, handle, []Seg{
-		{Offset: 0, Length: 4},
-		{Offset: 100, Length: 4},
-	})
-	if err != nil {
+	got := make([]byte, 8)
+	if err := d.ReadRuns(bg, handle, []StripeRun{
+		{ServerOff: 0, BufOff: 0, Length: 4},
+		{ServerOff: 100, BufOff: 4, Length: 4},
+	}, got); err != nil {
 		t.Fatal(err)
 	}
-	if lens[0] != 4 || lens[1] != 4 || string(got) != "AAAABBBB" {
-		t.Fatalf("list write landed wrong: data=%q lens=%v", got, lens)
+	if string(got) != "AAAABBBB" {
+		t.Fatalf("list write landed wrong: data=%q", got)
 	}
 
 	// Overlapping list: rejected, nothing written.
-	err = d.ListWrite(bg, handle, []Seg{
+	_, err = d.call(bg, &Request{Op: OpListWrite, Handle: handle, Data: make([]byte, 16), Segs: []Seg{
 		{Offset: 200, Length: 8},
 		{Offset: 204, Length: 8},
-	}, make([]byte, 16))
+	}})
 	if err == nil {
 		t.Fatal("overlapping list write was accepted")
 	}

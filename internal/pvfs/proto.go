@@ -33,15 +33,24 @@ const (
 	OpLoadQuery  // client -> mgr: fetch load map
 )
 
-// Data server ops.
+// Data server ops. Piece data moves with exactly two of them,
+// OpListRead and OpListWrite: a contiguous access is a one-segment
+// list. The four older data ops are decode-only — no client in this
+// tree sends them, but a data server still answers them (in their
+// original reply shape) so older peers interoperate. Values are wire
+// constants and never shift; new ops are appended.
 const (
+	// OpPieceRead (decode-only) reads Length bytes at Offset; the reply
+	// carries Data alone.
 	OpPieceRead Op = iota + 64
+	// OpPieceWrite (decode-only) writes Data at Offset.
 	OpPieceWrite
 	OpPieceRemove
 	OpPing
-	// OpPieceWriteDupSync writes locally and synchronously forwards
-	// the write to the server's mirror partner before acknowledging
-	// (CEFT's server-side synchronous duplication protocol).
+	// OpPieceWriteDupSync writes Data at Offset locally and
+	// synchronously forwards the write to the server's mirror partner
+	// before acknowledging (CEFT's server-side synchronous duplication
+	// protocol).
 	OpPieceWriteDupSync
 	// OpPieceWriteDupAsync writes locally, queues the mirror forward,
 	// and acknowledges immediately (server-side asynchronous).
@@ -49,33 +58,31 @@ const (
 	// OpFlushForwards blocks until every queued asynchronous forward
 	// accepted so far has been delivered to the mirror.
 	OpFlushForwards
-	// OpPieceReadv reads every segment in Request.Segs in one round
-	// trip: the response carries the segments' bytes concatenated in
-	// request order, with Response.SegLens giving each segment's actual
-	// length (short segments are holes or EOF; the client zero-fills).
+	// OpPieceReadv (decode-only) is OpListRead as first shipped, when
+	// clients only sent ascending disjoint lists.
 	OpPieceReadv
-	// OpPieceWritev writes every segment in Request.Segs in one round
-	// trip; Request.Data carries the segments' bytes concatenated in
-	// request order (each Seg.Length bytes long).
+	// OpPieceWritev (decode-only) is OpListWrite as first shipped.
 	OpPieceWritev
-	// OpListRead generalizes OpPieceReadv to an arbitrary (offset,
-	// length) list: Request.Segs may be unsorted and may overlap. The
-	// server makes a single sorted pass over the piece (each byte is
-	// read at most once) and answers like OpPieceReadv: Data is the
-	// segments' served bytes concatenated in request order, SegLens the
-	// per-segment byte counts (short segments are holes or EOF; the
-	// client zero-fills). Appended after the PR 2 ops so existing wire
-	// values are unchanged — old peers interoperate with new ones.
+	// OpListRead reads every segment of Request.Segs — in any order,
+	// overlapping or not — in one round trip. The server reads each
+	// piece byte at most once and answers with Data, the segments'
+	// served bytes concatenated in request order, and SegLens, the
+	// per-segment byte counts (a short segment is a hole or the piece's
+	// end; the client zero-fills).
 	OpListRead
-	// OpListWrite generalizes OpPieceWritev: Request.Segs may be
-	// unsorted (the server sorts and writes in one ascending pass) but
-	// must not overlap, since overlap would make the result order-
-	// dependent. Request.Data is the segments' bytes concatenated in
-	// request order.
+	// OpListWrite writes every segment of Request.Segs in one round
+	// trip; Request.Data is the segments' bytes concatenated in request
+	// order. The list may be unsorted but must not overlap, since
+	// overlap would make the result order-dependent.
 	OpListWrite
 )
 
-// Seg is one server-local byte range of a vectored piece request.
+// maxRequestBytes bounds the summed segment length a data server
+// accepts in one request, so a corrupt or hostile length cannot make
+// it allocate without limit.
+const maxRequestBytes = 1 << 30
+
+// Seg is one server-local byte range of a list request.
 type Seg struct {
 	Offset int64
 	Length int64
@@ -95,8 +102,7 @@ type Request struct {
 	// Stripe carries the client's stripe-size hint for OpCreate; zero
 	// means the manager's configured default.
 	Stripe int64
-	// Segs carries the server-local ranges of a vectored piece request
-	// (OpPieceReadv / OpPieceWritev), in ascending offset order.
+	// Segs carries the server-local ranges of a list request.
 	Segs []Seg
 	// TraceID/SpanID propagate the client span that issued this
 	// request, so server-side work is attributable to the application
@@ -170,8 +176,8 @@ type Response struct {
 	Metas    []Meta
 	Data     []byte
 	N        int64
-	// SegLens answers OpPieceReadv: the actual byte count served for
-	// each requested segment (Data holds the concatenation).
+	// SegLens answers a list read: the byte count served for each
+	// requested segment (Data holds the concatenation).
 	SegLens []int64
 	// Loads maps data-server index to its last reported load.
 	Loads map[int]float64
@@ -185,13 +191,12 @@ func (r *Response) err() error {
 }
 
 // reset clears the response for reuse while keeping the capacity of
-// its Data buffer, so pooled responses decode without reallocating the
-// payload (gob reuses a slice whose capacity suffices). Every field
-// must be cleared: gob omits zero-valued fields on the wire, so a
+// its Data and SegLens buffers, so pooled responses decode without
+// reallocating them (gob reuses a slice whose capacity suffices). Every
+// field must be cleared: gob omits zero-valued fields on the wire, so a
 // recycled response would otherwise leak values from a previous call.
 func (r *Response) reset() {
-	data := r.Data[:0]
-	*r = Response{Data: data}
+	*r = Response{Data: r.Data[:0], SegLens: r.SegLens[:0]}
 }
 
 // conn is a synchronous RPC connection: one outstanding request at a
@@ -243,8 +248,16 @@ func serve(c net.Conn, handle func(*Request) *Response) {
 	defer c.Close()
 	dec := gob.NewDecoder(c)
 	enc := gob.NewEncoder(c)
+	var req Request
 	for {
-		var req Request
+		// The payload and segment buffers are reused from one request to
+		// the next (handlers do not keep them past their return).
+		// Everything else, the old segments included, is zeroed first:
+		// gob omits zero-valued fields, so whatever a message leaves out
+		// would otherwise keep its previous value.
+		segs := req.Segs[:cap(req.Segs)]
+		clear(segs)
+		req = Request{Data: req.Data[:0], Segs: segs[:0]}
 		if err := dec.Decode(&req); err != nil {
 			return
 		}

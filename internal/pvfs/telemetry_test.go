@@ -110,14 +110,14 @@ func TestReadSpansDecomposePerServer(t *testing.T) {
 			continue
 		}
 		switch {
-		case strings.HasPrefix(s.Name, "rpc:piece_read"):
+		case strings.HasPrefix(s.Name, "rpc:list_read"):
 			if s.Parent != root.SpanID {
 				t.Errorf("rpc span %s parented on %x, want root %x", s.Name, s.Parent, root.SpanID)
 			}
 			rpcBytes += s.Bytes
 			rpcServers[s.Server] = true
 			rpcSpanIDs[s.SpanID] = true
-		case strings.HasPrefix(s.Name, "serve:piece_read"):
+		case strings.HasPrefix(s.Name, "serve:list_read"):
 			serveBytes += s.Bytes
 			serveServers[s.Server] = true
 			if !rpcSpanIDs[s.Parent] {

@@ -41,9 +41,9 @@ func TestDecomposeRunsAscendingProperty(t *testing.T) {
 	}
 }
 
-// TestVectoredReadWriteRoundTrip exercises OpPieceReadv/OpPieceWritev
-// end to end through DataConn.WriteRuns/ReadRuns, including hole
-// zero-fill and EOF-short segments.
+// TestVectoredReadWriteRoundTrip exercises the list ops end to end
+// through DataConn.WriteRuns/ReadRuns, including hole zero-fill and
+// EOF-short segments.
 func TestVectoredReadWriteRoundTrip(t *testing.T) {
 	tc := startCluster(t, 1, 64)
 	cl := tc.client
@@ -58,7 +58,7 @@ func TestVectoredReadWriteRoundTrip(t *testing.T) {
 	}
 	defer d.Close()
 
-	// Write two disjoint runs in one vectored RPC.
+	// Write two disjoint runs in one RPC.
 	buf := make([]byte, 300)
 	for i := range buf {
 		buf[i] = byte(i + 1)
@@ -98,80 +98,6 @@ func TestVectoredReadWriteRoundTrip(t *testing.T) {
 		if got[i] != 0 {
 			t.Fatalf("past-EOF byte %d = %#x, want 0", i, got[i])
 		}
-	}
-}
-
-// TestCoalescedReadMatchesLegacy: the same strided ReadAt produces the
-// same bytes with and without coalescing, and the coalesced client
-// issues strictly fewer data-server RPCs.
-func TestCoalescedReadMatchesLegacy(t *testing.T) {
-	const nServers = 2
-	const stripe = int64(64)
-	tc := startCluster(t, nServers, stripe)
-
-	// Content spanning many stripes per server.
-	data := make([]byte, 8*1024)
-	for i := range data {
-		data[i] = byte(i * 7)
-	}
-	f, err := tc.client.Create("db")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt(data, 0); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	read := func(opts ...rpcpool.Option) ([]byte, *iotrace.RPCMetrics) {
-		m := iotrace.NewRPCMetrics()
-		opts = append(opts, rpcpool.WithObserver(m), rpcpool.WithBatchObserver(m))
-		var addrs []string
-		for _, ds := range tc.iods {
-			addrs = append(addrs, ds.Addr())
-		}
-		cl, err := Dial(tc.mgr.Addr(), addrs, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
-		fr, err := cl.Open("db")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fr.Close()
-		out := make([]byte, len(data))
-		if _, err := fr.ReadAt(out, 0); err != nil && err != io.EOF {
-			t.Fatal(err)
-		}
-		return out, m
-	}
-
-	fast, fastM := read()
-	slow, slowM := read(rpcpool.WithoutCoalescing())
-	if !bytes.Equal(fast, data) {
-		t.Fatal("coalesced read data mismatch")
-	}
-	if !bytes.Equal(slow, data) {
-		t.Fatal("legacy read data mismatch")
-	}
-	count := func(m *iotrace.RPCMetrics) (rpcs, saved int64) {
-		for _, s := range m.Snapshot() {
-			rpcs += s.BatchRPCs
-			saved += s.RPCsSaved()
-		}
-		return
-	}
-	fastRPCs, fastSaved := count(fastM)
-	slowRPCs, slowSaved := count(slowM)
-	if fastRPCs >= slowRPCs {
-		t.Errorf("coalescing saved nothing: %d vs %d data RPCs", fastRPCs, slowRPCs)
-	}
-	if fastSaved == 0 {
-		t.Error("coalesced client reported zero RPCs saved")
-	}
-	if slowSaved != 0 {
-		t.Errorf("non-coalescing client reported %d RPCs saved", slowSaved)
 	}
 }
 
@@ -238,13 +164,13 @@ func TestWriteAtSkipsSizeRPCWhenNotExtending(t *testing.T) {
 	}
 }
 
-// TestMergeAdjacentBoundaryRuns pins the piece-adjacency merge with
+// TestMergeRunsBoundary pins the piece-adjacency merge with
 // exact boundary offsets: consecutive stripes of one server abut in
 // its piece even though they are a full round apart in the logical
 // file, so decompose's per-stripe runs must collapse to one wire
 // segment per server — and a run that stops one byte short of the
 // boundary must NOT merge with the run starting at it.
-func TestMergeAdjacentBoundaryRuns(t *testing.T) {
+func TestMergeRunsBoundary(t *testing.T) {
 	const stripe = int64(64)
 	const nServers = 2
 
@@ -255,7 +181,7 @@ func TestMergeAdjacentBoundaryRuns(t *testing.T) {
 		if len(list) != 2 {
 			t.Fatalf("server %d: %d runs, want 2", server, len(list))
 		}
-		segs, group := mergeAdjacent(list)
+		segs, group := mergeRuns(list)
 		if len(segs) != 1 {
 			t.Fatalf("server %d: %d wire segments, want 1 (runs %+v)", server, len(segs), list)
 		}
@@ -274,7 +200,7 @@ func TestMergeAdjacentBoundaryRuns(t *testing.T) {
 		{Server: 0, ServerOff: 0, BufOff: 0, Length: stripe - 1},
 		{Server: 0, ServerOff: stripe, BufOff: stripe, Length: stripe},
 	}
-	segs, group := mergeAdjacent(gap)
+	segs, group := mergeRuns(gap)
 	if len(segs) != 2 {
 		t.Fatalf("gapped runs merged into %d segments, want 2", len(segs))
 	}
@@ -287,7 +213,7 @@ func TestMergeAdjacentBoundaryRuns(t *testing.T) {
 		{Server: 0, ServerOff: stripe, BufOff: 0, Length: stripe},
 		{Server: 0, ServerOff: 2 * stripe, BufOff: stripe, Length: stripe},
 	}
-	segs, _ = mergeAdjacent(abut)
+	segs, _ = mergeRuns(abut)
 	if len(segs) != 1 || segs[0].Offset != stripe || segs[0].Length != 2*stripe {
 		t.Fatalf("abutting runs gave segments %+v, want one [%d,+%d)", segs, stripe, 2*stripe)
 	}

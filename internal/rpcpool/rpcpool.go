@@ -57,14 +57,10 @@ type Config struct {
 	// Observer, when non-nil, receives one event per finished call
 	// (after all retries) — the hook iotrace.RPCMetrics plugs into.
 	Observer Observer
-	// Batch, when non-nil, receives one event per coalesced batch of
-	// stripe runs issued to a server (vectored piece I/O), so the RPCs
-	// saved by coalescing are observable.
+	// Batch, when non-nil, receives one event per batch of stripe runs
+	// issued to a server as one list-I/O RPC, so the RPCs saved by
+	// coalescing are observable.
 	Batch BatchObserver
-	// NoCoalesce disables vectored piece I/O: every stripe run is
-	// issued as its own RPC, the pre-list-I/O behaviour. Exists for
-	// benchmarks and A/B comparison, not production use.
-	NoCoalesce bool
 	// Metrics, when non-nil, receives per-(server, op) transport
 	// telemetry: latency histograms, outcome counters, retry and
 	// reconnect counts, pool-wait time, payload bytes.
@@ -125,10 +121,6 @@ func WithObserver(o Observer) Option { return func(c *Config) { c.Observer = o }
 
 // WithBatchObserver installs a per-batch coalescing statistics sink.
 func WithBatchObserver(o BatchObserver) Option { return func(c *Config) { c.Batch = o } }
-
-// WithoutCoalescing disables vectored piece I/O (one RPC per stripe
-// run, the legacy behaviour) — for benchmarks and A/B comparison.
-func WithoutCoalescing() Option { return func(c *Config) { c.NoCoalesce = true } }
 
 // WithMetrics installs a transport metric set (see NewMetrics); one
 // set is typically shared by every client a process dials.

@@ -17,7 +17,7 @@ type Span struct {
 	TraceID  uint64
 	SpanID   uint64
 	Parent   uint64 // parent span ID; 0 for a root span
-	Name     string // "read", "write", "rpc:piece_readv", "serve:piece_readv", ...
+	Name     string // "read", "write", "rpc:list_read", "serve:list_read", ...
 	Server   string // server address (RPC spans) or server identity (server-side spans)
 	Start    time.Time
 	Duration time.Duration

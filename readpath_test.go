@@ -1,13 +1,15 @@
 package pario
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"io"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
-	"sync"
-
+	"pario/internal/ceft"
 	"pario/internal/chio"
 	"pario/internal/collio"
 	"pario/internal/core"
@@ -17,15 +19,16 @@ import (
 )
 
 // TestSequentialScanRPCReduction is the acceptance bar for the
-// vectored-read + readahead work: a sequential scan in small
-// application reads must reach the data servers in at least 5x fewer
-// RPCs with coalescing + readahead than the legacy one-RPC-per-run
-// path, while returning byte-identical data (checksummed).
+// list-I/O + readahead work: a sequential scan in small application
+// reads must reach the data servers in at least 5x fewer RPCs through
+// readahead than the same scan on the bare client, while returning
+// byte-identical data (checksummed).
 //
 // The arithmetic at the test's shape (4 servers, 64 KB stripes, 16 KB
-// application reads, 1 MB readahead blocks): legacy issues 64 data
-// RPCs per MB; a 1 MB block fetch decomposes into 4 runs per server,
-// coalesced into one vectored RPC each, so ~4 data RPCs per MB.
+// application reads, 1 MB readahead blocks): the bare client issues 64
+// data RPCs per MB (one per application read); a 1 MB block fetch
+// decomposes into 4 runs per server, carried by one list RPC each, so
+// ~4 data RPCs per MB.
 func TestSequentialScanRPCReduction(t *testing.T) {
 	const (
 		fileSize = 4 << 20 // 4 MB
@@ -92,16 +95,16 @@ func TestSequentialScanRPCReduction(t *testing.T) {
 		return n
 	}
 
-	// Legacy path: no readahead, one RPC per stripe run.
-	legacyM := iotrace.NewRPCMetrics()
-	legacyCl, err := dep.Client(rpcpool.WithObserver(legacyM), rpcpool.WithoutCoalescing())
+	// Baseline: the bare client, one RPC per application read.
+	bareM := iotrace.NewRPCMetrics()
+	bareCl, err := dep.Client(rpcpool.WithObserver(bareM))
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacySum := scan(legacyCl)
-	legacyCl.Close()
+	bareSum := scan(bareCl)
+	bareCl.Close()
 
-	// New path: vectored coalescing + readahead block cache.
+	// Readahead block cache over the same client.
 	fastM := iotrace.NewRPCMetrics()
 	fastCl, err := dep.Client(rpcpool.WithObserver(fastM), rpcpool.WithBatchObserver(fastM))
 	if err != nil {
@@ -113,21 +116,21 @@ func TestSequentialScanRPCReduction(t *testing.T) {
 	fastRPCs := dataRPCs(fastM)
 	fastCl.Close()
 
-	if legacySum != wantSum {
-		t.Fatal("legacy scan checksum mismatch")
+	if bareSum != wantSum {
+		t.Fatal("bare scan checksum mismatch")
 	}
 	if fastSum != wantSum {
 		t.Fatal("readahead scan checksum mismatch")
 	}
-	legacyRPCs := dataRPCs(legacyM)
-	if legacyRPCs == 0 || fastRPCs == 0 {
-		t.Fatalf("implausible RPC counts: legacy=%d fast=%d", legacyRPCs, fastRPCs)
+	bareRPCs := dataRPCs(bareM)
+	if bareRPCs == 0 || fastRPCs == 0 {
+		t.Fatalf("implausible RPC counts: bare=%d readahead=%d", bareRPCs, fastRPCs)
 	}
-	ratio := float64(legacyRPCs) / float64(fastRPCs)
-	t.Logf("data-server RPCs: legacy=%d readahead+coalesced=%d (%.1fx reduction)",
-		legacyRPCs, fastRPCs, ratio)
+	ratio := float64(bareRPCs) / float64(fastRPCs)
+	t.Logf("data-server RPCs: bare=%d readahead=%d (%.1fx reduction)",
+		bareRPCs, fastRPCs, ratio)
 	if ratio < 5 {
-		t.Errorf("RPC reduction %.1fx < 5x (legacy=%d, fast=%d)", ratio, legacyRPCs, fastRPCs)
+		t.Errorf("RPC reduction %.1fx < 5x (bare=%d, readahead=%d)", ratio, bareRPCs, fastRPCs)
 	}
 }
 
@@ -252,5 +255,155 @@ func TestCollectiveScanRPCReduction(t *testing.T) {
 		indepRPCs, collRPCs, ratio, st.Rounds, st.Ranges, st.MergedSegments, st.DedupBytes)
 	if ratio < 3 {
 		t.Errorf("RPC reduction %.1fx < 3x (independent=%d, collective=%d)", ratio, indepRPCs, collRPCs)
+	}
+}
+
+// TestSegmentListsMatchReference pushes one table of segment lists —
+// contiguous, strided, unsorted and overlapping, over a hole, past EOF
+// — through every striped read path (PVFS; CEFT healthy, with a dead
+// primary, with a dead mirror) and requires the bytes and per-segment
+// lengths a chio.MemFS holding the same writes returns. A one-segment
+// list is also read through ReadAt, which on CEFT takes the
+// doubled-halves path.
+func TestSegmentListsMatchReference(t *testing.T) {
+	const (
+		stripe = 256
+		size   = 12010
+	)
+	// [0,3000), [5000,9000) and the last 10 bytes are written. The hole
+	// at [3000,5000) lies inside every server's piece (the store reads
+	// it back as zeros); the one at [9000,12000) lies past the end of
+	// most pieces (the server answers short and the client zero-fills).
+	content := make([]byte, size)
+	for i := range content {
+		content[i] = byte(i*131 + i>>7 + 1)
+	}
+	fill := func(fs chio.FileSystem) {
+		t.Helper()
+		f, err := fs.Create("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range [][2]int{{0, 3000}, {5000, 9000}, {size - 10, size}} {
+			if _, err := f.WriteAt(content[r[0]:r[1]], int64(r[0])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var strided []chio.Seg
+	for off := int64(40); off < size; off += 5 * stripe / 2 {
+		strided = append(strided, chio.Seg{Off: off, Len: 100})
+	}
+	cases := []struct {
+		name string
+		segs []chio.Seg
+	}{
+		{"contiguous whole file", []chio.Seg{{Off: 0, Len: size}}},
+		{"contiguous unaligned", []chio.Seg{{Off: stripe - 1, Len: 3*stripe + 2}}},
+		{"contiguous one byte", []chio.Seg{{Off: 6000, Len: 1}}},
+		{"strided", strided},
+		{"unsorted overlapping", []chio.Seg{{Off: 5500, Len: 700}, {Off: 0, Len: 300}, {Off: 5600, Len: 100}, {Off: 250, Len: 600}, {Off: 0, Len: 300}}},
+		{"hole", []chio.Seg{{Off: 2900, Len: 2200}}},
+		{"hole only and empty", []chio.Seg{{Off: 3500, Len: 1000}, {Off: 100, Len: 0}, {Off: 4999, Len: 2}}},
+		{"tail hole", []chio.Seg{{Off: 8500, Len: 3505}}},
+		{"tail hole list", []chio.Seg{{Off: 11000, Len: 500}, {Off: 8900, Len: 300}, {Off: 9500, Len: 2510}}},
+		{"straddles EOF", []chio.Seg{{Off: size - 100, Len: 300}}},
+		{"past EOF", []chio.Seg{{Off: size, Len: 64}, {Off: 8 * size, Len: 50}, {Off: 10, Len: 20}}},
+	}
+
+	ref := chio.NewMemFS()
+	fill(ref)
+	check := func(t *testing.T, fs chio.FileSystem) {
+		t.Helper()
+		f, err := fs.Open("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		rf, err := ref.Open("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range cases {
+			var total int64
+			for _, s := range tc.segs {
+				total += s.Len
+			}
+			want, got := make([]byte, total), make([]byte, total)
+			for i := range got {
+				got[i] = 0xEE // every byte must be overwritten or zeroed
+			}
+			wantLens, err := chio.ReadvAt(rf, tc.segs, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotLens, err := chio.ReadvAt(f, tc.segs, got)
+			if err != nil {
+				t.Errorf("%s: ReadvAt: %v", tc.name, err)
+				continue
+			}
+			if !slices.Equal(gotLens, wantLens) {
+				t.Errorf("%s: served lengths %v, want %v", tc.name, gotLens, wantLens)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: ReadvAt bytes differ from the reference", tc.name)
+			}
+			if len(tc.segs) != 1 {
+				continue
+			}
+			wn, werr := rf.ReadAt(want, tc.segs[0].Off)
+			gn, gerr := f.ReadAt(got, tc.segs[0].Off)
+			if gn != wn || gerr != werr || !bytes.Equal(got[:gn], want[:wn]) {
+				t.Errorf("%s: ReadAt = (%d, %v), want (%d, %v) and equal bytes", tc.name, gn, gerr, wn, werr)
+			}
+		}
+	}
+
+	t.Run("pvfs", func(t *testing.T) {
+		dep, err := core.StartPVFS(3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer dep.Close()
+		cl, err := dep.Client(rpcpool.WithStripeSize(stripe))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		fill(cl)
+		check(t, cl)
+	})
+	// Server IDs of a 2+2 deployment: 0,1 primary; 2,3 mirror.
+	for _, mode := range []struct {
+		name string
+		dead int
+	}{{"ceft healthy", -1}, {"ceft primary dead", 1}, {"ceft mirror dead", 2}} {
+		t.Run(mode.name, func(t *testing.T) {
+			dep, err := core.StartCEFT(2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dep.Close()
+			opts := ceft.DefaultOptions()
+			opts.SkipHotSpots = false
+			cl, err := dep.Client(opts, rpcpool.WithStripeSize(stripe),
+				rpcpool.WithRetries(0), rpcpool.WithTimeout(2*time.Second))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			fill(cl)
+			if mode.dead >= 0 {
+				dep.Servers[mode.dead].Close()
+			}
+			check(t, cl)
+			if mode.dead >= 0 && cl.Failovers() == 0 {
+				t.Error("no failovers recorded although a server was down")
+			}
+		})
 	}
 }
