@@ -34,6 +34,7 @@ import (
 	"pario/internal/rpcpool"
 	"pario/internal/seq"
 	"pario/internal/sim"
+	"pario/internal/telemetry"
 	"pario/internal/util"
 )
 
@@ -582,8 +583,8 @@ func BenchmarkReadAtCoalesced(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer dep.Close()
-	m := iotrace.NewRPCMetrics()
-	cl, err := dep.Client(rpcpool.WithObserver(m))
+	m := rpcpool.NewMetrics(telemetry.NewRegistry())
+	cl, err := dep.Client(rpcpool.WithMetrics(m))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -635,8 +636,8 @@ func BenchmarkSequentialScanReadahead(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer dep.Close()
-			m := iotrace.NewRPCMetrics()
-			cl, err := dep.Client(rpcpool.WithObserver(m), rpcpool.WithBatchObserver(m))
+			m := rpcpool.NewMetrics(telemetry.NewRegistry())
+			cl, err := dep.Client(rpcpool.WithMetrics(m))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -712,8 +713,8 @@ func BenchmarkCollectiveScan(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer dep.Close()
-			m := iotrace.NewRPCMetrics()
-			cl, err := dep.Client(rpcpool.WithObserver(m), rpcpool.WithBatchObserver(m))
+			m := rpcpool.NewMetrics(telemetry.NewRegistry())
+			cl, err := dep.Client(rpcpool.WithMetrics(m))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -119,6 +119,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	collectTargets, err := telemetry.ParseTargets(*collect)
+	if err != nil {
+		fatal(err)
+	}
 
 	// Ctrl-C cancels the whole job, aborting in-flight parallel-FS I/O.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -146,29 +150,23 @@ func main() {
 		logger.Info("debug endpoints up", "url", fmt.Sprintf("http://%s/metrics", dbg.Addr()))
 	}
 
-	var metrics *iotrace.RPCMetrics
+	// One transport metric set shared by every client this process
+	// dials: live on /metrics when there is a registry, and the source
+	// of the -rpc-stats exit dump either way.
+	var metrics *rpcpool.Metrics
+	if reg != nil {
+		metrics = rpcpool.NewMetrics(reg)
+	} else if *rpcStats {
+		metrics = rpcpool.NewMetrics(telemetry.NewRegistry())
+	}
 	transportOpts := func() []rpcpool.Option {
-		opts := []rpcpool.Option{
+		return []rpcpool.Option{
 			rpcpool.WithTimeout(*ioTimeout),
 			rpcpool.WithRetries(*ioRetries),
 			rpcpool.WithPoolSize(*ioPool),
+			rpcpool.WithMetrics(metrics),
+			rpcpool.WithTracer(tracer),
 		}
-		if reg != nil {
-			opts = append(opts,
-				rpcpool.WithMetrics(rpcpool.NewMetrics(reg)),
-				rpcpool.WithTracer(tracer))
-		}
-		if *rpcStats {
-			if metrics == nil {
-				if reg != nil {
-					metrics = iotrace.NewRPCMetricsOn(reg)
-				} else {
-					metrics = iotrace.NewRPCMetrics()
-				}
-			}
-			opts = append(opts, rpcpool.WithObserver(metrics), rpcpool.WithBatchObserver(metrics))
-		}
-		return opts
 	}
 
 	// One counter sink shared by every worker's readahead layer.
@@ -197,7 +195,7 @@ func main() {
 		for _, c := range closers {
 			c()
 		}
-		if metrics != nil {
+		if *rpcStats {
 			fmt.Fprint(os.Stderr, metrics.Format())
 		}
 		if cacheStats != nil && *rpcStats {
@@ -298,8 +296,8 @@ func main() {
 			Workers: nWorkers, Queries: nQueries,
 		})
 		reportB.AddSnapshot(obsreport.LocalSnapshot("master", reg, tracer))
-		for _, ep := range parseCollect(*collect) {
-			reportB.Collect(ctx, ep.name, ep.addr)
+		for _, t := range collectTargets {
+			reportB.AddSnapshot(obsreport.RemoteSnapshot(ctx, t))
 		}
 		for _, cl := range ceftClients {
 			reportB.AddCEFTAudit(cl.Audit())
@@ -481,28 +479,6 @@ func main() {
 	}
 	out.Flush()
 	writeReport(len(queries), *workers)
-}
-
-// collectEP is one -collect entry: a process name and its debug
-// endpoint address.
-type collectEP struct{ name, addr string }
-
-// parseCollect splits "name=host:port,name=host:port"; a bare address
-// without "name=" is named by its address.
-func parseCollect(s string) []collectEP {
-	var out []collectEP
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		if name, addr, ok := strings.Cut(part, "="); ok {
-			out = append(out, collectEP{name: name, addr: addr})
-		} else {
-			out = append(out, collectEP{name: part, addr: part})
-		}
-	}
-	return out
 }
 
 // loadQueries reads the query FASTA file.

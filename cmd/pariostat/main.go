@@ -24,6 +24,7 @@ import (
 	"strconv"
 
 	"pario/internal/obsreport"
+	"pario/internal/telemetry"
 )
 
 func main() {
@@ -76,9 +77,12 @@ func renderQuery(idStr, targetSpec string) {
 	if err != nil || id == 0 {
 		fatal(fmt.Errorf("bad -query trace ID %q (want 16 hex digits)", idStr))
 	}
-	targets, err := obsreport.ParseTargets(targetSpec)
+	targets, err := telemetry.ParseTargets(targetSpec)
 	if err != nil {
 		fatal(err)
+	}
+	if len(targets) == 0 {
+		fatal(fmt.Errorf("-query needs -targets name=host:port,..."))
 	}
 	spans, errs := obsreport.FetchTraceSpans(context.Background(), targets, id)
 	for _, e := range errs {

@@ -17,10 +17,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"sort"
@@ -28,6 +26,7 @@ import (
 	"syscall"
 	"time"
 
+	"pario/internal/telemetry"
 	"pario/internal/tsdb"
 	"pario/internal/util"
 )
@@ -41,19 +40,15 @@ func main() {
 		plain    = flag.Bool("plain", false, "no screen clearing; print frames sequentially")
 	)
 	flag.Parse()
-	if *targetsF == "" {
+	targets, err := telemetry.ParseTargets(*targetsF)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pariotop:", err)
+		os.Exit(2)
+	}
+	if len(targets) == 0 {
 		fmt.Fprintln(os.Stderr, "pariotop: -targets is required")
 		flag.Usage()
 		os.Exit(2)
-	}
-	var targets []tsdb.Target
-	for _, spec := range strings.Split(*targetsF, ",") {
-		name, addr, ok := strings.Cut(strings.TrimSpace(spec), "=")
-		if !ok || name == "" || addr == "" {
-			fmt.Fprintf(os.Stderr, "pariotop: bad target %q (want name=host:port)\n", spec)
-			os.Exit(2)
-		}
-		targets = append(targets, tsdb.Target{Name: name, Addr: addr})
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -66,7 +61,7 @@ func main() {
 
 	for frame := 1; ; frame++ {
 		coll.CollectOnce(ctx)
-		out := render(store, coll, targets, time.Now(), *window, frame)
+		out := render(ctx, store, coll, targets, time.Now(), *window, frame)
 		if !*plain {
 			fmt.Print("\x1b[2J\x1b[H")
 		}
@@ -83,7 +78,7 @@ func main() {
 }
 
 // render draws one frame from the store's current window.
-func render(store *tsdb.Store, coll *tsdb.Collector, targets []tsdb.Target, now time.Time, window time.Duration, frame int) string {
+func render(ctx context.Context, store *tsdb.Store, coll *tsdb.Collector, targets []telemetry.Target, now time.Time, window time.Duration, frame int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "pariotop  %s  frame %d  window %s  targets %d\n\n",
 		now.Format("15:04:05"), frame, window, len(targets))
@@ -91,9 +86,9 @@ func render(store *tsdb.Store, coll *tsdb.Collector, targets []tsdb.Target, now 
 	renderServers(&b, store, now, window)
 	renderClients(&b, store, now, window)
 	renderBlastd(&b, store, now, window)
-	renderSlowQueries(&b, targets)
+	renderSlowQueries(ctx, &b, targets)
 	renderCollio(&b, store, now, window)
-	renderAlerts(&b, targets)
+	renderAlerts(ctx, &b, targets)
 	renderTargetErrs(&b, coll, targets)
 	return b.String()
 }
@@ -106,7 +101,7 @@ func renderServers(b *strings.Builder, store *tsdb.Store, now time.Time, window 
 		return
 	}
 	fmt.Fprintf(b, "STORAGE SERVERS        req/s      bytes/s   load  inflight\n")
-	for _, name := range sortedKeys(reqRates) {
+	for _, name := range util.SortedKeys(reqRates) {
 		match := map[string]string{tsdb.InstanceLabel: name}
 		bytesRate, _ := store.Rate("pario_iod_bytes_served_total", match, now, window)
 		load, _ := store.Latest("pario_iod_load", match)
@@ -125,16 +120,9 @@ func renderClients(b *strings.Builder, store *tsdb.Store, now time.Time, window 
 	if len(rates) == 0 {
 		return
 	}
-	var mean, max float64
-	for _, r := range rates {
-		mean += r
-		if r > max {
-			max = r
-		}
-	}
-	mean /= float64(len(rates))
+	max, _, mean := util.Spread(rates)
 	fmt.Fprintf(b, "CLIENT RPC BY SERVER   rpc/s   out/s        in/s\n")
-	for _, name := range sortedKeys(rates) {
+	for _, name := range util.SortedKeys(rates) {
 		match := map[string]string{"server": name}
 		out, _ := store.Rate("pario_rpc_bytes_out_total", match, now, window)
 		in, _ := store.Rate("pario_rpc_bytes_in_total", match, now, window)
@@ -195,11 +183,14 @@ type querySummary struct {
 // renderSlowQueries polls each target's /debug/queries (only blastd
 // serves it; others are skipped) and lists the slowest recent queries
 // with the trace IDs that feed pariostat -query.
-func renderSlowQueries(b *strings.Builder, targets []tsdb.Target) {
-	client := &http.Client{Timeout: tsdb.ScrapeTimeout}
+func renderSlowQueries(ctx context.Context, b *strings.Builder, targets []telemetry.Target) {
 	var all []querySummary
 	for _, t := range targets {
-		all = append(all, fetchQueries(client, t.Addr)...)
+		var body struct {
+			Queries []querySummary `json:"queries"`
+		}
+		fetchDebug(ctx, t, "/debug/queries", &body)
+		all = append(all, body.Queries...)
 	}
 	if len(all) == 0 {
 		return
@@ -224,26 +215,14 @@ func renderSlowQueries(b *strings.Builder, targets []tsdb.Target) {
 	b.WriteByte('\n')
 }
 
-func fetchQueries(client *http.Client, addr string) []querySummary {
-	base := addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	resp, err := client.Get(strings.TrimRight(base, "/") + "/debug/queries")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil
-	}
-	var body struct {
-		Queries []querySummary `json:"queries"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return nil
-	}
-	return body.Queries
+// fetchDebug reads one of a target's optional JSON debug endpoints
+// into v, leaving v empty when the target does not serve it or does
+// not answer within the scrape timeout.
+func fetchDebug(ctx context.Context, t telemetry.Target, path string, v any) {
+	ctx, cancel := context.WithTimeout(ctx, tsdb.ScrapeTimeout)
+	defer cancel()
+	// Best effort by design: a daemon without the endpoint is skipped.
+	_ = telemetry.FetchJSON(ctx, t, path, v)
 }
 
 func orDash(s string) string {
@@ -275,11 +254,14 @@ func renderCollio(b *strings.Builder, store *tsdb.Store, now time.Time, window t
 
 // renderAlerts polls each target's /debug/alerts (daemons without the
 // endpoint are skipped) and lists non-resolved alerts.
-func renderAlerts(b *strings.Builder, targets []tsdb.Target) {
-	client := &http.Client{Timeout: tsdb.ScrapeTimeout}
+func renderAlerts(ctx context.Context, b *strings.Builder, targets []telemetry.Target) {
 	var lines []string
 	for _, t := range targets {
-		for _, a := range fetchAlerts(client, t.Addr) {
+		var body struct {
+			Alerts []tsdb.Alert `json:"alerts"`
+		}
+		fetchDebug(ctx, t, "/debug/alerts", &body)
+		for _, a := range body.Alerts {
 			if a.State == tsdb.StateResolved {
 				continue
 			}
@@ -299,45 +281,14 @@ func renderAlerts(b *strings.Builder, targets []tsdb.Target) {
 	fmt.Fprintf(b, "ALERTS\n%s\n", strings.Join(lines, "\n"))
 }
 
-func fetchAlerts(client *http.Client, addr string) []tsdb.Alert {
-	base := addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	resp, err := client.Get(strings.TrimRight(base, "/") + "/debug/alerts")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil
-	}
-	var body struct {
-		Alerts []tsdb.Alert `json:"alerts"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return nil
-	}
-	return body.Alerts
-}
-
 // renderTargetErrs reports targets whose last scrape failed, so a dead
 // daemon is visible instead of silently frozen at its last numbers.
-func renderTargetErrs(b *strings.Builder, coll *tsdb.Collector, targets []tsdb.Target) {
+func renderTargetErrs(b *strings.Builder, coll *tsdb.Collector, targets []telemetry.Target) {
 	for _, t := range targets {
 		if err := coll.TargetErr(t.Name); err != nil {
 			fmt.Fprintf(b, "SCRAPE ERROR  %s: %v\n", t.Name, err)
 		}
 	}
-}
-
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 func fmtSecs(v float64, ok bool) string {

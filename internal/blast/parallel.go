@@ -103,7 +103,7 @@ func (eng *engine) runPipeline(subjects SubjectSource, threads int, m *PipeMetri
 				results <- subjectDone{seq: job.seq, subj: job.subj, hsps: hsps}
 			}
 			statsMu.Lock()
-			sumStats.addCounts(sr.stats)
+			sumStats.AddCounts(sr.stats)
 			statsMu.Unlock()
 			m.observeShard(busy, idle)
 		}()
@@ -138,6 +138,6 @@ func (eng *engine) runPipeline(subjects SubjectSource, threads int, m *PipeMetri
 	if decodeErr != nil {
 		return nil, 0, 0, decodeErr
 	}
-	eng.stats.addCounts(sumStats)
+	eng.stats.AddCounts(sumStats)
 	return raw, dbLetters, dbSeqs, nil
 }

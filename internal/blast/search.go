@@ -172,7 +172,7 @@ func SearchWithMetrics(query *seq.Sequence, subjects SubjectSource, info DBInfo,
 				raw = append(raw, rawHit{subject: subj, hsps: hsps})
 			}
 		}
-		eng.stats.addCounts(sr.stats)
+		eng.stats.AddCounts(sr.stats)
 	}
 	if info.Letters == 0 {
 		info.Letters = dbLetters
@@ -196,10 +196,10 @@ func (eng *engine) checkSubjectKind(subj *seq.Sequence) error {
 	return nil
 }
 
-// addCounts folds another stats block's per-subject work counters in.
+// AddCounts folds another stats block's per-subject work counters in.
 // Only the counters the search loop accumulates move; the query-wide
 // fields (Karlin parameters, masking, cutoffs) stay put.
-func (s *SearchStats) addCounts(o SearchStats) {
+func (s *SearchStats) AddCounts(o SearchStats) {
 	s.SeedHits += o.SeedHits
 	s.UngappedExts += o.UngappedExts
 	s.GappedExts += o.GappedExts

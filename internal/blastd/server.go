@@ -85,8 +85,8 @@ type Config struct {
 	MonitorLogger *slog.Logger
 
 	// RPCOps, when set, returns the cumulative count of storage RPC
-	// round trips this process's clients have issued (for example
-	// iotrace.RPCMetrics.TotalCalls). The server samples it around
+	// round trips this process's clients have issued (for example the
+	// sum of rpcpool.Metrics.Calls). The server samples it around
 	// each backend search and exposes the deltas as the
 	// pario_blastd_rpc_ops_per_search histogram — the per-request
 	// server-op cost that list I/O and collective reads drive down.
@@ -566,10 +566,7 @@ func (s *Server) Close() error {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /search", s.handleSearch)
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.reg.WritePrometheus(w)
-	})
+	mux.Handle("GET /metrics", telemetry.MetricsHandler(s.reg))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
 			http.Error(w, "draining", http.StatusServiceUnavailable)

@@ -1,7 +1,6 @@
 package obsreport
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -10,6 +9,7 @@ import (
 
 	"pario/internal/ceft"
 	"pario/internal/pblast"
+	"pario/internal/util"
 )
 
 // Builder accumulates a run's observations — process snapshots, the
@@ -20,7 +20,7 @@ import (
 //	b.SetRun(obsreport.RunInfo{DB: db, Backend: "ceft", Workers: n})
 //	b.AddOutcome(out)
 //	b.AddSnapshot(obsreport.LocalSnapshot("master", reg, tracer))
-//	b.Collect(ctx, "iod0", "127.0.0.1:9101")
+//	b.AddSnapshot(obsreport.RemoteSnapshot(ctx, telemetry.Target{Name: "iod0", Addr: "127.0.0.1:9101"}))
 //	rep := b.Build()
 type Builder struct {
 	label    string
@@ -48,12 +48,6 @@ func (b *Builder) SetRun(info RunInfo) {
 
 // AddSnapshot absorbs one collected process snapshot.
 func (b *Builder) AddSnapshot(s Snapshot) { b.snaps = append(b.snaps, s) }
-
-// Collect scrapes a process's debug endpoint and absorbs the result;
-// scrape failures are recorded in the report, not returned.
-func (b *Builder) Collect(ctx context.Context, process, addr string) {
-	b.AddSnapshot(Scrape(ctx, process, addr))
-}
 
 // AddOutcome absorbs the master's timing summary and task timeline.
 func (b *Builder) AddOutcome(o *pblast.Outcome) {
@@ -214,7 +208,7 @@ func traceStats(trees []*TraceTree, snaps []Snapshot) TraceStats {
 			Seconds: t.Seconds,
 			Bytes:   t.Bytes,
 			Spans:   t.Spans,
-			Servers: sortedKeys(servers),
+			Servers: util.SortedKeys(servers),
 		})
 	}
 	return ts
@@ -301,7 +295,7 @@ func serverStats(snaps []Snapshot) []ServerStat {
 	}
 
 	out := make([]ServerStat, 0, len(names))
-	for _, name := range sortedKeys(names) {
+	for _, name := range util.SortedKeys(names) {
 		ss := ServerStat{
 			Server:           name,
 			Bytes:            int64(bytes[name]),
@@ -319,30 +313,32 @@ func serverStats(snaps []Snapshot) []ServerStat {
 	return out
 }
 
+// sumAll adds family name, every label set, across all snapshots.
+func sumAll(snaps []Snapshot, name string) float64 {
+	var total float64
+	for i := range snaps {
+		total += snaps[i].Sum(name, nil)
+	}
+	return total
+}
+
 // collIOStats reduces the master's pario_collio_* families to the
 // report's collective-read section.
 func collIOStats(snaps []Snapshot) CollIOStats {
 	var st CollIOStats
-	sum := func(name string) float64 {
-		var total float64
-		for i := range snaps {
-			total += snaps[i].Sum(name, nil)
-		}
-		return total
-	}
-	st.Rounds = int64(sum("pario_collio_rounds_total"))
+	st.Rounds = int64(sumAll(snaps, "pario_collio_rounds_total"))
 	if st.Rounds == 0 {
 		return st
 	}
 	st.Enabled = true
-	st.Ranges = int64(sum("pario_collio_ranges_total"))
-	st.MergedSegments = int64(sum("pario_collio_merged_segments_total"))
-	st.DedupBytes = int64(sum("pario_collio_dedup_bytes_total"))
-	if n := sum("pario_collio_round_fan_in_count"); n > 0 {
-		st.MeanFanIn = sum("pario_collio_round_fan_in_sum") / n
+	st.Ranges = int64(sumAll(snaps, "pario_collio_ranges_total"))
+	st.MergedSegments = int64(sumAll(snaps, "pario_collio_merged_segments_total"))
+	st.DedupBytes = int64(sumAll(snaps, "pario_collio_dedup_bytes_total"))
+	if n := sumAll(snaps, "pario_collio_round_fan_in_count"); n > 0 {
+		st.MeanFanIn = sumAll(snaps, "pario_collio_round_fan_in_sum") / n
 	}
-	if n := sum("pario_collio_round_seconds_count"); n > 0 {
-		st.MeanRoundSeconds = sum("pario_collio_round_seconds_sum") / n
+	if n := sumAll(snaps, "pario_collio_round_seconds_count"); n > 0 {
+		st.MeanRoundSeconds = sumAll(snaps, "pario_collio_round_seconds_sum") / n
 	}
 	return st
 }
@@ -351,25 +347,18 @@ func collIOStats(snaps []Snapshot) CollIOStats {
 // the readahead borrow counters to the report's search-kernel section.
 func searchKernelStats(snaps []Snapshot) SearchKernelStats {
 	var st SearchKernelStats
-	sum := func(name string) float64 {
-		var total float64
-		for i := range snaps {
-			total += snaps[i].Sum(name, nil)
-		}
-		return total
-	}
-	st.ScannedBases = int64(sum("pario_blast_scanned_bases_total"))
+	st.ScannedBases = int64(sumAll(snaps, "pario_blast_scanned_bases_total"))
 	if st.ScannedBases == 0 {
 		return st
 	}
 	st.Enabled = true
-	st.PackedExts = int64(sum("pario_blast_packed_exts_total"))
-	st.ShardBusySeconds = sum("pario_blast_shard_busy_seconds_total")
+	st.PackedExts = int64(sumAll(snaps, "pario_blast_packed_exts_total"))
+	st.ShardBusySeconds = sumAll(snaps, "pario_blast_shard_busy_seconds_total")
 	if st.ShardBusySeconds > 0 {
 		st.BasesPerSecond = float64(st.ScannedBases) / st.ShardBusySeconds
 	}
-	st.BorrowHits = int64(sum("pario_readahead_borrow_hits_total"))
-	st.BorrowCopies = int64(sum("pario_readahead_borrow_copies_total"))
+	st.BorrowHits = int64(sumAll(snaps, "pario_readahead_borrow_hits_total"))
+	st.BorrowCopies = int64(sumAll(snaps, "pario_readahead_borrow_copies_total"))
 	if views := st.BorrowHits + st.BorrowCopies; views > 0 {
 		st.ZeroCopyRatio = float64(st.BorrowHits) / float64(views)
 	}
@@ -382,28 +371,17 @@ func criticalPath(run RunInfo, trees []*TraceTree, snaps []Snapshot) CriticalPat
 		CopySeconds:   run.CopySeconds,
 		SearchSeconds: run.SearchSeconds,
 	}
-	for _, t := range trees {
-		t.Walk(func(n *SpanNode, _ int) {
-			if n.Duplicate {
-				return
-			}
-			sec := n.Span.Duration.Seconds()
-			if sec < 0 {
-				sec = 0
-			}
-			switch spanCategory(n.Span.Name) {
-			case "client io":
-				cp.ClientIOSeconds += sec
-			case "rpc":
-				cp.RPCSeconds += sec
-			case "server":
-				cp.ServerSeconds += sec
-			}
-		})
+	for _, p := range QueryPhases(trees...) {
+		switch p.Name {
+		case "client io":
+			cp.ClientIOSeconds = p.Seconds
+		case "rpc":
+			cp.RPCSeconds = p.Seconds
+		case "server":
+			cp.ServerSeconds = p.Seconds
+		}
 	}
-	for i := range snaps {
-		cp.QueueWaitSeconds += snaps[i].Sum("pario_iod_queue_wait_seconds_sum", nil)
-	}
+	cp.QueueWaitSeconds = sumAll(snaps, "pario_iod_queue_wait_seconds_sum")
 	cp.RPCWaitSeconds = math.Max(0, cp.RPCSeconds-cp.ServerSeconds)
 	cp.ComputeSeconds = math.Max(0, cp.SearchSeconds-cp.ClientIOSeconds)
 	return cp
@@ -413,11 +391,11 @@ func hasPrefix(s, prefix string) bool {
 	return len(s) >= len(prefix) && s[:len(prefix)] == prefix
 }
 
-// spanCategory maps a span name onto the critical-path component it
-// contributes to — the same classification for whole-run reports and
-// for single-query timelines. Service-level span names (request,
-// queue, cache, task, search) are their own categories; everything
-// else falls through to "" and is counted nowhere.
+// spanCategory maps a span name onto the phase QueryPhases sums it
+// into — one classification for whole-run reports and single-query
+// timelines. Service-level span names (request, queue, cache, task,
+// search) are their own categories; everything else falls through to
+// "" and is counted nowhere.
 func spanCategory(name string) string {
 	switch {
 	case name == "read" || name == "write":
@@ -434,57 +412,40 @@ func spanCategory(name string) string {
 }
 
 func imbalance(servers []ServerStat, workers []WorkerStat) Imbalance {
-	var im Imbalance
-	var byteVals, loadVals []float64
-	var byteNames, loadNames []string
+	byteVals, loadVals := map[string]float64{}, map[string]float64{}
 	for _, ss := range servers {
 		// Only data servers participate in the distribution: the mgr
 		// serves metadata, not stripes.
 		if !hasPrefix(ss.Server, "iod") {
 			continue
 		}
-		byteVals = append(byteVals, float64(ss.Bytes))
-		byteNames = append(byteNames, ss.Server)
-		l := ss.MgrLoad
-		if l < 0 {
-			l = ss.Load
+		byteVals[ss.Server] = float64(ss.Bytes)
+		loadVals[ss.Server] = ss.MgrLoad
+		if ss.MgrLoad < 0 {
+			loadVals[ss.Server] = ss.Load
 		}
-		loadVals = append(loadVals, l)
-		loadNames = append(loadNames, ss.Server)
 	}
-	im.ServerBytes = spread(byteVals, byteNames)
-	im.ServerLoad = spread(loadVals, loadNames)
-	busyVals := make([]float64, len(workers))
-	busyNames := make([]string, len(workers))
-	for i, ws := range workers {
-		busyVals[i] = ws.BusySeconds
-		busyNames[i] = fmt.Sprintf("worker%d", ws.Worker)
+	busyVals := make(map[string]float64, len(workers))
+	for _, ws := range workers {
+		busyVals[fmt.Sprintf("worker%d", ws.Worker)] = ws.BusySeconds
 	}
-	im.WorkerBusy = spread(busyVals, busyNames)
-	return im
+	return Imbalance{
+		ServerBytes: spread(byteVals),
+		ServerLoad:  spread(loadVals),
+		WorkerBusy:  spread(busyVals),
+	}
 }
 
-// spread computes the distribution summary over vals; names label the
-// max entity.
-func spread(vals []float64, names []string) Spread {
+// spread computes the distribution summary over per-entity values.
+func spread(vals map[string]float64) Spread {
 	sp := Spread{Entities: len(vals)}
 	if len(vals) == 0 {
 		return sp
 	}
-	var sum float64
-	maxIdx := 0
-	for i, v := range vals {
-		sum += v
-		if v > vals[maxIdx] {
-			maxIdx = i
-		}
-	}
-	sp.Mean = sum / float64(len(vals))
-	sp.Max = vals[maxIdx]
-	sp.MaxEntity = names[maxIdx]
+	sp.Max, sp.MaxEntity, sp.Mean = util.Spread(vals)
 	var variance float64
-	for _, v := range vals {
-		d := v - sp.Mean
+	for _, k := range util.SortedKeys(vals) { // fixed order: float sums must reproduce
+		d := vals[k] - sp.Mean
 		variance += d * d
 	}
 	variance /= float64(len(vals))
@@ -502,7 +463,7 @@ func finishHotSpot(hs *HotSpotAudit) {
 	}
 	var bestServer string
 	var bestN int64
-	for _, name := range sortedKeys(hs.Reroutes) {
+	for _, name := range util.SortedKeys(hs.Reroutes) {
 		if n := hs.Reroutes[name]; n > bestN {
 			bestServer, bestN = name, n
 		}
@@ -514,7 +475,7 @@ func finishHotSpot(hs *HotSpotAudit) {
 				hotCounts[ev.Server]++
 			}
 		}
-		for _, name := range sortedKeys(hotCounts) {
+		for _, name := range util.SortedKeys(hotCounts) {
 			if n := hotCounts[name]; n > bestN {
 				bestServer, bestN = name, n
 			}

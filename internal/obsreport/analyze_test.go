@@ -216,10 +216,10 @@ func TestRenderDiff(t *testing.T) {
 // TestSpreadDegenerate: empty and all-zero distributions must not
 // divide by zero.
 func TestSpreadDegenerate(t *testing.T) {
-	if sp := spread(nil, nil); sp.Entities != 0 || sp.CV != 0 {
+	if sp := spread(nil); sp.Entities != 0 || sp.CV != 0 {
 		t.Errorf("empty spread: %+v", sp)
 	}
-	sp := spread([]float64{0, 0}, []string{"a", "b"})
+	sp := spread(map[string]float64{"a": 0, "b": 0})
 	if math.IsNaN(sp.CV) || math.IsNaN(sp.MaxOverMean) {
 		t.Errorf("NaN in zero spread: %+v", sp)
 	}

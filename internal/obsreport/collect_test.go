@@ -2,6 +2,9 @@ package obsreport
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -19,7 +22,7 @@ pario_iod_queue_wait_seconds_sum{server="iod0"} 0.125
 pario_pblast_tasks_completed_total 12
 odd_label{msg="a \"quoted\" value, with comma"} 1
 `
-	samples, err := ParsePrometheus(strings.NewReader(page))
+	samples, err := telemetry.ParseText(strings.NewReader(page))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,22 +51,9 @@ odd_label{msg="a \"quoted\" value, with comma"} 1
 	}
 }
 
-func TestParsePrometheusMalformed(t *testing.T) {
-	for _, bad := range []string{
-		"no_value_here\n",
-		`bad{unterminated="x 1` + "\n",
-		`bad{key=unquoted} 1` + "\n",
-		"name{} notanumber\n",
-	} {
-		if _, err := ParsePrometheus(strings.NewReader(bad)); err == nil {
-			t.Errorf("no error for %q", bad)
-		}
-	}
-}
-
 // TestScrapeRoundtrip runs a real debug endpoint and checks that what
-// went into the registry and tracer comes back out of Scrape intact —
-// IDs, parents, durations, bytes.
+// went into the registry and tracer comes back out of RemoteSnapshot
+// intact — IDs, parents, durations, bytes.
 func TestScrapeRoundtrip(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(0)
@@ -82,7 +72,7 @@ func TestScrapeRoundtrip(t *testing.T) {
 	}
 	defer dbg.Close()
 
-	snap := Scrape(context.Background(), "iod0", dbg.Addr())
+	snap := RemoteSnapshot(context.Background(), telemetry.Target{Name: "iod0", Addr: dbg.Addr()})
 	if snap.Err != nil {
 		t.Fatal(snap.Err)
 	}
@@ -110,7 +100,7 @@ func TestScrapeRoundtrip(t *testing.T) {
 // TestScrapeFailure: an unreachable endpoint degrades into Snapshot.Err
 // and a report that still builds.
 func TestScrapeFailure(t *testing.T) {
-	snap := Scrape(context.Background(), "gone", "127.0.0.1:1")
+	snap := RemoteSnapshot(context.Background(), telemetry.Target{Name: "gone", Addr: "127.0.0.1:1"})
 	if snap.Err == nil {
 		t.Fatal("no error scraping a closed port")
 	}
@@ -122,33 +112,68 @@ func TestScrapeFailure(t *testing.T) {
 	}
 }
 
-// TestLocalSnapshotMatchesScrape: the in-process path and the HTTP
-// path must produce the same samples and spans.
+// TestLocalSnapshotMatchesScrape: the in-process path (typed registry
+// snapshot, tracer ring) and the HTTP path (text and JSON over the
+// wire, decoded back) must be indistinguishable — same samples, same
+// spans, and so the same report — for a registry holding every
+// instrument kind and label values that need escaping.
 func TestLocalSnapshotMatchesScrape(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(0)
 	reg.Counter("pario_pblast_tasks_completed_total", "tasks").Add(3)
-	tracer.Record(telemetry.Span{TraceID: 1, SpanID: 2, Name: "read", Start: time.Now().UTC(), Duration: time.Millisecond})
+	reg.CounterVec("pario_iod_bytes_served_total", "bytes", "server").With("iod0").Add(4096)
+	reg.CounterVec("pario_iod_bytes_served_total", "bytes", "server").With("iod1").Add(1024)
+	reg.CounterVec("pario_server_requests_total", "reqs", "server", "op", "outcome").With("iod0", "list_read", "ok").Add(9)
+	reg.GaugeVec("pario_iod_load", "load", "server").With("iod0").Set(2.5)
+	reg.GaugeVec("pario_blastd_client_inflight", "inflight", "client").With("bad\xffutf \"q\"\n\x01").Set(1)
+	reg.GaugeFunc("pario_process_start_time_seconds", "start", func() float64 { return 1.7e9 + 0.125 })
+	h := reg.HistogramVec("pario_iod_queue_wait_seconds", "wait", "server").With("iod0")
+	h.Observe(0.004)
+	h.ObserveExemplar(0.25, 0xfeed)
+	reg.Counter("pario_blast_scanned_bases_total", "bases").Add(1 << 40)
+	reg.Counter("pario_collio_rounds_total", "rounds").Add(2)
+
+	start := time.Now().UTC().Truncate(time.Microsecond)
+	tracer.Record(telemetry.Span{TraceID: 1, SpanID: 2, Name: "read", Start: start, Duration: 3 * time.Millisecond, Bytes: 4096})
+	tracer.Record(telemetry.Span{TraceID: 1, SpanID: 3, Parent: 2, Name: "rpc:list_read", Server: "127.0.0.1:7001",
+		Start: start, Duration: 2 * time.Millisecond, Bytes: 4096, Err: "timeout",
+		Attrs: map[string]string{"attempt": "2"}})
+	tracer.Record(telemetry.Span{TraceID: 1, SpanID: 4, Parent: 3, Name: "serve:list_read", Server: "iod0", Start: start, Duration: time.Millisecond})
+
+	ts := httptest.NewServer(debugMux(reg, tracer))
+	defer ts.Close()
 
 	local := LocalSnapshot("p", reg, tracer)
-	if local.Err != nil {
-		t.Fatal(local.Err)
+	scraped := RemoteSnapshot(context.Background(), telemetry.Target{Name: "p", Addr: ts.URL})
+	if local.Err != nil || scraped.Err != nil {
+		t.Fatalf("local err %v, scraped err %v", local.Err, scraped.Err)
+	}
+	if !reflect.DeepEqual(local.Samples, scraped.Samples) {
+		t.Errorf("samples differ:\nlocal   %+v\nscraped %+v", local.Samples, scraped.Samples)
+	}
+	if !reflect.DeepEqual(local.Spans, scraped.Spans) {
+		t.Errorf("spans differ:\nlocal   %+v\nscraped %+v", local.Spans, scraped.Spans)
 	}
 
-	dbg, err := telemetry.StartDebug("127.0.0.1:0", reg, tracer)
-	if err != nil {
-		t.Fatal(err)
+	build := func(s Snapshot) *Report {
+		b := NewBuilder("t")
+		b.AddSnapshot(s)
+		rep := b.Build()
+		rep.GeneratedAt = time.Time{}
+		rep.Processes = nil // names the source, the one intended difference
+		return rep
 	}
-	defer dbg.Close()
-	scraped := Scrape(context.Background(), "p", dbg.Addr())
-	if scraped.Err != nil {
-		t.Fatal(scraped.Err)
+	if l, s := build(local), build(scraped); !reflect.DeepEqual(l, s) {
+		t.Errorf("reports differ:\nlocal   %+v\nscraped %+v", l, s)
+	} else if l.SearchKernel.ScannedBases != 1<<40 || len(l.Servers) != 2 || l.CriticalPath.RPCSeconds == 0 {
+		t.Errorf("derived sections empty: %+v", l)
 	}
-	if len(local.Samples) != len(scraped.Samples) || len(local.Spans) != len(scraped.Spans) {
-		t.Errorf("local %d/%d vs scraped %d/%d samples/spans",
-			len(local.Samples), len(local.Spans), len(scraped.Samples), len(scraped.Spans))
-	}
-	if local.Spans[0].SpanID != scraped.Spans[0].SpanID {
-		t.Errorf("span identity differs: %x vs %x", local.Spans[0].SpanID, scraped.Spans[0].SpanID)
-	}
+}
+
+// debugMux serves reg and tr the way every daemon does.
+func debugMux(reg *telemetry.Registry, tr *telemetry.Tracer) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", telemetry.MetricsHandler(reg))
+	mux.HandleFunc("/debug/traces", telemetry.TracesHandler(tr))
+	return mux
 }

@@ -6,76 +6,33 @@ import (
 	"io"
 	"strings"
 	"time"
+
+	"pario/internal/telemetry"
+	"pario/internal/util"
 )
-
-// Target is one process to pull trace spans from: its display name and
-// the host:port (or http:// URL) of its debug endpoint.
-type Target struct {
-	Process string
-	Addr    string
-}
-
-// ParseTargets parses the -targets flag form
-// "name=host:port,name=host:port". A bare "host:port" entry gets a
-// positional name ("p0", "p1", ...).
-func ParseTargets(s string) ([]Target, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, fmt.Errorf("obsreport: no targets given")
-	}
-	var out []Target
-	for i, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, addr, ok := strings.Cut(part, "=")
-		if !ok {
-			name, addr = fmt.Sprintf("p%d", i), part
-		}
-		if name == "" || addr == "" {
-			return nil, fmt.Errorf("obsreport: bad target %q", part)
-		}
-		out = append(out, Target{Process: name, Addr: addr})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("obsreport: no targets given")
-	}
-	return out, nil
-}
 
 // FetchTraceSpans asks every target for its spans of one trace
 // (GET /debug/traces?trace=<id>) and merges them, each tagged with the
 // process it came from. Per-target failures are returned alongside the
 // spans that did arrive — a dead worker must not hide the rest of the
 // query's timeline.
-func FetchTraceSpans(ctx context.Context, targets []Target, traceID uint64) ([]SpanRecord, []error) {
+func FetchTraceSpans(ctx context.Context, targets []telemetry.Target, traceID uint64) ([]SpanRecord, []error) {
 	var (
 		spans []SpanRecord
 		errs  []error
 	)
 	for _, t := range targets {
-		base := t.Addr
-		if !strings.Contains(base, "://") {
-			base = "http://" + base
-		}
-		base = strings.TrimRight(base, "/")
 		tctx, cancel := context.WithTimeout(ctx, ScrapeTimeout)
-		body, err := httpGet(tctx, fmt.Sprintf("%s/debug/traces?trace=%016x", base, traceID))
+		got, err := telemetry.FetchSpans(tctx, t, traceID)
 		cancel()
 		if err != nil {
-			errs = append(errs, fmt.Errorf("obsreport: fetch %s: %w", t.Process, err))
-			continue
-		}
-		got, err := ParseTraces(body)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("obsreport: fetch %s: %w", t.Process, err))
+			errs = append(errs, fmt.Errorf("obsreport: fetch %s: %w", t.Name, err))
 			continue
 		}
 		for _, sp := range got {
-			if sp.TraceID != traceID {
-				continue
+			if sp.TraceID == traceID {
+				spans = append(spans, SpanRecord{Span: sp, Process: t.Name})
 			}
-			spans = append(spans, SpanRecord{Span: sp, Process: t.Process})
 		}
 	}
 	return spans, errs
@@ -110,31 +67,33 @@ var queryPhaseOrder = []string{
 	"request", "queue", "cache", "task", "search", "client io", "rpc", "server",
 }
 
-// QueryPhases folds a single query's trace into per-phase sums using
-// the same span classification as the whole-run critical path. Like the
-// critical path, phases overlap (a search span contains its read spans)
-// and parallel tasks sum, so rows do not add up to the request time.
-func QueryPhases(t *TraceTree) []QueryPhase {
+// QueryPhases folds traces — one query's tree, or every tree of a run
+// for the report's critical path — into per-phase sums by span
+// category. Phases overlap (a search span contains its read spans) and
+// parallel tasks sum, so rows do not add up to the request time.
+func QueryPhases(trees ...*TraceTree) []QueryPhase {
 	agg := map[string]*QueryPhase{}
-	t.Walk(func(n *SpanNode, _ int) {
-		if n.Duplicate {
-			return
-		}
-		cat := spanCategory(n.Span.Name)
-		if cat == "" {
-			return
-		}
-		p := agg[cat]
-		if p == nil {
-			p = &QueryPhase{Name: cat}
-			agg[cat] = p
-		}
-		p.Spans++
-		if sec := n.Span.Duration.Seconds(); sec > 0 {
-			p.Seconds += sec
-		}
-		p.Bytes += n.Span.Bytes
-	})
+	for _, t := range trees {
+		t.Walk(func(n *SpanNode, _ int) {
+			if n.Duplicate {
+				return
+			}
+			cat := spanCategory(n.Span.Name)
+			if cat == "" {
+				return
+			}
+			p := agg[cat]
+			if p == nil {
+				p = &QueryPhase{Name: cat}
+				agg[cat] = p
+			}
+			p.Spans++
+			if sec := n.Span.Duration.Seconds(); sec > 0 {
+				p.Seconds += sec
+			}
+			p.Bytes += n.Span.Bytes
+		})
+	}
 	var out []QueryPhase
 	for _, name := range queryPhaseOrder {
 		if p, ok := agg[name]; ok {
@@ -142,7 +101,7 @@ func QueryPhases(t *TraceTree) []QueryPhase {
 			delete(agg, name)
 		}
 	}
-	for _, name := range sortedKeys(agg) {
+	for _, name := range util.SortedKeys(agg) {
 		out = append(out, *agg[name])
 	}
 	return out
@@ -202,7 +161,7 @@ func RenderQuery(w io.Writer, t *TraceTree) {
 		if n.Span.Err != "" {
 			flags = append(flags, n.Span.Err)
 		}
-		for _, k := range sortedKeys(n.Span.Attrs) {
+		for _, k := range util.SortedKeys(n.Span.Attrs) {
 			flags = append(flags, k+"="+n.Span.Attrs[k])
 		}
 		suffix := ""

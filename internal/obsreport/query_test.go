@@ -12,30 +12,6 @@ import (
 	"pario/internal/telemetry"
 )
 
-func TestParseTargets(t *testing.T) {
-	targets, err := ParseTargets("blastd=localhost:7044,iod0=localhost:9101")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(targets) != 2 || targets[0].Process != "blastd" || targets[1].Process != "iod0" {
-		t.Fatalf("targets = %+v", targets)
-	}
-	// Bare addresses fall back to positional process names.
-	targets, err = ParseTargets("localhost:7044, localhost:9101")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if targets[0].Process != "p0" || targets[1].Process != "p1" {
-		t.Fatalf("positional names = %+v", targets)
-	}
-	if _, err := ParseTargets(""); err == nil {
-		t.Fatal("empty target spec accepted")
-	}
-	if _, err := ParseTargets("blastd=,iod0=:9101"); err == nil {
-		t.Fatal("empty address accepted")
-	}
-}
-
 // querySpans builds the canonical traced-query shape: request > queue +
 // cache > task > search > serve, split across two processes.
 func querySpans(trace uint64) ([]SpanRecord, []SpanRecord) {
@@ -76,10 +52,10 @@ func TestFetchAndAssembleQuery(t *testing.T) {
 	ts1 := tracesServer(t, noisy)
 	ts2 := tracesServer(t, iodSpans)
 
-	targets := []Target{
-		{Process: "blastd", Addr: strings.TrimPrefix(ts1.URL, "http://")},
-		{Process: "iod0", Addr: strings.TrimPrefix(ts2.URL, "http://")},
-		{Process: "dead", Addr: "127.0.0.1:1"}, // unreachable: warning, not failure
+	targets := []telemetry.Target{
+		{Name: "blastd", Addr: strings.TrimPrefix(ts1.URL, "http://")},
+		{Name: "iod0", Addr: strings.TrimPrefix(ts2.URL, "http://")},
+		{Name: "dead", Addr: "127.0.0.1:1"}, // unreachable: warning, not failure
 	}
 	spans, errs := FetchTraceSpans(context.Background(), targets, trace)
 	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "dead") {
@@ -169,7 +145,7 @@ func TestParseTracesAttrsRoundTrip(t *testing.T) {
 	defer ts.Close()
 
 	spans, errs := FetchTraceSpans(context.Background(),
-		[]Target{{Process: "p", Addr: strings.TrimPrefix(ts.URL, "http://")}}, 5)
+		[]telemetry.Target{{Name: "p", Addr: strings.TrimPrefix(ts.URL, "http://")}}, 5)
 	if len(errs) != 0 {
 		t.Fatal(errs)
 	}

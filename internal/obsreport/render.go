@@ -3,8 +3,9 @@ package obsreport
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
+
+	"pario/internal/util"
 )
 
 // RenderText writes the human-readable form of the report: what
@@ -113,7 +114,7 @@ func (r *Report) RenderText(w io.Writer) {
 				seconds(ss.QueueWaitSeconds), bar(float64(ss.Bytes), float64(maxBytes), 20))
 			if len(ss.Ops) > 0 {
 				fmt.Fprintf(w, "  %-8s ", "")
-				for i, op := range sortedKeys(ss.Ops) {
+				for i, op := range util.SortedKeys(ss.Ops) {
 					if i > 0 {
 						fmt.Fprintf(w, "  ")
 					}
@@ -132,7 +133,7 @@ func (r *Report) RenderText(w io.Writer) {
 		hs := r.HotSpot
 		fmt.Fprintf(w, "\nCEFT hot-spot audit\n-------------------\n")
 		fmt.Fprintf(w, "  rerouted stripe reads  %d\n", hs.TotalReroutes)
-		for _, name := range sortedKeys(hs.Reroutes) {
+		for _, name := range util.SortedKeys(hs.Reroutes) {
 			fmt.Fprintf(w, "    away from %-8s %d\n", name, hs.Reroutes[name])
 		}
 		if hs.HottestServer != "" {
@@ -191,7 +192,7 @@ func (r *Report) RenderText(w io.Writer) {
 			fmt.Fprintf(w, " (%d orphaned, %d duplicate)", t.OrphanSpans, t.DuplicateSpans)
 		}
 		fmt.Fprintln(w)
-		for _, name := range sortedKeys(t.ByName) {
+		for _, name := range util.SortedKeys(t.ByName) {
 			agg := t.ByName[name]
 			fmt.Fprintf(w, "  %-20s %6d spans %12s %14d bytes\n", name, agg.Count, seconds(agg.Seconds), agg.Bytes)
 		}
@@ -254,12 +255,7 @@ func RenderDiff(w io.Writer, a, b *Report) {
 	}
 	if len(servers) > 0 {
 		fmt.Fprintf(w, "per-server bytes:\n")
-		names := make([]string, 0, len(servers))
-		for name := range servers {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
+		for _, name := range util.SortedKeys(servers) {
 			v := servers[name]
 			fmt.Fprintf(w, "  %-22s %14d %14d %10s\n", name, v[0], v[1], delta(float64(v[0]), float64(v[1])))
 		}

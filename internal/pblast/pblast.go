@@ -683,9 +683,7 @@ func mergeResults(query *seq.Sequence, results []*blast.Result, mode Mode, param
 	var order []string
 	seen := make(map[string]bool)
 	for _, r := range results {
-		merged.Stats.SeedHits += r.Stats.SeedHits
-		merged.Stats.UngappedExts += r.Stats.UngappedExts
-		merged.Stats.GappedExts += r.Stats.GappedExts
+		merged.Stats.AddCounts(r.Stats)
 		merged.Stats.Lambda = r.Stats.Lambda
 		merged.Stats.K = r.Stats.K
 		merged.Stats.H = r.Stats.H

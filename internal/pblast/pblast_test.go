@@ -138,6 +138,16 @@ func TestResultsMatchSerialSearch(t *testing.T) {
 			t.Errorf("hit %d HSPs differ", i)
 		}
 	}
+	// The merged result carries every kernel work counter, not a subset:
+	// the same fragments were scanned, so the sums equal the serial run's.
+	ps, ss := out.Result.Stats, serial.Stats
+	if ps.ScannedBases == 0 {
+		t.Errorf("merged stats dropped kernel counters: %+v", ps)
+	}
+	if ps.ScannedBases != ss.ScannedBases || ps.PackedExts != ss.PackedExts ||
+		ps.SeedHits != ss.SeedHits || ps.UngappedExts != ss.UngappedExts || ps.GappedExts != ss.GappedExts {
+		t.Errorf("merged work counters %+v differ from serial %+v", ps, ss)
+	}
 }
 
 func TestCopyToLocalMeasuresCopyTime(t *testing.T) {

@@ -180,10 +180,15 @@ func (t *transport) observeCall(req *Request, resp *Response, start time.Time, e
 }
 
 // observeBatch reports one coalesced batch (runs stripe runs issued as
-// rpcs round trips) to the configured BatchObserver, if any.
+// rpcs round trips) to the configured BatchObserver and metric set.
 func (t *transport) observeBatch(runs, rpcs int) {
 	if obs := t.cfg.Batch; obs != nil {
 		obs.ObserveBatch(t.addr, runs, rpcs)
+	}
+	if m := t.cfg.Metrics; m != nil {
+		m.Batches.With(t.addr).Inc()
+		m.BatchRuns.With(t.addr).Add(int64(runs))
+		m.BatchRPCs.With(t.addr).Add(int64(rpcs))
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 	"time"
 
 	"pario/internal/chio"
-	"pario/internal/iotrace"
 	"pario/internal/rpcpool"
+	"pario/internal/telemetry"
 )
 
 // hungListener accepts connections and then never responds: the
@@ -238,10 +238,10 @@ func TestRetryCompletesAfterConnDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	metrics := iotrace.NewRPCMetrics()
+	metrics := rpcpool.NewMetrics(telemetry.NewRegistry())
 	proxy := flakyProxy(t, tc.iods[1].Addr(), 1)
 	cl, err := Dial(tc.mgr.Addr(), []string{tc.iods[0].Addr(), proxy},
-		rpcpool.WithRetries(2), rpcpool.WithObserver(metrics))
+		rpcpool.WithRetries(2), rpcpool.WithMetrics(metrics))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,8 @@ import (
 	"testing/quick"
 
 	"pario/internal/chio"
-	"pario/internal/iotrace"
 	"pario/internal/rpcpool"
+	"pario/internal/telemetry"
 )
 
 // TestDecomposeRunsAscendingProperty: within each server's list, runs
@@ -115,12 +115,12 @@ func TestWriteAtSkipsSizeRPCWhenNotExtending(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := iotrace.NewRPCMetrics()
+	m := rpcpool.NewMetrics(telemetry.NewRegistry())
 	var addrs []string
 	for _, ds := range tc.iods {
 		addrs = append(addrs, ds.Addr())
 	}
-	cl, err := Dial(tc.mgr.Addr(), addrs, rpcpool.WithObserver(m))
+	cl, err := Dial(tc.mgr.Addr(), addrs, rpcpool.WithMetrics(m))
 	if err != nil {
 		t.Fatal(err)
 	}

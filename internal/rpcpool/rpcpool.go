@@ -15,12 +15,15 @@ package rpcpool
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"sync"
 	"time"
 
 	"pario/internal/telemetry"
+	"pario/internal/util"
 )
 
 // Defaults for Config fields left zero.
@@ -55,7 +58,7 @@ type Config struct {
 	// MaxBackoff caps the exponential growth.
 	MaxBackoff time.Duration
 	// Observer, when non-nil, receives one event per finished call
-	// (after all retries) — the hook iotrace.RPCMetrics plugs into.
+	// (after all retries).
 	Observer Observer
 	// Batch, when non-nil, receives one event per batch of stripe runs
 	// issued to a server as one list-I/O RPC, so the RPCs saved by
@@ -63,7 +66,7 @@ type Config struct {
 	Batch BatchObserver
 	// Metrics, when non-nil, receives per-(server, op) transport
 	// telemetry: latency histograms, outcome counters, retry and
-	// reconnect counts, pool-wait time, payload bytes.
+	// reconnect counts, pool-wait time, payload bytes, batch coalescing.
 	Metrics *Metrics
 	// Tracer, when non-nil, records one span per RPC (attributed to
 	// the span carried by the call's context, propagated on the wire)
@@ -155,6 +158,11 @@ type Metrics struct {
 	BytesOut *telemetry.CounterVec
 	// BytesIn counts response payload bytes by server.
 	BytesIn *telemetry.CounterVec
+	// Batches counts batches of stripe runs issued to a server as list
+	// I/O; BatchRuns sums the runs they carried and BatchRPCs the round
+	// trips actually issued, so BatchRuns-BatchRPCs is the RPCs that
+	// coalescing saved.
+	Batches, BatchRuns, BatchRPCs *telemetry.CounterVec
 }
 
 // NewMetrics registers the transport metric families on reg.
@@ -176,7 +184,87 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"Request payload bytes by server.", "server"),
 		BytesIn: reg.CounterVec("pario_rpc_bytes_in_total",
 			"Response payload bytes by server.", "server"),
+		Batches: reg.CounterVec("pario_rpc_batches_total",
+			"Coalesced stripe-run batches on the striped I/O path.", "server"),
+		BatchRuns: reg.CounterVec("pario_rpc_batch_runs_total",
+			"Stripe runs carried by coalesced batches.", "server"),
+		BatchRPCs: reg.CounterVec("pario_rpc_batch_rpcs_total",
+			"Round trips actually issued for coalesced batches.", "server"),
 	}
+}
+
+// ServerStats is one server's share of a Metrics set, folded across
+// ops and outcomes. The per-server view is what the paper's hot-spot
+// analysis needs: a disk-stressed server shows up as one address with
+// ballooning mean latency and retry counts while its peers stay flat.
+type ServerStats struct {
+	Server string
+	// Calls counts finished RPCs (each including all its retries);
+	// Errors those that failed after exhausting retries, Timeouts the
+	// failures classified as chio.ErrTimeout.
+	Calls, Errors, Timeouts int64
+	// Retries sums the retry attempts across all calls.
+	Retries int64
+	// TotalLatency sums end-to-end call latency (including backoff
+	// pauses); MaxLatency is the slowest call.
+	TotalLatency, MaxLatency time.Duration
+	// Batches, BatchRuns and BatchRPCs are the coalescing counters.
+	Batches, BatchRuns, BatchRPCs int64
+}
+
+// Snapshot folds the metric set per server, sorted by server address.
+func (m *Metrics) Snapshot() []ServerStats {
+	by := map[string]*ServerStats{}
+	at := func(server string) *ServerStats {
+		if by[server] == nil {
+			by[server] = &ServerStats{Server: server}
+		}
+		return by[server]
+	}
+	m.Calls.Each(func(lvs []string, c *telemetry.Counter) {
+		s, n := at(lvs[0]), c.Value()
+		s.Calls += n
+		if outcome := lvs[2]; outcome != "ok" {
+			s.Errors += n
+			if outcome == "timeout" {
+				s.Timeouts += n
+			}
+		}
+	})
+	m.Latency.Each(func(lvs []string, h *telemetry.Histogram) {
+		s := at(lvs[0])
+		s.TotalLatency += time.Duration(h.Sum() * float64(time.Second))
+		s.MaxLatency = max(s.MaxLatency, time.Duration(h.Max()*float64(time.Second)))
+	})
+	m.Retries.Each(func(lvs []string, c *telemetry.Counter) { at(lvs[0]).Retries += c.Value() })
+	m.Batches.Each(func(lvs []string, c *telemetry.Counter) { at(lvs[0]).Batches += c.Value() })
+	m.BatchRuns.Each(func(lvs []string, c *telemetry.Counter) { at(lvs[0]).BatchRuns += c.Value() })
+	m.BatchRPCs.Each(func(lvs []string, c *telemetry.Counter) { at(lvs[0]).BatchRPCs += c.Value() })
+	out := make([]ServerStats, 0, len(by))
+	for _, server := range util.SortedKeys(by) {
+		out = append(out, *by[server])
+	}
+	return out
+}
+
+// Format renders one line per server — calls, errors, retries, latency
+// mean/max, and what coalescing saved: the -rpc-stats exit dump.
+func (m *Metrics) Format() string {
+	var sb strings.Builder
+	for _, s := range m.Snapshot() {
+		var mean time.Duration
+		if s.Calls > 0 {
+			mean = s.TotalLatency / time.Duration(s.Calls)
+		}
+		fmt.Fprintf(&sb, "%s: calls=%d errors=%d (timeouts=%d) retries=%d latency mean=%v max=%v",
+			s.Server, s.Calls, s.Errors, s.Timeouts, s.Retries, mean, s.MaxLatency)
+		if s.Batches > 0 {
+			fmt.Fprintf(&sb, " coalesced runs=%d rpcs=%d saved=%d",
+				s.BatchRuns, s.BatchRPCs, s.BatchRuns-s.BatchRPCs)
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
 }
 
 // Outcome classifies an RPC result for the Calls counter.
@@ -192,8 +280,7 @@ func Outcome(err error, timeout bool) string {
 }
 
 // Observer receives one event per finished RPC (after retries).
-// Implementations must be safe for concurrent use; iotrace.RPCMetrics
-// is the standard one.
+// Implementations must be safe for concurrent use.
 type Observer interface {
 	ObserveCall(server string, latency time.Duration, retries int, err error)
 }
@@ -201,8 +288,7 @@ type Observer interface {
 // BatchObserver receives one event per coalesced batch on the striped
 // I/O path: runs stripe runs destined for one server were issued as
 // rpcs round trips (rpcs < runs means coalescing saved RPCs).
-// Implementations must be safe for concurrent use; iotrace.RPCMetrics
-// implements this too.
+// Implementations must be safe for concurrent use.
 type BatchObserver interface {
 	ObserveBatch(server string, runs, rpcs int)
 }

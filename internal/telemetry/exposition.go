@@ -1,15 +1,4 @@
-// Package promtext parses the Prometheus text exposition format — the
-// wire shape of every /metrics endpoint in the system. It is the one
-// shared implementation behind run-report collection (obsreport) and
-// the live time-series sampler (tsdb), so a fix to the parser fixes
-// every consumer at once.
-//
-// The parser accepts the full sample-line grammar our registry emits
-// plus the parts of the upstream format a foreign exporter might use:
-// escaped label values (\" \\ \n), label values containing spaces or
-// commas, NaN and ±Inf sample values, and an optional trailing
-// millisecond timestamp.
-package promtext
+package telemetry
 
 import (
 	"bufio"
@@ -17,11 +6,20 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"pario/internal/util"
 )
 
-// Sample is one parsed metric sample: a family name, its label set,
-// and the value at collect time. Histogram bucket lines may carry an
-// OpenMetrics-style exemplar after the value.
+// The Prometheus text exposition format — the wire shape of every
+// /metrics endpoint in the system — lives in this file and nowhere
+// else: WritePrometheus encodes a registry's samples, ParseText decodes
+// a scraped page back into the same Sample values, and the two are
+// exact inverses (pinned by TestExpositionRoundTrip). In-process
+// consumers never touch text; they read Registry.Snapshot.
+
+// Sample is one metric sample: a family name, its label set, and the
+// value at collect time. Histogram bucket samples may carry an
+// OpenMetrics-style exemplar.
 type Sample struct {
 	Name     string
 	Labels   map[string]string
@@ -29,9 +27,9 @@ type Sample struct {
 	Exemplar *Exemplar
 }
 
-// Exemplar is the `# {labels} value [timestamp]` annotation a bucket
-// line may carry — in this system, a trace_id label linking the bucket
-// to the query that last landed in it.
+// Exemplar is the `# {labels} value` annotation of a bucket sample —
+// in this system, a trace_id label linking the bucket to the query
+// that last landed in it.
 type Exemplar struct {
 	Labels map[string]string
 	Value  float64
@@ -40,12 +38,90 @@ type Exemplar struct {
 // Label returns the value of label key, or "".
 func (s Sample) Label(key string) string { return s.Labels[key] }
 
-// Parse parses text-exposition metric lines (`name{k="v",...} value
-// [timestamp]`) into samples. Comment and blank lines are skipped; a
-// malformed line is an error — the endpoints under collection are our
-// own, so damage means a real bug, and silently dropping a line would
-// hide it.
-func Parse(r io.Reader) ([]Sample, error) {
+// LabelsMatch reports whether labels is a superset of match (a nil
+// match matches everything).
+func LabelsMatch(labels, match map[string]string) bool {
+	for k, v := range match {
+		if labels[k] != v {
+			return false
+		}
+	}
+	return true
+}
+
+// WritePrometheus renders every family in Prometheus text exposition
+// format, families and label sets in sorted order.
+func (r *Registry) WritePrometheus(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	for _, f := range r.collect() {
+		if f.help != "" {
+			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, f.help)
+		}
+		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
+		// Schema labels in registration order, then the bucket bound.
+		bucketKeys := append(f.labels[:len(f.labels):len(f.labels)], "le")
+		for _, p := range f.points {
+			bw.WriteString(p.Name)
+			keys := f.labels
+			if len(p.Labels) > len(keys) { // a bucket sample: schema + le
+				keys = bucketKeys
+			}
+			writeLabels(bw, keys, p.Labels)
+			bw.WriteByte(' ')
+			if p.integer {
+				bw.WriteString(strconv.FormatInt(int64(p.Value), 10))
+			} else {
+				bw.WriteString(formatFloat(p.Value))
+			}
+			if ex := p.Exemplar; ex != nil {
+				bw.WriteString(" # ")
+				writeLabels(bw, util.SortedKeys(ex.Labels), ex.Labels)
+				bw.WriteByte(' ')
+				bw.WriteString(formatFloat(ex.Value))
+			}
+			bw.WriteByte('\n')
+		}
+	}
+	return bw.Flush()
+}
+
+// formatFloat renders a float sample value, and a bucket's le bound,
+// in the exposition's shortest round-tripping form.
+func formatFloat(v float64) string { return fmt.Sprintf("%g", v) }
+
+// labelEscaper escapes a label value per the exposition spec:
+// backslash, double quote and newline; every other byte is written
+// raw, so any value — control bytes, invalid UTF-8 — survives a scrape.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// writeLabels renders {k="v",...} for keys in order, or nothing for no
+// keys.
+func writeLabels(w *bufio.Writer, keys []string, labels map[string]string) {
+	if len(keys) == 0 {
+		return
+	}
+	w.WriteByte('{')
+	for i, k := range keys {
+		if i > 0 {
+			w.WriteByte(',')
+		}
+		w.WriteString(k)
+		w.WriteString(`="`)
+		labelEscaper.WriteString(w, labels[k])
+		w.WriteByte('"')
+	}
+	w.WriteByte('}')
+}
+
+// ParseText parses text-exposition metric lines (`name{k="v",...} value
+// [timestamp]`) into samples. Beyond what WritePrometheus emits it
+// accepts the parts of the upstream format a foreign exporter might
+// use: label values containing spaces or commas, NaN and ±Inf values,
+// an optional trailing millisecond timestamp. Comment and blank lines
+// are skipped; a malformed line is an error — the endpoints under
+// collection are our own, so damage means a real bug, and silently
+// dropping a line would hide it.
+func ParseText(r io.Reader) ([]Sample, error) {
 	var out []Sample
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4<<20)
@@ -56,23 +132,23 @@ func Parse(r io.Reader) ([]Sample, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		sample, err := ParseLine(line)
+		sample, err := parseLine(line)
 		if err != nil {
-			return nil, fmt.Errorf("promtext: line %d: %w", lineNo, err)
+			return nil, fmt.Errorf("telemetry: metrics line %d: %w", lineNo, err)
 		}
 		out = append(out, sample)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("promtext: reading metrics: %w", err)
+		return nil, fmt.Errorf("telemetry: reading metrics: %w", err)
 	}
 	return out, nil
 }
 
-// ParseLine parses one sample line. The name and label block are
+// parseLine parses one sample line. The name and label block are
 // scanned left to right with quote awareness, so label values holding
 // spaces, commas or escapes never confuse the value split, and an
 // optional trailing timestamp is recognized and discarded.
-func ParseLine(line string) (Sample, error) {
+func parseLine(line string) (Sample, error) {
 	s := Sample{}
 	rest := line
 
@@ -201,10 +277,12 @@ func parseLabelBlock(rest string) (map[string]string, string, error) {
 }
 
 // parseQuoted consumes an exposition-escaped string up to its closing
-// quote (the opening quote already eaten). Escapes follow the format
-// spec: \\ is a backslash, \" a quote, \n a newline; Go's %q also
-// emits \t and \r for control bytes our own registry never produces,
-// so those round-trip too. An unknown escape keeps its backslash.
+// quote (the opening quote already eaten): the inverse of labelEscaper
+// — \\ is a backslash, \" a quote, \n a newline, every other byte
+// itself. \t and \r are also decoded because daemons built before the
+// encoder followed the spec wrote them (Go's %q); the encoder never
+// emits an unescaped backslash, so this costs the inverse nothing. An
+// unknown escape keeps its backslash.
 func parseQuoted(rest string) (val, tail string, err error) {
 	var sb strings.Builder
 	for i := 0; i < len(rest); i++ {

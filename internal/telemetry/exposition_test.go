@@ -1,10 +1,83 @@
-package promtext
+package telemetry
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
+
+// hostileLabels are label values the exposition must carry verbatim:
+// quotes, backslashes and newlines (the three escapes), control bytes,
+// U+2028, invalid UTF-8, and text that looks like the format's own
+// syntax. blastd takes pario_blastd_client_inflight's client label
+// from a request header, so every one of these can arrive from outside.
+var hostileLabels = []string{
+	"plain", "", "with space, comma", `quote " and \ backslash`, "line1\nline2",
+	"tab\there", "cr\rhere", "a\x01b", "nul\x00byte", "bad\xffutf", "sep\u2028para",
+	`literal \n \t \x01 \u2028`, `trailing backslash \`, `} 1 # {x="y"} 2`, `le="0.5"`,
+}
+
+// TestExpositionRoundTrip pins encoder and decoder as exact inverses:
+// for a registry holding every instrument kind and hostile label
+// values, parsing the rendered page yields Snapshot sample for sample.
+// This is what lets in-process consumers read Snapshot while remote
+// ones parse a scrape and both see the same data.
+func TestExpositionRoundTrip(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("pario_rt_total", "plain counter").Add(1 << 40)
+	reg.Gauge("pario_rt_gauge", "plain gauge").Set(-2.5e-7)
+	reg.Gauge("pario_rt_nan", "no observations yet").Set(math.NaN())
+	reg.Gauge("pario_rt_inf", "").Set(math.Inf(-1))
+	reg.CounterFunc("pario_rt_counter_func", "computed", func() float64 { return 1234567 })
+	reg.GaugeFunc("pario_rt_gauge_func", "computed", func() float64 { return 1.7e9 + 0.125 })
+	reg.Histogram("pario_rt_empty_seconds", "never observed")
+	plain := reg.Histogram("pario_rt_seconds", "no exemplars")
+	for _, v := range []float64{0, 3e-6, 0.004, 0.004, 17, 1e12} {
+		plain.Observe(v)
+	}
+	cv := reg.CounterVec("pario_rt_vec_total", "two labels", "server", "op")
+	gv := reg.GaugeVec("pario_rt_client_inflight", "outside input", "client")
+	hv := reg.HistogramVec("pario_rt_vec_seconds", "labels and exemplars", "client")
+	for i, l := range hostileLabels {
+		cv.With(l, "read").Add(int64(i))
+		gv.With(l).Set(float64(i) / 3)
+		h := hv.With(l)
+		h.Observe(1e-5)
+		h.ObserveExemplar(float64(i+1)*0.01, uint64(0xabc000+i))
+		h.ObserveExemplar(1e12, 0x77) // +Inf bucket
+	}
+	gv.With("departed").Set(9)
+	gv.Delete("departed")
+
+	var page bytes.Buffer
+	if err := reg.WritePrometheus(&page); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ParseText(bytes.NewReader(page.Bytes()))
+	if err != nil {
+		t.Fatalf("ParseText: %v\n%s", err, page.String())
+	}
+	want := reg.Snapshot()
+	if len(got) != len(want) {
+		t.Fatalf("parsed %d samples, snapshot has %d\n%s", len(got), len(want), page.String())
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if math.IsNaN(w.Value) && math.IsNaN(g.Value) {
+			g.Value, w.Value = 0, 0
+		}
+		if !reflect.DeepEqual(g, w) {
+			t.Errorf("sample %d:\n parsed   %+v (exemplar %+v)\n snapshot %+v (exemplar %+v)", i, g, g.Exemplar, w, w.Exemplar)
+		}
+	}
+	for _, s := range want {
+		if s.Label("client") == "departed" {
+			t.Errorf("deleted child still sampled: %+v", s)
+		}
+	}
+}
 
 func TestParseEscapedLabels(t *testing.T) {
 	page := `weird{msg="a \"quoted\" value, with comma"} 1
@@ -13,7 +86,7 @@ multiline{m="line1\nline2"} 3
 tabbed{m="a\tb"} 4
 spaced{m="value with spaces"} 5
 `
-	samples, err := Parse(strings.NewReader(page))
+	samples, err := ParseText(strings.NewReader(page))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +118,7 @@ gauge_neginf -Inf
 gauge_bareinf Inf
 counter_exp 1.5e+09
 `
-	samples, err := Parse(strings.NewReader(page))
+	samples, err := ParseText(strings.NewReader(page))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +143,7 @@ counter_exp 1.5e+09
 func TestParseTimestamps(t *testing.T) {
 	// Upstream exporters may append a millisecond timestamp; it must
 	// not be mistaken for the value.
-	s, err := ParseLine(`requests_total{server="iod0"} 42 1712345678901`)
+	s, err := parseLine(`requests_total{server="iod0"} 42 1712345678901`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +152,7 @@ func TestParseTimestamps(t *testing.T) {
 	}
 	// A value-position word after the value that is not a timestamp is
 	// a malformed line.
-	if _, err := ParseLine(`requests_total 42 notatime`); err == nil {
+	if _, err := parseLine(`requests_total 42 notatime`); err == nil {
 		t.Error("no error for trailing junk")
 	}
 }
@@ -92,7 +165,7 @@ pario_iod_queue_wait_seconds_bucket{server="iod0",le="+Inf"} 5
 pario_iod_queue_wait_seconds_sum{server="iod0"} 0.25
 pario_iod_queue_wait_seconds_count{server="iod0"} 5
 `
-	samples, err := Parse(strings.NewReader(page))
+	samples, err := ParseText(strings.NewReader(page))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +186,7 @@ func TestParseMalformed(t *testing.T) {
 		`bad{="novalue"} 1` + "\n",
 		"too many fields here 1 2 3\n",
 	} {
-		if _, err := Parse(strings.NewReader(bad)); err == nil {
+		if _, err := ParseText(strings.NewReader(bad)); err == nil {
 			t.Errorf("no error for %q", bad)
 		}
 	}
@@ -126,7 +199,7 @@ pario_req_seconds_sum 0.5
 pario_req_seconds_count 4
 plain_total 9
 `
-	samples, err := Parse(strings.NewReader(page))
+	samples, err := ParseText(strings.NewReader(page))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +230,8 @@ func TestParseExemplarMalformed(t *testing.T) {
 		`m_bucket{le="1"} 2 # {trace_id="x"}`,
 		`m_bucket{le="1"} 2 # {trace_id="x"} notanumber`,
 	} {
-		if _, err := Parse(strings.NewReader(line + "\n")); err == nil {
-			t.Errorf("Parse(%q) accepted a malformed exemplar", line)
+		if _, err := ParseText(strings.NewReader(line + "\n")); err == nil {
+			t.Errorf("ParseText(%q) accepted a malformed exemplar", line)
 		}
 	}
 }

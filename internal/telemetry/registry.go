@@ -15,7 +15,6 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -98,15 +97,6 @@ type exemplarSlot struct {
 	value   float64
 }
 
-// Exemplar links one histogram bucket to the trace that last landed in
-// it: LE is the bucket's upper bound as rendered in the exposition
-// ("+Inf" for the overflow bucket).
-type Exemplar struct {
-	LE      string
-	TraceID uint64
-	Value   float64
-}
-
 // Histogram bucket layout: 30 power-of-two buckets from 1µs to ~537s
 // cover any RPC or task latency this system produces.
 const (
@@ -183,27 +173,6 @@ func (h *Histogram) ObserveExemplar(v float64, traceID uint64) {
 	h.exMu.Unlock()
 }
 
-// Exemplars returns the buckets that currently hold an exemplar, in
-// ascending bound order.
-func (h *Histogram) Exemplars() []Exemplar {
-	slots := h.exemplarSlots()
-	if slots == nil {
-		return nil
-	}
-	var out []Exemplar
-	for i, s := range slots {
-		if s.traceID == 0 {
-			continue
-		}
-		le := "+Inf"
-		if i < len(h.bounds) {
-			le = formatBound(h.bounds[i])
-		}
-		out = append(out, Exemplar{LE: le, TraceID: s.traceID, Value: s.value})
-	}
-	return out
-}
-
 func (h *Histogram) exemplarSlots() []exemplarSlot {
 	h.exMu.Lock()
 	defer h.exMu.Unlock()
@@ -262,34 +231,49 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.Max()
 }
 
-// metric is any single instrument that can render its exposition lines.
+// point is one collected sample plus how the exposition writes its
+// value: integer instruments (counters, bucket and count series) render
+// as %d, float and computed ones as %g. The value itself is the float64
+// every consumer sees, so text and Snapshot agree exactly (a count past
+// 2^53 rounds the same way in both).
+type point struct {
+	Sample
+	integer bool
+}
+
+// metric is any single instrument that can report its current samples
+// under a family name and its child's label set.
 type metric interface {
-	expose(w io.Writer, name, labels string)
+	collect(out []point, name string, labels map[string]string) []point
 }
 
-func (c *Counter) expose(w io.Writer, name, labels string) {
-	fmt.Fprintf(w, "%s%s %d\n", name, labels, c.Value())
+func (c *Counter) collect(out []point, name string, labels map[string]string) []point {
+	return append(out, point{Sample{Name: name, Labels: labels, Value: float64(c.Value())}, true})
 }
 
-func (g *Gauge) expose(w io.Writer, name, labels string) {
-	fmt.Fprintf(w, "%s%s %g\n", name, labels, g.Value())
+func (g *Gauge) collect(out []point, name string, labels map[string]string) []point {
+	return append(out, point{Sample{Name: name, Labels: labels, Value: g.Value()}, false})
 }
 
-func (h *Histogram) expose(w io.Writer, name, labels string) {
+func (h *Histogram) collect(out []point, name string, labels map[string]string) []point {
 	// Prometheus histogram convention: cumulative _bucket{le=...},
 	// then _sum and _count. Empty buckets are skipped to keep the page
 	// readable; the +Inf bucket is always present.
-	inner := strings.TrimSuffix(strings.TrimPrefix(labels, "{"), "}")
-	sep := ""
-	if inner != "" {
-		sep = ","
-	}
 	ex := h.exemplarSlots()
-	exSuffix := func(i int) string {
-		if ex == nil || ex[i].traceID == 0 {
-			return ""
+	bucket := func(i int, le string, cum int64) point {
+		withLE := make(map[string]string, len(labels)+1)
+		for k, v := range labels {
+			withLE[k] = v
 		}
-		return fmt.Sprintf(" # {trace_id=\"%016x\"} %g", ex[i].traceID, ex[i].value)
+		withLE["le"] = le
+		p := point{Sample{Name: name + "_bucket", Labels: withLE, Value: float64(cum)}, true}
+		if ex != nil && ex[i].traceID != 0 {
+			p.Exemplar = &Exemplar{
+				Labels: map[string]string{"trace_id": IDString(ex[i].traceID)},
+				Value:  ex[i].value,
+			}
+		}
+		return p
 	}
 	var cum int64
 	for i := range h.counts {
@@ -298,23 +282,22 @@ func (h *Histogram) expose(w io.Writer, name, labels string) {
 		if n == 0 {
 			continue
 		}
-		fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d%s\n", name, inner, sep, formatBound(h.bounds[i]), cum, exSuffix(i))
+		out = append(out, bucket(i, formatFloat(h.bounds[i]), cum))
 	}
 	cum += h.over.Load()
-	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d%s\n", name, inner, sep, cum, exSuffix(NumBuckets))
-	fmt.Fprintf(w, "%s_sum%s %g\n", name, labels, h.Sum())
-	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, h.Count())
+	out = append(out, bucket(NumBuckets, "+Inf", cum),
+		point{Sample{Name: name + "_sum", Labels: labels, Value: h.Sum()}, false},
+		point{Sample{Name: name + "_count", Labels: labels, Value: float64(h.Count())}, true})
+	return out
 }
 
-func formatBound(b float64) string { return fmt.Sprintf("%g", b) }
-
-// funcMetric exposes a value computed at scrape time.
+// funcMetric exposes a value computed at collect time.
 type funcMetric struct {
 	fn func() float64
 }
 
-func (f *funcMetric) expose(w io.Writer, name, labels string) {
-	fmt.Fprintf(w, "%s%s %g\n", name, labels, f.fn())
+func (f *funcMetric) collect(out []point, name string, labels map[string]string) []point {
+	return append(out, point{Sample{Name: name, Labels: labels, Value: f.fn()}, false})
 }
 
 // family is one named metric family: a kind, a label schema, and the
@@ -357,23 +340,6 @@ func (f *family) child(lvs []string, make func() metric) metric {
 	f.children[key] = m
 	f.keys[key] = append([]string(nil), lvs...)
 	return m
-}
-
-// formatLabels renders {k="v",...} or "" for the empty schema.
-func (f *family) formatLabels(lvs []string) string {
-	if len(f.labels) == 0 {
-		return ""
-	}
-	var sb strings.Builder
-	sb.WriteByte('{')
-	for i, k := range f.labels {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, "%s=%q", k, lvs[i])
-	}
-	sb.WriteByte('}')
-	return sb.String()
 }
 
 // CounterVec is a labeled counter family.
@@ -449,10 +415,11 @@ func (f *family) each(fn func(lvs []string, m metric)) {
 	}
 }
 
-// Registry holds metric families and renders them in Prometheus text
-// format. Registration is idempotent: asking for an existing name with
-// the same kind returns the existing family, so concurrent components
-// can all "register" the same metric safely.
+// Registry holds metric families and reads them out as typed samples
+// (Snapshot) or Prometheus text (WritePrometheus). Registration is
+// idempotent: asking for an existing name with the same kind returns
+// the existing family, so concurrent components can all "register" the
+// same metric safely.
 type Registry struct {
 	mu   sync.Mutex
 	fams map[string]*family
@@ -531,47 +498,54 @@ func (r *Registry) HistogramVec(name, help string, labels ...string) *HistogramV
 	return &HistogramVec{fam: r.register(name, help, kindHistogram, labels)}
 }
 
-// WritePrometheus renders every family in Prometheus text exposition
-// format, families and label sets in sorted order.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+// familyPoints is one family's identity and current samples: what the
+// exposition formatter and Snapshot both read.
+type familyPoints struct {
+	name, help, kind string
+	labels           []string // label schema, in exposition order
+	points           []point
+}
+
+// collect reads every instrument once, families and label sets in
+// sorted order.
+func (r *Registry) collect() []familyPoints {
 	r.mu.Lock()
-	names := make([]string, 0, len(r.fams))
-	for n := range r.fams {
-		names = append(names, n)
-	}
-	fams := make([]*family, 0, len(names))
-	sort.Strings(names)
-	for _, n := range names {
-		fams = append(fams, r.fams[n])
+	fams := make([]*family, 0, len(r.fams))
+	for _, f := range r.fams {
+		fams = append(fams, f)
 	}
 	r.mu.Unlock()
-	var err error
-	ew := &errWriter{w: w}
-	for _, f := range fams {
-		if f.help != "" {
-			fmt.Fprintf(ew, "# HELP %s %s\n", f.name, f.help)
-		}
-		fmt.Fprintf(ew, "# TYPE %s %s\n", f.name, f.kind)
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+	out := make([]familyPoints, len(fams))
+	for i, f := range fams {
+		fp := familyPoints{name: f.name, help: f.help, kind: f.kind, labels: f.labels}
 		f.each(func(lvs []string, m metric) {
-			m.expose(ew, f.name, f.formatLabels(lvs))
+			var labels map[string]string
+			if len(lvs) > 0 {
+				labels = make(map[string]string, len(lvs))
+				for j, k := range f.labels {
+					labels[k] = lvs[j]
+				}
+			}
+			fp.points = m.collect(fp.points, f.name, labels)
 		})
+		out[i] = fp
 	}
-	if ew.err != nil {
-		err = ew.err
-	}
-	return err
+	return out
 }
 
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) Write(p []byte) (int, error) {
-	if e.err != nil {
-		return 0, e.err
+// Snapshot returns the registry's current samples, typed: exactly the
+// samples, in exactly the order, WritePrometheus renders (histograms
+// expanded to their non-empty cumulative buckets, +Inf, _sum and
+// _count). In-process consumers — the tsdb sampler, the run-report
+// builder — read this; text is only for bytes leaving the process.
+// Label maps may be shared between samples and must not be mutated.
+func (r *Registry) Snapshot() []Sample {
+	var out []Sample
+	for _, f := range r.collect() {
+		for _, p := range f.points {
+			out = append(out, p.Sample)
+		}
 	}
-	n, err := e.w.Write(p)
-	e.err = err
-	return n, err
+	return out
 }

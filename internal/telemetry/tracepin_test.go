@@ -153,18 +153,57 @@ func TestHistogramExemplarExposition(t *testing.T) {
 		t.Fatalf("+Inf exemplar missing:\n%s", out)
 	}
 
-	exs := h.Exemplars()
-	if len(exs) != 2 {
-		t.Fatalf("Exemplars = %v, want 2", exs)
+	if n := exemplarCount(reg, "pario_ex_seconds_bucket"); n != 2 {
+		t.Fatalf("%d exemplars sampled, want 2", n)
 	}
 
 	// A zero trace ID records the observation but no exemplar.
 	h2 := reg.Histogram("pario_ex2_seconds", "no trace")
 	h2.ObserveExemplar(0.5, 0)
-	if got := h2.Exemplars(); len(got) != 0 {
-		t.Fatalf("zero-trace exemplar stored: %v", got)
+	if n := exemplarCount(reg, "pario_ex2_seconds_bucket"); n != 0 {
+		t.Fatalf("zero-trace exemplar stored: %d sampled", n)
 	}
 	if got := h2.Count(); got != 1 {
 		t.Fatalf("observation lost: count = %d", got)
+	}
+}
+
+func exemplarCount(reg *Registry, name string) int {
+	n := 0
+	for _, s := range reg.Snapshot() {
+		if s.Name == name && s.Exemplar != nil {
+			n++
+		}
+	}
+	return n
+}
+
+func TestParseTargets(t *testing.T) {
+	targets, err := ParseTargets("blastd=localhost:7044,iod0=http://localhost:9101/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(targets) != 2 || targets[0].Name != "blastd" || targets[1].Name != "iod0" {
+		t.Fatalf("targets = %+v", targets)
+	}
+	if got := targets[0].URL("/metrics"); got != "http://localhost:7044/metrics" {
+		t.Fatalf("host:port URL = %q", got)
+	}
+	if got := targets[1].URL("/metrics"); got != "http://localhost:9101/metrics" {
+		t.Fatalf("full-URL URL = %q", got)
+	}
+	// A bare address is named by its address.
+	targets, err = ParseTargets("localhost:7044, localhost:9101")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(targets) != 2 || targets[0].Name != "localhost:7044" || targets[1].Addr != "localhost:9101" {
+		t.Fatalf("bare addresses = %+v", targets)
+	}
+	if targets, err := ParseTargets(" "); err != nil || len(targets) != 0 {
+		t.Fatalf("empty spec = %+v, %v", targets, err)
+	}
+	if _, err := ParseTargets("blastd=,iod0=:9101"); err == nil {
+		t.Fatal("empty address accepted")
 	}
 }

@@ -1,38 +1,25 @@
 package tsdb
 
 import (
-	"bytes"
 	"context"
-	"fmt"
-	"io"
-	"net/http"
-	"strings"
 	"sync"
 	"time"
 
-	"pario/internal/promtext"
 	"pario/internal/telemetry"
 )
 
-// Target is one remote /metrics endpoint the collector polls. Name
-// becomes the value of the "instance" label on every scraped series,
-// so the same metric family from different processes stays distinct.
-type Target struct {
-	Name string
-	Addr string // host:port or full http:// base URL
-}
-
-// InstanceLabel is the label the collector stamps scraped samples
-// with (local registry samples carry no instance label).
+// InstanceLabel is the label the collector stamps scraped samples with
+// (local registry samples carry none): the target's Name, so the same
+// metric family from different processes stays distinct.
 const InstanceLabel = "instance"
 
 // ScrapeTimeout bounds one target's HTTP collection per tick.
 const ScrapeTimeout = 2 * time.Second
 
 // Collector samples metric sources into a Store on a fixed interval:
-// the process's own registry (rendered and re-parsed, so local and
-// scraped series share one shape) and any number of remote /metrics
-// endpoints. After each tick it evaluates the attached rule engine,
+// the process's own registry (its typed Snapshot) and any number of
+// remote /metrics endpoints (the same Sample type, decoded from the
+// scrape). After each tick it evaluates the attached rule engine,
 // if any. Start launches the loop; Stop halts it and blocks until
 // the goroutine has exited, so callers can assert no goroutine leaks.
 type Collector struct {
@@ -40,11 +27,11 @@ type Collector struct {
 	interval time.Duration
 	registry *telemetry.Registry
 	engine   *Engine
-	client   *http.Client
 
-	mu      sync.Mutex
-	targets []Target
-	errs    map[string]error // last scrape error per target name
+	targets []telemetry.Target
+
+	mu   sync.Mutex
+	errs map[string]error // last scrape error per target name
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -61,7 +48,7 @@ func WithRegistry(reg *telemetry.Registry) CollectorOption {
 }
 
 // WithTargets adds remote /metrics endpoints to poll each tick.
-func WithTargets(targets ...Target) CollectorOption {
+func WithTargets(targets ...telemetry.Target) CollectorOption {
 	return func(c *Collector) { c.targets = append(c.targets, targets...) }
 }
 
@@ -82,7 +69,6 @@ func NewCollector(store *Store, interval time.Duration, opts ...CollectorOption)
 	c := &Collector{
 		store:    store,
 		interval: interval,
-		client:   &http.Client{Timeout: ScrapeTimeout},
 		errs:     make(map[string]error),
 		done:     make(chan struct{}),
 	}
@@ -95,18 +81,8 @@ func NewCollector(store *Store, interval time.Duration, opts ...CollectorOption)
 // Store returns the store the collector writes into.
 func (c *Collector) Store() *Store { return c.store }
 
-// Interval returns the sampling period.
-func (c *Collector) Interval() time.Duration { return c.interval }
-
 // Engine returns the attached rule engine, or nil.
 func (c *Collector) Engine() *Engine { return c.engine }
-
-// AddTarget registers another endpoint while running.
-func (c *Collector) AddTarget(t Target) {
-	c.mu.Lock()
-	c.targets = append(c.targets, t)
-	c.mu.Unlock()
-}
 
 // TargetErr reports the last scrape error for target name (nil when
 // the last scrape succeeded or the target never scraped).
@@ -166,17 +142,12 @@ func (c *Collector) Stop() {
 func (c *Collector) CollectOnce(ctx context.Context) {
 	now := time.Now()
 	if c.registry != nil {
-		var buf bytes.Buffer
-		c.registry.WritePrometheus(&buf)
-		if samples, err := promtext.Parse(&buf); err == nil {
-			c.store.Append(now, samples, nil)
-		}
+		c.store.Append(now, c.registry.Snapshot(), nil)
 	}
-	c.mu.Lock()
-	targets := append([]Target(nil), c.targets...)
-	c.mu.Unlock()
-	for _, t := range targets {
-		samples, err := c.scrape(ctx, t)
+	for _, t := range c.targets {
+		tctx, cancel := context.WithTimeout(ctx, ScrapeTimeout)
+		samples, err := telemetry.FetchMetrics(tctx, t)
+		cancel()
 		c.mu.Lock()
 		if err != nil {
 			c.errs[t.Name] = err
@@ -192,31 +163,4 @@ func (c *Collector) CollectOnce(ctx context.Context) {
 	if c.engine != nil {
 		c.engine.Eval(now)
 	}
-}
-
-func (c *Collector) scrape(ctx context.Context, t Target) ([]promtext.Sample, error) {
-	base := t.Addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	url := strings.TrimRight(base, "/") + "/metrics"
-	ctx, cancel := context.WithTimeout(ctx, ScrapeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 32<<20))
-	if err != nil {
-		return nil, err
-	}
-	return promtext.Parse(bytes.NewReader(body))
 }

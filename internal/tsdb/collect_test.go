@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -49,7 +51,7 @@ func TestCollectorScrapesTargets(t *testing.T) {
 	defer srv.Close()
 
 	st := NewStore(0)
-	c := NewCollector(st, time.Second, WithTargets(Target{Name: "iod0", Addr: srv.URL}))
+	c := NewCollector(st, time.Second, WithTargets(telemetry.Target{Name: "iod0", Addr: srv.URL}))
 	ctx := context.Background()
 	c.CollectOnce(ctx)
 	time.Sleep(20 * time.Millisecond) // distinct timestamps for the rate
@@ -99,10 +101,64 @@ func TestCollectorLocalRegistryAndEngine(t *testing.T) {
 	}
 }
 
+// TestLocalAndScrapedSeriesIdentical: a collector sampling a registry
+// in-process and one scraping the same registry over HTTP must store
+// the same series with the same values — only the instance label the
+// scraper stamps tells them apart.
+func TestLocalAndScrapedSeriesIdentical(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	reg.Counter("pario_test_total", "c").Add(7)
+	reg.GaugeVec("pario_test_inflight", "g", "client").With("a\x01b \"q\"\n").Set(1.5)
+	reg.GaugeFunc("pario_test_func", "f", func() float64 { return 1234567 })
+	h := reg.HistogramVec("pario_test_seconds", "h", "server", "op").With("iod0", "read")
+	h.Observe(0.002)
+	h.ObserveExemplar(3, 0xbeef)
+	srv := httptest.NewServer(telemetry.MetricsHandler(reg))
+	defer srv.Close()
+
+	local, scraped := NewStore(0), NewStore(0)
+	NewCollector(local, time.Second, WithRegistry(reg)).CollectOnce(context.Background())
+	c := NewCollector(scraped, time.Second, WithTargets(telemetry.Target{Name: "p", Addr: srv.URL}))
+	c.CollectOnce(context.Background())
+	if err := c.TargetErr("p"); err != nil {
+		t.Fatal(err)
+	}
+
+	type row struct {
+		key string
+		v   float64
+	}
+	dump := func(st *Store) []row {
+		st.mu.RLock()
+		defer st.mu.RUnlock()
+		var out []row
+		for _, s := range st.series {
+			labels := map[string]string{}
+			for k, v := range s.labels {
+				if k != InstanceLabel {
+					labels[k] = v
+				} else if v != "p" {
+					t.Errorf("instance label = %q", v)
+				}
+			}
+			out = append(out, row{seriesKey(s.name, labels), s.points()[0].V})
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+		return out
+	}
+	l, s := dump(local), dump(scraped)
+	if len(l) != 8 { // counter, gauge, func, 3 buckets, sum, count
+		t.Fatalf("only %d local series: %+v", len(l), l)
+	}
+	if !reflect.DeepEqual(l, s) {
+		t.Errorf("series differ:\nlocal   %+v\nscraped %+v", l, s)
+	}
+}
+
 func TestCollectorRecordsScrapeErrors(t *testing.T) {
 	st := NewStore(0)
 	c := NewCollector(st, time.Second,
-		WithTargets(Target{Name: "dead", Addr: "127.0.0.1:1"}))
+		WithTargets(telemetry.Target{Name: "dead", Addr: "127.0.0.1:1"}))
 	c.CollectOnce(context.Background())
 	if err := c.TargetErr("dead"); err == nil {
 		t.Fatal("no error recorded for unreachable target")

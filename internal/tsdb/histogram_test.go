@@ -1,27 +1,19 @@
 package tsdb
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
 	"time"
 
-	"pario/internal/promtext"
 	"pario/internal/telemetry"
 )
 
-// scrapeInto renders reg and appends the samples to st at time ts —
-// the same path the collector takes.
+// scrapeInto appends reg's samples to st at time ts — the same path
+// the collector takes.
 func scrapeInto(t *testing.T, st *Store, reg *telemetry.Registry, ts time.Time) {
 	t.Helper()
-	var buf bytes.Buffer
-	reg.WritePrometheus(&buf)
-	samples, err := promtext.Parse(&buf)
-	if err != nil {
-		t.Fatalf("parse exposition: %v", err)
-	}
-	st.Append(ts, samples, nil)
+	st.Append(ts, reg.Snapshot(), nil)
 }
 
 // TestQuantileOverTimeRandomized cross-checks the windowed quantile

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pario/internal/telemetry"
+	"pario/internal/util"
 )
 
 // The alert/SLO rules engine. Rules are declarative one-liners over
@@ -453,16 +454,7 @@ func (e *spreadExpr) eval(st *Store, now time.Time, window time.Duration) evalRe
 	if len(rates) < 2 {
 		return evalResult{}
 	}
-	var sum, max float64
-	subject := ""
-	for k, r := range rates {
-		sum += r
-		if r > max || subject == "" {
-			max = r
-			subject = k
-		}
-	}
-	mean := sum / float64(len(rates))
+	max, subject, mean := util.Spread(rates)
 	if mean <= 0 || mean < e.min {
 		return evalResult{}
 	}
@@ -582,13 +574,6 @@ func NewEngine(store *Store, rules []Rule, opts ...EngineOption) *Engine {
 		o(e)
 	}
 	return e
-}
-
-// Rules returns the engine's rule set.
-func (e *Engine) Rules() []Rule {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]Rule(nil), e.rules...)
 }
 
 // Eval runs one evaluation pass at time now, applying state

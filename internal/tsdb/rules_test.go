@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"pario/internal/promtext"
+	"pario/internal/telemetry"
 )
 
 func TestParseRuleForms(t *testing.T) {
@@ -72,7 +72,7 @@ a: rate(m) > 99 for 3
 // gaugeAt appends one gauge sample at t0+offset seconds.
 func gaugeAt(st *Store, name string, off int, v float64) {
 	st.Append(t0.Add(time.Duration(off)*time.Second),
-		[]promtext.Sample{{Name: name, Value: v}}, nil)
+		[]telemetry.Sample{{Name: name, Value: v}}, nil)
 }
 
 func TestEngineStateMachine(t *testing.T) {
@@ -153,7 +153,7 @@ func TestSpreadRule(t *testing.T) {
 	// iod0 runs 3x hotter than iod1: spread = 30/20 = 1.5 over mean 20.
 	for i := 0; i <= 10; i++ {
 		ts := t0.Add(time.Duration(i) * time.Second)
-		st.Append(ts, []promtext.Sample{
+		st.Append(ts, []telemetry.Sample{
 			{Name: "pario_rpc_calls_total", Labels: map[string]string{"server": "iod0", "op": "read"}, Value: float64(30 * i)},
 			{Name: "pario_rpc_calls_total", Labels: map[string]string{"server": "iod1", "op": "read"}, Value: float64(10 * i)},
 		}, nil)
@@ -191,7 +191,7 @@ func TestHitratioRule(t *testing.T) {
 	// 1 hit to 9 misses per second: ratio 0.1.
 	for i := 0; i <= 10; i++ {
 		ts := t0.Add(time.Duration(i) * time.Second)
-		st.Append(ts, []promtext.Sample{
+		st.Append(ts, []telemetry.Sample{
 			{Name: "pario_hits_total", Value: float64(i)},
 			{Name: "pario_misses_total", Value: float64(9 * i)},
 		}, nil)

@@ -21,7 +21,8 @@ import (
 	"sync"
 	"time"
 
-	"pario/internal/promtext"
+	"pario/internal/telemetry"
+	"pario/internal/util"
 )
 
 // Point is one sample of one series.
@@ -80,14 +81,9 @@ func seriesKey(name string, labels map[string]string) string {
 	if len(labels) == 0 {
 		return name
 	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var sb strings.Builder
 	sb.WriteString(name)
-	for _, k := range keys {
+	for _, k := range util.SortedKeys(labels) {
 		sb.WriteString(labelSep)
 		sb.WriteString(k)
 		sb.WriteByte('=')
@@ -124,7 +120,7 @@ func NewStore(capacity int) *Store {
 // merged into each sample's label set — the collector stamps scraped
 // samples with their instance name this way, so the same family from
 // different processes lands in distinct series.
-func (st *Store) Append(t time.Time, samples []promtext.Sample, extraLabels map[string]string) {
+func (st *Store) Append(t time.Time, samples []telemetry.Sample, extraLabels map[string]string) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for _, sm := range samples {
@@ -160,7 +156,7 @@ func (st *Store) Select(name string, match map[string]string) []Series {
 	defer st.mu.RUnlock()
 	var out []Series
 	for _, s := range st.series {
-		if s.name != name || !labelsMatch(s.labels, match) {
+		if s.name != name || !telemetry.LabelsMatch(s.labels, match) {
 			continue
 		}
 		out = append(out, Series{Name: s.name, Labels: s.labels, Points: s.points()})
@@ -176,15 +172,6 @@ func (st *Store) SeriesCount() int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	return len(st.series)
-}
-
-func labelsMatch(labels, match map[string]string) bool {
-	for k, v := range match {
-		if labels[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // window trims points to those with T in (now-window, now]. Points
@@ -308,19 +295,23 @@ func (s Series) Growth() int {
 
 // --- store-level aggregate queries --------------------------------
 
+// sum adds fn over every series of family name matching match that can
+// answer it; ok is false when none could.
+func (st *Store) sum(name string, match map[string]string, fn func(Series) (float64, bool)) (total float64, ok bool) {
+	for _, s := range st.Select(name, match) {
+		if v, okS := fn(s); okS {
+			total += v
+			ok = true
+		}
+	}
+	return total, ok
+}
+
 // Rate sums the per-second rates of every series of family name
 // matching match. ok is false when no matching series had enough
 // points.
 func (st *Store) Rate(name string, match map[string]string, now time.Time, window time.Duration) (float64, bool) {
-	var total float64
-	any := false
-	for _, s := range st.Select(name, match) {
-		if r, ok := s.Rate(now, window); ok {
-			total += r
-			any = true
-		}
-	}
-	return total, any
+	return st.sum(name, match, func(s Series) (float64, bool) { return s.Rate(now, window) })
 }
 
 // RateBy folds per-second rates of family name into a map keyed by
@@ -342,40 +333,16 @@ func (st *Store) RateBy(name, label string, match map[string]string, now time.Ti
 
 // Delta sums last-minus-first over the window across matching series.
 func (st *Store) Delta(name string, match map[string]string, now time.Time, window time.Duration) (float64, bool) {
-	var total float64
-	any := false
-	for _, s := range st.Select(name, match) {
-		if d, ok := s.Delta(now, window); ok {
-			total += d
-			any = true
-		}
-	}
-	return total, any
+	return st.sum(name, match, func(s Series) (float64, bool) { return s.Delta(now, window) })
 }
 
 // Increase sums reset-aware counter increases over the window across
 // matching series.
 func (st *Store) Increase(name string, match map[string]string, now time.Time, window time.Duration) (float64, bool) {
-	var total float64
-	any := false
-	for _, s := range st.Select(name, match) {
-		if d, ok := s.Increase(now, window); ok {
-			total += d
-			any = true
-		}
-	}
-	return total, any
+	return st.sum(name, match, func(s Series) (float64, bool) { return s.Increase(now, window) })
 }
 
 // Latest sums the newest value across matching series (gauges).
 func (st *Store) Latest(name string, match map[string]string) (float64, bool) {
-	var total float64
-	any := false
-	for _, s := range st.Select(name, match) {
-		if v, ok := s.Last(); ok {
-			total += v
-			any = true
-		}
-	}
-	return total, any
+	return st.sum(name, match, Series.Last)
 }

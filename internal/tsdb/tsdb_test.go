@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"pario/internal/promtext"
+	"pario/internal/telemetry"
 )
 
 var t0 = time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
@@ -15,7 +15,7 @@ func feed(st *Store, name string, labels map[string]string, vals ...float64) tim
 	var last time.Time
 	for i, v := range vals {
 		last = t0.Add(time.Duration(i) * time.Second)
-		st.Append(last, []promtext.Sample{{Name: name, Labels: labels, Value: v}}, nil)
+		st.Append(last, []telemetry.Sample{{Name: name, Labels: labels, Value: v}}, nil)
 	}
 	return last
 }
@@ -51,8 +51,8 @@ func TestWindowKeepsOpeningEdge(t *testing.T) {
 	// Counter ticks once between the only two samples; a window that
 	// opens between them must still see the increase, from the
 	// retained pre-window point.
-	st.Append(t0, []promtext.Sample{{Name: "c", Value: 5}}, nil)
-	st.Append(t0.Add(10*time.Second), []promtext.Sample{{Name: "c", Value: 8}}, nil)
+	st.Append(t0, []telemetry.Sample{{Name: "c", Value: 5}}, nil)
+	st.Append(t0.Add(10*time.Second), []telemetry.Sample{{Name: "c", Value: 8}}, nil)
 	now := t0.Add(11 * time.Second)
 	inc, ok := st.Increase("c", nil, now, 5*time.Second)
 	if !ok || inc != 3 {
@@ -114,7 +114,7 @@ func TestRateByLabel(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ts := t0.Add(time.Duration(i) * time.Second)
 		v := float64(i * 10)
-		st.Append(ts, []promtext.Sample{
+		st.Append(ts, []telemetry.Sample{
 			{Name: "rpc", Labels: map[string]string{"server": "iod0", "op": "read"}, Value: v},
 			{Name: "rpc", Labels: map[string]string{"server": "iod0", "op": "open"}, Value: v},
 			{Name: "rpc", Labels: map[string]string{"server": "iod1", "op": "read"}, Value: v / 2},
@@ -132,10 +132,10 @@ func TestRateByLabel(t *testing.T) {
 
 func TestSelectMatchAndExtraLabels(t *testing.T) {
 	st := NewStore(0)
-	st.Append(t0, []promtext.Sample{
+	st.Append(t0, []telemetry.Sample{
 		{Name: "m", Labels: map[string]string{"op": "read"}, Value: 1},
 	}, map[string]string{InstanceLabel: "iod0"})
-	st.Append(t0, []promtext.Sample{
+	st.Append(t0, []telemetry.Sample{
 		{Name: "m", Labels: map[string]string{"op": "read"}, Value: 2},
 	}, map[string]string{InstanceLabel: "iod1"})
 	if n := st.SeriesCount(); n != 2 {
@@ -164,7 +164,7 @@ func TestAvgMaxOverTime(t *testing.T) {
 
 func TestInsufficientData(t *testing.T) {
 	st := NewStore(0)
-	st.Append(t0, []promtext.Sample{{Name: "c", Value: 7}}, nil)
+	st.Append(t0, []telemetry.Sample{{Name: "c", Value: 7}}, nil)
 	if _, ok := st.Rate("c", nil, t0, time.Minute); ok {
 		t.Fatal("rate from one point")
 	}

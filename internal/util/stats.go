@@ -100,3 +100,33 @@ func MaxInt64(a, b int64) int64 {
 	}
 	return b
 }
+
+// SortedKeys returns the map's keys in sorted order, for deterministic
+// output.
+func SortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// Spread reduces a keyed load distribution to its peak, the key
+// holding it (the smallest such key on ties) and its mean: max/mean is
+// the "one server is N times busier than the average" ratio the
+// run-report imbalance section, the spread() alert function and the
+// pariotop client panel all show. All zero for an empty map.
+func Spread(byKey map[string]float64) (max float64, maxKey string, mean float64) {
+	for i, k := range SortedKeys(byKey) {
+		v := byKey[k]
+		mean += v
+		if i == 0 || v > max {
+			max, maxKey = v, k
+		}
+	}
+	if len(byKey) > 0 {
+		mean /= float64(len(byKey))
+	}
+	return max, maxKey, mean
+}

@@ -13,9 +13,9 @@ import (
 	"pario/internal/chio"
 	"pario/internal/collio"
 	"pario/internal/core"
-	"pario/internal/iotrace"
 	"pario/internal/readahead"
 	"pario/internal/rpcpool"
+	"pario/internal/telemetry"
 )
 
 // TestSequentialScanRPCReduction is the acceptance bar for the
@@ -85,7 +85,7 @@ func TestSequentialScanRPCReduction(t *testing.T) {
 
 	// dataRPCs sums RPCs to the data servers (the manager is metadata
 	// traffic, not part of the bar).
-	dataRPCs := func(m *iotrace.RPCMetrics) int64 {
+	dataRPCs := func(m *rpcpool.Metrics) int64 {
 		var n int64
 		for _, s := range m.Snapshot() {
 			if s.Server != dep.Mgr.Addr() {
@@ -96,8 +96,8 @@ func TestSequentialScanRPCReduction(t *testing.T) {
 	}
 
 	// Baseline: the bare client, one RPC per application read.
-	bareM := iotrace.NewRPCMetrics()
-	bareCl, err := dep.Client(rpcpool.WithObserver(bareM))
+	bareM := rpcpool.NewMetrics(telemetry.NewRegistry())
+	bareCl, err := dep.Client(rpcpool.WithMetrics(bareM))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +105,8 @@ func TestSequentialScanRPCReduction(t *testing.T) {
 	bareCl.Close()
 
 	// Readahead block cache over the same client.
-	fastM := iotrace.NewRPCMetrics()
-	fastCl, err := dep.Client(rpcpool.WithObserver(fastM), rpcpool.WithBatchObserver(fastM))
+	fastM := rpcpool.NewMetrics(telemetry.NewRegistry())
+	fastCl, err := dep.Client(rpcpool.WithMetrics(fastM))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestCollectiveScanRPCReduction(t *testing.T) {
 	seedCl.Close()
 	wantSum := sha256.Sum256(payload)
 
-	dataRPCs := func(m *iotrace.RPCMetrics) int64 {
+	dataRPCs := func(m *rpcpool.Metrics) int64 {
 		var n int64
 		for _, s := range m.Snapshot() {
 			if s.Server != dep.Mgr.Addr() {
@@ -217,8 +217,8 @@ func TestCollectiveScanRPCReduction(t *testing.T) {
 	}
 
 	// Independent: every worker's read is its own vectored RPC.
-	indepM := iotrace.NewRPCMetrics()
-	indepCl, err := dep.Client(rpcpool.WithObserver(indepM), rpcpool.WithBatchObserver(indepM))
+	indepM := rpcpool.NewMetrics(telemetry.NewRegistry())
+	indepCl, err := dep.Client(rpcpool.WithMetrics(indepM))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +227,8 @@ func TestCollectiveScanRPCReduction(t *testing.T) {
 
 	// Collective: one shared aggregator; the fan-in cap closes each
 	// round as soon as all workers have enrolled.
-	collM := iotrace.NewRPCMetrics()
-	collCl, err := dep.Client(rpcpool.WithObserver(collM), rpcpool.WithBatchObserver(collM))
+	collM := rpcpool.NewMetrics(telemetry.NewRegistry())
+	collCl, err := dep.Client(rpcpool.WithMetrics(collM))
 	if err != nil {
 		t.Fatal(err)
 	}

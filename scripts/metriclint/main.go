@@ -5,6 +5,12 @@
 // and the tsdb rule files all address metrics by name, so a stray
 // camelCase or unprefixed family breaks consumers silently.
 //
+// It also keeps text exposition at the process boundary: a
+// WritePrometheus call outside internal/telemetry is a violation.
+// In-process consumers read Registry.Snapshot and HTTP routes mount
+// telemetry.MetricsHandler, so nothing renders a registry to text only
+// to parse it back.
+//
 // Usage: go run ./scripts/metriclint <dir>
 //
 // Scans every non-test .go file under the directory, looking at calls
@@ -60,13 +66,22 @@ func main() {
 		if err != nil {
 			return fmt.Errorf("parse %s: %w", path, err)
 		}
+		inTelemetry := filepath.Base(filepath.Dir(path)) == "telemetry"
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) == 0 {
+			if !ok {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || !constructors[sel.Sel.Name] {
+			if !ok {
+				return true
+			}
+			if sel.Sel.Name == "WritePrometheus" && !inTelemetry {
+				violations = append(violations, fmt.Sprintf(
+					"%s: WritePrometheus outside internal/telemetry (read Registry.Snapshot, or serve telemetry.MetricsHandler)",
+					fset.Position(sel.Sel.Pos())))
+			}
+			if !constructors[sel.Sel.Name] || len(call.Args) == 0 {
 				return true
 			}
 			lit, ok := call.Args[0].(*ast.BasicLit)
