@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint race bench bench-smoke bench-compare metrics-smoke report-smoke service-smoke collio-smoke alert-smoke trace-smoke
+.PHONY: build test check lint race bench bench-smoke bench-compare metrics-smoke report-smoke service-smoke collio-smoke alert-smoke trace-smoke cli-smoke
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,7 @@ check: lint race
 	$(MAKE) collio-smoke
 	$(MAKE) alert-smoke
 	$(MAKE) trace-smoke
+	$(MAKE) cli-smoke
 
 # go vet always; staticcheck and govulncheck when installed (the
 # container image may not carry them, and `go install` needs network).
@@ -77,6 +78,14 @@ alert-smoke:
 # pariostat -query.
 trace-smoke:
 	sh ./scripts/trace_smoke.sh
+
+# Boot a PVFS and a CEFT mini-cluster and drive the storage CLIs end
+# to end: formatdb -> dbinfo -verify on every backend, pariocp a
+# fragment out and -ls it, then a two-query mpiblast in-process,
+# distributed and distributed with -scratch, requiring hit lines
+# identical to serial blastn.
+cli-smoke:
+	sh ./scripts/cli_smoke.sh
 
 # One iteration of every benchmark: catches bit-rotted benchmark code
 # without paying for real measurement runs.

@@ -23,25 +23,18 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"pario/internal/blastd"
-	"pario/internal/ceft"
-	"pario/internal/chio"
-	"pario/internal/collio"
+	"pario/internal/core"
 	"pario/internal/pblast"
-	"pario/internal/pvfs"
-	"pario/internal/readahead"
 	"pario/internal/rpcpool"
 	"pario/internal/telemetry"
 )
@@ -55,16 +48,6 @@ func main() {
 
 		workers    = flag.Int("workers", 4, "persistent worker ranks")
 		maxWorkers = flag.Int("max-workers", 0, "cap for growing the pool later (default -workers)")
-		threads    = flag.Int("threads", runtime.NumCPU(), "search shards per worker task")
-		chunk      = flag.Int("chunk", 0, "worker read chunk size in bytes (0 = backend default)")
-
-		ioMode  = flag.String("io", "local", "local|pvfs|ceft")
-		root    = flag.String("root", ".", "shared store directory (local mode)")
-		scratch = flag.String("scratch", "", "per-worker scratch directory; enables copy-to-local")
-		mgr     = flag.String("mgr", "", "metadata server address (pvfs/ceft)")
-		servers = flag.String("servers", "", "comma-separated data servers (pvfs)")
-		primary = flag.String("primary", "", "comma-separated primary group (ceft)")
-		mirror  = flag.String("mirror", "", "comma-separated mirror group (ceft)")
 
 		queueDepth    = flag.Int("queue-depth", 64, "max requests waiting for a slot")
 		maxPerClient  = flag.Int("max-per-client", 8, "max queued+running requests per client")
@@ -72,28 +55,17 @@ func main() {
 		cacheSize     = flag.Int("cache-size", 256, "result cache entries")
 		drainTimeout  = flag.Duration("drain-timeout", 60*time.Second, "bound on completing in-flight work at shutdown")
 
-		raEnable = flag.Bool("readahead", false, "client-side readahead/block cache on worker reads")
-		raBlock  = flag.Int64("ra-block", readahead.DefaultBlockSize, "readahead block size in bytes")
-		raCache  = flag.Int("ra-cache", readahead.DefaultCapacity, "readahead cache capacity in blocks")
-		raWindow = flag.Int("ra-window", readahead.DefaultWindow, "readahead prefetch depth in blocks")
-
-		collEnable = flag.Bool("collio", false, "collective two-phase reads: combine concurrent worker reads into one list-I/O RPC per server per round")
-		collWindow = flag.Duration("collio-window", collio.DefaultWindow, "collective read round collection window")
-		collFanIn  = flag.Int("collio-fanin", 0, "close a collective round once this many readers enrolled (0 = window/coverage only)")
-
-		ioTimeout = flag.Duration("io-timeout", rpcpool.DefaultTimeout, "per-request parallel-FS deadline")
-		ioRetries = flag.Int("io-retries", rpcpool.DefaultRetries, "parallel-FS retry budget per request")
-		ioPool    = flag.Int("io-pool", rpcpool.DefaultPoolSize, "parallel-FS connections per server")
-
-		hotFactor  = flag.Float64("hot-factor", 0, "ceft: a server is hot above this multiple of the median load (0 = default)")
-		minHotLoad = flag.Float64("min-hot-load", -1, "ceft: absolute load floor below which no server is hot (-1 = default)")
-
 		monitorInterval = flag.Duration("monitor-interval", blastd.DefaultMonitorInterval, "in-process monitor sampling period (0 disables alerts and /debug/alerts)")
 		alertRules      = flag.String("alert-rules", "", "path to extra alert rules layered over the defaults (one rule per line)")
 
 		slowQuery  = flag.Duration("slow-query", 0, "pin full span sets for queries at or over this latency (0 disables pinning)")
 		flightSize = flag.Int("flight-size", blastd.DefaultFlightSize, "per-query flight recorder entries served at /debug/queries")
 	)
+	// The storage and worker flags are mpiblast's, declared once in core.
+	store := core.NewStore()
+	store.RegisterFlags(flag.CommandLine, core.AddrFlags|core.ModeFlags|core.TransportFlags)
+	var tune core.WorkerFlags
+	tune.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	logger = telemetry.NewProcessLogger("blastd")
 
@@ -105,13 +77,6 @@ func main() {
 	tracer := telemetry.NewTracer(0)
 
 	rpcMetrics := rpcpool.NewMetrics(reg)
-	transportOpts := []rpcpool.Option{
-		rpcpool.WithTimeout(*ioTimeout),
-		rpcpool.WithRetries(*ioRetries),
-		rpcpool.WithPoolSize(*ioPool),
-		rpcpool.WithMetrics(rpcMetrics),
-		rpcpool.WithTracer(tracer),
-	}
 	// Cumulative RPC round trips across every server and op: the
 	// sampler behind pario_blastd_rpc_ops_per_search.
 	rpcOps := func() int64 {
@@ -120,131 +85,18 @@ func main() {
 		return total
 	}
 
-	// Storage wiring. Parallel-FS clients are dialed once per worker
-	// rank and memoized: the pool may restart a rank after a resize,
-	// and re-dialing every time would leak connections.
-	var (
-		masterFS chio.FileSystem
-		dial     func() (chio.FileSystem, error)
-		closers  []func() error
-		mu       sync.Mutex
-	)
-	defer func() {
-		for _, c := range closers {
-			c()
-		}
-	}()
-	switch *ioMode {
-	case "local":
-		fs, err := chio.NewLocalFS(*root)
-		if err != nil {
-			fatal(err)
-		}
-		masterFS = fs
-		dial = func() (chio.FileSystem, error) { return fs, nil }
-	case "pvfs":
-		if *mgr == "" || *servers == "" {
-			fatal(fmt.Errorf("pvfs mode needs -mgr and -servers"))
-		}
-		addrs := strings.Split(*servers, ",")
-		dial = func() (chio.FileSystem, error) {
-			cl, err := pvfs.Dial(*mgr, addrs, transportOpts...)
-			if err != nil {
-				return nil, err
-			}
-			closers = append(closers, cl.Close)
-			return cl, nil
-		}
-	case "ceft":
-		if *mgr == "" || *primary == "" || *mirror == "" {
-			fatal(fmt.Errorf("ceft mode needs -mgr, -primary and -mirror"))
-		}
-		prim := strings.Split(*primary, ",")
-		mirr := strings.Split(*mirror, ",")
-		opts := ceft.DefaultOptions()
-		opts.Logger = logger
-		if *hotFactor > 0 {
-			opts.HotFactor = *hotFactor
-		}
-		if *minHotLoad >= 0 {
-			opts.MinHotLoad = *minHotLoad
-		}
-		// Degraded writes across every dialed CEFT client, for the
-		// degraded_writes alert rule and external scrapers.
-		var ceftClients []*ceft.Client
-		reg.CounterFunc("pario_ceft_degraded_writes_total",
-			"Writes that lost their mirror copy, across this process's CEFT clients.",
-			func() float64 {
-				mu.Lock()
-				defer mu.Unlock()
-				var total int64
-				for _, cl := range ceftClients {
-					total += cl.DegradedWrites()
-				}
-				return float64(total)
-			})
-		dial = func() (chio.FileSystem, error) {
-			cl, err := ceft.Dial(*mgr, prim, mirr, opts, transportOpts...)
-			if err != nil {
-				return nil, err
-			}
-			ceftClients = append(ceftClients, cl)
-			closers = append(closers, cl.Close)
-			return cl, nil
-		}
-	default:
-		fatal(fmt.Errorf("unknown -io mode %q", *ioMode))
+	// Storage wiring: rank 0 is the master's view, and every worker
+	// rank keeps the one client it was first given however often the
+	// pool restarts it.
+	store.Logger = logger
+	ranks, err := store.OpenRanks(rpcpool.WithMetrics(rpcMetrics), rpcpool.WithTracer(tracer))
+	if err != nil {
+		fatal(err)
 	}
-	if masterFS == nil {
-		fs, err := dial()
-		if err != nil {
-			fatal(err)
-		}
-		masterFS = fs
-	}
-	rankFS := make(map[int]chio.FileSystem)
-	workerFS := func(rank int) chio.FileSystem {
-		mu.Lock()
-		defer mu.Unlock()
-		if fs, ok := rankFS[rank]; ok {
-			return fs
-		}
-		fs, err := dial()
-		if err != nil {
-			fatal(err)
-		}
-		rankFS[rank] = fs
-		return fs
-	}
+	defer ranks.Close()
+	ranks.RegisterDegradedWrites(reg)
 
-	searchOpts := []pblast.Option{
-		pblast.WithThreads(*threads),
-		pblast.WithChunkBytes(*chunk),
-		pblast.WithTelemetry(pblast.NewTelemetry(reg)),
-	}
-	if *raEnable {
-		searchOpts = append(searchOpts, pblast.WithReadahead(
-			readahead.WithBlockSize(*raBlock),
-			readahead.WithCapacity(*raCache),
-			readahead.WithWindow(*raWindow)))
-	}
-	if *collEnable {
-		searchOpts = append(searchOpts, pblast.WithCollectiveIO(
-			collio.WithWindow(*collWindow),
-			collio.WithMaxFanIn(*collFanIn),
-			collio.WithTelemetry(reg)))
-	}
-	var scratchFS func(rank int) chio.FileSystem
-	if *scratch != "" {
-		searchOpts = append(searchOpts, pblast.WithCopyToLocal(true))
-		scratchFS = func(rank int) chio.FileSystem {
-			fs, err := chio.NewLocalFS(fmt.Sprintf("%s/worker%d", *scratch, rank))
-			if err != nil {
-				fatal(err)
-			}
-			return fs
-		}
-	}
+	searchOpts := append(tune.Options(reg, nil), pblast.WithTelemetry(pblast.NewTelemetry(reg)))
 
 	var serve []string
 	if *dbs != "" {
@@ -263,9 +115,9 @@ func main() {
 	// mid-task.
 	srv, err := blastd.New(context.Background(), blastd.Config{
 		DBs:           serve,
-		FS:            masterFS,
-		WorkerFS:      workerFS,
-		Scratch:       scratchFS,
+		FS:            core.PerRank(ranks.FS, fatal)(0),
+		WorkerFS:      core.PerRank(ranks.FS, fatal),
+		Scratch:       core.PerRank(tune.ScratchFS, fatal),
 		Search:        pblast.NewConfig("", searchOpts...),
 		Workers:       *workers,
 		MaxWorkers:    *maxWorkers,
@@ -299,7 +151,7 @@ func main() {
 		}
 	}()
 	logger.Info("blastd up",
-		"addr", ln.Addr().String(), "io", *ioMode, "workers", *workers,
+		"addr", ln.Addr().String(), "io", store.IO, "workers", *workers,
 		"max_concurrent", *maxConcurrent, "queue_depth", *queueDepth)
 
 	// Block until SIGTERM/SIGINT, then drain: stop admitting, let

@@ -7,52 +7,41 @@
 //
 //	dbinfo -db nt [-root DIR] [-verify]
 //	dbinfo -db nt -mgr host:7000 -servers a:7001,b:7001 [-verify]
+//	dbinfo -db nt -io ceft -mgr host:7000 -primary a:7001 -mirror b:7001 [-verify]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"pario/internal/blastdb"
-	"pario/internal/chio"
-	"pario/internal/pvfs"
+	"pario/internal/core"
 	"pario/internal/util"
 )
 
 func main() {
 	var (
-		db      = flag.String("db", "", "database name (required)")
-		root    = flag.String("root", ".", "local directory holding the database")
-		mgr     = flag.String("mgr", "", "PVFS metadata server (reads the DB over PVFS)")
-		servers = flag.String("servers", "", "PVFS data servers, comma separated")
-		verify  = flag.Bool("verify", false, "verify every fragment's data checksum")
+		db     = flag.String("db", "", "database name (required)")
+		verify = flag.Bool("verify", false, "verify every fragment's data checksum")
 	)
+	store := core.NewStore()
+	store.RegisterFlags(flag.CommandLine, core.AddrFlags|core.ModeFlags)
 	flag.Parse()
 	if *db == "" {
 		fmt.Fprintln(os.Stderr, "dbinfo: -db is required")
 		flag.Usage()
 		os.Exit(2)
 	}
-	var fs chio.FileSystem
-	var err error
-	if *mgr != "" {
-		if *servers == "" {
-			fatal(fmt.Errorf("-mgr needs -servers"))
-		}
-		cl, err := pvfs.Dial(*mgr, strings.Split(*servers, ","))
-		if err != nil {
-			fatal(err)
-		}
-		defer cl.Close()
-		fs = cl
-	} else {
-		fs, err = chio.NewLocalFS(*root)
-		if err != nil {
-			fatal(err)
-		}
+	// Before dbinfo had -io, giving -mgr was how to ask for PVFS.
+	if store.IO == "local" && store.Mgr != "" {
+		store.IO = "pvfs"
 	}
+	fs, closeFS, err := store.Open()
+	if err != nil {
+		fatal(err)
+	}
+	defer closeFS()
 
 	alias, err := blastdb.ReadAlias(fs, *db)
 	if err != nil {

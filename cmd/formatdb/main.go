@@ -20,12 +20,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"pario/internal/ceft"
-	"pario/internal/chio"
 	"pario/internal/core"
-	"pario/internal/pvfs"
 	"pario/internal/seq"
 	"pario/internal/util"
 )
@@ -38,52 +34,20 @@ func main() {
 		protein   = flag.Bool("protein", false, "input is protein (default nucleotide)")
 		generate  = flag.String("generate", "", "generate a synthetic nt-like database of this size (e.g. 512MB) instead of reading FASTA")
 		seed      = flag.Uint64("seed", 42, "generator seed")
-		root      = flag.String("root", ".", "directory holding the database files (local mode)")
-		ioMode    = flag.String("io", "local", "where to write the database: local|pvfs|ceft")
-		mgr       = flag.String("mgr", "", "metadata server address (pvfs/ceft)")
-		servers   = flag.String("servers", "", "comma-separated data servers (pvfs)")
-		primary   = flag.String("primary", "", "comma-separated primary group (ceft)")
-		mirror    = flag.String("mirror", "", "comma-separated mirror group (ceft)")
 	)
+	store := core.NewStore()
+	store.RegisterFlags(flag.CommandLine, core.AddrFlags|core.ModeFlags)
 	flag.Parse()
 	if *db == "" {
 		fmt.Fprintln(os.Stderr, "formatdb: -db is required")
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	var fs chio.FileSystem
-	switch *ioMode {
-	case "local":
-		local, err := chio.NewLocalFS(*root)
-		if err != nil {
-			fatal(err)
-		}
-		fs = local
-	case "pvfs":
-		if *mgr == "" || *servers == "" {
-			fatal(fmt.Errorf("pvfs mode needs -mgr and -servers"))
-		}
-		cl, err := pvfs.Dial(*mgr, strings.Split(*servers, ","))
-		if err != nil {
-			fatal(err)
-		}
-		defer cl.Close()
-		fs = cl
-	case "ceft":
-		if *mgr == "" || *primary == "" || *mirror == "" {
-			fatal(fmt.Errorf("ceft mode needs -mgr, -primary and -mirror"))
-		}
-		cl, err := ceft.Dial(*mgr, strings.Split(*primary, ","),
-			strings.Split(*mirror, ","), ceft.DefaultOptions())
-		if err != nil {
-			fatal(err)
-		}
-		defer cl.Close()
-		fs = cl
-	default:
-		fatal(fmt.Errorf("unknown -io mode %q", *ioMode))
+	fs, closeFS, err := store.Open()
+	if err != nil {
+		fatal(err)
 	}
+	defer closeFS()
 
 	switch {
 	case *generate != "":

@@ -28,21 +28,18 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
-	"runtime"
-	"strings"
+	"sort"
+	"sync"
 	"time"
 
 	"pario/internal/blast"
-	"pario/internal/ceft"
+	"pario/internal/blastdb"
 	"pario/internal/chio"
-	"pario/internal/collio"
 	"pario/internal/core"
 	"pario/internal/iotrace"
 	"pario/internal/mpi"
 	"pario/internal/obsreport"
 	"pario/internal/pblast"
-	"pario/internal/pvfs"
-	"pario/internal/readahead"
 	"pario/internal/rpcpool"
 	"pario/internal/seq"
 	"pario/internal/telemetry"
@@ -57,49 +54,20 @@ func main() {
 		db       = flag.String("db", "", "database name (required)")
 		queryF   = flag.String("query", "", "query FASTA file (required)")
 		workers  = flag.Int("workers", 4, "number of worker ranks")
-		ioMode   = flag.String("io", "local", "local|pvfs|ceft")
-		root     = flag.String("root", ".", "shared store directory (local mode)")
-		scratch  = flag.String("scratch", "", "per-worker scratch directory; enables copy-to-local")
-		mgr      = flag.String("mgr", "", "metadata server address (pvfs/ceft)")
-		servers  = flag.String("servers", "", "comma-separated data servers (pvfs)")
-		primary  = flag.String("primary", "", "comma-separated primary group (ceft)")
-		mirror   = flag.String("mirror", "", "comma-separated mirror group (ceft)")
 		program  = flag.String("program", "blastn", "BLAST program")
 		evalue   = flag.Float64("evalue", 10, "e-value cutoff")
 		querySeg = flag.Bool("query-segmentation", false, "split the query instead of the database")
 		mega     = flag.Bool("megablast", false, "megablast mode (blastn only)")
-		threads  = flag.Int("threads", runtime.NumCPU(), "search shards per worker task (1 = sequential engine)")
 		filterLC = flag.Bool("F", false, "mask low-complexity query regions")
 		traceOut = flag.String("trace", "", "write a Figure 4 style I/O trace to this file")
 		outfmt   = flag.String("outfmt", "report", "report|tabular")
-
-		// Transport tuning (pvfs/ceft modes).
-		ioTimeout = flag.Duration("io-timeout", rpcpool.DefaultTimeout, "per-request parallel-FS deadline")
-		ioRetries = flag.Int("io-retries", rpcpool.DefaultRetries, "parallel-FS retry budget per request")
-		ioPool    = flag.Int("io-pool", rpcpool.DefaultPoolSize, "parallel-FS connections per server")
-		rpcStats  = flag.Bool("rpc-stats", false, "print per-server RPC latency/retry counters at exit")
+		rpcStats = flag.Bool("rpc-stats", false, "print per-server RPC latency/retry counters at exit")
 
 		// Live observability endpoints and run reports.
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/traces and /debug/pprof on this address (empty = off)")
 		slowRPC   = flag.Duration("slow-rpc", 0, "log spans slower than this threshold (0 disables; needs -debug-addr or -report)")
 		reportOut = flag.String("report", "", "write a cluster-wide run report (JSON) to this file and print its rendering")
 		collect   = flag.String("collect", "", "comma-separated name=host:port debug endpoints to scrape into the report (e.g. iod0=127.0.0.1:9101,mgr=127.0.0.1:9100)")
-
-		// Task sizing and CEFT hot-spot tuning.
-		chunk      = flag.Int("chunk", 0, "worker read chunk size in bytes (0 = backend default)")
-		hotFactor  = flag.Float64("hot-factor", 0, "ceft: a server is hot above this multiple of the median load (0 = default)")
-		minHotLoad = flag.Float64("min-hot-load", -1, "ceft: absolute load floor below which no server is hot (-1 = default)")
-
-		// Client-side readahead/block cache (any -io mode).
-		raEnable = flag.Bool("readahead", false, "enable the client-side readahead/block cache on worker reads")
-		raBlock  = flag.Int64("ra-block", readahead.DefaultBlockSize, "readahead block size in bytes")
-		raCache  = flag.Int("ra-cache", readahead.DefaultCapacity, "readahead cache capacity in blocks")
-		raWindow = flag.Int("ra-window", readahead.DefaultWindow, "readahead prefetch depth in blocks (0 disables prefetch)")
-
-		// Collective two-phase reads across the in-process workers.
-		collEnable = flag.Bool("collio", false, "enable collective two-phase reads: concurrent worker reads of one file combine into one list-I/O RPC per server per round")
-		collWindow = flag.Duration("collio-window", collio.DefaultWindow, "collective read round collection window")
-		collFanIn  = flag.Int("collio-fanin", 0, "close a collective round once this many readers enrolled (0 = window/coverage only)")
 
 		// Distributed mode: run this process as one rank of a
 		// multi-process (multi-machine) job over the TCP transport.
@@ -108,6 +76,13 @@ func main() {
 		rank        = flag.Int("rank", 0, "this process's rank (0 = master)")
 		size        = flag.Int("size", 0, "total ranks including the master (distributed mode)")
 	)
+	// Which file system the workers read (-io and its addresses,
+	// transport and CEFT tuning) and how each worker reads it (threads,
+	// chunk, scratch, readahead, collective I/O).
+	store := core.NewStore()
+	store.RegisterFlags(flag.CommandLine, core.AddrFlags|core.ModeFlags|core.TransportFlags)
+	var tune core.WorkerFlags
+	tune.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	logger = telemetry.NewProcessLogger("mpiblast")
 	if *db == "" || *queryF == "" {
@@ -122,6 +97,10 @@ func main() {
 	collectTargets, err := telemetry.ParseTargets(*collect)
 	if err != nil {
 		fatal(err)
+	}
+	distributed := *router != ""
+	if distributed && *size < 2 {
+		fatal(fmt.Errorf("distributed mode needs -size >= 2"))
 	}
 
 	// Ctrl-C cancels the whole job, aborting in-flight parallel-FS I/O.
@@ -159,188 +138,76 @@ func main() {
 	} else if *rpcStats {
 		metrics = rpcpool.NewMetrics(telemetry.NewRegistry())
 	}
-	transportOpts := func() []rpcpool.Option {
-		return []rpcpool.Option{
-			rpcpool.WithTimeout(*ioTimeout),
-			rpcpool.WithRetries(*ioRetries),
-			rpcpool.WithPoolSize(*ioPool),
-			rpcpool.WithMetrics(metrics),
-			rpcpool.WithTracer(tracer),
-		}
-	}
-
 	// One counter sink shared by every worker's readahead layer.
 	var cacheStats *iotrace.CacheStats
-	raOpts := func() []readahead.Option {
-		opts := []readahead.Option{
-			readahead.WithBlockSize(*raBlock),
-			readahead.WithCapacity(*raCache),
-			readahead.WithWindow(*raWindow),
-		}
-		if *rpcStats || reg != nil {
-			if cacheStats == nil {
-				cacheStats = &iotrace.CacheStats{}
-				cacheStats.Register(reg)
-			}
-			opts = append(opts, readahead.WithStats(cacheStats))
-		}
-		return opts
+	if tune.Readahead && (*rpcStats || reg != nil) {
+		cacheStats = &iotrace.CacheStats{}
+		cacheStats.Register(reg)
 	}
 
-	var masterFS chio.FileSystem
-	var workerFS func(rank int) chio.FileSystem
-	var closers []func() error
-	var ceftClients []*ceft.Client
+	// Rank 0 is the master's view of the store; every worker rank gets
+	// a client of its own.
+	store.Logger = logger
+	ranks, err := store.OpenRanks(rpcpool.WithMetrics(metrics), rpcpool.WithTracer(tracer))
+	if err != nil {
+		fatal(err)
+	}
 	defer func() {
-		for _, c := range closers {
-			c()
-		}
+		ranks.Close()
 		if *rpcStats {
 			fmt.Fprint(os.Stderr, metrics.Format())
-		}
-		if cacheStats != nil && *rpcStats {
-			fmt.Fprintln(os.Stderr, cacheStats.Snapshot().Format())
+			if cacheStats != nil {
+				fmt.Fprintln(os.Stderr, cacheStats.Snapshot().Format())
+			}
 		}
 	}()
 
-	switch *ioMode {
-	case "local":
-		fs, err := chio.NewLocalFS(*root)
-		if err != nil {
-			fatal(err)
-		}
-		masterFS = fs
-		workerFS = func(int) chio.FileSystem { return fs }
-	case "pvfs":
-		if *mgr == "" || *servers == "" {
-			fatal(fmt.Errorf("pvfs mode needs -mgr and -servers"))
-		}
-		addrs := strings.Split(*servers, ",")
-		mk := func() (chio.FileSystem, error) {
-			cl, err := pvfs.Dial(*mgr, addrs, transportOpts()...)
-			if err != nil {
-				return nil, err
-			}
-			closers = append(closers, cl.Close)
-			return cl, nil
-		}
-		m, err := mk()
-		if err != nil {
-			fatal(err)
-		}
-		masterFS = m
-		workerFS = func(int) chio.FileSystem {
-			fs, err := mk()
-			if err != nil {
-				fatal(err)
-			}
-			return fs
-		}
-	case "ceft":
-		if *mgr == "" || *primary == "" || *mirror == "" {
-			fatal(fmt.Errorf("ceft mode needs -mgr, -primary and -mirror"))
-		}
-		prim := strings.Split(*primary, ",")
-		mirr := strings.Split(*mirror, ",")
-		ceftOpts := ceft.DefaultOptions()
-		if *hotFactor > 0 {
-			ceftOpts.HotFactor = *hotFactor
-		}
-		if *minHotLoad >= 0 {
-			ceftOpts.MinHotLoad = *minHotLoad
-		}
-		ceftOpts.Logger = logger
-		mk := func() (chio.FileSystem, error) {
-			cl, err := ceft.Dial(*mgr, prim, mirr, ceftOpts, transportOpts()...)
-			if err != nil {
-				return nil, err
-			}
-			closers = append(closers, cl.Close)
-			ceftClients = append(ceftClients, cl)
-			return cl, nil
-		}
-		m, err := mk()
-		if err != nil {
-			fatal(err)
-		}
-		masterFS = m
-		workerFS = func(int) chio.FileSystem {
-			fs, err := mk()
-			if err != nil {
-				fatal(err)
-			}
-			return fs
-		}
-	default:
-		fatal(fmt.Errorf("unknown -io mode %q", *ioMode))
+	searchOpts := []pblast.Option{
+		pblast.WithParams(blast.Params{Program: prog, EValue: *evalue, Greedy: *mega, Filter: *filterLC}),
+		pblast.WithTelemetry(pblast.NewTelemetry(reg)),
 	}
-
+	searchOpts = append(searchOpts, tune.Options(reg, cacheStats)...)
 	modeName := "db-seg"
 	if *querySeg {
 		modeName = "query-seg"
+		searchOpts = append(searchOpts, pblast.WithMode(pblast.QuerySegmentation))
 	}
+	cfg := pblast.NewConfig(*db, searchOpts...)
 
-	// -report: after the search, pull metrics and span buffers from
-	// this process and every -collect endpoint, fold in the scheduling
-	// timeline and the CEFT hot-spot audits, and write the run report.
-	var reportB *obsreport.Builder
-	if *reportOut != "" {
-		reportB = obsreport.NewBuilder(fmt.Sprintf("%s/%s", *ioMode, *db))
-	}
-	writeReport := func(nQueries, nWorkers int) {
-		if reportB == nil {
-			return
-		}
-		reportB.SetRun(obsreport.RunInfo{
-			DB: *db, Query: *queryF, Backend: *ioMode, Mode: modeName,
-			Workers: nWorkers, Queries: nQueries,
-		})
-		reportB.AddSnapshot(obsreport.LocalSnapshot("master", reg, tracer))
-		for _, t := range collectTargets {
-			reportB.AddSnapshot(obsreport.RemoteSnapshot(ctx, t))
-		}
-		for _, cl := range ceftClients {
-			reportB.AddCEFTAudit(cl.Audit())
-		}
-		rep := reportB.Build()
-		if err := rep.WriteJSONFile(*reportOut); err != nil {
+	if distributed && *rank > 0 {
+		// Worker rank: serve tasks through the same read-path stack an
+		// in-process worker gets, and exit. Retry the dial so workers may
+		// start before the master's router is up.
+		comm, err := mpi.DialRetry(*router, *rank, *size, 30*time.Second)
+		if err != nil {
 			fatal(err)
 		}
-		rep.RenderText(os.Stderr)
-		logger.Info("run report written", "path", *reportOut)
+		defer comm.Close()
+		fs := cfg.WorkerFS(core.PerRank(ranks.FS, fatal))(*rank)
+		if err := pblast.RunWorker(ctx, comm, fs, core.PerRank(tune.ScratchFS, fatal)(*rank),
+			pblast.WithPipeMetrics(blast.NewPipeMetrics(reg))); err != nil {
+			fatal(err)
+		}
+		return
 	}
 
-	// Distributed mode: each process is one rank over TCP.
-	if *router != "" {
-		if *size < 2 {
-			fatal(fmt.Errorf("distributed mode needs -size >= 2"))
-		}
-		if *rank > 0 {
-			// Worker rank: serve tasks and exit. Retry the dial so
-			// workers may start before the master's router is up.
-			comm, err := mpi.DialRetry(*router, *rank, *size, 30*time.Second)
-			if err != nil {
-				fatal(err)
-			}
-			defer comm.Close()
-			var scratchFS chio.FileSystem
-			if *scratch != "" {
-				scratchFS, err = chio.NewLocalFS(fmt.Sprintf("%s/worker%d", *scratch, *rank))
-				if err != nil {
-					fatal(err)
-				}
-			}
-			fs := workerFS(*rank)
-			if *raEnable {
-				fs = readahead.Wrap(fs, raOpts()...)
-			}
-			if err := pblast.RunWorker(ctx, comm, fs, scratchFS,
-				pblast.WithPipeMetrics(blast.NewPipeMetrics(reg))); err != nil {
-				fatal(err)
-			}
-			return
-		}
-		// Master rank: optionally start the router, then drive the job.
+	// Master (distributed) or whole job (in-process): either way the
+	// queries go through one stream — over the TCP communicator, or
+	// over a pool of worker goroutines in this process.
+	queries := loadQueries(*queryF, prog)
+	masterFS := core.PerRank(ranks.FS, fatal)(0)
+	alias, err := blastdb.ReadAlias(chio.BindContext(masterFS, ctx), *db)
+	if err != nil {
+		fatal(fmt.Errorf("reading alias: %w", err))
+	}
+	var (
+		submit      func(context.Context, *seq.Sequence, blast.Params, *blastdb.Alias) (*pblast.Outcome, error)
+		closeStream func() error
+		nWorkers    = *workers
+		trace       *iotrace.Trace
+	)
+	start := time.Now()
+	if distributed {
 		if *startRouter {
 			r, err := mpi.StartRouter(*router, *size)
 			if err != nil {
@@ -353,117 +220,74 @@ func main() {
 			fatal(err)
 		}
 		defer comm.Close()
-		queries := loadQueries(*queryF, prog)
-		searchOpts := []pblast.Option{
-			pblast.WithParams(blast.Params{Program: prog, EValue: *evalue, Greedy: *mega, Filter: *filterLC}),
-			pblast.WithThreads(*threads),
-			pblast.WithChunkBytes(*chunk),
-			pblast.WithTelemetry(pblast.NewTelemetry(reg)),
-		}
-		if *querySeg {
-			searchOpts = append(searchOpts, pblast.WithMode(pblast.QuerySegmentation))
-		}
-		cfg := pblast.NewConfig(*db, searchOpts...)
-		out := bufio.NewWriter(os.Stdout)
-		for _, q := range queries {
-			res, err := pblast.RunMaster(ctx, comm, masterFS, q, cfg)
-			if err != nil {
-				fatal(err)
-			}
-			if reportB != nil {
-				reportB.AddOutcome(res)
-			}
-			writeResult(out, *outfmt, res, q)
-		}
-		out.Flush()
-		writeReport(len(queries), *size-1)
-		return
-	}
-
-	queries := loadQueries(*queryF, prog)
-
-	searchOpts := []pblast.Option{
-		pblast.WithParams(blast.Params{Program: prog, EValue: *evalue, Greedy: *mega, Filter: *filterLC}),
-		pblast.WithThreads(*threads),
-		pblast.WithChunkBytes(*chunk),
-		pblast.WithTelemetry(pblast.NewTelemetry(reg)),
-	}
-	if *querySeg {
-		searchOpts = append(searchOpts, pblast.WithMode(pblast.QuerySegmentation))
-	}
-	if *raEnable {
-		searchOpts = append(searchOpts, pblast.WithReadahead(raOpts()...))
-	}
-	if *collEnable {
-		collOpts := []collio.Option{
-			collio.WithWindow(*collWindow),
-			collio.WithMaxFanIn(*collFanIn),
-		}
-		if reg != nil {
-			collOpts = append(collOpts, collio.WithTelemetry(reg))
-		}
-		searchOpts = append(searchOpts, core.WithCollectiveIO(collOpts...))
-	}
-	if *scratch != "" {
-		searchOpts = append(searchOpts, pblast.WithCopyToLocal(true))
-	}
-	cfg := core.SearchConfig{
-		Search:   pblast.NewConfig(*db, searchOpts...),
-		Workers:  *workers,
-		MasterFS: masterFS,
-		WorkerFS: workerFS,
-	}
-	if *scratch != "" {
-		cfg.Scratch = func(rank int) chio.FileSystem {
-			fs, err := chio.NewLocalFS(fmt.Sprintf("%s/worker%d", *scratch, rank))
-			if err != nil {
-				fatal(err)
-			}
-			return fs
-		}
-	}
-	var trace *iotrace.Trace
-	if *traceOut != "" {
-		trace = iotrace.NewTrace()
-		cfg.Trace = trace
-	}
-
-	start := time.Now()
-	out := bufio.NewWriter(os.Stdout)
-	defer out.Flush()
-	if len(queries) > 1 && cfg.Search.Mode == pblast.DatabaseSegmentation && !cfg.Search.CopyToLocal {
-		// Multi-query batch: one (query x fragment) scheduling pass.
-		batch, err := core.ParallelSearchBatch(ctx, queries, cfg)
+		st, err := pblast.StartStream(ctx, comm, cfg)
 		if err != nil {
 			fatal(err)
 		}
-		if reportB != nil {
-			reportB.AddBatchOutcome(batch)
-		}
-		for qi, res := range batch.Results {
-			single := &pblast.Outcome{
-				Result:     res,
-				WallTime:   batch.WallTime,
-				CopyTime:   batch.CopyTime,
-				SearchTime: batch.SearchTime,
-			}
-			writeResult(out, *outfmt, single, queries[qi])
-		}
+		submit, closeStream, nWorkers = st.Submit, st.Close, *size-1
 	} else {
-		for _, q := range queries {
-			res, err := core.ParallelSearch(ctx, q, cfg)
-			if err != nil {
-				fatal(err)
-			}
-			if reportB != nil {
-				reportB.AddOutcome(res)
-			}
-			writeResult(out, *outfmt, res, q)
+		if *traceOut != "" {
+			trace = iotrace.NewTrace()
+		}
+		pool, err := core.OpenPool(ctx, core.SearchConfig{
+			Search:   cfg,
+			Workers:  *workers,
+			MasterFS: masterFS,
+			WorkerFS: core.PerRank(ranks.FS, fatal),
+			Scratch:  core.PerRank(tune.ScratchFS, fatal),
+			Trace:    trace,
+		})
+		if err != nil {
+			fatal(err)
+		}
+		submit, closeStream = pool.Submit, pool.Close
+	}
+
+	// Queries are submitted concurrently, so the task space is the
+	// (query x fragment) matrix scheduled dynamically onto idle workers
+	// — how mpiBLAST-era installations processed EST batches. Two
+	// queries in flight per worker keep the task queue from running dry
+	// while a finished query's successor is admitted.
+	outs := make([]*pblast.Outcome, len(queries))
+	errs := make([]error, len(queries))
+	inFlight := make(chan struct{}, 2*nWorkers)
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		inFlight <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i], errs[i] = submit(ctx, q, cfg.Params, alias)
+			<-inFlight
+		}()
+	}
+	wg.Wait()
+	cerr := closeStream()
+	for _, err := range append(errs, cerr) {
+		if err != nil {
+			fatal(err)
 		}
 	}
-	fmt.Fprintf(out, "# total elapsed %.2fs over %s backend\n",
-		time.Since(start).Seconds(), masterFS.BackendName())
 
+	// The run as a whole: wall clock once (the per-query walls overlap),
+	// worker times summed, one timeline in assignment order with task
+	// indices made unique across queries.
+	run := &pblast.Outcome{WallTime: time.Since(start)}
+	out := bufio.NewWriter(os.Stdout)
+	for i, res := range outs {
+		writeResult(out, *outfmt, res, queries[i])
+		base := len(run.Timeline)
+		for _, ev := range res.Timeline {
+			ev.Index += base
+			run.Timeline = append(run.Timeline, ev)
+		}
+		run.CopyTime += res.CopyTime
+		run.SearchTime += res.SearchTime
+		run.Reassigned += res.Reassigned
+	}
+	sort.SliceStable(run.Timeline, func(a, b int) bool { return run.Timeline[a].Start < run.Timeline[b].Start })
+	fmt.Fprintf(out, "# total elapsed %.2fs over %s backend\n",
+		run.WallTime.Seconds(), masterFS.BackendName())
 	if trace != nil {
 		f, err := os.Create(*traceOut)
 		if err != nil {
@@ -477,8 +301,34 @@ func main() {
 		}
 		fmt.Fprintf(out, "# %s\n# trace written to %s\n", trace.Summarize().Format(), *traceOut)
 	}
-	out.Flush()
-	writeReport(len(queries), *workers)
+	if err := out.Flush(); err != nil {
+		fatal(err)
+	}
+
+	// -report: pull metrics and span buffers from this process and
+	// every -collect endpoint, fold in the scheduling timeline and the
+	// CEFT hot-spot audits, and write the run report.
+	if *reportOut != "" {
+		b := obsreport.NewBuilder(fmt.Sprintf("%s/%s", store.IO, *db))
+		b.SetRun(obsreport.RunInfo{
+			DB: *db, Query: *queryF, Backend: store.IO, Mode: modeName,
+			Workers: nWorkers, Queries: len(queries),
+		})
+		b.AddOutcome(run)
+		b.AddSnapshot(obsreport.LocalSnapshot("master", reg, tracer))
+		for _, t := range collectTargets {
+			b.AddSnapshot(obsreport.RemoteSnapshot(ctx, t))
+		}
+		for _, a := range ranks.CEFTAudits() {
+			b.AddCEFTAudit(a)
+		}
+		rep := b.Build()
+		if err := rep.WriteJSONFile(*reportOut); err != nil {
+			fatal(err)
+		}
+		rep.RenderText(os.Stderr)
+		logger.Info("run report written", "path", *reportOut)
+	}
 }
 
 // loadQueries reads the query FASTA file.

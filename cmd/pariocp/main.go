@@ -20,53 +20,37 @@ import (
 	"os"
 	"strings"
 
-	"pario/internal/ceft"
 	"pario/internal/chio"
-	"pario/internal/pvfs"
+	"pario/internal/core"
 	"pario/internal/util"
 )
 
 func main() {
 	var (
-		mgr     = flag.String("mgr", "", "metadata server address")
-		servers = flag.String("servers", "", "PVFS data servers (comma separated)")
-		primary = flag.String("primary", "", "CEFT primary group (comma separated)")
-		mirror  = flag.String("mirror", "", "CEFT mirror group (comma separated)")
 		ls      = flag.Bool("ls", false, "list files at the given prefix")
 		rm      = flag.Bool("rm", false, "remove the given file")
 		bufSize = flag.String("buf", "1MB", "copy buffer size")
 	)
+	store := core.NewStore()
+	store.RegisterFlags(flag.CommandLine, core.AddrFlags)
 	flag.Parse()
 	args := flag.Args()
 
+	// The path's prefix, not a flag, names the store each side lives
+	// on; a bare path is a file under the current directory.
 	resolve := func(path string) (chio.FileSystem, string, func() error) {
-		switch {
-		case strings.HasPrefix(path, "pvfs:"):
-			if *mgr == "" || *servers == "" {
-				fatal(fmt.Errorf("pvfs: paths need -mgr and -servers"))
+		side := *store
+		for _, mode := range []string{"pvfs", "ceft"} {
+			if name, ok := strings.CutPrefix(path, mode+":"); ok {
+				side.IO, path = mode, name
+				break
 			}
-			cl, err := pvfs.Dial(*mgr, strings.Split(*servers, ","))
-			if err != nil {
-				fatal(err)
-			}
-			return cl, strings.TrimPrefix(path, "pvfs:"), cl.Close
-		case strings.HasPrefix(path, "ceft:"):
-			if *mgr == "" || *primary == "" || *mirror == "" {
-				fatal(fmt.Errorf("ceft: paths need -mgr, -primary and -mirror"))
-			}
-			cl, err := ceft.Dial(*mgr, strings.Split(*primary, ","),
-				strings.Split(*mirror, ","), ceft.DefaultOptions())
-			if err != nil {
-				fatal(err)
-			}
-			return cl, strings.TrimPrefix(path, "ceft:"), cl.Close
-		default:
-			fs, err := chio.NewLocalFS(".")
-			if err != nil {
-				fatal(err)
-			}
-			return fs, path, func() error { return nil }
 		}
+		fs, closeFS, err := side.Open()
+		if err != nil {
+			fatal(err)
+		}
+		return fs, path, closeFS
 	}
 
 	switch {

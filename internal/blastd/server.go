@@ -105,7 +105,7 @@ type Server struct {
 	catalog  *dbCatalog
 	cache    *resultCache
 	queue    *admitQueue
-	pool     *workerPool
+	pool     *pblast.Pool
 	flight   *flightRecorder
 	monitor  *tsdb.Collector
 	draining atomic.Bool
@@ -167,9 +167,7 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 		started: time.Now(),
 	}
 
-	pipe := blast.NewPipeMetrics(reg)
-	pool, err := newWorkerPool(ctx, cfg.Search, cfg.MaxWorkers,
-		cfg.WorkerFS, cfg.Scratch, pipe)
+	pool, err := pblast.NewPool(ctx, cfg.Search, cfg.MaxWorkers, cfg.WorkerFS, cfg.Scratch)
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +251,7 @@ func (s *Server) wireMetrics() {
 
 	workerErrors := reg.CounterVec("pario_blastd_worker_errors_total",
 		"Workers that exited with an error.", "rank")
-	s.pool.onError = func(rank int, err error) {
+	s.pool.OnWorkerError = func(rank int, err error) {
 		workerErrors.With(fmt.Sprint(rank)).Inc()
 	}
 }

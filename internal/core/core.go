@@ -10,17 +10,14 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 
 	"pario/internal/blast"
 	"pario/internal/blastdb"
 	"pario/internal/ceft"
 	"pario/internal/chio"
-	"pario/internal/collio"
 	"pario/internal/iotrace"
 	"pario/internal/pblast"
 	"pario/internal/pvfs"
-	"pario/internal/readahead"
 	"pario/internal/rpcpool"
 	"pario/internal/seq"
 	"pario/internal/workload"
@@ -116,66 +113,57 @@ type SearchConfig struct {
 	Trace *iotrace.Trace
 }
 
-// WithCollectiveIO is pblast.WithCollectiveIO re-exported at the
-// façade: it layers one shared collective two-phase read aggregator
-// (internal/collio) under the in-process workers of a parallel
-// search, so concurrent fragment reads combine into one list-I/O RPC
-// per data server per round.
-var WithCollectiveIO = pblast.WithCollectiveIO
-
-// wrapWorkerFS applies the per-worker wrappers in their fixed order:
-// readahead next to the backend, iotrace outermost (so traces record
-// the application's own access pattern, not the cache's block
-// fetches).
-func wrapWorkerFS(cfg SearchConfig) (workerFS, scratch func(int) chio.FileSystem) {
-	workerFS = cfg.WorkerFS
-	scratch = cfg.Scratch
-	if coll, collOpts := cfg.Search.CollectiveIO(); coll {
-		// One aggregator shared by every rank — that sharing is what
-		// makes the reads collective. It sits below the per-rank
-		// readahead caches so their block fetches (and the hints
-		// announcing them) combine across workers.
-		inner := workerFS
-		var once sync.Once
-		var shared *collio.FS
-		workerFS = func(rank int) chio.FileSystem {
-			once.Do(func() { shared = collio.Wrap(inner(rank), collOpts...) })
-			return shared
-		}
+// wrapWorkerFS applies SearchConfig's own wrapper, the Figure 4 I/O
+// trace, to every worker's view of the shared store and of its
+// scratch. The readahead and collective-read layers the search
+// configuration asks for are stacked above it by the pblast pool.
+func wrapWorkerFS(cfg SearchConfig) (workerFS, scratch func(int) chio.FileSystem, err error) {
+	if cfg.MasterFS == nil || cfg.WorkerFS == nil {
+		return nil, nil, fmt.Errorf("core: SearchConfig needs MasterFS and WorkerFS")
 	}
-	if ra, raOpts := cfg.Search.Readahead(); ra {
-		inner := workerFS
-		workerFS = func(rank int) chio.FileSystem {
-			return readahead.Wrap(inner(rank), raOpts...)
-		}
+	if cfg.Trace == nil {
+		return cfg.WorkerFS, cfg.Scratch, nil
 	}
-	if cfg.Trace != nil {
-		inner := workerFS
-		workerFS = func(rank int) chio.FileSystem {
-			return iotrace.Wrap(inner(rank), cfg.Trace, fmt.Sprintf("worker%d", rank))
+	traced := func(inner func(int) chio.FileSystem) func(int) chio.FileSystem {
+		if inner == nil {
+			return nil
 		}
-		if scratch != nil {
-			innerScratch := scratch
-			scratch = func(rank int) chio.FileSystem {
-				fs := innerScratch(rank)
-				if fs == nil {
-					return nil
-				}
-				return iotrace.Wrap(fs, cfg.Trace, fmt.Sprintf("worker%d", rank))
+		return func(rank int) chio.FileSystem {
+			fs := inner(rank)
+			if fs == nil {
+				return nil
 			}
+			return iotrace.Wrap(fs, cfg.Trace, fmt.Sprintf("worker%d", rank))
 		}
 	}
-	return workerFS, scratch
+	return traced(cfg.WorkerFS), traced(cfg.Scratch), nil
 }
 
-// ParallelSearch runs the master/worker parallel BLAST in-process.
-// Cancelling ctx aborts the search, including in-flight parallel-FS
-// I/O when the backends support chio.ContextBinder.
-func ParallelSearch(ctx context.Context, query *seq.Sequence, cfg SearchConfig) (*pblast.Outcome, error) {
-	if cfg.MasterFS == nil || cfg.WorkerFS == nil {
-		return nil, fmt.Errorf("core: SearchConfig needs MasterFS and WorkerFS")
+// OpenPool stands the configured search up in this process — cfg.Workers
+// workers over cfg's file systems — and leaves it open for any number
+// of Submit calls, concurrent or not; the caller closes it.
+func OpenPool(ctx context.Context, cfg SearchConfig) (*pblast.Pool, error) {
+	workerFS, scratch, err := wrapWorkerFS(cfg)
+	if err != nil {
+		return nil, err
 	}
-	workerFS, scratch := wrapWorkerFS(cfg)
+	pool, err := pblast.NewPool(ctx, cfg.Search, cfg.Workers, workerFS, scratch)
+	if err != nil {
+		return nil, err
+	}
+	pool.Resize(cfg.Workers)
+	return pool, nil
+}
+
+// ParallelSearch runs the master/worker parallel BLAST in-process: one
+// pool opened, one query submitted, the pool closed again. Cancelling
+// ctx aborts the search, including in-flight parallel-FS I/O when the
+// backends support chio.ContextBinder.
+func ParallelSearch(ctx context.Context, query *seq.Sequence, cfg SearchConfig) (*pblast.Outcome, error) {
+	workerFS, scratch, err := wrapWorkerFS(cfg)
+	if err != nil {
+		return nil, err
+	}
 	return pblast.RunInProcess(ctx, cfg.Workers, query, cfg.Search, cfg.MasterFS, workerFS, scratch)
 }
 
@@ -338,16 +326,4 @@ func (d *CEFTDeployment) Close() error {
 		}
 	}
 	return first
-}
-
-// ParallelSearchBatch runs a multi-query batch through the parallel
-// master/worker: the task space is (query x fragment), dynamically
-// scheduled — how batch workloads (e.g. EST sets) were processed.
-func ParallelSearchBatch(ctx context.Context, queries []*seq.Sequence, cfg SearchConfig) (*pblast.BatchOutcome, error) {
-	if cfg.MasterFS == nil || cfg.WorkerFS == nil {
-		return nil, fmt.Errorf("core: SearchConfig needs MasterFS and WorkerFS")
-	}
-	workerFS, scratch := wrapWorkerFS(cfg)
-	search := cfg.Search.Apply(pblast.WithMode(pblast.DatabaseSegmentation))
-	return pblast.RunInProcessBatch(ctx, cfg.Workers, queries, search, cfg.MasterFS, workerFS, scratch)
 }

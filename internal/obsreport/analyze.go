@@ -54,23 +54,11 @@ func (b *Builder) AddOutcome(o *pblast.Outcome) {
 	if o == nil {
 		return
 	}
-	b.absorbRun(o.WallTime, o.CopyTime, o.SearchTime, o.Reassigned, o.Timeline)
-}
-
-// AddBatchOutcome is AddOutcome for multi-query batch runs.
-func (b *Builder) AddBatchOutcome(o *pblast.BatchOutcome) {
-	if o == nil {
-		return
-	}
-	b.absorbRun(o.WallTime, o.CopyTime, o.SearchTime, o.Reassigned, o.Timeline)
-}
-
-func (b *Builder) absorbRun(wall, cp, search time.Duration, reassigned int, tl []pblast.TaskEvent) {
-	b.run.WallSeconds += wall.Seconds()
-	b.run.CopySeconds += cp.Seconds()
-	b.run.SearchSeconds += search.Seconds()
-	b.run.Reassigned += reassigned
-	for _, ev := range tl {
+	b.run.WallSeconds += o.WallTime.Seconds()
+	b.run.CopySeconds += o.CopyTime.Seconds()
+	b.run.SearchSeconds += o.SearchTime.Seconds()
+	b.run.Reassigned += o.Reassigned
+	for _, ev := range o.Timeline {
 		b.timeline = append(b.timeline, TaskEvent{
 			Index:         ev.Index,
 			Worker:        ev.Worker,

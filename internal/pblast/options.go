@@ -87,22 +87,17 @@ func WithTelemetry(t *Telemetry) Option {
 
 // WithTracer records master-side "task" spans — one per assignment of
 // every traced task — into t. The tracer stays local to the master
-// process: workers install their own with WithWorkerTracer.
+// process: a Pool hands its workers the same sink, distributed
+// workers install their own with WithWorkerTracer.
 func WithTracer(t *telemetry.Tracer) Option {
 	return func(c *Config) { c.tracer = t }
 }
 
-// Tracer reports the master-side span tracer, if any — consumed by
-// in-process worker runners that want the same sink on both sides.
-func (c Config) Tracer() *telemetry.Tracer {
-	return c.tracer
-}
-
 // WithReadahead wraps every in-process worker's file system in the
 // client-side readahead block cache (raOpts tune block size, capacity
-// and prefetch window). It applies to workers the runner or a blastd
-// pool spawns in this process; distributed workers configure their
-// own transports.
+// and prefetch window). Config.WorkerFS applies it: to every worker
+// of a Pool, and to a distributed worker rank that stacks its own
+// file system the same way.
 func WithReadahead(raOpts ...readahead.Option) Option {
 	return func(c *Config) {
 		c.raEnable = true
@@ -110,28 +105,15 @@ func WithReadahead(raOpts ...readahead.Option) Option {
 	}
 }
 
-// Readahead reports whether WithReadahead was applied, and with which
-// cache options — consumed by in-process worker runners.
-func (c Config) Readahead() (bool, []readahead.Option) {
-	return c.raEnable, c.raOpts
-}
-
 // WithCollectiveIO layers the collective two-phase read aggregator
 // under every in-process worker's file system (below the readahead
 // cache, so prefetch fetches combine too): concurrent reads of one
 // file across workers merge into one list-I/O RPC per data server per
-// round. The aggregator is shared by all workers the runner or a
-// blastd pool spawns in this process; distributed workers configure
-// their own transports.
+// round. The aggregator is shared by all workers stacked through one
+// Config.WorkerFS call — every worker of a Pool.
 func WithCollectiveIO(collOpts ...collio.Option) Option {
 	return func(c *Config) {
 		c.collEnable = true
 		c.collOpts = append(c.collOpts, collOpts...)
 	}
-}
-
-// CollectiveIO reports whether WithCollectiveIO was applied, and with
-// which aggregator options — consumed by in-process worker runners.
-func (c Config) CollectiveIO() (bool, []collio.Option) {
-	return c.collEnable, c.collOpts
 }

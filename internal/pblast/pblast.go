@@ -12,10 +12,10 @@
 // whichever workers are idle. Workers join by announcing themselves
 // (so a pool can grow while searches run) and leave gracefully
 // between tasks; tasks held by a departed worker are re-queued. The
-// classic one-shot entry points RunMaster and RunMasterBatch are thin
-// wrappers that open a stream, submit, wait, and drain — the
-// always-on blastd service keeps the same stream open for its entire
-// lifetime.
+// classic one-shot entry point RunMaster is a thin wrapper that opens
+// a stream, submits, and drains; a multi-query run is several
+// concurrent Submits on one stream, and the always-on blastd service
+// keeps the same stream open for its entire lifetime.
 package pblast
 
 import (
@@ -96,28 +96,19 @@ type Config struct {
 	// it never travels in the gob-encoded job broadcast (gob skips
 	// unexported fields); set it with WithTelemetry.
 	tel *Telemetry
-	// raEnable/raOpts wrap every in-process worker's file system in
-	// the client-side readahead block cache. Local to the runner —
-	// distributed workers wrap their own transports.
-	raEnable bool
-	raOpts   []readahead.Option
-	// collEnable/collOpts layer the collective two-phase read
-	// aggregator under every in-process worker, combining concurrent
-	// fragment reads into one list-I/O RPC per server per round.
-	// Local to the runner for the same reason as readahead.
+	// raEnable/raOpts and collEnable/collOpts describe the worker
+	// file-system stack WorkerFS builds: one collective two-phase read
+	// aggregator shared by the workers of this process, under a
+	// readahead block cache per worker. Unexported, so local to the
+	// process that stacks: they never travel in the job broadcast.
+	raEnable   bool
+	raOpts     []readahead.Option
 	collEnable bool
 	collOpts   []collio.Option
 	// tracer records master-side task spans for submissions that carry
 	// a span context. Unexported so it stays out of the job broadcast.
 	tracer *telemetry.Tracer
 }
-
-// SetTelemetry installs the master-side scheduling telemetry sink.
-// The sink stays local to the master: it is not part of the job
-// broadcast to workers.
-//
-// Deprecated: use WithTelemetry with NewConfig.
-func (c *Config) SetTelemetry(t *Telemetry) { c.tel = t }
 
 // job is sent to each worker when it announces itself, before any
 // tasks: the run-wide settings that do not vary per task.
@@ -207,11 +198,10 @@ type Outcome struct {
 	Reassigned int
 }
 
-// RunMaster drives a single-query search from rank 0: it opens a
-// stream over the communicator, submits the query (split into pieces
-// in QuerySegmentation mode), waits, and drains the workers. fs is
-// the master's view of the shared store (used to read the database
-// alias).
+// RunMaster drives a single-query search from rank 0: it reads the
+// database alias through fs (the master's view of the shared store),
+// opens a stream over the communicator, submits the query, and drains
+// the workers.
 //
 // ctx governs the whole search: cancelling it aborts the scheduling
 // loop, and when fs supports chio.ContextBinder the master's I/O —
@@ -220,24 +210,19 @@ func RunMaster(ctx context.Context, c mpi.Comm, fs chio.FileSystem, query *seq.S
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	fs = chio.BindContext(fs, ctx)
 	start := time.Now()
-	st, alias, err := startMasterStream(ctx, c, fs, cfg)
+	if c.Size() < 2 {
+		return nil, fmt.Errorf("pblast: need at least one worker (size %d)", c.Size())
+	}
+	alias, err := blastdb.ReadAlias(chio.BindContext(fs, ctx), cfg.DBName)
+	if err != nil {
+		return nil, fmt.Errorf("pblast: reading alias: %w", err)
+	}
+	st, err := StartStream(ctx, c, cfg)
 	if err != nil {
 		return nil, err
 	}
-	var sub *submission
-	if cfg.Mode == QuerySegmentation {
-		pieces := splitQuery(query.Len(), c.Size()-1, cfg.queryOverlap(), cfg.Params)
-		sub, err = st.submitPieces(ctx, query, cfg.Params, alias, pieces)
-	} else {
-		sub, err = st.submit(ctx, query, cfg.Params, alias)
-	}
-	if err != nil {
-		st.Close()
-		return nil, err
-	}
-	out, err := st.await(ctx, sub)
+	out, err := st.Submit(ctx, query, cfg.Params, alias)
 	cerr := st.Close()
 	if err != nil {
 		return nil, err
@@ -247,99 +232,6 @@ func RunMaster(ctx context.Context, c mpi.Comm, fs chio.FileSystem, query *seq.S
 	}
 	out.WallTime = time.Since(start)
 	return out, nil
-}
-
-// BatchOutcome is the result of a multi-query parallel search.
-type BatchOutcome struct {
-	// Results holds one merged result per query, in input order.
-	Results []*blast.Result
-	// WallTime, CopyTime, SearchTime, Timeline and Reassigned
-	// aggregate the whole batch, like Outcome's fields.
-	WallTime   time.Duration
-	CopyTime   time.Duration
-	SearchTime time.Duration
-	TaskTimes  map[int]time.Duration
-	Timeline   []TaskEvent
-	Reassigned int
-}
-
-// RunMasterBatch drives a multi-query search: every query is
-// submitted to the stream up front, so the task space is the full
-// (query x fragment) matrix, scheduled dynamically onto idle workers —
-// how mpiBLAST-era installations processed EST batches. Batch mode
-// implies database segmentation. ctx governs the batch as in
-// RunMaster.
-func RunMasterBatch(ctx context.Context, c mpi.Comm, fs chio.FileSystem, queries []*seq.Sequence, cfg Config) (*BatchOutcome, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	fs = chio.BindContext(fs, ctx)
-	if len(queries) == 0 {
-		return nil, fmt.Errorf("pblast: empty query batch")
-	}
-	if cfg.Mode != DatabaseSegmentation {
-		return nil, fmt.Errorf("pblast: batch mode requires database segmentation")
-	}
-	start := time.Now()
-	st, alias, err := startMasterStream(ctx, c, fs, cfg)
-	if err != nil {
-		return nil, err
-	}
-	nFrags := len(alias.Fragments)
-	subs := make([]*submission, 0, len(queries))
-	for _, q := range queries {
-		sub, err := st.submit(ctx, q, cfg.Params, alias)
-		if err != nil {
-			st.Close()
-			return nil, err
-		}
-		subs = append(subs, sub)
-	}
-	out := &BatchOutcome{TaskTimes: make(map[int]time.Duration)}
-	for qi, sub := range subs {
-		o, err := st.await(ctx, sub)
-		if err != nil {
-			st.Close()
-			return nil, err
-		}
-		out.Results = append(out.Results, o.Result)
-		out.CopyTime += o.CopyTime
-		out.SearchTime += o.SearchTime
-		out.Reassigned += o.Reassigned
-		for idx, d := range o.TaskTimes {
-			out.TaskTimes[qi*nFrags+idx] = d
-		}
-		for _, ev := range o.Timeline {
-			ev.Index += qi * nFrags
-			out.Timeline = append(out.Timeline, ev)
-		}
-	}
-	if err := st.Close(); err != nil {
-		return nil, err
-	}
-	// Per-submission timelines interleave; restore assignment order.
-	sort.Slice(out.Timeline, func(a, b int) bool {
-		return out.Timeline[a].Start < out.Timeline[b].Start
-	})
-	out.WallTime = time.Since(start)
-	return out, nil
-}
-
-// startMasterStream validates the one-shot master preconditions,
-// reads the database alias and opens the stream — the shared preamble
-// of RunMaster and RunMasterBatch.
-func startMasterStream(ctx context.Context, c mpi.Comm, fs chio.FileSystem, cfg Config) (*Stream, *blastdb.Alias, error) {
-	if c.Rank() != 0 {
-		return nil, nil, fmt.Errorf("pblast: master called on rank %d", c.Rank())
-	}
-	if c.Size() < 2 {
-		return nil, nil, fmt.Errorf("pblast: need at least one worker (size %d)", c.Size())
-	}
-	alias, err := blastdb.ReadAlias(fs, cfg.DBName)
-	if err != nil {
-		return nil, nil, fmt.Errorf("pblast: reading alias: %w", err)
-	}
-	return startStream(ctx, c, cfg), alias, nil
 }
 
 func decodeGob(data []byte, v interface{}) error {

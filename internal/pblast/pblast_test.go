@@ -663,17 +663,13 @@ func TestBatchMultiQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	out, err := RunInProcessBatch(context.Background(), 3, []*seq.Sequence{q1, q2}, NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN})), fs, sameFS(fs), nil)
-	if err != nil {
-		t.Fatal(err)
+	outs := submitAll(t, fs, 3, NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN})), q1, q2)
+	for qi, out := range outs {
+		if len(out.TaskTimes) != 5 { // one task per fragment, per query
+			t.Errorf("query %d: task times for %d tasks, want 5", qi, len(out.TaskTimes))
+		}
 	}
-	if len(out.Results) != 2 {
-		t.Fatalf("results for %d queries, want 2", len(out.Results))
-	}
-	if len(out.TaskTimes) != 10 { // 2 queries x 5 fragments
-		t.Errorf("task times for %d tasks, want 10", len(out.TaskTimes))
-	}
-	r1, r2 := out.Results[0], out.Results[1]
+	r1, r2 := outs[0].Result, outs[1].Result
 	if r1.QueryID != "query568" || r2.QueryID != "query2" {
 		t.Fatalf("result order: %s, %s", r1.QueryID, r2.QueryID)
 	}
@@ -685,23 +681,54 @@ func TestBatchMultiQuery(t *testing.T) {
 	}
 }
 
+// submitAll opens one pool of nWorkers over fs and submits every query
+// to it at once — the shape of a multi-query run.
+func submitAll(t *testing.T, fs chio.FileSystem, nWorkers int, cfg Config, queries ...*seq.Sequence) []*Outcome {
+	t.Helper()
+	alias, err := blastdb.ReadAlias(fs, cfg.DBName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := NewPool(context.Background(), cfg, nWorkers, sameFS(fs), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Resize(nWorkers)
+	outs := make([]*Outcome, len(queries))
+	errs := make([]error, len(queries))
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i], errs[i] = pool.Submit(context.Background(), q, cfg.Params, alias)
+		}()
+	}
+	wg.Wait()
+	if err := pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+	return outs
+}
+
 func TestBatchMatchesIndividualRuns(t *testing.T) {
 	fs := chio.NewMemFS()
 	q1 := buildTestDB(t, fs, "nt", 4)
 	q2 := q1.Subsequence(50, 450)
 	q2.ID = "sub"
-	batch, err := RunInProcessBatch(context.Background(), 2, []*seq.Sequence{q1, q2}, NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN})), fs, sameFS(fs), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}))
+	batch := submitAll(t, fs, 2, cfg, q1, q2)
 	for qi, q := range []*seq.Sequence{q1, q2} {
-		single, err := RunInProcess(context.Background(), 2, q, Config{
-			DBName: "nt", Params: blast.Params{Program: blast.BlastN},
-		}, fs, sameFS(fs), nil)
+		single, err := RunInProcess(context.Background(), 2, q, cfg, fs, sameFS(fs), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := batch.Results[qi]
+		b := batch[qi].Result
 		s := single.Result
 		if len(b.Hits) != len(s.Hits) {
 			t.Errorf("query %d: batch %d hits vs single %d", qi, len(b.Hits), len(s.Hits))
@@ -713,21 +740,91 @@ func TestBatchMatchesIndividualRuns(t *testing.T) {
 				t.Errorf("query %d hit %d differs between batch and single", qi, i)
 			}
 		}
+		// Each submission merges its own tasks' statistics, however the
+		// scheduler interleaved them with the other query's.
+		if b.Stats != s.Stats {
+			t.Errorf("query %d: merged stats differ:\nbatch  %+v\nsingle %+v", qi, b.Stats, s.Stats)
+		}
 	}
 }
 
-func TestBatchValidation(t *testing.T) {
+// A rank retired by Resize and started again must read through the
+// file system it was first given: the pool memoizes per rank, so a
+// factory that dials a client is called once per rank, not once per
+// restart.
+func TestPoolRestartedRankReusesFS(t *testing.T) {
 	fs := chio.NewMemFS()
-	buildTestDB(t, fs, "nt", 2)
-	if _, err := RunInProcessBatch(context.Background(), 1, nil, NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN})), fs, sameFS(fs), nil); err == nil {
-		t.Error("empty batch accepted")
+	query := buildTestDB(t, fs, "nt", 4)
+	cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}))
+	alias, err := blastdb.ReadAlias(fs, "nt")
+	if err != nil {
+		t.Fatal(err)
 	}
-	q := &seq.Sequence{ID: "q", Kind: seq.Nucleotide, Data: bytes.Repeat([]byte("ACGT"), 50)}
-	if _, err := RunInProcessBatch(context.Background(), 1, []*seq.Sequence{q}, NewConfig("nt",
-		WithParams(blast.Params{Program: blast.BlastN}),
-		WithMode(QuerySegmentation)), fs, sameFS(fs), nil); err == nil {
-		t.Error("batch with query segmentation accepted")
+	var mu sync.Mutex
+	built := make(map[int]int)
+	pool, err := NewPool(context.Background(), cfg, 3, func(rank int) chio.FileSystem {
+		mu.Lock()
+		built[rank]++
+		mu.Unlock()
+		return fs
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	search := func() {
+		t.Helper()
+		out, err := pool.Submit(context.Background(), query, cfg.Params, alias)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFound(t, out)
+	}
+	waitSize := func(n int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			pool.mu.Lock()
+			idle := len(pool.free)
+			pool.mu.Unlock()
+			if idle == 3-n {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("pool did not settle at %d workers", n)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	pool.Resize(3)
+	search()
+	pool.Resize(1)
+	waitSize(1) // ranks 2 and 3 have left and freed their ranks
+	pool.Resize(3)
+	search()
+	if err := pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for rank := 1; rank <= 3; rank++ {
+		if built[rank] != 1 {
+			t.Errorf("rank %d file system built %d times, want 1", rank, built[rank])
+		}
+	}
+}
+
+// Stream.Submit on a query-segmentation config cuts the query itself:
+// one overlapping piece per worker rank of the communicator, the split
+// RunMaster always made.
+func TestSubmitCutsQueryPieces(t *testing.T) {
+	fs := chio.NewMemFS()
+	query := buildTestDB(t, fs, "nt", 3)
+	cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}),
+		WithMode(QuerySegmentation), WithQueryOverlap(200))
+	out := submitAll(t, fs, 4, cfg, query)[0]
+	want := splitQuery(query.Len(), 4, 200, cfg.Params)
+	if len(want) != 4 || len(out.TaskTimes) != len(want) {
+		t.Fatalf("%d tasks for %d pieces, want 4 of each", len(out.TaskTimes), len(want))
+	}
+	checkFound(t, out)
 }
 
 func TestWorkerTaskFailureSurfacesToMaster(t *testing.T) {

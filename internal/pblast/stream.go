@@ -24,8 +24,8 @@ var ErrDraining = errors.New("pblast: stream draining")
 // arrive from any goroutine at any time; workers may join (by
 // announcing themselves) and leave (gracefully, via WithQuit) while
 // searches run. Close drains in-flight submissions and releases the
-// workers. This is the machinery behind both the one-shot RunMaster /
-// RunMasterBatch calls and the always-on blastd service.
+// workers. This is the machinery behind the one-shot RunMaster, the
+// in-process Pool and, through it, the always-on blastd service.
 type Stream struct {
 	c   mpi.Comm
 	cfg Config
@@ -57,51 +57,96 @@ type submission struct {
 	out       *Outcome
 	err       error
 
-	mergeOnce sync.Once
-	done      chan struct{}
+	done chan struct{}
 }
 
 // StartStream opens a stream on rank 0 of c. Workers running
 // RunWorker on the other ranks join as they announce themselves —
 // none need exist yet. cfg supplies the run-wide settings every task
-// inherits (CopyToLocal, ChunkBytes, TaskTimeout, telemetry); the
-// query, parameters and database arrive per submission.
+// inherits (Mode, CopyToLocal, ChunkBytes, TaskTimeout, telemetry);
+// the query, parameters and database arrive per submission.
 func StartStream(ctx context.Context, c mpi.Comm, cfg Config) (*Stream, error) {
 	if c.Rank() != 0 {
 		return nil, fmt.Errorf("pblast: stream must run on rank 0, not %d", c.Rank())
 	}
-	return startStream(ctx, c, cfg), nil
-}
-
-func startStream(ctx context.Context, c mpi.Comm, cfg Config) *Stream {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	s := &Stream{c: c, cfg: cfg, loopDone: make(chan struct{})}
 	go s.loop(ctx)
-	return s
+	return s, nil
 }
 
 // Submit searches one query against the database described by alias
-// and returns the merged outcome. It blocks until the search
-// completes, ctx is cancelled, or the stream fails; any number of
-// goroutines may submit concurrently. alias must describe a database
-// reachable through the workers' file systems.
+// and returns the merged outcome — the one way a query enters the
+// scheduler. Under database segmentation it becomes one task per
+// fragment, each searching the full query; under query segmentation
+// one task per query piece (one piece per worker rank of the
+// communicator), each searching every fragment, with piece-local
+// coordinates shifted back into full-query space at merge time.
+//
+// Submit blocks until the search completes, ctx is cancelled, or the
+// stream fails; any number of goroutines may submit concurrently.
+// alias must describe a database reachable through the workers' file
+// systems.
 func (s *Stream) Submit(ctx context.Context, query *seq.Sequence, params blast.Params, alias *blastdb.Alias) (*Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	start := time.Now()
-	sub, err := s.submit(ctx, query, params, alias)
-	if err != nil {
+	if len(alias.Fragments) == 0 {
+		return nil, fmt.Errorf("pblast: database %s has no fragments", alias.Title)
+	}
+	paths := make([]string, len(alias.Fragments))
+	for i, fr := range alias.Fragments {
+		paths[i] = fr.Path
+	}
+	sub := &submission{
+		query:  *query,
+		params: params,
+		mode:   s.cfg.Mode,
+		done:   make(chan struct{}),
+	}
+	addTask := func(q *seq.Sequence, paths []string) {
+		sub.tasks = append(sub.tasks, &taskMsg{
+			Kind:      taskSearch,
+			Index:     len(sub.tasks),
+			Query:     *q,
+			Params:    params,
+			Paths:     paths,
+			DBLetters: alias.Letters,
+			DBSeqs:    alias.Seqs,
+		})
+	}
+	if sub.mode == QuerySegmentation {
+		sub.pieces = splitQuery(query.Len(), s.c.Size()-1, s.cfg.queryOverlap(), params)
+		for _, p := range sub.pieces {
+			pq := query.Subsequence(p.Start, p.End)
+			pq.ID = query.ID // keep the original ID; offsets fixed at merge
+			addTask(pq, paths)
+		}
+	} else {
+		for i := range paths {
+			addTask(query, paths[i:i+1])
+		}
+	}
+	stampTrace(ctx, sub)
+	if err := s.enqueue(sub); err != nil {
 		return nil, err
 	}
-	out, err := s.await(ctx, sub)
-	if err != nil {
-		return nil, err
+	// The merge runs on the submitting goroutine, off the scheduling
+	// loop.
+	select {
+	case <-sub.done:
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
-	out.WallTime = time.Since(start)
-	return out, nil
+	if sub.err != nil {
+		return nil, sub.err
+	}
+	sub.merge()
+	sub.out.WallTime = time.Since(start)
+	return sub.out, nil
 }
 
 // stampTrace propagates the submitter's span context (if any) onto the
@@ -118,68 +163,6 @@ func stampTrace(ctx context.Context, sub *submission) {
 		t.TraceID = sc.TraceID
 		t.SpanID = telemetry.NewID()
 	}
-}
-
-// submit enqueues a database-segmentation submission: one task per
-// fragment, each searching the full query.
-func (s *Stream) submit(ctx context.Context, query *seq.Sequence, params blast.Params, alias *blastdb.Alias) (*submission, error) {
-	if len(alias.Fragments) == 0 {
-		return nil, fmt.Errorf("pblast: database %s has no fragments", alias.Title)
-	}
-	sub := &submission{
-		query:  *query,
-		params: params,
-		mode:   DatabaseSegmentation,
-		done:   make(chan struct{}),
-	}
-	for i, fr := range alias.Fragments {
-		sub.tasks = append(sub.tasks, &taskMsg{
-			Kind:      taskSearch,
-			Index:     i,
-			Query:     *query,
-			Params:    params,
-			Paths:     []string{fr.Path},
-			DBLetters: alias.Letters,
-			DBSeqs:    alias.Seqs,
-		})
-	}
-	stampTrace(ctx, sub)
-	return sub, s.enqueue(sub)
-}
-
-// submitPieces enqueues a query-segmentation submission: one task per
-// query piece, each searching every fragment. Piece-local coordinates
-// are shifted back into full-query space at merge time.
-func (s *Stream) submitPieces(ctx context.Context, query *seq.Sequence, params blast.Params, alias *blastdb.Alias, pieces []piece) (*submission, error) {
-	if len(alias.Fragments) == 0 {
-		return nil, fmt.Errorf("pblast: database %s has no fragments", alias.Title)
-	}
-	paths := make([]string, len(alias.Fragments))
-	for i, fr := range alias.Fragments {
-		paths[i] = fr.Path
-	}
-	sub := &submission{
-		query:  *query,
-		params: params,
-		mode:   QuerySegmentation,
-		pieces: pieces,
-		done:   make(chan struct{}),
-	}
-	for i, p := range pieces {
-		pq := query.Subsequence(p.Start, p.End)
-		pq.ID = query.ID // keep the original ID; offsets fixed at merge
-		sub.tasks = append(sub.tasks, &taskMsg{
-			Kind:      taskSearch,
-			Index:     i,
-			Query:     *pq,
-			Params:    params,
-			Paths:     paths,
-			DBLetters: alias.Letters,
-			DBSeqs:    alias.Seqs,
-		})
-	}
-	stampTrace(ctx, sub)
-	return sub, s.enqueue(sub)
 }
 
 func (s *Stream) enqueue(sub *submission) error {
@@ -207,22 +190,6 @@ func (s *Stream) enqueue(sub *submission) error {
 // back through the local mailbox without touching the network).
 func (s *Stream) wake() {
 	s.c.Send(0, tagWake, nil) // best effort: a dead loop fails all waiters anyway
-}
-
-// await blocks until sub completes, then merges and returns its
-// outcome. The merge runs once, on the first awaiting goroutine, off
-// the scheduling loop.
-func (s *Stream) await(ctx context.Context, sub *submission) (*Outcome, error) {
-	select {
-	case <-sub.done:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	if sub.err != nil {
-		return nil, sub.err
-	}
-	sub.mergeOnce.Do(sub.merge)
-	return sub.out, nil
 }
 
 // merge builds the final Result from the per-task results.

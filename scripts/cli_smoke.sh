@@ -1,0 +1,197 @@
+#!/bin/sh
+# cli_smoke.sh — end-to-end check of the storage CLIs and of mpiblast's
+# two ways of placing workers, over real daemons: boot a PVFS mini
+# cluster (mgr + 2 data servers, throttled so copy time is measurable)
+# and a CEFT one (mgr + 2 primary + 2 mirror), then
+#   - formatdb the same FASTA onto local disk, PVFS and CEFT, and
+#     dbinfo -verify each copy (PVFS through the legacy "-mgr without
+#     -io" spelling);
+#   - pariocp a fragment out of CEFT, byte-compare it with the local
+#     one, and -ls it on both parallel stores;
+#   - search a two-query FASTA with mpiblast in-process, distributed
+#     (-router, two worker processes), and distributed with -scratch,
+#     requiring identical hit lines from all three and from serial
+#     blastn on the local copy, a non-zero copy time under -scratch and
+#     the fragments present in the workers' scratch directories.
+# Exercised by `make cli-smoke` (part of `make check`).
+set -eu
+
+BASE="${CLI_SMOKE_PORT:-19700}"
+TMP="$(mktemp -d)"
+PIDS=""
+trap 'kill $PIDS 2>/dev/null || true; rm -rf "$TMP"' EXIT INT TERM
+
+for cmd in pvfsmgr pvfsd formatdb dbinfo pariocp mpiblast blastn; do
+    go build -o "$TMP/$cmd" "./cmd/$cmd"
+done
+
+fail() {
+    echo "cli-smoke: $1" >&2
+    shift
+    for f in "$@"; do
+        echo "--- $f" >&2
+        cat "$f" >&2
+    done
+    exit 1
+}
+
+# PVFS: mgr at BASE, data servers at BASE+1..2.
+PMGR="127.0.0.1:$BASE"
+"$TMP/pvfsmgr" -listen "$PMGR" -servers 2 -stripe 16KB >"$TMP/pmgr.log" 2>&1 &
+PIDS="$PIDS $!"
+SERVERS=""
+i=0
+while [ "$i" -lt 2 ]; do
+    ADDR="127.0.0.1:$((BASE + 1 + i))"
+    mkdir -p "$TMP/pstore$i"
+    "$TMP/pvfsd" -id "$i" -listen "$ADDR" -store "$TMP/pstore$i" -mgr "$PMGR" \
+        -throttle 200us >"$TMP/piod$i.log" 2>&1 &
+    PIDS="$PIDS $!"
+    SERVERS="$SERVERS,$ADDR"
+    i=$((i + 1))
+done
+SERVERS="${SERVERS#,}"
+
+# CEFT: mgr at BASE+10, primaries at BASE+11..12, mirrors at BASE+13..14.
+CMGR="127.0.0.1:$((BASE + 10))"
+"$TMP/pvfsmgr" -listen "$CMGR" -servers 2 -stripe 16KB >"$TMP/cmgr.log" 2>&1 &
+PIDS="$PIDS $!"
+i=0
+while [ "$i" -lt 4 ]; do
+    mkdir -p "$TMP/cstore$i"
+    "$TMP/pvfsd" -id "$i" -listen "127.0.0.1:$((BASE + 11 + i))" \
+        -store "$TMP/cstore$i" -mgr "$CMGR" >"$TMP/ciod$i.log" 2>&1 &
+    PIDS="$PIDS $!"
+    i=$((i + 1))
+done
+PRIMARY="127.0.0.1:$((BASE + 11)),127.0.0.1:$((BASE + 12))"
+MIRROR="127.0.0.1:$((BASE + 13)),127.0.0.1:$((BASE + 14))"
+sleep 0.5
+
+PVFS="-mgr $PMGR -servers $SERVERS"
+CEFT="-mgr $CMGR -primary $PRIMARY -mirror $MIRROR"
+
+# A reproducible 48 x 25 kb nucleotide FASTA, and two queries cut out
+# of it so both have a full-length hit.
+awk 'BEGIN {
+    srand(2003)
+    for (s = 0; s < 48; s++) {
+        printf ">seq%d\n", s
+        for (l = 0; l < 357; l++) {
+            line = ""
+            for (c = 0; c < 70; c++) line = line substr("ACGT", int(rand() * 4) + 1, 1)
+            print line
+        }
+    }
+}' >"$TMP/db.fasta"
+cut_query() { # id, sequence number, first and last 70-base line
+    awk -v id="$1" -v want="$2" -v from="$3" -v to="$4" '
+        /^>/ { n++; l = 0; next }
+        n == want + 1 { l++; if (l >= from && l <= to) body = body $0 "\n" }
+        END { printf ">%s\n%s", id, body }' "$TMP/db.fasta"
+}
+{
+    cut_query qa 7 21 26
+    cut_query qb 31 101 105
+} >"$TMP/q.fasta"
+
+# formatdb onto each backend, then dbinfo -verify each copy.
+mkdir -p "$TMP/local"
+"$TMP/formatdb" -db nt -fragments 4 -in "$TMP/db.fasta" -root "$TMP/local" >"$TMP/formatdb.log" 2>&1 ||
+    fail "formatdb (local) failed" "$TMP/formatdb.log"
+# shellcheck disable=SC2086
+"$TMP/formatdb" -db nt -fragments 4 -in "$TMP/db.fasta" -io pvfs $PVFS >>"$TMP/formatdb.log" 2>&1 ||
+    fail "formatdb -io pvfs failed" "$TMP/formatdb.log"
+# shellcheck disable=SC2086
+"$TMP/formatdb" -db nt -fragments 4 -in "$TMP/db.fasta" -io ceft $CEFT >>"$TMP/formatdb.log" 2>&1 ||
+    fail "formatdb -io ceft failed" "$TMP/formatdb.log"
+
+verify() {
+    name="$1"
+    shift
+    if ! "$TMP/dbinfo" -db nt -verify "$@" >"$TMP/dbinfo.$name" 2>&1; then
+        fail "dbinfo -verify failed on $name" "$TMP/dbinfo.$name"
+    fi
+    if [ "$(grep -c ' ok$' "$TMP/dbinfo.$name")" -ne 4 ]; then
+        fail "dbinfo on $name did not report 4 verified fragments" "$TMP/dbinfo.$name"
+    fi
+}
+verify local -root "$TMP/local"
+# shellcheck disable=SC2086
+verify pvfs $PVFS # no -io: -mgr alone has always meant PVFS here
+# shellcheck disable=SC2086
+verify ceft -io ceft $CEFT
+
+# pariocp resolves local names against the working directory.
+mkdir -p "$TMP/out"
+# shellcheck disable=SC2086
+(cd "$TMP/out" && "$TMP/pariocp" $CEFT ceft:nt.002.pfr nt.002.copy) >"$TMP/pariocp.log" 2>&1 ||
+    fail "pariocp out of CEFT failed" "$TMP/pariocp.log"
+cmp "$TMP/out/nt.002.copy" "$TMP/local/nt.002.pfr" ||
+    fail "fragment copied out of CEFT differs from the local one"
+# shellcheck disable=SC2086
+"$TMP/pariocp" $CEFT -ls ceft:nt >"$TMP/ls.ceft" 2>&1 && grep -q 'nt\.002\.pfr' "$TMP/ls.ceft" ||
+    fail "pariocp -ls ceft: does not list the fragment" "$TMP/ls.ceft"
+# shellcheck disable=SC2086
+"$TMP/pariocp" $PVFS -ls pvfs:nt >"$TMP/ls.pvfs" 2>&1 && grep -q 'nt\.002\.pfr' "$TMP/ls.pvfs" ||
+    fail "pariocp -ls pvfs: does not list the fragment" "$TMP/ls.pvfs"
+
+# The reference: serial blastn over the local copy.
+hits() { grep -v '^#' "$1"; }
+"$TMP/blastn" -db nt -query "$TMP/q.fasta" -root "$TMP/local" -outfmt tabular -threads 1 \
+    >"$TMP/serial.out" 2>"$TMP/serial.log" || fail "serial blastn failed" "$TMP/serial.log"
+hits "$TMP/serial.out" >"$TMP/serial.hits"
+[ "$(grep -c '^qa' "$TMP/serial.hits")" -ge 1 ] && [ "$(grep -c '^qb' "$TMP/serial.hits")" -ge 1 ] ||
+    fail "serial blastn did not hit with both queries" "$TMP/serial.out"
+
+# In-process: master and two workers in one process, over CEFT.
+# shellcheck disable=SC2086
+"$TMP/mpiblast" -db nt -query "$TMP/q.fasta" -outfmt tabular -threads 1 -workers 2 \
+    -io ceft $CEFT >"$TMP/inproc.out" 2>"$TMP/inproc.log" ||
+    fail "in-process mpiblast failed" "$TMP/inproc.log"
+
+# Distributed: rank 0 starts the router and drives both queries through
+# one stream; ranks 1 and 2 are separate processes.
+distributed() {
+    name="$1"
+    router="127.0.0.1:$2"
+    shift 2
+    WPIDS=""
+    for r in 1 2; do
+        "$TMP/mpiblast" -db nt -query "$TMP/q.fasta" -threads 1 \
+            -router "$router" -size 3 -rank "$r" "$@" >"$TMP/$name.w$r.log" 2>&1 &
+        WPIDS="$WPIDS $!"
+        PIDS="$PIDS $!"
+    done
+    "$TMP/mpiblast" -db nt -query "$TMP/q.fasta" -outfmt tabular -threads 1 \
+        -router "$router" -start-router -size 3 -rank 0 "$@" \
+        >"$TMP/$name.out" 2>"$TMP/$name.log" ||
+        fail "distributed mpiblast ($name) failed" "$TMP/$name.log" "$TMP/$name.w1.log" "$TMP/$name.w2.log"
+    for pid in $WPIDS; do
+        wait "$pid" || fail "a worker rank of the $name run failed" "$TMP/$name.w1.log" "$TMP/$name.w2.log"
+    done
+}
+# shellcheck disable=SC2086
+distributed dist "$((BASE + 20))" -io ceft $CEFT
+# shellcheck disable=SC2086
+distributed scratch "$((BASE + 21))" -io pvfs $PVFS -scratch "$TMP/scratch"
+
+for run in inproc dist scratch; do
+    hits "$TMP/$run.out" >"$TMP/$run.hits"
+    cmp -s "$TMP/serial.hits" "$TMP/$run.hits" ||
+        fail "$run hit lines differ from serial blastn" "$TMP/serial.hits" "$TMP/$run.hits"
+done
+
+# -scratch across processes: the original configuration really copies.
+if ! grep 'copy time' "$TMP/scratch.out" | grep -qv 'copy time 0\.00s'; then
+    fail "distributed -scratch run reports no copy time" "$TMP/scratch.out"
+fi
+for r in 1 2; do
+    ls "$TMP/scratch/worker$r"/nt.*.pfr >/dev/null 2>&1 ||
+        fail "worker $r copied no fragment into its scratch directory"
+done
+if grep 'copy time' "$TMP/dist.out" | grep -qv 'copy time 0\.00s'; then
+    fail "distributed run without -scratch reports copy time" "$TMP/dist.out"
+fi
+
+echo "cli-smoke: ok ($(wc -l <"$TMP/serial.hits") hit lines, 4 ways)"
