@@ -30,7 +30,7 @@ func main() {
 		query   = flag.String("query", "", "query FASTA file (- for stdin; required)")
 		program = flag.String("program", "blastn", "blastn|blastp|blastx|tblastn|tblastx")
 		evalue  = flag.Float64("evalue", 10, "e-value report cutoff")
-		word    = flag.Int("word", 0, "seed word size (0 = program default)")
+		word    = flag.Int("word", 0, "seed word size (0 = program default; at most 31 with -megablast)")
 		outfmt  = flag.String("outfmt", "report", "report|tabular")
 		mega    = flag.Bool("megablast", false, "megablast mode: 28-mer seeds + greedy extension (blastn only)")
 		filter  = flag.Bool("F", false, "mask low-complexity query regions (DUST/SEG)")

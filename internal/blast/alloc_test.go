@@ -1,6 +1,7 @@
 package blast
 
 import (
+	"strings"
 	"testing"
 
 	"pario/internal/seq"
@@ -9,13 +10,15 @@ import (
 
 // allocWorkload builds the BenchmarkSearchSubject workload at a size
 // small enough for AllocsPerRun: one warmed searcher plus a subject
-// carrying a planted match so seeding, extension and culling all run.
+// carrying a planted match on each strand so seeding, extension and
+// culling all run for both query views.
 func allocWorkload(t *testing.T, packed bool) (*searcher, *seq.Sequence) {
 	t.Helper()
 	rng := util.NewRNG(100)
 	query := randomDNA(rng, "q", 568)
 	subject := randomDNA(rng, "s", 1<<16)
 	plant(subject, query.Data[100:400], 5000)
+	plant(subject, nucSeq(string(query.Data[150:450])).ReverseComplement().Data, 30000)
 	if packed {
 		subject = packedCopies(t, []*seq.Sequence{subject})[0]
 	}
@@ -27,8 +30,12 @@ func allocWorkload(t *testing.T, packed bool) (*searcher, *seq.Sequence) {
 	// Warm the pools: views, codes, seed arena, diagonal cells, cull
 	// buffers and DP rows all reach steady-state capacity here.
 	for i := 0; i < 3; i++ {
-		if hsps := sr.searchSubject(subject); len(hsps) == 0 {
-			t.Fatal("planted match not found; workload is broken")
+		frames := map[seq.Frame]bool{}
+		for _, h := range sr.searchSubject(subject) {
+			frames[h.qFrame] = true
+		}
+		if !frames[1] || !frames[-1] {
+			t.Fatalf("planted matches found on query frames %v, want both strands; workload is broken", frames)
 		}
 	}
 	return sr, subject
@@ -64,5 +71,37 @@ func TestSearchSubjectSteadyStateAllocs(t *testing.T) {
 				t.Errorf("searchSubject steady state = %.1f allocs/op, budget is 2", allocs)
 			}
 		})
+	}
+}
+
+// TestSeedArenasStayBounded floods both query views with seeds — a
+// poly-A subject against a query with long A and T runs gives each
+// strand every subject word — and requires every per-view seed arena
+// to stay within seedBatch: seeds are extended batch by batch, never
+// collected per subject.
+func TestSeedArenasStayBounded(t *testing.T) {
+	rng := util.NewRNG(102)
+	polyA := nucSeq(strings.Repeat("A", 1<<11))
+	eng, err := newEngine(aRichQuery(rng), Params{Program: BlastN}.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var perView seedRecorder
+	eng.tables[0].scan(polyA.Codes(), &perView)
+	for v := range eng.views {
+		if n := len(perView.view(v)); n <= 4*seedBatch {
+			t.Fatalf("view %d gets %d seeds; the flood does not overflow its arena", v, n)
+		}
+	}
+	for _, subject := range []*seq.Sequence{polyA, packedCopies(t, []*seq.Sequence{polyA})[0]} {
+		sr := newSearcher(eng)
+		if len(sr.searchSubject(subject)) == 0 {
+			t.Fatal("no HSPs on the poly-A subject")
+		}
+		for v := range sr.pairs {
+			if c := cap(sr.pairs[v].seeds); c > seedBatch {
+				t.Errorf("view %d seed arena grew to cap %d, bound is %d", v, c, seedBatch)
+			}
+		}
 	}
 }

@@ -7,11 +7,17 @@ import (
 // Word lookup tables map fixed-length words of the subject stream to
 // query positions where a seed hit should be investigated.
 
-// seedSink receives seed matches from a lookup table scan. The
-// searcher is the production implementation; tests substitute
-// recorders.
+// seedSink receives seed matches from a lookup table scan, each tagged
+// with the query view whose word matched. The searcher is the
+// production implementation; tests substitute recorders.
 type seedSink interface {
-	handleSeed(qpos, spos int)
+	handleSeed(view, qpos, spos int)
+}
+
+// seedTable is a word index the searcher scans each subject view
+// through once.
+type seedTable interface {
+	scan(subject []byte, sink seedSink)
 }
 
 // packedScanner is implemented by lookup tables that can stream a
@@ -29,24 +35,39 @@ type packedScanner interface {
 // 256 KB of bucket bounds.
 const nucDirectBits = 16
 
+// nucMaxWord is the longest word nucLookup indexes: a W-mer packs into
+// 2W bits of a uint64, and all-ones must stay free for nucEmptyKey.
+const nucMaxWord = 31
+
 // nucEmptyKey marks an empty hash slot. Packed words occupy at most
-// 62 bits (W <= 31), so all-ones can never collide with a real word.
+// 62 bits (W <= nucMaxWord), so all-ones can never collide with a
+// real word.
 const nucEmptyKey = ^uint64(0)
 
-// nucLookup indexes a nucleotide query's exact W-mers by their 2W-bit
-// packed value (W up to 31, covering megablast's 28-mers) in a flat
-// CSR layout: entries holds every indexed query position grouped by
-// word, and either a direct-indexed bounds array (small W) or an
-// open-addressed uint64 hash (large W) locates a word's group. Both
-// forms are immutable after construction and safe for concurrent
-// scans.
+// A nucLookup entry packs its query view into the bits from
+// nucViewShift up and its query position into the bits below, so one
+// table serves both blastn strands (up to 16 views of queries under
+// 256 Mbases).
+const (
+	nucViewShift = 28
+	nucPosMask   = 1<<nucViewShift - 1
+)
+
+// nucLookup indexes the exact W-mers of one or more nucleotide query
+// views by their 2W-bit packed value (W up to nucMaxWord, covering
+// megablast's 28-mers) in a flat CSR layout: entries holds every
+// indexed (view, query position) grouped by word, and either a
+// direct-indexed bounds array (small W) or an open-addressed uint64
+// hash (large W) locates a word's group. Both forms are immutable
+// after construction and safe for concurrent scans.
 type nucLookup struct {
 	w    int
 	mask uint64
 
-	// entries holds query positions grouped by word, ascending within
-	// each group (query scan order), shared by both index forms.
-	entries []int32
+	// entries holds (view, qpos) pairs grouped by word, ordered by
+	// view and then by query position within each group, shared by
+	// both index forms.
+	entries []uint32
 
 	// Direct form (2W <= nucDirectBits): group of word v is
 	// entries[starts[v]:starts[v+1]].
@@ -67,67 +88,69 @@ func nucHash(word uint64, shift uint) uint64 {
 	return (word * 0x9E3779B97F4A7C15) >> shift
 }
 
-// buildNucLookup indexes every word of the dense-coded query whose
-// positions are all unmasked (masked = nil disables filtering).
-func buildNucLookup(query []byte, w int, masked []bool) *nucLookup {
+// buildNucLookup indexes every word of each dense-coded query view
+// whose positions are all unmasked (masks, or any entry of it, may be
+// nil to disable filtering).
+func buildNucLookup(views [][]byte, w int, masks [][]bool) *nucLookup {
 	lt := &nucLookup{
 		w:    w,
 		mask: (1 << (2 * uint(w))) - 1,
 	}
-	if len(query) < w {
+	nWords := 0
+	lt.eachWord(views, masks, func(uint64, uint32) { nWords++ })
+	if nWords == 0 {
 		return lt
 	}
 	if 2*w <= nucDirectBits {
-		lt.buildDirect(query, masked)
+		lt.buildDirect(views, masks, nWords)
 	} else {
-		lt.buildHash(query, masked)
+		lt.buildHash(views, masks, nWords)
 	}
 	return lt
 }
 
-// buildDirect fills the direct-indexed CSR: one counting pass, a
-// prefix sum, one filling pass.
-func (lt *nucLookup) buildDirect(query []byte, masked []bool) {
-	size := int(lt.mask) + 1
-	lt.starts = make([]int32, size+1)
+// eachWord calls fn with the packed value and the entry of every
+// indexed word, views in order and each view in query order — the
+// order entries keep within a group.
+func (lt *nucLookup) eachWord(views [][]byte, masks [][]bool, fn func(word uint64, entry uint32)) {
 	w := lt.w
-	var word uint64
-	for i := 0; i < len(query); i++ {
-		word = (word<<2 | uint64(query[i])) & lt.mask
-		if i >= w-1 && wordAllowed(masked, i-w+1, w) {
-			lt.starts[word+1]++
+	for v, query := range views {
+		var masked []bool
+		if masks != nil {
+			masked = masks[v]
+		}
+		var word uint64
+		for i, c := range query {
+			word = (word<<2 | uint64(c)) & lt.mask
+			if i >= w-1 && wordAllowed(masked, i-w+1, w) {
+				fn(word, uint32(v)<<nucViewShift|uint32(i-w+1))
+			}
 		}
 	}
+}
+
+// buildDirect fills the direct-indexed CSR: one counting pass, a
+// prefix sum, one filling pass.
+func (lt *nucLookup) buildDirect(views [][]byte, masks [][]bool, nWords int) {
+	size := int(lt.mask) + 1
+	lt.starts = make([]int32, size+1)
+	lt.eachWord(views, masks, func(word uint64, _ uint32) { lt.starts[word+1]++ })
 	for v := 0; v < size; v++ {
 		lt.starts[v+1] += lt.starts[v]
 	}
-	lt.entries = make([]int32, lt.starts[size])
+	lt.entries = make([]uint32, nWords)
 	next := make([]int32, size)
 	copy(next, lt.starts[:size])
-	word = 0
-	for i := 0; i < len(query); i++ {
-		word = (word<<2 | uint64(query[i])) & lt.mask
-		if i >= w-1 && wordAllowed(masked, i-w+1, w) {
-			lt.entries[next[word]] = int32(i - w + 1)
-			next[word]++
-		}
-	}
+	lt.eachWord(views, masks, func(word uint64, e uint32) {
+		lt.entries[next[word]] = e
+		next[word]++
+	})
 }
 
 // buildHash fills the open-addressed CSR. Capacity is the next power
 // of two at or above 2x the indexed word count, so load factor stays
 // under 0.5 and linear probes terminate quickly.
-func (lt *nucLookup) buildHash(query []byte, masked []bool) {
-	w := lt.w
-	nWords := 0
-	for i := w - 1; i < len(query); i++ {
-		if wordAllowed(masked, i-w+1, w) {
-			nWords++
-		}
-	}
-	if nWords == 0 {
-		return
-	}
+func (lt *nucLookup) buildHash(views [][]byte, masks [][]bool, nWords int) {
 	capacity := 16
 	for capacity < 2*nWords {
 		capacity <<= 1
@@ -141,33 +164,22 @@ func (lt *nucLookup) buildHash(query []byte, masked []bool) {
 	lt.cnts = make([]int32, capacity)
 
 	// Pass 1: insert keys, counting occurrences per slot.
-	var word uint64
-	for i := 0; i < len(query); i++ {
-		word = (word<<2 | uint64(query[i])) & lt.mask
-		if i >= w-1 && wordAllowed(masked, i-w+1, w) {
-			lt.cnts[lt.slotInsert(word)]++
-		}
-	}
+	lt.eachWord(views, masks, func(word uint64, _ uint32) { lt.cnts[lt.slotInsert(word)]++ })
 	// Prefix-sum the slot counts into group offsets (slot order —
-	// grouping is by slot, order within a group is query order).
+	// grouping is by slot, order within a group is eachWord's).
 	var off int32
 	for s := range lt.offs {
 		lt.offs[s] = off
 		off += lt.cnts[s]
 	}
-	// Pass 2: fill entries in query scan order, keeping each group's
-	// positions ascending (the order the map-based table produced).
-	lt.entries = make([]int32, off)
+	// Pass 2: fill entries in eachWord order.
+	lt.entries = make([]uint32, off)
 	fill := make([]int32, capacity)
-	word = 0
-	for i := 0; i < len(query); i++ {
-		word = (word<<2 | uint64(query[i])) & lt.mask
-		if i >= w-1 && wordAllowed(masked, i-w+1, w) {
-			s := lt.slotFind(word)
-			lt.entries[lt.offs[s]+fill[s]] = int32(i - w + 1)
-			fill[s]++
-		}
-	}
+	lt.eachWord(views, masks, func(word uint64, e uint32) {
+		s := lt.slotFind(word)
+		lt.entries[lt.offs[s]+fill[s]] = e
+		fill[s]++
+	})
 }
 
 // slotInsert finds word's slot, claiming an empty one if absent.
@@ -207,8 +219,8 @@ func log2(n int) int {
 	return b
 }
 
-// scan streams the subject's words and calls sink.handleSeed(qpos,
-// spos) for each seed match. spos is the word's start offset.
+// scan streams the subject's words and calls sink.handleSeed(view,
+// qpos, spos) for each seed match. spos is the word's start offset.
 func (lt *nucLookup) scan(subject []byte, sink seedSink) {
 	if len(subject) < lt.w || len(lt.entries) == 0 {
 		return
@@ -231,8 +243,8 @@ func (lt *nucLookup) scanDirect(subject []byte, sink seedSink) {
 		st, en := starts[word], starts[word+1]
 		if st < en {
 			spos := i - w + 1
-			for _, qpos := range entries[st:en] {
-				sink.handleSeed(int(qpos), spos)
+			for _, e := range entries[st:en] {
+				sink.handleSeed(int(e>>nucViewShift), int(e&nucPosMask), spos)
 			}
 		}
 	}
@@ -255,9 +267,8 @@ func (lt *nucLookup) scanHash(subject []byte, sink seedSink) {
 			}
 			if k == word {
 				spos := i - w + 1
-				group := lt.entries[lt.offs[s] : lt.offs[s]+lt.cnts[s]]
-				for _, qpos := range group {
-					sink.handleSeed(int(qpos), spos)
+				for _, e := range lt.entries[lt.offs[s] : lt.offs[s]+lt.cnts[s]] {
+					sink.handleSeed(int(e>>nucViewShift), int(e&nucPosMask), spos)
 				}
 				break
 			}
@@ -292,8 +303,8 @@ func (lt *nucLookup) scanPackedDirect(packed []byte, n int, sink seedSink) {
 		st, en := starts[word], starts[word+1]
 		if st < en {
 			spos := i - w + 1
-			for _, qpos := range entries[st:en] {
-				sink.handleSeed(int(qpos), spos)
+			for _, e := range entries[st:en] {
+				sink.handleSeed(int(e>>nucViewShift), int(e&nucPosMask), spos)
 			}
 		}
 	}
@@ -316,9 +327,8 @@ func (lt *nucLookup) scanPackedHash(packed []byte, n int, sink seedSink) {
 			}
 			if k == word {
 				spos := i - w + 1
-				group := lt.entries[lt.offs[s] : lt.offs[s]+lt.cnts[s]]
-				for _, qpos := range group {
-					sink.handleSeed(int(qpos), spos)
+				for _, e := range lt.entries[lt.offs[s] : lt.offs[s]+lt.cnts[s]] {
+					sink.handleSeed(int(e>>nucViewShift), int(e&nucPosMask), spos)
 				}
 				break
 			}
@@ -331,6 +341,7 @@ func (lt *nucLookup) scanPackedHash(packed []byte, n int, sink seedSink) {
 // possible W-mer scoring >= threshold against some query word, under
 // the scheme's substitution matrix.
 type protLookup struct {
+	view     int // the query view this table seeds
 	w        int
 	alphabet int
 	hi       int       // alphabet^(w-1): weight of a word's outgoing high digit
@@ -338,13 +349,14 @@ type protLookup struct {
 }
 
 // buildProtLookup enumerates neighborhood words for each unmasked
-// query position. alphabet is the dense protein alphabet size.
-func buildProtLookup(query []byte, w, threshold, alphabet int, s *align.Scheme, masked []bool) *protLookup {
+// position of query view view. alphabet is the dense protein alphabet
+// size.
+func buildProtLookup(query []byte, view, w, threshold, alphabet int, s *align.Scheme, masked []bool) *protLookup {
 	size := 1
 	for i := 0; i < w; i++ {
 		size *= alphabet
 	}
-	lt := &protLookup{w: w, alphabet: alphabet, hi: size / alphabet, buckets: make([][]int32, size)}
+	lt := &protLookup{view: view, w: w, alphabet: alphabet, hi: size / alphabet, buckets: make([][]int32, size)}
 	if len(query) < w {
 		return lt
 	}
@@ -418,7 +430,7 @@ func (lt *protLookup) scan(subject []byte, sink seedSink) {
 			if positions := lt.buckets[idx]; positions != nil {
 				spos := i - w + 1
 				for _, qpos := range positions {
-					sink.handleSeed(int(qpos), spos)
+					sink.handleSeed(lt.view, int(qpos), spos)
 				}
 			}
 		}

@@ -13,7 +13,7 @@ import (
 // the cost of recording them.
 type countSink struct{ n int }
 
-func (c *countSink) handleSeed(qpos, spos int) { c.n++ }
+func (c *countSink) handleSeed(view, qpos, spos int) { c.n++ }
 
 // BenchmarkNucLookupScan compares the flat CSR word index against the
 // map-based implementation it replaced, for classic blastn 11-mers
@@ -28,7 +28,7 @@ func BenchmarkNucLookupScan(b *testing.B) {
 		copy(subject[off:], query[50:450])
 	}
 	for _, w := range []int{11, 28} {
-		csr := buildNucLookup(query, w, nil)
+		csr := buildNucLookup([][]byte{query}, w, nil)
 		ref := buildRefNucLookup(query, w, nil)
 		var sink countSink
 		b.Run(fmt.Sprintf("csr/w=%d", w), func(b *testing.B) {

@@ -1,9 +1,12 @@
 package blast
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"pario/internal/seq"
 	"pario/internal/util"
 )
 
@@ -45,7 +48,7 @@ func (lt *refNucLookup) scan(subject []byte, sink seedSink) {
 		if positions := lt.buckets[word]; positions != nil {
 			spos := i - lt.w + 1
 			for _, qpos := range positions {
-				sink.handleSeed(int(qpos), spos)
+				sink.handleSeed(0, int(qpos), spos)
 			}
 		}
 	}
@@ -53,10 +56,22 @@ func (lt *refNucLookup) scan(subject []byte, sink seedSink) {
 
 type seedPair struct{ qpos, spos int }
 
-type seedRecorder struct{ seeds []seedPair }
+// seedRecorder keeps each query view's seed stream apart.
+type seedRecorder struct{ views [][]seedPair }
 
-func (r *seedRecorder) handleSeed(qpos, spos int) {
-	r.seeds = append(r.seeds, seedPair{qpos, spos})
+func (r *seedRecorder) handleSeed(view, qpos, spos int) {
+	for len(r.views) <= view {
+		r.views = append(r.views, nil)
+	}
+	r.views[view] = append(r.views[view], seedPair{qpos, spos})
+}
+
+// view returns view v's seeds in arrival order.
+func (r *seedRecorder) view(v int) []seedPair {
+	if v < len(r.views) {
+		return r.views[v]
+	}
+	return nil
 }
 
 // denseDNA builds a dense-coded (0..3) random sequence.
@@ -95,7 +110,7 @@ func TestNucLookupMatchesReference(t *testing.T) {
 			if m != nil {
 				name = "masked"
 			}
-			lt := buildNucLookup(query, w, m)
+			lt := buildNucLookup([][]byte{query}, w, [][]bool{m})
 			wantDirect := 2*w <= nucDirectBits
 			if (lt.starts != nil) != wantDirect {
 				t.Errorf("w=%d: direct form = %v, want %v", w, lt.starts != nil, wantDirect)
@@ -104,12 +119,12 @@ func TestNucLookupMatchesReference(t *testing.T) {
 			var got, want seedRecorder
 			lt.scan(subject, &got)
 			ref.scan(subject, &want)
-			if len(want.seeds) == 0 {
+			if len(want.view(0)) == 0 {
 				t.Fatalf("w=%d %s: reference found no seeds; test is vacuous", w, name)
 			}
-			if !reflect.DeepEqual(got.seeds, want.seeds) {
+			if !reflect.DeepEqual(got.views, want.views) {
 				t.Errorf("w=%d %s: CSR seed stream differs from reference (%d vs %d seeds)",
-					w, name, len(got.seeds), len(want.seeds))
+					w, name, len(got.view(0)), len(want.view(0)))
 			}
 		}
 	}
@@ -120,7 +135,7 @@ func TestNucLookupMatchesReference(t *testing.T) {
 func TestNucLookupHashNoFalseHits(t *testing.T) {
 	rng := util.NewRNG(4243)
 	query := denseDNA(rng, 64)
-	lt := buildNucLookup(query, 28, nil)
+	lt := buildNucLookup([][]byte{query}, 28, nil)
 	if lt.keys == nil {
 		t.Fatal("w=28 should build the hash form")
 	}
@@ -129,9 +144,9 @@ func TestNucLookupHashNoFalseHits(t *testing.T) {
 	var got, want seedRecorder
 	lt.scan(subject, &got)
 	ref.scan(subject, &want)
-	if !reflect.DeepEqual(got.seeds, want.seeds) {
+	if !reflect.DeepEqual(got.views, want.views) {
 		t.Errorf("hash form differs from reference on random subject: %d vs %d seeds",
-			len(got.seeds), len(want.seeds))
+			len(got.view(0)), len(want.view(0)))
 	}
 }
 
@@ -141,7 +156,7 @@ func TestNucLookupEmptyQuery(t *testing.T) {
 	for _, w := range []int{11, 28} {
 		lt := buildNucLookup(nil, w, nil)
 		lt.scan(make([]byte, 100), &rec)
-		lt = buildNucLookup(make([]byte, w-1), w, nil)
+		lt = buildNucLookup([][]byte{make([]byte, w-1)}, w, nil)
 		lt.scan(make([]byte, 100), &rec)
 		// Fully masked query: zero indexed words.
 		q := make([]byte, 2*w)
@@ -149,10 +164,156 @@ func TestNucLookupEmptyQuery(t *testing.T) {
 		for i := range masked {
 			masked[i] = true
 		}
-		lt = buildNucLookup(q, w, masked)
+		lt = buildNucLookup([][]byte{q}, w, [][]bool{masked})
 		lt.scan(make([]byte, 100), &rec)
 	}
-	if len(rec.seeds) != 0 {
-		t.Fatalf("degenerate lookups produced %d seeds", len(rec.seeds))
+	if len(rec.views) != 0 {
+		t.Fatalf("degenerate lookups produced seeds: %v", rec.views)
 	}
+}
+
+// strandViews renders a blastn query the way newEngine does: its
+// forward and reverse-complement codes, DUST-masked when filter is on.
+func strandViews(query *seq.Sequence, filter bool) ([][]byte, [][]bool) {
+	var views [][]byte
+	var masks [][]bool
+	for _, s := range []*seq.Sequence{query, query.ReverseComplement()} {
+		codes := s.Codes()
+		var masked []bool
+		if filter {
+			masked = maskFlags(len(codes), DustMask(s, DefaultDust()))
+		}
+		views, masks = append(views, codes), append(masks, masked)
+	}
+	return views, masks
+}
+
+// checkOneTableSeeds scans subject, as letters and as a 2-bit payload,
+// through one table holding both strands of query, and requires each
+// view's decoded seed stream to equal that view's own single-view
+// table scan and the map reference. It returns the seeds per view.
+func checkOneTableSeeds(t testing.TB, query, subject *seq.Sequence, w int, filter bool) [2]int {
+	t.Helper()
+	views, masks := strandViews(query, filter)
+	both := buildNucLookup(views, w, masks)
+	packed, err := seq.Pack2Bit(subject.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes := subject.Codes()
+	var letters, fromPacked seedRecorder
+	both.scan(codes, &letters)
+	both.scanPacked(packed, len(codes), &fromPacked)
+	var n [2]int
+	for v := range views {
+		var single, ref seedRecorder
+		buildNucLookup(views[v:v+1], w, masks[v:v+1]).scan(codes, &single)
+		buildRefNucLookup(views[v], w, masks[v]).scan(codes, &ref)
+		want := ref.view(0)
+		if len(single.views) > 1 || !reflect.DeepEqual(single.view(0), want) {
+			t.Errorf("w=%d filter=%v view %d: single-view table gives %d seeds, reference %d",
+				w, filter, v, len(single.view(0)), len(want))
+		}
+		if !reflect.DeepEqual(letters.view(v), want) {
+			t.Errorf("w=%d filter=%v view %d: one-table letter scan gives %d seeds, reference %d",
+				w, filter, v, len(letters.view(v)), len(want))
+		}
+		if !reflect.DeepEqual(fromPacked.view(v), want) {
+			t.Errorf("w=%d filter=%v view %d: one-table packed scan gives %d seeds, reference %d",
+				w, filter, v, len(fromPacked.view(v)), len(want))
+		}
+		n[v] = len(want)
+	}
+	if len(letters.views) > len(views) || len(fromPacked.views) > len(views) {
+		t.Errorf("w=%d filter=%v: seeds reported for a view the table does not hold", w, filter)
+	}
+	return n
+}
+
+// palindromeQuery is x followed by its reverse complement, so both
+// strands are the same letters and every word key lives in both
+// views' groups of the one table.
+func palindromeQuery(rng *util.RNG, n int) *seq.Sequence {
+	x := randomDNA(rng, "x", n)
+	return nucSeq(string(x.Data) + string(x.ReverseComplement().Data))
+}
+
+// aRichQuery mixes random bases with a long A run and a long T run, so
+// against a poly-A subject both strands seed on every subject word.
+func aRichQuery(rng *util.RNG) *seq.Sequence {
+	q := randomDNA(rng, "arich", 240)
+	for i := range q.Data {
+		if rng.Intn(3) == 0 {
+			q.Data[i] = 'A'
+		}
+	}
+	copy(q.Data[30:], strings.Repeat("A", 45))
+	copy(q.Data[150:], strings.Repeat("T", 45))
+	return q
+}
+
+// TestOneTableSeedsMatchPerView pins the one-table scan to the
+// per-view scans it replaced: for the direct form (W=7) and the hash
+// form (W=11, W=28), with and without DUST, over letter and packed
+// subjects, each view's seeds must arrive exactly as its own table
+// and the map reference deliver them.
+func TestOneTableSeedsMatchPerView(t *testing.T) {
+	rng := util.NewRNG(4244)
+	query := randomDNA(rng, "q", 300)
+	subject := randomDNA(rng, "s", 4000)
+	plant(subject, query.Data[20:200], 500)
+	plant(subject, nucSeq(string(query.Data[100:280])).ReverseComplement().Data, 2500)
+	pal := palindromeQuery(rng, 150)
+	palSubject := randomDNA(rng, "ps", 2000)
+	plant(palSubject, pal.Data[40:120], 900)
+	polyA := nucSeq(strings.Repeat("A", 3000))
+	aRich := aRichQuery(rng)
+
+	for _, w := range []int{7, 11, 28} {
+		for _, filter := range []bool{false, true} {
+			name := fmt.Sprintf("w=%d/filter=%v", w, filter)
+			t.Run(name, func(t *testing.T) {
+				if n := checkOneTableSeeds(t, query, subject, w, filter); n[0] == 0 || n[1] == 0 {
+					t.Errorf("planted subject seeds %v per view; want both strands to fire", n)
+				}
+				checkOneTableSeeds(t, query, randomDNA(rng, "short", w-1), w, filter)
+				checkOneTableSeeds(t, randomDNA(rng, "short", w-1), subject, w, filter)
+				if n := checkOneTableSeeds(t, pal, palSubject, w, filter); n[0] == 0 || n[0] != n[1] {
+					t.Errorf("palindrome seeds %v per view; want equal and non-zero", n)
+				}
+				if n := checkOneTableSeeds(t, aRich, polyA, w, filter); !filter && (n[0] <= seedBatch || n[1] <= seedBatch) {
+					t.Errorf("poly-A seeds %v per view; want more than one arena each", n)
+				}
+			})
+		}
+	}
+}
+
+// FuzzOneTableSeeds compares the one-table scan against the per-view
+// reference scans on arbitrary query and subject bases (each byte's low
+// two bits pick the letter). sel picks the word size (bits 0-1) and
+// turns DUST on (bit 2).
+func FuzzOneTableSeeds(f *testing.F) {
+	rng := util.NewRNG(4245)
+	pal := palindromeQuery(rng, 40)
+	f.Add(pal.Data, pal.Data[10:70], uint8(0))
+	f.Add(aRichQuery(rng).Data, []byte(strings.Repeat("A", 200)), uint8(1))
+	f.Add(aRichQuery(rng).Data, []byte(strings.Repeat("A", 200)), uint8(6))
+	f.Add([]byte("ACGTAC"), []byte("ACGTACGTACGT"), uint8(0))
+	f.Add([]byte("ACGTACGTACGTACGTACGT"), []byte("ACG"), uint8(2))
+	f.Fuzz(func(t *testing.T, query, subject []byte, sel uint8) {
+		const maxLen = 1 << 9 // all-A inputs seed len(query) x len(subject) times
+		if len(query) > maxLen || len(subject) > maxLen {
+			t.Skip()
+		}
+		letters := func(b []byte) string {
+			out := make([]byte, len(b))
+			for i, c := range b {
+				out[i] = seq.NucLetter[c&3]
+			}
+			return string(out)
+		}
+		w := []int{7, 11, 28, 31}[sel&3]
+		checkOneTableSeeds(t, nucSeq(letters(query)), nucSeq(letters(subject)), w, sel&4 != 0)
+	})
 }

@@ -297,3 +297,40 @@ func TestMegablastValidation(t *testing.T) {
 		t.Errorf("megablast defaults invalid: %v", err)
 	}
 }
+
+// TestMegablastWordLimit pins megablast's word-size ceiling to what
+// the nucleotide table can index. At W = 32 a word of 32 T's packs to
+// all-ones, the table's empty-slot key, and above 32 the 64-bit rolling
+// word keeps only the last 32 bases — both silently lose seeds, even on
+// exact self-diagonals — so Validate must refuse W > 31, and W = 31
+// must still find a query's full-length self-alignment.
+func TestMegablastWordLimit(t *testing.T) {
+	rng := util.NewRNG(303)
+	query := randomDNA(rng, "poly-t", 200)
+	copy(query.Data[60:], strings.Repeat("T", 70))
+	subject := &seq.Sequence{ID: "self", Kind: seq.Nucleotide, Data: append([]byte(nil), query.Data...)}
+	search := func(w int) (*Result, error) {
+		return Search(query, &SliceSource{Seqs: []*seq.Sequence{subject}}, DBInfo{},
+			Params{Program: BlastN, Greedy: true, WordSize: w})
+	}
+
+	res, err := search(31)
+	if err != nil {
+		t.Fatalf("W=31: %v", err)
+	}
+	self := false
+	for _, h := range res.Hits {
+		for _, hsp := range h.HSPs {
+			self = self || (hsp.QueryFrame == 1 && hsp.QueryFrom == 0 && hsp.SubjectFrom == 0 &&
+				hsp.QueryTo == query.Len() && hsp.SubjectTo == query.Len())
+		}
+	}
+	if !self {
+		t.Errorf("W=31 missed the full-length self-diagonal: %+v", res.Hits)
+	}
+	for _, w := range []int{32, 40} {
+		if _, err := search(w); err == nil || !strings.Contains(err.Error(), "31") {
+			t.Errorf("W=%d: Search error = %v, want one naming the limit 31", w, err)
+		}
+	}
+}

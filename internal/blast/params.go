@@ -216,6 +216,9 @@ func (p Params) Validate() error {
 	if p.Greedy && p.Program != BlastN {
 		return fmt.Errorf("blast: greedy (megablast) mode is blastn-only")
 	}
+	if p.Greedy && p.WordSize > nucMaxWord {
+		return fmt.Errorf("blast: megablast word size %d exceeds %d", p.WordSize, nucMaxWord)
+	}
 	if p.Program.comparisonIsProtein() && p.WordSize > 5 {
 		return fmt.Errorf("blast: protein word size %d exceeds 5", p.WordSize)
 	}

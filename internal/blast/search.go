@@ -70,8 +70,9 @@ type SearchStats struct {
 	// low-complexity filter, summed over query views.
 	MaskedLetters int64
 	// ScannedBases counts subject letters streamed through the seeding
-	// kernel (each query view x subject view scan counts the subject
-	// once), the numerator of the search-side bases/sec rate.
+	// kernel (each scan of a subject view through a word table counts
+	// it once; blastn's one table holds both strands, so a subject
+	// counts once), the numerator of the search-side bases/sec rate.
 	ScannedBases int64
 	// PackedExts counts ungapped extensions served by the 2-bit packed
 	// kernel instead of the byte kernel.
@@ -229,6 +230,11 @@ type engine struct {
 	// reverse-complement strands; for blastx/tblastx, six frames; for
 	// blastp/tblastn, the query itself.
 	views []queryView
+	// tables are the word indexes every subject view is scanned
+	// through once: for blastn one nucLookup holding every view's
+	// words, for protein comparisons one protLookup per view long
+	// enough to seed. Each tags its seeds with their query view.
+	tables []seedTable
 
 	gapTriggerRaw int
 	kpGap         KarlinParams
@@ -248,13 +254,10 @@ type engine struct {
 
 // queryView is one comparison-space rendering of the query.
 type queryView struct {
-	frame  seq.Frame
-	codes  []byte
-	packed []byte // 2-bit packed codes, built only in packed-kernel mode
-	lookup interface {
-		scan(subject []byte, sink seedSink)
-	}
-	origLen int // original query length (for coordinate mapping)
+	frame   seq.Frame
+	codes   []byte
+	packed  []byte // 2-bit packed codes, built only in packed-kernel mode
+	origLen int    // original query length (for coordinate mapping)
 }
 
 func newEngine(query *seq.Sequence, p Params) (*engine, error) {
@@ -289,6 +292,8 @@ func newEngine(query *seq.Sequence, p Params) (*engine, error) {
 		}
 	}
 
+	var nucCodes [][]byte
+	var nucMasks [][]bool
 	addNucView := func(s *seq.Sequence, frame seq.Frame) {
 		codes := s.Codes()
 		var masked []bool
@@ -301,13 +306,8 @@ func newEngine(query *seq.Sequence, p Params) (*engine, error) {
 		if eng.packedOK {
 			packed = seq.PackCodes(codes)
 		}
-		eng.views = append(eng.views, queryView{
-			frame:   frame,
-			codes:   codes,
-			packed:  packed,
-			lookup:  buildNucLookup(codes, p.WordSize, masked),
-			origLen: query.Len(),
-		})
+		eng.views = append(eng.views, queryView{frame: frame, codes: codes, packed: packed, origLen: query.Len()})
+		nucCodes, nucMasks = append(nucCodes, codes), append(nucMasks, masked)
 	}
 	addProtView := func(s *seq.Sequence, frame seq.Frame) {
 		codes := s.Codes()
@@ -317,19 +317,24 @@ func newEngine(query *seq.Sequence, p Params) (*engine, error) {
 			masked = maskFlags(len(codes), ivs)
 			eng.stats.MaskedLetters += int64(TotalMasked(ivs))
 		}
-		eng.views = append(eng.views, queryView{
-			frame:   frame,
-			codes:   codes,
-			lookup:  buildProtLookup(codes, p.WordSize, p.Threshold, seq.NumAA, p.Scheme, masked),
-			origLen: query.Len(),
-		})
+		if len(codes) >= p.WordSize {
+			eng.tables = append(eng.tables,
+				buildProtLookup(codes, len(eng.views), p.WordSize, p.Threshold, seq.NumAA, p.Scheme, masked))
+		}
+		eng.views = append(eng.views, queryView{frame: frame, codes: codes, origLen: query.Len()})
 	}
 
 	switch p.Program {
 	case BlastN:
+		if query.Len() > nucPosMask {
+			return nil, fmt.Errorf("blast: blastn query of %d letters exceeds %d", query.Len(), nucPosMask)
+		}
 		addNucView(query, 1)
 		if p.BothStrands {
 			addNucView(query.ReverseComplement(), -1)
+		}
+		if query.Len() >= p.WordSize {
+			eng.tables = []seedTable{buildNucLookup(nucCodes, p.WordSize, nucMasks)}
 		}
 	case BlastP, TBlastN:
 		addProtView(query, 0)
@@ -411,11 +416,22 @@ type seedPos struct {
 // pair flushes once, small enough to stay cache-resident (4 KB).
 const seedBatch = 512
 
+// pairState is one query view's side of a subject-view scan: its own
+// region of the searcher's diagonal cells, its own seed arena and its
+// own HSPs. One scan feeds every view's state, and each view sees
+// exactly the seeds, in the order, that a scan of its own would give.
+type pairState struct {
+	qv     *queryView
+	offset int       // diagonal index = spos - qpos + offset (region base + len(q))
+	seeds  []seedPos // batched seeds, extended in flushSeeds; never above seedBatch
+	hsps   []rawHSP  // reused across subject views
+}
+
 // searcher holds the per-shard mutable state of a search: private
-// work counters, the pooled diagonal array, the batched seed arena,
-// the extension workspace, and the scratch HSP buffers. The engine it
-// points at is immutable after construction, so any number of
-// searchers may run concurrently over it; each pipeline shard owns
+// work counters, the pooled diagonal array, one pair state per query
+// view, the extension workspace, and the scratch HSP buffers. The
+// engine it points at is immutable after construction, so any number
+// of searchers may run concurrently over it; each pipeline shard owns
 // one, and their stats are folded together at finalize. All scratch is
 // reused subject to subject, so steady-state searching allocates only
 // the per-subject result copy.
@@ -423,23 +439,19 @@ type searcher struct {
 	eng   *engine
 	stats SearchStats // per-subject work counters only
 
-	cells []diagCell
+	cells []diagCell // one region per query view
 	epoch uint32
 
-	// Current pair context, so handleSeed is a method instead of a
-	// fresh closure per subject view.
-	q, s           []byte
-	qp, sp         []byte // packed forms (packed-kernel mode)
-	sLen           int    // subject length in letters
-	packed         bool   // this pair runs the packed ungapped kernel
-	sv             *subjectView
-	qFrame, sFrame seq.Frame
-	offset         int // diagonal index = spos - qpos + len(q)
-	twoHit         bool
+	// Current subject view, shared by every pair state.
+	s, sp  []byte // dense codes / 2-bit packed form (packed-kernel mode)
+	sLen   int    // subject length in letters
+	packed bool   // this scan runs the packed ungapped kernel
+	sv     *subjectView
+	sFrame seq.Frame
+	twoHit bool
 
-	seeds    []seedPos // batched seeds, extended in flushSeeds
-	pairHSPs []rawHSP  // reused across pairs
-	subjHSPs []rawHSP  // survivors accumulated across a subject's pairs
+	pairs    []pairState // one per query view, in view order
+	subjHSPs []rawHSP    // survivors accumulated across a subject's views
 	svBuf    []subjectView
 	codesBuf []byte // pooled subject codes (AppendCodes / lazy unpack)
 	cullKept []rawHSP
@@ -449,25 +461,45 @@ type searcher struct {
 }
 
 func newSearcher(eng *engine) *searcher {
-	return &searcher{
+	sr := &searcher{
 		eng:    eng,
 		twoHit: eng.p.TwoHitWindow > 0,
-		seeds:  make([]seedPos, 0, seedBatch),
+		pairs:  make([]pairState, len(eng.views)),
 	}
+	for i := range sr.pairs {
+		sr.pairs[i] = pairState{qv: &eng.views[i], seeds: make([]seedPos, 0, seedBatch)}
+	}
+	return sr
 }
 
-// searchSubject runs the seeded search of every query view against
-// every subject view and returns comparison-space HSPs. The returned
-// slice is freshly allocated (searcher scratch is reused on the next
-// subject); it is the single steady-state allocation of a search.
+// searchSubject scans every subject view once through the engine's
+// word tables and returns comparison-space HSPs. After each scan the
+// query views flush and cull in view order, so the HSPs come out as
+// one scan per query view would leave them. The returned slice is
+// freshly allocated (searcher scratch is reused on the next subject);
+// it is the single steady-state allocation of a search.
 func (sr *searcher) searchSubject(subj *seq.Sequence) []rawHSP {
 	sr.subjHSPs = sr.subjHSPs[:0]
 	svs := sr.subjectViews(subj)
 	for si := range svs {
-		sv := &svs[si]
-		for vi := range sr.eng.views {
-			qv := &sr.eng.views[vi]
-			sr.subjHSPs = append(sr.subjHSPs, sr.searchPair(qv, sv)...)
+		if svs[si].n < sr.eng.p.WordSize {
+			continue
+		}
+		sr.beginScan(&svs[si])
+		for _, t := range sr.eng.tables {
+			if sr.packed {
+				t.(packedScanner).scanPacked(sr.sp, sr.sLen, sr)
+			} else {
+				t.scan(sr.s, sr)
+			}
+			sr.stats.ScannedBases += int64(sr.sLen)
+		}
+		for i := range sr.pairs {
+			ps := &sr.pairs[i]
+			sr.flushSeeds(ps)
+			if len(ps.hsps) > 0 {
+				sr.subjHSPs = append(sr.subjHSPs, sr.cullPair(ps.hsps)...)
+			}
 		}
 	}
 	if len(sr.subjHSPs) == 0 {
@@ -478,19 +510,23 @@ func (sr *searcher) searchSubject(subj *seq.Sequence) []rawHSP {
 	return out
 }
 
-// beginPair resets the searcher for one query-view x subject-view
-// scan: bump the diagonal epoch (lazily zeroing cells), grow the pool
-// if this pair has more diagonals than any before, reset the HSP
-// scratch.
-func (sr *searcher) beginPair(qv *queryView, sv *subjectView) {
-	sr.q, sr.s = qv.codes, sv.codes
-	sr.qp, sr.sp = qv.packed, sv.packed
-	sr.sLen = sv.n
-	sr.sv = sv
-	sr.packed = qv.packed != nil && sv.packed != nil
-	sr.qFrame, sr.sFrame = qv.frame, sv.frame
-	sr.offset = len(sr.q)
-	if n := len(sr.q) + sr.sLen; n > len(sr.cells) {
+// beginScan resets the searcher for one subject view: point the
+// subject context at it, lay the query views' diagonal regions out
+// side by side (growing the pool if this subject needs more diagonals
+// than any before), bump the diagonal epoch (lazily zeroing every
+// region) and reset the HSP scratch.
+func (sr *searcher) beginScan(sv *subjectView) {
+	sr.s, sr.sp, sr.sLen, sr.sv = sv.codes, sv.packed, sv.n, sv
+	sr.packed = sv.packed != nil
+	sr.sFrame = sv.frame
+	n := 0
+	for i := range sr.pairs {
+		ps := &sr.pairs[i]
+		ps.offset = n + len(ps.qv.codes)
+		n = ps.offset + sv.n
+		ps.hsps = ps.hsps[:0]
+	}
+	if n > len(sr.cells) {
 		sr.cells = make([]diagCell, n) // fresh cells carry epoch 0: stale
 	}
 	sr.epoch++
@@ -500,15 +536,13 @@ func (sr *searcher) beginPair(qv *queryView, sv *subjectView) {
 		}
 		sr.epoch = 1
 	}
-	sr.seeds = sr.seeds[:0]
-	sr.pairHSPs = sr.pairHSPs[:0]
 }
 
 // subjectBytes returns the current subject view's dense codes,
 // materializing them from the packed payload on first demand — the
 // gapped stage and the traceback need letters; packed seeding and
 // ungapped extension do not. The materialized codes are cached on the
-// view so a later pair over the same subject reuses them.
+// view so every query view's extensions over it reuse them.
 func (sr *searcher) subjectBytes() []byte {
 	if sr.s == nil {
 		sr.codesBuf = seq.AppendUnpackedCodes(sr.codesBuf[:0], sr.sp, sr.sLen)
@@ -518,52 +552,36 @@ func (sr *searcher) subjectBytes() []byte {
 	return sr.s
 }
 
-func (sr *searcher) searchPair(qv *queryView, sv *subjectView) []rawHSP {
-	if len(qv.codes) < sr.eng.p.WordSize || sv.n < sr.eng.p.WordSize {
-		return nil
+// handleSeed receives one seed match from the lookup scan and batches
+// it into its query view's arena; a full arena flushes only its own
+// view. Extension runs in flushSeeds, so the scan's tight word loop
+// and the extension kernels each run over dense same-kind work instead
+// of interleaving; each view's order is preserved, so the diagonal
+// bookkeeping (and thus the output) is bit-identical to immediate
+// dispatch.
+func (sr *searcher) handleSeed(view, qpos, spos int) {
+	ps := &sr.pairs[view]
+	if len(ps.seeds) == seedBatch {
+		sr.flushSeeds(ps)
 	}
-	sr.beginPair(qv, sv)
-	if sr.packed {
-		qv.lookup.(packedScanner).scanPacked(sr.sp, sr.sLen, sr)
-	} else {
-		qv.lookup.scan(sr.s, sr)
-	}
-	sr.flushSeeds()
-	sr.stats.ScannedBases += int64(sr.sLen)
-	if len(sr.pairHSPs) == 0 {
-		return nil
-	}
-	return sr.cullPair()
+	ps.seeds = append(ps.seeds, seedPos{q: int32(qpos), s: int32(spos)})
 }
 
-// handleSeed receives one seed match from the lookup scan. Seeds are
-// batched into the arena and extended in flushSeeds, so the scan's
-// tight word loop and the extension kernels each run over dense
-// same-kind work instead of interleaving; order is preserved, so the
-// diagonal bookkeeping (and thus the output) is bit-identical to
-// immediate dispatch.
-func (sr *searcher) handleSeed(qpos, spos int) {
-	if len(sr.seeds) == seedBatch {
-		sr.flushSeeds()
+// flushSeeds drains a view's seed arena through processSeed in
+// arrival order.
+func (sr *searcher) flushSeeds(ps *pairState) {
+	for _, sd := range ps.seeds {
+		sr.processSeed(ps, int(sd.q), int(sd.s))
 	}
-	sr.seeds = append(sr.seeds, seedPos{q: int32(qpos), s: int32(spos)})
-}
-
-// flushSeeds drains the seed arena through processSeed in arrival
-// order.
-func (sr *searcher) flushSeeds() {
-	for _, sd := range sr.seeds {
-		sr.processSeed(int(sd.q), int(sd.s))
-	}
-	sr.seeds = sr.seeds[:0]
+	ps.seeds = ps.seeds[:0]
 }
 
 // processSeed investigates one seed match: diagonal and two-hit
 // gating, then ungapped (packed or byte kernel) and gapped extension.
-func (sr *searcher) processSeed(qpos, spos int) {
+func (sr *searcher) processSeed(ps *pairState, qpos, spos int) {
 	sr.stats.SeedHits++
 	eng := sr.eng
-	c := &sr.cells[spos-qpos+sr.offset]
+	c := &sr.cells[spos-qpos+ps.offset]
 	if c.epoch != sr.epoch {
 		*c = diagCell{epoch: sr.epoch}
 	}
@@ -587,7 +605,7 @@ func (sr *searcher) processSeed(qpos, spos int) {
 		// seed midpoint (seeds are long exact matches, so the
 		// midpoint pair is guaranteed aligned).
 		sr.stats.GappedExts++
-		q, s := sr.q, sr.s
+		q, s := ps.qv.codes, sr.s
 		mid := eng.p.WordSize / 2
 		raw, a0, a1, b0, b1 := align.GreedyExtendWS(&sr.ws, q, s, qpos+mid, spos+mid,
 			eng.greedy, eng.p.XDropGapped*eng.greedyScale)
@@ -601,10 +619,10 @@ func (sr *searcher) processSeed(qpos, spos int) {
 		var score, aTo, bTo int
 		if sr.packed {
 			sr.stats.PackedExts++
-			score, _, aTo, _, bTo = align.PackedExtend(sr.qp, len(sr.q), sr.sp, sr.sLen,
+			score, _, aTo, _, bTo = align.PackedExtend(ps.qv.packed, len(ps.qv.codes), sr.sp, sr.sLen,
 				qpos, spos, eng.p.WordSize, eng.nucMatch, eng.nucMismatch, eng.p.XDropUngapped)
 		} else {
-			score, _, aTo, _, bTo = align.ExtendUngapped(sr.q, sr.s, qpos, spos, eng.p.WordSize, eng.p.Scheme, eng.p.XDropUngapped)
+			score, _, aTo, _, bTo = align.ExtendUngapped(ps.qv.codes, sr.s, qpos, spos, eng.p.WordSize, eng.p.Scheme, eng.p.XDropUngapped)
 		}
 		c.lastExtEnd = int32(bTo)
 		if score < eng.gapTriggerRaw {
@@ -614,7 +632,7 @@ func (sr *searcher) processSeed(qpos, spos int) {
 		// Anchor the gapped extension at the middle of the ungapped
 		// HSP's diagonal run. The gapped DP needs letters, so a packed
 		// subject materializes its codes here, once, on first trigger.
-		q, s := sr.q, sr.subjectBytes()
+		q, s := ps.qv.codes, sr.subjectBytes()
 		mid := (aTo - qpos) / 2
 		ai := qpos + mid
 		bi := spos + mid
@@ -627,10 +645,10 @@ func (sr *searcher) processSeed(qpos, spos int) {
 		}
 	}
 	c.lastExtEnd = int32(sTo)
-	sr.pairHSPs = append(sr.pairHSPs, rawHSP{
+	ps.hsps = append(ps.hsps, rawHSP{
 		score: gscore,
 		qFrom: qFrom, qTo: qTo, sFrom: sFrom, sTo: sTo,
-		qFrame: sr.qFrame, sFrame: sr.sFrame,
+		qFrame: ps.qv.frame, sFrame: sr.sFrame,
 	})
 }
 
@@ -648,9 +666,8 @@ func (s *rawHSPSorter) Swap(i, j int)      { s.hsps[i], s.hsps[j] = s.hsps[j], s
 // cullPair is cullHSPs over the searcher's pooled buffers: same
 // algorithm, no per-pair allocation. The returned slice aliases
 // searcher scratch and is consumed (appended to subjHSPs) before the
-// next pair reuses it.
-func (sr *searcher) cullPair() []rawHSP {
-	hsps := sr.pairHSPs
+// next view's cull reuses it.
+func (sr *searcher) cullPair(hsps []rawHSP) []rawHSP {
 	if len(hsps) <= 1 {
 		return hsps
 	}

@@ -427,11 +427,11 @@ func TestReportNoHits(t *testing.T) {
 // scan into.
 type seedFunc func(qpos, spos int)
 
-func (f seedFunc) handleSeed(qpos, spos int) { f(qpos, spos) }
+func (f seedFunc) handleSeed(view, qpos, spos int) { f(qpos, spos) }
 
 func TestNucLookup(t *testing.T) {
 	q := (&seq.Sequence{Kind: seq.Nucleotide, Data: []byte("ACGTACGTACG")}).Codes()
-	lt := buildNucLookup(q, 4, nil)
+	lt := buildNucLookup([][]byte{q}, 4, nil)
 	var hits [][2]int
 	s := (&seq.Sequence{Kind: seq.Nucleotide, Data: []byte("TTACGTTT")}).Codes()
 	lt.scan(s, seedFunc(func(qp, sp int) { hits = append(hits, [2]int{qp, sp}) }))
@@ -449,13 +449,13 @@ func TestNucLookup(t *testing.T) {
 }
 
 func TestNucLookupShortInputs(t *testing.T) {
-	lt := buildNucLookup([]byte{0, 1}, 4, nil)
+	lt := buildNucLookup([][]byte{{0, 1}}, 4, nil)
 	called := false
 	lt.scan([]byte{0, 1, 2, 3}, seedFunc(func(qp, sp int) { called = true }))
 	if called {
 		t.Error("short query should produce no hits")
 	}
-	lt2 := buildNucLookup([]byte{0, 1, 2, 3}, 4, nil)
+	lt2 := buildNucLookup([][]byte{{0, 1, 2, 3}}, 4, nil)
 	lt2.scan([]byte{0}, seedFunc(func(qp, sp int) { called = true }))
 	if called {
 		t.Error("short subject should produce no hits")
@@ -465,7 +465,7 @@ func TestNucLookupShortInputs(t *testing.T) {
 func TestProtLookupNeighborhood(t *testing.T) {
 	scheme := Params{Program: BlastP}.Defaults().Scheme
 	q := (&seq.Sequence{Kind: seq.Protein, Data: []byte("WWW")}).Codes()
-	lt := buildProtLookup(q, 3, 11, seq.NumAA, scheme, nil)
+	lt := buildProtLookup(q, 0, 3, 11, seq.NumAA, scheme, nil)
 	// Exact word WWW scores 33 >= 11: must be present.
 	var found bool
 	lt.scan(q, seedFunc(func(qp, sp int) {

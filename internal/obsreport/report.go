@@ -79,7 +79,8 @@ type CollIOStats struct {
 type SearchKernelStats struct {
 	Enabled bool `json:"enabled"`
 	// ScannedBases counts subject letters streamed through the seeding
-	// kernel across all shards and processes.
+	// kernel across all shards and processes, once per subject-view
+	// scan (a blastn subject counts once for both query strands).
 	ScannedBases int64 `json:"scanned_bases,omitempty"`
 	// PackedExts counts ungapped extensions served by the 2-bit packed
 	// kernel instead of the byte kernel.

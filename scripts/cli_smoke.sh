@@ -12,7 +12,8 @@
 #     (-router, two worker processes), and distributed with -scratch,
 #     requiring identical hit lines from all three and from serial
 #     blastn on the local copy, a non-zero copy time under -scratch and
-#     the fragments present in the workers' scratch directories.
+#     the fragments present in the workers' scratch directories;
+#   - require blastn to refuse a megablast word longer than 31 bases.
 # Exercised by `make cli-smoke` (part of `make check`).
 set -eu
 
@@ -143,6 +144,15 @@ hits() { grep -v '^#' "$1"; }
 hits "$TMP/serial.out" >"$TMP/serial.hits"
 [ "$(grep -c '^qa' "$TMP/serial.hits")" -ge 1 ] && [ "$(grep -c '^qb' "$TMP/serial.hits")" -ge 1 ] ||
     fail "serial blastn did not hit with both queries" "$TMP/serial.out"
+
+# Megablast words are at most 31 bases: a longer -word must fail and
+# name the limit instead of silently losing seeds.
+if "$TMP/blastn" -db nt -query "$TMP/q.fasta" -root "$TMP/local" -megablast -word 32 \
+    >"$TMP/mega32.out" 2>"$TMP/mega32.log"; then
+    fail "blastn -megablast -word 32 was accepted" "$TMP/mega32.out"
+fi
+grep -q 'exceeds 31' "$TMP/mega32.log" ||
+    fail "blastn -megablast -word 32 failed without naming the limit" "$TMP/mega32.log"
 
 # In-process: master and two workers in one process, over CEFT.
 # shellcheck disable=SC2086
