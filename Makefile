@@ -82,9 +82,11 @@ trace-smoke:
 
 # Boot a PVFS and a CEFT mini-cluster and drive the storage CLIs end
 # to end: formatdb -> dbinfo -verify on every backend, pariocp a
-# fragment out and -ls it, then a two-query mpiblast in-process,
-# distributed and distributed with -scratch, requiring hit lines
-# identical to serial blastn.
+# fragment out and -ls it, then a two-query mpiblast in-process (with
+# and without -readahead), distributed and distributed with -scratch,
+# requiring hit lines identical to serial blastn, and a megablast pair
+# (serial blastn vs in-process mpiblast -readahead) with identical hit
+# lines.
 cli-smoke:
 	sh ./scripts/cli_smoke.sh
 

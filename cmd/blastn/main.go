@@ -110,7 +110,7 @@ func main() {
 		case "tabular":
 			err = blast.WriteTabular(out, res)
 		default:
-			err = blast.WriteReport(out, res, q, nil)
+			err = blast.WriteReport(out, res)
 		}
 		if err != nil {
 			fatal(err)

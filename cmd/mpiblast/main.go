@@ -355,7 +355,7 @@ func writeResult(out *bufio.Writer, outfmt string, res *pblast.Outcome, q *seq.S
 	case "tabular":
 		err = blast.WriteTabular(out, res.Result)
 	default:
-		err = blast.WriteReport(out, res.Result, q, nil)
+		err = blast.WriteReport(out, res.Result)
 	}
 	if err != nil {
 		fatal(err)

@@ -61,7 +61,7 @@ func main() {
 		len(out.Result.Hits), out.WallTime.Seconds()*1000)
 
 	// 6. A classic BLAST report of the parallel result.
-	if err := blast.WriteReport(os.Stdout, out.Result, query, nil); err != nil {
+	if err := blast.WriteReport(os.Stdout, out.Result); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -46,7 +46,9 @@ func allocWorkload(t *testing.T, packed bool) (*searcher, *seq.Sequence) {
 // subject search may allocate at most twice per call (the copy-out of
 // surviving HSPs plus slack for one pool growth). The pre-batching
 // searcher ran ~31 allocs/op; a regression here means a pooled buffer
-// went back to per-call make or a closure started escaping.
+// went back to per-call make or a closure started escaping. The
+// letters row is the pack-at-entry path: its subject is coded and
+// packed into the searcher's pooled buffers, not fresh slices.
 func TestSearchSubjectSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector inflates allocation counts")
@@ -87,7 +89,7 @@ func TestSeedArenasStayBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	var perView seedRecorder
-	eng.tables[0].scan(polyA.Codes(), &perView)
+	eng.tables[0].scan(seq.PackCodes(polyA.Codes()), polyA.Len(), &perView)
 	for v := range eng.views {
 		if n := len(perView.view(v)); n <= 4*seedBatch {
 			t.Fatalf("view %d gets %d seeds; the flood does not overflow its arena", v, n)

@@ -15,17 +15,11 @@ type seedSink interface {
 }
 
 // seedTable is a word index the searcher scans each subject view
-// through once.
+// through once. subject holds the view's n letters in the table's own
+// form: 2-bit packed for nucLookup, one dense code per byte for
+// protLookup.
 type seedTable interface {
-	scan(subject []byte, sink seedSink)
-}
-
-// packedScanner is implemented by lookup tables that can stream a
-// 2-bit packed subject directly, without the caller unpacking it to
-// one-byte codes first. The seed sequence produced is identical to
-// scan over the unpacked codes.
-type packedScanner interface {
-	scanPacked(packed []byte, n int, sink seedSink)
+	scan(subject []byte, n int, sink seedSink)
 }
 
 // nucDirectBits bounds the direct-indexed table: words of up to this
@@ -219,69 +213,12 @@ func log2(n int) int {
 	return b
 }
 
-// scan streams the subject's words and calls sink.handleSeed(view,
-// qpos, spos) for each seed match. spos is the word's start offset.
-func (lt *nucLookup) scan(subject []byte, sink seedSink) {
-	if len(subject) < lt.w || len(lt.entries) == 0 {
-		return
-	}
-	if lt.starts != nil {
-		lt.scanDirect(subject, sink)
-	} else {
-		lt.scanHash(subject, sink)
-	}
-}
-
-func (lt *nucLookup) scanDirect(subject []byte, sink seedSink) {
-	w, mask, starts, entries := lt.w, lt.mask, lt.starts, lt.entries
-	var word uint64
-	for i := 0; i < w-1; i++ {
-		word = word<<2 | uint64(subject[i])
-	}
-	for i := w - 1; i < len(subject); i++ {
-		word = (word<<2 | uint64(subject[i])) & mask
-		st, en := starts[word], starts[word+1]
-		if st < en {
-			spos := i - w + 1
-			for _, e := range entries[st:en] {
-				sink.handleSeed(int(e>>nucViewShift), int(e&nucPosMask), spos)
-			}
-		}
-	}
-}
-
-func (lt *nucLookup) scanHash(subject []byte, sink seedSink) {
-	w, mask, keys, shift := lt.w, lt.mask, lt.keys, lt.shift
-	m := uint64(len(keys) - 1)
-	var word uint64
-	for i := 0; i < w-1; i++ {
-		word = word<<2 | uint64(subject[i])
-	}
-	for i := w - 1; i < len(subject); i++ {
-		word = (word<<2 | uint64(subject[i])) & mask
-		s := nucHash(word, shift)
-		for {
-			k := keys[s]
-			if k == nucEmptyKey {
-				break
-			}
-			if k == word {
-				spos := i - w + 1
-				for _, e := range lt.entries[lt.offs[s] : lt.offs[s]+lt.cnts[s]] {
-					sink.handleSeed(int(e>>nucViewShift), int(e&nucPosMask), spos)
-				}
-				break
-			}
-			s = (s + 1) & m
-		}
-	}
-}
-
-// scanPacked implements packedScanner: it rolls the same word stream
-// as scan but pulls each base straight out of the 2-bit packed subject
-// (base i lives at bits 2*(i%4) of byte i/4), so the search never
-// materializes the subject's one-byte codes.
-func (lt *nucLookup) scanPacked(packed []byte, n int, sink seedSink) {
+// scan streams the words of the n-base 2-bit packed subject and calls
+// sink.handleSeed(view, qpos, spos) for each seed match; spos is the
+// word's start offset. Each base comes straight out of the packed
+// payload (base i lives at bits 2*(i%4) of byte i/4), so the search
+// never materializes the subject's one-byte codes for seeding.
+func (lt *nucLookup) scan(packed []byte, n int, sink seedSink) {
 	if n < lt.w || len(lt.entries) == 0 {
 		return
 	}
@@ -411,11 +348,11 @@ func (lt *protLookup) wordIndex(word []byte) int {
 	return idx
 }
 
-// scan streams the subject's words and reports seed hits. The rolling
-// index drops the word's outgoing high digit instead of reducing
-// modulo alphabet^w, so the per-position work is one multiply-add and
-// one multiply-subtract.
-func (lt *protLookup) scan(subject []byte, sink seedSink) {
+// scan streams the words of the subject's dense codes (which carry
+// their own length) and reports seed hits. The rolling index drops the
+// word's outgoing high digit instead of reducing modulo alphabet^w, so
+// the per-position work is one multiply-add and one multiply-subtract.
+func (lt *protLookup) scan(subject []byte, _ int, sink seedSink) {
 	if len(subject) < lt.w {
 		return
 	}

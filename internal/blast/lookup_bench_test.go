@@ -15,11 +15,12 @@ type countSink struct{ n int }
 
 func (c *countSink) handleSeed(view, qpos, spos int) { c.n++ }
 
-// BenchmarkNucLookupScan compares the flat CSR word index against the
-// map-based implementation it replaced, for classic blastn 11-mers
-// (direct-indexed form) and megablast 28-mers (open-addressed hash
-// form). The subject carries planted query chunks so the hit path is
-// exercised, not just the miss path.
+// BenchmarkNucLookupScan compares the flat CSR word index scanning the
+// 2-bit packed subject against the map-based implementation it
+// replaced scanning the subject's codes, for classic blastn 11-mers
+// and megablast 28-mers. The subject carries planted query chunks so
+// the hit path is exercised, not just the miss path. SetBytes is the
+// letter count in both rows, so MB/s reads as bases/sec.
 func BenchmarkNucLookupScan(b *testing.B) {
 	rng := util.NewRNG(99)
 	query := denseDNA(rng, 568)
@@ -27,6 +28,7 @@ func BenchmarkNucLookupScan(b *testing.B) {
 	for off := 10000; off+400 < len(subject); off += 150000 {
 		copy(subject[off:], query[50:450])
 	}
+	packed := seq.PackCodes(subject)
 	for _, w := range []int{11, 28} {
 		csr := buildNucLookup([][]byte{query}, w, nil)
 		ref := buildRefNucLookup(query, w, nil)
@@ -35,7 +37,7 @@ func BenchmarkNucLookupScan(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(subject)))
 			for i := 0; i < b.N; i++ {
-				csr.scan(subject, &sink)
+				csr.scan(packed, len(subject), &sink)
 			}
 		})
 		b.Run(fmt.Sprintf("map/w=%d", w), func(b *testing.B) {
@@ -50,7 +52,8 @@ func BenchmarkNucLookupScan(b *testing.B) {
 
 // BenchmarkSearchSubject measures one full subject search (seeding +
 // extension + culling) through the pooled searcher, the unit of work
-// a pipeline shard executes per subject.
+// a pipeline shard executes per subject. The subject arrives as
+// letters, so the search codes and packs it once before scanning.
 func BenchmarkSearchSubject(b *testing.B) {
 	rng := util.NewRNG(100)
 	query := randomDNA(rng, "q", 568)
@@ -73,10 +76,10 @@ func BenchmarkSearchSubject(b *testing.B) {
 
 // BenchmarkSearchSubjectPacked is BenchmarkSearchSubject's workload
 // with the subject delivered as a 2-bit packed payload, the form a
-// zero-copy blastdb scan hands the pipeline: seeding runs scanPacked
-// and ungapped extension runs align.PackedExtend, neither unpacking
-// the subject. SetBytes is the letter count (not the payload size), so
-// MB/s is bases/sec and directly comparable with the byte-path number.
+// blastdb fragment hands the pipeline: the payload is borrowed, not
+// packed, and seeding and ungapped extension never unpack it. SetBytes
+// is the letter count (not the payload size), so MB/s is bases/sec and
+// directly comparable with the letter-entry number.
 func BenchmarkSearchSubjectPacked(b *testing.B) {
 	rng := util.NewRNG(100)
 	query := randomDNA(rng, "q", 568)

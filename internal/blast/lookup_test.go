@@ -84,9 +84,10 @@ func denseDNA(rng *util.RNG, n int) []byte {
 }
 
 // TestNucLookupMatchesReference drives both CSR forms (direct-indexed
-// for small W, open-addressed hash for large W) against the reference
-// map implementation over queries with planted repeats and optional
-// masking, and requires identical seed streams.
+// for small W, open-addressed hash for large W), scanning the packed
+// subject, against the reference map implementation scanning its codes,
+// over queries with planted repeats and optional masking, and requires
+// identical seed streams.
 func TestNucLookupMatchesReference(t *testing.T) {
 	rng := util.NewRNG(4242)
 	query := denseDNA(rng, 600)
@@ -117,7 +118,7 @@ func TestNucLookupMatchesReference(t *testing.T) {
 			}
 			ref := buildRefNucLookup(query, w, m)
 			var got, want seedRecorder
-			lt.scan(subject, &got)
+			lt.scan(seq.PackCodes(subject), len(subject), &got)
 			ref.scan(subject, &want)
 			if len(want.view(0)) == 0 {
 				t.Fatalf("w=%d %s: reference found no seeds; test is vacuous", w, name)
@@ -142,7 +143,7 @@ func TestNucLookupHashNoFalseHits(t *testing.T) {
 	ref := buildRefNucLookup(query, 28, nil)
 	subject := denseDNA(rng, 20000)
 	var got, want seedRecorder
-	lt.scan(subject, &got)
+	lt.scan(seq.PackCodes(subject), len(subject), &got)
 	ref.scan(subject, &want)
 	if !reflect.DeepEqual(got.views, want.views) {
 		t.Errorf("hash form differs from reference on random subject: %d vs %d seeds",
@@ -155,9 +156,9 @@ func TestNucLookupEmptyQuery(t *testing.T) {
 	var rec seedRecorder
 	for _, w := range []int{11, 28} {
 		lt := buildNucLookup(nil, w, nil)
-		lt.scan(make([]byte, 100), &rec)
+		lt.scan(make([]byte, 25), 100, &rec)
 		lt = buildNucLookup([][]byte{make([]byte, w-1)}, w, nil)
-		lt.scan(make([]byte, 100), &rec)
+		lt.scan(make([]byte, 25), 100, &rec)
 		// Fully masked query: zero indexed words.
 		q := make([]byte, 2*w)
 		masked := make([]bool, len(q))
@@ -165,7 +166,7 @@ func TestNucLookupEmptyQuery(t *testing.T) {
 			masked[i] = true
 		}
 		lt = buildNucLookup([][]byte{q}, w, [][]bool{masked})
-		lt.scan(make([]byte, 100), &rec)
+		lt.scan(make([]byte, 25), 100, &rec)
 	}
 	if len(rec.views) != 0 {
 		t.Fatalf("degenerate lookups produced seeds: %v", rec.views)
@@ -188,10 +189,11 @@ func strandViews(query *seq.Sequence, filter bool) ([][]byte, [][]bool) {
 	return views, masks
 }
 
-// checkOneTableSeeds scans subject, as letters and as a 2-bit payload,
-// through one table holding both strands of query, and requires each
-// view's decoded seed stream to equal that view's own single-view
-// table scan and the map reference. It returns the seeds per view.
+// checkOneTableSeeds scans subject's 2-bit payload through one table
+// holding both strands of query, and requires each view's decoded seed
+// stream to equal that view's own single-view table scan and the map
+// reference's scan of the subject's codes. It returns the seeds per
+// view.
 func checkOneTableSeeds(t testing.TB, query, subject *seq.Sequence, w int, filter bool) [2]int {
 	t.Helper()
 	views, masks := strandViews(query, filter)
@@ -201,30 +203,25 @@ func checkOneTableSeeds(t testing.TB, query, subject *seq.Sequence, w int, filte
 		t.Fatal(err)
 	}
 	codes := subject.Codes()
-	var letters, fromPacked seedRecorder
-	both.scan(codes, &letters)
-	both.scanPacked(packed, len(codes), &fromPacked)
+	var got seedRecorder
+	both.scan(packed, len(codes), &got)
 	var n [2]int
 	for v := range views {
 		var single, ref seedRecorder
-		buildNucLookup(views[v:v+1], w, masks[v:v+1]).scan(codes, &single)
+		buildNucLookup(views[v:v+1], w, masks[v:v+1]).scan(packed, len(codes), &single)
 		buildRefNucLookup(views[v], w, masks[v]).scan(codes, &ref)
 		want := ref.view(0)
 		if len(single.views) > 1 || !reflect.DeepEqual(single.view(0), want) {
 			t.Errorf("w=%d filter=%v view %d: single-view table gives %d seeds, reference %d",
 				w, filter, v, len(single.view(0)), len(want))
 		}
-		if !reflect.DeepEqual(letters.view(v), want) {
-			t.Errorf("w=%d filter=%v view %d: one-table letter scan gives %d seeds, reference %d",
-				w, filter, v, len(letters.view(v)), len(want))
-		}
-		if !reflect.DeepEqual(fromPacked.view(v), want) {
-			t.Errorf("w=%d filter=%v view %d: one-table packed scan gives %d seeds, reference %d",
-				w, filter, v, len(fromPacked.view(v)), len(want))
+		if !reflect.DeepEqual(got.view(v), want) {
+			t.Errorf("w=%d filter=%v view %d: one-table scan gives %d seeds, reference %d",
+				w, filter, v, len(got.view(v)), len(want))
 		}
 		n[v] = len(want)
 	}
-	if len(letters.views) > len(views) || len(fromPacked.views) > len(views) {
+	if len(got.views) > len(views) {
 		t.Errorf("w=%d filter=%v: seeds reported for a view the table does not hold", w, filter)
 	}
 	return n
@@ -254,9 +251,9 @@ func aRichQuery(rng *util.RNG) *seq.Sequence {
 
 // TestOneTableSeedsMatchPerView pins the one-table scan to the
 // per-view scans it replaced: for the direct form (W=7) and the hash
-// form (W=11, W=28), with and without DUST, over letter and packed
-// subjects, each view's seeds must arrive exactly as its own table
-// and the map reference deliver them.
+// form (W=11, W=28), with and without DUST, each view's seeds from the
+// packed subject must arrive exactly as its own table and the map
+// reference deliver them.
 func TestOneTableSeedsMatchPerView(t *testing.T) {
 	rng := util.NewRNG(4244)
 	query := randomDNA(rng, "q", 300)

@@ -1,6 +1,7 @@
 package blast
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 )
 
 // packedCopies rebuilds subjects as packed-payload sequences, the form
-// a zero-copy blastdb scan hands the pipeline.
+// a blastdb fragment hands the pipeline.
 func packedCopies(t *testing.T, subjects []*seq.Sequence) []*seq.Sequence {
 	t.Helper()
 	out := make([]*seq.Sequence, len(subjects))
@@ -23,11 +24,12 @@ func packedCopies(t *testing.T, subjects []*seq.Sequence) []*seq.Sequence {
 	return out
 }
 
-// TestPackedSubjectsMatchLetterSubjects runs the same blastn search
-// over letter subjects and over their 2-bit packed twins and demands
-// bit-identical hits: the packed kernel (scanPacked seeding +
-// PackedExtend) must be indistinguishable from the byte path except in
-// the work counters that say it actually ran.
+// TestPackedSubjectsMatchLetterSubjects is the golden test of the one
+// nucleotide subject form: the same search over letter subjects (packed
+// once where they enter the searcher) and over their 2-bit packed twins
+// (borrowed as they are) must give bit-identical hits and identical
+// work counters, for blastn, filtered blastn and megablast at one and
+// four threads.
 func TestPackedSubjectsMatchLetterSubjects(t *testing.T) {
 	rng := util.NewRNG(701)
 	query := randomDNA(rng, "query", 480)
@@ -45,39 +47,43 @@ func TestPackedSubjectsMatchLetterSubjects(t *testing.T) {
 	plant(subjects[5], mutated, 1500)
 	rc := query.Subsequence(200, 440).ReverseComplement()
 	plant(subjects[8], rc.Data, 300)
+	packed := packedCopies(t, subjects)
 
-	for _, threads := range []int{1, 4} {
-		p := Params{Program: BlastN, Threads: threads}
-		letters, err := Search(query, &SliceSource{Seqs: subjects}, DBInfo{}, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		packed, err := Search(query, &SliceSource{Seqs: packedCopies(t, subjects)}, DBInfo{}, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(letters.Hits) == 0 {
-			t.Fatal("letter-path search found nothing; test workload is broken")
-		}
-		if !reflect.DeepEqual(letters.Hits, packed.Hits) {
-			t.Fatalf("threads=%d: packed-subject hits differ from letter-subject hits", threads)
-		}
-		if letters.Stats.PackedExts != 0 {
-			t.Errorf("threads=%d: letter path reported %d packed extensions, want 0", threads, letters.Stats.PackedExts)
-		}
-		if packed.Stats.PackedExts == 0 {
-			t.Errorf("threads=%d: packed path reported no packed extensions; kernel did not engage", threads)
-		}
-		if packed.Stats.ScannedBases != letters.Stats.ScannedBases {
-			t.Errorf("threads=%d: scanned bases differ: packed=%d letters=%d",
-				threads, packed.Stats.ScannedBases, letters.Stats.ScannedBases)
-		}
-		// Identical seeding and extension means identical downstream work.
-		if packed.Stats.SeedHits != letters.Stats.SeedHits ||
-			packed.Stats.UngappedExts != letters.Stats.UngappedExts ||
-			packed.Stats.GappedExts != letters.Stats.GappedExts {
-			t.Errorf("threads=%d: work counters diverge: packed=%+v letters=%+v",
-				threads, packed.Stats, letters.Stats)
+	for _, tc := range []struct {
+		name string
+		p    Params
+	}{
+		{"blastn", Params{Program: BlastN}},
+		{"blastn-filtered", Params{Program: BlastN, Filter: true}},
+		{"megablast", Params{Program: BlastN, Greedy: true}},
+	} {
+		for _, threads := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/threads=%d", tc.name, threads), func(t *testing.T) {
+				p := tc.p
+				p.Threads = threads
+				fromLetters, err := Search(query, &SliceSource{Seqs: subjects}, DBInfo{}, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fromPacked, err := Search(query, &SliceSource{Seqs: packed}, DBInfo{}, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(fromLetters.Hits) == 0 {
+					t.Fatal("letter-subject search found nothing; test workload is broken")
+				}
+				if !reflect.DeepEqual(fromLetters.Hits, fromPacked.Hits) {
+					t.Fatal("packed-subject hits differ from letter-subject hits")
+				}
+				if fromLetters.Stats != fromPacked.Stats {
+					t.Errorf("stats differ:\nletters %+v\npacked  %+v", fromLetters.Stats, fromPacked.Stats)
+				}
+				st := fromPacked.Stats
+				if st.ScannedBases != 10*3000 || st.PackedExts != st.UngappedExts || !p.Greedy && st.PackedExts == 0 {
+					t.Errorf("scanned %d bases (want %d), %d packed of %d ungapped extensions; the packed kernel must serve every blastn extension",
+						st.ScannedBases, 10*3000, st.PackedExts, st.UngappedExts)
+				}
+			})
 		}
 	}
 }

@@ -207,6 +207,9 @@ func (p Params) Validate() error {
 	if p.Scheme == nil {
 		return fmt.Errorf("blast: nil scoring scheme")
 	}
+	if err := p.checkScheme(); err != nil {
+		return err
+	}
 	if p.WordSize < 2 {
 		return fmt.Errorf("blast: word size %d too small", p.WordSize)
 	}
@@ -224,6 +227,27 @@ func (p Params) Validate() error {
 	}
 	if p.EValue <= 0 {
 		return fmt.Errorf("blast: e-value cutoff must be positive")
+	}
+	return nil
+}
+
+// checkScheme rejects a scoring table the program cannot index or
+// score with: blastn seeds and extends 2-bit codes under one match and
+// one mismatch score, protein comparisons look up every residue pair.
+func (p Params) checkScheme() error {
+	s := p.Scheme
+	if p.Program == BlastN {
+		if _, _, ok := align.UniformNucScheme(s); !ok {
+			return fmt.Errorf("blast: blastn needs a uniform 4x4 match/mismatch scheme, got %s scheme %q", s.Kind, s.Name)
+		}
+		return nil
+	}
+	ok := len(s.Table) >= seq.NumAA
+	for _, row := range s.Table {
+		ok = ok && len(row) >= seq.NumAA
+	}
+	if !ok {
+		return fmt.Errorf("blast: %s needs a %d-residue protein scoring table, got %s scheme %q", p.Program, seq.NumAA, s.Kind, s.Name)
 	}
 	return nil
 }

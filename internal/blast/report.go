@@ -7,10 +7,9 @@ import (
 	"pario/internal/seq"
 )
 
-// WriteReport renders a classic BLAST text report of the result,
-// including per-HSP pairwise alignments when query and subject letter
-// data are available through lookup (may be nil to skip alignments).
-func WriteReport(w io.Writer, res *Result, query *seq.Sequence, lookup func(id string) *seq.Sequence) error {
+// WriteReport renders a classic BLAST text report of the result: the
+// hit list, then each hit's HSPs with score, identities and extents.
+func WriteReport(w io.Writer, res *Result) error {
 	fmt.Fprintf(w, "%s search\n\n", res.Program)
 	fmt.Fprintf(w, "Query= %s (%d letters)\n\n", res.QueryID, res.QueryLen)
 	fmt.Fprintf(w, "Database: %d sequences; %d total letters\n\n",
@@ -37,12 +36,6 @@ func WriteReport(w io.Writer, res *Result, query *seq.Sequence, lookup func(id s
 			}
 			fmt.Fprintf(w, " Query: %d..%d  Subject: %d..%d\n\n",
 				hsp.QueryFrom+1, hsp.QueryTo, hsp.SubjectFrom+1, hsp.SubjectTo)
-			if lookup != nil && hsp.Alignment != nil && res.Program == BlastP {
-				subj := lookup(h.SubjectID)
-				if subj != nil {
-					fmt.Fprint(w, hsp.Alignment.Format(query.Data, subj.Data, 60))
-				}
-			}
 		}
 	}
 	fmt.Fprintf(w, "\nLambda     K      H\n%8.3f %6.3f %6.3f\n", res.Stats.Lambda, res.Stats.K, res.Stats.H)

@@ -75,7 +75,8 @@ type SearchStats struct {
 	// counts once), the numerator of the search-side bases/sec rate.
 	ScannedBases int64
 	// PackedExts counts ungapped extensions served by the 2-bit packed
-	// kernel instead of the byte kernel.
+	// kernel. Every blastn subject is extended packed, so for blastn it
+	// equals UngappedExts; protein comparisons run the byte kernel.
 	PackedExts int64
 }
 
@@ -240,23 +241,22 @@ type engine struct {
 	kpGap         KarlinParams
 	freqs         []float64
 
+	// blastn's match/mismatch scores (Validate admits only a uniform
+	// scheme): every blastn subject is seeded and ungapped-extended 2-bit
+	// packed, 32 bases per word op.
+	nucMatch    int
+	nucMismatch int
+
 	// megablast mode
 	greedy      align.GreedyScheme
 	greedyScale int // divide greedy scores by this to match the scheme's units
-
-	// Packed-kernel mode (blastn under a uniform match/mismatch scheme,
-	// non-greedy): subjects that arrive 2-bit packed are seeded and
-	// ungapped-extended without ever unpacking, 32 bases per word op.
-	packedOK    bool
-	nucMatch    int
-	nucMismatch int
 }
 
 // queryView is one comparison-space rendering of the query.
 type queryView struct {
 	frame   seq.Frame
 	codes   []byte
-	packed  []byte // 2-bit packed codes, built only in packed-kernel mode
+	packed  []byte // 2-bit packed codes (blastn views only)
 	origLen int    // original query length (for coordinate mapping)
 }
 
@@ -281,15 +281,12 @@ func newEngine(query *seq.Sequence, p Params) (*engine, error) {
 		eng.gapTriggerRaw = 1
 	}
 	eng.stats.GapTriggerRaw = eng.gapTriggerRaw
+	if p.Program == BlastN {
+		eng.nucMatch, eng.nucMismatch, _ = align.UniformNucScheme(p.Scheme)
+	}
 	if p.Greedy {
-		match := p.Scheme.Table[0][0]
-		mismatch := p.Scheme.Table[0][1]
-		eng.greedy = align.NewGreedyScheme(match, mismatch)
-		eng.greedyScale = eng.greedy.Match / match
-	} else if p.Program == BlastN {
-		if m, mm, ok := align.UniformNucScheme(p.Scheme); ok {
-			eng.packedOK, eng.nucMatch, eng.nucMismatch = true, m, mm
-		}
+		eng.greedy = align.NewGreedyScheme(eng.nucMatch, eng.nucMismatch)
+		eng.greedyScale = eng.greedy.Match / eng.nucMatch
 	}
 
 	var nucCodes [][]byte
@@ -302,11 +299,7 @@ func newEngine(query *seq.Sequence, p Params) (*engine, error) {
 			masked = maskFlags(len(codes), ivs)
 			eng.stats.MaskedLetters += int64(TotalMasked(ivs))
 		}
-		var packed []byte
-		if eng.packedOK {
-			packed = seq.PackCodes(codes)
-		}
-		eng.views = append(eng.views, queryView{frame: frame, codes: codes, packed: packed, origLen: query.Len()})
+		eng.views = append(eng.views, queryView{frame: frame, codes: codes, packed: seq.PackCodes(codes), origLen: query.Len()})
 		nucCodes, nucMasks = append(nucCodes, codes), append(nucMasks, masked)
 	}
 	addProtView := func(s *seq.Sequence, frame seq.Frame) {
@@ -346,54 +339,45 @@ func newEngine(query *seq.Sequence, p Params) (*engine, error) {
 	return eng, nil
 }
 
-// subjectView renders a subject into comparison space. In
-// packed-kernel mode a blastn subject that arrived 2-bit packed
-// carries only its packed payload; codes stay nil until a gapped
-// extension demands letters.
+// subjectView renders a subject into comparison space. A blastn view
+// always carries the 2-bit packed payload the word table scans and the
+// packed kernel extends; its codes stay nil until a gapped or greedy
+// extension demands them, unless the subject arrived as letters.
 type subjectView struct {
 	frame   seq.Frame
-	codes   []byte // dense codes; nil for a packed view until materialized
-	packed  []byte // 2-bit packed codes (packed-kernel mode only)
+	codes   []byte // dense codes; nil for a packed-entry view until materialized
+	packed  []byte // 2-bit packed codes (blastn only)
 	n       int    // comparison-space length in letters
 	origLen int
 }
 
 // subjectViews renders subj into the searcher's pooled view buffer.
-// The buffers it fills (svBuf, and codesBuf behind the codes of a
-// non-translated view) are reused on the next call, so callers must
-// finish with a subject's views before requesting the next subject's.
+// A blastn subject that arrived 2-bit packed lends its payload; one
+// that arrived as letters is coded and packed once, into codesBuf and
+// packBuf. Those buffers and svBuf are reused on the next call, so
+// callers must finish with a subject's views before requesting the
+// next subject's.
 func (sr *searcher) subjectViews(subj *seq.Sequence) []subjectView {
-	eng := sr.eng
-	switch eng.p.Program {
-	case BlastN, BlastP, BlastX:
-		sv := subjectView{frame: frameFor(eng.p.Program, subj), n: subj.Len(), origLen: subj.Len()}
-		if eng.packedOK {
-			if packed, n := subj.Packed2Bit(); packed != nil {
-				sv.packed, sv.n = packed, n
-			}
-		}
-		if sv.packed == nil {
+	sr.svBuf = sr.svBuf[:0]
+	switch sr.eng.p.Program {
+	case BlastN:
+		sv := subjectView{frame: 1, n: subj.Len(), origLen: subj.Len()}
+		if sv.packed, _ = subj.Packed2Bit(); sv.packed == nil {
 			sr.codesBuf = subj.AppendCodes(sr.codesBuf[:0])
-			sv.codes = sr.codesBuf
-			sv.n = len(sv.codes)
+			sr.packBuf = seq.AppendPackedCodes(sr.packBuf[:0], sr.codesBuf)
+			sv.codes, sv.packed = sr.codesBuf, sr.packBuf
 		}
-		sr.svBuf = append(sr.svBuf[:0], sv)
-		return sr.svBuf
+		sr.svBuf = append(sr.svBuf, sv)
+	case BlastP, BlastX:
+		sr.codesBuf = subj.AppendCodes(sr.codesBuf[:0])
+		sr.svBuf = append(sr.svBuf, subjectView{codes: sr.codesBuf, n: len(sr.codesBuf), origLen: subj.Len()})
 	default: // TBlastN, TBlastX: translate the subject
-		sr.svBuf = sr.svBuf[:0]
 		for _, f := range seq.Frames {
 			codes := seq.Translate(subj, f).Codes()
 			sr.svBuf = append(sr.svBuf, subjectView{frame: f, codes: codes, n: len(codes), origLen: subj.Len()})
 		}
-		return sr.svBuf
 	}
-}
-
-func frameFor(p Program, subj *seq.Sequence) seq.Frame {
-	if p == BlastN {
-		return 1
-	}
-	return 0
+	return sr.svBuf
 }
 
 // diagCell tracks per-diagonal progress: the end of the last
@@ -443,10 +427,8 @@ type searcher struct {
 	epoch uint32
 
 	// Current subject view, shared by every pair state.
-	s, sp  []byte // dense codes / 2-bit packed form (packed-kernel mode)
+	s, sp  []byte // dense codes / 2-bit packed form (blastn)
 	sLen   int    // subject length in letters
-	packed bool   // this scan runs the packed ungapped kernel
-	sv     *subjectView
 	sFrame seq.Frame
 	twoHit bool
 
@@ -454,6 +436,7 @@ type searcher struct {
 	subjHSPs []rawHSP    // survivors accumulated across a subject's views
 	svBuf    []subjectView
 	codesBuf []byte // pooled subject codes (AppendCodes / lazy unpack)
+	packBuf  []byte // pooled 2-bit payload of a letter-entry blastn subject
 	cullKept []rawHSP
 	cullIdx  []int32
 	sorter   rawHSPSorter
@@ -482,17 +465,18 @@ func (sr *searcher) searchSubject(subj *seq.Sequence) []rawHSP {
 	sr.subjHSPs = sr.subjHSPs[:0]
 	svs := sr.subjectViews(subj)
 	for si := range svs {
-		if svs[si].n < sr.eng.p.WordSize {
+		sv := &svs[si]
+		if sv.n < sr.eng.p.WordSize {
 			continue
 		}
-		sr.beginScan(&svs[si])
+		sr.beginScan(sv)
+		scanned := sv.codes // protein tables scan codes, the blastn table the packed payload
+		if sv.packed != nil {
+			scanned = sv.packed
+		}
 		for _, t := range sr.eng.tables {
-			if sr.packed {
-				t.(packedScanner).scanPacked(sr.sp, sr.sLen, sr)
-			} else {
-				t.scan(sr.s, sr)
-			}
-			sr.stats.ScannedBases += int64(sr.sLen)
+			t.scan(scanned, sv.n, sr)
+			sr.stats.ScannedBases += int64(sv.n)
 		}
 		for i := range sr.pairs {
 			ps := &sr.pairs[i]
@@ -516,8 +500,7 @@ func (sr *searcher) searchSubject(subj *seq.Sequence) []rawHSP {
 // than any before), bump the diagonal epoch (lazily zeroing every
 // region) and reset the HSP scratch.
 func (sr *searcher) beginScan(sv *subjectView) {
-	sr.s, sr.sp, sr.sLen, sr.sv = sv.codes, sv.packed, sv.n, sv
-	sr.packed = sv.packed != nil
+	sr.s, sr.sp, sr.sLen = sv.codes, sv.packed, sv.n
 	sr.sFrame = sv.frame
 	n := 0
 	for i := range sr.pairs {
@@ -540,14 +523,13 @@ func (sr *searcher) beginScan(sv *subjectView) {
 
 // subjectBytes returns the current subject view's dense codes,
 // materializing them from the packed payload on first demand — the
-// gapped stage and the traceback need letters; packed seeding and
-// ungapped extension do not. The materialized codes are cached on the
-// view so every query view's extensions over it reuse them.
+// gapped and greedy extensions need codes; packed seeding and ungapped
+// extension do not. The materialized codes stay in sr.s, so every query
+// view's extensions over the subject reuse them.
 func (sr *searcher) subjectBytes() []byte {
 	if sr.s == nil {
 		sr.codesBuf = seq.AppendUnpackedCodes(sr.codesBuf[:0], sr.sp, sr.sLen)
 		sr.s = sr.codesBuf
-		sr.sv.codes = sr.s
 	}
 	return sr.s
 }
@@ -577,7 +559,8 @@ func (sr *searcher) flushSeeds(ps *pairState) {
 }
 
 // processSeed investigates one seed match: diagonal and two-hit
-// gating, then ungapped (packed or byte kernel) and gapped extension.
+// gating, then ungapped (the packed kernel for blastn, the byte kernel
+// for protein comparisons) and gapped extension.
 func (sr *searcher) processSeed(ps *pairState, qpos, spos int) {
 	sr.stats.SeedHits++
 	eng := sr.eng
@@ -605,7 +588,7 @@ func (sr *searcher) processSeed(ps *pairState, qpos, spos int) {
 		// seed midpoint (seeds are long exact matches, so the
 		// midpoint pair is guaranteed aligned).
 		sr.stats.GappedExts++
-		q, s := ps.qv.codes, sr.s
+		q, s := ps.qv.codes, sr.subjectBytes()
 		mid := eng.p.WordSize / 2
 		raw, a0, a1, b0, b1 := align.GreedyExtendWS(&sr.ws, q, s, qpos+mid, spos+mid,
 			eng.greedy, eng.p.XDropGapped*eng.greedyScale)
@@ -617,12 +600,12 @@ func (sr *searcher) processSeed(ps *pairState, qpos, spos int) {
 	} else {
 		sr.stats.UngappedExts++
 		var score, aTo, bTo int
-		if sr.packed {
+		if eng.p.Program.comparisonIsProtein() {
+			score, _, aTo, _, bTo = align.ExtendUngapped(ps.qv.codes, sr.s, qpos, spos, eng.p.WordSize, eng.p.Scheme, eng.p.XDropUngapped)
+		} else {
 			sr.stats.PackedExts++
 			score, _, aTo, _, bTo = align.PackedExtend(ps.qv.packed, len(ps.qv.codes), sr.sp, sr.sLen,
 				qpos, spos, eng.p.WordSize, eng.nucMatch, eng.nucMismatch, eng.p.XDropUngapped)
-		} else {
-			score, _, aTo, _, bTo = align.ExtendUngapped(ps.qv.codes, sr.s, qpos, spos, eng.p.WordSize, eng.p.Scheme, eng.p.XDropUngapped)
 		}
 		c.lastExtEnd = int32(bTo)
 		if score < eng.gapTriggerRaw {
@@ -630,8 +613,8 @@ func (sr *searcher) processSeed(ps *pairState, qpos, spos int) {
 		}
 		sr.stats.GappedExts++
 		// Anchor the gapped extension at the middle of the ungapped
-		// HSP's diagonal run. The gapped DP needs letters, so a packed
-		// subject materializes its codes here, once, on first trigger.
+		// HSP's diagonal run. The gapped DP needs codes, so a packed-entry
+		// subject materializes them here, once, on first trigger.
 		q, s := ps.qv.codes, sr.subjectBytes()
 		mid := (aTo - qpos) / 2
 		ai := qpos + mid

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"pario/internal/align"
 	"pario/internal/seq"
 	"pario/internal/util"
 )
@@ -360,6 +361,20 @@ func TestParamsValidate(t *testing.T) {
 	if err := prot.Validate(); err == nil {
 		t.Error("protein word size 7 accepted")
 	}
+	// A scheme of the wrong kind for the program: a protein matrix
+	// under blastn, a 4x4 nucleotide table under blastp.
+	bad = Params{Program: BlastN, Scheme: align.Blosum62(11, 1)}.Defaults()
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "blastn") || !strings.Contains(err.Error(), "BLOSUM62") {
+		t.Errorf("blastn with BLOSUM62: %v, want an error naming program and scheme", err)
+	}
+	prot = Params{Program: BlastP, Scheme: align.DefaultNucleotide()}.Defaults()
+	if err := prot.Validate(); err == nil || !strings.Contains(err.Error(), "blastp") || !strings.Contains(err.Error(), "match+1/mismatch-3") {
+		t.Errorf("blastp with a nucleotide scheme: %v, want an error naming program and scheme", err)
+	}
+	protein := &seq.Sequence{ID: "p", Kind: seq.Protein, Data: []byte("MKWVTFISLLFLFSSAYS")}
+	if _, err := Search(protein, &SliceSource{Seqs: []*seq.Sequence{protein}}, DBInfo{}, prot); err == nil {
+		t.Error("Search ran blastp under a nucleotide scheme")
+	}
 }
 
 func TestDefaultsPerProgram(t *testing.T) {
@@ -387,7 +402,7 @@ func TestReportOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteReport(&buf, res, query, nil); err != nil {
+	if err := WriteReport(&buf, res); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -415,7 +430,7 @@ func TestReportNoHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteReport(&buf, res, query, nil); err != nil {
+	if err := WriteReport(&buf, res); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "No hits found") {
@@ -434,7 +449,7 @@ func TestNucLookup(t *testing.T) {
 	lt := buildNucLookup([][]byte{q}, 4, nil)
 	var hits [][2]int
 	s := (&seq.Sequence{Kind: seq.Nucleotide, Data: []byte("TTACGTTT")}).Codes()
-	lt.scan(s, seedFunc(func(qp, sp int) { hits = append(hits, [2]int{qp, sp}) }))
+	lt.scan(seq.PackCodes(s), len(s), seedFunc(func(qp, sp int) { hits = append(hits, [2]int{qp, sp}) }))
 	// Subject words: "TACG" at 1 (query positions 3, 7) and "ACGT"
 	// at 2 (query positions 0, 4): four seed hits in scan order.
 	want := [][2]int{{3, 1}, {7, 1}, {0, 2}, {4, 2}}
@@ -451,12 +466,12 @@ func TestNucLookup(t *testing.T) {
 func TestNucLookupShortInputs(t *testing.T) {
 	lt := buildNucLookup([][]byte{{0, 1}}, 4, nil)
 	called := false
-	lt.scan([]byte{0, 1, 2, 3}, seedFunc(func(qp, sp int) { called = true }))
+	lt.scan(seq.PackCodes([]byte{0, 1, 2, 3}), 4, seedFunc(func(qp, sp int) { called = true }))
 	if called {
 		t.Error("short query should produce no hits")
 	}
 	lt2 := buildNucLookup([][]byte{{0, 1, 2, 3}}, 4, nil)
-	lt2.scan([]byte{0}, seedFunc(func(qp, sp int) { called = true }))
+	lt2.scan(seq.PackCodes([]byte{0}), 1, seedFunc(func(qp, sp int) { called = true }))
 	if called {
 		t.Error("short subject should produce no hits")
 	}
@@ -468,7 +483,7 @@ func TestProtLookupNeighborhood(t *testing.T) {
 	lt := buildProtLookup(q, 0, 3, 11, seq.NumAA, scheme, nil)
 	// Exact word WWW scores 33 >= 11: must be present.
 	var found bool
-	lt.scan(q, seedFunc(func(qp, sp int) {
+	lt.scan(q, len(q), seedFunc(func(qp, sp int) {
 		if qp == 0 && sp == 0 {
 			found = true
 		}
@@ -480,7 +495,7 @@ func TestProtLookupNeighborhood(t *testing.T) {
 	// should also seed.
 	fww := (&seq.Sequence{Kind: seq.Protein, Data: []byte("FWW")}).Codes()
 	found = false
-	lt.scan(fww, seedFunc(func(qp, sp int) { found = true }))
+	lt.scan(fww, len(fww), seedFunc(func(qp, sp int) { found = true }))
 	if !found {
 		t.Error("neighborhood word FWW not found for query WWW")
 	}
@@ -488,7 +503,7 @@ func TestProtLookupNeighborhood(t *testing.T) {
 	// scores 3*(-4) < 11.
 	ppp := (&seq.Sequence{Kind: seq.Protein, Data: []byte("PPP")}).Codes()
 	found = false
-	lt.scan(ppp, seedFunc(func(qp, sp int) { found = true }))
+	lt.scan(ppp, len(ppp), seedFunc(func(qp, sp int) { found = true }))
 	if found {
 		t.Error("PPP should not be in WWW's neighborhood")
 	}

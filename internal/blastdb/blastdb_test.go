@@ -78,7 +78,7 @@ func TestFragmentRoundTrip(t *testing.T) {
 		if got.ID != want.ID || got.Desc != want.Desc {
 			t.Errorf("seq %d defline: %q %q", i, got.ID, got.Desc)
 		}
-		if !bytes.Equal(got.Data, want.Data) {
+		if !bytes.Equal(got.Letters(), want.Data) {
 			t.Errorf("seq %d data mismatch", i)
 		}
 		wantLetters += int64(want.Len())
@@ -201,7 +201,7 @@ func TestFormatAndReadBack(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got[s.ID] = s.Data
+			got[s.ID] = s.Letters()
 		}
 		fr.Close()
 	}
@@ -238,7 +238,7 @@ func TestFragmentSourceStreamsAll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(s.Data) == 0 {
+		if len(s.Letters()) == 0 {
 			t.Errorf("empty sequence %s", s.ID)
 		}
 		count++
@@ -276,9 +276,54 @@ func TestFragmentSourceMatchesRandomAccess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if streamed.ID != direct.ID || !bytes.Equal(streamed.Data, direct.Data) {
+		if streamed.ID != direct.ID || !bytes.Equal(streamed.Letters(), direct.Letters()) {
 			t.Errorf("sequence %d differs between stream and random access", i)
 		}
+	}
+}
+
+// TestDecodedNucleotidesOwnPackedPayloads pins the one nucleotide form
+// on a backend without zero-copy views: the chunked stream and random
+// access both hand out 2-bit packed sequences whose payload is an
+// exact-size buffer of their own, not a window into the chunk.
+func TestDecodedNucleotidesOwnPackedPayloads(t *testing.T) {
+	fs := chio.NewMemFS()
+	seqs := randomSeqs(util.NewRNG(26), 12, 1, 400)
+	if _, err := Format(fs, "db", seq.Nucleotide, 1, fastaOf(t, seqs)); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := OpenFragment(fs, FragmentPath("db", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fr.Close()
+	check := func(how string, i int, s *seq.Sequence) {
+		t.Helper()
+		packed, n := s.Packed2Bit()
+		if packed == nil || n != len(seqs[i].Data) {
+			t.Fatalf("%s sequence %d: packed payload %v of %d letters, want %d letters packed", how, i, packed != nil, n, len(seqs[i].Data))
+		}
+		if cap(packed) != len(packed) {
+			t.Errorf("%s sequence %d: payload len %d cap %d; it must own its bytes, not share the chunk", how, i, len(packed), cap(packed))
+		}
+		if !bytes.Equal(s.Letters(), seqs[i].Data) {
+			t.Errorf("%s sequence %d: letters differ from the input", how, i)
+		}
+	}
+	src := fr.Source(1 << 10) // several sequences per chunk
+	for i := range seqs {
+		s, err := src.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("streamed", i, s)
+		if s, err = fr.Sequence(i); err != nil {
+			t.Fatal(err)
+		}
+		check("random-access", i, s)
+	}
+	if _, err := src.Next(); err != io.EOF {
+		t.Fatalf("stream past the last sequence: %v, want io.EOF", err)
 	}
 }
 
@@ -430,7 +475,7 @@ func TestFragmentRoundTripQuick(t *testing.T) {
 		}
 		for i, want := range seqs {
 			got, err := fr.Sequence(i)
-			if err != nil || got.ID != want.ID || got.Desc != want.Desc || !bytes.Equal(got.Data, want.Data) {
+			if err != nil || got.ID != want.ID || got.Desc != want.Desc || !bytes.Equal(got.Letters(), want.Data) {
 				return false
 			}
 		}

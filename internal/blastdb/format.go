@@ -109,7 +109,7 @@ func (w *FragmentWriter) Append(s *seq.Sequence) error {
 	}
 	var payload []byte
 	if w.kind == seq.Nucleotide {
-		packed, err := seq.Pack2Bit(s.Data)
+		packed, err := seq.Pack2Bit(s.Letters())
 		if err != nil {
 			return fmt.Errorf("blastdb: %s: %w", s.ID, err)
 		}
@@ -253,31 +253,25 @@ func (fr *Fragment) payloadLen(i int) int64 {
 	return int64(fr.index[i].Letters)
 }
 
-// Sequence reads and decodes sequence i. On a backend that serves
-// zero-copy views (the readahead layer), a nucleotide payload is
-// borrowed straight from the block cache and carried packed — no
-// per-sequence copy, no unpacking — with the letters materialized only
-// if a consumer asks for them.
+// Sequence reads and decodes sequence i. A nucleotide sequence is
+// carried 2-bit packed, with its letters materialized only if a
+// consumer asks for them; on a backend that serves zero-copy views (the
+// readahead layer) its payload is borrowed straight from the block
+// cache, elsewhere it owns the payload read for it.
 func (fr *Fragment) Sequence(i int) (*seq.Sequence, error) {
 	if i < 0 || i >= len(fr.index) {
 		return nil, fmt.Errorf("blastdb: sequence index %d out of range [0,%d)", i, len(fr.index))
 	}
-	rec := fr.index[i]
-	plen := fr.payloadLen(i)
-	if fr.h.Kind == seq.Nucleotide {
-		if vr, ok := fr.f.(chio.ViewReaderAt); ok {
-			payload, err := fr.readPayloadView(vr, int64(rec.DataOff), plen)
-			if err != nil {
-				return nil, err
-			}
-			return fr.decodePacked(i, payload), nil
-		}
+	start, plen := int64(fr.index[i].DataOff), fr.payloadLen(i)
+	var payload []byte
+	var err error
+	if vr, ok := fr.f.(chio.ViewReaderAt); ok && fr.h.Kind == seq.Nucleotide {
+		payload, err = fr.readPayloadView(vr, start, plen)
+	} else {
+		payload, err = fr.readPayload(start, plen)
 	}
-	payload := make([]byte, plen)
-	if len(payload) > 0 {
-		if n, err := fr.f.ReadAt(payload, int64(fr.h.DataOff+rec.DataOff)); err != nil && err != io.EOF || n < len(payload) {
-			return nil, fmt.Errorf("blastdb: short data read: %w", err)
-		}
+	if err != nil {
+		return nil, err
 	}
 	return fr.decode(i, payload), nil
 }
@@ -296,6 +290,12 @@ func (fr *Fragment) readPayloadView(vr chio.ViewReaderAt, start, plen int64) ([]
 			return v.Data, nil
 		}
 	}
+	return fr.readPayload(start, plen)
+}
+
+// readPayload reads plen payload bytes at data-region offset start into
+// a buffer of its own.
+func (fr *Fragment) readPayload(start, plen int64) ([]byte, error) {
 	buf := make([]byte, plen)
 	if plen > 0 {
 		if n, err := fr.f.ReadAt(buf, int64(fr.h.DataOff)+start); err != nil && err != io.EOF || int64(n) < plen {
@@ -319,24 +319,18 @@ func (fr *Fragment) defline(i int) (id, desc string) {
 	return id, desc
 }
 
+// decode builds sequence i over its payload, which it retains: a
+// nucleotide sequence directly over its (possibly borrowed) 2-bit
+// payload without unpacking, a protein one over its letters. The
+// payload must stay immutable for the sequence's lifetime; cache blocks
+// satisfy this because invalidation drops references rather than
+// rewriting bytes.
 func (fr *Fragment) decode(i int, payload []byte) *seq.Sequence {
 	id, desc := fr.defline(i)
-	var data []byte
 	if fr.h.Kind == seq.Nucleotide {
-		data = seq.Unpack2Bit(payload, int(fr.index[i].Letters))
-	} else {
-		data = append([]byte(nil), payload...)
+		return seq.NewPacked2Bit(id, desc, payload, int(fr.index[i].Letters))
 	}
-	return &seq.Sequence{ID: id, Desc: desc, Kind: fr.h.Kind, Data: data}
-}
-
-// decodePacked builds sequence i directly over its (possibly borrowed)
-// 2-bit payload without unpacking. The payload must stay immutable for
-// the sequence's lifetime; cache blocks satisfy this because
-// invalidation drops references rather than rewriting bytes.
-func (fr *Fragment) decodePacked(i int, payload []byte) *seq.Sequence {
-	id, desc := fr.defline(i)
-	return seq.NewPacked2Bit(id, desc, payload, int(fr.index[i].Letters))
+	return &seq.Sequence{ID: id, Desc: desc, Kind: fr.h.Kind, Data: payload}
 }
 
 // Close releases the underlying file.
@@ -394,7 +388,7 @@ func (src *FragmentSource) Next() (*seq.Sequence, error) {
 			return nil, err
 		}
 		src.i++
-		return fr.decodePacked(i, payload), nil
+		return fr.decode(i, payload), nil
 	}
 	if src.bufStart < 0 || start < src.bufStart || end > src.bufStart+int64(len(src.buf)) {
 		// Refill: one large read beginning at this sequence.
@@ -414,7 +408,10 @@ func (src *FragmentSource) Next() (*seq.Sequence, error) {
 		}
 		src.bufStart = start
 	}
-	payload := src.buf[start-src.bufStart : end-src.bufStart]
+	// The sequence owns a copy of its payload, so a hit does not keep
+	// the chunk alive.
+	payload := make([]byte, plen)
+	copy(payload, src.buf[start-src.bufStart:end-src.bufStart])
 	src.i++
 	return fr.decode(i, payload), nil
 }

@@ -296,7 +296,7 @@ func TestTabularAndReportOverParallelResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := blast.WriteReport(&buf, out.Result, query, nil); err != nil {
+	if err := blast.WriteReport(&buf, out.Result); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "blastn search") {

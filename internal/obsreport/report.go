@@ -83,7 +83,8 @@ type SearchKernelStats struct {
 	// scan (a blastn subject counts once for both query strands).
 	ScannedBases int64 `json:"scanned_bases,omitempty"`
 	// PackedExts counts ungapped extensions served by the 2-bit packed
-	// kernel instead of the byte kernel.
+	// kernel; every blastn subject is extended packed, so for blastn it
+	// equals the ungapped extension count.
 	PackedExts int64 `json:"packed_exts,omitempty"`
 	// ShardBusySeconds sums shard compute time; ScannedBases over it is
 	// the search-side bases/sec rate.

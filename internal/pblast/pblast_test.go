@@ -652,7 +652,7 @@ func TestBatchMultiQuery(t *testing.T) {
 	}
 	for _, s := range all {
 		if s.ID == "nt23" {
-			copy(s.Data[300:], q2data[50:350])
+			copy(s.Letters()[300:], q2data[50:350])
 		}
 	}
 	var buf bytes.Buffer

@@ -35,39 +35,27 @@ func (k Kind) String() string {
 // 2-bit; BLAST treats such positions like the mapped base, which is the
 // same simplification NCBI's 2-bit ncbi2na packing makes for scanning.
 func NucCode(b byte) (code byte, ok bool) {
-	switch b {
-	case 'A', 'a':
-		return 0, true
-	case 'C', 'c':
-		return 1, true
-	case 'G', 'g':
-		return 2, true
-	case 'T', 't', 'U', 'u':
-		return 3, true
-	case 'N', 'n', 'X', 'x':
-		return 0, true // ambiguous: any base
-	case 'R', 'r':
-		return 0, true // A or G
-	case 'Y', 'y':
-		return 1, true // C or T
-	case 'S', 's':
-		return 1, true // G or C
-	case 'W', 'w':
-		return 0, true // A or T
-	case 'K', 'k':
-		return 2, true // G or T
-	case 'M', 'm':
-		return 0, true // A or C
-	case 'B', 'b':
-		return 1, true
-	case 'D', 'd':
-		return 0, true
-	case 'H', 'h':
-		return 0, true
-	case 'V', 'v':
-		return 0, true
+	c := nucCodes[b]
+	return c & 3, c != 0
+}
+
+// nucCodes holds each nucleotide letter's code plus nucValid, and zero
+// for any other byte: a table lookup, because letters arrive in no
+// order a branch predictor could learn.
+var nucCodes [256]byte
+
+const nucValid = 4
+
+func init() {
+	// Ambiguity letters fold to one of their bases: N and X (any), R
+	// (A/G), W (A/T), M (A/C), D, H and V to A; Y (C/T), S (G/C) and B
+	// to C; K (G/T) to G; U to T.
+	for code, letters := range [4]string{"ANXRWMDHV", "CYSB", "GK", "TU"} {
+		for i := 0; i < len(letters); i++ {
+			nucCodes[letters[i]] = byte(code) | nucValid
+			nucCodes[letters[i]+'a'-'A'] = byte(code) | nucValid
+		}
 	}
-	return 0, false
 }
 
 // NucLetter is the inverse of NucCode for the four concrete bases.

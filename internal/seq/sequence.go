@@ -184,11 +184,21 @@ func (s *Sequence) AppendCodes(dst []byte) []byte {
 // lowest bits — the same layout as Pack2Bit, but starting from codes
 // instead of letters.
 func PackCodes(codes []byte) []byte {
-	packed := make([]byte, (len(codes)+3)/4)
-	for i, c := range codes {
-		packed[i/4] |= (c & 3) << (uint(i%4) * 2)
+	return AppendPackedCodes(make([]byte, 0, (len(codes)+3)/4), codes)
+}
+
+// AppendPackedCodes appends codes packed as PackCodes packs them to dst
+// and returns the extended slice — the allocation-free form of
+// PackCodes for callers that pool the destination buffer.
+func AppendPackedCodes(dst, codes []byte) []byte {
+	for i := 0; i < len(codes); i += 4 {
+		var b byte
+		for k, c := range codes[i:min(i+4, len(codes))] {
+			b |= (c & 3) << (uint(k) * 2)
+		}
+		dst = append(dst, b)
 	}
-	return packed
+	return dst
 }
 
 // AppendUnpackedCodes appends n dense 2-bit codes from packed to dst

@@ -8,11 +8,17 @@
 #     -io" spelling);
 #   - pariocp a fragment out of CEFT, byte-compare it with the local
 #     one, and -ls it on both parallel stores;
-#   - search a two-query FASTA with mpiblast in-process, distributed
-#     (-router, two worker processes), and distributed with -scratch,
-#     requiring identical hit lines from all three and from serial
-#     blastn on the local copy, a non-zero copy time under -scratch and
-#     the fragments present in the workers' scratch directories;
+#   - search a two-query FASTA with mpiblast in-process (with and
+#     without -readahead), distributed (-router, two worker processes),
+#     and distributed with -scratch, requiring identical hit lines from
+#     all four and from serial blastn on the local copy, a non-zero copy
+#     time under -scratch and the fragments present in the workers'
+#     scratch directories;
+#   - run the same pair for megablast: serial blastn -megablast on the
+#     local copy against in-process mpiblast -megablast -readahead over
+#     CEFT. Serial blastn decodes subjects into payloads it owns,
+#     -readahead lends borrowed cache-block views; both reach the same
+#     packed kernel and must print the same hit lines;
 #   - require blastn to refuse a megablast word longer than 31 bases.
 # Exercised by `make cli-smoke` (part of `make check`).
 set -eu
@@ -160,6 +166,28 @@ grep -q 'exceeds 31' "$TMP/mega32.log" ||
     -io ceft $CEFT >"$TMP/inproc.out" 2>"$TMP/inproc.log" ||
     fail "in-process mpiblast failed" "$TMP/inproc.log"
 
+# The same over readahead: subjects arrive as borrowed 2-bit views of
+# cache blocks instead of owned copies.
+# shellcheck disable=SC2086
+"$TMP/mpiblast" -db nt -query "$TMP/q.fasta" -outfmt tabular -threads 1 -workers 2 \
+    -readahead -io ceft $CEFT >"$TMP/readahead.out" 2>"$TMP/readahead.log" ||
+    fail "in-process mpiblast -readahead failed" "$TMP/readahead.log"
+
+# Megablast: greedy extension over both payload origins.
+"$TMP/blastn" -db nt -query "$TMP/q.fasta" -root "$TMP/local" -outfmt tabular -threads 1 -megablast \
+    >"$TMP/mega.out" 2>"$TMP/mega.log" || fail "serial blastn -megablast failed" "$TMP/mega.log"
+hits "$TMP/mega.out" >"$TMP/mega.hits"
+[ "$(grep -c '^qa' "$TMP/mega.hits")" -ge 1 ] && [ "$(grep -c '^qb' "$TMP/mega.hits")" -ge 1 ] ||
+    fail "serial blastn -megablast did not hit with both queries" "$TMP/mega.out"
+# shellcheck disable=SC2086
+"$TMP/mpiblast" -db nt -query "$TMP/q.fasta" -outfmt tabular -threads 1 -workers 2 -megablast \
+    -readahead -io ceft $CEFT >"$TMP/mega.readahead.out" 2>"$TMP/mega.readahead.log" ||
+    fail "in-process mpiblast -megablast -readahead failed" "$TMP/mega.readahead.log"
+hits "$TMP/mega.readahead.out" >"$TMP/mega.readahead.hits"
+cmp -s "$TMP/mega.hits" "$TMP/mega.readahead.hits" ||
+    fail "megablast hit lines over readahead differ from serial blastn -megablast" \
+        "$TMP/mega.hits" "$TMP/mega.readahead.hits"
+
 # Distributed: rank 0 starts the router and drives both queries through
 # one stream; ranks 1 and 2 are separate processes.
 distributed() {
@@ -186,7 +214,7 @@ distributed dist "$((BASE + 20))" -io ceft $CEFT
 # shellcheck disable=SC2086
 distributed scratch "$((BASE + 21))" -io pvfs $PVFS -scratch "$TMP/scratch"
 
-for run in inproc dist scratch; do
+for run in inproc readahead dist scratch; do
     hits "$TMP/$run.out" >"$TMP/$run.hits"
     cmp -s "$TMP/serial.hits" "$TMP/$run.hits" ||
         fail "$run hit lines differ from serial blastn" "$TMP/serial.hits" "$TMP/$run.hits"
@@ -204,4 +232,4 @@ if grep 'copy time' "$TMP/dist.out" | grep -qv 'copy time 0\.00s'; then
     fail "distributed run without -scratch reports copy time" "$TMP/dist.out"
 fi
 
-echo "cli-smoke: ok ($(wc -l <"$TMP/serial.hits") hit lines, 4 ways)"
+echo "cli-smoke: ok ($(wc -l <"$TMP/serial.hits") hit lines, 5 ways; $(wc -l <"$TMP/mega.hits") megablast hit lines, 2 ways)"
