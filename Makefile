@@ -12,8 +12,9 @@ test:
 # race detector (the transport layer is heavily concurrent), re-run
 # the search-path allocation guard without the race detector (whose
 # shadow memory inflates alloc counts, so the guard skips itself
-# under -race), fuzz the data server's request handler and the
-# one-table seed scan for a few seconds each, build and smoke the frozen benchmark module (root `go build
+# under -race), fuzz the data server's request handler, the one-table
+# seed scan and the message router for a few seconds each, build and
+# smoke the frozen benchmark module (root `go build
 # ./...` does not compile it, so a rename that breaks it would
 # otherwise go unnoticed), make sure every benchmark still at least
 # runs, then smoke the live /metrics endpoint.
@@ -21,6 +22,7 @@ check: lint race
 	$(GO) test -run TestSearchSubjectSteadyStateAllocs ./internal/blast/
 	$(GO) test -run '^$$' -fuzz FuzzDataServerDispatch -fuzztime 5s ./internal/pvfs/
 	$(GO) test -run '^$$' -fuzz FuzzOneTableSeeds -fuzztime 5s ./internal/blast/
+	$(GO) test -run '^$$' -fuzz FuzzRouterFrames -fuzztime 5s ./internal/mpi/
 	$(GO) vet -C bench ./... && $(GO) test -C bench -short .
 	$(MAKE) bench-smoke
 	$(MAKE) metrics-smoke

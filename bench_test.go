@@ -471,7 +471,7 @@ func BenchmarkMPIRoundTrip(b *testing.B) {
 	go func() {
 		defer close(done)
 		for {
-			m, err := c1.Recv(0, mpi.AnyTag)
+			m, err := c1.Recv(context.Background(), 0, mpi.AnyTag)
 			if err != nil {
 				return
 			}
@@ -489,7 +489,7 @@ func BenchmarkMPIRoundTrip(b *testing.B) {
 		if err := c0.Send(1, 1, payload); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := c0.Recv(1, 2); err != nil {
+		if _, err := c0.Recv(context.Background(), 1, 2); err != nil {
 			b.Fatal(err)
 		}
 	}

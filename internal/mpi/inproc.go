@@ -1,8 +1,8 @@
 package mpi
 
 import (
+	"context"
 	"fmt"
-	"time"
 )
 
 // World is the in-process transport: size communicators sharing
@@ -56,15 +56,11 @@ func (c *inprocComm) Send(to, tag int, data []byte) error {
 	return c.world.boxes[to].put(Message{From: c.rank, Tag: tag, Data: append([]byte(nil), data...)})
 }
 
-func (c *inprocComm) Recv(from, tag int) (Message, error) {
-	return c.world.boxes[c.rank].get(from, tag)
+func (c *inprocComm) Recv(ctx context.Context, from, tag int) (Message, error) {
+	return c.world.boxes[c.rank].get(ctx, from, tag)
 }
 
 func (c *inprocComm) Close() error {
 	c.world.boxes[c.rank].close()
 	return nil
-}
-
-func (c *inprocComm) recvTimeout(from, tag int, d time.Duration) (Message, bool, error) {
-	return c.world.boxes[c.rank].getTimeout(from, tag, d)
 }

@@ -1,18 +1,18 @@
 // Package mpi is a small message-passing substrate in the spirit of
-// the MPI subset mpiBLAST uses: ranked processes, tagged point-to-
-// point Send/Recv with wildcard matching, and rank-0-rooted
-// collectives. Two transports are provided: an in-process one
-// (goroutines and channels) and a TCP one (router process), so the
-// parallel BLAST code runs unchanged in one process or across many.
+// the MPI subset mpiBLAST uses: ranked processes and tagged point-to-
+// point Send/Recv with wildcard matching. Two transports are provided:
+// an in-process one (goroutines and channels) and a TCP one (router
+// process), so the parallel BLAST code runs unchanged in one process or
+// across many.
 package mpi
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 )
 
 // Wildcards for Recv matching.
@@ -43,17 +43,19 @@ type Comm interface {
 	// until the transport accepts the message but does not wait for a
 	// matching Recv.
 	Send(to, tag int, data []byte) error
-	// Recv blocks until a message matching (from, tag) arrives.
-	// AnySource / AnyTag act as wildcards.
-	Recv(from, tag int) (Message, error)
+	// Recv blocks until a message matching (from, tag) arrives or ctx
+	// is done, returning ctx.Err() in the latter case; a message is
+	// never lost to a cancelled Recv. AnySource / AnyTag act as
+	// wildcards.
+	Recv(ctx context.Context, from, tag int) (Message, error)
 	// Close shuts the endpoint down; blocked Recvs return ErrClosed.
 	Close() error
 }
 
 // mailbox implements wildcard-matched receive queues shared by both
-// transports. Waiters register matching channels so receives can be
-// given deadlines (needed by fault-tolerant masters that must notice
-// silent worker deaths).
+// transports. Waiters register matching channels so a receive can give
+// up when its context ends (a fault-tolerant master's overdue tick, a
+// worker told to leave).
 type mailbox struct {
 	mu      sync.Mutex
 	pending []Message
@@ -91,64 +93,53 @@ func (mb *mailbox) put(m Message) error {
 	return nil
 }
 
-func (mb *mailbox) get(from, tag int) (Message, error) {
-	m, _, err := mb.getTimeout(from, tag, -1)
-	return m, err
-}
-
-// getTimeout receives a matching message. d < 0 blocks indefinitely;
-// otherwise ok=false reports that the deadline passed with no match.
-func (mb *mailbox) getTimeout(from, tag int, d time.Duration) (m Message, ok bool, err error) {
+// get receives a matching message, waiting until one arrives, ctx is
+// done or the mailbox closes. A context that can never be cancelled has
+// a nil Done channel, so the select then blocks on the waiter alone.
+func (mb *mailbox) get(ctx context.Context, from, tag int) (Message, error) {
 	mb.mu.Lock()
 	for i, pm := range mb.pending {
 		if envelopeMatches(from, tag, pm) {
 			mb.pending = append(mb.pending[:i], mb.pending[i+1:]...)
 			mb.mu.Unlock()
-			return pm, true, nil
+			return pm, nil
 		}
 	}
 	if mb.closed {
 		mb.mu.Unlock()
-		return Message{}, false, ErrClosed
+		return Message{}, ErrClosed
 	}
 	w := &waiter{from: from, tag: tag, ch: make(chan Message, 1)}
 	mb.waiters = append(mb.waiters, w)
 	mb.mu.Unlock()
 
-	if d < 0 {
-		m, chOk := <-w.ch
-		if !chOk {
-			return Message{}, false, ErrClosed
-		}
-		return m, true, nil
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
 	select {
-	case m, chOk := <-w.ch:
-		if !chOk {
-			return Message{}, false, ErrClosed
-		}
-		return m, true, nil
-	case <-timer.C:
-		mb.mu.Lock()
-		for i, x := range mb.waiters {
-			if x == w {
-				mb.waiters = append(mb.waiters[:i], mb.waiters[i+1:]...)
-				mb.mu.Unlock()
-				return Message{}, false, nil
-			}
-		}
-		mb.mu.Unlock()
-		// The waiter was already removed: either a put delivered a
-		// message or close closed the channel; the blocking receive
-		// resolves which.
-		m, chOk := <-w.ch
-		if !chOk {
-			return Message{}, false, ErrClosed
-		}
-		return m, true, nil
+	case m, ok := <-w.ch:
+		return delivered(m, ok)
+	case <-ctx.Done():
 	}
+	mb.mu.Lock()
+	for i, x := range mb.waiters {
+		if x == w {
+			mb.waiters = append(mb.waiters[:i], mb.waiters[i+1:]...)
+			mb.mu.Unlock()
+			return Message{}, ctx.Err()
+		}
+	}
+	mb.mu.Unlock()
+	// The waiter was already removed: either a put delivered a message
+	// or close closed the channel; the buffered channel resolves which.
+	m, ok := <-w.ch
+	return delivered(m, ok)
+}
+
+// delivered interprets a receive from a waiter channel, which is closed
+// only when the mailbox closes.
+func delivered(m Message, ok bool) (Message, error) {
+	if !ok {
+		return Message{}, ErrClosed
+	}
+	return m, nil
 }
 
 func (mb *mailbox) close() {
@@ -162,22 +153,6 @@ func (mb *mailbox) close() {
 	}
 }
 
-// timeoutReceiver is implemented by both transports' communicators.
-type timeoutReceiver interface {
-	recvTimeout(from, tag int, d time.Duration) (Message, bool, error)
-}
-
-// RecvTimeout receives like Comm.Recv but gives up after d, returning
-// ok=false. It lets masters detect silently-dead peers.
-func RecvTimeout(c Comm, from, tag int, d time.Duration) (Message, bool, error) {
-	tr, supported := c.(timeoutReceiver)
-	if !supported {
-		m, err := c.Recv(from, tag)
-		return m, err == nil, err
-	}
-	return tr.recvTimeout(from, tag, d)
-}
-
 // SendGob gob-encodes v and sends it.
 func SendGob(c Comm, to, tag int, v interface{}) error {
 	var buf bytes.Buffer
@@ -189,8 +164,8 @@ func SendGob(c Comm, to, tag int, v interface{}) error {
 
 // RecvGob receives a matching message and gob-decodes it into v,
 // returning the envelope.
-func RecvGob(c Comm, from, tag int, v interface{}) (Message, error) {
-	m, err := c.Recv(from, tag)
+func RecvGob(ctx context.Context, c Comm, from, tag int, v interface{}) (Message, error) {
+	m, err := c.Recv(ctx, from, tag)
 	if err != nil {
 		return m, err
 	}

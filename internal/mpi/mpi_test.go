@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -79,7 +81,7 @@ func TestPingPong(t *testing.T) {
 					if err := c.Send(1, 7, []byte("ping")); err != nil {
 						return err
 					}
-					m, err := c.Recv(1, 8)
+					m, err := c.Recv(context.Background(), 1, 8)
 					if err != nil {
 						return err
 					}
@@ -88,7 +90,7 @@ func TestPingPong(t *testing.T) {
 					}
 					return nil
 				}
-				m, err := c.Recv(0, 7)
+				m, err := c.Recv(context.Background(), 0, 7)
 				if err != nil {
 					return err
 				}
@@ -109,7 +111,7 @@ func TestWildcardRecv(t *testing.T) {
 				if c.Rank() == 0 {
 					seen := map[int]bool{}
 					for i := 1; i < size; i++ {
-						m, err := c.Recv(AnySource, AnyTag)
+						m, err := c.Recv(context.Background(), AnySource, AnyTag)
 						if err != nil {
 							return err
 						}
@@ -141,14 +143,14 @@ func TestTagMatching(t *testing.T) {
 					}
 					return c.Send(1, 1, []byte("one"))
 				}
-				m1, err := c.Recv(0, 1)
+				m1, err := c.Recv(context.Background(), 0, 1)
 				if err != nil {
 					return err
 				}
 				if string(m1.Data) != "one" {
 					return fmt.Errorf("tag 1 got %q", m1.Data)
 				}
-				m2, err := c.Recv(0, 2)
+				m2, err := c.Recv(context.Background(), 0, 2)
 				if err != nil {
 					return err
 				}
@@ -168,84 +170,12 @@ func TestSelfSend(t *testing.T) {
 				if err := c.Send(0, 5, []byte("loop")); err != nil {
 					return err
 				}
-				m, err := c.Recv(0, 5)
+				m, err := c.Recv(context.Background(), 0, 5)
 				if err != nil {
 					return err
 				}
 				if string(m.Data) != "loop" {
 					return fmt.Errorf("self send got %q", m.Data)
-				}
-				return nil
-			})
-		})
-	}
-}
-
-func TestBarrier(t *testing.T) {
-	for name, run := range transports(t) {
-		t.Run(name, func(t *testing.T) {
-			const size = 5
-			var mu sync.Mutex
-			entered := 0
-			run(t, size, func(c Comm) error {
-				mu.Lock()
-				entered++
-				mu.Unlock()
-				if err := Barrier(c); err != nil {
-					return err
-				}
-				mu.Lock()
-				defer mu.Unlock()
-				if entered != size {
-					return fmt.Errorf("barrier released with %d/%d entered", entered, size)
-				}
-				return nil
-			})
-		})
-	}
-}
-
-func TestBcast(t *testing.T) {
-	for name, run := range transports(t) {
-		t.Run(name, func(t *testing.T) {
-			run(t, 4, func(c Comm) error {
-				var payload []byte
-				if c.Rank() == 0 {
-					payload = []byte("broadcast payload")
-				}
-				got, err := Bcast(c, payload)
-				if err != nil {
-					return err
-				}
-				if string(got) != "broadcast payload" {
-					return fmt.Errorf("rank %d got %q", c.Rank(), got)
-				}
-				return nil
-			})
-		})
-	}
-}
-
-func TestGather(t *testing.T) {
-	for name, run := range transports(t) {
-		t.Run(name, func(t *testing.T) {
-			const size = 4
-			run(t, size, func(c Comm) error {
-				data := []byte{byte(c.Rank() * 10)}
-				out, err := Gather(c, data)
-				if err != nil {
-					return err
-				}
-				if c.Rank() != 0 {
-					if out != nil {
-						return fmt.Errorf("non-root got gather output")
-					}
-					return nil
-				}
-				for r := 0; r < size; r++ {
-					if len(out[r]) != 1 || out[r][0] != byte(r*10) {
-						return fmt.Errorf("gather[%d] = %v", r, out[r])
-					}
 				}
 				return nil
 			})
@@ -263,7 +193,7 @@ func TestGobRoundTrip(t *testing.T) {
 			return SendGob(c, 1, 3, task{ID: 42, Files: []string{"a", "b"}})
 		}
 		var got task
-		if _, err := RecvGob(c, 0, 3, &got); err != nil {
+		if _, err := RecvGob(context.Background(), c, 0, 3, &got); err != nil {
 			return err
 		}
 		if got.ID != 42 || len(got.Files) != 2 || got.Files[1] != "b" {
@@ -281,7 +211,7 @@ func TestRecvAfterCloseReturnsErrClosed(t *testing.T) {
 	c := w.Comm(1)
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Recv(AnySource, AnyTag)
+		_, err := c.Recv(context.Background(), AnySource, AnyTag)
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -336,7 +266,7 @@ func TestTCPEarlySendBeforePeerConnects(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	m, err := c1.Recv(0, 9)
+	m, err := c1.Recv(context.Background(), 0, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +285,7 @@ func TestManyMessagesStress(t *testing.T) {
 					total := 0
 					sums := map[int]int{}
 					for total < (size-1)*per {
-						m, err := c.Recv(AnySource, AnyTag)
+						m, err := c.Recv(context.Background(), AnySource, AnyTag)
 						if err != nil {
 							return err
 						}
@@ -417,16 +347,67 @@ func TestDialRetryTimesOut(t *testing.T) {
 	}
 }
 
+// pair returns ranks 0 and 1 of a two-rank world over the named
+// transport, torn down with the test.
+func pair(t *testing.T, transport string) (Comm, Comm) {
+	t.Helper()
+	if transport == "inproc" {
+		w, err := NewWorld(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(w.Close)
+		return w.Comm(0), w.Comm(1)
+	}
+	router, err := StartRouter("127.0.0.1:0", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { router.Close() })
+	var cs [2]Comm
+	for r := range cs {
+		c, err := Dial(router.Addr(), r, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		cs[r] = c
+	}
+	return cs[0], cs[1]
+}
+
+// recvInBackground starts a Recv on c and returns a function that
+// waits (bounded) for its error, after the caller has unblocked it.
+func recvInBackground(ctx context.Context, c Comm) func() error {
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Recv(ctx, AnySource, AnyTag)
+		done <- err
+	}()
+	return func() error {
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(2 * time.Second):
+			return errors.New("Recv did not unblock")
+		}
+	}
+}
+
+// TestRecvTimeout checks that a context deadline ends a Recv with
+// nothing to match, not before the deadline, and that a message sent
+// afterwards still reaches a Recv with a longer deadline.
 func TestRecvTimeout(t *testing.T) {
 	for name, run := range transports(t) {
 		t.Run(name, func(t *testing.T) {
 			run(t, 2, func(c Comm) error {
 				if c.Rank() == 0 {
 					// Nothing matching tag 99 yet: must time out.
+					ctx, cancel := context.WithTimeout(context.Background(), 80*time.Millisecond)
+					defer cancel()
 					start := time.Now()
-					_, ok, err := RecvTimeout(c, AnySource, 99, 80*time.Millisecond)
-					if err != nil || ok {
-						return fmt.Errorf("expected timeout, got ok=%v err=%v", ok, err)
+					if _, err := c.Recv(ctx, AnySource, 99); !errors.Is(err, context.DeadlineExceeded) {
+						return fmt.Errorf("expected DeadlineExceeded, got %v", err)
 					}
 					if time.Since(start) < 60*time.Millisecond {
 						return fmt.Errorf("timed out too early")
@@ -435,16 +416,18 @@ func TestRecvTimeout(t *testing.T) {
 					if err := c.Send(1, 1, nil); err != nil {
 						return err
 					}
-					m, ok, err := RecvTimeout(c, 1, 99, 2*time.Second)
-					if err != nil || !ok {
-						return fmt.Errorf("expected message, got ok=%v err=%v", ok, err)
+					ctx, cancel = context.WithTimeout(context.Background(), 2*time.Second)
+					defer cancel()
+					m, err := c.Recv(ctx, 1, 99)
+					if err != nil {
+						return fmt.Errorf("expected message, got %v", err)
 					}
 					if string(m.Data) != "late" {
 						return fmt.Errorf("got %q", m.Data)
 					}
 					return nil
 				}
-				if _, err := c.Recv(0, 1); err != nil {
+				if _, err := c.Recv(context.Background(), 0, 1); err != nil {
 					return err
 				}
 				return c.Send(0, 99, []byte("late"))
@@ -454,73 +437,119 @@ func TestRecvTimeout(t *testing.T) {
 }
 
 func TestRecvTimeoutDoesNotStealMismatched(t *testing.T) {
-	w, err := NewWorld(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	c0, c1 := w.Comm(0), w.Comm(1)
-	if err := c1.Send(0, 5, []byte("keep")); err != nil {
-		t.Fatal(err)
-	}
-	// Waiting for tag 6 must not consume the tag-5 message.
-	if _, ok, err := RecvTimeout(c0, AnySource, 6, 50*time.Millisecond); ok || err != nil {
-		t.Fatalf("tag 6 wait: ok=%v err=%v", ok, err)
-	}
-	m, err := c0.Recv(AnySource, 5)
-	if err != nil || string(m.Data) != "keep" {
-		t.Fatalf("tag 5 message lost: %v %q", err, m.Data)
+	for _, transport := range []string{"inproc", "tcp"} {
+		t.Run(transport, func(t *testing.T) {
+			c0, c1 := pair(t, transport)
+			if err := c1.Send(0, 5, []byte("keep")); err != nil {
+				t.Fatal(err)
+			}
+			// Waiting for tag 6 must not consume the tag-5 message.
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			if _, err := c0.Recv(ctx, AnySource, 6); !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("tag 6 wait: err = %v, want DeadlineExceeded", err)
+			}
+			m, err := c0.Recv(context.Background(), AnySource, 5)
+			if err != nil || string(m.Data) != "keep" {
+				t.Fatalf("tag 5 message lost: %v %q", err, m.Data)
+			}
+		})
 	}
 }
 
-func TestRecvTimeoutUnblocksOnClose(t *testing.T) {
-	w, err := NewWorld(1)
-	if err != nil {
-		t.Fatal(err)
+// TestRecvContext pins how a Recv stops waiting without a deadline, on
+// both transports: its context's cancellation, or Close.
+func TestRecvContext(t *testing.T) {
+	rows := []struct {
+		name string
+		run  func(c0, c1 Comm) error
+	}{
+		{"cancel", func(c0, c1 Comm) error {
+			// Cancel unblocks the Recv, and a message sent afterwards
+			// goes to the next Recv rather than the abandoned one.
+			ctx, cancel := context.WithCancel(context.Background())
+			wait := recvInBackground(ctx, c0)
+			time.Sleep(20 * time.Millisecond)
+			cancel()
+			if err := wait(); !errors.Is(err, context.Canceled) {
+				return fmt.Errorf("cancelled Recv: err = %v, want Canceled", err)
+			}
+			if err := c1.Send(0, 9, []byte("after")); err != nil {
+				return err
+			}
+			ctx, cancel = context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			m, err := c0.Recv(ctx, AnySource, AnyTag)
+			if err != nil || string(m.Data) != "after" {
+				return fmt.Errorf("message sent after the cancel: %v %q", err, m.Data)
+			}
+			return nil
+		}},
+		{"close", func(c0, _ Comm) error {
+			wait := recvInBackground(context.Background(), c0)
+			time.Sleep(20 * time.Millisecond)
+			c0.Close()
+			if err := wait(); !errors.Is(err, ErrClosed) {
+				return fmt.Errorf("Recv on a closed endpoint: err = %v, want ErrClosed", err)
+			}
+			return nil
+		}},
 	}
-	c := w.Comm(0)
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := RecvTimeout(c, AnySource, AnyTag, 10*time.Second)
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	c.Close()
-	select {
-	case err := <-done:
-		if err != ErrClosed {
-			t.Errorf("err = %v, want ErrClosed", err)
+	for _, transport := range []string{"inproc", "tcp"} {
+		for _, row := range rows {
+			t.Run(transport+"/"+row.name, func(t *testing.T) {
+				c0, c1 := pair(t, transport)
+				if err := row.run(c0, c1); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("RecvTimeout did not unblock on Close")
 	}
 }
 
 func TestMailboxOrderAndConservationQuick(t *testing.T) {
 	// Property: for any sequence of sends, wildcard receives return
-	// every message exactly once, in send order.
-	f := func(tags []uint8) bool {
+	// every message exactly once, in send order — also when the sends
+	// run concurrently with the receives and every other receive is
+	// cancelled while it may be waiting (run it under -race).
+	f := func(tags []uint8, concurrent bool) bool {
 		w, err := NewWorld(2)
 		if err != nil {
 			return false
 		}
 		defer w.Close()
 		c0, c1 := w.Comm(0), w.Comm(1)
-		for i, tg := range tags {
-			if err := c0.Send(1, int(tg), []byte{byte(i)}); err != nil {
-				return false
+		sent := make(chan error, 1)
+		send := func() {
+			for i, tg := range tags {
+				if err := c0.Send(1, int(tg), []byte{byte(i)}); err != nil {
+					sent <- err
+					return
+				}
 			}
+			sent <- nil
 		}
-		for i := range tags {
-			m, err := c1.Recv(AnySource, AnyTag)
-			if err != nil {
-				return false
-			}
-			if int(m.Data[0]) != i || m.Tag != int(tags[i]) {
-				return false
-			}
+		if concurrent {
+			go send()
+		} else {
+			send()
 		}
-		return true
+		for i, got := 0, 0; got < len(tags); i++ {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			if concurrent && i%2 == 0 {
+				go cancel() // races the Recv below
+			}
+			m, err := c1.Recv(ctx, AnySource, AnyTag)
+			cancel()
+			if errors.Is(err, context.Canceled) {
+				continue
+			}
+			if err != nil || int(m.Data[0]) != got || m.Tag != int(tags[got]) {
+				return false
+			}
+			got++
+		}
+		return <-sent == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -547,7 +576,7 @@ func TestMailboxSelectiveRecvQuick(t *testing.T) {
 			}
 		}
 		for k := 0; k < matching; k++ {
-			m, err := c1.Recv(AnySource, int(want))
+			m, err := c1.Recv(context.Background(), AnySource, int(want))
 			if err != nil || m.Tag != int(want) {
 				return false
 			}
@@ -555,7 +584,7 @@ func TestMailboxSelectiveRecvQuick(t *testing.T) {
 		// The rest must still be there.
 		rest := len(tags) - matching
 		for k := 0; k < rest; k++ {
-			m, err := c1.Recv(AnySource, AnyTag)
+			m, err := c1.Recv(context.Background(), AnySource, AnyTag)
 			if err != nil || m.Tag == int(want) {
 				return false
 			}

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -48,13 +49,20 @@ func readFrame(r io.Reader) (from, to, tag int, payload []byte, err error) {
 	from = int(int32(binary.LittleEndian.Uint32(hdr[4:])))
 	to = int(int32(binary.LittleEndian.Uint32(hdr[8:])))
 	tag = int(int32(binary.LittleEndian.Uint32(hdr[12:])))
-	n := binary.LittleEndian.Uint32(hdr[16:])
+	n := int(binary.LittleEndian.Uint32(hdr[16:]))
 	if n > 1<<30 {
 		err = fmt.Errorf("mpi: frame of %d bytes exceeds limit", n)
 		return
 	}
-	payload = make([]byte, n)
-	_, err = io.ReadFull(r, payload)
+	// Grow the payload as its bytes arrive instead of trusting the
+	// header: a peer that claims a 1 GiB frame has to send one.
+	for len(payload) < n {
+		k := min(n-len(payload), 1<<20)
+		payload = append(payload, make([]byte, k)...)
+		if _, err = io.ReadFull(r, payload[len(payload)-k:]); err != nil {
+			return
+		}
+	}
 	return
 }
 
@@ -66,8 +74,6 @@ type Router struct {
 	conns   map[int]net.Conn
 	wmus    map[int]*sync.Mutex
 	pending map[int][]pendingFrame // frames for ranks that have not connected yet
-	done    chan struct{}
-	errs    chan error
 }
 
 type pendingFrame struct {
@@ -92,8 +98,6 @@ func StartRouter(addr string, size int) (*Router, error) {
 		conns:   make(map[int]net.Conn),
 		wmus:    make(map[int]*sync.Mutex),
 		pending: make(map[int][]pendingFrame),
-		done:    make(chan struct{}),
-		errs:    make(chan error, size+1),
 	}
 	go r.acceptLoop()
 	return r, nil
@@ -106,12 +110,7 @@ func (r *Router) acceptLoop() {
 	for i := 0; i < r.size; i++ {
 		conn, err := r.ln.Accept()
 		if err != nil {
-			select {
-			case <-r.done:
-			default:
-				r.errs <- err
-			}
-			return
+			return // listener closed
 		}
 		go r.serve(conn)
 	}
@@ -125,6 +124,11 @@ func (r *Router) serve(conn net.Conn) {
 		return
 	}
 	rank := from
+	// Hold the rank's write lock from before it is published until the
+	// queued frames are flushed, so a frame forwarded directly cannot
+	// overtake an earlier queued one from the same sender.
+	wmu := &sync.Mutex{}
+	wmu.Lock()
 	r.mu.Lock()
 	if _, dup := r.conns[rank]; dup {
 		r.mu.Unlock()
@@ -132,37 +136,42 @@ func (r *Router) serve(conn net.Conn) {
 		return
 	}
 	r.conns[rank] = conn
-	wmu := &sync.Mutex{}
 	r.wmus[rank] = wmu
 	queued := r.pending[rank]
 	delete(r.pending, rank)
 	r.mu.Unlock()
-	// Flush frames that arrived before this rank connected.
 	for _, pf := range queued {
-		wmu.Lock()
-		err := writeFrame(conn, pf.from, rank, pf.tag, pf.payload)
-		wmu.Unlock()
-		if err != nil {
-			return
+		if err = writeFrame(conn, pf.from, rank, pf.tag, pf.payload); err != nil {
+			break
 		}
 	}
+	wmu.Unlock()
+	if err != nil {
+		return
+	}
 	for {
-		from, to, tag, payload, err := readFrame(conn)
-		if err != nil {
+		_, to, tag, payload, err := readFrame(conn)
+		if err != nil || to < 0 || to >= r.size {
+			// Drop a peer whose stream is unreadable, or that addresses a
+			// rank that can never connect (queued, the frame would hold
+			// router memory forever).
+			conn.Close()
 			return
 		}
+		// Forward under the connection's own rank, never the sender's
+		// claim, so no rank can impersonate another.
 		r.mu.Lock()
 		dst, ok := r.conns[to]
 		if !ok {
 			// Destination not yet connected: queue the frame.
-			r.pending[to] = append(r.pending[to], pendingFrame{from: from, tag: tag, payload: payload})
+			r.pending[to] = append(r.pending[to], pendingFrame{from: rank, tag: tag, payload: payload})
 			r.mu.Unlock()
 			continue
 		}
 		dmu := r.wmus[to]
 		r.mu.Unlock()
 		dmu.Lock()
-		err = writeFrame(dst, from, to, tag, payload)
+		err = writeFrame(dst, rank, to, tag, payload)
 		dmu.Unlock()
 		if err != nil {
 			return
@@ -172,7 +181,6 @@ func (r *Router) serve(conn net.Conn) {
 
 // Close shuts the router down.
 func (r *Router) Close() error {
-	close(r.done)
 	err := r.ln.Close()
 	r.mu.Lock()
 	for _, c := range r.conns {
@@ -192,8 +200,8 @@ type tcpComm struct {
 }
 
 // Dial connects rank to the router at addr in a world of size ranks.
-// It returns once the connection is established; use Barrier to
-// synchronize rank startup when needed.
+// It returns once the connection is established; frames sent to a rank
+// that has not connected yet wait at the router.
 func Dial(addr string, rank, size int) (Comm, error) {
 	if rank < 0 || rank >= size {
 		return nil, fmt.Errorf("mpi: rank %d out of range [0,%d)", rank, size)
@@ -238,8 +246,8 @@ func (c *tcpComm) Send(to, tag int, data []byte) error {
 	return writeFrame(c.conn, c.rank, to, tag, data)
 }
 
-func (c *tcpComm) Recv(from, tag int) (Message, error) {
-	return c.box.get(from, tag)
+func (c *tcpComm) Recv(ctx context.Context, from, tag int) (Message, error) {
+	return c.box.get(ctx, from, tag)
 }
 
 func (c *tcpComm) Close() error {
@@ -266,8 +274,4 @@ func DialRetry(addr string, rank, size int, timeout time.Duration) (Comm, error)
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-}
-
-func (c *tcpComm) recvTimeout(from, tag int, d time.Duration) (Message, bool, error) {
-	return c.box.getTimeout(from, tag, d)
 }

@@ -238,12 +238,6 @@ func decodeGob(data []byte, v interface{}) error {
 	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
 }
 
-// ctxHasDeadlineOrCancel reports whether ctx can ever be cancelled —
-// i.e. whether a blocking Recv must be replaced by a polling one.
-func ctxHasDeadlineOrCancel(ctx context.Context) bool {
-	return ctx.Done() != nil
-}
-
 func (cfg Config) queryOverlap() int {
 	if cfg.QueryOverlap > 0 {
 		return cfg.QueryOverlap
@@ -327,10 +321,10 @@ func WithQuit(quit <-chan struct{}) WorkerOption {
 //
 // The worker announces itself to the master first, so workers may
 // join a running stream at any time. Cancelling ctx makes the worker
-// exit between tasks, and when fs supports chio.ContextBinder its
-// in-flight parallel-FS reads abort too, so a cancelled query
-// releases the I/O path immediately. For a graceful exit that
-// completes the current task, use WithQuit.
+// leave and return ctx's error, and when fs supports
+// chio.ContextBinder its in-flight parallel-FS reads abort too, so a
+// cancelled query releases the I/O path immediately. For a graceful
+// exit that completes the current task, use WithQuit.
 func RunWorker(ctx context.Context, c mpi.Comm, fs chio.FileSystem, scratch chio.FileSystem, opts ...WorkerOption) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -345,30 +339,39 @@ func RunWorker(ctx context.Context, c mpi.Comm, fs chio.FileSystem, scratch chio
 	if scratch != nil {
 		scratch = chio.BindContext(scratch, ctx)
 	}
-	// A closed communicator means the master completed and shut the
-	// world down — a clean exit, not a fault (this worker may have
-	// been computing a reassigned duplicate).
-	clean := func(err error) error {
+	// Every receive waits on rctx, which ends when ctx is cancelled or
+	// quit closes, so an idle worker blocks without polling for either.
+	// Tasks still run under ctx: a quit never aborts one.
+	rctx, stop := context.WithCancel(ctx)
+	defer stop()
+	if o.quit != nil {
+		go func() {
+			select {
+			case <-o.quit:
+				stop()
+			case <-rctx.Done():
+			}
+		}()
+	}
+	// exit maps a failed send or receive to the worker's return. When
+	// rctx has ended the worker tells the master it is leaving and
+	// returns ctx's error (nil after a quit). Otherwise a closed communicator means
+	// the master completed and shut the world down — a clean exit, not
+	// a fault (this worker may have been computing a reassigned
+	// duplicate).
+	exit := func(err error) error {
+		if rctx.Err() != nil {
+			c.Send(0, tagLeave, nil) // best effort; master may be gone
+			return ctx.Err()
+		}
 		if errors.Is(err, mpi.ErrClosed) {
 			return nil
 		}
 		return err
 	}
-	quitFired := func() bool {
-		select {
-		case <-o.quit:
-			return true
-		default:
-			return false
-		}
-	}
-	leave := func() error {
-		c.Send(0, tagLeave, nil) // best effort; master may be gone
-		return nil
-	}
 
 	if err := c.Send(0, tagHello, nil); err != nil {
-		return clean(err)
+		return exit(err)
 	}
 	// Wait for the job reply. A stale task from a previous occupant of
 	// this rank may still sit in the mailbox — discard anything that
@@ -376,9 +379,9 @@ func RunWorker(ctx context.Context, c mpi.Comm, fs chio.FileSystem, scratch chio
 	// occupant left). A done-task here means the stream is draining.
 	var j job
 	for {
-		m, err := c.Recv(0, mpi.AnyTag)
+		m, err := c.Recv(rctx, 0, mpi.AnyTag)
 		if err != nil {
-			return clean(err)
+			return exit(err)
 		}
 		if m.Tag == tagJob {
 			if err := decodeGob(m.Data, &j); err != nil {
@@ -397,52 +400,24 @@ func RunWorker(ctx context.Context, c mpi.Comm, fs chio.FileSystem, scratch chio
 		}
 	}
 	for {
-		if err := ctx.Err(); err != nil {
-			leave()
-			return err
-		}
-		if quitFired() {
-			return leave()
+		if err := rctx.Err(); err != nil {
+			return exit(err)
 		}
 		if err := c.Send(0, tagReady, nil); err != nil {
-			return clean(err)
+			return exit(err)
 		}
+		// A task the master sends after rctx ends stays in the mailbox;
+		// the master re-queues it when our leave arrives.
 		var t taskMsg
-		if o.quit == nil && !ctxHasDeadlineOrCancel(ctx) {
-			if _, err := mpi.RecvGob(c, 0, tagTask, &t); err != nil {
-				return clean(err)
-			}
-		} else {
-			// Poll so a quit or cancel fired while idle is noticed;
-			// the master re-queues whatever it assigned us meanwhile.
-			got := false
-			for !got {
-				m, ok, err := mpi.RecvTimeout(c, 0, tagTask, 50*time.Millisecond)
-				if err != nil {
-					return clean(err)
-				}
-				if ok {
-					if err := decodeGob(m.Data, &t); err != nil {
-						return err
-					}
-					got = true
-					break
-				}
-				if quitFired() {
-					return leave()
-				}
-				if err := ctx.Err(); err != nil {
-					leave()
-					return err
-				}
-			}
+		if _, err := mpi.RecvGob(rctx, c, 0, tagTask, &t); err != nil {
+			return exit(err)
 		}
 		if t.Kind == taskDone {
 			return nil
 		}
 		rm := runTracedTask(ctx, c.Rank(), o.tracer, &j, &t, fs, scratch, o.pipe)
 		if err := mpi.SendGob(c, 0, tagResult, rm); err != nil {
-			return clean(err)
+			return exit(err)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,7 +18,6 @@ import (
 	"pario/internal/pvfs"
 	"pario/internal/seq"
 	"pario/internal/util"
-	"pario/internal/workloadtest"
 )
 
 // buildTestDB formats a synthetic nucleotide database with a planted
@@ -251,81 +251,73 @@ func TestSplitQuery(t *testing.T) {
 	}
 }
 
-func TestOverPVFS(t *testing.T) {
-	// Full integration: format the DB onto a real PVFS deployment and
-	// run the parallel search with per-worker PVFS clients.
-	mgr, err := pvfs.StartMetaServer(pvfs.MetaConfig{Addr: "127.0.0.1:0", NumServers: 4})
-	if err != nil {
-		t.Fatal(err)
+// TestOverParallelFS is the full integration: format the DB onto a
+// real PVFS or CEFT-PVFS deployment of four data servers and run the
+// parallel search with one client per worker. PVFS stripes over all
+// four; CEFT stripes over two and mirrors them onto the other two.
+func TestOverParallelFS(t *testing.T) {
+	type client interface {
+		chio.FileSystem
+		Close() error
 	}
-	defer mgr.Close()
-	var addrs []string
-	var iods []*pvfs.DataServer
-	for i := 0; i < 4; i++ {
-		ds, err := pvfs.StartDataServer(pvfs.DataServerConfig{ID: i, Addr: "127.0.0.1:0", Store: chio.NewMemFS()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ds.Close()
-		iods = append(iods, ds)
-		addrs = append(addrs, ds.Addr())
-	}
-	masterCl, err := pvfs.Dial(mgr.Addr(), addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer masterCl.Close()
-	query := buildTestDB(t, masterCl, "nt", 6)
+	for _, tc := range []struct {
+		name                    string
+		stripes, frags, workers int
+		dial                    func(mgr string, addrs []string) (client, error)
+	}{
+		{"pvfs", 4, 6, 3, func(mgr string, addrs []string) (client, error) {
+			return pvfs.Dial(mgr, addrs)
+		}},
+		{"ceft", 2, 4, 2, func(mgr string, addrs []string) (client, error) {
+			return ceft.Dial(mgr, addrs[:2], addrs[2:], ceft.DefaultOptions())
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mgr, err := pvfs.StartMetaServer(pvfs.MetaConfig{Addr: "127.0.0.1:0", NumServers: tc.stripes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mgr.Close()
+			var addrs []string
+			for i := 0; i < 4; i++ {
+				ds, err := pvfs.StartDataServer(pvfs.DataServerConfig{ID: i, Addr: "127.0.0.1:0", Store: chio.NewMemFS()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ds.Close()
+				addrs = append(addrs, ds.Addr())
+			}
+			masterCl, err := tc.dial(mgr.Addr(), addrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer masterCl.Close()
+			query := buildTestDB(t, masterCl, "nt", tc.frags)
 
-	var mu sync.Mutex
-	clients := map[int]*pvfs.Client{}
-	defer func() {
-		for _, cl := range clients {
-			cl.Close()
-		}
-	}()
-	out, err := RunInProcess(context.Background(), 3, query, NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN})), masterCl, func(rank int) chio.FileSystem {
-		cl, err := pvfs.Dial(mgr.Addr(), addrs)
-		if err != nil {
-			t.Errorf("worker %d dial: %v", rank, err)
-			return chio.NewMemFS()
-		}
-		mu.Lock()
-		clients[rank] = cl
-		mu.Unlock()
-		return cl
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
+			var mu sync.Mutex
+			var clients []client
+			defer func() {
+				for _, cl := range clients {
+					cl.Close()
+				}
+			}()
+			out, err := RunInProcess(context.Background(), tc.workers, query, NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN})), masterCl, func(rank int) chio.FileSystem {
+				cl, err := tc.dial(mgr.Addr(), addrs)
+				if err != nil {
+					t.Errorf("worker %d dial: %v", rank, err)
+					return chio.NewMemFS()
+				}
+				mu.Lock()
+				clients = append(clients, cl)
+				mu.Unlock()
+				return cl
+			}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkFound(t, out)
+		})
 	}
-	checkFound(t, out)
-}
-
-func TestOverCEFT(t *testing.T) {
-	env := workloadtest.StartCEFT(t, 2)
-	query := buildTestDB(t, env.Client, "nt", 4)
-	var mu sync.Mutex
-	clients := map[int]*ceft.Client{}
-	defer func() {
-		for _, cl := range clients {
-			cl.Close()
-		}
-	}()
-	out, err := RunInProcess(context.Background(), 2, query, NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN})), env.Client, func(rank int) chio.FileSystem {
-		cl, err := ceft.Dial(env.MgrAddr, env.PrimaryAddrs, env.MirrorAddrs, ceft.DefaultOptions())
-		if err != nil {
-			t.Errorf("worker %d dial: %v", rank, err)
-			return chio.NewMemFS()
-		}
-		mu.Lock()
-		clients[rank] = cl
-		mu.Unlock()
-		return cl
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkFound(t, out)
 }
 
 func TestMasterValidation(t *testing.T) {
@@ -454,14 +446,14 @@ func crashingWorker(c mpi.Comm) error {
 		return err
 	}
 	var j job
-	if _, err := mpi.RecvGob(c, 0, tagJob, &j); err != nil {
+	if _, err := mpi.RecvGob(context.Background(), c, 0, tagJob, &j); err != nil {
 		return err
 	}
 	if err := c.Send(0, tagReady, nil); err != nil {
 		return err
 	}
 	var tk taskMsg
-	if _, err := mpi.RecvGob(c, 0, tagTask, &tk); err != nil {
+	if _, err := mpi.RecvGob(context.Background(), c, 0, tagTask, &tk); err != nil {
 		return err
 	}
 	return nil // dies holding the task
@@ -548,7 +540,7 @@ func TestSlowWorkerDuplicateResultDiscarded(t *testing.T) {
 			return
 		}
 		var j job
-		if _, err := mpi.RecvGob(c, 0, tagJob, &j); err != nil {
+		if _, err := mpi.RecvGob(context.Background(), c, 0, tagJob, &j); err != nil {
 			errs[1] = err
 			return
 		}
@@ -557,7 +549,7 @@ func TestSlowWorkerDuplicateResultDiscarded(t *testing.T) {
 			return
 		}
 		var tk taskMsg
-		if _, err := mpi.RecvGob(c, 0, tagTask, &tk); err != nil {
+		if _, err := mpi.RecvGob(context.Background(), c, 0, tagTask, &tk); err != nil {
 			errs[1] = err
 			return
 		}
@@ -578,7 +570,7 @@ func TestSlowWorkerDuplicateResultDiscarded(t *testing.T) {
 				return
 			}
 			var t2 taskMsg
-			if _, err := mpi.RecvGob(c, 0, tagTask, &t2); err != nil {
+			if _, err := mpi.RecvGob(context.Background(), c, 0, tagTask, &t2); err != nil {
 				if !errorsIsClosed(err) {
 					errs[1] = err
 				}
@@ -841,5 +833,122 @@ func TestWorkerTaskFailureSurfacesToMaster(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "task") {
 		t.Errorf("error does not identify the failed task: %v", err)
+	}
+}
+
+// gatedFS holds a worker inside its first Open until release closes,
+// counting every Open.
+type gatedFS struct {
+	chio.FileSystem
+	entered, release chan struct{}
+	opens            atomic.Int32
+}
+
+func (g *gatedFS) Open(name string) (chio.File, error) {
+	if g.opens.Add(1) == 1 {
+		close(g.entered)
+		<-g.release
+	}
+	return g.FileSystem.Open(name)
+}
+
+// A cancelled Submit withdraws its query: the task already running
+// finishes, but Close's drain must not run the seven still pending.
+func TestCancelledSubmitWithdrawsTasks(t *testing.T) {
+	mem := chio.NewMemFS()
+	query := buildTestDB(t, mem, "nt", 8)
+	alias, err := blastdb.ReadAlias(mem, "nt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &gatedFS{FileSystem: mem, entered: make(chan struct{}), release: make(chan struct{})}
+	cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}))
+	pool, err := NewPool(context.Background(), cfg, 1, sameFS(gate), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Resize(1)
+	ctx, cancel := context.WithCancel(context.Background())
+	submitted := make(chan error, 1)
+	go func() {
+		_, err := pool.Submit(ctx, query, cfg.Params, alias)
+		submitted <- err
+	}()
+	<-gate.entered
+	cancel()
+	if err := <-submitted; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Submit returned %v, want context.Canceled", err)
+	}
+	close(gate.release)
+	if err := pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := gate.opens.Load(); n != 1 {
+		t.Errorf("worker opened %d fragments, want 1: the withdrawn query kept running", n)
+	}
+}
+
+// countingComm counts the Recv calls of every endpoint sharing recvs.
+type countingComm struct {
+	mpi.Comm
+	recvs *atomic.Int64
+}
+
+func (c countingComm) Recv(ctx context.Context, from, tag int) (mpi.Message, error) {
+	c.recvs.Add(1)
+	return c.Comm.Recv(ctx, from, tag)
+}
+
+// An idle stream and its workers block in Recv rather than polling,
+// even in the Pool's shape (cancellable context, quit channels), and a
+// quit still reaches an idle worker.
+func TestIdleStreamMakesNoReceives(t *testing.T) {
+	world, err := mpi.NewWorld(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer world.Close()
+	var recvs atomic.Int64
+	comm := func(rank int) mpi.Comm { return countingComm{world.Comm(rank), &recvs} }
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	st, err := StartStream(ctx, comm(0), NewConfig("nt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := chio.NewMemFS()
+	quits := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	exited := []chan error{make(chan error, 1), make(chan error, 1)}
+	for i := range quits {
+		go func() { exited[i] <- RunWorker(ctx, comm(i+1), fs, nil, WithQuit(quits[i])) }()
+	}
+	// Joined and idle: the master has taken two hellos and two readies
+	// and waits in its fifth Recv; each worker has taken its job and
+	// waits in its second.
+	const settled = 5 + 2*2
+	for deadline := time.Now().Add(5 * time.Second); recvs.Load() < settled; {
+		if time.Now().After(deadline) {
+			t.Fatalf("joins made %d receives, want %d", recvs.Load(), settled)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	time.Sleep(time.Second)
+	if n := recvs.Load() - settled; n != 0 {
+		t.Errorf("idle stream made %d receives in 1s, want 0", n)
+	}
+	close(quits[0])
+	select {
+	case err := <-exited[0]:
+		if err != nil {
+			t.Errorf("quit worker returned %v, want nil", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("idle worker did not notice its quit")
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-exited[1]; err != nil {
+		t.Errorf("released worker returned %v", err)
 	}
 }

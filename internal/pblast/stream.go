@@ -30,10 +30,11 @@ type Stream struct {
 	c   mpi.Comm
 	cfg Config
 
-	mu      sync.Mutex
-	queue   []*submission // enqueued, not yet seen by the loop
-	nextSub int64
-	closing bool
+	mu        sync.Mutex
+	queue     []*submission // enqueued, not yet seen by the loop
+	withdrawn []*submission // abandoned by a cancelled Submit
+	nextSub   int64
+	closing   bool
 
 	loopDone chan struct{}
 	loopErr  error
@@ -58,6 +59,9 @@ type submission struct {
 	err       error
 
 	done chan struct{}
+	// cancelErr is the submitter's context error, written before the
+	// submission is handed back through Stream.withdrawn.
+	cancelErr error
 }
 
 // StartStream opens a stream on rank 0 of c. Workers running
@@ -86,7 +90,8 @@ func StartStream(ctx context.Context, c mpi.Comm, cfg Config) (*Stream, error) {
 // coordinates shifted back into full-query space at merge time.
 //
 // Submit blocks until the search completes, ctx is cancelled, or the
-// stream fails; any number of goroutines may submit concurrently.
+// stream fails; any number of goroutines may submit concurrently. A
+// cancelled Submit withdraws the query: its unassigned tasks never run.
 // alias must describe a database reachable through the workers' file
 // systems.
 func (s *Stream) Submit(ctx context.Context, query *seq.Sequence, params blast.Params, alias *blastdb.Alias) (*Outcome, error) {
@@ -139,7 +144,12 @@ func (s *Stream) Submit(ctx context.Context, query *seq.Sequence, params blast.P
 	select {
 	case <-sub.done:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		sub.cancelErr = ctx.Err()
+		s.mu.Lock()
+		s.withdrawn = append(s.withdrawn, sub)
+		s.mu.Unlock()
+		s.wake()
+		return nil, sub.cancelErr
 	}
 	if sub.err != nil {
 		return nil, sub.err
@@ -294,11 +304,13 @@ func (s *Stream) loop(ctx context.Context) {
 	}
 
 	// drainQueue absorbs newly-enqueued submissions into the task
-	// table and reports whether Close has been requested.
+	// table, finishes withdrawn ones still in flight (their pending
+	// tasks drop out of pickTask, late results are discarded), and
+	// reports whether Close has been requested.
 	drainQueue := func() bool {
 		s.mu.Lock()
-		fresh := s.queue
-		s.queue = nil
+		fresh, gone := s.queue, s.withdrawn
+		s.queue, s.withdrawn = nil, nil
 		closing := s.closing
 		s.mu.Unlock()
 		for _, sub := range fresh {
@@ -307,6 +319,11 @@ func (s *Stream) loop(ctx context.Context) {
 				k := taskKey{sub.id, t.Index}
 				tasks[k] = &taskState{sub: sub, msg: t, state: statePending}
 				pending = append(pending, k)
+			}
+		}
+		for _, sub := range gone {
+			if subs[sub.id] == sub {
+				finishSub(sub, sub.cancelErr)
 			}
 		}
 		return closing
@@ -410,24 +427,20 @@ func (s *Stream) loop(ctx context.Context) {
 			return
 		}
 
-		var m mpi.Message
-		var err error
-		ok := true
+		// With TaskTimeout set the receive also ends every TaskTimeout/2,
+		// so an idle loop still wakes to hand out overdue tasks.
+		rctx, cancel := ctx, context.CancelFunc(func() {})
 		if s.cfg.TaskTimeout > 0 {
-			m, ok, err = mpi.RecvTimeout(s.c, mpi.AnySource, mpi.AnyTag, s.cfg.TaskTimeout/2)
-		} else if ctxHasDeadlineOrCancel(ctx) {
-			// Poll so cancellation is noticed even while no messages
-			// arrive (a hung worker would otherwise block Recv forever).
-			m, ok, err = mpi.RecvTimeout(s.c, mpi.AnySource, mpi.AnyTag, 100*time.Millisecond)
-		} else {
-			m, err = s.c.Recv(mpi.AnySource, mpi.AnyTag)
+			rctx, cancel = context.WithTimeout(ctx, s.cfg.TaskTimeout/2)
+		}
+		m, err := s.c.Recv(rctx, mpi.AnySource, mpi.AnyTag)
+		cancel()
+		if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
+			continue // overdue tick: dispatch retries overdue tasks
 		}
 		if err != nil {
 			failAll(err)
 			return
-		}
-		if !ok {
-			continue // deadline tick: dispatch retries overdue tasks
 		}
 
 		switch m.Tag {
@@ -528,8 +541,10 @@ func (s *Stream) loop(ctx context.Context) {
 		return true
 	}
 	for !allReleased() {
-		m, ok, err := mpi.RecvTimeout(s.c, mpi.AnySource, mpi.AnyTag, 250*time.Millisecond)
-		if err != nil || !ok {
+		rctx, cancel := context.WithTimeout(ctx, 250*time.Millisecond)
+		m, err := s.c.Recv(rctx, mpi.AnySource, mpi.AnyTag)
+		cancel()
+		if err != nil {
 			break
 		}
 		switch m.Tag {

@@ -76,7 +76,7 @@ func legacyWorker(c mpi.Comm, fs chio.FileSystem) error {
 		return err
 	}
 	var j job
-	if _, err := mpi.RecvGob(c, 0, tagJob, &j); err != nil {
+	if _, err := mpi.RecvGob(context.Background(), c, 0, tagJob, &j); err != nil {
 		return err
 	}
 	for {
@@ -84,7 +84,7 @@ func legacyWorker(c mpi.Comm, fs chio.FileSystem) error {
 			return errClosedOK(err)
 		}
 		var lt legacyTaskMsg
-		if _, err := mpi.RecvGob(c, 0, tagTask, &lt); err != nil {
+		if _, err := mpi.RecvGob(context.Background(), c, 0, tagTask, &lt); err != nil {
 			return errClosedOK(err)
 		}
 		if lt.Kind == taskDone {
@@ -260,7 +260,7 @@ func TestReassignedTaskDuplicateSpans(t *testing.T) {
 			return
 		}
 		var j job
-		if _, err := mpi.RecvGob(c, 0, tagJob, &j); err != nil {
+		if _, err := mpi.RecvGob(context.Background(), c, 0, tagJob, &j); err != nil {
 			errs[1] = err
 			return
 		}
@@ -269,7 +269,7 @@ func TestReassignedTaskDuplicateSpans(t *testing.T) {
 			return
 		}
 		var tk taskMsg
-		if _, err := mpi.RecvGob(c, 0, tagTask, &tk); err != nil {
+		if _, err := mpi.RecvGob(context.Background(), c, 0, tagTask, &tk); err != nil {
 			errs[1] = err
 			return
 		}
@@ -352,7 +352,7 @@ func TestWorkerLeaveMidQuerySpan(t *testing.T) {
 			return
 		}
 		var j job
-		if _, err := mpi.RecvGob(c, 0, tagJob, &j); err != nil {
+		if _, err := mpi.RecvGob(context.Background(), c, 0, tagJob, &j); err != nil {
 			errs[1] = err
 			return
 		}
@@ -361,7 +361,7 @@ func TestWorkerLeaveMidQuerySpan(t *testing.T) {
 			return
 		}
 		var tk taskMsg
-		if _, err := mpi.RecvGob(c, 0, tagTask, &tk); err != nil {
+		if _, err := mpi.RecvGob(context.Background(), c, 0, tagTask, &tk); err != nil {
 			errs[1] = err
 			return
 		}
