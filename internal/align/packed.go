@@ -22,13 +22,13 @@ import (
 // bit per base.
 const uniformMask55 = 0x5555555555555555
 
-// window64 loads the 32 bases starting at base position pos of the
+// Window64 loads the 32 bases starting at base position pos of the
 // 2-bit packed slice p into a uint64, base pos in the two lowest bits.
 // Positions past the slice's end read as zero; the caller bounds how
 // many of the 32 bases it consumes. Near the packed tail — the word
 // boundary where an 8-byte load would run off the slice — the window
 // is assembled byte by byte instead.
-func window64(p []byte, pos int) uint64 {
+func Window64(p []byte, pos int) uint64 {
 	byteOff := pos >> 2
 	shift := uint(pos&3) * 2
 	if byteOff+9 <= len(p) {
@@ -54,7 +54,7 @@ func packedMismatches(ap, bp []byte, ai, bi, w int) int {
 		if chunk > 32 {
 			chunk = 32
 		}
-		x := window64(ap, ai+k) ^ window64(bp, bi+k)
+		x := Window64(ap, ai+k) ^ Window64(bp, bi+k)
 		if chunk < 32 {
 			x &= uint64(1)<<(2*uint(chunk)) - 1
 		}
@@ -95,7 +95,7 @@ func PackedExtend(ap []byte, an int, bp []byte, bn int, ai, bi, w, match, mismat
 			if chunk > 32 {
 				chunk = 32
 			}
-			x := window64(ap, i0+pos) ^ window64(bp, j0+pos)
+			x := Window64(ap, i0+pos) ^ Window64(bp, j0+pos)
 			if chunk < 32 {
 				x &= uint64(1)<<(2*uint(chunk)) - 1
 			}
@@ -146,7 +146,7 @@ func PackedExtend(ap []byte, an int, bp []byte, bn int, ai, bi, w, match, mismat
 			if chunk > 32 {
 				chunk = 32
 			}
-			x := window64(ap, ai-pos-chunk) ^ window64(bp, bi-pos-chunk)
+			x := Window64(ap, ai-pos-chunk) ^ Window64(bp, bi-pos-chunk)
 			x <<= uint(64 - 2*chunk)
 			consumed := 0
 			for consumed < chunk {

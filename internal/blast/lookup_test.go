@@ -83,11 +83,15 @@ func denseDNA(rng *util.RNG, n int) []byte {
 	return data
 }
 
-// TestNucLookupMatchesReference drives both CSR forms (direct-indexed
-// for small W, open-addressed hash for large W), scanning the packed
-// subject, against the reference map implementation scanning its codes,
-// over queries with planted repeats and optional masking, and requires
-// identical seed streams.
+// TestNucLookupMatchesReference drives both CSR forms (direct for
+// 2W <= nucDirectBits, stride above it, including the k < 8 stride
+// widths W = 9 and 10), scanning the packed subject, against the
+// reference map implementation scanning its codes, over queries with
+// planted repeats and optional masking, and requires identical seed
+// streams. The subjects cover every length mod 4; each carries matches
+// starting at s = 0…3 and one ending on its last base, so every stride
+// phase, the s >= 0 bound, the s+W <= n bound and Window64's tail path
+// all fire.
 func TestNucLookupMatchesReference(t *testing.T) {
 	rng := util.NewRNG(4242)
 	query := denseDNA(rng, 600)
@@ -95,59 +99,100 @@ func TestNucLookupMatchesReference(t *testing.T) {
 	// query positions and group ordering matters.
 	copy(query[100:], query[20:60])
 	copy(query[500:], query[20:60])
-	subject := denseDNA(rng, 5000)
-	// Plant query chunks so the scan actually fires.
-	copy(subject[700:], query[10:200])
-	copy(subject[3000:], query[400:580])
+	// A poly-T run keys the last group (every key bit set).
+	for i := 300; i < 340; i++ {
+		query[i] = 3
+	}
+	var subjects [][]byte
+	for r := 0; r < 4; r++ {
+		subject := denseDNA(rng, 5000+r)
+		// Plant query chunks so the scan actually fires, including at
+		// both ends of the subject.
+		copy(subject, query[10:60])
+		copy(subject[700:], query[10:200])
+		copy(subject[2000:], query[290:350])
+		copy(subject[3000:], query[400:580])
+		copy(subject[len(subject)-50:], query[530:580])
+		subjects = append(subjects, subject)
+	}
 
 	masked := make([]bool, len(query))
 	for i := 120; i < 180; i++ {
 		masked[i] = true
 	}
 
-	for _, w := range []int{4, 8, 11, 16, 28} {
+	for _, w := range []int{4, 8, 9, 10, 11, 12, 16, 28, 31} {
 		for _, m := range [][]bool{nil, masked} {
 			name := "unmasked"
 			if m != nil {
 				name = "masked"
 			}
 			lt := buildNucLookup([][]byte{query}, w, [][]bool{m})
-			wantDirect := 2*w <= nucDirectBits
-			if (lt.starts != nil) != wantDirect {
-				t.Errorf("w=%d: direct form = %v, want %v", w, lt.starts != nil, wantDirect)
+			if direct := 2*w <= nucDirectBits; (lt.present == nil) != direct {
+				t.Errorf("w=%d: direct form = %v, want %v", w, lt.present == nil, direct)
 			}
 			ref := buildRefNucLookup(query, w, m)
-			var got, want seedRecorder
-			lt.scan(seq.PackCodes(subject), len(subject), &got)
-			ref.scan(subject, &want)
-			if len(want.view(0)) == 0 {
-				t.Fatalf("w=%d %s: reference found no seeds; test is vacuous", w, name)
-			}
-			if !reflect.DeepEqual(got.views, want.views) {
-				t.Errorf("w=%d %s: CSR seed stream differs from reference (%d vs %d seeds)",
-					w, name, len(got.view(0)), len(want.view(0)))
+			for _, subject := range subjects {
+				n := len(subject)
+				var got, want seedRecorder
+				lt.scan(seq.PackCodes(subject), n, &got)
+				ref.scan(subject, &want)
+				starts := map[int]bool{}
+				for _, sd := range want.view(0) {
+					starts[sd.spos] = true
+				}
+				for _, s := range []int{0, 1, 2, 3, n - w} {
+					if !starts[s] {
+						t.Fatalf("w=%d %s n=%d: reference has no seed at s=%d; test is vacuous", w, name, n, s)
+					}
+				}
+				if !reflect.DeepEqual(got.views, want.views) {
+					t.Errorf("w=%d %s n=%d: CSR seed stream differs from reference (%d vs %d seeds)",
+						w, name, n, len(got.view(0)), len(want.view(0)))
+				}
 			}
 		}
 	}
 }
 
-// TestNucLookupHashNoFalseHits checks the open-addressed form rejects
-// absent words even when their slots collide with present ones.
-func TestNucLookupHashNoFalseHits(t *testing.T) {
+// TestNucLookupStrideNoFalseHits feeds the stride form a subject built
+// from the query's own 8-mers in random flanks, so many aligned subject
+// k-mers pass the presence vector while the whole words around them
+// mostly do not match: verification must reject every one of those and
+// the seed stream must still equal the reference's.
+func TestNucLookupStrideNoFalseHits(t *testing.T) {
 	rng := util.NewRNG(4243)
 	query := denseDNA(rng, 64)
-	lt := buildNucLookup([][]byte{query}, 28, nil)
-	if lt.keys == nil {
-		t.Fatal("w=28 should build the hash form")
+	var subject []byte
+	for len(subject) < 20000 {
+		subject = append(subject, denseDNA(rng, rng.Intn(8))...)
+		q := rng.Intn(len(query) - 8)
+		subject = append(subject, query[q:q+8]...)
 	}
-	ref := buildRefNucLookup(query, 28, nil)
-	subject := denseDNA(rng, 20000)
-	var got, want seedRecorder
-	lt.scan(seq.PackCodes(subject), len(subject), &got)
-	ref.scan(subject, &want)
-	if !reflect.DeepEqual(got.views, want.views) {
-		t.Errorf("hash form differs from reference on random subject: %d vs %d seeds",
-			len(got.view(0)), len(want.view(0)))
+	packed := seq.PackCodes(subject)
+	for _, w := range []int{11, 28} {
+		lt := buildNucLookup([][]byte{query}, w, nil)
+		if lt.present == nil {
+			t.Fatalf("w=%d should build the stride form", w)
+		}
+		passed := 0
+		for a := 0; a+lt.k <= len(subject); a += 4 {
+			key := (int(packed[a/4]) | int(packed[a/4+1])<<8) & (1<<(2*lt.k) - 1)
+			if lt.present[key/64]&(1<<(key%64)) != 0 {
+				passed++
+			}
+		}
+		if passed <= 100 {
+			t.Fatalf("w=%d: only %d aligned subject k-mers pass the presence vector; test is vacuous", w, passed)
+		}
+		ref := buildRefNucLookup(query, w, nil)
+		var got, want seedRecorder
+		lt.scan(packed, len(subject), &got)
+		ref.scan(subject, &want)
+		if !reflect.DeepEqual(got.views, want.views) {
+			t.Errorf("w=%d: stride form differs from reference: %d vs %d seeds",
+				w, len(got.view(0)), len(want.view(0)))
+		}
 	}
 }
 
@@ -250,10 +295,10 @@ func aRichQuery(rng *util.RNG) *seq.Sequence {
 }
 
 // TestOneTableSeedsMatchPerView pins the one-table scan to the
-// per-view scans it replaced: for the direct form (W=7) and the hash
-// form (W=11, W=28), with and without DUST, each view's seeds from the
-// packed subject must arrive exactly as its own table and the map
-// reference deliver them.
+// per-view scans it replaced: for the direct form (W=7) and the stride
+// form (W=10, W=11, W=28), with and without DUST, each view's seeds
+// from the packed subject must arrive exactly as its own table and the
+// map reference deliver them.
 func TestOneTableSeedsMatchPerView(t *testing.T) {
 	rng := util.NewRNG(4244)
 	query := randomDNA(rng, "q", 300)
@@ -266,7 +311,7 @@ func TestOneTableSeedsMatchPerView(t *testing.T) {
 	polyA := nucSeq(strings.Repeat("A", 3000))
 	aRich := aRichQuery(rng)
 
-	for _, w := range []int{7, 11, 28} {
+	for _, w := range []int{7, 10, 11, 28} {
 		for _, filter := range []bool{false, true} {
 			name := fmt.Sprintf("w=%d/filter=%v", w, filter)
 			t.Run(name, func(t *testing.T) {
@@ -288,16 +333,20 @@ func TestOneTableSeedsMatchPerView(t *testing.T) {
 
 // FuzzOneTableSeeds compares the one-table scan against the per-view
 // reference scans on arbitrary query and subject bases (each byte's low
-// two bits pick the letter). sel picks the word size (bits 0-1) and
-// turns DUST on (bit 2).
+// two bits pick the letter). sel picks the word size (bits 0-2: the
+// direct form's W = 7 and every stride width from the k < 8 cases up
+// to nucMaxWord) and turns DUST on (bit 3).
 func FuzzOneTableSeeds(f *testing.F) {
 	rng := util.NewRNG(4245)
 	pal := palindromeQuery(rng, 40)
 	f.Add(pal.Data, pal.Data[10:70], uint8(0))
-	f.Add(aRichQuery(rng).Data, []byte(strings.Repeat("A", 200)), uint8(1))
-	f.Add(aRichQuery(rng).Data, []byte(strings.Repeat("A", 200)), uint8(6))
+	f.Add(aRichQuery(rng).Data, []byte(strings.Repeat("A", 200)), uint8(3))
+	f.Add(aRichQuery(rng).Data, []byte(strings.Repeat("A", 200)), uint8(6|8))
 	f.Add([]byte("ACGTAC"), []byte("ACGTACGTACGT"), uint8(0))
-	f.Add([]byte("ACGTACGTACGTACGTACGT"), []byte("ACG"), uint8(2))
+	f.Add([]byte("ACGTACGTACGTACGTACGT"), []byte("ACG"), uint8(6))
+	f.Add(pal.Data, pal.Data[13:71], uint8(1))
+	f.Add(pal.Data, pal.Data[2:79], uint8(2|8))
+	f.Add(pal.Data, pal.Data[:80], uint8(7))
 	f.Fuzz(func(t *testing.T, query, subject []byte, sel uint8) {
 		const maxLen = 1 << 9 // all-A inputs seed len(query) x len(subject) times
 		if len(query) > maxLen || len(subject) > maxLen {
@@ -310,7 +359,7 @@ func FuzzOneTableSeeds(f *testing.F) {
 			}
 			return string(out)
 		}
-		w := []int{7, 11, 28, 31}[sel&3]
-		checkOneTableSeeds(t, nucSeq(letters(query)), nucSeq(letters(subject)), w, sel&4 != 0)
+		w := []int{7, 9, 10, 11, 12, 16, 28, 31}[sel&7]
+		checkOneTableSeeds(t, nucSeq(letters(query)), nucSeq(letters(subject)), w, sel&8 != 0)
 	})
 }

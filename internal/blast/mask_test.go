@@ -298,12 +298,12 @@ func TestMegablastValidation(t *testing.T) {
 	}
 }
 
-// TestMegablastWordLimit pins megablast's word-size ceiling to what
-// the nucleotide table can index. At W = 32 a word of 32 T's packs to
-// all-ones, the table's empty-slot key, and above 32 the 64-bit rolling
-// word keeps only the last 32 bases — both silently lose seeds, even on
-// exact self-diagonals — so Validate must refuse W > 31, and W = 31
-// must still find a query's full-length self-alignment.
+// TestMegablastWordLimit pins megablast's word-size ceiling,
+// nucLookup's nucMaxWord: Validate must refuse W > 31 with an error
+// naming the limit (above 32 a word no longer fits the 64-bit packed
+// word the table verifies, and would silently lose seeds), and W = 31
+// must still find a query's full-length self-alignment, including its
+// poly-T run, whose words carry every key bit.
 func TestMegablastWordLimit(t *testing.T) {
 	rng := util.NewRNG(303)
 	query := randomDNA(rng, "poly-t", 200)

@@ -4,8 +4,8 @@
 # parallel search with -collio -report, and require the run report's
 # collective-I/O section to show real rounds with registered ranges
 # merged into fewer fetched segments. This exercises the CLI wiring
-# (flags -> core.WithCollectiveIO -> shared aggregator -> telemetry ->
-# obsreport) that the unit tests cannot.
+# (flags -> core.WorkerFlags -> pblast.WithCollectiveIO -> shared
+# aggregator -> telemetry -> obsreport) that the unit tests cannot.
 # Exercised by `make collio-smoke` (part of `make check`).
 set -eu
 
