@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint race bench bench-smoke bench-compare metrics-smoke report-smoke service-smoke collio-smoke alert-smoke trace-smoke cli-smoke
+.PHONY: build test check lint race bench bench-smoke bench-compare metrics-smoke report-smoke service-smoke collio-smoke alert-smoke trace-smoke cli-smoke loc
 
 build:
 	$(GO) build ./...
@@ -102,6 +102,12 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
+
+# Non-test Go lines per package directory plus a total: the size
+# figure simplicity changes report before and after. Narrow it with
+# `sh scripts/loc.sh DIR...`. Not part of `make check`.
+loc:
+	sh ./scripts/loc.sh
 
 # Re-run the benchmarks recorded in the BENCH_*.json baselines and
 # flag regressions: ns/op beyond BENCH_TOLERANCE percent (default 10;

@@ -38,7 +38,6 @@ func main() {
 		qlen     = flag.Int("qlen", 240, "base query length (pool spans 0.5x-2x)")
 		fresh    = flag.Float64("fresh", 0.25, "fraction of requests using a never-before-seen query (forces backend searches)")
 		seed     = flag.Int64("seed", 42, "query generator seed")
-		program  = flag.String("program", "blastn", "BLAST program for every request")
 		out      = flag.String("out", "", "write the sweep as JSON to this file (empty = stdout only)")
 	)
 	flag.Parse()
@@ -50,7 +49,7 @@ func main() {
 	pool := makeQueryPool(*nQueries, *qlen, *seed)
 
 	// Fail fast if the server or the database is missing.
-	if err := probe(*url, *db, *program, pool[0]); err != nil {
+	if err := probe(*url, *db, pool[0]); err != nil {
 		fatal(fmt.Errorf("probe request failed: %w", err))
 	}
 
@@ -65,7 +64,7 @@ func main() {
 		Timestamp: time.Now().UTC().Format(time.RFC3339),
 	}
 	for _, n := range levels {
-		lv := runLevel(*url, *db, *program, pool, n, *duration, *fresh, *qlen)
+		lv := runLevel(*url, *db, pool, n, *duration, *fresh, *qlen)
 		sweep.Levels = append(sweep.Levels, lv)
 		fmt.Printf("clients=%-3d rps=%7.1f p50=%6.1fms p90=%6.1fms p99=%6.1fms cached=%4.0f%% failed=%d\n",
 			n, lv.RPS, lv.Latency.P50, lv.Latency.P90, lv.Latency.P99,
@@ -128,7 +127,7 @@ type sample struct {
 	err    bool
 }
 
-func runLevel(url, db, program string, pool []string, clients int, d time.Duration, fresh float64, qlen int) Level {
+func runLevel(url, db string, pool []string, clients int, d time.Duration, fresh float64, qlen int) Level {
 	var (
 		mu      sync.Mutex
 		samples []sample
@@ -149,7 +148,7 @@ func runLevel(url, db, program string, pool []string, clients int, d time.Durati
 					q = randomQuery(rng, fmt.Sprintf("fresh%d-%d", clients, c), qlen)
 				}
 				start := time.Now()
-				cached, err := search(url, db, program, client, q)
+				cached, err := search(url, db, client, q)
 				s := sample{ms: float64(time.Since(start).Microseconds()) / 1000,
 					cached: cached, err: err != nil}
 				mu.Lock()
@@ -201,9 +200,9 @@ func runLevel(url, db, program string, pool []string, clients int, d time.Durati
 	return lv
 }
 
-func search(url, db, program, client, query string) (cached bool, err error) {
+func search(url, db, client, query string) (cached bool, err error) {
 	body, _ := json.Marshal(map[string]any{
-		"db": db, "query": query, "program": program, "client": client,
+		"db": db, "query": query, "client": client,
 	})
 	resp, err := http.Post(url+"/search", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -223,8 +222,8 @@ func search(url, db, program, client, query string) (cached bool, err error) {
 	return sr.Cached, nil
 }
 
-func probe(url, db, program, query string) error {
-	_, err := search(url, db, program, "bench-probe", query)
+func probe(url, db, query string) error {
+	_, err := search(url, db, "bench-probe", query)
 	return err
 }
 

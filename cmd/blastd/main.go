@@ -8,6 +8,9 @@
 //	GET  /healthz           200 ok / 503 draining
 //	POST /admin/invalidate  ?db=NAME after reformatting a database
 //
+// Every search is blastn over a nucleotide database; "program" may be
+// omitted, and any value other than "blastn" is answered with 400.
+//
 // The storage flags mirror mpiblast: -io local reads -root, -io
 // pvfs/-io ceft dial the parallel file system daemons. SIGTERM (or
 // SIGINT) drains: new requests get 503, queued and running searches

@@ -1,12 +1,11 @@
-// Command blastn runs a single-process BLAST search of a FASTA query
-// against a pario database. Despite the name it exposes all five
-// programs via -program (blastn, blastp, blastx, tblastn, tblastx),
-// the way NCBI's blastall did.
+// Command blastn runs a single-process blastn search of a nucleotide
+// FASTA query against a pario database, optionally in megablast mode
+// and with DUST filtering of the query.
 //
 // Usage:
 //
-//	blastn -db nt -query q.fasta [-program blastn] [-evalue 10]
-//	       [-word 11] [-outfmt report|tabular] [-root DIR]
+//	blastn -db nt -query q.fasta [-evalue 10] [-word 11] [-megablast]
+//	       [-F] [-outfmt report|tabular] [-root DIR]
 package main
 
 import (
@@ -16,7 +15,6 @@ import (
 	"os"
 	"runtime"
 
-	"pario/internal/align"
 	"pario/internal/blast"
 	"pario/internal/chio"
 	"pario/internal/core"
@@ -28,15 +26,11 @@ func main() {
 	var (
 		db      = flag.String("db", "", "database name (required)")
 		query   = flag.String("query", "", "query FASTA file (- for stdin; required)")
-		program = flag.String("program", "blastn", "blastn|blastp|blastx|tblastn|tblastx")
 		evalue  = flag.Float64("evalue", 10, "e-value report cutoff")
-		word    = flag.Int("word", 0, "seed word size (0 = program default; at most 31 with -megablast)")
+		word    = flag.Int("word", 0, "seed word size (0 = 11, or 28 with -megablast; at most 16, or 31 with -megablast)")
 		outfmt  = flag.String("outfmt", "report", "report|tabular")
-		mega    = flag.Bool("megablast", false, "megablast mode: 28-mer seeds + greedy extension (blastn only)")
-		filter  = flag.Bool("F", false, "mask low-complexity query regions (DUST/SEG)")
-		matrix  = flag.String("matrix", "", "protein scoring matrix file (NCBI format); default BLOSUM62")
-		gapOpen = flag.Int("gapopen", 11, "gap open cost for -matrix")
-		gapExt  = flag.Int("gapextend", 1, "gap extend cost for -matrix")
+		mega    = flag.Bool("megablast", false, "megablast mode: 28-mer seeds + greedy extension")
+		filter  = flag.Bool("F", false, "mask low-complexity query regions with DUST")
 		maxTgt  = flag.Int("max-target-seqs", 0, "cap reported subjects (0 = all)")
 		threads = flag.Int("threads", runtime.NumCPU(), "search shards for the subject pipeline (1 = sequential)")
 		root    = flag.String("root", ".", "directory holding the database files")
@@ -60,10 +54,6 @@ func main() {
 		defer dbg.Close()
 		logger.Info("debug endpoints up", "url", fmt.Sprintf("http://%s/metrics", dbg.Addr()))
 	}
-	prog, err := blast.ParseProgram(*program)
-	if err != nil {
-		fatal(err)
-	}
 	fs, err := chio.NewLocalFS(*root)
 	if err != nil {
 		fatal(err)
@@ -76,7 +66,7 @@ func main() {
 		}
 		defer in.Close()
 	}
-	queries, err := seq.NewFastaReader(in, prog.QueryKind()).ReadAll()
+	queries, err := seq.NewFastaReader(in, seq.Nucleotide).ReadAll()
 	if err != nil {
 		fatal(err)
 	}
@@ -84,20 +74,13 @@ func main() {
 		fatal(fmt.Errorf("no query sequences in %s", *query))
 	}
 	params := blast.Params{
-		Program:       prog,
+		Program:       blast.BlastN,
 		EValue:        *evalue,
 		WordSize:      *word,
 		MaxTargetSeqs: *maxTgt,
 		Greedy:        *mega,
 		Filter:        *filter,
 		Threads:       *threads,
-	}
-	if *matrix != "" {
-		scheme, err := align.LoadMatrixFile(*matrix, *gapOpen, *gapExt)
-		if err != nil {
-			fatal(err)
-		}
-		params.Scheme = scheme
 	}
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()

@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	formatdb -db nt -fragments 8 -in sequences.fasta [-protein] [-root DIR]
+//	formatdb -db nt -fragments 8 -in sequences.fasta [-root DIR]
 //	formatdb -db nt -fragments 8 -generate 2.7GB [-seed 42] [-root DIR]
 //	formatdb -db nt -fragments 4 -generate 8MB -io ceft \
 //	    -mgr 127.0.0.1:7000 -primary h1:7001,h2:7001 -mirror h3:7001,h4:7001
@@ -30,8 +30,7 @@ func main() {
 	var (
 		db        = flag.String("db", "", "database name (required)")
 		fragments = flag.Int("fragments", 1, "number of database fragments")
-		in        = flag.String("in", "", "input FASTA file (- for stdin)")
-		protein   = flag.Bool("protein", false, "input is protein (default nucleotide)")
+		in        = flag.String("in", "", "input nucleotide FASTA file (- for stdin)")
 		generate  = flag.String("generate", "", "generate a synthetic nt-like database of this size (e.g. 512MB) instead of reading FASTA")
 		seed      = flag.Uint64("seed", 42, "generator seed")
 	)
@@ -71,11 +70,7 @@ func main() {
 			}
 			defer f.Close()
 		}
-		kind := seq.Nucleotide
-		if *protein {
-			kind = seq.Protein
-		}
-		alias, err := core.FormatDatabase(fs, *db, kind, *fragments, f)
+		alias, err := core.FormatDatabase(fs, *db, seq.Nucleotide, *fragments, f)
 		if err != nil {
 			fatal(err)
 		}

@@ -54,11 +54,10 @@ func main() {
 		db       = flag.String("db", "", "database name (required)")
 		queryF   = flag.String("query", "", "query FASTA file (required)")
 		workers  = flag.Int("workers", 4, "number of worker ranks")
-		program  = flag.String("program", "blastn", "BLAST program")
 		evalue   = flag.Float64("evalue", 10, "e-value cutoff")
 		querySeg = flag.Bool("query-segmentation", false, "split the query instead of the database")
-		mega     = flag.Bool("megablast", false, "megablast mode (blastn only)")
-		filterLC = flag.Bool("F", false, "mask low-complexity query regions")
+		mega     = flag.Bool("megablast", false, "megablast mode: 28-mer seeds + greedy extension")
+		filterLC = flag.Bool("F", false, "mask low-complexity query regions with DUST")
 		traceOut = flag.String("trace", "", "write a Figure 4 style I/O trace to this file")
 		outfmt   = flag.String("outfmt", "report", "report|tabular")
 		rpcStats = flag.Bool("rpc-stats", false, "print per-server RPC latency/retry counters at exit")
@@ -89,10 +88,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mpiblast: -db and -query are required")
 		flag.Usage()
 		os.Exit(2)
-	}
-	prog, err := blast.ParseProgram(*program)
-	if err != nil {
-		fatal(err)
 	}
 	collectTargets, err := telemetry.ParseTargets(*collect)
 	if err != nil {
@@ -163,7 +158,7 @@ func main() {
 	}()
 
 	searchOpts := []pblast.Option{
-		pblast.WithParams(blast.Params{Program: prog, EValue: *evalue, Greedy: *mega, Filter: *filterLC}),
+		pblast.WithParams(blast.Params{Program: blast.BlastN, EValue: *evalue, Greedy: *mega, Filter: *filterLC}),
 		pblast.WithTelemetry(pblast.NewTelemetry(reg)),
 	}
 	searchOpts = append(searchOpts, tune.Options(reg, cacheStats)...)
@@ -194,7 +189,7 @@ func main() {
 	// Master (distributed) or whole job (in-process): either way the
 	// queries go through one stream — over the TCP communicator, or
 	// over a pool of worker goroutines in this process.
-	queries := loadQueries(*queryF, prog)
+	queries := loadQueries(*queryF)
 	masterFS := core.PerRank(ranks.FS, fatal)(0)
 	alias, err := blastdb.ReadAlias(chio.BindContext(masterFS, ctx), *db)
 	if err != nil {
@@ -332,12 +327,12 @@ func main() {
 }
 
 // loadQueries reads the query FASTA file.
-func loadQueries(path string, prog blast.Program) []*seq.Sequence {
+func loadQueries(path string) []*seq.Sequence {
 	qf, err := os.Open(path)
 	if err != nil {
 		fatal(err)
 	}
-	queries, err := seq.NewFastaReader(qf, prog.QueryKind()).ReadAll()
+	queries, err := seq.NewFastaReader(qf, seq.Nucleotide).ReadAll()
 	qf.Close()
 	if err != nil {
 		fatal(err)

@@ -1,8 +1,6 @@
 package align
 
 import (
-	"os"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -13,41 +11,6 @@ import (
 func codes(s string) []byte {
 	sq := &seq.Sequence{Kind: seq.Nucleotide, Data: []byte(s)}
 	return sq.Codes()
-}
-
-func protCodes(s string) []byte {
-	sq := &seq.Sequence{Kind: seq.Protein, Data: []byte(s)}
-	return sq.Codes()
-}
-
-func TestBlosum62Values(t *testing.T) {
-	s := DefaultProtein()
-	cases := []struct {
-		a, b byte
-		want int
-	}{
-		{'A', 'A', 4}, {'W', 'W', 11}, {'A', 'R', -1},
-		{'C', 'C', 9}, {'E', 'Z', 4}, {'N', 'B', 3},
-		{'*', '*', 1}, {'W', '*', -4}, {'X', 'X', -1},
-	}
-	for _, c := range cases {
-		got := s.Score(byte(seq.AAIndex(c.a)), byte(seq.AAIndex(c.b)))
-		if got != c.want {
-			t.Errorf("BLOSUM62[%c][%c] = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestBlosum62Symmetric(t *testing.T) {
-	s := DefaultProtein()
-	for i := 0; i < seq.NumAA; i++ {
-		for j := 0; j < seq.NumAA; j++ {
-			if s.Table[i][j] != s.Table[j][i] {
-				t.Fatalf("BLOSUM62 not symmetric at (%d,%d): %d vs %d",
-					i, j, s.Table[i][j], s.Table[j][i])
-			}
-		}
-	}
 }
 
 func TestNucleotideScheme(t *testing.T) {
@@ -64,20 +27,6 @@ func TestNucleotideScheme(t *testing.T) {
 		}
 	}()
 	NucleotideScheme(-1, -3, 5, 2)
-}
-
-func TestParseMatrixErrors(t *testing.T) {
-	for _, bad := range []string{
-		"",
-		"A R\nA 4\n",       // row too short
-		"AB R\nA 4 -1\n",   // bad header field
-		"A R\n1 4 -1\n",    // bad row residue
-		"A R\nA four -1\n", // bad score
-	} {
-		if _, err := ParseMatrix(strings.NewReader(bad)); err == nil {
-			t.Errorf("ParseMatrix(%q) should fail", bad)
-		}
-	}
 }
 
 func TestSmithWatermanExact(t *testing.T) {
@@ -177,42 +126,6 @@ func randomCodes(rng *util.RNG, n int) []byte {
 		out[i] = byte(rng.Intn(4))
 	}
 	return out
-}
-
-func TestNeedlemanWunsch(t *testing.T) {
-	s := NucleotideScheme(1, -1, 2, 1)
-	al := NeedlemanWunsch(codes("ACGT"), codes("ACGT"), s)
-	if al.Score != 4 || al.CIGAR() != "4M" {
-		t.Errorf("identical NW: %d %s", al.Score, al.CIGAR())
-	}
-	// Global alignment of ACGT vs AGT: one deletion.
-	al = NeedlemanWunsch(codes("ACGT"), codes("AGT"), s)
-	if al.Score != 3-3 { // 3 matches - gap cost (2+1)
-		t.Errorf("NW score = %d, want 0", al.Score)
-	}
-	checkAlignmentScore(t, al, codes("ACGT"), codes("AGT"), s)
-	// Empty vs non-empty.
-	al = NeedlemanWunsch(codes(""), codes("ACG"), s)
-	if al.Score != -(2 + 3*1) {
-		t.Errorf("empty NW score = %d", al.Score)
-	}
-}
-
-func TestNeedlemanWunschConsistency(t *testing.T) {
-	s := DefaultNucleotide()
-	rng := util.NewRNG(13)
-	for trial := 0; trial < 100; trial++ {
-		a := randomCodes(rng, rng.Intn(30))
-		b := randomCodes(rng, rng.Intn(30))
-		if len(a) == 0 && len(b) == 0 {
-			continue
-		}
-		al := NeedlemanWunsch(a, b, s)
-		checkAlignmentScore(t, al, a, b, s)
-		if al.ALen() != len(a) || al.BLen() != len(b) {
-			t.Fatalf("NW not global: %+v for |a|=%d |b|=%d", al, len(a), len(b))
-		}
-	}
 }
 
 func TestExtendUngapped(t *testing.T) {
@@ -366,20 +279,6 @@ func bestExtensionScore(a, b []byte, s *Scheme) int {
 	return best
 }
 
-func TestAlignmentFormat(t *testing.T) {
-	s := NucleotideScheme(1, -3, 5, 2)
-	a := []byte("ACGTACGT")
-	b := []byte("ACGTACGT")
-	al := SmithWaterman(codes(string(a)), codes(string(b)), s)
-	out := al.Format(a, b, 60)
-	if !strings.Contains(out, "Query  1") || !strings.Contains(out, "ACGTACGT") {
-		t.Errorf("format output missing parts:\n%s", out)
-	}
-	if !strings.Contains(out, "||||||||") {
-		t.Errorf("format midline wrong:\n%s", out)
-	}
-}
-
 func TestOpsMerging(t *testing.T) {
 	ops := appendOp(nil, OpMatch, 3)
 	ops = appendOp(ops, OpMatch, 2)
@@ -395,22 +294,6 @@ func TestOpsMerging(t *testing.T) {
 	rev2 := reverseOps([]Op{{OpMatch, 2}, {OpMatch, 3}})
 	if len(rev2) != 1 || rev2[0].Len != 5 {
 		t.Errorf("reverseOps merge broken: %+v", rev2)
-	}
-}
-
-func TestProteinAlignment(t *testing.T) {
-	s := DefaultProtein()
-	a := protCodes("MKWVTFISLLLLFSSAYS")
-	al := SmithWaterman(a, a, s)
-	if al.Score <= 0 {
-		t.Fatal("self alignment should score positively")
-	}
-	want := 0
-	for _, c := range a {
-		want += s.Score(c, c)
-	}
-	if al.Score != want {
-		t.Errorf("self score = %d, want %d", al.Score, want)
 	}
 }
 
@@ -442,28 +325,5 @@ func TestXDropNeverExceedsSW(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLoadMatrixFile(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/MINI"
-	content := "# tiny test matrix\n   A  R\nA  5 -2\nR -2  6\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m, err := LoadMatrixFile(path, 9, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Name != "MINI" || m.GapOpen != 9 || m.GapExtend != 2 {
-		t.Errorf("loaded scheme meta: %+v", m)
-	}
-	a, r := byte(seq.AAIndex('A')), byte(seq.AAIndex('R'))
-	if m.Score(a, a) != 5 || m.Score(a, r) != -2 || m.Score(r, r) != 6 {
-		t.Errorf("loaded scores wrong: %d %d %d", m.Score(a, a), m.Score(a, r), m.Score(r, r))
-	}
-	if _, err := LoadMatrixFile(dir+"/absent", 9, 2); err == nil {
-		t.Error("missing file accepted")
 	}
 }

@@ -36,21 +36,6 @@ type Alignment struct {
 	Ops    []Op
 }
 
-// ALen returns the number of A letters consumed by the alignment.
-func (al *Alignment) ALen() int { return al.AEnd - al.AStart }
-
-// BLen returns the number of B letters consumed by the alignment.
-func (al *Alignment) BLen() int { return al.BEnd - al.BStart }
-
-// Length returns the total alignment length in columns.
-func (al *Alignment) Length() int {
-	n := 0
-	for _, op := range al.Ops {
-		n += op.Len
-	}
-	return n
-}
-
 // CIGAR renders the edit script in CIGAR notation ("12M1D7M").
 func (al *Alignment) CIGAR() string {
 	var sb strings.Builder
@@ -123,69 +108,4 @@ func reverseOps(ops []Op) []Op {
 		merged = append(merged, op)
 	}
 	return merged
-}
-
-// Format renders a BLAST-style three-line pairwise view of the
-// alignment over the letter data of A and B, wrapped at width columns.
-// matchLine uses '|' for identities and ' ' otherwise.
-func (al *Alignment) Format(a, b []byte, width int) string {
-	if width <= 0 {
-		width = 60
-	}
-	var arow, mrow, brow []byte
-	ai, bi := al.AStart, al.BStart
-	for _, op := range al.Ops {
-		for k := 0; k < op.Len; k++ {
-			switch op.Kind {
-			case OpMatch:
-				ca, cb := a[ai], b[bi]
-				arow = append(arow, ca)
-				brow = append(brow, cb)
-				if ca == cb {
-					mrow = append(mrow, '|')
-				} else {
-					mrow = append(mrow, ' ')
-				}
-				ai++
-				bi++
-			case OpInsert:
-				arow = append(arow, '-')
-				brow = append(brow, b[bi])
-				mrow = append(mrow, ' ')
-				bi++
-			case OpDelete:
-				arow = append(arow, a[ai])
-				brow = append(brow, '-')
-				mrow = append(mrow, ' ')
-				ai++
-			}
-		}
-	}
-	var sb strings.Builder
-	aPos, bPos := al.AStart, al.BStart
-	for off := 0; off < len(arow); off += width {
-		end := off + width
-		if end > len(arow) {
-			end = len(arow)
-		}
-		aChunk, mChunk, bChunk := arow[off:end], mrow[off:end], brow[off:end]
-		aAdv := countNonGap(aChunk)
-		bAdv := countNonGap(bChunk)
-		fmt.Fprintf(&sb, "Query  %-6d %s  %d\n", aPos+1, aChunk, aPos+aAdv)
-		fmt.Fprintf(&sb, "              %s\n", mChunk)
-		fmt.Fprintf(&sb, "Sbjct  %-6d %s  %d\n\n", bPos+1, bChunk, bPos+bAdv)
-		aPos += aAdv
-		bPos += bAdv
-	}
-	return sb.String()
-}
-
-func countNonGap(row []byte) int {
-	n := 0
-	for _, c := range row {
-		if c != '-' {
-			n++
-		}
-	}
-	return n
 }

@@ -1,8 +1,8 @@
 package align
 
-// Full dynamic-programming alignment with affine gaps (Gotoh). These
-// are used for ground-truth testing of the X-drop extensions, for the
-// final traceback of reported BLAST hits, and as a standalone API.
+// Full dynamic-programming local alignment with affine gaps (Gotoh):
+// the final traceback of reported BLAST hits, and the ground truth the
+// X-drop extensions are tested against.
 
 const negInf = -(1 << 29)
 
@@ -150,92 +150,4 @@ func SmithWatermanScore(a, b []byte, s *Scheme) int {
 		}
 	}
 	return int(best)
-}
-
-// NeedlemanWunsch computes the optimal global alignment of a and b
-// with affine gaps, including traceback. End gaps are penalized.
-func NeedlemanWunsch(a, b []byte, s *Scheme) *Alignment {
-	n, m := len(a), len(b)
-	H := make([][]int32, n+1)
-	E := make([][]int32, n+1)
-	F := make([][]int32, n+1)
-	open := int32(s.GapOpen + s.GapExtend)
-	ext := int32(s.GapExtend)
-	for i := range H {
-		H[i] = make([]int32, m+1)
-		E[i] = make([]int32, m+1)
-		F[i] = make([]int32, m+1)
-	}
-	for j := 1; j <= m; j++ {
-		H[0][j] = -open - ext*int32(j-1)
-		E[0][j] = H[0][j]
-		F[0][j] = negInf
-	}
-	for i := 1; i <= n; i++ {
-		H[i][0] = -open - ext*int32(i-1)
-		F[i][0] = H[i][0]
-		E[i][0] = negInf
-	}
-	for i := 1; i <= n; i++ {
-		for j := 1; j <= m; j++ {
-			e := E[i][j-1] - ext
-			if h := H[i][j-1] - open; h > e {
-				e = h
-			}
-			E[i][j] = e
-			f := F[i-1][j] - ext
-			if h := H[i-1][j] - open; h > f {
-				f = h
-			}
-			F[i][j] = f
-			h := H[i-1][j-1] + int32(s.Score(a[i-1], b[j-1]))
-			if e > h {
-				h = e
-			}
-			if f > h {
-				h = f
-			}
-			H[i][j] = h
-		}
-	}
-	var ops []Op
-	i, j := n, m
-	state := byte('H')
-	for i > 0 || j > 0 {
-		switch state {
-		case 'H':
-			switch {
-			case i == 0:
-				state = 'E'
-			case j == 0:
-				state = 'F'
-			case H[i][j] == E[i][j]:
-				state = 'E'
-			case H[i][j] == F[i][j]:
-				state = 'F'
-			default:
-				ops = appendOp(ops, OpMatch, 1)
-				i--
-				j--
-			}
-		case 'E':
-			ops = appendOp(ops, OpInsert, 1)
-			if j == 1 || E[i][j] == H[i][j-1]-open {
-				state = 'H'
-			}
-			j--
-		case 'F':
-			ops = appendOp(ops, OpDelete, 1)
-			if i == 1 || F[i][j] == H[i-1][j]-open {
-				state = 'H'
-			}
-			i--
-		}
-	}
-	return &Alignment{
-		Score:  int(H[n][m]),
-		AStart: 0, AEnd: n,
-		BStart: 0, BEnd: m,
-		Ops: reverseOps(ops),
-	}
 }

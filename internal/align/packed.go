@@ -5,17 +5,15 @@ import (
 	"math/bits"
 )
 
-// Packed ungapped extension: the byte-at-a-time X-drop kernel of
-// ExtendUngapped rewritten over 2-bit packed DNA, comparing 32 bases
-// per uint64 XOR and locating mismatches with TrailingZeros64 /
-// LeadingZeros64 instead of visiting every base. It applies only to
-// uniform match/mismatch nucleotide schemes (every diagonal table cell
-// equal, every off-diagonal cell equal) — comparisons that need a full
-// substitution table (proteins, asymmetric nucleotide tables) stay on
-// the byte kernel, as does megablast's greedy gapped extension.
-// Ambiguity codes carry no special score in either kernel: NucCode
-// resolves them to concrete bases at pack/code time, so the packed and
-// byte kernels see bit-identical data.
+// Packed ungapped extension: the byte-at-a-time ungapped X-drop
+// kernel rewritten over 2-bit packed DNA, comparing 32 bases per uint64
+// XOR and locating mismatches with TrailingZeros64 / LeadingZeros64
+// instead of visiting every base. It applies only to uniform
+// match/mismatch schemes (every diagonal table cell equal, every
+// off-diagonal cell equal), the only schemes the BLAST engine accepts.
+// Ambiguity codes carry no special score: NucCode resolves them to
+// concrete bases at pack/code time, so the packed kernel and its
+// byte-at-a-time reference in the tests see bit-identical data.
 
 // uniformMask55 selects the low bit of every 2-bit group; folding a
 // XOR word through it turns "either bit differs" into one countable
@@ -64,20 +62,20 @@ func packedMismatches(ap, bp []byte, ai, bi, w int) int {
 	return mm
 }
 
-// PackedExtend is ExtendUngapped over 2-bit packed sequences under a
-// uniform match/mismatch scheme: it extends the seed a[ai:ai+w) vs
-// b[bi:bi+w) along the diagonal in both directions, stopping a
-// direction when the running score falls more than xdrop below that
-// direction's best. ap and bp hold an and bn bases respectively in
-// Pack2Bit layout (four bases per byte, LSB first). The returned
-// score and extents are bit-identical to
-// ExtendUngapped(aCodes, bCodes, ai, bi, w, uniformScheme, xdrop).
+// PackedExtend is the ungapped X-drop extension over 2-bit packed
+// sequences under a uniform match/mismatch scheme: it extends the seed
+// a[ai:ai+w) vs b[bi:bi+w) along the diagonal in both directions,
+// stopping a direction when the running score falls more than xdrop
+// below that direction's best. ap and bp hold an and bn bases
+// respectively in Pack2Bit layout (four bases per byte, LSB first).
+// The returned score and extents are bit-identical to the
+// byte-at-a-time reference's over the same bases' dense codes.
 func PackedExtend(ap []byte, an int, bp []byte, bn int, ai, bi, w, match, mismatch, xdrop int) (score, aFrom, aTo, bFrom, bTo int) {
 	mm := packedMismatches(ap, bp, ai, bi, w)
 	seed := (w-mm)*match + mm*mismatch
 
-	// Rightward: per byte-kernel position k (1-based), run += score,
-	// best/len update, then X-drop check. A run of consecutive matches
+	// Rightward: at each base position k (1-based) the byte-at-a-time
+	// reference adds the score, updates best/len, then checks X-drop. A run of consecutive matches
 	// only raises the running score, so best-tracking can jump straight
 	// to the run's end and the X-drop cutoff can only fire on a
 	// mismatch — which is exactly what the XOR word iteration visits.

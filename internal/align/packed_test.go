@@ -7,6 +7,45 @@ import (
 	"pario/internal/seq"
 )
 
+// ExtendUngapped is PackedExtend's reference: the byte-at-a-time
+// ungapped X-drop kernel over dense codes under any scheme. It extends
+// a seed match at a[ai:ai+w] vs b[bi:bi+w] along the diagonal in both
+// directions, stopping a direction when the running score falls more
+// than xdrop below the best seen in that direction. It returns the best
+// total score and the extents [aFrom,aTo) x [bFrom,bTo) achieving it.
+func ExtendUngapped(a, b []byte, ai, bi, w int, s *Scheme, xdrop int) (score, aFrom, aTo, bFrom, bTo int) {
+	seed := 0
+	for k := 0; k < w; k++ {
+		seed += s.Score(a[ai+k], b[bi+k])
+	}
+	bestRight, rightLen := 0, 0
+	run, k := 0, 1
+	for i, j := ai+w, bi+w; i < len(a) && j < len(b); i, j = i+1, j+1 {
+		run += s.Score(a[i], b[j])
+		if run > bestRight {
+			bestRight, rightLen = run, k
+		}
+		if run < bestRight-xdrop {
+			break
+		}
+		k++
+	}
+	bestLeft, leftLen := 0, 0
+	run, k = 0, 1
+	for i, j := ai-1, bi-1; i >= 0 && j >= 0; i, j = i-1, j-1 {
+		run += s.Score(a[i], b[j])
+		if run > bestLeft {
+			bestLeft, leftLen = run, k
+		}
+		if run < bestLeft-xdrop {
+			break
+		}
+		k++
+	}
+	score = seed + bestLeft + bestRight
+	return score, ai - leftLen, ai + w + rightLen, bi - leftLen, bi + w + rightLen
+}
+
 // randomLetters builds a nucleotide letter sequence of length n that is
 // mostly ACGT with a sprinkling of ambiguity codes, so the packed and
 // byte kernels are exercised over exactly the inputs blastdb hands
@@ -140,8 +179,8 @@ func TestUniformNucScheme(t *testing.T) {
 	if !ok || m != 1 || mm != -3 {
 		t.Fatalf("NucleotideScheme(1,-3): got (%d, %d, %v), want (1, -3, true)", m, mm, ok)
 	}
-	if _, _, ok := UniformNucScheme(Blosum62(11, 1)); ok {
-		t.Fatal("Blosum62 reported as uniform nucleotide scheme")
+	if _, _, ok := UniformNucScheme(&Scheme{Table: [][]int{{1, -1}, {-1, 1}}}); ok {
+		t.Fatal("2x2 table reported as uniform nucleotide scheme")
 	}
 	bent := NucleotideScheme(2, -3, 5, 2)
 	bent.Table[1][2] = -1

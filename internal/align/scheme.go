@@ -1,26 +1,17 @@
-// Package align implements pairwise sequence alignment: scoring
-// schemes (match/mismatch and substitution matrices such as BLOSUM62),
-// Smith-Waterman local and Needleman-Wunsch global alignment with
-// affine gap penalties, and the X-drop gapped extension used by the
-// BLAST engine.
+// Package align implements pairwise nucleotide alignment for the
+// BLAST engine: match/mismatch scoring schemes, Smith-Waterman local
+// alignment with affine gap penalties, the X-drop gapped extension,
+// the 2-bit packed ungapped extension, and megablast's greedy gapped
+// extension.
 package align
 
-import (
-	"bufio"
-	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
+import "fmt"
 
-	"pario/internal/seq"
-)
-
-// Scheme is a complete scoring scheme: a substitution table over dense
-// alphabet codes plus affine gap costs. Gap costs are positive; a gap
-// of length L costs GapOpen + L*GapExtend.
+// Scheme is a complete scoring scheme: a substitution table over 2-bit
+// base codes plus affine gap costs. Gap costs are positive; a gap of
+// length L costs GapOpen + L*GapExtend.
 type Scheme struct {
 	Name      string
-	Kind      seq.Kind
 	Table     [][]int // Table[a][b] = substitution score
 	GapOpen   int
 	GapExtend int
@@ -58,7 +49,6 @@ func NucleotideScheme(match, mismatch, gapOpen, gapExtend int) *Scheme {
 	}
 	return &Scheme{
 		Name:      fmt.Sprintf("match%+d/mismatch%+d", match, mismatch),
-		Kind:      seq.Nucleotide,
 		Table:     t,
 		GapOpen:   gapOpen,
 		GapExtend: gapExtend,
@@ -67,139 +57,3 @@ func NucleotideScheme(match, mismatch, gapOpen, gapExtend int) *Scheme {
 
 // DefaultNucleotide returns the classic blastn scheme: +1/-3, gap 5/2.
 func DefaultNucleotide() *Scheme { return NucleotideScheme(1, -3, 5, 2) }
-
-// Blosum62 returns the BLOSUM62 scheme with the given affine gap costs
-// (blastp default: open 11, extend 1).
-func Blosum62(gapOpen, gapExtend int) *Scheme {
-	s := *blosum62
-	s.GapOpen, s.GapExtend = gapOpen, gapExtend
-	return &s
-}
-
-// DefaultProtein returns BLOSUM62 with the blastp default gap costs.
-func DefaultProtein() *Scheme { return Blosum62(11, 1) }
-
-var blosum62 *Scheme
-
-func init() {
-	m, err := ParseMatrix(strings.NewReader(blosum62Text))
-	if err != nil {
-		panic("align: embedded BLOSUM62 failed to parse: " + err.Error())
-	}
-	m.Name = "BLOSUM62"
-	blosum62 = m
-}
-
-// ParseMatrix reads a substitution matrix in NCBI text format: a
-// header row of residue letters followed by one row per residue. Rows
-// and columns may appear in any residue order; scores are stored into
-// the dense protein alphabet indices.
-func ParseMatrix(r *strings.Reader) (*Scheme, error) {
-	sc := bufio.NewScanner(r)
-	var cols []int
-	t := make([][]int, seq.NumAA)
-	for i := range t {
-		t[i] = make([]int, seq.NumAA)
-		for j := range t[i] {
-			t[i][j] = -127 // sentinel: unset
-		}
-	}
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if cols == nil {
-			for _, f := range fields {
-				if len(f) != 1 {
-					return nil, fmt.Errorf("align: bad matrix header field %q", f)
-				}
-				idx := seq.AAIndex(f[0])
-				if idx < 0 {
-					return nil, fmt.Errorf("align: unknown residue %q in matrix header", f)
-				}
-				cols = append(cols, idx)
-			}
-			continue
-		}
-		if len(fields) != len(cols)+1 {
-			return nil, fmt.Errorf("align: matrix row %q has %d fields, want %d", fields[0], len(fields), len(cols)+1)
-		}
-		rowIdx := seq.AAIndex(fields[0][0])
-		if len(fields[0]) != 1 || rowIdx < 0 {
-			return nil, fmt.Errorf("align: unknown residue %q in matrix row", fields[0])
-		}
-		for k, f := range fields[1:] {
-			var v int
-			if _, err := fmt.Sscanf(f, "%d", &v); err != nil {
-				return nil, fmt.Errorf("align: bad score %q in row %q", f, fields[0])
-			}
-			t[rowIdx][cols[k]] = v
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if cols == nil {
-		return nil, fmt.Errorf("align: empty matrix")
-	}
-	// Fill unset cells (letters absent from the file) with the X row
-	// default so lookups stay safe.
-	for i := range t {
-		for j := range t[i] {
-			if t[i][j] == -127 {
-				t[i][j] = -1
-			}
-		}
-	}
-	return &Scheme{Kind: seq.Protein, Table: t, GapOpen: 11, GapExtend: 1}, nil
-}
-
-// blosum62Text is the standard NCBI BLOSUM62 matrix.
-const blosum62Text = `
-#  Matrix made by matblas from blosum62.iij
-   A  R  N  D  C  Q  E  G  H  I  L  K  M  F  P  S  T  W  Y  V  B  Z  X  *
-A  4 -1 -2 -2  0 -1 -1  0 -2 -1 -1 -1 -1 -2 -1  1  0 -3 -2  0 -2 -1  0 -4
-R -1  5  0 -2 -3  1  0 -2  0 -3 -2  2 -1 -3 -2 -1 -1 -3 -2 -3 -1  0 -1 -4
-N -2  0  6  1 -3  0  0  0  1 -3 -3  0 -2 -3 -2  1  0 -4 -2 -3  3  0 -1 -4
-D -2 -2  1  6 -3  0  2 -1 -1 -3 -4 -1 -3 -3 -1  0 -1 -4 -3 -3  4  1 -1 -4
-C  0 -3 -3 -3  9 -3 -4 -3 -3 -1 -1 -3 -1 -2 -3 -1 -1 -2 -2 -1 -3 -3 -2 -4
-Q -1  1  0  0 -3  5  2 -2  0 -3 -2  1  0 -3 -1  0 -1 -2 -1 -2  0  3 -1 -4
-E -1  0  0  2 -4  2  5 -2  0 -3 -3  1 -2 -3 -1  0 -1 -3 -2 -2  1  4 -1 -4
-G  0 -2  0 -1 -3 -2 -2  6 -2 -4 -4 -2 -3 -3 -2  0 -2 -2 -3 -3 -1 -2 -1 -4
-H -2  0  1 -1 -3  0  0 -2  8 -3 -3 -1 -2 -1 -2 -1 -2 -2  2 -3  0  0 -1 -4
-I -1 -3 -3 -3 -1 -3 -3 -4 -3  4  2 -3  1  0 -3 -2 -1 -3 -1  3 -3 -3 -1 -4
-L -1 -2 -3 -4 -1 -2 -3 -4 -3  2  4 -2  2  0 -3 -2 -1 -2 -1  1 -4 -3 -1 -4
-K -1  2  0 -1 -3  1  1 -2 -1 -3 -2  5 -1 -3 -1  0 -1 -3 -2 -2  0  1 -1 -4
-M -1 -1 -2 -3 -1  0 -2 -3 -2  1  2 -1  5  0 -2 -1 -1 -1 -1  1 -3 -1 -1 -4
-F -2 -3 -3 -3 -2 -3 -3 -3 -1  0  0 -3  0  6 -4 -2 -2  1  3 -1 -3 -3 -1 -4
-P -1 -2 -2 -1 -3 -1 -1 -2 -2 -3 -3 -1 -2 -4  7 -1 -1 -4 -3 -2 -2 -1 -2 -4
-S  1 -1  1  0 -1  0  0  0 -1 -2 -2  0 -1 -2 -1  4  1 -3 -2 -2  0  0  0 -4
-T  0 -1  0 -1 -1 -1 -1 -2 -2 -1 -1 -1 -1 -2 -1  1  5 -2 -2  0 -1 -1  0 -4
-W -3 -3 -4 -4 -2 -2 -3 -2 -2 -3 -2 -3 -1  1 -4 -3 -2 11  2 -3 -4 -3 -2 -4
-Y -2 -2 -2 -3 -2 -1 -2 -3  2 -1 -1 -2 -1  3 -3 -2 -2  2  7 -1 -3 -2 -1 -4
-V  0 -3 -3 -3 -1 -2 -2 -3 -3  3  1 -2  1 -1 -2 -2  0 -3 -1  4 -3 -2 -1 -4
-B -2 -1  3  4 -3  0  1 -1  0 -3 -4  0 -3 -3 -2  0 -1 -4 -3 -3  4  1 -1 -4
-Z -1  0  0  1 -3  3  4 -2  0 -3 -3  1 -1 -3 -1  0 -1 -3 -2 -2  1  4 -1 -4
-X  0 -1 -1 -1 -2 -1 -1 -1 -1 -1 -1 -1 -1 -1 -2  0  0 -2 -1 -1 -1 -1 -1 -4
-* -4 -4 -4 -4 -4 -4 -4 -4 -4 -4 -4 -4 -4 -4 -4 -4 -4 -4 -4 -4 -4 -4 -4  1
-`
-
-// LoadMatrixFile reads an NCBI-format substitution matrix (e.g. a
-// PAM250 or BLOSUM80 file as distributed with BLAST) and returns a
-// protein scheme with the given gap costs — the "expert-specified
-// scoring matrix" path of classic blastall's -M option.
-func LoadMatrixFile(path string, gapOpen, gapExtend int) (*Scheme, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	m, err := ParseMatrix(strings.NewReader(string(data)))
-	if err != nil {
-		return nil, fmt.Errorf("align: %s: %w", path, err)
-	}
-	m.Name = filepath.Base(path)
-	m.GapOpen, m.GapExtend = gapOpen, gapExtend
-	return m, nil
-}

@@ -1,47 +1,8 @@
 package align
 
-// X-drop extensions: the scanning primitives of the BLAST engine.
-// Ungapped extension stretches a seed hit along the diagonal; gapped
-// extension runs a banded affine-gap DP whose band adapts so that
-// cells scoring more than X below the best-so-far are dropped.
-
-// ExtendUngapped extends a seed match at a[ai:ai+w] vs b[bi:bi+w]
-// along the diagonal in both directions, stopping a direction when
-// the running score falls more than xdrop below the best seen in that
-// direction. It returns the best total score and the extents
-// [aFrom,aTo) x [bFrom,bTo) achieving it.
-func ExtendUngapped(a, b []byte, ai, bi, w int, s *Scheme, xdrop int) (score, aFrom, aTo, bFrom, bTo int) {
-	seed := 0
-	for k := 0; k < w; k++ {
-		seed += s.Score(a[ai+k], b[bi+k])
-	}
-	bestRight, rightLen := 0, 0
-	run, k := 0, 1
-	for i, j := ai+w, bi+w; i < len(a) && j < len(b); i, j = i+1, j+1 {
-		run += s.Score(a[i], b[j])
-		if run > bestRight {
-			bestRight, rightLen = run, k
-		}
-		if run < bestRight-xdrop {
-			break
-		}
-		k++
-	}
-	bestLeft, leftLen := 0, 0
-	run, k = 0, 1
-	for i, j := ai-1, bi-1; i >= 0 && j >= 0; i, j = i-1, j-1 {
-		run += s.Score(a[i], b[j])
-		if run > bestLeft {
-			bestLeft, leftLen = run, k
-		}
-		if run < bestLeft-xdrop {
-			break
-		}
-		k++
-	}
-	score = seed + bestLeft + bestRight
-	return score, ai - leftLen, ai + w + rightLen, bi - leftLen, bi + w + rightLen
-}
+// X-drop gapped extension: a banded affine-gap DP whose band adapts so
+// that cells scoring more than X below the best-so-far are dropped.
+// The ungapped X-drop extension the engine runs is PackedExtend.
 
 // extendGappedOneSided runs the X-drop banded affine-gap DP extending
 // rightward, aligning prefixes of a against prefixes of b starting

@@ -89,7 +89,7 @@ func TestSeedArenasStayBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	var perView seedRecorder
-	eng.tables[0].scan(seq.PackCodes(polyA.Codes()), polyA.Len(), &perView)
+	eng.table.scan(seq.PackCodes(polyA.Codes()), polyA.Len(), &perView)
 	for v := range eng.views {
 		if n := len(perView.view(v)); n <= 4*seedBatch {
 			t.Fatalf("view %d gets %d seeds; the flood does not overflow its arena", v, n)

@@ -4,22 +4,14 @@ import (
 	"pario/internal/align"
 )
 
-// Word lookup tables map fixed-length words of the subject stream to
-// query positions where a seed hit should be investigated.
+// The word lookup table maps fixed-length words of the subject stream
+// to query positions where a seed hit should be investigated.
 
 // seedSink receives seed matches from a lookup table scan, each tagged
-// with the query view whose word matched. The searcher is the
+// with the query strand view whose word matched. The searcher is the
 // production implementation; tests substitute recorders.
 type seedSink interface {
 	handleSeed(view, qpos, spos int)
-}
-
-// seedTable is a word index the searcher scans each subject view
-// through once. subject holds the view's n letters in the table's own
-// form: 2-bit packed for nucLookup, one dense code per byte for
-// protLookup.
-type seedTable interface {
-	scan(subject []byte, n int, sink seedSink)
 }
 
 // nucDirectBits bounds the direct form: words of up to this many
@@ -209,106 +201,6 @@ func (lt *nucLookup) scanStride(packed []byte, n int, sink seedSink) {
 			s := a - int(e.phase)
 			if s >= 0 && s+w <= n && (align.Window64(packed, s)^e.word)&mask == 0 {
 				sink.handleSeed(int(e.ref>>nucViewShift), int(e.ref&nucPosMask), s)
-			}
-		}
-	}
-}
-
-// protLookup indexes a protein query's neighborhood words: every
-// possible W-mer scoring >= threshold against some query word, under
-// the scheme's substitution matrix.
-type protLookup struct {
-	view     int // the query view this table seeds
-	w        int
-	alphabet int
-	hi       int       // alphabet^(w-1): weight of a word's outgoing high digit
-	buckets  [][]int32 // word index -> query positions
-}
-
-// buildProtLookup enumerates neighborhood words for each unmasked
-// position of query view view. alphabet is the dense protein alphabet
-// size.
-func buildProtLookup(query []byte, view, w, threshold, alphabet int, s *align.Scheme, masked []bool) *protLookup {
-	size := 1
-	for i := 0; i < w; i++ {
-		size *= alphabet
-	}
-	lt := &protLookup{view: view, w: w, alphabet: alphabet, hi: size / alphabet, buckets: make([][]int32, size)}
-	if len(query) < w {
-		return lt
-	}
-	// For each query word, enumerate candidate words with branch and
-	// bound: at depth d, the best achievable remainder is the sum of
-	// per-position maxima.
-	maxRemain := make([]int, w+1) // maxRemain[d] = max achievable score from positions d..w-1
-	word := make([]byte, w)
-	for qpos := 0; qpos+w <= len(query); qpos++ {
-		if !wordAllowed(masked, qpos, w) {
-			continue
-		}
-		qw := query[qpos : qpos+w]
-		maxRemain[w] = 0
-		for d := w - 1; d >= 0; d-- {
-			best := -(1 << 30)
-			for c := 0; c < alphabet; c++ {
-				if sc := s.Table[qw[d]][c]; sc > best {
-					best = sc
-				}
-			}
-			maxRemain[d] = maxRemain[d+1] + best
-		}
-		lt.enumerate(qw, word, 0, 0, threshold, maxRemain, int32(qpos), s)
-	}
-	return lt
-}
-
-func (lt *protLookup) enumerate(qw, word []byte, depth, score, threshold int, maxRemain []int, qpos int32, s *align.Scheme) {
-	if depth == lt.w {
-		if score >= threshold {
-			idx := lt.wordIndex(word)
-			lt.buckets[idx] = append(lt.buckets[idx], qpos)
-		}
-		return
-	}
-	if score+maxRemain[depth] < threshold {
-		return // prune: cannot reach threshold
-	}
-	row := s.Table[qw[depth]]
-	for c := 0; c < lt.alphabet; c++ {
-		word[depth] = byte(c)
-		lt.enumerate(qw, word, depth+1, score+row[c], threshold, maxRemain, qpos, s)
-	}
-}
-
-func (lt *protLookup) wordIndex(word []byte) int {
-	idx := 0
-	for _, c := range word {
-		idx = idx*lt.alphabet + int(c)
-	}
-	return idx
-}
-
-// scan streams the words of the subject's dense codes (which carry
-// their own length) and reports seed hits. The rolling index drops the
-// word's outgoing high digit instead of reducing modulo alphabet^w, so
-// the per-position work is one multiply-add and one multiply-subtract.
-func (lt *protLookup) scan(subject []byte, _ int, sink seedSink) {
-	if len(subject) < lt.w {
-		return
-	}
-	w, alphabet, hi := lt.w, lt.alphabet, lt.hi
-	idx := 0
-	for i := 0; i < len(subject); i++ {
-		if i >= w {
-			idx -= int(subject[i-w]) * hi
-		}
-		idx = idx*alphabet + int(subject[i])
-		if i >= w-1 {
-			if positions := lt.buckets[idx]; positions != nil {
-				spos := i - w + 1
-				for _, qpos := range positions {
-					sink.handleSeed(lt.view, int(qpos), spos)
-				}
 			}
 		}
 	}

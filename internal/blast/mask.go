@@ -1,19 +1,16 @@
 package blast
 
 import (
-	"math"
 	"sort"
 
 	"pario/internal/seq"
 )
 
 // Low-complexity filtering. NCBI BLAST masks low-complexity query
-// regions before seeding (DUST for nucleotide queries, SEG for
-// protein queries) so that poly-A runs, microsatellites and biased
-// composition segments do not flood the search with spurious hits.
-// This file implements a DUST-style triplet-complexity filter and a
-// SEG-style sliding-window entropy filter, plus the interval algebra
-// used to apply them to the seed lookup tables.
+// regions before seeding so that poly-A runs and microsatellites do
+// not flood the search with spurious hits. This file implements a
+// DUST-style triplet-complexity filter, plus the interval algebra used
+// to apply it to the seed lookup table.
 
 // Interval is a half-open masked region [From, To).
 type Interval struct {
@@ -107,60 +104,6 @@ func DustMask(s *seq.Sequence, p DustParams) []Interval {
 		if score > p.Threshold {
 			out = append(out, Interval{From: start, To: start + p.Window})
 		}
-	}
-	return mergeIntervals(out)
-}
-
-// SegParams tune the protein low-complexity filter.
-type SegParams struct {
-	// Window is the sliding window length (SEG default 12).
-	Window int
-	// MaxEntropy masks windows whose Shannon entropy (bits) is at or
-	// below this value (SEG's K1 trigger is ~2.2 bits for window 12).
-	MaxEntropy float64
-}
-
-// DefaultSeg returns SEG-like defaults.
-func DefaultSeg() SegParams { return SegParams{Window: 12, MaxEntropy: 2.2} }
-
-// SegMask scans a protein sequence and returns merged intervals whose
-// residue composition has entropy at or below the threshold
-// (homopolymeric and biased-composition segments).
-func SegMask(s *seq.Sequence, p SegParams) []Interval {
-	if p.Window <= 1 {
-		p = DefaultSeg()
-	}
-	codes := s.Codes()
-	n := len(codes)
-	if n < p.Window {
-		return nil
-	}
-	var out []Interval
-	counts := make([]int, seq.NumAA)
-	// Initialize the first window.
-	for i := 0; i < p.Window; i++ {
-		counts[codes[i]]++
-	}
-	entropy := func() float64 {
-		var h float64
-		for _, c := range counts {
-			if c == 0 {
-				continue
-			}
-			f := float64(c) / float64(p.Window)
-			h -= f * math.Log2(f)
-		}
-		return h
-	}
-	for start := 0; ; start++ {
-		if entropy() <= p.MaxEntropy {
-			out = append(out, Interval{From: start, To: start + p.Window})
-		}
-		if start+p.Window >= n {
-			break
-		}
-		counts[codes[start]]--
-		counts[codes[start+p.Window]]++
 	}
 	return mergeIntervals(out)
 }

@@ -12,10 +12,6 @@ func nucSeq(s string) *seq.Sequence {
 	return &seq.Sequence{ID: "t", Kind: seq.Nucleotide, Data: []byte(s)}
 }
 
-func protSeq(s string) *seq.Sequence {
-	return &seq.Sequence{ID: "t", Kind: seq.Protein, Data: []byte(s)}
-}
-
 func TestDustMasksPolyA(t *testing.T) {
 	s := nucSeq(strings.Repeat("A", 200))
 	ivs := DustMask(s, DefaultDust())
@@ -76,21 +72,6 @@ func TestDustShortSequence(t *testing.T) {
 	ivs := DustMask(nucSeq(strings.Repeat("A", 40)), DefaultDust())
 	if TotalMasked(ivs) == 0 {
 		t.Error("40-base poly-A not masked")
-	}
-}
-
-func TestSegMasksHomopolymer(t *testing.T) {
-	ivs := SegMask(protSeq(strings.Repeat("Q", 50)), DefaultSeg())
-	if TotalMasked(ivs) < 40 {
-		t.Errorf("poly-Q masked only %d of 50", TotalMasked(ivs))
-	}
-}
-
-func TestSegLeavesDiverseProteinAlone(t *testing.T) {
-	s := protSeq("MKWVTFISLLLLFSSAYSRGVFRRDTHKSEIAHRFKDLGEEHFKGLVLIAFSQYLQQCPF")
-	ivs := SegMask(s, DefaultSeg())
-	if n := TotalMasked(ivs); n > 10 {
-		t.Errorf("diverse protein masked %d letters: %v", n, ivs)
 	}
 }
 
@@ -170,29 +151,6 @@ func TestFilterKeepsRealHits(t *testing.T) {
 	}
 	if len(res.Hits) == 0 {
 		t.Fatal("filter removed a legitimate high-complexity hit")
-	}
-}
-
-func TestFilterProteinSearch(t *testing.T) {
-	// Poly-Q query vs poly-Q subject: filtered out.
-	q := protSeq(strings.Repeat("Q", 60))
-	s := protSeq(strings.Repeat("Q", 80))
-	s.ID = "subj"
-	res, err := Search(q, &SliceSource{Seqs: []*seq.Sequence{s}}, DBInfo{},
-		Params{Program: BlastP, Filter: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Hits) != 0 {
-		t.Error("SEG filter did not suppress poly-Q self hit")
-	}
-	res2, err := Search(q, &SliceSource{Seqs: []*seq.Sequence{s}}, DBInfo{},
-		Params{Program: BlastP, Filter: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2.Hits) == 0 {
-		t.Error("unfiltered poly-Q search should hit")
 	}
 }
 
@@ -285,10 +243,6 @@ func TestMegablastReverseStrand(t *testing.T) {
 }
 
 func TestMegablastValidation(t *testing.T) {
-	p := Params{Program: BlastP, Greedy: true}.Defaults()
-	if err := p.Validate(); err == nil {
-		t.Error("greedy blastp accepted")
-	}
 	n := Params{Program: BlastN, Greedy: true}.Defaults()
 	if n.WordSize != 28 {
 		t.Errorf("megablast default word = %d, want 28", n.WordSize)

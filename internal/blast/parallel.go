@@ -58,10 +58,6 @@ func (eng *engine) runPipeline(subjects SubjectSource, threads int, m *PipeMetri
 				decodeErr = err
 				return
 			}
-			if err := eng.checkSubjectKind(subj); err != nil {
-				decodeErr = err
-				return
-			}
 			if m != nil {
 				t := time.Now()
 				jobs <- subjectJob{seq: seqno, subj: subj}

@@ -10,18 +10,6 @@ import (
 	"pario/internal/util"
 )
 
-// protLetters is the dense 20-letter amino acid alphabet for random
-// test proteins.
-var protLetters = []byte("ACDEFGHIKLMNPQRSTVWY")
-
-func randomProtein(rng *util.RNG, id string, n int) *seq.Sequence {
-	data := make([]byte, n)
-	for i := range data {
-		data[i] = protLetters[rng.Intn(len(protLetters))]
-	}
-	return &seq.Sequence{ID: id, Kind: seq.Protein, Data: data}
-}
-
 // buildNucDB synthesizes a nucleotide database with the query's
 // fragments planted into several subjects (some twice, to exercise
 // culling and tie-breaking in the ordered merge).
@@ -47,18 +35,6 @@ func buildNucDB(rng *util.RNG, query *seq.Sequence, n int) []*seq.Sequence {
 	return subjects
 }
 
-// buildProtDB is buildNucDB for protein searches.
-func buildProtDB(rng *util.RNG, query *seq.Sequence, n int) []*seq.Sequence {
-	subjects := make([]*seq.Sequence, n)
-	for i := range subjects {
-		subjects[i] = randomProtein(rng, fmt.Sprintf("p%03d", i), 400+rng.Intn(400))
-	}
-	for i := 0; i < n; i += 2 {
-		plant(subjects[i], query.Data[20:80], 50+((i*31)%200))
-	}
-	return subjects
-}
-
 // TestPipelineDeterminism is the golden-equality check of the parallel
 // subject pipeline: at any thread count the full Result — hit order,
 // HSP coordinates, scores, e-values, statistics — must be bit-
@@ -68,8 +44,6 @@ func TestPipelineDeterminism(t *testing.T) {
 	rng := util.NewRNG(777)
 	nucQuery := randomDNA(rng, "query", 568)
 	nucDB := buildNucDB(rng, nucQuery, 60)
-	protQuery := randomProtein(rng, "pquery", 120)
-	protDB := buildProtDB(rng, protQuery, 60)
 
 	cases := []struct {
 		name     string
@@ -80,7 +54,6 @@ func TestPipelineDeterminism(t *testing.T) {
 		{"blastn", nucQuery, nucDB, Params{Program: BlastN}},
 		{"megablast", nucQuery, nucDB, Params{Program: BlastN, Greedy: true}},
 		{"blastn-filtered", nucQuery, nucDB, Params{Program: BlastN, Filter: true}},
-		{"blastp", protQuery, protDB, Params{Program: BlastP}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -134,20 +107,6 @@ func TestPipelineSourceError(t *testing.T) {
 		DBInfo{}, Params{Program: BlastN, Threads: 4})
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("pipeline error = %v, want %v", err, wantErr)
-	}
-}
-
-func TestPipelineKindMismatch(t *testing.T) {
-	rng := util.NewRNG(779)
-	query := randomDNA(rng, "query", 300)
-	subjects := []*seq.Sequence{
-		randomDNA(rng, "ok", 1000),
-		randomProtein(rng, "oops", 200),
-	}
-	_, err := Search(query, &SliceSource{Seqs: subjects}, DBInfo{},
-		Params{Program: BlastN, Threads: 4})
-	if err == nil {
-		t.Fatal("protein subject in a blastn pipeline search did not error")
 	}
 }
 

@@ -3,8 +3,6 @@ package blast
 import (
 	"fmt"
 	"io"
-
-	"pario/internal/seq"
 )
 
 // WriteReport renders a classic BLAST text report of the result: the
@@ -31,9 +29,7 @@ func WriteReport(w io.Writer, res *Result) error {
 			fmt.Fprintf(w, " Identities = %d/%d (%.0f%%), Gaps = %d/%d\n",
 				hsp.Identities, hsp.AlignLen, pct(hsp.Identities, hsp.AlignLen),
 				hsp.Gaps, hsp.AlignLen)
-			if hsp.QueryFrame != 0 || hsp.SubjectFrame != 0 {
-				fmt.Fprintf(w, " Frame = %s / %s\n", frameLabel(hsp.QueryFrame), frameLabel(hsp.SubjectFrame))
-			}
+			fmt.Fprintf(w, " Frame = %s / %s\n", hsp.QueryFrame, hsp.SubjectFrame)
 			fmt.Fprintf(w, " Query: %d..%d  Subject: %d..%d\n\n",
 				hsp.QueryFrom+1, hsp.QueryTo, hsp.SubjectFrom+1, hsp.SubjectTo)
 		}
@@ -48,13 +44,6 @@ func pct(a, b int) float64 {
 		return 0
 	}
 	return 100 * float64(a) / float64(b)
-}
-
-func frameLabel(f seq.Frame) string {
-	if f == 0 {
-		return "."
-	}
-	return f.String()
 }
 
 // WriteTabular renders the result in the style of BLAST's -outfmt 6:

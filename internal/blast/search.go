@@ -12,7 +12,7 @@ import (
 
 // HSP is a high-scoring segment pair: one local alignment between the
 // query and a subject. Coordinates are 0-based half-open offsets into
-// the original (untranslated) sequences' forward strands.
+// the sequences' forward strands.
 type HSP struct {
 	Score    int
 	BitScore float64
@@ -21,15 +21,15 @@ type HSP struct {
 	QueryFrom, QueryTo     int
 	SubjectFrom, SubjectTo int
 
-	// QueryFrame/SubjectFrame are translation frames for translated
-	// programs; +1/-1 mark strands for blastn; 0 means untranslated
-	// forward.
+	// QueryFrame is the query strand that aligned: +1 forward, -1 the
+	// reverse complement. SubjectFrame is always +1: subjects are
+	// scanned forward only.
 	QueryFrame   seq.Frame
 	SubjectFrame seq.Frame
 
-	// Alignment is the traceback over the compared (possibly
-	// translated) letter data; coordinates inside it are in
-	// comparison space, not original space.
+	// Alignment is the traceback over the aligned strands' base codes;
+	// coordinates inside it are in strand space (the reverse
+	// complement's for QueryFrame -1), not forward-strand space.
 	Alignment *align.Alignment
 
 	Identities int
@@ -67,16 +67,15 @@ type SearchStats struct {
 	RawScoreCut   int
 	GapTriggerRaw int
 	// MaskedLetters counts query letters hidden from seeding by the
-	// low-complexity filter, summed over query views.
+	// low-complexity filter, summed over both strands.
 	MaskedLetters int64
 	// ScannedBases counts subject letters streamed through the seeding
-	// kernel (each scan of a subject view through a word table counts
-	// it once; blastn's one table holds both strands, so a subject
+	// kernel (the one word table holds both strands, so a subject
 	// counts once), the numerator of the search-side bases/sec rate.
 	ScannedBases int64
 	// PackedExts counts ungapped extensions served by the 2-bit packed
-	// kernel. Every blastn subject is extended packed, so for blastn it
-	// equals UngappedExts; protein comparisons run the byte kernel.
+	// kernel. It serves every one, so it equals UngappedExts; the
+	// counter stays because the benchmark reports it.
 	PackedExts int64
 }
 
@@ -137,10 +136,6 @@ func SearchWithMetrics(query *seq.Sequence, subjects SubjectSource, info DBInfo,
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if query.Kind != p.Program.QueryKind() {
-		return nil, fmt.Errorf("blast: %s expects a %s query, got %s",
-			p.Program, p.Program.QueryKind(), query.Kind)
-	}
 	eng, err := newEngine(query, p)
 	if err != nil {
 		return nil, err
@@ -162,9 +157,6 @@ func SearchWithMetrics(query *seq.Sequence, subjects SubjectSource, info DBInfo,
 				break
 			}
 			if err != nil {
-				return nil, err
-			}
-			if err := eng.checkSubjectKind(subj); err != nil {
 				return nil, err
 			}
 			dbLetters += int64(subj.Len())
@@ -189,15 +181,6 @@ func SearchWithMetrics(query *seq.Sequence, subjects SubjectSource, info DBInfo,
 	return res, nil
 }
 
-// checkSubjectKind rejects subjects of the wrong sequence kind.
-func (eng *engine) checkSubjectKind(subj *seq.Sequence) error {
-	if subj.Kind != eng.p.Program.DBKind() {
-		return fmt.Errorf("blast: %s expects a %s database, got %s in %s",
-			eng.p.Program, eng.p.Program.DBKind(), subj.Kind, subj.ID)
-	}
-	return nil
-}
-
 // AddCounts folds another stats block's per-subject work counters in.
 // Only the counters the search loop accumulates move; the query-wide
 // fields (Karlin parameters, masking, cutoffs) stay put.
@@ -214,12 +197,11 @@ type rawHit struct {
 	hsps    []rawHSP
 }
 
-// rawHSP is an HSP before statistics: comparison-space coordinates.
+// rawHSP is an HSP before statistics: strand-space coordinates.
 type rawHSP struct {
 	score                  int
-	qFrom, qTo, sFrom, sTo int // comparison space
-	qFrame, sFrame         seq.Frame
-	alignment              *align.Alignment
+	qFrom, qTo, sFrom, sTo int // strand space
+	qFrame                 seq.Frame
 }
 
 // engine holds per-query immutable search state.
@@ -227,22 +209,19 @@ type engine struct {
 	p     Params
 	stats SearchStats
 
-	// Comparison-space query views: for blastn, the forward and
-	// reverse-complement strands; for blastx/tblastx, six frames; for
-	// blastp/tblastn, the query itself.
+	// views are the query's strands: forward, then (with BothStrands)
+	// the reverse complement.
 	views []queryView
-	// tables are the word indexes every subject view is scanned
-	// through once: for blastn one nucLookup holding every view's
-	// words, for protein comparisons one protLookup per view long
-	// enough to seed. Each tags its seeds with their query view.
-	tables []seedTable
+	// table indexes every view's words, each tagged with its view; nil
+	// when the query is shorter than a word. Every subject is scanned
+	// through it once, 2-bit packed.
+	table *nucLookup
 
 	gapTriggerRaw int
 	kpGap         KarlinParams
-	freqs         []float64
 
-	// blastn's match/mismatch scores (Validate admits only a uniform
-	// scheme): every blastn subject is seeded and ungapped-extended 2-bit
+	// The uniform scheme's match/mismatch scores (Validate admits no
+	// other): every subject is seeded and ungapped-extended 2-bit
 	// packed, 32 bases per word op.
 	nucMatch    int
 	nucMismatch int
@@ -252,26 +231,20 @@ type engine struct {
 	greedyScale int // divide greedy scores by this to match the scheme's units
 }
 
-// queryView is one comparison-space rendering of the query.
+// queryView is one strand of the query.
 type queryView struct {
-	frame   seq.Frame
-	codes   []byte
-	packed  []byte // 2-bit packed codes (blastn views only)
-	origLen int    // original query length (for coordinate mapping)
+	frame  seq.Frame
+	codes  []byte
+	packed []byte // codes, 2-bit packed
 }
 
 func newEngine(query *seq.Sequence, p Params) (*engine, error) {
 	eng := &engine{p: p}
-	if p.Program.comparisonIsProtein() {
-		eng.freqs = RobinsonFreqs
-	} else {
-		eng.freqs = UniformNucFreqs
-	}
-	kpU, err := ComputeUngappedParams(p.Scheme, eng.freqs)
+	kpU, err := ComputeUngappedParams(p.Scheme, UniformNucFreqs)
 	if err != nil {
 		return nil, err
 	}
-	eng.kpGap, err = GappedParams(p.Scheme, eng.freqs)
+	eng.kpGap, err = GappedParams(p.Scheme, UniformNucFreqs)
 	if err != nil {
 		return nil, err
 	}
@@ -281,114 +254,45 @@ func newEngine(query *seq.Sequence, p Params) (*engine, error) {
 		eng.gapTriggerRaw = 1
 	}
 	eng.stats.GapTriggerRaw = eng.gapTriggerRaw
-	if p.Program == BlastN {
-		eng.nucMatch, eng.nucMismatch, _ = align.UniformNucScheme(p.Scheme)
-	}
+	eng.nucMatch, eng.nucMismatch, _ = align.UniformNucScheme(p.Scheme)
 	if p.Greedy {
 		eng.greedy = align.NewGreedyScheme(eng.nucMatch, eng.nucMismatch)
 		eng.greedyScale = eng.greedy.Match / eng.nucMatch
 	}
+	if query.Len() > nucPosMask {
+		return nil, fmt.Errorf("blast: blastn query of %d letters exceeds %d", query.Len(), nucPosMask)
+	}
 
-	var nucCodes [][]byte
-	var nucMasks [][]bool
-	addNucView := func(s *seq.Sequence, frame seq.Frame) {
-		codes := s.Codes()
+	var codes [][]byte
+	var masks [][]bool
+	addView := func(s *seq.Sequence, frame seq.Frame) {
+		c := s.Codes()
 		var masked []bool
 		if p.Filter {
 			ivs := DustMask(s, p.Dust)
-			masked = maskFlags(len(codes), ivs)
+			masked = maskFlags(len(c), ivs)
 			eng.stats.MaskedLetters += int64(TotalMasked(ivs))
 		}
-		eng.views = append(eng.views, queryView{frame: frame, codes: codes, packed: seq.PackCodes(codes), origLen: query.Len()})
-		nucCodes, nucMasks = append(nucCodes, codes), append(nucMasks, masked)
+		eng.views = append(eng.views, queryView{frame: frame, codes: c, packed: seq.PackCodes(c)})
+		codes, masks = append(codes, c), append(masks, masked)
 	}
-	addProtView := func(s *seq.Sequence, frame seq.Frame) {
-		codes := s.Codes()
-		var masked []bool
-		if p.Filter {
-			ivs := SegMask(s, p.Seg)
-			masked = maskFlags(len(codes), ivs)
-			eng.stats.MaskedLetters += int64(TotalMasked(ivs))
-		}
-		if len(codes) >= p.WordSize {
-			eng.tables = append(eng.tables,
-				buildProtLookup(codes, len(eng.views), p.WordSize, p.Threshold, seq.NumAA, p.Scheme, masked))
-		}
-		eng.views = append(eng.views, queryView{frame: frame, codes: codes, origLen: query.Len()})
+	addView(query, 1)
+	if p.BothStrands {
+		addView(query.ReverseComplement(), -1)
 	}
-
-	switch p.Program {
-	case BlastN:
-		if query.Len() > nucPosMask {
-			return nil, fmt.Errorf("blast: blastn query of %d letters exceeds %d", query.Len(), nucPosMask)
-		}
-		addNucView(query, 1)
-		if p.BothStrands {
-			addNucView(query.ReverseComplement(), -1)
-		}
-		if query.Len() >= p.WordSize {
-			eng.tables = []seedTable{buildNucLookup(nucCodes, p.WordSize, nucMasks)}
-		}
-	case BlastP, TBlastN:
-		addProtView(query, 0)
-	case BlastX, TBlastX:
-		for _, f := range seq.Frames {
-			addProtView(seq.Translate(query, f), f)
-		}
+	if query.Len() >= p.WordSize {
+		eng.table = buildNucLookup(codes, p.WordSize, masks)
 	}
 	return eng, nil
 }
 
-// subjectView renders a subject into comparison space. A blastn view
-// always carries the 2-bit packed payload the word table scans and the
-// packed kernel extends; its codes stay nil until a gapped or greedy
-// extension demands them, unless the subject arrived as letters.
-type subjectView struct {
-	frame   seq.Frame
-	codes   []byte // dense codes; nil for a packed-entry view until materialized
-	packed  []byte // 2-bit packed codes (blastn only)
-	n       int    // comparison-space length in letters
-	origLen int
-}
-
-// subjectViews renders subj into the searcher's pooled view buffer.
-// A blastn subject that arrived 2-bit packed lends its payload; one
-// that arrived as letters is coded and packed once, into codesBuf and
-// packBuf. Those buffers and svBuf are reused on the next call, so
-// callers must finish with a subject's views before requesting the
-// next subject's.
-func (sr *searcher) subjectViews(subj *seq.Sequence) []subjectView {
-	sr.svBuf = sr.svBuf[:0]
-	switch sr.eng.p.Program {
-	case BlastN:
-		sv := subjectView{frame: 1, n: subj.Len(), origLen: subj.Len()}
-		if sv.packed, _ = subj.Packed2Bit(); sv.packed == nil {
-			sr.codesBuf = subj.AppendCodes(sr.codesBuf[:0])
-			sr.packBuf = seq.AppendPackedCodes(sr.packBuf[:0], sr.codesBuf)
-			sv.codes, sv.packed = sr.codesBuf, sr.packBuf
-		}
-		sr.svBuf = append(sr.svBuf, sv)
-	case BlastP, BlastX:
-		sr.codesBuf = subj.AppendCodes(sr.codesBuf[:0])
-		sr.svBuf = append(sr.svBuf, subjectView{codes: sr.codesBuf, n: len(sr.codesBuf), origLen: subj.Len()})
-	default: // TBlastN, TBlastX: translate the subject
-		for _, f := range seq.Frames {
-			codes := seq.Translate(subj, f).Codes()
-			sr.svBuf = append(sr.svBuf, subjectView{frame: f, codes: codes, n: len(codes), origLen: subj.Len()})
-		}
-	}
-	return sr.svBuf
-}
-
 // diagCell tracks per-diagonal progress: the end of the last
-// extension (to suppress redundant seeds) and the last seed position
-// (for the two-hit rule). The epoch stamp replaces reallocating and
-// zeroing the diagonal array for every subject: a cell whose epoch
-// differs from the searcher's current epoch reads as zero.
+// extension, which suppresses redundant seeds. The epoch stamp replaces
+// reallocating and zeroing the diagonal array for every subject: a cell
+// whose epoch differs from the searcher's current epoch reads as zero.
 type diagCell struct {
 	epoch      uint32
 	lastExtEnd int32 // subject offset up to which the diagonal is covered
-	lastSeed   int32 // subject offset of the previous unextended seed + 1 (0 = none)
 }
 
 // seedPos is one batched seed match awaiting extension.
@@ -400,7 +304,7 @@ type seedPos struct {
 // pair flushes once, small enough to stay cache-resident (4 KB).
 const seedBatch = 512
 
-// pairState is one query view's side of a subject-view scan: its own
+// pairState is one query strand's side of a subject scan: its own
 // region of the searcher's diagonal cells, its own seed arena and its
 // own HSPs. One scan feeds every view's state, and each view sees
 // exactly the seeds, in the order, that a scan of its own would give.
@@ -408,7 +312,7 @@ type pairState struct {
 	qv     *queryView
 	offset int       // diagonal index = spos - qpos + offset (region base + len(q))
 	seeds  []seedPos // batched seeds, extended in flushSeeds; never above seedBatch
-	hsps   []rawHSP  // reused across subject views
+	hsps   []rawHSP  // reused across subjects
 }
 
 // searcher holds the per-shard mutable state of a search: private
@@ -426,17 +330,14 @@ type searcher struct {
 	cells []diagCell // one region per query view
 	epoch uint32
 
-	// Current subject view, shared by every pair state.
-	s, sp  []byte // dense codes / 2-bit packed form (blastn)
-	sLen   int    // subject length in letters
-	sFrame seq.Frame
-	twoHit bool
+	// Current subject, shared by every pair state.
+	s, sp []byte // dense codes (nil until needed) / 2-bit packed form
+	sLen  int    // subject length in letters
 
 	pairs    []pairState // one per query view, in view order
-	subjHSPs []rawHSP    // survivors accumulated across a subject's views
-	svBuf    []subjectView
-	codesBuf []byte // pooled subject codes (AppendCodes / lazy unpack)
-	packBuf  []byte // pooled 2-bit payload of a letter-entry blastn subject
+	subjHSPs []rawHSP    // survivors accumulated across the query views
+	codesBuf []byte      // pooled subject codes (AppendCodes / lazy unpack)
+	packBuf  []byte      // pooled 2-bit payload of a letter-entry subject
 	cullKept []rawHSP
 	cullIdx  []int32
 	sorter   rawHSPSorter
@@ -445,9 +346,8 @@ type searcher struct {
 
 func newSearcher(eng *engine) *searcher {
 	sr := &searcher{
-		eng:    eng,
-		twoHit: eng.p.TwoHitWindow > 0,
-		pairs:  make([]pairState, len(eng.views)),
+		eng:   eng,
+		pairs: make([]pairState, len(eng.views)),
 	}
 	for i := range sr.pairs {
 		sr.pairs[i] = pairState{qv: &eng.views[i], seeds: make([]seedPos, 0, seedBatch)}
@@ -455,35 +355,27 @@ func newSearcher(eng *engine) *searcher {
 	return sr
 }
 
-// searchSubject scans every subject view once through the engine's
-// word tables and returns comparison-space HSPs. After each scan the
-// query views flush and cull in view order, so the HSPs come out as
-// one scan per query view would leave them. The returned slice is
-// freshly allocated (searcher scratch is reused on the next subject);
-// it is the single steady-state allocation of a search.
+// searchSubject scans the subject once through the engine's word
+// table and returns strand-space HSPs. After the scan the query views
+// flush and cull in view order, so the HSPs come out as one scan per
+// query view would leave them. The returned slice is freshly allocated
+// (searcher scratch is reused on the next subject); it is the single
+// steady-state allocation of a search.
 func (sr *searcher) searchSubject(subj *seq.Sequence) []rawHSP {
+	if subj.Len() < sr.eng.p.WordSize {
+		return nil
+	}
+	sr.beginScan(subj)
+	if t := sr.eng.table; t != nil {
+		t.scan(sr.sp, sr.sLen, sr)
+		sr.stats.ScannedBases += int64(sr.sLen)
+	}
 	sr.subjHSPs = sr.subjHSPs[:0]
-	svs := sr.subjectViews(subj)
-	for si := range svs {
-		sv := &svs[si]
-		if sv.n < sr.eng.p.WordSize {
-			continue
-		}
-		sr.beginScan(sv)
-		scanned := sv.codes // protein tables scan codes, the blastn table the packed payload
-		if sv.packed != nil {
-			scanned = sv.packed
-		}
-		for _, t := range sr.eng.tables {
-			t.scan(scanned, sv.n, sr)
-			sr.stats.ScannedBases += int64(sv.n)
-		}
-		for i := range sr.pairs {
-			ps := &sr.pairs[i]
-			sr.flushSeeds(ps)
-			if len(ps.hsps) > 0 {
-				sr.subjHSPs = append(sr.subjHSPs, sr.cullPair(ps.hsps)...)
-			}
+	for i := range sr.pairs {
+		ps := &sr.pairs[i]
+		sr.flushSeeds(ps)
+		if len(ps.hsps) > 0 {
+			sr.subjHSPs = append(sr.subjHSPs, sr.cullPair(ps.hsps)...)
 		}
 	}
 	if len(sr.subjHSPs) == 0 {
@@ -494,19 +386,25 @@ func (sr *searcher) searchSubject(subj *seq.Sequence) []rawHSP {
 	return out
 }
 
-// beginScan resets the searcher for one subject view: point the
-// subject context at it, lay the query views' diagonal regions out
-// side by side (growing the pool if this subject needs more diagonals
-// than any before), bump the diagonal epoch (lazily zeroing every
-// region) and reset the HSP scratch.
-func (sr *searcher) beginScan(sv *subjectView) {
-	sr.s, sr.sp, sr.sLen = sv.codes, sv.packed, sv.n
-	sr.sFrame = sv.frame
+// beginScan resets the searcher for one subject: point the subject
+// context at it — a subject that arrived 2-bit packed lends its
+// payload, one that arrived as letters is coded and packed once into
+// the pooled codesBuf and packBuf — lay the query views' diagonal
+// regions out side by side (growing the pool if this subject needs more
+// diagonals than any before), bump the diagonal epoch (lazily zeroing
+// every region) and reset the HSP scratch.
+func (sr *searcher) beginScan(subj *seq.Sequence) {
+	sr.s, sr.sLen = nil, subj.Len()
+	if sr.sp, _ = subj.Packed2Bit(); sr.sp == nil {
+		sr.codesBuf = subj.AppendCodes(sr.codesBuf[:0])
+		sr.packBuf = seq.AppendPackedCodes(sr.packBuf[:0], sr.codesBuf)
+		sr.s, sr.sp = sr.codesBuf, sr.packBuf
+	}
 	n := 0
 	for i := range sr.pairs {
 		ps := &sr.pairs[i]
 		ps.offset = n + len(ps.qv.codes)
-		n = ps.offset + sv.n
+		n = ps.offset + sr.sLen
 		ps.hsps = ps.hsps[:0]
 	}
 	if n > len(sr.cells) {
@@ -521,7 +419,7 @@ func (sr *searcher) beginScan(sv *subjectView) {
 	}
 }
 
-// subjectBytes returns the current subject view's dense codes,
+// subjectBytes returns the current subject's dense codes,
 // materializing them from the packed payload on first demand — the
 // gapped and greedy extensions need codes; packed seeding and ungapped
 // extension do not. The materialized codes stay in sr.s, so every query
@@ -558,9 +456,9 @@ func (sr *searcher) flushSeeds(ps *pairState) {
 	ps.seeds = ps.seeds[:0]
 }
 
-// processSeed investigates one seed match: diagonal and two-hit
-// gating, then ungapped (the packed kernel for blastn, the byte kernel
-// for protein comparisons) and gapped extension.
+// processSeed investigates one seed match: diagonal gating, then
+// ungapped extension on the packed kernel and gapped extension, or
+// megablast's greedy extension.
 func (sr *searcher) processSeed(ps *pairState, qpos, spos int) {
 	sr.stats.SeedHits++
 	eng := sr.eng
@@ -570,17 +468,6 @@ func (sr *searcher) processSeed(ps *pairState, qpos, spos int) {
 	}
 	if int32(spos) < c.lastExtEnd {
 		return // already inside an extension on this diagonal
-	}
-	if sr.twoHit {
-		last := c.lastSeed
-		c.lastSeed = int32(spos) + 1
-		if last == 0 {
-			return // first hit on this diagonal: remember and wait
-		}
-		gap := spos - int(last-1)
-		if gap <= 0 || gap > eng.p.TwoHitWindow {
-			return // overlapping or too far apart: keep waiting
-		}
 	}
 	var gscore, qFrom, qTo, sFrom, sTo int
 	if eng.p.Greedy {
@@ -599,14 +486,9 @@ func (sr *searcher) processSeed(ps *pairState, qpos, spos int) {
 		}
 	} else {
 		sr.stats.UngappedExts++
-		var score, aTo, bTo int
-		if eng.p.Program.comparisonIsProtein() {
-			score, _, aTo, _, bTo = align.ExtendUngapped(ps.qv.codes, sr.s, qpos, spos, eng.p.WordSize, eng.p.Scheme, eng.p.XDropUngapped)
-		} else {
-			sr.stats.PackedExts++
-			score, _, aTo, _, bTo = align.PackedExtend(ps.qv.packed, len(ps.qv.codes), sr.sp, sr.sLen,
-				qpos, spos, eng.p.WordSize, eng.nucMatch, eng.nucMismatch, eng.p.XDropUngapped)
-		}
+		sr.stats.PackedExts++
+		score, _, aTo, _, bTo := align.PackedExtend(ps.qv.packed, len(ps.qv.codes), sr.sp, sr.sLen,
+			qpos, spos, eng.p.WordSize, eng.nucMatch, eng.nucMismatch, eng.p.XDropUngapped)
 		c.lastExtEnd = int32(bTo)
 		if score < eng.gapTriggerRaw {
 			return
@@ -631,7 +513,7 @@ func (sr *searcher) processSeed(ps *pairState, qpos, spos int) {
 	ps.hsps = append(ps.hsps, rawHSP{
 		score: gscore,
 		qFrom: qFrom, qTo: qTo, sFrom: sFrom, sTo: sTo,
-		qFrame: ps.qv.frame, sFrame: sr.sFrame,
+		qFrame: ps.qv.frame,
 	})
 }
 
@@ -695,7 +577,7 @@ func cullInto(hsps, kept []rawHSP, byQFrom []int32) ([]rawHSP, []int32) {
 		contained := false
 		for _, ki := range byQFrom[:ub] {
 			k := &kept[ki]
-			if h.qFrame == k.qFrame && h.sFrame == k.sFrame &&
+			if h.qFrame == k.qFrame &&
 				h.qFrom >= k.qFrom && h.qTo <= k.qTo &&
 				h.sFrom >= k.sFrom && h.sTo <= k.sTo {
 				contained = true
@@ -718,17 +600,7 @@ func cullInto(hsps, kept []rawHSP, byQFrom []int32) ([]rawHSP, []int32) {
 func (eng *engine) finalize(res *Result, raw []rawHit, info DBInfo) {
 	p := eng.p
 	kp := eng.kpGap
-	// Translated comparisons run in residue space: a nucleotide query
-	// or database contributes length/3 residues per frame to the
-	// effective search space (NCBI's convention).
-	queryLen := res.QueryLen
-	if p.Program == BlastX || p.Program == TBlastX {
-		queryLen /= 3
-	}
-	dbLetters := info.Letters
-	if p.Program == TBlastN || p.Program == TBlastX {
-		dbLetters /= 3
-	}
+	queryLen, dbLetters := res.QueryLen, info.Letters
 	if queryLen < 1 {
 		queryLen = 1
 	}
@@ -784,83 +656,42 @@ func (eng *engine) finalize(res *Result, raw []rawHit, info DBInfo) {
 }
 
 // traceback recomputes the exact alignment of a raw HSP region and
-// maps the coordinates back to the original sequences.
+// maps the query coordinates back to its forward strand.
 func (eng *engine) traceback(r rawHSP, subj *seq.Sequence) HSP {
-	qCodes := eng.viewCodes(r.qFrame)
-	sCodes := eng.subjectCodes(subj, r.sFrame)
-	qRegion := qCodes[r.qFrom:r.qTo]
-	sRegion := sCodes[r.sFrom:r.sTo]
-	al := align.SmithWaterman(qRegion, sRegion, eng.p.Scheme)
-	// Shift the alignment into view coordinates.
+	qv := &eng.views[0]
+	if r.qFrame != qv.frame {
+		qv = &eng.views[1]
+	}
+	qCodes, sCodes := qv.codes, subj.Codes()
+	al := align.SmithWaterman(qCodes[r.qFrom:r.qTo], sCodes[r.sFrom:r.sTo], eng.p.Scheme)
+	// Shift the alignment into strand coordinates.
 	al.AStart += r.qFrom
 	al.AEnd += r.qFrom
 	al.BStart += r.sFrom
 	al.BEnd += r.sFrom
 	matches, cols := al.Identity(qCodes, sCodes)
 	h := HSP{
-		Score:      r.score,
-		QueryFrame: r.qFrame, SubjectFrame: r.sFrame,
-		Alignment:  al,
-		Identities: matches,
-		AlignLen:   cols,
-		Gaps:       al.Gaps(),
+		Score:        r.score,
+		QueryFrom:    al.AStart,
+		QueryTo:      al.AEnd,
+		SubjectFrom:  al.BStart,
+		SubjectTo:    al.BEnd,
+		QueryFrame:   r.qFrame,
+		SubjectFrame: 1,
+		Alignment:    al,
+		Identities:   matches,
+		AlignLen:     cols,
+		Gaps:         al.Gaps(),
+	}
+	if r.qFrame < 0 {
+		// Position i of the reverse complement is n-1-i forward.
+		n := len(qCodes)
+		h.QueryFrom, h.QueryTo = n-al.AEnd, n-al.AStart
 	}
 	// The traceback alignment may score differently from the X-drop
 	// estimate; prefer the exact score when it is higher.
 	if al.Score > h.Score {
 		h.Score = al.Score
 	}
-	qTrans := eng.p.Program == BlastX || eng.p.Program == TBlastX
-	sTrans := eng.p.Program == TBlastN || eng.p.Program == TBlastX
-	h.QueryFrom, h.QueryTo = mapToOriginal(al.AStart, al.AEnd, r.qFrame, eng.queryOrigLen(), qTrans)
-	h.SubjectFrom, h.SubjectTo = mapToOriginal(al.BStart, al.BEnd, r.sFrame, subj.Len(), sTrans)
 	return h
-}
-
-func (eng *engine) queryOrigLen() int { return eng.views[0].origLen }
-
-func (eng *engine) viewCodes(frame seq.Frame) []byte {
-	for i := range eng.views {
-		if eng.views[i].frame == frame {
-			return eng.views[i].codes
-		}
-	}
-	return eng.views[0].codes
-}
-
-func (eng *engine) subjectCodes(subj *seq.Sequence, frame seq.Frame) []byte {
-	switch eng.p.Program {
-	case TBlastN, TBlastX:
-		return seq.Translate(subj, frame).Codes()
-	default:
-		return subj.Codes()
-	}
-}
-
-// mapToOriginal converts comparison-space extents [from,to) into
-// forward-strand coordinates of the original sequence of length n.
-// For untranslated views, frame +1 is the forward strand and frame -1
-// the reverse complement; for translated views the protein positions
-// map back through their codons.
-func mapToOriginal(from, to int, frame seq.Frame, n int, translated bool) (int, int) {
-	if frame == 0 {
-		return from, to
-	}
-	if !translated {
-		if frame == 1 {
-			return from, to
-		}
-		// Reverse strand: position i of the RC maps to n-1-i forward.
-		return n - to, n - from
-	}
-	if frame > 0 {
-		start := seq.ProteinToNucPos(from, frame, n)
-		end := seq.ProteinToNucPos(to-1, frame, n) + 3
-		return start, end
-	}
-	// Negative translated frames: protein positions increase as
-	// forward coordinates decrease.
-	start := seq.ProteinToNucPos(to-1, frame, n)
-	end := seq.ProteinToNucPos(from, frame, n) + 3
-	return start, end
 }

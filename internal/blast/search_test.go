@@ -126,139 +126,6 @@ func TestBlastNTolerantToMutations(t *testing.T) {
 	}
 }
 
-func TestBlastPSelfHit(t *testing.T) {
-	prot := &seq.Sequence{ID: "p1", Kind: seq.Protein,
-		Data: []byte("MKWVTFISLLLLFSSAYSRGVFRRDTHKSEIAHRFKDLGEEHFKGLVLIAFSQYLQQCPFDEHVKLVNELTEFAK")}
-	res, err := Search(prot, &SliceSource{Seqs: []*seq.Sequence{prot}}, DBInfo{}, Params{Program: BlastP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Hits) != 1 {
-		t.Fatalf("self search found %d hits", len(res.Hits))
-	}
-	hsp := res.Hits[0].HSPs[0]
-	if hsp.Identities != prot.Len() {
-		t.Errorf("self hit identities = %d, want %d", hsp.Identities, prot.Len())
-	}
-	if hsp.QueryFrom != 0 || hsp.QueryTo != prot.Len() {
-		t.Errorf("self hit extents [%d,%d)", hsp.QueryFrom, hsp.QueryTo)
-	}
-}
-
-func TestBlastPRelatedProteins(t *testing.T) {
-	// Two serum albumin fragments with scattered substitutions should
-	// still align via BLOSUM62.
-	a := &seq.Sequence{ID: "a", Kind: seq.Protein,
-		Data: []byte("MKWVTFISLLLLFSSAYSRGVFRRDTHKSEIAHRFKDLGEEHFKGLVLIAFSQYLQQCPF")}
-	b := &seq.Sequence{ID: "b", Kind: seq.Protein,
-		Data: []byte("MKWVTFISLLFLFSSAYSRGVFRREAHKSEIAHRYNDLGEQHFKGLVLVAFSQYLQKCPF")}
-	res, err := Search(a, &SliceSource{Seqs: []*seq.Sequence{b}}, DBInfo{}, Params{Program: BlastP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Hits) != 1 {
-		t.Fatal("related proteins not found")
-	}
-	hsp := res.Hits[0].HSPs[0]
-	if hsp.Identities < 50 {
-		t.Errorf("identities = %d, want >= 50", hsp.Identities)
-	}
-}
-
-func TestBlastXFindsProteinInDNA(t *testing.T) {
-	prot := &seq.Sequence{ID: "prot", Kind: seq.Protein,
-		Data: []byte("MKWVTFISLLLLFSSAYSRGVFRRDTHKSEIAHRFKDLGEEHFKGLVLIAFSQYLQQCPF")}
-	// Back-translate deterministically (pick one codon per residue).
-	dna := backTranslate(prot.Data)
-	rng := util.NewRNG(105)
-	host := randomDNA(rng, "dnaquery", len(dna)+600)
-	plant(host, dna, 300)
-	res, err := Search(host, &SliceSource{Seqs: []*seq.Sequence{prot}}, DBInfo{}, Params{Program: BlastX})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Hits) == 0 {
-		t.Fatal("blastx found nothing")
-	}
-	hsp := res.Hits[0].HSPs[0]
-	if hsp.QueryFrame == 0 {
-		t.Error("blastx hit should carry a query frame")
-	}
-	// The planted ORF starts at nucleotide 300.
-	if hsp.QueryFrom > 310 || hsp.QueryTo < 300+len(dna)-10 {
-		t.Errorf("query extents [%d,%d) miss planted ORF [300,%d)", hsp.QueryFrom, hsp.QueryTo, 300+len(dna))
-	}
-}
-
-func TestTBlastNFindsORFInDatabase(t *testing.T) {
-	prot := &seq.Sequence{ID: "prot", Kind: seq.Protein,
-		Data: []byte("MKWVTFISLLLLFSSAYSRGVFRRDTHKSEIAHRFKDLGEEHFKGLVLIAFSQYLQQCPF")}
-	dna := backTranslate(prot.Data)
-	rng := util.NewRNG(106)
-	host := randomDNA(rng, "genome", len(dna)+1000)
-	plant(host, dna, 500)
-	res, err := Search(prot, &SliceSource{Seqs: []*seq.Sequence{host}}, DBInfo{}, Params{Program: TBlastN})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Hits) == 0 {
-		t.Fatal("tblastn found nothing")
-	}
-	hsp := res.Hits[0].HSPs[0]
-	if hsp.SubjectFrame == 0 {
-		t.Error("tblastn hit should carry a subject frame")
-	}
-	if hsp.SubjectFrom > 510 || hsp.SubjectTo < 500+len(dna)-10 {
-		t.Errorf("subject extents [%d,%d) miss planted ORF [500,%d)", hsp.SubjectFrom, hsp.SubjectTo, 500+len(dna))
-	}
-}
-
-func TestTBlastXFindsSharedORF(t *testing.T) {
-	prot := []byte("MKWVTFISLLLLFSSAYSRGVFRRDTHKSEIAHRFKDLGEEHFKGLVLIAFSQYLQQCPF")
-	dna := backTranslate(prot)
-	rng := util.NewRNG(107)
-	q := randomDNA(rng, "q", len(dna)+400)
-	s := randomDNA(rng, "s", len(dna)+800)
-	plant(q, dna, 200)
-	plant(s, dna, 400)
-	res, err := Search(q, &SliceSource{Seqs: []*seq.Sequence{s}}, DBInfo{}, Params{Program: TBlastX})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Hits) == 0 {
-		t.Fatal("tblastx found nothing")
-	}
-}
-
-// backTranslate maps residues to an arbitrary fixed codon.
-func backTranslate(prot []byte) []byte {
-	codon := map[byte]string{
-		'A': "GCT", 'R': "CGT", 'N': "AAT", 'D': "GAT", 'C': "TGT",
-		'Q': "CAA", 'E': "GAA", 'G': "GGT", 'H': "CAT", 'I': "ATT",
-		'L': "CTG", 'K': "AAA", 'M': "ATG", 'F': "TTT", 'P': "CCT",
-		'S': "TCT", 'T': "ACT", 'W': "TGG", 'Y': "TAT", 'V': "GTT",
-	}
-	var out []byte
-	for _, aa := range prot {
-		out = append(out, codon[aa]...)
-	}
-	return out
-}
-
-func TestSearchRejectsWrongKinds(t *testing.T) {
-	dna := &seq.Sequence{ID: "d", Kind: seq.Nucleotide, Data: []byte("ACGT")}
-	prot := &seq.Sequence{ID: "p", Kind: seq.Protein, Data: []byte("MKWV")}
-	if _, err := Search(prot, &SliceSource{}, DBInfo{}, Params{Program: BlastN}); err == nil {
-		t.Error("blastn accepted a protein query")
-	}
-	if _, err := Search(dna, &SliceSource{Seqs: []*seq.Sequence{dna}}, DBInfo{}, Params{Program: BlastP}); err == nil {
-		t.Error("blastp accepted a nucleotide query")
-	}
-	if _, err := Search(dna, &SliceSource{Seqs: []*seq.Sequence{prot}}, DBInfo{}, Params{Program: BlastN}); err == nil {
-		t.Error("blastn accepted a protein database")
-	}
-}
-
 func TestMaxTargetSeqs(t *testing.T) {
 	rng := util.NewRNG(108)
 	query := randomDNA(rng, "query", 200)
@@ -322,17 +189,14 @@ func TestSearchStatsPopulated(t *testing.T) {
 }
 
 func TestProgramParsing(t *testing.T) {
-	for _, name := range []string{"blastn", "blastp", "blastx", "tblastn", "tblastx"} {
-		p, err := ParseProgram(name)
-		if err != nil {
-			t.Fatalf("ParseProgram(%s): %v", name, err)
-		}
-		if p.String() != name {
-			t.Errorf("round trip %s -> %s", name, p.String())
-		}
+	p, err := ParseProgram("blastn")
+	if err != nil || p != BlastN || p.String() != "blastn" {
+		t.Fatalf("ParseProgram(blastn) = %v, %v", p, err)
 	}
-	if _, err := ParseProgram("megablast"); err == nil {
-		t.Error("unknown program accepted")
+	for _, name := range []string{"blastp", "tblastx", "megablast", ""} {
+		if _, err := ParseProgram(name); err == nil || !strings.Contains(err.Error(), "only blastn") {
+			t.Errorf("ParseProgram(%q) error = %v, want one naming blastn as the only program", name, err)
+		}
 	}
 }
 
@@ -356,39 +220,32 @@ func TestParamsValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("negative e-value accepted")
 	}
-	prot := Params{Program: BlastP}.Defaults()
-	prot.WordSize = 7
-	if err := prot.Validate(); err == nil {
-		t.Error("protein word size 7 accepted")
+	// A scheme the packed kernel cannot score: a non-uniform 4x4 table.
+	bent := align.NucleotideScheme(1, -3, 5, 2)
+	bent.Table[0][1] = -2
+	bad = Params{Program: BlastN, Scheme: bent}.Defaults()
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "uniform") {
+		t.Errorf("blastn with a non-uniform scheme: %v, want an error naming the scheme", err)
 	}
-	// A scheme of the wrong kind for the program: a protein matrix
-	// under blastn, a 4x4 nucleotide table under blastp.
-	bad = Params{Program: BlastN, Scheme: align.Blosum62(11, 1)}.Defaults()
-	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "blastn") || !strings.Contains(err.Error(), "BLOSUM62") {
-		t.Errorf("blastn with BLOSUM62: %v, want an error naming program and scheme", err)
-	}
-	prot = Params{Program: BlastP, Scheme: align.DefaultNucleotide()}.Defaults()
-	if err := prot.Validate(); err == nil || !strings.Contains(err.Error(), "blastp") || !strings.Contains(err.Error(), "match+1/mismatch-3") {
-		t.Errorf("blastp with a nucleotide scheme: %v, want an error naming program and scheme", err)
-	}
-	protein := &seq.Sequence{ID: "p", Kind: seq.Protein, Data: []byte("MKWVTFISLLFLFSSAYS")}
-	if _, err := Search(protein, &SliceSource{Seqs: []*seq.Sequence{protein}}, DBInfo{}, prot); err == nil {
-		t.Error("Search ran blastp under a nucleotide scheme")
+	// A job from a master that still named another program (blastp was
+	// Program 1 on the wire) must fail, never run as blastn.
+	q := randomDNA(util.NewRNG(112), "q", 100)
+	for _, prog := range []Program{1, 4} {
+		_, err := Search(q, &SliceSource{Seqs: []*seq.Sequence{q}}, DBInfo{}, Params{Program: prog})
+		if err == nil || !strings.Contains(err.Error(), "only blastn") {
+			t.Errorf("Search with %v: %v, want an error naming blastn as the only program", prog, err)
+		}
 	}
 }
 
 func TestDefaultsPerProgram(t *testing.T) {
 	n := Params{Program: BlastN}.Defaults()
-	if n.WordSize != 11 || !n.BothStrands || n.Scheme.Kind != seq.Nucleotide {
+	if n.WordSize != 11 || !n.BothStrands || n.Scheme.Name != "match+1/mismatch-3" || n.Dust != DefaultDust() {
 		t.Errorf("blastn defaults wrong: %+v", n)
 	}
-	p := Params{Program: BlastP}.Defaults()
-	if p.WordSize != 3 || p.Threshold != 11 || p.TwoHitWindow != 40 {
-		t.Errorf("blastp defaults wrong: %+v", p)
-	}
-	x := Params{Program: TBlastX}.Defaults()
-	if x.WordSize != 3 || x.Scheme.Kind != seq.Protein {
-		t.Errorf("tblastx defaults wrong: %+v", x)
+	m := Params{Program: BlastN, Greedy: true}.Defaults()
+	if m.WordSize != 28 || !m.BothStrands {
+		t.Errorf("megablast defaults wrong: %+v", m)
 	}
 }
 
@@ -477,38 +334,6 @@ func TestNucLookupShortInputs(t *testing.T) {
 	}
 }
 
-func TestProtLookupNeighborhood(t *testing.T) {
-	scheme := Params{Program: BlastP}.Defaults().Scheme
-	q := (&seq.Sequence{Kind: seq.Protein, Data: []byte("WWW")}).Codes()
-	lt := buildProtLookup(q, 0, 3, 11, seq.NumAA, scheme, nil)
-	// Exact word WWW scores 33 >= 11: must be present.
-	var found bool
-	lt.scan(q, len(q), seedFunc(func(qp, sp int) {
-		if qp == 0 && sp == 0 {
-			found = true
-		}
-	}))
-	if !found {
-		t.Error("exact word not in its own neighborhood")
-	}
-	// A conservative substitution W->F (score 1+11+11 = 23 >= 11)
-	// should also seed.
-	fww := (&seq.Sequence{Kind: seq.Protein, Data: []byte("FWW")}).Codes()
-	found = false
-	lt.scan(fww, len(fww), seedFunc(func(qp, sp int) { found = true }))
-	if !found {
-		t.Error("neighborhood word FWW not found for query WWW")
-	}
-	// A drastic triple substitution should not seed: PPP vs WWW
-	// scores 3*(-4) < 11.
-	ppp := (&seq.Sequence{Kind: seq.Protein, Data: []byte("PPP")}).Codes()
-	found = false
-	lt.scan(ppp, len(ppp), seedFunc(func(qp, sp int) { found = true }))
-	if found {
-		t.Error("PPP should not be in WWW's neighborhood")
-	}
-}
-
 func TestCullHSPs(t *testing.T) {
 	hsps := []rawHSP{
 		{score: 100, qFrom: 0, qTo: 100, sFrom: 0, sTo: 100},
@@ -521,36 +346,5 @@ func TestCullHSPs(t *testing.T) {
 	}
 	if kept[0].score != 100 || kept[1].score != 60 {
 		t.Errorf("wrong HSPs kept: %+v", kept)
-	}
-}
-
-func TestTranslatedEffectiveLengths(t *testing.T) {
-	// Translated programs measure the search space in residues:
-	// effective lengths divide nucleotide lengths by 3, so the
-	// effective search space must be well under the naive
-	// nucleotide-length product.
-	prot := &seq.Sequence{ID: "p", Kind: seq.Protein,
-		Data: []byte("MKWVTFISLLLLFSSAYSRGVFRRDTHKSEIAHRFKDLGEEHFKGLVLIAFSQYLQQCPF")}
-	rng := util.NewRNG(113)
-	genome := randomDNA(rng, "g", 3000)
-	res, err := Search(prot, &SliceSource{Seqs: []*seq.Sequence{genome}}, DBInfo{},
-		Params{Program: TBlastN})
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive := int64(prot.Len()) * 3000
-	if res.Stats.EffSearchLen >= naive/2 {
-		t.Errorf("tblastn effective space %d not reduced from naive %d", res.Stats.EffSearchLen, naive)
-	}
-	// blastn on the same subject keeps nucleotide-space lengths.
-	q := randomDNA(rng, "q", 60)
-	resN, err := Search(q, &SliceSource{Seqs: []*seq.Sequence{genome}}, DBInfo{},
-		Params{Program: BlastN})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resN.Stats.EffSearchLen <= res.Stats.EffSearchLen {
-		t.Errorf("blastn space %d should exceed tblastn space %d",
-			resN.Stats.EffSearchLen, res.Stats.EffSearchLen)
 	}
 }

@@ -1,8 +1,9 @@
-// Package blast implements the Basic Local Alignment Search Tool from
-// scratch: word-seeded search with ungapped and gapped X-drop
-// extension, two-hit filtering for protein searches, Karlin-Altschul
-// statistics (lambda, K, H, e-values, bit scores), and all five
-// classic programs (blastn, blastp, blastx, tblastn, tblastx).
+// Package blast implements blastn, the nucleotide Basic Local
+// Alignment Search Tool, from scratch: exact-word seeding of both query
+// strands from one word table over 2-bit packed subjects, ungapped and
+// gapped X-drop extension, megablast's greedy extension, DUST
+// filtering, and Karlin-Altschul statistics (lambda, K, H, e-values,
+// bit scores). It is the one program the paper measures.
 package blast
 
 import (
@@ -10,7 +11,6 @@ import (
 	"math"
 
 	"pario/internal/align"
-	"pario/internal/seq"
 )
 
 // KarlinParams holds the Karlin-Altschul statistical parameters of a
@@ -47,35 +47,6 @@ func (kp KarlinParams) RawCutoff(evalue float64, m, n int64) int {
 // UniformNucFreqs is the background distribution used for nucleotide
 // statistics (equal base frequencies).
 var UniformNucFreqs = []float64{0.25, 0.25, 0.25, 0.25}
-
-// RobinsonFreqs are the Robinson & Robinson amino-acid background
-// frequencies used by NCBI BLAST for protein statistics, indexed by
-// the dense protein alphabet (ambiguity codes and stop get 0).
-var RobinsonFreqs = func() []float64 {
-	f := make([]float64, seq.NumAA)
-	set := func(letter byte, v float64) { f[seq.AAIndex(letter)] = v }
-	set('A', 0.07805)
-	set('R', 0.05129)
-	set('N', 0.04487)
-	set('D', 0.05364)
-	set('C', 0.01925)
-	set('Q', 0.04264)
-	set('E', 0.06295)
-	set('G', 0.07377)
-	set('H', 0.02199)
-	set('I', 0.05142)
-	set('L', 0.09019)
-	set('K', 0.05744)
-	set('M', 0.02243)
-	set('F', 0.03856)
-	set('P', 0.05203)
-	set('S', 0.07120)
-	set('T', 0.05841)
-	set('W', 0.01330)
-	set('Y', 0.03216)
-	set('V', 0.06441)
-	return f
-}()
 
 // ComputeUngappedParams numerically derives the ungapped
 // Karlin-Altschul parameters for a scheme and background letter
@@ -273,21 +244,15 @@ func gcd(a, b int) int {
 }
 
 // gappedParamsTable holds the simulation-derived gapped
-// Karlin-Altschul parameters published by NCBI for the scoring
-// systems this package ships. Gapped statistics cannot be derived
-// analytically; these are the standard published values.
+// Karlin-Altschul parameters published by NCBI for blastn's
+// match/mismatch schemes with gap open/extend costs. Gapped statistics
+// cannot be derived analytically; these are the standard published
+// values, and for stringent nucleotide gap costs NCBI uses the ungapped
+// ones.
 var gappedParamsTable = map[string]KarlinParams{
-	// blastn match/mismatch with gap open/extend. For stringent
-	// nucleotide gap costs NCBI uses the ungapped values.
 	"match+1/mismatch-3,5,2": {Lambda: 1.374, K: 0.711, H: 1.31},
 	"match+1/mismatch-2,5,2": {Lambda: 1.28, K: 0.46, H: 0.85},
 	"match+2/mismatch-3,5,2": {Lambda: 0.675, K: 0.111, H: 0.62},
-	// blastp BLOSUM62 gap tables (NCBI blast_stat.c).
-	"BLOSUM62,11,1": {Lambda: 0.267, K: 0.041, H: 0.14},
-	"BLOSUM62,10,1": {Lambda: 0.243, K: 0.024, H: 0.10},
-	"BLOSUM62,12,1": {Lambda: 0.283, K: 0.059, H: 0.19},
-	"BLOSUM62,10,2": {Lambda: 0.293, K: 0.077, H: 0.23},
-	"BLOSUM62,11,2": {Lambda: 0.297, K: 0.082, H: 0.27},
 }
 
 // GappedParams returns the gapped Karlin-Altschul parameters for a

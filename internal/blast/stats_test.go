@@ -32,38 +32,19 @@ func TestUngappedParamsBlastn(t *testing.T) {
 	}
 }
 
-func TestUngappedParamsBlosum62(t *testing.T) {
-	// Published ungapped BLOSUM62 values: lambda=0.3176, K=0.134, H=0.40.
-	kp, err := ComputeUngappedParams(align.DefaultProtein(), RobinsonFreqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approxEq(kp.Lambda, 0.3176, 0.02) {
-		t.Errorf("lambda = %v, want ~0.3176", kp.Lambda)
-	}
-	if !approxEq(kp.K, 0.134, 0.10) {
-		t.Errorf("K = %v, want ~0.134", kp.K)
-	}
-	if !approxEq(kp.H, 0.40, 0.10) {
-		t.Errorf("H = %v, want ~0.40", kp.H)
-	}
-}
-
 func TestLambdaFundamentalIdentity(t *testing.T) {
 	// By definition, sum p(s) exp(lambda*s) must equal 1.
 	schemes := []*align.Scheme{
 		align.NucleotideScheme(1, -3, 5, 2),
 		align.NucleotideScheme(1, -2, 5, 2),
 		align.NucleotideScheme(2, -3, 5, 2),
-		align.DefaultProtein(),
 	}
-	freqs := [][]float64{UniformNucFreqs, UniformNucFreqs, UniformNucFreqs, RobinsonFreqs}
 	for i, s := range schemes {
-		kp, err := ComputeUngappedParams(s, freqs[i])
+		kp, err := ComputeUngappedParams(s, UniformNucFreqs)
 		if err != nil {
 			t.Fatalf("scheme %d: %v", i, err)
 		}
-		dist, lo, hi, err := scoreDistribution(s, freqs[i])
+		dist, lo, hi, err := scoreDistribution(s, UniformNucFreqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,19 +127,19 @@ func TestRawCutoffInvertsEValue(t *testing.T) {
 }
 
 func TestGappedParamsTableHit(t *testing.T) {
-	kp, err := GappedParams(align.Blosum62(11, 1), RobinsonFreqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kp.Lambda != 0.267 || kp.K != 0.041 {
-		t.Errorf("BLOSUM62 11/1 gapped params = %+v", kp)
-	}
-	kp, err = GappedParams(align.NucleotideScheme(1, -3, 5, 2), UniformNucFreqs)
+	kp, err := GappedParams(align.NucleotideScheme(1, -3, 5, 2), UniformNucFreqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if kp.Lambda != 1.374 {
 		t.Errorf("blastn gapped lambda = %v", kp.Lambda)
+	}
+	kp, err = GappedParams(align.NucleotideScheme(2, -3, 5, 2), UniformNucFreqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kp.Lambda != 0.675 || kp.K != 0.111 {
+		t.Errorf("+2/-3 5/2 gapped params = %+v", kp)
 	}
 }
 

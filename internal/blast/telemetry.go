@@ -41,7 +41,7 @@ func NewPipeMetrics(reg *telemetry.Registry) *PipeMetrics {
 		scannedBases: reg.Gauge("pario_blast_scanned_bases_total",
 			"Subject letters streamed through the seeding kernel; over shard busy seconds this is the search-side bases/sec rate."),
 		packedExts: reg.Gauge("pario_blast_packed_exts_total",
-			"Ungapped extensions served by the 2-bit packed kernel instead of the byte kernel."),
+			"Ungapped extensions served by the 2-bit packed kernel."),
 	}
 }
 

@@ -402,6 +402,9 @@ func TestServerErrorContract(t *testing.T) {
 	}{
 		{"empty query", &SearchRequest{DB: "nt"}, ErrBadQuery},
 		{"bad program", &SearchRequest{DB: "nt", Query: "ACGT", Program: "blastz"}, ErrBadQuery},
+		{"blastp", &SearchRequest{DB: "nt", Query: string(query.Data), Program: "blastp"}, ErrBadQuery},
+		{"tblastx", &SearchRequest{DB: "nt", Query: string(query.Data), Program: "tblastx"}, ErrBadQuery},
+		{"blastn", &SearchRequest{DB: "nt", Query: string(query.Data), Program: "blastn"}, nil},
 		{"unknown db", &SearchRequest{DB: "nope", Query: string(query.Data)}, ErrDBNotFound},
 	}
 	for _, tc := range cases {
@@ -486,6 +489,10 @@ func TestServerHTTP(t *testing.T) {
 	resp, _ = post(`{"db":"nt"}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty query status = %d, want 400", resp.StatusCode)
+	}
+	resp, out = post(`{"db":"nt","query":"ACGTACGT","program":"blastx"}`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(out), "only blastn") {
+		t.Fatalf("blastx: status %d body %q, want 400 naming blastn as the only program", resp.StatusCode, out)
 	}
 
 	// Metrics endpoint shows cache and queue families.

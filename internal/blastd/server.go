@@ -262,7 +262,8 @@ type SearchRequest struct {
 	DB string `json:"db"`
 	// Query is the query sequence: a FASTA record or a bare sequence.
 	Query string `json:"query"`
-	// Program selects the BLAST flavor (default "blastn").
+	// Program names the BLAST program: "blastn", the only one, which
+	// is also the default. Any other name is a bad query.
 	Program string `json:"program,omitempty"`
 	// EValue is the report threshold (default 10).
 	EValue float64 `json:"evalue,omitempty"`
@@ -379,7 +380,7 @@ func (s *Server) Search(ctx context.Context, req *SearchRequest) (*SearchRespons
 	if err != nil {
 		return nil, finish(fmt.Errorf("%w: %v", ErrBadQuery, err))
 	}
-	query, err := parseQuery(req.Query, prog.QueryKind())
+	query, err := parseQuery(req.Query)
 	if err != nil {
 		return nil, finish(err)
 	}
@@ -478,13 +479,13 @@ func traceIDString(id uint64) string {
 }
 
 // parseQuery accepts a FASTA record or a bare sequence.
-func parseQuery(text string, kind seq.Kind) (*seq.Sequence, error) {
+func parseQuery(text string) (*seq.Sequence, error) {
 	text = strings.TrimSpace(text)
 	if text == "" {
 		return nil, fmt.Errorf("%w: empty query", ErrBadQuery)
 	}
 	if strings.HasPrefix(text, ">") {
-		q, err := seq.NewFastaReader(strings.NewReader(text), kind).Read()
+		q, err := seq.NewFastaReader(strings.NewReader(text), seq.Nucleotide).Read()
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 		}
@@ -504,7 +505,7 @@ func parseQuery(text string, kind seq.Kind) (*seq.Sequence, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("%w: empty query", ErrBadQuery)
 	}
-	return &seq.Sequence{ID: "query", Kind: kind, Data: data}, nil
+	return &seq.Sequence{ID: "query", Kind: seq.Nucleotide, Data: data}, nil
 }
 
 // InvalidateDB re-reads the database's alias and drops cached results

@@ -92,14 +92,10 @@ func ParseAlias(r io.Reader) (*Alias, error) {
 			if len(fields) < 2 {
 				return nil, fmt.Errorf("blastdb: KIND line missing value")
 			}
-			switch fields[1] {
-			case "nucleotide":
-				a.Kind = seq.Nucleotide
-			case "protein":
-				a.Kind = seq.Protein
-			default:
-				return nil, fmt.Errorf("blastdb: unknown KIND %q", fields[1])
+			if fields[1] != seq.Nucleotide.String() {
+				return nil, fmt.Errorf("blastdb: database KIND %q is not supported, only %s", fields[1], seq.Nucleotide)
 			}
+			a.Kind = seq.Nucleotide
 		case "SEQS":
 			v, err := atoi64(fields, 1)
 			if err != nil {

@@ -2,7 +2,9 @@ package blastdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -88,35 +90,6 @@ func TestFragmentRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFragmentProteinRoundTrip(t *testing.T) {
-	fs := chio.NewMemFS()
-	prot := &seq.Sequence{ID: "p1", Desc: "test", Kind: seq.Protein,
-		Data: []byte("MKWVTFISLLLLFSSAYS")}
-	f, _ := fs.Create("frag")
-	w, err := NewFragmentWriter(f, seq.Protein)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(prot); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	fr, err := OpenFragment(fs, "frag")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fr.Close()
-	got, err := fr.Sequence(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Data, prot.Data) || got.Kind != seq.Protein {
-		t.Errorf("protein round trip: %+v", got)
-	}
-}
-
 func TestFragmentWriterRejectsWrongKind(t *testing.T) {
 	fs := chio.NewMemFS()
 	f, _ := fs.Create("frag")
@@ -125,9 +98,13 @@ func TestFragmentWriterRejectsWrongKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	prot := &seq.Sequence{ID: "p", Kind: seq.Protein, Data: []byte("MKV")}
-	if err := w.Append(prot); err == nil {
-		t.Error("protein accepted into nucleotide fragment")
+	other := &seq.Sequence{ID: "p", Kind: seq.Kind(1), Data: []byte("ACGT")}
+	if err := w.Append(other); err == nil || !strings.Contains(err.Error(), "Kind(1)") {
+		t.Errorf("kind-1 sequence appended to a nucleotide fragment: %v, want an error naming the kind", err)
+	}
+	g, _ := fs.Create("frag1")
+	if _, err := NewFragmentWriter(g, seq.Kind(1)); err == nil || !strings.Contains(err.Error(), "Kind(1)") {
+		t.Errorf("kind-1 fragment writer: %v, want an error naming the kind", err)
 	}
 }
 
@@ -142,6 +119,84 @@ func TestOpenFragmentBadMagic(t *testing.T) {
 	if _, err := OpenFragment(fs, "missing"); err == nil {
 		t.Error("missing file opened")
 	}
+}
+
+// TestOpenFragmentRejectsForgedFragments feeds the reader fragments
+// whose header or index was forged — fragment bytes arrive from data
+// servers over the network — and requires an error from every one, by
+// open or by the first read, instead of an underflowed allocation, a
+// negative read size or an out-of-range slice.
+func TestOpenFragmentRejectsForgedFragments(t *testing.T) {
+	mem := chio.NewMemFS()
+	buildFragment(t, mem, "good", randomSeqs(util.NewRNG(27), 6, 20, 200))
+	good, err := chio.ReadFull(mem, "good")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u64 := func(b []byte, off int) uint64 { return binary.LittleEndian.Uint64(b[off:]) }
+	put := func(b []byte, off int, v uint64) { binary.LittleEndian.PutUint64(b[off:], v) }
+	dataOff, deflineOff, indexOff := u64(good, 16), u64(good, 24), u64(good, 32)
+	rec := int(indexOff) + indexEntry // the second index record
+	for _, tc := range []struct {
+		name  string
+		forge func(b []byte)
+	}{
+		{"kind byte 1", func(b []byte) { b[8] = 1 }},
+		{"index before deflines", func(b []byte) { put(b, 32, deflineOff-1) }},
+		{"deflines before data", func(b []byte) { put(b, 24, 10) }},
+		{"data region past deflines", func(b []byte) { put(b, 16, 1<<62) }},
+		{"index past any file", func(b []byte) { put(b, 32, 1<<63) }},
+		{"defline span past its region", func(b []byte) { binary.LittleEndian.PutUint32(b[rec+24:], 1<<20) }},
+		{"defline span wraps", func(b []byte) {
+			put(b, rec+16, math.MaxUint64)
+			binary.LittleEndian.PutUint32(b[rec+24:], 2)
+		}},
+		{"payload past data region", func(b []byte) { put(b, rec, deflineOff-dataOff+8) }},
+		{"payload length wraps", func(b []byte) { put(b, rec+8, math.MaxUint64) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			forged := append([]byte(nil), good...)
+			tc.forge(forged)
+			if err := chio.WriteFull(mem, "forged", forged); err != nil {
+				t.Fatal(err)
+			}
+			if err := readFragment(mem, "forged"); err == nil {
+				t.Fatal("forged fragment read without error")
+			}
+		})
+	}
+	if err := readFragment(mem, "good"); err != nil {
+		t.Fatalf("unforged fragment: %v", err)
+	}
+}
+
+// readFragment opens a fragment and reads every sequence's letters,
+// streamed and then by random access, returning the first error.
+func readFragment(fs chio.FileSystem, path string) error {
+	fr, err := OpenFragment(fs, path)
+	if err != nil {
+		return err
+	}
+	defer fr.Close()
+	src := fr.Source(0)
+	for {
+		s, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		s.Letters()
+	}
+	for i := 0; i < fr.NumSequences(); i++ {
+		s, err := fr.Sequence(i)
+		if err != nil {
+			return err
+		}
+		s.Letters()
+	}
+	return nil
 }
 
 func TestFormatBalancesFragments(t *testing.T) {
@@ -363,6 +418,10 @@ func TestParseAliasErrors(t *testing.T) {
 		if _, err := ParseAlias(strings.NewReader(c)); err == nil {
 			t.Errorf("ParseAlias(%q) should fail", c)
 		}
+	}
+	// A protein database from an older formatdb is refused by name.
+	if _, err := ParseAlias(strings.NewReader("KIND protein\nFRAGMENT f 1 1\n")); err == nil || !strings.Contains(err.Error(), `"protein"`) {
+		t.Errorf("KIND protein: %v, want an error naming the kind", err)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package blastdb implements the segmented BLAST database format: a
-// formatdb-equivalent that splits FASTA input into balanced binary
-// fragments (2-bit packed for DNA), plus readers that stream
+// formatdb-equivalent that splits nucleotide FASTA input into balanced
+// binary fragments of 2-bit packed sequences, plus readers that stream
 // sequences back out through any chio.FileSystem backend. This is the
 // on-disk data the parallel BLAST workers read — locally, over PVFS,
 // or over CEFT-PVFS.
@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 
 	"pario/internal/chio"
 	"pario/internal/seq"
@@ -21,7 +22,8 @@ import (
 //	header (64 bytes) | data region | defline region | index region
 //
 // The header is rewritten at close time with the final offsets so the
-// data region can be streamed sequentially during formatting.
+// data region can be streamed sequentially during formatting. Its kind
+// byte is always seq.Nucleotide; readers reject any other.
 const (
 	magic      = "PARIODB1"
 	headerSize = 64
@@ -29,7 +31,6 @@ const (
 )
 
 type header struct {
-	Kind         seq.Kind
 	NumSeqs      uint32
 	DataOff      uint64 // == headerSize
 	DeflineOff   uint64
@@ -43,7 +44,7 @@ type header struct {
 func (h *header) marshal() []byte {
 	buf := make([]byte, headerSize)
 	copy(buf, magic)
-	buf[8] = byte(h.Kind)
+	buf[8] = byte(seq.Nucleotide)
 	binary.LittleEndian.PutUint32(buf[12:], h.NumSeqs)
 	binary.LittleEndian.PutUint64(buf[16:], h.DataOff)
 	binary.LittleEndian.PutUint64(buf[24:], h.DeflineOff)
@@ -57,9 +58,8 @@ func (h *header) unmarshal(buf []byte) error {
 	if len(buf) < headerSize || string(buf[:8]) != magic {
 		return fmt.Errorf("blastdb: bad magic (not a pario database fragment)")
 	}
-	h.Kind = seq.Kind(buf[8])
-	if h.Kind != seq.Nucleotide && h.Kind != seq.Protein {
-		return fmt.Errorf("blastdb: unknown sequence kind %d", buf[8])
+	if seq.Kind(buf[8]) != seq.Nucleotide {
+		return fmt.Errorf("blastdb: fragment holds sequence kind %d, not %s", buf[8], seq.Nucleotide)
 	}
 	h.NumSeqs = binary.LittleEndian.Uint32(buf[12:])
 	h.DataOff = binary.LittleEndian.Uint64(buf[16:])
@@ -67,6 +67,12 @@ func (h *header) unmarshal(buf []byte) error {
 	h.IndexOff = binary.LittleEndian.Uint64(buf[32:])
 	h.TotalLetters = binary.LittleEndian.Uint64(buf[40:])
 	h.DataCRC = binary.LittleEndian.Uint32(buf[48:])
+	// The regions follow the header in order, at offsets a file can
+	// have.
+	if h.DataOff != headerSize || h.DeflineOff < h.DataOff || h.IndexOff < h.DeflineOff || h.IndexOff > math.MaxInt64 {
+		return fmt.Errorf("blastdb: bad region offsets: data at %d, deflines at %d, index at %d",
+			h.DataOff, h.DeflineOff, h.IndexOff)
+	}
 	return nil
 }
 
@@ -77,10 +83,15 @@ type indexRec struct {
 	DeflineLen uint32
 }
 
+// payloadLen returns the stored byte length of the record's 2-bit
+// packed payload, without overflow for any Letters value.
+func (rec *indexRec) payloadLen() uint64 {
+	return rec.Letters/4 + min(rec.Letters%4, 1)
+}
+
 // FragmentWriter streams sequences into one fragment file.
 type FragmentWriter struct {
 	f        chio.File
-	kind     seq.Kind
 	index    []indexRec
 	deflines []byte
 	dataOff  uint64 // bytes of data written so far
@@ -89,9 +100,13 @@ type FragmentWriter struct {
 	closed   bool
 }
 
-// NewFragmentWriter starts a fragment of the given kind on f.
+// NewFragmentWriter starts a fragment of the given kind on f; the only
+// kind it writes is seq.Nucleotide.
 func NewFragmentWriter(f chio.File, kind seq.Kind) (*FragmentWriter, error) {
-	w := &FragmentWriter{f: f, kind: kind}
+	if kind != seq.Nucleotide {
+		return nil, fmt.Errorf("blastdb: cannot write a %s fragment, only %s", kind, seq.Nucleotide)
+	}
+	w := &FragmentWriter{f: f}
 	// Reserve the header region; final values are written on Close.
 	if _, err := f.Write(make([]byte, headerSize)); err != nil {
 		return nil, err
@@ -104,21 +119,12 @@ func (w *FragmentWriter) Append(s *seq.Sequence) error {
 	if w.closed {
 		return fmt.Errorf("blastdb: append to closed fragment")
 	}
-	if s.Kind != w.kind {
-		return fmt.Errorf("blastdb: %s sequence %q in %s fragment", s.Kind, s.ID, w.kind)
+	if s.Kind != seq.Nucleotide {
+		return fmt.Errorf("blastdb: %s sequence %q in %s fragment", s.Kind, s.ID, seq.Nucleotide)
 	}
-	var payload []byte
-	if w.kind == seq.Nucleotide {
-		packed, err := seq.Pack2Bit(s.Letters())
-		if err != nil {
-			return fmt.Errorf("blastdb: %s: %w", s.ID, err)
-		}
-		payload = packed
-	} else {
-		if err := s.Validate(); err != nil {
-			return err
-		}
-		payload = s.Data
+	payload, err := seq.Pack2Bit(s.Letters())
+	if err != nil {
+		return fmt.Errorf("blastdb: %s: %w", s.ID, err)
 	}
 	defline := []byte(s.Defline())
 	w.index = append(w.index, indexRec{
@@ -151,7 +157,6 @@ func (w *FragmentWriter) Close() error {
 	}
 	w.closed = true
 	h := header{
-		Kind:         w.kind,
 		NumSeqs:      uint32(len(w.index)),
 		DataOff:      headerSize,
 		DeflineOff:   headerSize + w.dataOff,
@@ -208,7 +213,7 @@ func OpenFragment(fs chio.FileSystem, path string) (*Fragment, error) {
 		f.Close()
 		return nil, fmt.Errorf("blastdb: %s: %w", path, err)
 	}
-	defLen := fr.h.IndexOff - fr.h.DeflineOff
+	dataLen, defLen := fr.h.DeflineOff-fr.h.DataOff, fr.h.IndexOff-fr.h.DeflineOff
 	fr.deflines = make([]byte, defLen)
 	if defLen > 0 {
 		if _, err := f.ReadAt(fr.deflines, int64(fr.h.DeflineOff)); err != nil && err != io.EOF {
@@ -226,18 +231,23 @@ func OpenFragment(fs chio.FileSystem, path string) (*Fragment, error) {
 	fr.index = make([]indexRec, fr.h.NumSeqs)
 	for i := range fr.index {
 		off := i * indexEntry
-		fr.index[i] = indexRec{
+		rec := indexRec{
 			DataOff:    binary.LittleEndian.Uint64(idxBytes[off:]),
 			Letters:    binary.LittleEndian.Uint64(idxBytes[off+8:]),
 			DeflineOff: binary.LittleEndian.Uint64(idxBytes[off+16:]),
 			DeflineLen: binary.LittleEndian.Uint32(idxBytes[off+24:]),
 		}
+		// Both spans must lie inside their regions, compared without
+		// sums that could wrap.
+		if rec.DeflineOff > defLen || uint64(rec.DeflineLen) > defLen-rec.DeflineOff ||
+			rec.DataOff > dataLen || rec.payloadLen() > dataLen-rec.DataOff {
+			f.Close()
+			return nil, fmt.Errorf("blastdb: %s: index record %d lies outside its regions", path, i)
+		}
+		fr.index[i] = rec
 	}
 	return fr, nil
 }
-
-// Kind returns the fragment's sequence kind.
-func (fr *Fragment) Kind() seq.Kind { return fr.h.Kind }
 
 // NumSequences returns the sequence count.
 func (fr *Fragment) NumSequences() int { return len(fr.index) }
@@ -245,27 +255,19 @@ func (fr *Fragment) NumSequences() int { return len(fr.index) }
 // Letters returns the total letters stored.
 func (fr *Fragment) Letters() int64 { return int64(fr.h.TotalLetters) }
 
-// payloadLen returns the stored byte length of sequence i.
-func (fr *Fragment) payloadLen(i int) int64 {
-	if fr.h.Kind == seq.Nucleotide {
-		return int64((fr.index[i].Letters + 3) / 4)
-	}
-	return int64(fr.index[i].Letters)
-}
-
-// Sequence reads and decodes sequence i. A nucleotide sequence is
-// carried 2-bit packed, with its letters materialized only if a
-// consumer asks for them; on a backend that serves zero-copy views (the
-// readahead layer) its payload is borrowed straight from the block
-// cache, elsewhere it owns the payload read for it.
+// Sequence reads and decodes sequence i. The sequence is carried 2-bit
+// packed, with its letters materialized only if a consumer asks for
+// them; on a backend that serves zero-copy views (the readahead layer)
+// its payload is borrowed straight from the block cache, elsewhere it
+// owns the payload read for it.
 func (fr *Fragment) Sequence(i int) (*seq.Sequence, error) {
 	if i < 0 || i >= len(fr.index) {
 		return nil, fmt.Errorf("blastdb: sequence index %d out of range [0,%d)", i, len(fr.index))
 	}
-	start, plen := int64(fr.index[i].DataOff), fr.payloadLen(i)
+	start, plen := int64(fr.index[i].DataOff), int64(fr.index[i].payloadLen())
 	var payload []byte
 	var err error
-	if vr, ok := fr.f.(chio.ViewReaderAt); ok && fr.h.Kind == seq.Nucleotide {
+	if vr, ok := fr.f.(chio.ViewReaderAt); ok {
 		payload, err = fr.readPayloadView(vr, start, plen)
 	} else {
 		payload, err = fr.readPayload(start, plen)
@@ -319,18 +321,13 @@ func (fr *Fragment) defline(i int) (id, desc string) {
 	return id, desc
 }
 
-// decode builds sequence i over its payload, which it retains: a
-// nucleotide sequence directly over its (possibly borrowed) 2-bit
-// payload without unpacking, a protein one over its letters. The
-// payload must stay immutable for the sequence's lifetime; cache blocks
-// satisfy this because invalidation drops references rather than
-// rewriting bytes.
+// decode builds sequence i directly over its (possibly borrowed) 2-bit
+// payload, which it retains without unpacking. The payload must stay
+// immutable for the sequence's lifetime; cache blocks satisfy this
+// because invalidation drops references rather than rewriting bytes.
 func (fr *Fragment) decode(i int, payload []byte) *seq.Sequence {
 	id, desc := fr.defline(i)
-	if fr.h.Kind == seq.Nucleotide {
-		return seq.NewPacked2Bit(id, desc, payload, int(fr.index[i].Letters))
-	}
-	return &seq.Sequence{ID: id, Desc: desc, Kind: fr.h.Kind, Data: payload}
+	return seq.NewPacked2Bit(id, desc, payload, int(fr.index[i].Letters))
 }
 
 // Close releases the underlying file.
@@ -347,16 +344,14 @@ func (fr *Fragment) Source(bufBytes int) *FragmentSource {
 	}
 	src := &FragmentSource{fr: fr, bufBytes: bufBytes, bufStart: -1}
 	// Zero-copy scan path: when the backend hands out views of its
-	// cache blocks (the readahead layer does), nucleotide payloads are
-	// borrowed per sequence instead of bulk-copied into a chunk buffer.
-	// The readahead layer's own sequential detection and prefetch keep
-	// the backend I/O pattern large and sequential; on any other
-	// backend the chunked reads below remain the pattern, so plain
-	// (non-cached) filesystems never degrade to per-sequence reads.
-	if fr.h.Kind == seq.Nucleotide {
-		if vr, ok := fr.f.(chio.ViewReaderAt); ok {
-			src.vr = vr
-		}
+	// cache blocks (the readahead layer does), payloads are borrowed per
+	// sequence instead of bulk-copied into a chunk buffer. The readahead
+	// layer's own sequential detection and prefetch keep the backend
+	// I/O pattern large and sequential; on any other backend the chunked
+	// reads below remain the pattern, so plain (non-cached) filesystems
+	// never degrade to per-sequence reads.
+	if vr, ok := fr.f.(chio.ViewReaderAt); ok {
+		src.vr = vr
 	}
 	return src
 }
@@ -379,7 +374,7 @@ func (src *FragmentSource) Next() (*seq.Sequence, error) {
 	}
 	i := src.i
 	rec := fr.index[i]
-	plen := fr.payloadLen(i)
+	plen := int64(rec.payloadLen())
 	start := int64(rec.DataOff)
 	end := start + plen
 	if src.vr != nil {

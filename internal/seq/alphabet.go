@@ -1,30 +1,23 @@
-// Package seq provides biological sequence primitives: nucleotide and
-// protein alphabets, FASTA parsing and writing, 2-bit DNA packing,
-// reverse complement, and six-frame translation with the standard
-// genetic code. It is the foundation the BLAST engine and the database
-// formatter are built on.
+// Package seq provides nucleotide sequence primitives: the IUPAC
+// nucleotide alphabet, FASTA parsing and writing, 2-bit DNA packing and
+// reverse complement. It is the foundation the BLAST engine and the
+// database formatter are built on.
 package seq
 
 import "fmt"
 
-// Kind identifies the molecular type of a sequence.
+// Kind identifies the molecular type of a sequence. Nucleotide is the
+// only kind; the type stays because databases record their kind and
+// readers reject any other.
 type Kind int
 
-const (
-	// Nucleotide marks DNA/RNA sequences over {A,C,G,T/U,N,...}.
-	Nucleotide Kind = iota
-	// Protein marks amino-acid sequences over the 20-letter alphabet
-	// plus ambiguity codes.
-	Protein
-)
+// Nucleotide marks DNA/RNA sequences over {A,C,G,T/U,N,...}.
+const Nucleotide Kind = 0
 
-// String returns "nucleotide" or "protein".
+// String returns "nucleotide", or "Kind(n)" for any other value.
 func (k Kind) String() string {
-	switch k {
-	case Nucleotide:
+	if k == Nucleotide {
 		return "nucleotide"
-	case Protein:
-		return "protein"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -93,61 +86,8 @@ func ComplementLetter(b byte) byte {
 	return 'N'
 }
 
-// AminoAcids lists the 20 standard residues plus the stop symbol '*'
-// and the ambiguity 'X', in the order used by the protein alphabet
-// indices (AAIndex).
-const AminoAcids = "ARNDCQEGHILKMFPSTWYVBZX*"
-
-// aaIndex maps residue letters to dense indices into AminoAcids.
-var aaIndex [256]int8
-
-func init() {
-	for i := range aaIndex {
-		aaIndex[i] = -1
-	}
-	for i := 0; i < len(AminoAcids); i++ {
-		c := AminoAcids[i]
-		aaIndex[c] = int8(i)
-		if c >= 'A' && c <= 'Z' {
-			aaIndex[c+'a'-'A'] = int8(i)
-		}
-	}
-	// Treat U (selenocysteine) as C and O (pyrrolysine) as K, J as L.
-	aaIndex['U'], aaIndex['u'] = aaIndex['C'], aaIndex['C']
-	aaIndex['O'], aaIndex['o'] = aaIndex['K'], aaIndex['K']
-	aaIndex['J'], aaIndex['j'] = aaIndex['L'], aaIndex['L']
-}
-
-// AAIndex returns the dense alphabet index of residue letter b, or -1
-// if b is not an amino-acid letter.
-func AAIndex(b byte) int { return int(aaIndex[b]) }
-
-// NumAA is the size of the dense protein alphabet (24: 20 residues,
-// B, Z, X and stop).
-const NumAA = len(AminoAcids)
-
 // IsNucLetter reports whether b is a plausible nucleotide letter.
 func IsNucLetter(b byte) bool {
 	_, ok := NucCode(b)
 	return ok
-}
-
-// GuessKind inspects sequence data and guesses whether it is nucleotide
-// or protein. A sequence consisting of >= 90% ACGTNU letters is deemed
-// nucleotide, matching the common heuristic in sequence tools.
-func GuessKind(data []byte) Kind {
-	if len(data) == 0 {
-		return Nucleotide
-	}
-	acgt := 0
-	for _, b := range data {
-		switch b {
-		case 'A', 'C', 'G', 'T', 'N', 'U', 'a', 'c', 'g', 't', 'n', 'u':
-			acgt++
-		}
-	}
-	if float64(acgt) >= 0.9*float64(len(data)) {
-		return Nucleotide
-	}
-	return Protein
 }

@@ -12,7 +12,6 @@ import (
 type FastaReader struct {
 	br   *bufio.Reader
 	kind Kind
-	auto bool // guess kind per record
 	line int
 	next []byte // pushed-back defline
 	eof  bool
@@ -22,12 +21,6 @@ type FastaReader struct {
 // labels each record with kind.
 func NewFastaReader(r io.Reader, kind Kind) *FastaReader {
 	return &FastaReader{br: bufio.NewReaderSize(r, 64*1024), kind: kind}
-}
-
-// NewAutoFastaReader returns a reader that guesses each record's kind
-// from its content.
-func NewAutoFastaReader(r io.Reader) *FastaReader {
-	return &FastaReader{br: bufio.NewReaderSize(r, 64*1024), auto: true}
 }
 
 // Read returns the next sequence, or io.EOF when input is exhausted.
@@ -61,11 +54,7 @@ func (fr *FastaReader) Read() (*Sequence, error) {
 			data = append(data, b)
 		}
 	}
-	s := &Sequence{ID: id, Desc: desc, Kind: fr.kind, Data: data}
-	if fr.auto {
-		s.Kind = GuessKind(data)
-	}
-	return s, nil
+	return &Sequence{ID: id, Desc: desc, Kind: fr.kind, Data: data}, nil
 }
 
 // ReadAll consumes the remaining records.

@@ -42,43 +42,8 @@ func TestComplement(t *testing.T) {
 	}
 }
 
-func TestAAIndex(t *testing.T) {
-	seen := map[int]bool{}
-	for i := 0; i < len(AminoAcids); i++ {
-		idx := AAIndex(AminoAcids[i])
-		if idx != i {
-			t.Errorf("AAIndex(%c) = %d, want %d", AminoAcids[i], idx, i)
-		}
-		if seen[idx] {
-			t.Errorf("duplicate index %d", idx)
-		}
-		seen[idx] = true
-	}
-	if AAIndex('1') >= 0 {
-		t.Error("digit should not be a residue")
-	}
-	if AAIndex('a') != AAIndex('A') {
-		t.Error("case-insensitivity broken")
-	}
-	if AAIndex('U') != AAIndex('C') {
-		t.Error("selenocysteine should map to C")
-	}
-}
-
-func TestGuessKind(t *testing.T) {
-	if GuessKind([]byte("ACGTACGTACGT")) != Nucleotide {
-		t.Error("DNA misclassified")
-	}
-	if GuessKind([]byte("MKVLLIAGGSW")) != Protein {
-		t.Error("protein misclassified")
-	}
-	if GuessKind(nil) != Nucleotide {
-		t.Error("empty should default to nucleotide")
-	}
-}
-
 func TestKindString(t *testing.T) {
-	if Nucleotide.String() != "nucleotide" || Protein.String() != "protein" {
+	if Nucleotide.String() != "nucleotide" {
 		t.Error("Kind.String broken")
 	}
 	if Kind(9).String() != "Kind(9)" {
@@ -161,14 +126,6 @@ func TestValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("invalid DNA accepted")
 	}
-	prot := &Sequence{ID: "p", Kind: Protein, Data: []byte("MKWVX*")}
-	if err := prot.Validate(); err != nil {
-		t.Errorf("valid protein rejected: %v", err)
-	}
-	badProt := &Sequence{ID: "q", Kind: Protein, Data: []byte("MK1")}
-	if err := badProt.Validate(); err == nil {
-		t.Error("invalid protein accepted")
-	}
 }
 
 func TestCodes(t *testing.T) {
@@ -177,9 +134,9 @@ func TestCodes(t *testing.T) {
 	if !bytes.Equal(s.Codes(), want) {
 		t.Errorf("Codes = %v", s.Codes())
 	}
-	p := &Sequence{Kind: Protein, Data: []byte("AR")}
-	if got := p.Codes(); got[0] != 0 || got[1] != 1 {
-		t.Errorf("protein Codes = %v", got)
+	packed := NewPacked2Bit("p", "", PackCodes(want), len(want))
+	if !bytes.Equal(packed.Codes(), want) {
+		t.Errorf("packed Codes = %v", packed.Codes())
 	}
 }
 
@@ -264,100 +221,6 @@ func TestFastaComments(t *testing.T) {
 	}
 }
 
-func TestAutoFastaReader(t *testing.T) {
-	fr := NewAutoFastaReader(strings.NewReader(">dna\nACGTACGTAC\n>prot\nMKWLVEHHQRS\n"))
-	seqs, err := fr.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seqs[0].Kind != Nucleotide || seqs[1].Kind != Protein {
-		t.Errorf("kinds = %v, %v", seqs[0].Kind, seqs[1].Kind)
-	}
-}
-
-func TestTranslateCodon(t *testing.T) {
-	cases := map[string]byte{
-		"ATG": 'M', "TAA": '*', "TAG": '*', "TGA": '*',
-		"TGG": 'W', "TTT": 'F', "GGG": 'G', "AAA": 'K',
-	}
-	for codon, want := range cases {
-		if got := TranslateCodon(codon[0], codon[1], codon[2]); got != want {
-			t.Errorf("TranslateCodon(%s) = %c, want %c", codon, got, want)
-		}
-	}
-}
-
-func TestTranslateFrames(t *testing.T) {
-	// ATGAAATGA: frame +1 = M K *, frame +2 = (TGAAATGA) -> * N, frame +3 = E M
-	s := &Sequence{ID: "t", Kind: Nucleotide, Data: []byte("ATGAAATGA")}
-	if got := string(Translate(s, 1).Data); got != "MK*" {
-		t.Errorf("frame +1 = %s, want MK*", got)
-	}
-	if got := string(Translate(s, 2).Data); got != "*N" {
-		t.Errorf("frame +2 = %s, want *N", got)
-	}
-	if got := string(Translate(s, 3).Data); got != "EM" {
-		t.Errorf("frame +3 = %s, want EM", got)
-	}
-	// Reverse complement of ATGAAATGA is TCATTTCAT: frame -1 = S F H
-	if got := string(Translate(s, -1).Data); got != "SFH" {
-		t.Errorf("frame -1 = %s, want SFH", got)
-	}
-	all := TranslateAllFrames(s)
-	if len(all) != 6 {
-		t.Fatalf("got %d frames", len(all))
-	}
-	for i, f := range Frames {
-		if all[i].Kind != Protein {
-			t.Errorf("frame %v not protein", f)
-		}
-	}
-}
-
-func TestTranslateLengthProperty(t *testing.T) {
-	f := func(raw []byte, frameSel uint8) bool {
-		data := make([]byte, len(raw))
-		for i, b := range raw {
-			data[i] = NucLetter[b&3]
-		}
-		s := &Sequence{ID: "p", Kind: Nucleotide, Data: data}
-		frame := Frames[int(frameSel)%6]
-		prot := Translate(s, frame)
-		off := int(frame)
-		if off < 0 {
-			off = -off
-		}
-		want := (len(data) - off + 1) / 3
-		if len(data)-(off-1) < 0 {
-			want = 0
-		} else {
-			want = (len(data) - (off - 1)) / 3
-		}
-		return len(prot.Data) == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestProteinToNucPos(t *testing.T) {
-	// 12-base sequence, frame +1: protein pos 0 -> nuc 0, pos 1 -> 3.
-	if ProteinToNucPos(0, 1, 12) != 0 || ProteinToNucPos(1, 1, 12) != 3 {
-		t.Error("forward frame mapping broken")
-	}
-	if ProteinToNucPos(0, 2, 12) != 1 {
-		t.Error("frame +2 mapping broken")
-	}
-	// Frame -1 on a 12-base sequence: protein pos 0 covers forward
-	// bases 9..11, codon start (forward coordinate of first base) = 9.
-	if got := ProteinToNucPos(0, -1, 12); got != 9 {
-		t.Errorf("frame -1 pos 0 = %d, want 9", got)
-	}
-	if got := ProteinToNucPos(1, -1, 12); got != 6 {
-		t.Errorf("frame -1 pos 1 = %d, want 6", got)
-	}
-}
-
 func TestFrameString(t *testing.T) {
 	if Frame(1).String() != "+1" || Frame(-3).String() != "-3" {
 		t.Error("Frame.String broken")
@@ -365,8 +228,8 @@ func TestFrameString(t *testing.T) {
 }
 
 func TestDefline(t *testing.T) {
-	s := &Sequence{ID: "gi|1", Desc: "test protein"}
-	if s.Defline() != "gi|1 test protein" {
+	s := &Sequence{ID: "gi|1", Desc: "test sequence"}
+	if s.Defline() != "gi|1 test sequence" {
 		t.Errorf("defline = %q", s.Defline())
 	}
 	s2 := &Sequence{ID: "bare"}

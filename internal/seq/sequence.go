@@ -4,10 +4,10 @@ import (
 	"fmt"
 )
 
-// Sequence is a named biological sequence. Data holds one letter per
-// byte in the standard IUPAC alphabet for the sequence's Kind.
+// Sequence is a named nucleotide sequence. Data holds one IUPAC
+// nucleotide letter per byte.
 //
-// A nucleotide sequence may instead be carried in 2-bit packed form
+// A sequence may instead be carried in 2-bit packed form
 // (four bases per byte, as stored in the blastdb fragment format): a
 // sequence built with NewPacked2Bit has Data == nil until a caller
 // needs letters, at which point Letters materializes them. The packed
@@ -21,6 +21,18 @@ type Sequence struct {
 
 	packed  []byte // 2-bit packed codes; nil unless built by NewPacked2Bit
 	letters int    // letter count of the packed form
+}
+
+// Frame identifies the strand an alignment lies on: +1 the forward
+// strand, -1 the reverse complement.
+type Frame int
+
+// String renders the frame as "+1" or "-1".
+func (f Frame) String() string {
+	if f > 0 {
+		return fmt.Sprintf("+%d", int(f))
+	}
+	return fmt.Sprintf("%d", int(f))
 }
 
 // NewPacked2Bit builds a nucleotide sequence directly over a 2-bit
@@ -82,12 +94,8 @@ func (s *Sequence) Subsequence(from, to int) *Sequence {
 	}
 }
 
-// ReverseComplement returns the reverse complement of a nucleotide
-// sequence. It panics on protein input.
+// ReverseComplement returns the reverse complement of the sequence.
 func (s *Sequence) ReverseComplement() *Sequence {
-	if s.Kind != Nucleotide {
-		panic("seq: reverse complement of a protein sequence")
-	}
 	data := s.Letters()
 	rc := make([]byte, len(data))
 	for i, b := range data {
@@ -96,27 +104,16 @@ func (s *Sequence) ReverseComplement() *Sequence {
 	return &Sequence{ID: s.ID, Desc: s.Desc, Kind: Nucleotide, Data: rc}
 }
 
-// Validate checks every letter against the sequence's alphabet and
+// Validate checks every letter against the nucleotide alphabet and
 // returns a descriptive error for the first invalid position.
 func (s *Sequence) Validate() error {
 	if s.Data == nil && s.packed != nil {
 		return nil // packed codes are 2-bit values by construction
 	}
-	switch s.Kind {
-	case Nucleotide:
-		for i, b := range s.Data {
-			if !IsNucLetter(b) {
-				return fmt.Errorf("seq: %s: invalid nucleotide %q at position %d", s.ID, b, i+1)
-			}
+	for i, b := range s.Data {
+		if !IsNucLetter(b) {
+			return fmt.Errorf("seq: %s: invalid nucleotide %q at position %d", s.ID, b, i+1)
 		}
-	case Protein:
-		for i, b := range s.Data {
-			if AAIndex(b) < 0 {
-				return fmt.Errorf("seq: %s: invalid residue %q at position %d", s.ID, b, i+1)
-			}
-		}
-	default:
-		return fmt.Errorf("seq: %s: unknown sequence kind %v", s.ID, s.Kind)
 	}
 	return nil
 }
@@ -146,11 +143,10 @@ func Unpack2Bit(packed []byte, n int) []byte {
 	return out
 }
 
-// Codes converts letters to dense alphabet codes: 2-bit base codes for
-// nucleotide sequences, AAIndex values for proteins. Invalid letters
-// map to 0. The BLAST engine scans these dense codes. A packed
-// sequence decodes straight from its 2-bit payload, skipping the
-// letter intermediate.
+// Codes converts letters to dense 2-bit base codes (NucCode); invalid
+// letters map to 0. The BLAST engine aligns these dense codes. A packed
+// sequence decodes straight from its 2-bit payload, skipping the letter
+// intermediate.
 func (s *Sequence) Codes() []byte {
 	return s.AppendCodes(make([]byte, 0, s.Len()))
 }
@@ -159,28 +155,18 @@ func (s *Sequence) Codes() []byte {
 // the extended slice — the allocation-free form of Codes for callers
 // that pool the destination buffer across sequences.
 func (s *Sequence) AppendCodes(dst []byte) []byte {
-	if s.Kind == Nucleotide {
-		if s.Data == nil && s.packed != nil {
-			return AppendUnpackedCodes(dst, s.packed, s.letters)
-		}
-		for _, b := range s.Data {
-			c, _ := NucCode(b)
-			dst = append(dst, c)
-		}
-		return dst
+	if s.Data == nil && s.packed != nil {
+		return AppendUnpackedCodes(dst, s.packed, s.letters)
 	}
 	for _, b := range s.Data {
-		if idx := AAIndex(b); idx >= 0 {
-			dst = append(dst, byte(idx))
-		} else {
-			dst = append(dst, 0)
-		}
+		c, _ := NucCode(b)
+		dst = append(dst, c)
 	}
 	return dst
 }
 
 // PackCodes packs dense 2-bit base codes (values 0-3, as produced by
-// Codes on a nucleotide sequence) four per byte, first code in the two
+// Codes) four per byte, first code in the two
 // lowest bits — the same layout as Pack2Bit, but starting from codes
 // instead of letters.
 func PackCodes(codes []byte) []byte {
