@@ -55,7 +55,6 @@ func main() {
 		queryF   = flag.String("query", "", "query FASTA file (required)")
 		workers  = flag.Int("workers", 4, "number of worker ranks")
 		evalue   = flag.Float64("evalue", 10, "e-value cutoff")
-		querySeg = flag.Bool("query-segmentation", false, "split the query instead of the database")
 		mega     = flag.Bool("megablast", false, "megablast mode: 28-mer seeds + greedy extension")
 		filterLC = flag.Bool("F", false, "mask low-complexity query regions with DUST")
 		traceOut = flag.String("trace", "", "write a Figure 4 style I/O trace to this file")
@@ -162,11 +161,6 @@ func main() {
 		pblast.WithTelemetry(pblast.NewTelemetry(reg)),
 	}
 	searchOpts = append(searchOpts, tune.Options(reg, cacheStats)...)
-	modeName := "db-seg"
-	if *querySeg {
-		modeName = "query-seg"
-		searchOpts = append(searchOpts, pblast.WithMode(pblast.QuerySegmentation))
-	}
 	cfg := pblast.NewConfig(*db, searchOpts...)
 
 	if distributed && *rank > 0 {
@@ -306,7 +300,7 @@ func main() {
 	if *reportOut != "" {
 		b := obsreport.NewBuilder(fmt.Sprintf("%s/%s", store.IO, *db))
 		b.SetRun(obsreport.RunInfo{
-			DB: *db, Query: *queryF, Backend: store.IO, Mode: modeName,
+			DB: *db, Query: *queryF, Backend: store.IO,
 			Workers: nWorkers, Queries: len(queries),
 		})
 		b.AddOutcome(run)

@@ -110,6 +110,69 @@ func (s *SliceSource) Next() (*seq.Sequence, error) {
 	return sq, nil
 }
 
+// ChainSource streams each of Sources to its end in turn: a database's
+// fragments as one subject stream.
+type ChainSource struct {
+	Sources []SubjectSource
+	i       int
+}
+
+// Next returns the next sequence of the current source, moving on to
+// the following source at each io.EOF, and io.EOF after the last.
+func (c *ChainSource) Next() (*seq.Sequence, error) {
+	for c.i < len(c.Sources) {
+		s, err := c.Sources[c.i].Next()
+		if err == io.EOF {
+			c.i++
+			continue
+		}
+		return s, err
+	}
+	return nil, io.EOF
+}
+
+// Merge combines the results of searching query under p against the
+// disjoint parts of one database — a database segmentation's
+// fragments, in alias order, each searched with the whole database's
+// DBInfo — into the Result a single Search over all the parts in turn
+// returns. Each subject lives in exactly one part, so hits are
+// concatenated and ranked, never matched or deduplicated.
+func Merge(query *seq.Sequence, parts []*Result, p Params) *Result {
+	res := &Result{QueryID: query.ID, QueryLen: query.Len()}
+	for i, r := range parts {
+		if i == 0 {
+			// The query-wide fields (Karlin parameters, cutoffs, masking)
+			// are the same in every part.
+			res.Program, res.Stats = r.Program, r.Stats
+		} else {
+			res.Stats.AddCounts(r.Stats)
+			res.Stats.DBSequences += r.Stats.DBSequences
+			res.Stats.DBLetters += r.Stats.DBLetters
+			res.Stats.ReportedHSPs += r.Stats.ReportedHSPs
+		}
+		res.Hits = append(res.Hits, r.Hits...)
+	}
+	res.Hits = rankHits(res.Hits, p.MaxTargetSeqs)
+	return res
+}
+
+// rankHits puts hits in report order — best E-value first, then by
+// subject ID, ties keeping stream order — and keeps the first
+// maxTargets (all when maxTargets is 0).
+func rankHits(hits []Hit, maxTargets int) []Hit {
+	sort.SliceStable(hits, func(i, j int) bool {
+		ei, ej := hits[i].BestEValue(), hits[j].BestEValue()
+		if ei != ej {
+			return ei < ej
+		}
+		return hits[i].SubjectID < hits[j].SubjectID
+	})
+	if maxTargets > 0 && len(hits) > maxTargets {
+		hits = hits[:maxTargets]
+	}
+	return hits
+}
+
 // DBInfo carries the database-wide totals needed for statistics. If
 // the caller leaves it zero, Search falls back to per-stream counting
 // (two-pass semantics are avoided by computing e-values at the end).
@@ -643,16 +706,7 @@ func (eng *engine) finalize(res *Result, raw []rawHit, info DBInfo) {
 		res.Hits = append(res.Hits, hit)
 		res.Stats.ReportedHSPs += int64(len(hit.HSPs))
 	}
-	sort.Slice(res.Hits, func(i, j int) bool {
-		ei, ej := res.Hits[i].BestEValue(), res.Hits[j].BestEValue()
-		if ei != ej {
-			return ei < ej
-		}
-		return res.Hits[i].SubjectID < res.Hits[j].SubjectID
-	})
-	if p.MaxTargetSeqs > 0 && len(res.Hits) > p.MaxTargetSeqs {
-		res.Hits = res.Hits[:p.MaxTargetSeqs]
-	}
+	res.Hits = rankHits(res.Hits, p.MaxTargetSeqs)
 }
 
 // traceback recomputes the exact alignment of a raw HSP region and

@@ -393,6 +393,34 @@ func TestServerSearchAndCache(t *testing.T) {
 	}
 }
 
+// A search over a one-fragment database has exactly one task, so task 0
+// is its straggler, and the flight entry must say so in JSON rather
+// than drop the key as if no task had run.
+func TestFlightEntryNamesStragglerTaskZero(t *testing.T) {
+	srv, fs, _ := newTestServer(t, nil)
+	if _, err := core.GenerateDatabase(fs, "one", 1<<18, 1, 42); err != nil {
+		t.Fatal(err)
+	}
+	query, err := core.ExtractQuery(fs, "one", 400, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Search(context.Background(), &SearchRequest{DB: "one", Query: string(query.Data)}); err != nil {
+		t.Fatal(err)
+	}
+	recent := srv.flight.Recent()
+	if len(recent) != 1 || recent[0].Tasks != 1 {
+		t.Fatalf("flight recorder = %+v, want one entry with one task", recent)
+	}
+	b, err := json.Marshal(recent[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"straggler_task":0`) {
+		t.Errorf("flight entry %s lacks \"straggler_task\":0", b)
+	}
+}
+
 func TestServerErrorContract(t *testing.T) {
 	srv, _, query := newTestServer(t, nil)
 	cases := []struct {

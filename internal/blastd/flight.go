@@ -37,7 +37,7 @@ type QuerySummary struct {
 	// tasks ran) and StragglerMS its search time.
 	Tasks         int     `json:"tasks,omitempty"`
 	Reassigned    int     `json:"reassigned,omitempty"`
-	StragglerTask int     `json:"straggler_task,omitempty"`
+	StragglerTask int     `json:"straggler_task"`
 	StragglerMS   float64 `json:"straggler_ms,omitempty"`
 
 	// Bytes sums the trace's fragment-read spans — data moved off the

@@ -346,13 +346,14 @@ func (s *Server) Search(ctx context.Context, req *SearchRequest) (*SearchRespons
 		fe.RunMS = durMS(runTime)
 		fe.TotalMS = durMS(total)
 		if out != nil {
-			fe.Tasks = len(out.TaskTimes)
+			fe.Tasks = len(out.Timeline)
 			fe.CopyMS = durMS(out.CopyTime)
 			fe.SearchMS = durMS(out.SearchTime)
 			fe.Reassigned = out.Reassigned
-			for idx, d := range out.TaskTimes {
-				if ms := durMS(d); ms > fe.StragglerMS || fe.StragglerTask < 0 {
-					fe.StragglerTask, fe.StragglerMS = idx, ms
+			// Completion order: on a tie the first task to finish stays.
+			for _, ev := range out.Timeline {
+				if ms := durMS(ev.Search); ms > fe.StragglerMS || fe.StragglerTask < 0 {
+					fe.StragglerTask, fe.StragglerMS = ev.Index, ms
 				}
 			}
 		}

@@ -61,43 +61,21 @@ func SerialSearch(fs chio.FileSystem, dbName string, query *seq.Sequence, params
 	for _, fr := range frags {
 		sources = append(sources, fr.Source(0))
 	}
-	return blast.Search(query, chainSources(sources), blast.DBInfo{
+	return blast.Search(query, &blast.ChainSource{Sources: sources}, blast.DBInfo{
 		Letters:   alias.Letters,
 		Sequences: alias.Seqs,
 	}, params)
 }
 
-// chainSources concatenates fragment streams.
-func chainSources(sources []blast.SubjectSource) blast.SubjectSource {
-	return &chained{sources: sources}
-}
-
-type chained struct {
-	sources []blast.SubjectSource
-	i       int
-}
-
-func (c *chained) Next() (*seq.Sequence, error) {
-	for c.i < len(c.sources) {
-		s, err := c.sources[c.i].Next()
-		if err == io.EOF {
-			c.i++
-			continue
-		}
-		return s, err
-	}
-	return nil, io.EOF
-}
-
 // SearchConfig wires a parallel search into this process: how many
 // worker goroutines to run and which file systems each rank sees.
-// Everything about the search itself — database, mode, threads,
+// Everything about the search itself — database, parameters, threads,
 // readahead, telemetry — lives in Search, built with pblast.NewConfig
 // and its With* options, the same surface mpiblast, experiments and
 // blastd consume.
 type SearchConfig struct {
 	// Search is the search configuration (pblast.NewConfig + options:
-	// WithMode, WithThreads, WithReadahead, WithTelemetry, ...).
+	// WithParams, WithThreads, WithReadahead, WithTelemetry, ...).
 	Search pblast.Config
 	// Workers is the number of BLAST workers (ranks 1..Workers).
 	Workers int

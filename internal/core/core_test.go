@@ -236,29 +236,6 @@ func TestParallelSearchOverCEFT(t *testing.T) {
 	}
 }
 
-func TestQuerySegmentationMode(t *testing.T) {
-	fs := chio.NewMemFS()
-	buildDB(t, fs)
-	query, err := ExtractQuery(fs, "nt", 568, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := ParallelSearch(context.Background(), query, SearchConfig{
-		Search: pblast.NewConfig("nt",
-			pblast.WithParams(blast.Params{Program: blast.BlastN}),
-			pblast.WithMode(pblast.QuerySegmentation)),
-		Workers:  2,
-		MasterFS: fs,
-		WorkerFS: func(int) chio.FileSystem { return fs },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Result.Hits) == 0 {
-		t.Fatal("query segmentation found nothing")
-	}
-}
-
 func TestSearchConfigValidation(t *testing.T) {
 	q, _ := ExtractQuery(func() chio.FileSystem {
 		fs := chio.NewMemFS()
@@ -308,41 +285,6 @@ func TestTabularAndReportOverParallelResult(t *testing.T) {
 	}
 	if buf.Len() == 0 {
 		t.Error("tabular output empty")
-	}
-}
-
-func TestQuerySegmentationReadsMoreIO(t *testing.T) {
-	// §2.2: "With the explosion of the database size, the first
-	// approach [query segmentation] becomes less attractive due to
-	// large I/O overhead" — every worker must read the whole database
-	// instead of one fragment. Verify with real traced runs.
-	fs := chio.NewMemFS()
-	buildDB(t, fs)
-	query, err := ExtractQuery(fs, "nt", 568, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	readBytes := func(mode pblast.Mode) float64 {
-		trace := iotrace.NewTrace()
-		_, err := ParallelSearch(context.Background(), query, SearchConfig{
-			Search: pblast.NewConfig("nt",
-				pblast.WithParams(blast.Params{Program: blast.BlastN}),
-				pblast.WithMode(mode)),
-			Workers:  4,
-			MasterFS: fs,
-			WorkerFS: func(int) chio.FileSystem { return fs },
-			Trace:    trace,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return trace.Summarize().ReadBytes.Sum
-	}
-	dbSeg := readBytes(pblast.DatabaseSegmentation)
-	qSeg := readBytes(pblast.QuerySegmentation)
-	// With 4 workers, query segmentation reads the database ~4x.
-	if qSeg < 3*dbSeg {
-		t.Errorf("query segmentation read %.0f bytes vs database segmentation %.0f; expected ~4x", qSeg, dbSeg)
 	}
 }
 

@@ -29,7 +29,7 @@ func sample(name string, value float64, kv ...string) Sample {
 
 func buildTestReport() *Report {
 	b := NewBuilder("test-run")
-	b.SetRun(RunInfo{DB: "nt", Backend: "ceft", Mode: "db-seg", Queries: 1})
+	b.SetRun(RunInfo{DB: "nt", Backend: "ceft", Queries: 1})
 	b.AddOutcome(&pblast.Outcome{
 		WallTime:   2 * time.Second,
 		CopyTime:   200 * time.Millisecond,

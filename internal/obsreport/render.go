@@ -30,9 +30,6 @@ func (r *Report) RenderText(w io.Writer) {
 	if r.Run.Backend != "" {
 		fmt.Fprintf(w, "  backend   %s\n", r.Run.Backend)
 	}
-	if r.Run.Mode != "" {
-		fmt.Fprintf(w, "  mode      %s\n", r.Run.Mode)
-	}
 	if r.Run.Workers > 0 {
 		fmt.Fprintf(w, "  workers   %d\n", r.Run.Workers)
 	}

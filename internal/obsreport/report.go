@@ -104,7 +104,6 @@ type RunInfo struct {
 	DB      string `json:"db,omitempty"`
 	Query   string `json:"query,omitempty"`
 	Backend string `json:"backend,omitempty"`
-	Mode    string `json:"mode,omitempty"`
 	Workers int    `json:"workers,omitempty"`
 	Queries int    `json:"queries,omitempty"`
 

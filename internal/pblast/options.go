@@ -44,11 +44,6 @@ func WithParams(p blast.Params) Option {
 	return func(c *Config) { c.Params = p }
 }
 
-// WithMode selects database or query segmentation.
-func WithMode(m Mode) Option {
-	return func(c *Config) { c.Mode = m }
-}
-
 // WithThreads sets the per-worker search thread count (the sharded
 // scan inside each task).
 func WithThreads(n int) Option {
@@ -64,12 +59,6 @@ func WithCopyToLocal(v bool) Option {
 // WithChunkBytes sets the fragment streaming read size (0 = 16 MB).
 func WithChunkBytes(n int) Option {
 	return func(c *Config) { c.ChunkBytes = n }
-}
-
-// WithQueryOverlap sets the overlap between query pieces in
-// query-segmentation mode (0 = 100 letters).
-func WithQueryOverlap(n int) Option {
-	return func(c *Config) { c.QueryOverlap = n }
 }
 
 // WithTaskTimeout enables fault-tolerant scheduling: tasks overdue by

@@ -1,10 +1,13 @@
-// Package pblast implements parallel BLAST in the style of mpiBLAST:
-// a master that schedules search tasks onto idle workers over the mpi
-// substrate and merges their results by alignment score. Workers read
-// database fragments through any chio.FileSystem — the local-disk,
-// PVFS, or CEFT-PVFS backends — so the three configurations the paper
-// compares differ only in the file system handed to RunWorker,
-// mirroring Figure 1's software stack.
+// Package pblast implements parallel BLAST in the style of mpiBLAST,
+// by database segmentation (§2.2 of the paper): every worker searches
+// the whole query against one fragment of the database at a time, and
+// a master schedules those tasks onto idle workers over the mpi
+// substrate. Each subject lives in exactly one fragment, so the master
+// merges by concatenation (blast.Merge) and a parallel Result equals
+// the serial search's. Workers read database fragments through any
+// chio.FileSystem — the local-disk, PVFS, or CEFT-PVFS backends — so
+// the three configurations the paper compares differ only in the file
+// system handed to RunWorker, mirroring Figure 1's software stack.
 //
 // The scheduler is a continuous stream, not a one-shot batch: a
 // Stream owns a persistent worker pool and accepts submissions (one
@@ -23,8 +26,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
-	"sort"
 	"time"
 
 	"context"
@@ -37,18 +38,6 @@ import (
 	"pario/internal/readahead"
 	"pario/internal/seq"
 	"pario/internal/telemetry"
-)
-
-// Mode selects the parallelization strategy (§2.2 of the paper).
-type Mode int
-
-const (
-	// DatabaseSegmentation copies the whole query to every worker and
-	// splits the database (the mpiBLAST approach the paper uses).
-	DatabaseSegmentation Mode = iota
-	// QuerySegmentation replicates the database and splits the query
-	// into overlapping pieces.
-	QuerySegmentation
 )
 
 // Message tags.
@@ -75,17 +64,12 @@ type Config struct {
 	DBName string
 	// Params are the BLAST parameters used by every worker.
 	Params blast.Params
-	// Mode selects database or query segmentation.
-	Mode Mode
 	// CopyToLocal reproduces the original mpiBLAST behaviour: each
 	// worker first copies its fragment from the shared store to its
 	// local scratch file system and then searches the local copy.
 	CopyToLocal bool
 	// ChunkBytes is the fragment streaming read size (0 = 16 MB).
 	ChunkBytes int
-	// QueryOverlap is the overlap between query pieces in
-	// QuerySegmentation mode (0 = 100 letters).
-	QueryOverlap int
 	// TaskTimeout enables fault-tolerant scheduling: a task whose
 	// result has not arrived within this duration is handed to
 	// another idle worker, so a crashed worker cannot stall the job
@@ -162,7 +146,8 @@ type resultMsg struct {
 // events is the per-worker task timeline a run report renders, and the
 // raw material for straggler detection.
 type TaskEvent struct {
-	// Index is the task index (fragment, piece, or query x fragment).
+	// Index is the task index within its submission: the position in
+	// the alias of the fragment the task searched.
 	Index int
 	// Worker is the rank whose result was accepted.
 	Worker int
@@ -188,8 +173,6 @@ type Outcome struct {
 	CopyTime time.Duration
 	// SearchTime sums the workers' search times.
 	SearchTime time.Duration
-	// TaskTimes records each task's search duration by index.
-	TaskTimes map[int]time.Duration
 	// Timeline records every accepted task in completion order.
 	Timeline []TaskEvent
 	// Reassigned counts tasks re-handed to another worker after their
@@ -236,48 +219,6 @@ func RunMaster(ctx context.Context, c mpi.Comm, fs chio.FileSystem, query *seq.S
 
 func decodeGob(data []byte, v interface{}) error {
 	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
-}
-
-func (cfg Config) queryOverlap() int {
-	if cfg.QueryOverlap > 0 {
-		return cfg.QueryOverlap
-	}
-	return 100
-}
-
-type piece struct {
-	Start, End int
-}
-
-// splitQuery produces n overlapping pieces covering [0, length).
-func splitQuery(length, n, overlap int, p blast.Params) []piece {
-	if n < 1 {
-		n = 1
-	}
-	if n > length {
-		n = length
-	}
-	base := length / n
-	var pieces []piece
-	for i := 0; i < n; i++ {
-		start := i * base
-		end := start + base
-		if i == n-1 {
-			end = length
-		}
-		// Extend by the overlap so alignments crossing the boundary
-		// are found by at least one piece.
-		oStart := start - overlap
-		if oStart < 0 {
-			oStart = 0
-		}
-		oEnd := end + overlap
-		if oEnd > length {
-			oEnd = length
-		}
-		pieces = append(pieces, piece{Start: oStart, End: oEnd})
-	}
-	return pieces
 }
 
 // WorkerOption tunes RunWorker beyond its file systems.
@@ -485,7 +426,7 @@ func runTask(j *job, t *taskMsg, fs, scratch chio.FileSystem, pipe *blast.PipeMe
 	}
 
 	query := t.Query
-	res, err := blast.SearchWithMetrics(&query, &multiSource{sources: sources}, info, t.Params, pipe)
+	res, err := blast.SearchWithMetrics(&query, &blast.ChainSource{Sources: sources}, info, t.Params, pipe)
 	if err != nil {
 		return fail(err)
 	}
@@ -511,92 +452,4 @@ func writeTempResult(fs chio.FileSystem, sub int64, index int, res *blast.Result
 		buf.WriteByte('\n')
 	}
 	return chio.WriteFull(fs, fmt.Sprintf("tmp/result.%d.%03d", sub, index), buf.Bytes())
-}
-
-// multiSource chains fragment sources.
-type multiSource struct {
-	sources []blast.SubjectSource
-	i       int
-}
-
-// Next returns the next sequence across all chained sources.
-func (ms *multiSource) Next() (*seq.Sequence, error) {
-	for ms.i < len(ms.sources) {
-		s, err := ms.sources[ms.i].Next()
-		if err == io.EOF {
-			ms.i++
-			continue
-		}
-		return s, err
-	}
-	return nil, io.EOF
-}
-
-// mergeResults combines per-task results: hits are concatenated
-// (database segmentation puts each subject in exactly one fragment),
-// query-piece coordinates are shifted back into full-query space and
-// duplicate HSPs from overlapping pieces removed, then everything is
-// re-sorted by significance, as the mpiBLAST master does.
-func mergeResults(query *seq.Sequence, results []*blast.Result, mode Mode, params blast.Params) *blast.Result {
-	merged := &blast.Result{
-		QueryID:  query.ID,
-		QueryLen: query.Len(),
-	}
-	if len(results) == 0 {
-		return merged
-	}
-	merged.Program = results[0].Program
-	byID := make(map[string]*blast.Hit)
-	var order []string
-	seen := make(map[string]bool)
-	for _, r := range results {
-		merged.Stats.AddCounts(r.Stats)
-		merged.Stats.Lambda = r.Stats.Lambda
-		merged.Stats.K = r.Stats.K
-		merged.Stats.H = r.Stats.H
-		merged.Stats.EffSearchLen = r.Stats.EffSearchLen
-		if mode == DatabaseSegmentation {
-			merged.Stats.DBSequences += r.Stats.DBSequences
-			merged.Stats.DBLetters += r.Stats.DBLetters
-		} else {
-			merged.Stats.DBSequences = r.Stats.DBSequences
-			merged.Stats.DBLetters = r.Stats.DBLetters
-		}
-		for _, h := range r.Hits {
-			hit := byID[h.SubjectID]
-			if hit == nil {
-				cp := h
-				cp.HSPs = nil
-				byID[h.SubjectID] = &cp
-				hit = &cp
-				order = append(order, h.SubjectID)
-			}
-			for _, hsp := range h.HSPs {
-				key := fmt.Sprintf("%s/%d-%d/%d-%d/%v", h.SubjectID,
-					hsp.QueryFrom, hsp.QueryTo, hsp.SubjectFrom, hsp.SubjectTo, hsp.QueryFrame)
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				hit.HSPs = append(hit.HSPs, hsp)
-				merged.Stats.ReportedHSPs++
-			}
-		}
-	}
-	for _, id := range order {
-		hit := byID[id]
-		sort.Slice(hit.HSPs, func(a, b int) bool { return hit.HSPs[a].Score > hit.HSPs[b].Score })
-		merged.Hits = append(merged.Hits, *hit)
-	}
-	sort.Slice(merged.Hits, func(a, b int) bool {
-		ea, eb := merged.Hits[a].BestEValue(), merged.Hits[b].BestEValue()
-		if ea != eb {
-			return ea < eb
-		}
-		return merged.Hits[a].SubjectID < merged.Hits[b].SubjectID
-	})
-	if params.MaxTargetSeqs > 0 && len(merged.Hits) > params.MaxTargetSeqs {
-		merged.Hits = merged.Hits[:params.MaxTargetSeqs]
-	}
-	return merged
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,6 +25,14 @@ import (
 // buildTestDB formats a synthetic nucleotide database with a planted
 // query match onto fs and returns the query.
 func buildTestDB(t *testing.T, fs chio.FileSystem, name string, fragments int) *seq.Sequence {
+	t.Helper()
+	return buildTestDBWith(t, fs, name, fragments, nil)
+}
+
+// buildTestDBWith is buildTestDB with a hook that may rewrite the 40
+// subjects after the query is planted into nt17 and before they are
+// formatted.
+func buildTestDBWith(t *testing.T, fs chio.FileSystem, name string, fragments int, edit func(subjects []*seq.Sequence, query *seq.Sequence)) *seq.Sequence {
 	t.Helper()
 	rng := util.NewRNG(55)
 	var seqs []*seq.Sequence
@@ -45,6 +55,9 @@ func buildTestDB(t *testing.T, fs chio.FileSystem, name string, fragments int) *
 	}
 	query := &seq.Sequence{ID: "query568", Kind: seq.Nucleotide, Data: qdata}
 	copy(seqs[17].Data[700:], qdata[100:400])
+	if edit != nil {
+		edit(seqs, query)
+	}
 
 	var buf bytes.Buffer
 	if err := seq.WriteFasta(&buf, 70, seqs...); err != nil {
@@ -89,24 +102,19 @@ func TestDatabaseSegmentationSharedMem(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkFound(t, out)
-	if len(out.TaskTimes) != 8 {
-		t.Errorf("task times for %d tasks, want 8", len(out.TaskTimes))
+	if len(out.Timeline) != 8 {
+		t.Errorf("timeline holds %d tasks, want 8", len(out.Timeline))
 	}
 	if out.Result.Stats.DBSequences != 40 {
 		t.Errorf("merged DB sequences = %d, want 40", out.Result.Stats.DBSequences)
 	}
 }
 
-func TestResultsMatchSerialSearch(t *testing.T) {
-	fs := chio.NewMemFS()
-	query := buildTestDB(t, fs, "nt", 5)
-
-	out, err := RunInProcess(context.Background(), 3, query, NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN})), fs, sameFS(fs), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Serial reference: search every fragment in one pass.
+// serialSearch is the reference a parallel result must equal: one
+// search over every fragment of the database in alias order, the way
+// core.SerialSearch runs it.
+func serialSearch(t *testing.T, fs chio.FileSystem, query *seq.Sequence, p blast.Params) *blast.Result {
+	t.Helper()
 	alias, err := blastdb.ReadAlias(fs, "nt")
 	if err != nil {
 		t.Fatal(err)
@@ -120,34 +128,130 @@ func TestResultsMatchSerialSearch(t *testing.T) {
 		defer fr.Close()
 		sources = append(sources, fr.Source(0))
 	}
-	serial, err := blast.Search(query, &multiSource{sources: sources},
-		blast.DBInfo{Letters: alias.Letters, Sequences: alias.Seqs},
-		blast.Params{Program: blast.BlastN})
+	res, err := blast.Search(query, &blast.ChainSource{Sources: sources},
+		blast.DBInfo{Letters: alias.Letters, Sequences: alias.Seqs}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(serial.Hits) != len(out.Result.Hits) {
-		t.Fatalf("parallel %d hits vs serial %d hits", len(out.Result.Hits), len(serial.Hits))
+	return res
+}
+
+// A parallel search returns the serial search's Result field for field:
+// every hit and HSP in the same order, and every Stats field — the
+// query-wide cutoffs as well as the summed work counters — for each
+// program variant, per-worker thread count and fragment count. The last
+// rows give two subjects in different fragments the same ID and the
+// same planted match: they stay two hits, in database order, and a
+// one-target cut keeps the first.
+func TestResultsMatchSerialSearch(t *testing.T) {
+	type row struct {
+		name   string
+		p      blast.Params
+		frags  int
+		dupeID bool
 	}
-	for i := range serial.Hits {
-		ph, sh := out.Result.Hits[i], serial.Hits[i]
-		if ph.SubjectID != sh.SubjectID {
-			t.Errorf("hit %d: %s vs %s", i, ph.SubjectID, sh.SubjectID)
+	var rows []row
+	for _, v := range []struct {
+		name string
+		p    blast.Params
+	}{
+		{"blastn", blast.Params{Program: blast.BlastN}},
+		{"filtered", blast.Params{Program: blast.BlastN, Filter: true}},
+		{"megablast", blast.Params{Program: blast.BlastN, Greedy: true}},
+	} {
+		for _, threads := range []int{1, 3} {
+			for _, frags := range []int{1, 5} {
+				p := v.p
+				p.Threads = threads
+				rows = append(rows, row{fmt.Sprintf("%s/threads=%d/frags=%d", v.name, threads, frags), p, frags, false})
+			}
 		}
-		if len(ph.HSPs) != len(sh.HSPs) || ph.HSPs[0].Score != sh.HSPs[0].Score {
-			t.Errorf("hit %d HSPs differ", i)
+	}
+	rows = append(rows,
+		row{"blastn/duplicate-id", blast.Params{Program: blast.BlastN}, 5, true},
+		row{"blastn/duplicate-id/max-target-seqs=1", blast.Params{Program: blast.BlastN, MaxTargetSeqs: 1}, 5, true})
+
+	for _, tc := range rows {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := chio.NewMemFS()
+			var edit func([]*seq.Sequence, *seq.Sequence)
+			if tc.dupeID {
+				edit = func(subjects []*seq.Sequence, query *seq.Sequence) {
+					subjects[18].ID = "nt17"
+					copy(subjects[18].Data[700:], query.Data[100:400])
+				}
+			}
+			query := buildTestDBWith(t, fs, "nt", tc.frags, edit)
+			// A low-complexity run outside the planted region gives DUST
+			// something to mask.
+			copy(query.Data[450:], bytes.Repeat([]byte("A"), 64))
+			if tc.dupeID {
+				requireSplitID(t, fs, "nt17")
+			}
+
+			out, err := RunInProcess(context.Background(), 3, query, NewConfig("nt", WithParams(tc.p)), fs, sameFS(fs), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := serialSearch(t, fs, query, tc.p)
+			got := out.Result
+			if len(want.Hits) == 0 {
+				t.Fatal("serial search found nothing")
+			}
+			if tc.p.Filter && want.Stats.MaskedLetters == 0 {
+				t.Error("filtered search masked nothing")
+			}
+			if !reflect.DeepEqual(got.Stats, want.Stats) {
+				t.Errorf("stats differ:\nparallel %+v\nserial   %+v", got.Stats, want.Stats)
+			}
+			if !reflect.DeepEqual(got.Hits, want.Hits) {
+				t.Errorf("hits differ:\nparallel %s\nserial   %s", hitShape(got), hitShape(want))
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Error("parallel Result differs from the serial Result")
+			}
+		})
+	}
+}
+
+// requireSplitID fails the test unless subjects named id sit in at least
+// two different fragments of the "nt" database.
+func requireSplitID(t *testing.T, fs chio.FileSystem, id string) {
+	t.Helper()
+	alias, err := blastdb.ReadAlias(fs, "nt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frags, err := blastdb.OpenAll(fs, alias)
+	if err != nil {
+		t.Fatal(err)
+	}
+	holders := 0
+	for _, fr := range frags {
+		for i := 0; i < fr.NumSequences(); i++ {
+			s, err := fr.Sequence(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.ID == id {
+				holders++
+				break
+			}
 		}
+		fr.Close()
 	}
-	// The merged result carries every kernel work counter, not a subset:
-	// the same fragments were scanned, so the sums equal the serial run's.
-	ps, ss := out.Result.Stats, serial.Stats
-	if ps.ScannedBases == 0 {
-		t.Errorf("merged stats dropped kernel counters: %+v", ps)
+	if holders < 2 {
+		t.Fatalf("subjects named %s sit in %d fragment(s), want 2", id, holders)
 	}
-	if ps.ScannedBases != ss.ScannedBases || ps.PackedExts != ss.PackedExts ||
-		ps.SeedHits != ss.SeedHits || ps.UngappedExts != ss.UngappedExts || ps.GappedExts != ss.GappedExts {
-		t.Errorf("merged work counters %+v differ from serial %+v", ps, ss)
+}
+
+// hitShape renders a result's hit list as ID:HSP-count pairs.
+func hitShape(r *blast.Result) string {
+	var sb strings.Builder
+	for _, h := range r.Hits {
+		fmt.Fprintf(&sb, "%s:%d ", h.SubjectID, len(h.HSPs))
 	}
+	return sb.String()
 }
 
 func TestCopyToLocalMeasuresCopyTime(t *testing.T) {
@@ -191,63 +295,6 @@ func TestCopyToLocalWithoutScratchFails(t *testing.T) {
 		WithCopyToLocal(true)), shared, sameFS(shared), nil)
 	if err == nil {
 		t.Fatal("expected failure without scratch FS")
-	}
-}
-
-func TestQuerySegmentation(t *testing.T) {
-	fs := chio.NewMemFS()
-	query := buildTestDB(t, fs, "nt", 3)
-	// The planted alignment is 300 letters; with 4 pieces of ~142 the
-	// overlap must be large enough that one piece spans it entirely.
-	out, err := RunInProcess(context.Background(), 4, query, NewConfig("nt",
-		WithParams(blast.Params{Program: blast.BlastN}),
-		WithMode(QuerySegmentation),
-		WithQueryOverlap(200)), fs, sameFS(fs), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkFound(t, out)
-}
-
-func TestQuerySegmentationCoordinatesShifted(t *testing.T) {
-	fs := chio.NewMemFS()
-	query := buildTestDB(t, fs, "nt", 2)
-	qOut, err := RunInProcess(context.Background(), 4, query, NewConfig("nt",
-		WithParams(blast.Params{Program: blast.BlastN}),
-		WithMode(QuerySegmentation), WithQueryOverlap(200)), fs, sameFS(fs), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dOut, err := RunInProcess(context.Background(), 4, query, NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN})), fs, sameFS(fs), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qh, dh := qOut.Result.Hits[0].HSPs[0], dOut.Result.Hits[0].HSPs[0]
-	if qh.QueryFrom != dh.QueryFrom || qh.QueryTo != dh.QueryTo {
-		t.Errorf("query-seg extents [%d,%d) vs db-seg [%d,%d)",
-			qh.QueryFrom, qh.QueryTo, dh.QueryFrom, dh.QueryTo)
-	}
-}
-
-func TestSplitQuery(t *testing.T) {
-	p := blast.Params{Program: blast.BlastN}
-	pieces := splitQuery(1000, 4, 50, p)
-	if len(pieces) != 4 {
-		t.Fatalf("pieces = %d", len(pieces))
-	}
-	if pieces[0].Start != 0 || pieces[3].End != 1000 {
-		t.Errorf("coverage: %+v", pieces)
-	}
-	// Adjacent pieces must overlap.
-	for i := 1; i < len(pieces); i++ {
-		if pieces[i].Start >= pieces[i-1].End {
-			t.Errorf("pieces %d and %d do not overlap: %+v", i-1, i, pieces)
-		}
-	}
-	// More workers than letters.
-	tiny := splitQuery(3, 10, 2, p)
-	if len(tiny) != 3 {
-		t.Errorf("tiny split = %+v", tiny)
 	}
 }
 
@@ -352,18 +399,12 @@ func TestOutcomeTimingsPopulated(t *testing.T) {
 	if out.WallTime <= 0 || out.SearchTime <= 0 {
 		t.Errorf("timings: wall=%v search=%v", out.WallTime, out.SearchTime)
 	}
-	var sum time.Duration
-	for _, d := range out.TaskTimes {
-		sum += d
-	}
-	if sum > out.SearchTime+time.Millisecond {
-		t.Errorf("task times %v exceed total search time %v", sum, out.SearchTime)
-	}
 }
 
 // TestOutcomeTimeline: every accepted task must appear on the master's
 // timeline with its worker, a master-clock start offset, and service
-// times consistent with TaskTimes — the raw material of run reports.
+// times that sum to the outcome's SearchTime — the raw material of run
+// reports.
 func TestOutcomeTimeline(t *testing.T) {
 	fs := chio.NewMemFS()
 	query := buildTestDB(t, fs, "nt", 6)
@@ -375,7 +416,9 @@ func TestOutcomeTimeline(t *testing.T) {
 		t.Fatalf("timeline has %d events, want 6", len(out.Timeline))
 	}
 	seen := map[int]bool{}
+	var search time.Duration
 	for _, ev := range out.Timeline {
+		search += ev.Search
 		if seen[ev.Index] {
 			t.Errorf("task %d appears twice", ev.Index)
 		}
@@ -386,12 +429,12 @@ func TestOutcomeTimeline(t *testing.T) {
 		if ev.Start < 0 {
 			t.Errorf("task %d has negative start offset %v", ev.Index, ev.Start)
 		}
-		if ev.Search != out.TaskTimes[ev.Index] {
-			t.Errorf("task %d search %v != TaskTimes %v", ev.Index, ev.Search, out.TaskTimes[ev.Index])
-		}
 		if ev.Reassigned {
 			t.Errorf("task %d flagged reassigned in a healthy run", ev.Index)
 		}
+	}
+	if search != out.SearchTime {
+		t.Errorf("timeline search times sum to %v, outcome reports %v", search, out.SearchTime)
 	}
 }
 
@@ -497,8 +540,8 @@ func TestWorkerCrashReassignment(t *testing.T) {
 	if out.Reassigned == 0 {
 		t.Error("no task was reassigned although a worker crashed")
 	}
-	if len(out.TaskTimes) != 6 {
-		t.Errorf("completed %d of 6 tasks", len(out.TaskTimes))
+	if len(out.Timeline) != 6 {
+		t.Errorf("completed %d of 6 tasks", len(out.Timeline))
 	}
 }
 
@@ -604,8 +647,8 @@ func TestSlowWorkerDuplicateResultDiscarded(t *testing.T) {
 		}
 	}
 	checkFound(t, out)
-	if len(out.TaskTimes) != 3 {
-		t.Errorf("completed %d of 3 tasks", len(out.TaskTimes))
+	if len(out.Timeline) != 3 {
+		t.Errorf("completed %d of 3 tasks", len(out.Timeline))
 	}
 }
 
@@ -657,8 +700,8 @@ func TestBatchMultiQuery(t *testing.T) {
 
 	outs := submitAll(t, fs, 3, NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN})), q1, q2)
 	for qi, out := range outs {
-		if len(out.TaskTimes) != 5 { // one task per fragment, per query
-			t.Errorf("query %d: task times for %d tasks, want 5", qi, len(out.TaskTimes))
+		if len(out.Timeline) != 5 { // one task per fragment, per query
+			t.Errorf("query %d: timeline holds %d tasks, want 5", qi, len(out.Timeline))
 		}
 	}
 	r1, r2 := outs[0].Result, outs[1].Result
@@ -801,22 +844,6 @@ func TestPoolRestartedRankReusesFS(t *testing.T) {
 			t.Errorf("rank %d file system built %d times, want 1", rank, built[rank])
 		}
 	}
-}
-
-// Stream.Submit on a query-segmentation config cuts the query itself:
-// one overlapping piece per worker rank of the communicator, the split
-// RunMaster always made.
-func TestSubmitCutsQueryPieces(t *testing.T) {
-	fs := chio.NewMemFS()
-	query := buildTestDB(t, fs, "nt", 3)
-	cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}),
-		WithMode(QuerySegmentation), WithQueryOverlap(200))
-	out := submitAll(t, fs, 4, cfg, query)[0]
-	want := splitQuery(query.Len(), 4, 200, cfg.Params)
-	if len(want) != 4 || len(out.TaskTimes) != len(want) {
-		t.Fatalf("%d tasks for %d pieces, want 4 of each", len(out.TaskTimes), len(want))
-	}
-	checkFound(t, out)
 }
 
 func TestWorkerTaskFailureSurfacesToMaster(t *testing.T) {

@@ -45,8 +45,6 @@ type submission struct {
 	id     int64
 	query  seq.Sequence
 	params blast.Params
-	mode   Mode
-	pieces []piece // query-segmentation piece bounds, nil otherwise
 	tasks  []*taskMsg
 	// trace is the submitter's span context (zero when untraced): the
 	// parent of the per-task spans the loop records.
@@ -83,11 +81,10 @@ func StartStream(ctx context.Context, c mpi.Comm, cfg Config) (*Stream, error) {
 
 // Submit searches one query against the database described by alias
 // and returns the merged outcome — the one way a query enters the
-// scheduler. Under database segmentation it becomes one task per
-// fragment, each searching the full query; under query segmentation
-// one task per query piece (one piece per worker rank of the
-// communicator), each searching every fragment, with piece-local
-// coordinates shifted back into full-query space at merge time.
+// scheduler. The query becomes one task per fragment, each searching
+// the full query against that fragment; the per-fragment results are
+// concatenated in alias order (blast.Merge), so the outcome's Result
+// is the one a serial search of the whole database returns.
 //
 // Submit blocks until the search completes, ctx is cancelled, or the
 // stream fails; any number of goroutines may submit concurrently. A
@@ -102,38 +99,21 @@ func (s *Stream) Submit(ctx context.Context, query *seq.Sequence, params blast.P
 	if len(alias.Fragments) == 0 {
 		return nil, fmt.Errorf("pblast: database %s has no fragments", alias.Title)
 	}
-	paths := make([]string, len(alias.Fragments))
-	for i, fr := range alias.Fragments {
-		paths[i] = fr.Path
-	}
 	sub := &submission{
 		query:  *query,
 		params: params,
-		mode:   s.cfg.Mode,
 		done:   make(chan struct{}),
 	}
-	addTask := func(q *seq.Sequence, paths []string) {
+	for i, fr := range alias.Fragments {
 		sub.tasks = append(sub.tasks, &taskMsg{
 			Kind:      taskSearch,
-			Index:     len(sub.tasks),
-			Query:     *q,
+			Index:     i,
+			Query:     *query,
 			Params:    params,
-			Paths:     paths,
+			Paths:     []string{fr.Path},
 			DBLetters: alias.Letters,
 			DBSeqs:    alias.Seqs,
 		})
-	}
-	if sub.mode == QuerySegmentation {
-		sub.pieces = splitQuery(query.Len(), s.c.Size()-1, s.cfg.queryOverlap(), params)
-		for _, p := range sub.pieces {
-			pq := query.Subsequence(p.Start, p.End)
-			pq.ID = query.ID // keep the original ID; offsets fixed at merge
-			addTask(pq, paths)
-		}
-	} else {
-		for i := range paths {
-			addTask(query, paths[i:i+1])
-		}
 	}
 	stampTrace(ctx, sub)
 	if err := s.enqueue(sub); err != nil {
@@ -154,7 +134,7 @@ func (s *Stream) Submit(ctx context.Context, query *seq.Sequence, params blast.P
 	if sub.err != nil {
 		return nil, sub.err
 	}
-	sub.merge()
+	sub.out.Result = blast.Merge(&sub.query, sub.results, sub.params)
 	sub.out.WallTime = time.Since(start)
 	return sub.out, nil
 }
@@ -188,7 +168,7 @@ func (s *Stream) enqueue(sub *submission) error {
 	}
 	sub.remaining = len(sub.tasks)
 	sub.results = make([]*blast.Result, len(sub.tasks))
-	sub.out = &Outcome{TaskTimes: make(map[int]time.Duration)}
+	sub.out = &Outcome{}
 	s.queue = append(s.queue, sub)
 	s.mu.Unlock()
 	s.wake()
@@ -200,29 +180,6 @@ func (s *Stream) enqueue(sub *submission) error {
 // back through the local mailbox without touching the network).
 func (s *Stream) wake() {
 	s.c.Send(0, tagWake, nil) // best effort: a dead loop fails all waiters anyway
-}
-
-// merge builds the final Result from the per-task results.
-func (sub *submission) merge() {
-	results := make([]*blast.Result, 0, len(sub.results))
-	for i, r := range sub.results {
-		if r == nil {
-			continue
-		}
-		if sub.mode == QuerySegmentation {
-			// Shift piece-local query coordinates back into
-			// full-query space before merging and deduplication.
-			shift := sub.pieces[i].Start
-			for hi := range r.Hits {
-				for pi := range r.Hits[hi].HSPs {
-					r.Hits[hi].HSPs[pi].QueryFrom += shift
-					r.Hits[hi].HSPs[pi].QueryTo += shift
-				}
-			}
-		}
-		results = append(results, r)
-	}
-	sub.out.Result = mergeResults(&sub.query, results, sub.mode, sub.params)
 }
 
 // Close drains the stream: new submissions are refused, in-flight
@@ -491,7 +448,6 @@ func (s *Stream) loop(ctx context.Context) {
 			sub.remaining--
 			sub.out.CopyTime += rm.CopyTime
 			sub.out.SearchTime += rm.SearchTime
-			sub.out.TaskTimes[rm.Index] = rm.SearchTime
 			sub.out.Timeline = append(sub.out.Timeline, TaskEvent{
 				Index:      rm.Index,
 				Worker:     m.From,

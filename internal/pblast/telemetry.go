@@ -30,7 +30,7 @@ func NewTelemetry(reg *telemetry.Registry) *Telemetry {
 	}
 	return &Telemetry{
 		taskTime: reg.Histogram("pario_pblast_task_seconds",
-			"Per-task (fragment or query piece) search service time as reported by workers."),
+			"Per-task (one query against one fragment) search service time as reported by workers."),
 		copyTime: reg.Histogram("pario_pblast_copy_seconds",
 			"Per-task database copy-to-local time as reported by workers."),
 		tasksDone: reg.Counter("pario_pblast_tasks_completed_total",

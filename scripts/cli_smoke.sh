@@ -19,6 +19,10 @@
 #     CEFT. Serial blastn decodes subjects into payloads it owns,
 #     -readahead lends borrowed cache-block views; both reach the same
 #     packed kernel and must print the same hit lines;
+#   - run DUST (-F) through the parallel path: a third query made only
+#     of a dinucleotide repeat hits the database's one repeat subject
+#     unfiltered and nothing under -F, and in-process and distributed
+#     mpiblast -F must print serial blastn -F's hit lines;
 #   - require blastn to refuse a megablast word longer than 31 bases.
 # Exercised by `make cli-smoke` (part of `make check`).
 set -eu
@@ -78,8 +82,8 @@ sleep 0.5
 PVFS="-mgr $PMGR -servers $SERVERS"
 CEFT="-mgr $CMGR -primary $PRIMARY -mirror $MIRROR"
 
-# A reproducible 48 x 25 kb nucleotide FASTA, and two queries cut out
-# of it so both have a full-length hit.
+# A reproducible 48 x 25 kb nucleotide FASTA plus one 700-base AC
+# repeat, and two queries cut out of it so both have a full-length hit.
 awk 'BEGIN {
     srand(2003)
     for (s = 0; s < 48; s++) {
@@ -90,6 +94,10 @@ awk 'BEGIN {
             print line
         }
     }
+    print ">seqlc"
+    line = ""
+    for (c = 0; c < 35; c++) line = line "AC"
+    for (l = 0; l < 10; l++) print line
 }' >"$TMP/db.fasta"
 cut_query() { # id, sequence number, first and last 70-base line
     awk -v id="$1" -v want="$2" -v from="$3" -v to="$4" '
@@ -188,20 +196,21 @@ cmp -s "$TMP/mega.hits" "$TMP/mega.readahead.hits" ||
     fail "megablast hit lines over readahead differ from serial blastn -megablast" \
         "$TMP/mega.hits" "$TMP/mega.readahead.hits"
 
-# Distributed: rank 0 starts the router and drives both queries through
-# one stream; ranks 1 and 2 are separate processes.
+# Distributed: rank 0 starts the router and drives every query of the
+# given file through one stream; ranks 1 and 2 are separate processes.
 distributed() {
     name="$1"
     router="127.0.0.1:$2"
-    shift 2
+    query="$3"
+    shift 3
     WPIDS=""
     for r in 1 2; do
-        "$TMP/mpiblast" -db nt -query "$TMP/q.fasta" -threads 1 \
+        "$TMP/mpiblast" -db nt -query "$query" -threads 1 \
             -router "$router" -size 3 -rank "$r" "$@" >"$TMP/$name.w$r.log" 2>&1 &
         WPIDS="$WPIDS $!"
         PIDS="$PIDS $!"
     done
-    "$TMP/mpiblast" -db nt -query "$TMP/q.fasta" -outfmt tabular -threads 1 \
+    "$TMP/mpiblast" -db nt -query "$query" -outfmt tabular -threads 1 \
         -router "$router" -start-router -size 3 -rank 0 "$@" \
         >"$TMP/$name.out" 2>"$TMP/$name.log" ||
         fail "distributed mpiblast ($name) failed" "$TMP/$name.log" "$TMP/$name.w1.log" "$TMP/$name.w2.log"
@@ -210,9 +219,9 @@ distributed() {
     done
 }
 # shellcheck disable=SC2086
-distributed dist "$((BASE + 20))" -io ceft $CEFT
+distributed dist "$((BASE + 20))" "$TMP/q.fasta" -io ceft $CEFT
 # shellcheck disable=SC2086
-distributed scratch "$((BASE + 21))" -io pvfs $PVFS -scratch "$TMP/scratch"
+distributed scratch "$((BASE + 21))" "$TMP/q.fasta" -io pvfs $PVFS -scratch "$TMP/scratch"
 
 for run in inproc readahead dist scratch; do
     hits "$TMP/$run.out" >"$TMP/$run.hits"
@@ -232,4 +241,35 @@ if grep 'copy time' "$TMP/dist.out" | grep -qv 'copy time 0\.00s'; then
     fail "distributed run without -scratch reports copy time" "$TMP/dist.out"
 fi
 
-echo "cli-smoke: ok ($(wc -l <"$TMP/serial.hits") hit lines, 5 ways; $(wc -l <"$TMP/mega.hits") megablast hit lines, 2 ways)"
+# DUST through the parallel path: -F travels to the workers inside every
+# task. qlc is 256 bases of AC repeat: it hits seqlc unfiltered, and
+# DUST's 64-base windows cover it end to end, so under -F it seeds
+# nothing. A worker that dropped the filter would print qlc lines that
+# serial blastn -F does not.
+{
+    cat "$TMP/q.fasta"
+    echo ">qlc"
+    awk 'BEGIN { line = ""; for (c = 0; c < 32; c++) line = line "AC"; for (l = 0; l < 4; l++) print line }'
+} >"$TMP/qf.fasta"
+"$TMP/blastn" -db nt -query "$TMP/qf.fasta" -root "$TMP/local" -outfmt tabular -threads 1 \
+    >"$TMP/unfiltered.out" 2>"$TMP/unfiltered.log" || fail "serial blastn (repeat query) failed" "$TMP/unfiltered.log"
+grep -q '^qlc' "$TMP/unfiltered.out" ||
+    fail "the repeat query did not hit without -F" "$TMP/unfiltered.out"
+"$TMP/blastn" -db nt -query "$TMP/qf.fasta" -root "$TMP/local" -outfmt tabular -threads 1 -F \
+    >"$TMP/filtered.out" 2>"$TMP/filtered.log" || fail "serial blastn -F failed" "$TMP/filtered.log"
+hits "$TMP/filtered.out" >"$TMP/filtered.hits"
+grep -q '^qa' "$TMP/filtered.hits" && ! grep -q '^qlc' "$TMP/filtered.hits" ||
+    fail "serial blastn -F did not keep qa and mask qlc" "$TMP/filtered.out"
+# shellcheck disable=SC2086
+"$TMP/mpiblast" -db nt -query "$TMP/qf.fasta" -outfmt tabular -threads 1 -workers 2 -F \
+    -io ceft $CEFT >"$TMP/inproc.F.out" 2>"$TMP/inproc.F.log" ||
+    fail "in-process mpiblast -F failed" "$TMP/inproc.F.log"
+# shellcheck disable=SC2086
+distributed dist.F "$((BASE + 22))" "$TMP/qf.fasta" -io ceft $CEFT -F
+for run in inproc.F dist.F; do
+    hits "$TMP/$run.out" >"$TMP/$run.hits"
+    cmp -s "$TMP/filtered.hits" "$TMP/$run.hits" ||
+        fail "$run hit lines differ from serial blastn -F" "$TMP/filtered.hits" "$TMP/$run.hits"
+done
+
+echo "cli-smoke: ok ($(wc -l <"$TMP/serial.hits") hit lines, 5 ways; $(wc -l <"$TMP/mega.hits") megablast hit lines, 2 ways; $(wc -l <"$TMP/filtered.hits") -F hit lines, 3 ways)"

@@ -80,7 +80,7 @@ PY
 # The human rendering must carry the section too.
 if ! grep -q "Collective I/O" "$TMP/search.log"; then
     echo "collio-smoke: rendered report lacks the Collective I/O section" >&2
-    cat "$TMP/search.log" >cat "$TMP/search.out" >&22
+    cat "$TMP/search.log" >&2
     exit 1
 fi
 
