@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint race bench bench-smoke bench-compare metrics-smoke report-smoke service-smoke collio-smoke alert-smoke trace-smoke cli-smoke loc
+.PHONY: build test check lint race bench bench-smoke bench-compare metrics-smoke report-smoke service-smoke alert-smoke trace-smoke cli-smoke loc
 
 build:
 	$(GO) build ./...
@@ -13,9 +13,9 @@ test:
 # the search-path allocation guard without the race detector (whose
 # shadow memory inflates alloc counts, so the guard skips itself
 # under -race), fuzz the data server's request handler, the one-table
-# seed scan and the message router for a few seconds each, build and
-# smoke the frozen benchmark module (root `go build
-# ./...` does not compile it, so a rename that breaks it would
+# seed scan, the message router and the fragment reader for a few
+# seconds each, build and smoke the frozen benchmark module (root `go
+# build ./...` does not compile it, so a rename that breaks it would
 # otherwise go unnoticed), make sure every benchmark still at least
 # runs, then smoke the live /metrics endpoint.
 check: lint race
@@ -23,12 +23,12 @@ check: lint race
 	$(GO) test -run '^$$' -fuzz FuzzDataServerDispatch -fuzztime 5s ./internal/pvfs/
 	$(GO) test -run '^$$' -fuzz FuzzOneTableSeeds -fuzztime 5s ./internal/blast/
 	$(GO) test -run '^$$' -fuzz FuzzRouterFrames -fuzztime 5s ./internal/mpi/
+	$(GO) test -run '^$$' -fuzz FuzzOpenFragment -fuzztime 5s ./internal/blastdb/
 	$(GO) vet -C bench ./... && $(GO) test -C bench -short .
 	$(MAKE) bench-smoke
 	$(MAKE) metrics-smoke
 	$(MAKE) report-smoke
 	$(MAKE) service-smoke
-	$(MAKE) collio-smoke
 	$(MAKE) alert-smoke
 	$(MAKE) trace-smoke
 	$(MAKE) cli-smoke
@@ -59,12 +59,6 @@ report-smoke:
 # build-up, cache hits and a clean SIGTERM drain.
 service-smoke:
 	sh ./scripts/service_smoke.sh
-
-# Boot a PVFS mini-cluster and run a -collio search with -report,
-# requiring the report's collective-I/O section to show real merged
-# rounds (CLI wiring end to end).
-collio-smoke:
-	sh ./scripts/collio_smoke.sh
 
 # Boot a CEFT mini-cluster with one throttled disk, serve it with a
 # monitored blastd, and require the server_skew alert to fire under

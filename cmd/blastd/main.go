@@ -99,7 +99,7 @@ func main() {
 	defer ranks.Close()
 	ranks.RegisterDegradedWrites(reg)
 
-	searchOpts := append(tune.Options(reg, nil), pblast.WithTelemetry(pblast.NewTelemetry(reg)))
+	searchOpts := append(tune.Options(nil), pblast.WithTelemetry(pblast.NewTelemetry(reg)))
 
 	var serve []string
 	if *dbs != "" {

@@ -76,7 +76,7 @@ func main() {
 	)
 	// Which file system the workers read (-io and its addresses,
 	// transport and CEFT tuning) and how each worker reads it (threads,
-	// chunk, scratch, readahead, collective I/O).
+	// chunk, scratch, readahead).
 	store := core.NewStore()
 	store.RegisterFlags(flag.CommandLine, core.AddrFlags|core.ModeFlags|core.TransportFlags)
 	var tune core.WorkerFlags
@@ -160,7 +160,7 @@ func main() {
 		pblast.WithParams(blast.Params{Program: blast.BlastN, EValue: *evalue, Greedy: *mega, Filter: *filterLC}),
 		pblast.WithTelemetry(pblast.NewTelemetry(reg)),
 	}
-	searchOpts = append(searchOpts, tune.Options(reg, cacheStats)...)
+	searchOpts = append(searchOpts, tune.Options(cacheStats)...)
 	cfg := pblast.NewConfig(*db, searchOpts...)
 
 	if distributed && *rank > 0 {

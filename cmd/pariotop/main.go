@@ -1,9 +1,9 @@
 // Command pariotop is the live cluster dashboard: it polls every
 // daemon's /metrics endpoint on an interval, keeps the samples in an
 // in-process tsdb ring, and renders per-server RPC and byte rates,
-// queue and worker-pool state, cache effectiveness, collective-I/O
-// merge ratios and any active alerts — the terminal view of the load
-// imbalance the paper could only reconstruct after a run.
+// queue and worker-pool state, cache effectiveness and any active
+// alerts — the terminal view of the load imbalance the paper could
+// only reconstruct after a run.
 //
 //	pariotop -targets iod0=127.0.0.1:9101,iod1=127.0.0.1:9102,blastd=127.0.0.1:7044
 //	pariotop -targets blastd=127.0.0.1:7044 -interval 500ms -frames 10 -plain
@@ -87,7 +87,6 @@ func render(ctx context.Context, store *tsdb.Store, coll *tsdb.Collector, target
 	renderClients(&b, store, now, window)
 	renderBlastd(&b, store, now, window)
 	renderSlowQueries(ctx, &b, targets)
-	renderCollio(&b, store, now, window)
 	renderAlerts(ctx, &b, targets)
 	renderTargetErrs(&b, coll, targets)
 	return b.String()
@@ -232,26 +231,6 @@ func orDash(s string) string {
 	return s
 }
 
-// renderCollio shows the collective-I/O layer's merge effectiveness.
-func renderCollio(b *strings.Builder, store *tsdb.Store, now time.Time, window time.Duration) {
-	ranges, ok := store.Rate("pario_collio_ranges_total", nil, now, window)
-	if !ok {
-		return
-	}
-	merged, _ := store.Rate("pario_collio_merged_segments_total", nil, now, window)
-	rounds, _ := store.Rate("pario_collio_rounds_total", nil, now, window)
-	dedup, _ := store.Rate("pario_collio_dedup_bytes_total", nil, now, window)
-	fmt.Fprintf(b, "COLLIO  %.1f rounds/s  %.1f ranges/s -> %.1f segments/s",
-		rounds, ranges, merged)
-	if ranges > 0 {
-		fmt.Fprintf(b, "  (merge ratio %.1fx)", ranges/maxf(merged, 1e-9))
-	}
-	if dedup > 0 {
-		fmt.Fprintf(b, "  dedup %s/s", util.FormatBytes(int64(dedup)))
-	}
-	b.WriteString("\n\n")
-}
-
 // renderAlerts polls each target's /debug/alerts (daemons without the
 // endpoint are skipped) and lists non-resolved alerts.
 func renderAlerts(ctx context.Context, b *strings.Builder, targets []telemetry.Target) {
@@ -296,11 +275,4 @@ func fmtSecs(v float64, ok bool) string {
 		return "--"
 	}
 	return time.Duration(v * float64(time.Second)).Round(time.Microsecond).String()
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

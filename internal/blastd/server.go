@@ -89,7 +89,7 @@ type Config struct {
 	// sum of rpcpool.Metrics.Calls). The server samples it around
 	// each backend search and exposes the deltas as the
 	// pario_blastd_rpc_ops_per_search histogram — the per-request
-	// server-op cost that list I/O and collective reads drive down.
+	// server-op cost that list I/O and readahead drive down.
 	// Deltas are approximate when searches overlap: concurrent
 	// searches' ops land in whichever windows are open.
 	RPCOps func() int64

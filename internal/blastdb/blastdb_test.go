@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -121,23 +122,28 @@ func TestOpenFragmentBadMagic(t *testing.T) {
 	}
 }
 
-// TestOpenFragmentRejectsForgedFragments feeds the reader fragments
-// whose header or index was forged — fragment bytes arrive from data
-// servers over the network — and requires an error from every one, by
-// open or by the first read, instead of an underflowed allocation, a
-// negative read size or an out-of-range slice.
-func TestOpenFragmentRejectsForgedFragments(t *testing.T) {
+// forgedRow is one fragment file whose header or index was forged.
+type forgedRow struct {
+	name  string
+	bytes []byte
+}
+
+// forgedFragments returns a valid fragment's bytes and one forged copy
+// per way its header or index can lie: fragment bytes arrive from data
+// servers over the network.
+func forgedFragments(tb testing.TB) (good []byte, rows []forgedRow) {
+	tb.Helper()
 	mem := chio.NewMemFS()
-	buildFragment(t, mem, "good", randomSeqs(util.NewRNG(27), 6, 20, 200))
+	buildFragment(tb, mem, "good", randomSeqs(util.NewRNG(27), 6, 20, 200))
 	good, err := chio.ReadFull(mem, "good")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	u64 := func(b []byte, off int) uint64 { return binary.LittleEndian.Uint64(b[off:]) }
 	put := func(b []byte, off int, v uint64) { binary.LittleEndian.PutUint64(b[off:], v) }
 	dataOff, deflineOff, indexOff := u64(good, 16), u64(good, 24), u64(good, 32)
 	rec := int(indexOff) + indexEntry // the second index record
-	for _, tc := range []struct {
+	for _, row := range []struct {
 		name  string
 		forge func(b []byte)
 	}{
@@ -146,6 +152,9 @@ func TestOpenFragmentRejectsForgedFragments(t *testing.T) {
 		{"deflines before data", func(b []byte) { put(b, 24, 10) }},
 		{"data region past deflines", func(b []byte) { put(b, 16, 1<<62) }},
 		{"index past any file", func(b []byte) { put(b, 32, 1<<63) }},
+		{"index count past the file", func(b []byte) { binary.LittleEndian.PutUint32(b[12:], 1<<24) }},
+		{"defline region past the file", func(b []byte) { put(b, 32, deflineOff+1<<30) }},
+		{"defline region to MaxInt64", func(b []byte) { put(b, 32, math.MaxInt64) }},
 		{"defline span past its region", func(b []byte) { binary.LittleEndian.PutUint32(b[rec+24:], 1<<20) }},
 		{"defline span wraps", func(b []byte) {
 			put(b, rec+16, math.MaxUint64)
@@ -154,20 +163,61 @@ func TestOpenFragmentRejectsForgedFragments(t *testing.T) {
 		{"payload past data region", func(b []byte) { put(b, rec, deflineOff-dataOff+8) }},
 		{"payload length wraps", func(b []byte) { put(b, rec+8, math.MaxUint64) }},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			forged := append([]byte(nil), good...)
-			tc.forge(forged)
-			if err := chio.WriteFull(mem, "forged", forged); err != nil {
+		forged := append([]byte(nil), good...)
+		row.forge(forged)
+		rows = append(rows, forgedRow{row.name, forged})
+	}
+	return good, rows
+}
+
+// TestOpenFragmentRejectsForgedFragments requires an error from every
+// forged fragment, by open or by the first read, instead of an
+// underflowed allocation, a negative read size, an out-of-range slice,
+// or an allocation of whatever size the header claims.
+func TestOpenFragmentRejectsForgedFragments(t *testing.T) {
+	good, rows := forgedFragments(t)
+	mem := chio.NewMemFS()
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			if err := chio.WriteFull(mem, "forged", row.bytes); err != nil {
 				t.Fatal(err)
 			}
-			if err := readFragment(mem, "forged"); err == nil {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := readFragment(mem, "forged")
+			runtime.ReadMemStats(&after)
+			if err == nil {
 				t.Fatal("forged fragment read without error")
 			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+				t.Errorf("reading a %d-byte fragment allocated %d bytes", len(row.bytes), grew)
+			}
 		})
+	}
+	if err := chio.WriteFull(mem, "good", good); err != nil {
+		t.Fatal(err)
 	}
 	if err := readFragment(mem, "good"); err != nil {
 		t.Fatalf("unforged fragment: %v", err)
 	}
+}
+
+// FuzzOpenFragment feeds whole fragment files to the reader, seeded
+// with a valid fragment and every forged row: each input must read
+// cleanly or fail with an error, never panic.
+func FuzzOpenFragment(f *testing.F) {
+	good, rows := forgedFragments(f)
+	f.Add(good)
+	for _, row := range rows {
+		f.Add(row.bytes)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		mem := chio.NewMemFS()
+		if err := chio.WriteFull(mem, "frag", b); err != nil {
+			t.Fatal(err)
+		}
+		_ = readFragment(mem, "frag")
+	})
 }
 
 // readFragment opens a fragment and reads every sequence's letters,

@@ -214,19 +214,14 @@ func OpenFragment(fs chio.FileSystem, path string) (*Fragment, error) {
 		return nil, fmt.Errorf("blastdb: %s: %w", path, err)
 	}
 	dataLen, defLen := fr.h.DeflineOff-fr.h.DataOff, fr.h.IndexOff-fr.h.DeflineOff
-	fr.deflines = make([]byte, defLen)
-	if defLen > 0 {
-		if _, err := f.ReadAt(fr.deflines, int64(fr.h.DeflineOff)); err != nil && err != io.EOF {
-			f.Close()
-			return nil, err
-		}
+	if fr.deflines, err = readRegion(f, fr.h.DeflineOff, defLen); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("blastdb: short defline read of %s: %w", path, err)
 	}
-	idxBytes := make([]byte, int(fr.h.NumSeqs)*indexEntry)
-	if len(idxBytes) > 0 {
-		if n, err := f.ReadAt(idxBytes, int64(fr.h.IndexOff)); err != nil && err != io.EOF || n < len(idxBytes) {
-			f.Close()
-			return nil, fmt.Errorf("blastdb: short index read of %s: %w", path, err)
-		}
+	idxBytes, err := readRegion(f, fr.h.IndexOff, uint64(fr.h.NumSeqs)*indexEntry)
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("blastdb: short index read of %s: %w", path, err)
 	}
 	fr.index = make([]indexRec, fr.h.NumSeqs)
 	for i := range fr.index {
@@ -247,6 +242,24 @@ func OpenFragment(fs chio.FileSystem, path string) (*Fragment, error) {
 		fr.index[i] = rec
 	}
 	return fr, nil
+}
+
+// readRegion reads the n bytes at off, growing the buffer in steps of
+// at most 1 MiB as the bytes arrive instead of trusting the header
+// that claims them: a forged length costs what the file really holds.
+func readRegion(f io.ReaderAt, off, n uint64) ([]byte, error) {
+	var buf []byte
+	for uint64(len(buf)) < n {
+		k := int(min(n-uint64(len(buf)), 1<<20))
+		buf = append(buf, make([]byte, k)...)
+		if m, err := f.ReadAt(buf[len(buf)-k:], int64(off)+int64(len(buf)-k)); m < k {
+			if err == nil || err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // NumSequences returns the sequence count.

@@ -14,23 +14,23 @@ import (
 
 // buildFragment formats seqs into name on fs and returns nothing; the
 // caller reopens through whatever stack it wants to test.
-func buildFragment(t *testing.T, fs chio.FileSystem, name string, seqs []*seq.Sequence) {
-	t.Helper()
+func buildFragment(tb testing.TB, fs chio.FileSystem, name string, seqs []*seq.Sequence) {
+	tb.Helper()
 	f, err := fs.Create(name)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	w, err := NewFragmentWriter(f, seq.Nucleotide)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	for _, s := range seqs {
 		if err := w.Append(s); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if err := w.Close(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 }
 

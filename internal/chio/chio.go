@@ -80,7 +80,9 @@ type Seg struct {
 
 // VectorReaderAt is implemented by Files that can serve many
 // discontiguous ranges in one backend round (the parallel-FS clients
-// turn the whole list into one list-I/O RPC per data server).
+// turn the whole list into one list-I/O RPC per data server). No
+// search path asserts it: only ReadvAt below, for collio's round
+// fetch, and the benchmark's tracing shim do, which is why it stays.
 type VectorReaderAt interface {
 	// ReadvAt fills dst — the segments' bytes concatenated in request
 	// order, so len(dst) must be at least the sum of the segment
@@ -91,12 +93,10 @@ type VectorReaderAt interface {
 	ReadvAt(segs []Seg, dst []byte) ([]int64, error)
 }
 
-// RangeHinter is implemented by Files that benefit from advance
-// notice of ranges a reader expects to request soon. The readahead
-// prefetcher hints its planned window so a collective-I/O layer below
-// can hold its merge round open for exactly those ranges instead of
-// waiting out a timer. Hints are advisory: they trigger no I/O and
-// carry no completion.
+// RangeHinter is implemented by Files that take advance notice of
+// ranges a reader expects to request soon. No file in this module
+// implements it and nothing calls it; it stays only because the
+// benchmark's tracing shim asserts and forwards it.
 type RangeHinter interface {
 	HintRanges(segs []Seg)
 }

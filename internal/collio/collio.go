@@ -1,22 +1,26 @@
 // Package collio implements collective two-phase reads over any
 // chio.FileSystem: the multi-client analogue of the vectored read
-// path. N workers scanning neighbouring database fragments each ask
-// for their own blocks; independently those reads cost one round of
+// path. N readers of interleaved pieces of one shared file each ask
+// for their own ranges; independently those reads cost one round of
 // server RPCs apiece, even when the ranges overlap or abut. This
 // layer runs the two phases of the classic collective-I/O protocol
 // instead: a short registration phase in which concurrent readers of
-// one file enroll their ranges in the open "round" (the readahead
-// prefetcher announces its planned window through chio.RangeHinter,
-// letting the round close as soon as the expected fetches have
-// enrolled), then an exchange phase in which the round's ranges are
-// sorted, overlapping and adjacent ones merged, the merged list
-// fetched with one chio.ReadvAt — one list-I/O RPC per data server on
-// the parallel-FS backends — and the bytes scattered back to every
-// waiter. Reads are single-flight across workers: K workers touching
-// the same hot stripe in a round cost one fetch.
+// one file enroll their ranges in the open "round" (closed by the
+// fan-in bound or the window timer), then an exchange phase in which
+// the round's ranges are sorted, overlapping and adjacent ones merged,
+// the merged list fetched with one chio.ReadvAt — one list-I/O RPC per
+// data server on the parallel-FS backends — and the bytes scattered
+// back to every waiter. Reads are single-flight across readers: K
+// readers touching the same hot stripe in a round cost one fetch.
 //
-// One FS instance must be shared by the workers whose reads should
-// combine; per-worker wrappers (readahead caches, tracers) stack on
+// No search path uses it: database segmentation gives every worker
+// whole fragments of its own, so rounds never combine across workers.
+// The package stays for the benchmark's collective-scan rung and the
+// root package's collective-scan test and benchmark, which measure
+// the interleaved pattern it exists for.
+//
+// One FS instance must be shared by the readers whose reads should
+// combine; per-reader wrappers (readahead caches, tracers) stack on
 // top of it. Writes pass straight through to the backend.
 package collio
 
@@ -30,7 +34,6 @@ import (
 	"time"
 
 	"pario/internal/chio"
-	"pario/internal/telemetry"
 )
 
 // DefaultWindow is how long a round collects ranges before fetching
@@ -55,35 +58,12 @@ func WithWindow(d time.Duration) Option {
 
 // WithMaxFanIn closes a round as soon as n waiters have enrolled,
 // bounding both latency and per-round buffer size. Zero means no
-// fan-in bound (rounds close on coverage or the window timer).
+// fan-in bound (rounds close on the window timer).
 func WithMaxFanIn(n int) Option {
 	return func(fs *FS) {
 		if n >= 0 {
 			fs.ag.maxFanIn = n
 		}
-	}
-}
-
-// WithTelemetry registers the layer's per-round instruments
-// (pario_collio_*) with reg, so run reports can show the merge and
-// dedup arithmetic next to the per-server op counts it reduces.
-func WithTelemetry(reg *telemetry.Registry) Option {
-	return func(fs *FS) {
-		if reg == nil {
-			return
-		}
-		fs.ag.rounds = reg.Counter("pario_collio_rounds_total",
-			"Collective read rounds executed.")
-		fs.ag.ranges = reg.Counter("pario_collio_ranges_total",
-			"Byte ranges registered by waiters across all rounds.")
-		fs.ag.merged = reg.Counter("pario_collio_merged_segments_total",
-			"Merged segments actually fetched across all rounds.")
-		fs.ag.dedup = reg.Counter("pario_collio_dedup_bytes_total",
-			"Bytes served to waiters beyond bytes fetched (overlap dedup).")
-		fs.ag.fanIn = reg.Histogram("pario_collio_round_fan_in",
-			"Waiters served per round.")
-		fs.ag.latency = reg.Histogram("pario_collio_round_seconds",
-			"Round duration, registration phase through scatter.")
 	}
 }
 
@@ -209,10 +189,7 @@ type extent struct {
 // round is one collective read round on one file.
 type round struct {
 	name    string
-	started time.Time
-
 	waiters []waiter
-	hinted  []chio.Seg
 
 	closeOnce sync.Once
 	closeNow  chan struct{} // ends the registration phase early
@@ -230,10 +207,8 @@ type aggregator struct {
 	window   time.Duration
 	maxFanIn int
 
-	rounds, ranges, merged, dedup *telemetry.Counter
-	fanIn, latency                *telemetry.Histogram
-	nRounds, nRanges              atomic.Int64
-	nMerged, nDedup               atomic.Int64
+	nRounds, nRanges atomic.Int64
+	nMerged, nDedup  atomic.Int64
 
 	mu    sync.Mutex
 	open  map[string]*round
@@ -248,7 +223,6 @@ func (ag *aggregator) join(name string, off, length int64) *round {
 	if r == nil {
 		r = &round{
 			name:     name,
-			started:  time.Now(),
 			closeNow: make(chan struct{}),
 			done:     make(chan struct{}),
 		}
@@ -257,55 +231,11 @@ func (ag *aggregator) join(name string, off, length int64) *round {
 	}
 	r.waiters = append(r.waiters, waiter{off: off, length: length})
 	full := ag.maxFanIn > 0 && len(r.waiters) >= ag.maxFanIn
-	covered := len(r.hinted) > 0 && coveredLocked(r)
 	ag.mu.Unlock()
-	if full || covered {
+	if full {
 		r.closeOnce.Do(func() { close(r.closeNow) })
 	}
 	return r
-}
-
-// hint records ranges a reader expects to request soon, opening a
-// round if none is collecting so the expected fetches find one to
-// combine in. A round whose hinted ranges are all enrolled closes
-// immediately instead of waiting out the window.
-func (ag *aggregator) hint(name string, segs []chio.Seg) {
-	if len(segs) == 0 {
-		return
-	}
-	ag.mu.Lock()
-	r := ag.open[name]
-	if r == nil {
-		r = &round{
-			name:     name,
-			started:  time.Now(),
-			closeNow: make(chan struct{}),
-			done:     make(chan struct{}),
-		}
-		ag.open[name] = r
-		go ag.lead(r)
-	}
-	r.hinted = append(r.hinted, segs...)
-	ag.mu.Unlock()
-}
-
-// coveredLocked reports whether every hinted range is contained in
-// the union of the enrolled ranges. Caller holds ag.mu.
-func coveredLocked(r *round) bool {
-	merged := mergeRanges(r.waiters)
-	for _, h := range r.hinted {
-		ok := false
-		for _, e := range merged {
-			if h.Off >= e.off && h.Off+h.Len <= e.off+e.length {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // mergeRanges sorts ranges by offset and merges overlapping and
@@ -354,18 +284,8 @@ func (ag *aggregator) lead(r *round) {
 // merged ranges, results parked on the round for the waiters to copy
 // out.
 func (ag *aggregator) execute(r *round, waiters []waiter) {
-	defer func() {
-		if ag.latency != nil {
-			ag.latency.ObserveDuration(time.Since(r.started))
-		}
-	}()
 	ag.nRounds.Add(1)
 	ag.nRanges.Add(int64(len(waiters)))
-	if ag.rounds != nil {
-		ag.rounds.Inc()
-		ag.ranges.Add(int64(len(waiters)))
-		ag.fanIn.Observe(float64(len(waiters)))
-	}
 	merged := mergeRanges(waiters)
 	if len(merged) == 0 {
 		return
@@ -378,14 +298,8 @@ func (ag *aggregator) execute(r *round, waiters []waiter) {
 		fetch += e.length
 	}
 	ag.nMerged.Add(int64(len(merged)))
-	if ag.merged != nil {
-		ag.merged.Add(int64(len(merged)))
-	}
 	if d := want - fetch; d > 0 {
 		ag.nDedup.Add(d)
-		if ag.dedup != nil {
-			ag.dedup.Add(d)
-		}
 	}
 
 	f, err := ag.handle(r.name)
@@ -505,11 +419,6 @@ func (f *file) ReadAt(p []byte, off int64) (int, error) {
 	}
 	return n, nil
 }
-
-// HintRanges implements chio.RangeHinter: the readahead layer above
-// announces the block fetches it is about to issue, so the round can
-// close as soon as they have enrolled.
-func (f *file) HintRanges(segs []chio.Seg) { f.fs.ag.hint(f.name, segs) }
 
 // WriteAt implements io.WriterAt, passing straight through. The layer
 // holds no cache to invalidate; readers racing a write see either

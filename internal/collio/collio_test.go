@@ -172,43 +172,6 @@ func TestIdenticalReadsSingleFlight(t *testing.T) {
 	}
 }
 
-// TestHintClosesRoundEarly: with a window far longer than the test, a
-// round whose hinted ranges are fully enrolled must close on coverage,
-// not on the timer.
-func TestHintClosesRoundEarly(t *testing.T) {
-	mem := chio.NewMemFS()
-	payload := seedFile(t, mem, "h", 8192)
-	fs := Wrap(&countFS{inner: mem}, WithWindow(30*time.Second))
-	f, err := fs.Open("h")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	f.(*file).HintRanges([]chio.Seg{{Off: 0, Len: 8192}})
-	start := time.Now()
-	buf := make([]byte, 8192)
-	done := make(chan error, 1)
-	go func() {
-		_, err := f.ReadAt(buf, 0)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("read did not complete: hint coverage failed to close the round")
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("read took %v; coverage close should beat the 30s window", elapsed)
-	}
-	if !bytes.Equal(buf, payload) {
-		t.Error("data mismatch")
-	}
-}
-
 // TestEOFAndHoles: reads past EOF come back short with io.EOF, like
 // any ReaderAt.
 func TestEOFAndHoles(t *testing.T) {

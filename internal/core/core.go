@@ -93,8 +93,8 @@ type SearchConfig struct {
 
 // wrapWorkerFS applies SearchConfig's own wrapper, the Figure 4 I/O
 // trace, to every worker's view of the shared store and of its
-// scratch. The readahead and collective-read layers the search
-// configuration asks for are stacked above it by the pblast pool.
+// scratch. The readahead layer the search configuration asks for is
+// stacked above it by the pblast pool.
 func wrapWorkerFS(cfg SearchConfig) (workerFS, scratch func(int) chio.FileSystem, err error) {
 	if cfg.MasterFS == nil || cfg.WorkerFS == nil {
 		return nil, nil, fmt.Errorf("core: SearchConfig needs MasterFS and WorkerFS")

@@ -11,7 +11,6 @@ import (
 
 	"pario/internal/ceft"
 	"pario/internal/chio"
-	"pario/internal/collio"
 	"pario/internal/iotrace"
 	"pario/internal/pblast"
 	"pario/internal/pvfs"
@@ -260,7 +259,7 @@ func (r *RankStore) Close() error {
 
 // WorkerFlags are the per-worker tuning flags mpiblast and blastd
 // share: search threads, read chunk, copy-to-local scratch, and the
-// readahead and collective-read layers of the worker read path.
+// readahead layer of the worker read path.
 type WorkerFlags struct {
 	Threads int
 	Chunk   int
@@ -270,10 +269,6 @@ type WorkerFlags struct {
 	RABlock   int64
 	RACache   int
 	RAWindow  int
-
-	Collio       bool
-	CollioWindow time.Duration
-	CollioFanIn  int
 }
 
 // RegisterFlags declares the worker flags on fs, bound to w.
@@ -286,17 +281,13 @@ func (w *WorkerFlags) RegisterFlags(fs *flag.FlagSet) {
 	fs.Int64Var(&w.RABlock, "ra-block", readahead.DefaultBlockSize, "readahead block size in bytes")
 	fs.IntVar(&w.RACache, "ra-cache", readahead.DefaultCapacity, "readahead cache capacity in blocks")
 	fs.IntVar(&w.RAWindow, "ra-window", readahead.DefaultWindow, "readahead prefetch depth in blocks (0 disables prefetch)")
-
-	fs.BoolVar(&w.Collio, "collio", false, "enable collective two-phase reads: concurrent worker reads of one file combine into one list-I/O RPC per server per round")
-	fs.DurationVar(&w.CollioWindow, "collio-window", collio.DefaultWindow, "collective read round collection window")
-	fs.IntVar(&w.CollioFanIn, "collio-fanin", 0, "close a collective round once this many readers enrolled (0 = window/coverage only)")
 }
 
 // Options turns the flags into search options — the same list whether
 // the workers run in this process or on other machines, so -scratch
-// means copy-to-local in both. The collective-read instruments land on
-// reg and the readahead counters in stats; either may be nil.
-func (w *WorkerFlags) Options(reg *telemetry.Registry, stats *iotrace.CacheStats) []pblast.Option {
+// means copy-to-local in both. The readahead counters land in stats,
+// which may be nil.
+func (w *WorkerFlags) Options(stats *iotrace.CacheStats) []pblast.Option {
 	opts := []pblast.Option{
 		pblast.WithThreads(w.Threads),
 		pblast.WithChunkBytes(w.Chunk),
@@ -308,12 +299,6 @@ func (w *WorkerFlags) Options(reg *telemetry.Registry, stats *iotrace.CacheStats
 			readahead.WithCapacity(w.RACache),
 			readahead.WithWindow(w.RAWindow),
 			readahead.WithStats(stats)))
-	}
-	if w.Collio {
-		opts = append(opts, pblast.WithCollectiveIO(
-			collio.WithWindow(w.CollioWindow),
-			collio.WithMaxFanIn(w.CollioFanIn),
-			collio.WithTelemetry(reg)))
 	}
 	return opts
 }

@@ -162,8 +162,8 @@ func TestRankStoreConcurrentRanks(t *testing.T) {
 // options builder serves mpiblast's in-process and distributed modes
 // alike, so neither can forget it.
 func TestWorkerFlagsOptions(t *testing.T) {
-	_, wf := parseStore(t, "-scratch", t.TempDir(), "-threads", "3", "-chunk", "4096", "-readahead", "-collio")
-	cfg := pblast.NewConfig("nt", wf.Options(nil, nil)...)
+	_, wf := parseStore(t, "-scratch", t.TempDir(), "-threads", "3", "-chunk", "4096", "-readahead")
+	cfg := pblast.NewConfig("nt", wf.Options(nil)...)
 	if !cfg.CopyToLocal {
 		t.Error("-scratch did not enable CopyToLocal")
 	}
@@ -176,10 +176,20 @@ func TestWorkerFlagsOptions(t *testing.T) {
 	}
 
 	_, wf = parseStore(t)
-	if pblast.NewConfig("nt", wf.Options(nil, nil)...).CopyToLocal {
+	if pblast.NewConfig("nt", wf.Options(nil)...).CopyToLocal {
 		t.Error("CopyToLocal set without -scratch")
 	}
 	if sc, err := wf.ScratchFS(1); sc != nil || err != nil {
 		t.Errorf("ScratchFS without -scratch = %v, %v", sc, err)
+	}
+
+	// The worker read path is readahead over the rank's own client and
+	// nothing else; these are all the knobs it has.
+	fs := flag.NewFlagSet("worker", flag.ContinueOnError)
+	wf.RegisterFlags(fs)
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	if got, want := strings.Join(names, " "), "chunk ra-block ra-cache ra-window readahead scratch threads"; got != want {
+		t.Errorf("worker flags = %q, want %q", got, want)
 	}
 }

@@ -128,7 +128,6 @@ func (b *Builder) Build() *Report {
 	rep.Workers = workerStats(b.timeline)
 	rep.Servers = serverStats(b.snaps)
 	rep.CriticalPath = criticalPath(b.run, trees, b.snaps)
-	rep.CollectiveIO = collIOStats(b.snaps)
 	rep.SearchKernel = searchKernelStats(b.snaps)
 	rep.Imbalance = imbalance(rep.Servers, rep.Workers)
 	finishHotSpot(&rep.HotSpot)
@@ -308,27 +307,6 @@ func sumAll(snaps []Snapshot, name string) float64 {
 		total += snaps[i].Sum(name, nil)
 	}
 	return total
-}
-
-// collIOStats reduces the master's pario_collio_* families to the
-// report's collective-read section.
-func collIOStats(snaps []Snapshot) CollIOStats {
-	var st CollIOStats
-	st.Rounds = int64(sumAll(snaps, "pario_collio_rounds_total"))
-	if st.Rounds == 0 {
-		return st
-	}
-	st.Enabled = true
-	st.Ranges = int64(sumAll(snaps, "pario_collio_ranges_total"))
-	st.MergedSegments = int64(sumAll(snaps, "pario_collio_merged_segments_total"))
-	st.DedupBytes = int64(sumAll(snaps, "pario_collio_dedup_bytes_total"))
-	if n := sumAll(snaps, "pario_collio_round_fan_in_count"); n > 0 {
-		st.MeanFanIn = sumAll(snaps, "pario_collio_round_fan_in_sum") / n
-	}
-	if n := sumAll(snaps, "pario_collio_round_seconds_count"); n > 0 {
-		st.MeanRoundSeconds = sumAll(snaps, "pario_collio_round_seconds_sum") / n
-	}
-	return st
 }
 
 // searchKernelStats reduces the workers' pario_blast_* families and

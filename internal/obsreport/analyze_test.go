@@ -2,6 +2,7 @@ package obsreport
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -210,6 +211,46 @@ func TestRenderDiff(t *testing.T) {
 	}
 	if !strings.Contains(out, "iod0") {
 		t.Errorf("diff missing per-server rows:\n%s", out)
+	}
+}
+
+// TestReadReportIgnoresRemovedSections: a report written before the
+// collective-read layer left the search path still carries a
+// "collective_io" object. It must still load, render and diff against
+// a new report, and neither output may print a collective section.
+func TestReadReportIgnoresRemovedSections(t *testing.T) {
+	var buf bytes.Buffer
+	if err := buildTestReport().WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["collective_io"] = map[string]any{
+		"enabled": true, "rounds": 12, "ranges": 48, "merged_segments": 12,
+		"dedup_bytes": 4096, "mean_fan_in": 4.0, "mean_round_seconds": 0.002,
+	}
+	old, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := ReadReport(bytes.NewReader(old))
+	if err != nil {
+		t.Fatalf("old report rejected: %v", err)
+	}
+	after := buildTestReport()
+	after.Label = "after"
+	var text, diff bytes.Buffer
+	before.RenderText(&text)
+	RenderDiff(&diff, before, after)
+	if !strings.Contains(text.String(), "CEFT hot-spot audit") || !strings.Contains(diff.String(), "iod0") {
+		t.Fatalf("old report lost its other sections:\n%s\n%s", text.String(), diff.String())
+	}
+	for name, out := range map[string]string{"text": text.String(), "diff": diff.String()} {
+		if strings.Contains(strings.ToLower(out), "collective") {
+			t.Errorf("%s rendering prints a collective section:\n%s", name, out)
+		}
 	}
 }
 

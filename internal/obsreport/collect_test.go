@@ -131,7 +131,6 @@ func TestLocalSnapshotMatchesScrape(t *testing.T) {
 	h.Observe(0.004)
 	h.ObserveExemplar(0.25, 0xfeed)
 	reg.Counter("pario_blast_scanned_bases_total", "bases").Add(1 << 40)
-	reg.Counter("pario_collio_rounds_total", "rounds").Add(2)
 
 	start := time.Now().UTC().Truncate(time.Microsecond)
 	tracer.Record(telemetry.Span{TraceID: 1, SpanID: 2, Name: "read", Start: start, Duration: 3 * time.Millisecond, Bytes: 4096})

@@ -152,21 +152,6 @@ func (r *Report) RenderText(w io.Writer) {
 		}
 	}
 
-	if r.CollectiveIO.Enabled {
-		ci := r.CollectiveIO
-		fmt.Fprintf(w, "\nCollective I/O\n--------------\n")
-		fmt.Fprintf(w, "  rounds                 %d\n", ci.Rounds)
-		fmt.Fprintf(w, "  ranges registered      %d\n", ci.Ranges)
-		fmt.Fprintf(w, "  segments fetched       %d", ci.MergedSegments)
-		if ci.MergedSegments > 0 {
-			fmt.Fprintf(w, "  (%.1fx merge)", float64(ci.Ranges)/float64(ci.MergedSegments))
-		}
-		fmt.Fprintln(w)
-		fmt.Fprintf(w, "  deduplicated bytes     %d\n", ci.DedupBytes)
-		fmt.Fprintf(w, "  mean fan-in            %.2f\n", ci.MeanFanIn)
-		fmt.Fprintf(w, "  mean round             %s\n", seconds(ci.MeanRoundSeconds))
-	}
-
 	if r.SearchKernel.Enabled {
 		sk := r.SearchKernel
 		fmt.Fprintf(w, "\nSearch kernel\n-------------\n")

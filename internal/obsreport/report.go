@@ -43,31 +43,8 @@ type Report struct {
 	Servers      []ServerStat      `json:"servers"`
 	Imbalance    Imbalance         `json:"imbalance"`
 	HotSpot      HotSpotAudit      `json:"hot_spot"`
-	CollectiveIO CollIOStats       `json:"collective_io"`
 	SearchKernel SearchKernelStats `json:"search_kernel"`
 	Traces       TraceStats        `json:"traces"`
-}
-
-// CollIOStats summarizes the collective two-phase read layer from the
-// master's pario_collio_* metrics: how many rounds ran, how much the
-// range merging and cross-worker single-flighting saved. Empty
-// (Enabled false) when the run did not use -collio.
-type CollIOStats struct {
-	Enabled bool `json:"enabled"`
-	// Rounds is the number of collective rounds executed.
-	Rounds int64 `json:"rounds,omitempty"`
-	// Ranges is the number of waiter ranges registered across rounds.
-	Ranges int64 `json:"ranges,omitempty"`
-	// MergedSegments is the number of segments actually fetched;
-	// Ranges/MergedSegments is the fan-in the backend never saw.
-	MergedSegments int64 `json:"merged_segments,omitempty"`
-	// DedupBytes counts bytes served to waiters beyond bytes fetched.
-	DedupBytes int64 `json:"dedup_bytes,omitempty"`
-	// MeanFanIn is the average number of waiters per round.
-	MeanFanIn float64 `json:"mean_fan_in,omitempty"`
-	// MeanRoundSeconds is the average round duration (registration
-	// through scatter).
-	MeanRoundSeconds float64 `json:"mean_round_seconds,omitempty"`
 }
 
 // SearchKernelStats summarizes the compute-side search kernel from
@@ -189,7 +166,7 @@ type ServerStat struct {
 	Requests int64 `json:"requests"`
 	// Ops breaks Requests down by wire op ("list_read", "list_write",
 	// "piece_remove", ...). A drop in the list_read count for the same
-	// bytes is the observable effect of readahead and collective I/O.
+	// bytes is the observable effect of readahead.
 	Ops map[string]int64 `json:"ops,omitempty"`
 	// QueueWaitSeconds sums the emulated-disk delays this server
 	// imposed (pario_iod_queue_wait_seconds).

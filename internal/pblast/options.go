@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"pario/internal/blast"
-	"pario/internal/collio"
 	"pario/internal/readahead"
 	"pario/internal/telemetry"
 )
@@ -91,18 +90,5 @@ func WithReadahead(raOpts ...readahead.Option) Option {
 	return func(c *Config) {
 		c.raEnable = true
 		c.raOpts = append(c.raOpts, raOpts...)
-	}
-}
-
-// WithCollectiveIO layers the collective two-phase read aggregator
-// under every in-process worker's file system (below the readahead
-// cache, so prefetch fetches combine too): concurrent reads of one
-// file across workers merge into one list-I/O RPC per data server per
-// round. The aggregator is shared by all workers stacked through one
-// Config.WorkerFS call — every worker of a Pool.
-func WithCollectiveIO(collOpts ...collio.Option) Option {
-	return func(c *Config) {
-		c.collEnable = true
-		c.collOpts = append(c.collOpts, collOpts...)
 	}
 }

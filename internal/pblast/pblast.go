@@ -33,7 +33,6 @@ import (
 	"pario/internal/blast"
 	"pario/internal/blastdb"
 	"pario/internal/chio"
-	"pario/internal/collio"
 	"pario/internal/mpi"
 	"pario/internal/readahead"
 	"pario/internal/seq"
@@ -80,15 +79,12 @@ type Config struct {
 	// it never travels in the gob-encoded job broadcast (gob skips
 	// unexported fields); set it with WithTelemetry.
 	tel *Telemetry
-	// raEnable/raOpts and collEnable/collOpts describe the worker
-	// file-system stack WorkerFS builds: one collective two-phase read
-	// aggregator shared by the workers of this process, under a
-	// readahead block cache per worker. Unexported, so local to the
-	// process that stacks: they never travel in the job broadcast.
-	raEnable   bool
-	raOpts     []readahead.Option
-	collEnable bool
-	collOpts   []collio.Option
+	// raEnable/raOpts describe the worker file-system stack WorkerFS
+	// builds: a readahead block cache over each rank's own client.
+	// Unexported, so local to the process that stacks: they never
+	// travel in the job broadcast.
+	raEnable bool
+	raOpts   []readahead.Option
 	// tracer records master-side task spans for submissions that carry
 	// a span context. Unexported so it stays out of the job broadcast.
 	tracer *telemetry.Tracer

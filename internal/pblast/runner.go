@@ -9,30 +9,25 @@ import (
 	"pario/internal/blast"
 	"pario/internal/blastdb"
 	"pario/internal/chio"
-	"pario/internal/collio"
 	"pario/internal/mpi"
 	"pario/internal/readahead"
 	"pario/internal/seq"
 )
 
 // WorkerFS stacks the worker-side read path over base, the per-rank
-// view of the shared store: one collective-read aggregator shared by
-// every rank (WithCollectiveIO; the sharing is what makes the reads
-// collective, and it sits below the caches so their block fetches and
-// hints combine across workers) under one readahead cache per rank
-// (WithReadahead). The result is memoized per rank, so base is called
-// once per rank however often a pool restarts that rank — re-dialing a
-// parallel-FS client on every restart would leak its connections.
+// view of the shared store: a readahead cache over each rank's own
+// client (WithReadahead), and nothing else. The result is memoized per
+// rank, so base is called once per rank however often a pool restarts
+// that rank — re-dialing a parallel-FS client on every restart would
+// leak its connections.
 func (cfg Config) WorkerFS(base func(rank int) chio.FileSystem) func(rank int) chio.FileSystem {
 	type slot struct {
 		once sync.Once
 		fs   chio.FileSystem
 	}
 	var (
-		mu       sync.Mutex
-		ranks    = make(map[int]*slot)
-		collOnce sync.Once
-		shared   *collio.FS
+		mu    sync.Mutex
+		ranks = make(map[int]*slot)
 	)
 	return func(rank int) chio.FileSystem {
 		mu.Lock()
@@ -44,10 +39,6 @@ func (cfg Config) WorkerFS(base func(rank int) chio.FileSystem) func(rank int) c
 		mu.Unlock()
 		sl.once.Do(func() {
 			sl.fs = base(rank)
-			if cfg.collEnable {
-				collOnce.Do(func() { shared = collio.Wrap(sl.fs, cfg.collOpts...) })
-				sl.fs = shared
-			}
 			if cfg.raEnable {
 				sl.fs = readahead.Wrap(sl.fs, cfg.raOpts...)
 			}

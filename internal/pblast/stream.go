@@ -65,7 +65,7 @@ type submission struct {
 // StartStream opens a stream on rank 0 of c. Workers running
 // RunWorker on the other ranks join as they announce themselves —
 // none need exist yet. cfg supplies the run-wide settings every task
-// inherits (Mode, CopyToLocal, ChunkBytes, TaskTimeout, telemetry);
+// inherits (CopyToLocal, ChunkBytes, TaskTimeout, telemetry);
 // the query, parameters and database arrive per submission.
 func StartStream(ctx context.Context, c mpi.Comm, cfg Config) (*Stream, error) {
 	if c.Rank() != 0 {

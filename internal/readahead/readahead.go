@@ -418,20 +418,6 @@ func (c *blockCache) uncached(name string, from, to int64) []int64 {
 	return out
 }
 
-// blockSegs converts block indices to block-aligned byte ranges,
-// merging consecutive indices.
-func blockSegs(idxs []int64, blockSize int64) []chio.Seg {
-	var out []chio.Seg
-	for _, idx := range idxs {
-		if k := len(out); k > 0 && out[k-1].Off+out[k-1].Len == idx*blockSize {
-			out[k-1].Len += blockSize
-		} else {
-			out = append(out, chio.Seg{Off: idx * blockSize, Len: blockSize})
-		}
-	}
-	return out
-}
-
 // prefetch speculatively fetches the given blocks of name in the
 // background. Errors are dropped: the reader that eventually needs a
 // failed block retries synchronously.
@@ -455,23 +441,6 @@ type file struct {
 
 // Name implements chio.File.
 func (f *file) Name() string { return f.name }
-
-// NextRanges reports the block-aligned byte ranges the prefetcher
-// would fetch after a sequential read of [off, off+length): the
-// planned window following that read, minus blocks already cached or
-// in flight. It issues no I/O. Collective-I/O layers consume it (via
-// the chio.RangeHinter forwarding in ReadAt) to learn which fetches
-// are about to arrive; it is also the one place the window-peeking
-// arithmetic lives, shared with the invalidation path through
-// blockSpan.
-func (f *file) NextRanges(off, length int64) []chio.Seg {
-	if off < 0 || f.fs.window <= 0 {
-		return nil
-	}
-	_, last := blockSpan(off, length, f.fs.blockSize)
-	idxs := f.fs.cache.uncached(f.name, last+1, last+int64(f.fs.window))
-	return blockSegs(idxs, f.fs.blockSize)
-}
 
 // ReadAt implements io.ReaderAt through the block cache. A read that
 // continues the previous one (block-wise) is treated as a sequential
@@ -513,29 +482,17 @@ func (f *file) ReadAt(p []byte, off int64) (int, error) {
 // ReadView. Sequential-scan detection: the read starts in the block
 // the previous read ended in or the one after it; if so, fire the
 // prefetch before serving the read so the next blocks' fetches
-// overlap this one's. It also announces the round's expected block
-// fetches — this read's misses plus the planned window — to a
-// collective layer below, so it can close its merge round as soon as
-// those ranges register instead of waiting out its batching timer.
+// overlap this one's.
 func (f *file) planRead(off, length int64) {
-	bs := f.fs.blockSize
-	firstBlock, lastBlock := blockSpan(off, length, bs)
+	firstBlock, lastBlock := blockSpan(off, length, f.fs.blockSize)
 	f.mu.Lock()
 	seq := firstBlock == f.next || firstBlock == f.next-1
 	f.next = lastBlock + 1
 	f.mu.Unlock()
-	var planned []int64
-	if seq && f.fs.window > 0 {
-		planned = f.fs.cache.uncached(f.name, lastBlock+1, lastBlock+int64(f.fs.window))
+	if !seq || f.fs.window <= 0 {
+		return
 	}
-	if h, ok := f.inner.(chio.RangeHinter); ok {
-		want := f.fs.cache.uncached(f.name, firstBlock, lastBlock)
-		want = append(want, planned...)
-		if len(want) > 0 {
-			h.HintRanges(blockSegs(want, bs))
-		}
-	}
-	if len(planned) > 0 {
+	if planned := f.fs.cache.uncached(f.name, lastBlock+1, lastBlock+int64(f.fs.window)); len(planned) > 0 {
 		f.fs.prefetch(f.inner, f.name, planned)
 	}
 }
