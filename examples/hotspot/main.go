@@ -62,7 +62,7 @@ func main() {
 			case <-stop:
 				return
 			default:
-				d.WriteRuns(context.Background(), 0xbeef, run, junk) // Figure 8's synchronous 1MB appends
+				d.WriteRuns(context.Background(), pvfs.OpListWrite, 0xbeef, run, junk) // Figure 8's synchronous 1MB appends
 			}
 		}
 	}()

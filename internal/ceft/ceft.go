@@ -12,13 +12,14 @@
 //     load is far above their group's and reads the affected stripes
 //     from the mirror partner instead.
 //
-// The client implements chio.FileSystem, so the parallel BLAST code
-// runs over CEFT-PVFS unchanged. Transport behavior (connection
-// pooling, per-request deadlines, retries) comes from the shared
-// rpcpool options; a sub-read that times out or finds its server down
-// falls back to the mirror partner, so one hung server degrades a
-// read's latency by at most the configured deadline instead of
-// hanging it.
+// The client is pvfs.Client over a replicating pvfs.Store: PVFS's
+// files, striping plan and chio.FileSystem, with this package deciding
+// only which member of each mirror pair executes a plan. Transport
+// behavior (connection pooling, per-request deadlines, retries) comes
+// from the shared rpcpool options; a sub-read that times out or finds
+// its server down falls back to the mirror partner, so one hung server
+// degrades a read's latency by at most the configured deadline instead
+// of hanging it.
 package ceft
 
 import (
@@ -118,14 +119,13 @@ func DefaultOptions() Options {
 // Client is a CEFT-PVFS client over one metadata server, G primary
 // data servers and G mirror data servers. Data server IDs are
 // 0..G-1 (primary) and G..2G-1 (mirror): the mirror partner of
-// primary server i is server G+i.
+// primary server i is server G+i. The embedded pvfs.Client supplies
+// the file system; Client adds CEFT's audit and fault counters.
 type Client struct {
-	opts    Options
-	tracer  *telemetry.Tracer
-	ctx     context.Context
-	meta    *pvfs.MetaConn
-	primary []*pvfs.DataConn
-	mirror  []*pvfs.DataConn
+	*pvfs.Client
+	opts  Options
+	meta  *pvfs.MetaConn   // the embedded client's, for load queries
+	conns []*pvfs.DataConn // indexed by server ID
 
 	loadMu      sync.Mutex
 	loadFetched time.Time
@@ -182,7 +182,7 @@ type Audit struct {
 
 // Audit returns a copy of the client's hot-spot audit state.
 func (cl *Client) Audit() Audit {
-	a := Audit{GroupSize: len(cl.primary)}
+	a := Audit{GroupSize: cl.GroupSize()}
 	cl.loadMu.Lock()
 	a.Events = append([]HotEvent(nil), cl.hotEvents...)
 	a.Reroutes = make(map[int]int64, len(cl.reroutes))
@@ -239,10 +239,28 @@ func (cl *Client) addDegraded(n int64) {
 // partner returns the other member of mirror pair i, given the chosen
 // one (the degraded-mode fallback).
 func (cl *Client) partner(i int, chosen *pvfs.DataConn) *pvfs.DataConn {
-	if chosen == cl.primary[i] {
-		return cl.mirror[i]
+	if chosen == cl.conns[i] {
+		return cl.conns[cl.GroupSize()+i]
 	}
-	return cl.primary[i]
+	return cl.conns[i]
+}
+
+// pairRule applies RAID-10's rule to one error slot per server: an
+// operation fails only where both members of a mirror pair failed, and
+// every pair that lost one member counts as a degraded write.
+func (cl *Client) pairRule(errs []error) error {
+	g := cl.GroupSize()
+	var deg int64
+	for i := 0; i < g; i++ {
+		if errs[i] != nil && errs[g+i] != nil {
+			return errs[i]
+		}
+		if errs[i] != nil || errs[g+i] != nil {
+			deg++
+		}
+	}
+	cl.addDegraded(deg)
+	return nil
 }
 
 // Dial connects to the manager and both server groups. primaryAddrs
@@ -262,39 +280,27 @@ func Dial(mgrAddr string, primaryAddrs, mirrorAddrs []string, o Options, opts ..
 	if err != nil {
 		return nil, err
 	}
-	cl := &Client{
-		opts: o,
-		// The root-span tracer is the one the transports share via
-		// rpcpool.WithTracer, so application reads and the RPC spans
-		// they fan out into land in the same buffer.
-		tracer: rpcpool.Apply(opts...).Tracer,
-		ctx:    context.Background(),
-		meta:   meta,
+	g := len(primaryAddrs)
+	cl := &Client{opts: o, meta: meta}
+	for _, a := range append(primaryAddrs[:g:g], mirrorAddrs...) {
+		cl.conns = append(cl.conns, pvfs.DialDataLazy(a, opts...))
 	}
-	for _, a := range primaryAddrs {
-		cl.primary = append(cl.primary, pvfs.DialDataLazy(a, opts...))
-	}
-	for _, a := range mirrorAddrs {
-		cl.mirror = append(cl.mirror, pvfs.DialDataLazy(a, opts...))
-	}
+	// The root-span tracer is the one the transports share via
+	// rpcpool.WithTracer, so application reads and the RPC spans they
+	// fan out into land in the same buffer.
+	cl.Client = pvfs.NewClient(meta, replicated{cl}, rpcpool.Apply(opts...).Tracer)
 	// Probe every data server in parallel, but only require one live
 	// member per mirror pair: a degraded cluster must stay dialable
 	// (reads fail over to the surviving partner).
-	g := len(primaryAddrs)
 	alive := make([]bool, 2*g)
 	var wg sync.WaitGroup
-	probe := func(i int, d *pvfs.DataConn) {
-		defer wg.Done()
-		_, err := d.Ping(cl.ctx)
-		alive[i] = err == nil
-	}
-	for i, d := range cl.primary {
+	for i, d := range cl.conns {
 		wg.Add(1)
-		go probe(i, d)
-	}
-	for i, d := range cl.mirror {
-		wg.Add(1)
-		go probe(g+i, d)
+		go func() {
+			defer wg.Done()
+			_, err := d.Ping(context.Background())
+			alive[i] = err == nil
+		}()
 	}
 	wg.Wait()
 	for i := 0; i < g; i++ {
@@ -304,71 +310,14 @@ func Dial(mgrAddr string, primaryAddrs, mirrorAddrs []string, o Options, opts ..
 				i, primaryAddrs[i], mirrorAddrs[i], chio.ErrServerDown)
 		}
 	}
-	cl.hotPrimary = make([]bool, len(cl.primary))
-	cl.hotMirror = make([]bool, len(cl.mirror))
+	cl.hotPrimary = make([]bool, g)
+	cl.hotMirror = make([]bool, g)
 	cl.reroutes = make(map[int]int64)
 	return cl, nil
 }
 
-// BackendName returns "ceft-pvfs".
-func (cl *Client) BackendName() string { return "ceft-pvfs" }
-
 // GroupSize returns the number of servers per group.
-func (cl *Client) GroupSize() int { return len(cl.primary) }
-
-// WithContext implements chio.ContextBinder: the returned view shares
-// this client's connections, hot-set cache, and failover counters, but
-// its operations abort when ctx is done.
-//
-// The view aliases the receiver's synchronization state, so it must
-// not be copied further except through WithContext.
-func (cl *Client) WithContext(ctx context.Context) chio.FileSystem {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return &boundClient{Client: cl, ctx: ctx}
-}
-
-// boundClient is a context-bound view of a Client. Embedding keeps the
-// shared state (pools, hot sets, counters) in one place; only the
-// context differs per view.
-type boundClient struct {
-	*Client
-	ctx context.Context
-}
-
-func (b *boundClient) Create(name string) (chio.File, error) { return b.Client.create(b.ctx, name) }
-func (b *boundClient) Open(name string) (chio.File, error)   { return b.Client.open(b.ctx, name) }
-func (b *boundClient) Stat(name string) (chio.FileInfo, error) {
-	return b.Client.stat(b.ctx, name)
-}
-func (b *boundClient) Remove(name string) error { return b.Client.remove(b.ctx, name) }
-func (b *boundClient) List(prefix string) ([]chio.FileInfo, error) {
-	return b.Client.list(b.ctx, prefix)
-}
-func (b *boundClient) WithContext(ctx context.Context) chio.FileSystem {
-	return b.Client.WithContext(ctx)
-}
-
-// Close flushes asynchronous mirror writes and drops all connections.
-func (cl *Client) Close() error {
-	cl.asyncWG.Wait()
-	var first error
-	if cl.meta != nil {
-		first = cl.meta.Close()
-	}
-	for _, d := range cl.primary {
-		if err := d.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, d := range cl.mirror {
-		if err := d.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+func (cl *Client) GroupSize() int { return len(cl.conns) / 2 }
 
 // refreshHotSet polls the manager's load map (rate-limited by the
 // TTL) and recomputes which servers are hot. A server is hot when its
@@ -387,7 +336,7 @@ func (cl *Client) refreshHotSet(ctx context.Context) {
 	if err != nil {
 		return // keep the previous hot set
 	}
-	g := len(cl.primary)
+	g := cl.GroupSize()
 	all := make([]float64, 0, len(loads))
 	for _, v := range loads {
 		all = append(all, v)
@@ -451,7 +400,7 @@ func (cl *Client) recordHotEvent(ctx context.Context, id int, load, cutoff float
 // when the preferred group is primary (or mirror), honoring hot-spot
 // skipping. skipped reports how many servers were redirected.
 func (cl *Client) pickConns(ctx context.Context, preferPrimary bool) (conns []*pvfs.DataConn, skipped int) {
-	g := len(cl.primary)
+	g := cl.GroupSize()
 	conns = make([]*pvfs.DataConn, g)
 	if cl.opts.SkipHotSpots {
 		cl.refreshHotSet(ctx)
@@ -472,115 +421,12 @@ func (cl *Client) pickConns(ctx context.Context, preferPrimary bool) (conns []*p
 			}
 		}
 		if usePrimary {
-			conns[i] = cl.primary[i]
+			conns[i] = cl.conns[i]
 		} else {
-			conns[i] = cl.mirror[i]
+			conns[i] = cl.conns[g+i]
 		}
 	}
 	return conns, skipped
-}
-
-// Create implements chio.FileSystem.
-func (cl *Client) Create(name string) (chio.File, error) { return cl.create(cl.ctx, name) }
-
-func (cl *Client) create(ctx context.Context, name string) (chio.File, error) {
-	m, err := cl.meta.Create(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	// Clear stale pieces on both groups.
-	g := len(cl.primary)
-	errs := make([]error, 2*g)
-	var wg sync.WaitGroup
-	clear := func(idx int, d *pvfs.DataConn) {
-		defer wg.Done()
-		errs[idx] = d.RemovePiece(ctx, m.Handle)
-	}
-	for i, d := range cl.primary {
-		wg.Add(1)
-		go clear(i, d)
-	}
-	for i, d := range cl.mirror {
-		wg.Add(1)
-		go clear(g+i, d)
-	}
-	wg.Wait()
-	// Tolerate a clear failure when the pair partner was cleared: on a
-	// degraded cluster the dead member holds no piece to go stale (it
-	// must be resynced before rejoining anyway).
-	var deg int64
-	for i := 0; i < g; i++ {
-		if errs[i] != nil && errs[g+i] != nil {
-			return nil, errs[i]
-		}
-		if errs[i] != nil || errs[g+i] != nil {
-			deg++
-		}
-	}
-	cl.addDegraded(deg)
-	return cl.file(ctx, m), nil
-}
-
-// Open implements chio.FileSystem.
-func (cl *Client) Open(name string) (chio.File, error) { return cl.open(cl.ctx, name) }
-
-func (cl *Client) open(ctx context.Context, name string) (chio.File, error) {
-	m, err := cl.meta.Lookup(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	return cl.file(ctx, m), nil
-}
-
-// Stat implements chio.FileSystem.
-func (cl *Client) Stat(name string) (chio.FileInfo, error) { return cl.stat(cl.ctx, name) }
-
-func (cl *Client) stat(ctx context.Context, name string) (chio.FileInfo, error) {
-	m, err := cl.meta.Stat(ctx, name)
-	if err != nil {
-		return chio.FileInfo{}, err
-	}
-	return chio.FileInfo{Name: name, Size: m.Size}, nil
-}
-
-// Remove implements chio.FileSystem.
-func (cl *Client) Remove(name string) error { return cl.remove(cl.ctx, name) }
-
-func (cl *Client) remove(ctx context.Context, name string) error {
-	m, err := cl.meta.Remove(ctx, name)
-	if err != nil {
-		return err
-	}
-	var wg sync.WaitGroup
-	rm := func(d *pvfs.DataConn) {
-		defer wg.Done()
-		d.RemovePiece(ctx, m.Handle)
-	}
-	for _, d := range cl.primary {
-		wg.Add(1)
-		go rm(d)
-	}
-	for _, d := range cl.mirror {
-		wg.Add(1)
-		go rm(d)
-	}
-	wg.Wait()
-	return nil
-}
-
-// List implements chio.FileSystem.
-func (cl *Client) List(prefix string) ([]chio.FileInfo, error) { return cl.list(cl.ctx, prefix) }
-
-func (cl *Client) list(ctx context.Context, prefix string) ([]chio.FileInfo, error) {
-	metas, err := cl.meta.List(ctx, prefix)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]chio.FileInfo, 0, len(metas))
-	for _, m := range metas {
-		out = append(out, chio.FileInfo{Name: m.Name, Size: m.Size})
-	}
-	return out, nil
 }
 
 func (cl *Client) recordAsyncErr(err error) {
@@ -602,57 +448,15 @@ func (cl *Client) AsyncErr() error {
 	return cl.asyncErr
 }
 
-// file opens m under ctx.
-func (cl *Client) file(ctx context.Context, m pvfs.Meta) *pvfs.File {
-	return pvfs.NewFile(ctx, replicated{cl}, cl.tracer, m)
-}
-
 // replicated is the CEFT client's pvfs.Store: the striping plan is
 // PVFS's, and this type only decides which member of each mirror pair
 // executes it — both for a write, the preferred (or cooler, or
 // surviving) one for a read.
 type replicated struct{ cl *Client }
 
-func (r replicated) NumServers() int { return len(r.cl.primary) }
+func (r replicated) BackendName() string { return "ceft-pvfs" }
 
-func (r replicated) StatSize(ctx context.Context, name string) (int64, error) {
-	m, err := r.cl.meta.Stat(ctx, name)
-	return m.Size, err
-}
-
-func (r replicated) GrowSize(ctx context.Context, name string, size int64) error {
-	return r.cl.meta.GrowSize(ctx, name, size)
-}
-
-// runsWriter issues all of one server's stripe runs. Plain writes are
-// one list-I/O RPC; the server-side duplication protocols stay one RPC
-// per run because the dup ops carry a single (offset, data) pair on
-// the wire.
-type runsWriter func(ctx context.Context, d *pvfs.DataConn, handle uint64, runs []pvfs.StripeRun, p []byte) error
-
-func plainWrite(ctx context.Context, d *pvfs.DataConn, handle uint64, runs []pvfs.StripeRun, p []byte) error {
-	return d.WriteRuns(ctx, handle, runs, p)
-}
-
-func dupWrite(sync bool) runsWriter {
-	return func(ctx context.Context, d *pvfs.DataConn, handle uint64, runs []pvfs.StripeRun, p []byte) error {
-		for _, r := range runs {
-			if err := d.WritePieceDup(ctx, handle, r.ServerOff, p[r.BufOff:r.BufOff+r.Length], sync); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
-// writeGroup issues the per-server runs to one server group using
-// write, returning one error slot per server (nil where the server
-// took all of its runs, or had none) and the first error.
-func writeGroup(ctx context.Context, conns []*pvfs.DataConn, runs [][]pvfs.StripeRun, handle uint64, p []byte, write runsWriter) ([]error, error) {
-	return pvfs.FanOut(runs, func(server int, list []pvfs.StripeRun) error {
-		return write(ctx, conns[server], handle, list, p)
-	})
-}
+func (r replicated) NumServers() int { return r.cl.GroupSize() }
 
 // degradeWrites retries each failed primary server's runs as plain
 // writes on its mirror partner (RAID-10 degraded mode: a write
@@ -673,7 +477,7 @@ func (cl *Client) degradeWrites(ctx context.Context, errs []error, runs [][]pvfs
 		if !errors.Is(orig, chio.ErrServerDown) && !errors.Is(orig, chio.ErrTimeout) {
 			return orig
 		}
-		if err := cl.mirror[i].WriteRuns(ctx, handle, runs[i], p); err != nil {
+		if err := cl.conns[cl.GroupSize()+i].WriteRuns(ctx, pvfs.OpListWrite, handle, runs[i], p); err != nil {
 			return orig
 		}
 		cl.addDegraded(1)
@@ -682,33 +486,26 @@ func (cl *Client) degradeWrites(ctx context.Context, errs []error, runs [][]pvfs
 }
 
 // WriteRuns duplicates the planned write onto both groups (RAID-10)
-// using the configured duplication protocol.
+// using the configured duplication protocol. Every protocol costs one
+// list-write RPC per server it writes to.
 func (r replicated) WriteRuns(ctx context.Context, handle uint64, runs [][]pvfs.StripeRun, p []byte) error {
 	cl := r.cl
+	g := cl.GroupSize()
+	// write issues runs[i] to conns[i] with op, all concurrently.
+	write := func(ctx context.Context, conns []*pvfs.DataConn, op pvfs.Op, runs [][]pvfs.StripeRun, p []byte) ([]error, error) {
+		return pvfs.FanOut(runs, func(i int, list []pvfs.StripeRun) error {
+			return conns[i].WriteRuns(ctx, op, handle, list, p)
+		})
+	}
 	switch cl.opts.WriteProtocol {
 	case ClientSync:
-		// Both groups are written concurrently; a server failure is
-		// tolerated as long as its pair partner took the data (RAID-10
-		// degraded mode — redundancy is reduced, availability is not).
-		var wg sync.WaitGroup
-		var perrs, merrs []error
-		wg.Add(2)
-		go func() { defer wg.Done(); perrs, _ = writeGroup(ctx, cl.primary, runs, handle, p, plainWrite) }()
-		go func() { defer wg.Done(); merrs, _ = writeGroup(ctx, cl.mirror, runs, handle, p, plainWrite) }()
-		wg.Wait()
-		var deg int64
-		for i := range perrs {
-			if perrs[i] != nil && merrs[i] != nil {
-				return perrs[i]
-			}
-			if perrs[i] != nil || merrs[i] != nil {
-				deg++
-			}
-		}
-		cl.addDegraded(deg)
-		return nil
+		// Both groups are written at once; a server failure is tolerated
+		// as long as its pair partner took the data (RAID-10 degraded
+		// mode — redundancy is reduced, availability is not).
+		errs, _ := write(ctx, cl.conns, pvfs.OpListWrite, append(runs[:g:g], runs...), p)
+		return cl.pairRule(errs)
 	case ClientAsync:
-		perrs, _ := writeGroup(ctx, cl.primary, runs, handle, p, plainWrite)
+		perrs, _ := write(ctx, cl.conns[:g], pvfs.OpListWrite, runs, p)
 		// A dead primary degrades to a synchronous write on its mirror
 		// partner (the background duplicate below rewrites the same
 		// bytes there, which is harmless).
@@ -722,19 +519,31 @@ func (r replicated) WriteRuns(ctx context.Context, handle uint64, runs [][]pvfs.
 			// The mirror duplicate outlives the caller's request
 			// context by design (the protocol's weaker guarantee), so
 			// it is not bound to ctx.
-			_, err := writeGroup(context.Background(), cl.mirror, runs, handle, dup, plainWrite)
+			_, err := write(context.Background(), cl.conns[g:], pvfs.OpListWrite, runs, dup)
 			cl.recordAsyncErr(err)
 		}()
 		return nil
 	case ServerSync, ServerAsync:
-		// The primary servers forward to their mirror partners. A dead
-		// primary degrades to plain writes on its mirror; an alive
-		// primary's refusal (forward failure, missing mirror config)
-		// still propagates.
-		perrs, _ := writeGroup(ctx, cl.primary, runs, handle, p, dupWrite(cl.opts.WriteProtocol == ServerSync))
+		// The primary servers forward each list to their mirror
+		// partners. A dead primary degrades to plain writes on its
+		// mirror; an alive primary's refusal (forward failure, missing
+		// mirror config) still propagates.
+		op := pvfs.OpPieceWriteDupSync
+		if cl.opts.WriteProtocol == ServerAsync {
+			op = pvfs.OpPieceWriteDupAsync
+		}
+		perrs, _ := write(ctx, cl.conns[:g], op, runs, p)
 		return cl.degradeWrites(ctx, perrs, runs, handle, p)
 	}
 	return fmt.Errorf("ceft: unknown write protocol %v", cl.opts.WriteProtocol)
+}
+
+// RemovePieces clears the piece set on both groups. A pair counts as
+// cleared when either member was: on a degraded cluster the dead member
+// holds no piece to go stale (it must be resynced before rejoining
+// anyway), and the one-sided clear counts as a degraded write.
+func (r replicated) RemovePieces(ctx context.Context, handle uint64) error {
+	return r.cl.pairRule(pvfs.RemoveEach(ctx, r.cl.conns, handle))
 }
 
 // readGroup executes runs against the preferred server group, honoring
@@ -794,7 +603,7 @@ func (r replicated) Settle(ctx context.Context) error {
 		return r.cl.AsyncErr()
 	case ServerAsync:
 		var first error
-		for _, d := range r.cl.primary {
+		for _, d := range r.cl.conns[:r.cl.GroupSize()] {
 			if err := d.FlushForwards(ctx); err != nil && first == nil {
 				first = err
 			}
@@ -802,4 +611,17 @@ func (r replicated) Settle(ctx context.Context) error {
 		return first
 	}
 	return nil
+}
+
+// Close waits for the client's background mirror writes, then drops
+// both groups' connections.
+func (r replicated) Close() error {
+	r.cl.asyncWG.Wait()
+	var first error
+	for _, d := range r.cl.conns {
+		if err := d.Close(); first == nil {
+			first = err
+		}
+	}
+	return first
 }

@@ -288,6 +288,19 @@ func TestAuditRecordsHotSpotActivity(t *testing.T) {
 	if !strings.Contains(logBuf.String(), "hot-spot cleared") {
 		t.Errorf("structured log missing clear:\n%s", logBuf.String())
 	}
+
+	// Reads through a context-bound view reroute on the parent's hot set
+	// and show up in the parent's audit.
+	c.injectLoad(t, map[int]float64{0: 50, 1: 0.2, 2: 0.2, 3: 0.2})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rerouted := c.client.Audit().Reroutes[0]
+	if _, err := chio.ReadFull(chio.BindContext(c.client, ctx), "f"); err != nil {
+		t.Fatal(err)
+	}
+	if a := c.client.Audit(); a.Reroutes[0] <= rerouted {
+		t.Errorf("bound view's reroutes missing from the parent's audit: %+v", a.Reroutes)
+	}
 }
 
 func TestNoSkipWhenDisabled(t *testing.T) {
@@ -479,7 +492,7 @@ func TestHeartbeatDrivenSkip(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				d.WriteRuns(context.Background(), 0xdead, run, junk)
+				d.WriteRuns(context.Background(), pvfs.OpListWrite, 0xdead, run, junk)
 			}
 		}
 	}()

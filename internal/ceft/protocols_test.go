@@ -6,11 +6,14 @@ import (
 
 	"pario/internal/chio"
 	"pario/internal/pvfs"
+	"pario/internal/rpcpool"
+	"pario/internal/telemetry"
 )
 
 // startMirrored launches a CEFT cluster whose primary servers know
-// their mirror partners (required by the server-side protocols).
-func startMirrored(t *testing.T, g int, stripe int64, opts Options) *cluster {
+// their mirror partners (required by the server-side protocols); topts
+// tune the client's transport.
+func startMirrored(t *testing.T, g int, stripe int64, opts Options, topts ...rpcpool.Option) *cluster {
 	t.Helper()
 	mgr, err := pvfs.StartMetaServer(pvfs.MetaConfig{Addr: "127.0.0.1:0", NumServers: g, StripeSize: stripe})
 	if err != nil {
@@ -46,7 +49,7 @@ func startMirrored(t *testing.T, g int, stripe int64, opts Options) *cluster {
 	}
 	c.servers = append(c.servers, mirrorServers...)
 	c.stores = append(c.stores, mirrorStores...)
-	cl, err := Dial(mgr.Addr(), prim, mirrorAddrs, opts)
+	cl, err := Dial(mgr.Addr(), prim, mirrorAddrs, opts, topts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,19 +94,47 @@ func checkMirrored(t *testing.T, c *cluster, data []byte) {
 	}
 }
 
+// TestWriteProtocols writes ~39 stripes per primary server with each
+// protocol. Every protocol costs the client one RPC per server it
+// writes to — both groups for the client-side protocols, the primaries
+// alone for the server-side ones, whose duplication op carries the
+// whole segment list — and leaves both groups identical.
 func TestWriteProtocols(t *testing.T) {
 	for _, proto := range []WriteProtocol{ClientSync, ClientAsync, ServerSync, ServerAsync} {
 		t.Run(proto.String(), func(t *testing.T) {
 			opts := DefaultOptions()
 			opts.WriteProtocol = proto
-			c := startMirrored(t, 2, 512, opts)
+			m := rpcpool.NewMetrics(telemetry.NewRegistry())
+			c := startMirrored(t, 2, 512, opts, rpcpool.WithMetrics(m))
 			data := payload(40_000)
 			f, err := c.client.Create("f")
 			if err != nil {
 				t.Fatal(err)
 			}
+			// calls returns the client's RPCs so far to each data server.
+			calls := func() []int64 {
+				by := map[string]int64{}
+				m.Calls.Each(func(lvs []string, n *telemetry.Counter) { by[lvs[0]] += n.Value() })
+				out := make([]int64, len(c.servers))
+				for i, ds := range c.servers {
+					out[i] = by[ds.Addr()]
+				}
+				return out
+			}
+			before := calls()
 			if _, err := f.Write(data); err != nil {
 				t.Fatal(err)
+			}
+			c.client.asyncWG.Wait() // the client-async mirror writes
+			after := calls()
+			for i := range c.servers {
+				want := int64(1)
+				if i >= c.g && (proto == ServerSync || proto == ServerAsync) {
+					want = 0 // the primaries forward to the mirrors
+				}
+				if got := after[i] - before[i]; got != want {
+					t.Errorf("server %d: %d RPCs during Write, want %d", i, got, want)
+				}
 			}
 			if err := f.Close(); err != nil { // settles async protocols
 				t.Fatal(err)

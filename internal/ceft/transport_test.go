@@ -2,6 +2,7 @@ package ceft
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"net"
@@ -91,6 +92,20 @@ func TestHungPrimaryFallsBackToMirror(t *testing.T) {
 	if cl.Failovers() == 0 {
 		t.Error("no failovers recorded; read did not use the mirror path")
 	}
+
+	// Cancelling a context-bound view aborts its reads with the
+	// context's error, not a timeout and not a failover. The first
+	// stripe lives on the hung primary alone, so nothing can answer it.
+	ctx, cancel := context.WithCancel(context.Background())
+	bf, err := chio.BindContext(cl, ctx).Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bf.Close()
+	cancel()
+	if _, err := bf.ReadAt(got[:1024], 0); !errors.Is(err, context.Canceled) {
+		t.Errorf("read on a cancelled bound view = %v, want context.Canceled", err)
+	}
 }
 
 func TestKilledPrimaryMidSessionFallsBackToMirror(t *testing.T) {
@@ -124,6 +139,34 @@ func TestKilledPrimaryMidSessionFallsBackToMirror(t *testing.T) {
 	}
 	if c.client.Failovers() == 0 {
 		t.Error("no failovers recorded after primary death")
+	}
+
+	// A context-bound view is the same client: it keeps the backend's
+	// name, and its failovers and degraded writes land in the parent's
+	// counters.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	bound := chio.BindContext(c.client, ctx)
+	if name := bound.BackendName(); name != "ceft-pvfs" {
+		t.Errorf("bound view BackendName = %q, want ceft-pvfs", name)
+	}
+	bf, err := bound.Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bf.Close()
+	failovers := c.client.Failovers()
+	if _, err := bf.ReadAt(got, 0); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("bound view read after primary death: %v", err)
+	}
+	if c.client.Failovers() <= failovers {
+		t.Error("bound view's failovers missing from the parent client's count")
+	}
+	if err := chio.WriteFull(bound, "g", payload); err != nil {
+		t.Fatalf("bound view degraded write: %v", err)
+	}
+	if c.client.DegradedWrites() == 0 {
+		t.Error("bound view's degraded writes missing from the parent client's count")
 	}
 }
 

@@ -7,18 +7,51 @@ import (
 
 	"pario/internal/chio"
 	"pario/internal/rpcpool"
+	"pario/internal/telemetry"
 )
 
-// Client is a PVFS client. It implements chio.FileSystem: metadata
-// operations go to the manager, data operations are decomposed into
-// per-server stripe runs and issued to all data servers in parallel.
-// A Client is safe for concurrent use; stripe fetches from concurrent
+// Client is the one client of the PVFS wire: it implements
+// chio.FileSystem and chio.ContextBinder for PVFS and, through package
+// ceft, for CEFT-PVFS. Metadata operations go to the manager; data
+// operations are planned by File and executed by the client's Store. A
+// Client is safe for concurrent use; stripe fetches from concurrent
 // readers multiplex over the per-server connection pools.
 type Client struct {
-	cfg  rpcpool.Config
-	ctx  context.Context
-	meta *transport
-	data []*DataConn
+	ctx    context.Context
+	meta   *MetaConn
+	st     Store
+	tracer *telemetry.Tracer
+}
+
+// Store is the per-backend half of a Client: how a striping plan and a
+// piece removal execute against the data servers. The PVFS store talks
+// to each server directly; CEFT-PVFS picks a replica per server. All
+// methods must be safe for concurrent use.
+type Store interface {
+	// BackendName names the file system ("pvfs", "ceft-pvfs").
+	BackendName() string
+	// NumServers is the number of data servers files are striped over.
+	NumServers() int
+	// ReadRuns fetches plan's runs of the piece set handle into dst.
+	ReadRuns(ctx context.Context, handle uint64, plan ReadPlan, dst []byte) error
+	// WriteRuns stores runs (one list per data server, BufOff indexing
+	// p) into the piece set handle.
+	WriteRuns(ctx context.Context, handle uint64, runs [][]StripeRun, p []byte) error
+	// RemovePieces deletes the piece set handle from the data servers.
+	RemovePieces(ctx context.Context, handle uint64) error
+	// Settle runs once when a file closes, after the handle is
+	// invalidated; a store with deferred writes completes them here.
+	Settle(ctx context.Context) error
+	// Close completes deferred writes and drops the data-server
+	// connections.
+	Close() error
+}
+
+// NewClient returns a client over the manager connection meta and the
+// store st, both of which it owns. tracer, when non-nil, records a root
+// span per application-level read or write.
+func NewClient(meta *MetaConn, st Store, tracer *telemetry.Tracer) *Client {
+	return &Client{ctx: context.Background(), meta: meta, st: st, tracer: tracer}
 }
 
 // Dial connects to the manager and every data server. Transport
@@ -34,13 +67,14 @@ func Dial(mgrAddr string, dataAddrs []string, opts ...rpcpool.Option) (*Client, 
 		return nil, fmt.Errorf("pvfs: no data servers")
 	}
 	cfg := rpcpool.Apply(opts...)
-	cl := &Client{cfg: cfg, ctx: context.Background(), meta: newTransport(mgrAddr, cfg)}
-	all := []*transport{cl.meta}
-	for _, a := range dataAddrs {
-		d := &DataConn{t: newTransport(a, cfg)}
-		cl.data = append(cl.data, d)
-		all = append(all, d.t)
+	meta := &MetaConn{t: newTransport(mgrAddr, cfg), stripe: cfg.StripeSize}
+	st := make(direct, len(dataAddrs))
+	all := []*transport{meta.t}
+	for i, a := range dataAddrs {
+		st[i] = &DataConn{t: newTransport(a, cfg)}
+		all = append(all, st[i].t)
 	}
+	cl := NewClient(meta, st, cfg.Tracer)
 	// Establish one connection per server up front so a bad address
 	// fails Dial instead of the first operation.
 	warmCtx := context.Background()
@@ -53,30 +87,28 @@ func Dial(mgrAddr string, dataAddrs []string, opts ...rpcpool.Option) (*Client, 
 	var wg sync.WaitGroup
 	for i, tr := range all {
 		wg.Add(1)
-		go func(i int, tr *transport) {
+		go func() {
 			defer wg.Done()
 			errs[i] = tr.warm(warmCtx)
-		}(i, tr)
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			cl.Close()
-			return nil, err
-		}
+	if err := firstErr(errs); err != nil {
+		cl.Close()
+		return nil, err
 	}
 	return cl, nil
 }
 
-// BackendName returns "pvfs".
-func (cl *Client) BackendName() string { return "pvfs" }
+// BackendName implements chio.FileSystem with the store's name.
+func (cl *Client) BackendName() string { return cl.st.BackendName() }
 
 // NumServers returns the data server count.
-func (cl *Client) NumServers() int { return len(cl.data) }
+func (cl *Client) NumServers() int { return cl.st.NumServers() }
 
 // WithContext implements chio.ContextBinder: the returned view shares
-// this client's connection pools, but its operations (including
-// in-flight stripe reads) abort when ctx is done.
+// this client's connection pools and store, but its operations
+// (including in-flight stripe reads) abort when ctx is done.
 func (cl *Client) WithContext(ctx context.Context) chio.FileSystem {
 	if ctx == nil {
 		ctx = context.Background()
@@ -86,157 +118,137 @@ func (cl *Client) WithContext(ctx context.Context) chio.FileSystem {
 	return &c2
 }
 
-// Close releases all pooled connections.
+// Close closes the store (completing its deferred writes) and releases
+// all pooled connections.
 func (cl *Client) Close() error {
-	var first error
-	if cl.meta != nil {
-		first = cl.meta.close()
-	}
-	for _, d := range cl.data {
-		if err := d.Close(); err != nil && first == nil {
-			first = err
-		}
+	first := cl.st.Close()
+	if err := cl.meta.Close(); first == nil {
+		first = err
 	}
 	return first
-}
-
-func (cl *Client) metaCall(ctx context.Context, req *Request) (*Response, error) {
-	resp, err := cl.meta.call(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	if !resp.OK {
-		if resp.NotFound {
-			return nil, fmt.Errorf("%w: %s", chio.ErrNotExist, req.Name)
-		}
-		return nil, resp.err()
-	}
-	return resp, nil
 }
 
 // Create implements chio.FileSystem: it allocates (or truncates) the
 // file and clears any stale pieces on the data servers.
 func (cl *Client) Create(name string) (chio.File, error) {
-	resp, err := cl.metaCall(cl.ctx, &Request{Op: OpCreate, Name: name, Stripe: cl.cfg.StripeSize})
+	m, err := cl.meta.Create(cl.ctx, name)
 	if err != nil {
 		return nil, err
 	}
-	m := resp.Meta
-	// Clear old pieces in parallel.
-	errs := make([]error, len(cl.data))
-	var wg sync.WaitGroup
-	for i, d := range cl.data {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = d.RemovePiece(cl.ctx, m.Handle)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := cl.st.RemovePieces(cl.ctx, m.Handle); err != nil {
+		return nil, err
 	}
 	return cl.file(m), nil
 }
 
 // Open implements chio.FileSystem.
 func (cl *Client) Open(name string) (chio.File, error) {
-	resp, err := cl.metaCall(cl.ctx, &Request{Op: OpLookup, Name: name})
+	m, err := cl.meta.Lookup(cl.ctx, name)
 	if err != nil {
 		return nil, err
 	}
-	return cl.file(resp.Meta), nil
+	return cl.file(m), nil
 }
 
 // Stat implements chio.FileSystem.
 func (cl *Client) Stat(name string) (chio.FileInfo, error) {
-	resp, err := cl.metaCall(cl.ctx, &Request{Op: OpStat, Name: name})
+	m, err := cl.meta.Stat(cl.ctx, name)
 	if err != nil {
 		return chio.FileInfo{}, err
 	}
-	return chio.FileInfo{Name: name, Size: resp.Meta.Size}, nil
+	return chio.FileInfo{Name: name, Size: m.Size}, nil
 }
 
 // Remove implements chio.FileSystem.
 func (cl *Client) Remove(name string) error {
-	resp, err := cl.metaCall(cl.ctx, &Request{Op: OpRemove, Name: name})
+	m, err := cl.meta.Remove(cl.ctx, name)
 	if err != nil {
 		return err
 	}
-	m := resp.Meta
-	var wg sync.WaitGroup
-	for _, d := range cl.data {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			d.RemovePiece(cl.ctx, m.Handle) // best effort: the name is already gone
-		}()
-	}
-	wg.Wait()
+	cl.st.RemovePieces(cl.ctx, m.Handle) // best effort: the name is already gone
 	return nil
 }
 
 // List implements chio.FileSystem.
 func (cl *Client) List(prefix string) ([]chio.FileInfo, error) {
-	resp, err := cl.metaCall(cl.ctx, &Request{Op: OpList, Name: prefix})
+	metas, err := cl.meta.List(cl.ctx, prefix)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]chio.FileInfo, 0, len(resp.Metas))
-	for _, m := range resp.Metas {
+	out := make([]chio.FileInfo, 0, len(metas))
+	for _, m := range metas {
 		out = append(out, chio.FileInfo{Name: m.Name, Size: m.Size})
 	}
 	return out, nil
 }
 
 // LoadMap fetches the manager's latest per-server load reports.
-func (cl *Client) LoadMap() (map[int]float64, error) {
-	resp, err := cl.metaCall(cl.ctx, &Request{Op: OpLoadQuery})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Loads, nil
-}
+func (cl *Client) LoadMap() (map[int]float64, error) { return cl.meta.LoadQuery(cl.ctx) }
 
 // file opens m on this client (and its bound context).
-func (cl *Client) file(m Meta) *File {
-	return NewFile(cl.ctx, direct{cl}, cl.cfg.Tracer, m)
-}
+func (cl *Client) file(m Meta) *File { return &File{cl: cl, meta: m} }
 
 // direct is the PVFS client's Store: every data server holds the only
 // copy of its pieces, so a plan executes on exactly one connection per
 // server and any failure fails the operation.
-type direct struct{ cl *Client }
+type direct []*DataConn
 
-func (d direct) NumServers() int { return len(d.cl.data) }
+func (d direct) BackendName() string { return "pvfs" }
 
-func (d direct) StatSize(ctx context.Context, name string) (int64, error) {
-	resp, err := d.cl.metaCall(ctx, &Request{Op: OpStat, Name: name})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Meta.Size, nil
-}
-
-func (d direct) GrowSize(ctx context.Context, name string, size int64) error {
-	_, err := d.cl.metaCall(ctx, &Request{Op: OpSetSize, Name: name, Length: size})
-	return err
-}
+func (d direct) NumServers() int { return len(d) }
 
 func (d direct) ReadRuns(ctx context.Context, handle uint64, plan ReadPlan, dst []byte) error {
 	_, err := FanOut(plan.Runs, func(server int, list []StripeRun) error {
-		return d.cl.data[server].ReadRuns(ctx, handle, list, dst)
+		return d[server].ReadRuns(ctx, handle, list, dst)
 	})
 	return err
 }
 
 func (d direct) WriteRuns(ctx context.Context, handle uint64, runs [][]StripeRun, p []byte) error {
 	_, err := FanOut(runs, func(server int, list []StripeRun) error {
-		return d.cl.data[server].WriteRuns(ctx, handle, list, p)
+		return d[server].WriteRuns(ctx, OpListWrite, handle, list, p)
 	})
 	return err
 }
 
+func (d direct) RemovePieces(ctx context.Context, handle uint64) error {
+	return firstErr(RemoveEach(ctx, d, handle))
+}
+
 func (d direct) Settle(context.Context) error { return nil }
+
+func (d direct) Close() error {
+	var first error
+	for _, c := range d {
+		if err := c.Close(); first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// RemoveEach deletes the piece of handle from every server in conns,
+// all concurrently, and returns one error slot per connection.
+func RemoveEach(ctx context.Context, conns []*DataConn, handle uint64) []error {
+	errs := make([]error, len(conns))
+	var wg sync.WaitGroup
+	for i, d := range conns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = d.RemovePiece(ctx, handle)
+		}()
+	}
+	wg.Wait()
+	return errs
+}
+
+// firstErr returns the first non-nil error of errs.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}

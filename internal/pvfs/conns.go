@@ -8,10 +8,10 @@ import (
 	"pario/internal/rpcpool"
 )
 
-// MetaConn is a typed client connection to the metadata server. It is
-// exported so that CEFT-PVFS (and tools) can drive the manager
-// directly. It rides the shared transport layer, so calls are pooled,
-// deadline-bounded, and retried per the dial options.
+// MetaConn is a typed client connection to the metadata server, the
+// one manager client: a Client owns one, and CEFT-PVFS dials its own to
+// hand to NewClient. It rides the shared transport layer, so calls are
+// pooled, deadline-bounded, and retried per the dial options.
 type MetaConn struct {
 	t      *transport
 	stripe int64
@@ -88,12 +88,6 @@ func (m *MetaConn) GrowSize(ctx context.Context, name string, size int64) error 
 	return err
 }
 
-// Truncate sets the file size exactly.
-func (m *MetaConn) Truncate(ctx context.Context, name string, size int64) error {
-	_, err := m.call(ctx, &Request{Op: OpSetSize, Name: name, Length: -size - 1})
-	return err
-}
-
 // List returns metadata for every file whose name has the prefix.
 func (m *MetaConn) List(ctx context.Context, prefix string) ([]Meta, error) {
 	resp, err := m.call(ctx, &Request{Op: OpList, Name: prefix})
@@ -157,19 +151,6 @@ func (d *DataConn) call(ctx context.Context, req *Request) (*Response, error) {
 		return nil, resp.err()
 	}
 	return resp, nil
-}
-
-// WritePieceDup writes data at the server-local offset and has the
-// server duplicate it to its mirror partner: synchronously (ack after
-// the mirror confirms) or asynchronously (ack immediately, forward in
-// the background) — CEFT's two server-side duplication protocols.
-func (d *DataConn) WritePieceDup(ctx context.Context, handle uint64, off int64, data []byte, sync bool) error {
-	op := OpPieceWriteDupAsync
-	if sync {
-		op = OpPieceWriteDupSync
-	}
-	_, err := d.call(ctx, &Request{Op: op, Handle: handle, Offset: off, Data: data})
-	return err
 }
 
 // FlushForwards blocks until the server has delivered every

@@ -61,12 +61,9 @@ func TestMetaConnLifecycle(t *testing.T) {
 	if err != nil || got.Size != 1000 {
 		t.Fatalf("stat after grow: %+v %v", got, err)
 	}
-	if err := m.Truncate(bg, "f", 200); err != nil {
-		t.Fatal(err)
-	}
 	got, err = m.Lookup(bg, "f")
-	if err != nil || got.Size != 200 {
-		t.Fatalf("lookup after truncate: %+v %v", got, err)
+	if err != nil || got.Size != 1000 {
+		t.Fatalf("lookup after grow: %+v %v", got, err)
 	}
 	metas, err := m.List(bg, "")
 	if err != nil || len(metas) != 1 || metas[0].Name != "f" {
@@ -119,7 +116,7 @@ func TestDataConnPieceOps(t *testing.T) {
 	}
 	payload := []byte("stripe piece data")
 	run := []StripeRun{{ServerOff: 10, Length: int64(len(payload))}}
-	if err := d.WriteRuns(bg, 77, run, payload); err != nil {
+	if err := d.WriteRuns(bg, OpListWrite, 77, run, payload); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(payload))
@@ -152,26 +149,32 @@ func TestDataConnDupOps(t *testing.T) {
 	}
 	defer d.Close()
 
+	// A duplication write is a segment list: two runs that are not
+	// adjacent in the piece travel, and are forwarded, as one request.
+	p := []byte("dup-AAAA----dup-BBBB")
+	runs := []StripeRun{{ServerOff: 0, BufOff: 0, Length: 8}, {ServerOff: 16, BufOff: 12, Length: 8}}
+	want := "dup-AAAA\x00\x00\x00\x00\x00\x00\x00\x00dup-BBBB"
+
 	// Synchronous duplication: both stores updated on return.
-	if err := d.WritePieceDup(bg, 5, 0, []byte("sync-dup"), true); err != nil {
+	if err := d.WriteRuns(bg, OpPieceWriteDupSync, 5, runs, p); err != nil {
 		t.Fatal(err)
 	}
 	pd, _ := chio.ReadFull(primaryStore, pieceName(5))
 	md, _ := chio.ReadFull(mirrorStore, pieceName(5))
-	if !bytes.Equal(pd, md) || string(pd) != "sync-dup" {
-		t.Fatalf("sync dup: primary %q mirror %q", pd, md)
+	if string(pd) != want || string(md) != want {
+		t.Fatalf("sync dup: primary %q mirror %q, want %q", pd, md, want)
 	}
 
 	// Asynchronous duplication: mirror updated by flush time.
-	if err := d.WritePieceDup(bg, 6, 0, []byte("async-dup"), false); err != nil {
+	if err := d.WriteRuns(bg, OpPieceWriteDupAsync, 6, runs, p); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.FlushForwards(bg); err != nil {
 		t.Fatal(err)
 	}
 	md, _ = chio.ReadFull(mirrorStore, pieceName(6))
-	if string(md) != "async-dup" {
-		t.Fatalf("async dup after flush: %q", md)
+	if string(md) != want {
+		t.Fatalf("async dup after flush: %q, want %q", md, want)
 	}
 }
 
@@ -182,7 +185,7 @@ func TestDupWithoutMirrorFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if err := d.WritePieceDup(bg, 1, 0, []byte("x"), true); err == nil {
+	if err := d.WriteRuns(bg, OpPieceWriteDupSync, 1, []StripeRun{{Length: 1}}, []byte("x")); err == nil {
 		t.Error("sync dup without mirror accepted")
 	}
 }

@@ -1,58 +1,24 @@
 package pvfs
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sync"
 
 	"pario/internal/chio"
-	"pario/internal/telemetry"
 )
-
-// Store is what an open striped file needs from the client that
-// opened it: the manager's view of the file's size, and the execution
-// of a striping plan against the data servers. The PVFS client talks
-// to each server directly; CEFT-PVFS picks a replica per server. All
-// methods must be safe for concurrent use.
-type Store interface {
-	// NumServers is the number of data servers files are striped over.
-	NumServers() int
-	// StatSize fetches the file's current size from the manager.
-	StatSize(ctx context.Context, name string) (int64, error)
-	// GrowSize records that the file extends to at least size bytes.
-	GrowSize(ctx context.Context, name string, size int64) error
-	// ReadRuns fetches plan's runs of the piece set handle into dst.
-	ReadRuns(ctx context.Context, handle uint64, plan ReadPlan, dst []byte) error
-	// WriteRuns stores runs (one list per data server, BufOff indexing
-	// p) into the piece set handle.
-	WriteRuns(ctx context.Context, handle uint64, runs [][]StripeRun, p []byte) error
-	// Settle runs once when a file closes, after the handle is
-	// invalidated; a store with deferred writes completes them here.
-	Settle(ctx context.Context) error
-}
 
 // File is an open striped file: the cached metadata, the sequential
 // cursor, and every chio.File operation, planned here and executed by
-// a Store. It implements chio.VectorReaderAt; a contiguous read is a
-// one-segment list.
+// its client's Store. It implements chio.VectorReaderAt; a contiguous
+// read is a one-segment list.
 type File struct {
-	st     Store
-	ctx    context.Context
-	tracer *telemetry.Tracer
+	cl *Client // the (possibly context-bound) client that opened it
 
 	mu     sync.Mutex
 	meta   Meta
 	off    int64
 	closed bool
-}
-
-// NewFile returns an open file over st whose operations run under ctx.
-// tracer, when non-nil, records a root span per application-level
-// read or write, tying the per-server RPC spans below it into one
-// trace.
-func NewFile(ctx context.Context, st Store, tracer *telemetry.Tracer, m Meta) *File {
-	return &File{st: st, ctx: ctx, tracer: tracer, meta: m}
 }
 
 // Name implements chio.File.
@@ -76,14 +42,14 @@ func (f *File) handle() (Meta, error) {
 
 // refreshSize re-fetches the file size from the manager.
 func (f *File) refreshSize(m *Meta) error {
-	size, err := f.st.StatSize(f.ctx, m.Name)
+	cur, err := f.cl.meta.Stat(f.cl.ctx, m.Name)
 	if err != nil {
 		return err
 	}
-	m.Size = size
+	m.Size = cur.Size
 	f.mu.Lock()
 	if !f.closed {
-		f.meta.Size = size
+		f.meta.Size = cur.Size
 	}
 	f.mu.Unlock()
 	return nil
@@ -105,7 +71,7 @@ func (f *File) readv(spanName string, segs []chio.Seg, dst []byte) ([]int64, Met
 			break
 		}
 	}
-	plan, err := PlanRead(segs, dst, m, f.st.NumServers())
+	plan, err := PlanRead(segs, dst, m, f.cl.st.NumServers())
 	if err != nil {
 		return nil, m, err
 	}
@@ -116,8 +82,8 @@ func (f *File) readv(spanName string, segs []chio.Seg, dst []byte) ([]int64, Met
 	if served == 0 {
 		return plan.Lens, m, nil // all of it past EOF: nothing to fetch
 	}
-	ctx, sp := f.tracer.Start(f.ctx, spanName)
-	if err := f.st.ReadRuns(ctx, m.Handle, plan, dst); err != nil {
+	ctx, sp := f.cl.tracer.Start(f.cl.ctx, spanName)
+	if err := f.cl.st.ReadRuns(ctx, m.Handle, plan, dst); err != nil {
 		sp.Finish(err)
 		return nil, m, err
 	}
@@ -164,14 +130,14 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	if n == 0 {
 		return 0, nil
 	}
-	ctx, sp := f.tracer.Start(f.ctx, "write")
-	err = f.st.WriteRuns(ctx, m.Handle, decompose(off, n, m.StripeSize, f.st.NumServers()), p)
+	ctx, sp := f.cl.tracer.Start(f.cl.ctx, "write")
+	err = f.cl.st.WriteRuns(ctx, m.Handle, decompose(off, n, m.StripeSize, f.cl.st.NumServers()), p)
 	// The size RPC is needed only when the write extends the file. Our
 	// cached size can lag the manager's (another writer may have grown
 	// the file) but never exceeds it, so off+n <= cached size proves the
 	// manager already records at least off+n and the RPC is redundant.
 	if err == nil && off+n > m.Size {
-		if err = f.st.GrowSize(ctx, m.Name, off+n); err == nil {
+		if err = f.cl.meta.GrowSize(ctx, m.Name, off+n); err == nil {
 			f.mu.Lock()
 			if !f.closed && off+n > f.meta.Size {
 				f.meta.Size = off + n
@@ -256,5 +222,5 @@ func (f *File) Close() error {
 	f.closed = true
 	f.meta = Meta{}
 	f.mu.Unlock()
-	return f.st.Settle(f.ctx)
+	return f.cl.st.Settle(f.cl.ctx)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"runtime"
 	"testing"
 
 	"pario/internal/chio"
@@ -11,10 +12,12 @@ import (
 
 // TestHostileLengthsGetErrorReplies sends, over one raw connection,
 // requests whose offsets and lengths no client would produce —
-// negative, overflowing, or claiming more than maxRequestBytes. Each
-// must come back as an error reply (they used to reach make([]byte, n)
-// and take the whole data server down), and the server must go on
-// serving the next request on the same connection.
+// negative, overflowing, claiming more than maxRequestBytes, or
+// writing far past the piece's end — and requests in the retired ops.
+// Each must come back as an error reply without a large allocation
+// (they used to reach make([]byte, n), or grow a MemFS piece up to the
+// offset, and take the whole data server down), and the server must go
+// on serving the next request on the same connection.
 func TestHostileLengthsGetErrorReplies(t *testing.T) {
 	ds, _ := startIod(t, 0, "")
 	cn, err := dialConn(ds.Addr())
@@ -37,23 +40,34 @@ func TestHostileLengthsGetErrorReplies(t *testing.T) {
 		t.Fatal(resp.Err)
 	}
 	for _, req := range []*Request{
-		{Op: OpPieceRead, Handle: 1, Length: -1},
-		{Op: OpPieceRead, Handle: 1, Length: 1 << 40},
-		{Op: OpPieceRead, Handle: 1, Offset: -1, Length: 1},
-		{Op: OpPieceReadv, Handle: 1, Segs: []Seg{{Offset: 0, Length: -5}}},
-		{Op: OpPieceReadv, Handle: 1, Segs: []Seg{{Offset: 0, Length: 1 << 40}}},
+		{Op: OpListRead, Handle: 1, Segs: []Seg{{Offset: 0, Length: -1}}},
+		{Op: OpListRead, Handle: 1, Segs: []Seg{{Offset: 0, Length: 1 << 40}}},
+		{Op: OpListRead, Handle: 1, Segs: []Seg{{Offset: -1, Length: 1}}},
 		{Op: OpListRead, Handle: 1, Segs: []Seg{{Length: maxRequestBytes/2 + 1}, {Length: maxRequestBytes/2 + 1}}},
 		{Op: OpListRead, Handle: 1, Segs: []Seg{{Offset: math.MaxInt64, Length: 2}}},
 		{Op: OpListRead, Handle: 1, Segs: []Seg{{Offset: 3, Length: 1}, {Offset: -3, Length: 1}}},
-		{Op: OpPieceWrite, Handle: 1, Offset: -1, Data: hello},
 		{Op: OpListWrite, Handle: 1, Segs: []Seg{{Offset: -1, Length: 5}}, Data: hello},
 		{Op: OpListWrite, Handle: 1, Segs: []Seg{{Offset: 0, Length: -5}}, Data: hello},
-		{Op: OpPieceWriteDupSync, Handle: 1, Offset: -1, Data: hello},
+		{Op: OpListWrite, Handle: 1, Segs: []Seg{{Offset: 2 << 30, Length: 5}}, Data: hello},
+		{Op: OpPieceWriteDupSync, Handle: 1, Segs: []Seg{{Offset: -1, Length: 5}}, Data: hello},
+		{Op: OpPieceWriteDupAsync, Handle: 1, Segs: []Seg{{Offset: 2 << 30, Length: 5}}, Data: hello},
+		{Op: OpPieceRead, Handle: 1, Length: 5},
+		{Op: OpPieceWrite, Handle: 1, Data: hello},
+		{Op: OpPieceReadv, Handle: 1, Segs: []Seg{{Offset: 0, Length: 5}}},
+		{Op: OpPieceWritev, Handle: 1, Segs: []Seg{{Offset: 0, Length: 5}}, Data: hello},
 	} {
-		if resp := call(req); resp.OK || resp.Err == "" {
-			t.Errorf("%s %+v: accepted, want an error reply", req.Op, req)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp := call(req)
+		runtime.ReadMemStats(&after)
+		if resp.OK || resp.Err == "" {
+			t.Errorf("%s %+v: accepted, want an error reply", req.Op, req.Segs)
 		}
-		if resp := call(&Request{Op: OpPieceRead, Handle: 1, Length: 5}); !resp.OK || !bytes.Equal(resp.Data, hello) {
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+			t.Errorf("%s %+v: allocated %d bytes", req.Op, req.Segs, grew)
+		}
+		resp = call(&Request{Op: OpListRead, Handle: 1, Segs: []Seg{{Offset: 0, Length: 5}}})
+		if !resp.OK || !bytes.Equal(resp.Data, hello) {
 			t.Fatalf("after hostile %s: read = %q ok=%v err=%s", req.Op, resp.Data, resp.OK, resp.Err)
 		}
 	}
@@ -63,7 +77,7 @@ func TestHostileLengthsGetErrorReplies(t *testing.T) {
 // arbitrary ops, offsets, lengths, payloads and segment lists. It must
 // never panic, and whatever a read returns must be the piece's bytes.
 // The seeds are the request shapes every generation of client has put
-// on the wire.
+// on the wire; the retired ops' shapes now get unknown-op replies.
 func FuzzDataServerDispatch(f *testing.F) {
 	segBytes := func(segs ...Seg) []byte {
 		var b []byte
@@ -80,6 +94,7 @@ func FuzzDataServerDispatch(f *testing.F) {
 	f.Add(uint8(OpListRead), int64(0), int64(0), []byte(nil), segBytes(Seg{3000, 600}, Seg{0, 300}, Seg{3100, 100}, Seg{4090, 50}))
 	f.Add(uint8(OpListWrite), int64(0), int64(0), []byte("BBBBAAAA"), segBytes(Seg{100, 4}, Seg{0, 4}))
 	f.Add(uint8(OpPieceWriteDupSync), int64(0), int64(0), []byte("dup"), []byte(nil))
+	f.Add(uint8(OpPieceWriteDupAsync), int64(0), int64(0), []byte("BBBBAAAA"), segBytes(Seg{100, 4}, Seg{0, 4}))
 	f.Add(uint8(OpPieceRead), int64(0), int64(-1), []byte(nil), []byte(nil))
 	f.Add(uint8(OpPieceRead), int64(0), int64(1<<40), []byte(nil), []byte(nil))
 	f.Add(uint8(OpListRead), int64(0), int64(0), []byte(nil), segBytes(Seg{0, -5}, Seg{math.MaxInt64, 2}))
@@ -112,12 +127,7 @@ func FuzzDataServerDispatch(f *testing.F) {
 				Length: int64(binary.LittleEndian.Uint64(rawSegs[8:])),
 			})
 		}
-		segs := req.Segs
-		switch req.Op {
-		case OpPieceRead:
-			segs = []Seg{{Offset: off, Length: length}}
-		case OpPieceReadv, OpListRead:
-		default:
+		if req.Op != OpListRead {
 			// Everything else may write or remove; keep it off the piece
 			// the reads are checked against.
 			req.Handle = writeHandle
@@ -133,13 +143,13 @@ func FuzzDataServerDispatch(f *testing.F) {
 		if !resp.OK {
 			return
 		}
-		if req.Op != OpPieceRead && len(resp.SegLens) != len(segs) {
-			t.Fatalf("%d segment lengths for %d segments", len(resp.SegLens), len(segs))
+		if len(resp.SegLens) != len(req.Segs) {
+			t.Fatalf("%d segment lengths for %d segments", len(resp.SegLens), len(req.Segs))
 		}
 		rest := resp.Data
-		for i, s := range segs {
+		for i, s := range req.Segs {
 			want := min(max(int64(len(piece))-s.Offset, 0), s.Length)
-			if req.Op != OpPieceRead && resp.SegLens[i] != want {
+			if resp.SegLens[i] != want {
 				t.Fatalf("segment %d [%d,+%d): served %d, want %d", i, s.Offset, s.Length, resp.SegLens[i], want)
 			}
 			if want == 0 {

@@ -212,19 +212,12 @@ func (ds *DataServer) throttle(n int64) {
 
 // dispatch routes one decoded request to its op handler. Piece data
 // has one read handler and one write handler, both over segment lists;
-// the decode-only contiguous ops are lifted to one-segment lists here.
+// the duplication writes are list writes that also reach the mirror.
 func (ds *DataServer) dispatch(req *Request) *Response {
 	switch req.Op {
-	case OpPieceRead:
-		resp := ds.handleRead(req.Handle, []Seg{{Offset: req.Offset, Length: req.Length}})
-		resp.SegLens = nil // the contiguous reply shape is Data alone
-		return resp
-	case OpPieceReadv, OpListRead:
+	case OpListRead:
 		return ds.handleRead(req.Handle, req.Segs)
-	case OpPieceWrite:
-		ds.throttle(int64(len(req.Data)))
-		return ds.handleWrite(req.Handle, oneSeg(req), req.Data)
-	case OpPieceWritev, OpListWrite:
+	case OpListWrite:
 		ds.throttle(int64(len(req.Data)))
 		return ds.handleWrite(req.Handle, req.Segs, req.Data)
 	case OpPieceRemove:
@@ -235,22 +228,23 @@ func (ds *DataServer) dispatch(req *Request) *Response {
 		return &Response{OK: true}
 	case OpPing:
 		return &Response{OK: true, N: int64(ds.ID)}
-	case OpPieceWriteDupSync:
-		if resp := ds.handleWrite(req.Handle, oneSeg(req), req.Data); !resp.OK {
+	case OpPieceWriteDupSync, OpPieceWriteDupAsync:
+		if resp := ds.handleWrite(req.Handle, req.Segs, req.Data); !resp.OK {
 			return resp
 		}
-		if err := ds.forward(req); err != nil {
-			return errResp("mirror forward: %v", err)
+		if req.Op == OpPieceWriteDupSync {
+			if err := ds.forward(req); err != nil {
+				return errResp("mirror forward: %v", err)
+			}
+		} else {
+			// The serve loop reuses the request's buffers, so the queued
+			// forward gets its own copies.
+			ds.startForwarder()
+			dup := *req
+			dup.Segs = append([]Seg(nil), req.Segs...)
+			dup.Data = append([]byte(nil), req.Data...)
+			ds.fwdQueue <- fwdItem{req: &dup}
 		}
-		return &Response{OK: true, N: int64(len(req.Data))}
-	case OpPieceWriteDupAsync:
-		if resp := ds.handleWrite(req.Handle, oneSeg(req), req.Data); !resp.OK {
-			return resp
-		}
-		ds.startForwarder()
-		dup := *req
-		dup.Data = append([]byte(nil), req.Data...)
-		ds.fwdQueue <- fwdItem{req: &dup}
 		return &Response{OK: true, N: int64(len(req.Data))}
 	case OpFlushForwards:
 		ds.startForwarder()
@@ -262,12 +256,6 @@ func (ds *DataServer) dispatch(req *Request) *Response {
 		return &Response{OK: true}
 	}
 	return errResp("data server: unknown op %d", req.Op)
-}
-
-// oneSeg is the segment list of a contiguous write request: Data at
-// Offset.
-func oneSeg(req *Request) []Seg {
-	return []Seg{{Offset: req.Offset, Length: int64(len(req.Data))}}
 }
 
 // checkSegs validates a segment list off the wire — offsets and
@@ -388,7 +376,9 @@ func (ds *DataServer) handleRead(handle uint64, segs []Seg) *Response {
 
 // handleWrite applies a list write to this server's piece: data is the
 // segments' bytes concatenated in request order. The list may be
-// unsorted but must not overlap; an overlapping list is rejected whole.
+// unsorted but must not overlap, and no segment may end more than
+// maxRequestBytes past the piece's current end; a list breaking either
+// rule is rejected whole.
 func (ds *DataServer) handleWrite(handle uint64, segs []Seg, data []byte) *Response {
 	total, ascending, err := checkSegs(segs)
 	if err != nil {
@@ -417,6 +407,19 @@ func (ds *DataServer) handleWrite(handle uint64, segs []Seg, data []byte) *Respo
 		return errResp("piece create: %v", err)
 	}
 	defer f.Close()
+	// A segment may extend the piece by at most maxRequestBytes: a store
+	// that allocates up to the written offset must not be made to hold
+	// gigabytes for a few bytes of payload.
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return errResp("list write: %v", err)
+	}
+	for _, s := range segs {
+		if s.Offset+s.Length-size > maxRequestBytes {
+			return errResp("list write: segment [%d,+%d) ends more than %d bytes past the piece's end %d",
+				s.Offset, s.Length, maxRequestBytes, size)
+		}
+	}
 	for _, s := range segs {
 		if s.Length == 0 {
 			continue
@@ -430,7 +433,7 @@ func (ds *DataServer) handleWrite(handle uint64, segs []Seg, data []byte) *Respo
 }
 
 // forward synchronously delivers a duplication write to the mirror
-// partner, which applies it as an ordinary list write.
+// partner as one OpListWrite of the same segment list.
 func (ds *DataServer) forward(req *Request) error {
 	if ds.mirrorAddr == "" {
 		return fmt.Errorf("no mirror partner configured on server %d", ds.ID)
@@ -445,7 +448,7 @@ func (ds *DataServer) forward(req *Request) error {
 		ds.fwdConn = c
 	}
 	fwd := Request{
-		Op: OpListWrite, Handle: req.Handle, Segs: oneSeg(req), Data: req.Data,
+		Op: OpListWrite, Handle: req.Handle, Segs: req.Segs, Data: req.Data,
 		TraceID: req.TraceID, SpanID: req.SpanID,
 	}
 	var resp Response

@@ -7,10 +7,11 @@ import (
 
 // This file is the client half of the one data op (list I/O in the
 // ROMIO/PVFS literature): everything a read or write needs from one
-// data server travels as a single OpListRead or OpListWrite, whether
-// it is one contiguous run or the per-server decomposition of many
-// discontiguous logical ranges. A strided read touching k stripes of
-// one server costs 1 RPC instead of k.
+// data server travels as a single segment-list request — OpListRead,
+// OpListWrite or a duplication write — whether it is one contiguous run
+// or the per-server decomposition of many discontiguous logical ranges.
+// A strided read touching k stripes of one server costs 1 RPC instead
+// of k.
 
 // ReadRuns reads every stripe run in runs (which must all name this
 // server) into p with one list read, scattering each run's bytes at
@@ -129,10 +130,12 @@ func mergeRuns(runs []StripeRun) (segs []Seg, group []int) {
 }
 
 // WriteRuns writes every stripe run in runs (which must all name this
-// server) from p with one list write. Runs must not overlap in the
-// piece (the server rejects a list that does); piece-adjacent runs
-// travel as one segment.
-func (d *DataConn) WriteRuns(ctx context.Context, handle uint64, runs []StripeRun, p []byte) error {
+// server) from p with one list write: op is OpListWrite, or one of the
+// CEFT duplication ops OpPieceWriteDupSync/Async, which carry the same
+// list and have the server forward it to its mirror partner. Runs must
+// not overlap in the piece (the server rejects a list that does);
+// piece-adjacent runs travel as one segment.
+func (d *DataConn) WriteRuns(ctx context.Context, op Op, handle uint64, runs []StripeRun, p []byte) error {
 	if len(runs) == 0 {
 		return nil
 	}
@@ -158,7 +161,7 @@ func (d *DataConn) WriteRuns(ctx context.Context, handle uint64, runs []StripeRu
 		}
 	}
 	resp := getResp()
-	err := d.t.callInto(ctx, &Request{Op: OpListWrite, Handle: handle, Segs: segs, Data: data}, resp)
+	err := d.t.callInto(ctx, &Request{Op: op, Handle: handle, Segs: segs, Data: data}, resp)
 	if err == nil && !resp.OK {
 		err = resp.err()
 	}

@@ -29,7 +29,7 @@ func TestListReadPropertyRandomSegments(t *testing.T) {
 	for i := 1000; i < 2000; i++ {
 		content[i] = 0 // the hole reads back as zeros
 	}
-	resp, err := cl.metaCall(cl.ctx, &Request{Op: OpCreate, Name: "prop", Stripe: 64})
+	resp, err := cl.meta.call(bg, &Request{Op: OpCreate, Name: "prop", Stripe: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestListReadPropertyRandomSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if err := d.WriteRuns(bg, handle, []StripeRun{
+	if err := d.WriteRuns(bg, OpListWrite, handle, []StripeRun{
 		{ServerOff: 0, BufOff: 0, Length: 1000},
 		{ServerOff: 2000, BufOff: 2000, Length: 1000},
 	}, content); err != nil {
@@ -102,7 +102,7 @@ func TestListReadPropertyRandomSegments(t *testing.T) {
 func TestListWriteUnsortedAndOverlapRejected(t *testing.T) {
 	tc := startCluster(t, 1, 64)
 	cl := tc.client
-	resp, err := cl.metaCall(cl.ctx, &Request{Op: OpCreate, Name: "lw", Stripe: 64})
+	resp, err := cl.meta.call(bg, &Request{Op: OpCreate, Name: "lw", Stripe: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,12 +205,11 @@ func TestClientReadvAt(t *testing.T) {
 	}
 }
 
-// TestWireOpValuesStable pins every data-op wire value. The list ops
-// were appended after the vectored ops precisely so that old clients
-// and new servers (and vice versa) keep agreeing on what 64..72 mean;
-// a renumbering would pass every same-binary test and corrupt every
-// mixed-version deployment. gob itself tolerates the addition because
-// the Request/Response shapes are unchanged.
+// TestWireOpValuesStable pins every data-op wire value, the retired
+// ops' reserved ones included. The list ops were appended after the
+// vectored ops precisely so that old clients and new servers (and vice
+// versa) keep agreeing on what 64..72 mean; a renumbering would pass
+// every same-binary test and corrupt every mixed-version deployment.
 func TestWireOpValuesStable(t *testing.T) {
 	want := map[Op]uint8{
 		OpPieceRead:          64,
@@ -229,48 +228,5 @@ func TestWireOpValuesStable(t *testing.T) {
 		if uint8(op) != v {
 			t.Errorf("%s = %d, want %d (wire values must never shift)", op, uint8(op), v)
 		}
-	}
-}
-
-// TestOldClientAgainstListServer replays the exact request shapes a
-// pre-list-I/O client sends — OpPieceRead, OpPieceReadv with sorted
-// disjoint Segs — against a server that also handles the list ops,
-// proving the addition changed nothing for old peers.
-func TestOldClientAgainstListServer(t *testing.T) {
-	tc := startCluster(t, 1, 64)
-	cl := tc.client
-	content := []byte("0123456789abcdef0123456789abcdef")
-	if err := chio.WriteFull(cl, "old", content); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := cl.metaCall(cl.ctx, &Request{Op: OpLookup, Name: "old"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	handle := resp.Meta.Handle
-	d, err := DialData(tc.iods[0].Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-
-	// OpPieceRead, the PR 0 shape.
-	r1, err := d.call(bg, &Request{Op: OpPieceRead, Handle: handle, Offset: 4, Length: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r1.OK || !bytes.Equal(r1.Data, content[4:12]) {
-		t.Fatalf("piece read through list-capable server: %q", r1.Data)
-	}
-
-	// OpPieceReadv, the PR 2 shape (sorted, disjoint).
-	r2, err := d.call(bg, &Request{Op: OpPieceReadv, Handle: handle, Segs: []Seg{
-		{Offset: 0, Length: 4}, {Offset: 16, Length: 4},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r2.OK || string(r2.Data) != "01230123" {
-		t.Fatalf("vectored read through list-capable server: %q", r2.Data)
 	}
 }

@@ -153,10 +153,7 @@ func (ms *MetaServer) dispatch(req *Request) *Response {
 		if !ok {
 			return notFoundResp(req.Name)
 		}
-		// Grow-only unless Length is negative (explicit truncate).
-		if req.Length < 0 {
-			m.Size = -req.Length - 1
-		} else if req.Length > m.Size {
+		if req.Length > m.Size { // grow-only
 			m.Size = req.Length
 		}
 		return &Response{OK: true, Meta: *m}

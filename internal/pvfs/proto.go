@@ -2,9 +2,11 @@
 // in the style of PVFS1: one metadata server (mgr) plus N data
 // servers (iods) that each store stripe pieces on their local
 // storage. Files are striped RAID-0 round-robin with a configurable
-// stripe size (the paper uses 64 KB). The client implements
+// stripe size (the paper uses 64 KB). Client implements
 // chio.FileSystem, so the BLAST database layer runs over PVFS
-// unmodified — exactly the substitution the paper performs.
+// unmodified — exactly the substitution the paper performs. It is the
+// one client of this wire: CEFT-PVFS (package ceft) is the same Client
+// over a replicating Store.
 package pvfs
 
 import (
@@ -33,35 +35,34 @@ const (
 	OpLoadQuery  // client -> mgr: fetch load map
 )
 
-// Data server ops. Piece data moves with exactly two of them,
-// OpListRead and OpListWrite: a contiguous access is a one-segment
-// list. The four older data ops are decode-only — no client in this
-// tree sends them, but a data server still answers them (in their
-// original reply shape) so older peers interoperate. Values are wire
-// constants and never shift; new ops are appended.
+// Data server ops. Piece data moves with segment lists only:
+// OpListRead, OpListWrite, and the two duplication writes, which carry
+// the same list as OpListWrite. A contiguous access is a one-segment
+// list. Values are wire constants and never shift; new ops are
+// appended. The four retired ops keep their values reserved, and a data
+// server answers them like any unknown op.
 const (
-	// OpPieceRead (decode-only) reads Length bytes at Offset; the reply
-	// carries Data alone.
+	// OpPieceRead is retired (a contiguous read); value 64 is reserved.
 	OpPieceRead Op = iota + 64
-	// OpPieceWrite (decode-only) writes Data at Offset.
+	// OpPieceWrite is retired (a contiguous write); value 65 is reserved.
 	OpPieceWrite
 	OpPieceRemove
 	OpPing
-	// OpPieceWriteDupSync writes Data at Offset locally and
-	// synchronously forwards the write to the server's mirror partner
-	// before acknowledging (CEFT's server-side synchronous duplication
-	// protocol).
+	// OpPieceWriteDupSync applies Segs and Data like OpListWrite, then
+	// forwards the same list to the server's mirror partner and
+	// acknowledges after the mirror confirms (CEFT's server-side
+	// synchronous duplication protocol).
 	OpPieceWriteDupSync
-	// OpPieceWriteDupAsync writes locally, queues the mirror forward,
-	// and acknowledges immediately (server-side asynchronous).
+	// OpPieceWriteDupAsync applies the list locally, queues the mirror
+	// forward, and acknowledges immediately (server-side asynchronous).
 	OpPieceWriteDupAsync
 	// OpFlushForwards blocks until every queued asynchronous forward
 	// accepted so far has been delivered to the mirror.
 	OpFlushForwards
-	// OpPieceReadv (decode-only) is OpListRead as first shipped, when
-	// clients only sent ascending disjoint lists.
+	// OpPieceReadv is retired (a sorted list read); value 71 is reserved.
 	OpPieceReadv
-	// OpPieceWritev (decode-only) is OpListWrite as first shipped.
+	// OpPieceWritev is retired (a sorted list write); value 72 is
+	// reserved.
 	OpPieceWritev
 	// OpListRead reads every segment of Request.Segs — in any order,
 	// overlapping or not — in one round trip. The server reads each
@@ -78,8 +79,9 @@ const (
 )
 
 // maxRequestBytes bounds the summed segment length a data server
-// accepts in one request, so a corrupt or hostile length cannot make
-// it allocate without limit.
+// accepts in one request, and how far past a piece's current end a
+// write segment may reach, so a corrupt or hostile length or offset
+// cannot make it allocate without limit.
 const maxRequestBytes = 1 << 30
 
 // Seg is one server-local byte range of a list request.
@@ -132,10 +134,6 @@ func (o Op) String() string {
 		return "load_report"
 	case OpLoadQuery:
 		return "load_query"
-	case OpPieceRead:
-		return "piece_read"
-	case OpPieceWrite:
-		return "piece_write"
 	case OpPieceRemove:
 		return "piece_remove"
 	case OpPing:
@@ -146,10 +144,6 @@ func (o Op) String() string {
 		return "piece_write_dup_async"
 	case OpFlushForwards:
 		return "flush_forwards"
-	case OpPieceReadv:
-		return "piece_readv"
-	case OpPieceWritev:
-		return "piece_writev"
 	case OpListRead:
 		return "list_read"
 	case OpListWrite:

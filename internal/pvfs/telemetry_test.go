@@ -184,6 +184,7 @@ type legacyRequest struct {
 	Offset int64
 	Length int64
 	Data   []byte
+	Segs   []Seg
 }
 
 // TestLegacyClientAgainstTracedServer drives a new, fully instrumented
@@ -221,10 +222,11 @@ func TestLegacyClientAgainstTracedServer(t *testing.T) {
 	if resp := call(&legacyRequest{Op: OpPing}); !resp.OK {
 		t.Fatalf("legacy ping failed: %s", resp.Err)
 	}
-	if resp := call(&legacyRequest{Op: OpPieceWrite, Handle: 9, Offset: 0, Data: []byte("hello")}); !resp.OK {
+	seg := []Seg{{Offset: 0, Length: 5}}
+	if resp := call(&legacyRequest{Op: OpListWrite, Handle: 9, Segs: seg, Data: []byte("hello")}); !resp.OK {
 		t.Fatalf("legacy write failed: %s", resp.Err)
 	}
-	resp := call(&legacyRequest{Op: OpPieceRead, Handle: 9, Offset: 0, Length: 5})
+	resp := call(&legacyRequest{Op: OpListRead, Handle: 9, Segs: seg})
 	if !resp.OK || string(resp.Data) != "hello" {
 		t.Fatalf("legacy read = %q ok=%v err=%s", resp.Data, resp.OK, resp.Err)
 	}
@@ -263,7 +265,8 @@ func TestTracedClientAgainstLegacyServer(t *testing.T) {
 			if err := dec.Decode(&req); err != nil {
 				return
 			}
-			enc.Encode(&Response{OK: true, Data: []byte("pong")})
+			// SegLens reports how many segments the old shape decoded.
+			enc.Encode(&Response{OK: true, Data: []byte("pong"), SegLens: []int64{int64(len(req.Segs))}})
 		}
 	}()
 
@@ -271,15 +274,15 @@ func TestTracedClientAgainstLegacyServer(t *testing.T) {
 	cfg := rpcpool.Apply(rpcpool.WithTracer(tracer), rpcpool.WithTimeout(2*time.Second))
 	tr := newTransport(ln.Addr().String(), cfg)
 	defer tr.close()
-	resp, err := tr.call(context.Background(), &Request{Op: OpPing})
+	resp, err := tr.call(context.Background(), &Request{Op: OpListRead, Segs: []Seg{{Length: 4}}})
 	if err != nil {
 		t.Fatalf("traced call to legacy server: %v", err)
 	}
-	if !resp.OK || string(resp.Data) != "pong" {
+	if !resp.OK || string(resp.Data) != "pong" || len(resp.SegLens) != 1 || resp.SegLens[0] != 1 {
 		t.Fatalf("legacy server response = %+v", resp)
 	}
 	spans := tracer.Recent()
-	if len(spans) != 1 || spans[0].Name != "rpc:ping" {
-		t.Fatalf("spans = %+v, want one rpc:ping", spans)
+	if len(spans) != 1 || spans[0].Name != "rpc:list_read" {
+		t.Fatalf("spans = %+v, want one rpc:list_read", spans)
 	}
 }

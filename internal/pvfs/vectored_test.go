@@ -47,7 +47,7 @@ func TestDecomposeRunsAscendingProperty(t *testing.T) {
 func TestVectoredReadWriteRoundTrip(t *testing.T) {
 	tc := startCluster(t, 1, 64)
 	cl := tc.client
-	resp, err := cl.metaCall(cl.ctx, &Request{Op: OpCreate, Name: "v", Stripe: 64})
+	resp, err := cl.meta.call(bg, &Request{Op: OpCreate, Name: "v", Stripe: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestVectoredReadWriteRoundTrip(t *testing.T) {
 		{ServerOff: 0, BufOff: 0, Length: 100},
 		{ServerOff: 200, BufOff: 200, Length: 100},
 	}
-	if err := d.WriteRuns(bg, handle, writeRuns, buf); err != nil {
+	if err := d.WriteRuns(bg, OpListWrite, handle, writeRuns, buf); err != nil {
 		t.Fatal(err)
 	}
 
