@@ -10,7 +10,10 @@ test:
 
 # Full hygiene gate: lint everything, run the whole suite with the
 # race detector (the transport layer is heavily concurrent), re-run
-# the search-path allocation guard without the race detector (whose
+# readahead's prefetch and concurrency tests twenty times under the
+# race detector (the planner claims blocks under the cache mutex that
+# its fetch goroutines and every reader share), re-run the search-path
+# allocation guard without the race detector (whose
 # shadow memory inflates alloc counts, so the guard skips itself
 # under -race), fuzz the data server's request handler, the one-table
 # seed scan, the message router, the fragment reader and the FASTA
@@ -19,6 +22,7 @@ test:
 # otherwise go unnoticed), make sure every benchmark still at least
 # runs, then smoke the live /metrics endpoint.
 check: lint race
+	$(GO) test -race -count=20 -run 'Prefetch|Concurrent|Demand' ./internal/readahead/
 	$(GO) test -run TestSearchSubjectSteadyStateAllocs ./internal/blast/
 	$(GO) test -run '^$$' -fuzz FuzzDataServerDispatch -fuzztime 5s ./internal/pvfs/
 	$(GO) test -run '^$$' -fuzz FuzzOneTableSeeds -fuzztime 5s ./internal/blast/

@@ -316,20 +316,19 @@ func (fs *FS) getBlock(inner chio.File, name string, idx int64) (*block, error) 
 		}
 	}
 	fs.stats.Miss()
-	return fs.fetchBlock(inner, name, idx, false)
+	return fs.fetchBlock(inner, name, idx)
 }
 
-// fetchBlock reads block idx of name through inner and publishes it,
-// deduplicating against concurrent fetches of the same block.
-func (fs *FS) fetchBlock(inner chio.File, name string, idx int64, prefetched bool) (*block, error) {
+// fetchBlock reads block idx of name through inner on a reader's
+// behalf and publishes it, deduplicating against concurrent fetches of
+// the same block.
+func (fs *FS) fetchBlock(inner chio.File, name string, idx int64) (*block, error) {
 	c := fs.cache
 	key := blockKey{name, idx}
 	c.mu.Lock()
 	if b, ok := c.blocks[key]; ok { // raced with another fetch
 		c.lru.MoveToFront(b.elem)
-		if !prefetched {
-			b.accessed = true
-		}
+		b.accessed = true
 		c.mu.Unlock()
 		return b, nil
 	}
@@ -339,18 +338,31 @@ func (fs *FS) fetchBlock(inner chio.File, name string, idx int64, prefetched boo
 		if fl.err != nil {
 			return nil, fl.err
 		}
-		if !prefetched {
-			c.mu.Lock()
-			fl.b.accessed = true
-			c.mu.Unlock()
-		}
+		c.mu.Lock()
+		fl.b.accessed = true
+		c.mu.Unlock()
 		return fl.b, nil
 	}
+	fl, gen := c.claim(key)
+	c.mu.Unlock()
+	return fs.runFetch(inner, name, idx, false, fl, gen)
+}
+
+// claim registers an in-flight fetch of key and returns it with the
+// name's current generation. Caller holds mu and has checked that key
+// is neither cached nor in flight.
+func (c *blockCache) claim(key blockKey) (*fetch, uint64) {
 	fl := &fetch{done: make(chan struct{})}
 	c.inflight[key] = fl
-	gen := c.gen[name]
-	c.mu.Unlock()
+	return fl, c.gen[key.name]
+}
 
+// runFetch performs the backend read of a claimed block, publishes the
+// result unless a write bumped the name's generation past gen, and
+// releases the claim fl to every reader waiting on it.
+func (fs *FS) runFetch(inner chio.File, name string, idx int64, prefetched bool, fl *fetch, gen uint64) (*block, error) {
+	c := fs.cache
+	key := blockKey{name, idx}
 	buf := make([]byte, fs.blockSize)
 	n, err := inner.ReadAt(buf, idx*fs.blockSize)
 	eof := err == io.EOF
@@ -398,13 +410,16 @@ func (c *blockCache) generation(name string) uint64 {
 	return c.gen[name]
 }
 
-// uncached returns the block indices in [from, to] (inclusive) of
-// name that are neither cached nor already being fetched — the blocks
-// a demand read or prefetch would actually go to the backend for.
-func (c *blockCache) uncached(name string, from, to int64) []int64 {
+// prefetch speculatively fetches blocks [from, to] (inclusive) of name
+// in the background. Under one hold of the cache mutex it claims every
+// block that is neither cached nor in flight, so a reader arriving
+// before the goroutine runs joins the fetch instead of starting its
+// own. Errors are dropped: the reader that eventually needs a failed
+// block retries synchronously.
+func (fs *FS) prefetch(inner chio.File, name string, from, to int64) {
+	c := fs.cache
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []int64
 	for idx := from; idx <= to; idx++ {
 		key := blockKey{name, idx}
 		if _, ok := c.blocks[key]; ok {
@@ -413,18 +428,9 @@ func (c *blockCache) uncached(name string, from, to int64) []int64 {
 		if _, ok := c.inflight[key]; ok {
 			continue
 		}
-		out = append(out, idx)
-	}
-	return out
-}
-
-// prefetch speculatively fetches the given blocks of name in the
-// background. Errors are dropped: the reader that eventually needs a
-// failed block retries synchronously.
-func (fs *FS) prefetch(inner chio.File, name string, idxs []int64) {
-	for _, idx := range idxs {
+		fl, gen := c.claim(key)
 		fs.stats.PrefetchIssued()
-		go fs.fetchBlock(inner, name, idx, true)
+		go fs.runFetch(inner, name, idx, true, fl, gen)
 	}
 }
 
@@ -434,9 +440,10 @@ type file struct {
 	inner chio.File
 	name  string
 
-	mu   sync.Mutex
-	off  int64 // streaming position for Read/Write/Seek
-	next int64 // block index a sequential scan would touch next
+	mu      sync.Mutex
+	off     int64 // streaming position for Read/Write/Seek
+	next    int64 // block index a sequential scan would touch next
+	planned int64 // first block the prefetcher has not yet planned
 }
 
 // Name implements chio.File.
@@ -482,18 +489,25 @@ func (f *file) ReadAt(p []byte, off int64) (int, error) {
 // ReadView. Sequential-scan detection: the read starts in the block
 // the previous read ended in or the one after it; if so, fire the
 // prefetch before serving the read so the next blocks' fetches
-// overlap this one's.
+// overlap this one's. Each block is planned once per handle: a
+// sequential read plans only the part of its window past the
+// high-water mark, and a non-sequential read resets the mark to just
+// after itself, so the next sequential read plans from there.
 func (f *file) planRead(off, length int64) {
 	firstBlock, lastBlock := blockSpan(off, length, f.fs.blockSize)
 	f.mu.Lock()
 	seq := firstBlock == f.next || firstBlock == f.next-1
 	f.next = lastBlock + 1
-	f.mu.Unlock()
-	if !seq || f.fs.window <= 0 {
+	if !seq {
+		f.planned = f.next
+		f.mu.Unlock()
 		return
 	}
-	if planned := f.fs.cache.uncached(f.name, lastBlock+1, lastBlock+int64(f.fs.window)); len(planned) > 0 {
-		f.fs.prefetch(f.inner, f.name, planned)
+	from, to := max(f.next, f.planned), lastBlock+int64(f.fs.window)
+	f.planned = max(f.planned, to+1)
+	f.mu.Unlock()
+	if from <= to {
+		f.fs.prefetch(f.inner, f.name, from, to)
 	}
 }
 

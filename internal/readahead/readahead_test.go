@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -248,29 +249,180 @@ func TestPrefetchErrorDoesNotCorruptLaterReads(t *testing.T) {
 	}
 }
 
+// countingFS counts, per block index, the reads that reach the file
+// system under the readahead layer. When gate is non-nil, a read of any
+// block but block 0 waits for gate to close.
+type countingFS struct {
+	chio.FileSystem
+	bs   int64
+	gate chan struct{}
+
+	mu    sync.Mutex
+	reads map[int64]int
+}
+
+func newCountingFS(inner chio.FileSystem, bs int64) *countingFS {
+	return &countingFS{FileSystem: inner, bs: bs, reads: make(map[int64]int)}
+}
+
+func (c *countingFS) Open(name string) (chio.File, error) {
+	f, err := c.FileSystem.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &countingFile{File: f, fs: c}, nil
+}
+
+// readsOf returns how many reads of block idx reached the inner file
+// system.
+func (c *countingFS) readsOf(idx int64) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.reads[idx]
+}
+
+type countingFile struct {
+	chio.File
+	fs *countingFS
+}
+
+func (f *countingFile) ReadAt(p []byte, off int64) (int, error) {
+	idx := off / f.fs.bs
+	f.fs.mu.Lock()
+	f.fs.reads[idx]++
+	f.fs.mu.Unlock()
+	if f.fs.gate != nil && idx > 0 {
+		<-f.fs.gate
+	}
+	return f.File.ReadAt(p, off)
+}
+
+// TestSequentialScanPrefetches pins the planner's counts. A sub-block
+// scan plans every block once per handle and each block reaches the
+// backend once, whether it is read through ReadAt or ReadView; the
+// window runs past EOF once, because the planner does not know the
+// file's size. A backward jump resets the plan to the new position, so
+// the re-scan prefetches the blocks the first scan never reached.
 func TestSequentialScanPrefetches(t *testing.T) {
+	const (
+		bs     = 1024
+		blocks = 16 // the file's length in blocks
+		window = 4
+		start  = 6 // the first scan covers blocks [start, blocks)
+		step   = 256
+	)
+	data := pattern(blocks*bs, 9)
+	for _, mode := range []string{"ReadAt", "ReadView"} {
+		mem := chio.NewMemFS()
+		writeFile(t, mem, "db", data)
+		inner := newCountingFS(mem, bs)
+		stats := &iotrace.CacheStats{}
+		ra := Wrap(inner, WithBlockSize(bs), WithWindow(window), WithStats(stats))
+		f, err := ra.Open("db")
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan := func(from, to int) {
+			t.Helper()
+			for off := from * bs; off < to*bs; off += step {
+				var got []byte
+				if mode == "ReadAt" {
+					got = make([]byte, step)
+					if _, err := f.ReadAt(got, int64(off)); err != nil {
+						t.Fatalf("%s at %d: %v", mode, off, err)
+					}
+				} else {
+					v, err := f.(chio.ViewReaderAt).ReadView(int64(off), step)
+					if err != nil {
+						t.Fatalf("%s at %d: %v", mode, off, err)
+					}
+					got = v.Data
+				}
+				if !bytes.Equal(got, data[off:off+step]) {
+					t.Fatalf("%s at %d: data mismatch", mode, off)
+				}
+			}
+		}
+		check := func(when string, issued, misses int64) {
+			t.Helper()
+			s := stats.Snapshot()
+			if s.PrefetchIssued != issued || s.Misses != misses {
+				t.Errorf("%s, %s: %d prefetches and %d misses, want %d and %d",
+					mode, when, s.PrefetchIssued, s.Misses, issued, misses)
+			}
+		}
+
+		// A fresh handle is positioned at block 0, so the first read is
+		// not sequential: it misses and plans nothing. The next read plans
+		// start+1 .. start+window, and each later block one more.
+		scan(start, blocks)
+		check("forward scan", blocks-1+window-start, 1)
+		// The jump back to block 0 misses and resets the mark, so the
+		// re-scan plans blocks 1 .. start-1; the rest of its window is
+		// cached.
+		scan(0, start)
+		check("re-scan after a backward jump", blocks-2+window, 2)
+		for idx := int64(0); idx < blocks+window; idx++ {
+			if n := inner.readsOf(idx); idx < blocks && n != 1 || n > 1 {
+				t.Errorf("%s: block %d reached the backend %d times", mode, idx, n)
+			}
+		}
+		f.Close()
+	}
+}
+
+// TestDemandReadJoinsPlannedPrefetch pins the claim order: a block is
+// registered in flight before its prefetch goroutine starts, so a
+// reader that needs it before the goroutine runs — or while the fetch
+// is still under way — joins that fetch. The backend sees the block
+// once and the read counts as a hit.
+func TestDemandReadJoinsPlannedPrefetch(t *testing.T) {
+	const (
+		bs     = 1024
+		window = 4
+	)
+	data := pattern(16*bs, 11)
 	mem := chio.NewMemFS()
-	data := pattern(16*1024, 9)
 	writeFile(t, mem, "db", data)
+	inner := newCountingFS(mem, bs)
+	inner.gate = make(chan struct{})
 	stats := &iotrace.CacheStats{}
-	ra := Wrap(mem, WithBlockSize(1024), WithWindow(4), WithStats(stats))
+	ra := Wrap(inner, WithBlockSize(bs), WithWindow(window), WithStats(stats))
 	f, err := ra.Open("db")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
+
+	// Reading block 0 plans blocks 1..window; their fetches wait at the
+	// gate.
 	buf := make([]byte, 256)
-	for off := 0; off+len(buf) <= len(data); off += len(buf) {
-		if _, err := f.ReadAt(buf, int64(off)); err != nil {
-			t.Fatal(err)
+	if _, err := f.ReadAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	// Open the gate once the demand read of block 1 has planned its own
+	// window (one more block), i.e. after it is past planning and on its
+	// way to the block lookup.
+	opened := make(chan struct{})
+	go func() {
+		defer close(opened)
+		for stats.Snapshot().PrefetchIssued < window+1 {
+			runtime.Gosched()
 		}
+		close(inner.gate)
+	}()
+	if _, err := f.ReadAt(buf, bs); err != nil {
+		t.Fatal(err)
 	}
-	snap := stats.Snapshot()
-	if snap.PrefetchIssued == 0 {
-		t.Error("sequential scan issued no prefetches")
+	<-opened
+	if !bytes.Equal(buf, data[bs:bs+256]) {
+		t.Fatal("demand read of block 1: data mismatch")
 	}
-	if snap.Hits == 0 {
-		t.Error("sequential scan produced no cache hits")
+	if n := inner.readsOf(1); n != 1 {
+		t.Errorf("block 1 reached the backend %d times, want 1", n)
+	}
+	if s := stats.Snapshot(); s.Hits != 1 || s.Misses != 1 {
+		t.Errorf("got %d hits and %d misses, want 1 and 1 (block 0 missed, block 1 joined its prefetch)", s.Hits, s.Misses)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"pario/internal/blastdb"
 	"pario/internal/ceft"
 	"pario/internal/chio"
 	"pario/internal/collio"
@@ -16,6 +17,7 @@ import (
 	"pario/internal/readahead"
 	"pario/internal/rpcpool"
 	"pario/internal/telemetry"
+	"pario/internal/workload"
 )
 
 // TestSequentialScanRPCReduction is the acceptance bar for the
@@ -405,5 +407,88 @@ func TestSegmentListsMatchReference(t *testing.T) {
 				t.Error("no failovers recorded although a server was down")
 			}
 		})
+	}
+}
+
+// TestReadaheadPlansEachBlockOnce is the count gate for the readahead
+// planner on the real stack: a small database formatted onto PVFS with
+// 4 data servers is streamed fragment by fragment through readahead and
+// blastdb.Fragment.Source, the path a search worker takes. Every
+// fragment must deliver the letters and sequences its alias entry
+// records; the prefetcher may plan each block of a fragment once, plus
+// one block per fragment; and the blocks must reach the data servers in
+// no more RPCs than they took under the planner that re-planned its
+// window on every read (42: each of the 42 blocks in one RPC, while
+// that planner issued 700 to 1 500 prefetches on the same scan).
+func TestReadaheadPlansEachBlockOnce(t *testing.T) {
+	const maxDataRPCs = 42
+	dep, err := core.StartPVFS(4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+	seedCl, err := dep.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	alias, err := workload.Build(seedCl, workload.NtLike("db", 8<<20, 1), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var maxPrefetch int64
+	for _, fi := range alias.Fragments {
+		info, err := seedCl.Stat(fi.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxPrefetch += (info.Size+readahead.DefaultBlockSize-1)/readahead.DefaultBlockSize + 1
+	}
+	seedCl.Close()
+
+	m := rpcpool.NewMetrics(telemetry.NewRegistry())
+	cl, err := dep.Client(rpcpool.WithMetrics(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ra := readahead.Wrap(cl)
+	for _, fi := range alias.Fragments {
+		fr, err := blastdb.OpenFragment(ra, fi.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := fr.Source(0)
+		var letters, seqs int64
+		for {
+			s, err := src.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", fi.Path, err)
+			}
+			letters += int64(s.Len())
+			seqs++
+		}
+		fr.Close()
+		if letters != fi.Letters || seqs != fi.Seqs {
+			t.Errorf("%s: streamed %d letters in %d sequences, alias says %d in %d",
+				fi.Path, letters, seqs, fi.Letters, fi.Seqs)
+		}
+	}
+	var dataRPCs int64
+	for _, s := range m.Snapshot() {
+		if s.Server != dep.Mgr.Addr() {
+			dataRPCs += s.Calls
+		}
+	}
+	st := ra.Stats().Snapshot()
+	t.Logf("%d fragments: %d prefetches (bound %d), %d hits, %d misses, %d data-server RPCs",
+		len(alias.Fragments), st.PrefetchIssued, maxPrefetch, st.Hits, st.Misses, dataRPCs)
+	if st.PrefetchIssued > maxPrefetch {
+		t.Errorf("%d prefetches, want at most %d", st.PrefetchIssued, maxPrefetch)
+	}
+	if dataRPCs > maxDataRPCs {
+		t.Errorf("%d data-server RPCs, want at most %d", dataRPCs, maxDataRPCs)
 	}
 }
