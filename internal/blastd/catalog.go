@@ -77,17 +77,6 @@ func (c *dbCatalog) Refresh(name string) (info *dbInfo, changed bool, err error)
 	return info, old == nil || old.Version != info.Version, nil
 }
 
-// Names lists the databases loaded so far.
-func (c *dbCatalog) Names() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.dbs))
-	for name := range c.dbs {
-		names = append(names, name)
-	}
-	return names
-}
-
 func (c *dbCatalog) loadLocked(name string) (*dbInfo, error) {
 	raw, err := chio.ReadFull(c.fs, blastdb.AliasPath(name))
 	if err != nil {

@@ -144,21 +144,6 @@ type ViewReaderAt interface {
 	ReadView(off, n int64) (View, error)
 }
 
-// ReadViewAt serves a view through f's native zero-copy path when it
-// has one, and otherwise falls back to ReadAt into a fresh buffer
-// (returning an owned view, short with io.EOF past the end).
-func ReadViewAt(f File, off, n int64) (View, error) {
-	if v, ok := f.(ViewReaderAt); ok {
-		return v.ReadView(off, n)
-	}
-	buf := make([]byte, n)
-	m, err := f.ReadAt(buf, off)
-	if err != nil && err != io.EOF {
-		return View{}, err
-	}
-	return OwnedView(buf[:m]), err
-}
-
 // ReadvAt serves segs through f's native vectored path when it has
 // one, and otherwise falls back to one ReadAt per segment with the
 // same semantics (zero-filled tails, EOF as a short count).
@@ -493,6 +478,9 @@ func (f *memFile) Read(p []byte) (int, error) {
 }
 
 func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("chio: readat %s: negative offset %d", f.name, off)
+	}
 	f.d.mu.RLock()
 	defer f.d.mu.RUnlock()
 	if off >= int64(len(f.d.data)) {
@@ -512,6 +500,9 @@ func (f *memFile) Write(p []byte) (int, error) {
 }
 
 func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("chio: writeat %s: negative offset %d", f.name, off)
+	}
 	f.d.mu.Lock()
 	defer f.d.mu.Unlock()
 	end := off + int64(len(p))

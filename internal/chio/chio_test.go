@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -111,6 +112,46 @@ func TestWriteAtExtends(t *testing.T) {
 			want := []byte{0, 0, 0, 0, 0, 'x', 'y'}
 			if !bytes.Equal(got, want) {
 				t.Errorf("got %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+func TestNegativeOffsetsFail(t *testing.T) {
+	rows := []struct {
+		op  string
+		off int64
+	}{
+		{"ReadAt", -1},
+		{"WriteAt", -1},
+		{"ReadAt", math.MinInt64},
+		{"WriteAt", math.MinInt64},
+	}
+	for name, fs := range testBackends(t) {
+		t.Run(name, func(t *testing.T) {
+			if err := WriteFull(fs, "f", []byte("0123456789")); err != nil {
+				t.Fatal(err)
+			}
+			f, err := fs.Open("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			for _, r := range rows {
+				buf := []byte("ab")
+				var n int
+				if r.op == "ReadAt" {
+					n, err = f.ReadAt(buf, r.off)
+				} else {
+					n, err = f.WriteAt(buf, r.off)
+				}
+				if n != 0 || err == nil || err == io.EOF {
+					t.Errorf("%s(%d) = %d, %v; want 0 and an error", r.op, r.off, n, err)
+				}
+			}
+			got, err := ReadFull(fs, "f")
+			if err != nil || string(got) != "0123456789" {
+				t.Errorf("file after rejected writes = %q, %v", got, err)
 			}
 		})
 	}

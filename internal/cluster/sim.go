@@ -43,13 +43,11 @@ func (h *eventHeap) Pop() interface{} {
 // Sim is a simulation instance. Not safe for concurrent use from
 // outside; all concurrency is internal and lock-stepped.
 type Sim struct {
-	now     float64
-	seq     int64
-	events  eventHeap
-	yield   chan yieldMsg
-	live    int // spawned and not yet finished
-	blocked int // waiting on a resource/queue (not in the event heap)
-	trace   func(t float64, who, what string)
+	now    float64
+	seq    int64
+	events eventHeap
+	yield  chan yieldMsg
+	live   int // spawned and not yet finished
 }
 
 type yieldMsg struct {
@@ -59,16 +57,6 @@ type yieldMsg struct {
 // New creates an empty simulation.
 func New() *Sim {
 	return &Sim{yield: make(chan yieldMsg)}
-}
-
-// SetTrace installs a hook called on process lifecycle events (useful
-// for debugging models).
-func (s *Sim) SetTrace(fn func(t float64, who, what string)) { s.trace = fn }
-
-func (s *Sim) tracef(who, what string) {
-	if s.trace != nil {
-		s.trace(s.now, who, what)
-	}
 }
 
 // Now returns the current virtual time in seconds.
@@ -95,7 +83,6 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) {
 	go func() {
 		<-p.resume
 		fn(p)
-		s.tracef(p.name, "exit")
 		s.yield <- yieldMsg{done: true}
 	}()
 	s.schedule(p, s.now)
@@ -170,10 +157,9 @@ type Resource struct {
 	queue    []*Proc
 
 	// statistics
-	lastChange    float64
-	busyIntegral  float64 // integral of inUse over time
-	queueIntegral float64
-	acquisitions  int64
+	lastChange   float64
+	busyIntegral float64 // integral of inUse over time
+	acquisitions int64
 }
 
 // NewResource creates a resource with the given concurrency capacity.
@@ -190,13 +176,9 @@ func (r *Resource) Name() string { return r.name }
 // InUse returns the current holder count.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen returns the current queue length.
-func (r *Resource) QueueLen() int { return len(r.queue) }
-
 func (r *Resource) account() {
 	dt := r.sim.now - r.lastChange
 	r.busyIntegral += float64(r.inUse) * dt
-	r.queueIntegral += float64(len(r.queue)) * dt
 	r.lastChange = r.sim.now
 }
 
@@ -208,15 +190,6 @@ func (r *Resource) Utilization() float64 {
 	}
 	r.account()
 	return r.busyIntegral / (float64(r.capacity) * r.sim.now)
-}
-
-// MeanQueue returns the time-averaged queue length.
-func (r *Resource) MeanQueue() float64 {
-	if r.sim.now == 0 {
-		return 0
-	}
-	r.account()
-	return r.queueIntegral / r.sim.now
 }
 
 // Acquisitions returns how many grants the resource has made.
@@ -231,9 +204,7 @@ func (p *Proc) Acquire(r *Resource) {
 		return
 	}
 	r.queue = append(r.queue, p)
-	p.sim.blocked++
 	p.block()
-	p.sim.blocked--
 	// The releaser incremented inUse on our behalf.
 }
 
@@ -309,9 +280,7 @@ func (p *Proc) Send(q *Queue, v interface{}) {
 func (p *Proc) Recv(q *Queue) interface{} {
 	for len(q.items) == 0 {
 		q.waiters = append(q.waiters, p)
-		p.sim.blocked++
 		p.block()
-		p.sim.blocked--
 	}
 	v := q.items[0]
 	q.items = q.items[1:]

@@ -198,7 +198,7 @@ func (f *FS) Open(name string) (chio.File, error) {
 	fl := &file{File: inner, fs: f}
 	// Forward the zero-copy view capability only when the wrapped file
 	// actually has it. Advertising ReadView unconditionally would make
-	// chio.ReadViewAt callers switch from their bulk ReadAt pattern to
+	// the fragment decoder switch from its bulk ReadAt pattern to
 	// per-range reads against backends that gain nothing from it.
 	if _, ok := inner.(chio.ViewReaderAt); ok {
 		return &viewFile{file: fl}, nil

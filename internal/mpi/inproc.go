@@ -7,7 +7,7 @@ import (
 
 // World is the in-process transport: size communicators sharing
 // message queues in one address space. It is the transport the tests,
-// examples and the traced Figure 4 runs use.
+// in-process searches and the traced Figure 4 runs use.
 type World struct {
 	boxes []*mailbox
 }

@@ -210,8 +210,9 @@ func (p *Pool) Close() error {
 // new Pool per call, so nothing — clients, caches, the world — carries
 // over from one call to the next. masterFS is the master's view of the
 // shared store (used to read the database alias); workerFS and scratch
-// are as in NewPool. This is the entry point the examples, experiments
-// and tests use for single-machine runs.
+// are as in NewPool. core.ParallelSearch, and through it
+// cmd/experiments, the benchmark and the tests, runs one-shot
+// single-machine searches here.
 func RunInProcess(
 	ctx context.Context,
 	nWorkers int,

@@ -287,65 +287,55 @@ func (c *blockCache) invalidateAll(name string) {
 	}
 }
 
-// getBlock returns the cached (or freshly fetched) block idx of name,
-// reading through inner on a miss. A block being delivered by an
-// in-flight prefetch counts as a hit; a failed in-flight fetch falls
-// back to a synchronous retry so a transient prefetch error never
-// surfaces to a reader that could succeed.
+// getBlock returns block idx of name: from the cache, by joining the
+// fetch already in flight, or by claiming the block and reading it
+// through inner, all decided under one hold of the cache mutex. A
+// cached block or a successful joined fetch counts as a hit, a fetch
+// of its own as a miss, exactly one per call. A failed joined fetch
+// falls back to one synchronous retry (counted as the miss) so a
+// transient prefetch error never surfaces to a reader that could
+// succeed.
 func (fs *FS) getBlock(inner chio.File, name string, idx int64) (*block, error) {
 	c := fs.cache
 	key := blockKey{name, idx}
-	c.mu.Lock()
-	if b, ok := c.blocks[key]; ok {
-		c.lru.MoveToFront(b.elem)
-		b.accessed = true
+	retry := false // a joined fetch failed and its miss is counted
+	for {
+		c.mu.Lock()
+		if b, ok := c.blocks[key]; ok {
+			c.lru.MoveToFront(b.elem)
+			b.accessed = true
+			c.mu.Unlock()
+			if !retry {
+				fs.stats.Hit()
+			}
+			return b, nil
+		}
+		fl, joined := c.inflight[key]
+		if !joined {
+			claimed, gen := c.claim(key)
+			c.mu.Unlock()
+			if !retry {
+				fs.stats.Miss()
+			}
+			return fs.runFetch(inner, name, idx, false, claimed, gen)
+		}
 		c.mu.Unlock()
-		fs.stats.Hit()
-		return b, nil
-	}
-	fl := c.inflight[key]
-	c.mu.Unlock()
-	if fl != nil {
 		<-fl.done
 		if fl.err == nil {
-			fs.stats.Hit()
 			c.mu.Lock()
 			fl.b.accessed = true
 			c.mu.Unlock()
+			if !retry {
+				fs.stats.Hit()
+			}
 			return fl.b, nil
 		}
-	}
-	fs.stats.Miss()
-	return fs.fetchBlock(inner, name, idx)
-}
-
-// fetchBlock reads block idx of name through inner on a reader's
-// behalf and publishes it, deduplicating against concurrent fetches of
-// the same block.
-func (fs *FS) fetchBlock(inner chio.File, name string, idx int64) (*block, error) {
-	c := fs.cache
-	key := blockKey{name, idx}
-	c.mu.Lock()
-	if b, ok := c.blocks[key]; ok { // raced with another fetch
-		c.lru.MoveToFront(b.elem)
-		b.accessed = true
-		c.mu.Unlock()
-		return b, nil
-	}
-	if fl, ok := c.inflight[key]; ok {
-		c.mu.Unlock()
-		<-fl.done
-		if fl.err != nil {
+		if retry {
 			return nil, fl.err
 		}
-		c.mu.Lock()
-		fl.b.accessed = true
-		c.mu.Unlock()
-		return fl.b, nil
+		retry = true
+		fs.stats.Miss()
 	}
-	fl, gen := c.claim(key)
-	c.mu.Unlock()
-	return fs.runFetch(inner, name, idx, false, fl, gen)
 }
 
 // claim registers an in-flight fetch of key and returns it with the

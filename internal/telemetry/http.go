@@ -16,36 +16,18 @@ import (
 
 // DebugServer is the opt-in observability endpoint every daemon and the
 // mpiblast client can expose (-debug-addr): Prometheus text /metrics,
-// recent spans at /debug/traces, optional alert state at /debug/alerts,
-// and the standard net/http/pprof profiling handlers.
+// recent spans at /debug/traces, and the standard net/http/pprof
+// profiling handlers.
 type DebugServer struct {
 	ln     net.Listener
 	srv    *http.Server
 	served chan struct{} // closed when the serve goroutine exits
 }
 
-// DebugOption extends the debug mux with optional endpoints.
-type DebugOption func(mux *http.ServeMux)
-
-// WithAlerts serves the value returned by snapshot as JSON on
-// /debug/alerts — the tsdb alert engine's current state, typically
-// engine.Alerts wrapped in a closure. Taking a plain func keeps
-// telemetry free of a tsdb dependency (tsdb already imports telemetry).
-func WithAlerts(snapshot func() any) DebugOption {
-	return func(mux *http.ServeMux) {
-		mux.HandleFunc("/debug/alerts", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(struct {
-				Alerts any `json:"alerts"`
-			}{Alerts: snapshot()})
-		})
-	}
-}
-
 // StartDebug serves the debug endpoints on addr (host:port; port 0
 // picks a free one). reg and tr may each be nil, disabling the
 // corresponding endpoint's content.
-func StartDebug(addr string, reg *Registry, tr *Tracer, opts ...DebugOption) (*DebugServer, error) {
+func StartDebug(addr string, reg *Registry, tr *Tracer) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: debug listen %s: %w", addr, err)
@@ -58,9 +40,6 @@ func StartDebug(addr string, reg *Registry, tr *Tracer, opts ...DebugOption) (*D
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	for _, o := range opts {
-		o(mux)
-	}
 	d := &DebugServer{ln: ln, srv: &http.Server{Handler: mux}, served: make(chan struct{})}
 	go func() {
 		defer close(d.served)

@@ -2,7 +2,6 @@ package tsdb
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -210,33 +209,4 @@ func TestDebugServerShutdownNoLeak(t *testing.T) {
 	}
 	http.DefaultClient.CloseIdleConnections()
 	checkNoGoroutineLeak(t, baseline)
-}
-
-func TestDebugServerAlertsEndpoint(t *testing.T) {
-	st := NewStore(0)
-	rules, _ := ParseRules(`high: last(pario_test_gauge) > 10`)
-	engine := NewEngine(st, rules, WithWindow(time.Minute))
-	gaugeAt(st, "pario_test_gauge", 0, 42)
-	engine.Eval(t0)
-
-	dbg, err := telemetry.StartDebug("127.0.0.1:0", nil, nil,
-		telemetry.WithAlerts(func() any { return engine.Alerts() }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dbg.Close()
-	resp, err := http.Get("http://" + dbg.Addr() + "/debug/alerts")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var body struct {
-		Alerts []Alert `json:"alerts"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if len(body.Alerts) != 1 || body.Alerts[0].Rule != "high" || body.Alerts[0].State != StateFiring {
-		t.Fatalf("alerts = %+v", body.Alerts)
-	}
 }

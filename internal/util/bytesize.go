@@ -3,7 +3,11 @@
 // generator used by the workload generators and the simulator.
 package util
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"strings"
+)
 
 // Byte size units.
 const (
@@ -29,7 +33,8 @@ func FormatBytes(n int64) string {
 }
 
 // ParseBytes parses strings like "64KB", "2.7GB" or "512" into a byte
-// count. It accepts the suffixes B, KB, MB, GB and TB (case-insensitive).
+// count. It accepts the suffixes B, KB, MB, GB and TB (case-insensitive)
+// and rejects sizes that are negative, NaN, infinite or beyond int64.
 func ParseBytes(s string) (int64, error) {
 	var value float64
 	var unit string
@@ -39,37 +44,23 @@ func ParseBytes(s string) (int64, error) {
 	}
 	mult := int64(1)
 	switch {
-	case unit == "" || equalFold(unit, "B"):
+	case unit == "" || strings.EqualFold(unit, "B"):
 		mult = 1
-	case equalFold(unit, "KB") || equalFold(unit, "K"):
+	case strings.EqualFold(unit, "KB") || strings.EqualFold(unit, "K"):
 		mult = KB
-	case equalFold(unit, "MB") || equalFold(unit, "M"):
+	case strings.EqualFold(unit, "MB") || strings.EqualFold(unit, "M"):
 		mult = MB
-	case equalFold(unit, "GB") || equalFold(unit, "G"):
+	case strings.EqualFold(unit, "GB") || strings.EqualFold(unit, "G"):
 		mult = GB
-	case equalFold(unit, "TB") || equalFold(unit, "T"):
+	case strings.EqualFold(unit, "TB") || strings.EqualFold(unit, "T"):
 		mult = TB
 	default:
 		return 0, fmt.Errorf("util: unknown byte unit %q in %q", unit, s)
 	}
-	return int64(value * float64(mult)), nil
-}
-
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
+	v := value * float64(mult)
+	// NaN fails both comparisons; 2^63 itself does not fit in an int64.
+	if !(v >= 0 && v < math.MaxInt64) {
+		return 0, fmt.Errorf("util: byte size %q out of range", s)
 	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'a' <= ca && ca <= 'z' {
-			ca -= 'a' - 'A'
-		}
-		if 'a' <= cb && cb <= 'z' {
-			cb -= 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
+	return int64(v), nil
 }

@@ -48,8 +48,10 @@ func TestParseBytes(t *testing.T) {
 			t.Errorf("ParseBytes(%q) = %d, want %d", c.in, got, c.want)
 		}
 	}
-	if _, err := ParseBytes("12XB"); err == nil {
-		t.Error("ParseBytes(12XB) should fail")
+	for _, bad := range []string{"12XB", "-5MB", "-1", "NaN", "Inf", "-Inf", "1e30TB", "8388608TB"} {
+		if got, err := ParseBytes(bad); err == nil {
+			t.Errorf("ParseBytes(%q) = %d, want an error", bad, got)
+		}
 	}
 }
 
@@ -201,14 +203,5 @@ func TestRNGPerm(t *testing.T) {
 			}
 			seen[v] = true
 		}
-	}
-}
-
-func TestMinMaxHelpers(t *testing.T) {
-	if MinInt(2, 3) != 2 || MaxInt(2, 3) != 3 {
-		t.Error("MinInt/MaxInt broken")
-	}
-	if MinInt64(-5, 5) != -5 || MaxInt64(-5, 5) != 5 {
-		t.Error("MinInt64/MaxInt64 broken")
 	}
 }
