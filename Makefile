@@ -15,9 +15,10 @@ test:
 # its fetch goroutines and every reader share), re-run the search-path
 # allocation guard without the race detector (whose
 # shadow memory inflates alloc counts, so the guard skips itself
-# under -race), fuzz the data server's request handler, the one-table
-# seed scan, the message router, the fragment reader and the FASTA
-# reader for a few seconds each, build and smoke the frozen benchmark module (root `go
+# under -race), fuzz the data server's request handler, the PVFS wire
+# frame decoders, the one-table seed scan, the message router, the
+# fragment reader, the FASTA reader and the metrics text parser for a
+# few seconds each, build and smoke the frozen benchmark module (root `go
 # build ./...` does not compile it, so a rename that breaks it would
 # otherwise go unnoticed), make sure every benchmark still at least
 # runs, then smoke the live /metrics endpoint.
@@ -25,10 +26,12 @@ check: lint race
 	$(GO) test -race -count=20 -run 'Prefetch|Concurrent|Demand' ./internal/readahead/
 	$(GO) test -run TestSearchSubjectSteadyStateAllocs ./internal/blast/
 	$(GO) test -run '^$$' -fuzz FuzzDataServerDispatch -fuzztime 5s ./internal/pvfs/
+	$(GO) test -run '^$$' -fuzz FuzzWireFrame -fuzztime 5s ./internal/pvfs/
 	$(GO) test -run '^$$' -fuzz FuzzOneTableSeeds -fuzztime 5s ./internal/blast/
 	$(GO) test -run '^$$' -fuzz FuzzRouterFrames -fuzztime 5s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzOpenFragment -fuzztime 5s ./internal/blastdb/
 	$(GO) test -run '^$$' -fuzz FuzzFastaReader -fuzztime 5s ./internal/seq/
+	$(GO) test -run '^$$' -fuzz FuzzParseText -fuzztime 5s ./internal/telemetry/
 	$(GO) vet -C bench ./... && $(GO) test -C bench -short .
 	$(MAKE) bench-smoke
 	$(MAKE) metrics-smoke

@@ -3,6 +3,7 @@ package blastdb
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"runtime"
@@ -568,6 +569,26 @@ func TestChecksumVerification(t *testing.T) {
 	if err := fr2.VerifyChecksum(); err == nil {
 		t.Fatal("corrupted fragment passed verification")
 	}
+
+	// A file whose ReadAt comes back short without an error: the
+	// failure must say the data ended early, not wrap a nil error.
+	fr3, err := OpenFragment(fs, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fr3.Close()
+	fr3.f = halfReader{fr3.f}
+	if err := fr3.VerifyChecksum(); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("short read: VerifyChecksum = %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// halfReader serves half of every ReadAt of more than one byte and
+// reports no error, as a ReaderAt may.
+type halfReader struct{ chio.File }
+
+func (h halfReader) ReadAt(p []byte, off int64) (int, error) {
+	return h.File.ReadAt(p[:max(len(p)/2, min(len(p), 1))], off)
 }
 
 func TestFragmentRoundTripQuick(t *testing.T) {

@@ -299,14 +299,23 @@ func readRegion(f io.ReaderAt, off, n uint64) ([]byte, error) {
 	for uint64(len(buf)) < n {
 		k := int(min(n-uint64(len(buf)), 1<<20))
 		buf = append(buf, make([]byte, k)...)
-		if m, err := f.ReadAt(buf[len(buf)-k:], int64(off)+int64(len(buf)-k)); m < k {
-			if err == nil || err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
+		if err := readAtFull(f, buf[len(buf)-k:], int64(off)+int64(len(buf)-k)); err != nil {
 			return nil, err
 		}
 	}
 	return buf, nil
+}
+
+// readAtFull fills p from f at off. A short read is an error, and one
+// the ReaderAt reported as nil or io.EOF becomes io.ErrUnexpectedEOF.
+func readAtFull(f io.ReaderAt, p []byte, off int64) error {
+	if n, err := f.ReadAt(p, off); n < len(p) {
+		if err == nil || err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return err
+	}
+	return nil
 }
 
 // NumSequences returns the sequence count.
@@ -360,7 +369,7 @@ func (fr *Fragment) readPayloadView(vr chio.ViewReaderAt, start, plen int64) ([]
 func (fr *Fragment) readPayload(start, plen int64) ([]byte, error) {
 	buf := make([]byte, plen)
 	if plen > 0 {
-		if n, err := fr.f.ReadAt(buf, int64(fr.h.DataOff)+start); err != nil && err != io.EOF || int64(n) < plen {
+		if err := readAtFull(fr.f, buf, int64(fr.h.DataOff)+start); err != nil {
 			return nil, fmt.Errorf("blastdb: short data read: %w", err)
 		}
 	}
@@ -457,7 +466,7 @@ func (src *FragmentSource) Next() (*seq.Sequence, error) {
 		}
 		src.buf = make([]byte, want)
 		if want > 0 {
-			if n, err := fr.f.ReadAt(src.buf, int64(fr.h.DataOff)+start); err != nil && err != io.EOF || int64(n) < want {
+			if err := readAtFull(fr.f, src.buf, int64(fr.h.DataOff)+start); err != nil {
 				return nil, fmt.Errorf("blastdb: short chunk read: %w", err)
 			}
 		}
@@ -483,8 +492,7 @@ func (fr *Fragment) VerifyChecksum() error {
 		if off+n > dataLen {
 			n = dataLen - off
 		}
-		read, err := fr.f.ReadAt(buf[:n], int64(fr.h.DataOff)+off)
-		if err != nil && err != io.EOF || int64(read) < n {
+		if err := readAtFull(fr.f, buf[:n], int64(fr.h.DataOff)+off); err != nil {
 			return fmt.Errorf("blastdb: checksum read at %d: %w", off, err)
 		}
 		crc = crc32.Update(crc, crc32.IEEETable, buf[:n])

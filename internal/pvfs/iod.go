@@ -216,7 +216,7 @@ func (ds *DataServer) throttle(n int64) {
 func (ds *DataServer) dispatch(req *Request) *Response {
 	switch req.Op {
 	case OpListRead:
-		return ds.handleRead(req.Handle, req.Segs)
+		return ds.handleRead(req.Handle, req.Segs, req.reply)
 	case OpListWrite:
 		ds.throttle(int64(len(req.Data)))
 		return ds.handleWrite(req.Handle, req.Segs, req.Data)
@@ -289,9 +289,11 @@ func byOffset(segs []Seg) []int {
 // handleRead serves a list read: any segment list — unsorted,
 // overlapping, over holes, past the piece's end — with each piece byte
 // read at most once. The reply's Data is the served bytes concatenated
-// in request order; SegLens says how much of each segment was served
-// (short means hole or end of piece, and the client zero-fills).
-func (ds *DataServer) handleRead(handle uint64, segs []Seg) *Response {
+// in request order, in buf's storage when it is large enough (the
+// serving connection's reused reply buffer); SegLens says how much of
+// each segment was served (short means hole or end of piece, and the
+// client zero-fills).
+func (ds *DataServer) handleRead(handle uint64, segs []Seg, buf []byte) *Response {
 	total, ascending, err := checkSegs(segs)
 	if err != nil {
 		return errResp("list read: %v", err)
@@ -315,7 +317,10 @@ func (ds *DataServer) handleRead(handle uint64, segs []Seg) *Response {
 		lens[i] = min(max(size-s.Offset, 0), s.Length)
 		need += lens[i]
 	}
-	buf := make([]byte, 0, need)
+	if int64(cap(buf)) < need {
+		buf = make([]byte, 0, need)
+	}
+	buf = buf[:0]
 	if ascending {
 		// Request order is piece order and nothing overlaps, so each
 		// segment is read straight into its place in the reply.

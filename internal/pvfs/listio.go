@@ -1,9 +1,6 @@
 package pvfs
 
-import (
-	"context"
-	"fmt"
-)
+import "context"
 
 // This file is the client half of the one data op (list I/O in the
 // ROMIO/PVFS literature): everything a read or write needs from one
@@ -14,31 +11,24 @@ import (
 // of k.
 
 // ReadRuns reads every stripe run in runs (which must all name this
-// server) into p with one list read, scattering each run's bytes at
-// its BufOff and zero-filling hole/EOF tails. Runs may be unsorted and
-// may overlap in the piece.
+// server) into p with one list read, placing each run's bytes at its
+// BufOff and zero-filling hole/EOF tails. Runs may be unsorted and may
+// overlap in the piece. Disjoint runs — the shape striping produces —
+// are read straight off the socket into their regions of p; only an
+// overlapping list's payload goes through a pooled buffer and scatter.
 func (d *DataConn) ReadRuns(ctx context.Context, handle uint64, runs []StripeRun, p []byte) error {
 	if len(runs) == 0 {
 		return nil
 	}
 	segs, group := mergeRuns(runs)
 	resp := getResp()
-	pooled := resp.Data
-	if len(runs) == 1 {
-		// A lone run's reply is decoded directly into its destination:
-		// gob reuses a preset slice whose capacity suffices, so the bytes
-		// move once with no intermediate payload buffer. The capacity is
-		// capped at the run length so an over-long reply cannot scribble
-		// past the run's region.
-		r := runs[0]
-		resp.Data = p[r.BufOff : r.BufOff : r.BufOff+r.Length]
-	}
+	resp.into = destinations(runs, p, resp.into)
 	err := d.t.callInto(ctx, &Request{Op: OpListRead, Handle: handle, Segs: segs}, resp)
-	if err == nil {
-		err = scatter(resp, segs, group, runs, p)
+	if err == nil && !resp.OK {
+		err = resp.err()
 	}
-	if len(runs) == 1 {
-		resp.Data = pooled // the pool keeps its own payload buffer, not the caller's memory
+	if err == nil && resp.into == nil {
+		scatter(resp, segs, group, runs, p)
 	}
 	putResp(resp)
 	if err != nil {
@@ -48,16 +38,38 @@ func (d *DataConn) ReadRuns(ctx context.Context, handle uint64, runs []StripeRun
 	return nil
 }
 
-// scatter copies a list-read reply's segment payloads to the runs'
+// destinations returns the runs' regions of p in piece order — the
+// order a list read's payload arrives in — reusing into's storage, or
+// nil when two runs overlap in the piece.
+func destinations(runs []StripeRun, p []byte, into [][]byte) [][]byte {
+	var order []int // nil while the runs are already in piece order
+	for i := 1; i < len(runs); i++ {
+		if runs[i].ServerOff < runs[i-1].ServerOff {
+			order = sortedIndex(len(runs), func(i int) int64 { return runs[i].ServerOff })
+			break
+		}
+	}
+	into = into[:0]
+	var end int64
+	for k := range runs {
+		r := runs[k]
+		if order != nil {
+			r = runs[order[k]]
+		}
+		if k > 0 && r.ServerOff < end {
+			clear(into)
+			return nil
+		}
+		end = r.ServerOff + r.Length
+		into = append(into, p[r.BufOff:r.BufOff+r.Length])
+	}
+	return into
+}
+
+// scatter copies an overlapping list read's segment payloads, already
+// checked against the request by readResponse, to the runs'
 // destinations in p and zero-fills what the server could not serve.
-func scatter(resp *Response, segs []Seg, group []int, runs []StripeRun, p []byte) error {
-	if !resp.OK {
-		return resp.err()
-	}
-	if len(resp.SegLens) != len(segs) {
-		return fmt.Errorf("pvfs: list read returned %d segment lengths for %d segments",
-			len(resp.SegLens), len(segs))
-	}
+func scatter(resp *Response, segs []Seg, group []int, runs []StripeRun, p []byte) {
 	// Slice the concatenated payload back into per-segment views (on
 	// the stack for the few-segment lists striping produces).
 	data := resp.Data
@@ -66,27 +78,21 @@ func scatter(resp *Response, segs []Seg, group []int, runs []StripeRun, p []byte
 	if len(segs) > len(few) {
 		views = make([][]byte, len(segs))
 	}
-	for i, s := range segs {
-		got := resp.SegLens[i]
-		if got < 0 || got > s.Length || got > int64(len(data)) {
-			return fmt.Errorf("pvfs: list read segment %d: bad length %d (want <= %d, %d bytes left)",
-				i, got, s.Length, len(data))
-		}
-		views[i] = data[:got]
-		data = data[got:]
+	for i := range segs {
+		views[i] = data[:resp.SegLens[i]]
+		data = data[resp.SegLens[i]:]
 	}
 	for i, r := range runs {
 		view := views[group[i]]
 		rel := r.ServerOff - segs[group[i]].Offset
 		served := min(max(int64(len(view))-rel, 0), r.Length)
 		dst := p[r.BufOff : r.BufOff+r.Length]
-		if served > 0 && &dst[0] != &view[rel] { // else decoded in place
+		if served > 0 {
 			copy(dst, view[rel:rel+served])
 		}
 		// Holes and EOF read back as zeros.
 		clear(dst[served:])
 	}
-	return nil
 }
 
 // oneGroup is mergeRuns' group result for a single run.
@@ -149,19 +155,18 @@ func (d *DataConn) WriteRuns(ctx context.Context, op Op, handle uint64, runs []S
 			segs = append(segs, Seg{Offset: r.ServerOff, Length: r.Length})
 		}
 	}
-	data := p[runs[0].BufOff : runs[0].BufOff+runs[0].Length]
-	if len(runs) > 1 {
-		var total int64
-		for _, r := range runs {
-			total += r.Length
-		}
-		data = make([]byte, 0, total)
-		for _, r := range runs {
-			data = append(data, p[r.BufOff:r.BufOff+r.Length]...)
+	req := &Request{Op: op, Handle: handle, Segs: segs}
+	if len(runs) == 1 {
+		req.Data = p[runs[0].BufOff : runs[0].BufOff+runs[0].Length]
+	} else {
+		// The runs' slices of p go out in one vectored write, unjoined.
+		req.gather = make([][]byte, len(runs))
+		for i, r := range runs {
+			req.gather[i] = p[r.BufOff : r.BufOff+r.Length]
 		}
 	}
 	resp := getResp()
-	err := d.t.callInto(ctx, &Request{Op: op, Handle: handle, Segs: segs, Data: data}, resp)
+	err := d.t.callInto(ctx, req, resp)
 	if err == nil && !resp.OK {
 		err = resp.err()
 	}

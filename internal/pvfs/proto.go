@@ -10,8 +10,9 @@
 package pvfs
 
 import (
-	"encoding/gob"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -108,11 +109,28 @@ type Request struct {
 	Segs []Seg
 	// TraceID/SpanID propagate the client span that issued this
 	// request, so server-side work is attributable to the application
-	// call that caused it. Zero means untraced. gob omits zero fields
-	// and ignores unknown ones, so peers built before these fields
-	// interoperate unchanged in both directions.
+	// call that caused it. Zero means untraced.
 	TraceID uint64
 	SpanID  uint64
+
+	// gather, when non-nil, is the payload in pieces sent in order
+	// without joining them; Data is then unused.
+	gather [][]byte
+	// reply is storage the serving connection lends a read handler for
+	// its reply's payload.
+	reply []byte
+}
+
+// payloadLen is the byte length of the request's payload.
+func (r *Request) payloadLen() int {
+	if r.gather == nil {
+		return len(r.Data)
+	}
+	n := 0
+	for _, p := range r.gather {
+		n += len(p)
+	}
+	return n
 }
 
 // String names the op for metric labels and span names.
@@ -175,6 +193,13 @@ type Response struct {
 	SegLens []int64
 	// Loads maps data-server index to its last reported load.
 	Loads map[int]float64
+
+	// into, when set on a list read's response, holds the destination
+	// regions its payload is read straight into (see readResponse).
+	into [][]byte
+	// payloadLen is the payload byte count the response frame carried,
+	// which is not len(Data) when the payload went to into.
+	payloadLen int64
 }
 
 func (r *Response) err() error {
@@ -184,22 +209,12 @@ func (r *Response) err() error {
 	return fmt.Errorf("pvfs: %s", r.Err)
 }
 
-// reset clears the response for reuse while keeping the capacity of
-// its Data and SegLens buffers, so pooled responses decode without
-// reallocating them (gob reuses a slice whose capacity suffices). Every
-// field must be cleared: gob omits zero-valued fields on the wire, so a
-// recycled response would otherwise leak values from a previous call.
-func (r *Response) reset() {
-	*r = Response{Data: r.Data[:0], SegLens: r.SegLens[:0]}
-}
-
 // conn is a synchronous RPC connection: one outstanding request at a
-// time, gob-encoded over TCP.
+// time, framed over TCP.
 type conn struct {
-	mu  sync.Mutex
-	c   net.Conn
-	enc *gob.Encoder
-	dec *gob.Decoder
+	mu sync.Mutex
+	frameConn
+	greeted bool // version words exchanged
 }
 
 func dialConn(addr string) (*conn, error) {
@@ -207,22 +222,40 @@ func dialConn(addr string) (*conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pvfs: dialing %s: %w", addr, err)
 	}
-	return &conn{c: c, enc: gob.NewEncoder(c), dec: gob.NewDecoder(c)}, nil
+	return &conn{frameConn: newFrameConn(c)}, nil
 }
 
-// call performs one request/response exchange, decoding the reply
-// into resp (which is reset first, so it may be a recycled value
-// holding a reusable Data buffer).
+// call performs one request/response exchange, decoding the reply into
+// resp (see readResponse). The first exchange on a connection carries
+// the version word each way. Any error leaves the connection unusable.
 func (cn *conn) call(req *Request, resp *Response) error {
 	cn.mu.Lock()
 	defer cn.mu.Unlock()
-	if err := cn.enc.Encode(req); err != nil {
+	cn.out = cn.out[:0]
+	if !cn.greeted {
+		cn.out = append(cn.out, hello...)
+	}
+	cn.out = appendRequest(cn.out, req)
+	var err error
+	if req.gather != nil {
+		err = cn.send(req.gather...)
+	} else {
+		err = cn.send(req.Data)
+	}
+	if err != nil {
 		return fmt.Errorf("pvfs: sending request: %w", err)
 	}
-	resp.reset()
-	if err := cn.dec.Decode(resp); err != nil {
+	if !cn.greeted {
+		err = readHello(cn.r)
+	}
+	if err == nil {
+		err = readResponse(cn.r, req, resp, &cn.fields)
+	}
+	cn.fields = trim(cn.fields)
+	if err != nil {
 		return fmt.Errorf("pvfs: reading response: %w", err)
 	}
+	cn.greeted = true
 	return nil
 }
 
@@ -237,29 +270,57 @@ func (cn *conn) Close() error { return cn.close() }
 func (cn *conn) setDeadline(t time.Time) error { return cn.c.SetDeadline(t) }
 
 // serve runs the request loop of a server connection, dispatching to
-// handle until the peer disconnects.
+// handle until the peer disconnects. A peer that does not open with
+// this wire's version word gets one refusal frame, and the connection
+// closes. The request's buffers and the reply buffer are reused from
+// one request to the next (handlers do not keep them past their
+// return); the payload, fields and reply buffers only up to
+// keptBufferBytes.
 func serve(c net.Conn, handle func(*Request) *Response) {
 	defer c.Close()
-	dec := gob.NewDecoder(c)
-	enc := gob.NewEncoder(c)
-	var req Request
-	for {
-		// The payload and segment buffers are reused from one request to
-		// the next (handlers do not keep them past their return).
-		// Everything else, the old segments included, is zeroed first:
-		// gob omits zero-valued fields, so whatever a message leaves out
-		// would otherwise keep its previous value.
-		segs := req.Segs[:cap(req.Segs)]
-		clear(segs)
-		req = Request{Data: req.Data[:0], Segs: segs[:0]}
-		if err := dec.Decode(&req); err != nil {
-			return
+	f := newFrameConn(c)
+	if err := readHello(f.r); err != nil {
+		if errors.Is(err, ErrWireVersion) {
+			refuse(&f, err)
 		}
-		resp := handle(&req)
-		if err := enc.Encode(resp); err != nil {
-			return
-		}
+		return
 	}
+	var req Request
+	var reply []byte
+	for first := true; ; first = false {
+		if err := readRequest(f.r, &req, &f.fields); err != nil {
+			return
+		}
+		req.reply = reply[:0]
+		resp := handle(&req)
+		f.out = f.out[:0]
+		if first {
+			f.out = append(f.out, hello...)
+		}
+		f.out = appendResponse(f.out, resp)
+		if err := f.send(resp.Data); err != nil {
+			return
+		}
+		if c := cap(resp.Data); c > cap(reply) && c <= keptBufferBytes {
+			reply = resp.Data[:0]
+		}
+		req.Data, f.fields = trim(req.Data), trim(f.fields)
+	}
+}
+
+// refuse answers a peer that sent another version word with one
+// refusal frame, then half-closes and drains what the peer still sends
+// for up to a second, so the frame is not lost to a reset.
+func refuse(f *frameConn, err error) {
+	f.out = refusal(err)
+	if f.send() != nil {
+		return
+	}
+	if tc, ok := f.c.(*net.TCPConn); ok {
+		tc.CloseWrite()
+	}
+	f.c.SetReadDeadline(time.Now().Add(time.Second))
+	io.Copy(io.Discard, f.r)
 }
 
 func errResp(format string, args ...interface{}) *Response {

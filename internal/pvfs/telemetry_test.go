@@ -2,8 +2,6 @@ package pvfs
 
 import (
 	"context"
-	"encoding/gob"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -174,22 +172,10 @@ func TestClusterMetricsExposed(t *testing.T) {
 	}
 }
 
-// legacyRequest is the wire request as built before the TraceID/SpanID
-// fields existed. gob matches fields by name and ignores ones unknown
-// to either side, so old and new peers must interoperate unchanged.
-type legacyRequest struct {
-	Op     Op
-	Name   string
-	Handle uint64
-	Offset int64
-	Length int64
-	Data   []byte
-	Segs   []Seg
-}
-
-// TestLegacyClientAgainstTracedServer drives a new, fully instrumented
-// data server with an old-protocol client.
-func TestLegacyClientAgainstTracedServer(t *testing.T) {
+// TestUntracedRequestCountedWithoutSpan drives a fully instrumented
+// data server with a client that stamps no trace identity: the server
+// counts its requests but records no span for them.
+func TestUntracedRequestCountedWithoutSpan(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(0)
 	ds, err := StartDataServer(DataServerConfig{
@@ -200,89 +186,32 @@ func TestLegacyClientAgainstTracedServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ds.Close()
-
-	c, err := net.Dial("tcp", ds.Addr())
+	d, err := DialData(ds.Addr(), rpcpool.WithTimeout(2*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	enc, dec := gob.NewEncoder(c), gob.NewDecoder(c)
+	defer d.Close()
 
-	call := func(req *legacyRequest) *Response {
-		t.Helper()
-		if err := enc.Encode(req); err != nil {
-			t.Fatal(err)
-		}
-		var resp Response
-		if err := dec.Decode(&resp); err != nil {
-			t.Fatal(err)
-		}
-		return &resp
+	ctx := context.Background()
+	if _, err := d.Ping(ctx); err != nil {
+		t.Fatalf("untraced ping: %v", err)
 	}
-	if resp := call(&legacyRequest{Op: OpPing}); !resp.OK {
-		t.Fatalf("legacy ping failed: %s", resp.Err)
+	run := []StripeRun{{ServerOff: 0, BufOff: 0, Length: 5}}
+	if err := d.WriteRuns(ctx, OpListWrite, 9, run, []byte("hello")); err != nil {
+		t.Fatalf("untraced write: %v", err)
 	}
-	seg := []Seg{{Offset: 0, Length: 5}}
-	if resp := call(&legacyRequest{Op: OpListWrite, Handle: 9, Segs: seg, Data: []byte("hello")}); !resp.OK {
-		t.Fatalf("legacy write failed: %s", resp.Err)
+	got := make([]byte, 5)
+	if err := d.ReadRuns(ctx, 9, run, got); err != nil || string(got) != "hello" {
+		t.Fatalf("untraced read = %q, %v", got, err)
 	}
-	resp := call(&legacyRequest{Op: OpListRead, Handle: 9, Segs: seg})
-	if !resp.OK || string(resp.Data) != "hello" {
-		t.Fatalf("legacy read = %q ok=%v err=%s", resp.Data, resp.OK, resp.Err)
-	}
-	// The traced server still counts legacy requests, but records no
-	// spans for them (no trace identity on the wire).
 	for _, s := range tracer.Recent() {
-		t.Errorf("untraced legacy request produced span %q", s.Name)
+		t.Errorf("untraced request produced span %q", s.Name)
 	}
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), `pario_server_requests_total{server="iod0",op="ping",outcome="ok"} 1`) {
-		t.Errorf("legacy ping not counted:\n%s", sb.String())
-	}
-}
-
-// TestTracedClientAgainstLegacyServer sends new-protocol requests
-// (trace fields stamped) to a server that decodes the old Request
-// shape, confirming the added wire fields are ignored gracefully.
-func TestTracedClientAgainstLegacyServer(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		dec, enc := gob.NewDecoder(c), gob.NewEncoder(c)
-		for {
-			var req legacyRequest
-			if err := dec.Decode(&req); err != nil {
-				return
-			}
-			// SegLens reports how many segments the old shape decoded.
-			enc.Encode(&Response{OK: true, Data: []byte("pong"), SegLens: []int64{int64(len(req.Segs))}})
-		}
-	}()
-
-	tracer := telemetry.NewTracer(0)
-	cfg := rpcpool.Apply(rpcpool.WithTracer(tracer), rpcpool.WithTimeout(2*time.Second))
-	tr := newTransport(ln.Addr().String(), cfg)
-	defer tr.close()
-	resp, err := tr.call(context.Background(), &Request{Op: OpListRead, Segs: []Seg{{Length: 4}}})
-	if err != nil {
-		t.Fatalf("traced call to legacy server: %v", err)
-	}
-	if !resp.OK || string(resp.Data) != "pong" || len(resp.SegLens) != 1 || resp.SegLens[0] != 1 {
-		t.Fatalf("legacy server response = %+v", resp)
-	}
-	spans := tracer.Recent()
-	if len(spans) != 1 || spans[0].Name != "rpc:list_read" {
-		t.Fatalf("spans = %+v, want one rpc:list_read", spans)
+		t.Errorf("untraced ping not counted:\n%s", sb.String())
 	}
 }

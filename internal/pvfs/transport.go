@@ -15,12 +15,10 @@ import (
 	"pario/internal/telemetry"
 )
 
-// respPool recycles Response values — and, crucially, their Data
-// buffers — across calls. The striped read path issues one RPC per
-// server per ReadAt; decoding each reply into a fresh Response used to
-// allocate a stripe-sized []byte per RPC, which dominated hot-path
-// garbage. gob's decoder reuses a slice whose capacity suffices, so a
-// pooled Response's payload buffer is written in place.
+// respPool recycles the Responses of the data path's list RPCs, with
+// the capacity of their SegLens, their destination list and the buffer
+// an overlapping list read's payload is read into. readResponse sets
+// every field, so a recycled Response needs no reset.
 var respPool = sync.Pool{New: func() interface{} { return new(Response) }}
 
 // getResp returns a recycled (or fresh) Response for a pooled call.
@@ -29,7 +27,8 @@ func getResp() *Response { return respPool.Get().(*Response) }
 // putResp returns a Response to the pool once its payload has been
 // consumed. The caller must not retain resp.Data afterwards.
 func putResp(resp *Response) {
-	resp.reset()
+	clear(resp.into) // the pool keeps no reference to caller memory
+	resp.into = resp.into[:0]
 	respPool.Put(resp)
 }
 
@@ -122,8 +121,8 @@ func (t *transport) callInto(ctx context.Context, req *Request, resp *Response) 
 			retries++
 		}
 		err = t.attempt(ctx, req, resp)
-		if err == nil || ctx.Err() != nil {
-			break
+		if err == nil || ctx.Err() != nil || errors.Is(err, ErrWireVersion) {
+			break // a peer of another wire version will not change its mind
 		}
 	}
 	if err != nil {
@@ -141,10 +140,10 @@ func (t *transport) callInto(ctx context.Context, req *Request, resp *Response) 
 // set and span tracer.
 func (t *transport) observeCall(req *Request, resp *Response, start time.Time, elapsed time.Duration, retries int, err error, parent telemetry.SpanContext) {
 	op := req.Op.String()
-	var bytes int64
-	bytes += int64(len(req.Data))
+	sent := int64(req.payloadLen())
+	bytes := sent
 	if err == nil {
-		bytes += int64(len(resp.Data))
+		bytes += resp.payloadLen
 	}
 	if m := t.cfg.Metrics; m != nil {
 		m.Latency.With(t.addr, op).ObserveDuration(elapsed)
@@ -152,13 +151,11 @@ func (t *transport) observeCall(req *Request, resp *Response, start time.Time, e
 		if retries > 0 {
 			m.Retries.With(t.addr).Add(int64(retries))
 		}
-		if n := int64(len(req.Data)); n > 0 {
-			m.BytesOut.With(t.addr).Add(n)
+		if sent > 0 {
+			m.BytesOut.With(t.addr).Add(sent)
 		}
-		if err == nil {
-			if n := int64(len(resp.Data)); n > 0 {
-				m.BytesIn.With(t.addr).Add(n)
-			}
+		if err == nil && resp.payloadLen > 0 {
+			m.BytesIn.With(t.addr).Add(resp.payloadLen)
 		}
 	}
 	if tr := t.cfg.Tracer; tr != nil {
@@ -196,7 +193,7 @@ func (t *transport) observeBatch(runs, rpcs int) {
 // connection. The connection's socket deadline is the tighter of the
 // per-attempt Timeout and the context deadline, and cancellation of
 // ctx mid-exchange forces the socket deadline into the past so an
-// in-flight gob decode aborts immediately. A failed connection is
+// in-flight read aborts immediately. A failed connection is
 // discarded (the pool redials on demand); a healthy one goes back for
 // reuse.
 func (t *transport) attempt(ctx context.Context, req *Request, resp *Response) error {

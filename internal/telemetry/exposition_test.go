@@ -235,3 +235,45 @@ func TestParseExemplarMalformed(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseText feeds ParseText arbitrary pages, which must never make
+// it panic, and checks the round trip on pages WritePrometheus
+// renders: a registry whose counter, gauge and histogram carry an
+// arbitrary label value (and the gauge an arbitrary value) parses back
+// to its Snapshot, sample for sample. The seeds are hostileLabels.
+func FuzzParseText(f *testing.F) {
+	for i, l := range hostileLabels {
+		f.Add(l, float64(i)/3)
+	}
+	f.Fuzz(func(t *testing.T, label string, value float64) {
+		ParseText(strings.NewReader(label))
+
+		reg := NewRegistry()
+		reg.CounterVec("pario_fz_total", "counter", "client").With(label).Add(3)
+		reg.GaugeVec("pario_fz_gauge", "gauge", "client").With(label).Set(value)
+		h := reg.HistogramVec("pario_fz_seconds", "histogram", "client").With(label)
+		h.Observe(1e-5)
+		h.ObserveExemplar(0.25, 0xabc)
+		var page bytes.Buffer
+		if err := reg.WritePrometheus(&page); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ParseText(bytes.NewReader(page.Bytes()))
+		if err != nil {
+			t.Fatalf("ParseText of a rendered page: %v\n%s", err, page.String())
+		}
+		want := reg.Snapshot()
+		if len(got) != len(want) {
+			t.Fatalf("parsed %d samples, snapshot has %d\n%s", len(got), len(want), page.String())
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if math.IsNaN(w.Value) && math.IsNaN(g.Value) {
+				g.Value, w.Value = 0, 0
+			}
+			if !reflect.DeepEqual(g, w) {
+				t.Fatalf("sample %d:\n parsed   %+v\n snapshot %+v\n%s", i, g, w, page.String())
+			}
+		}
+	})
+}
