@@ -498,45 +498,6 @@ func BenchmarkMPIRoundTrip(b *testing.B) {
 	<-done
 }
 
-// BenchmarkCEFTWriteProtocols compares the four CEFT duplication
-// protocols of the companion write-performance study on a real
-// deployment (client-sync / client-async / server-sync / server-async).
-func BenchmarkCEFTWriteProtocols(b *testing.B) {
-	for _, proto := range []ceft.WriteProtocol{
-		ceft.ClientSync, ceft.ClientAsync, ceft.ServerSync, ceft.ServerAsync,
-	} {
-		b.Run(proto.String(), func(b *testing.B) {
-			dep, err := core.StartCEFT(2, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer dep.Close()
-			opts := ceft.DefaultOptions()
-			opts.WriteProtocol = proto
-			cl, err := dep.Client(opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cl.Close()
-			payload := make([]byte, 4<<20)
-			b.SetBytes(int64(len(payload)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f, err := cl.Create("bench")
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := f.Write(payload); err != nil {
-					b.Fatal(err)
-				}
-				if err := f.Close(); err != nil { // settles async protocols
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkMegablastVsBlastn compares the greedy megablast path to the
 // classic X-drop DP path on a near-identical planted match — the
 // workload megablast was designed for.

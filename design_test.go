@@ -1,15 +1,19 @@
 package pario
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
 
 // TestDesignInventoryCoversTree keeps DESIGN.md §3.1 in step with the
 // tree: every directory under internal/ and cmd/ has exactly one row
-// with an outcome, and every row names a directory that exists.
+// with an outcome, every row names a directory that exists, and every
+// test, fuzz target or benchmark the section quotes is a func in some
+// _test.go file.
 func TestDesignInventoryCoversTree(t *testing.T) {
 	raw, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -56,4 +60,46 @@ func TestDesignInventoryCoversTree(t *testing.T) {
 			}
 		}
 	}
+
+	quoted := regexp.MustCompile("`((?:Test|Fuzz|Benchmark)[A-Za-z0-9_]*)`").FindAllStringSubmatch(section, -1)
+	if len(quoted) == 0 {
+		t.Fatal("§3.1 quotes no tests")
+	}
+	defined := testFuncs(t)
+	for _, m := range quoted {
+		if !defined[m[1]] {
+			t.Errorf("§3.1 quotes %s, which no _test.go file defines", m[1])
+		}
+	}
+}
+
+// testFuncs returns the names of the Test, Fuzz and Benchmark funcs
+// declared in every _test.go file under the working directory.
+func testFuncs(t *testing.T) map[string]bool {
+	t.Helper()
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)[A-Za-z0-9_]*)\(`)
+	names := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != "." {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
+			names[m[1]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
 }

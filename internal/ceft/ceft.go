@@ -24,7 +24,6 @@ package ceft
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"sort"
@@ -37,45 +36,6 @@ import (
 	"pario/internal/rpcpool"
 	"pario/internal/telemetry"
 )
-
-// WriteProtocol selects how writes are duplicated onto the mirror
-// group — the four protocols of the CEFT-PVFS write-performance study
-// (Zhu et al., ClusterWorld 2003), trading reliability guarantees for
-// write latency.
-type WriteProtocol int
-
-const (
-	// ClientSync: the client writes both groups and waits for both
-	// (strongest guarantee, doubles client network traffic).
-	ClientSync WriteProtocol = iota
-	// ClientAsync: the client writes the primary group synchronously
-	// and duplicates to the mirror group in the background; Close
-	// flushes.
-	ClientAsync
-	// ServerSync: the client writes only the primary group; each
-	// primary server forwards to its mirror partner and acknowledges
-	// after the mirror confirms (halves client traffic, server pays).
-	ServerSync
-	// ServerAsync: like ServerSync but the primary acknowledges
-	// before forwarding; Close flushes the servers' forward queues
-	// (fastest, weakest window).
-	ServerAsync
-)
-
-// String names the protocol.
-func (w WriteProtocol) String() string {
-	switch w {
-	case ClientSync:
-		return "client-sync"
-	case ClientAsync:
-		return "client-async"
-	case ServerSync:
-		return "server-sync"
-	case ServerAsync:
-		return "server-async"
-	}
-	return fmt.Sprintf("WriteProtocol(%d)", int(w))
-}
 
 // Options tune the CEFT client's replication semantics. Transport
 // behavior (pooling, timeouts, retries) is configured separately with
@@ -95,10 +55,6 @@ type Options struct {
 	// LoadCacheTTL bounds how often the client polls the metadata
 	// server for load reports.
 	LoadCacheTTL time.Duration
-	// WriteProtocol selects the duplication protocol. The server-side
-	// protocols require the primary data servers to be started with
-	// their MirrorAddr configured.
-	WriteProtocol WriteProtocol
 	// Logger, when non-nil, receives structured hot-spot transition
 	// events (server marked hot / cooled down) with trace correlation.
 	Logger *slog.Logger
@@ -107,12 +63,11 @@ type Options struct {
 // DefaultOptions mirror the paper's configuration.
 func DefaultOptions() Options {
 	return Options{
-		DoubledReads:  true,
-		SkipHotSpots:  true,
-		HotFactor:     4.0,
-		MinHotLoad:    0.75,
-		LoadCacheTTL:  250 * time.Millisecond,
-		WriteProtocol: ClientSync,
+		DoubledReads: true,
+		SkipHotSpots: true,
+		HotFactor:    4.0,
+		MinHotLoad:   0.75,
+		LoadCacheTTL: 250 * time.Millisecond,
 	}
 }
 
@@ -133,10 +88,6 @@ type Client struct {
 	hotMirror   []bool
 	hotEvents   []HotEvent
 	reroutes    map[int]int64
-
-	asyncWG  sync.WaitGroup
-	asyncMu  sync.Mutex
-	asyncErr error
 
 	failMu    sync.Mutex
 	failovers int64
@@ -429,25 +380,6 @@ func (cl *Client) pickConns(ctx context.Context, preferPrimary bool) (conns []*p
 	return conns, skipped
 }
 
-func (cl *Client) recordAsyncErr(err error) {
-	if err == nil {
-		return
-	}
-	cl.asyncMu.Lock()
-	if cl.asyncErr == nil {
-		cl.asyncErr = err
-	}
-	cl.asyncMu.Unlock()
-}
-
-// AsyncErr returns the first error from background mirror writes, if
-// any (only relevant with the ClientAsync protocol).
-func (cl *Client) AsyncErr() error {
-	cl.asyncMu.Lock()
-	defer cl.asyncMu.Unlock()
-	return cl.asyncErr
-}
-
 // replicated is the CEFT client's pvfs.Store: the striping plan is
 // PVFS's, and this type only decides which member of each mirror pair
 // executes it — both for a write, the preferred (or cooler, or
@@ -458,84 +390,16 @@ func (r replicated) BackendName() string { return "ceft-pvfs" }
 
 func (r replicated) NumServers() int { return r.cl.GroupSize() }
 
-// degradeWrites retries each failed primary server's runs as plain
-// writes on its mirror partner (RAID-10 degraded mode: a write
-// survives as long as one member of every pair takes it). Only
-// transport-level failures — the primary dead or hung — are degraded;
-// an application-level refusal (e.g. a server-side protocol without
-// mirror configuration) propagates, because silently dropping to one
-// copy there would mask a misconfiguration rather than a fault. A
-// server whose mirror partner is also down keeps its original error.
-func (cl *Client) degradeWrites(ctx context.Context, errs []error, runs [][]pvfs.StripeRun, handle uint64, p []byte) error {
-	for i, orig := range errs {
-		if orig == nil {
-			continue
-		}
-		if ctx.Err() != nil {
-			return orig
-		}
-		if !errors.Is(orig, chio.ErrServerDown) && !errors.Is(orig, chio.ErrTimeout) {
-			return orig
-		}
-		if err := cl.conns[cl.GroupSize()+i].WriteRuns(ctx, pvfs.OpListWrite, handle, runs[i], p); err != nil {
-			return orig
-		}
-		cl.addDegraded(1)
-	}
-	return nil
-}
-
-// WriteRuns duplicates the planned write onto both groups (RAID-10)
-// using the configured duplication protocol. Every protocol costs one
-// list-write RPC per server it writes to.
+// WriteRuns duplicates the planned write onto both groups (RAID-10):
+// one list-write RPC per server, all 2G at once. A server failure is
+// tolerated as long as its pair partner took the data (degraded mode —
+// redundancy is reduced, availability is not).
 func (r replicated) WriteRuns(ctx context.Context, handle uint64, runs [][]pvfs.StripeRun, p []byte) error {
-	cl := r.cl
-	g := cl.GroupSize()
-	// write issues runs[i] to conns[i] with op, all concurrently.
-	write := func(ctx context.Context, conns []*pvfs.DataConn, op pvfs.Op, runs [][]pvfs.StripeRun, p []byte) ([]error, error) {
-		return pvfs.FanOut(runs, func(i int, list []pvfs.StripeRun) error {
-			return conns[i].WriteRuns(ctx, op, handle, list, p)
-		})
-	}
-	switch cl.opts.WriteProtocol {
-	case ClientSync:
-		// Both groups are written at once; a server failure is tolerated
-		// as long as its pair partner took the data (RAID-10 degraded
-		// mode — redundancy is reduced, availability is not).
-		errs, _ := write(ctx, cl.conns, pvfs.OpListWrite, append(runs[:g:g], runs...), p)
-		return cl.pairRule(errs)
-	case ClientAsync:
-		perrs, _ := write(ctx, cl.conns[:g], pvfs.OpListWrite, runs, p)
-		// A dead primary degrades to a synchronous write on its mirror
-		// partner (the background duplicate below rewrites the same
-		// bytes there, which is harmless).
-		if err := cl.degradeWrites(ctx, perrs, runs, handle, p); err != nil {
-			return err
-		}
-		dup := append([]byte(nil), p...)
-		cl.asyncWG.Add(1)
-		go func() {
-			defer cl.asyncWG.Done()
-			// The mirror duplicate outlives the caller's request
-			// context by design (the protocol's weaker guarantee), so
-			// it is not bound to ctx.
-			_, err := write(context.Background(), cl.conns[g:], pvfs.OpListWrite, runs, dup)
-			cl.recordAsyncErr(err)
-		}()
-		return nil
-	case ServerSync, ServerAsync:
-		// The primary servers forward each list to their mirror
-		// partners. A dead primary degrades to plain writes on its
-		// mirror; an alive primary's refusal (forward failure, missing
-		// mirror config) still propagates.
-		op := pvfs.OpPieceWriteDupSync
-		if cl.opts.WriteProtocol == ServerAsync {
-			op = pvfs.OpPieceWriteDupAsync
-		}
-		perrs, _ := write(ctx, cl.conns[:g], op, runs, p)
-		return cl.degradeWrites(ctx, perrs, runs, handle, p)
-	}
-	return fmt.Errorf("ceft: unknown write protocol %v", cl.opts.WriteProtocol)
+	g := r.cl.GroupSize()
+	errs, _ := pvfs.FanOut(append(runs[:g:g], runs...), func(i int, list []pvfs.StripeRun) error {
+		return r.cl.conns[i].WriteRuns(ctx, handle, list, p)
+	})
+	return r.cl.pairRule(errs)
 }
 
 // RemovePieces clears the piece set on both groups. A pair counts as
@@ -592,31 +456,8 @@ func (r replicated) ReadRuns(ctx context.Context, handle uint64, plan pvfs.ReadP
 	return err2
 }
 
-// Settle completes the configured duplication protocol when a file
-// closes: client-async waits for the client's background mirror
-// writes; server-async asks every primary server to flush its forward
-// queue.
-func (r replicated) Settle(ctx context.Context) error {
-	switch r.cl.opts.WriteProtocol {
-	case ClientAsync:
-		r.cl.asyncWG.Wait()
-		return r.cl.AsyncErr()
-	case ServerAsync:
-		var first error
-		for _, d := range r.cl.conns[:r.cl.GroupSize()] {
-			if err := d.FlushForwards(ctx); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-	return nil
-}
-
-// Close waits for the client's background mirror writes, then drops
-// both groups' connections.
+// Close drops both groups' connections.
 func (r replicated) Close() error {
-	r.cl.asyncWG.Wait()
 	var first error
 	for _, d := range r.cl.conns {
 		if err := d.Close(); first == nil {

@@ -12,6 +12,7 @@ import (
 
 	"pario/internal/chio"
 	"pario/internal/pvfs"
+	"pario/internal/rpcpool"
 	"pario/internal/util"
 )
 
@@ -25,8 +26,8 @@ type cluster struct {
 }
 
 // start launches a cluster. heartbeats=false keeps load reports fully
-// under test control via InjectLoad.
-func start(t *testing.T, g int, stripe int64, opts Options, heartbeats bool) *cluster {
+// under test control via InjectLoad; topts tune the client's transport.
+func start(t *testing.T, g int, stripe int64, opts Options, heartbeats bool, topts ...rpcpool.Option) *cluster {
 	t.Helper()
 	mgr, err := pvfs.StartMetaServer(pvfs.MetaConfig{Addr: "127.0.0.1:0", NumServers: g, StripeSize: stripe})
 	if err != nil {
@@ -53,7 +54,7 @@ func start(t *testing.T, g int, stripe int64, opts Options, heartbeats bool) *cl
 			mirr = append(mirr, ds.Addr())
 		}
 	}
-	cl, err := Dial(mgr.Addr(), prim, mirr, opts)
+	cl, err := Dial(mgr.Addr(), prim, mirr, opts, topts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,35 +367,6 @@ func TestHotPairNeverBothSkipped(t *testing.T) {
 	}
 }
 
-func TestAsyncMirrorWrites(t *testing.T) {
-	opts := DefaultOptions()
-	opts.WriteProtocol = ClientAsync
-	c := start(t, 2, 512, opts, false)
-	data := payload(20_000)
-	f, err := c.client.Create("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(data); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil { // flushes mirror writes
-		t.Fatal(err)
-	}
-	// After close, the mirror must be complete: read second half via
-	// doubled reads and compare.
-	got, err := chio.ReadFull(c.client, "f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Error("async mirror write lost data")
-	}
-	if err := c.client.AsyncErr(); err != nil {
-		t.Errorf("async error: %v", err)
-	}
-}
-
 func TestStatRemoveList(t *testing.T) {
 	c := start(t, 2, 256, DefaultOptions(), false)
 	if err := chio.WriteFull(c.client, "a/1", payload(100)); err != nil {
@@ -492,7 +464,7 @@ func TestHeartbeatDrivenSkip(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				d.WriteRuns(context.Background(), pvfs.OpListWrite, 0xdead, run, junk)
+				d.WriteRuns(context.Background(), 0xdead, run, junk)
 			}
 		}
 	}()

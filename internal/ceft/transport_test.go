@@ -217,51 +217,42 @@ func TestDegradedClusterWritesSucceed(t *testing.T) {
 	// With one member of a mirror pair dead, writes must still land on
 	// the surviving member instead of failing the whole operation —
 	// and must fail once a pair has no live member at all.
-	for _, proto := range []WriteProtocol{ClientSync, ClientAsync} {
-		t.Run(proto.String(), func(t *testing.T) {
-			opts := DefaultOptions()
-			opts.SkipHotSpots = false
-			opts.WriteProtocol = proto
-			c := start(t, 2, 1024, opts, false)
-			c.servers[0].Close() // primary 0 dead before any write
+	t.Run("client-sync", func(t *testing.T) {
+		opts := DefaultOptions()
+		opts.SkipHotSpots = false
+		c := start(t, 2, 1024, opts, false)
+		c.servers[0].Close() // primary 0 dead before any write
 
-			payload := make([]byte, 8*1024)
-			for i := range payload {
-				payload[i] = byte(i * 3)
-			}
-			if err := chio.WriteFull(c.client, "f", payload); err != nil {
-				t.Fatalf("degraded write: %v", err)
-			}
-			if proto == ClientAsync {
-				c.client.asyncWG.Wait()
-				if err := c.client.AsyncErr(); err != nil {
-					t.Fatalf("async mirror duplicate: %v", err)
-				}
-			}
-			if c.client.DegradedWrites() == 0 {
-				t.Error("no degraded writes recorded; data may have skipped the dead pair member silently")
-			}
+		payload := make([]byte, 8*1024)
+		for i := range payload {
+			payload[i] = byte(i * 3)
+		}
+		if err := chio.WriteFull(c.client, "f", payload); err != nil {
+			t.Fatalf("degraded write: %v", err)
+		}
+		if c.client.DegradedWrites() == 0 {
+			t.Error("no degraded writes recorded; data may have skipped the dead pair member silently")
+		}
 
-			got := make([]byte, len(payload))
-			f, err := c.client.Open("f")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			if _, err := f.ReadAt(got, 0); err != nil {
-				t.Fatalf("read back degraded write: %v", err)
-			}
-			if !bytes.Equal(got, payload) {
-				t.Fatal("degraded write read back corrupt data")
-			}
+		got := make([]byte, len(payload))
+		f, err := c.client.Open("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.ReadAt(got, 0); err != nil {
+			t.Fatalf("read back degraded write: %v", err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatal("degraded write read back corrupt data")
+		}
 
-			c.servers[2].Close() // now pair 0 has no live member
-			err = chio.WriteFull(c.client, "g", payload)
-			if !errors.Is(err, chio.ErrServerDown) {
-				t.Fatalf("write with whole pair down = %v, want chio.ErrServerDown", err)
-			}
-		})
-	}
+		c.servers[2].Close() // now pair 0 has no live member
+		err = chio.WriteFull(c.client, "g", payload)
+		if !errors.Is(err, chio.ErrServerDown) {
+			t.Fatalf("write with whole pair down = %v, want chio.ErrServerDown", err)
+		}
+	})
 }
 
 func TestCEFTFileCloseInvalidatesHandle(t *testing.T) {

@@ -166,19 +166,7 @@ func StartPVFS(n int, store func(i int) chio.FileSystem) (*PVFSDeployment, error
 	}
 	d := &PVFSDeployment{Mgr: mgr}
 	for i := 0; i < n; i++ {
-		var st chio.FileSystem
-		if store != nil {
-			st = store(i)
-		}
-		if st == nil {
-			st = chio.NewMemFS()
-		}
-		ds, err := pvfs.StartDataServer(pvfs.DataServerConfig{
-			ID:      i,
-			Addr:    "127.0.0.1:0",
-			Store:   st,
-			MgrAddr: mgr.Addr(),
-		})
+		ds, err := startDataServer(i, mgr, store)
 		if err != nil {
 			d.Close()
 			return nil, err
@@ -187,6 +175,25 @@ func StartPVFS(n int, store func(i int) chio.FileSystem) (*PVFSDeployment, error
 		d.DataAddrs = append(d.DataAddrs, ds.Addr())
 	}
 	return d, nil
+}
+
+// startDataServer starts data server i on a loopback port, reporting
+// its load to mgr. store(i) supplies its backing storage (a nil func or
+// a nil result means in-memory).
+func startDataServer(i int, mgr *pvfs.MetaServer, store func(i int) chio.FileSystem) (*pvfs.DataServer, error) {
+	var st chio.FileSystem
+	if store != nil {
+		st = store(i)
+	}
+	if st == nil {
+		st = chio.NewMemFS()
+	}
+	return pvfs.StartDataServer(pvfs.DataServerConfig{
+		ID:      i,
+		Addr:    "127.0.0.1:0",
+		Store:   st,
+		MgrAddr: mgr.Addr(),
+	})
 }
 
 // Client dials a new PVFS client onto the deployment. opts tune the
@@ -232,55 +239,19 @@ func StartCEFT(g int, store func(i int) chio.FileSystem) (*CEFTDeployment, error
 		return nil, err
 	}
 	d := &CEFTDeployment{Mgr: mgr}
-	storeFor := func(i int) chio.FileSystem {
-		var st chio.FileSystem
-		if store != nil {
-			st = store(i)
-		}
-		if st == nil {
-			st = chio.NewMemFS()
-		}
-		return st
-	}
-	// Start the mirror group first so primaries can be configured
-	// with their partner's address (required by the server-side
-	// duplication protocols).
-	mirrors := make([]*pvfs.DataServer, g)
-	for i := 0; i < g; i++ {
-		ds, err := pvfs.StartDataServer(pvfs.DataServerConfig{
-			ID:      g + i,
-			Addr:    "127.0.0.1:0",
-			Store:   storeFor(g + i),
-			MgrAddr: mgr.Addr(),
-		})
+	for i := 0; i < 2*g; i++ {
+		ds, err := startDataServer(i, mgr, store)
 		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		mirrors[i] = ds
-		d.MirrorAddrs = append(d.MirrorAddrs, ds.Addr())
-	}
-	for i := 0; i < g; i++ {
-		ds, err := pvfs.StartDataServer(pvfs.DataServerConfig{
-			ID:         i,
-			Addr:       "127.0.0.1:0",
-			Store:      storeFor(i),
-			MgrAddr:    mgr.Addr(),
-			MirrorAddr: mirrors[i].Addr(),
-		})
-		if err != nil {
-			for _, m := range mirrors {
-				if m != nil {
-					m.Close()
-				}
-			}
 			d.Close()
 			return nil, err
 		}
 		d.Servers = append(d.Servers, ds)
-		d.PrimaryAddrs = append(d.PrimaryAddrs, ds.Addr())
+		if i < g {
+			d.PrimaryAddrs = append(d.PrimaryAddrs, ds.Addr())
+		} else {
+			d.MirrorAddrs = append(d.MirrorAddrs, ds.Addr())
+		}
 	}
-	d.Servers = append(d.Servers, mirrors...)
 	return d, nil
 }
 

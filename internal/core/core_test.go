@@ -256,6 +256,46 @@ func TestDeploymentValidation(t *testing.T) {
 	}
 }
 
+// TestStartCEFTServerOrder pins the deployment's layout, which ceft.Dial
+// and the benchmark's per-server store shims both rely on: server i has
+// ID i and was given store(i), IDs 0..g-1 are the primary group in
+// PrimaryAddrs order, and g..2g-1 the mirror group in MirrorAddrs order.
+func TestStartCEFTServerOrder(t *testing.T) {
+	const g = 3
+	var mu sync.Mutex
+	asked := map[int]int{}
+	dep, err := StartCEFT(g, func(i int) chio.FileSystem {
+		mu.Lock()
+		asked[i]++
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+	if len(dep.Servers) != 2*g || len(dep.PrimaryAddrs) != g || len(dep.MirrorAddrs) != g {
+		t.Fatalf("%d servers, %d primaries, %d mirrors; want %d, %d, %d",
+			len(dep.Servers), len(dep.PrimaryAddrs), len(dep.MirrorAddrs), 2*g, g, g)
+	}
+	for i, ds := range dep.Servers {
+		if ds.ID != i {
+			t.Errorf("Servers[%d].ID = %d", i, ds.ID)
+		}
+		if asked[i] != 1 {
+			t.Errorf("store(%d) called %d times, want once", i, asked[i])
+		}
+	}
+	for i := 0; i < g; i++ {
+		if dep.PrimaryAddrs[i] != dep.Servers[i].Addr() {
+			t.Errorf("PrimaryAddrs[%d] = %s, Servers[%d] listens on %s", i, dep.PrimaryAddrs[i], i, dep.Servers[i].Addr())
+		}
+		if dep.MirrorAddrs[i] != dep.Servers[g+i].Addr() {
+			t.Errorf("MirrorAddrs[%d] = %s, Servers[%d] listens on %s", i, dep.MirrorAddrs[i], g+i, dep.Servers[g+i].Addr())
+		}
+	}
+}
+
 func TestTabularAndReportOverParallelResult(t *testing.T) {
 	fs := chio.NewMemFS()
 	buildDB(t, fs)

@@ -39,11 +39,7 @@ type Store interface {
 	WriteRuns(ctx context.Context, handle uint64, runs [][]StripeRun, p []byte) error
 	// RemovePieces deletes the piece set handle from the data servers.
 	RemovePieces(ctx context.Context, handle uint64) error
-	// Settle runs once when a file closes, after the handle is
-	// invalidated; a store with deferred writes completes them here.
-	Settle(ctx context.Context) error
-	// Close completes deferred writes and drops the data-server
-	// connections.
+	// Close drops the data-server connections.
 	Close() error
 }
 
@@ -118,8 +114,7 @@ func (cl *Client) WithContext(ctx context.Context) chio.FileSystem {
 	return &c2
 }
 
-// Close closes the store (completing its deferred writes) and releases
-// all pooled connections.
+// Close closes the store and releases all pooled connections.
 func (cl *Client) Close() error {
 	first := cl.st.Close()
 	if err := cl.meta.Close(); first == nil {
@@ -206,7 +201,7 @@ func (d direct) ReadRuns(ctx context.Context, handle uint64, plan ReadPlan, dst 
 
 func (d direct) WriteRuns(ctx context.Context, handle uint64, runs [][]StripeRun, p []byte) error {
 	_, err := FanOut(runs, func(server int, list []StripeRun) error {
-		return d[server].WriteRuns(ctx, OpListWrite, handle, list, p)
+		return d[server].WriteRuns(ctx, handle, list, p)
 	})
 	return err
 }
@@ -214,8 +209,6 @@ func (d direct) WriteRuns(ctx context.Context, handle uint64, runs [][]StripeRun
 func (d direct) RemovePieces(ctx context.Context, handle uint64) error {
 	return firstErr(RemoveEach(ctx, d, handle))
 }
-
-func (d direct) Settle(context.Context) error { return nil }
 
 func (d direct) Close() error {
 	var first error

@@ -153,14 +153,6 @@ func (d *DataConn) call(ctx context.Context, req *Request) (*Response, error) {
 	return resp, nil
 }
 
-// FlushForwards blocks until the server has delivered every
-// asynchronous mirror forward accepted so far, returning the first
-// forwarding error if any occurred.
-func (d *DataConn) FlushForwards(ctx context.Context) error {
-	_, err := d.call(ctx, &Request{Op: OpFlushForwards})
-	return err
-}
-
 // RemovePiece deletes the server's piece of the handle.
 func (d *DataConn) RemovePiece(ctx context.Context, handle uint64) error {
 	_, err := d.call(ctx, &Request{Op: OpPieceRemove, Handle: handle})

@@ -25,10 +25,10 @@ func startMeta(t *testing.T, servers int) *MetaServer {
 }
 
 // startIod spins up one data server.
-func startIod(t *testing.T, id int, mirror string) (*DataServer, *chio.MemFS) {
+func startIod(t *testing.T, id int) (*DataServer, *chio.MemFS) {
 	t.Helper()
 	store := chio.NewMemFS()
-	ds, err := StartDataServer(DataServerConfig{ID: id, Addr: "127.0.0.1:0", Store: store, MirrorAddr: mirror})
+	ds, err := StartDataServer(DataServerConfig{ID: id, Addr: "127.0.0.1:0", Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestMetaConnLoadReporting(t *testing.T) {
 }
 
 func TestDataConnPieceOps(t *testing.T) {
-	ds, store := startIod(t, 3, "")
+	ds, store := startIod(t, 3)
 	d, err := DialData(ds.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestDataConnPieceOps(t *testing.T) {
 	}
 	payload := []byte("stripe piece data")
 	run := []StripeRun{{ServerOff: 10, Length: int64(len(payload))}}
-	if err := d.WriteRuns(bg, OpListWrite, 77, run, payload); err != nil {
+	if err := d.WriteRuns(bg, 77, run, payload); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(payload))
@@ -140,58 +140,8 @@ func TestDataConnPieceOps(t *testing.T) {
 	}
 }
 
-func TestDataConnDupOps(t *testing.T) {
-	mirror, mirrorStore := startIod(t, 1, "")
-	primary, primaryStore := startIod(t, 0, mirror.Addr())
-	d, err := DialData(primary.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-
-	// A duplication write is a segment list: two runs that are not
-	// adjacent in the piece travel, and are forwarded, as one request.
-	p := []byte("dup-AAAA----dup-BBBB")
-	runs := []StripeRun{{ServerOff: 0, BufOff: 0, Length: 8}, {ServerOff: 16, BufOff: 12, Length: 8}}
-	want := "dup-AAAA\x00\x00\x00\x00\x00\x00\x00\x00dup-BBBB"
-
-	// Synchronous duplication: both stores updated on return.
-	if err := d.WriteRuns(bg, OpPieceWriteDupSync, 5, runs, p); err != nil {
-		t.Fatal(err)
-	}
-	pd, _ := chio.ReadFull(primaryStore, pieceName(5))
-	md, _ := chio.ReadFull(mirrorStore, pieceName(5))
-	if string(pd) != want || string(md) != want {
-		t.Fatalf("sync dup: primary %q mirror %q, want %q", pd, md, want)
-	}
-
-	// Asynchronous duplication: mirror updated by flush time.
-	if err := d.WriteRuns(bg, OpPieceWriteDupAsync, 6, runs, p); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.FlushForwards(bg); err != nil {
-		t.Fatal(err)
-	}
-	md, _ = chio.ReadFull(mirrorStore, pieceName(6))
-	if string(md) != want {
-		t.Fatalf("async dup after flush: %q, want %q", md, want)
-	}
-}
-
-func TestDupWithoutMirrorFails(t *testing.T) {
-	ds, _ := startIod(t, 0, "")
-	d, err := DialData(ds.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if err := d.WriteRuns(bg, OpPieceWriteDupSync, 1, []StripeRun{{Length: 1}}, []byte("x")); err == nil {
-		t.Error("sync dup without mirror accepted")
-	}
-}
-
 func TestDataServerLoadDecays(t *testing.T) {
-	ds, _ := startIod(t, 0, "")
+	ds, _ := startIod(t, 0)
 	d, err := DialData(ds.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -221,27 +171,45 @@ func TestMetaServerUnknownOp(t *testing.T) {
 	}
 }
 
+// TestDataServerUnknownOp sends every retired op value, and one never
+// assigned, each as a bare request. Each must get an error reply, and
+// the connection must then still serve a list read.
 func TestDataServerUnknownOp(t *testing.T) {
-	ds, _ := startIod(t, 0, "")
+	ds, _ := startIod(t, 0)
 	cn, err := dialConn(ds.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cn.close()
+	hello := []byte("hello")
 	var resp Response
-	err = cn.call(&Request{Op: 250}, &resp)
-	if err != nil {
-		t.Fatal(err)
+	if err := cn.call(&Request{Op: OpListWrite, Handle: 1, Segs: []Seg{{Length: 5}}, Data: hello}, &resp); err != nil || !resp.OK {
+		t.Fatalf("seed write: %v %s", err, resp.Err)
 	}
-	if resp.OK {
-		t.Error("unknown op accepted")
+	for _, op := range []Op{64, 65, 68, 69, 70, 71, 72, 250} {
+		t.Run(op.String(), func(t *testing.T) {
+			var resp Response
+			if err := cn.call(&Request{Op: op}, &resp); err != nil {
+				t.Fatalf("connection lost: %v", err)
+			}
+			if resp.OK || resp.Err == "" {
+				t.Errorf("op %d accepted, want an error reply", op)
+			}
+			resp = Response{}
+			if err := cn.call(&Request{Op: OpListRead, Handle: 1, Segs: []Seg{{Length: 5}}}, &resp); err != nil {
+				t.Fatalf("list read after op %d: %v", op, err)
+			}
+			if !resp.OK || !bytes.Equal(resp.Data, hello) {
+				t.Fatalf("list read after op %d = %q ok=%v err=%s", op, resp.Data, resp.OK, resp.Err)
+			}
+		})
 	}
 }
 
 func TestForcedCloseUnblocksClients(t *testing.T) {
 	// Closing a server with clients attached must not hang and must
 	// error subsequent calls on those clients.
-	ds, _ := startIod(t, 0, "")
+	ds, _ := startIod(t, 0)
 	d, err := DialData(ds.Addr())
 	if err != nil {
 		t.Fatal(err)

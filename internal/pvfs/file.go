@@ -210,17 +210,12 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 }
 
 // Close invalidates the handle — subsequent operations on the file
-// fail — and lets the store settle. A second Close is a safe no-op.
-// The client's pooled connections are shared across files and stay
-// open.
+// fail. A second Close is a safe no-op. The client's pooled
+// connections are shared across files and stay open.
 func (f *File) Close() error {
 	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return nil
-	}
 	f.closed = true
 	f.meta = Meta{}
 	f.mu.Unlock()
-	return f.cl.st.Settle(f.cl.ctx)
+	return nil
 }

@@ -19,7 +19,7 @@ import (
 // offset, and take the whole data server down), and the server must go
 // on serving the next request on the same connection.
 func TestHostileLengthsGetErrorReplies(t *testing.T) {
-	ds, _ := startIod(t, 0, "")
+	ds, _ := startIod(t, 0)
 	cn, err := dialConn(ds.Addr())
 	if err != nil {
 		t.Fatal(err)

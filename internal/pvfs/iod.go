@@ -48,22 +48,6 @@ type DataServer struct {
 	hbPeriod time.Duration
 	hbMu     sync.Mutex
 	hbConn   *conn
-
-	// mirror forwarding (CEFT server-side duplication protocols)
-	mirrorAddr string
-	fwdMu      sync.Mutex
-	fwdConn    *conn
-	fwdQueue   chan fwdItem
-	fwdOnce    sync.Once
-	fwdErrMu   sync.Mutex
-	fwdErr     error
-}
-
-// fwdItem is one queued asynchronous mirror forward; flush sentinels
-// carry a done channel instead of a request.
-type fwdItem struct {
-	req  *Request
-	done chan error
 }
 
 // DataServerConfig configures StartDataServer.
@@ -80,9 +64,6 @@ type DataServerConfig struct {
 	MgrAddr string
 	// HeartbeatPeriod defaults to 250ms.
 	HeartbeatPeriod time.Duration
-	// MirrorAddr, if non-empty, is this server's mirror partner and
-	// enables the server-side duplication write ops.
-	MirrorAddr string
 	// Telemetry, if non-nil, receives this server's request counters,
 	// latency histograms, and load gauges.
 	Telemetry *telemetry.Registry
@@ -104,16 +85,14 @@ func StartDataServer(cfg DataServerConfig) (*DataServer, error) {
 		cfg.HeartbeatPeriod = 250 * time.Millisecond
 	}
 	ds := &DataServer{
-		ID:         cfg.ID,
-		store:      cfg.Store,
-		ln:         ln,
-		closed:     make(chan struct{}),
-		started:    time.Now(),
-		mgrAddr:    cfg.MgrAddr,
-		hbPeriod:   cfg.HeartbeatPeriod,
-		mirrorAddr: cfg.MirrorAddr,
-		fwdQueue:   make(chan fwdItem, 256),
-		tracker:    newConnTracker(),
+		ID:       cfg.ID,
+		store:    cfg.Store,
+		ln:       ln,
+		closed:   make(chan struct{}),
+		started:  time.Now(),
+		mgrAddr:  cfg.MgrAddr,
+		hbPeriod: cfg.HeartbeatPeriod,
+		tracker:  newConnTracker(),
 	}
 	ds.tel = newServerMetrics(cfg.Telemetry, cfg.Tracer, fmt.Sprintf("iod%d", cfg.ID))
 	ds.tel.enableIODGauges(cfg.Telemetry)
@@ -211,8 +190,7 @@ func (ds *DataServer) throttle(n int64) {
 }
 
 // dispatch routes one decoded request to its op handler. Piece data
-// has one read handler and one write handler, both over segment lists;
-// the duplication writes are list writes that also reach the mirror.
+// has one read handler and one write handler, both over segment lists.
 func (ds *DataServer) dispatch(req *Request) *Response {
 	switch req.Op {
 	case OpListRead:
@@ -228,32 +206,6 @@ func (ds *DataServer) dispatch(req *Request) *Response {
 		return &Response{OK: true}
 	case OpPing:
 		return &Response{OK: true, N: int64(ds.ID)}
-	case OpPieceWriteDupSync, OpPieceWriteDupAsync:
-		if resp := ds.handleWrite(req.Handle, req.Segs, req.Data); !resp.OK {
-			return resp
-		}
-		if req.Op == OpPieceWriteDupSync {
-			if err := ds.forward(req); err != nil {
-				return errResp("mirror forward: %v", err)
-			}
-		} else {
-			// The serve loop reuses the request's buffers, so the queued
-			// forward gets its own copies.
-			ds.startForwarder()
-			dup := *req
-			dup.Segs = append([]Seg(nil), req.Segs...)
-			dup.Data = append([]byte(nil), req.Data...)
-			ds.fwdQueue <- fwdItem{req: &dup}
-		}
-		return &Response{OK: true, N: int64(len(req.Data))}
-	case OpFlushForwards:
-		ds.startForwarder()
-		done := make(chan error, 1)
-		ds.fwdQueue <- fwdItem{done: done}
-		if err := <-done; err != nil {
-			return errResp("flush: %v", err)
-		}
-		return &Response{OK: true}
 	}
 	return errResp("data server: unknown op %d", req.Op)
 }
@@ -437,68 +389,6 @@ func (ds *DataServer) handleWrite(handle uint64, segs []Seg, data []byte) *Respo
 	return &Response{OK: true, N: total}
 }
 
-// forward synchronously delivers a duplication write to the mirror
-// partner as one OpListWrite of the same segment list.
-func (ds *DataServer) forward(req *Request) error {
-	if ds.mirrorAddr == "" {
-		return fmt.Errorf("no mirror partner configured on server %d", ds.ID)
-	}
-	ds.fwdMu.Lock()
-	defer ds.fwdMu.Unlock()
-	if ds.fwdConn == nil {
-		c, err := dialConn(ds.mirrorAddr)
-		if err != nil {
-			return err
-		}
-		ds.fwdConn = c
-	}
-	fwd := Request{
-		Op: OpListWrite, Handle: req.Handle, Segs: req.Segs, Data: req.Data,
-		TraceID: req.TraceID, SpanID: req.SpanID,
-	}
-	var resp Response
-	err := ds.fwdConn.call(&fwd, &resp)
-	if err != nil {
-		ds.fwdConn.close()
-		ds.fwdConn = nil
-		return err
-	}
-	if !resp.OK {
-		return resp.err()
-	}
-	return nil
-}
-
-// startForwarder launches the asynchronous forwarding worker once.
-func (ds *DataServer) startForwarder() {
-	ds.fwdOnce.Do(func() {
-		go func() {
-			for {
-				select {
-				case <-ds.closed:
-					return
-				case item := <-ds.fwdQueue:
-					if item.done != nil {
-						ds.fwdErrMu.Lock()
-						err := ds.fwdErr
-						ds.fwdErr = nil
-						ds.fwdErrMu.Unlock()
-						item.done <- err
-						continue
-					}
-					if err := ds.forward(item.req); err != nil {
-						ds.fwdErrMu.Lock()
-						if ds.fwdErr == nil {
-							ds.fwdErr = err
-						}
-						ds.fwdErrMu.Unlock()
-					}
-				}
-			}
-		}()
-	})
-}
-
 func isNotExist(err error) bool {
 	return err != nil && errorsIs(err, chio.ErrNotExist)
 }
@@ -549,12 +439,6 @@ func (ds *DataServer) Close() error {
 		ds.hbConn = nil
 	}
 	ds.hbMu.Unlock()
-	ds.fwdMu.Lock()
-	if ds.fwdConn != nil {
-		ds.fwdConn.close()
-		ds.fwdConn = nil
-	}
-	ds.fwdMu.Unlock()
 	// Force-close live peer connections so serve goroutines exit even
 	// when clients are still attached.
 	ds.tracker.closeAll()

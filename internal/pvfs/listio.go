@@ -136,12 +136,10 @@ func mergeRuns(runs []StripeRun) (segs []Seg, group []int) {
 }
 
 // WriteRuns writes every stripe run in runs (which must all name this
-// server) from p with one list write: op is OpListWrite, or one of the
-// CEFT duplication ops OpPieceWriteDupSync/Async, which carry the same
-// list and have the server forward it to its mirror partner. Runs must
-// not overlap in the piece (the server rejects a list that does);
-// piece-adjacent runs travel as one segment.
-func (d *DataConn) WriteRuns(ctx context.Context, op Op, handle uint64, runs []StripeRun, p []byte) error {
+// server) from p with one OpListWrite. Runs must not overlap in the
+// piece (the server rejects a list that does); piece-adjacent runs
+// travel as one segment.
+func (d *DataConn) WriteRuns(ctx context.Context, handle uint64, runs []StripeRun, p []byte) error {
 	if len(runs) == 0 {
 		return nil
 	}
@@ -155,7 +153,7 @@ func (d *DataConn) WriteRuns(ctx context.Context, op Op, handle uint64, runs []S
 			segs = append(segs, Seg{Offset: r.ServerOff, Length: r.Length})
 		}
 	}
-	req := &Request{Op: op, Handle: handle, Segs: segs}
+	req := &Request{Op: OpListWrite, Handle: handle, Segs: segs}
 	if len(runs) == 1 {
 		req.Data = p[runs[0].BufOff : runs[0].BufOff+runs[0].Length]
 	} else {

@@ -39,7 +39,7 @@ func TestListReadPropertyRandomSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if err := d.WriteRuns(bg, OpListWrite, handle, []StripeRun{
+	if err := d.WriteRuns(bg, handle, []StripeRun{
 		{ServerOff: 0, BufOff: 0, Length: 1000},
 		{ServerOff: 2000, BufOff: 2000, Length: 1000},
 	}, content); err != nil {

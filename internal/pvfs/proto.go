@@ -37,11 +37,10 @@ const (
 )
 
 // Data server ops. Piece data moves with segment lists only:
-// OpListRead, OpListWrite, and the two duplication writes, which carry
-// the same list as OpListWrite. A contiguous access is a one-segment
+// OpListRead and OpListWrite. A contiguous access is a one-segment
 // list. Values are wire constants and never shift; new ops are
-// appended. The four retired ops keep their values reserved, and a data
-// server answers them like any unknown op.
+// appended. The seven retired ops keep their values reserved, and a
+// data server answers them like any unknown op.
 const (
 	// OpPieceRead is retired (a contiguous read); value 64 is reserved.
 	OpPieceRead Op = iota + 64
@@ -49,16 +48,14 @@ const (
 	OpPieceWrite
 	OpPieceRemove
 	OpPing
-	// OpPieceWriteDupSync applies Segs and Data like OpListWrite, then
-	// forwards the same list to the server's mirror partner and
-	// acknowledges after the mirror confirms (CEFT's server-side
-	// synchronous duplication protocol).
+	// OpPieceWriteDupSync is retired (a write the server forwarded to
+	// its mirror partner before acknowledging); value 68 is reserved.
 	OpPieceWriteDupSync
-	// OpPieceWriteDupAsync applies the list locally, queues the mirror
-	// forward, and acknowledges immediately (server-side asynchronous).
+	// OpPieceWriteDupAsync is retired (a write whose mirror forward the
+	// server queued); value 69 is reserved.
 	OpPieceWriteDupAsync
-	// OpFlushForwards blocks until every queued asynchronous forward
-	// accepted so far has been delivered to the mirror.
+	// OpFlushForwards is retired (a drain of the queued mirror
+	// forwards); value 70 is reserved.
 	OpFlushForwards
 	// OpPieceReadv is retired (a sorted list read); value 71 is reserved.
 	OpPieceReadv
@@ -156,12 +153,6 @@ func (o Op) String() string {
 		return "piece_remove"
 	case OpPing:
 		return "ping"
-	case OpPieceWriteDupSync:
-		return "piece_write_dup_sync"
-	case OpPieceWriteDupAsync:
-		return "piece_write_dup_async"
-	case OpFlushForwards:
-		return "flush_forwards"
 	case OpListRead:
 		return "list_read"
 	case OpListWrite:

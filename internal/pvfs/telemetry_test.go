@@ -197,7 +197,7 @@ func TestUntracedRequestCountedWithoutSpan(t *testing.T) {
 		t.Fatalf("untraced ping: %v", err)
 	}
 	run := []StripeRun{{ServerOff: 0, BufOff: 0, Length: 5}}
-	if err := d.WriteRuns(ctx, OpListWrite, 9, run, []byte("hello")); err != nil {
+	if err := d.WriteRuns(ctx, 9, run, []byte("hello")); err != nil {
 		t.Fatalf("untraced write: %v", err)
 	}
 	got := make([]byte, 5)

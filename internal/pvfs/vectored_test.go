@@ -67,7 +67,7 @@ func TestVectoredReadWriteRoundTrip(t *testing.T) {
 		{ServerOff: 0, BufOff: 0, Length: 100},
 		{ServerOff: 200, BufOff: 200, Length: 100},
 	}
-	if err := d.WriteRuns(bg, OpListWrite, handle, writeRuns, buf); err != nil {
+	if err := d.WriteRuns(bg, handle, writeRuns, buf); err != nil {
 		t.Fatal(err)
 	}
 

@@ -46,7 +46,7 @@ func (r *retryCounter) ObserveCall(_ string, _ time.Duration, retries int, _ err
 func TestWireVersionMismatch(t *testing.T) {
 	const timeout = 2 * time.Second
 	t.Run("gob client, new server", func(t *testing.T) {
-		ds, _ := startIod(t, 0, "")
+		ds, _ := startIod(t, 0)
 		c, err := net.Dial("tcp", ds.Addr())
 		if err != nil {
 			t.Fatal(err)
