@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -78,6 +79,26 @@ type Seg struct {
 	Len int64
 }
 
+// CheckSegs validates segs against the one shape a segment list takes
+// at every layer, ascending and disjoint: no offset or length is
+// negative, and each segment starts at or after the end of the one
+// before it (a zero-length segment counts at its offset). It returns
+// the segments' summed length.
+func CheckSegs(segs []Seg) (int64, error) {
+	var total, end int64
+	for i, s := range segs {
+		if s.Off < 0 || s.Len < 0 || s.Off > math.MaxInt64-s.Len {
+			return 0, fmt.Errorf("chio: bad segment [%d,+%d)", s.Off, s.Len)
+		}
+		if s.Off < end {
+			return 0, fmt.Errorf("chio: segment %d [%d,+%d) starts before the previous one ends at %d", i, s.Off, s.Len, end)
+		}
+		end = s.Off + s.Len
+		total += s.Len
+	}
+	return total, nil
+}
+
 // VectorReaderAt is implemented by Files that can serve many
 // discontiguous ranges in one backend round (the parallel-FS clients
 // turn the whole list into one list-I/O RPC per data server). No
@@ -87,9 +108,10 @@ type VectorReaderAt interface {
 	// ReadvAt fills dst — the segments' bytes concatenated in request
 	// order, so len(dst) must be at least the sum of the segment
 	// lengths — and returns the byte count served for each segment.
-	// Holes read as zeros; a segment extending past EOF comes back
-	// short (its unserved tail in dst is zeroed); EOF is reported by
-	// the short count, not by an error.
+	// segs must be ascending and disjoint (see CheckSegs); any other
+	// list is an error. Holes read as zeros; a segment extending past
+	// EOF comes back short (its unserved tail in dst is zeroed); EOF is
+	// reported by the short count, not by an error.
 	ReadvAt(segs []Seg, dst []byte) ([]int64, error)
 }
 
@@ -146,17 +168,15 @@ type ViewReaderAt interface {
 
 // ReadvAt serves segs through f's native vectored path when it has
 // one, and otherwise falls back to one ReadAt per segment with the
-// same semantics (zero-filled tails, EOF as a short count).
+// same semantics (the same CheckSegs rule, zero-filled tails, EOF as a
+// short count).
 func ReadvAt(f File, segs []Seg, dst []byte) ([]int64, error) {
 	if v, ok := f.(VectorReaderAt); ok {
 		return v.ReadvAt(segs, dst)
 	}
-	var total int64
-	for _, s := range segs {
-		if s.Off < 0 || s.Len < 0 {
-			return nil, fmt.Errorf("chio: negative segment [%d,+%d)", s.Off, s.Len)
-		}
-		total += s.Len
+	total, err := CheckSegs(segs)
+	if err != nil {
+		return nil, err
 	}
 	if total > int64(len(dst)) {
 		return nil, fmt.Errorf("chio: readv needs %d bytes, dst holds %d", total, len(dst))

@@ -420,3 +420,31 @@ func TestFaultFS(t *testing.T) {
 		t.Fatalf("open handle read err = %v", err)
 	}
 }
+
+// TestCheckSegs pins the one segment-list shape: ascending and
+// disjoint, a zero-length segment counting at its offset.
+func TestCheckSegs(t *testing.T) {
+	for _, tc := range []struct {
+		segs  []Seg
+		total int64 // -1: refused
+	}{
+		{nil, 0},
+		{[]Seg{{Off: 0, Len: 4}, {Off: 4, Len: 4}, {Off: 100, Len: 0}, {Off: 100, Len: 2}}, 10},
+		{[]Seg{{Off: 5, Len: 0}, {Off: 5, Len: 0}, {Off: 5, Len: 1}}, 1},
+		{[]Seg{{Off: 100, Len: 4}, {Off: 0, Len: 4}}, -1},           // unsorted
+		{[]Seg{{Off: 0, Len: 8}, {Off: 4, Len: 8}}, -1},             // overlapping
+		{[]Seg{{Off: 0, Len: 8}, {Off: 4, Len: 0}}, -1},             // empty inside the previous
+		{[]Seg{{Off: -1, Len: 4}}, -1},                              // negative offset
+		{[]Seg{{Off: 0, Len: -4}}, -1},                              // negative length
+		{[]Seg{{Off: math.MaxInt64, Len: 2}, {Off: 0, Len: 1}}, -1}, // end overflows
+	} {
+		total, err := CheckSegs(tc.segs)
+		if tc.total < 0 {
+			if err == nil {
+				t.Errorf("CheckSegs(%v) accepted, want an error", tc.segs)
+			}
+		} else if err != nil || total != tc.total {
+			t.Errorf("CheckSegs(%v) = %d, %v; want %d, nil", tc.segs, total, err, tc.total)
+		}
+	}
+}

@@ -62,13 +62,12 @@ func (f *File) readv(spanName string, segs []chio.Seg, dst []byte) ([]int64, Met
 	if err != nil {
 		return nil, m, err
 	}
-	for _, s := range segs {
-		if s.Off+s.Len > m.Size {
-			// The file may have grown since open.
-			if err := f.refreshSize(&m); err != nil {
-				return nil, m, err
-			}
-			break
+	// The last segment reaches furthest in the ascending list PlanRead
+	// requires; if it passes the cached size, the file may have grown
+	// since open.
+	if n := len(segs); n > 0 && segs[n-1].Off+segs[n-1].Len > m.Size {
+		if err := f.refreshSize(&m); err != nil {
+			return nil, m, err
 		}
 	}
 	plan, err := PlanRead(segs, dst, m, f.cl.st.NumServers())
@@ -92,9 +91,10 @@ func (f *File) readv(spanName string, segs []chio.Seg, dst []byte) ([]int64, Met
 	return plan.Lens, m, nil
 }
 
-// ReadvAt implements chio.VectorReaderAt: the whole segment list costs
-// one list-I/O RPC per data server, issued in parallel. Holes read as
-// zeros; segments past EOF come back short with their dst tails zeroed.
+// ReadvAt implements chio.VectorReaderAt: the whole segment list, which
+// must be ascending and disjoint, costs one list-I/O RPC per data
+// server, issued in parallel. Holes read as zeros; segments past EOF
+// come back short with their dst tails zeroed.
 func (f *File) ReadvAt(segs []chio.Seg, dst []byte) ([]int64, error) {
 	lens, _, err := f.readv("readv", segs, dst)
 	return lens, err

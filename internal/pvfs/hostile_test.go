@@ -75,9 +75,11 @@ func TestHostileLengthsGetErrorReplies(t *testing.T) {
 
 // FuzzDataServerDispatch drives the data server's request handler with
 // arbitrary ops, offsets, lengths, payloads and segment lists. It must
-// never panic, and whatever a read returns must be the piece's bytes.
-// The seeds are the request shapes every generation of client has put
-// on the wire; the retired ops' shapes now get unknown-op replies.
+// never panic, it may answer a list read or write OK only when the list
+// is ascending and disjoint, and whatever a read returns must be the
+// piece's bytes. The seeds are the request shapes every generation of
+// client has put on the wire; the retired ops' shapes now get
+// unknown-op replies, and the unsorted list seeds error replies.
 func FuzzDataServerDispatch(f *testing.F) {
 	segBytes := func(segs ...Seg) []byte {
 		var b []byte
@@ -131,16 +133,20 @@ func FuzzDataServerDispatch(f *testing.F) {
 			// Everything else may write or remove; keep it off the piece
 			// the reads are checked against.
 			req.Handle = writeHandle
-			if resp := ds.handle(req); resp == nil {
-				t.Fatal("nil response")
-			}
-			return
 		}
 		resp := ds.handle(req)
 		if resp == nil {
 			t.Fatal("nil response")
 		}
-		if !resp.OK {
+		if !resp.OK || (req.Op != OpListRead && req.Op != OpListWrite) {
+			return
+		}
+		for i := 1; i < len(req.Segs); i++ {
+			if prev := req.Segs[i-1]; req.Segs[i].Offset < prev.Offset+prev.Length {
+				t.Fatalf("%s answered OK for segments %+v: %d starts before %d ends", req.Op, req.Segs, i, i-1)
+			}
+		}
+		if req.Op != OpListRead {
 			return
 		}
 		if len(resp.SegLens) != len(req.Segs) {

@@ -1,6 +1,7 @@
 package pvfs
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -127,7 +128,7 @@ func (ds *DataServer) sampleLoop() {
 			depth := float64(atomic.LoadInt64(&ds.inflight))
 			for {
 				old := atomic.LoadUint64(&ds.loadEWMA)
-				next := float64ToBits((1-alpha)*float64FromBits(old) + alpha*depth)
+				next := math.Float64bits((1-alpha)*math.Float64frombits(old) + alpha*depth)
 				if atomic.CompareAndSwapUint64(&ds.loadEWMA, old, next) {
 					break
 				}
@@ -159,7 +160,7 @@ func (ds *DataServer) SetThrottle(dPerKiB time.Duration) {
 // weighted average of the sampled in-flight request count, a cheap
 // proxy for disk queue depth.
 func (ds *DataServer) Load() float64 {
-	return float64FromBits(atomic.LoadUint64(&ds.loadEWMA))
+	return math.Float64frombits(atomic.LoadUint64(&ds.loadEWMA))
 }
 
 func (ds *DataServer) recordArrival() { atomic.AddInt64(&ds.inflight, 1) }
@@ -210,43 +211,38 @@ func (ds *DataServer) dispatch(req *Request) *Response {
 	return errResp("data server: unknown op %d", req.Op)
 }
 
-// checkSegs validates a segment list off the wire — offsets and
-// lengths non-negative, summed length within maxRequestBytes — and
-// reports the sum and whether the list is ascending and disjoint, the
-// shape striping produces.
-func checkSegs(segs []Seg) (total int64, ascending bool, err error) {
-	ascending = true
-	var end int64
+// checkSegs validates a segment list off the wire: offsets and lengths
+// non-negative, the list ascending and disjoint (each segment starts at
+// or after the end of the one before it; a zero-length segment counts
+// at its offset), and the summed length within maxRequestBytes. It
+// returns the sum.
+func checkSegs(segs []Seg) (int64, error) {
+	var total, end int64
 	for _, s := range segs {
 		if s.Offset < 0 || s.Length < 0 || s.Offset > math.MaxInt64-s.Length {
-			return 0, false, fmt.Errorf("bad segment [%d,+%d)", s.Offset, s.Length)
+			return 0, fmt.Errorf("bad segment [%d,+%d)", s.Offset, s.Length)
+		}
+		if s.Offset < end {
+			return 0, fmt.Errorf("segment [%d,+%d) starts before the previous one ends at %d", s.Offset, s.Length, end)
 		}
 		if s.Length > maxRequestBytes-total {
-			return 0, false, fmt.Errorf("segments claim more than %d bytes", maxRequestBytes)
+			return 0, fmt.Errorf("segments claim more than %d bytes", maxRequestBytes)
 		}
 		total += s.Length
-		if s.Offset < end {
-			ascending = false
-		}
 		end = s.Offset + s.Length
 	}
-	return total, ascending, nil
+	return total, nil
 }
 
-// byOffset returns the indices of segs in ascending offset order.
-func byOffset(segs []Seg) []int {
-	return sortedIndex(len(segs), func(i int) int64 { return segs[i].Offset })
-}
-
-// handleRead serves a list read: any segment list — unsorted,
-// overlapping, over holes, past the piece's end — with each piece byte
-// read at most once. The reply's Data is the served bytes concatenated
-// in request order, in buf's storage when it is large enough (the
-// serving connection's reused reply buffer); SegLens says how much of
-// each segment was served (short means hole or end of piece, and the
-// client zero-fills).
+// handleRead serves a list read, holes and the piece's end included.
+// The list is in piece order and nothing overlaps, so each segment is
+// read straight into its place in the reply: Data is the served bytes
+// concatenated in request order, in buf's storage when it is large
+// enough (the serving connection's reused reply buffer); SegLens says
+// how much of each segment was served (short means hole or end of
+// piece, and the client zero-fills).
 func (ds *DataServer) handleRead(handle uint64, segs []Seg, buf []byte) *Response {
-	total, ascending, err := checkSegs(segs)
+	total, err := checkSegs(segs)
 	if err != nil {
 		return errResp("list read: %v", err)
 	}
@@ -273,86 +269,31 @@ func (ds *DataServer) handleRead(handle uint64, segs []Seg, buf []byte) *Respons
 		buf = make([]byte, 0, need)
 	}
 	buf = buf[:0]
-	if ascending {
-		// Request order is piece order and nothing overlaps, so each
-		// segment is read straight into its place in the reply.
-		for i, s := range segs {
-			if lens[i] == 0 {
-				continue
-			}
-			n, err := f.ReadAt(buf[len(buf):len(buf)+int(lens[i])], s.Offset)
-			if err != nil && err != io.EOF {
-				return errResp("list read: %v", err)
-			}
-			lens[i] = int64(n)
-			buf = buf[:len(buf)+n]
+	for i, s := range segs {
+		if lens[i] == 0 {
+			continue
 		}
-		return &Response{OK: true, Data: buf, SegLens: lens}
-	}
-
-	// General list: overlapping and adjacent segments merge into maximal
-	// extents, each extent is read once, and the extent bytes fan back
-	// out to the segments in request order.
-	type extent struct {
-		off, end int64
-		data     []byte // served bytes
-	}
-	var extents []extent
-	segExt := make([]int, len(segs)) // segment -> extent index
-	for _, i := range byOffset(segs) {
-		s := segs[i]
-		if n := len(extents); n > 0 && s.Offset <= extents[n-1].end {
-			extents[n-1].end = max(extents[n-1].end, s.Offset+s.Length)
-		} else {
-			extents = append(extents, extent{off: s.Offset, end: s.Offset + s.Length})
-		}
-		segExt[i] = len(extents) - 1
-	}
-	for k := range extents {
-		e := &extents[k]
-		if e.off >= size {
-			break // this extent and every later one lie past the end
-		}
-		e.data = make([]byte, min(e.end, size)-e.off)
-		n, err := f.ReadAt(e.data, e.off)
+		n, err := f.ReadAt(buf[len(buf):len(buf)+int(lens[i])], s.Offset)
 		if err != nil && err != io.EOF {
 			return errResp("list read: %v", err)
 		}
-		e.data = e.data[:n]
-	}
-	for i, s := range segs {
-		e := extents[segExt[i]]
-		rel := s.Offset - e.off
-		lens[i] = min(max(int64(len(e.data))-rel, 0), s.Length)
-		if lens[i] > 0 {
-			buf = append(buf, e.data[rel:rel+lens[i]]...)
-		}
+		lens[i] = int64(n)
+		buf = buf[:len(buf)+n]
 	}
 	return &Response{OK: true, Data: buf, SegLens: lens}
 }
 
 // handleWrite applies a list write to this server's piece: data is the
-// segments' bytes concatenated in request order. The list may be
-// unsorted but must not overlap, and no segment may end more than
-// maxRequestBytes past the piece's current end; a list breaking either
-// rule is rejected whole.
+// segments' bytes concatenated in request order. No segment may end
+// more than maxRequestBytes past the piece's current end; a list
+// breaking that rule or checkSegs' is rejected whole.
 func (ds *DataServer) handleWrite(handle uint64, segs []Seg, data []byte) *Response {
-	total, ascending, err := checkSegs(segs)
+	total, err := checkSegs(segs)
 	if err != nil {
 		return errResp("list write: %v", err)
 	}
 	if total != int64(len(data)) {
 		return errResp("list write: payload %d bytes, segments claim %d", len(data), total)
-	}
-	if !ascending {
-		order := byOffset(segs)
-		for k := 1; k < len(order); k++ {
-			prev, cur := segs[order[k-1]], segs[order[k]]
-			if prev.Offset+prev.Length > cur.Offset {
-				return errResp("list write: overlapping segments [%d,+%d) and [%d,+%d)",
-					prev.Offset, prev.Length, cur.Offset, cur.Length)
-			}
-		}
 	}
 	ds.filesMu.Lock()
 	f, err := ds.store.Open(pieceName(handle))
@@ -364,18 +305,18 @@ func (ds *DataServer) handleWrite(handle uint64, segs []Seg, data []byte) *Respo
 		return errResp("piece create: %v", err)
 	}
 	defer f.Close()
-	// A segment may extend the piece by at most maxRequestBytes: a store
+	// A write may extend the piece by at most maxRequestBytes: a store
 	// that allocates up to the written offset must not be made to hold
-	// gigabytes for a few bytes of payload.
+	// gigabytes for a few bytes of payload. The last segment of the
+	// ascending list ends furthest.
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
 		return errResp("list write: %v", err)
 	}
-	for _, s := range segs {
-		if s.Offset+s.Length-size > maxRequestBytes {
-			return errResp("list write: segment [%d,+%d) ends more than %d bytes past the piece's end %d",
-				s.Offset, s.Length, maxRequestBytes, size)
-		}
+	if n := len(segs); n > 0 && segs[n-1].Offset+segs[n-1].Length-size > maxRequestBytes {
+		last := segs[n-1]
+		return errResp("list write: segment [%d,+%d) ends more than %d bytes past the piece's end %d",
+			last.Offset, last.Length, maxRequestBytes, size)
 	}
 	for _, s := range segs {
 		if s.Length == 0 {
@@ -390,7 +331,7 @@ func (ds *DataServer) handleWrite(handle uint64, segs []Seg, data []byte) *Respo
 }
 
 func isNotExist(err error) bool {
-	return err != nil && errorsIs(err, chio.ErrNotExist)
+	return err != nil && errors.Is(err, chio.ErrNotExist)
 }
 
 func (ds *DataServer) heartbeatLoop() {

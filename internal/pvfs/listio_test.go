@@ -2,18 +2,22 @@ package pvfs
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"pario/internal/chio"
+	"pario/internal/rpcpool"
+	"pario/internal/telemetry"
 	"pario/internal/util"
 )
 
 // TestListReadPropertyRandomSegments is the list-I/O correctness
-// property: for any segment list — unsorted, overlapping, touching
-// holes, running past EOF — OpListRead returns exactly what per-byte
-// sequential reads of the piece would, concatenated in request order
-// with per-segment served lengths.
+// property: for any ascending, disjoint segment list — random gaps and
+// lengths, zero-length segments, touching holes, running past EOF —
+// OpListRead returns exactly what per-byte sequential reads of the
+// piece would, concatenated in request order with per-segment served
+// lengths.
 func TestListReadPropertyRandomSegments(t *testing.T) {
 	tc := startCluster(t, 1, 64)
 	cl := tc.client
@@ -54,10 +58,13 @@ func TestListReadPropertyRandomSegments(t *testing.T) {
 			raw = raw[:16]
 		}
 		segs := make([]Seg, len(raw))
+		var off int64
 		for i, v := range raw {
-			// Offsets across the whole piece including past EOF;
-			// lengths 0..511.
-			segs[i] = Seg{Offset: int64(v) % 3500, Length: int64(v>>7) % 512}
+			// Gaps 0..127 and lengths 0..511, so sixteen segments span
+			// the hole and run past EOF.
+			off += int64(v) % 128
+			segs[i] = Seg{Offset: off, Length: int64(v>>7) % 512}
+			off += segs[i].Length
 		}
 		resp, err := d.call(bg, &Request{Op: OpListRead, Handle: handle, Segs: segs})
 		if err != nil {
@@ -96,56 +103,68 @@ func TestListReadPropertyRandomSegments(t *testing.T) {
 	}
 }
 
-// TestListWriteUnsortedAndOverlapRejected: unsorted non-overlapping
-// lists land correctly in one RPC; overlapping lists are rejected
-// whole (order-dependent results must never be silently produced).
-func TestListWriteUnsortedAndOverlapRejected(t *testing.T) {
-	tc := startCluster(t, 1, 64)
-	cl := tc.client
-	resp, err := cl.meta.call(bg, &Request{Op: OpCreate, Name: "lw", Stripe: 64})
+// TestListNonAscendingRejected: a list read or write whose segment
+// list is not ascending and disjoint — unsorted, overlapping, or with a
+// zero-length segment before the previous one's end — gets an error
+// reply and stores nothing, and the same connection goes on serving.
+func TestListNonAscendingRejected(t *testing.T) {
+	ds, _ := startIod(t, 0)
+	cn, err := dialConn(ds.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	handle := resp.Meta.Handle
-	d, err := DialData(tc.iods[0].Addr())
-	if err != nil {
-		t.Fatal(err)
+	defer cn.close()
+	call := func(req *Request) *Response {
+		t.Helper()
+		var resp Response
+		if err := cn.call(req, &resp); err != nil {
+			t.Fatalf("%s %+v: connection lost: %v", req.Op, req.Segs, err)
+		}
+		return &resp
 	}
-	defer d.Close()
-
-	// Unsorted, disjoint: payload is request order, not piece order.
-	payload := []byte("BBBBAAAA")
-	if _, err := d.call(bg, &Request{Op: OpListWrite, Handle: handle, Data: payload, Segs: []Seg{
-		{Offset: 100, Length: 4}, // "BBBB"
-		{Offset: 0, Length: 4},   // "AAAA"
-	}}); err != nil {
-		t.Fatal(err)
+	const handle = 1
+	if resp := call(&Request{Op: OpListWrite, Handle: handle, Data: []byte("AAAABBBB"), Segs: []Seg{
+		{Offset: 0, Length: 4},
+		{Offset: 100, Length: 4},
+	}}); !resp.OK {
+		t.Fatal(resp.Err)
 	}
-	got := make([]byte, 8)
-	if err := d.ReadRuns(bg, handle, []StripeRun{
-		{ServerOff: 0, BufOff: 0, Length: 4},
-		{ServerOff: 100, BufOff: 4, Length: 4},
-	}, got); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		segs []Seg
+	}{
+		{"unsorted", []Seg{{Offset: 100, Length: 4}, {Offset: 0, Length: 4}}},
+		{"overlapping", []Seg{{Offset: 200, Length: 8}, {Offset: 204, Length: 8}}},
+		{"empty inside the previous", []Seg{{Offset: 0, Length: 8}, {Offset: 4, Length: 0}}},
+	} {
+		var total int64
+		for _, s := range tc.segs {
+			total += s.Length
+		}
+		if resp := call(&Request{Op: OpListWrite, Handle: handle, Segs: tc.segs, Data: bytes.Repeat([]byte("X"), int(total))}); resp.OK || resp.Err == "" {
+			t.Errorf("%s list write: accepted, want an error reply", tc.name)
+		}
+		if resp := call(&Request{Op: OpListRead, Handle: handle, Segs: tc.segs}); resp.OK || resp.Err == "" {
+			t.Errorf("%s list read: accepted, want an error reply", tc.name)
+		}
 	}
-	if string(got) != "AAAABBBB" {
-		t.Fatalf("list write landed wrong: data=%q", got)
-	}
-
-	// Overlapping list: rejected, nothing written.
-	_, err = d.call(bg, &Request{Op: OpListWrite, Handle: handle, Data: make([]byte, 16), Segs: []Seg{
-		{Offset: 200, Length: 8},
-		{Offset: 204, Length: 8},
+	// Nothing was stored: the piece still holds exactly the first write.
+	resp := call(&Request{Op: OpListRead, Handle: handle, Segs: []Seg{
+		{Offset: 0, Length: 4},
+		{Offset: 100, Length: 4},
+		{Offset: 200, Length: 12},
 	}})
-	if err == nil {
-		t.Fatal("overlapping list write was accepted")
+	if !resp.OK || string(resp.Data) != "AAAABBBB" || !slices.Equal(resp.SegLens, []int64{4, 4, 0}) {
+		t.Fatalf("ascending read = %q lens %v ok=%v err=%s, want \"AAAABBBB\" lens [4 4 0]",
+			resp.Data, resp.SegLens, resp.OK, resp.Err)
 	}
 }
 
 // TestClientReadvAt drives the chio.VectorReaderAt surface end to end
-// over a striped cluster: arbitrary segment lists decompose to one
-// list RPC per server and come back byte-identical to ReadAt, with
-// EOF tails zeroed in dst.
+// over a striped cluster: an ascending segment list decomposes to one
+// list RPC per server and comes back byte-identical to ReadAt, with
+// EOF tails zeroed in dst. An unsorted list is refused before any RPC
+// is issued.
 func TestClientReadvAt(t *testing.T) {
 	tc := startCluster(t, 3, 64)
 	content := make([]byte, 10_000)
@@ -167,11 +186,11 @@ func TestClientReadvAt(t *testing.T) {
 	}
 
 	segs := []chio.Seg{
-		{Off: 9_900, Len: 300}, // EOF tail: 100 served, 200 zeroed
 		{Off: 0, Len: 128},     // spans two servers
-		{Off: 63, Len: 2},      // straddles a stripe boundary
+		{Off: 191, Len: 2},     // straddles a stripe boundary
+		{Off: 193, Len: 64},    // abuts the previous segment
 		{Off: 5_000, Len: 0},   // zero-length
-		{Off: 100, Len: 64},    // overlaps the second segment's range
+		{Off: 9_900, Len: 300}, // EOF tail: 100 served, 200 zeroed
 	}
 	var total int64
 	for _, s := range segs {
@@ -185,7 +204,7 @@ func TestClientReadvAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantLens := []int64{100, 128, 2, 0, 64}
+	wantLens := []int64{128, 2, 64, 0, 100}
 	var base int64
 	for i, s := range segs {
 		if lens[i] != wantLens[i] {
@@ -202,6 +221,37 @@ func TestClientReadvAt(t *testing.T) {
 			}
 		}
 		base += s.Len
+	}
+
+	// An unsorted list is an error, and nothing reaches a server.
+	m := rpcpool.NewMetrics(telemetry.NewRegistry())
+	var addrs []string
+	for _, ds := range tc.iods {
+		addrs = append(addrs, ds.Addr())
+	}
+	cl, err := Dial(tc.mgr.Addr(), addrs, rpcpool.WithMetrics(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	g, err := cl.Open("rv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	calls := func() (n int64) {
+		for _, s := range m.Snapshot() {
+			n += s.Calls
+		}
+		return n
+	}
+	before := calls()
+	unsorted := []chio.Seg{{Off: 1_000, Len: 10}, {Off: 0, Len: 10}}
+	if _, err := g.(chio.VectorReaderAt).ReadvAt(unsorted, make([]byte, 20)); err == nil {
+		t.Error("ReadvAt accepted an unsorted segment list")
+	}
+	if n := calls() - before; n != 0 {
+		t.Errorf("an unsorted ReadvAt issued %d RPCs, want 0", n)
 	}
 }
 

@@ -76,14 +76,12 @@ type ReadPlan struct {
 // nServers data servers, into dst, where the segments' regions lie
 // back to back. It clamps every segment to the file size, zero-fills
 // the EOF tails in dst, and decomposes what remains into per-server
-// stripe runs. Segments may be unsorted and may overlap.
+// stripe runs. segs must be ascending and disjoint (chio.CheckSegs),
+// so every server's runs come out ascending and disjoint in ServerOff.
 func PlanRead(segs []chio.Seg, dst []byte, m Meta, nServers int) (ReadPlan, error) {
-	var total int64
-	for _, s := range segs {
-		if s.Off < 0 || s.Len < 0 {
-			return ReadPlan{}, fmt.Errorf("pvfs: negative segment [%d,+%d)", s.Off, s.Len)
-		}
-		total += s.Len
+	total, err := chio.CheckSegs(segs)
+	if err != nil {
+		return ReadPlan{}, err
 	}
 	if total > int64(len(dst)) {
 		return ReadPlan{}, fmt.Errorf("pvfs: read needs %d bytes, dst holds %d", total, len(dst))

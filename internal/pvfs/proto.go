@@ -62,17 +62,18 @@ const (
 	// OpPieceWritev is retired (a sorted list write); value 72 is
 	// reserved.
 	OpPieceWritev
-	// OpListRead reads every segment of Request.Segs — in any order,
-	// overlapping or not — in one round trip. The server reads each
-	// piece byte at most once and answers with Data, the segments'
-	// served bytes concatenated in request order, and SegLens, the
-	// per-segment byte counts (a short segment is a hole or the piece's
-	// end; the client zero-fills).
+	// OpListRead reads every segment of Request.Segs in one round trip.
+	// The list must be ascending and disjoint: each segment starts at or
+	// after the end of the one before it (a zero-length segment counts
+	// at its offset); the server answers any other list with an error.
+	// The reply's Data is the segments' served bytes concatenated in
+	// request order and SegLens the per-segment byte counts (a short
+	// segment is a hole or the piece's end; the client zero-fills).
 	OpListRead
 	// OpListWrite writes every segment of Request.Segs in one round
 	// trip; Request.Data is the segments' bytes concatenated in request
-	// order. The list may be unsorted but must not overlap, since
-	// overlap would make the result order-dependent.
+	// order. The list must be ascending and disjoint, as for
+	// OpListRead.
 	OpListWrite
 )
 

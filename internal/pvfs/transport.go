@@ -16,9 +16,8 @@ import (
 )
 
 // respPool recycles the Responses of the data path's list RPCs, with
-// the capacity of their SegLens, their destination list and the buffer
-// an overlapping list read's payload is read into. readResponse sets
-// every field, so a recycled Response needs no reset.
+// the capacity of their SegLens and their destination list.
+// readResponse sets every field, so a recycled Response needs no reset.
 var respPool = sync.Pool{New: func() interface{} { return new(Response) }}
 
 // getResp returns a recycled (or fresh) Response for a pooled call.

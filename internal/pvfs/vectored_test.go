@@ -11,34 +11,92 @@ import (
 	"pario/internal/telemetry"
 )
 
-// TestDecomposeRunsAscendingProperty: within each server's list, runs
-// are in strictly ascending ServerOff and BufOff order — the order the
-// vectored piece ops require on the wire.
+// TestDecomposeRunsAscendingProperty: every plan gives each server
+// runs that are ascending and disjoint in ServerOff — the one list
+// shape the data servers accept, and the one segments and readInto
+// rely on. decompose's runs are also strictly ascending in BufOff.
+// The property is checked for one logical range, for PlanRead over
+// random ascending segment lists, and for the SplitRuns halves a
+// one-segment CEFT read sends to its two server groups.
 func TestDecomposeRunsAscendingProperty(t *testing.T) {
-	f := func(offRaw, lenRaw uint16, stripeSel, nSel uint8) bool {
-		stripe := int64(1 + stripeSel%128)
-		n := 1 + int(nSel%8)
-		off := int64(offRaw % 4096)
-		length := int64(lenRaw%4096) + 1
-		runs := decompose(off, length, stripe, n)
+	// ascending reports whether every server's runs name it, are
+	// non-empty, and are ascending and disjoint in ServerOff.
+	ascending := func(runs [][]StripeRun) bool {
 		for server, list := range runs {
 			for i, r := range list {
 				if r.Server != server || r.Length <= 0 {
 					return false
 				}
-				if i > 0 {
-					prev := list[i-1]
-					if r.ServerOff <= prev.ServerOff || r.BufOff <= prev.BufOff {
-						return false
-					}
+				if i > 0 && r.ServerOff < list[i-1].ServerOff+list[i-1].Length {
+					return false
 				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
+	t.Run("decompose", func(t *testing.T) {
+		f := func(offRaw, lenRaw uint16, stripeSel, nSel uint8) bool {
+			stripe := int64(1 + stripeSel%128)
+			n := 1 + int(nSel%8)
+			off := int64(offRaw % 4096)
+			length := int64(lenRaw%4096) + 1
+			runs := decompose(off, length, stripe, n)
+			for _, list := range runs {
+				for i := 1; i < len(list); i++ {
+					if list[i].BufOff <= list[i-1].BufOff {
+						return false
+					}
+				}
+			}
+			return ascending(runs)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("PlanRead", func(t *testing.T) {
+		f := func(raw []uint16, sizeRaw uint16, stripeSel, nSel uint8) bool {
+			stripe := int64(1 + stripeSel%128)
+			n := 1 + int(nSel%8)
+			m := Meta{Size: int64(sizeRaw % 8192), StripeSize: stripe}
+			// Random gaps (zero included) and lengths (zero included),
+			// running past the file's end.
+			var segs []chio.Seg
+			var off, total int64
+			for _, v := range raw {
+				off += int64(v % 300)
+				segs = append(segs, chio.Seg{Off: off, Len: int64(v>>8) % 200})
+				off += segs[len(segs)-1].Len
+				total += segs[len(segs)-1].Len
+			}
+			plan, err := PlanRead(segs, make([]byte, total), m, n)
+			if err != nil {
+				t.Logf("PlanRead(%v): %v", segs, err)
+				return false
+			}
+			return ascending(plan.Runs)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("SplitRuns", func(t *testing.T) {
+		f := func(offRaw, lenRaw uint16, stripeSel, nSel uint8) bool {
+			stripe := int64(1 + stripeSel%128)
+			n := 1 + int(nSel%8)
+			seg := chio.Seg{Off: int64(offRaw % 4096), Len: int64(lenRaw%4096) + 1}
+			m := Meta{Size: seg.Off + seg.Len, StripeSize: stripe}
+			plan, err := PlanRead([]chio.Seg{seg}, make([]byte, seg.Len), m, n)
+			if err != nil {
+				return false
+			}
+			lo, hi := SplitRuns(plan.Runs, plan.Lens[0]/2)
+			return ascending(lo) && ascending(hi)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestVectoredReadWriteRoundTrip exercises the list ops end to end
@@ -164,7 +222,7 @@ func TestWriteAtSkipsSizeRPCWhenNotExtending(t *testing.T) {
 	}
 }
 
-// TestMergeRunsBoundary pins the piece-adjacency merge with
+// TestMergeRunsBoundary pins segments' piece-adjacency merge with
 // exact boundary offsets: consecutive stripes of one server abut in
 // its piece even though they are a full round apart in the logical
 // file, so decompose's per-stripe runs must collapse to one wire
@@ -181,16 +239,13 @@ func TestMergeRunsBoundary(t *testing.T) {
 		if len(list) != 2 {
 			t.Fatalf("server %d: %d runs, want 2", server, len(list))
 		}
-		segs, group := mergeRuns(list)
+		segs := segments(list)
 		if len(segs) != 1 {
 			t.Fatalf("server %d: %d wire segments, want 1 (runs %+v)", server, len(segs), list)
 		}
 		if segs[0].Offset != 0 || segs[0].Length != 2*stripe {
 			t.Errorf("server %d: merged segment [%d,+%d), want [0,+%d)",
 				server, segs[0].Offset, segs[0].Length, 2*stripe)
-		}
-		if group[0] != 0 || group[1] != 0 {
-			t.Errorf("server %d: group = %v, want [0 0]", server, group)
 		}
 	}
 
@@ -200,12 +255,8 @@ func TestMergeRunsBoundary(t *testing.T) {
 		{Server: 0, ServerOff: 0, BufOff: 0, Length: stripe - 1},
 		{Server: 0, ServerOff: stripe, BufOff: stripe, Length: stripe},
 	}
-	segs, group := mergeRuns(gap)
-	if len(segs) != 2 {
+	if segs := segments(gap); len(segs) != 2 {
 		t.Fatalf("gapped runs merged into %d segments, want 2", len(segs))
-	}
-	if group[0] != 0 || group[1] != 1 {
-		t.Errorf("gapped group = %v, want [0 1]", group)
 	}
 
 	// Exact abutment one stripe in: [64,128) then [128,192).
@@ -213,8 +264,7 @@ func TestMergeRunsBoundary(t *testing.T) {
 		{Server: 0, ServerOff: stripe, BufOff: 0, Length: stripe},
 		{Server: 0, ServerOff: 2 * stripe, BufOff: stripe, Length: stripe},
 	}
-	segs, _ = mergeRuns(abut)
-	if len(segs) != 1 || segs[0].Offset != stripe || segs[0].Length != 2*stripe {
+	if segs := segments(abut); len(segs) != 1 || segs[0].Offset != stripe || segs[0].Length != 2*stripe {
 		t.Fatalf("abutting runs gave segments %+v, want one [%d,+%d)", segs, stripe, 2*stripe)
 	}
 }

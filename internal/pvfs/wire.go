@@ -335,10 +335,9 @@ func checkSegLens(segs []Seg, lens []int64, payload int64) error {
 
 // readInto reads a list read's payload straight into its destination
 // regions. into holds the regions in piece order, and consecutive
-// regions tile each segment of segs in turn (the runs were disjoint, so
-// a merged segment is exactly its runs): segment i's lens[i] served
-// bytes fill its regions from the front, and the unserved rest — a hole
-// or the piece's end — is zeroed.
+// regions tile each segment of segs in turn (see segments): segment
+// i's lens[i] served bytes fill its regions from the front, and the
+// unserved rest — a hole or the piece's end — is zeroed.
 func readInto(r io.Reader, segs []Seg, lens []int64, into [][]byte) error {
 	k := 0
 	for i, s := range segs {

@@ -261,12 +261,14 @@ func TestCollectiveScanRPCReduction(t *testing.T) {
 }
 
 // TestSegmentListsMatchReference pushes one table of segment lists —
-// contiguous, strided, unsorted and overlapping, over a hole, past EOF
-// — through every striped read path (PVFS; CEFT healthy, with a dead
-// primary, with a dead mirror) and requires the bytes and per-segment
-// lengths a chio.MemFS holding the same writes returns. A one-segment
-// list is also read through ReadAt, which on CEFT takes the
-// doubled-halves path.
+// contiguous, strided, abutting, over a hole, past EOF — through every
+// striped read path (PVFS; CEFT healthy, with a dead primary, with a
+// dead mirror) and requires the bytes and per-segment lengths a
+// chio.MemFS holding the same writes returns. A one-segment list is
+// also read through ReadAt, which on CEFT takes the doubled-halves
+// path. Lists that are not ascending and disjoint — unsorted,
+// overlapping, a zero-length segment before the previous one's end —
+// must be refused by every path and by the reference alike.
 func TestSegmentListsMatchReference(t *testing.T) {
 	const (
 		stripe = 256
@@ -301,20 +303,25 @@ func TestSegmentListsMatchReference(t *testing.T) {
 		strided = append(strided, chio.Seg{Off: off, Len: 100})
 	}
 	cases := []struct {
-		name string
-		segs []chio.Seg
+		name    string
+		segs    []chio.Seg
+		refused bool
 	}{
-		{"contiguous whole file", []chio.Seg{{Off: 0, Len: size}}},
-		{"contiguous unaligned", []chio.Seg{{Off: stripe - 1, Len: 3*stripe + 2}}},
-		{"contiguous one byte", []chio.Seg{{Off: 6000, Len: 1}}},
-		{"strided", strided},
-		{"unsorted overlapping", []chio.Seg{{Off: 5500, Len: 700}, {Off: 0, Len: 300}, {Off: 5600, Len: 100}, {Off: 250, Len: 600}, {Off: 0, Len: 300}}},
-		{"hole", []chio.Seg{{Off: 2900, Len: 2200}}},
-		{"hole only and empty", []chio.Seg{{Off: 3500, Len: 1000}, {Off: 100, Len: 0}, {Off: 4999, Len: 2}}},
-		{"tail hole", []chio.Seg{{Off: 8500, Len: 3505}}},
-		{"tail hole list", []chio.Seg{{Off: 11000, Len: 500}, {Off: 8900, Len: 300}, {Off: 9500, Len: 2510}}},
-		{"straddles EOF", []chio.Seg{{Off: size - 100, Len: 300}}},
-		{"past EOF", []chio.Seg{{Off: size, Len: 64}, {Off: 8 * size, Len: 50}, {Off: 10, Len: 20}}},
+		{"contiguous whole file", []chio.Seg{{Off: 0, Len: size}}, false},
+		{"contiguous unaligned", []chio.Seg{{Off: stripe - 1, Len: 3*stripe + 2}}, false},
+		{"contiguous one byte", []chio.Seg{{Off: 6000, Len: 1}}, false},
+		{"strided", strided, false},
+		{"unsorted overlapping", []chio.Seg{{Off: 5500, Len: 700}, {Off: 0, Len: 300}, {Off: 5600, Len: 100}, {Off: 250, Len: 600}, {Off: 0, Len: 300}}, true},
+		{"ascending abutting", []chio.Seg{{Off: 0, Len: 250}, {Off: 250, Len: 600}, {Off: 5500, Len: 100}, {Off: 5600, Len: 100}, {Off: 5700, Len: 500}}, false},
+		{"hole", []chio.Seg{{Off: 2900, Len: 2200}}, false},
+		{"hole only and empty, unsorted", []chio.Seg{{Off: 3500, Len: 1000}, {Off: 100, Len: 0}, {Off: 4999, Len: 2}}, true},
+		{"hole only and empty", []chio.Seg{{Off: 100, Len: 0}, {Off: 3500, Len: 1000}, {Off: 4999, Len: 2}}, false},
+		{"tail hole", []chio.Seg{{Off: 8500, Len: 3505}}, false},
+		{"tail hole list, unsorted", []chio.Seg{{Off: 11000, Len: 500}, {Off: 8900, Len: 300}, {Off: 9500, Len: 2510}}, true},
+		{"tail hole list", []chio.Seg{{Off: 8900, Len: 300}, {Off: 9500, Len: 1500}, {Off: 11000, Len: 500}}, false},
+		{"straddles EOF", []chio.Seg{{Off: size - 100, Len: 300}}, false},
+		{"past EOF, unsorted", []chio.Seg{{Off: size, Len: 64}, {Off: 8 * size, Len: 50}, {Off: 10, Len: 20}}, true},
+		{"past EOF", []chio.Seg{{Off: 10, Len: 20}, {Off: size, Len: 64}, {Off: 8 * size, Len: 50}}, false},
 	}
 
 	ref := chio.NewMemFS()
@@ -336,6 +343,15 @@ func TestSegmentListsMatchReference(t *testing.T) {
 				total += s.Len
 			}
 			want, got := make([]byte, total), make([]byte, total)
+			if tc.refused {
+				if _, err := chio.ReadvAt(rf, tc.segs, want); err == nil {
+					t.Errorf("%s: the reference accepted it", tc.name)
+				}
+				if _, err := chio.ReadvAt(f, tc.segs, got); err == nil {
+					t.Errorf("%s: ReadvAt accepted it", tc.name)
+				}
+				continue
+			}
 			for i := range got {
 				got[i] = 0xEE // every byte must be overwritten or zeroed
 			}
