@@ -12,7 +12,10 @@ test:
 # race detector (the transport layer is heavily concurrent), re-run
 # readahead's prefetch and concurrency tests twenty times under the
 # race detector (the planner claims blocks under the cache mutex that
-# its fetch goroutines and every reader share), re-run the search-path
+# its fetch goroutines and every reader share), re-run chio's
+# concurrency tests twenty times under the race detector (every file
+# type's Read, Write and Seek share one chio.Cursor, so a lapse in its
+# locking races every backend at once), re-run the search-path
 # allocation guard without the race detector (whose
 # shadow memory inflates alloc counts, so the guard skips itself
 # under -race), fuzz the data server's request handler, the PVFS wire
@@ -24,6 +27,7 @@ test:
 # runs, then smoke the live /metrics endpoint.
 check: lint race
 	$(GO) test -race -count=20 -run 'Prefetch|Concurrent|Demand' ./internal/readahead/
+	$(GO) test -race -count=20 -run 'Concurrent' ./internal/chio/
 	$(GO) test -run TestSearchSubjectSteadyStateAllocs ./internal/blast/
 	$(GO) test -run '^$$' -fuzz FuzzDataServerDispatch -fuzztime 5s ./internal/pvfs/
 	$(GO) test -run '^$$' -fuzz FuzzWireFrame -fuzztime 5s ./internal/pvfs/

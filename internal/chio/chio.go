@@ -205,6 +205,14 @@ type FileInfo struct {
 // File is an open file handle. Implementations must support
 // positional reads (ReadAt) because database fragments are accessed
 // by offset, as well as streaming reads and appending writes.
+//
+// The streaming half (Read, Write, Seek) is derived, not written per
+// backend: every File in this module that keeps a position embeds a
+// Cursor over its own ReadAt, WriteAt and Size. Positional calls may run
+// concurrently with each other and with streaming calls. Streaming
+// calls on one handle are serialized by its cursor, so concurrent
+// Reads consume disjoint ranges and concurrent Writes land one after
+// another, as read(2) and write(2) do on a shared descriptor.
 type File interface {
 	io.Reader
 	io.ReaderAt
@@ -213,6 +221,75 @@ type File interface {
 	io.Seeker
 	io.Closer
 	Name() string
+}
+
+// Cursor is a File's streaming half — Read, Write and Seek — derived
+// from the file's positional ReadAt and WriteAt and its Size. A file
+// type embeds it and calls Init once, before the file is used. It is
+// safe for concurrent use: each call holds the cursor's lock for its
+// whole transfer, and Read and Write move the position by the bytes
+// they transferred.
+type Cursor struct {
+	f   Positional
+	mu  sync.Mutex
+	off int64
+}
+
+// Positional is what a Cursor derives the streaming calls from: the
+// file's positional transfers, and its current length for io.SeekEnd.
+type Positional interface {
+	io.ReaderAt
+	io.WriterAt
+	Size() (int64, error)
+}
+
+// Init binds the cursor to f.
+func (c *Cursor) Init(f Positional) { c.f = f }
+
+// Read implements io.Reader as a ReadAt at the position.
+func (c *Cursor) Read(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n, err := c.f.ReadAt(p, c.off)
+	c.off += int64(n)
+	return n, err
+}
+
+// Write implements io.Writer as a WriteAt at the position.
+func (c *Cursor) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n, err := c.f.WriteAt(p, c.off)
+	c.off += int64(n)
+	return n, err
+}
+
+// Seek implements io.Seeker. A target before the start of the file, a
+// bad whence or a failed size lookup is an error and leaves the
+// position where it was.
+func (c *Cursor) Seek(offset int64, whence int) (int64, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var base int64
+	switch whence {
+	case io.SeekStart:
+	case io.SeekCurrent:
+		base = c.off
+	case io.SeekEnd:
+		size, err := c.f.Size()
+		if err != nil {
+			return 0, err
+		}
+		base = size
+	default:
+		return 0, fmt.Errorf("chio: bad whence %d", whence)
+	}
+	next := base + offset
+	if next < 0 || (offset > 0 && next < base) {
+		return 0, fmt.Errorf("chio: seek to %d%+d is out of range", base, offset)
+	}
+	c.off = next
+	return next, nil
 }
 
 // FileSystem is the storage backend abstraction.
@@ -428,7 +505,7 @@ func (m *MemFS) Create(name string) (File, error) {
 	defer m.mu.Unlock()
 	d := &memData{}
 	m.files[name] = d
-	return &memFile{fs: m, d: d, name: name}, nil
+	return newMemFile(d, name), nil
 }
 
 // Open implements FileSystem.
@@ -439,7 +516,7 @@ func (m *MemFS) Open(name string) (File, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotExist, name)
 	}
-	return &memFile{fs: m, d: d, name: name}, nil
+	return newMemFile(d, name), nil
 }
 
 // Stat implements FileSystem.
@@ -483,18 +560,23 @@ func (m *MemFS) List(prefix string) ([]FileInfo, error) {
 }
 
 type memFile struct {
-	fs   *MemFS
+	Cursor
 	d    *memData
 	name string
-	off  int64
+}
+
+func newMemFile(d *memData, name string) *memFile {
+	f := &memFile{d: d, name: name}
+	f.Init(f)
+	return f
 }
 
 func (f *memFile) Name() string { return f.name }
 
-func (f *memFile) Read(p []byte) (int, error) {
-	n, err := f.ReadAt(p, f.off)
-	f.off += int64(n)
-	return n, err
+func (f *memFile) Size() (int64, error) {
+	f.d.mu.RLock()
+	defer f.d.mu.RUnlock()
+	return int64(len(f.d.data)), nil
 }
 
 func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
@@ -511,12 +593,6 @@ func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 		return n, io.EOF
 	}
 	return n, nil
-}
-
-func (f *memFile) Write(p []byte) (int, error) {
-	n, err := f.WriteAt(p, f.off)
-	f.off += int64(n)
-	return n, err
 }
 
 func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
@@ -544,28 +620,6 @@ func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-func (f *memFile) Seek(offset int64, whence int) (int64, error) {
-	f.d.mu.RLock()
-	size := int64(len(f.d.data))
-	f.d.mu.RUnlock()
-	var next int64
-	switch whence {
-	case io.SeekStart:
-		next = offset
-	case io.SeekCurrent:
-		next = f.off + offset
-	case io.SeekEnd:
-		next = size + offset
-	default:
-		return 0, fmt.Errorf("chio: bad whence %d", whence)
-	}
-	if next < 0 {
-		return 0, fmt.Errorf("chio: negative seek offset")
-	}
-	f.off = next
-	return next, nil
-}
-
 func (f *memFile) Close() error { return nil }
 
 // ---------------------------------------------------------------------
@@ -576,36 +630,33 @@ func (f *memFile) Close() error { return nil }
 // the layers above (worker task failures, degraded reads).
 type FaultFS struct {
 	Inner FileSystem
-	mu    sync.Mutex
-	armed bool
-	err   error
+	fault *faultState // shared with every WithContext view
+}
+
+type faultState struct {
+	mu  sync.Mutex
+	err error // nil while disarmed
 }
 
 // NewFaultFS wraps inner; the wrapper is transparent until Arm.
-func NewFaultFS(inner FileSystem) *FaultFS { return &FaultFS{Inner: inner} }
+func NewFaultFS(inner FileSystem) *FaultFS {
+	return &FaultFS{Inner: inner, fault: &faultState{}}
+}
 
 // Arm makes all subsequent reads fail with err.
 func (f *FaultFS) Arm(err error) {
-	f.mu.Lock()
-	f.armed = true
-	f.err = err
-	f.mu.Unlock()
+	f.fault.mu.Lock()
+	f.fault.err = err
+	f.fault.mu.Unlock()
 }
 
 // Disarm restores transparent operation.
-func (f *FaultFS) Disarm() {
-	f.mu.Lock()
-	f.armed = false
-	f.mu.Unlock()
-}
+func (f *FaultFS) Disarm() { f.Arm(nil) }
 
 func (f *FaultFS) faultErr() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.armed {
-		return f.err
-	}
-	return nil
+	f.fault.mu.Lock()
+	defer f.fault.mu.Unlock()
+	return f.fault.err
 }
 
 // BackendName implements FileSystem.
@@ -642,49 +693,14 @@ func (f *FaultFS) List(prefix string) ([]FileInfo, error) { return f.Inner.List(
 
 // WithContext implements ContextBinder by forwarding to the wrapped
 // backend. The returned view shares this wrapper's armed state, so
-// Arm/Disarm affect bound views too.
+// Arm/Disarm on either govern both.
 func (f *FaultFS) WithContext(ctx context.Context) FileSystem {
 	inner := BindContext(f.Inner, ctx)
 	if inner == f.Inner {
 		return f
 	}
-	return &faultView{fs: f, inner: inner}
+	return &FaultFS{Inner: inner, fault: f.fault}
 }
-
-// faultView is a context-bound view of a FaultFS: fault state lives in
-// fs, I/O goes to the rebound inner backend.
-type faultView struct {
-	fs    *FaultFS
-	inner FileSystem
-}
-
-func (v *faultView) BackendName() string { return v.inner.BackendName() + "+fault" }
-
-func (v *faultView) Create(name string) (File, error) { return v.inner.Create(name) }
-
-func (v *faultView) Open(name string) (File, error) {
-	if err := v.fs.faultErr(); err != nil {
-		return nil, err
-	}
-	inner, err := v.inner.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &faultFile{File: inner, fs: v.fs}, nil
-}
-
-func (v *faultView) Stat(name string) (FileInfo, error) {
-	if err := v.fs.faultErr(); err != nil {
-		return FileInfo{}, err
-	}
-	return v.inner.Stat(name)
-}
-
-func (v *faultView) Remove(name string) error { return v.inner.Remove(name) }
-
-func (v *faultView) List(prefix string) ([]FileInfo, error) { return v.inner.List(prefix) }
-
-func (v *faultView) WithContext(ctx context.Context) FileSystem { return v.fs.WithContext(ctx) }
 
 type faultFile struct {
 	File

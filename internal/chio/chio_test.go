@@ -2,9 +2,11 @@ package chio
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -418,6 +420,111 @@ func TestFaultFS(t *testing.T) {
 	buf := make([]byte, 4)
 	if _, err := h.ReadAt(buf, 0); !errors.Is(err, boom) {
 		t.Fatalf("open handle read err = %v", err)
+	}
+
+	// Over a backend that binds contexts, a bound view is a FaultFS over
+	// the bound backend, and Arm and Disarm on the original govern it.
+	bfs := NewFaultFS(bindingFS{MemFS: inner})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	view := BindContext(bfs, ctx)
+	if v, ok := view.(*FaultFS); !ok || v == bfs || v.Inner.(bindingFS).ctx != ctx {
+		t.Fatalf("bound view = %#v, want a FaultFS over the bound backend", view)
+	}
+	vh, err := view.Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vh.Close()
+	bfs.Arm(boom)
+	if _, err := ReadFull(view, "f"); !errors.Is(err, boom) {
+		t.Fatalf("bound view read while armed: err = %v, want injected", err)
+	}
+	if _, err := vh.Read(buf); !errors.Is(err, boom) {
+		t.Fatalf("bound view handle read while armed: err = %v, want injected", err)
+	}
+	bfs.Disarm()
+	if got, err := ReadFull(view, "f"); err != nil || string(got) != "payload" {
+		t.Fatalf("bound view read after Disarm = %q, %v", got, err)
+	}
+}
+
+// bindingFS is a MemFS whose WithContext returns a distinct view
+// carrying ctx, as the parallel-FS clients' does.
+type bindingFS struct {
+	*MemFS
+	ctx context.Context
+}
+
+func (b bindingFS) WithContext(ctx context.Context) FileSystem { return bindingFS{b.MemFS, ctx} }
+
+// TestConcurrentStreamingOnOneHandle runs Write, Read and Seek from
+// several goroutines on one MemFS handle. The cursor serializes the
+// streaming calls: every record the writers append lands whole at a
+// record boundary, no Seek reports a position inside a record, and the
+// readers together consume each record exactly once.
+func TestConcurrentStreamingOnOneHandle(t *testing.T) {
+	const workers, records, recLen = 4, 200, 8
+	f, err := NewMemFS().Create("log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	run := func(body func(w int)) {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				body(w)
+			}(w)
+		}
+		wg.Wait()
+	}
+	seekAligned := func(whence int) {
+		if pos, err := f.Seek(0, whence); err != nil || pos%recLen != 0 {
+			t.Errorf("Seek(0, %d) = %d, %v; want a record boundary", whence, pos, err)
+		}
+	}
+
+	run(func(w int) {
+		rec := bytes.Repeat([]byte{'a' + byte(w)}, recLen)
+		for i := 0; i < records; i++ {
+			if n, err := f.Write(rec); n != recLen || err != nil {
+				t.Errorf("Write = %d, %v", n, err)
+				return
+			}
+			seekAligned(io.SeekCurrent)
+			seekAligned(io.SeekEnd)
+		}
+	})
+	if pos, err := f.Seek(0, io.SeekStart); err != nil || pos != 0 {
+		t.Fatalf("rewind = %d, %v", pos, err)
+	}
+
+	var mu sync.Mutex
+	got := map[byte]int{}
+	run(func(int) {
+		buf := make([]byte, recLen)
+		for {
+			n, err := f.Read(buf)
+			if n == 0 && err == io.EOF {
+				return
+			}
+			if n != recLen || !bytes.Equal(buf, bytes.Repeat(buf[:1], recLen)) {
+				t.Errorf("Read = %d, %v: %q is not one whole record", n, err, buf[:n])
+				return
+			}
+			mu.Lock()
+			got[buf[0]]++
+			mu.Unlock()
+			seekAligned(io.SeekCurrent)
+		}
+	})
+	for w := 0; w < workers; w++ {
+		if n := got['a'+byte(w)]; n != records {
+			t.Errorf("writer %d: read back %d records, want %d", w, n, records)
+		}
 	}
 }
 

@@ -134,7 +134,7 @@ func (fs *FS) Create(name string) (chio.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &file{fs: fs, inner: f, name: name, ctx: fs.ctx}, nil
+	return fs.file(f, name), nil
 }
 
 // Open implements chio.FileSystem.
@@ -143,7 +143,7 @@ func (fs *FS) Open(name string) (chio.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &file{fs: fs, inner: f, name: name, ctx: fs.ctx}, nil
+	return fs.file(f, name), nil
 }
 
 // Stat implements chio.FileSystem.
@@ -379,19 +379,28 @@ func (r *round) copyOut(p []byte, off int64) int {
 	return copy(p, e.data[rel:])
 }
 
-// file is an open handle through the collective layer.
+// file is an open handle through the collective layer. Its streaming
+// calls are cursor reads and writes through the collective path.
 type file struct {
+	chio.Cursor
 	fs    *FS
 	inner chio.File
 	name  string
 	ctx   context.Context
+}
 
-	mu  sync.Mutex
-	off int64
+// file opens a handle on inner, the backend's file called name.
+func (fs *FS) file(inner chio.File, name string) *file {
+	f := &file{fs: fs, inner: inner, name: name, ctx: fs.ctx}
+	f.Init(f)
+	return f
 }
 
 // Name implements chio.File.
 func (f *file) Name() string { return f.name }
+
+// Size implements chio.Positional with the inner file's size.
+func (f *file) Size() (int64, error) { return f.inner.Seek(0, io.SeekEnd) }
 
 // ReadAt implements io.ReaderAt by enrolling the range in the file's
 // collective round and copying its share of the round's fetch.
@@ -424,60 +433,6 @@ func (f *file) ReadAt(p []byte, off int64) (int, error) {
 // holds no cache to invalidate; readers racing a write see either
 // byte order, as they would against the bare backend.
 func (f *file) WriteAt(p []byte, off int64) (int, error) { return f.inner.WriteAt(p, off) }
-
-// Read implements io.Reader at the streaming position.
-func (f *file) Read(p []byte) (int, error) {
-	f.mu.Lock()
-	off := f.off
-	f.mu.Unlock()
-	n, err := f.ReadAt(p, off)
-	f.mu.Lock()
-	f.off = off + int64(n)
-	f.mu.Unlock()
-	return n, err
-}
-
-// Write implements io.Writer at the streaming position.
-func (f *file) Write(p []byte) (int, error) {
-	f.mu.Lock()
-	off := f.off
-	f.mu.Unlock()
-	n, err := f.WriteAt(p, off)
-	f.mu.Lock()
-	f.off = off + int64(n)
-	f.mu.Unlock()
-	return n, err
-}
-
-// Seek implements io.Seeker, delegating SeekEnd to the inner file.
-func (f *file) Seek(offset int64, whence int) (int64, error) {
-	if whence == io.SeekEnd {
-		pos, err := f.inner.Seek(offset, io.SeekEnd)
-		if err != nil {
-			return 0, err
-		}
-		f.mu.Lock()
-		f.off = pos
-		f.mu.Unlock()
-		return pos, nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var next int64
-	switch whence {
-	case io.SeekStart:
-		next = offset
-	case io.SeekCurrent:
-		next = f.off + offset
-	default:
-		return 0, fmt.Errorf("collio: bad whence %d", whence)
-	}
-	if next < 0 {
-		return 0, fmt.Errorf("collio: negative seek position")
-	}
-	f.off = next
-	return next, nil
-}
 
 // Close closes the file's own inner handle. The aggregator's cached
 // round handle is independent and stays usable for other readers.

@@ -185,7 +185,7 @@ func (f *FS) Create(name string) (chio.File, error) {
 		return nil, err
 	}
 	f.Trace.add(Event{Op: OpCreate, File: name, Worker: f.Worker})
-	return &file{File: inner, fs: f}, nil
+	return f.file(inner), nil
 }
 
 // Open implements chio.FileSystem.
@@ -195,7 +195,7 @@ func (f *FS) Open(name string) (chio.File, error) {
 		return nil, err
 	}
 	f.Trace.add(Event{Op: OpOpen, File: name, Worker: f.Worker})
-	fl := &file{File: inner, fs: f}
+	fl := f.file(inner)
 	// Forward the zero-copy view capability only when the wrapped file
 	// actually has it. Advertising ReadView unconditionally would make
 	// the fragment decoder switch from its bulk ReadAt pattern to
@@ -240,69 +240,42 @@ func (f *FS) WithContext(ctx context.Context) chio.FileSystem {
 	return &FS{Inner: chio.BindContext(f.Inner, ctx), Trace: f.Trace, Worker: f.Worker}
 }
 
-// file tracks the sequential position alongside the inner file so
-// Read/Write events record the real offset they touched instead of a
-// placeholder. Positional ReadAt/WriteAt do not move it, matching the
-// inner file's cursor semantics.
+// file records every data call on the inner file. Its streaming calls
+// are cursor calls over its own traced ReadAt and WriteAt, so a
+// sequential Read or Write records the offset it touched.
 type file struct {
-	chio.File
-	fs  *FS
-	mu  sync.Mutex
-	pos int64
+	chio.Cursor
+	inner chio.File
+	fs    *FS
 }
 
-// advance returns the sequential position before an n-byte transfer
-// and moves the cursor past it.
-func (fl *file) advance(n int) int64 {
-	fl.mu.Lock()
-	off := fl.pos
-	fl.pos += int64(n)
-	fl.mu.Unlock()
-	return off
+// file opens a traced handle on inner.
+func (f *FS) file(inner chio.File) *file {
+	fl := &file{inner: inner, fs: f}
+	fl.Init(fl)
+	return fl
 }
 
-func (fl *file) Read(p []byte) (int, error) {
-	n, err := fl.File.Read(p)
-	if n > 0 {
-		off := fl.advance(n)
-		fl.fs.Trace.add(Event{Op: OpRead, File: fl.File.Name(), Size: int64(n), Offset: off, Worker: fl.fs.Worker})
-	}
-	return n, err
-}
+func (fl *file) Name() string { return fl.inner.Name() }
+
+func (fl *file) Close() error { return fl.inner.Close() }
+
+func (fl *file) Size() (int64, error) { return fl.inner.Seek(0, io.SeekEnd) }
 
 func (fl *file) ReadAt(p []byte, off int64) (int, error) {
-	n, err := fl.File.ReadAt(p, off)
+	n, err := fl.inner.ReadAt(p, off)
 	if n > 0 {
-		fl.fs.Trace.add(Event{Op: OpRead, File: fl.File.Name(), Size: int64(n), Offset: off, Worker: fl.fs.Worker})
-	}
-	return n, err
-}
-
-func (fl *file) Write(p []byte) (int, error) {
-	n, err := fl.File.Write(p)
-	if n > 0 {
-		off := fl.advance(n)
-		fl.fs.Trace.add(Event{Op: OpWrite, File: fl.File.Name(), Size: int64(n), Offset: off, Worker: fl.fs.Worker})
+		fl.fs.Trace.add(Event{Op: OpRead, File: fl.inner.Name(), Size: int64(n), Offset: off, Worker: fl.fs.Worker})
 	}
 	return n, err
 }
 
 func (fl *file) WriteAt(p []byte, off int64) (int, error) {
-	n, err := fl.File.WriteAt(p, off)
+	n, err := fl.inner.WriteAt(p, off)
 	if n > 0 {
-		fl.fs.Trace.add(Event{Op: OpWrite, File: fl.File.Name(), Size: int64(n), Offset: off, Worker: fl.fs.Worker})
+		fl.fs.Trace.add(Event{Op: OpWrite, File: fl.inner.Name(), Size: int64(n), Offset: off, Worker: fl.fs.Worker})
 	}
 	return n, err
-}
-
-func (fl *file) Seek(offset int64, whence int) (int64, error) {
-	pos, err := fl.File.Seek(offset, whence)
-	if err == nil {
-		fl.mu.Lock()
-		fl.pos = pos
-		fl.mu.Unlock()
-	}
-	return pos, err
 }
 
 // viewFile is a traced file over a backend that serves zero-copy
@@ -313,9 +286,9 @@ type viewFile struct {
 }
 
 func (fl *viewFile) ReadView(off, n int64) (chio.View, error) {
-	v, err := fl.File.(chio.ViewReaderAt).ReadView(off, n)
+	v, err := fl.inner.(chio.ViewReaderAt).ReadView(off, n)
 	if len(v.Data) > 0 {
-		fl.fs.Trace.add(Event{Op: OpRead, File: fl.File.Name(), Size: int64(len(v.Data)), Offset: off, Worker: fl.fs.Worker})
+		fl.fs.Trace.add(Event{Op: OpRead, File: fl.inner.Name(), Size: int64(len(v.Data)), Offset: off, Worker: fl.fs.Worker})
 	}
 	return v, err
 }

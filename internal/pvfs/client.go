@@ -181,7 +181,11 @@ func (cl *Client) List(prefix string) ([]chio.FileInfo, error) {
 func (cl *Client) LoadMap() (map[int]float64, error) { return cl.meta.LoadQuery(cl.ctx) }
 
 // file opens m on this client (and its bound context).
-func (cl *Client) file(m Meta) *File { return &File{cl: cl, meta: m} }
+func (cl *Client) file(m Meta) *File {
+	f := &File{cl: cl, meta: m}
+	f.Init(f)
+	return f
+}
 
 // direct is the PVFS client's Store: every data server holds the only
 // copy of its pieces, so a plan executes on exactly one connection per

@@ -8,16 +8,17 @@ import (
 	"pario/internal/chio"
 )
 
-// File is an open striped file: the cached metadata, the sequential
-// cursor, and every chio.File operation, planned here and executed by
-// its client's Store. It implements chio.VectorReaderAt; a contiguous
-// read is a one-segment list.
+// File is an open striped file: the cached metadata and every
+// chio.File operation, planned here and executed by its client's
+// Store. It implements chio.VectorReaderAt; a contiguous read is a
+// one-segment list. Read, Write and Seek come from the embedded
+// chio.Cursor.
 type File struct {
+	chio.Cursor
 	cl *Client // the (possibly context-bound) client that opened it
 
 	mu     sync.Mutex
 	meta   Meta
-	off    int64
 	closed bool
 }
 
@@ -38,6 +39,15 @@ func (f *File) handle() (Meta, error) {
 		return Meta{}, errFileClosed
 	}
 	return f.meta, nil
+}
+
+// Size returns the file size as the manager now records it.
+func (f *File) Size() (int64, error) {
+	m, err := f.handle()
+	if err == nil {
+		err = f.refreshSize(&m)
+	}
+	return m.Size, err
 }
 
 // refreshSize re-fetches the file size from the manager.
@@ -154,59 +164,13 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	return int(n), nil
 }
 
-// Read implements io.Reader at the file's cursor.
-func (f *File) Read(p []byte) (int, error) {
-	f.mu.Lock()
-	off := f.off
-	f.mu.Unlock()
-	n, err := f.ReadAt(p, off)
-	f.mu.Lock()
-	f.off = off + int64(n)
-	f.mu.Unlock()
-	return n, err
-}
-
-// Write implements io.Writer at the file's cursor.
-func (f *File) Write(p []byte) (int, error) {
-	f.mu.Lock()
-	off := f.off
-	f.mu.Unlock()
-	n, err := f.WriteAt(p, off)
-	f.mu.Lock()
-	f.off = off + int64(n)
-	f.mu.Unlock()
-	return n, err
-}
-
-// Seek implements io.Seeker.
+// Seek implements io.Seeker through the embedded cursor; a closed
+// file refuses it whatever the whence.
 func (f *File) Seek(offset int64, whence int) (int64, error) {
-	m, err := f.handle()
-	if err != nil {
+	if _, err := f.handle(); err != nil {
 		return 0, err
 	}
-	if whence == io.SeekEnd {
-		if err := f.refreshSize(&m); err != nil {
-			return 0, err
-		}
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var next int64
-	switch whence {
-	case io.SeekStart:
-		next = offset
-	case io.SeekCurrent:
-		next = f.off + offset
-	case io.SeekEnd:
-		next = m.Size + offset
-	default:
-		return 0, fmt.Errorf("pvfs: bad whence %d", whence)
-	}
-	if next < 0 {
-		return 0, fmt.Errorf("pvfs: negative seek position")
-	}
-	f.off = next
-	return next, nil
+	return f.Cursor.Seek(offset, whence)
 }
 
 // Close invalidates the handle — subsequent operations on the file

@@ -131,7 +131,7 @@ func (fs *FS) Create(name string) (chio.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &file{fs: fs, inner: f, name: name}, nil
+	return fs.file(f, name), nil
 }
 
 // Open implements chio.FileSystem.
@@ -140,7 +140,7 @@ func (fs *FS) Open(name string) (chio.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &file{fs: fs, inner: f, name: name}, nil
+	return fs.file(f, name), nil
 }
 
 // Stat implements chio.FileSystem.
@@ -424,20 +424,31 @@ func (fs *FS) prefetch(inner chio.File, name string, from, to int64) {
 	}
 }
 
-// file is an open handle through the readahead layer.
+// file is an open handle through the readahead layer. Its streaming
+// calls are cursor reads and writes through the cache.
 type file struct {
+	chio.Cursor
 	fs    *FS
 	inner chio.File
 	name  string
 
 	mu      sync.Mutex
-	off     int64 // streaming position for Read/Write/Seek
 	next    int64 // block index a sequential scan would touch next
 	planned int64 // first block the prefetcher has not yet planned
 }
 
+// file opens a handle on inner, the backend's file called name.
+func (fs *FS) file(inner chio.File, name string) *file {
+	f := &file{fs: fs, inner: inner, name: name}
+	f.Init(f)
+	return f
+}
+
 // Name implements chio.File.
 func (f *file) Name() string { return f.name }
+
+// Size implements chio.Positional with the inner file's size.
+func (f *file) Size() (int64, error) { return f.inner.Seek(0, io.SeekEnd) }
 
 // ReadAt implements io.ReaderAt through the block cache. A read that
 // continues the previous one (block-wise) is treated as a sequential
@@ -562,61 +573,6 @@ func (f *file) WriteAt(p []byte, off int64) (int, error) {
 		f.fs.cache.invalidateRange(f.name, off, int64(n), f.fs.blockSize)
 	}
 	return n, err
-}
-
-// Read implements io.Reader at the streaming position.
-func (f *file) Read(p []byte) (int, error) {
-	f.mu.Lock()
-	off := f.off
-	f.mu.Unlock()
-	n, err := f.ReadAt(p, off)
-	f.mu.Lock()
-	f.off = off + int64(n)
-	f.mu.Unlock()
-	return n, err
-}
-
-// Write implements io.Writer at the streaming position.
-func (f *file) Write(p []byte) (int, error) {
-	f.mu.Lock()
-	off := f.off
-	f.mu.Unlock()
-	n, err := f.WriteAt(p, off)
-	f.mu.Lock()
-	f.off = off + int64(n)
-	f.mu.Unlock()
-	return n, err
-}
-
-// Seek implements io.Seeker. SeekEnd delegates to the inner file for
-// the authoritative size.
-func (f *file) Seek(offset int64, whence int) (int64, error) {
-	if whence == io.SeekEnd {
-		pos, err := f.inner.Seek(offset, io.SeekEnd)
-		if err != nil {
-			return 0, err
-		}
-		f.mu.Lock()
-		f.off = pos
-		f.mu.Unlock()
-		return pos, nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var next int64
-	switch whence {
-	case io.SeekStart:
-		next = offset
-	case io.SeekCurrent:
-		next = f.off + offset
-	default:
-		return 0, fmt.Errorf("readahead: bad whence %d", whence)
-	}
-	if next < 0 {
-		return 0, fmt.Errorf("readahead: negative seek position")
-	}
-	f.off = next
-	return next, nil
 }
 
 // Close closes the inner file. Cached blocks persist (they belong to

@@ -3,8 +3,10 @@ package pario
 import (
 	"bytes"
 	"crypto/sha256"
+	"fmt"
 	"io"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"pario/internal/chio"
 	"pario/internal/collio"
 	"pario/internal/core"
+	"pario/internal/iotrace"
 	"pario/internal/readahead"
 	"pario/internal/rpcpool"
 	"pario/internal/telemetry"
@@ -421,6 +424,151 @@ func TestSegmentListsMatchReference(t *testing.T) {
 			check(t, cl)
 			if mode.dead >= 0 && cl.Failovers() == 0 {
 				t.Error("no failovers recorded although a server was down")
+			}
+		})
+	}
+}
+
+// TestStreamingContractMatchesReference runs one script of streaming
+// calls — Seek with each whence, io.ReadFull after a seek, reads to
+// EOF, writes at the cursor, and seeks that must fail (a negative
+// target, a bad whence) without moving the cursor — against every
+// backend and layer a file is opened through, on the deployments
+// TestSegmentListsMatchReference uses. Each must print the transcript a
+// chio.MemFS prints, and a closed PVFS or CEFT file must refuse Seek
+// whatever the whence.
+func TestStreamingContractMatchesReference(t *testing.T) {
+	const stripe = 256
+	content := make([]byte, 3000)
+	for i := range content {
+		content[i] = 'a' + byte((i*7+i/13)%26)
+	}
+	size := int64(len(content))
+	script := func(t *testing.T, fs chio.FileSystem) ([]string, chio.File) {
+		t.Helper()
+		if err := chio.WriteFull(fs, "s", content); err != nil {
+			t.Fatal(err)
+		}
+		f, err := fs.Open("s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lines []string
+		class := func(err error) string {
+			switch err {
+			case nil:
+				return "ok"
+			case io.EOF:
+				return "EOF"
+			}
+			return "error"
+		}
+		seek := func(off int64, whence int) {
+			pos, err := f.Seek(off, whence)
+			if err != nil {
+				pos = -1
+			}
+			lines = append(lines, fmt.Sprintf("Seek(%d, %d) = %d %s", off, whence, pos, class(err)))
+		}
+		readFull := func(n int) {
+			buf := make([]byte, n)
+			_, err := io.ReadFull(f, buf)
+			lines = append(lines, fmt.Sprintf("ReadFull(%d) = %q %s", n, buf, class(err)))
+		}
+		write := func(p string) {
+			n, err := f.Write([]byte(p))
+			lines = append(lines, fmt.Sprintf("Write(%q) = %d %s", p, n, class(err)))
+		}
+		readToEOF := func() {
+			got, err := io.ReadAll(f)
+			n, eof := f.Read(make([]byte, 8))
+			lines = append(lines, fmt.Sprintf("ReadAll = %q %s, then Read = %d %s", got, class(err), n, class(eof)))
+		}
+
+		seek(100, io.SeekStart)
+		readFull(50)
+		seek(10, io.SeekCurrent)
+		readFull(20)
+		seek(-30, io.SeekEnd)
+		readToEOF()
+		for _, bad := range [][2]int64{{-1, io.SeekStart}, {-size - 1, io.SeekCurrent}, {-size - 1, io.SeekEnd}, {0, 7}} {
+			seek(bad[0], int(bad[1]))
+			seek(0, io.SeekCurrent)
+		}
+		seek(1000, io.SeekStart)
+		write("WRITTEN!")
+		seek(0, io.SeekCurrent)
+		readFull(8)
+		seek(0, io.SeekEnd)
+		write("tail")
+		seek(0, io.SeekCurrent)
+		seek(-12, io.SeekEnd)
+		readToEOF()
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		after, err := chio.ReadFull(fs, "s")
+		lines = append(lines, fmt.Sprintf("file after writes: %d bytes, sha256 %x %s", len(after), sha256.Sum256(after), class(err)))
+		return lines, f
+	}
+	want, _ := script(t, chio.NewMemFS())
+
+	local, err := chio.NewLocalFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pdep, err := core.StartPVFS(3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pdep.Close()
+	pcl, err := pdep.Client(rpcpool.WithStripeSize(stripe))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pcl.Close()
+	cdep, err := core.StartCEFT(2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cdep.Close()
+	ccl, err := cdep.Client(ceft.DefaultOptions(), rpcpool.WithStripeSize(stripe))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ccl.Close()
+	block := readahead.WithBlockSize(512)
+
+	for _, b := range []struct {
+		name        string
+		fs          chio.FileSystem
+		closedSeeks bool // a closed file must refuse Seek
+	}{
+		{"local", local, false},
+		{"pvfs", pcl, true},
+		{"ceft 2+2", ccl, true},
+		{"readahead over pvfs", readahead.Wrap(pcl, block), false},
+		{"collio over pvfs", collio.Wrap(pcl), false},
+		{"iotrace over mem", iotrace.Wrap(chio.NewMemFS(), iotrace.NewTrace(), "w"), false},
+		{"fault over readahead", chio.NewFaultFS(readahead.Wrap(chio.NewMemFS(), block)), false},
+	} {
+		t.Run(b.name, func(t *testing.T) {
+			got, closed := script(t, b.fs)
+			if len(got) != len(want) {
+				t.Fatalf("transcript has %d lines, the reference %d:\n%s", len(got), len(want), strings.Join(got, "\n"))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("line %d: %s\n   reference: %s", i, got[i], want[i])
+				}
+			}
+			if !b.closedSeeks {
+				return
+			}
+			for _, whence := range []int{io.SeekStart, io.SeekCurrent, io.SeekEnd} {
+				if pos, err := closed.Seek(0, whence); err == nil {
+					t.Errorf("closed file: Seek(0, %d) = %d, want an error", whence, pos)
+				}
 			}
 		})
 	}
