@@ -15,8 +15,12 @@ test:
 # its fetch goroutines and every reader share), re-run chio's
 # concurrency tests twenty times under the race detector (every file
 # type's Read, Write and Seek share one chio.Cursor, so a lapse in its
-# locking races every backend at once), re-run the search-path
-# allocation guard without the race detector (whose
+# locking races every backend at once), re-run pblast's scheduler
+# tests ten times under the race detector (rank reuse, leave, crash,
+# duplicate result, cancel, idle: an empty welcome alone fences a
+# reused rank's stale mailbox, so a lapse in the worker's discard loop
+# or the loop's requeue shows up only as a rare interleaving), re-run
+# the search-path allocation guard without the race detector (whose
 # shadow memory inflates alloc counts, so the guard skips itself
 # under -race), fuzz the data server's request handler, the PVFS wire
 # frame decoders, the one-table seed scan, the message router, the
@@ -28,6 +32,7 @@ test:
 check: lint race
 	$(GO) test -race -count=20 -run 'Prefetch|Concurrent|Demand' ./internal/readahead/
 	$(GO) test -race -count=20 -run 'Concurrent' ./internal/chio/
+	$(GO) test -race -count=10 -run 'RankReuses|Leave|Crash|Duplicate|Cancelled|Idle' ./internal/pblast/
 	$(GO) test -run TestSearchSubjectSteadyStateAllocs ./internal/blast/
 	$(GO) test -run '^$$' -fuzz FuzzDataServerDispatch -fuzztime 5s ./internal/pvfs/
 	$(GO) test -run '^$$' -fuzz FuzzWireFrame -fuzztime 5s ./internal/pvfs/

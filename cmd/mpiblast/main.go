@@ -173,8 +173,7 @@ func main() {
 		}
 		defer comm.Close()
 		fs := cfg.WorkerFS(core.PerRank(ranks.FS, fatal))(*rank)
-		if err := pblast.RunWorker(ctx, comm, fs, core.PerRank(tune.ScratchFS, fatal)(*rank),
-			pblast.WithPipeMetrics(blast.NewPipeMetrics(reg))); err != nil {
+		if err := pblast.RunWorker(ctx, comm, cfg, fs, core.PerRank(tune.ScratchFS, fatal)(*rank), nil); err != nil {
 			fatal(err)
 		}
 		return

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"time"
 
 	"pario/internal/blast"
 	"pario/internal/blastdb"
@@ -133,16 +134,33 @@ func OpenPool(ctx context.Context, cfg SearchConfig) (*pblast.Pool, error) {
 	return pool, nil
 }
 
-// ParallelSearch runs the master/worker parallel BLAST in-process: one
-// pool opened, one query submitted, the pool closed again. Cancelling
-// ctx aborts the search, including in-flight parallel-FS I/O when the
-// backends support chio.ContextBinder.
+// ParallelSearch runs the master/worker parallel BLAST in-process: a
+// new pool opened (so no client, cache or world carries over between
+// calls), the alias read through cfg.MasterFS, one query submitted, the
+// pool closed. WallTime spans the open pool's use, its close included.
+// Cancelling ctx aborts the search, including in-flight parallel-FS
+// I/O when the backends support chio.ContextBinder.
 func ParallelSearch(ctx context.Context, query *seq.Sequence, cfg SearchConfig) (*pblast.Outcome, error) {
-	workerFS, scratch, err := wrapWorkerFS(cfg)
+	pool, err := OpenPool(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return pblast.RunInProcess(ctx, cfg.Workers, query, cfg.Search, cfg.MasterFS, workerFS, scratch)
+	start := time.Now()
+	var out *pblast.Outcome
+	alias, err := blastdb.ReadAlias(chio.BindContext(cfg.MasterFS, ctx), cfg.Search.DBName)
+	if err != nil {
+		err = fmt.Errorf("core: reading alias: %w", err)
+	} else {
+		out, err = pool.Submit(ctx, query, cfg.Search.Params, alias)
+	}
+	if cerr := pool.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	out.WallTime = time.Since(start)
+	return out, nil
 }
 
 // PVFSDeployment is a running single-machine PVFS: one metadata

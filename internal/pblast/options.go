@@ -66,17 +66,16 @@ func WithTaskTimeout(d time.Duration) Option {
 	return func(c *Config) { c.TaskTimeout = d }
 }
 
-// WithTelemetry installs the master-side scheduling telemetry sink.
-// The sink stays local to the master process: it never travels to
-// workers.
+// WithTelemetry installs the scheduling telemetry sink: the master
+// records task completions and reassignments into it, and each worker
+// of the same process its search-pipeline metrics.
 func WithTelemetry(t *Telemetry) Option {
 	return func(c *Config) { c.tel = t }
 }
 
-// WithTracer records master-side "task" spans — one per assignment of
-// every traced task — into t. The tracer stays local to the master
-// process: a Pool hands its workers the same sink, distributed
-// workers install their own with WithWorkerTracer.
+// WithTracer records the spans of traced submissions into t: the
+// master's "task" span per assignment and the worker's "search" span
+// per task, whose fragment reads (down to per-server RPCs) join it.
 func WithTracer(t *telemetry.Tracer) Option {
 	return func(c *Config) { c.tracer = t }
 }

@@ -14,11 +14,17 @@
 // query each) at any time, feeding their (query x fragment) tasks to
 // whichever workers are idle. Workers join by announcing themselves
 // (so a pool can grow while searches run) and leave gracefully
-// between tasks; tasks held by a departed worker are re-queued. The
-// classic one-shot entry point RunMaster is a thin wrapper that opens
-// a stream, submits, and drains; a multi-query run is several
-// concurrent Submits on one stream, and the always-on blastd service
-// keeps the same stream open for its entire lifetime.
+// between tasks; tasks held by a departed worker are re-queued. A
+// one-shot search opens a stream, submits and closes it; a multi-query
+// run is several concurrent Submits on one stream, and the always-on
+// blastd service keeps the same stream open for its entire lifetime.
+//
+// Every rank runs with its own Config, built from the same options:
+// the master's Stream reads TaskTimeout and the scheduling telemetry
+// and records task spans with its tracer; each worker's RunWorker
+// reads CopyToLocal, ChunkBytes, the telemetry's pipeline metrics and
+// records search spans with its tracer. Nothing of a Config crosses
+// the wire: the query, parameters and fragment travel in each task.
 package pblast
 
 import (
@@ -41,7 +47,7 @@ import (
 
 // Message tags.
 const (
-	tagJob = iota + 10
+	tagWelcome = iota + 10
 	tagReady
 	tagTask
 	tagResult
@@ -61,7 +67,7 @@ const (
 type Config struct {
 	// DBName is the database name (alias at DBName.pal).
 	DBName string
-	// Params are the BLAST parameters used by every worker.
+	// Params are the BLAST parameters a caller submits queries with.
 	Params blast.Params
 	// CopyToLocal reproduces the original mpiBLAST behaviour: each
 	// worker first copies its fragment from the shared store to its
@@ -75,31 +81,22 @@ type Config struct {
 	// (duplicate results are discarded). Zero disables reassignment.
 	TaskTimeout time.Duration
 
-	// tel is the master-side scheduling telemetry sink. Unexported so
-	// it never travels in the gob-encoded job broadcast (gob skips
-	// unexported fields); set it with WithTelemetry.
+	// tel is the scheduling telemetry sink (WithTelemetry); a worker
+	// publishes its search-pipeline metrics into tel.Pipe().
 	tel *Telemetry
 	// raEnable/raOpts describe the worker file-system stack WorkerFS
 	// builds: a readahead block cache over each rank's own client.
-	// Unexported, so local to the process that stacks: they never
-	// travel in the job broadcast.
 	raEnable bool
 	raOpts   []readahead.Option
-	// tracer records master-side task spans for submissions that carry
-	// a span context. Unexported so it stays out of the job broadcast.
+	// tracer records the master's task spans and the worker's search
+	// spans for submissions that carry a span context.
 	tracer *telemetry.Tracer
 }
 
-// job is sent to each worker when it announces itself, before any
-// tasks: the run-wide settings that do not vary per task.
-type job struct {
-	Config Config
-}
-
-// taskMsg is one unit of work: a query searched against a set of
-// fragment files. Tasks carry the query and parameters inline, so a
-// persistent worker pool serves any mix of queries — and databases —
-// without re-broadcasting state.
+// taskMsg is one unit of work: a query searched against one fragment
+// file. Tasks carry the query and parameters inline, so a persistent
+// worker pool serves any mix of queries — and databases — without
+// re-broadcasting state.
 type taskMsg struct {
 	Kind  int
 	Sub   int64 // submission the task belongs to
@@ -107,9 +104,9 @@ type taskMsg struct {
 
 	Query  seq.Sequence
 	Params blast.Params
-	// Paths are the fragment files to search, resolved by the master
-	// from the database alias.
-	Paths []string
+	// Path is the fragment file to search, resolved by the master from
+	// the database alias.
+	Path string
 	// DBLetters/DBSeqs are the whole-database totals used for search
 	// statistics (E-values are database-wide, not per-fragment).
 	DBLetters int64
@@ -117,11 +114,8 @@ type taskMsg struct {
 
 	// TraceID/SpanID propagate the submitting query's trace to the
 	// worker, the same way rpcpool.Request carries the client span to
-	// the data servers: additive gob fields, so an old worker decodes
-	// a new master's task (ignoring them) and a new worker sees zeros
-	// from an old master (disabling tracing) — the search itself is
-	// unaffected either way. SpanID is this task's own span identity;
-	// the worker parents its search span under it.
+	// the data servers; zero means untraced. SpanID is this task's own
+	// span identity; the worker parents its search span under it.
 	TraceID uint64
 	SpanID  uint64
 }
@@ -177,100 +171,29 @@ type Outcome struct {
 	Reassigned int
 }
 
-// RunMaster drives a single-query search from rank 0: it reads the
-// database alias through fs (the master's view of the shared store),
-// opens a stream over the communicator, submits the query, and drains
-// the workers.
-//
-// ctx governs the whole search: cancelling it aborts the scheduling
-// loop, and when fs supports chio.ContextBinder the master's I/O —
-// including in-flight parallel-FS reads — aborts with it.
-func RunMaster(ctx context.Context, c mpi.Comm, fs chio.FileSystem, query *seq.Sequence, cfg Config) (*Outcome, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	if c.Size() < 2 {
-		return nil, fmt.Errorf("pblast: need at least one worker (size %d)", c.Size())
-	}
-	alias, err := blastdb.ReadAlias(chio.BindContext(fs, ctx), cfg.DBName)
-	if err != nil {
-		return nil, fmt.Errorf("pblast: reading alias: %w", err)
-	}
-	st, err := StartStream(ctx, c, cfg)
-	if err != nil {
-		return nil, err
-	}
-	out, err := st.Submit(ctx, query, cfg.Params, alias)
-	cerr := st.Close()
-	if err != nil {
-		return nil, err
-	}
-	if cerr != nil {
-		return nil, cerr
-	}
-	out.WallTime = time.Since(start)
-	return out, nil
-}
-
 func decodeGob(data []byte, v interface{}) error {
 	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
 }
 
-// WorkerOption tunes RunWorker beyond its file systems.
-type WorkerOption func(*workerOpts)
-
-type workerOpts struct {
-	pipe   *blast.PipeMetrics
-	quit   <-chan struct{}
-	tracer *telemetry.Tracer
-}
-
-// WithPipeMetrics publishes the worker's search-pipeline telemetry
-// (shard busy/idle seconds, decode stalls, merge depth) into the
-// given sink, so a multicore worker's compute-vs-I/O overlap shows up
-// on its /metrics endpoint.
-func WithPipeMetrics(m *blast.PipeMetrics) WorkerOption {
-	return func(o *workerOpts) { o.pipe = m }
-}
-
-// WithWorkerTracer records a "search" span per traced task this worker
-// runs, parented under the master's task span, with the task's file
-// systems rebound to the span context so every fragment read (and its
-// per-server RPCs) lands in the query's trace.
-func WithWorkerTracer(t *telemetry.Tracer) WorkerOption {
-	return func(o *workerOpts) { o.tracer = t }
-}
-
-// WithQuit hands the worker a graceful-departure signal: when quit
-// fires, the worker finishes its current task (if any), announces its
-// departure to the master, and returns nil. The master re-queues any
-// task that was in flight to it. This is how a service shrinks its
-// worker pool without aborting searches.
-func WithQuit(quit <-chan struct{}) WorkerOption {
-	return func(o *workerOpts) { o.quit = quit }
-}
-
-// RunWorker executes search tasks on any rank > 0. fs is this
-// worker's file system onto the shared database store; scratch is the
-// worker's local scratch space, used only when the job requests
-// CopyToLocal (pass nil otherwise).
+// RunWorker executes search tasks on any rank > 0 with this rank's own
+// cfg: CopyToLocal and ChunkBytes decide how it reads each fragment,
+// cfg's telemetry receives its search-pipeline metrics, and cfg's
+// tracer its search spans. fs is this worker's file system onto the
+// shared database store; scratch is the worker's local scratch space,
+// used only when cfg.CopyToLocal is set (pass nil otherwise).
 //
 // The worker announces itself to the master first, so workers may
 // join a running stream at any time. Cancelling ctx makes the worker
 // leave and return ctx's error, and when fs supports
 // chio.ContextBinder its in-flight parallel-FS reads abort too, so a
-// cancelled query releases the I/O path immediately. For a graceful
-// exit that completes the current task, use WithQuit.
-func RunWorker(ctx context.Context, c mpi.Comm, fs chio.FileSystem, scratch chio.FileSystem, opts ...WorkerOption) error {
+// cancelled query releases the I/O path immediately. Closing quit
+// (nil for never) is the graceful departure: the worker finishes its
+// current task, if any, announces its departure and returns nil, and
+// the master re-queues any task still in flight to it. This is how a
+// service shrinks its worker pool without aborting searches.
+func RunWorker(ctx context.Context, c mpi.Comm, cfg Config, fs, scratch chio.FileSystem, quit <-chan struct{}) error {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	var o workerOpts
-	for _, opt := range opts {
-		if opt != nil {
-			opt(&o)
-		}
 	}
 	fs = chio.BindContext(fs, ctx)
 	if scratch != nil {
@@ -281,10 +204,10 @@ func RunWorker(ctx context.Context, c mpi.Comm, fs chio.FileSystem, scratch chio
 	// Tasks still run under ctx: a quit never aborts one.
 	rctx, stop := context.WithCancel(ctx)
 	defer stop()
-	if o.quit != nil {
+	if quit != nil {
 		go func() {
 			select {
-			case <-o.quit:
+			case <-quit:
 				stop()
 			case <-rctx.Done():
 			}
@@ -310,20 +233,17 @@ func RunWorker(ctx context.Context, c mpi.Comm, fs chio.FileSystem, scratch chio
 	if err := c.Send(0, tagHello, nil); err != nil {
 		return exit(err)
 	}
-	// Wait for the job reply. A stale task from a previous occupant of
-	// this rank may still sit in the mailbox — discard anything that
-	// is not the job (the master re-queued those tasks when the old
-	// occupant left). A done-task here means the stream is draining.
-	var j job
+	// Wait for the (empty) welcome. A stale task from a previous
+	// occupant of this rank may still sit in the mailbox — discard
+	// anything that is not the welcome (the master re-queued those
+	// tasks when the old occupant left). A done-task here means the
+	// stream is draining.
 	for {
 		m, err := c.Recv(rctx, 0, mpi.AnyTag)
 		if err != nil {
 			return exit(err)
 		}
-		if m.Tag == tagJob {
-			if err := decodeGob(m.Data, &j); err != nil {
-				return err
-			}
+		if m.Tag == tagWelcome {
 			break
 		}
 		if m.Tag == tagTask {
@@ -352,7 +272,7 @@ func RunWorker(ctx context.Context, c mpi.Comm, fs chio.FileSystem, scratch chio
 		if t.Kind == taskDone {
 			return nil
 		}
-		rm := runTracedTask(ctx, c.Rank(), o.tracer, &j, &t, fs, scratch, o.pipe)
+		rm := runTracedTask(ctx, cfg, c.Rank(), &t, fs, scratch)
 		if err := mpi.SendGob(c, 0, tagResult, rm); err != nil {
 			return exit(err)
 		}
@@ -360,24 +280,24 @@ func RunWorker(ctx context.Context, c mpi.Comm, fs chio.FileSystem, scratch chio
 }
 
 // runTracedTask wraps runTask in a worker-side "search" span when the
-// task carries a trace ID: the span parents under the master's task
-// span, and the file systems are rebound to the span context so the
-// fragment reads it issues — down to the data servers' serve:* spans —
-// join the query's trace. Untraced tasks (old master, tracing off)
-// take the plain path.
-func runTracedTask(ctx context.Context, rank int, tr *telemetry.Tracer, j *job, t *taskMsg, fs, scratch chio.FileSystem, pipe *blast.PipeMetrics) *resultMsg {
-	if tr == nil || t.TraceID == 0 {
-		return runTask(j, t, fs, scratch, pipe)
+// task carries a trace ID and cfg has a tracer: the span parents under
+// the master's task span, and the file systems are rebound to the span
+// context so the fragment reads it issues — down to the data servers'
+// serve:* spans — join the query's trace. Untraced tasks take the
+// plain path.
+func runTracedTask(ctx context.Context, cfg Config, rank int, t *taskMsg, fs, scratch chio.FileSystem) *resultMsg {
+	if cfg.tracer == nil || t.TraceID == 0 {
+		return runTask(cfg, rank, t, fs, scratch)
 	}
 	ctx = telemetry.ContextWithSpan(ctx, telemetry.SpanContext{TraceID: t.TraceID, SpanID: t.SpanID})
-	sctx, span := tr.Start(ctx, "search")
+	sctx, span := cfg.tracer.Start(ctx, "search")
 	span.SetServer(fmt.Sprintf("worker%d", rank))
 	span.SetAttr("task", fmt.Sprintf("%d", t.Index))
 	fs = chio.BindContext(fs, sctx)
 	if scratch != nil {
 		scratch = chio.BindContext(scratch, sctx)
 	}
-	rm := runTask(j, t, fs, scratch, pipe)
+	rm := runTask(cfg, rank, t, fs, scratch)
 	span.AddBytes(rm.ReadBytes)
 	var err error
 	if rm.Err != "" {
@@ -387,49 +307,45 @@ func runTracedTask(ctx context.Context, rank int, tr *telemetry.Tracer, j *job, 
 	return rm
 }
 
-// runTask performs the fragment reads and search for one task.
-func runTask(j *job, t *taskMsg, fs, scratch chio.FileSystem, pipe *blast.PipeMetrics) *resultMsg {
+// runTask performs the fragment read and search for one task on the
+// given worker rank.
+func runTask(cfg Config, rank int, t *taskMsg, fs, scratch chio.FileSystem) *resultMsg {
 	rm := &resultMsg{Sub: t.Sub, Index: t.Index}
 	fail := func(err error) *resultMsg {
 		rm.Err = err.Error()
 		return rm
 	}
-	info := blast.DBInfo{Letters: t.DBLetters, Sequences: t.DBSeqs}
-	var sources []blast.SubjectSource
-	searchStart := time.Now()
-	for _, path := range t.Paths {
-		readFS := fs
-		if j.Config.CopyToLocal {
-			if scratch == nil {
-				return fail(fmt.Errorf("pblast: CopyToLocal requested but no scratch FS"))
-			}
-			copyStart := time.Now()
-			n, err := chio.Copy(scratch, path, fs, path, j.Config.ChunkBytes)
-			if err != nil {
-				return fail(fmt.Errorf("copying %s: %w", path, err))
-			}
-			rm.CopyTime += time.Since(copyStart)
-			rm.ReadBytes += n
-			readFS = scratch
-			searchStart = time.Now() // copy time excluded from search time
+	readFS := fs
+	if cfg.CopyToLocal {
+		if scratch == nil {
+			return fail(fmt.Errorf("pblast: CopyToLocal requested but no scratch FS"))
 		}
-		fr, err := blastdb.OpenFragment(readFS, path)
+		copyStart := time.Now()
+		n, err := chio.Copy(scratch, t.Path, fs, t.Path, cfg.ChunkBytes)
 		if err != nil {
-			return fail(fmt.Errorf("opening %s: %w", path, err))
+			return fail(fmt.Errorf("copying %s: %w", t.Path, err))
 		}
-		defer fr.Close()
-		sources = append(sources, fr.Source(j.Config.ChunkBytes))
+		rm.CopyTime = time.Since(copyStart)
+		rm.ReadBytes = n
+		readFS = scratch
 	}
+	searchStart := time.Now() // copy time excluded from search time
+	fr, err := blastdb.OpenFragment(readFS, t.Path)
+	if err != nil {
+		return fail(fmt.Errorf("opening %s: %w", t.Path, err))
+	}
+	defer fr.Close()
 
 	query := t.Query
-	res, err := blast.SearchWithMetrics(&query, &blast.ChainSource{Sources: sources}, info, t.Params, pipe)
+	info := blast.DBInfo{Letters: t.DBLetters, Sequences: t.DBSeqs}
+	res, err := blast.SearchWithMetrics(&query, fr.Source(cfg.ChunkBytes), info, t.Params, cfg.tel.Pipe())
 	if err != nil {
 		return fail(err)
 	}
 	// Record temporary results, as mpiBLAST workers do before the
 	// master merges — these are the small (tens to hundreds of bytes)
 	// writes visible in the paper's Figure 4 trace.
-	if err := writeTempResult(fs, t.Sub, t.Index, res); err != nil {
+	if err := writeTempResult(fs, rank, t.Index, res); err != nil {
 		return fail(err)
 	}
 	rm.SearchTime = time.Since(searchStart)
@@ -437,8 +353,11 @@ func runTask(j *job, t *taskMsg, fs, scratch chio.FileSystem, pipe *blast.PipeMe
 	return rm
 }
 
-// writeTempResult persists a compact per-task result summary.
-func writeTempResult(fs chio.FileSystem, sub int64, index int, res *blast.Result) error {
+// writeTempResult persists a compact per-task result summary, named by
+// worker rank and fragment index: a rank runs one task at a time, so no
+// two writers share a name, and a long-lived pool keeps at most one
+// file per (worker, fragment).
+func writeTempResult(fs chio.FileSystem, rank, index int, res *blast.Result) error {
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "task %d query %s hits %d\n", index, res.QueryID, len(res.Hits))
 	for _, h := range res.Hits {
@@ -447,5 +366,5 @@ func writeTempResult(fs chio.FileSystem, sub int64, index int, res *blast.Result
 	for buf.Len() < 50 { // the paper's smallest result write is 50 bytes
 		buf.WriteByte('\n')
 	}
-	return chio.WriteFull(fs, fmt.Sprintf("tmp/result.%d.%03d", sub, index), buf.Bytes())
+	return chio.WriteFull(fs, fmt.Sprintf("tmp/result.%d.%03d", rank, index), buf.Bytes())
 }

@@ -80,6 +80,46 @@ func sameFS(fs chio.FileSystem) func(int) chio.FileSystem {
 	return func(int) chio.FileSystem { return fs }
 }
 
+// searchPool runs one query through a new pool of nWorkers, every rank
+// running with cfg: the alias is read through masterFS, the workers
+// read through workerFS and copy to scratch (nil for none).
+func searchPool(ctx context.Context, nWorkers int, query *seq.Sequence, cfg Config, masterFS chio.FileSystem, workerFS, scratch func(int) chio.FileSystem) (*Outcome, error) {
+	alias, err := blastdb.ReadAlias(masterFS, cfg.DBName)
+	if err != nil {
+		return nil, err
+	}
+	pool, err := NewPool(ctx, cfg, nWorkers, workerFS, scratch)
+	if err != nil {
+		return nil, err
+	}
+	pool.Resize(nWorkers)
+	out, err := pool.Submit(ctx, query, cfg.Params, alias)
+	if cerr := pool.Close(); err == nil {
+		err = cerr
+	}
+	return out, err
+}
+
+// searchStream is the master's side of a run whose workers the test
+// runs itself on the other ranks of c: it opens a stream on rank 0 with
+// cfg, submits one query against the alias read through fs, and closes
+// the stream, releasing the workers.
+func searchStream(ctx context.Context, c mpi.Comm, fs chio.FileSystem, query *seq.Sequence, cfg Config) (*Outcome, error) {
+	alias, err := blastdb.ReadAlias(fs, cfg.DBName)
+	if err != nil {
+		return nil, err
+	}
+	st, err := StartStream(ctx, c, cfg)
+	if err != nil {
+		return nil, err
+	}
+	out, err := st.Submit(ctx, query, cfg.Params, alias)
+	if cerr := st.Close(); err == nil {
+		err = cerr
+	}
+	return out, err
+}
+
 func checkFound(t *testing.T, out *Outcome) {
 	t.Helper()
 	if out.Result == nil || len(out.Result.Hits) == 0 {
@@ -97,7 +137,7 @@ func checkFound(t *testing.T, out *Outcome) {
 func TestDatabaseSegmentationSharedMem(t *testing.T) {
 	fs := chio.NewMemFS()
 	query := buildTestDB(t, fs, "nt", 8)
-	out, err := RunInProcess(context.Background(), 4, query, NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN})), fs, sameFS(fs), nil)
+	out, err := searchPool(context.Background(), 4, query, NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN})), fs, sameFS(fs), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +229,7 @@ func TestResultsMatchSerialSearch(t *testing.T) {
 				requireSplitID(t, fs, "nt17")
 			}
 
-			out, err := RunInProcess(context.Background(), 3, query, NewConfig("nt", WithParams(tc.p)), fs, sameFS(fs), nil)
+			out, err := searchPool(context.Background(), 3, query, NewConfig("nt", WithParams(tc.p)), fs, sameFS(fs), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -259,7 +299,7 @@ func TestCopyToLocalMeasuresCopyTime(t *testing.T) {
 	query := buildTestDB(t, shared, "nt", 4)
 	var mu sync.Mutex
 	scratches := map[int]chio.FileSystem{}
-	out, err := RunInProcess(context.Background(), 2, query, NewConfig("nt",
+	out, err := searchPool(context.Background(), 2, query, NewConfig("nt",
 		WithParams(blast.Params{Program: blast.BlastN}),
 		WithCopyToLocal(true)), shared, sameFS(shared), func(rank int) chio.FileSystem {
 		mu.Lock()
@@ -287,10 +327,82 @@ func TestCopyToLocalMeasuresCopyTime(t *testing.T) {
 	}
 }
 
+// Copy-to-local is the worker rank's own decision: a master whose
+// Config does not ask for it still gets copies from a worker whose
+// Config does.
+func TestWorkerConfigDecidesCopyToLocal(t *testing.T) {
+	shared := chio.NewMemFS()
+	query := buildTestDB(t, shared, "nt", 3)
+	world, err := mpi.NewWorld(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer world.Close()
+	master := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}))
+	scratch := chio.NewMemFS()
+	werr := make(chan error, 1)
+	go func() {
+		werr <- RunWorker(context.Background(), world.Comm(1), master.Apply(WithCopyToLocal(true)), shared, scratch, nil)
+	}()
+	out, err := searchStream(context.Background(), world.Comm(0), shared, query, master)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-werr; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	checkFound(t, out)
+	if out.CopyTime <= 0 {
+		t.Error("copy time not measured")
+	}
+	alias, err := blastdb.ReadAlias(shared, "nt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fr := range alias.Fragments {
+		if _, err := scratch.Stat(fr.Path); err != nil {
+			t.Errorf("scratch lacks fragment %s: %v", fr.Path, err)
+		}
+	}
+}
+
+// A long-lived pool keeps at most one temporary result per (worker,
+// fragment) on the shared store, however many queries it serves.
+func TestTempResultsStayBounded(t *testing.T) {
+	const workers, frags, queries = 2, 4, 10
+	fs := chio.NewMemFS()
+	query := buildTestDB(t, fs, "nt", frags)
+	alias, err := blastdb.ReadAlias(fs, "nt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}))
+	pool, err := NewPool(context.Background(), cfg, workers, sameFS(fs), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Resize(workers)
+	for i := 0; i < queries; i++ {
+		if _, err := pool.Submit(context.Background(), query, cfg.Params, alias); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tmp, err := fs.List("tmp/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tmp) == 0 || len(tmp) > workers*frags {
+		t.Errorf("%d temporary results after %d queries, want 1..%d", len(tmp), queries, workers*frags)
+	}
+}
+
 func TestCopyToLocalWithoutScratchFails(t *testing.T) {
 	shared := chio.NewMemFS()
 	query := buildTestDB(t, shared, "nt", 2)
-	_, err := RunInProcess(context.Background(), 1, query, NewConfig("nt",
+	_, err := searchPool(context.Background(), 1, query, NewConfig("nt",
 		WithParams(blast.Params{Program: blast.BlastN}),
 		WithCopyToLocal(true)), shared, sameFS(shared), nil)
 	if err == nil {
@@ -348,7 +460,7 @@ func TestOverParallelFS(t *testing.T) {
 					cl.Close()
 				}
 			}()
-			out, err := RunInProcess(context.Background(), tc.workers, query, NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN})), masterCl, func(rank int) chio.FileSystem {
+			out, err := searchPool(context.Background(), tc.workers, query, NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN})), masterCl, func(rank int) chio.FileSystem {
 				cl, err := tc.dial(mgr.Addr(), addrs)
 				if err != nil {
 					t.Errorf("worker %d dial: %v", rank, err)
@@ -373,9 +485,7 @@ func TestMasterValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	fs := chio.NewMemFS()
-	q := &seq.Sequence{ID: "q", Kind: seq.Nucleotide, Data: []byte("ACGT")}
-	if _, err := RunMaster(context.Background(), w.Comm(0), fs, q, NewConfig("x")); err == nil {
+	if _, err := StartStream(context.Background(), w.Comm(0), NewConfig("x")); err == nil {
 		t.Error("master with no workers accepted")
 	}
 }
@@ -383,7 +493,7 @@ func TestMasterValidation(t *testing.T) {
 func TestMissingDatabaseFails(t *testing.T) {
 	fs := chio.NewMemFS()
 	q := &seq.Sequence{ID: "q", Kind: seq.Nucleotide, Data: bytes.Repeat([]byte("ACGT"), 50)}
-	_, err := RunInProcess(context.Background(), 2, q, NewConfig("absent", WithParams(blast.Params{Program: blast.BlastN})), fs, sameFS(fs), nil)
+	_, err := searchPool(context.Background(), 2, q, NewConfig("absent", WithParams(blast.Params{Program: blast.BlastN})), fs, sameFS(fs), nil)
 	if err == nil {
 		t.Fatal("missing database accepted")
 	}
@@ -392,7 +502,7 @@ func TestMissingDatabaseFails(t *testing.T) {
 func TestOutcomeTimingsPopulated(t *testing.T) {
 	fs := chio.NewMemFS()
 	query := buildTestDB(t, fs, "nt", 4)
-	out, err := RunInProcess(context.Background(), 2, query, NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN})), fs, sameFS(fs), nil)
+	out, err := searchPool(context.Background(), 2, query, NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN})), fs, sameFS(fs), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +518,7 @@ func TestOutcomeTimingsPopulated(t *testing.T) {
 func TestOutcomeTimeline(t *testing.T) {
 	fs := chio.NewMemFS()
 	query := buildTestDB(t, fs, "nt", 6)
-	out, err := RunInProcess(context.Background(), 3, query, NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN})), fs, sameFS(fs), nil)
+	out, err := searchPool(context.Background(), 3, query, NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN})), fs, sameFS(fs), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,6 +559,7 @@ func TestOverTCPTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer router.Close()
+	cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}))
 	var wg sync.WaitGroup
 	workerErrs := make([]error, 3)
 	for r := 1; r <= 2; r++ {
@@ -461,7 +572,7 @@ func TestOverTCPTransport(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			workerErrs[r] = RunWorker(context.Background(), c, fs, nil)
+			workerErrs[r] = RunWorker(context.Background(), c, cfg, fs, nil, nil)
 		}(r)
 	}
 	c0, err := mpi.Dial(router.Addr(), 0, 3)
@@ -469,7 +580,7 @@ func TestOverTCPTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c0.Close()
-	out, err := RunMaster(context.Background(), c0, fs, query, NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN})))
+	out, err := searchStream(context.Background(), c0, fs, query, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,14 +593,13 @@ func TestOverTCPTransport(t *testing.T) {
 	checkFound(t, out)
 }
 
-// crashingWorker takes the job and exactly one task, then vanishes
+// crashingWorker takes the welcome and exactly one task, then vanishes
 // without sending its result — a silent worker death.
 func crashingWorker(c mpi.Comm) error {
 	if err := c.Send(0, tagHello, nil); err != nil {
 		return err
 	}
-	var j job
-	if _, err := mpi.RecvGob(context.Background(), c, 0, tagJob, &j); err != nil {
+	if _, err := c.Recv(context.Background(), 0, tagWelcome); err != nil {
 		return err
 	}
 	if err := c.Send(0, tagReady, nil); err != nil {
@@ -509,6 +619,9 @@ func TestWorkerCrashReassignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := NewConfig("nt",
+		WithParams(blast.Params{Program: blast.BlastN}),
+		WithTaskTimeout(300*time.Millisecond))
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
 	wg.Add(1)
@@ -520,12 +633,10 @@ func TestWorkerCrashReassignment(t *testing.T) {
 			// Let the crasher claim a task first, so a task is
 			// guaranteed to be lost and need reassignment.
 			time.Sleep(100 * time.Millisecond)
-			errs[r] = RunWorker(context.Background(), world.Comm(r), fs, nil)
+			errs[r] = RunWorker(context.Background(), world.Comm(r), cfg, fs, nil, nil)
 		}(r)
 	}
-	out, masterErr := RunMaster(context.Background(), world.Comm(0), fs, query, NewConfig("nt",
-		WithParams(blast.Params{Program: blast.BlastN}),
-		WithTaskTimeout(300*time.Millisecond)))
+	out, masterErr := searchStream(context.Background(), world.Comm(0), fs, query, cfg)
 	world.Close()
 	wg.Wait()
 	if masterErr != nil {
@@ -550,7 +661,7 @@ func TestNoReassignmentWithoutTimeout(t *testing.T) {
 	// runs report zero reassignments.
 	fs := chio.NewMemFS()
 	query := buildTestDB(t, fs, "nt", 4)
-	out, err := RunInProcess(context.Background(), 3, query, NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN})), fs, sameFS(fs), nil)
+	out, err := searchPool(context.Background(), 3, query, NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN})), fs, sameFS(fs), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,6 +681,9 @@ func TestSlowWorkerDuplicateResultDiscarded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := NewConfig("nt",
+		WithParams(blast.Params{Program: blast.BlastN}),
+		WithTaskTimeout(200*time.Millisecond))
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
 	// Rank 1: slow worker — handles its first task only after a long
@@ -582,8 +696,7 @@ func TestSlowWorkerDuplicateResultDiscarded(t *testing.T) {
 			errs[1] = err
 			return
 		}
-		var j job
-		if _, err := mpi.RecvGob(context.Background(), c, 0, tagJob, &j); err != nil {
+		if _, err := c.Recv(context.Background(), 0, tagWelcome); err != nil {
 			errs[1] = err
 			return
 		}
@@ -598,7 +711,7 @@ func TestSlowWorkerDuplicateResultDiscarded(t *testing.T) {
 		}
 		time.Sleep(700 * time.Millisecond) // long enough to be declared overdue
 		if tk.Kind == taskSearch {
-			rm := runTask(&j, &tk, fs, nil, nil)
+			rm := runTask(cfg, c.Rank(), &tk, fs, nil)
 			if err := mpi.SendGob(c, 0, tagResult, rm); err != nil && !errorsIsClosed(err) {
 				errs[1] = err
 				return
@@ -622,7 +735,7 @@ func TestSlowWorkerDuplicateResultDiscarded(t *testing.T) {
 			if t2.Kind == taskDone {
 				return
 			}
-			rm := runTask(&j, &t2, fs, nil, nil)
+			rm := runTask(cfg, c.Rank(), &t2, fs, nil)
 			if err := mpi.SendGob(c, 0, tagResult, rm); err != nil {
 				if !errorsIsClosed(err) {
 					errs[1] = err
@@ -632,10 +745,8 @@ func TestSlowWorkerDuplicateResultDiscarded(t *testing.T) {
 		}
 	}()
 	wg.Add(1)
-	go func() { defer wg.Done(); errs[2] = RunWorker(context.Background(), world.Comm(2), fs, nil) }()
-	out, masterErr := RunMaster(context.Background(), world.Comm(0), fs, query, NewConfig("nt",
-		WithParams(blast.Params{Program: blast.BlastN}),
-		WithTaskTimeout(200*time.Millisecond)))
+	go func() { defer wg.Done(); errs[2] = RunWorker(context.Background(), world.Comm(2), cfg, fs, nil, nil) }()
+	out, masterErr := searchStream(context.Background(), world.Comm(0), fs, query, cfg)
 	world.Close()
 	wg.Wait()
 	if masterErr != nil {
@@ -759,7 +870,7 @@ func TestBatchMatchesIndividualRuns(t *testing.T) {
 	cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}))
 	batch := submitAll(t, fs, 2, cfg, q1, q2)
 	for qi, q := range []*seq.Sequence{q1, q2} {
-		single, err := RunInProcess(context.Background(), 2, q, cfg, fs, sameFS(fs), nil)
+		single, err := searchPool(context.Background(), 2, q, cfg, fs, sameFS(fs), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -854,7 +965,7 @@ func TestWorkerTaskFailureSurfacesToMaster(t *testing.T) {
 	query := buildTestDB(t, shared, "nt", 3)
 	ffs := chio.NewFaultFS(shared)
 	ffs.Arm(errors.New("simulated disk failure"))
-	_, err := RunInProcess(context.Background(), 2, query, NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN})), shared /* master reads alias fine */, func(int) chio.FileSystem { return ffs }, nil)
+	_, err := searchPool(context.Background(), 2, query, NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN})), shared /* master reads alias fine */, func(int) chio.FileSystem { return ffs }, nil)
 	if err == nil {
 		t.Fatal("master succeeded despite failing worker reads")
 	}
@@ -947,11 +1058,11 @@ func TestIdleStreamMakesNoReceives(t *testing.T) {
 	quits := []chan struct{}{make(chan struct{}), make(chan struct{})}
 	exited := []chan error{make(chan error, 1), make(chan error, 1)}
 	for i := range quits {
-		go func() { exited[i] <- RunWorker(ctx, comm(i+1), fs, nil, WithQuit(quits[i])) }()
+		go func() { exited[i] <- RunWorker(ctx, comm(i+1), NewConfig("nt"), fs, nil, quits[i]) }()
 	}
 	// Joined and idle: the master has taken two hellos and two readies
-	// and waits in its fifth Recv; each worker has taken its job and
-	// waits in its second.
+	// and waits in its fifth Recv; each worker has taken its welcome
+	// and waits in its second.
 	const settled = 5 + 2*2
 	for deadline := time.Now().Add(5 * time.Second); recvs.Load() < settled; {
 		if time.Now().After(deadline) {

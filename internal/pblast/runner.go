@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"pario/internal/blast"
 	"pario/internal/blastdb"
@@ -49,9 +48,10 @@ func (cfg Config) WorkerFS(base func(rank int) chio.FileSystem) func(rank int) c
 
 // Pool is a parallel search stood up inside one process: an mpi
 // world, the Stream scheduling on its rank 0, and workers on the
-// other ranks reading through cfg.WorkerFS. A one-shot search opens a
-// pool, submits and closes it (RunInProcess); a multi-query run is
-// several concurrent Submits on one pool; the blastd service keeps
+// other ranks reading through cfg.WorkerFS, every rank running with
+// cfg. A one-shot search opens a pool, submits and closes it
+// (core.ParallelSearch); a multi-query run is several concurrent
+// Submits on one pool; the blastd service keeps
 // one open for its lifetime and resizes it. Resize grows the pool by
 // starting workers on free ranks and shrinks it by signalling graceful
 // leave (each departing worker finishes its current task first).
@@ -164,8 +164,7 @@ func (p *Pool) runWorker(rank int, quit chan struct{}) {
 	if p.scratch != nil {
 		scratch = p.scratch(rank)
 	}
-	err := RunWorker(p.ctx, p.world.Comm(rank), p.workerFS(rank), scratch,
-		WithPipeMetrics(p.cfg.tel.Pipe()), WithQuit(quit), WithWorkerTracer(p.cfg.tracer))
+	err := RunWorker(p.ctx, p.world.Comm(rank), p.cfg, p.workerFS(rank), scratch, quit)
 	p.mu.Lock()
 	// A worker that left (or died) frees its rank for future growth;
 	// drop any still-open quit channel if the exit was unsolicited.
@@ -203,47 +202,4 @@ func (p *Pool) Close() error {
 		err = p.err
 	}
 	return err
-}
-
-// RunInProcess executes one full parallel search with the master and
-// nWorkers workers as goroutines over the in-process mpi transport: a
-// new Pool per call, so nothing — clients, caches, the world — carries
-// over from one call to the next. masterFS is the master's view of the
-// shared store (used to read the database alias); workerFS and scratch
-// are as in NewPool. core.ParallelSearch, and through it
-// cmd/experiments, the benchmark and the tests, runs one-shot
-// single-machine searches here.
-func RunInProcess(
-	ctx context.Context,
-	nWorkers int,
-	query *seq.Sequence,
-	cfg Config,
-	masterFS chio.FileSystem,
-	workerFS func(rank int) chio.FileSystem,
-	scratch func(rank int) chio.FileSystem,
-) (*Outcome, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	pool, err := NewPool(ctx, cfg, nWorkers, workerFS, scratch)
-	if err != nil {
-		return nil, err
-	}
-	pool.Resize(nWorkers)
-	start := time.Now()
-	var out *Outcome
-	alias, err := blastdb.ReadAlias(chio.BindContext(masterFS, ctx), cfg.DBName)
-	if err != nil {
-		err = fmt.Errorf("pblast: reading alias: %w", err)
-	} else {
-		out, err = pool.Submit(ctx, query, cfg.Params, alias)
-	}
-	if cerr := pool.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	out.WallTime = time.Since(start)
-	return out, nil
 }

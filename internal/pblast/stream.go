@@ -22,10 +22,11 @@ var ErrDraining = errors.New("pblast: stream draining")
 // communicator and hands (query x fragment) tasks to whichever
 // workers are idle, for as long as the stream lives. Submissions may
 // arrive from any goroutine at any time; workers may join (by
-// announcing themselves) and leave (gracefully, via WithQuit) while
-// searches run. Close drains in-flight submissions and releases the
-// workers. This is the machinery behind the one-shot RunMaster, the
-// in-process Pool and, through it, the always-on blastd service.
+// announcing themselves) and leave (gracefully, when RunWorker's quit
+// closes) while searches run. Close drains in-flight submissions and
+// releases the workers. This is the machinery behind the in-process
+// Pool and, through it, the always-on blastd service, and behind
+// mpiblast's distributed master.
 type Stream struct {
 	c   mpi.Comm
 	cfg Config
@@ -64,12 +65,16 @@ type submission struct {
 
 // StartStream opens a stream on rank 0 of c. Workers running
 // RunWorker on the other ranks join as they announce themselves —
-// none need exist yet. cfg supplies the run-wide settings every task
-// inherits (CopyToLocal, ChunkBytes, TaskTimeout, telemetry);
-// the query, parameters and database arrive per submission.
+// none need exist yet. The stream reads only the master's part of cfg:
+// TaskTimeout, the scheduling telemetry and the tracer for task spans.
+// How a task is read and searched is each worker's own Config; the
+// query, parameters and database arrive per submission.
 func StartStream(ctx context.Context, c mpi.Comm, cfg Config) (*Stream, error) {
 	if c.Rank() != 0 {
 		return nil, fmt.Errorf("pblast: stream must run on rank 0, not %d", c.Rank())
+	}
+	if c.Size() < 2 {
+		return nil, fmt.Errorf("pblast: need at least one worker (size %d)", c.Size())
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -110,7 +115,7 @@ func (s *Stream) Submit(ctx context.Context, query *seq.Sequence, params blast.P
 			Index:     i,
 			Query:     *query,
 			Params:    params,
-			Paths:     []string{fr.Path},
+			Path:      fr.Path,
 			DBLetters: alias.Letters,
 			DBSeqs:    alias.Seqs,
 		})
@@ -404,10 +409,12 @@ func (s *Stream) loop(ctx context.Context) {
 		case tagWake:
 			// Just a nudge; the top of the loop drains the queue.
 		case tagHello:
-			// A worker joined: reply with the run-wide settings. It
-			// sends Ready once it has them.
+			// A worker joined: welcome it. The welcome fences the
+			// rank's mailbox — the worker discards whatever a previous
+			// occupant left there until it arrives — and the worker
+			// sends Ready once it has it.
 			active[m.From] = true
-			if err := mpi.SendGob(s.c, m.From, tagJob, &job{Config: s.cfg}); err != nil {
+			if err := s.c.Send(m.From, tagWelcome, nil); err != nil {
 				failAll(err)
 				return
 			}

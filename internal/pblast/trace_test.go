@@ -1,9 +1,7 @@
 package pblast
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"sync"
 	"testing"
 	"time"
@@ -11,109 +9,15 @@ import (
 	"pario/internal/blast"
 	"pario/internal/chio"
 	"pario/internal/mpi"
-	"pario/internal/seq"
 	"pario/internal/telemetry"
 )
 
-// legacyTaskMsg is the pre-tracing wire shape of taskMsg, kept here to
-// pin the old-worker/new-master gob contract the way the pvfs list-I/O
-// tests pin theirs: the trace fields were appended, so decoding either
-// direction must succeed and differ only in the trace being absent.
-type legacyTaskMsg struct {
-	Kind  int
-	Sub   int64
-	Index int
-
-	Query     seq.Sequence
-	Params    blast.Params
-	Paths     []string
-	DBLetters int64
-	DBSeqs    int64
-}
-
-func gobRoundTrip(t *testing.T, in, out interface{}) {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
-		t.Fatalf("encode %T: %v", in, err)
-	}
-	if err := gob.NewDecoder(&buf).Decode(out); err != nil {
-		t.Fatalf("decode %T from %T: %v", out, in, err)
-	}
-}
-
-func TestTaskMsgOldWireInterop(t *testing.T) {
-	// New master -> old worker: the trace fields are silently dropped.
-	now := taskMsg{
-		Kind: taskSearch, Sub: 3, Index: 2,
-		Query:     seq.Sequence{ID: "q", Kind: seq.Nucleotide, Data: []byte("ACGT")},
-		Paths:     []string{"nt.00.seq"},
-		DBLetters: 99, DBSeqs: 4,
-		TraceID: 0xfeed, SpanID: 0xbeef,
-	}
-	var old legacyTaskMsg
-	gobRoundTrip(t, &now, &old)
-	if old.Sub != 3 || old.Index != 2 || old.Query.ID != "q" || old.DBLetters != 99 {
-		t.Fatalf("old worker mis-decoded new task: %+v", old)
-	}
-
-	// Old master -> new worker: the trace arrives zero, disabling the
-	// span without touching the search fields.
-	var back taskMsg
-	gobRoundTrip(t, &old, &back)
-	if back.TraceID != 0 || back.SpanID != 0 {
-		t.Fatalf("legacy task grew a trace: %+v", back)
-	}
-	if back.Sub != 3 || back.Index != 2 || string(back.Query.Data) != "ACGT" {
-		t.Fatalf("new worker mis-decoded legacy task: %+v", back)
-	}
-}
-
-// legacyWorker is a worker speaking the pre-tracing wire shape: it
-// decodes tasks into legacyTaskMsg and never sees the trace fields.
-func legacyWorker(c mpi.Comm, fs chio.FileSystem) error {
-	if err := c.Send(0, tagHello, nil); err != nil {
-		return err
-	}
-	var j job
-	if _, err := mpi.RecvGob(context.Background(), c, 0, tagJob, &j); err != nil {
-		return err
-	}
-	for {
-		if err := c.Send(0, tagReady, nil); err != nil {
-			return errClosedOK(err)
-		}
-		var lt legacyTaskMsg
-		if _, err := mpi.RecvGob(context.Background(), c, 0, tagTask, &lt); err != nil {
-			return errClosedOK(err)
-		}
-		if lt.Kind == taskDone {
-			return nil
-		}
-		tk := taskMsg{
-			Kind: lt.Kind, Sub: lt.Sub, Index: lt.Index,
-			Query: lt.Query, Params: lt.Params, Paths: lt.Paths,
-			DBLetters: lt.DBLetters, DBSeqs: lt.DBSeqs,
-		}
-		rm := runTask(&j, &tk, fs, nil, nil)
-		if err := mpi.SendGob(c, 0, tagResult, rm); err != nil {
-			return errClosedOK(err)
-		}
-	}
-}
-
-func errClosedOK(err error) error {
-	if errorsIsClosed(err) {
-		return nil
-	}
-	return err
-}
-
 func TestLegacyWorkerUnderTracingMaster(t *testing.T) {
-	// A tracing master schedules onto a worker that predates the trace
-	// fields: the search must come back correct, and the master still
-	// records its side of the trace (task spans) even though the worker
-	// contributes none.
+	// A tracing master schedules onto a worker rank whose own Config
+	// has no tracer — a distributed worker under a tracing master: the
+	// search must come back correct, and the master still records its
+	// side of the trace (task spans) even though the worker contributes
+	// none.
 	fs := chio.NewMemFS()
 	query := buildTestDB(t, fs, "nt", 4)
 	tr := telemetry.NewTracer(64)
@@ -121,14 +25,14 @@ func TestLegacyWorkerUnderTracingMaster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}))
 	var wg sync.WaitGroup
 	var werr error
 	wg.Add(1)
-	go func() { defer wg.Done(); werr = legacyWorker(world.Comm(1), fs) }()
+	go func() { defer wg.Done(); werr = RunWorker(context.Background(), world.Comm(1), cfg, fs, nil, nil) }()
 
 	ctx, root := tr.Start(context.Background(), "request")
-	out, masterErr := RunMaster(ctx, world.Comm(0), fs, query, NewConfig("nt",
-		WithParams(blast.Params{Program: blast.BlastN}), WithTracer(tr)))
+	out, masterErr := searchStream(ctx, world.Comm(0), fs, query, cfg.Apply(WithTracer(tr)))
 	root.Finish(nil)
 	world.Close()
 	wg.Wait()
@@ -136,7 +40,7 @@ func TestLegacyWorkerUnderTracingMaster(t *testing.T) {
 		t.Fatalf("master: %v", masterErr)
 	}
 	if werr != nil {
-		t.Fatalf("legacy worker: %v", werr)
+		t.Fatalf("worker: %v", werr)
 	}
 	checkFound(t, out)
 
@@ -156,7 +60,7 @@ func TestLegacyWorkerUnderTracingMaster(t *testing.T) {
 		t.Errorf("master recorded %d task spans, want 4", taskSpans)
 	}
 	if searchSpans != 0 {
-		t.Errorf("legacy worker cannot emit search spans, got %d", searchSpans)
+		t.Errorf("a worker without a tracer cannot emit search spans, got %d", searchSpans)
 	}
 }
 
@@ -168,7 +72,7 @@ func TestTracedRunSpanTree(t *testing.T) {
 	query := buildTestDB(t, fs, "nt", 4)
 	tr := telemetry.NewTracer(128)
 	ctx, root := tr.Start(context.Background(), "request")
-	out, err := RunInProcess(ctx, 2, query, NewConfig("nt",
+	out, err := searchPool(ctx, 2, query, NewConfig("nt",
 		WithParams(blast.Params{Program: blast.BlastN}), WithTracer(tr)), fs, sameFS(fs), nil)
 	root.Finish(nil)
 	if err != nil {
@@ -227,7 +131,7 @@ func TestUntracedMasterKeepsWorkerQuiet(t *testing.T) {
 	query := buildTestDB(t, fs, "nt", 3)
 	tr := telemetry.NewTracer(64)
 	cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}), WithTracer(tr))
-	out, err := RunInProcess(context.Background(), 2, query, cfg, fs, sameFS(fs), nil)
+	out, err := searchPool(context.Background(), 2, query, cfg, fs, sameFS(fs), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,6 +152,9 @@ func TestReassignedTaskDuplicateSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := NewConfig("nt",
+		WithParams(blast.Params{Program: blast.BlastN}),
+		WithTaskTimeout(200*time.Millisecond), WithTracer(tr))
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
 	// Rank 1 takes one task and sits on it past the timeout.
@@ -259,8 +166,7 @@ func TestReassignedTaskDuplicateSpans(t *testing.T) {
 			errs[1] = err
 			return
 		}
-		var j job
-		if _, err := mpi.RecvGob(context.Background(), c, 0, tagJob, &j); err != nil {
+		if _, err := c.Recv(context.Background(), 0, tagWelcome); err != nil {
 			errs[1] = err
 			return
 		}
@@ -279,13 +185,11 @@ func TestReassignedTaskDuplicateSpans(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		time.Sleep(100 * time.Millisecond) // let the slow rank claim first
-		errs[2] = RunWorker(context.Background(), world.Comm(2), fs, nil, WithWorkerTracer(tr))
+		errs[2] = RunWorker(context.Background(), world.Comm(2), cfg, fs, nil, nil)
 	}()
 
 	ctx, root := tr.Start(context.Background(), "request")
-	out, masterErr := RunMaster(ctx, world.Comm(0), fs, query, NewConfig("nt",
-		WithParams(blast.Params{Program: blast.BlastN}),
-		WithTaskTimeout(200*time.Millisecond), WithTracer(tr)))
+	out, masterErr := searchStream(ctx, world.Comm(0), fs, query, cfg)
 	root.Finish(nil)
 	world.Close()
 	wg.Wait()
@@ -340,6 +244,7 @@ func TestWorkerLeaveMidQuerySpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}), WithTracer(tr))
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
 	// Rank 1 accepts one task, then announces departure without a result.
@@ -351,8 +256,7 @@ func TestWorkerLeaveMidQuerySpan(t *testing.T) {
 			errs[1] = err
 			return
 		}
-		var j job
-		if _, err := mpi.RecvGob(context.Background(), c, 0, tagJob, &j); err != nil {
+		if _, err := c.Recv(context.Background(), 0, tagWelcome); err != nil {
 			errs[1] = err
 			return
 		}
@@ -371,12 +275,11 @@ func TestWorkerLeaveMidQuerySpan(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		time.Sleep(100 * time.Millisecond)
-		errs[2] = RunWorker(context.Background(), world.Comm(2), fs, nil, WithWorkerTracer(tr))
+		errs[2] = RunWorker(context.Background(), world.Comm(2), cfg, fs, nil, nil)
 	}()
 
 	ctx, root := tr.Start(context.Background(), "request")
-	out, masterErr := RunMaster(ctx, world.Comm(0), fs, query, NewConfig("nt",
-		WithParams(blast.Params{Program: blast.BlastN}), WithTracer(tr)))
+	out, masterErr := searchStream(ctx, world.Comm(0), fs, query, cfg)
 	root.Finish(nil)
 	world.Close()
 	wg.Wait()
