@@ -19,7 +19,10 @@ test:
 # tests ten times under the race detector (rank reuse, leave, crash,
 # duplicate result, cancel, idle: an empty welcome alone fences a
 # reused rank's stale mailbox, so a lapse in the worker's discard loop
-# or the loop's requeue shows up only as a rare interleaving), re-run
+# or the loop's requeue shows up only as a rare interleaving; affinity
+# and overdue: pickTask chooses among pending tasks by holder and
+# among overdue ones by age, so a wrong choice shows up only in some
+# orders of results and readies), re-run
 # the search-path allocation guard without the race detector (whose
 # shadow memory inflates alloc counts, so the guard skips itself
 # under -race), fuzz the data server's request handler, the PVFS wire
@@ -32,7 +35,7 @@ test:
 check: lint race
 	$(GO) test -race -count=20 -run 'Prefetch|Concurrent|Demand' ./internal/readahead/
 	$(GO) test -race -count=20 -run 'Concurrent' ./internal/chio/
-	$(GO) test -race -count=10 -run 'RankReuses|Leave|Crash|Duplicate|Cancelled|Idle' ./internal/pblast/
+	$(GO) test -race -count=10 -run 'RankReuses|Leave|Crash|Duplicate|Cancelled|Idle|Affinity|Overdue' ./internal/pblast/
 	$(GO) test -run TestSearchSubjectSteadyStateAllocs ./internal/blast/
 	$(GO) test -run '^$$' -fuzz FuzzDataServerDispatch -fuzztime 5s ./internal/pvfs/
 	$(GO) test -run '^$$' -fuzz FuzzWireFrame -fuzztime 5s ./internal/pvfs/

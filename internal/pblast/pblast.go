@@ -18,6 +18,9 @@
 // one-shot search opens a stream, submits and closes it; a multi-query
 // run is several concurrent Submits on one stream, and the always-on
 // blastd service keeps the same stream open for its entire lifetime.
+// The stream sends each fragment's task to the worker that searched
+// that fragment last, whose cache most likely still holds its blocks,
+// and to any idle worker when that one is busy.
 //
 // Every rank runs with its own Config, built from the same options:
 // the master's Stream reads TaskTimeout and the scheduling telemetry

@@ -221,6 +221,18 @@ type taskState struct {
 	rehanded bool
 }
 
+// overdueBefore orders overdue assignments for re-sending: the one
+// assigned longest ago first, then by submission, then by index.
+func (ts *taskState) overdueBefore(o *taskState) bool {
+	if !ts.at.Equal(o.at) {
+		return ts.at.Before(o.at)
+	}
+	if ts.sub.id != o.sub.id {
+		return ts.sub.id < o.sub.id
+	}
+	return ts.msg.Index < o.msg.Index
+}
+
 // loop is the scheduling goroutine: the single owner of all task and
 // worker state. It mirrors the fault-tolerant scheduler the one-shot
 // master used — pending -> assigned -> done with overdue reassignment
@@ -233,6 +245,10 @@ func (s *Stream) loop(ctx context.Context) {
 	subs := make(map[int64]*submission)
 	var pending []taskKey // FIFO; requeued tasks go to the front
 	var idle []int
+	// holder maps a fragment path to the rank it was last dispatched
+	// to: that worker's cache most likely still holds its blocks.
+	// Entries are never cleared — a stale one costs one cold read.
+	holder := make(map[string]int)
 	active := make(map[int]bool) // joined and not departed
 	loopStart := time.Now()
 
@@ -326,36 +342,50 @@ func (s *Stream) loop(ctx context.Context) {
 		pending = append([]taskKey{{ts.sub.id, ts.msg.Index}}, pending...)
 	}
 
-	// pickTask chooses work for an idle worker: fresh tasks first,
-	// then — with TaskTimeout set — an overdue assignment held by a
+	// pickTask chooses work for an idle worker: the oldest pending
+	// task whose fragment this worker searched last, else the oldest
+	// pending task, so an idle worker never waits; then — with
+	// TaskTimeout set — the longest-overdue assignment held by a
 	// different worker (it may have died).
 	pickTask := func(worker int) *taskState {
-		for len(pending) > 0 {
-			k := pending[0]
-			ts := tasks[k]
-			if ts == nil || ts.state != statePending {
-				pending = pending[1:]
-				continue
+		live, pick := pending[:0], -1
+		for _, k := range pending {
+			if ts := tasks[k]; ts != nil && ts.state == statePending {
+				if pick < 0 && holder[ts.msg.Path] == worker {
+					pick = len(live)
+				}
+				live = append(live, k)
 			}
-			pending = pending[1:]
+		}
+		pending = live
+		if len(pending) > 0 {
+			pick = max(pick, 0)
+			ts := tasks[pending[pick]]
+			pending = append(pending[:pick], pending[pick+1:]...)
 			return ts
 		}
-		if s.cfg.TaskTimeout > 0 {
-			for _, ts := range tasks {
-				if ts.state == stateAssigned && ts.to != worker &&
-					time.Since(ts.at) >= s.cfg.TaskTimeout {
-					recordTask(ts, ts.to, 0, "reassigned: overdue")
-					ts.rehanded = true
-					ts.sub.out.Reassigned++
-					s.cfg.tel.observeReassign()
-					return ts
-				}
+		if s.cfg.TaskTimeout <= 0 {
+			return nil
+		}
+		var late *taskState
+		for _, ts := range tasks {
+			if ts.state == stateAssigned && ts.to != worker &&
+				time.Since(ts.at) >= s.cfg.TaskTimeout &&
+				(late == nil || ts.overdueBefore(late)) {
+				late = ts
 			}
 		}
-		return nil
+		if late != nil {
+			recordTask(late, late.to, 0, "reassigned: overdue")
+			late.rehanded = true
+			late.sub.out.Reassigned++
+			s.cfg.tel.observeReassign()
+		}
+		return late
 	}
 
-	// dispatch pairs idle workers with assignable tasks.
+	// dispatch pairs idle workers with assignable tasks and records
+	// each worker as its fragment's holder.
 	dispatch := func() error {
 		for len(idle) > 0 {
 			w := idle[0]
@@ -370,6 +400,9 @@ func (s *Stream) loop(ctx context.Context) {
 			ts.at = time.Now()
 			ts.to = w
 			idle = idle[1:]
+			h, held := holder[ts.msg.Path]
+			s.cfg.tel.observeAffinity(held, h == w)
+			holder[ts.msg.Path] = w
 		}
 		return nil
 	}

@@ -9,15 +9,16 @@ import (
 )
 
 // Telemetry publishes the master's scheduling observations — fragment
-// service times, copy times, completions, reassignments — into a
-// metrics registry, so a live /metrics scrape shows how evenly the
-// task pool is draining while a search runs. A nil *Telemetry records
-// nothing.
+// service times, copy times, completions, reassignments, fragment
+// affinity — into a metrics registry, so a live /metrics scrape shows
+// how evenly the task pool is draining while a search runs. A nil
+// *Telemetry records nothing.
 type Telemetry struct {
 	taskTime    *telemetry.Histogram
 	copyTime    *telemetry.Histogram
 	tasksDone   *telemetry.Counter
 	reassigned  *telemetry.Counter
+	affinity    *telemetry.CounterVec
 	workerTasks *telemetry.CounterVec
 	workerBusy  *telemetry.GaugeVec
 	pipe        *blast.PipeMetrics
@@ -37,6 +38,9 @@ func NewTelemetry(reg *telemetry.Registry) *Telemetry {
 			"Tasks whose results the master has accepted."),
 		reassigned: reg.Counter("pario_pblast_tasks_reassigned_total",
 			"Overdue tasks re-handed to another worker (fault-tolerant scheduling)."),
+		affinity: reg.CounterVec("pario_pblast_task_affinity_total",
+			"Task dispatches by the fragment's previous holder: held (this worker searched it last), moved (another worker did), cold (none has).",
+			"outcome"),
 		workerTasks: reg.CounterVec("pario_pblast_worker_tasks_total",
 			"Accepted task results per worker rank — the load-balance view of the task pool.",
 			"worker"),
@@ -77,4 +81,21 @@ func (t *Telemetry) observeReassign() {
 		return
 	}
 	t.reassigned.Inc()
+}
+
+// observeAffinity records one dispatch of a fragment: known reports
+// whether any worker had searched it before, same whether that worker
+// is the one it was just sent to.
+func (t *Telemetry) observeAffinity(known, same bool) {
+	if t == nil {
+		return
+	}
+	outcome := "cold"
+	switch {
+	case same:
+		outcome = "held"
+	case known:
+		outcome = "moved"
+	}
+	t.affinity.With(outcome).Inc()
 }

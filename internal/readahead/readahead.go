@@ -219,6 +219,12 @@ type blockCache struct {
 	// invalidation must not populate the cache after it (its data may
 	// predate the write).
 	gen map[string]uint64
+	// tail maps a name to the index of its short (EOF) block once one
+	// has been published: the block holding the file's last byte, past
+	// which prefetch plans nothing. An empty EOF block only bounds the
+	// end, so it sets no mark. The mark outlives the block's eviction
+	// and goes with the next invalidation of the name.
+	tail map[string]int64
 }
 
 func newBlockCache(capacity int) *blockCache {
@@ -231,6 +237,7 @@ func newBlockCache(capacity int) *blockCache {
 		lru:      list.New(),
 		inflight: make(map[blockKey]*fetch),
 		gen:      make(map[string]uint64),
+		tail:     make(map[string]int64),
 	}
 }
 
@@ -258,12 +265,14 @@ func (c *blockCache) insert(b *block, stats *iotrace.CacheStats) {
 }
 
 // invalidateRange drops every block overlapping [off, off+length) of
-// name, plus every short (EOF) block of name — a write that grows the
-// file makes a cached short tail stale even without overlapping it.
+// name, plus every short (EOF) block of name and its tail mark — a
+// write that grows the file makes a cached short tail stale even
+// without overlapping it.
 func (c *blockCache) invalidateRange(name string, off, length, blockSize int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gen[name]++
+	delete(c.tail, name)
 	lo, hi := blockSpan(off, length, blockSize)
 	for key, b := range c.blocks {
 		if key.name != name {
@@ -275,11 +284,12 @@ func (c *blockCache) invalidateRange(name string, off, length, blockSize int64) 
 	}
 }
 
-// invalidateAll drops every block of name.
+// invalidateAll drops every block of name and its tail mark.
 func (c *blockCache) invalidateAll(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gen[name]++
+	delete(c.tail, name)
 	for key, b := range c.blocks {
 		if key.name == name {
 			c.remove(b)
@@ -382,6 +392,9 @@ func (fs *FS) runFetch(inner chio.File, name string, idx int64, prefetched bool,
 	// Publish only if no write invalidated the name while we fetched.
 	if c.gen[name] == gen {
 		c.insert(b, fs.stats)
+		if eof && n > 0 {
+			c.tail[name] = idx
+		}
 	} else if prefetched {
 		fs.stats.PrefetchAborted()
 	}
@@ -389,6 +402,15 @@ func (fs *FS) runFetch(inner chio.File, name string, idx int64, prefetched bool,
 	fl.b = b
 	close(fl.done)
 	return b, nil
+}
+
+// present reports whether key is cached or being fetched.
+func (c *blockCache) present(key blockKey) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, cached := c.blocks[key]
+	_, inflight := c.inflight[key]
+	return cached || inflight
 }
 
 // generation returns the current invalidation generation for name.
@@ -401,15 +423,19 @@ func (c *blockCache) generation(name string) uint64 {
 }
 
 // prefetch speculatively fetches blocks [from, to] (inclusive) of name
-// in the background. Under one hold of the cache mutex it claims every
-// block that is neither cached nor in flight, so a reader arriving
-// before the goroutine runs joins the fetch instead of starting its
-// own. Errors are dropped: the reader that eventually needs a failed
-// block retries synchronously.
+// in the background, stopping at name's tail mark when it has one.
+// Under one hold of the cache mutex it claims every block that is
+// neither cached nor in flight, so a reader arriving before the
+// goroutine runs joins the fetch instead of starting its own. Errors
+// are dropped: the reader that eventually needs a failed block
+// retries synchronously.
 func (fs *FS) prefetch(inner chio.File, name string, from, to int64) {
 	c := fs.cache
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if last, ok := c.tail[name]; ok {
+		to = min(to, last)
+	}
 	for idx := from; idx <= to; idx++ {
 		key := blockKey{name, idx}
 		if _, ok := c.blocks[key]; ok {
@@ -461,7 +487,9 @@ func (f *file) ReadAt(p []byte, off int64) (int, error) {
 		return 0, nil
 	}
 	bs := f.fs.blockSize
-	f.planRead(off, int64(len(p)))
+	if from, to := f.planRead(off, int64(len(p))); from <= to {
+		defer f.fs.prefetch(f.inner, f.name, from, to)
+	}
 
 	n := 0
 	for n < len(p) {
@@ -494,7 +522,17 @@ func (f *file) ReadAt(p []byte, off int64) (int, error) {
 // sequential read plans only the part of its window past the
 // high-water mark, and a non-sequential read resets the mark to just
 // after itself, so the next sequential read plans from there.
-func (f *file) planRead(off, length int64) {
+//
+// Once the cache holds the file's short (EOF) block, nothing past it
+// is planned: such a block would fetch no data, and on PVFS each one
+// still costs the manager a size query. So that a read reaching the
+// tail for the first time learns where the file ends before it plans
+// past it, a read whose last block is neither cached nor in flight
+// gets its window back as [from, to] to issue once it has its own
+// blocks (from > to when there is nothing to issue). That read waits
+// for its block either way, and the window still runs ahead of the
+// reads that follow.
+func (f *file) planRead(off, length int64) (from, to int64) {
 	firstBlock, lastBlock := blockSpan(off, length, f.fs.blockSize)
 	f.mu.Lock()
 	seq := firstBlock == f.next || firstBlock == f.next-1
@@ -502,14 +540,16 @@ func (f *file) planRead(off, length int64) {
 	if !seq {
 		f.planned = f.next
 		f.mu.Unlock()
-		return
+		return 0, -1
 	}
-	from, to := max(f.next, f.planned), lastBlock+int64(f.fs.window)
+	from, to = max(f.next, f.planned), lastBlock+int64(f.fs.window)
 	f.planned = max(f.planned, to+1)
 	f.mu.Unlock()
-	if from <= to {
+	if from <= to && f.fs.cache.present(blockKey{f.name, lastBlock}) {
 		f.fs.prefetch(f.inner, f.name, from, to)
+		return 0, -1
 	}
+	return from, to
 }
 
 // ReadView implements chio.ViewReaderAt. A range contained in a single
@@ -542,7 +582,9 @@ func (f *file) ReadView(off, n int64) (chio.View, error) {
 	// Capture the generation before the block lookup: a write racing
 	// this read can only make the view look stale, never fresh.
 	gen := f.fs.cache.generation(f.name)
-	f.planRead(off, n)
+	if from, to := f.planRead(off, n); from <= to {
+		defer f.fs.prefetch(f.inner, f.name, from, to)
+	}
 	b, err := f.fs.getBlock(f.inner, f.name, firstBlock)
 	if err != nil {
 		return chio.View{}, err

@@ -461,3 +461,68 @@ func TestBackendName(t *testing.T) {
 		t.Fatalf("BackendName = %q", ra.BackendName())
 	}
 }
+
+// TestPrefetchStopsAtShortTail: a fragment is opened by reading its
+// header, then its deflines and index, which end at EOF. The index read
+// continues the deflines read, so it plans a window, but it fetches the
+// short tail block before it issues that window, and the tail stops it:
+// no read wholly past the end reaches the backend, then or in a later
+// scan of the file. A write forgets the mark, and a scan of the grown
+// file prefetches its new blocks again.
+func TestPrefetchStopsAtShortTail(t *testing.T) {
+	const (
+		bs     = 1024
+		window = 4
+		step   = 256
+	)
+	data := pattern(10*bs+bs/2, 13) // block 10 is the short tail
+	mem := chio.NewMemFS()
+	writeFile(t, mem, "db", data)
+	inner := newCountingFS(mem, bs)
+	stats := &iotrace.CacheStats{}
+	ra := Wrap(inner, WithBlockSize(bs), WithWindow(window), WithStats(stats))
+	f, err := ra.Open("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	scan := func(data []byte) {
+		t.Helper()
+		got := make([]byte, step)
+		for off := 0; off < len(data); off += step {
+			n, err := f.ReadAt(got, int64(off))
+			if err != nil && err != io.EOF {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got[:n], data[off:min(off+step, len(data))]) {
+				t.Fatalf("read at %d: data mismatch", off)
+			}
+		}
+	}
+	if _, err := f.ReadAt(make([]byte, step), 9*bs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.ReadAt(make([]byte, bs+bs/2-step), 9*bs+step); err != nil {
+		t.Fatal(err)
+	}
+	scan(data)
+	for idx := int64(11); idx <= 10+window; idx++ {
+		if n := inner.readsOf(idx); n != 0 {
+			t.Errorf("block %d, past the end, reached the backend %d times", idx, n)
+		}
+	}
+
+	ext := pattern(4*bs, 14)
+	if _, err := f.WriteAt(ext, int64(len(data))); err != nil {
+		t.Fatal(err)
+	}
+	grown := append(append([]byte{}, data...), ext...)
+	before := stats.Snapshot().PrefetchIssued
+	scan(grown)
+	// Blocks 0-9 are still cached; the write dropped block 10, and
+	// blocks 11-14 are new. Each is planned before the scan reaches it,
+	// unless a stale mark at block 10 still held the planner back.
+	if issued := stats.Snapshot().PrefetchIssued - before; issued < 14-10+1 {
+		t.Errorf("rescan of the grown file issued %d prefetches, want at least %d (blocks 10-14)", issued, 14-10+1)
+	}
+}
