@@ -22,7 +22,10 @@ test:
 # or the loop's requeue shows up only as a rare interleaving; affinity
 # and overdue: pickTask chooses among pending tasks by holder and
 # among overdue ones by age, so a wrong choice shows up only in some
-# orders of results and readies), re-run
+# orders of results and readies), re-run pvfs's heartbeat and Close
+# tests ten times under the race detector (a data server's heartbeat
+# runs under a context that Close cancels, so a report in flight
+# races the shutdown only in some interleavings), re-run
 # the search-path allocation guard without the race detector (whose
 # shadow memory inflates alloc counts, so the guard skips itself
 # under -race), fuzz the data server's request handler, the PVFS wire
@@ -36,6 +39,7 @@ check: lint race
 	$(GO) test -race -count=20 -run 'Prefetch|Concurrent|Demand' ./internal/readahead/
 	$(GO) test -race -count=20 -run 'Concurrent' ./internal/chio/
 	$(GO) test -race -count=10 -run 'RankReuses|Leave|Crash|Duplicate|Cancelled|Idle|Affinity|Overdue' ./internal/pblast/
+	$(GO) test -race -count=10 -run 'Heartbeat|Close' ./internal/pvfs/
 	$(GO) test -run TestSearchSubjectSteadyStateAllocs ./internal/blast/
 	$(GO) test -run '^$$' -fuzz FuzzDataServerDispatch -fuzztime 5s ./internal/pvfs/
 	$(GO) test -run '^$$' -fuzz FuzzWireFrame -fuzztime 5s ./internal/pvfs/

@@ -160,7 +160,7 @@ func TestExtendUngappedXDropStops(t *testing.T) {
 func TestExtendGappedPerfect(t *testing.T) {
 	s := NucleotideScheme(1, -3, 5, 2)
 	a := codes("ACGTACGTACGT")
-	score, aFrom, aTo, bFrom, bTo := ExtendGapped(a, a, 6, 6, s, 20)
+	score, aFrom, aTo, bFrom, bTo := ExtendGappedWS(&Workspace{}, a, a, 6, 6, s, 20)
 	if score != 12 {
 		t.Errorf("perfect gapped score = %d, want 12", score)
 	}
@@ -174,7 +174,7 @@ func TestExtendGappedWithGap(t *testing.T) {
 	a := codes("ACGTACGTACGT")
 	b := codes("ACGTACTACGT") // one base deleted
 	// Anchor on the aligned pair a[2]=G, b[2]=G.
-	score, _, _, _, _ := ExtendGapped(a, b, 2, 2, s, 30)
+	score, _, _, _, _ := ExtendGappedWS(&Workspace{}, a, b, 2, 2, s, 30)
 	// Optimal local alignment: 11 matched columns minus one 1-gap: 22-7=15.
 	if score != 15 {
 		t.Errorf("gapped extension score = %d, want 15", score)
@@ -203,7 +203,7 @@ func TestExtendGappedMatchesSWWithLargeXDrop(t *testing.T) {
 		// (approximate: middle of the matched region).
 		ai := (sw.AStart + sw.AEnd - 1) / 2
 		bi := (sw.BStart + sw.BEnd - 1) / 2
-		got, _, _, _, _ := ExtendGapped(a, b, ai, bi, s, 1<<20)
+		got, _, _, _, _ := ExtendGappedWS(&Workspace{}, a, b, ai, bi, s, 1<<20)
 		if got < sw.Score {
 			// The anchor pair may not lie on the optimal path; accept
 			// only clear failures where the anchored optimum is missed.
@@ -217,13 +217,21 @@ func TestExtendGappedMatchesSWWithLargeXDrop(t *testing.T) {
 }
 
 // anchoredOptimum computes, by unbanded DP, the best alignment score
-// forced to align a[ai] with b[bi] (the oracle for ExtendGapped with
+// forced to align a[ai] with b[bi] (the oracle for ExtendGappedWS with
 // unbounded X-drop).
 func anchoredOptimum(a, b []byte, ai, bi int, s *Scheme) int {
 	anchor := s.Score(a[ai], b[bi])
 	right := bestExtensionScore(a[ai+1:], b[bi+1:], s)
 	left := bestExtensionScore(reverseBytes(a[:ai]), reverseBytes(b[:bi]), s)
 	return anchor + right + left
+}
+
+func reverseBytes(p []byte) []byte {
+	out := make([]byte, len(p))
+	for i, c := range p {
+		out[len(p)-1-i] = c
+	}
+	return out
 }
 
 // bestExtensionScore is max over all (i,j) of the global alignment
@@ -313,7 +321,7 @@ func TestXDropNeverExceedsSW(t *testing.T) {
 		}
 		ai := int(seedSel) % len(a)
 		bi := int(seedSel>>8) % len(b)
-		got, aFrom, aTo, bFrom, bTo := ExtendGapped(a, b, ai, bi, s, 15)
+		got, aFrom, aTo, bFrom, bTo := ExtendGappedWS(&Workspace{}, a, b, ai, bi, s, 15)
 		if aFrom < 0 || aTo > len(a) || bFrom < 0 || bTo > len(b) {
 			return false
 		}

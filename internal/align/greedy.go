@@ -55,14 +55,10 @@ func (g GreedyScheme) score(k, e int) int { return g.Match*k/2 - g.Diff*e }
 
 const greedyUnreached = -(1 << 29)
 
-// GreedyExtendRight greedily extends an alignment of a[0:] vs b[0:]
+// greedyExtendRight greedily extends an alignment of a[0:] vs b[0:]
 // rightward from the implicit anchor before both, stopping when the
 // score drops more than xdrop below the best. It returns the best
 // score and the letters of a and b consumed at the best point.
-func GreedyExtendRight(a, b []byte, g GreedyScheme, xdrop int) (best, aLen, bLen int) {
-	return greedyExtendRight(nil, a, b, g, xdrop)
-}
-
 func greedyExtendRight(ws *Workspace, a, b []byte, g GreedyScheme, xdrop int) (best, aLen, bLen int) {
 	n, m := len(a), len(b)
 	if n == 0 || m == 0 {
@@ -166,17 +162,11 @@ func greedyExtendRight(ws *Workspace, a, b []byte, g GreedyScheme, xdrop int) (b
 	return best, aLen, bLen
 }
 
-// GreedyExtend performs the two-sided greedy extension around the
-// anchored pair (a[ai], b[bi]), like ExtendGapped but with the greedy
-// algorithm. The anchor pair itself must match for the scheme's
-// accounting; if it does not, the anchor contributes a mismatch.
-func GreedyExtend(a, b []byte, ai, bi int, g GreedyScheme, xdrop int) (score, aFrom, aTo, bFrom, bTo int) {
-	return GreedyExtendWS(nil, a, b, ai, bi, g, xdrop)
-}
-
-// GreedyExtendWS is GreedyExtend with caller-pooled scratch (diagonal
-// fronts and reversal buffers from ws). A nil ws behaves exactly like
-// GreedyExtend.
+// GreedyExtendWS performs the two-sided greedy extension around the
+// anchored pair (a[ai], b[bi]), like ExtendGappedWS but with the
+// greedy algorithm. The anchor pair itself must match for the
+// scheme's accounting; if it does not, the anchor contributes a
+// mismatch. The diagonal fronts and reversal buffers come from ws.
 func GreedyExtendWS(ws *Workspace, a, b []byte, ai, bi int, g GreedyScheme, xdrop int) (score, aFrom, aTo, bFrom, bTo int) {
 	var anchor int
 	if a[ai] == b[bi] {

@@ -35,7 +35,7 @@ func TestGreedySchemeAlgebra(t *testing.T) {
 func TestGreedyIdenticalSequences(t *testing.T) {
 	g := greedyDefault()
 	a := codes("ACGTACGTACGTACGT")
-	score, aLen, bLen := GreedyExtendRight(a, a, g, 100)
+	score, aLen, bLen := greedyExtendRight(&Workspace{}, a, a, g, 100)
 	if aLen != len(a) || bLen != len(a) {
 		t.Errorf("consumed %d/%d of %d", aLen, bLen, len(a))
 	}
@@ -48,7 +48,7 @@ func TestGreedySingleMismatch(t *testing.T) {
 	g := greedyDefault()
 	a := codes("ACGTACGTACGTACGTACGT")
 	b := codes("ACGTACGTTCGTACGTACGT") // position 8 differs
-	score, aLen, bLen := GreedyExtendRight(a, b, g, 100)
+	score, aLen, bLen := greedyExtendRight(&Workspace{}, a, b, g, 100)
 	if aLen != len(a) || bLen != len(b) {
 		t.Errorf("consumed %d/%d", aLen, bLen)
 	}
@@ -62,7 +62,7 @@ func TestGreedySingleGap(t *testing.T) {
 	g := greedyDefault()
 	a := codes("ACGTACGTGACGTACGT") // extra G inserted at position 8
 	b := codes("ACGTACGTACGTACGT")
-	score, aLen, bLen := GreedyExtendRight(a, b, g, 100)
+	score, aLen, bLen := greedyExtendRight(&Workspace{}, a, b, g, 100)
 	if aLen != len(a) || bLen != len(b) {
 		t.Errorf("consumed %d/%d of %d/%d", aLen, bLen, len(a), len(b))
 	}
@@ -78,7 +78,7 @@ func TestGreedyXDropStops(t *testing.T) {
 	// must stop near the boundary.
 	a := codes("ACGTACGT" + "CCCCCCCCCCCC")
 	b := codes("ACGTACGT" + "GGGGGGGGGGGG")
-	score, aLen, _ := GreedyExtendRight(a, b, g, 8)
+	score, aLen, _ := greedyExtendRight(&Workspace{}, a, b, g, 8)
 	if aLen > 10 {
 		t.Errorf("extension crossed garbage: consumed %d", aLen)
 	}
@@ -89,7 +89,7 @@ func TestGreedyXDropStops(t *testing.T) {
 
 func TestGreedyEmptyInput(t *testing.T) {
 	g := greedyDefault()
-	if s, a, b := GreedyExtendRight(nil, codes("ACGT"), g, 10); s != 0 || a != 0 || b != 0 {
+	if s, a, b := greedyExtendRight(&Workspace{}, nil, codes("ACGT"), g, 10); s != 0 || a != 0 || b != 0 {
 		t.Errorf("empty a: %d %d %d", s, a, b)
 	}
 }
@@ -97,7 +97,7 @@ func TestGreedyEmptyInput(t *testing.T) {
 func TestGreedyTwoSided(t *testing.T) {
 	g := greedyDefault()
 	a := codes("TTTTACGTACGTACGTTTTT")
-	score, aFrom, aTo, bFrom, bTo := GreedyExtend(a, a, 10, 10, g, 100)
+	score, aFrom, aTo, bFrom, bTo := GreedyExtendWS(&Workspace{}, a, a, 10, 10, g, 100)
 	if aFrom != 0 || aTo != len(a) || bFrom != 0 || bTo != len(a) {
 		t.Errorf("extents [%d,%d) x [%d,%d)", aFrom, aTo, bFrom, bTo)
 	}
@@ -131,7 +131,7 @@ func TestGreedyMatchesDPOnSimilarSequences(t *testing.T) {
 		for k := 0; k < rng.Intn(3); k++ {
 			b[rng.Intn(len(b))] = byte(rng.Intn(4))
 		}
-		got, _, _ := GreedyExtendRight(a, b, g, 1<<20)
+		got, _, _ := greedyExtendRight(&Workspace{}, a, b, g, 1<<20)
 		want := bestExtensionScore(a, b, s)
 		if got < want {
 			t.Fatalf("trial %d: greedy %d < DP %d", trial, got, want)
@@ -155,7 +155,7 @@ func TestGreedyNeverNegativeProgress(t *testing.T) {
 		for i := range b {
 			b[i] = byte(rng.Intn(4))
 		}
-		score, aLen, bLen := GreedyExtendRight(a, b, g, 20)
+		score, aLen, bLen := greedyExtendRight(&Workspace{}, a, b, g, 20)
 		if aLen < 0 || bLen < 0 || aLen > len(a) || bLen > len(b) {
 			t.Fatalf("extents out of range: %d %d", aLen, bLen)
 		}

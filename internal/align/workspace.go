@@ -3,9 +3,8 @@ package align
 // Workspace holds reusable scratch buffers for the extension kernels,
 // so a searcher that runs thousands of gapped extensions per subject
 // allocates the DP rows and reversal buffers once instead of per
-// seed. A nil *Workspace is valid everywhere one is accepted and
-// falls back to per-call allocation. Workspaces are not safe for
-// concurrent use; each search shard owns one.
+// seed. The zero Workspace is ready to use. Workspaces are not safe
+// for concurrent use; each search shard owns one.
 type Workspace struct {
 	h, e       []int
 	prev, cur  []int
@@ -14,9 +13,6 @@ type Workspace struct {
 
 // dpRows returns two zeroed-length int rows of capacity >= n.
 func (ws *Workspace) dpRows(n int) ([]int, []int) {
-	if ws == nil {
-		return make([]int, n), make([]int, n)
-	}
 	if cap(ws.h) < n {
 		ws.h = make([]int, n)
 		ws.e = make([]int, n)
@@ -26,9 +22,6 @@ func (ws *Workspace) dpRows(n int) ([]int, []int) {
 
 // greedyRows returns the two diagonal-front rows of capacity >= n.
 func (ws *Workspace) greedyRows(n int) ([]int, []int) {
-	if ws == nil {
-		return make([]int, n), make([]int, n)
-	}
 	if cap(ws.prev) < n {
 		ws.prev = make([]int, n)
 		ws.cur = make([]int, n)
@@ -40,9 +33,6 @@ func (ws *Workspace) greedyRows(n int) ([]int, []int) {
 // reversal buffers (which selects between them, so the two operands
 // of a two-sided extension can be live at once).
 func (ws *Workspace) reversed(p []byte, which int) []byte {
-	if ws == nil {
-		return reverseBytes(p)
-	}
 	buf := &ws.revA
 	if which == 1 {
 		buf = &ws.revB

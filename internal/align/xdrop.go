@@ -137,30 +137,16 @@ func extendGappedOneSided(ws *Workspace, a, b []byte, s *Scheme, xdrop int) (bes
 	return best, aLen, bLen
 }
 
-// ExtendGapped performs the two-sided gapped X-drop extension around
-// the anchored letter pair (a[ai], b[bi]): leftward over the reversed
-// prefixes and rightward over the suffixes. It returns the total best
-// score and the extents [aFrom,aTo) x [bFrom,bTo).
-func ExtendGapped(a, b []byte, ai, bi int, s *Scheme, xdrop int) (score, aFrom, aTo, bFrom, bTo int) {
-	return ExtendGappedWS(nil, a, b, ai, bi, s, xdrop)
-}
-
-// ExtendGappedWS is ExtendGapped with caller-pooled scratch: the DP
+// ExtendGappedWS performs the two-sided gapped X-drop extension
+// around the anchored letter pair (a[ai], b[bi]): leftward over the
+// reversed prefixes and rightward over the suffixes. It returns the
+// total best score and the extents [aFrom,aTo) x [bFrom,bTo). The DP
 // rows and the two prefix-reversal buffers come from ws, so repeated
-// extensions allocate nothing once the workspace has warmed up. A nil
-// ws behaves exactly like ExtendGapped.
+// extensions allocate nothing once the workspace has warmed up.
 func ExtendGappedWS(ws *Workspace, a, b []byte, ai, bi int, s *Scheme, xdrop int) (score, aFrom, aTo, bFrom, bTo int) {
 	anchor := s.Score(a[ai], b[bi])
 	rBest, rA, rB := extendGappedOneSided(ws, a[ai+1:], b[bi+1:], s, xdrop)
 	lBest, lA, lB := extendGappedOneSided(ws, ws.reversed(a[:ai], 0), ws.reversed(b[:bi], 1), s, xdrop)
 	score = anchor + rBest + lBest
 	return score, ai - lA, ai + 1 + rA, bi - lB, bi + 1 + rB
-}
-
-func reverseBytes(p []byte) []byte {
-	out := make([]byte, len(p))
-	for i, c := range p {
-		out[len(p)-1-i] = c
-	}
-	return out
 }

@@ -82,7 +82,6 @@ func (eng *engine) runPipeline(subjects SubjectSource, threads int, m *PipeMetri
 			defer wg.Done()
 			sr := newSearcher(eng)
 			var busy, idle time.Duration
-			var lastBases, lastExts int64
 			for {
 				t0 := time.Now()
 				job, ok := <-jobs
@@ -94,8 +93,6 @@ func (eng *engine) runPipeline(subjects SubjectSource, threads int, m *PipeMetri
 				t2 := time.Now()
 				idle += t1.Sub(t0)
 				busy += t2.Sub(t1)
-				m.observeKernel(sr.stats.ScannedBases-lastBases, sr.stats.PackedExts-lastExts)
-				lastBases, lastExts = sr.stats.ScannedBases, sr.stats.PackedExts
 				results <- subjectDone{seq: job.seq, subj: job.subj, hsps: hsps}
 			}
 			statsMu.Lock()

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pario/internal/seq"
+	"pario/internal/telemetry"
 	"pario/internal/util"
 )
 
@@ -144,5 +145,32 @@ func TestPipelineErrorAfterEOFIsClean(t *testing.T) {
 	}
 	if got.Stats.DBSequences != int64(len(subjects)) {
 		t.Fatalf("pipeline counted %d subjects, want %d", got.Stats.DBSequences, len(subjects))
+	}
+}
+
+// TestKernelMetricsMatchStats: the registry's kernel counters must
+// equal the result's work counters at any thread count, the
+// sequential loop included.
+func TestKernelMetricsMatchStats(t *testing.T) {
+	rng := util.NewRNG(778)
+	query := randomDNA(rng, "query", 568)
+	db := buildNucDB(rng, query, 20)
+	for _, threads := range []int{1, 2} {
+		reg := telemetry.NewRegistry()
+		m := NewPipeMetrics(reg)
+		p := Params{Program: BlastN, Threads: threads}
+		res, err := SearchWithMetrics(query, &SliceSource{Seqs: db}, DBInfo{}, p, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.ScannedBases == 0 || res.Stats.PackedExts == 0 {
+			t.Fatalf("threads=%d: search did no kernel work: %+v", threads, res.Stats)
+		}
+		bases := reg.Gauge("pario_blast_scanned_bases_total", "").Value()
+		exts := reg.Gauge("pario_blast_packed_exts_total", "").Value()
+		if bases != float64(res.Stats.ScannedBases) || exts != float64(res.Stats.PackedExts) {
+			t.Errorf("threads=%d: registry scanned_bases=%v packed_exts=%v, stats %d and %d",
+				threads, bases, exts, res.Stats.ScannedBases, res.Stats.PackedExts)
+		}
 	}
 }

@@ -31,32 +31,40 @@ func ParseProgram(name string) (Program, error) {
 	return BlastN, nil
 }
 
-// Params collects every tunable of a BLAST search. Zero values are
-// replaced by defaults in Defaults.
+// The engine's fixed parameters: NCBI blastn's defaults, which every
+// search in the paper runs with. Scores are +1/-3 with gaps costing
+// 5 to open and 2 per letter; the ungapped and gapped extensions stop
+// 20 and 30 raw points below their best; an ungapped HSP of 25 bits
+// triggers the gapped extension. Both query strands are always
+// searched, and -F masks with DefaultDust.
+const (
+	nucMatch       = 1
+	nucMismatch    = -3
+	gapOpen        = 5
+	gapExtend      = 2
+	xDropUngapped  = 20
+	xDropGapped    = 30
+	gapTriggerBits = 25
+)
+
+// nucScheme is the engine's scoring scheme, built from the constants
+// above; read-only after package initialization.
+var nucScheme = align.NucleotideScheme(nucMatch, nucMismatch, gapOpen, gapExtend)
+
+// Params collects the settings a search takes from its caller. Zero
+// values are replaced by defaults in Defaults.
 type Params struct {
 	Program Program
-	Scheme  *align.Scheme
 
 	// WordSize is the seed word length (11 for blastn, 28 for
 	// megablast).
 	WordSize int
-
-	// XDropUngapped, XDropGapped are raw-score drop-offs.
-	XDropUngapped int
-	XDropGapped   int
-
-	// GapTriggerBits: ungapped HSPs whose bit score reaches this
-	// value are handed to the gapped extension.
-	GapTriggerBits float64
 
 	// EValue is the report cutoff.
 	EValue float64
 	// MaxTargetSeqs caps the number of reported subject sequences
 	// (0 = unlimited).
 	MaxTargetSeqs int
-	// BothStrands makes blastn search the reverse complement of the
-	// query too.
-	BothStrands bool
 
 	// Threads is the number of search shards the subject pipeline
 	// runs (<= 1 means the classic sequential loop). Results are
@@ -72,54 +80,29 @@ type Params struct {
 	// the X-drop DP — much faster on highly similar sequences, less
 	// sensitive to diverged ones.
 	Greedy bool
-	// Dust tunes the filter; a zero value takes the defaults.
-	Dust DustParams
 }
 
 // Defaults returns p with unset fields replaced by blastn's classic
 // defaults.
 func (p Params) Defaults() Params {
-	if p.Scheme == nil {
-		p.Scheme = align.DefaultNucleotide()
-	}
 	if p.WordSize == 0 {
 		p.WordSize = 11
 		if p.Greedy {
 			p.WordSize = 28
 		}
 	}
-	if p.XDropUngapped == 0 {
-		p.XDropUngapped = 20
-	}
-	if p.XDropGapped == 0 {
-		p.XDropGapped = 30
-	}
-	if p.GapTriggerBits == 0 {
-		p.GapTriggerBits = 25
-	}
 	if p.EValue == 0 {
 		p.EValue = 10
-	}
-	p.BothStrands = true
-	if p.Dust.Window == 0 {
-		p.Dust = DefaultDust()
 	}
 	return p
 }
 
 // Validate rejects parameter combinations the engine cannot run: any
-// program but blastn, and any scheme it cannot seed and extend 2-bit
-// codes under, which means anything but one match and one mismatch
-// score.
+// program but blastn, a word size the lookup table cannot index, and
+// a non-positive e-value cutoff.
 func (p Params) Validate() error {
 	if p.Program != BlastN {
 		return fmt.Errorf("blast: unsupported program %s (only blastn is supported)", p.Program)
-	}
-	if p.Scheme == nil {
-		return fmt.Errorf("blast: nil scoring scheme")
-	}
-	if _, _, ok := align.UniformNucScheme(p.Scheme); !ok {
-		return fmt.Errorf("blast: blastn needs a uniform 4x4 match/mismatch scheme, got scheme %q", p.Scheme.Name)
 	}
 	if p.WordSize < 2 {
 		return fmt.Errorf("blast: word size %d too small", p.WordSize)

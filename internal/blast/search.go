@@ -191,9 +191,10 @@ func Search(query *seq.Sequence, subjects SubjectSource, info DBInfo, p Params) 
 }
 
 // SearchWithMetrics is Search with a pipeline telemetry sink: when m
-// is non-nil and p.Threads > 1, shard busy/idle time, decode stalls
-// and merge-queue depth are published so a live scrape shows whether
-// the search is compute- or I/O-bound.
+// is non-nil, the search's kernel counters are folded into it once it
+// has scanned every subject, and with p.Threads > 1 shard busy/idle
+// time, decode stalls and merge-queue depth are published so a live
+// scrape shows whether the search is compute- or I/O-bound.
 func SearchWithMetrics(query *seq.Sequence, subjects SubjectSource, info DBInfo, p Params, m *PipeMetrics) (*Result, error) {
 	p = p.Defaults()
 	if err := p.Validate(); err != nil {
@@ -231,6 +232,7 @@ func SearchWithMetrics(query *seq.Sequence, subjects SubjectSource, info DBInfo,
 		}
 		eng.stats.AddCounts(sr.stats)
 	}
+	m.observeKernel(eng.stats.ScannedBases, eng.stats.PackedExts)
 	if info.Letters == 0 {
 		info.Letters = dbLetters
 	}
@@ -272,8 +274,8 @@ type engine struct {
 	p     Params
 	stats SearchStats
 
-	// views are the query's strands: forward, then (with BothStrands)
-	// the reverse complement.
+	// views are the query's strands: forward, then the reverse
+	// complement.
 	views []queryView
 	// table indexes every view's words, each tagged with its view; nil
 	// when the query is shorter than a word. Every subject is scanned
@@ -282,17 +284,15 @@ type engine struct {
 
 	gapTriggerRaw int
 	kpGap         KarlinParams
-
-	// The uniform scheme's match/mismatch scores (Validate admits no
-	// other): every subject is seeded and ungapped-extended 2-bit
-	// packed, 32 bases per word op.
-	nucMatch    int
-	nucMismatch int
-
-	// megablast mode
-	greedy      align.GreedyScheme
-	greedyScale int // divide greedy scores by this to match the scheme's units
 }
+
+// greedyScheme is megablast's scoring, equivalent to nucScheme's
+// match/mismatch; greedyScale divides its scores into nucScheme's
+// units.
+var (
+	greedyScheme = align.NewGreedyScheme(nucMatch, nucMismatch)
+	greedyScale  = greedyScheme.Match / nucMatch
+)
 
 // queryView is one strand of the query.
 type queryView struct {
@@ -303,25 +303,20 @@ type queryView struct {
 
 func newEngine(query *seq.Sequence, p Params) (*engine, error) {
 	eng := &engine{p: p}
-	kpU, err := ComputeUngappedParams(p.Scheme, UniformNucFreqs)
+	kpU, err := ComputeUngappedParams(nucScheme, UniformNucFreqs)
 	if err != nil {
 		return nil, err
 	}
-	eng.kpGap, err = GappedParams(p.Scheme, UniformNucFreqs)
+	eng.kpGap, err = GappedParams(nucScheme, UniformNucFreqs)
 	if err != nil {
 		return nil, err
 	}
 	eng.stats.Lambda, eng.stats.K, eng.stats.H = eng.kpGap.Lambda, eng.kpGap.K, eng.kpGap.H
-	eng.gapTriggerRaw = int(math.Ceil((p.GapTriggerBits*math.Ln2 + math.Log(kpU.K)) / kpU.Lambda))
+	eng.gapTriggerRaw = int(math.Ceil((gapTriggerBits*math.Ln2 + math.Log(kpU.K)) / kpU.Lambda))
 	if eng.gapTriggerRaw < 1 {
 		eng.gapTriggerRaw = 1
 	}
 	eng.stats.GapTriggerRaw = eng.gapTriggerRaw
-	eng.nucMatch, eng.nucMismatch, _ = align.UniformNucScheme(p.Scheme)
-	if p.Greedy {
-		eng.greedy = align.NewGreedyScheme(eng.nucMatch, eng.nucMismatch)
-		eng.greedyScale = eng.greedy.Match / eng.nucMatch
-	}
 	if query.Len() > nucPosMask {
 		return nil, fmt.Errorf("blast: blastn query of %d letters exceeds %d", query.Len(), nucPosMask)
 	}
@@ -332,7 +327,7 @@ func newEngine(query *seq.Sequence, p Params) (*engine, error) {
 		c := s.Codes()
 		var masked []bool
 		if p.Filter {
-			ivs := DustMask(s, p.Dust)
+			ivs := DustMask(s, DefaultDust())
 			masked = maskFlags(len(c), ivs)
 			eng.stats.MaskedLetters += int64(TotalMasked(ivs))
 		}
@@ -340,9 +335,7 @@ func newEngine(query *seq.Sequence, p Params) (*engine, error) {
 		codes, masks = append(codes, c), append(masks, masked)
 	}
 	addView(query, 1)
-	if p.BothStrands {
-		addView(query.ReverseComplement(), -1)
-	}
+	addView(query.ReverseComplement(), -1)
 	if query.Len() >= p.WordSize {
 		eng.table = buildNucLookup(codes, p.WordSize, masks)
 	}
@@ -541,8 +534,8 @@ func (sr *searcher) processSeed(ps *pairState, qpos, spos int) {
 		q, s := ps.qv.codes, sr.subjectBytes()
 		mid := eng.p.WordSize / 2
 		raw, a0, a1, b0, b1 := align.GreedyExtendWS(&sr.ws, q, s, qpos+mid, spos+mid,
-			eng.greedy, eng.p.XDropGapped*eng.greedyScale)
-		gscore, qFrom, qTo, sFrom, sTo = raw/eng.greedyScale, a0, a1, b0, b1
+			greedyScheme, xDropGapped*greedyScale)
+		gscore, qFrom, qTo, sFrom, sTo = raw/greedyScale, a0, a1, b0, b1
 		c.lastExtEnd = int32(sTo)
 		if gscore < eng.gapTriggerRaw {
 			return
@@ -551,7 +544,7 @@ func (sr *searcher) processSeed(ps *pairState, qpos, spos int) {
 		sr.stats.UngappedExts++
 		sr.stats.PackedExts++
 		score, _, aTo, _, bTo := align.PackedExtend(ps.qv.packed, len(ps.qv.codes), sr.sp, sr.sLen,
-			qpos, spos, eng.p.WordSize, eng.nucMatch, eng.nucMismatch, eng.p.XDropUngapped)
+			qpos, spos, eng.p.WordSize, nucMatch, nucMismatch, xDropUngapped)
 		c.lastExtEnd = int32(bTo)
 		if score < eng.gapTriggerRaw {
 			return
@@ -567,7 +560,7 @@ func (sr *searcher) processSeed(ps *pairState, qpos, spos int) {
 		if ai >= len(q) || bi >= len(s) {
 			ai, bi = qpos, spos
 		}
-		gscore, qFrom, qTo, sFrom, sTo = align.ExtendGappedWS(&sr.ws, q, s, ai, bi, eng.p.Scheme, eng.p.XDropGapped)
+		gscore, qFrom, qTo, sFrom, sTo = align.ExtendGappedWS(&sr.ws, q, s, ai, bi, nucScheme, xDropGapped)
 		if gscore < eng.gapTriggerRaw {
 			return
 		}
@@ -717,7 +710,7 @@ func (eng *engine) traceback(r rawHSP, subj *seq.Sequence) HSP {
 		qv = &eng.views[1]
 	}
 	qCodes, sCodes := qv.codes, subj.Codes()
-	al := align.SmithWaterman(qCodes[r.qFrom:r.qTo], sCodes[r.sFrom:r.sTo], eng.p.Scheme)
+	al := align.SmithWaterman(qCodes[r.qFrom:r.qTo], sCodes[r.sFrom:r.sTo], nucScheme)
 	// Shift the alignment into strand coordinates.
 	al.AStart += r.qFrom
 	al.AEnd += r.qFrom

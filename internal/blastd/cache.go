@@ -39,8 +39,8 @@ func makeCacheKey(query seq.Sequence, db, version string, params blast.Params) c
 // paramsSignature folds the result-affecting parameters into a string.
 // Threads is deliberately excluded: it changes speed, not answers.
 func paramsSignature(p blast.Params) string {
-	return fmt.Sprintf("%v|%g|%d|%t|%t|%t",
-		p.Program, p.EValue, p.MaxTargetSeqs, p.Filter, p.Greedy, p.BothStrands)
+	return fmt.Sprintf("%v|%g|%d|%t|%t",
+		p.Program, p.EValue, p.MaxTargetSeqs, p.Filter, p.Greedy)
 }
 
 // resultCache is a bounded LRU of finished search results with
@@ -58,7 +58,6 @@ type resultCache struct {
 	onHit        func()
 	onMiss       func()
 	onShared     func() // joined an in-progress flight
-	onEntries    func(n int)
 	onInvalidate func(n int)
 }
 
@@ -134,12 +133,8 @@ func (c *resultCache) Do(ctx context.Context, key cacheKey, fn func() (*blast.Re
 	if f.err == nil {
 		c.addLocked(key, f.res)
 	}
-	n := c.ll.Len()
 	c.mu.Unlock()
 	close(f.done)
-	if c.onEntries != nil {
-		c.onEntries(n)
-	}
 	return f.res, cacheMiss, f.err
 }
 
@@ -176,13 +171,9 @@ func (c *resultCache) InvalidateDB(db string) int {
 		}
 		el = next
 	}
-	n := c.ll.Len()
 	c.mu.Unlock()
 	if removed > 0 && c.onInvalidate != nil {
 		c.onInvalidate(removed)
-	}
-	if c.onEntries != nil {
-		c.onEntries(n)
 	}
 	return removed
 }

@@ -28,11 +28,10 @@ type admitQueue struct {
 	drained   chan struct{}
 
 	// Observability hooks; any may be nil.
-	onDepth   func(depth int)            // queue depth changed
-	onReject  func(reason string)        // admission rejected
-	onWait    func(d time.Duration)      // time a granted ticket spent queued
-	onClient  func(client string, n int) // per-client in-flight changed (n==0 means gone)
-	onRunning func(n int)                // running searches changed
+	onDepth  func(depth int)            // queue depth changed
+	onReject func(reason string)        // admission rejected
+	onWait   func(d time.Duration)      // time a granted ticket spent queued
+	onClient func(client string, n int) // per-client in-flight changed (n==0 means gone)
 }
 
 type ticket struct {
@@ -89,11 +88,7 @@ func (q *admitQueue) Admit(ctx context.Context, client string, priority int) (fu
 		t.granted = true
 		q.running++
 		q.setClient(client, +1)
-		running := q.running
 		q.mu.Unlock()
-		if q.onRunning != nil {
-			q.onRunning(running)
-		}
 		return func() { q.release(t) }, nil
 	}
 
@@ -143,14 +138,10 @@ func (q *admitQueue) release(t *ticket) {
 	q.setClient(t.client, -1)
 	granted := q.grantLocked()
 	depth := q.waiting.Len()
-	running := q.running
 	q.checkDrainedLocked()
 	q.mu.Unlock()
 	if q.onDepth != nil && granted > 0 {
 		q.onDepth(depth)
-	}
-	if q.onRunning != nil {
-		q.onRunning(running)
 	}
 }
 

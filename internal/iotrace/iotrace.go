@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pario/internal/chio"
@@ -44,31 +43,18 @@ type Event struct {
 
 // Trace accumulates events from any number of goroutines.
 type Trace struct {
-	on     atomic.Bool
 	mu     sync.Mutex
 	start  time.Time
 	events []Event
 }
 
-// NewTrace returns an enabled trace anchored at time.Now. The paper
-// turns tracing off while timing; call SetEnabled(false) for that.
+// NewTrace returns a trace anchored at time.Now. It records every
+// event; an untraced run leaves its file system unwrapped.
 func NewTrace() *Trace {
-	t := &Trace{start: time.Now()}
-	t.on.Store(true)
-	return t
-}
-
-// SetEnabled switches recording on or off (off = zero overhead apart
-// from one atomic check, mirroring the paper's methodology of
-// disabling trace collection during timed runs).
-func (t *Trace) SetEnabled(on bool) {
-	t.on.Store(on)
+	return &Trace{start: time.Now()}
 }
 
 func (t *Trace) add(ev Event) {
-	if !t.on.Load() {
-		return
-	}
 	t.mu.Lock()
 	ev.When = time.Since(t.start)
 	t.events = append(t.events, ev)

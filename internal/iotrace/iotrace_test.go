@@ -160,25 +160,6 @@ func TestSummarizeMatchesEvents(t *testing.T) {
 	}
 }
 
-func TestSetEnabled(t *testing.T) {
-	trace := NewTrace()
-	trace.SetEnabled(false)
-	fs := Wrap(chio.NewMemFS(), trace, "w")
-	if err := chio.WriteFull(fs, "f", []byte("data")); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(trace.Events()); n != 0 {
-		t.Errorf("disabled trace recorded %d events", n)
-	}
-	trace.SetEnabled(true)
-	if err := chio.WriteFull(fs, "g", []byte("data")); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(trace.Events()); n == 0 {
-		t.Error("re-enabled trace recorded nothing")
-	}
-}
-
 func TestFormatStats(t *testing.T) {
 	trace := NewTrace()
 	fs := Wrap(chio.NewMemFS(), trace, "w")

@@ -19,13 +19,18 @@ type MetaConn struct {
 
 // DialMeta connects to a manager.
 func DialMeta(addr string, opts ...rpcpool.Option) (*MetaConn, error) {
-	cfg := rpcpool.Apply(opts...)
-	m := &MetaConn{t: newTransport(addr, cfg), stripe: cfg.StripeSize}
+	m := newMetaConn(addr, rpcpool.Apply(opts...))
 	if err := m.t.warm(context.Background()); err != nil {
 		m.t.close()
 		return nil, err
 	}
 	return m, nil
+}
+
+// newMetaConn returns a MetaConn without probing the manager; the
+// first request dials.
+func newMetaConn(addr string, cfg rpcpool.Config) *MetaConn {
+	return &MetaConn{t: newTransport(addr, cfg), stripe: cfg.StripeSize}
 }
 
 // Close releases the pooled connections.
@@ -106,8 +111,8 @@ func (m *MetaConn) LoadQuery(ctx context.Context) (map[int]float64, error) {
 	return resp.Loads, nil
 }
 
-// ReportLoad pushes a load heartbeat (used by data servers and by
-// tests that inject synthetic load).
+// ReportLoad pushes a load heartbeat: a data server's, or a test's
+// synthetic load.
 func (m *MetaConn) ReportLoad(ctx context.Context, serverID int, load float64) error {
 	_, err := m.call(ctx, &Request{Op: OpLoadReport, ServerID: serverID, Load: load})
 	return err

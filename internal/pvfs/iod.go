@@ -1,6 +1,7 @@
 package pvfs
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"pario/internal/chio"
+	"pario/internal/rpcpool"
 	"pario/internal/telemetry"
 )
 
@@ -44,11 +46,10 @@ type DataServer struct {
 	// piece do not race Create/Open.
 	filesMu sync.Mutex
 
-	// heartbeat
-	mgrAddr  string
-	hbPeriod time.Duration
-	hbMu     sync.Mutex
-	hbConn   *conn
+	// heartbeat: stopHeartbeat cancels the loop and its in-flight
+	// report; nil when the server has no manager.
+	hbPeriod      time.Duration
+	stopHeartbeat context.CancelFunc
 }
 
 // DataServerConfig configures StartDataServer.
@@ -91,7 +92,6 @@ func StartDataServer(cfg DataServerConfig) (*DataServer, error) {
 		ln:       ln,
 		closed:   make(chan struct{}),
 		started:  time.Now(),
-		mgrAddr:  cfg.MgrAddr,
 		hbPeriod: cfg.HeartbeatPeriod,
 		tracker:  newConnTracker(),
 	}
@@ -99,8 +99,14 @@ func StartDataServer(cfg DataServerConfig) (*DataServer, error) {
 	ds.tel.enableIODGauges(cfg.Telemetry)
 	go acceptLoop(ln, ds.handle, &ds.wg, ds.tracker)
 	go ds.sampleLoop()
-	if ds.mgrAddr != "" {
-		go ds.heartbeatLoop()
+	if cfg.MgrAddr != "" {
+		ctx, cancel := context.WithCancel(context.Background())
+		ds.stopHeartbeat = cancel
+		// No retries: a report that misses its period is stale, and
+		// the next tick sends a fresh one.
+		mgr := newMetaConn(cfg.MgrAddr, rpcpool.Apply(rpcpool.WithPoolSize(1), rpcpool.WithRetries(0)))
+		ds.wg.Add(1)
+		go ds.heartbeatLoop(ctx, mgr)
 	}
 	return ds, nil
 }
@@ -334,38 +340,31 @@ func isNotExist(err error) bool {
 	return err != nil && errors.Is(err, chio.ErrNotExist)
 }
 
-func (ds *DataServer) heartbeatLoop() {
+// heartbeatLoop reports the server's load to its manager once a
+// period until ctx ends. mgr dials on its first report, so the server
+// may start before its manager; a failed report is dropped. Each
+// report runs under a deadline of one period, and Close cancels ctx,
+// so a manager that accepts but never answers delays neither the next
+// report nor Close, which waits for the loop to exit.
+func (ds *DataServer) heartbeatLoop(ctx context.Context, mgr *MetaConn) {
+	defer ds.wg.Done()
+	defer mgr.Close()
 	t := time.NewTicker(ds.hbPeriod)
 	defer t.Stop()
 	for {
 		select {
-		case <-ds.closed:
+		case <-ctx.Done():
 			return
 		case <-t.C:
-			ds.sendHeartbeat()
+			rctx, cancel := context.WithTimeout(ctx, ds.hbPeriod)
+			_ = mgr.ReportLoad(rctx, ds.ID, ds.Load()) // dropped on failure: stale by the next tick
+			cancel()
 		}
 	}
 }
 
-func (ds *DataServer) sendHeartbeat() {
-	ds.hbMu.Lock()
-	defer ds.hbMu.Unlock()
-	if ds.hbConn == nil {
-		c, err := dialConn(ds.mgrAddr)
-		if err != nil {
-			return // mgr not up yet; retry next tick
-		}
-		ds.hbConn = c
-	}
-	var resp Response
-	err := ds.hbConn.call(&Request{Op: OpLoadReport, ServerID: ds.ID, Load: ds.Load()}, &resp)
-	if err != nil {
-		ds.hbConn.close()
-		ds.hbConn = nil
-	}
-}
-
-// Close stops the server and waits for in-flight requests.
+// Close stops the server and waits for in-flight requests and the
+// heartbeat loop.
 func (ds *DataServer) Close() error {
 	select {
 	case <-ds.closed:
@@ -374,12 +373,9 @@ func (ds *DataServer) Close() error {
 	}
 	close(ds.closed)
 	err := ds.ln.Close()
-	ds.hbMu.Lock()
-	if ds.hbConn != nil {
-		ds.hbConn.close()
-		ds.hbConn = nil
+	if ds.stopHeartbeat != nil {
+		ds.stopHeartbeat()
 	}
-	ds.hbMu.Unlock()
 	// Force-close live peer connections so serve goroutines exit even
 	// when clients are still attached.
 	ds.tracker.closeAll()

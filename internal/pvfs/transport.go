@@ -114,7 +114,7 @@ func (t *transport) callInto(ctx context.Context, req *Request, resp *Response) 
 	retries := 0
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
-			if serr := rpcpool.Sleep(ctx, t.cfg.Backoff(i-1)); serr != nil {
+			if serr := rpcpool.Sleep(ctx, rpcpool.Backoff(i-1)); serr != nil {
 				break
 			}
 			retries++

@@ -26,7 +26,8 @@ import (
 	"pario/internal/util"
 )
 
-// Defaults for Config fields left zero.
+// Defaults for Config fields left zero, and the retry backoff's base
+// and cap.
 const (
 	DefaultPoolSize     = 4
 	DefaultTimeout      = 10 * time.Second
@@ -52,11 +53,6 @@ type Config struct {
 	// Retries is how many times a failed attempt is retried (so a call
 	// makes at most Retries+1 attempts).
 	Retries int
-	// RetryBackoff is the base pause before the first retry; it grows
-	// exponentially per attempt with full jitter.
-	RetryBackoff time.Duration
-	// MaxBackoff caps the exponential growth.
-	MaxBackoff time.Duration
 	// Observer, when non-nil, receives one event per finished call
 	// (after all retries).
 	Observer Observer
@@ -78,11 +74,9 @@ type Config struct {
 // size is left to the metadata server.
 func DefaultConfig() Config {
 	return Config{
-		PoolSize:     DefaultPoolSize,
-		Timeout:      DefaultTimeout,
-		Retries:      DefaultRetries,
-		RetryBackoff: DefaultRetryBackoff,
-		MaxBackoff:   DefaultMaxBackoff,
+		PoolSize: DefaultPoolSize,
+		Timeout:  DefaultTimeout,
+		Retries:  DefaultRetries,
 	}
 }
 
@@ -113,11 +107,6 @@ func WithTimeout(d time.Duration) Option { return func(c *Config) { c.Timeout = 
 
 // WithRetries sets how many times a failed attempt is retried.
 func WithRetries(n int) Option { return func(c *Config) { c.Retries = n } }
-
-// WithRetryBackoff sets the base and maximum retry backoff.
-func WithRetryBackoff(base, max time.Duration) Option {
-	return func(c *Config) { c.RetryBackoff, c.MaxBackoff = base, max }
-}
 
 // WithObserver installs a per-call statistics sink.
 func WithObserver(o Observer) Option { return func(c *Config) { c.Observer = o } }
@@ -293,23 +282,16 @@ type BatchObserver interface {
 	ObserveBatch(server string, runs, rpcs int)
 }
 
-// Backoff returns the pause before retry attempt (0-based): an
-// exponentially grown base with full jitter, capped at MaxBackoff.
-func (c Config) Backoff(attempt int) time.Duration {
-	base := c.RetryBackoff
-	if base <= 0 {
-		base = DefaultRetryBackoff
-	}
-	max := c.MaxBackoff
-	if max <= 0 {
-		max = DefaultMaxBackoff
-	}
-	d := base
-	for i := 0; i < attempt && d < max; i++ {
+// Backoff returns the pause before retry attempt (0-based):
+// DefaultRetryBackoff doubled per attempt, capped at
+// DefaultMaxBackoff, with full jitter.
+func Backoff(attempt int) time.Duration {
+	d := DefaultRetryBackoff
+	for i := 0; i < attempt && d < DefaultMaxBackoff; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
+	if d > DefaultMaxBackoff {
+		d = DefaultMaxBackoff
 	}
 	// Full jitter over [d/2, d): desynchronizes the retry herd when
 	// many workers hit the same stressed server at once.

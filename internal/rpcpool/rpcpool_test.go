@@ -30,27 +30,34 @@ func TestApplyDefaultsAndOptions(t *testing.T) {
 		WithPoolSize(2),
 		WithTimeout(time.Second),
 		WithRetries(5),
-		WithRetryBackoff(time.Millisecond, 8*time.Millisecond),
 	)
 	if cfg.StripeSize != 4096 || cfg.PoolSize != 2 || cfg.Timeout != time.Second ||
-		cfg.Retries != 5 || cfg.RetryBackoff != time.Millisecond || cfg.MaxBackoff != 8*time.Millisecond {
+		cfg.Retries != 5 {
 		t.Fatalf("options not applied: %+v", cfg)
 	}
 }
 
 func TestBackoffGrowsAndIsCapped(t *testing.T) {
-	cfg := Config{RetryBackoff: 10 * time.Millisecond, MaxBackoff: 80 * time.Millisecond}
+	// Each attempt doubles the base until the cap; full jitter keeps
+	// every pause in [d/2, d) of its step d.
+	step := DefaultRetryBackoff
 	for attempt := 0; attempt < 10; attempt++ {
-		d := cfg.Backoff(attempt)
+		d := Backoff(attempt)
 		if d <= 0 {
 			t.Fatalf("attempt %d: non-positive backoff %v", attempt, d)
 		}
-		if d >= cfg.MaxBackoff {
-			t.Fatalf("attempt %d: backoff %v not capped below %v", attempt, d, cfg.MaxBackoff)
+		if d >= DefaultMaxBackoff {
+			t.Fatalf("attempt %d: backoff %v not capped below %v", attempt, d, DefaultMaxBackoff)
+		}
+		if d < step/2 || d >= step {
+			t.Fatalf("attempt %d: backoff %v outside [%v, %v)", attempt, d, step/2, step)
+		}
+		if step *= 2; step > DefaultMaxBackoff {
+			step = DefaultMaxBackoff
 		}
 	}
 	// The first attempt's jittered pause stays near the base.
-	if d := cfg.Backoff(0); d < 5*time.Millisecond || d >= 10*time.Millisecond {
+	if d := Backoff(0); d < DefaultRetryBackoff/2 || d >= DefaultRetryBackoff {
 		t.Fatalf("attempt 0: backoff %v outside [base/2, base)", d)
 	}
 }

@@ -256,9 +256,3 @@ func (st *Store) BurnOverTime(name string, match map[string]string, slo float64,
 	}
 	return over / total, true
 }
-
-// CountOverTime returns how many observations the histogram recorded
-// in the window (from the `name_count` series, reset-aware).
-func (st *Store) CountOverTime(name string, match map[string]string, now time.Time, window time.Duration) (float64, bool) {
-	return st.Increase(name+"_count", match, now, window)
-}

@@ -63,7 +63,7 @@ func TestQuantileOverTimeRandomized(t *testing.T) {
 			}
 		}
 		// The window's observation count must match exactly.
-		if c, ok := st.CountOverTime("pario_req_seconds", nil, now, 30*time.Second); !ok || c != float64(n) {
+		if c, ok := st.Increase("pario_req_seconds_count", nil, now, 30*time.Second); !ok || c != float64(n) {
 			t.Errorf("trial %d: count = %v, %v; want %d", trial, c, ok, n)
 		}
 	}
