@@ -30,10 +30,10 @@ test:
 # shadow memory inflates alloc counts, so the guard skips itself
 # under -race), fuzz the data server's request handler, the PVFS wire
 # frame decoders, the one-table seed scan, the message router, the
-# fragment reader, the FASTA reader and the metrics text parser for a
-# few seconds each, build and smoke the frozen benchmark module (root `go
-# build ./...` does not compile it, so a rename that breaks it would
-# otherwise go unnoticed), make sure every benchmark still at least
+# fragment reader, the FASTA reader, the metrics text parser and the
+# alert-rule grammar for a few seconds each, build and smoke the frozen
+# benchmark module (root `go build ./...` does not compile it, so a
+# rename that breaks it would otherwise go unnoticed), make sure every benchmark still at least
 # runs, then smoke the live /metrics endpoint.
 check: lint race
 	$(GO) test -race -count=20 -run 'Prefetch|Concurrent|Demand' ./internal/readahead/
@@ -48,6 +48,7 @@ check: lint race
 	$(GO) test -run '^$$' -fuzz FuzzOpenFragment -fuzztime 5s ./internal/blastdb/
 	$(GO) test -run '^$$' -fuzz FuzzFastaReader -fuzztime 5s ./internal/seq/
 	$(GO) test -run '^$$' -fuzz FuzzParseText -fuzztime 5s ./internal/telemetry/
+	$(GO) test -run '^$$' -fuzz FuzzParseRules -fuzztime 5s ./internal/tsdb/
 	$(GO) vet -C bench ./... && $(GO) test -C bench -short .
 	$(MAKE) bench-smoke
 	$(MAKE) metrics-smoke

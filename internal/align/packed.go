@@ -180,35 +180,3 @@ func PackedExtend(ap []byte, an int, bp []byte, bn int, ai, bi, w, match, mismat
 	score = seed + bestLeft + bestRight
 	return score, ai - leftLen, ai + w + rightLen, bi - leftLen, bi + w + rightLen
 }
-
-// UniformNucScheme reports whether s is a 4x4 match/mismatch scheme —
-// every diagonal entry one value, every off-diagonal entry another —
-// and returns the two values. Only such schemes are eligible for
-// PackedExtend.
-func UniformNucScheme(s *Scheme) (match, mismatch int, ok bool) {
-	if len(s.Table) != 4 {
-		return 0, 0, false
-	}
-	match, mismatch = s.Table[0][0], 0
-	haveMis := false
-	for i := 0; i < 4; i++ {
-		if len(s.Table[i]) != 4 {
-			return 0, 0, false
-		}
-		for j := 0; j < 4; j++ {
-			v := s.Table[i][j]
-			if i == j {
-				if v != match {
-					return 0, 0, false
-				}
-				continue
-			}
-			if !haveMis {
-				mismatch, haveMis = v, true
-			} else if v != mismatch {
-				return 0, 0, false
-			}
-		}
-	}
-	return match, mismatch, true
-}

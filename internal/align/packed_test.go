@@ -70,14 +70,12 @@ func codesAndPacked(letters []byte) (codes, packed []byte) {
 	return codes, seq.PackCodes(codes)
 }
 
-// checkPackedMatchesByte runs both kernels on one seed and fails the
-// test on any divergence in score or extent.
-func checkPackedMatchesByte(t *testing.T, aCodes, aPacked, bCodes, bPacked []byte, ai, bi, w int, sch *Scheme, xdrop int) {
+// checkPackedMatchesByte runs both kernels on one seed under the
+// uniform scheme match/mismatch and fails the test on any divergence in
+// score or extent.
+func checkPackedMatchesByte(t *testing.T, aCodes, aPacked, bCodes, bPacked []byte, ai, bi, w, match, mismatch, xdrop int) {
 	t.Helper()
-	match, mismatch, ok := UniformNucScheme(sch)
-	if !ok {
-		t.Fatalf("scheme %q not uniform", sch.Name)
-	}
+	sch := NucleotideScheme(match, mismatch, 5, 2)
 	wScore, wAF, wAT, wBF, wBT := ExtendUngapped(aCodes, bCodes, ai, bi, w, sch, xdrop)
 	pScore, pAF, pAT, pBF, pBT := PackedExtend(aPacked, len(aCodes), bPacked, len(bCodes), ai, bi, w, match, mismatch, xdrop)
 	if wScore != pScore || wAF != pAF || wAT != pAT || wBF != pBF || wBT != pBT {
@@ -113,7 +111,6 @@ func TestPackedExtendMatchesByteKernel(t *testing.T) {
 
 		match := 1 + rng.Intn(5)
 		mismatch := -(1 + rng.Intn(5))
-		sch := NucleotideScheme(match, mismatch, 5, 2)
 		xdrop := rng.Intn(41)
 
 		w := 1 + rng.Intn(min(min(an, bn), 28))
@@ -127,11 +124,11 @@ func TestPackedExtendMatchesByteKernel(t *testing.T) {
 				continue
 			}
 			bi := rng.Intn(bn - w + 1)
-			checkPackedMatchesByte(t, aCodes, aPacked, bCodes, bPacked, ai, bi, w, sch, xdrop)
+			checkPackedMatchesByte(t, aCodes, aPacked, bCodes, bPacked, ai, bi, w, match, mismatch, xdrop)
 		}
 		// Seeds hugging the ends: zero room to extend on one side.
-		checkPackedMatchesByte(t, aCodes, aPacked, bCodes, bPacked, 0, 0, w, sch, xdrop)
-		checkPackedMatchesByte(t, aCodes, aPacked, bCodes, bPacked, an-w, bn-w, w, sch, xdrop)
+		checkPackedMatchesByte(t, aCodes, aPacked, bCodes, bPacked, 0, 0, w, match, mismatch, xdrop)
+		checkPackedMatchesByte(t, aCodes, aPacked, bCodes, bPacked, an-w, bn-w, w, match, mismatch, xdrop)
 	}
 }
 
@@ -171,21 +168,6 @@ func TestPackedMismatches(t *testing.T) {
 		if got := packedMismatches(aPacked, bPacked, ai, bi, w); got != want {
 			t.Fatalf("packedMismatches(ai=%d, bi=%d, w=%d) = %d, want %d", ai, bi, w, got, want)
 		}
-	}
-}
-
-func TestUniformNucScheme(t *testing.T) {
-	m, mm, ok := UniformNucScheme(NucleotideScheme(1, -3, 5, 2))
-	if !ok || m != 1 || mm != -3 {
-		t.Fatalf("NucleotideScheme(1,-3): got (%d, %d, %v), want (1, -3, true)", m, mm, ok)
-	}
-	if _, _, ok := UniformNucScheme(&Scheme{Table: [][]int{{1, -1}, {-1, 1}}}); ok {
-		t.Fatal("2x2 table reported as uniform nucleotide scheme")
-	}
-	bent := NucleotideScheme(2, -3, 5, 2)
-	bent.Table[1][2] = -1
-	if _, _, ok := UniformNucScheme(bent); ok {
-		t.Fatal("non-uniform table reported as uniform")
 	}
 }
 

@@ -11,7 +11,6 @@ import "fmt"
 // base codes plus affine gap costs. Gap costs are positive; a gap of
 // length L costs GapOpen + L*GapExtend.
 type Scheme struct {
-	Name      string
 	Table     [][]int // Table[a][b] = substitution score
 	GapOpen   int
 	GapExtend int
@@ -48,7 +47,6 @@ func NucleotideScheme(match, mismatch, gapOpen, gapExtend int) *Scheme {
 		}
 	}
 	return &Scheme{
-		Name:      fmt.Sprintf("match%+d/mismatch%+d", match, mismatch),
 		Table:     t,
 		GapOpen:   gapOpen,
 		GapExtend: gapExtend,

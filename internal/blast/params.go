@@ -2,6 +2,7 @@ package blast
 
 import (
 	"fmt"
+	"math"
 
 	"pario/internal/align"
 )
@@ -50,6 +51,15 @@ const (
 // nucScheme is the engine's scoring scheme, built from the constants
 // above; read-only after package initialization.
 var nucScheme = align.NucleotideScheme(nucMatch, nucMismatch, gapOpen, gapExtend)
+
+// nucKarlin is the scoring system's Karlin-Altschul parameters under
+// uniform base frequencies: NCBI's published row for +1/-3 with 5/2
+// gaps. Every e-value, bit score and length adjustment reads it.
+var nucKarlin = KarlinParams{Lambda: 1.374, K: 0.711, H: 1.31}
+
+// gapTriggerRaw is the raw score an ungapped HSP needs to earn a
+// gapped extension: gapTriggerBits expressed through nucKarlin (13).
+var gapTriggerRaw = int(math.Ceil((gapTriggerBits*math.Ln2 + math.Log(nucKarlin.K)) / nucKarlin.Lambda))
 
 // Params collects the settings a search takes from its caller. Zero
 // values are replaced by defaults in Defaults.

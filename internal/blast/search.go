@@ -281,9 +281,6 @@ type engine struct {
 	// when the query is shorter than a word. Every subject is scanned
 	// through it once, 2-bit packed.
 	table *nucLookup
-
-	gapTriggerRaw int
-	kpGap         KarlinParams
 }
 
 // greedyScheme is megablast's scoring, equivalent to nucScheme's
@@ -303,20 +300,8 @@ type queryView struct {
 
 func newEngine(query *seq.Sequence, p Params) (*engine, error) {
 	eng := &engine{p: p}
-	kpU, err := ComputeUngappedParams(nucScheme, UniformNucFreqs)
-	if err != nil {
-		return nil, err
-	}
-	eng.kpGap, err = GappedParams(nucScheme, UniformNucFreqs)
-	if err != nil {
-		return nil, err
-	}
-	eng.stats.Lambda, eng.stats.K, eng.stats.H = eng.kpGap.Lambda, eng.kpGap.K, eng.kpGap.H
-	eng.gapTriggerRaw = int(math.Ceil((gapTriggerBits*math.Ln2 + math.Log(kpU.K)) / kpU.Lambda))
-	if eng.gapTriggerRaw < 1 {
-		eng.gapTriggerRaw = 1
-	}
-	eng.stats.GapTriggerRaw = eng.gapTriggerRaw
+	eng.stats.Lambda, eng.stats.K, eng.stats.H = nucKarlin.Lambda, nucKarlin.K, nucKarlin.H
+	eng.stats.GapTriggerRaw = gapTriggerRaw
 	if query.Len() > nucPosMask {
 		return nil, fmt.Errorf("blast: blastn query of %d letters exceeds %d", query.Len(), nucPosMask)
 	}
@@ -537,7 +522,7 @@ func (sr *searcher) processSeed(ps *pairState, qpos, spos int) {
 			greedyScheme, xDropGapped*greedyScale)
 		gscore, qFrom, qTo, sFrom, sTo = raw/greedyScale, a0, a1, b0, b1
 		c.lastExtEnd = int32(sTo)
-		if gscore < eng.gapTriggerRaw {
+		if gscore < gapTriggerRaw {
 			return
 		}
 	} else {
@@ -546,7 +531,7 @@ func (sr *searcher) processSeed(ps *pairState, qpos, spos int) {
 		score, _, aTo, _, bTo := align.PackedExtend(ps.qv.packed, len(ps.qv.codes), sr.sp, sr.sLen,
 			qpos, spos, eng.p.WordSize, nucMatch, nucMismatch, xDropUngapped)
 		c.lastExtEnd = int32(bTo)
-		if score < eng.gapTriggerRaw {
+		if score < gapTriggerRaw {
 			return
 		}
 		sr.stats.GappedExts++
@@ -561,7 +546,7 @@ func (sr *searcher) processSeed(ps *pairState, qpos, spos int) {
 			ai, bi = qpos, spos
 		}
 		gscore, qFrom, qTo, sFrom, sTo = align.ExtendGappedWS(&sr.ws, q, s, ai, bi, nucScheme, xDropGapped)
-		if gscore < eng.gapTriggerRaw {
+		if gscore < gapTriggerRaw {
 			return
 		}
 	}
@@ -655,7 +640,6 @@ func cullInto(hsps, kept []rawHSP, byQFrom []int32) ([]rawHSP, []int32) {
 // finalize computes statistics, tracebacks and report ordering.
 func (eng *engine) finalize(res *Result, raw []rawHit, info DBInfo) {
 	p := eng.p
-	kp := eng.kpGap
 	queryLen, dbLetters := res.QueryLen, info.Letters
 	if queryLen < 1 {
 		queryLen = 1
@@ -663,7 +647,7 @@ func (eng *engine) finalize(res *Result, raw []rawHit, info DBInfo) {
 	if dbLetters < 1 {
 		dbLetters = 1
 	}
-	la := LengthAdjustment(kp, queryLen, dbLetters, info.Sequences)
+	la := LengthAdjustment(nucKarlin, queryLen, dbLetters, info.Sequences)
 	effQuery := int64(queryLen - la)
 	if effQuery < 1 {
 		effQuery = 1
@@ -674,7 +658,7 @@ func (eng *engine) finalize(res *Result, raw []rawHit, info DBInfo) {
 	}
 	res.Stats.LengthAdjust = la
 	res.Stats.EffSearchLen = effQuery * effDB
-	res.Stats.RawScoreCut = kp.RawCutoff(p.EValue, effQuery, effDB)
+	res.Stats.RawScoreCut = nucKarlin.RawCutoff(p.EValue, effQuery, effDB)
 
 	for _, rh := range raw {
 		hit := Hit{
@@ -683,12 +667,12 @@ func (eng *engine) finalize(res *Result, raw []rawHit, info DBInfo) {
 			SubjectLen:  rh.subject.Len(),
 		}
 		for _, r := range rh.hsps {
-			ev := kp.EValue(r.score, effQuery, effDB)
+			ev := nucKarlin.EValue(r.score, effQuery, effDB)
 			if ev > p.EValue {
 				continue
 			}
 			h := eng.traceback(r, rh.subject)
-			h.BitScore = kp.BitScore(r.score)
+			h.BitScore = nucKarlin.BitScore(r.score)
 			h.EValue = ev
 			hit.HSPs = append(hit.HSPs, h)
 		}

@@ -3,8 +3,6 @@ package blast
 import (
 	"math"
 	"testing"
-
-	"pario/internal/align"
 )
 
 func approxEq(got, want, relTol float64) bool {
@@ -12,76 +10,6 @@ func approxEq(got, want, relTol float64) bool {
 		return math.Abs(got) < relTol
 	}
 	return math.Abs(got-want)/math.Abs(want) <= relTol
-}
-
-func TestUngappedParamsBlastn(t *testing.T) {
-	// For +1/-3 with uniform base frequencies the published NCBI
-	// values are lambda=1.374, K=0.711, H=1.31.
-	kp, err := ComputeUngappedParams(align.NucleotideScheme(1, -3, 5, 2), UniformNucFreqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approxEq(kp.Lambda, 1.374, 0.01) {
-		t.Errorf("lambda = %v, want ~1.374", kp.Lambda)
-	}
-	if !approxEq(kp.K, 0.711, 0.05) {
-		t.Errorf("K = %v, want ~0.711", kp.K)
-	}
-	if !approxEq(kp.H, 1.31, 0.05) {
-		t.Errorf("H = %v, want ~1.31", kp.H)
-	}
-}
-
-func TestLambdaFundamentalIdentity(t *testing.T) {
-	// By definition, sum p(s) exp(lambda*s) must equal 1.
-	schemes := []*align.Scheme{
-		align.NucleotideScheme(1, -3, 5, 2),
-		align.NucleotideScheme(1, -2, 5, 2),
-		align.NucleotideScheme(2, -3, 5, 2),
-	}
-	for i, s := range schemes {
-		kp, err := ComputeUngappedParams(s, UniformNucFreqs)
-		if err != nil {
-			t.Fatalf("scheme %d: %v", i, err)
-		}
-		dist, lo, hi, err := scoreDistribution(s, UniformNucFreqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sum float64
-		for sc := lo; sc <= hi; sc++ {
-			sum += dist[sc-lo] * math.Exp(kp.Lambda*float64(sc))
-		}
-		if !approxEq(sum, 1.0, 1e-6) {
-			t.Errorf("scheme %d: sum p(s)e^(lambda s) = %v, want 1", i, sum)
-		}
-		if kp.K <= 0 || kp.K >= 1 {
-			t.Errorf("scheme %d: implausible K = %v", i, kp.K)
-		}
-		if kp.H <= 0 {
-			t.Errorf("scheme %d: H = %v", i, kp.H)
-		}
-	}
-}
-
-func TestUngappedParamsRejectsDegenerate(t *testing.T) {
-	// All-positive scheme: expected score positive, no lambda.
-	s := &align.Scheme{
-		Table:     [][]int{{1, 1}, {1, 1}},
-		GapOpen:   1,
-		GapExtend: 1,
-	}
-	if _, err := ComputeUngappedParams(s, []float64{0.5, 0.5}); err == nil {
-		t.Error("expected error for scheme without negative scores")
-	}
-	s2 := &align.Scheme{
-		Table:     [][]int{{-1, -1}, {-1, -1}},
-		GapOpen:   1,
-		GapExtend: 1,
-	}
-	if _, err := ComputeUngappedParams(s2, []float64{0.5, 0.5}); err == nil {
-		t.Error("expected error for scheme without positive scores")
-	}
 }
 
 func TestEValueMonotonicity(t *testing.T) {
@@ -126,34 +54,6 @@ func TestRawCutoffInvertsEValue(t *testing.T) {
 	}
 }
 
-func TestGappedParamsTableHit(t *testing.T) {
-	kp, err := GappedParams(align.NucleotideScheme(1, -3, 5, 2), UniformNucFreqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kp.Lambda != 1.374 {
-		t.Errorf("blastn gapped lambda = %v", kp.Lambda)
-	}
-	kp, err = GappedParams(align.NucleotideScheme(2, -3, 5, 2), UniformNucFreqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kp.Lambda != 0.675 || kp.K != 0.111 {
-		t.Errorf("+2/-3 5/2 gapped params = %+v", kp)
-	}
-}
-
-func TestGappedParamsFallback(t *testing.T) {
-	// Unusual gap costs: falls back to computed ungapped values.
-	kp, err := GappedParams(align.NucleotideScheme(1, -3, 9, 4), UniformNucFreqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approxEq(kp.Lambda, 1.374, 0.01) {
-		t.Errorf("fallback lambda = %v", kp.Lambda)
-	}
-}
-
 func TestLengthAdjustment(t *testing.T) {
 	kp := KarlinParams{Lambda: 1.37, K: 0.711, H: 1.31}
 	la := LengthAdjustment(kp, 568, 2_700_000_000, 1_760_000)
@@ -167,16 +67,5 @@ func TestLengthAdjustment(t *testing.T) {
 	}
 	if LengthAdjustment(kp, 100, 1000, 0) != 0 {
 		t.Error("zero sequences should give zero adjustment")
-	}
-}
-
-func TestScoreGCD(t *testing.T) {
-	dist := []float64{0.5, 0, 0, 0, 0.5} // scores -2 and +2
-	if g := scoreGCD(dist, -2, 2); g != 2 {
-		t.Errorf("gcd = %d, want 2", g)
-	}
-	dist2 := []float64{0.3, 0.3, 0, 0.4} // scores -1, 0, +2
-	if g := scoreGCD(dist2, -1, 2); g != 1 {
-		t.Errorf("gcd = %d, want 1", g)
 	}
 }

@@ -433,6 +433,7 @@ func TestServerErrorContract(t *testing.T) {
 		{"blastp", &SearchRequest{DB: "nt", Query: string(query.Data), Program: "blastp"}, ErrBadQuery},
 		{"tblastx", &SearchRequest{DB: "nt", Query: string(query.Data), Program: "tblastx"}, ErrBadQuery},
 		{"blastn", &SearchRequest{DB: "nt", Query: string(query.Data), Program: "blastn"}, nil},
+		{"negative evalue", &SearchRequest{DB: "nt", Query: string(query.Data), EValue: -1}, ErrBadQuery},
 		{"unknown db", &SearchRequest{DB: "nope", Query: string(query.Data)}, ErrDBNotFound},
 	}
 	for _, tc := range cases {

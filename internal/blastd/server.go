@@ -403,6 +403,11 @@ func (s *Server) Search(ctx context.Context, req *SearchRequest) (*SearchRespons
 	params.Greedy = req.Megablast
 	params.Filter = req.Filter
 	fe.Params = paramsSignature(params)
+	// The engine's own check, run before admission so invalid
+	// parameters never take a queue slot or reach the pool.
+	if err := params.Defaults().Validate(); err != nil {
+		return nil, finish(fmt.Errorf("%w: %v", ErrBadQuery, err))
+	}
 
 	// Queue span: a sibling of the later cache span (the returned ctx
 	// is discarded), annotated with the priority and the queue depth

@@ -181,15 +181,7 @@ func (f *FS) Open(name string) (chio.File, error) {
 		return nil, err
 	}
 	f.Trace.add(Event{Op: OpOpen, File: name, Worker: f.Worker})
-	fl := f.file(inner)
-	// Forward the zero-copy view capability only when the wrapped file
-	// actually has it. Advertising ReadView unconditionally would make
-	// the fragment decoder switch from its bulk ReadAt pattern to
-	// per-range reads against backends that gain nothing from it.
-	if _, ok := inner.(chio.ViewReaderAt); ok {
-		return &viewFile{file: fl}, nil
-	}
-	return fl, nil
+	return f.file(inner), nil
 }
 
 // Stat implements chio.FileSystem.
@@ -262,19 +254,4 @@ func (fl *file) WriteAt(p []byte, off int64) (int, error) {
 		fl.fs.Trace.add(Event{Op: OpWrite, File: fl.inner.Name(), Size: int64(n), Offset: off, Worker: fl.fs.Worker})
 	}
 	return n, err
-}
-
-// viewFile is a traced file over a backend that serves zero-copy
-// views; it adds the chio.ViewReaderAt forwarding that plain traced
-// files deliberately omit.
-type viewFile struct {
-	*file
-}
-
-func (fl *viewFile) ReadView(off, n int64) (chio.View, error) {
-	v, err := fl.inner.(chio.ViewReaderAt).ReadView(off, n)
-	if len(v.Data) > 0 {
-		fl.fs.Trace.add(Event{Op: OpRead, File: fl.inner.Name(), Size: int64(len(v.Data)), Offset: off, Worker: fl.fs.Worker})
-	}
-	return v, err
 }
