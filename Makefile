@@ -26,12 +26,13 @@ test:
 # tests ten times under the race detector (a data server's heartbeat
 # runs under a context that Close cancels, so a report in flight
 # races the shutdown only in some interleavings), re-run
-# the search-path allocation guard without the race detector (whose
-# shadow memory inflates alloc counts, so the guard skips itself
-# under -race), fuzz the data server's request handler, the PVFS wire
-# frame decoders, the one-table seed scan, the message router, the
-# fragment reader, the FASTA reader, the metrics text parser and the
-# alert-rule grammar for a few seconds each, build and smoke the frozen
+# the allocation guards of the search path, the FASTA reader and the
+# fragment writer without the race detector (whose shadow memory
+# inflates alloc counts, so each guard skips itself under -race), fuzz
+# the data server's request handler, the PVFS wire frame decoders, the
+# one-table seed scan, the message router, the fragment reader, the
+# FASTA reader, the metrics text parser, the alert-rule grammar and
+# blastd's JSON request body for a few seconds each, build and smoke the frozen
 # benchmark module (root `go build ./...` does not compile it, so a
 # rename that breaks it would otherwise go unnoticed), make sure every benchmark still at least
 # runs, then smoke the live /metrics endpoint.
@@ -41,6 +42,8 @@ check: lint race
 	$(GO) test -race -count=10 -run 'RankReuses|Leave|Crash|Duplicate|Cancelled|Idle|Affinity|Overdue' ./internal/pblast/
 	$(GO) test -race -count=10 -run 'Heartbeat|Close' ./internal/pvfs/
 	$(GO) test -run TestSearchSubjectSteadyStateAllocs ./internal/blast/
+	$(GO) test -run TestFastaReaderAllocsPerRecord ./internal/seq/
+	$(GO) test -run TestFragmentWriterAppendAllocs ./internal/blastdb/
 	$(GO) test -run '^$$' -fuzz FuzzDataServerDispatch -fuzztime 5s ./internal/pvfs/
 	$(GO) test -run '^$$' -fuzz FuzzWireFrame -fuzztime 5s ./internal/pvfs/
 	$(GO) test -run '^$$' -fuzz FuzzOneTableSeeds -fuzztime 5s ./internal/blast/
@@ -49,6 +52,7 @@ check: lint race
 	$(GO) test -run '^$$' -fuzz FuzzFastaReader -fuzztime 5s ./internal/seq/
 	$(GO) test -run '^$$' -fuzz FuzzParseText -fuzztime 5s ./internal/telemetry/
 	$(GO) test -run '^$$' -fuzz FuzzParseRules -fuzztime 5s ./internal/tsdb/
+	$(GO) test -run '^$$' -fuzz FuzzSearchBody -fuzztime 5s ./internal/blastd/
 	$(GO) vet -C bench ./... && $(GO) test -C bench -short .
 	$(MAKE) bench-smoke
 	$(MAKE) metrics-smoke

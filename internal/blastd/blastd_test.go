@@ -435,6 +435,8 @@ func TestServerErrorContract(t *testing.T) {
 		{"blastn", &SearchRequest{DB: "nt", Query: string(query.Data), Program: "blastn"}, nil},
 		{"negative evalue", &SearchRequest{DB: "nt", Query: string(query.Data), EValue: -1}, ErrBadQuery},
 		{"unknown db", &SearchRequest{DB: "nope", Query: string(query.Data)}, ErrDBNotFound},
+		{"bare query with a digit", &SearchRequest{DB: "nt", Query: "ACGT1234ACGT"}, ErrBadQuery},
+		{"fasta query with a digit", &SearchRequest{DB: "nt", Query: ">q\nACGT1234ACGT\n"}, ErrBadQuery},
 	}
 	for _, tc := range cases {
 		if _, err := srv.Search(context.Background(), tc.req); !errors.Is(err, tc.want) {

@@ -484,34 +484,33 @@ func traceIDString(id uint64) string {
 	return telemetry.IDString(id)
 }
 
-// parseQuery accepts a FASTA record or a bare sequence.
+// parseQuery accepts a FASTA record or a bare sequence of nucleotide
+// letters.
 func parseQuery(text string) (*seq.Sequence, error) {
 	text = strings.TrimSpace(text)
-	if text == "" {
-		return nil, fmt.Errorf("%w: empty query", ErrBadQuery)
-	}
+	q := &seq.Sequence{ID: "query", Kind: seq.Nucleotide}
 	if strings.HasPrefix(text, ">") {
-		q, err := seq.NewFastaReader(strings.NewReader(text), seq.Nucleotide).Read()
-		if err != nil {
+		var err error
+		if q, err = seq.NewFastaReader(strings.NewReader(text), seq.Nucleotide).Read(); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 		}
-		if q.Len() == 0 {
-			return nil, fmt.Errorf("%w: empty query", ErrBadQuery)
-		}
-		return q, nil
-	}
-	data := make([]byte, 0, len(text))
-	for _, b := range []byte(text) {
-		switch b {
-		case ' ', '\t', '\r', '\n':
-		default:
-			data = append(data, b)
+	} else {
+		q.Data = make([]byte, 0, len(text))
+		for _, b := range []byte(text) {
+			switch b {
+			case ' ', '\t', '\r', '\n':
+			default:
+				q.Data = append(q.Data, b)
+			}
 		}
 	}
-	if len(data) == 0 {
+	if q.Len() == 0 {
 		return nil, fmt.Errorf("%w: empty query", ErrBadQuery)
 	}
-	return &seq.Sequence{ID: "query", Kind: seq.Nucleotide, Data: data}, nil
+	if err := q.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
+	}
+	return q, nil
 }
 
 // InvalidateDB re-reads the database's alias and drops cached results

@@ -7,6 +7,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 
 	"pario/internal/chio"
 	"pario/internal/seq"
@@ -145,12 +146,23 @@ func atoi64(fields []string, i int) (int64, error) {
 	return v, nil
 }
 
+// parseAhead is how many sequences Format's reader may have parsed
+// beyond the one being appended: enough to keep parsing while a
+// fragment's full write buffer goes out to storage, few enough that
+// records of nt's size (kilobases) hold little memory.
+const parseAhead = 64
+
 // Format splits the sequences next returns, until io.EOF, into
 // fragments fragments named after name, writing them plus the alias
 // file onto fs. Sequences are assigned greedily to the least-loaded
 // fragment (by letters), the same balancing mpiBLAST's database
 // segmentation performs. On an error every fragment is closed and no
-// alias is written.
+// alias is written; an error from next is returned as it is.
+//
+// next runs on a goroutine of Format's own, up to parseAhead sequences
+// ahead of the appends, and is never called after Format returns.
+// Format owns every sequence next returns: next must not reuse one, or
+// its Data, for a later sequence.
 func Format(fs chio.FileSystem, name string, kind seq.Kind, fragments int, next func() (*seq.Sequence, error)) (*Alias, error) {
 	if fragments < 1 {
 		return nil, fmt.Errorf("blastdb: fragment count %d < 1", fragments)
@@ -173,15 +185,42 @@ func Format(fs chio.FileSystem, name string, kind seq.Kind, fragments int, next 
 		}
 		writers = append(writers, w)
 	}
+
+	seqs := make(chan *seq.Sequence, parseAhead)
+	stop := make(chan struct{})
+	var readErr error // set before seqs closes
+	var reading sync.WaitGroup
+	reading.Add(1)
+	go func() {
+		defer reading.Done()
+		defer close(seqs)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s, err := next()
+			if err != nil {
+				if err != io.EOF {
+					readErr = err
+				}
+				return
+			}
+			select {
+			case seqs <- s:
+			case <-stop:
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		reading.Wait()
+	}()
+
 	a := &Alias{Title: name, Kind: kind}
-	for {
-		s, err := next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
+	for s := range seqs {
 		s.Kind = kind
 		// Pick the least-loaded fragment.
 		best := 0
@@ -195,6 +234,9 @@ func Format(fs chio.FileSystem, name string, kind seq.Kind, fragments int, next 
 		}
 		a.Seqs++
 		a.Letters += int64(s.Len())
+	}
+	if readErr != nil {
+		return nil, readErr
 	}
 	for i, w := range writers {
 		a.Fragments = append(a.Fragments, FragmentInfo{

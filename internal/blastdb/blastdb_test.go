@@ -8,6 +8,7 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -656,5 +657,78 @@ func TestFragmentRoundTripQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFragmentWriterAppendAllocs is Append's allocation budget: none.
+// The payload is packed into a buffer the writer reuses and the
+// defline is appended straight into the defline region; the growth of
+// the regions and of the write buffer is amortized over the run.
+func TestFragmentWriterAppendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector inflates allocation counts")
+	}
+	f, err := chio.NewMemFS().Create("frag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewFragmentWriter(f, seq.Nucleotide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	s := &seq.Sequence{
+		ID:   "gi|1|ref|NT_004321.1",
+		Desc: "Homo sapiens chromosome 1 genomic contig, reference assembly",
+		Kind: seq.Nucleotide,
+		Data: bytes.Repeat([]byte("ACGTN"), 300),
+	}
+	// 1000 appends of 375 packed bytes stay under one write buffer, so
+	// no write reaches the file while allocations are counted.
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := w.Append(s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("Append = %.0f allocs per sequence, budget is 0", allocs)
+	}
+}
+
+// TestFormatStopsReadingOnError: an Append failure or an error from
+// next ends Format with that error, and once Format has returned, next
+// is never called again and no goroutine of Format's is left running.
+func TestFormatStopsReadingOnError(t *testing.T) {
+	boom := errors.New("boom")
+	for _, k := range []int{0, 1, 5, 200} {
+		for _, nextFails := range []bool{false, true} {
+			var calls atomic.Int64
+			var returned atomic.Bool
+			next := func() (*seq.Sequence, error) {
+				if returned.Load() {
+					t.Error("next called after Format returned")
+				}
+				n := calls.Add(1)
+				if n == int64(k+1) {
+					if nextFails {
+						return nil, boom
+					}
+					return &seq.Sequence{ID: "bad", Data: []byte("AC*T")}, nil
+				}
+				return &seq.Sequence{ID: "good", Data: []byte("ACGTACGT")}, nil
+			}
+			before := runtime.NumGoroutine()
+			_, err := Format(chio.NewMemFS(), "db", seq.Nucleotide, 2, next)
+			returned.Store(true)
+			if nextFails && err != boom {
+				t.Errorf("k=%d: next's error came back as %v", k, err)
+			}
+			if want := "blastdb: bad: seq: cannot 2-bit pack letter '*' at position 3"; !nextFails && (err == nil || err.Error() != want) {
+				t.Errorf("k=%d: error %v, want %s", k, err, want)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Errorf("k=%d: %d goroutines before Format, %d after", k, before, after)
+			}
+		}
 	}
 }

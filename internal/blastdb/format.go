@@ -109,6 +109,7 @@ type FragmentWriter struct {
 	buf      []byte // pending bytes, handed to f whenever writeBuffer of them collect
 	index    []indexRec
 	deflines []byte
+	packed   []byte // the sequence being appended, 2-bit packed
 	dataOff  uint64 // bytes of data appended so far
 	letters  uint64
 	crc      uint32
@@ -159,23 +160,27 @@ func (w *FragmentWriter) Append(s *seq.Sequence) error {
 	if s.Kind != seq.Nucleotide {
 		return fmt.Errorf("blastdb: %s sequence %q in %s fragment", s.Kind, s.ID, seq.Nucleotide)
 	}
-	payload, err := seq.Pack2Bit(s.Letters())
+	packed, err := seq.AppendPack2Bit(w.packed[:0], s.Letters())
 	if err != nil {
 		return fmt.Errorf("blastdb: %s: %w", s.ID, err)
 	}
-	defline := []byte(s.Defline())
+	w.packed = packed
+	deflineOff := len(w.deflines)
+	w.deflines = append(w.deflines, s.ID...)
+	if s.Desc != "" {
+		w.deflines = append(append(w.deflines, ' '), s.Desc...)
+	}
 	w.index = append(w.index, indexRec{
 		DataOff:    w.dataOff,
 		Letters:    uint64(s.Len()),
-		DeflineOff: uint64(len(w.deflines)),
-		DeflineLen: uint32(len(defline)),
+		DeflineOff: uint64(deflineOff),
+		DeflineLen: uint32(len(w.deflines) - deflineOff),
 	})
-	w.deflines = append(w.deflines, defline...)
-	if err := w.write(payload); err != nil {
+	if err := w.write(packed); err != nil {
 		return err
 	}
-	w.crc = crc32.Update(w.crc, crc32.IEEETable, payload)
-	w.dataOff += uint64(len(payload))
+	w.crc = crc32.Update(w.crc, crc32.IEEETable, packed)
+	w.dataOff += uint64(len(packed))
 	w.letters += uint64(s.Len())
 	return nil
 }

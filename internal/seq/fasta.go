@@ -8,13 +8,18 @@ import (
 	"strings"
 )
 
-// FastaReader streams sequences from FASTA-formatted input.
+// FastaReader streams sequences from FASTA-formatted input. Lines are
+// read in place from its buffer; a record's only allocations are its
+// Sequence, its defline string and its letters.
 type FastaReader struct {
-	br   *bufio.Reader
-	kind Kind
-	line int
-	next []byte // pushed-back defline
-	eof  bool
+	br      *bufio.Reader
+	kind    Kind
+	line    int
+	long    []byte // a line longer than br's buffer, assembled
+	letters []byte // the current record's letters, gathered
+	held    []byte // pushed-back defline, valid while isHeld
+	isHeld  bool
+	eof     bool
 }
 
 // NewFastaReader returns a reader that parses FASTA records from r and
@@ -24,13 +29,14 @@ func NewFastaReader(r io.Reader, kind Kind) *FastaReader {
 }
 
 // Read returns the next sequence, or io.EOF when input is exhausted.
+// The sequence's Data is its own, nil for a record with no letters.
 func (fr *FastaReader) Read() (*Sequence, error) {
 	defline, err := fr.readDefline()
 	if err != nil {
 		return nil, err
 	}
 	id, desc := splitDefline(defline)
-	var data []byte
+	fr.letters = fr.letters[:0]
 	for {
 		line, err := fr.readLine()
 		if err == io.EOF {
@@ -41,18 +47,27 @@ func (fr *FastaReader) Read() (*Sequence, error) {
 			return nil, err
 		}
 		if len(line) > 0 && line[0] == '>' {
-			fr.next = line
+			fr.held, fr.isHeld = append(fr.held[:0], line...), true
 			break
 		}
 		if len(line) > 0 && line[0] == ';' { // old-style comment
+			continue
+		}
+		if bytes.IndexByte(line, ' ') < 0 && bytes.IndexByte(line, '\t') < 0 {
+			fr.letters = append(fr.letters, line...)
 			continue
 		}
 		for _, b := range line {
 			if b == ' ' || b == '\t' {
 				continue
 			}
-			data = append(data, b)
+			fr.letters = append(fr.letters, b)
 		}
+	}
+	var data []byte
+	if letters := fr.letters; len(letters) > 0 {
+		data = make([]byte, len(letters))
+		copy(data, letters)
 	}
 	return &Sequence{ID: id, Desc: desc, Kind: fr.kind, Data: data}, nil
 }
@@ -72,11 +87,12 @@ func (fr *FastaReader) ReadAll() ([]*Sequence, error) {
 	}
 }
 
+// readDefline returns the next defline without its '>', valid until
+// the next readLine.
 func (fr *FastaReader) readDefline() ([]byte, error) {
-	if fr.next != nil {
-		l := fr.next
-		fr.next = nil
-		return l[1:], nil
+	if fr.isHeld {
+		fr.isHeld = false
+		return fr.held[1:], nil
 	}
 	for {
 		line, err := fr.readLine()
@@ -93,24 +109,39 @@ func (fr *FastaReader) readDefline() ([]byte, error) {
 	}
 }
 
+// readLine returns the next line without its trailing '\r's and '\n's.
+// The line is valid until the next call: it lies in the bufio buffer,
+// or in fr.long when it is longer than that buffer.
 func (fr *FastaReader) readLine() ([]byte, error) {
 	if fr.eof {
 		return nil, io.EOF
 	}
-	line, err := fr.br.ReadBytes('\n')
+	line, err := fr.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		fr.long = append(fr.long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = fr.br.ReadSlice('\n')
+			fr.long = append(fr.long, line...)
+		}
+		line = fr.long
+	}
 	if len(line) == 0 && err != nil {
 		return nil, err
 	}
 	fr.line++
-	line = bytes.TrimRight(line, "\r\n")
+	n := len(line)
+	for n > 0 && (line[n-1] == '\n' || line[n-1] == '\r') {
+		n--
+	}
+	line = line[:n]
 	if err == io.EOF {
 		fr.eof = true
 		if len(line) == 0 {
 			return nil, io.EOF
 		}
-		return append([]byte(nil), line...), nil
+		return line, nil
 	}
-	return append([]byte(nil), line...), err
+	return line, err
 }
 
 func splitDefline(defline []byte) (id, desc string) {

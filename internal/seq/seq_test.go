@@ -2,7 +2,9 @@ package seq
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -235,5 +237,67 @@ func TestDefline(t *testing.T) {
 	s2 := &Sequence{ID: "bare"}
 	if s2.Defline() != "bare" {
 		t.Errorf("defline = %q", s2.Defline())
+	}
+}
+
+// packPerLetter is the reference AppendPack2Bit is pinned to: one
+// table lookup and one read-modify-write per letter.
+func packPerLetter(dst, letters []byte) ([]byte, error) {
+	out := make([]byte, (len(letters)+3)/4)
+	for i, b := range letters {
+		code, ok := NucCode(b)
+		if !ok {
+			return nil, fmt.Errorf("seq: cannot 2-bit pack letter %q at position %d", b, i+1)
+		}
+		out[i/4] |= code << (uint(i%4) * 2)
+	}
+	return append(dst, out...), nil
+}
+
+func TestAppendPack2BitMatchesPerLetter(t *testing.T) {
+	const alphabet = "ACGTacgtNnXxRrYyWwSsMmKkBbDdHhVvUu"
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		letters := make([]byte, rng.Intn(70))
+		for i := range letters {
+			letters[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		// A prefix to append after, and spare capacity holding stale
+		// bytes the packer must overwrite, not merge with.
+		prefix := make([]byte, rng.Intn(5), 64)
+		for i := range prefix[:cap(prefix)] {
+			prefix[:cap(prefix)][i] = 0xff
+		}
+		want, err := packPerLetter(append([]byte(nil), prefix...), letters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := AppendPack2Bit(prefix, letters)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("AppendPack2Bit(%x, %q) = %x, %v; per letter %x", prefix, letters, got, err, want)
+		}
+	}
+}
+
+func TestAppendPack2BitInvalidLetter(t *testing.T) {
+	for _, bad := range []byte{'*', '1', 'E', 0, 0xff} {
+		for n := 8; n <= 11; n++ {
+			for pos := 0; pos < 8; pos++ {
+				letters := bytes.Repeat([]byte("ACGTN"), 3)[:n]
+				letters[pos] = bad
+				dst := []byte{7}
+				_, want := packPerLetter(nil, letters)
+				got, err := AppendPack2Bit(dst, letters)
+				if err == nil || err.Error() != want.Error() {
+					t.Fatalf("%q: error %v, want %v", letters, err, want)
+				}
+				if !bytes.Equal(got, dst) {
+					t.Fatalf("%q: dst became %x on error", letters, got)
+				}
+				if packed, err := Pack2Bit(letters); packed != nil || err == nil || err.Error() != want.Error() {
+					t.Fatalf("Pack2Bit(%q) = %x, %v", letters, packed, err)
+				}
+			}
+		}
 	}
 }

@@ -122,15 +122,44 @@ func (s *Sequence) Validate() error {
 // byte, first base in the two lowest bits. The returned slice has
 // ceil(len/4) bytes. Ambiguity codes are mapped per NucCode.
 func Pack2Bit(data []byte) ([]byte, error) {
-	packed := make([]byte, (len(data)+3)/4)
-	for i, b := range data {
-		code, ok := NucCode(b)
-		if !ok {
-			return nil, fmt.Errorf("seq: cannot 2-bit pack letter %q at position %d", b, i+1)
-		}
-		packed[i/4] |= code << (uint(i%4) * 2)
+	return AppendPack2Bit(nil, data)
+}
+
+// AppendPack2Bit appends letters packed as Pack2Bit packs them to dst
+// and returns the extended slice — the allocation-free form of
+// Pack2Bit for callers that pool the destination buffer. On a letter
+// with no 2-bit code it returns dst unchanged and the error.
+func AppendPack2Bit(dst, letters []byte) ([]byte, error) {
+	n, need := len(dst), (len(letters)+3)/4
+	out := dst
+	if cap(out)-n < need {
+		out = make([]byte, n, n+need)
+		copy(out, dst)
 	}
-	return packed, nil
+	out = out[:n+need]
+	packed := out[n:]
+	// Four letters per step with one validity test for the group; a
+	// group holding an invalid letter falls through to the per-letter
+	// loop, which reports that letter.
+	i := 0
+	for ; i+4 <= len(letters); i += 4 {
+		c0, c1, c2, c3 := nucCodes[letters[i]], nucCodes[letters[i+1]], nucCodes[letters[i+2]], nucCodes[letters[i+3]]
+		if c0&c1&c2&c3&nucValid == 0 {
+			break
+		}
+		packed[i/4] = c0&3 | (c1&3)<<2 | (c2&3)<<4 | (c3&3)<<6
+	}
+	for ; i < len(letters); i++ {
+		c := nucCodes[letters[i]]
+		if c == 0 {
+			return dst, fmt.Errorf("seq: cannot 2-bit pack letter %q at position %d", letters[i], i+1)
+		}
+		if i%4 == 0 {
+			packed[i/4] = 0
+		}
+		packed[i/4] |= (c & 3) << (uint(i%4) * 2)
+	}
+	return out, nil
 }
 
 // Unpack2Bit expands packed 2-bit codes into n upper-case letters.
