@@ -228,41 +228,6 @@ func BenchmarkBlastnScan(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchParallel measures the multicore subject pipeline:
-// the same database scan as BenchmarkBlastnScan, but split across 64
-// subjects and run at increasing shard counts. On a multicore host
-// the bytes/sec figure should scale with the thread count until the
-// decode stage saturates; on a single-core host all counts tie.
-func BenchmarkSearchParallel(b *testing.B) {
-	rng := util.NewRNG(3)
-	const nSubjects, subjLen = 64, 256 << 10
-	db := make([]*seq.Sequence, nSubjects)
-	for s := range db {
-		data := make([]byte, subjLen)
-		for i := range data {
-			data[i] = seq.NucLetter[rng.Intn(4)]
-		}
-		db[s] = &seq.Sequence{ID: fmt.Sprintf("s%02d", s), Kind: seq.Nucleotide, Data: data}
-	}
-	qdata := make([]byte, 568)
-	for i := range qdata {
-		qdata[i] = seq.NucLetter[rng.Intn(4)]
-	}
-	query := &seq.Sequence{ID: "q", Kind: seq.Nucleotide, Data: qdata}
-	for _, threads := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			b.SetBytes(nSubjects * subjLen)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := blast.Search(query, &blast.SliceSource{Seqs: db}, blast.DBInfo{},
-					blast.Params{Program: blast.BlastN, Threads: threads}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSmithWaterman measures the full-DP aligner in cell updates.
 func BenchmarkSmithWaterman(b *testing.B) {
 	rng := util.NewRNG(4)

@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"pario/internal/blast"
 	"pario/internal/chio"
@@ -24,16 +23,15 @@ import (
 
 func main() {
 	var (
-		db      = flag.String("db", "", "database name (required)")
-		query   = flag.String("query", "", "query FASTA file (- for stdin; required)")
-		evalue  = flag.Float64("evalue", 10, "e-value report cutoff")
-		word    = flag.Int("word", 0, "seed word size (0 = 11, or 28 with -megablast; at most 16, or 31 with -megablast)")
-		outfmt  = flag.String("outfmt", "report", "report|tabular")
-		mega    = flag.Bool("megablast", false, "megablast mode: 28-mer seeds + greedy extension")
-		filter  = flag.Bool("F", false, "mask low-complexity query regions with DUST")
-		maxTgt  = flag.Int("max-target-seqs", 0, "cap reported subjects (0 = all)")
-		threads = flag.Int("threads", runtime.NumCPU(), "search shards for the subject pipeline (1 = sequential)")
-		root    = flag.String("root", ".", "directory holding the database files")
+		db     = flag.String("db", "", "database name (required)")
+		query  = flag.String("query", "", "query FASTA file (- for stdin; required)")
+		evalue = flag.Float64("evalue", 10, "e-value report cutoff")
+		word   = flag.Int("word", 0, "seed word size (0 = 11, or 28 with -megablast; at most 16, or 31 with -megablast)")
+		outfmt = flag.String("outfmt", "report", "report|tabular")
+		mega   = flag.Bool("megablast", false, "megablast mode: 28-mer seeds + greedy extension")
+		filter = flag.Bool("F", false, "mask low-complexity query regions with DUST")
+		maxTgt = flag.Int("max-target-seqs", 0, "cap reported subjects (0 = all)")
+		root   = flag.String("root", ".", "directory holding the database files")
 
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/traces and /debug/pprof on this address (empty = off)")
 	)
@@ -80,7 +78,6 @@ func main() {
 		MaxTargetSeqs: *maxTgt,
 		Greedy:        *mega,
 		Filter:        *filter,
-		Threads:       *threads,
 	}
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()

@@ -21,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"pario/internal/blast"
 	"pario/internal/chio"
@@ -38,7 +37,6 @@ func main() {
 		scale   = flag.Float64("scale", 1.0, "database scale factor for the simulated figures")
 		fig4DB  = flag.String("fig4-db-size", "48MB", "database size for the real traced Figure 4 run")
 		workers = flag.Int("fig4-workers", 8, "worker count for the Figure 4 run")
-		threads = flag.Int("threads", runtime.NumCPU(), "search shards per worker for the real Figure 4 run")
 		scatter = flag.String("fig4-scatter", "", "write the Figure 4 scatter data to this file")
 
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/traces and /debug/pprof on this address (empty = off)")
@@ -64,7 +62,7 @@ func main() {
 	p := sim.DefaultParams().Scaled(*scale)
 	switch cmd {
 	case "fig4":
-		runFig4(*fig4DB, *workers, *threads, *scatter)
+		runFig4(*fig4DB, *workers, *scatter)
 	case "fig5":
 		sim.Fig5(p).Render(os.Stdout)
 	case "fig6":
@@ -84,7 +82,7 @@ func main() {
 	case "sensitivity":
 		sim.Sensitivity(p).Render(os.Stdout)
 	case "all":
-		runFig4(*fig4DB, *workers, *threads, *scatter)
+		runFig4(*fig4DB, *workers, *scatter)
 		fmt.Println()
 		sim.Summary(p, os.Stdout)
 	default:
@@ -97,7 +95,7 @@ func main() {
 // BLAST run (database segmentation, N workers) with the I/O
 // instrumentation enabled, reporting the same statistics the paper's
 // caption gives.
-func runFig4(dbSize string, workers, threads int, scatterPath string) {
+func runFig4(dbSize string, workers int, scatterPath string) {
 	letters, err := util.ParseBytes(dbSize)
 	if err != nil {
 		fatal(err)
@@ -114,9 +112,7 @@ func runFig4(dbSize string, workers, threads int, scatterPath string) {
 	}
 	trace := iotrace.NewTrace()
 	out, err := core.ParallelSearch(context.Background(), query, core.SearchConfig{
-		Search: pblast.NewConfig("nt",
-			pblast.WithParams(blast.Params{Program: blast.BlastN}),
-			pblast.WithThreads(threads)),
+		Search:   pblast.NewConfig("nt", pblast.WithParams(blast.Params{Program: blast.BlastN})),
 		Workers:  workers,
 		MasterFS: fs,
 		WorkerFS: func(int) chio.FileSystem { return fs },

@@ -75,8 +75,8 @@ func main() {
 		size        = flag.Int("size", 0, "total ranks including the master (distributed mode)")
 	)
 	// Which file system the workers read (-io and its addresses,
-	// transport and CEFT tuning) and how each worker reads it (threads,
-	// chunk, scratch, readahead).
+	// transport and CEFT tuning) and how each worker reads it (chunk,
+	// scratch, readahead).
 	store := core.NewStore()
 	store.RegisterFlags(flag.CommandLine, core.AddrFlags|core.ModeFlags|core.TransportFlags)
 	var tune core.WorkerFlags

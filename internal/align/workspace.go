@@ -4,7 +4,7 @@ package align
 // so a searcher that runs thousands of gapped extensions per subject
 // allocates the DP rows and reversal buffers once instead of per
 // seed. The zero Workspace is ready to use. Workspaces are not safe
-// for concurrent use; each search shard owns one.
+// for concurrent use; each searcher owns one.
 type Workspace struct {
 	h, e       []int
 	prev, cur  []int

@@ -2,7 +2,6 @@ package blast
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"pario/internal/seq"
@@ -52,7 +51,7 @@ func BenchmarkNucLookupScan(b *testing.B) {
 
 // BenchmarkSearchSubject measures one full subject search (seeding +
 // extension + culling) through the pooled searcher, the unit of work
-// a pipeline shard executes per subject. The subject arrives as
+// Search executes per subject. The subject arrives as
 // letters, so the search codes and packs it once before scanning.
 func BenchmarkSearchSubject(b *testing.B) {
 	rng := util.NewRNG(100)
@@ -76,7 +75,7 @@ func BenchmarkSearchSubject(b *testing.B) {
 
 // BenchmarkSearchSubjectPacked is BenchmarkSearchSubject's workload
 // with the subject delivered as a 2-bit packed payload, the form a
-// blastdb fragment hands the pipeline: the payload is borrowed, not
+// blastdb fragment hands the search: the payload is borrowed, not
 // packed, and seeding and ungapped extension never unpack it. SetBytes
 // is the letter count (not the payload size), so MB/s is bases/sec and
 // directly comparable with the letter-entry number.
@@ -103,49 +102,5 @@ func BenchmarkSearchSubjectPacked(b *testing.B) {
 		if hsps := sr.searchSubject(subject); len(hsps) == 0 {
 			b.Fatal("planted match not found")
 		}
-	}
-}
-
-// BenchmarkSearchSubjectThreads runs the full parallel pipeline over
-// packed subjects with GOMAXPROCS pinned to the shard count, so each
-// sub-benchmark measures what the pipeline can extract from exactly
-// that many cores. On a single-vCPU host every rung times-slices one
-// core and the curve is flat — the sweep proves the harness, and the
-// numbers become a real scaling record when run on multicore hardware.
-// SetBytes is total database letters: MB/s is end-to-end bases/sec.
-func BenchmarkSearchSubjectThreads(b *testing.B) {
-	rng := util.NewRNG(101)
-	query := randomDNA(rng, "q", 568)
-	const nSubj = 32
-	subjects := make([]*seq.Sequence, nSubj)
-	var letters int64
-	for i := range subjects {
-		s := randomDNA(rng, fmt.Sprintf("s%d", i), 1<<17)
-		if i%5 == 2 {
-			plant(s, query.Data[100:400], 5000)
-		}
-		letters += int64(s.Len())
-		packed, err := seq.Pack2Bit(s.Data)
-		if err != nil {
-			b.Fatal(err)
-		}
-		subjects[i] = seq.NewPacked2Bit(s.ID, "", packed, s.Len())
-	}
-	for _, threads := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("gomaxprocs=%d", threads), func(b *testing.B) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(threads))
-			p := Params{Program: BlastN, Threads: threads}
-			b.ReportAllocs()
-			b.SetBytes(letters)
-			for i := 0; i < b.N; i++ {
-				res, err := Search(query, &SliceSource{Seqs: subjects}, DBInfo{}, p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Hits) == 0 {
-					b.Fatal("planted matches not found")
-				}
-			}
-		})
 	}
 }

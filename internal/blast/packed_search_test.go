@@ -10,7 +10,7 @@ import (
 )
 
 // packedCopies rebuilds subjects as packed-payload sequences, the form
-// a blastdb fragment hands the pipeline.
+// a blastdb fragment hands the search.
 func packedCopies(t *testing.T, subjects []*seq.Sequence) []*seq.Sequence {
 	t.Helper()
 	out := make([]*seq.Sequence, len(subjects))
@@ -28,8 +28,8 @@ func packedCopies(t *testing.T, subjects []*seq.Sequence) []*seq.Sequence {
 // nucleotide subject form: the same search over letter subjects (packed
 // once where they enter the searcher) and over their 2-bit packed twins
 // (borrowed as they are) must give bit-identical hits and identical
-// work counters, for blastn, filtered blastn and megablast at one and
-// four threads.
+// work counters, for blastn, filtered blastn and megablast, with the
+// ignored Params.Threads at one and four.
 func TestPackedSubjectsMatchLetterSubjects(t *testing.T) {
 	rng := util.NewRNG(701)
 	query := randomDNA(rng, "query", 480)

@@ -76,10 +76,9 @@ type Params struct {
 	// (0 = unlimited).
 	MaxTargetSeqs int
 
-	// Threads is the number of search shards the subject pipeline
-	// runs (<= 1 means the classic sequential loop). Results are
-	// bit-identical at any thread count: subjects are independent and
-	// the pipeline merges them back in stream order.
+	// Threads is ignored: every search runs one sequential loop, and
+	// a multi-core host gets its cores from more worker ranks. The
+	// field stays only because the frozen benchmark module sets it.
 	Threads int
 
 	// Filter enables DUST low-complexity masking of the query before
@@ -127,12 +126,4 @@ func (p Params) Validate() error {
 		return fmt.Errorf("blast: e-value cutoff must be positive")
 	}
 	return nil
-}
-
-// threadCount clamps Threads to at least one shard.
-func (p Params) threadCount() int {
-	if p.Threads < 1 {
-		return 1
-	}
-	return p.Threads
 }

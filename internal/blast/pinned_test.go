@@ -88,8 +88,9 @@ func digestResult(res *Result) string {
 
 // TestBlastnResultsPinned pins blastn's absolute output: the sha256 of
 // every hit, HSP and stats field for blastn, DUST-filtered blastn and
-// megablast over one seeded workload, at one and four threads, over
-// letter subjects and their 2-bit packed twins. The other golden tests
+// megablast over one seeded workload, over letter subjects and their
+// 2-bit packed twins, with Params.Threads at one and four: the field
+// is ignored, and the digest must not notice it. The other golden tests
 // compare two paths that would move together; this one fails if any
 // change to the engine moves a single score, extent, e-value bit or
 // work counter.

@@ -183,18 +183,14 @@ type DBInfo struct {
 
 // Search runs a BLAST search of query against the subjects under p.
 // DBInfo supplies database-wide totals for e-value statistics; when
-// zero they are accumulated from the stream itself. With p.Threads >
-// 1 the subject stream is searched by a parallel pipeline whose
-// results are bit-identical to the sequential engine's.
+// zero they are accumulated from the stream itself.
 func Search(query *seq.Sequence, subjects SubjectSource, info DBInfo, p Params) (*Result, error) {
 	return SearchWithMetrics(query, subjects, info, p, nil)
 }
 
-// SearchWithMetrics is Search with a pipeline telemetry sink: when m
-// is non-nil, the search's kernel counters are folded into it once it
-// has scanned every subject, and with p.Threads > 1 shard busy/idle
-// time, decode stalls and merge-queue depth are published so a live
-// scrape shows whether the search is compute- or I/O-bound.
+// SearchWithMetrics is Search with a kernel telemetry sink: when m is
+// non-nil, the search's kernel counters are folded into it once it
+// has scanned every subject.
 func SearchWithMetrics(query *seq.Sequence, subjects SubjectSource, info DBInfo, p Params, m *PipeMetrics) (*Result, error) {
 	p = p.Defaults()
 	if err := p.Validate(); err != nil {
@@ -208,30 +204,23 @@ func SearchWithMetrics(query *seq.Sequence, subjects SubjectSource, info DBInfo,
 
 	var raw []rawHit
 	var dbLetters, dbSeqs int64
-	if threads := p.threadCount(); threads > 1 {
-		raw, dbLetters, dbSeqs, err = eng.runPipeline(subjects, threads, m)
+	sr := newSearcher(eng)
+	for {
+		subj, err := subjects.Next()
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
 			return nil, err
 		}
-	} else {
-		sr := newSearcher(eng)
-		for {
-			subj, err := subjects.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			dbLetters += int64(subj.Len())
-			dbSeqs++
-			hsps := sr.searchSubject(subj)
-			if len(hsps) > 0 {
-				raw = append(raw, rawHit{subject: subj, hsps: hsps})
-			}
+		dbLetters += int64(subj.Len())
+		dbSeqs++
+		hsps := sr.searchSubject(subj)
+		if len(hsps) > 0 {
+			raw = append(raw, rawHit{subject: subj, hsps: hsps})
 		}
-		eng.stats.AddCounts(sr.stats)
 	}
+	eng.stats.AddCounts(sr.stats)
 	m.observeKernel(eng.stats.ScannedBases, eng.stats.PackedExts)
 	if info.Letters == 0 {
 		info.Letters = dbLetters
@@ -356,14 +345,13 @@ type pairState struct {
 	hsps   []rawHSP  // reused across subjects
 }
 
-// searcher holds the per-shard mutable state of a search: private
-// work counters, the pooled diagonal array, one pair state per query
-// view, the extension workspace, and the scratch HSP buffers. The
-// engine it points at is immutable after construction, so any number
-// of searchers may run concurrently over it; each pipeline shard owns
-// one, and their stats are folded together at finalize. All scratch is
-// reused subject to subject, so steady-state searching allocates only
-// the per-subject result copy.
+// searcher holds the mutable state of a search: its work counters,
+// the pooled diagonal array, one pair state per query view, the
+// extension workspace, and the scratch HSP buffers. The engine it
+// points at is immutable after construction; Search runs one searcher
+// over it and folds the searcher's counters in at the end. All
+// scratch is reused subject to subject, so steady-state searching
+// allocates only the per-subject result copy.
 type searcher struct {
 	eng   *engine
 	stats SearchStats // per-subject work counters only

@@ -2,10 +2,13 @@ package blast
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"pario/internal/seq"
+	"pario/internal/telemetry"
 	"pario/internal/util"
 )
 
@@ -338,5 +341,93 @@ func TestCullHSPs(t *testing.T) {
 	}
 	if kept[0].score != 100 || kept[1].score != 60 {
 		t.Errorf("wrong HSPs kept: %+v", kept)
+	}
+}
+
+// buildNucDB synthesizes a nucleotide database with the query's
+// fragments planted into several subjects (some twice, to exercise
+// culling and tie-breaking).
+func buildNucDB(rng *util.RNG, query *seq.Sequence, n int) []*seq.Sequence {
+	subjects := make([]*seq.Sequence, n)
+	for i := range subjects {
+		subjects[i] = randomDNA(rng, fmt.Sprintf("s%03d", i), 2000+rng.Intn(3000))
+	}
+	for i := 0; i < n; i += 3 {
+		frag := query.Data[100:300]
+		plant(subjects[i], frag, 200+((i*137)%1200))
+		if i%2 == 0 {
+			// A second, identical planting elsewhere in the same
+			// subject produces equal-scoring HSPs whose relative order
+			// the culler must keep stable.
+			plant(subjects[i], frag, 1500)
+		}
+	}
+	for i := 1; i < n; i += 7 {
+		rc := query.Subsequence(250, 450).ReverseComplement()
+		plant(subjects[i], rc.Data, 600)
+	}
+	return subjects
+}
+
+// failingSource errors after yielding its first n subjects.
+type failingSource struct {
+	seqs []*seq.Sequence
+	n    int
+	i    int
+	err  error
+}
+
+func (f *failingSource) Next() (*seq.Sequence, error) {
+	if f.i >= f.n {
+		return nil, f.err
+	}
+	s := f.seqs[f.i]
+	f.i++
+	return s, nil
+}
+
+func TestSearchSourceError(t *testing.T) {
+	rng := util.NewRNG(778)
+	query := randomDNA(rng, "query", 568)
+	subjects := buildNucDB(rng, query, 20)
+	wantErr := errors.New("disk on fire")
+	_, err := Search(query, &failingSource{seqs: subjects, n: 10, err: wantErr},
+		DBInfo{}, Params{Program: BlastN})
+	if !errors.Is(err, wantErr) {
+		t.Fatalf("search error = %v, want %v", err, wantErr)
+	}
+}
+
+func TestSearchEmptySource(t *testing.T) {
+	rng := util.NewRNG(780)
+	query := randomDNA(rng, "query", 300)
+	res, err := Search(query, &SliceSource{}, DBInfo{}, Params{Program: BlastN})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Hits) != 0 {
+		t.Fatalf("empty database produced %d hits", len(res.Hits))
+	}
+}
+
+// TestKernelMetricsMatchStats: the registry's kernel counters must
+// equal the result's work counters.
+func TestKernelMetricsMatchStats(t *testing.T) {
+	rng := util.NewRNG(778)
+	query := randomDNA(rng, "query", 568)
+	db := buildNucDB(rng, query, 20)
+	reg := telemetry.NewRegistry()
+	res, err := SearchWithMetrics(query, &SliceSource{Seqs: db}, DBInfo{}, Params{Program: BlastN}, NewPipeMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.ScannedBases == 0 || res.Stats.PackedExts == 0 {
+		t.Fatalf("search did no kernel work: %+v", res.Stats)
+	}
+	bases := reg.Gauge("pario_blast_scanned_bases_total", "").Value()
+	exts := reg.Gauge("pario_blast_packed_exts_total", "").Value()
+	if bases != float64(res.Stats.ScannedBases) || exts != float64(res.Stats.PackedExts) {
+		t.Errorf("registry scanned_bases=%v packed_exts=%v, stats %d and %d",
+			bases, exts, res.Stats.ScannedBases, res.Stats.PackedExts)
 	}
 }

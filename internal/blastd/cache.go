@@ -37,7 +37,7 @@ func makeCacheKey(query seq.Sequence, db, version string, params blast.Params) c
 }
 
 // paramsSignature folds the result-affecting parameters into a string.
-// Threads is deliberately excluded: it changes speed, not answers.
+// Threads is excluded: the search ignores it.
 func paramsSignature(p blast.Params) string {
 	return fmt.Sprintf("%v|%g|%d|%t|%t",
 		p.Program, p.EValue, p.MaxTargetSeqs, p.Filter, p.Greedy)

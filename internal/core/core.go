@@ -70,13 +70,13 @@ func SerialSearch(fs chio.FileSystem, dbName string, query *seq.Sequence, params
 
 // SearchConfig wires a parallel search into this process: how many
 // worker goroutines to run and which file systems each rank sees.
-// Everything about the search itself — database, parameters, threads,
+// Everything about the search itself — database, parameters,
 // readahead, telemetry — lives in Search, built with pblast.NewConfig
 // and its With* options, the same surface mpiblast, experiments and
 // blastd consume.
 type SearchConfig struct {
 	// Search is the search configuration (pblast.NewConfig + options:
-	// WithParams, WithThreads, WithReadahead, WithTelemetry, ...).
+	// WithParams, WithReadahead, WithTelemetry, ...).
 	Search pblast.Config
 	// Workers is the number of BLAST workers (ranks 1..Workers).
 	Workers int

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -258,10 +257,9 @@ func (r *RankStore) Close() error {
 }
 
 // WorkerFlags are the per-worker tuning flags mpiblast and blastd
-// share: search threads, read chunk, copy-to-local scratch, and the
-// readahead layer of the worker read path.
+// share: read chunk, copy-to-local scratch, and the readahead layer
+// of the worker read path.
 type WorkerFlags struct {
-	Threads int
 	Chunk   int
 	Scratch string
 
@@ -273,7 +271,6 @@ type WorkerFlags struct {
 
 // RegisterFlags declares the worker flags on fs, bound to w.
 func (w *WorkerFlags) RegisterFlags(fs *flag.FlagSet) {
-	fs.IntVar(&w.Threads, "threads", runtime.NumCPU(), "search shards per worker task (1 = sequential engine)")
 	fs.IntVar(&w.Chunk, "chunk", 0, "worker read chunk size in bytes (0 = backend default)")
 	fs.StringVar(&w.Scratch, "scratch", "", "per-worker scratch directory; enables copy-to-local")
 
@@ -289,7 +286,6 @@ func (w *WorkerFlags) RegisterFlags(fs *flag.FlagSet) {
 // which may be nil.
 func (w *WorkerFlags) Options(stats *iotrace.CacheStats) []pblast.Option {
 	opts := []pblast.Option{
-		pblast.WithThreads(w.Threads),
 		pblast.WithChunkBytes(w.Chunk),
 		pblast.WithCopyToLocal(w.Scratch != ""),
 	}

@@ -162,13 +162,13 @@ func TestRankStoreConcurrentRanks(t *testing.T) {
 // options builder serves mpiblast's in-process and distributed modes
 // alike, so neither can forget it.
 func TestWorkerFlagsOptions(t *testing.T) {
-	_, wf := parseStore(t, "-scratch", t.TempDir(), "-threads", "3", "-chunk", "4096", "-readahead")
+	_, wf := parseStore(t, "-scratch", t.TempDir(), "-chunk", "4096", "-readahead")
 	cfg := pblast.NewConfig("nt", wf.Options(nil)...)
 	if !cfg.CopyToLocal {
 		t.Error("-scratch did not enable CopyToLocal")
 	}
-	if cfg.Params.Threads != 3 || cfg.ChunkBytes != 4096 {
-		t.Errorf("threads %d chunk %d, want 3 and 4096", cfg.Params.Threads, cfg.ChunkBytes)
+	if cfg.ChunkBytes != 4096 {
+		t.Errorf("chunk %d, want 4096", cfg.ChunkBytes)
 	}
 	sc, err := wf.ScratchFS(2)
 	if err != nil || sc == nil {
@@ -189,7 +189,7 @@ func TestWorkerFlagsOptions(t *testing.T) {
 	wf.RegisterFlags(fs)
 	var names []string
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	if got, want := strings.Join(names, " "), "chunk ra-block ra-cache ra-window readahead scratch threads"; got != want {
+	if got, want := strings.Join(names, " "), "chunk ra-block ra-cache ra-window readahead scratch"; got != want {
 		t.Errorf("worker flags = %q, want %q", got, want)
 	}
 }

@@ -319,9 +319,9 @@ func searchKernelStats(snaps []Snapshot) SearchKernelStats {
 	}
 	st.Enabled = true
 	st.PackedExts = int64(sumAll(snaps, "pario_blast_packed_exts_total"))
-	st.ShardBusySeconds = sumAll(snaps, "pario_blast_shard_busy_seconds_total")
-	if st.ShardBusySeconds > 0 {
-		st.BasesPerSecond = float64(st.ScannedBases) / st.ShardBusySeconds
+	st.SearchSeconds = sumAll(snaps, "pario_pblast_task_seconds_sum")
+	if st.SearchSeconds > 0 {
+		st.BasesPerSecond = float64(st.ScannedBases) / st.SearchSeconds
 	}
 	st.BorrowHits = int64(sumAll(snaps, "pario_readahead_borrow_hits_total"))
 	st.BorrowCopies = int64(sumAll(snaps, "pario_readahead_borrow_copies_total"))

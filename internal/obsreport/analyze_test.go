@@ -43,8 +43,15 @@ func buildTestReport() *Report {
 			{Index: 3, Worker: 1, Start: 620 * time.Millisecond, Search: 100 * time.Millisecond},
 		},
 	})
-	// Master-side spans: one read fanned out to two servers.
-	b.AddSnapshot(synthSnapshot("master", nil, []SpanRecord{
+	// Master-side spans: one read fanned out to two servers. The
+	// master's registry also holds the in-process workers' kernel
+	// counters and the accepted tasks' search time.
+	b.AddSnapshot(synthSnapshot("master", []Sample{
+		sample("pario_blast_scanned_bases_total", 6e6),
+		sample("pario_blast_packed_exts_total", 1200),
+		sample("pario_pblast_task_seconds_sum", 3),
+		sample("pario_pblast_task_seconds_count", 4),
+	}, []SpanRecord{
 		span(11, 1, 0, "read", "master", t0, 10*time.Millisecond, 128),
 		span(11, 2, 1, "rpc:piece_readv", "master", t0, 6*time.Millisecond, 64),
 		span(11, 3, 1, "rpc:piece_readv", "master", t0, 8*time.Millisecond, 64),
@@ -154,6 +161,12 @@ func TestBuildReport(t *testing.T) {
 	if rep.Traces.Traces != 1 || rep.Traces.Processes != 3 || rep.Traces.Spans != 5 {
 		t.Errorf("traces: %+v", rep.Traces)
 	}
+
+	// Search kernel: 6e6 bases over 3 s of task search time.
+	sk := rep.SearchKernel
+	if !sk.Enabled || sk.ScannedBases != 6e6 || sk.PackedExts != 1200 || sk.SearchSeconds != 3 || sk.BasesPerSecond != 2e6 {
+		t.Errorf("search kernel: %+v", sk)
+	}
 }
 
 func TestReportJSONRoundtrip(t *testing.T) {
@@ -191,6 +204,7 @@ func TestRenderText(t *testing.T) {
 		"rerouted stripe reads  17",
 		"hottest server         iod0",
 		"serve:piece_readv",
+		"bases/sec (search)     2000000",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendering missing %q:\n%s", want, out)

@@ -158,7 +158,7 @@ func (r *Report) RenderText(w io.Writer) {
 		fmt.Fprintf(w, "  bases scanned          %d\n", sk.ScannedBases)
 		fmt.Fprintf(w, "  packed extensions      %d\n", sk.PackedExts)
 		if sk.BasesPerSecond > 0 {
-			fmt.Fprintf(w, "  bases/sec (shard busy) %.0f\n", sk.BasesPerSecond)
+			fmt.Fprintf(w, "  bases/sec (search)     %.0f\n", sk.BasesPerSecond)
 		}
 		if sk.BorrowHits+sk.BorrowCopies > 0 {
 			fmt.Fprintf(w, "  readahead views        %d borrowed / %d copied (%.1f%% zero-copy)\n",

@@ -56,17 +56,18 @@ type Report struct {
 type SearchKernelStats struct {
 	Enabled bool `json:"enabled"`
 	// ScannedBases counts subject letters streamed through the seeding
-	// kernel across all shards and processes, once per subject-view
+	// kernel across all processes, once per subject-view
 	// scan (a blastn subject counts once for both query strands).
 	ScannedBases int64 `json:"scanned_bases,omitempty"`
 	// PackedExts counts ungapped extensions served by the 2-bit packed
 	// kernel; every blastn subject is extended packed, so for blastn it
 	// equals the ungapped extension count.
 	PackedExts int64 `json:"packed_exts,omitempty"`
-	// ShardBusySeconds sums shard compute time; ScannedBases over it is
-	// the search-side bases/sec rate.
-	ShardBusySeconds float64 `json:"shard_busy_seconds,omitempty"`
-	// BasesPerSecond is that rate, precomputed (0 when busy time is 0).
+	// SearchSeconds sums the workers' per-task search service time,
+	// copy-to-local excluded; ScannedBases over it is the search-side
+	// bases/sec rate.
+	SearchSeconds float64 `json:"search_seconds,omitempty"`
+	// BasesPerSecond is that rate, precomputed (0 when search time is 0).
 	BasesPerSecond float64 `json:"bases_per_second,omitempty"`
 	// BorrowHits/BorrowCopies count readahead views served as borrowed
 	// cache-block slices vs materialized copies.

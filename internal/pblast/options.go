@@ -43,8 +43,10 @@ func WithParams(p blast.Params) Option {
 	return func(c *Config) { c.Params = p }
 }
 
-// WithThreads sets the per-worker search thread count (the sharded
-// scan inside each task).
+// WithThreads sets Params.Threads, which the search ignores: each
+// task runs one sequential loop, and a host gets its cores from more
+// worker ranks. It stays only because the frozen benchmark module
+// calls it.
 func WithThreads(n int) Option {
 	return func(c *Config) { c.Params.Threads = n }
 }

@@ -179,7 +179,8 @@ func serialSearch(t *testing.T, fs chio.FileSystem, query *seq.Sequence, p blast
 // A parallel search returns the serial search's Result field for field:
 // every hit and HSP in the same order, and every Stats field — the
 // query-wide cutoffs as well as the summed work counters — for each
-// program variant, per-worker thread count and fragment count. The last
+// program variant and fragment count, with the ignored Params.Threads
+// at one and three. The last
 // rows give two subjects in different fragments the same ID and the
 // same planted match: they stay two hits, in database order, and a
 // one-target cut keeps the first.

@@ -51,8 +51,8 @@ func NewTelemetry(reg *telemetry.Registry) *Telemetry {
 	}
 }
 
-// Pipe returns the search engine's subject-pipeline metrics, which
-// every worker running with this sink publishes into. Nil-safe.
+// Pipe returns the search engine's kernel metrics, which every
+// worker running with this sink publishes into. Nil-safe.
 func (t *Telemetry) Pipe() *blast.PipeMetrics {
 	if t == nil {
 		return nil

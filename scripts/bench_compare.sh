@@ -189,10 +189,4 @@ for base in $BASELINES; do
     done <"$TMP/baseline_allocs.txt"
 done
 
-# The ns/op gates measure wall-clock on whatever host runs them. On the
-# single-vCPU container the thread-count sub-benchmarks (threads=N,
-# gomaxprocs=N) time-slice one core, so multicore scaling wins recorded
-# on real hardware will NOT reproduce here — only the deterministic
-# rpcs/op and allocs/op gates carry full weight on this host.
-echo "bench-compare: note: multicore baselines are not demonstrable on a single-vCPU host (this host: $(nproc 2>/dev/null || echo '?') CPU(s)); allocs/op and rpcs/op gates are host-independent"
 exit "$fail"

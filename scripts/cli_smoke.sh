@@ -153,7 +153,7 @@ cmp "$TMP/out/nt.002.copy" "$TMP/local/nt.002.pfr" ||
 
 # The reference: serial blastn over the local copy.
 hits() { grep -v '^#' "$1"; }
-"$TMP/blastn" -db nt -query "$TMP/q.fasta" -root "$TMP/local" -outfmt tabular -threads 1 \
+"$TMP/blastn" -db nt -query "$TMP/q.fasta" -root "$TMP/local" -outfmt tabular \
     >"$TMP/serial.out" 2>"$TMP/serial.log" || fail "serial blastn failed" "$TMP/serial.log"
 hits "$TMP/serial.out" >"$TMP/serial.hits"
 [ "$(grep -c '^qa' "$TMP/serial.hits")" -ge 1 ] && [ "$(grep -c '^qb' "$TMP/serial.hits")" -ge 1 ] ||
@@ -170,25 +170,25 @@ grep -q 'exceeds 31' "$TMP/mega32.log" ||
 
 # In-process: master and two workers in one process, over CEFT.
 # shellcheck disable=SC2086
-"$TMP/mpiblast" -db nt -query "$TMP/q.fasta" -outfmt tabular -threads 1 -workers 2 \
+"$TMP/mpiblast" -db nt -query "$TMP/q.fasta" -outfmt tabular -workers 2 \
     -io ceft $CEFT >"$TMP/inproc.out" 2>"$TMP/inproc.log" ||
     fail "in-process mpiblast failed" "$TMP/inproc.log"
 
 # The same over readahead: subjects arrive as borrowed 2-bit views of
 # cache blocks instead of owned copies.
 # shellcheck disable=SC2086
-"$TMP/mpiblast" -db nt -query "$TMP/q.fasta" -outfmt tabular -threads 1 -workers 2 \
+"$TMP/mpiblast" -db nt -query "$TMP/q.fasta" -outfmt tabular -workers 2 \
     -readahead -io ceft $CEFT >"$TMP/readahead.out" 2>"$TMP/readahead.log" ||
     fail "in-process mpiblast -readahead failed" "$TMP/readahead.log"
 
 # Megablast: greedy extension over both payload origins.
-"$TMP/blastn" -db nt -query "$TMP/q.fasta" -root "$TMP/local" -outfmt tabular -threads 1 -megablast \
+"$TMP/blastn" -db nt -query "$TMP/q.fasta" -root "$TMP/local" -outfmt tabular -megablast \
     >"$TMP/mega.out" 2>"$TMP/mega.log" || fail "serial blastn -megablast failed" "$TMP/mega.log"
 hits "$TMP/mega.out" >"$TMP/mega.hits"
 [ "$(grep -c '^qa' "$TMP/mega.hits")" -ge 1 ] && [ "$(grep -c '^qb' "$TMP/mega.hits")" -ge 1 ] ||
     fail "serial blastn -megablast did not hit with both queries" "$TMP/mega.out"
 # shellcheck disable=SC2086
-"$TMP/mpiblast" -db nt -query "$TMP/q.fasta" -outfmt tabular -threads 1 -workers 2 -megablast \
+"$TMP/mpiblast" -db nt -query "$TMP/q.fasta" -outfmt tabular -workers 2 -megablast \
     -readahead -io ceft $CEFT >"$TMP/mega.readahead.out" 2>"$TMP/mega.readahead.log" ||
     fail "in-process mpiblast -megablast -readahead failed" "$TMP/mega.readahead.log"
 hits "$TMP/mega.readahead.out" >"$TMP/mega.readahead.hits"
@@ -205,12 +205,12 @@ distributed() {
     shift 3
     WPIDS=""
     for r in 1 2; do
-        "$TMP/mpiblast" -db nt -query "$query" -threads 1 \
+        "$TMP/mpiblast" -db nt -query "$query" \
             -router "$router" -size 3 -rank "$r" "$@" >"$TMP/$name.w$r.log" 2>&1 &
         WPIDS="$WPIDS $!"
         PIDS="$PIDS $!"
     done
-    "$TMP/mpiblast" -db nt -query "$query" -outfmt tabular -threads 1 \
+    "$TMP/mpiblast" -db nt -query "$query" -outfmt tabular \
         -router "$router" -start-router -size 3 -rank 0 "$@" \
         >"$TMP/$name.out" 2>"$TMP/$name.log" ||
         fail "distributed mpiblast ($name) failed" "$TMP/$name.log" "$TMP/$name.w1.log" "$TMP/$name.w2.log"
@@ -251,17 +251,17 @@ fi
     echo ">qlc"
     awk 'BEGIN { line = ""; for (c = 0; c < 32; c++) line = line "AC"; for (l = 0; l < 4; l++) print line }'
 } >"$TMP/qf.fasta"
-"$TMP/blastn" -db nt -query "$TMP/qf.fasta" -root "$TMP/local" -outfmt tabular -threads 1 \
+"$TMP/blastn" -db nt -query "$TMP/qf.fasta" -root "$TMP/local" -outfmt tabular \
     >"$TMP/unfiltered.out" 2>"$TMP/unfiltered.log" || fail "serial blastn (repeat query) failed" "$TMP/unfiltered.log"
 grep -q '^qlc' "$TMP/unfiltered.out" ||
     fail "the repeat query did not hit without -F" "$TMP/unfiltered.out"
-"$TMP/blastn" -db nt -query "$TMP/qf.fasta" -root "$TMP/local" -outfmt tabular -threads 1 -F \
+"$TMP/blastn" -db nt -query "$TMP/qf.fasta" -root "$TMP/local" -outfmt tabular -F \
     >"$TMP/filtered.out" 2>"$TMP/filtered.log" || fail "serial blastn -F failed" "$TMP/filtered.log"
 hits "$TMP/filtered.out" >"$TMP/filtered.hits"
 grep -q '^qa' "$TMP/filtered.hits" && ! grep -q '^qlc' "$TMP/filtered.hits" ||
     fail "serial blastn -F did not keep qa and mask qlc" "$TMP/filtered.out"
 # shellcheck disable=SC2086
-"$TMP/mpiblast" -db nt -query "$TMP/qf.fasta" -outfmt tabular -threads 1 -workers 2 -F \
+"$TMP/mpiblast" -db nt -query "$TMP/qf.fasta" -outfmt tabular -workers 2 -F \
     -io ceft $CEFT >"$TMP/inproc.F.out" 2>"$TMP/inproc.F.log" ||
     fail "in-process mpiblast -F failed" "$TMP/inproc.F.log"
 # shellcheck disable=SC2086

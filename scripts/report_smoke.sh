@@ -83,7 +83,7 @@ done
 } >"$TMP/q.fasta"
 
 REPORT="$TMP/run.json"
-"$TMP/mpiblast" -db nt -query "$TMP/q.fasta" -workers 4 -threads 2 -io ceft \
+"$TMP/mpiblast" -db nt -query "$TMP/q.fasta" -workers 4 -io ceft \
     -mgr "$MGR" -primary "$PRIMARY" -mirror "$MIRROR" \
     -chunk 4096 -hot-factor 1.2 -min-hot-load 0.05 \
     -report "$REPORT" -collect "$COLLECT" \

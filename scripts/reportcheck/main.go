@@ -1,7 +1,8 @@
 // Command reportcheck asserts the invariants scripts/report_smoke.sh
 // expects of a run report: non-empty timeline, critical-path and
-// trace sections, per-server stats for every data server, clean
-// collection from every process, and — when -hot-server is given — a
+// trace sections, a search-kernel section with a bases/sec rate,
+// per-server stats for every data server, clean collection from every
+// process, and — when -hot-server is given — a
 // hot-spot audit that names that server and counts rerouted reads.
 // It exists so the smoke test validates the real report schema instead
 // of grepping JSON text.
@@ -51,6 +52,9 @@ func main() {
 	}
 	if cp.ClientIOSeconds <= 0 || cp.RPCSeconds <= 0 || cp.ServerSeconds <= 0 {
 		fail("critical path missing span-derived components: %+v", cp)
+	}
+	if sk := rep.SearchKernel; !sk.Enabled || sk.BasesPerSecond <= 0 {
+		fail("search kernel section has no bases/sec rate: %+v", sk)
 	}
 	for _, p := range rep.Processes {
 		if p.Err != "" {
