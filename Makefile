@@ -26,7 +26,8 @@ test:
 # tests ten times under the race detector (a data server's heartbeat
 # runs under a context that Close cancels, so a report in flight
 # races the shutdown only in some interleavings), re-run
-# the allocation guards of the search path, the FASTA reader and the
+# the allocation guards of the search path, of a worker's repeat search
+# of one query (no second word table), the FASTA reader and the
 # fragment writer without the race detector (whose shadow memory
 # inflates alloc counts, so each guard skips itself under -race), fuzz
 # the data server's request handler, the PVFS wire frame decoders, the
@@ -42,6 +43,7 @@ check: lint race
 	$(GO) test -race -count=10 -run 'RankReuses|Leave|Crash|Duplicate|Cancelled|Idle|Affinity|Overdue' ./internal/pblast/
 	$(GO) test -race -count=10 -run 'Heartbeat|Close' ./internal/pvfs/
 	$(GO) test -run TestSearchSubjectSteadyStateAllocs ./internal/blast/
+	$(GO) test -run TestSearcherRepeatAllocs ./internal/blast/
 	$(GO) test -run TestFastaReaderAllocsPerRecord ./internal/seq/
 	$(GO) test -run TestFragmentWriterAppendAllocs ./internal/blastdb/
 	$(GO) test -run '^$$' -fuzz FuzzDataServerDispatch -fuzztime 5s ./internal/pvfs/

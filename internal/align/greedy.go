@@ -60,24 +60,45 @@ const greedyUnreached = -(1 << 29)
 // score drops more than xdrop below the best. It returns the best
 // score and the letters of a and b consumed at the best point.
 func greedyExtendRight(ws *Workspace, a, b []byte, g GreedyScheme, xdrop int) (best, aLen, bLen int) {
+	return greedyExtendOneSided(ws, a, b, false, g, xdrop)
+}
+
+// greedyExtendOneSided is the greedy extension away from an implicit
+// anchor, reading a and b in the direction walk gives: forward from
+// their first letters or backward from their last.
+func greedyExtendOneSided(ws *Workspace, a, b []byte, backward bool, g GreedyScheme, xdrop int) (best, aLen, bLen int) {
 	n, m := len(a), len(b)
 	if n == 0 || m == 0 {
 		return 0, 0, 0
 	}
+	a0, step := walk(a, backward)
+	b0, _ := walk(b, backward)
 	// r[d] = farthest antidiagonal k reached on diagonal d (d = i-j,
 	// stored with offset) using the current edit distance e; prev
-	// holds e-1.
+	// holds e-1. Edit e reads prev two diagonals beyond the live
+	// window on each side, so the fronts are set to greedyUnreached
+	// only as that reach [iLo, iHi] widens: the rows are touched
+	// inside the band alone, and a reused workspace's left-overs are
+	// never read.
 	size := n + m + 3
 	offset := m + 1
 	prev, cur := ws.greedyRows(size)
-	for i := range prev {
-		prev[i] = greedyUnreached
-		cur[i] = greedyUnreached
+	iLo, iHi := offset, offset-1 // empty: nothing set yet
+	reach := func(lo, hi int) {
+		for lo = max(lo+offset-2, 0); iLo > lo; {
+			iLo--
+			prev[iLo], cur[iLo] = greedyUnreached, greedyUnreached
+		}
+		for hi = min(hi+offset+2, size-1); iHi < hi; {
+			iHi++
+			prev[iHi], cur[iHi] = greedyUnreached, greedyUnreached
+		}
 	}
+	reach(0, 0)
 
 	// e = 0: slide matches along the main diagonal.
 	k := 0
-	for k/2 < n && k/2 < m && a[k/2] == b[k/2] {
+	for k/2 < n && k/2 < m && a[a0+k/2*step] == b[b0+k/2*step] {
 		k += 2
 	}
 	d0 := offset // diagonal 0
@@ -92,6 +113,7 @@ func greedyExtendRight(ws *Workspace, a, b []byte, g GreedyScheme, xdrop int) (b
 	for e := 1; e <= n+m; e++ {
 		// Expand the candidate window by one diagonal on each side.
 		newLo, newHi := lo-1, hi+1
+		reach(newLo, newHi)
 		anyAlive := false
 		for d := newLo; d <= newHi; d++ {
 			di := d + offset
@@ -124,7 +146,7 @@ func greedyExtendRight(ws *Workspace, a, b []byte, g GreedyScheme, xdrop int) (b
 				continue
 			}
 			// Slide matches.
-			for i < n && j < m && a[i] == b[j] {
+			for i < n && j < m && a[a0+i*step] == b[b0+j*step] {
 				i++
 				j++
 				kBest += 2
@@ -166,7 +188,7 @@ func greedyExtendRight(ws *Workspace, a, b []byte, g GreedyScheme, xdrop int) (b
 // anchored pair (a[ai], b[bi]), like ExtendGappedWS but with the
 // greedy algorithm. The anchor pair itself must match for the
 // scheme's accounting; if it does not, the anchor contributes a
-// mismatch. The diagonal fronts and reversal buffers come from ws.
+// mismatch. The diagonal fronts come from ws.
 func GreedyExtendWS(ws *Workspace, a, b []byte, ai, bi int, g GreedyScheme, xdrop int) (score, aFrom, aTo, bFrom, bTo int) {
 	var anchor int
 	if a[ai] == b[bi] {
@@ -175,7 +197,7 @@ func GreedyExtendWS(ws *Workspace, a, b []byte, ai, bi int, g GreedyScheme, xdro
 		anchor = g.Mismatch()
 	}
 	rBest, rA, rB := greedyExtendRight(ws, a[ai+1:], b[bi+1:], g, xdrop)
-	lBest, lA, lB := greedyExtendRight(ws, ws.reversed(a[:ai], 0), ws.reversed(b[:bi], 1), g, xdrop)
+	lBest, lA, lB := greedyExtendOneSided(ws, a[:ai], b[:bi], true, g, xdrop)
 	score = anchor + rBest + lBest
 	return score, ai - lA, ai + 1 + rA, bi - lB, bi + 1 + rB
 }

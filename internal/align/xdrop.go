@@ -4,44 +4,58 @@ package align
 // that cells scoring more than X below the best-so-far are dropped.
 // The ungapped X-drop extension the engine runs is PackedExtend.
 
-// extendGappedOneSided runs the X-drop banded affine-gap DP extending
-// rightward, aligning prefixes of a against prefixes of b starting
-// from an implicit anchor just before a[0]/b[0]. It returns the best
+// walk returns the index of the first letter a one-sided extension
+// reads in p and the step to the next one. A forward extension reads
+// the suffix after the anchor from its first letter on, a backward one
+// the prefix before the anchor from its last letter back, so letter k
+// of the extension is p[first+k*step].
+func walk(p []byte, backward bool) (first, step int) {
+	if backward {
+		return len(p) - 1, -1
+	}
+	return 0, 1
+}
+
+// extendGappedOneSided runs the X-drop banded affine-gap DP away from
+// an implicit anchor, aligning the first letters of a against the
+// first letters of b in the direction walk gives: forward from a[0]
+// and b[0], or backward from their last letters. It returns the best
 // score achieved (>= 0; 0 means "extend nothing") and the number of
 // letters of a and b consumed by the best-scoring cell.
-func extendGappedOneSided(ws *Workspace, a, b []byte, s *Scheme, xdrop int) (best, aLen, bLen int) {
+func extendGappedOneSided(ws *Workspace, a, b []byte, backward bool, s *Scheme, xdrop int) (best, aLen, bLen int) {
 	n, m := len(a), len(b)
 	if n == 0 || m == 0 {
 		return 0, 0, 0
 	}
+	a0, step := walk(a, backward)
+	b0, _ := walk(b, backward)
 	open := s.GapOpen + s.GapExtend
 	ext := s.GapExtend
 
 	// H[j] holds row i-1 while computing row i (overwritten in place,
 	// left to right, keeping the previous diagonal in prevDiag).
 	// E[j] is the best score ending in a gap in a (consuming b) at
-	// column j of the current row.
+	// column j of the current row. The rows are touched only inside
+	// the band: a row reads the previous row only inside its live
+	// window [lo, hi), and every other cell it reads it wrote itself
+	// earlier in the same row. So nothing is cleared ahead of the
+	// band, and whatever a reused workspace left in the rows is never
+	// read.
 	H, E := ws.dpRows(m + 1)
-	for j := range H {
-		H[j] = negInf
-		E[j] = negInf
-	}
-	H[0] = 0
-	for j := 1; j <= m; j++ {
-		g := -(open + (j-1)*ext)
+	H[0], E[0] = 0, negInf
+	// Row 0's live window: the leading gap run while it survives the
+	// X-drop.
+	lo, hi := 0, 1
+	for ; hi <= m; hi++ {
+		g := -(open + (hi-1)*ext)
 		if g < -xdrop {
 			break
 		}
-		H[j] = g
-		E[j] = g
-	}
-
-	// Row 0's live window: columns whose init value survived.
-	lo, hi := 0, 1
-	for j := 1; j <= m && H[j] != negInf; j++ {
-		hi = j + 1
+		H[hi], E[hi] = g, g
 	}
 	for i := 1; i <= n; i++ {
+		// Row i's letter, scored against every letter of b.
+		subst := s.Table[a[a0+(i-1)*step]]
 		prevDiag := negInf // H[i-1][j-1], maintained across j
 		newLo, newHi := -1, -1
 		f := negInf // best score ending in a gap in b at current column
@@ -65,7 +79,7 @@ func extendGappedOneSided(ws *Workspace, a, b []byte, s *Scheme, xdrop int) (bes
 		if start == 0 {
 			start = 1
 		}
-		for j := start; j <= m; j++ {
+		for j, bj := start, b0+(start-1)*step; j <= m; j, bj = j+1, bj+step {
 			// Previous-row cells are only valid inside [lo, hi).
 			upH := negInf
 			if j < hi {
@@ -91,7 +105,7 @@ func extendGappedOneSided(ws *Workspace, a, b []byte, s *Scheme, xdrop int) (bes
 			// Diagonal from the previous row.
 			hNew := negInf
 			if prevDiag != negInf {
-				hNew = prevDiag + s.Score(a[i-1], b[j-1])
+				hNew = prevDiag + subst[b[bj]]
 			}
 			if eNew > hNew {
 				hNew = eNew
@@ -138,15 +152,16 @@ func extendGappedOneSided(ws *Workspace, a, b []byte, s *Scheme, xdrop int) (bes
 }
 
 // ExtendGappedWS performs the two-sided gapped X-drop extension
-// around the anchored letter pair (a[ai], b[bi]): leftward over the
-// reversed prefixes and rightward over the suffixes. It returns the
-// total best score and the extents [aFrom,aTo) x [bFrom,bTo). The DP
-// rows and the two prefix-reversal buffers come from ws, so repeated
-// extensions allocate nothing once the workspace has warmed up.
+// around the anchored letter pair (a[ai], b[bi]): backward over the
+// prefixes before it and forward over the suffixes after it. It
+// returns the total best score and the extents [aFrom,aTo) x
+// [bFrom,bTo). The DP rows come from ws, so repeated extensions
+// allocate nothing once the workspace has warmed up, and an
+// extension's cost follows its band, not the length of a or b.
 func ExtendGappedWS(ws *Workspace, a, b []byte, ai, bi int, s *Scheme, xdrop int) (score, aFrom, aTo, bFrom, bTo int) {
 	anchor := s.Score(a[ai], b[bi])
-	rBest, rA, rB := extendGappedOneSided(ws, a[ai+1:], b[bi+1:], s, xdrop)
-	lBest, lA, lB := extendGappedOneSided(ws, ws.reversed(a[:ai], 0), ws.reversed(b[:bi], 1), s, xdrop)
+	rBest, rA, rB := extendGappedOneSided(ws, a[ai+1:], b[bi+1:], false, s, xdrop)
+	lBest, lA, lB := extendGappedOneSided(ws, a[:ai], b[:bi], true, s, xdrop)
 	score = anchor + rBest + lBest
 	return score, ai - lA, ai + 1 + rA, bi - lB, bi + 1 + rB
 }

@@ -1,6 +1,7 @@
 package blast
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -190,13 +191,40 @@ func Search(query *seq.Sequence, subjects SubjectSource, info DBInfo, p Params) 
 
 // SearchWithMetrics is Search with a kernel telemetry sink: when m is
 // non-nil, the search's kernel counters are folded into it once it
-// has scanned every subject.
+// has scanned every subject. It runs one search on a fresh Searcher.
 func SearchWithMetrics(query *seq.Sequence, subjects SubjectSource, info DBInfo, p Params, m *PipeMetrics) (*Result, error) {
+	return new(Searcher).Search(query, subjects, info, p, m)
+}
+
+// Searcher runs searches one after another over the same scratch, as
+// a long-lived worker searches fragment after fragment for one query.
+// Its diagonal cells, extension workspace, seed arenas and cull
+// buffers grow to the largest subject seen and stay. It also keeps the
+// last query's engine (its strands and word table) and reuses it only
+// when the next search has the same query ID, the same letters and the
+// same Params after Defaults, so a query's word table is built once
+// per worker, not once per fragment. Every search starts from the
+// engine's query-wide stats, so no work counter carries over from one
+// search to the next. The zero Searcher is ready to use; a Searcher is
+// not safe for concurrent use.
+type Searcher struct {
+	sr  searcher
+	eng *engine
+	// The engine's key besides its Params: the query's ID and a copy
+	// of its letters.
+	queryID string
+	letters []byte
+}
+
+// Search runs a BLAST search of query against the subjects under p,
+// as SearchWithMetrics does, over the Searcher's scratch and, when the
+// query and parameters match the previous search's, its engine.
+func (s *Searcher) Search(query *seq.Sequence, subjects SubjectSource, info DBInfo, p Params, m *PipeMetrics) (*Result, error) {
 	p = p.Defaults()
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	eng, err := newEngine(query, p)
+	eng, err := s.engine(query, p)
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +232,8 @@ func SearchWithMetrics(query *seq.Sequence, subjects SubjectSource, info DBInfo,
 
 	var raw []rawHit
 	var dbLetters, dbSeqs int64
-	sr := newSearcher(eng)
+	sr := &s.sr
+	sr.reset(eng)
 	for {
 		subj, err := subjects.Next()
 		if err == io.EOF {
@@ -220,19 +249,36 @@ func SearchWithMetrics(query *seq.Sequence, subjects SubjectSource, info DBInfo,
 			raw = append(raw, rawHit{subject: subj, hsps: hsps})
 		}
 	}
-	eng.stats.AddCounts(sr.stats)
-	m.observeKernel(eng.stats.ScannedBases, eng.stats.PackedExts)
+	res.Stats = eng.stats
+	res.Stats.AddCounts(sr.stats)
+	m.observeKernel(res.Stats.ScannedBases, res.Stats.PackedExts)
 	if info.Letters == 0 {
 		info.Letters = dbLetters
 	}
 	if info.Sequences == 0 {
 		info.Sequences = dbSeqs
 	}
-	res.Stats = eng.stats
 	res.Stats.DBLetters = dbLetters
 	res.Stats.DBSequences = dbSeqs
-	eng.finalize(res, raw, info)
+	sr.finalize(res, raw, info)
 	return res, nil
+}
+
+// engine returns the engine for query under p (already defaulted and
+// validated): the kept one when the query's ID and letters and p all
+// match the search that built it, else a new one, which it keeps.
+func (s *Searcher) engine(query *seq.Sequence, p Params) (*engine, error) {
+	letters := query.Letters()
+	if s.eng != nil && s.eng.p == p && s.queryID == query.ID && bytes.Equal(s.letters, letters) {
+		return s.eng, nil
+	}
+	eng, err := newEngine(query, p)
+	if err != nil {
+		return nil, err
+	}
+	s.eng, s.queryID = eng, query.ID
+	s.letters = append(s.letters[:0], letters...)
+	return eng, nil
 }
 
 // AddCounts folds another stats block's per-subject work counters in.
@@ -258,10 +304,11 @@ type rawHSP struct {
 	qFrame                 seq.Frame
 }
 
-// engine holds per-query immutable search state.
+// engine holds per-query immutable search state. A Searcher keeps it
+// from one search of the same query and Params to the next.
 type engine struct {
 	p     Params
-	stats SearchStats
+	stats SearchStats // query-wide fields only; each search copies them
 
 	// views are the query's strands: forward, then the reverse
 	// complement.
@@ -348,10 +395,10 @@ type pairState struct {
 // searcher holds the mutable state of a search: its work counters,
 // the pooled diagonal array, one pair state per query view, the
 // extension workspace, and the scratch HSP buffers. The engine it
-// points at is immutable after construction; Search runs one searcher
-// over it and folds the searcher's counters in at the end. All
-// scratch is reused subject to subject, so steady-state searching
-// allocates only the per-subject result copy.
+// points at is immutable; a search resets the searcher onto its engine,
+// runs it over every subject and folds its counters in at the end. All
+// scratch is reused subject to subject and search to search, so
+// steady-state searching allocates only the per-subject result copy.
 type searcher struct {
 	eng   *engine
 	stats SearchStats // per-subject work counters only
@@ -365,7 +412,7 @@ type searcher struct {
 
 	pairs    []pairState // one per query view, in view order
 	subjHSPs []rawHSP    // survivors accumulated across the query views
-	codesBuf []byte      // pooled subject codes (AppendCodes / lazy unpack)
+	codesBuf []byte      // pooled subject codes (AppendCodes / lazy unpack / traceback)
 	packBuf  []byte      // pooled 2-bit payload of a letter-entry subject
 	cullKept []rawHSP
 	cullIdx  []int32
@@ -373,15 +420,24 @@ type searcher struct {
 	ws       align.Workspace
 }
 
-func newSearcher(eng *engine) *searcher {
-	sr := &searcher{
-		eng:   eng,
-		pairs: make([]pairState, len(eng.views)),
+// reset points the searcher at eng for a new search: zero work
+// counters and one pair state per query view, keeping every pooled
+// buffer's capacity. The diagonal epoch runs on across searches, so a
+// cell stamped by an earlier search reads as stale.
+func (sr *searcher) reset(eng *engine) {
+	sr.eng = eng
+	sr.stats = SearchStats{}
+	if len(sr.pairs) != len(eng.views) {
+		sr.pairs = make([]pairState, len(eng.views))
 	}
 	for i := range sr.pairs {
-		sr.pairs[i] = pairState{qv: &eng.views[i], seeds: make([]seedPos, 0, seedBatch)}
+		ps := &sr.pairs[i]
+		ps.qv = &eng.views[i]
+		if ps.seeds == nil {
+			ps.seeds = make([]seedPos, 0, seedBatch)
+		}
+		ps.seeds, ps.hsps = ps.seeds[:0], ps.hsps[:0]
 	}
-	return sr
 }
 
 // searchSubject scans the subject once through the engine's word
@@ -625,8 +681,11 @@ func cullInto(hsps, kept []rawHSP, byQFrom []int32) ([]rawHSP, []int32) {
 	return kept, byQFrom
 }
 
-// finalize computes statistics, tracebacks and report ordering.
-func (eng *engine) finalize(res *Result, raw []rawHit, info DBInfo) {
+// finalize computes statistics, tracebacks and report ordering. Each
+// hit's subject is decoded to codes once, into the searcher's pooled
+// buffer, and only when one of its HSPs passes the e-value cutoff.
+func (sr *searcher) finalize(res *Result, raw []rawHit, info DBInfo) {
+	eng := sr.eng
 	p := eng.p
 	queryLen, dbLetters := res.QueryLen, info.Letters
 	if queryLen < 1 {
@@ -654,12 +713,17 @@ func (eng *engine) finalize(res *Result, raw []rawHit, info DBInfo) {
 			SubjectDesc: rh.subject.Desc,
 			SubjectLen:  rh.subject.Len(),
 		}
+		var sCodes []byte
 		for _, r := range rh.hsps {
 			ev := nucKarlin.EValue(r.score, effQuery, effDB)
 			if ev > p.EValue {
 				continue
 			}
-			h := eng.traceback(r, rh.subject)
+			if sCodes == nil {
+				sr.codesBuf = rh.subject.AppendCodes(sr.codesBuf[:0])
+				sCodes = sr.codesBuf
+			}
+			h := eng.traceback(r, sCodes)
 			h.BitScore = nucKarlin.BitScore(r.score)
 			h.EValue = ev
 			hit.HSPs = append(hit.HSPs, h)
@@ -674,14 +738,15 @@ func (eng *engine) finalize(res *Result, raw []rawHit, info DBInfo) {
 	res.Hits = rankHits(res.Hits, p.MaxTargetSeqs)
 }
 
-// traceback recomputes the exact alignment of a raw HSP region and
-// maps the query coordinates back to its forward strand.
-func (eng *engine) traceback(r rawHSP, subj *seq.Sequence) HSP {
+// traceback recomputes the exact alignment of a raw HSP region against
+// the subject's codes and maps the query coordinates back to its
+// forward strand.
+func (eng *engine) traceback(r rawHSP, sCodes []byte) HSP {
 	qv := &eng.views[0]
 	if r.qFrame != qv.frame {
 		qv = &eng.views[1]
 	}
-	qCodes, sCodes := qv.codes, subj.Codes()
+	qCodes := qv.codes
 	al := align.SmithWaterman(qCodes[r.qFrom:r.qTo], sCodes[r.sFrom:r.sTo], nucScheme)
 	// Shift the alignment into strand coordinates.
 	al.AStart += r.qFrom

@@ -333,7 +333,7 @@ func TestOverdueResentOldestFirst(t *testing.T) {
 			break
 		}
 		order = append(order, tk.Index)
-		if err := mpi.SendGob(c, 0, tagResult, runTask(cfg, c.Rank(), &tk, fs, nil)); err != nil {
+		if err := mpi.SendGob(c, 0, tagResult, runTask(cfg, new(blast.Searcher), c.Rank(), &tk, fs, nil)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -259,6 +259,9 @@ func RunWorker(ctx context.Context, c mpi.Comm, cfg Config, fs, scratch chio.Fil
 			}
 		}
 	}
+	// One searcher for the worker's life: its scratch and the last
+	// query's engine carry over from task to task.
+	var sr blast.Searcher
 	for {
 		if err := rctx.Err(); err != nil {
 			return exit(err)
@@ -275,7 +278,7 @@ func RunWorker(ctx context.Context, c mpi.Comm, cfg Config, fs, scratch chio.Fil
 		if t.Kind == taskDone {
 			return nil
 		}
-		rm := runTracedTask(ctx, cfg, c.Rank(), &t, fs, scratch)
+		rm := runTracedTask(ctx, cfg, &sr, c.Rank(), &t, fs, scratch)
 		if err := mpi.SendGob(c, 0, tagResult, rm); err != nil {
 			return exit(err)
 		}
@@ -288,9 +291,9 @@ func RunWorker(ctx context.Context, c mpi.Comm, cfg Config, fs, scratch chio.Fil
 // context so the fragment reads it issues — down to the data servers'
 // serve:* spans — join the query's trace. Untraced tasks take the
 // plain path.
-func runTracedTask(ctx context.Context, cfg Config, rank int, t *taskMsg, fs, scratch chio.FileSystem) *resultMsg {
+func runTracedTask(ctx context.Context, cfg Config, sr *blast.Searcher, rank int, t *taskMsg, fs, scratch chio.FileSystem) *resultMsg {
 	if cfg.tracer == nil || t.TraceID == 0 {
-		return runTask(cfg, rank, t, fs, scratch)
+		return runTask(cfg, sr, rank, t, fs, scratch)
 	}
 	ctx = telemetry.ContextWithSpan(ctx, telemetry.SpanContext{TraceID: t.TraceID, SpanID: t.SpanID})
 	sctx, span := cfg.tracer.Start(ctx, "search")
@@ -300,7 +303,7 @@ func runTracedTask(ctx context.Context, cfg Config, rank int, t *taskMsg, fs, sc
 	if scratch != nil {
 		scratch = chio.BindContext(scratch, sctx)
 	}
-	rm := runTask(cfg, rank, t, fs, scratch)
+	rm := runTask(cfg, sr, rank, t, fs, scratch)
 	span.AddBytes(rm.ReadBytes)
 	var err error
 	if rm.Err != "" {
@@ -311,8 +314,8 @@ func runTracedTask(ctx context.Context, cfg Config, rank int, t *taskMsg, fs, sc
 }
 
 // runTask performs the fragment read and search for one task on the
-// given worker rank.
-func runTask(cfg Config, rank int, t *taskMsg, fs, scratch chio.FileSystem) *resultMsg {
+// given worker rank, with the worker's searcher.
+func runTask(cfg Config, sr *blast.Searcher, rank int, t *taskMsg, fs, scratch chio.FileSystem) *resultMsg {
 	rm := &resultMsg{Sub: t.Sub, Index: t.Index}
 	fail := func(err error) *resultMsg {
 		rm.Err = err.Error()
@@ -341,7 +344,7 @@ func runTask(cfg Config, rank int, t *taskMsg, fs, scratch chio.FileSystem) *res
 
 	query := t.Query
 	info := blast.DBInfo{Letters: t.DBLetters, Sequences: t.DBSeqs}
-	res, err := blast.SearchWithMetrics(&query, fr.Source(cfg.ChunkBytes), info, t.Params, cfg.tel.Pipe())
+	res, err := sr.Search(&query, fr.Source(cfg.ChunkBytes), info, t.Params, cfg.tel.Pipe())
 	if err != nil {
 		return fail(err)
 	}

@@ -712,7 +712,7 @@ func TestSlowWorkerDuplicateResultDiscarded(t *testing.T) {
 		}
 		time.Sleep(700 * time.Millisecond) // long enough to be declared overdue
 		if tk.Kind == taskSearch {
-			rm := runTask(cfg, c.Rank(), &tk, fs, nil)
+			rm := runTask(cfg, new(blast.Searcher), c.Rank(), &tk, fs, nil)
 			if err := mpi.SendGob(c, 0, tagResult, rm); err != nil && !errorsIsClosed(err) {
 				errs[1] = err
 				return
@@ -736,7 +736,7 @@ func TestSlowWorkerDuplicateResultDiscarded(t *testing.T) {
 			if t2.Kind == taskDone {
 				return
 			}
-			rm := runTask(cfg, c.Rank(), &t2, fs, nil)
+			rm := runTask(cfg, new(blast.Searcher), c.Rank(), &t2, fs, nil)
 			if err := mpi.SendGob(c, 0, tagResult, rm); err != nil {
 				if !errorsIsClosed(err) {
 					errs[1] = err

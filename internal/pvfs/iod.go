@@ -97,6 +97,7 @@ func StartDataServer(cfg DataServerConfig) (*DataServer, error) {
 	}
 	ds.tel = newServerMetrics(cfg.Telemetry, cfg.Tracer, fmt.Sprintf("iod%d", cfg.ID))
 	ds.tel.enableIODGauges(cfg.Telemetry)
+	ds.wg.Add(1)
 	go acceptLoop(ln, ds.handle, &ds.wg, ds.tracker)
 	go ds.sampleLoop()
 	if cfg.MgrAddr != "" {

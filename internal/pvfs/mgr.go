@@ -91,6 +91,7 @@ func StartMetaServer(cfg MetaConfig) (*MetaServer, error) {
 			"Last load heartbeat received from each data server.",
 			"server")
 	}
+	ms.wg.Add(1)
 	go acceptLoop(ln, ms.handle, &ms.wg, ms.tracker)
 	return ms, nil
 }

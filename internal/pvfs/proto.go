@@ -354,9 +354,16 @@ func (t *connTracker) closeAll() {
 	t.mu.Unlock()
 }
 
-// acceptLoop accepts connections until the listener closes. tracker,
-// when non-nil, records live connections for forced shutdown.
+// acceptLoop accepts connections until the listener closes. wg, when
+// non-nil, must already count the loop itself (the caller Adds 1 before
+// starting it) and the loop marks it Done on return: a connection
+// accepted while Close waits on wg is then added to a counter that is
+// not zero, which WaitGroup allows. tracker, when non-nil, records live
+// connections for forced shutdown.
 func acceptLoop(ln net.Listener, handle func(*Request) *Response, wg *sync.WaitGroup, tracker *connTracker) {
+	if wg != nil {
+		defer wg.Done()
+	}
 	for {
 		c, err := ln.Accept()
 		if err != nil {
