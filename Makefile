@@ -27,8 +27,9 @@ test:
 # runs under a context that Close cancels, so a report in flight
 # races the shutdown only in some interleavings), re-run
 # the allocation guards of the search path, of a worker's repeat search
-# of one query (no second word table), the FASTA reader and the
-# fragment writer without the race detector (whose shadow memory
+# of one query (no second word table), the FASTA reader, the fragment
+# writer and the fragment reader (one view per block, not per subject)
+# without the race detector (whose shadow memory
 # inflates alloc counts, so each guard skips itself under -race), fuzz
 # the data server's request handler, the PVFS wire frame decoders, the
 # one-table seed scan, the message router, the fragment reader, the
@@ -46,6 +47,7 @@ check: lint race
 	$(GO) test -run TestSearcherRepeatAllocs ./internal/blast/
 	$(GO) test -run TestFastaReaderAllocsPerRecord ./internal/seq/
 	$(GO) test -run TestFragmentWriterAppendAllocs ./internal/blastdb/
+	$(GO) test -run TestFragmentSourceAllocs ./internal/blastdb/
 	$(GO) test -run '^$$' -fuzz FuzzDataServerDispatch -fuzztime 5s ./internal/pvfs/
 	$(GO) test -run '^$$' -fuzz FuzzWireFrame -fuzztime 5s ./internal/pvfs/
 	$(GO) test -run '^$$' -fuzz FuzzOneTableSeeds -fuzztime 5s ./internal/blast/

@@ -80,8 +80,13 @@ func greedyExtendOneSided(ws *Workspace, a, b []byte, backward bool, g GreedySch
 	// only as that reach [iLo, iHi] widens: the rows are touched
 	// inside the band alone, and a reused workspace's left-overs are
 	// never read.
-	size := n + m + 3
-	offset := m + 1
+	// A live point on diagonal d < 0 scores at least -max(xdrop, 0)
+	// and at most n*Match + d*GapPerLetter (positive in every scheme
+	// NewGreedyScheme builds), so the fronts stop at the lowest
+	// diagonal that allows.
+	below := min(m, (n*g.Match+max(xdrop, 0))/g.GapPerLetter())
+	size := n + below + 3
+	offset := below + 1
 	prev, cur := ws.greedyRows(size)
 	iLo, iHi := offset, offset-1 // empty: nothing set yet
 	reach := func(lo, hi int) {

@@ -5,8 +5,10 @@ package align
 // allocates the DP rows once instead of per seed. The kernels touch
 // the rows only inside their band and never read a cell they have not
 // written in the same call, so the rows need no clearing between
-// extensions. The zero Workspace is ready to use. Workspaces are not safe
-// for concurrent use; each searcher owns one.
+// extensions. The rows are as long as the band can reach from the
+// query side and the X-drop, not as the rest of the subject. The zero
+// Workspace is ready to use. Workspaces are not safe for concurrent
+// use; each searcher owns one.
 type Workspace struct {
 	h, e      []int
 	prev, cur []int

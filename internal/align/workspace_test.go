@@ -2,6 +2,7 @@ package align
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"pario/internal/util"
@@ -370,6 +371,48 @@ func TestDirtyWorkspaceMatchesFullFill(t *testing.T) {
 				t.Fatalf("case %d (|a| %d, |b| %d, anchor %d,%d, xdrop %d): GreedyExtendWS on a %s workspace = %v, full-fill reference = %v",
 					k, len(c.a), len(c.b), c.ai, c.bi, gx, name, got, want)
 			}
+		}
+	}
+}
+
+// TestFreshWorkspaceRowsFollowTheQuery: the rows a fresh workspace
+// grows for extensions anchored mid-way in a 1 Mbase subject are
+// bounded by the query side and the X-drop, not by the rest of the
+// subject, so each call allocates well under 1 MiB (16.8 MB each
+// when the rows spanned the subject).
+func TestFreshWorkspaceRowsFollowTheQuery(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector inflates allocation counts")
+	}
+	rng := util.NewRNG(60)
+	query := randomCodes(rng, 500)
+	subject := randomCodes(rng, 1<<20)
+	at := len(subject)/2 - len(query)/2
+	copy(subject[at:], query)
+	s, g := DefaultNucleotide(), greedyDefault()
+	var ws Workspace
+	for _, tc := range []struct {
+		name   string
+		extend func() int
+	}{
+		{"ExtendGappedWS", func() int {
+			score, _, _, _, _ := ExtendGappedWS(&ws, query, subject, 250, at+250, s, 30)
+			return score
+		}},
+		{"GreedyExtendWS", func() int {
+			score, _, _, _, _ := GreedyExtendWS(&ws, query, subject, 250, at+250, g, 30*g.Match)
+			return score
+		}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		score := tc.extend()
+		runtime.ReadMemStats(&after)
+		if score <= 0 {
+			t.Fatalf("%s over the planted query scored %d", tc.name, score)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s on a fresh workspace allocated %d bytes, want < 1 MiB", tc.name, grew)
 		}
 	}
 }

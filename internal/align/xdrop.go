@@ -1,5 +1,7 @@
 package align
 
+import "slices"
+
 // X-drop gapped extension: a banded affine-gap DP whose band adapts so
 // that cells scoring more than X below the best-so-far are dropped.
 // The ungapped X-drop extension the engine runs is PackedExtend.
@@ -31,6 +33,17 @@ func extendGappedOneSided(ws *Workspace, a, b []byte, backward bool, s *Scheme, 
 	b0, _ := walk(b, backward)
 	open := s.GapOpen + s.GapExtend
 	ext := s.GapExtend
+	// A live cell (i, j) scores at least -max(xdrop, 0) and at most
+	// i*top - (j-i)*ext: at most i aligned pairs, at least j-i letters
+	// of b in gaps. So none lies right of column n + (n*top+xdrop)/ext,
+	// and the rows and every row's loop stop there.
+	if s.GapOpen >= 0 && ext > 0 {
+		top := 0
+		for _, row := range s.Table {
+			top = max(top, slices.Max(row))
+		}
+		m = min(m, n+(n*top+max(xdrop, 0))/ext)
+	}
 
 	// H[j] holds row i-1 while computing row i (overwritten in place,
 	// left to right, keeping the previous diagonal in prevDiag).
@@ -157,7 +170,8 @@ func extendGappedOneSided(ws *Workspace, a, b []byte, backward bool, s *Scheme, 
 // returns the total best score and the extents [aFrom,aTo) x
 // [bFrom,bTo). The DP rows come from ws, so repeated extensions
 // allocate nothing once the workspace has warmed up, and an
-// extension's cost follows its band, not the length of a or b.
+// extension's cost and its rows follow its band and the length of a,
+// not the length of b.
 func ExtendGappedWS(ws *Workspace, a, b []byte, ai, bi int, s *Scheme, xdrop int) (score, aFrom, aTo, bFrom, bTo int) {
 	anchor := s.Score(a[ai], b[bi])
 	rBest, rA, rB := extendGappedOneSided(ws, a[ai+1:], b[bi+1:], false, s, xdrop)

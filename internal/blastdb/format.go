@@ -12,6 +12,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"strings"
 
 	"pario/internal/chio"
 	"pario/internal/seq"
@@ -329,115 +330,53 @@ func (fr *Fragment) NumSequences() int { return len(fr.index) }
 // Letters returns the total letters stored.
 func (fr *Fragment) Letters() int64 { return int64(fr.h.TotalLetters) }
 
-// Sequence reads and decodes sequence i. The sequence is carried 2-bit
-// packed, with its letters materialized only if a consumer asks for
-// them; on a backend that serves zero-copy views (the readahead layer)
-// its payload is borrowed straight from the block cache, elsewhere it
-// owns the payload read for it.
+// Sequence reads and decodes sequence i through a source positioned
+// at it, so random access takes a scan's one read path.
 func (fr *Fragment) Sequence(i int) (*seq.Sequence, error) {
 	if i < 0 || i >= len(fr.index) {
 		return nil, fmt.Errorf("blastdb: sequence index %d out of range [0,%d)", i, len(fr.index))
 	}
-	start, plen := int64(fr.index[i].DataOff), int64(fr.index[i].payloadLen())
-	var payload []byte
-	var err error
-	if vr, ok := fr.f.(chio.ViewReaderAt); ok {
-		payload, err = fr.readPayloadView(vr, start, plen)
-	} else {
-		payload, err = fr.readPayload(start, plen)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return fr.decode(i, payload), nil
-}
-
-// readPayloadView reads plen payload bytes at data-region offset start
-// through the zero-copy view path. A view that a concurrent write made
-// stale is retried once and then replaced with an owned copy, so the
-// returned bytes are always a consistent read of the payload.
-func (fr *Fragment) readPayloadView(vr chio.ViewReaderAt, start, plen int64) ([]byte, error) {
-	for attempt := 0; attempt < 2; attempt++ {
-		v, err := vr.ReadView(int64(fr.h.DataOff)+start, plen)
-		if err != nil && err != io.EOF || int64(len(v.Data)) < plen {
-			return nil, fmt.Errorf("blastdb: short data read: %w", err)
-		}
-		if !v.Stale() {
-			return v.Data, nil
-		}
-	}
-	return fr.readPayload(start, plen)
-}
-
-// readPayload reads plen payload bytes at data-region offset start into
-// a buffer of its own.
-func (fr *Fragment) readPayload(start, plen int64) ([]byte, error) {
-	buf := make([]byte, plen)
-	if plen > 0 {
-		if err := readAtFull(fr.f, buf, int64(fr.h.DataOff)+start); err != nil {
-			return nil, fmt.Errorf("blastdb: short data read: %w", err)
-		}
-	}
-	return buf, nil
+	src := FragmentSource{fr: fr, i: i}
+	return src.Next()
 }
 
 // defline returns sequence i's parsed identifier and description.
 func (fr *Fragment) defline(i int) (id, desc string) {
 	rec := fr.index[i]
 	defline := string(fr.deflines[rec.DeflineOff : rec.DeflineOff+uint64(rec.DeflineLen)])
-	id = defline
-	for k := 0; k < len(defline); k++ {
-		if defline[k] == ' ' {
-			id, desc = defline[:k], defline[k+1:]
-			break
-		}
-	}
+	id, desc, _ = strings.Cut(defline, " ")
 	return id, desc
-}
-
-// decode builds sequence i directly over its (possibly borrowed) 2-bit
-// payload, which it retains without unpacking. The payload must stay
-// immutable for the sequence's lifetime; cache blocks satisfy this
-// because invalidation drops references rather than rewriting bytes.
-func (fr *Fragment) decode(i int, payload []byte) *seq.Sequence {
-	id, desc := fr.defline(i)
-	return seq.NewPacked2Bit(id, desc, payload, int(fr.index[i].Letters))
 }
 
 // Close releases the underlying file.
 func (fr *Fragment) Close() error { return fr.f.Close() }
 
 // Source returns a sequence iterator that satisfies
-// blast.SubjectSource. It reads the data region in chunks of up to
-// bufBytes (default 16 MB), so the I/O issued against the backend
-// consists of large sequential reads — the access pattern the paper's
+// blast.SubjectSource. It cuts each payload out of a large run of the
+// data region (the data sieving of Thakur, Gropp and Lusk): the rest
+// of a borrowed cache block on the readahead layer, whose prefetch
+// keeps the backend's reads large, and elsewhere one read of up to
+// bufBytes (default 16 MB), the large sequential reads the paper's
 // Figure 4 documents.
 func (fr *Fragment) Source(bufBytes int) *FragmentSource {
 	if bufBytes <= 0 {
 		bufBytes = 16 << 20
 	}
-	src := &FragmentSource{fr: fr, bufBytes: bufBytes, bufStart: -1}
-	// Zero-copy scan path: when the backend hands out views of its
-	// cache blocks (the readahead layer does), payloads are borrowed per
-	// sequence instead of bulk-copied into a chunk buffer. The readahead
-	// layer's own sequential detection and prefetch keep the backend
-	// I/O pattern large and sequential; on any other backend the chunked
-	// reads below remain the pattern, so plain (non-cached) filesystems
-	// never degrade to per-sequence reads.
-	if vr, ok := fr.f.(chio.ViewReaderAt); ok {
-		src.vr = vr
-	}
-	return src
+	return &FragmentSource{fr: fr, bufBytes: bufBytes}
 }
 
-// FragmentSource streams a fragment's sequences with chunked reads.
+// FragmentSource streams a fragment's sequences. It holds one run of
+// data-region bytes, cuts each payload out of it, and refills it (fill)
+// when a payload does not fit or the run has gone stale.
 type FragmentSource struct {
 	fr       *Fragment
 	i        int
-	bufBytes int
-	buf      []byte
-	bufStart int64             // data-region offset of buf[0]; -1 = empty
-	vr       chio.ViewReaderAt // non-nil: borrow payloads zero-copy
+	bufBytes int       // least size of a read into buf; 0 reads one payload
+	run      []byte    // the data-region bytes payloads are cut from
+	runStart int64     // data-region offset of run[0]
+	view     chio.View // the view run was taken from: its Stale covers the whole run
+	buf      []byte    // the reused buffer of a backend without views
+	copyOut  bool      // run lies in buf, so payloads are copied out of it
 }
 
 // Next returns the next sequence or io.EOF.
@@ -446,43 +385,75 @@ func (src *FragmentSource) Next() (*seq.Sequence, error) {
 	if src.i >= len(fr.index) {
 		return nil, io.EOF
 	}
-	i := src.i
-	rec := fr.index[i]
-	plen := int64(rec.payloadLen())
-	start := int64(rec.DataOff)
-	end := start + plen
-	if src.vr != nil {
-		payload, err := fr.readPayloadView(src.vr, start, plen)
-		if err != nil {
+	i, rec := src.i, fr.index[src.i]
+	start, plen := int64(rec.DataOff), int64(rec.payloadLen())
+	off := start - src.runStart
+	if off < 0 || off+plen > int64(len(src.run)) || src.view.Stale() {
+		if err := src.fill(start, plen); err != nil {
 			return nil, err
 		}
-		src.i++
-		return fr.decode(i, payload), nil
+		off = 0
 	}
-	if src.bufStart < 0 || start < src.bufStart || end > src.bufStart+int64(len(src.buf)) {
-		// Refill: one large read beginning at this sequence.
-		dataLen := int64(fr.h.DeflineOff - fr.h.DataOff)
-		want := int64(src.bufBytes)
-		if plen > want {
-			want = plen
-		}
-		if start+want > dataLen {
-			want = dataLen - start
-		}
-		src.buf = make([]byte, want)
-		if want > 0 {
-			if err := readAtFull(fr.f, src.buf, int64(fr.h.DataOff)+start); err != nil {
-				return nil, fmt.Errorf("blastdb: short chunk read: %w", err)
+	payload := src.run[off : off+plen : off+plen]
+	// A payload cut from the reused buffer leaves as an exact-size copy,
+	// so a hit keeps nothing else alive; one that fills it takes it.
+	if src.copyOut && plen == int64(cap(src.buf)) {
+		src.buf, src.run = nil, nil
+	} else if src.copyOut {
+		payload = append(make([]byte, 0, plen), payload...)
+	}
+	src.i++
+	// The sequence keeps its payload packed, and a borrowed one stays
+	// immutable: cache invalidation drops blocks, never rewrites them.
+	id, desc := fr.defline(i)
+	return seq.NewPacked2Bit(id, desc, payload, int(rec.Letters)), nil
+}
+
+// fill makes the run start at data-region offset start and hold at
+// least the plen payload bytes there; it alone asks how the file
+// reads. A view of the payload that is borrowed is extended to its
+// capacity, the rest of the cache block (chio.View), clipped at the
+// data region's end; one that straddles blocks comes back owned. A
+// stale view is retried once, then replaced by an owned read. A file
+// without views gets one ReadAt of max(bufBytes, plen) bytes into the
+// reused buffer.
+func (src *FragmentSource) fill(start, plen int64) error {
+	fr := src.fr
+	dataOff, dataLen := int64(fr.h.DataOff), int64(fr.h.DeflineOff-fr.h.DataOff)
+	src.run, src.runStart, src.view, src.copyOut = nil, start, chio.View{}, false
+	if vr, ok := fr.f.(chio.ViewReaderAt); ok {
+		for attempt := 0; attempt < 2; attempt++ {
+			v, err := vr.ReadView(dataOff+start, plen)
+			if int64(len(v.Data)) < plen && (err == nil || err == io.EOF) {
+				err = io.ErrUnexpectedEOF
+			}
+			if err != nil && err != io.EOF {
+				return fmt.Errorf("blastdb: short data read: %w", err)
+			}
+			if !v.Stale() {
+				if v.Borrowed {
+					v.Data = v.Data[:min(int64(cap(v.Data)), dataLen-start)]
+				}
+				src.run, src.view = v.Data, v
+				return nil
 			}
 		}
-		src.bufStart = start
+		run := make([]byte, plen)
+		if err := readAtFull(fr.f, run, dataOff+start); err != nil {
+			return fmt.Errorf("blastdb: short data read: %w", err)
+		}
+		src.run = run
+		return nil
 	}
-	// The sequence owns a copy of its payload, so a hit does not keep
-	// the chunk alive.
-	payload := make([]byte, plen)
-	copy(payload, src.buf[start-src.bufStart:end-src.bufStart])
-	src.i++
-	return fr.decode(i, payload), nil
+	want := min(max(int64(src.bufBytes), plen), dataLen-start)
+	if int64(cap(src.buf)) < want {
+		src.buf = make([]byte, want)
+	}
+	if err := readAtFull(fr.f, src.buf[:want], dataOff+start); err != nil {
+		return fmt.Errorf("blastdb: short data read: %w", err)
+	}
+	src.run, src.copyOut = src.buf[:want], true
+	return nil
 }
 
 // VerifyChecksum re-reads the fragment's data region and compares its

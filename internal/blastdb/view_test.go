@@ -2,6 +2,7 @@ package blastdb
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 
@@ -148,5 +149,186 @@ func TestChunkedScanStaysChunkedWithoutViews(t *testing.T) {
 	// The whole data region fits in one 1 MiB chunk: one data read.
 	if reads != 1 {
 		t.Fatalf("chunked scan issued %d data reads, want 1", reads)
+	}
+}
+
+// scanAll streams every sequence of fr through a source of bufBytes.
+func scanAll(tb testing.TB, fr *Fragment, bufBytes int) []*seq.Sequence {
+	tb.Helper()
+	var out []*seq.Sequence
+	src := fr.Source(bufBytes)
+	for {
+		s, err := src.Next()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, s)
+	}
+}
+
+// TestFragmentSourceOneViewPerBlock pins the one read path's view
+// count: a scan through the readahead layer takes one view per cache
+// block of the data region (plus one for a payload that straddles into
+// the last), not one per subject, and cuts the same sequences out of
+// them as a chunked scan of the bare file.
+func TestFragmentSourceOneViewPerBlock(t *testing.T) {
+	const block = 4096
+	mem := chio.NewMemFS()
+	seqs := randomSeqs(util.NewRNG(35), 600, 50, 400)
+	buildFragment(t, mem, "frag", seqs)
+	stats := &iotrace.CacheStats{}
+	ra := readahead.Wrap(mem, readahead.WithBlockSize(block), readahead.WithStats(stats))
+	frView, err := OpenFragment(ra, "frag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer frView.Close()
+	frCopy, err := OpenFragment(mem, "frag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer frCopy.Close()
+
+	before := stats.Snapshot()
+	viewed := scanAll(t, frView, 0)
+	hits := stats.Snapshot().BorrowHits - before.BorrowHits
+	copied := scanAll(t, frCopy, 0)
+	if len(viewed) != len(seqs) || len(copied) != len(seqs) {
+		t.Fatalf("scanned %d through views and %d by chunks, want %d", len(viewed), len(copied), len(seqs))
+	}
+	for i := range seqs {
+		v, c := viewed[i], copied[i]
+		if v.ID != c.ID || v.Desc != c.Desc || !bytes.Equal(v.Letters(), c.Letters()) {
+			t.Fatalf("sequence %d differs between the view scan and the chunked scan", i)
+		}
+	}
+	first, last := int64(headerSize)/block, int64(frView.h.DeflineOff-1)/block
+	if blocks := last - first + 1; hits > blocks+1 {
+		t.Errorf("scan of %d subjects over %d blocks borrowed %d views, want at most %d", len(seqs), blocks, hits, blocks+1)
+	}
+}
+
+// TestFragmentSourceAllocs is the one read path's allocation budget
+// per sequence: through the readahead layer, the Sequence and its
+// defline (views are taken per block, not per subject); without views,
+// those two plus the payload's exact-size copy out of the reused
+// buffer.
+func TestFragmentSourceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector inflates allocation counts")
+	}
+	const n = 600
+	mem := chio.NewMemFS()
+	buildFragment(t, mem, "frag", randomSeqs(util.NewRNG(36), n, 50, 400))
+	ra := readahead.Wrap(mem, readahead.WithBlockSize(4096), readahead.WithCapacity(64))
+	for _, tc := range []struct {
+		name     string
+		fs       chio.FileSystem
+		bufBytes int
+		budget   float64
+	}{
+		{"readahead", ra, 0, 2},
+		{"copy", mem, 4096, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fr, err := OpenFragment(tc.fs, "frag")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fr.Close()
+			scanAll(t, fr, tc.bufBytes) // warms the block cache
+			src := fr.Source(tc.bufBytes)
+			var s *seq.Sequence
+			allocs := testing.AllocsPerRun(n-1, func() { s, err = src.Next() })
+			if err != nil || s == nil {
+				t.Fatalf("last sequence: %v", err)
+			}
+			if _, err := src.Next(); err != io.EOF {
+				t.Fatalf("past the last sequence: %v, want io.EOF", err)
+			}
+			if allocs > tc.budget {
+				t.Errorf("Next = %.0f allocs per sequence, budget is %.0f", allocs, tc.budget)
+			}
+		})
+	}
+}
+
+// TestFragmentSourceSeesWriteIntoItsRun: a write that supersedes bytes
+// of a borrowed run after the run was taken must reach the payloads
+// cut from it afterwards, because Stale is checked before each cut.
+func TestFragmentSourceSeesWriteIntoItsRun(t *testing.T) {
+	mem := chio.NewMemFS()
+	seqs := randomSeqs(util.NewRNG(37), 4, 40, 40)
+	buildFragment(t, mem, "frag", seqs)
+	ra := readahead.Wrap(mem, readahead.WithBlockSize(4096))
+	fr, err := OpenFragment(ra, "frag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fr.Close()
+	src := fr.Source(0)
+	if _, err := src.Next(); err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite the second payload as all-A (code 0) through the same
+	// layer; the run already holds its old bytes.
+	w, err := ra.Open("frag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := fr.index[1]
+	if _, err := w.WriteAt(make([]byte, rec.payloadLen()), int64(fr.h.DataOff+rec.DataOff)); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	s, err := src.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := bytes.Repeat([]byte("A"), 40); !bytes.Equal(s.Letters(), want) {
+		t.Fatalf("sequence 1 after the write: %s, want %s", s.Letters(), want)
+	}
+}
+
+// shortViewer serves every ReadView as an owned copy of half the range
+// with no error, as a ViewReaderAt that breaks its contract might.
+type shortViewer struct{ chio.File }
+
+func (v shortViewer) ReadView(off, n int64) (chio.View, error) {
+	buf := make([]byte, n/2)
+	_, err := v.File.ReadAt(buf, off)
+	return chio.OwnedView(buf), err
+}
+
+// TestShortDataReadIsUnexpectedEOF: a data read that comes back short
+// without an error, through a view or through ReadAt, fails Next and
+// Sequence with io.ErrUnexpectedEOF instead of wrapping a nil error.
+func TestShortDataReadIsUnexpectedEOF(t *testing.T) {
+	mem := chio.NewMemFS()
+	buildFragment(t, mem, "frag", randomSeqs(util.NewRNG(38), 3, 100, 200))
+	for _, tc := range []struct {
+		name string
+		wrap func(chio.File) chio.File
+	}{
+		{"ReadAt", func(f chio.File) chio.File { return halfReader{f} }},
+		{"ReadView", func(f chio.File) chio.File { return shortViewer{f} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fr, err := OpenFragment(mem, "frag")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fr.Close()
+			fr.f = tc.wrap(fr.f)
+			if _, err := fr.Source(0).Next(); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("Next = %v, want io.ErrUnexpectedEOF", err)
+			}
+			if _, err := fr.Sequence(1); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("Sequence(1) = %v, want io.ErrUnexpectedEOF", err)
+			}
+		})
 	}
 }

@@ -129,8 +129,9 @@ type RangeHinter interface {
 // (cache eviction only drops references, it never rewrites published
 // blocks), but a concurrent write to the underlying range may make
 // them STALE — superseded, not mutated. Stale lets a holder that
-// cares about freshness detect this and re-read. A non-borrowed view
-// owns Data outright.
+// cares about freshness detect this and re-read. A borrowed view's
+// spare capacity, Data[len:cap], is the rest of the reader's block, as
+// immutable and as fresh as Data. A non-borrowed view owns Data.
 type View struct {
 	Data     []byte
 	Borrowed bool
@@ -157,8 +158,8 @@ func (v View) Stale() bool {
 
 // ViewReaderAt is implemented by Files that can hand out zero-copy
 // windows onto cached data. The readahead layer serves single-block
-// cache hits this way, letting the database decoder keep 2-bit packed
-// sequence payloads without a per-sequence copy.
+// cache hits this way, so the database decoder takes one view per
+// block (its capacity, see View) and cuts packed payloads out of it.
 type ViewReaderAt interface {
 	// ReadView returns a view of n bytes at off. Like ReadAt, a range
 	// extending past EOF comes back short with io.EOF. The view may be

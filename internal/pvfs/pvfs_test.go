@@ -393,20 +393,17 @@ func TestThrottleSlowsServer(t *testing.T) {
 	}
 	defer f.Close()
 	buf := make([]byte, len(payload))
+	tc.iods[0].SetThrottle(100 * time.Microsecond) // 100us per KiB
 	start := time.Now()
 	if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
 		t.Fatal(err)
 	}
-	fast := time.Since(start)
-	tc.iods[0].SetThrottle(100 * time.Microsecond) // 100us per KiB
-	start = time.Now()
-	if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
-		t.Fatal(err)
-	}
 	slow := time.Since(start)
-	// Server 0 serves 32 KiB -> >= 3.2ms extra.
-	if slow < fast+2*time.Millisecond {
-		t.Errorf("throttle had no effect: fast=%v slow=%v", fast, slow)
+	// Server 0 serves 32 KiB, so the read waits at least the throttle's
+	// own 3.2 ms. Comparing against an unthrottled read's wall clock
+	// instead would be at the mercy of the scheduler.
+	if floor := 32 * 100 * time.Microsecond; slow < floor {
+		t.Errorf("throttle had no effect: read took %v, floor %v", slow, floor)
 	}
 }
 

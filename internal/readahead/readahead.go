@@ -553,11 +553,12 @@ func (f *file) planRead(off, length int64) (from, to int64) {
 }
 
 // ReadView implements chio.ViewReaderAt. A range contained in a single
-// cache block is served as a borrowed slice of the block's bytes with
-// no copy: published blocks are immutable (invalidation drops cache
-// references, never rewrites data), so the slice stays valid for as
-// long as the caller holds it, and the generation captured here lets
-// View.Stale report when a write has since superseded the range. A
+// cache block is served as a borrowed slice of the block's bytes, with
+// no copy and with the rest of the block as its capacity: published
+// blocks are immutable (invalidation drops cache references, never
+// rewrites data), so the slice stays valid for as long as the caller
+// holds it, and the file generation captured here lets View.Stale
+// report when a write has since superseded any of the block. A
 // range straddling blocks falls back to an owned copy through ReadAt.
 // Both paths run the same sequential-detection and prefetch logic, so
 // a scan through ReadView prefetches exactly like one through ReadAt.

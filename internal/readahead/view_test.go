@@ -85,6 +85,36 @@ func TestReadViewBorrowsOnCacheHit(t *testing.T) {
 	}
 }
 
+// TestReadViewCapacityIsRestOfBlock pins chio.View's capacity
+// contract: a borrowed view's spare capacity is the file's next bytes
+// to the end of the block (the file's end, for its short last block),
+// and never reaches past it.
+func TestReadViewCapacityIsRestOfBlock(t *testing.T) {
+	mem := chio.NewMemFS()
+	data := pattern(2500, 9)
+	writeFile(t, mem, "db", data)
+	f, err := Wrap(mem, WithBlockSize(1024)).Open("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	vr := openView(t, f)
+	for _, tc := range []struct{ off, n, end int64 }{
+		{0, 10, 1024},
+		{1000, 24, 1024},
+		{1500, 100, 2048},
+		{2100, 50, 2500},
+	} {
+		v, err := vr.ReadView(tc.off, tc.n)
+		if err != nil || !v.Borrowed {
+			t.Fatalf("ReadView(%d, %d): borrowed=%v, %v", tc.off, tc.n, v.Borrowed, err)
+		}
+		if whole := v.Data[:cap(v.Data)]; !bytes.Equal(whole, data[tc.off:tc.end]) {
+			t.Errorf("ReadView(%d, %d): capacity covers %d bytes, want the %d to offset %d", tc.off, tc.n, len(whole), tc.end-tc.off, tc.end)
+		}
+	}
+}
+
 // TestReadViewStaleAfterWrite exercises the borrow lifetime under
 // concurrent invalidation (run with -race): readers hold borrowed
 // views across writes that invalidate their range. The contract is
