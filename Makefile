@@ -37,7 +37,8 @@ test:
 # blastd's JSON request body for a few seconds each, build and smoke the frozen
 # benchmark module (root `go build ./...` does not compile it, so a
 # rename that breaks it would otherwise go unnoticed), make sure every benchmark still at least
-# runs, then smoke the live /metrics endpoint.
+# runs, then run the live-cluster smokes, which boot their daemons,
+# load blastd and tear down through the one shared scripts/smoke_lib.sh.
 check: lint race
 	$(GO) test -race -count=20 -run 'Prefetch|Concurrent|Demand' ./internal/readahead/
 	$(GO) test -race -count=20 -run 'Concurrent' ./internal/chio/
@@ -66,15 +67,23 @@ check: lint race
 	$(MAKE) trace-smoke
 	$(MAKE) cli-smoke
 
-# go vet always; staticcheck and govulncheck when installed (the
-# container image may not carry them, and `go install` needs network).
+# go vet always, and every scripts/*.sh parsed (-n) by the shell its
+# shebang names; staticcheck, govulncheck and shellcheck when installed
+# (the container image may not carry them, and `go install` needs
+# network).
 lint:
 	$(GO) vet ./...
 	$(GO) run ./scripts/metriclint .
+	@for f in scripts/*.sh; do \
+		shell=$$(sed -n '1{s|^#! *||;s|^/usr/bin/env ||;s|^[^ ]*/||;p;}' "$$f"); \
+		$$shell -n "$$f" || exit 1; \
+	done
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "lint: staticcheck not installed, skipping"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
 	else echo "lint: govulncheck not installed, skipping"; fi
+	@if command -v shellcheck >/dev/null 2>&1; then shellcheck -e SC1091 scripts/*.sh; \
+	else echo "lint: shellcheck not installed, skipping"; fi
 
 # Boot a throwaway data server with -debug-addr, scrape /metrics, and
 # require the telemetry families the dashboards depend on.
@@ -88,8 +97,9 @@ report-smoke:
 	./scripts/report_smoke.sh
 
 # Boot a CEFT mini-cluster, serve it with blastd, load it with 8
-# concurrent blastbench clients, and require zero failures, queue
-# build-up, cache hits and a clean SIGTERM drain.
+# concurrent closed-loop curl clients (smoke_lib.sh's load), and
+# require zero failures, queue build-up, cache hits and a clean
+# SIGTERM drain.
 service-smoke:
 	sh ./scripts/service_smoke.sh
 

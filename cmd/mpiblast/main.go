@@ -88,6 +88,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *router != "" && *traceOut != "" {
+		fmt.Fprintln(os.Stderr, "mpiblast: -trace records in-process workers only; it cannot be used with -router")
+		os.Exit(2)
+	}
 	collectTargets, err := telemetry.ParseTargets(*collect)
 	if err != nil {
 		fatal(err)

@@ -186,14 +186,7 @@ type DBInfo struct {
 // DBInfo supplies database-wide totals for e-value statistics; when
 // zero they are accumulated from the stream itself.
 func Search(query *seq.Sequence, subjects SubjectSource, info DBInfo, p Params) (*Result, error) {
-	return SearchWithMetrics(query, subjects, info, p, nil)
-}
-
-// SearchWithMetrics is Search with a kernel telemetry sink: when m is
-// non-nil, the search's kernel counters are folded into it once it
-// has scanned every subject. It runs one search on a fresh Searcher.
-func SearchWithMetrics(query *seq.Sequence, subjects SubjectSource, info DBInfo, p Params, m *PipeMetrics) (*Result, error) {
-	return new(Searcher).Search(query, subjects, info, p, m)
+	return new(Searcher).Search(query, subjects, info, p, nil)
 }
 
 // Searcher runs searches one after another over the same scratch, as
@@ -217,8 +210,10 @@ type Searcher struct {
 }
 
 // Search runs a BLAST search of query against the subjects under p,
-// as SearchWithMetrics does, over the Searcher's scratch and, when the
-// query and parameters match the previous search's, its engine.
+// as the package's Search does, over the Searcher's scratch and, when
+// the query and parameters match the previous search's, its engine.
+// When m is non-nil, the search's kernel counters are folded into it
+// once it has scanned every subject.
 func (s *Searcher) Search(query *seq.Sequence, subjects SubjectSource, info DBInfo, p Params, m *PipeMetrics) (*Result, error) {
 	p = p.Defaults()
 	if err := p.Validate(); err != nil {
@@ -613,10 +608,11 @@ func (s *rawHSPSorter) Len() int           { return len(s.hsps) }
 func (s *rawHSPSorter) Less(i, j int) bool { return s.hsps[i].score > s.hsps[j].score }
 func (s *rawHSPSorter) Swap(i, j int)      { s.hsps[i], s.hsps[j] = s.hsps[j], s.hsps[i] }
 
-// cullPair is cullHSPs over the searcher's pooled buffers: same
-// algorithm, no per-pair allocation. The returned slice aliases
-// searcher scratch and is consumed (appended to subjHSPs) before the
-// next view's cull reuses it.
+// cullPair removes HSPs contained inside a higher-scoring HSP in both
+// coordinates (redundant extensions of the same alignment), over the
+// searcher's pooled buffers. Survivors keep score-descending order.
+// The returned slice aliases searcher scratch and is consumed
+// (appended to subjHSPs) before the next view's cull reuses it.
 func (sr *searcher) cullPair(hsps []rawHSP) []rawHSP {
 	if len(hsps) <= 1 {
 		return hsps
@@ -632,26 +628,14 @@ func (sr *searcher) cullPair(hsps []rawHSP) []rawHSP {
 	return kept
 }
 
-// cullHSPs removes HSPs contained inside a higher-scoring HSP in both
-// coordinates (redundant extensions of the same alignment). Survivors
-// keep score-descending order. The containment scan consults only
-// kept HSPs whose qFrom does not exceed the candidate's — maintained
-// sorted by qFrom, so the inner loop stops where containment becomes
-// impossible instead of re-checking every survivor (the O(n^2) wall
-// repetitive subjects used to hit).
-func cullHSPs(hsps []rawHSP) []rawHSP {
-	if len(hsps) <= 1 {
-		return hsps
-	}
-	sort.Slice(hsps, func(i, j int) bool { return hsps[i].score > hsps[j].score })
-	kept, _ := cullInto(hsps, make([]rawHSP, 0, len(hsps)), make([]int32, 0, len(hsps)))
-	return kept
-}
-
 // cullInto runs the containment scan over score-sorted hsps, appending
 // survivors to kept and maintaining byQFrom (kept indices ordered by
 // qFrom) in the caller's buffers; both are returned with their final
-// contents so pooled callers can retain the grown backing arrays.
+// contents so pooled callers can retain the grown backing arrays. The
+// scan consults only kept HSPs whose qFrom does not exceed the
+// candidate's — maintained sorted by qFrom, so the inner loop stops
+// where containment becomes impossible instead of re-checking every
+// survivor (the O(n^2) wall repetitive subjects used to hit).
 func cullInto(hsps, kept []rawHSP, byQFrom []int32) ([]rawHSP, []int32) {
 	for i := range hsps {
 		h := &hsps[i]

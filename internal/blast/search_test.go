@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -335,7 +336,8 @@ func TestCullHSPs(t *testing.T) {
 		{score: 50, qFrom: 10, qTo: 90, sFrom: 10, sTo: 90},     // contained
 		{score: 60, qFrom: 200, qTo: 300, sFrom: 200, sTo: 300}, // separate
 	}
-	kept := cullHSPs(hsps)
+	sort.Slice(hsps, func(i, j int) bool { return hsps[i].score > hsps[j].score })
+	kept, _ := cullInto(hsps, nil, nil)
 	if len(kept) != 2 {
 		t.Fatalf("culled to %d, want 2: %+v", len(kept), kept)
 	}
@@ -417,7 +419,7 @@ func TestKernelMetricsMatchStats(t *testing.T) {
 	query := randomDNA(rng, "query", 568)
 	db := buildNucDB(rng, query, 20)
 	reg := telemetry.NewRegistry()
-	res, err := SearchWithMetrics(query, &SliceSource{Seqs: db}, DBInfo{}, Params{Program: BlastN}, NewPipeMetrics(reg))
+	res, err := new(Searcher).Search(query, &SliceSource{Seqs: db}, DBInfo{}, Params{Program: BlastN}, NewPipeMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}

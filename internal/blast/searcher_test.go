@@ -20,7 +20,7 @@ func newSearcher(eng *engine) *searcher {
 // TestSearcherReuseMatchesFresh runs one Searcher through a sequence of
 // searches that switch the query, the parameters and the subject form,
 // and requires each Result, stats included, to equal a fresh
-// SearchWithMetrics. It also requires the engine to be kept exactly
+// Searcher's. It also requires the engine to be kept exactly
 // when the query's ID and letters and the defaulted Params all match
 // the previous search's.
 func TestSearcherReuseMatchesFresh(t *testing.T) {
@@ -69,7 +69,7 @@ func TestSearcherReuseMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := SearchWithMetrics(st.query, &SliceSource{Seqs: subjects}, DBInfo{}, st.p, nil)
+			want, err := new(Searcher).Search(st.query, &SliceSource{Seqs: subjects}, DBInfo{}, st.p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

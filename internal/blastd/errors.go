@@ -3,7 +3,7 @@
 // pool, with admission control (bounded queue, priorities, per-client
 // quotas), a result cache keyed by database version, and graceful
 // drain on shutdown. cmd/blastd wires it to real storage backends;
-// cmd/blastbench load-tests it.
+// the service and alert smokes load it through scripts/smoke_lib.sh.
 package blastd
 
 import "errors"

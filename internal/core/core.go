@@ -215,7 +215,7 @@ func startDataServer(i int, mgr *pvfs.MetaServer, store func(i int) chio.FileSys
 }
 
 // Client dials a new PVFS client onto the deployment. opts tune the
-// transport (pool size, timeout, retries, stripe size).
+// transport (pool size, timeout, retries).
 func (d *PVFSDeployment) Client(opts ...rpcpool.Option) (*pvfs.Client, error) {
 	return pvfs.Dial(d.Mgr.Addr(), d.DataAddrs, opts...)
 }

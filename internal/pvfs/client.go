@@ -51,9 +51,8 @@ func NewClient(meta *MetaConn, st Store, tracer *telemetry.Tracer) *Client {
 }
 
 // Dial connects to the manager and every data server. Transport
-// behavior (pool size, per-request timeout, retry budget, stripe-size
-// hint for created files) is set with rpcpool options shared with the
-// CEFT backend:
+// behavior (pool size, per-request timeout, retry budget) is set with
+// rpcpool options shared with the CEFT backend:
 //
 //	cl, err := pvfs.Dial(mgr, iods,
 //		rpcpool.WithTimeout(2*time.Second),
@@ -63,7 +62,7 @@ func Dial(mgrAddr string, dataAddrs []string, opts ...rpcpool.Option) (*Client, 
 		return nil, fmt.Errorf("pvfs: no data servers")
 	}
 	cfg := rpcpool.Apply(opts...)
-	meta := &MetaConn{t: newTransport(mgrAddr, cfg), stripe: cfg.StripeSize}
+	meta := &MetaConn{t: newTransport(mgrAddr, cfg)}
 	st := make(direct, len(dataAddrs))
 	all := []*transport{meta.t}
 	for i, a := range dataAddrs {

@@ -13,8 +13,7 @@ import (
 // hand to NewClient. It rides the shared transport layer, so calls are
 // pooled, deadline-bounded, and retried per the dial options.
 type MetaConn struct {
-	t      *transport
-	stripe int64
+	t *transport
 }
 
 // DialMeta connects to a manager.
@@ -30,7 +29,7 @@ func DialMeta(addr string, opts ...rpcpool.Option) (*MetaConn, error) {
 // newMetaConn returns a MetaConn without probing the manager; the
 // first request dials.
 func newMetaConn(addr string, cfg rpcpool.Config) *MetaConn {
-	return &MetaConn{t: newTransport(addr, cfg), stripe: cfg.StripeSize}
+	return &MetaConn{t: newTransport(addr, cfg)}
 }
 
 // Close releases the pooled connections.
@@ -52,7 +51,7 @@ func (m *MetaConn) call(ctx context.Context, req *Request) (*Response, error) {
 
 // Create creates or truncates a file and returns its metadata.
 func (m *MetaConn) Create(ctx context.Context, name string) (Meta, error) {
-	resp, err := m.call(ctx, &Request{Op: OpCreate, Name: name, Stripe: m.stripe})
+	resp, err := m.call(ctx, &Request{Op: OpCreate, Name: name})
 	if err != nil {
 		return Meta{}, err
 	}

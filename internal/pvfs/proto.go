@@ -100,8 +100,8 @@ type Request struct {
 	// Load carries a heartbeat value for OpLoadReport.
 	Load     float64
 	ServerID int
-	// Stripe carries the client's stripe-size hint for OpCreate; zero
-	// means the manager's configured default.
+	// Stripe carries a stripe-size hint for OpCreate; zero, which
+	// every Client sends, means the manager's configured default.
 	Stripe int64
 	// Segs carries the server-local ranges of a list request.
 	Segs []Seg

@@ -382,27 +382,21 @@ func TestFileCloseInvalidatesHandle(t *testing.T) {
 }
 
 func TestStripeSizeOptionOverridesManager(t *testing.T) {
-	// The manager defaults to 1024-byte stripes; a client dialed with
-	// WithStripeSize(256) creates files striped at 256 bytes, while a
-	// plain client keeps the manager's default.
+	// The manager defaults to 1024-byte stripes; a create carrying a
+	// stripe hint of 256 makes a file striped at 256 bytes, while a
+	// client's create, which carries none, keeps the manager's default.
 	tc := startCluster(t, 2, 1024)
-	cl, err := Dial(tc.mgr.Addr(), []string{tc.iods[0].Addr(), tc.iods[1].Addr()},
-		rpcpool.WithStripeSize(256))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if err := chio.WriteFull(cl, "small", make([]byte, 512)); err != nil {
-		t.Fatal(err)
-	}
-	if err := chio.WriteFull(tc.client, "dflt", make([]byte, 512)); err != nil {
-		t.Fatal(err)
-	}
 	m, err := DialMeta(tc.mgr.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
+	if _, err := m.call(bg, &Request{Op: OpCreate, Name: "small", Stripe: 256}); err != nil {
+		t.Fatal(err)
+	}
+	if err := chio.WriteFull(tc.client, "dflt", make([]byte, 512)); err != nil {
+		t.Fatal(err)
+	}
 	got, err := m.Lookup(bg, "small")
 	if err != nil || got.StripeSize != 256 {
 		t.Errorf("overridden stripe = %d (%v), want 256", got.StripeSize, err)

@@ -40,10 +40,6 @@ const (
 // client backend (pvfs.Dial and ceft.Dial both accept the same
 // Option values that mutate it).
 type Config struct {
-	// StripeSize is the stripe unit requested when this client creates
-	// files. Zero (the default) defers to the metadata server's
-	// configured stripe; set it only to override per client.
-	StripeSize int64
 	// PoolSize is the maximum number of concurrent connections kept
 	// per server.
 	PoolSize int
@@ -70,8 +66,7 @@ type Config struct {
 	Tracer *telemetry.Tracer
 }
 
-// DefaultConfig returns a production-sane fault policy; the stripe
-// size is left to the metadata server.
+// DefaultConfig returns a production-sane fault policy.
 func DefaultConfig() Config {
 	return Config{
 		PoolSize: DefaultPoolSize,
@@ -94,10 +89,6 @@ func Apply(opts ...Option) Config {
 // Option mutates a transport Config. The same option values are
 // accepted by every backend's Dial.
 type Option func(*Config)
-
-// WithStripeSize overrides the metadata server's stripe unit for
-// files this client creates.
-func WithStripeSize(n int64) Option { return func(c *Config) { c.StripeSize = n } }
 
 // WithPoolSize bounds the connections kept per server.
 func WithPoolSize(n int) Option { return func(c *Config) { c.PoolSize = n } }

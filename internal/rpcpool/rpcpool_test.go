@@ -21,17 +21,16 @@ func (f *fakeConn) Close() error {
 
 func TestApplyDefaultsAndOptions(t *testing.T) {
 	cfg := Apply()
-	if cfg.StripeSize != 0 || cfg.PoolSize != DefaultPoolSize ||
+	if cfg.PoolSize != DefaultPoolSize ||
 		cfg.Timeout != DefaultTimeout || cfg.Retries != DefaultRetries {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 	cfg = Apply(
-		WithStripeSize(4096),
 		WithPoolSize(2),
 		WithTimeout(time.Second),
 		WithRetries(5),
 	)
-	if cfg.StripeSize != 4096 || cfg.PoolSize != 2 || cfg.Timeout != time.Second ||
+	if cfg.PoolSize != 2 || cfg.Timeout != time.Second ||
 		cfg.Retries != 5 {
 		t.Fatalf("options not applied: %+v", cfg)
 	}

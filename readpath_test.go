@@ -17,6 +17,7 @@ import (
 	"pario/internal/collio"
 	"pario/internal/core"
 	"pario/internal/iotrace"
+	"pario/internal/pvfs"
 	"pario/internal/readahead"
 	"pario/internal/rpcpool"
 	"pario/internal/telemetry"
@@ -263,6 +264,33 @@ func TestCollectiveScanRPCReduction(t *testing.T) {
 	}
 }
 
+// startStriped deploys a manager striping over groups servers with a
+// stripe unit of stripe bytes, and n in-memory data servers behind it:
+// n == groups is a PVFS deployment, n == 2*groups a CEFT one (primaries
+// first), as core.StartPVFS and core.StartCEFT make at the default
+// unit. A small unit spreads a file of a few KB over many stripes of
+// every server. Everything stops when the test ends.
+func startStriped(t *testing.T, groups, n int, stripe int64) (*pvfs.MetaServer, []*pvfs.DataServer, []string) {
+	t.Helper()
+	mgr, err := pvfs.StartMetaServer(pvfs.MetaConfig{Addr: "127.0.0.1:0", NumServers: groups, StripeSize: stripe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mgr.Close() })
+	var servers []*pvfs.DataServer
+	var addrs []string
+	for i := 0; i < n; i++ {
+		ds, err := pvfs.StartDataServer(pvfs.DataServerConfig{ID: i, Addr: "127.0.0.1:0", Store: chio.NewMemFS(), MgrAddr: mgr.Addr()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ds.Close() })
+		servers = append(servers, ds)
+		addrs = append(addrs, ds.Addr())
+	}
+	return mgr, servers, addrs
+}
+
 // TestSegmentListsMatchReference pushes one table of segment lists —
 // contiguous, strided, abutting, over a hole, past EOF — through every
 // striped read path (PVFS; CEFT healthy, with a dead primary, with a
@@ -385,12 +413,8 @@ func TestSegmentListsMatchReference(t *testing.T) {
 	}
 
 	t.Run("pvfs", func(t *testing.T) {
-		dep, err := core.StartPVFS(3, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer dep.Close()
-		cl, err := dep.Client(rpcpool.WithStripeSize(stripe))
+		mgr, _, addrs := startStriped(t, 3, 3, stripe)
+		cl, err := pvfs.Dial(mgr.Addr(), addrs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -404,14 +428,10 @@ func TestSegmentListsMatchReference(t *testing.T) {
 		dead int
 	}{{"ceft healthy", -1}, {"ceft primary dead", 1}, {"ceft mirror dead", 2}} {
 		t.Run(mode.name, func(t *testing.T) {
-			dep, err := core.StartCEFT(2, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer dep.Close()
+			mgr, servers, addrs := startStriped(t, 2, 4, stripe)
 			opts := ceft.DefaultOptions()
 			opts.SkipHotSpots = false
-			cl, err := dep.Client(opts, rpcpool.WithStripeSize(stripe),
+			cl, err := ceft.Dial(mgr.Addr(), addrs[:2], addrs[2:], opts,
 				rpcpool.WithRetries(0), rpcpool.WithTimeout(2*time.Second))
 			if err != nil {
 				t.Fatal(err)
@@ -419,7 +439,7 @@ func TestSegmentListsMatchReference(t *testing.T) {
 			defer cl.Close()
 			fill(cl)
 			if mode.dead >= 0 {
-				dep.Servers[mode.dead].Close()
+				servers[mode.dead].Close()
 			}
 			check(t, cl)
 			if mode.dead >= 0 && cl.Failovers() == 0 {
@@ -517,22 +537,14 @@ func TestStreamingContractMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pdep, err := core.StartPVFS(3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pdep.Close()
-	pcl, err := pdep.Client(rpcpool.WithStripeSize(stripe))
+	pmgr, _, paddrs := startStriped(t, 3, 3, stripe)
+	pcl, err := pvfs.Dial(pmgr.Addr(), paddrs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pcl.Close()
-	cdep, err := core.StartCEFT(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cdep.Close()
-	ccl, err := cdep.Client(ceft.DefaultOptions(), rpcpool.WithStripeSize(stripe))
+	cmgr, _, caddrs := startStriped(t, 2, 4, stripe)
+	ccl, err := ceft.Dial(cmgr.Addr(), caddrs[:2], caddrs[2:], ceft.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

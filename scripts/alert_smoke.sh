@@ -12,158 +12,70 @@
 #   - pariotop (plain mode) renders non-zero per-server RPC rates
 #     computed from consecutive scrapes of the live endpoints.
 # Exercised by `make alert-smoke` (part of `make check`).
-set -eu
+# shellcheck disable=SC2086 # $CEFT is a flag list
+SMOKE=alert-smoke
+. "$(dirname "$0")/smoke_lib.sh"
 
 BASE="${ALERT_SMOKE_PORT:-19500}"
-TMP="$(mktemp -d)"
-PIDS=""
-trap 'kill $PIDS 2>/dev/null || true; rm -rf "$TMP"' EXIT INT TERM
-
-go build -o "$TMP/pvfsmgr" ./cmd/pvfsmgr
-go build -o "$TMP/pvfsd" ./cmd/pvfsd
-go build -o "$TMP/formatdb" ./cmd/formatdb
-go build -o "$TMP/blastd" ./cmd/blastd
-go build -o "$TMP/blastbench" ./cmd/blastbench
-go build -o "$TMP/pariotop" ./cmd/pariotop
-
-MGR="127.0.0.1:$BASE"
-"$TMP/pvfsmgr" -listen "$MGR" -servers 2 -stripe 16KB >"$TMP/mgr.log" 2>&1 &
-PIDS="$PIDS $!"
-
-# Four data servers: iod0/iod1 primary, iod2/iod3 mirror. iod0 gets a
-# throttled disk, standing in for the paper's disk-stressed server.
-i=0
-while [ "$i" -lt 4 ]; do
-    THROTTLE=""
-    [ "$i" -eq 0 ] && THROTTLE="-throttle 4ms"
-    mkdir -p "$TMP/store$i"
-    # shellcheck disable=SC2086
-    "$TMP/pvfsd" -id "$i" -listen "127.0.0.1:$((BASE + 1 + i))" \
-        -store "$TMP/store$i" -mgr "$MGR" $THROTTLE >"$TMP/iod$i.log" 2>&1 &
-    PIDS="$PIDS $!"
-    i=$((i + 1))
-done
-PRIMARY="127.0.0.1:$((BASE + 1)),127.0.0.1:$((BASE + 2))"
-MIRROR="127.0.0.1:$((BASE + 3)),127.0.0.1:$((BASE + 4))"
-sleep 0.5
-
-"$TMP/formatdb" -db nt -fragments 8 -generate 2MB -io ceft \
-    -mgr "$MGR" -primary "$PRIMARY" -mirror "$MIRROR" >"$TMP/formatdb.log" 2>&1
+build pvfsmgr pvfsd formatdb blastd pariotop
+# iod0 gets a throttled disk, standing in for the paper's
+# disk-stressed server.
+boot ceft "$BASE" 4ms
+load_db
 
 # Sensitive hot-spot thresholds (the defaults are tuned for real
 # disks) so the throttled server is flagged and skipped quickly; a
 # small read chunk multiplies the RPC count so rates are measurable.
 HTTP="127.0.0.1:$((BASE + 20))"
-"$TMP/blastd" -listen "$HTTP" -db nt -io ceft \
-    -mgr "$MGR" -primary "$PRIMARY" -mirror "$MIRROR" \
+spawn blastd "$TMP/blastd" -listen "$HTTP" -db nt -io ceft $CEFT \
     -workers 4 -max-concurrent 4 -chunk 4096 \
     -hot-factor 1.2 -min-hot-load 0.05 \
-    -monitor-interval 500ms >"$TMP/blastd.log" 2>&1 &
-PIDS="$PIDS $!"
-
-ok=""
-i=0
-while [ "$i" -lt 100 ]; do
-    if curl -sf "http://$HTTP/healthz" >/dev/null 2>&1; then
-        ok=1
-        break
-    fi
-    i=$((i + 1))
-    sleep 0.1
-done
-if [ -z "$ok" ]; then
-    echo "alert-smoke: blastd never came up" >&2
-    cat "$TMP/blastd.log" >&2
-    exit 1
-fi
+    -monitor-interval 500ms
+wait_http "http://$HTTP/healthz" || fail "blastd never came up" "$TMP/blastd.log"
 
 # Sustained all-fresh load: every request runs a real backend search
 # over CEFT, so the hot-spot skip shifts read traffic onto the slow
 # server's mirror partner and the per-server RPC rates diverge.
-"$TMP/blastbench" -url "http://$HTTP" -db nt -clients 8 -duration 15s \
-    -queries 8 -fresh 1 -out "$TMP/bench.json" >"$TMP/bench.log" 2>&1 &
-BENCH_PID=$!
-PIDS="$PIDS $BENCH_PID"
+load "http://$HTTP" 8 15 1 1 >"$TMP/load.log" 2>&1 &
+LOAD_PID=$!
 
 # While the load runs, capture a few pariotop frames off the live
 # endpoint — rates need two scrapes, so frame 1 may still show zeros.
 sleep 3
 "$TMP/pariotop" -targets "blastd=$HTTP" -interval 1s -frames 4 -plain \
-    >"$TMP/pariotop.txt" 2>&1 || {
-    echo "alert-smoke: pariotop failed" >&2
-    cat "$TMP/pariotop.txt" >&2
-    exit 1
+    >"$TMP/pariotop.txt" 2>&1 || fail "pariotop failed" "$TMP/pariotop.txt"
+
+# alert STATE saves /debug/alerts and succeeds once server_skew is in
+# STATE there.
+ALERTS="$TMP/alerts.json"
+alert() {
+    curl -sf "http://$HTTP/debug/alerts" >"$ALERTS" || true
+    grep -q "\"rule\":\"server_skew\",\"state\":\"$1\"" "$ALERTS"
 }
 
 # The skew alert must fire within the load window, naming the hot
 # server.
-ALERTS="$TMP/alerts.json"
-fired=""
-i=0
-while [ "$i" -lt 100 ]; do
-    curl -sf "http://$HTTP/debug/alerts" >"$ALERTS" 2>/dev/null || true
-    if grep -q '"rule":"server_skew","state":"firing"' "$ALERTS"; then
-        fired=1
-        break
-    fi
-    i=$((i + 1))
-    sleep 0.2
-done
-if [ -z "$fired" ]; then
-    echo "alert-smoke: server_skew never fired; last /debug/alerts:" >&2
-    cat "$ALERTS" >&2
-    echo "--- blastd log:" >&2
-    cat "$TMP/blastd.log" >&2
-    exit 1
-fi
-if ! grep -q '"subject":"' "$ALERTS"; then
-    echo "alert-smoke: firing skew alert names no offending server:" >&2
-    cat "$ALERTS" >&2
-    exit 1
-fi
-if ! grep -q "alert firing" "$TMP/blastd.log"; then
-    echo "alert-smoke: no firing line in the service log" >&2
-    cat "$TMP/blastd.log" >&2
-    exit 1
-fi
+wait_for 20 alert firing ||
+    fail "server_skew never fired; last /debug/alerts:" "$ALERTS" "$TMP/blastd.log"
+grep -q '"subject":"' "$ALERTS" ||
+    fail "firing skew alert names no offending server:" "$ALERTS"
+grep -q "alert firing" "$TMP/blastd.log" ||
+    fail "no firing line in the service log" "$TMP/blastd.log"
 
 # After the load ends the rate window drains below the rule's minimum
 # activity gate and the alert must resolve.
-wait "$BENCH_PID" || true
-resolved=""
-i=0
-while [ "$i" -lt 150 ]; do
-    curl -sf "http://$HTTP/debug/alerts" >"$ALERTS" 2>/dev/null || true
-    if grep -q '"rule":"server_skew","state":"resolved"' "$ALERTS"; then
-        resolved=1
-        break
-    fi
-    i=$((i + 1))
-    sleep 0.2
-done
-if [ -z "$resolved" ]; then
-    echo "alert-smoke: server_skew never resolved after the load stopped:" >&2
-    cat "$ALERTS" >&2
-    exit 1
-fi
-if ! grep -q "alert resolved" "$TMP/blastd.log"; then
-    echo "alert-smoke: no resolved line in the service log" >&2
-    cat "$TMP/blastd.log" >&2
-    exit 1
-fi
+wait "$LOAD_PID" || true
+wait_for 30 alert resolved ||
+    fail "server_skew never resolved after the load stopped:" "$ALERTS"
+grep -q "alert resolved" "$TMP/blastd.log" ||
+    fail "no resolved line in the service log" "$TMP/blastd.log"
 
 # pariotop must have rendered real per-server client RPC rates (a row
 # with a non-zero rpc/s figure under the by-server section).
-if ! grep -q "CLIENT RPC BY SERVER" "$TMP/pariotop.txt"; then
-    echo "alert-smoke: pariotop never rendered the per-server section:" >&2
-    cat "$TMP/pariotop.txt" >&2
-    exit 1
-fi
-if ! awk '/CLIENT RPC BY SERVER/{insec=1; next} /^$/{insec=0}
-          insec && $2 + 0 > 0 {found=1} END{exit !found}' "$TMP/pariotop.txt"; then
-    echo "alert-smoke: pariotop shows no non-zero per-server RPC rate:" >&2
-    cat "$TMP/pariotop.txt" >&2
-    exit 1
-fi
+grep -q "CLIENT RPC BY SERVER" "$TMP/pariotop.txt" ||
+    fail "pariotop never rendered the per-server section:" "$TMP/pariotop.txt"
+awk '/CLIENT RPC BY SERVER/{insec=1; next} /^$/{insec=0}
+     insec && $2 + 0 > 0 {found=1} END{exit !found}' "$TMP/pariotop.txt" ||
+    fail "pariotop shows no non-zero per-server RPC rate:" "$TMP/pariotop.txt"
 
 echo "alert-smoke: ok (skew fired and resolved; pariotop rendered live rates)"

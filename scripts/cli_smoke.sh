@@ -23,64 +23,19 @@
 #     of a dinucleotide repeat hits the database's one repeat subject
 #     unfiltered and nothing under -F, and in-process and distributed
 #     mpiblast -F must print serial blastn -F's hit lines;
-#   - require blastn to refuse a megablast word longer than 31 bases.
+#   - require blastn to refuse a megablast word longer than 31 bases,
+#     and mpiblast to refuse -trace in distributed mode.
 # Exercised by `make cli-smoke` (part of `make check`).
-set -eu
+# shellcheck disable=SC2086 # $PVFS and $CEFT are flag lists
+SMOKE=cli-smoke
+. "$(dirname "$0")/smoke_lib.sh"
 
 BASE="${CLI_SMOKE_PORT:-19700}"
-TMP="$(mktemp -d)"
-PIDS=""
-trap 'kill $PIDS 2>/dev/null || true; rm -rf "$TMP"' EXIT INT TERM
-
-for cmd in pvfsmgr pvfsd formatdb dbinfo pariocp mpiblast blastn; do
-    go build -o "$TMP/$cmd" "./cmd/$cmd"
-done
-
-fail() {
-    echo "cli-smoke: $1" >&2
-    shift
-    for f in "$@"; do
-        echo "--- $f" >&2
-        cat "$f" >&2
-    done
-    exit 1
-}
-
-# PVFS: mgr at BASE, data servers at BASE+1..2.
-PMGR="127.0.0.1:$BASE"
-"$TMP/pvfsmgr" -listen "$PMGR" -servers 2 -stripe 16KB >"$TMP/pmgr.log" 2>&1 &
-PIDS="$PIDS $!"
-SERVERS=""
-i=0
-while [ "$i" -lt 2 ]; do
-    ADDR="127.0.0.1:$((BASE + 1 + i))"
-    mkdir -p "$TMP/pstore$i"
-    "$TMP/pvfsd" -id "$i" -listen "$ADDR" -store "$TMP/pstore$i" -mgr "$PMGR" \
-        -throttle 200us >"$TMP/piod$i.log" 2>&1 &
-    PIDS="$PIDS $!"
-    SERVERS="$SERVERS,$ADDR"
-    i=$((i + 1))
-done
-SERVERS="${SERVERS#,}"
-
-# CEFT: mgr at BASE+10, primaries at BASE+11..12, mirrors at BASE+13..14.
-CMGR="127.0.0.1:$((BASE + 10))"
-"$TMP/pvfsmgr" -listen "$CMGR" -servers 2 -stripe 16KB >"$TMP/cmgr.log" 2>&1 &
-PIDS="$PIDS $!"
-i=0
-while [ "$i" -lt 4 ]; do
-    mkdir -p "$TMP/cstore$i"
-    "$TMP/pvfsd" -id "$i" -listen "127.0.0.1:$((BASE + 11 + i))" \
-        -store "$TMP/cstore$i" -mgr "$CMGR" >"$TMP/ciod$i.log" 2>&1 &
-    PIDS="$PIDS $!"
-    i=$((i + 1))
-done
-PRIMARY="127.0.0.1:$((BASE + 11)),127.0.0.1:$((BASE + 12))"
-MIRROR="127.0.0.1:$((BASE + 13)),127.0.0.1:$((BASE + 14))"
-sleep 0.5
-
-PVFS="-mgr $PMGR -servers $SERVERS"
-CEFT="-mgr $CMGR -primary $PRIMARY -mirror $MIRROR"
+build pvfsmgr pvfsd formatdb dbinfo pariocp mpiblast blastn
+# PVFS at BASE, both data servers throttled so copy time is
+# measurable; CEFT at BASE+10.
+boot pvfs "$BASE" 200us "0 1"
+boot ceft "$((BASE + 10))"
 
 # A reproducible 48 x 25 kb nucleotide FASTA plus one 700-base AC
 # repeat, and two queries cut out of it so both have a full-length hit.
@@ -114,10 +69,8 @@ cut_query() { # id, sequence number, first and last 70-base line
 mkdir -p "$TMP/local"
 "$TMP/formatdb" -db nt -fragments 4 -in "$TMP/db.fasta" -root "$TMP/local" >"$TMP/formatdb.log" 2>&1 ||
     fail "formatdb (local) failed" "$TMP/formatdb.log"
-# shellcheck disable=SC2086
 "$TMP/formatdb" -db nt -fragments 4 -in "$TMP/db.fasta" -io pvfs $PVFS >>"$TMP/formatdb.log" 2>&1 ||
     fail "formatdb -io pvfs failed" "$TMP/formatdb.log"
-# shellcheck disable=SC2086
 "$TMP/formatdb" -db nt -fragments 4 -in "$TMP/db.fasta" -io ceft $CEFT >>"$TMP/formatdb.log" 2>&1 ||
     fail "formatdb -io ceft failed" "$TMP/formatdb.log"
 
@@ -132,22 +85,17 @@ verify() {
     fi
 }
 verify local -root "$TMP/local"
-# shellcheck disable=SC2086
 verify pvfs $PVFS # no -io: -mgr alone has always meant PVFS here
-# shellcheck disable=SC2086
 verify ceft -io ceft $CEFT
 
 # pariocp resolves local names against the working directory.
 mkdir -p "$TMP/out"
-# shellcheck disable=SC2086
 (cd "$TMP/out" && "$TMP/pariocp" $CEFT ceft:nt.002.pfr nt.002.copy) >"$TMP/pariocp.log" 2>&1 ||
     fail "pariocp out of CEFT failed" "$TMP/pariocp.log"
 cmp "$TMP/out/nt.002.copy" "$TMP/local/nt.002.pfr" ||
     fail "fragment copied out of CEFT differs from the local one"
-# shellcheck disable=SC2086
 "$TMP/pariocp" $CEFT -ls ceft:nt >"$TMP/ls.ceft" 2>&1 && grep -q 'nt\.002\.pfr' "$TMP/ls.ceft" ||
     fail "pariocp -ls ceft: does not list the fragment" "$TMP/ls.ceft"
-# shellcheck disable=SC2086
 "$TMP/pariocp" $PVFS -ls pvfs:nt >"$TMP/ls.pvfs" 2>&1 && grep -q 'nt\.002\.pfr' "$TMP/ls.pvfs" ||
     fail "pariocp -ls pvfs: does not list the fragment" "$TMP/ls.pvfs"
 
@@ -168,15 +116,21 @@ fi
 grep -q 'exceeds 31' "$TMP/mega32.log" ||
     fail "blastn -megablast -word 32 failed without naming the limit" "$TMP/mega32.log"
 
+# -trace records in-process workers only: distributed mode must refuse
+# it with a usage error rather than silently write no trace.
+code=0
+"$TMP/mpiblast" -db nt -query "$TMP/q.fasta" -router "127.0.0.1:$((BASE + 23))" -size 3 -rank 0 \
+    -trace "$TMP/dist.trace" >/dev/null 2>"$TMP/trace.log" || code=$?
+[ "$code" = 2 ] && grep -q 'in-process workers only' "$TMP/trace.log" ||
+    fail "mpiblast -router -trace did not exit 2 naming in-process workers (exit $code)" "$TMP/trace.log"
+
 # In-process: master and two workers in one process, over CEFT.
-# shellcheck disable=SC2086
 "$TMP/mpiblast" -db nt -query "$TMP/q.fasta" -outfmt tabular -workers 2 \
     -io ceft $CEFT >"$TMP/inproc.out" 2>"$TMP/inproc.log" ||
     fail "in-process mpiblast failed" "$TMP/inproc.log"
 
 # The same over readahead: subjects arrive as borrowed 2-bit views of
 # cache blocks instead of owned copies.
-# shellcheck disable=SC2086
 "$TMP/mpiblast" -db nt -query "$TMP/q.fasta" -outfmt tabular -workers 2 \
     -readahead -io ceft $CEFT >"$TMP/readahead.out" 2>"$TMP/readahead.log" ||
     fail "in-process mpiblast -readahead failed" "$TMP/readahead.log"
@@ -187,7 +141,6 @@ grep -q 'exceeds 31' "$TMP/mega32.log" ||
 hits "$TMP/mega.out" >"$TMP/mega.hits"
 [ "$(grep -c '^qa' "$TMP/mega.hits")" -ge 1 ] && [ "$(grep -c '^qb' "$TMP/mega.hits")" -ge 1 ] ||
     fail "serial blastn -megablast did not hit with both queries" "$TMP/mega.out"
-# shellcheck disable=SC2086
 "$TMP/mpiblast" -db nt -query "$TMP/q.fasta" -outfmt tabular -workers 2 -megablast \
     -readahead -io ceft $CEFT >"$TMP/mega.readahead.out" 2>"$TMP/mega.readahead.log" ||
     fail "in-process mpiblast -megablast -readahead failed" "$TMP/mega.readahead.log"
@@ -218,9 +171,7 @@ distributed() {
         wait "$pid" || fail "a worker rank of the $name run failed" "$TMP/$name.w1.log" "$TMP/$name.w2.log"
     done
 }
-# shellcheck disable=SC2086
 distributed dist "$((BASE + 20))" "$TMP/q.fasta" -io ceft $CEFT
-# shellcheck disable=SC2086
 distributed scratch "$((BASE + 21))" "$TMP/q.fasta" -io pvfs $PVFS -scratch "$TMP/scratch"
 
 for run in inproc readahead dist scratch; do
@@ -260,11 +211,9 @@ grep -q '^qlc' "$TMP/unfiltered.out" ||
 hits "$TMP/filtered.out" >"$TMP/filtered.hits"
 grep -q '^qa' "$TMP/filtered.hits" && ! grep -q '^qlc' "$TMP/filtered.hits" ||
     fail "serial blastn -F did not keep qa and mask qlc" "$TMP/filtered.out"
-# shellcheck disable=SC2086
 "$TMP/mpiblast" -db nt -query "$TMP/qf.fasta" -outfmt tabular -workers 2 -F \
     -io ceft $CEFT >"$TMP/inproc.F.out" 2>"$TMP/inproc.F.log" ||
     fail "in-process mpiblast -F failed" "$TMP/inproc.F.log"
-# shellcheck disable=SC2086
 distributed dist.F "$((BASE + 22))" "$TMP/qf.fasta" -io ceft $CEFT -F
 for run in inproc.F dist.F; do
     hits "$TMP/$run.out" >"$TMP/$run.hits"

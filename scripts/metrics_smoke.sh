@@ -2,37 +2,18 @@
 # metrics_smoke.sh — boot one pvfsd with -debug-addr, scrape /metrics,
 # and require the metric families the observability docs promise.
 # Exercised by `make metrics-smoke` (part of `make check`).
-set -eu
+SMOKE=metrics-smoke
+. "$(dirname "$0")/smoke_lib.sh"
 
 PORT="${METRICS_SMOKE_PORT:-19190}"
-TMP="$(mktemp -d)"
-PVFSD="$TMP/pvfsd"
-trap 'kill "$PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT INT TERM
-
-go build -o "$PVFSD" ./cmd/pvfsd
+build pvfsd
 mkdir -p "$TMP/store"
-"$PVFSD" -id 0 -store "$TMP/store" -listen 127.0.0.1:0 \
-    -debug-addr "127.0.0.1:$PORT" >"$TMP/log" 2>&1 &
-PID=$!
+spawn pvfsd "$TMP/pvfsd" -id 0 -store "$TMP/store" -listen 127.0.0.1:0 \
+    -debug-addr "127.0.0.1:$PORT"
 
-# Wait for the debug endpoint to come up (the daemon prints its URL
-# before serving RPCs, so poll the scrape itself).
 SCRAPE="$TMP/metrics"
-ok=""
-i=0
-while [ "$i" -lt 50 ]; do
-    if curl -sf "http://127.0.0.1:$PORT/metrics" >"$SCRAPE" 2>/dev/null; then
-        ok=1
-        break
-    fi
-    i=$((i + 1))
-    sleep 0.1
-done
-if [ -z "$ok" ]; then
-    echo "metrics-smoke: /metrics never came up; daemon log:" >&2
-    cat "$TMP/log" >&2
-    exit 1
-fi
+wait_http "http://127.0.0.1:$PORT/metrics" || fail "/metrics never came up; daemon log:" "$TMP/pvfsd.log"
+curl -sf "http://127.0.0.1:$PORT/metrics" >"$SCRAPE"
 
 status=0
 for family in \

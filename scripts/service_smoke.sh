@@ -3,123 +3,52 @@
 # CEFT mini cluster (mgr + 2 primary + 2 mirror data servers), load a
 # small database onto it, start blastd over CEFT with a deliberately
 # small execution-slot budget, hammer it with 8 concurrent closed-loop
-# clients via blastbench, and require:
-#   - zero failed requests across the sweep,
+# clients, and require:
+#   - zero failed requests across the run,
 #   - admission queue depth > 0 at peak (the slots saturated),
 #   - cache hits > 0 (repeat queries served from the result cache),
 #   - a clean drain on SIGTERM (in-flight work finishes, process exits).
 # Exercised by `make service-smoke` (part of `make check`).
-set -eu
+# shellcheck disable=SC2086 # $CEFT is a flag list
+SMOKE=service-smoke
+. "$(dirname "$0")/smoke_lib.sh"
 
 BASE="${SERVICE_SMOKE_PORT:-19400}"
-TMP="$(mktemp -d)"
-PIDS=""
-trap 'kill $PIDS 2>/dev/null || true; rm -rf "$TMP"' EXIT INT TERM
-
-go build -o "$TMP/pvfsmgr" ./cmd/pvfsmgr
-go build -o "$TMP/pvfsd" ./cmd/pvfsd
-go build -o "$TMP/formatdb" ./cmd/formatdb
-go build -o "$TMP/blastd" ./cmd/blastd
-go build -o "$TMP/blastbench" ./cmd/blastbench
-
-MGR="127.0.0.1:$BASE"
-"$TMP/pvfsmgr" -listen "$MGR" -servers 2 -stripe 16KB >"$TMP/mgr.log" 2>&1 &
-PIDS="$PIDS $!"
-
-i=0
-while [ "$i" -lt 4 ]; do
-    mkdir -p "$TMP/store$i"
-    "$TMP/pvfsd" -id "$i" -listen "127.0.0.1:$((BASE + 1 + i))" \
-        -store "$TMP/store$i" -mgr "$MGR" >"$TMP/iod$i.log" 2>&1 &
-    PIDS="$PIDS $!"
-    i=$((i + 1))
-done
-PRIMARY="127.0.0.1:$((BASE + 1)),127.0.0.1:$((BASE + 2))"
-MIRROR="127.0.0.1:$((BASE + 3)),127.0.0.1:$((BASE + 4))"
-sleep 0.5
-
-"$TMP/formatdb" -db nt -fragments 8 -generate 2MB -io ceft \
-    -mgr "$MGR" -primary "$PRIMARY" -mirror "$MIRROR" >"$TMP/formatdb.log" 2>&1
+build pvfsmgr pvfsd formatdb blastd
+boot ceft "$BASE"
+load_db
 
 HTTP="127.0.0.1:$((BASE + 20))"
-"$TMP/blastd" -listen "$HTTP" -db nt -io ceft \
-    -mgr "$MGR" -primary "$PRIMARY" -mirror "$MIRROR" \
-    -workers 4 -max-concurrent 2 -queue-depth 32 -max-per-client 16 \
-    >"$TMP/blastd.log" 2>&1 &
+spawn blastd "$TMP/blastd" -listen "$HTTP" -db nt -io ceft $CEFT \
+    -workers 4 -max-concurrent 2 -queue-depth 32 -max-per-client 16
 BLASTD_PID=$!
-PIDS="$PIDS $BLASTD_PID"
-
-ok=""
-i=0
-while [ "$i" -lt 100 ]; do
-    if curl -sf "http://$HTTP/healthz" >/dev/null 2>&1; then
-        ok=1
-        break
-    fi
-    i=$((i + 1))
-    sleep 0.1
-done
-if [ -z "$ok" ]; then
-    echo "service-smoke: blastd never came up" >&2
-    cat "$TMP/blastd.log" >&2
-    exit 1
-fi
+wait_http "http://$HTTP/healthz" || fail "blastd never came up" "$TMP/blastd.log"
 
 # 8 concurrent closed-loop clients; 30% fresh queries saturate the
 # 2 execution slots so the admission queue builds, while the repeats
 # exercise the result cache.
-"$TMP/blastbench" -url "http://$HTTP" -db nt -clients 8 -duration 4s \
-    -queries 8 -fresh 0.3 -out "$TMP/bench.json" >"$TMP/bench.log" 2>&1 || {
-    echo "service-smoke: blastbench failed" >&2
-    cat "$TMP/bench.log" "$TMP/blastd.log" >&2
-    exit 1
-}
-
-FAILED=$(sed -n 's/.*"failed": \([0-9]*\).*/\1/p' "$TMP/bench.json" | head -1)
-if [ "$FAILED" != "0" ]; then
-    echo "service-smoke: $FAILED failed requests under load" >&2
-    cat "$TMP/bench.log" >&2
-    exit 1
-fi
+FAILED=$(load "http://$HTTP" 8 4 0.3 1)
+[ "$FAILED" = 0 ] || fail "$FAILED failed requests under load" "$TMP/blastd.log"
 
 METRICS="$TMP/metrics.txt"
 curl -sf "http://$HTTP/metrics" >"$METRICS"
 depth_peak=$(awk '$1 == "pario_blastd_queue_depth_peak" {print $2}' "$METRICS")
 cache_hits=$(awk '$1 == "pario_blastd_cache_hits_total" {print $2}' "$METRICS")
-if [ "${depth_peak%%.*}" -lt 1 ] 2>/dev/null; then
-    echo "service-smoke: queue depth never rose above 0 (peak=$depth_peak)" >&2
-    cat "$METRICS" >&2
-    exit 1
-fi
-if [ "${cache_hits%%.*}" -lt 1 ] 2>/dev/null; then
-    echo "service-smoke: no cache hits recorded (hits=$cache_hits)" >&2
-    cat "$METRICS" >&2
-    exit 1
-fi
+[ "${depth_peak%%.*}" -ge 1 ] 2>/dev/null ||
+    fail "queue depth never rose above 0 (peak=$depth_peak)" "$METRICS"
+[ "${cache_hits%%.*}" -ge 1 ] 2>/dev/null ||
+    fail "no cache hits recorded (hits=$cache_hits)" "$METRICS"
 
 # Clean drain: SIGTERM under a trickle of load; the process must log
 # a clean drain and exit on its own.
-("$TMP/blastbench" -url "http://$HTTP" -db nt -clients 2 -duration 2s \
-    -queries 4 -fresh 1 >/dev/null 2>&1 || true) &
+(load "http://$HTTP" 2 2 1 2 >/dev/null 2>&1 || true) &
+TRICKLE=$!
 sleep 0.5
 kill -TERM "$BLASTD_PID"
-i=0
-while [ "$i" -lt 200 ]; do
-    if ! kill -0 "$BLASTD_PID" 2>/dev/null; then
-        break
-    fi
-    i=$((i + 1))
-    sleep 0.1
-done
-if kill -0 "$BLASTD_PID" 2>/dev/null; then
-    echo "service-smoke: blastd did not exit after SIGTERM" >&2
-    cat "$TMP/blastd.log" >&2
-    exit 1
-fi
-if ! grep -q "drained cleanly" "$TMP/blastd.log"; then
-    echo "service-smoke: no clean-drain record in the log:" >&2
-    cat "$TMP/blastd.log" >&2
-    exit 1
-fi
+gone() { ! kill -0 "$1"; }
+wait_for 20 gone "$BLASTD_PID" || fail "blastd did not exit after SIGTERM" "$TMP/blastd.log"
+grep -q "drained cleanly" "$TMP/blastd.log" ||
+    fail "no clean-drain record in the log:" "$TMP/blastd.log"
+wait "$TRICKLE"
 
 echo "service-smoke: ok (queue peak $depth_peak, cache hits $cache_hits)"

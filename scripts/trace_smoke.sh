@@ -16,184 +16,81 @@
 #     trace_id exemplar,
 #   - pariostat -query renders the assembled cross-process timeline.
 # Exercised by `make trace-smoke` (part of `make check`).
-set -eu
+# shellcheck disable=SC2086 # $CEFT is a flag list
+SMOKE=trace-smoke
+. "$(dirname "$0")/smoke_lib.sh"
 
 BASE="${TRACE_SMOKE_PORT:-19600}"
-TMP="$(mktemp -d)"
-PIDS=""
-trap 'kill $PIDS 2>/dev/null || true; rm -rf "$TMP"' EXIT INT TERM
-
-go build -o "$TMP/pvfsmgr" ./cmd/pvfsmgr
-go build -o "$TMP/pvfsd" ./cmd/pvfsd
-go build -o "$TMP/formatdb" ./cmd/formatdb
-go build -o "$TMP/blastd" ./cmd/blastd
-go build -o "$TMP/pariostat" ./cmd/pariostat
-
-MGR="127.0.0.1:$BASE"
-"$TMP/pvfsmgr" -listen "$MGR" -servers 2 -stripe 16KB >"$TMP/mgr.log" 2>&1 &
-PIDS="$PIDS $!"
-
-# Four data servers, each with a debug endpoint so their span rings
-# can be scraped. iod0 is throttled so a fresh search takes long
-# enough for a second query to queue behind it.
-i=0
-while [ "$i" -lt 4 ]; do
-    THROTTLE=""
-    [ "$i" -eq 0 ] && THROTTLE="-throttle 2ms"
-    mkdir -p "$TMP/store$i"
-    # shellcheck disable=SC2086
-    "$TMP/pvfsd" -id "$i" -listen "127.0.0.1:$((BASE + 1 + i))" \
-        -debug-addr "127.0.0.1:$((BASE + 11 + i))" \
-        -store "$TMP/store$i" -mgr "$MGR" $THROTTLE >"$TMP/iod$i.log" 2>&1 &
-    PIDS="$PIDS $!"
-    i=$((i + 1))
-done
-PRIMARY="127.0.0.1:$((BASE + 1)),127.0.0.1:$((BASE + 2))"
-MIRROR="127.0.0.1:$((BASE + 3)),127.0.0.1:$((BASE + 4))"
-sleep 0.5
-
-"$TMP/formatdb" -db nt -fragments 8 -generate 2MB -io ceft \
-    -mgr "$MGR" -primary "$PRIMARY" -mirror "$MIRROR" >"$TMP/formatdb.log" 2>&1
+build pvfsmgr pvfsd formatdb blastd pariostat
+# Every server gets a debug endpoint so its span ring can be scraped.
+# iod0 is throttled so a fresh search takes long enough for a second
+# query to queue behind it.
+boot ceft "$BASE" 2ms 0 debug
+load_db
 
 HTTP="127.0.0.1:$((BASE + 20))"
-"$TMP/blastd" -listen "$HTTP" -db nt -io ceft \
-    -mgr "$MGR" -primary "$PRIMARY" -mirror "$MIRROR" \
-    -workers 2 -max-concurrent 1 -chunk 32768 \
-    -slow-query 1ms >"$TMP/blastd.log" 2>&1 &
-PIDS="$PIDS $!"
+spawn blastd "$TMP/blastd" -listen "$HTTP" -db nt -io ceft $CEFT \
+    -workers 2 -max-concurrent 1 -chunk 32768 -slow-query 1ms
+wait_http "http://$HTTP/healthz" || fail "blastd never came up" "$TMP/blastd.log"
 
-ok=""
-i=0
-while [ "$i" -lt 100 ]; do
-    if curl -sf "http://$HTTP/healthz" >/dev/null 2>&1; then
-        ok=1
-        break
-    fi
-    i=$((i + 1))
-    sleep 0.1
-done
-if [ -z "$ok" ]; then
-    echo "trace-smoke: blastd never came up" >&2
-    cat "$TMP/blastd.log" >&2
-    exit 1
-fi
-
-# Two distinct deterministic queries (different seeds), so both are
-# cache misses that run real backend searches.
-mkquery() {
-    awk -v seed="$1" 'BEGIN {
-        srand(seed); s = "";
-        for (i = 0; i < 400; i++) {
-            r = int(rand() * 4);
-            s = s substr("ACGT", r + 1, 1);
-        }
-        printf "{\"db\":\"nt\",\"query\":\">q%s\\n%s\",\"client\":\"smoke%s\"}", seed, s, seed;
-    }'
-}
-mkquery 1 >"$TMP/qA.json"
-mkquery 2 >"$TMP/qB.json"
+# Two distinct never-seen queries, so both are cache misses that run
+# real backend searches.
+bodies 1 0 1 | head -n 1 >"$TMP/qA.json"
+bodies 2 0 1 | head -n 1 >"$TMP/qB.json"
 
 # Query A occupies the single execution slot; query B arrives while A
 # is still reading off the throttled disk and must wait in the queue.
 curl -sf -X POST -d @"$TMP/qA.json" "http://$HTTP/search" >"$TMP/respA.json" &
 CURL_A=$!
-PIDS="$PIDS $CURL_A"
 sleep 0.3
 curl -sf -D "$TMP/headersB.txt" -X POST -d @"$TMP/qB.json" \
-    "http://$HTTP/search" >"$TMP/respB.json" || {
-    echo "trace-smoke: query B failed" >&2
-    cat "$TMP/blastd.log" >&2
-    exit 1
-}
-wait "$CURL_A" || {
-    echo "trace-smoke: query A failed" >&2
-    cat "$TMP/blastd.log" >&2
-    exit 1
-}
+    "http://$HTTP/search" >"$TMP/respB.json" || fail "query B failed" "$TMP/blastd.log"
+wait "$CURL_A" || fail "query A failed" "$TMP/blastd.log"
 
 # The response must carry the trace ID twice, consistently.
 TID=$(tr -d '\r' <"$TMP/headersB.txt" | awk -F': ' 'tolower($1) == "x-pario-trace" {print $2}')
-if ! echo "$TID" | grep -Eq '^[0-9a-f]{16}$'; then
-    echo "trace-smoke: bad or missing X-Pario-Trace header: '$TID'" >&2
-    cat "$TMP/headersB.txt" >&2
-    exit 1
-fi
-if ! grep -q "\"trace_id\":\"$TID\"" "$TMP/respB.json"; then
-    echo "trace-smoke: response body trace_id does not match header $TID" >&2
-    cat "$TMP/respB.json" >&2
-    exit 1
-fi
+echo "$TID" | grep -Eq '^[0-9a-f]{16}$' ||
+    fail "bad or missing X-Pario-Trace header: '$TID'" "$TMP/headersB.txt"
+grep -q "\"trace_id\":\"$TID\"" "$TMP/respB.json" ||
+    fail "response body trace_id does not match header $TID" "$TMP/respB.json"
 
 # blastd's span ring must decompose the query into every service-side
 # span kind.
 curl -sf "http://$HTTP/debug/traces?trace=$TID" >"$TMP/traceB.json"
 for kind in request queue cache task search; do
-    if ! grep -q "\"name\":\"$kind\"" "$TMP/traceB.json"; then
-        echo "trace-smoke: trace $TID has no '$kind' span:" >&2
-        cat "$TMP/traceB.json" >&2
-        exit 1
-    fi
+    grep -q "\"name\":\"$kind\"" "$TMP/traceB.json" ||
+        fail "trace $TID has no '$kind' span:" "$TMP/traceB.json"
 done
 
 # The same trace ID must appear as a serve:* span on at least one data
 # server: the trace crossed into a second process.
 served=""
-i=0
-while [ "$i" -lt 4 ]; do
-    if curl -sf "http://127.0.0.1:$((BASE + 11 + i))/debug/traces?trace=$TID" \
-        2>/dev/null | grep -q '"name":"serve:'; then
-        served=1
-        break
-    fi
-    i=$((i + 1))
+for i in 0 1 2 3; do
+    curl -sf "http://127.0.0.1:$((BASE + 11 + i))/debug/traces?trace=$TID" |
+        grep -q '"name":"serve:' && served=1
 done
-if [ -z "$served" ]; then
-    echo "trace-smoke: no data server holds a serve:* span for $TID" >&2
-    exit 1
-fi
+[ -n "$served" ] || fail "no data server holds a serve:* span for $TID"
 
 # The flight recorder must report the query with a real queue wait.
 curl -sf "http://$HTTP/debug/queries" >"$TMP/queries.json"
-if ! grep -q "\"trace_id\":\"$TID\"" "$TMP/queries.json"; then
-    echo "trace-smoke: /debug/queries does not list trace $TID:" >&2
-    cat "$TMP/queries.json" >&2
-    exit 1
-fi
+grep -q "\"trace_id\":\"$TID\"" "$TMP/queries.json" ||
+    fail "/debug/queries does not list trace $TID:" "$TMP/queries.json"
 QUEUE_MS=$(sed -n "s/.*\"trace_id\":\"$TID\"[^}]*\"queue_ms\":\([0-9.]*\).*/\1/p" "$TMP/queries.json")
-if ! awk -v q="$QUEUE_MS" 'BEGIN { exit !(q + 0 > 0) }'; then
-    echo "trace-smoke: query B shows no queue wait (queue_ms='$QUEUE_MS'):" >&2
-    cat "$TMP/queries.json" >&2
-    exit 1
-fi
+awk -v q="$QUEUE_MS" 'BEGIN { exit !(q + 0 > 0) }' ||
+    fail "query B shows no queue wait (queue_ms='$QUEUE_MS'):" "$TMP/queries.json"
 
 # The request-latency histogram must link back to the trace through an
 # exemplar.
 curl -sf "http://$HTTP/metrics" >"$TMP/metrics.txt"
-if ! grep "pario_blastd_request_seconds_bucket" "$TMP/metrics.txt" \
-    | grep -q "trace_id=\"$TID\""; then
-    echo "trace-smoke: no request-latency exemplar for $TID:" >&2
-    grep "pario_blastd_request_seconds" "$TMP/metrics.txt" >&2 || true
-    exit 1
-fi
+grep "pario_blastd_request_seconds" "$TMP/metrics.txt" >"$TMP/latency.txt" || true
+grep "pario_blastd_request_seconds_bucket" "$TMP/latency.txt" | grep -q "trace_id=\"$TID\"" ||
+    fail "no request-latency exemplar for $TID:" "$TMP/latency.txt"
 
 # pariostat must assemble and render the cross-process timeline.
-TARGETS="blastd=$HTTP"
-i=0
-while [ "$i" -lt 4 ]; do
-    TARGETS="$TARGETS,iod$i=127.0.0.1:$((BASE + 11 + i))"
-    i=$((i + 1))
-done
-"$TMP/pariostat" -query "$TID" -targets "$TARGETS" >"$TMP/gantt.txt" 2>"$TMP/gantt.err" || {
-    echo "trace-smoke: pariostat -query failed:" >&2
-    cat "$TMP/gantt.err" >&2
-    exit 1
-}
+"$TMP/pariostat" -query "$TID" -targets "blastd=$HTTP,$DEBUG_TARGETS" >"$TMP/gantt.txt" 2>"$TMP/gantt.err" ||
+    fail "pariostat -query failed:" "$TMP/gantt.err"
 for want in "query trace $TID" "queue" "serve:" "Phases"; do
-    if ! grep -q "$want" "$TMP/gantt.txt"; then
-        echo "trace-smoke: pariostat rendering lacks '$want':" >&2
-        cat "$TMP/gantt.txt" >&2
-        exit 1
-    fi
+    grep -q "$want" "$TMP/gantt.txt" || fail "pariostat rendering lacks '$want':" "$TMP/gantt.txt"
 done
 
 echo "trace-smoke: ok (one trace ID spans HTTP, queue, tasks and serve:* across processes; exemplar and flight recorder agree)"
