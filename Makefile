@@ -15,10 +15,14 @@ test:
 # its fetch goroutines and every reader share), re-run chio's
 # concurrency tests twenty times under the race detector (every file
 # type's Read, Write and Seek share one chio.Cursor, so a lapse in its
-# locking races every backend at once), re-run pblast's scheduler
-# tests ten times under the race detector (rank reuse, leave, crash,
+# locking races every backend at once), re-run blastdb's Format
+# leak test twenty times under the race detector (Format's parse-ahead
+# goroutine outlives its WaitGroup's Done by a moment, so the check
+# waits for Format's own goroutines to exit rather than counting every
+# goroutine once), re-run pblast's scheduler
+# tests ten times under the race detector (leave, crash,
 # duplicate result, cancel, idle: an empty welcome alone fences a
-# reused rank's stale mailbox, so a lapse in the worker's discard loop
+# re-joined rank's stale mailbox, so a lapse in the worker's discard loop
 # or the loop's requeue shows up only as a rare interleaving; affinity
 # and overdue: pickTask chooses among pending tasks by holder and
 # among overdue ones by age, so a wrong choice shows up only in some
@@ -42,7 +46,8 @@ test:
 check: lint race
 	$(GO) test -race -count=20 -run 'Prefetch|Concurrent|Demand' ./internal/readahead/
 	$(GO) test -race -count=20 -run 'Concurrent' ./internal/chio/
-	$(GO) test -race -count=10 -run 'RankReuses|Leave|Crash|Duplicate|Cancelled|Idle|Affinity|Overdue' ./internal/pblast/
+	$(GO) test -race -count=20 -run TestFormatStopsReadingOnError ./internal/blastdb/
+	$(GO) test -race -count=10 -run 'Leave|Crash|Duplicate|Cancelled|Idle|Affinity|Overdue' ./internal/pblast/
 	$(GO) test -race -count=10 -run 'Heartbeat|Close' ./internal/pvfs/
 	$(GO) test -run TestSearchSubjectSteadyStateAllocs ./internal/blast/
 	$(GO) test -run TestSearcherRepeatAllocs ./internal/blast/

@@ -49,8 +49,7 @@ func main() {
 		listen = flag.String("listen", "127.0.0.1:7044", "HTTP listen address")
 		dbs    = flag.String("db", "", "comma-separated databases to serve (empty = any on the store)")
 
-		workers    = flag.Int("workers", 4, "persistent worker ranks")
-		maxWorkers = flag.Int("max-workers", 0, "cap for growing the pool later (default -workers)")
+		workers = flag.Int("workers", 4, "persistent worker ranks")
 
 		queueDepth    = flag.Int("queue-depth", 64, "max requests waiting for a slot")
 		maxPerClient  = flag.Int("max-per-client", 8, "max queued+running requests per client")
@@ -89,8 +88,7 @@ func main() {
 	}
 
 	// Storage wiring: rank 0 is the master's view, and every worker
-	// rank keeps the one client it was first given however often the
-	// pool restarts it.
+	// rank gets a client of its own.
 	store.Logger = logger
 	ranks, err := store.OpenRanks(rpcpool.WithMetrics(rpcMetrics), rpcpool.WithTracer(tracer))
 	if err != nil {
@@ -99,7 +97,8 @@ func main() {
 	defer ranks.Close()
 	ranks.RegisterDegradedWrites(reg)
 
-	searchOpts := append(tune.Options(nil), pblast.WithTelemetry(pblast.NewTelemetry(reg)))
+	searchOpts, _ := tune.Options(reg)
+	searchOpts = append(searchOpts, pblast.WithTelemetry(pblast.NewTelemetry(reg)))
 
 	var serve []string
 	if *dbs != "" {
@@ -123,7 +122,6 @@ func main() {
 		Scratch:       core.PerRank(tune.ScratchFS, fatal),
 		Search:        pblast.NewConfig("", searchOpts...),
 		Workers:       *workers,
-		MaxWorkers:    *maxWorkers,
 		QueueDepth:    *queueDepth,
 		MaxPerClient:  *maxPerClient,
 		MaxConcurrent: *maxConcurrent,

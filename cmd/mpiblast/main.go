@@ -136,12 +136,9 @@ func main() {
 	} else if *rpcStats {
 		metrics = rpcpool.NewMetrics(telemetry.NewRegistry())
 	}
-	// One counter sink shared by every worker's readahead layer.
-	var cacheStats *iotrace.CacheStats
-	if tune.Readahead && (*rpcStats || reg != nil) {
-		cacheStats = &iotrace.CacheStats{}
-		cacheStats.Register(reg)
-	}
+	// One counter sink shared by every worker's readahead layer: on
+	// /metrics when there is a registry, and in the -rpc-stats dump.
+	tuneOpts, cacheStats := tune.Options(reg)
 
 	// Rank 0 is the master's view of the store; every worker rank gets
 	// a client of its own.
@@ -164,7 +161,7 @@ func main() {
 		pblast.WithParams(blast.Params{Program: blast.BlastN, EValue: *evalue, Greedy: *mega, Filter: *filterLC}),
 		pblast.WithTelemetry(pblast.NewTelemetry(reg)),
 	}
-	searchOpts = append(searchOpts, tune.Options(cacheStats)...)
+	searchOpts = append(searchOpts, tuneOpts...)
 	cfg := pblast.NewConfig(*db, searchOpts...)
 
 	if distributed && *rank > 0 {
@@ -177,7 +174,7 @@ func main() {
 		}
 		defer comm.Close()
 		fs := cfg.WorkerFS(core.PerRank(ranks.FS, fatal))(*rank)
-		if err := pblast.RunWorker(ctx, comm, cfg, fs, core.PerRank(tune.ScratchFS, fatal)(*rank), nil); err != nil {
+		if err := pblast.RunWorker(ctx, comm, cfg, fs, core.PerRank(tune.ScratchFS, fatal)(*rank)); err != nil {
 			fatal(err)
 		}
 		return

@@ -539,7 +539,7 @@ func TestServerHTTP(t *testing.T) {
 	metrics := string(mbody)
 	for _, want := range []string{
 		"pario_blastd_queue_depth", "pario_blastd_cache_hits_total",
-		"pario_blastd_requests_total", "pario_blastd_workers",
+		"pario_blastd_requests_total", "pario_blastd_workers 2\n",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %s", want)
@@ -572,32 +572,5 @@ func TestServerDrain(t *testing.T) {
 	}
 	if _, err := srv.Search(context.Background(), req); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-drain search err = %v, want ErrDraining", err)
-	}
-}
-
-func TestServerPoolResize(t *testing.T) {
-	srv, _, query := newTestServer(t, func(cfg *Config) {
-		cfg.Workers = 1
-		cfg.MaxWorkers = 3
-	})
-	req := &SearchRequest{DB: "nt", Query: string(query.Data), Client: "t"}
-	if _, err := srv.Search(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
-	srv.Pool().Resize(3)
-	if n := srv.Pool().Size(); n != 3 {
-		t.Fatalf("pool size after grow = %d, want 3", n)
-	}
-	req2 := &SearchRequest{DB: "nt", Query: string(query.Data[:200]), Client: "t"}
-	if _, err := srv.Search(context.Background(), req2); err != nil {
-		t.Fatalf("search after grow: %v", err)
-	}
-	srv.Pool().Resize(1)
-	if n := srv.Pool().Size(); n != 1 {
-		t.Fatalf("pool size after shrink = %d, want 1", n)
-	}
-	req3 := &SearchRequest{DB: "nt", Query: string(query.Data[:300]), Client: "t"}
-	if _, err := srv.Search(context.Background(), req3); err != nil {
-		t.Fatalf("search after shrink: %v", err)
 	}
 }

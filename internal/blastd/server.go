@@ -40,8 +40,6 @@ type Config struct {
 	Search pblast.Config
 	// Workers is the number of persistent workers to start.
 	Workers int
-	// MaxWorkers caps later growth via Resize; default Workers.
-	MaxWorkers int
 
 	// QueueDepth bounds waiting requests (default 64).
 	QueueDepth int
@@ -130,9 +128,6 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	if cfg.Workers < 1 {
 		cfg.Workers = 4
 	}
-	if cfg.MaxWorkers < cfg.Workers {
-		cfg.MaxWorkers = cfg.Workers
-	}
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = 64
 	}
@@ -167,7 +162,11 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 		started: time.Now(),
 	}
 
-	pool, err := pblast.NewPool(ctx, cfg.Search, cfg.MaxWorkers, cfg.WorkerFS, cfg.Scratch)
+	workerErrors := reg.CounterVec("pario_blastd_worker_errors_total",
+		"Workers that exited with an error.", "rank")
+	pool, err := pblast.NewPool(ctx, cfg.Search, cfg.Workers, cfg.WorkerFS, cfg.Scratch, func(rank int, err error) {
+		workerErrors.With(fmt.Sprint(rank)).Inc()
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +179,6 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	pool.Resize(cfg.Workers)
 	return s, nil
 }
 
@@ -248,12 +246,6 @@ func (s *Server) wireMetrics() {
 	s.cache.onMiss = misses.Inc
 	s.cache.onShared = shared.Inc
 	s.cache.onInvalidate = func(n int) { invalidated.Add(int64(n)) }
-
-	workerErrors := reg.CounterVec("pario_blastd_worker_errors_total",
-		"Workers that exited with an error.", "rank")
-	s.pool.OnWorkerError = func(rank int, err error) {
-		workerErrors.With(fmt.Sprint(rank)).Inc()
-	}
 }
 
 // SearchRequest is the JSON body of POST /search.
@@ -521,14 +513,6 @@ func (s *Server) InvalidateDB(name string) (version string, invalidated int, err
 		return "", 0, err
 	}
 	return info.Version, s.cache.InvalidateDB(name), nil
-}
-
-// Pool exposes the worker pool for resizing.
-func (s *Server) Pool() interface {
-	Resize(n int)
-	Size() int
-} {
-	return s.pool
 }
 
 // Draining reports whether the server has begun shutting down.

@@ -6,11 +6,13 @@ import (
 	"errors"
 	"io"
 	"math"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"pario/internal/chio"
 	"pario/internal/seq"
@@ -717,7 +719,6 @@ func TestFormatStopsReadingOnError(t *testing.T) {
 				}
 				return &seq.Sequence{ID: "good", Data: []byte("ACGTACGT")}, nil
 			}
-			before := runtime.NumGoroutine()
 			_, err := Format(chio.NewMemFS(), "db", seq.Nucleotide, 2, next)
 			returned.Store(true)
 			if nextFails && err != boom {
@@ -726,9 +727,39 @@ func TestFormatStopsReadingOnError(t *testing.T) {
 			if want := "blastdb: bad: seq: cannot 2-bit pack letter '*' at position 3"; !nextFails && (err == nil || err.Error() != want) {
 				t.Errorf("k=%d: error %v, want %s", k, err, want)
 			}
-			if after := runtime.NumGoroutine(); after > before {
-				t.Errorf("k=%d: %d goroutines before Format, %d after", k, before, after)
+			if n := formatGoroutines(5 * time.Second); n != 0 {
+				t.Errorf("k=%d: %d goroutines of Format's still running 5s after it returned", k, n)
 			}
+		}
+	}
+}
+
+// formatFrame matches a stack frame of Format or of a goroutine it
+// started (its closures, and the "created by" line of their stacks).
+var formatFrame = regexp.MustCompile(`blastdb\.Format[.( ]`)
+
+// formatGoroutines waits up to limit for every goroutine with a
+// Format frame on its stack to exit, and returns how many remain. A
+// goroutine of Format's can outlive Format's return by a moment (its
+// deferred WaitGroup Done runs before it exits), but one that leaks
+// never exits. Only Format's own goroutines count, so no other
+// test's or the runtime's goroutines can read as Format's.
+func formatGoroutines(limit time.Duration) int {
+	buf := make([]byte, 1<<16)
+	for deadline := time.Now().Add(limit); ; time.Sleep(time.Millisecond) {
+		n := runtime.Stack(buf, true)
+		if n == len(buf) {
+			buf = make([]byte, 2*len(buf))
+			continue
+		}
+		count := 0
+		for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+			if formatFrame.MatchString(g) {
+				count++
+			}
+		}
+		if count == 0 || time.Now().After(deadline) {
+			return count
 		}
 	}
 }

@@ -126,12 +126,7 @@ func OpenPool(ctx context.Context, cfg SearchConfig) (*pblast.Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool, err := pblast.NewPool(ctx, cfg.Search, cfg.Workers, workerFS, scratch)
-	if err != nil {
-		return nil, err
-	}
-	pool.Resize(cfg.Workers)
-	return pool, nil
+	return pblast.NewPool(ctx, cfg.Search, cfg.Workers, workerFS, scratch, nil)
 }
 
 // ParallelSearch runs the master/worker parallel BLAST in-process: a

@@ -154,7 +154,7 @@ func (s *Store) Open(topts ...rpcpool.Option) (chio.FileSystem, func() error, er
 // RankStore hands every rank of a parallel search its own file system
 // onto one Store — rank 0 is the master — and owns every client it
 // dialed. A rank is opened on first use and keeps its file system, so
-// a pool restarting a rank does not dial (and leak) a second client.
+// asking twice for one rank never dials (and leaks) a second client.
 // Safe for use by every worker goroutine at once.
 type RankStore struct {
 	store *Store
@@ -282,21 +282,25 @@ func (w *WorkerFlags) RegisterFlags(fs *flag.FlagSet) {
 
 // Options turns the flags into search options — the same list whether
 // the workers run in this process or on other machines, so -scratch
-// means copy-to-local in both. The readahead counters land in stats,
-// which may be nil.
-func (w *WorkerFlags) Options(stats *iotrace.CacheStats) []pblast.Option {
+// means copy-to-local in both. With -readahead, every worker's cache
+// counts into the one returned sink, registered on reg (which may be
+// nil); without it the sink is nil.
+func (w *WorkerFlags) Options(reg *telemetry.Registry) ([]pblast.Option, *iotrace.CacheStats) {
 	opts := []pblast.Option{
 		pblast.WithChunkBytes(w.Chunk),
 		pblast.WithCopyToLocal(w.Scratch != ""),
 	}
+	var stats *iotrace.CacheStats
 	if w.Readahead {
+		stats = &iotrace.CacheStats{}
+		stats.Register(reg)
 		opts = append(opts, pblast.WithReadahead(
 			readahead.WithBlockSize(w.RABlock),
 			readahead.WithCapacity(w.RACache),
 			readahead.WithWindow(w.RAWindow),
 			readahead.WithStats(stats)))
 	}
-	return opts
+	return opts, stats
 }
 
 // ScratchFS opens rank's own directory under -scratch, or returns nil

@@ -2,14 +2,17 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"io"
 	"strings"
 	"sync"
 	"testing"
 
+	"pario/internal/blast"
 	"pario/internal/chio"
 	"pario/internal/pblast"
+	"pario/internal/telemetry"
 )
 
 // parseStore runs args through the full flag surface of mpiblast and
@@ -163,7 +166,8 @@ func TestRankStoreConcurrentRanks(t *testing.T) {
 // alike, so neither can forget it.
 func TestWorkerFlagsOptions(t *testing.T) {
 	_, wf := parseStore(t, "-scratch", t.TempDir(), "-chunk", "4096", "-readahead")
-	cfg := pblast.NewConfig("nt", wf.Options(nil)...)
+	opts, _ := wf.Options(nil)
+	cfg := pblast.NewConfig("nt", opts...)
 	if !cfg.CopyToLocal {
 		t.Error("-scratch did not enable CopyToLocal")
 	}
@@ -176,8 +180,12 @@ func TestWorkerFlagsOptions(t *testing.T) {
 	}
 
 	_, wf = parseStore(t)
-	if pblast.NewConfig("nt", wf.Options(nil)...).CopyToLocal {
+	opts, stats := wf.Options(nil)
+	if pblast.NewConfig("nt", opts...).CopyToLocal {
 		t.Error("CopyToLocal set without -scratch")
+	}
+	if stats != nil {
+		t.Error("a readahead counter sink without -readahead")
 	}
 	if sc, err := wf.ScratchFS(1); sc != nil || err != nil {
 		t.Errorf("ScratchFS without -scratch = %v, %v", sc, err)
@@ -191,5 +199,41 @@ func TestWorkerFlagsOptions(t *testing.T) {
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
 	if got, want := strings.Join(names, " "), "chunk ra-block ra-cache ra-window readahead scratch"; got != want {
 		t.Errorf("worker flags = %q, want %q", got, want)
+	}
+}
+
+// With -readahead every worker's cache counts into the one sink
+// Options registers, so blastd's and mpiblast's /metrics show the
+// pario_readahead_* families of a search.
+func TestWorkerFlagsReadaheadMetrics(t *testing.T) {
+	_, wf := parseStore(t, "-readahead")
+	reg := telemetry.NewRegistry()
+	opts, stats := wf.Options(reg)
+	fs := chio.NewMemFS()
+	buildDB(t, fs)
+	query, err := ExtractQuery(fs, "nt", 568, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := SearchConfig{
+		Search:   pblast.NewConfig("nt", append(opts, pblast.WithParams(blast.Params{Program: blast.BlastN}))...),
+		Workers:  2,
+		MasterFS: fs,
+		WorkerFS: func(int) chio.FileSystem { return fs },
+	}
+	if _, err := ParallelSearch(context.Background(), query, cfg); err != nil {
+		t.Fatal(err)
+	}
+	misses := -1.0
+	for _, s := range reg.Snapshot() {
+		if s.Name == "pario_readahead_misses_total" {
+			misses = s.Value
+		}
+	}
+	if misses <= 0 {
+		t.Fatalf("pario_readahead_misses_total = %v after a readahead search, want > 0", misses)
+	}
+	if want := float64(stats.Snapshot().Misses); misses != want {
+		t.Errorf("registry reads %v misses, the sink %v", misses, want)
 	}
 }

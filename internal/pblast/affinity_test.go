@@ -2,6 +2,7 @@ package pblast
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -49,11 +50,12 @@ func (b *pairBarrier) wait() {
 	<-ch
 }
 
-// lockstepPool opens a pool of two workers over a four-fragment
-// database whose fragment opens pass in pairs while the returned flag
-// is set: every task starts alongside one on the other worker, so a
-// submission's four tasks split two and two whatever the timing.
-func lockstepPool(t *testing.T, cfg Config) (*Pool, *seq.Sequence, *blastdb.Alias, *atomic.Bool, chio.FileSystem) {
+// lockstepFS builds a four-fragment database whose fragment opens,
+// through the returned file system, pass in pairs while the returned
+// flag is set: every task of two workers reading through it starts
+// alongside one on the other worker, so a submission's four tasks
+// split two and two whatever the timing.
+func lockstepFS(t *testing.T, cfg Config) (chio.FileSystem, *seq.Sequence, *blastdb.Alias, *atomic.Bool, chio.FileSystem) {
 	t.Helper()
 	mem := chio.NewMemFS()
 	query := buildTestDB(t, mem, cfg.DBName, 4)
@@ -73,12 +75,51 @@ func lockstepPool(t *testing.T, cfg Config) (*Pool, *seq.Sequence, *blastdb.Alia
 			barrier.wait()
 		}
 	}}
-	pool, err := NewPool(context.Background(), cfg, 2, sameFS(fs), nil)
+	return fs, query, alias, &lockstep, mem
+}
+
+// lockstepPool opens a pool of two workers over lockstepFS.
+func lockstepPool(t *testing.T, cfg Config) (*Pool, *seq.Sequence, *blastdb.Alias, *atomic.Bool, chio.FileSystem) {
+	t.Helper()
+	fs, query, alias, lockstep, mem := lockstepFS(t, cfg)
+	pool, err := NewPool(context.Background(), cfg, 2, sameFS(fs), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.Resize(2)
-	return pool, query, alias, &lockstep, mem
+	return pool, query, alias, lockstep, mem
+}
+
+// handWorld stands up a stream on rank 0 of a three-rank world, for a
+// test that runs the two workers itself: it returns the stream and a
+// function that starts a worker on rank with ctx, reading fs, whose
+// return arrives on the channel it gives back. The stream, the world
+// and the workers are closed and joined at the end of the test.
+func handWorld(t *testing.T, cfg Config) (*Stream, func(ctx context.Context, rank int, fs chio.FileSystem) <-chan error) {
+	t.Helper()
+	world, err := mpi.NewWorld(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := StartStream(context.Background(), world.Comm(0), cfg)
+	if err != nil {
+		world.Close()
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		st.Close()
+		world.Close()
+		wg.Wait()
+	})
+	return st, func(ctx context.Context, rank int, fs chio.FileSystem) <-chan error {
+		exited := make(chan error, 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			exited <- RunWorker(ctx, world.Comm(rank), cfg, fs, nil)
+		}()
+		return exited
+	}
 }
 
 // workers maps each task index of out to the rank that ran it.
@@ -163,18 +204,9 @@ func TestAffinityNeverIdlesAWorker(t *testing.T) {
 		}
 	}}
 	cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}))
-	pool, err := NewPool(context.Background(), cfg, 2, func(rank int) chio.FileSystem {
-		if rank == 1 {
-			return holderFS
-		}
-		return otherFS
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	pool.Resize(1)
-	out, err := pool.Submit(context.Background(), query, cfg.Params, alias)
+	st, startWorker := handWorld(t, cfg)
+	startWorker(context.Background(), 1, holderFS)
+	out, err := st.Submit(context.Background(), query, cfg.Params, alias)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,16 +216,16 @@ func TestAffinityNeverIdlesAWorker(t *testing.T) {
 		}
 	}
 	gated.Store(true)
-	pool.Resize(2)
+	startWorker(context.Background(), 2, otherFS)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		out, err = pool.Submit(context.Background(), query, cfg.Params, alias)
+		out, err = st.Submit(context.Background(), query, cfg.Params, alias)
 	}()
 	select {
 	case <-done:
 	case <-time.After(20 * time.Second):
-		release() // let the deferred Close finish
+		release() // let the cleanup's Close finish
 		t.Fatal("submission stalled behind the busy holder")
 	}
 	if err != nil {
@@ -211,13 +243,17 @@ func TestAffinityNeverIdlesAWorker(t *testing.T) {
 	}
 }
 
-// Fragments whose holder left through Resize still run, on the rank
-// that stays, and the result is the serial search's.
+// Fragments whose holder left, its context cancelled while idle, still
+// run, on the rank that stays, and the result is the serial search's.
 func TestAffinityDepartedHolder(t *testing.T) {
 	cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}))
-	pool, query, alias, lockstep, mem := lockstepPool(t, cfg)
-	defer pool.Close()
-	out, err := pool.Submit(context.Background(), query, cfg.Params, alias)
+	fs, query, alias, lockstep, mem := lockstepFS(t, cfg)
+	st, startWorker := handWorld(t, cfg)
+	holder, leave := context.WithCancel(context.Background())
+	defer leave()
+	startWorker(context.Background(), 1, fs)
+	left := startWorker(holder, 2, fs)
+	out, err := st.Submit(context.Background(), query, cfg.Params, alias)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,19 +267,16 @@ func TestAffinityDepartedHolder(t *testing.T) {
 		t.Fatalf("worker 2 ran %d fragments, want 2", held)
 	}
 	lockstep.Store(false)
-	pool.Resize(1)
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		pool.mu.Lock()
-		left := len(pool.free) == 1
-		pool.mu.Unlock()
-		if left {
-			break
+	leave()
+	select {
+	case err := <-left:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("worker 2 returned %v, want context.Canceled", err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("worker 2 did not leave")
-		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("worker 2 did not leave")
 	}
-	out, err = pool.Submit(context.Background(), query, cfg.Params, alias)
+	out, err = st.Submit(context.Background(), query, cfg.Params, alias)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +366,7 @@ func TestOverdueResentOldestFirst(t *testing.T) {
 			break
 		}
 		order = append(order, tk.Index)
-		if err := mpi.SendGob(c, 0, tagResult, runTask(cfg, new(blast.Searcher), c.Rank(), &tk, fs, nil)); err != nil {
+		if err := mpi.SendGob(c, 0, tagResult, runTask(context.Background(), cfg, new(blast.Searcher), c.Rank(), &tk, fs, nil)); err != nil {
 			t.Fatal(err)
 		}
 	}

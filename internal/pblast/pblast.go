@@ -13,11 +13,12 @@
 // Stream owns a persistent worker pool and accepts submissions (one
 // query each) at any time, feeding their (query x fragment) tasks to
 // whichever workers are idle. Workers join by announcing themselves
-// (so a pool can grow while searches run) and leave gracefully
-// between tasks; tasks held by a departed worker are re-queued. A
-// one-shot search opens a stream, submits and closes it; a multi-query
-// run is several concurrent Submits on one stream, and the always-on
-// blastd service keeps the same stream open for its entire lifetime.
+// (so a distributed worker may start while searches run) and leave
+// when their context is cancelled; tasks held by a departed worker
+// are re-queued. A one-shot search opens a stream, submits and closes
+// it; a multi-query run is several concurrent Submits on one stream,
+// and the always-on blastd service keeps the same stream open for its
+// entire lifetime.
 // The stream sends each fragment's task to the worker that searched
 // that fragment last, whose cache most likely still holds its blocks,
 // and to any idle worker when that one is busy.
@@ -170,7 +171,7 @@ type Outcome struct {
 	Timeline []TaskEvent
 	// Reassigned counts tasks re-handed to another worker after their
 	// original assignee went silent or left (fault-tolerant
-	// scheduling and graceful worker departure).
+	// scheduling and worker departure).
 	Reassigned int
 }
 
@@ -187,14 +188,11 @@ func decodeGob(data []byte, v interface{}) error {
 //
 // The worker announces itself to the master first, so workers may
 // join a running stream at any time. Cancelling ctx makes the worker
-// leave and return ctx's error, and when fs supports
-// chio.ContextBinder its in-flight parallel-FS reads abort too, so a
-// cancelled query releases the I/O path immediately. Closing quit
-// (nil for never) is the graceful departure: the worker finishes its
-// current task, if any, announces its departure and returns nil, and
-// the master re-queues any task still in flight to it. This is how a
-// service shrinks its worker pool without aborting searches.
-func RunWorker(ctx context.Context, c mpi.Comm, cfg Config, fs, scratch chio.FileSystem, quit <-chan struct{}) error {
+// leave: it announces its departure, the master re-queues any task
+// still in flight to it, and RunWorker returns ctx's error. When fs
+// supports chio.ContextBinder its in-flight parallel-FS reads abort
+// too, so a cancelled query releases the I/O path immediately.
+func RunWorker(ctx context.Context, c mpi.Comm, cfg Config, fs, scratch chio.FileSystem) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -202,28 +200,14 @@ func RunWorker(ctx context.Context, c mpi.Comm, cfg Config, fs, scratch chio.Fil
 	if scratch != nil {
 		scratch = chio.BindContext(scratch, ctx)
 	}
-	// Every receive waits on rctx, which ends when ctx is cancelled or
-	// quit closes, so an idle worker blocks without polling for either.
-	// Tasks still run under ctx: a quit never aborts one.
-	rctx, stop := context.WithCancel(ctx)
-	defer stop()
-	if quit != nil {
-		go func() {
-			select {
-			case <-quit:
-				stop()
-			case <-rctx.Done():
-			}
-		}()
-	}
 	// exit maps a failed send or receive to the worker's return. When
-	// rctx has ended the worker tells the master it is leaving and
-	// returns ctx's error (nil after a quit). Otherwise a closed communicator means
-	// the master completed and shut the world down — a clean exit, not
-	// a fault (this worker may have been computing a reassigned
+	// ctx has ended the worker tells the master it is leaving and
+	// returns ctx's error. Otherwise a closed communicator means the
+	// master completed and shut the world down — a clean exit, not a
+	// fault (this worker may have been computing a reassigned
 	// duplicate).
 	exit := func(err error) error {
-		if rctx.Err() != nil {
+		if ctx.Err() != nil {
 			c.Send(0, tagLeave, nil) // best effort; master may be gone
 			return ctx.Err()
 		}
@@ -237,12 +221,13 @@ func RunWorker(ctx context.Context, c mpi.Comm, cfg Config, fs, scratch chio.Fil
 		return exit(err)
 	}
 	// Wait for the (empty) welcome. A stale task from a previous
-	// occupant of this rank may still sit in the mailbox — discard
-	// anything that is not the welcome (the master re-queued those
-	// tasks when the old occupant left). A done-task here means the
-	// stream is draining.
+	// occupant of this rank — a distributed worker that left and was
+	// started again — may still sit in the mailbox: discard anything
+	// that is not the welcome (the master re-queued those tasks when
+	// the old occupant left). A done-task here means the stream is
+	// draining.
 	for {
-		m, err := c.Recv(rctx, 0, mpi.AnyTag)
+		m, err := c.Recv(ctx, 0, mpi.AnyTag)
 		if err != nil {
 			return exit(err)
 		}
@@ -263,60 +248,55 @@ func RunWorker(ctx context.Context, c mpi.Comm, cfg Config, fs, scratch chio.Fil
 	// query's engine carry over from task to task.
 	var sr blast.Searcher
 	for {
-		if err := rctx.Err(); err != nil {
+		if err := ctx.Err(); err != nil {
 			return exit(err)
 		}
 		if err := c.Send(0, tagReady, nil); err != nil {
 			return exit(err)
 		}
-		// A task the master sends after rctx ends stays in the mailbox;
+		// A task the master sends after ctx ends stays in the mailbox;
 		// the master re-queues it when our leave arrives.
 		var t taskMsg
-		if _, err := mpi.RecvGob(rctx, c, 0, tagTask, &t); err != nil {
+		if _, err := mpi.RecvGob(ctx, c, 0, tagTask, &t); err != nil {
 			return exit(err)
 		}
 		if t.Kind == taskDone {
 			return nil
 		}
-		rm := runTracedTask(ctx, cfg, &sr, c.Rank(), &t, fs, scratch)
+		rm := runTask(ctx, cfg, &sr, c.Rank(), &t, fs, scratch)
 		if err := mpi.SendGob(c, 0, tagResult, rm); err != nil {
 			return exit(err)
 		}
 	}
 }
 
-// runTracedTask wraps runTask in a worker-side "search" span when the
-// task carries a trace ID and cfg has a tracer: the span parents under
-// the master's task span, and the file systems are rebound to the span
-// context so the fragment reads it issues — down to the data servers'
-// serve:* spans — join the query's trace. Untraced tasks take the
-// plain path.
-func runTracedTask(ctx context.Context, cfg Config, sr *blast.Searcher, rank int, t *taskMsg, fs, scratch chio.FileSystem) *resultMsg {
-	if cfg.tracer == nil || t.TraceID == 0 {
-		return runTask(cfg, sr, rank, t, fs, scratch)
-	}
-	ctx = telemetry.ContextWithSpan(ctx, telemetry.SpanContext{TraceID: t.TraceID, SpanID: t.SpanID})
-	sctx, span := cfg.tracer.Start(ctx, "search")
-	span.SetServer(fmt.Sprintf("worker%d", rank))
-	span.SetAttr("task", fmt.Sprintf("%d", t.Index))
-	fs = chio.BindContext(fs, sctx)
-	if scratch != nil {
-		scratch = chio.BindContext(scratch, sctx)
-	}
-	rm := runTask(cfg, sr, rank, t, fs, scratch)
-	span.AddBytes(rm.ReadBytes)
-	var err error
-	if rm.Err != "" {
-		err = errors.New(rm.Err)
-	}
-	span.Finish(err)
-	return rm
-}
-
 // runTask performs the fragment read and search for one task on the
-// given worker rank, with the worker's searcher.
-func runTask(cfg Config, sr *blast.Searcher, rank int, t *taskMsg, fs, scratch chio.FileSystem) *resultMsg {
-	rm := &resultMsg{Sub: t.Sub, Index: t.Index}
+// given worker rank, with the worker's searcher. When the task carries
+// a trace ID and cfg has a tracer, the task runs in a worker-side
+// "search" span parented under the master's task span, and the file
+// systems are rebound to the span's context so the fragment reads it
+// issues — down to the data servers' serve:* spans — join the query's
+// trace.
+func runTask(ctx context.Context, cfg Config, sr *blast.Searcher, rank int, t *taskMsg, fs, scratch chio.FileSystem) (rm *resultMsg) {
+	rm = &resultMsg{Sub: t.Sub, Index: t.Index}
+	if cfg.tracer != nil && t.TraceID != 0 {
+		ctx = telemetry.ContextWithSpan(ctx, telemetry.SpanContext{TraceID: t.TraceID, SpanID: t.SpanID})
+		sctx, span := cfg.tracer.Start(ctx, "search")
+		span.SetServer(fmt.Sprintf("worker%d", rank))
+		span.SetAttr("task", fmt.Sprintf("%d", t.Index))
+		fs = chio.BindContext(fs, sctx)
+		if scratch != nil {
+			scratch = chio.BindContext(scratch, sctx)
+		}
+		defer func() {
+			span.AddBytes(rm.ReadBytes)
+			var err error
+			if rm.Err != "" {
+				err = errors.New(rm.Err)
+			}
+			span.Finish(err)
+		}()
+	}
 	fail := func(err error) *resultMsg {
 		rm.Err = err.Error()
 		return rm

@@ -88,11 +88,10 @@ func searchPool(ctx context.Context, nWorkers int, query *seq.Sequence, cfg Conf
 	if err != nil {
 		return nil, err
 	}
-	pool, err := NewPool(ctx, cfg, nWorkers, workerFS, scratch)
+	pool, err := NewPool(ctx, cfg, nWorkers, workerFS, scratch, nil)
 	if err != nil {
 		return nil, err
 	}
-	pool.Resize(nWorkers)
 	out, err := pool.Submit(ctx, query, cfg.Params, alias)
 	if cerr := pool.Close(); err == nil {
 		err = cerr
@@ -343,7 +342,7 @@ func TestWorkerConfigDecidesCopyToLocal(t *testing.T) {
 	scratch := chio.NewMemFS()
 	werr := make(chan error, 1)
 	go func() {
-		werr <- RunWorker(context.Background(), world.Comm(1), master.Apply(WithCopyToLocal(true)), shared, scratch, nil)
+		werr <- RunWorker(context.Background(), world.Comm(1), master.Apply(WithCopyToLocal(true)), shared, scratch)
 	}()
 	out, err := searchStream(context.Background(), world.Comm(0), shared, query, master)
 	if err != nil {
@@ -378,11 +377,10 @@ func TestTempResultsStayBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}))
-	pool, err := NewPool(context.Background(), cfg, workers, sameFS(fs), nil)
+	pool, err := NewPool(context.Background(), cfg, workers, sameFS(fs), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.Resize(workers)
 	for i := 0; i < queries; i++ {
 		if _, err := pool.Submit(context.Background(), query, cfg.Params, alias); err != nil {
 			t.Fatal(err)
@@ -573,7 +571,7 @@ func TestOverTCPTransport(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			workerErrs[r] = RunWorker(context.Background(), c, cfg, fs, nil, nil)
+			workerErrs[r] = RunWorker(context.Background(), c, cfg, fs, nil)
 		}(r)
 	}
 	c0, err := mpi.Dial(router.Addr(), 0, 3)
@@ -634,7 +632,7 @@ func TestWorkerCrashReassignment(t *testing.T) {
 			// Let the crasher claim a task first, so a task is
 			// guaranteed to be lost and need reassignment.
 			time.Sleep(100 * time.Millisecond)
-			errs[r] = RunWorker(context.Background(), world.Comm(r), cfg, fs, nil, nil)
+			errs[r] = RunWorker(context.Background(), world.Comm(r), cfg, fs, nil)
 		}(r)
 	}
 	out, masterErr := searchStream(context.Background(), world.Comm(0), fs, query, cfg)
@@ -712,7 +710,7 @@ func TestSlowWorkerDuplicateResultDiscarded(t *testing.T) {
 		}
 		time.Sleep(700 * time.Millisecond) // long enough to be declared overdue
 		if tk.Kind == taskSearch {
-			rm := runTask(cfg, new(blast.Searcher), c.Rank(), &tk, fs, nil)
+			rm := runTask(context.Background(), cfg, new(blast.Searcher), c.Rank(), &tk, fs, nil)
 			if err := mpi.SendGob(c, 0, tagResult, rm); err != nil && !errorsIsClosed(err) {
 				errs[1] = err
 				return
@@ -736,7 +734,7 @@ func TestSlowWorkerDuplicateResultDiscarded(t *testing.T) {
 			if t2.Kind == taskDone {
 				return
 			}
-			rm := runTask(cfg, new(blast.Searcher), c.Rank(), &t2, fs, nil)
+			rm := runTask(context.Background(), cfg, new(blast.Searcher), c.Rank(), &t2, fs, nil)
 			if err := mpi.SendGob(c, 0, tagResult, rm); err != nil {
 				if !errorsIsClosed(err) {
 					errs[1] = err
@@ -746,7 +744,7 @@ func TestSlowWorkerDuplicateResultDiscarded(t *testing.T) {
 		}
 	}()
 	wg.Add(1)
-	go func() { defer wg.Done(); errs[2] = RunWorker(context.Background(), world.Comm(2), cfg, fs, nil, nil) }()
+	go func() { defer wg.Done(); errs[2] = RunWorker(context.Background(), world.Comm(2), cfg, fs, nil) }()
 	out, masterErr := searchStream(context.Background(), world.Comm(0), fs, query, cfg)
 	world.Close()
 	wg.Wait()
@@ -836,11 +834,10 @@ func submitAll(t *testing.T, fs chio.FileSystem, nWorkers int, cfg Config, queri
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPool(context.Background(), cfg, nWorkers, sameFS(fs), nil)
+	pool, err := NewPool(context.Background(), cfg, nWorkers, sameFS(fs), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.Resize(nWorkers)
 	outs := make([]*Outcome, len(queries))
 	errs := make([]error, len(queries))
 	var wg sync.WaitGroup
@@ -895,69 +892,6 @@ func TestBatchMatchesIndividualRuns(t *testing.T) {
 	}
 }
 
-// A rank retired by Resize and started again must read through the
-// file system it was first given: the pool memoizes per rank, so a
-// factory that dials a client is called once per rank, not once per
-// restart.
-func TestPoolRestartedRankReusesFS(t *testing.T) {
-	fs := chio.NewMemFS()
-	query := buildTestDB(t, fs, "nt", 4)
-	cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}))
-	alias, err := blastdb.ReadAlias(fs, "nt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	built := make(map[int]int)
-	pool, err := NewPool(context.Background(), cfg, 3, func(rank int) chio.FileSystem {
-		mu.Lock()
-		built[rank]++
-		mu.Unlock()
-		return fs
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	search := func() {
-		t.Helper()
-		out, err := pool.Submit(context.Background(), query, cfg.Params, alias)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkFound(t, out)
-	}
-	waitSize := func(n int) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			pool.mu.Lock()
-			idle := len(pool.free)
-			pool.mu.Unlock()
-			if idle == 3-n {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("pool did not settle at %d workers", n)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	pool.Resize(3)
-	search()
-	pool.Resize(1)
-	waitSize(1) // ranks 2 and 3 have left and freed their ranks
-	pool.Resize(3)
-	search()
-	if err := pool.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for rank := 1; rank <= 3; rank++ {
-		if built[rank] != 1 {
-			t.Errorf("rank %d file system built %d times, want 1", rank, built[rank])
-		}
-	}
-}
-
 func TestWorkerTaskFailureSurfacesToMaster(t *testing.T) {
 	// A worker whose file system errors mid-search must fail its task
 	// and the master must surface the error (fail-fast without a
@@ -1002,11 +936,10 @@ func TestCancelledSubmitWithdrawsTasks(t *testing.T) {
 	}
 	gate := &gatedFS{FileSystem: mem, entered: make(chan struct{}), release: make(chan struct{})}
 	cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}))
-	pool, err := NewPool(context.Background(), cfg, 1, sameFS(gate), nil)
+	pool, err := NewPool(context.Background(), cfg, 1, sameFS(gate), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.Resize(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	submitted := make(chan error, 1)
 	go func() {
@@ -1039,8 +972,8 @@ func (c countingComm) Recv(ctx context.Context, from, tag int) (mpi.Message, err
 }
 
 // An idle stream and its workers block in Recv rather than polling,
-// even in the Pool's shape (cancellable context, quit channels), and a
-// quit still reaches an idle worker.
+// even in the Pool's shape (cancellable contexts), and a cancel still
+// reaches an idle worker.
 func TestIdleStreamMakesNoReceives(t *testing.T) {
 	world, err := mpi.NewWorld(3)
 	if err != nil {
@@ -1056,10 +989,11 @@ func TestIdleStreamMakesNoReceives(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := chio.NewMemFS()
-	quits := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	leaving, leave := context.WithCancel(ctx)
+	defer leave()
 	exited := []chan error{make(chan error, 1), make(chan error, 1)}
-	for i := range quits {
-		go func() { exited[i] <- RunWorker(ctx, comm(i+1), NewConfig("nt"), fs, nil, quits[i]) }()
+	for i, wctx := range []context.Context{leaving, ctx} {
+		go func() { exited[i] <- RunWorker(wctx, comm(i+1), NewConfig("nt"), fs, nil) }()
 	}
 	// Joined and idle: the master has taken two hellos and two readies
 	// and waits in its fifth Recv; each worker has taken its welcome
@@ -1075,14 +1009,14 @@ func TestIdleStreamMakesNoReceives(t *testing.T) {
 	if n := recvs.Load() - settled; n != 0 {
 		t.Errorf("idle stream made %d receives in 1s, want 0", n)
 	}
-	close(quits[0])
+	leave()
 	select {
 	case err := <-exited[0]:
-		if err != nil {
-			t.Errorf("quit worker returned %v, want nil", err)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled worker returned %v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("idle worker did not notice its quit")
+		t.Fatal("idle worker did not notice its cancel")
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

@@ -15,83 +15,54 @@ import (
 
 // WorkerFS stacks the worker-side read path over base, the per-rank
 // view of the shared store: a readahead cache over each rank's own
-// client (WithReadahead), and nothing else. The result is memoized per
-// rank, so base is called once per rank however often a pool restarts
-// that rank — re-dialing a parallel-FS client on every restart would
-// leak its connections.
+// client (WithReadahead), and nothing else. Each rank's worker asks
+// for its file system once, when it starts.
 func (cfg Config) WorkerFS(base func(rank int) chio.FileSystem) func(rank int) chio.FileSystem {
-	type slot struct {
-		once sync.Once
-		fs   chio.FileSystem
+	if !cfg.raEnable {
+		return base
 	}
-	var (
-		mu    sync.Mutex
-		ranks = make(map[int]*slot)
-	)
 	return func(rank int) chio.FileSystem {
-		mu.Lock()
-		sl := ranks[rank]
-		if sl == nil {
-			sl = &slot{}
-			ranks[rank] = sl
-		}
-		mu.Unlock()
-		sl.once.Do(func() {
-			sl.fs = base(rank)
-			if cfg.raEnable {
-				sl.fs = readahead.Wrap(sl.fs, cfg.raOpts...)
-			}
-		})
-		return sl.fs
+		return readahead.Wrap(base(rank), cfg.raOpts...)
 	}
 }
 
 // Pool is a parallel search stood up inside one process: an mpi
-// world, the Stream scheduling on its rank 0, and workers on the
-// other ranks reading through cfg.WorkerFS, every rank running with
-// cfg. A one-shot search opens a pool, submits and closes it
-// (core.ParallelSearch); a multi-query run is several concurrent
-// Submits on one pool; the blastd service keeps
-// one open for its lifetime and resizes it. Resize grows the pool by
-// starting workers on free ranks and shrinks it by signalling graceful
-// leave (each departing worker finishes its current task first).
+// world, the Stream scheduling on its rank 0, and a fixed set of
+// workers on the other ranks reading through cfg.WorkerFS, every rank
+// running with cfg. A one-shot search opens a pool, submits and closes
+// it (core.ParallelSearch); a multi-query run is several concurrent
+// Submits on one pool; the blastd service keeps one open for its
+// lifetime. Like an MPI job's world, the pool's size is fixed at
+// start: a worker leaves it only by failing.
 type Pool struct {
-	// OnWorkerError, when set before the first Resize, is told of
-	// every worker that exits with an error while the pool is open.
-	OnWorkerError func(rank int, err error)
+	world  *mpi.World
+	stream *Stream
 
-	world    *mpi.World
-	stream   *Stream
-	cfg      Config
-	workerFS func(rank int) chio.FileSystem
-	scratch  func(rank int) chio.FileSystem
-
-	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
 	mu      sync.Mutex
-	quits   map[int]chan struct{} // rank -> leave signal for live workers
-	free    []int                 // ranks available for new workers
+	live    int // workers that have not exited
 	closing bool
 	err     error // first worker failure, reported by Close
 }
 
-// NewPool builds the mpi world (ranks 0..maxWorkers; rank 0 is the
-// scheduler) and starts the stream. workerFS(rank) is each worker's
-// view of the shared store (rank in [1, maxWorkers]); scratch, when
-// non-nil, returns the worker's local scratch for CopyToLocal
-// configurations. No workers run until Resize. Cancelling ctx aborts
-// the pool's searches, including in-flight parallel-FS I/O on backends
-// that support chio.ContextBinder.
-func NewPool(ctx context.Context, cfg Config, maxWorkers int, workerFS, scratch func(rank int) chio.FileSystem) (*Pool, error) {
-	if maxWorkers < 1 {
+// NewPool builds the mpi world (ranks 0..workers; rank 0 is the
+// scheduler), starts the stream and starts one worker on each other
+// rank. workerFS(rank) is each worker's view of the shared store;
+// scratch, when non-nil, returns the worker's local scratch for
+// CopyToLocal configurations. onWorkerError (nil for none) is told of
+// every worker that exits with an error while the pool is open.
+// Cancelling ctx aborts the pool's searches, including in-flight
+// parallel-FS I/O on backends that support chio.ContextBinder.
+func NewPool(ctx context.Context, cfg Config, workers int, workerFS, scratch func(rank int) chio.FileSystem, onWorkerError func(rank int, err error)) (*Pool, error) {
+	if workers < 1 {
 		return nil, fmt.Errorf("pblast: need at least 1 worker")
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	world, err := mpi.NewWorld(maxWorkers + 1)
+	world, err := mpi.NewWorld(workers + 1)
 	if err != nil {
 		return nil, err
 	}
@@ -102,18 +73,18 @@ func NewPool(ctx context.Context, cfg Config, maxWorkers int, workerFS, scratch 
 		world.Close()
 		return nil, err
 	}
-	p := &Pool{
-		world:    world,
-		stream:   stream,
-		cfg:      cfg,
-		workerFS: cfg.WorkerFS(workerFS),
-		scratch:  scratch,
-		ctx:      ctx,
-		cancel:   cancel,
-		quits:    make(map[int]chan struct{}),
-	}
-	for r := maxWorkers; r >= 1; r-- {
-		p.free = append(p.free, r)
+	p := &Pool{world: world, stream: stream, cancel: cancel, live: workers}
+	workerFS = cfg.WorkerFS(workerFS)
+	p.wg.Add(workers)
+	for rank := 1; rank <= workers; rank++ {
+		go func() {
+			defer p.wg.Done()
+			var sfs chio.FileSystem
+			if scratch != nil {
+				sfs = scratch(rank)
+			}
+			p.exited(rank, RunWorker(ctx, world.Comm(rank), cfg, workerFS(rank), sfs), onWorkerError)
+		}()
 	}
 	return p, nil
 }
@@ -124,63 +95,25 @@ func (p *Pool) Submit(ctx context.Context, query *seq.Sequence, params blast.Par
 	return p.stream.Submit(ctx, query, params, alias)
 }
 
-// Resize adjusts the number of live workers to n (clamped to the
-// world size). Growth starts workers immediately; shrinkage signals
-// the highest-ranked workers to leave after their current task.
-func (p *Pool) Resize(n int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n = max(0, min(n, len(p.quits)+len(p.free)))
-	for len(p.quits) < n {
-		rank := p.free[len(p.free)-1]
-		p.free = p.free[:len(p.free)-1]
-		quit := make(chan struct{})
-		p.quits[rank] = quit
-		p.wg.Add(1)
-		go p.runWorker(rank, quit)
-	}
-	for len(p.quits) > n {
-		// Retire the highest live rank so rank numbering stays dense.
-		top := -1
-		for rank := range p.quits {
-			top = max(top, rank)
-		}
-		close(p.quits[top])
-		delete(p.quits, top)
-	}
-}
-
-// Size reports the number of live (or leaving-but-not-yet-left)
-// workers.
+// Size reports the number of workers still running.
 func (p *Pool) Size() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.quits)
+	return p.live
 }
 
-func (p *Pool) runWorker(rank int, quit chan struct{}) {
-	defer p.wg.Done()
-	var scratch chio.FileSystem
-	if p.scratch != nil {
-		scratch = p.scratch(rank)
-	}
-	err := RunWorker(p.ctx, p.world.Comm(rank), p.cfg, p.workerFS(rank), scratch, quit)
+// exited records the return of rank's worker.
+func (p *Pool) exited(rank int, err error, onWorkerError func(rank int, err error)) {
 	p.mu.Lock()
-	// A worker that left (or died) frees its rank for future growth;
-	// drop any still-open quit channel if the exit was unsolicited.
-	if q, live := p.quits[rank]; live {
-		close(q)
-		delete(p.quits, rank)
-	}
-	p.free = append(p.free, rank)
+	p.live--
 	// Once Close has begun, a straggler cut off mid-task is not a fault.
 	failed := err != nil && !p.closing
 	if failed && p.err == nil {
 		p.err = fmt.Errorf("pblast: worker %d: %w", rank, err)
 	}
 	p.mu.Unlock()
-	if failed && p.OnWorkerError != nil {
-		p.OnWorkerError(rank, err)
+	if failed && onWorkerError != nil {
+		onWorkerError(rank, err)
 	}
 }
 

@@ -22,8 +22,8 @@ var ErrDraining = errors.New("pblast: stream draining")
 // communicator and hands (query x fragment) tasks to whichever
 // workers are idle, for as long as the stream lives. Submissions may
 // arrive from any goroutine at any time; workers may join (by
-// announcing themselves) and leave (gracefully, when RunWorker's quit
-// closes) while searches run. Close drains in-flight submissions and
+// announcing themselves) and leave (when RunWorker's context is
+// cancelled) while searches run. Close drains in-flight submissions and
 // releases the workers. This is the machinery behind the in-process
 // Pool and, through it, the always-on blastd service, and behind
 // mpiblast's distributed master.

@@ -29,7 +29,7 @@ func TestLegacyWorkerUnderTracingMaster(t *testing.T) {
 	var wg sync.WaitGroup
 	var werr error
 	wg.Add(1)
-	go func() { defer wg.Done(); werr = RunWorker(context.Background(), world.Comm(1), cfg, fs, nil, nil) }()
+	go func() { defer wg.Done(); werr = RunWorker(context.Background(), world.Comm(1), cfg, fs, nil) }()
 
 	ctx, root := tr.Start(context.Background(), "request")
 	out, masterErr := searchStream(ctx, world.Comm(0), fs, query, cfg.Apply(WithTracer(tr)))
@@ -185,7 +185,7 @@ func TestReassignedTaskDuplicateSpans(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		time.Sleep(100 * time.Millisecond) // let the slow rank claim first
-		errs[2] = RunWorker(context.Background(), world.Comm(2), cfg, fs, nil, nil)
+		errs[2] = RunWorker(context.Background(), world.Comm(2), cfg, fs, nil)
 	}()
 
 	ctx, root := tr.Start(context.Background(), "request")
@@ -275,7 +275,7 @@ func TestWorkerLeaveMidQuerySpan(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		time.Sleep(100 * time.Millisecond)
-		errs[2] = RunWorker(context.Background(), world.Comm(2), cfg, fs, nil, nil)
+		errs[2] = RunWorker(context.Background(), world.Comm(2), cfg, fs, nil)
 	}()
 
 	ctx, root := tr.Start(context.Background(), "request")
