@@ -37,9 +37,9 @@ test:
 # inflates alloc counts, so each guard skips itself under -race), fuzz
 # the data server's request handler, the PVFS wire frame decoders, the
 # one-table seed scan, the message router, the fragment reader, the
-# FASTA reader, the metrics text parser, the alert-rule grammar and
-# blastd's JSON request body for a few seconds each, build and smoke the frozen
-# benchmark module (root `go build ./...` does not compile it, so a
+# FASTA reader, the metrics text parser and blastd's JSON request body
+# for a few seconds each, build and smoke the frozen benchmark module
+# (root `go build ./...` does not compile it, so a
 # rename that breaks it would otherwise go unnoticed), make sure every benchmark still at least
 # runs, then run the live-cluster smokes, which boot their daemons,
 # load blastd and tear down through the one shared scripts/smoke_lib.sh.
@@ -61,7 +61,6 @@ check: lint race
 	$(GO) test -run '^$$' -fuzz FuzzOpenFragment -fuzztime 5s ./internal/blastdb/
 	$(GO) test -run '^$$' -fuzz FuzzFastaReader -fuzztime 5s ./internal/seq/
 	$(GO) test -run '^$$' -fuzz FuzzParseText -fuzztime 5s ./internal/telemetry/
-	$(GO) test -run '^$$' -fuzz FuzzParseRules -fuzztime 5s ./internal/tsdb/
 	$(GO) test -run '^$$' -fuzz FuzzSearchBody -fuzztime 5s ./internal/blastd/
 	$(GO) vet -C bench ./... && $(GO) test -C bench -short .
 	$(MAKE) bench-smoke
@@ -72,12 +71,14 @@ check: lint race
 	$(MAKE) trace-smoke
 	$(MAKE) cli-smoke
 
-# go vet always, and every scripts/*.sh parsed (-n) by the shell its
-# shebang names; staticcheck, govulncheck and shellcheck when installed
-# (the container image may not carry them, and `go install` needs
-# network).
+# go vet always, gofmt (any file it would reformat fails the gate),
+# and every scripts/*.sh parsed (-n) by the shell its shebang names;
+# staticcheck, govulncheck and shellcheck when installed (the container
+# image may not carry them, and `go install` needs network).
 lint:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./scripts/metriclint .
 	@for f in scripts/*.sh; do \
 		shell=$$(sed -n '1{s|^#! *||;s|^/usr/bin/env ||;s|^[^ ]*/||;p;}' "$$f"); \

@@ -58,7 +58,6 @@ func main() {
 		drainTimeout  = flag.Duration("drain-timeout", 60*time.Second, "bound on completing in-flight work at shutdown")
 
 		monitorInterval = flag.Duration("monitor-interval", blastd.DefaultMonitorInterval, "in-process monitor sampling period (0 disables alerts and /debug/alerts)")
-		alertRules      = flag.String("alert-rules", "", "path to extra alert rules layered over the defaults (one rule per line)")
 
 		slowQuery  = flag.Duration("slow-query", 0, "pin full span sets for queries at or over this latency (0 disables pinning)")
 		flightSize = flag.Int("flight-size", blastd.DefaultFlightSize, "per-query flight recorder entries served at /debug/queries")
@@ -104,14 +103,6 @@ func main() {
 	if *dbs != "" {
 		serve = strings.Split(*dbs, ",")
 	}
-	extraRules := ""
-	if *alertRules != "" {
-		b, err := os.ReadFile(*alertRules)
-		if err != nil {
-			fatal(err)
-		}
-		extraRules = string(b)
-	}
 	// The pool gets a background context deliberately: SIGTERM must
 	// trigger the graceful drain below, not tear the stream down
 	// mid-task.
@@ -134,7 +125,6 @@ func main() {
 		Logger:        logger,
 
 		MonitorInterval: *monitorInterval,
-		AlertRules:      extraRules,
 		MonitorLogger:   logger,
 	})
 	if err != nil {

@@ -72,12 +72,9 @@ type Config struct {
 
 	// MonitorInterval, when positive, starts the in-process monitor:
 	// a tsdb collector sampling Registry every interval, with the
-	// DefaultAlertRules evaluated after each tick and alert state on
+	// default alert rules evaluated after each tick and alert state on
 	// GET /debug/alerts. Zero disables monitoring.
 	MonitorInterval time.Duration
-	// AlertRules holds extra rules (tsdb rule syntax, one per line)
-	// layered over DefaultAlertRules; same-name rules override.
-	AlertRules string
 	// MonitorLogger receives alert firing/resolved lines (default:
 	// the process slog default logger).
 	MonitorLogger *slog.Logger
@@ -174,10 +171,7 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 
 	s.wireMetrics()
 	if cfg.MonitorInterval > 0 {
-		if err := s.startMonitor(cfg.MonitorInterval, cfg.AlertRules, cfg.MonitorLogger); err != nil {
-			pool.Close()
-			return nil, err
-		}
+		s.startMonitor(cfg.MonitorInterval, cfg.MonitorLogger)
 	}
 	return s, nil
 }

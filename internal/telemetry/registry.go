@@ -191,15 +191,6 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 // Max returns the largest observed value.
 func (h *Histogram) Max() float64 { return math.Float64frombits(h.max.Load()) }
 
-// Mean returns Sum/Count, or 0 with no observations.
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
 // Quantile estimates the q-quantile (0 <= q <= 1) by linear
 // interpolation within the bucket holding the target rank. The
 // overflow bucket reports the observed max.

@@ -1,9 +1,10 @@
 // Package tsdb is the live time-series layer: a dependency-free
 // in-process store that samples metric registries (local or scraped
 // over HTTP) on a fixed interval into fixed-size ring buffers, with
-// the window queries load decisions need — rate() with counter-reset
-// detection, delta(), avg/max-over-time, and quantile-over-time
-// reconstructed from the log-bucketed histogram expositions.
+// the window queries load decisions need — rate and increase with
+// counter-reset detection, growth of a gauge, and quantile-over-time
+// and SLO burn reconstructed from the log-bucketed histogram
+// expositions.
 //
 // The paper diagnosed its I/O bottleneck from server-side utilization
 // traces over time, and the openMosix I/O-balancing line of work shows
@@ -182,9 +183,10 @@ func windowPoints(pts []Point, now time.Time, window time.Duration) []Point {
 	for i < len(pts) && !pts[i].T.After(cut) {
 		i++
 	}
-	// Keep one point before the cut when available: delta/rate over the
-	// window needs the value at the window's opening edge, or a counter
-	// that only ticked once inside the window reads as no increase.
+	// Keep one point before the cut when available: rate and increase
+	// over the window need the value at the window's opening edge, or a
+	// counter that only ticked once inside the window reads as no
+	// increase.
 	if i > 0 {
 		i--
 	}
@@ -227,45 +229,6 @@ func (s Series) Rate(now time.Time, window time.Duration) (float64, bool) {
 		return 0, false
 	}
 	return inc / span, true
-}
-
-// Delta returns last-minus-first over the window — the gauge
-// counterpart of Increase (no reset detection; gauges go down
-// legitimately).
-func (s Series) Delta(now time.Time, window time.Duration) (float64, bool) {
-	pts := windowPoints(s.Points, now, window)
-	if len(pts) < 2 {
-		return 0, false
-	}
-	return pts[len(pts)-1].V - pts[0].V, true
-}
-
-// AvgOverTime returns the mean of the samples in the window.
-func (s Series) AvgOverTime(now time.Time, window time.Duration) (float64, bool) {
-	pts := windowPoints(s.Points, now, window)
-	if len(pts) == 0 {
-		return 0, false
-	}
-	var sum float64
-	for _, p := range pts {
-		sum += p.V
-	}
-	return sum / float64(len(pts)), true
-}
-
-// MaxOverTime returns the largest sample in the window.
-func (s Series) MaxOverTime(now time.Time, window time.Duration) (float64, bool) {
-	pts := windowPoints(s.Points, now, window)
-	if len(pts) == 0 {
-		return 0, false
-	}
-	max := pts[0].V
-	for _, p := range pts[1:] {
-		if p.V > max {
-			max = p.V
-		}
-	}
-	return max, true
 }
 
 // Last returns the newest sample value.
@@ -329,11 +292,6 @@ func (st *Store) RateBy(name, label string, match map[string]string, now time.Ti
 		}
 	}
 	return out
-}
-
-// Delta sums last-minus-first over the window across matching series.
-func (st *Store) Delta(name string, match map[string]string, now time.Time, window time.Duration) (float64, bool) {
-	return st.sum(name, match, func(s Series) (float64, bool) { return s.Delta(now, window) })
 }
 
 // Increase sums reset-aware counter increases over the window across

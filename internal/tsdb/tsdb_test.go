@@ -58,13 +58,6 @@ func TestWindowKeepsOpeningEdge(t *testing.T) {
 	if !ok || inc != 3 {
 		t.Fatalf("increase = %v, %v; want 3", inc, ok)
 	}
-	// A window holding one real sample still answers delta, using the
-	// kept pre-window point as the opening edge: the 5->8 step landed
-	// on the in-window sample, so it belongs to the window.
-	d, ok := st.Delta("c", nil, now, 2*time.Second)
-	if !ok || d != 3 {
-		t.Fatalf("delta = %v, %v; want 3", d, ok)
-	}
 }
 
 func TestWindowExcludesOldPoints(t *testing.T) {
@@ -147,18 +140,6 @@ func TestSelectMatchAndExtraLabels(t *testing.T) {
 	}
 	if got[0].Label("op") != "read" {
 		t.Fatalf("labels = %v", got[0].Labels)
-	}
-}
-
-func TestAvgMaxOverTime(t *testing.T) {
-	st := NewStore(0)
-	now := feed(st, "g", nil, 1, 2, 3, 10)
-	s := st.Select("g", nil)[0]
-	if avg, ok := s.AvgOverTime(now, time.Minute); !ok || avg != 4 {
-		t.Fatalf("avg = %v, %v; want 4", avg, ok)
-	}
-	if max, ok := s.MaxOverTime(now, time.Minute); !ok || max != 10 {
-		t.Fatalf("max = %v, %v; want 10", max, ok)
 	}
 }
 

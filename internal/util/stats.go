@@ -83,7 +83,7 @@ func SortedKeys[V any](m map[string]V) []string {
 // Spread reduces a keyed load distribution to its peak, the key
 // holding it (the smallest such key on ties) and its mean: max/mean is
 // the "one server is N times busier than the average" ratio the
-// run-report imbalance section, the spread() alert function and the
+// run-report imbalance section, blastd's server_skew alert and the
 // pariotop client panel all show. All zero for an empty map.
 func Spread(byKey map[string]float64) (max float64, maxKey string, mean float64) {
 	for i, k := range SortedKeys(byKey) {

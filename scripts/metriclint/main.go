@@ -2,7 +2,7 @@
 // metric registered on a telemetry.Registry (Counter, Gauge,
 // Histogram, their Vec and Func forms) must be named pario_[a-z_]+ —
 // one namespace, lowercase, underscores. Dashboards, smoke scripts
-// and the tsdb rule files all address metrics by name, so a stray
+// and blastd's alert rules all address metrics by name, so a stray
 // camelCase or unprefixed family breaks consumers silently.
 //
 // It also keeps text exposition at the process boundary: a
