@@ -19,14 +19,18 @@ test:
 # leak test twenty times under the race detector (Format's parse-ahead
 # goroutine outlives its WaitGroup's Done by a moment, so the check
 # waits for Format's own goroutines to exit rather than counting every
-# goroutine once), re-run pblast's scheduler
-# tests ten times under the race detector (leave, crash,
-# duplicate result, cancel, idle: an empty welcome alone fences a
-# re-joined rank's stale mailbox, so a lapse in the worker's discard loop
-# or the loop's requeue shows up only as a rare interleaving; affinity
-# and overdue: pickTask chooses among pending tasks by holder and
-# among overdue ones by age, so a wrong choice shows up only in some
-# orders of results and readies), re-run pvfs's heartbeat and Close
+# goroutine once), re-run the mpi tests twenty times under the race
+# detector (the mailbox's order and conservation, a Recv cancelled
+# without losing a message, the router's forwarding: every receive of
+# both transports waits on the one FIFO mailbox, so a lapse shows up
+# only as a rare interleaving of puts, gets and cancels), re-run
+# pblast's scheduler tests ten times under the race detector (leave,
+# crash, duplicate result, cancel, idle: every result is also its
+# sender's next ready, so a lapse in the loop's idle list or requeue
+# shows up only as a rare interleaving; affinity and overdue: pickTask
+# chooses among pending tasks by holder and among overdue ones by age,
+# so a wrong choice shows up only in some orders of results and
+# readies), re-run pvfs's heartbeat and Close
 # tests ten times under the race detector (a data server's heartbeat
 # runs under a context that Close cancels, so a report in flight
 # races the shutdown only in some interleavings), re-run
@@ -47,6 +51,7 @@ check: lint race
 	$(GO) test -race -count=20 -run 'Prefetch|Concurrent|Demand' ./internal/readahead/
 	$(GO) test -race -count=20 -run 'Concurrent' ./internal/chio/
 	$(GO) test -race -count=20 -run TestFormatStopsReadingOnError ./internal/blastdb/
+	$(GO) test -race -count=20 ./internal/mpi/
 	$(GO) test -race -count=10 -run 'Leave|Crash|Duplicate|Cancelled|Idle|Affinity|Overdue' ./internal/pblast/
 	$(GO) test -race -count=10 -run 'Heartbeat|Close' ./internal/pvfs/
 	$(GO) test -run TestSearchSubjectSteadyStateAllocs ./internal/blast/

@@ -436,7 +436,7 @@ func BenchmarkMPIRoundTrip(b *testing.B) {
 	go func() {
 		defer close(done)
 		for {
-			m, err := c1.Recv(context.Background(), 0, mpi.AnyTag)
+			m, err := c1.Recv(context.Background())
 			if err != nil {
 				return
 			}
@@ -454,7 +454,7 @@ func BenchmarkMPIRoundTrip(b *testing.B) {
 		if err := c0.Send(1, 1, payload); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := c0.Recv(context.Background(), 1, 2); err != nil {
+		if _, err := c0.Recv(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

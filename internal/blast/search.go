@@ -186,7 +186,7 @@ type DBInfo struct {
 // DBInfo supplies database-wide totals for e-value statistics; when
 // zero they are accumulated from the stream itself.
 func Search(query *seq.Sequence, subjects SubjectSource, info DBInfo, p Params) (*Result, error) {
-	return new(Searcher).Search(query, subjects, info, p, nil)
+	return new(Searcher).Search(query, subjects, info, p)
 }
 
 // Searcher runs searches one after another over the same scratch, as
@@ -212,9 +212,7 @@ type Searcher struct {
 // Search runs a BLAST search of query against the subjects under p,
 // as the package's Search does, over the Searcher's scratch and, when
 // the query and parameters match the previous search's, its engine.
-// When m is non-nil, the search's kernel counters are folded into it
-// once it has scanned every subject.
-func (s *Searcher) Search(query *seq.Sequence, subjects SubjectSource, info DBInfo, p Params, m *PipeMetrics) (*Result, error) {
+func (s *Searcher) Search(query *seq.Sequence, subjects SubjectSource, info DBInfo, p Params) (*Result, error) {
 	p = p.Defaults()
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -246,7 +244,6 @@ func (s *Searcher) Search(query *seq.Sequence, subjects SubjectSource, info DBIn
 	}
 	res.Stats = eng.stats
 	res.Stats.AddCounts(sr.stats)
-	m.observeKernel(res.Stats.ScannedBases, res.Stats.PackedExts)
 	if info.Letters == 0 {
 		info.Letters = dbLetters
 	}

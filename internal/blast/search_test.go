@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"pario/internal/seq"
-	"pario/internal/telemetry"
 	"pario/internal/util"
 )
 
@@ -409,27 +408,5 @@ func TestSearchEmptySource(t *testing.T) {
 	}
 	if len(res.Hits) != 0 {
 		t.Fatalf("empty database produced %d hits", len(res.Hits))
-	}
-}
-
-// TestKernelMetricsMatchStats: the registry's kernel counters must
-// equal the result's work counters.
-func TestKernelMetricsMatchStats(t *testing.T) {
-	rng := util.NewRNG(778)
-	query := randomDNA(rng, "query", 568)
-	db := buildNucDB(rng, query, 20)
-	reg := telemetry.NewRegistry()
-	res, err := new(Searcher).Search(query, &SliceSource{Seqs: db}, DBInfo{}, Params{Program: BlastN}, NewPipeMetrics(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.ScannedBases == 0 || res.Stats.PackedExts == 0 {
-		t.Fatalf("search did no kernel work: %+v", res.Stats)
-	}
-	bases := reg.Gauge("pario_blast_scanned_bases_total", "").Value()
-	exts := reg.Gauge("pario_blast_packed_exts_total", "").Value()
-	if bases != float64(res.Stats.ScannedBases) || exts != float64(res.Stats.PackedExts) {
-		t.Errorf("registry scanned_bases=%v packed_exts=%v, stats %d and %d",
-			bases, exts, res.Stats.ScannedBases, res.Stats.PackedExts)
 	}
 }

@@ -65,11 +65,11 @@ func TestSearcherReuseMatchesFresh(t *testing.T) {
 		// Each step searches letter subjects and then their packed
 		// twins; the second search always keeps the engine.
 		for j, subjects := range [][]*seq.Sequence{letters, packed} {
-			got, err := s.Search(st.query, &SliceSource{Seqs: subjects}, DBInfo{}, st.p, nil)
+			got, err := s.Search(st.query, &SliceSource{Seqs: subjects}, DBInfo{}, st.p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := new(Searcher).Search(st.query, &SliceSource{Seqs: subjects}, DBInfo{}, st.p, nil)
+			want, err := new(Searcher).Search(st.query, &SliceSource{Seqs: subjects}, DBInfo{}, st.p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +112,7 @@ func TestSearcherRepeatAllocs(t *testing.T) {
 	src := &SliceSource{Seqs: subjects}
 	search := func() {
 		src.i = 0
-		res, err := s.Search(query, src, DBInfo{}, p, nil)
+		res, err := s.Search(query, src, DBInfo{}, p)
 		if err != nil {
 			t.Fatal(err)
 		}

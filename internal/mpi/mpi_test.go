@@ -81,7 +81,7 @@ func TestPingPong(t *testing.T) {
 					if err := c.Send(1, 7, []byte("ping")); err != nil {
 						return err
 					}
-					m, err := c.Recv(context.Background(), 1, 8)
+					m, err := c.Recv(context.Background())
 					if err != nil {
 						return err
 					}
@@ -90,7 +90,7 @@ func TestPingPong(t *testing.T) {
 					}
 					return nil
 				}
-				m, err := c.Recv(context.Background(), 0, 7)
+				m, err := c.Recv(context.Background())
 				if err != nil {
 					return err
 				}
@@ -103,6 +103,8 @@ func TestPingPong(t *testing.T) {
 	}
 }
 
+// TestWildcardRecv: one Recv takes the next message whoever sent it,
+// and every sender's message arrives exactly once with its own tag.
 func TestWildcardRecv(t *testing.T) {
 	for name, run := range transports(t) {
 		t.Run(name, func(t *testing.T) {
@@ -111,7 +113,7 @@ func TestWildcardRecv(t *testing.T) {
 				if c.Rank() == 0 {
 					seen := map[int]bool{}
 					for i := 1; i < size; i++ {
-						m, err := c.Recv(context.Background(), AnySource, AnyTag)
+						m, err := c.Recv(context.Background())
 						if err != nil {
 							return err
 						}
@@ -131,38 +133,6 @@ func TestWildcardRecv(t *testing.T) {
 	}
 }
 
-func TestTagMatching(t *testing.T) {
-	for name, run := range transports(t) {
-		t.Run(name, func(t *testing.T) {
-			run(t, 2, func(c Comm) error {
-				if c.Rank() == 0 {
-					// Send tag 2 first, then tag 1; receiver asks for
-					// tag 1 first and must still get both correctly.
-					if err := c.Send(1, 2, []byte("two")); err != nil {
-						return err
-					}
-					return c.Send(1, 1, []byte("one"))
-				}
-				m1, err := c.Recv(context.Background(), 0, 1)
-				if err != nil {
-					return err
-				}
-				if string(m1.Data) != "one" {
-					return fmt.Errorf("tag 1 got %q", m1.Data)
-				}
-				m2, err := c.Recv(context.Background(), 0, 2)
-				if err != nil {
-					return err
-				}
-				if string(m2.Data) != "two" {
-					return fmt.Errorf("tag 2 got %q", m2.Data)
-				}
-				return nil
-			})
-		})
-	}
-}
-
 func TestSelfSend(t *testing.T) {
 	for name, run := range transports(t) {
 		t.Run(name, func(t *testing.T) {
@@ -170,7 +140,7 @@ func TestSelfSend(t *testing.T) {
 				if err := c.Send(0, 5, []byte("loop")); err != nil {
 					return err
 				}
-				m, err := c.Recv(context.Background(), 0, 5)
+				m, err := c.Recv(context.Background())
 				if err != nil {
 					return err
 				}
@@ -193,7 +163,7 @@ func TestGobRoundTrip(t *testing.T) {
 			return SendGob(c, 1, 3, task{ID: 42, Files: []string{"a", "b"}})
 		}
 		var got task
-		if _, err := RecvGob(context.Background(), c, 0, 3, &got); err != nil {
+		if _, err := RecvGob(context.Background(), c, &got); err != nil {
 			return err
 		}
 		if got.ID != 42 || len(got.Files) != 2 || got.Files[1] != "b" {
@@ -211,7 +181,7 @@ func TestRecvAfterCloseReturnsErrClosed(t *testing.T) {
 	c := w.Comm(1)
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Recv(context.Background(), AnySource, AnyTag)
+		_, err := c.Recv(context.Background())
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -266,7 +236,7 @@ func TestTCPEarlySendBeforePeerConnects(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	m, err := c1.Recv(context.Background(), 0, 9)
+	m, err := c1.Recv(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +255,7 @@ func TestManyMessagesStress(t *testing.T) {
 					total := 0
 					sums := map[int]int{}
 					for total < (size-1)*per {
-						m, err := c.Recv(context.Background(), AnySource, AnyTag)
+						m, err := c.Recv(context.Background())
 						if err != nil {
 							return err
 						}
@@ -381,7 +351,7 @@ func pair(t *testing.T, transport string) (Comm, Comm) {
 func recvInBackground(ctx context.Context, c Comm) func() error {
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Recv(ctx, AnySource, AnyTag)
+		_, err := c.Recv(ctx)
 		done <- err
 	}()
 	return func() error {
@@ -395,18 +365,18 @@ func recvInBackground(ctx context.Context, c Comm) func() error {
 }
 
 // TestRecvTimeout checks that a context deadline ends a Recv with
-// nothing to match, not before the deadline, and that a message sent
+// nothing to receive, not before the deadline, and that a message sent
 // afterwards still reaches a Recv with a longer deadline.
 func TestRecvTimeout(t *testing.T) {
 	for name, run := range transports(t) {
 		t.Run(name, func(t *testing.T) {
 			run(t, 2, func(c Comm) error {
 				if c.Rank() == 0 {
-					// Nothing matching tag 99 yet: must time out.
+					// Nothing sent yet: must time out.
 					ctx, cancel := context.WithTimeout(context.Background(), 80*time.Millisecond)
 					defer cancel()
 					start := time.Now()
-					if _, err := c.Recv(ctx, AnySource, 99); !errors.Is(err, context.DeadlineExceeded) {
+					if _, err := c.Recv(ctx); !errors.Is(err, context.DeadlineExceeded) {
 						return fmt.Errorf("expected DeadlineExceeded, got %v", err)
 					}
 					if time.Since(start) < 60*time.Millisecond {
@@ -418,7 +388,7 @@ func TestRecvTimeout(t *testing.T) {
 					}
 					ctx, cancel = context.WithTimeout(context.Background(), 2*time.Second)
 					defer cancel()
-					m, err := c.Recv(ctx, 1, 99)
+					m, err := c.Recv(ctx)
 					if err != nil {
 						return fmt.Errorf("expected message, got %v", err)
 					}
@@ -427,32 +397,11 @@ func TestRecvTimeout(t *testing.T) {
 					}
 					return nil
 				}
-				if _, err := c.Recv(context.Background(), 0, 1); err != nil {
+				if _, err := c.Recv(context.Background()); err != nil {
 					return err
 				}
 				return c.Send(0, 99, []byte("late"))
 			})
-		})
-	}
-}
-
-func TestRecvTimeoutDoesNotStealMismatched(t *testing.T) {
-	for _, transport := range []string{"inproc", "tcp"} {
-		t.Run(transport, func(t *testing.T) {
-			c0, c1 := pair(t, transport)
-			if err := c1.Send(0, 5, []byte("keep")); err != nil {
-				t.Fatal(err)
-			}
-			// Waiting for tag 6 must not consume the tag-5 message.
-			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-			defer cancel()
-			if _, err := c0.Recv(ctx, AnySource, 6); !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("tag 6 wait: err = %v, want DeadlineExceeded", err)
-			}
-			m, err := c0.Recv(context.Background(), AnySource, 5)
-			if err != nil || string(m.Data) != "keep" {
-				t.Fatalf("tag 5 message lost: %v %q", err, m.Data)
-			}
 		})
 	}
 }
@@ -479,7 +428,7 @@ func TestRecvContext(t *testing.T) {
 			}
 			ctx, cancel = context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
-			m, err := c0.Recv(ctx, AnySource, AnyTag)
+			m, err := c0.Recv(ctx)
 			if err != nil || string(m.Data) != "after" {
 				return fmt.Errorf("message sent after the cancel: %v %q", err, m.Data)
 			}
@@ -508,8 +457,8 @@ func TestRecvContext(t *testing.T) {
 }
 
 func TestMailboxOrderAndConservationQuick(t *testing.T) {
-	// Property: for any sequence of sends, wildcard receives return
-	// every message exactly once, in send order — also when the sends
+	// Property: for any sequence of sends, receives return every
+	// message exactly once, in send order — also when the sends
 	// run concurrently with the receives and every other receive is
 	// cancelled while it may be waiting (run it under -race).
 	f := func(tags []uint8, concurrent bool) bool {
@@ -539,7 +488,7 @@ func TestMailboxOrderAndConservationQuick(t *testing.T) {
 			if concurrent && i%2 == 0 {
 				go cancel() // races the Recv below
 			}
-			m, err := c1.Recv(ctx, AnySource, AnyTag)
+			m, err := c1.Recv(ctx)
 			cancel()
 			if errors.Is(err, context.Canceled) {
 				continue
@@ -552,46 +501,6 @@ func TestMailboxOrderAndConservationQuick(t *testing.T) {
 		return <-sent == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMailboxSelectiveRecvQuick(t *testing.T) {
-	// Property: receiving by specific tag never loses other-tag
-	// messages — they all arrive afterwards via wildcard.
-	f := func(tags []uint8, want uint8) bool {
-		w, err := NewWorld(2)
-		if err != nil {
-			return false
-		}
-		defer w.Close()
-		c0, c1 := w.Comm(0), w.Comm(1)
-		matching := 0
-		for i, tg := range tags {
-			if err := c0.Send(1, int(tg), []byte{byte(i)}); err != nil {
-				return false
-			}
-			if tg == want {
-				matching++
-			}
-		}
-		for k := 0; k < matching; k++ {
-			m, err := c1.Recv(context.Background(), AnySource, int(want))
-			if err != nil || m.Tag != int(want) {
-				return false
-			}
-		}
-		// The rest must still be there.
-		rest := len(tags) - matching
-		for k := 0; k < rest; k++ {
-			m, err := c1.Recv(context.Background(), AnySource, AnyTag)
-			if err != nil || m.Tag == int(want) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
 }

@@ -106,8 +106,11 @@ func StartRouter(addr string, size int) (*Router, error) {
 // Addr returns the router's listen address for clients to dial.
 func (r *Router) Addr() string { return r.ln.Addr().String() }
 
+// acceptLoop serves every connection until Close. serve turns away a
+// malformed hello and a second connection for a rank that has joined,
+// so a stray dial cannot use up a rank's place.
 func (r *Router) acceptLoop() {
-	for i := 0; i < r.size; i++ {
+	for {
 		conn, err := r.ln.Accept()
 		if err != nil {
 			return // listener closed
@@ -131,6 +134,8 @@ func (r *Router) serve(conn net.Conn) {
 	wmu.Lock()
 	r.mu.Lock()
 	if _, dup := r.conns[rank]; dup {
+		// A rank joins once: it is never replaced, even after its
+		// connection ends.
 		r.mu.Unlock()
 		conn.Close()
 		return
@@ -170,12 +175,11 @@ func (r *Router) serve(conn net.Conn) {
 		}
 		dmu := r.wmus[to]
 		r.mu.Unlock()
+		// A destination that has gone loses this frame, but the sender
+		// keeps being served: its frames to other ranks still matter.
 		dmu.Lock()
-		err = writeFrame(dst, rank, to, tag, payload)
+		writeFrame(dst, rank, to, tag, payload)
 		dmu.Unlock()
-		if err != nil {
-			return
-		}
 	}
 }
 
@@ -210,7 +214,7 @@ func Dial(addr string, rank, size int) (Comm, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &tcpComm{rank: rank, size: size, conn: conn, box: newMailbox()}
+	c := &tcpComm{rank: rank, size: size, conn: conn, box: &mailbox{}}
 	if err := writeFrame(conn, rank, helloTo, 0, nil); err != nil {
 		conn.Close()
 		return nil, err
@@ -246,8 +250,8 @@ func (c *tcpComm) Send(to, tag int, data []byte) error {
 	return writeFrame(c.conn, c.rank, to, tag, data)
 }
 
-func (c *tcpComm) Recv(ctx context.Context, from, tag int) (Message, error) {
-	return c.box.get(ctx, from, tag)
+func (c *tcpComm) Recv(ctx context.Context) (Message, error) {
+	return c.box.get(ctx)
 }
 
 func (c *tcpComm) Close() error {

@@ -44,7 +44,7 @@ func TestRouterStampsSenderRank(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	m, err := c1.Recv(ctx, AnySource, 5)
+	m, err := c1.Recv(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestRouterKeepsOrderWhileReceiverConnects(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for i := 0; i < n; i++ {
-		m, err := c1.Recv(ctx, 0, 1)
+		m, err := c1.Recv(ctx)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -124,6 +124,116 @@ func TestRouterKeepsOrderWhileReceiverConnects(t *testing.T) {
 	if err := <-sent; err != nil {
 		t.Fatal(err)
 	}
+}
+
+// dialAll connects ranks 0..n-1 of a world of size, closed with the
+// test.
+func dialAll(t *testing.T, r *Router, n, size int) []Comm {
+	t.Helper()
+	cs := make([]Comm, n)
+	for rank := range cs {
+		c, err := Dial(r.Addr(), rank, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		cs[rank] = c
+	}
+	return cs
+}
+
+// expect receives the next message on c within a few seconds and
+// requires it to be from rank from and to carry data.
+func expect(t *testing.T, c Comm, from int, data string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	m, err := c.Recv(ctx)
+	if err != nil {
+		t.Fatalf("rank %d waiting for %q from rank %d: %v", c.Rank(), data, from, err)
+	}
+	if m.From != from || string(m.Data) != data {
+		t.Fatalf("rank %d got %q from rank %d, want %q from rank %d", c.Rank(), m.Data, m.From, data, from)
+	}
+}
+
+// A frame for a rank whose connection has gone is dropped, and the
+// router goes on forwarding the sender's frames to everyone else: a
+// worker that leaves while the master still sends to it must not cut
+// the master off from the rest.
+func TestRouterForwardSurvivesGoneDestination(t *testing.T) {
+	r, err := StartRouter("127.0.0.1:0", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	cs := dialAll(t, r, 3, 3)
+	// Round trips prove every rank is connected before rank 2 goes.
+	for rank := 1; rank <= 2; rank++ {
+		if err := cs[rank].Send(0, 1, []byte("up")); err != nil {
+			t.Fatal(err)
+		}
+		expect(t, cs[0], rank, "up")
+	}
+	cs[2].Close()
+	time.Sleep(100 * time.Millisecond) // the router sees rank 2's EOF
+	for i := 0; i < 3; i++ {
+		if err := cs[0].Send(2, 1, []byte("lost")); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if err := cs[0].Send(1, 1, []byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	expect(t, cs[1], 0, "after")
+}
+
+// The router accepts connections until Close and turns away a second
+// connection for a rank that has joined, and a malformed hello, without
+// either using up a place: rank 1 keeps its traffic and rank 2 still
+// joins afterwards. No rank joins twice.
+func TestRouterTurnsAwayDuplicateRank(t *testing.T) {
+	r, err := StartRouter("127.0.0.1:0", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	cs := dialAll(t, r, 2, 3)
+	if err := cs[1].Send(0, 1, []byte("up")); err != nil {
+		t.Fatal(err)
+	}
+	expect(t, cs[0], 1, "up")
+
+	dup, err := Dial(r.Addr(), 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dup.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := dup.Recv(ctx); !errors.Is(err, ErrClosed) {
+		t.Fatalf("second connection for rank 1: Recv = %v, want ErrClosed", err)
+	}
+	bad := rawPeer(t, r, 7) // no rank 7 in a world of 3
+	bad.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := bad.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("malformed hello: read = %v, want EOF from a closed connection", err)
+	}
+
+	if err := cs[0].Send(1, 1, []byte("still")); err != nil {
+		t.Fatal(err)
+	}
+	expect(t, cs[1], 0, "still")
+	c2, err := Dial(r.Addr(), 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if err := cs[0].Send(2, 1, []byte("joined")); err != nil {
+		t.Fatal(err)
+	}
+	expect(t, c2, 0, "joined")
 }
 
 // FuzzRouterFrames feeds raw byte streams to the router's per-

@@ -294,17 +294,11 @@ func TestAffinityDepartedHolder(t *testing.T) {
 // without ever reporting a result — a worker that dies holding it.
 func takeOne(t *testing.T, c mpi.Comm) int {
 	t.Helper()
-	if err := c.Send(0, tagHello, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Recv(context.Background(), 0, tagWelcome); err != nil {
-		t.Fatal(err)
-	}
 	if err := c.Send(0, tagReady, nil); err != nil {
 		t.Fatal(err)
 	}
 	var tk taskMsg
-	if _, err := mpi.RecvGob(context.Background(), c, 0, tagTask, &tk); err != nil {
+	if _, err := mpi.RecvGob(context.Background(), c, &tk); err != nil {
 		t.Fatal(err)
 	}
 	return tk.Index
@@ -348,18 +342,12 @@ func TestOverdueResentOldestFirst(t *testing.T) {
 	// Rank 5 runs whatever it is sent and records the order.
 	c := world.Comm(5)
 	var order []int
-	if err := c.Send(0, tagHello, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Recv(context.Background(), 0, tagWelcome); err != nil {
+	if err := c.Send(0, tagReady, nil); err != nil {
 		t.Fatal(err)
 	}
 	for {
-		if err := c.Send(0, tagReady, nil); err != nil {
-			t.Fatal(err)
-		}
 		var tk taskMsg
-		if _, err := mpi.RecvGob(context.Background(), c, 0, tagTask, &tk); err != nil {
+		if _, err := mpi.RecvGob(context.Background(), c, &tk); err != nil {
 			t.Fatal(err)
 		}
 		if tk.Kind == taskDone {

@@ -12,13 +12,16 @@
 // The scheduler is a continuous stream, not a one-shot batch: a
 // Stream owns a persistent worker pool and accepts submissions (one
 // query each) at any time, feeding their (query x fragment) tasks to
-// whichever workers are idle. Workers join by announcing themselves
-// (so a distributed worker may start while searches run) and leave
-// when their context is cancelled; tasks held by a departed worker
-// are re-queued. A one-shot search opens a stream, submits and closes
-// it; a multi-query run is several concurrent Submits on one stream,
-// and the always-on blastd service keeps the same stream open for its
-// entire lifetime.
+// whichever workers are idle. The protocol is mpiBLAST's worker loop:
+// a worker sends Ready once to join (so a distributed worker may start
+// while searches run), then receives a task and sends its result,
+// which doubles as its next Ready, until it is released; it sends
+// Leave when its context is cancelled, and the tasks it held are
+// re-queued. Each rank receives its messages in arrival order and
+// dispatches on their tags. A one-shot search opens a stream, submits
+// and closes it; a multi-query run is several concurrent Submits on
+// one stream, and the always-on blastd service keeps the same stream
+// open for its entire lifetime.
 // The stream sends each fragment's task to the worker that searched
 // that fragment last, whose cache most likely still holds its blocks,
 // and to any idle worker when that one is busy.
@@ -26,9 +29,10 @@
 // Every rank runs with its own Config, built from the same options:
 // the master's Stream reads TaskTimeout and the scheduling telemetry
 // and records task spans with its tracer; each worker's RunWorker
-// reads CopyToLocal, ChunkBytes, the telemetry's pipeline metrics and
-// records search spans with its tracer. Nothing of a Config crosses
-// the wire: the query, parameters and fragment travel in each task.
+// reads CopyToLocal and ChunkBytes, adds its kernel counters to the
+// telemetry and records search spans with its tracer. Nothing of a
+// Config crosses the wire: the query, parameters and fragment travel
+// in each task.
 package pblast
 
 import (
@@ -49,13 +53,13 @@ import (
 	"pario/internal/telemetry"
 )
 
-// Message tags.
+// Message tags. A worker sends Ready once to join; after that each
+// Result it sends is also its next Ready, and Leave is its last word.
+// The master sends workers only tasks, and itself a Wake.
 const (
-	tagWelcome = iota + 10
-	tagReady
+	tagReady = iota + 10
 	tagTask
 	tagResult
-	tagHello
 	tagLeave
 	tagWake
 )
@@ -86,7 +90,7 @@ type Config struct {
 	TaskTimeout time.Duration
 
 	// tel is the scheduling telemetry sink (WithTelemetry); a worker
-	// publishes its search-pipeline metrics into tel.Pipe().
+	// adds each search's kernel counters to it.
 	tel *Telemetry
 	// raEnable/raOpts describe the worker file-system stack WorkerFS
 	// builds: a readahead block cache over each rank's own client.
@@ -181,17 +185,19 @@ func decodeGob(data []byte, v interface{}) error {
 
 // RunWorker executes search tasks on any rank > 0 with this rank's own
 // cfg: CopyToLocal and ChunkBytes decide how it reads each fragment,
-// cfg's telemetry receives its search-pipeline metrics, and cfg's
+// cfg's telemetry receives its search kernel's counters, and cfg's
 // tracer its search spans. fs is this worker's file system onto the
 // shared database store; scratch is the worker's local scratch space,
 // used only when cfg.CopyToLocal is set (pass nil otherwise).
 //
-// The worker announces itself to the master first, so workers may
-// join a running stream at any time. Cancelling ctx makes the worker
-// leave: it announces its departure, the master re-queues any task
-// still in flight to it, and RunWorker returns ctx's error. When fs
-// supports chio.ContextBinder its in-flight parallel-FS reads abort
-// too, so a cancelled query releases the I/O path immediately.
+// The worker loop is mpiBLAST's: send Ready once, then take a task,
+// search it and send its result, which also asks for the next task,
+// until the master sends a done-task. Cancelling ctx makes the worker
+// leave: it withholds the result of a task its cancellation cut short,
+// announces its departure, the master re-queues any task still in
+// flight to it, and RunWorker returns ctx's error. When fs supports
+// chio.ContextBinder its in-flight parallel-FS reads abort too, so a
+// cancelled query releases the I/O path immediately.
 func RunWorker(ctx context.Context, c mpi.Comm, cfg Config, fs, scratch chio.FileSystem) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -217,53 +223,26 @@ func RunWorker(ctx context.Context, c mpi.Comm, cfg Config, fs, scratch chio.Fil
 		return err
 	}
 
-	if err := c.Send(0, tagHello, nil); err != nil {
+	if err := c.Send(0, tagReady, nil); err != nil {
 		return exit(err)
-	}
-	// Wait for the (empty) welcome. A stale task from a previous
-	// occupant of this rank — a distributed worker that left and was
-	// started again — may still sit in the mailbox: discard anything
-	// that is not the welcome (the master re-queued those tasks when
-	// the old occupant left). A done-task here means the stream is
-	// draining.
-	for {
-		m, err := c.Recv(ctx, 0, mpi.AnyTag)
-		if err != nil {
-			return exit(err)
-		}
-		if m.Tag == tagWelcome {
-			break
-		}
-		if m.Tag == tagTask {
-			var t taskMsg
-			if err := decodeGob(m.Data, &t); err != nil {
-				return err
-			}
-			if t.Kind == taskDone {
-				return nil
-			}
-		}
 	}
 	// One searcher for the worker's life: its scratch and the last
 	// query's engine carry over from task to task.
 	var sr blast.Searcher
 	for {
-		if err := ctx.Err(); err != nil {
-			return exit(err)
-		}
-		if err := c.Send(0, tagReady, nil); err != nil {
-			return exit(err)
-		}
 		// A task the master sends after ctx ends stays in the mailbox;
 		// the master re-queues it when our leave arrives.
 		var t taskMsg
-		if _, err := mpi.RecvGob(ctx, c, 0, tagTask, &t); err != nil {
+		if _, err := mpi.RecvGob(ctx, c, &t); err != nil {
 			return exit(err)
 		}
 		if t.Kind == taskDone {
 			return nil
 		}
 		rm := runTask(ctx, cfg, &sr, c.Rank(), &t, fs, scratch)
+		if err := ctx.Err(); err != nil {
+			return exit(err) // the master re-queues the task
+		}
 		if err := mpi.SendGob(c, 0, tagResult, rm); err != nil {
 			return exit(err)
 		}
@@ -324,10 +303,11 @@ func runTask(ctx context.Context, cfg Config, sr *blast.Searcher, rank int, t *t
 
 	query := t.Query
 	info := blast.DBInfo{Letters: t.DBLetters, Sequences: t.DBSeqs}
-	res, err := sr.Search(&query, fr.Source(cfg.ChunkBytes), info, t.Params, cfg.tel.Pipe())
+	res, err := sr.Search(&query, fr.Source(cfg.ChunkBytes), info, t.Params)
 	if err != nil {
 		return fail(err)
 	}
+	cfg.tel.observeKernel(res.Stats)
 	// Record temporary results, as mpiBLAST workers do before the
 	// master merges — these are the small (tens to hundreds of bytes)
 	// writes visible in the paper's Figure 4 trace.

@@ -19,6 +19,7 @@ import (
 	"pario/internal/mpi"
 	"pario/internal/pvfs"
 	"pario/internal/seq"
+	"pario/internal/telemetry"
 	"pario/internal/util"
 )
 
@@ -592,20 +593,14 @@ func TestOverTCPTransport(t *testing.T) {
 	checkFound(t, out)
 }
 
-// crashingWorker takes the welcome and exactly one task, then vanishes
+// crashingWorker joins, takes exactly one task, then vanishes
 // without sending its result — a silent worker death.
 func crashingWorker(c mpi.Comm) error {
-	if err := c.Send(0, tagHello, nil); err != nil {
-		return err
-	}
-	if _, err := c.Recv(context.Background(), 0, tagWelcome); err != nil {
-		return err
-	}
 	if err := c.Send(0, tagReady, nil); err != nil {
 		return err
 	}
 	var tk taskMsg
-	if _, err := mpi.RecvGob(context.Background(), c, 0, tagTask, &tk); err != nil {
+	if _, err := mpi.RecvGob(context.Background(), c, &tk); err != nil {
 		return err
 	}
 	return nil // dies holding the task
@@ -691,20 +686,12 @@ func TestSlowWorkerDuplicateResultDiscarded(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		c := world.Comm(1)
-		if err := c.Send(0, tagHello, nil); err != nil {
-			errs[1] = err
-			return
-		}
-		if _, err := c.Recv(context.Background(), 0, tagWelcome); err != nil {
-			errs[1] = err
-			return
-		}
 		if err := c.Send(0, tagReady, nil); err != nil {
 			errs[1] = err
 			return
 		}
 		var tk taskMsg
-		if _, err := mpi.RecvGob(context.Background(), c, 0, tagTask, &tk); err != nil {
+		if _, err := mpi.RecvGob(context.Background(), c, &tk); err != nil {
 			errs[1] = err
 			return
 		}
@@ -718,14 +705,8 @@ func TestSlowWorkerDuplicateResultDiscarded(t *testing.T) {
 		}
 		// Continue as a normal worker until released.
 		for {
-			if err := c.Send(0, tagReady, nil); err != nil {
-				if !errorsIsClosed(err) {
-					errs[1] = err
-				}
-				return
-			}
 			var t2 taskMsg
-			if _, err := mpi.RecvGob(context.Background(), c, 0, tagTask, &t2); err != nil {
+			if _, err := mpi.RecvGob(context.Background(), c, &t2); err != nil {
 				if !errorsIsClosed(err) {
 					errs[1] = err
 				}
@@ -966,9 +947,9 @@ type countingComm struct {
 	recvs *atomic.Int64
 }
 
-func (c countingComm) Recv(ctx context.Context, from, tag int) (mpi.Message, error) {
+func (c countingComm) Recv(ctx context.Context) (mpi.Message, error) {
 	c.recvs.Add(1)
-	return c.Comm.Recv(ctx, from, tag)
+	return c.Comm.Recv(ctx)
 }
 
 // An idle stream and its workers block in Recv rather than polling,
@@ -995,10 +976,9 @@ func TestIdleStreamMakesNoReceives(t *testing.T) {
 	for i, wctx := range []context.Context{leaving, ctx} {
 		go func() { exited[i] <- RunWorker(wctx, comm(i+1), NewConfig("nt"), fs, nil) }()
 	}
-	// Joined and idle: the master has taken two hellos and two readies
-	// and waits in its fifth Recv; each worker has taken its welcome
-	// and waits in its second.
-	const settled = 5 + 2*2
+	// Joined and idle: the master has taken two readies and waits in
+	// its third Recv; each worker waits in its first.
+	const settled = 3 + 2*1
 	for deadline := time.Now().Add(5 * time.Second); recvs.Load() < settled; {
 		if time.Now().After(deadline) {
 			t.Fatalf("joins made %d receives, want %d", recvs.Load(), settled)
@@ -1023,5 +1003,99 @@ func TestIdleStreamMakesNoReceives(t *testing.T) {
 	}
 	if err := <-exited[1]; err != nil {
 		t.Errorf("released worker returned %v", err)
+	}
+}
+
+// TestKernelMetricsMatchStats: the registry's kernel counters must
+// equal the work counters of the results the workers sent.
+func TestKernelMetricsMatchStats(t *testing.T) {
+	fs := chio.NewMemFS()
+	query := buildTestDB(t, fs, "nt", 3)
+	reg := telemetry.NewRegistry()
+	cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}), WithTelemetry(NewTelemetry(reg)))
+	out, err := searchPool(context.Background(), 2, query, cfg, fs, sameFS(fs), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := out.Result.Stats
+	if st.ScannedBases == 0 || st.PackedExts == 0 {
+		t.Fatalf("search did no kernel work: %+v", st)
+	}
+	bases := reg.Gauge("pario_blast_scanned_bases_total", "").Value()
+	exts := reg.Gauge("pario_blast_packed_exts_total", "").Value()
+	if bases != float64(st.ScannedBases) || exts != float64(st.PackedExts) {
+		t.Errorf("registry scanned_bases=%v packed_exts=%v, stats %d and %d",
+			bases, exts, st.ScannedBases, st.PackedExts)
+	}
+}
+
+// stallFS stalls every Open of a view bound to a context until that
+// context ends, as a parallel-FS read does when its server hangs, and
+// then fails it with the context's error.
+type stallFS struct {
+	chio.FileSystem
+	ctx     context.Context
+	entered chan struct{} // closed at the first stalled Open
+	once    *sync.Once
+}
+
+func (f *stallFS) WithContext(ctx context.Context) chio.FileSystem {
+	return &stallFS{FileSystem: f.FileSystem, ctx: ctx, entered: f.entered, once: f.once}
+}
+
+func (f *stallFS) Open(name string) (chio.File, error) {
+	if f.ctx == nil {
+		return f.FileSystem.Open(name)
+	}
+	f.once.Do(func() { close(f.entered) })
+	<-f.ctx.Done()
+	return nil, f.ctx.Err()
+}
+
+// A worker cancelled in the middle of a task leaves without reporting
+// the error its own cancellation caused: the master re-queues the task
+// and the query still returns the serial search's result.
+func TestLeavingWorkerWithholdsSpoiledResult(t *testing.T) {
+	mem := chio.NewMemFS()
+	query := buildTestDB(t, mem, "nt", 3)
+	world, err := mpi.NewWorld(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}))
+	stall := &stallFS{FileSystem: mem, entered: make(chan struct{}), once: new(sync.Once)}
+	leaving, leave := context.WithCancel(context.Background())
+	defer leave()
+	left := make(chan error, 1)
+	go func() { left <- RunWorker(leaving, world.Comm(1), cfg, stall, nil) }()
+	type result struct {
+		out *Outcome
+		err error
+	}
+	master := make(chan result, 1)
+	go func() {
+		out, err := searchStream(context.Background(), world.Comm(0), mem, query, cfg)
+		master <- result{out, err}
+	}()
+	<-stall.entered // rank 1 holds a task
+	stayed := make(chan error, 1)
+	go func() { stayed <- RunWorker(context.Background(), world.Comm(2), cfg, mem, nil) }()
+	leave()
+	if err := <-left; !errors.Is(err, context.Canceled) {
+		t.Errorf("leaving worker returned %v, want context.Canceled", err)
+	}
+	res := <-master
+	world.Close()
+	if err := <-stayed; err != nil {
+		t.Errorf("staying worker returned %v", err)
+	}
+	if res.err != nil {
+		t.Fatalf("Submit failed because a worker left: %v", res.err)
+	}
+	if res.out.Reassigned != 1 {
+		t.Errorf("reassigned %d tasks, want the 1 the leaving worker held", res.out.Reassigned)
+	}
+	if want := serialSearch(t, mem, query, cfg.Params); !reflect.DeepEqual(res.out.Result, want) {
+		t.Errorf("result differs from the serial search:\nparallel %s\nserial   %s", hitShape(res.out.Result), hitShape(want))
 	}
 }

@@ -21,12 +21,12 @@ var ErrDraining = errors.New("pblast: stream draining")
 // Stream is a continuously-fed master scheduler: it owns rank 0 of a
 // communicator and hands (query x fragment) tasks to whichever
 // workers are idle, for as long as the stream lives. Submissions may
-// arrive from any goroutine at any time; workers may join (by
-// announcing themselves) and leave (when RunWorker's context is
-// cancelled) while searches run. Close drains in-flight submissions and
-// releases the workers. This is the machinery behind the in-process
-// Pool and, through it, the always-on blastd service, and behind
-// mpiblast's distributed master.
+// arrive from any goroutine at any time; workers may join (with their
+// first Ready) and leave (when RunWorker's context is cancelled) while
+// searches run. Close drains in-flight submissions and releases the
+// workers. This is the machinery behind the in-process Pool and,
+// through it, the always-on blastd service, and behind mpiblast's
+// distributed master.
 type Stream struct {
 	c   mpi.Comm
 	cfg Config
@@ -64,8 +64,8 @@ type submission struct {
 }
 
 // StartStream opens a stream on rank 0 of c. Workers running
-// RunWorker on the other ranks join as they announce themselves —
-// none need exist yet. The stream reads only the master's part of cfg:
+// RunWorker on the other ranks join with their first Ready — none need
+// exist yet. The stream reads only the master's part of cfg:
 // TaskTimeout, the scheduling telemetry and the tracer for task spans.
 // How a task is read and searched is each worker's own Config; the
 // query, parameters and database arrive per submission.
@@ -249,7 +249,7 @@ func (s *Stream) loop(ctx context.Context) {
 	// to: that worker's cache most likely still holds its blocks.
 	// Entries are never cleared — a stale one costs one cold read.
 	holder := make(map[string]int)
-	active := make(map[int]bool) // joined and not departed
+	active := make(map[int]bool) // has sent Ready and has not left
 	loopStart := time.Now()
 
 	// failAll completes every in-flight submission with err and
@@ -428,7 +428,7 @@ func (s *Stream) loop(ctx context.Context) {
 		if s.cfg.TaskTimeout > 0 {
 			rctx, cancel = context.WithTimeout(ctx, s.cfg.TaskTimeout/2)
 		}
-		m, err := s.c.Recv(rctx, mpi.AnySource, mpi.AnyTag)
+		m, err := s.c.Recv(rctx)
 		cancel()
 		if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
 			continue // overdue tick: dispatch retries overdue tasks
@@ -441,17 +441,9 @@ func (s *Stream) loop(ctx context.Context) {
 		switch m.Tag {
 		case tagWake:
 			// Just a nudge; the top of the loop drains the queue.
-		case tagHello:
-			// A worker joined: welcome it. The welcome fences the
-			// rank's mailbox — the worker discards whatever a previous
-			// occupant left there until it arrives — and the worker
-			// sends Ready once it has it.
-			active[m.From] = true
-			if err := s.c.Send(m.From, tagWelcome, nil); err != nil {
-				failAll(err)
-				return
-			}
 		case tagReady:
+			// A worker joined.
+			active[m.From] = true
 			idle = append(idle, m.From)
 		case tagLeave:
 			delete(active, m.From)
@@ -468,6 +460,8 @@ func (s *Stream) loop(ctx context.Context) {
 				}
 			}
 		case tagResult:
+			// Every result, kept or not, is also its sender's next Ready.
+			idle = append(idle, m.From)
 			var rm resultMsg
 			if err := decodeGob(m.Data, &rm); err != nil {
 				failAll(err)
@@ -507,10 +501,11 @@ func (s *Stream) loop(ctx context.Context) {
 	}
 
 	// Release phase: every worker currently waiting for work gets a
-	// done-task, then late Ready/Hello messages are drained until all
-	// attached workers have been released (a short deadline per wait
-	// bounds the cost when workers have died); stragglers computing
-	// duplicates learn of completion when the communicator shuts down.
+	// done-task, then each late Ready or Result releases its sender,
+	// until all attached workers have been released (a short deadline
+	// per wait bounds the cost when workers have died); stragglers
+	// computing duplicates learn of completion when the communicator
+	// shuts down.
 	released := make(map[int]bool)
 	release := func(w int) error {
 		if released[w] {
@@ -538,13 +533,13 @@ func (s *Stream) loop(ctx context.Context) {
 	}
 	for !allReleased() {
 		rctx, cancel := context.WithTimeout(ctx, 250*time.Millisecond)
-		m, err := s.c.Recv(rctx, mpi.AnySource, mpi.AnyTag)
+		m, err := s.c.Recv(rctx)
 		cancel()
 		if err != nil {
 			break
 		}
 		switch m.Tag {
-		case tagReady, tagHello:
+		case tagReady, tagResult:
 			if err := release(m.From); err != nil {
 				s.loopErr = err
 				return
@@ -552,6 +547,6 @@ func (s *Stream) loop(ctx context.Context) {
 		case tagLeave:
 			delete(active, m.From)
 		}
-		// Duplicate results and wakes are dropped on the floor.
+		// Wakes are dropped on the floor.
 	}
 }

@@ -10,9 +10,9 @@ import (
 
 // Telemetry publishes the master's scheduling observations — fragment
 // service times, copy times, completions, reassignments, fragment
-// affinity — into a metrics registry, so a live /metrics scrape shows
-// how evenly the task pool is draining while a search runs. A nil
-// *Telemetry records nothing.
+// affinity — and the workers' search kernel counters into a metrics
+// registry, so a live /metrics scrape shows how evenly the task pool
+// is draining while a search runs. A nil *Telemetry records nothing.
 type Telemetry struct {
 	taskTime    *telemetry.Histogram
 	copyTime    *telemetry.Histogram
@@ -21,7 +21,10 @@ type Telemetry struct {
 	affinity    *telemetry.CounterVec
 	workerTasks *telemetry.CounterVec
 	workerBusy  *telemetry.GaugeVec
-	pipe        *blast.PipeMetrics
+	// The search kernel's work counters, summed over the tasks this
+	// process's workers ran.
+	scannedBases *telemetry.Gauge
+	packedExts   *telemetry.Gauge
 }
 
 // NewTelemetry registers the scheduling metric families on reg.
@@ -47,17 +50,21 @@ func NewTelemetry(reg *telemetry.Registry) *Telemetry {
 		workerBusy: reg.GaugeVec("pario_pblast_worker_busy_seconds",
 			"Cumulative copy+search seconds per worker rank, for straggler analysis.",
 			"worker"),
-		pipe: blast.NewPipeMetrics(reg),
+		scannedBases: reg.Gauge("pario_blast_scanned_bases_total",
+			"Subject letters streamed through the seeding kernel; over pblast task seconds this is the search-side bases/sec rate."),
+		packedExts: reg.Gauge("pario_blast_packed_exts_total",
+			"Ungapped extensions served by the 2-bit packed kernel."),
 	}
 }
 
-// Pipe returns the search engine's kernel metrics, which every
-// worker running with this sink publishes into. Nil-safe.
-func (t *Telemetry) Pipe() *blast.PipeMetrics {
+// observeKernel adds one search's kernel counters, as its result
+// reports them.
+func (t *Telemetry) observeKernel(st blast.SearchStats) {
 	if t == nil {
-		return nil
+		return
 	}
-	return t.pipe
+	t.scannedBases.Add(float64(st.ScannedBases))
+	t.packedExts.Add(float64(st.PackedExts))
 }
 
 // observeTask records one accepted task result from the given worker.

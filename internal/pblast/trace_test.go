@@ -162,20 +162,12 @@ func TestReassignedTaskDuplicateSpans(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		c := world.Comm(1)
-		if err := c.Send(0, tagHello, nil); err != nil {
-			errs[1] = err
-			return
-		}
-		if _, err := c.Recv(context.Background(), 0, tagWelcome); err != nil {
-			errs[1] = err
-			return
-		}
 		if err := c.Send(0, tagReady, nil); err != nil {
 			errs[1] = err
 			return
 		}
 		var tk taskMsg
-		if _, err := mpi.RecvGob(context.Background(), c, 0, tagTask, &tk); err != nil {
+		if _, err := mpi.RecvGob(context.Background(), c, &tk); err != nil {
 			errs[1] = err
 			return
 		}
@@ -252,20 +244,12 @@ func TestWorkerLeaveMidQuerySpan(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		c := world.Comm(1)
-		if err := c.Send(0, tagHello, nil); err != nil {
-			errs[1] = err
-			return
-		}
-		if _, err := c.Recv(context.Background(), 0, tagWelcome); err != nil {
-			errs[1] = err
-			return
-		}
 		if err := c.Send(0, tagReady, nil); err != nil {
 			errs[1] = err
 			return
 		}
 		var tk taskMsg
-		if _, err := mpi.RecvGob(context.Background(), c, 0, tagTask, &tk); err != nil {
+		if _, err := mpi.RecvGob(context.Background(), c, &tk); err != nil {
 			errs[1] = err
 			return
 		}
