@@ -42,7 +42,9 @@ test:
 # the data server's request handler, the PVFS wire frame decoders, the
 # one-table seed scan, the message router, the fragment reader, the
 # FASTA reader, the metrics text parser and blastd's JSON request body
-# for a few seconds each, build and smoke the frozen benchmark module
+# for a few seconds each (minimising each new input for at most 100
+# runs: the default 60 s minimisation would stall a 5 s slot at 0
+# execs/s after its first new input), build and smoke the frozen benchmark module
 # (root `go build ./...` does not compile it, so a
 # rename that breaks it would otherwise go unnoticed), make sure every benchmark still at least
 # runs, then run the live-cluster smokes, which boot their daemons,
@@ -59,14 +61,14 @@ check: lint race
 	$(GO) test -run TestFastaReaderAllocsPerRecord ./internal/seq/
 	$(GO) test -run TestFragmentWriterAppendAllocs ./internal/blastdb/
 	$(GO) test -run TestFragmentSourceAllocs ./internal/blastdb/
-	$(GO) test -run '^$$' -fuzz FuzzDataServerDispatch -fuzztime 5s ./internal/pvfs/
-	$(GO) test -run '^$$' -fuzz FuzzWireFrame -fuzztime 5s ./internal/pvfs/
-	$(GO) test -run '^$$' -fuzz FuzzOneTableSeeds -fuzztime 5s ./internal/blast/
-	$(GO) test -run '^$$' -fuzz FuzzRouterFrames -fuzztime 5s ./internal/mpi/
-	$(GO) test -run '^$$' -fuzz FuzzOpenFragment -fuzztime 5s ./internal/blastdb/
-	$(GO) test -run '^$$' -fuzz FuzzFastaReader -fuzztime 5s ./internal/seq/
-	$(GO) test -run '^$$' -fuzz FuzzParseText -fuzztime 5s ./internal/telemetry/
-	$(GO) test -run '^$$' -fuzz FuzzSearchBody -fuzztime 5s ./internal/blastd/
+	$(GO) test -run '^$$' -fuzz FuzzDataServerDispatch -fuzztime 5s -fuzzminimizetime 100x ./internal/pvfs/
+	$(GO) test -run '^$$' -fuzz FuzzWireFrame -fuzztime 5s -fuzzminimizetime 100x ./internal/pvfs/
+	$(GO) test -run '^$$' -fuzz FuzzOneTableSeeds -fuzztime 5s -fuzzminimizetime 100x ./internal/blast/
+	$(GO) test -run '^$$' -fuzz FuzzRouterFrames -fuzztime 5s -fuzzminimizetime 100x ./internal/mpi/
+	$(GO) test -run '^$$' -fuzz FuzzOpenFragment -fuzztime 5s -fuzzminimizetime 100x ./internal/blastdb/
+	$(GO) test -run '^$$' -fuzz FuzzFastaReader -fuzztime 5s -fuzzminimizetime 100x ./internal/seq/
+	$(GO) test -run '^$$' -fuzz FuzzParseText -fuzztime 5s -fuzzminimizetime 100x ./internal/telemetry/
+	$(GO) test -run '^$$' -fuzz FuzzSearchBody -fuzztime 5s -fuzzminimizetime 100x ./internal/blastd/
 	$(GO) vet -C bench ./... && $(GO) test -C bench -short .
 	$(MAKE) bench-smoke
 	$(MAKE) metrics-smoke

@@ -337,9 +337,10 @@ func BenchmarkCEFTWrite(b *testing.B) {
 // streams through a warmed readahead cache whose blocks the decoder
 // borrows directly (subjects stay packed). The zero-copy run reports
 // borrowed/op and copied/op from the borrow-path counters — the same
-// numbers `-rpc-stats` prints — so the record shows the hit path
-// serves payloads without additional copies (copied/op counts only
-// block-boundary straddlers, a property of the layout, not the scan).
+// numbers /metrics serves as pario_readahead_borrow_* — so the record
+// shows the hit path serves payloads without additional copies
+// (copied/op counts only block-boundary straddlers, a property of the
+// layout, not the scan).
 func BenchmarkFragmentStream(b *testing.B) {
 	for _, zerocopy := range []bool{false, true} {
 		name := "copy"
@@ -525,26 +526,17 @@ func BenchmarkReadAtCoalesced(b *testing.B) {
 	}
 	defer f.Close()
 	buf := make([]byte, len(payload))
-	dataRPCs := func() int64 {
-		var n int64
-		for _, s := range m.Snapshot() {
-			if s.Server != dep.Mgr.Addr() {
-				n += s.Calls
-			}
-		}
-		return n
-	}
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()
 	b.ResetTimer()
-	before := dataRPCs()
+	before := dataRPCs(m, dep.Mgr.Addr())
 	for i := 0; i < b.N; i++ {
 		if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(dataRPCs()-before)/float64(b.N), "rpcs/op")
+	b.ReportMetric(float64(dataRPCs(m, dep.Mgr.Addr())-before)/float64(b.N), "rpcs/op")
 }
 
 // BenchmarkSequentialScanReadahead measures a sequential scan in
@@ -572,20 +564,11 @@ func BenchmarkSequentialScanReadahead(b *testing.B) {
 			if err := chio.WriteFull(cl, "bench", payload); err != nil {
 				b.Fatal(err)
 			}
-			dataRPCs := func() int64 {
-				var n int64
-				for _, s := range m.Snapshot() {
-					if s.Server != dep.Mgr.Addr() {
-						n += s.Calls
-					}
-				}
-				return n
-			}
 			buf := make([]byte, 16<<10)
 			b.SetBytes(int64(len(payload)))
 			b.ReportAllocs()
 			b.ResetTimer()
-			before := dataRPCs()
+			before := dataRPCs(m, dep.Mgr.Addr())
 			for i := 0; i < b.N; i++ {
 				// A fresh wrap per op keeps every scan cold: rpcs/op
 				// measures the layer's fetch plan, not cache carryover.
@@ -608,7 +591,7 @@ func BenchmarkSequentialScanReadahead(b *testing.B) {
 				f.Close()
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(dataRPCs()-before)/float64(b.N), "rpcs/op")
+			b.ReportMetric(float64(dataRPCs(m, dep.Mgr.Addr())-before)/float64(b.N), "rpcs/op")
 		})
 	}
 }
@@ -668,19 +651,10 @@ func BenchmarkCollectiveScan(b *testing.B) {
 			for w := range bufs {
 				bufs[w] = make([]byte, slice)
 			}
-			dataRPCs := func() int64 {
-				var n int64
-				for _, s := range m.Snapshot() {
-					if s.Server != dep.Mgr.Addr() {
-						n += s.Calls
-					}
-				}
-				return n
-			}
 			b.SetBytes(fileSize)
 			b.ReportAllocs()
 			b.ResetTimer()
-			before := dataRPCs()
+			before := dataRPCs(m, dep.Mgr.Addr())
 			for i := 0; i < b.N; i++ {
 				for round := 0; round < rounds; round++ {
 					var wg sync.WaitGroup
@@ -698,7 +672,7 @@ func BenchmarkCollectiveScan(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(dataRPCs()-before)/float64(b.N), "rpcs/op")
+			b.ReportMetric(float64(dataRPCs(m, dep.Mgr.Addr())-before)/float64(b.N), "rpcs/op")
 		})
 	}
 }

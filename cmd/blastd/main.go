@@ -59,8 +59,7 @@ func main() {
 
 		monitorInterval = flag.Duration("monitor-interval", blastd.DefaultMonitorInterval, "in-process monitor sampling period (0 disables alerts and /debug/alerts)")
 
-		slowQuery  = flag.Duration("slow-query", 0, "pin full span sets for queries at or over this latency (0 disables pinning)")
-		flightSize = flag.Int("flight-size", blastd.DefaultFlightSize, "per-query flight recorder entries served at /debug/queries")
+		slowQuery = flag.Duration("slow-query", 0, "pin full span sets for queries at or over this latency (0 disables pinning)")
 	)
 	// The storage and worker flags are mpiblast's, declared once in core.
 	store := core.NewStore()
@@ -121,7 +120,6 @@ func main() {
 		Tracer:        tracer,
 		RPCOps:        rpcOps,
 		SlowQuery:     *slowQuery,
-		FlightSize:    *flightSize,
 		Logger:        logger,
 
 		MonitorInterval: *monitorInterval,

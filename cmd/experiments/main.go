@@ -36,7 +36,6 @@ func main() {
 	var (
 		scale   = flag.Float64("scale", 1.0, "database scale factor for the simulated figures")
 		fig4DB  = flag.String("fig4-db-size", "48MB", "database size for the real traced Figure 4 run")
-		workers = flag.Int("fig4-workers", 8, "worker count for the Figure 4 run")
 		scatter = flag.String("fig4-scatter", "", "write the Figure 4 scatter data to this file")
 
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/traces and /debug/pprof on this address (empty = off)")
@@ -62,7 +61,7 @@ func main() {
 	p := sim.DefaultParams().Scaled(*scale)
 	switch cmd {
 	case "fig4":
-		runFig4(*fig4DB, *workers, *scatter)
+		runFig4(*fig4DB, *scatter)
 	case "fig5":
 		sim.Fig5(p).Render(os.Stdout)
 	case "fig6":
@@ -82,7 +81,7 @@ func main() {
 	case "sensitivity":
 		sim.Sensitivity(p).Render(os.Stdout)
 	case "all":
-		runFig4(*fig4DB, *workers, *scatter)
+		runFig4(*fig4DB, *scatter)
 		fmt.Println()
 		sim.Summary(p, os.Stdout)
 	default:
@@ -91,19 +90,22 @@ func main() {
 	}
 }
 
+// fig4Workers is the paper's worker count for Figure 4.
+const fig4Workers = 8
+
 // runFig4 reproduces the Figure 4 trace: a real in-process parallel
-// BLAST run (database segmentation, N workers) with the I/O
+// BLAST run (database segmentation, fig4Workers workers) with the I/O
 // instrumentation enabled, reporting the same statistics the paper's
 // caption gives.
-func runFig4(dbSize string, workers int, scatterPath string) {
+func runFig4(dbSize, scatterPath string) {
 	letters, err := util.ParseBytes(dbSize)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("== Figure 4 ==\nI/O access pattern of parallel BLAST (%d workers, %s synthetic nt-like database)\n\n",
-		workers, util.FormatBytes(letters))
+		fig4Workers, util.FormatBytes(letters))
 	fs := chio.NewMemFS()
-	if _, err := core.GenerateDatabase(fs, "nt", letters, workers, 42); err != nil {
+	if _, err := core.GenerateDatabase(fs, "nt", letters, fig4Workers, 42); err != nil {
 		fatal(err)
 	}
 	query, err := core.ExtractQuery(fs, "nt", 568, 7)
@@ -113,7 +115,7 @@ func runFig4(dbSize string, workers int, scatterPath string) {
 	trace := iotrace.NewTrace()
 	out, err := core.ParallelSearch(context.Background(), query, core.SearchConfig{
 		Search:   pblast.NewConfig("nt", pblast.WithParams(blast.Params{Program: blast.BlastN})),
-		Workers:  workers,
+		Workers:  fig4Workers,
 		MasterFS: fs,
 		WorkerFS: func(int) chio.FileSystem { return fs },
 		Trace:    trace,

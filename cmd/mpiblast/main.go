@@ -59,11 +59,9 @@ func main() {
 		filterLC = flag.Bool("F", false, "mask low-complexity query regions with DUST")
 		traceOut = flag.String("trace", "", "write a Figure 4 style I/O trace to this file")
 		outfmt   = flag.String("outfmt", "report", "report|tabular")
-		rpcStats = flag.Bool("rpc-stats", false, "print per-server RPC latency/retry counters at exit")
 
 		// Live observability endpoints and run reports.
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/traces and /debug/pprof on this address (empty = off)")
-		slowRPC   = flag.Duration("slow-rpc", 0, "log spans slower than this threshold (0 disables; needs -debug-addr or -report)")
 		reportOut = flag.String("report", "", "write a cluster-wide run report (JSON) to this file and print its rendering")
 		collect   = flag.String("collect", "", "comma-separated name=host:port debug endpoints to scrape into the report (e.g. iod0=127.0.0.1:9101,mgr=127.0.0.1:9100)")
 
@@ -116,7 +114,6 @@ func main() {
 		reg = telemetry.NewRegistry()
 		telemetry.RegisterBuildInfo(reg, "mpiblast")
 		tracer = telemetry.NewTracer(0)
-		tracer.SetSlowThreshold(*slowRPC, logger)
 	}
 	if *debugAddr != "" {
 		dbg, err := telemetry.StartDebug(*debugAddr, reg, tracer)
@@ -128,17 +125,13 @@ func main() {
 	}
 
 	// One transport metric set shared by every client this process
-	// dials: live on /metrics when there is a registry, and the source
-	// of the -rpc-stats exit dump either way.
+	// dials, and one counter sink shared by every worker's readahead
+	// layer: on /metrics and in the -report when there is a registry.
 	var metrics *rpcpool.Metrics
 	if reg != nil {
 		metrics = rpcpool.NewMetrics(reg)
-	} else if *rpcStats {
-		metrics = rpcpool.NewMetrics(telemetry.NewRegistry())
 	}
-	// One counter sink shared by every worker's readahead layer: on
-	// /metrics when there is a registry, and in the -rpc-stats dump.
-	tuneOpts, cacheStats := tune.Options(reg)
+	tuneOpts, _ := tune.Options(reg)
 
 	// Rank 0 is the master's view of the store; every worker rank gets
 	// a client of its own.
@@ -147,15 +140,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer func() {
-		ranks.Close()
-		if *rpcStats {
-			fmt.Fprint(os.Stderr, metrics.Format())
-			if cacheStats != nil {
-				fmt.Fprintln(os.Stderr, cacheStats.Snapshot().Format())
-			}
-		}
-	}()
+	defer ranks.Close()
 
 	searchOpts := []pblast.Option{
 		pblast.WithParams(blast.Params{Program: blast.BlastN, EValue: *evalue, Greedy: *mega, Filter: *filterLC}),

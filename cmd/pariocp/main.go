@@ -25,11 +25,13 @@ import (
 	"pario/internal/util"
 )
 
+// copyBuf is the copy buffer: 1 MB, sixteen 64 KB stripes.
+const copyBuf = 1 << 20
+
 func main() {
 	var (
-		ls      = flag.Bool("ls", false, "list files at the given prefix")
-		rm      = flag.Bool("rm", false, "remove the given file")
-		bufSize = flag.String("buf", "1MB", "copy buffer size")
+		ls = flag.Bool("ls", false, "list files at the given prefix")
+		rm = flag.Bool("rm", false, "remove the given file")
 	)
 	store := core.NewStore()
 	store.RegisterFlags(flag.CommandLine, core.AddrFlags)
@@ -86,11 +88,7 @@ func main() {
 		defer closeSrc()
 		dstFS, dstName, closeDst := resolve(args[1])
 		defer closeDst()
-		buf, err := util.ParseBytes(*bufSize)
-		if err != nil {
-			fatal(err)
-		}
-		n, err := chio.Copy(dstFS, dstName, srcFS, srcName, int(buf))
+		n, err := chio.Copy(dstFS, dstName, srcFS, srcName, copyBuf)
 		if err != nil {
 			fatal(err)
 		}

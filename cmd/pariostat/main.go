@@ -2,7 +2,7 @@
 // mpiblast -report, and single-query timelines pulled live from a
 // running cluster.
 //
-//	pariostat run.json                 render one report
+//	pariostat run.json                 render one report, as mpiblast -report prints it
 //	pariostat before.json after.json   diff two runs
 //	pariostat -query 4a1f... -targets blastd=:7044,iod0=:9101
 //	                                   per-phase gantt of one query
@@ -28,11 +28,10 @@ import (
 )
 
 func main() {
-	events := flag.Bool("events", false, "include the full hot-spot transition log in the rendering")
 	query := flag.String("query", "", "render one query's trace (16-hex trace ID, e.g. from X-Pario-Trace)")
 	targets := flag.String("targets", "", "comma-separated name=host:port debug endpoints to pull the trace from")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: pariostat [-events] report.json [other-report.json]\n")
+		fmt.Fprintf(os.Stderr, "usage: pariostat report.json [other-report.json]\n")
 		fmt.Fprintf(os.Stderr, "       pariostat -query <trace-id> -targets name=host:port,...\n")
 		flag.PrintDefaults()
 	}
@@ -48,9 +47,6 @@ func main() {
 		rep, err := obsreport.ReadReportFile(flag.Arg(0))
 		if err != nil {
 			fatal(err)
-		}
-		if !*events {
-			rep.HotSpot.Events = nil
 		}
 		rep.RenderText(os.Stdout)
 	case 2:

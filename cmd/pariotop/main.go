@@ -8,9 +8,9 @@
 //	pariotop -targets iod0=127.0.0.1:9101,iod1=127.0.0.1:9102,blastd=127.0.0.1:7044
 //	pariotop -targets blastd=127.0.0.1:7044 -interval 500ms -frames 10 -plain
 //
-// Rates are computed from consecutive scrapes over a sliding window
-// (-window), so the first frame shows dashes and numbers appear from
-// the second scrape on. -plain prints frames sequentially without
+// Rates are computed from consecutive scrapes over a sliding window of
+// ten intervals, so the first frame shows dashes and numbers appear
+// from the second scrape on. -plain prints frames sequentially without
 // clearing the screen, for logs and scripts; -frames 0 runs until
 // interrupted.
 package main
@@ -34,8 +34,7 @@ import (
 func main() {
 	var (
 		targetsF = flag.String("targets", "", "comma-separated name=host:port /metrics endpoints (required)")
-		interval = flag.Duration("interval", time.Second, "scrape and refresh period")
-		window   = flag.Duration("window", 10*time.Second, "sliding window for rate computations")
+		interval = flag.Duration("interval", time.Second, "scrape and refresh period (rates are over ten of them)")
 		frames   = flag.Int("frames", 0, "stop after this many frames (0 = run until interrupted)")
 		plain    = flag.Bool("plain", false, "no screen clearing; print frames sequentially")
 	)
@@ -58,10 +57,11 @@ func main() {
 	coll := tsdb.NewCollector(store, *interval, tsdb.WithTargets(targets...))
 	ticker := time.NewTicker(*interval)
 	defer ticker.Stop()
+	window := 10 * *interval
 
 	for frame := 1; ; frame++ {
 		coll.CollectOnce(ctx)
-		out := render(ctx, store, coll, targets, time.Now(), *window, frame)
+		out := render(ctx, store, coll, targets, time.Now(), window, frame)
 		if !*plain {
 			fmt.Print("\x1b[2J\x1b[H")
 		}

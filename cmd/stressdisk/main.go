@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	stressdisk -dir /scratch [-block 1MB] [-max 2GB] [-duration 60s]
+//	stressdisk -dir /scratch [-duration 60s]
 package main
 
 import (
@@ -25,19 +25,9 @@ import (
 func main() {
 	var (
 		dir      = flag.String("dir", ".", "directory whose disk to stress")
-		block    = flag.String("block", "1MB", "append size")
-		maxSize  = flag.String("max", "2GB", "truncate threshold")
 		duration = flag.Duration("duration", 0, "stop after this long (0 = until interrupted)")
 	)
 	flag.Parse()
-	blockBytes, err := util.ParseBytes(*block)
-	if err != nil {
-		fatal(err)
-	}
-	maxBytes, err := util.ParseBytes(*maxSize)
-	if err != nil {
-		fatal(err)
-	}
 	fs, err := chio.NewLocalFS(*dir)
 	if err != nil {
 		fatal(err)
@@ -56,12 +46,8 @@ func main() {
 		}()
 	}
 	fmt.Printf("stressdisk: stressing %s with %s synchronous appends (truncate at %s)\n",
-		*dir, util.FormatBytes(blockBytes), util.FormatBytes(maxBytes))
-	st, err := stress.Run(ctx, fs, stress.Config{
-		File:        "stress.dat",
-		BlockSize:   blockBytes,
-		MaxFileSize: maxBytes,
-	})
+		*dir, util.FormatBytes(stress.DefaultBlockSize), util.FormatBytes(stress.DefaultMaxFileSize))
+	st, err := stress.Run(ctx, fs, stress.Config{})
 	if err != nil {
 		fatal(err)
 	}

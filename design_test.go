@@ -73,6 +73,55 @@ func TestDesignInventoryCoversTree(t *testing.T) {
 	}
 }
 
+// TestREADMEFlagsAreDefined keeps README.md's flag tables in step with
+// the commands: every `-flag` a table row quotes is declared by some
+// flag.* or fs.*Var call under cmd/ or internal/core.
+func TestREADMEFlagsAreDefined(t *testing.T) {
+	raw, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	quote := regexp.MustCompile("`-([A-Za-z][A-Za-z0-9-]*)")
+	var quoted []string
+	for _, line := range strings.Split(string(raw), "\n") {
+		if !strings.HasPrefix(line, "|") {
+			continue
+		}
+		for _, m := range quote.FindAllStringSubmatch(line, -1) {
+			quoted = append(quoted, m[1])
+		}
+	}
+	if len(quoted) == 0 {
+		t.Fatal("README.md's tables quote no flags")
+	}
+
+	decl := regexp.MustCompile(`\b(?:flag\.(?:Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)\(|(?:flag|fs)\.[A-Z][A-Za-z0-9]*Var\([^,]+,\s*)"([^"]+)"`)
+	defined := map[string]bool{}
+	for _, root := range []string{"cmd", "internal/core"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
+				defined[m[1]] = true
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range quoted {
+		if !defined[name] {
+			t.Errorf("README.md quotes -%s, which no command declares", name)
+		}
+	}
+}
+
 // testFuncs returns the names of the Test, Fuzz and Benchmark funcs
 // declared in every _test.go file under the working directory.
 func testFuncs(t *testing.T) map[string]bool {

@@ -158,13 +158,13 @@ func TestCacheVersionBumpAndInvalidate(t *testing.T) {
 
 func TestQueueQuotaRejection(t *testing.T) {
 	q := newAdmitQueue(16, 2, 1)
-	release1, err := q.Admit(context.Background(), "alice", 0)
+	release1, err := q.Admit(context.Background(), "alice")
 	if err != nil {
 		t.Fatalf("first admit: %v", err)
 	}
 	done := make(chan func(), 1)
 	go func() {
-		r, err := q.Admit(context.Background(), "alice", 0)
+		r, err := q.Admit(context.Background(), "alice")
 		if err != nil {
 			t.Errorf("second admit: %v", err)
 		}
@@ -172,12 +172,12 @@ func TestQueueQuotaRejection(t *testing.T) {
 	}()
 	waitFor(t, func() bool { return q.Depth() == 1 })
 
-	if _, err := q.Admit(context.Background(), "alice", 0); !errors.Is(err, ErrQuotaExceeded) {
+	if _, err := q.Admit(context.Background(), "alice"); !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("third admit err = %v, want ErrQuotaExceeded", err)
 	}
 	// Another client is unaffected by alice's quota.
 	go func() {
-		r, err := q.Admit(context.Background(), "bob", 0)
+		r, err := q.Admit(context.Background(), "bob")
 		if err != nil {
 			t.Errorf("bob admit: %v", err)
 			return
@@ -192,56 +192,84 @@ func TestQueueQuotaRejection(t *testing.T) {
 	waitFor(t, func() bool { return q.Depth() == 0 && q.Running() == 0 })
 }
 
-func TestQueuePriorityOrdering(t *testing.T) {
+func TestQueueGrantsInArrivalOrder(t *testing.T) {
 	q := newAdmitQueue(16, 0, 1)
-	blocker, err := q.Admit(context.Background(), "blocker", 0)
+	blocker, err := q.Admit(context.Background(), "blocker")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
-	var order []int
+	var order []string
 	var wg sync.WaitGroup
-	for i, prio := range []int{1, 5, 3} {
+	quitter, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for i, client := range []string{"w0", "quitter", "w1", "w2"} {
+		ctx := context.Background()
+		if client == "quitter" {
+			ctx = quitter
+		}
 		wg.Add(1)
-		go func(prio int) {
+		go func() {
 			defer wg.Done()
-			release, err := q.Admit(context.Background(), fmt.Sprintf("c%d", prio), prio)
+			release, err := q.Admit(ctx, client)
+			if client == "quitter" {
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("cancelled waiter: err = %v, want context.Canceled", err)
+				}
+				return
+			}
 			if err != nil {
-				t.Errorf("admit p%d: %v", prio, err)
+				t.Errorf("admit %s: %v", client, err)
 				return
 			}
 			mu.Lock()
-			order = append(order, prio)
+			order = append(order, client)
 			mu.Unlock()
 			release()
-		}(prio)
+		}()
 		// Enqueue one at a time so arrival order is deterministic.
 		depth := i + 1
 		waitFor(t, func() bool { return q.Depth() == depth })
 	}
+
+	// The cancelled waiter leaves from the middle of the queue and
+	// takes its per-client count with it.
+	cancel()
+	waitFor(t, func() bool { return q.Depth() == 3 })
+	q.mu.Lock()
+	n, counted := q.perClient["quitter"]
+	q.mu.Unlock()
+	if counted {
+		t.Errorf("cancelled waiter still counts %d against its client", n)
+	}
+
 	blocker()
+	granted := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(order)
+	}
+	waitFor(t, func() bool { return granted() == 3 })
 	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if fmt.Sprint(order) != "[5 3 1]" {
-		t.Fatalf("grant order = %v, want [5 3 1]", order)
+	if fmt.Sprint(order) != "[w0 w1 w2]" {
+		t.Fatalf("grant order = %v, want [w0 w1 w2]", order)
 	}
 }
 
 func TestQueueOverload(t *testing.T) {
 	q := newAdmitQueue(1, 0, 1)
-	release, err := q.Admit(context.Background(), "a", 0)
+	release, err := q.Admit(context.Background(), "a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go func() {
-		r, err := q.Admit(context.Background(), "b", 0)
+		r, err := q.Admit(context.Background(), "b")
 		if err == nil {
 			r()
 		}
 	}()
 	waitFor(t, func() bool { return q.Depth() == 1 })
-	if _, err := q.Admit(context.Background(), "c", 0); !errors.Is(err, ErrOverloaded) {
+	if _, err := q.Admit(context.Background(), "c"); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
 	release()
@@ -249,13 +277,13 @@ func TestQueueOverload(t *testing.T) {
 
 func TestQueueDrainCompletesInflight(t *testing.T) {
 	q := newAdmitQueue(16, 0, 1)
-	running, err := q.Admit(context.Background(), "a", 0)
+	running, err := q.Admit(context.Background(), "a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var queuedDone atomic.Bool
 	go func() {
-		release, err := q.Admit(context.Background(), "b", 0)
+		release, err := q.Admit(context.Background(), "b")
 		if err != nil {
 			t.Errorf("queued admit: %v", err)
 			return
@@ -273,7 +301,7 @@ func TestQueueDrainCompletesInflight(t *testing.T) {
 	}()
 	// New arrivals are rejected while the drain waits.
 	waitForDraining(t, q)
-	if _, err := q.Admit(context.Background(), "c", 0); !errors.Is(err, ErrDraining) {
+	if _, err := q.Admit(context.Background(), "c"); !errors.Is(err, ErrDraining) {
 		t.Fatalf("admit during drain err = %v, want ErrDraining", err)
 	}
 
@@ -288,14 +316,14 @@ func TestQueueDrainCompletesInflight(t *testing.T) {
 
 func TestQueueCancelWhileQueued(t *testing.T) {
 	q := newAdmitQueue(16, 0, 1)
-	release, err := q.Admit(context.Background(), "a", 0)
+	release, err := q.Admit(context.Background(), "a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := q.Admit(ctx, "b", 0)
+		_, err := q.Admit(ctx, "b")
 		errc <- err
 	}()
 	waitFor(t, func() bool { return q.Depth() == 1 })

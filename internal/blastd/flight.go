@@ -11,15 +11,14 @@ import (
 // GET /debug/queries. It is the service-level analogue of the paper's
 // per-phase timing tables, kept per query instead of per run.
 type QuerySummary struct {
-	TraceID  string    `json:"trace_id,omitempty"`
-	Client   string    `json:"client"`
-	DB       string    `json:"db"`
-	Params   string    `json:"params,omitempty"` // result-affecting parameter signature
-	Priority int       `json:"priority,omitempty"`
-	Start    time.Time `json:"start"`
-	Status   int       `json:"status"` // HTTP status the request mapped to
-	Err      string    `json:"err,omitempty"`
-	Cache    string    `json:"cache,omitempty"` // hit | miss | shared
+	TraceID string    `json:"trace_id,omitempty"`
+	Client  string    `json:"client"`
+	DB      string    `json:"db"`
+	Params  string    `json:"params,omitempty"` // result-affecting parameter signature
+	Start   time.Time `json:"start"`
+	Status  int       `json:"status"` // HTTP status the request mapped to
+	Err     string    `json:"err,omitempty"`
+	Cache   string    `json:"cache,omitempty"` // hit | miss | shared
 
 	// Per-phase breakdown, milliseconds. QueueMS is the admission
 	// wait; RunMS is the backend execution (cache misses only);

@@ -1,8 +1,8 @@
 package blastd
 
 import (
-	"container/heap"
 	"context"
+	"slices"
 	"sync"
 	"time"
 )
@@ -11,19 +11,17 @@ import (
 // It bounds the number of searches running at once (MaxConcurrent),
 // the number waiting (MaxDepth), and the number each client may have
 // queued or running (MaxPerClient). Waiting requests are granted in
-// priority order (higher first), FIFO within a priority. A draining
-// queue rejects new arrivals but lets everything already admitted
-// finish.
+// arrival order. A draining queue rejects new arrivals but lets
+// everything already admitted finish.
 type admitQueue struct {
 	maxDepth      int
 	maxPerClient  int
 	maxConcurrent int
 
 	mu        sync.Mutex
-	waiting   ticketHeap
+	waiting   []*ticket // arrival order
 	running   int
 	perClient map[string]int
-	seq       int64
 	draining  bool
 	drained   chan struct{}
 
@@ -36,12 +34,9 @@ type admitQueue struct {
 
 type ticket struct {
 	client   string
-	priority int
-	seq      int64
 	enqueued time.Time
 	grant    chan struct{}
 	granted  bool
-	index    int // heap index, -1 once popped
 }
 
 func newAdmitQueue(maxDepth, maxPerClient, maxConcurrent int) *admitQueue {
@@ -61,7 +56,7 @@ func newAdmitQueue(maxDepth, maxPerClient, maxConcurrent int) *admitQueue {
 // function that must be called exactly once when the search finishes.
 // It fails fast with ErrDraining, ErrQuotaExceeded or ErrOverloaded,
 // and unblocks with ctx.Err() if the caller gives up while queued.
-func (q *admitQueue) Admit(ctx context.Context, client string, priority int) (func(), error) {
+func (q *admitQueue) Admit(ctx context.Context, client string) (func(), error) {
 	q.mu.Lock()
 	if q.draining {
 		q.mu.Unlock()
@@ -76,15 +71,12 @@ func (q *admitQueue) Admit(ctx context.Context, client string, priority int) (fu
 
 	t := &ticket{
 		client:   client,
-		priority: priority,
-		seq:      q.seq,
 		enqueued: time.Now(),
 		grant:    make(chan struct{}),
 	}
-	q.seq++
 
 	// Run immediately if a slot is free and nobody is ahead of us.
-	if q.running < q.maxConcurrent && q.waiting.Len() == 0 {
+	if q.running < q.maxConcurrent && len(q.waiting) == 0 {
 		t.granted = true
 		q.running++
 		q.setClient(client, +1)
@@ -92,14 +84,14 @@ func (q *admitQueue) Admit(ctx context.Context, client string, priority int) (fu
 		return func() { q.release(t) }, nil
 	}
 
-	if q.maxDepth > 0 && q.waiting.Len() >= q.maxDepth {
+	if q.maxDepth > 0 && len(q.waiting) >= q.maxDepth {
 		q.mu.Unlock()
 		q.reject("overload")
 		return nil, ErrOverloaded
 	}
-	heap.Push(&q.waiting, t)
+	q.waiting = append(q.waiting, t)
 	q.setClient(client, +1)
-	depth := q.waiting.Len()
+	depth := len(q.waiting)
 	q.mu.Unlock()
 	if q.onDepth != nil {
 		q.onDepth(depth)
@@ -119,9 +111,10 @@ func (q *admitQueue) Admit(ctx context.Context, client string, priority int) (fu
 			q.release(t)
 			return nil, ctx.Err()
 		}
-		heap.Remove(&q.waiting, t.index)
+		i := slices.Index(q.waiting, t)
+		q.waiting = slices.Delete(q.waiting, i, i+1)
 		q.setClient(client, -1)
-		depth := q.waiting.Len()
+		depth := len(q.waiting)
 		q.checkDrainedLocked()
 		q.mu.Unlock()
 		if q.onDepth != nil {
@@ -137,7 +130,7 @@ func (q *admitQueue) release(t *ticket) {
 	q.running--
 	q.setClient(t.client, -1)
 	granted := q.grantLocked()
-	depth := q.waiting.Len()
+	depth := len(q.waiting)
 	q.checkDrainedLocked()
 	q.mu.Unlock()
 	if q.onDepth != nil && granted > 0 {
@@ -148,8 +141,9 @@ func (q *admitQueue) release(t *ticket) {
 // grantLocked moves waiters into free slots. Caller holds q.mu.
 func (q *admitQueue) grantLocked() int {
 	n := 0
-	for q.running < q.maxConcurrent && q.waiting.Len() > 0 {
-		t := heap.Pop(&q.waiting).(*ticket)
+	for q.running < q.maxConcurrent && len(q.waiting) > 0 {
+		t := q.waiting[0]
+		q.waiting = slices.Delete(q.waiting, 0, 1)
 		t.granted = true
 		q.running++
 		close(t.grant)
@@ -174,7 +168,7 @@ func (q *admitQueue) Drain(ctx context.Context) error {
 }
 
 func (q *admitQueue) checkDrainedLocked() {
-	if q.draining && q.running == 0 && q.waiting.Len() == 0 {
+	if q.draining && q.running == 0 && len(q.waiting) == 0 {
 		select {
 		case <-q.drained:
 		default:
@@ -187,7 +181,7 @@ func (q *admitQueue) checkDrainedLocked() {
 func (q *admitQueue) Depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.waiting.Len()
+	return len(q.waiting)
 }
 
 // Running reports the number of requests holding a slot.
@@ -214,38 +208,4 @@ func (q *admitQueue) setClient(client string, delta int) {
 	if q.onClient != nil {
 		q.onClient(client, n)
 	}
-}
-
-// ticketHeap orders by priority descending, then arrival order.
-type ticketHeap []*ticket
-
-func (h ticketHeap) Len() int { return len(h) }
-
-func (h ticketHeap) Less(i, j int) bool {
-	if h[i].priority != h[j].priority {
-		return h[i].priority > h[j].priority
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h ticketHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *ticketHeap) Push(x any) {
-	t := x.(*ticket)
-	t.index = len(*h)
-	*h = append(*h, t)
-}
-
-func (h *ticketHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	t.index = -1
-	*h = old[:n-1]
-	return t
 }

@@ -262,8 +262,6 @@ type SearchRequest struct {
 	// Client identifies the caller for quota accounting; the HTTP
 	// layer falls back to the X-Client header, then the remote host.
 	Client string `json:"client,omitempty"`
-	// Priority orders queued requests (higher runs sooner).
-	Priority int `json:"priority,omitempty"`
 }
 
 // SearchResponse is the JSON body of a successful search.
@@ -308,7 +306,6 @@ func (s *Server) Search(ctx context.Context, req *SearchRequest) (*SearchRespons
 		TraceID:       traceIDString(sc.TraceID),
 		Client:        client,
 		DB:            req.DB,
-		Priority:      req.Priority,
 		Start:         start,
 		StragglerTask: -1,
 	}
@@ -396,14 +393,12 @@ func (s *Server) Search(ctx context.Context, req *SearchRequest) (*SearchRespons
 	}
 
 	// Queue span: a sibling of the later cache span (the returned ctx
-	// is discarded), annotated with the priority and the queue depth
-	// seen at enqueue.
+	// is discarded), annotated with the queue depth seen at enqueue.
 	depthAt := s.queue.Depth()
 	queueStart := time.Now()
 	_, qspan := s.cfg.Tracer.Start(ctx, "queue")
-	qspan.SetAttr("priority", fmt.Sprint(req.Priority))
 	qspan.SetAttr("depth", fmt.Sprint(depthAt))
-	release, err := s.queue.Admit(ctx, client, req.Priority)
+	release, err := s.queue.Admit(ctx, client)
 	queueWait = time.Since(queueStart)
 	qspan.Finish(err)
 	if err != nil {

@@ -257,16 +257,13 @@ func (r *RankStore) Close() error {
 }
 
 // WorkerFlags are the per-worker tuning flags mpiblast and blastd
-// share: read chunk, copy-to-local scratch, and the readahead layer
-// of the worker read path.
+// share: read chunk, copy-to-local scratch, and whether the worker
+// read path goes through the readahead layer (at its own defaults:
+// stripe-sized blocks, DESIGN.md §7.3).
 type WorkerFlags struct {
-	Chunk   int
-	Scratch string
-
+	Chunk     int
+	Scratch   string
 	Readahead bool
-	RABlock   int64
-	RACache   int
-	RAWindow  int
 }
 
 // RegisterFlags declares the worker flags on fs, bound to w.
@@ -275,9 +272,6 @@ func (w *WorkerFlags) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&w.Scratch, "scratch", "", "per-worker scratch directory; enables copy-to-local")
 
 	fs.BoolVar(&w.Readahead, "readahead", false, "enable the client-side readahead/block cache on worker reads")
-	fs.Int64Var(&w.RABlock, "ra-block", readahead.DefaultBlockSize, "readahead block size in bytes")
-	fs.IntVar(&w.RACache, "ra-cache", readahead.DefaultCapacity, "readahead cache capacity in blocks")
-	fs.IntVar(&w.RAWindow, "ra-window", readahead.DefaultWindow, "readahead prefetch depth in blocks (0 disables prefetch)")
 }
 
 // Options turns the flags into search options — the same list whether
@@ -294,11 +288,7 @@ func (w *WorkerFlags) Options(reg *telemetry.Registry) ([]pblast.Option, *iotrac
 	if w.Readahead {
 		stats = &iotrace.CacheStats{}
 		stats.Register(reg)
-		opts = append(opts, pblast.WithReadahead(
-			readahead.WithBlockSize(w.RABlock),
-			readahead.WithCapacity(w.RACache),
-			readahead.WithWindow(w.RAWindow),
-			readahead.WithStats(stats)))
+		opts = append(opts, pblast.WithReadahead(readahead.WithStats(stats)))
 	}
 	return opts, stats
 }

@@ -197,7 +197,7 @@ func TestWorkerFlagsOptions(t *testing.T) {
 	wf.RegisterFlags(fs)
 	var names []string
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	if got, want := strings.Join(names, " "), "chunk ra-block ra-cache ra-window readahead scratch"; got != want {
+	if got, want := strings.Join(names, " "), "chunk readahead scratch"; got != want {
 		t.Errorf("worker flags = %q, want %q", got, want)
 	}
 }

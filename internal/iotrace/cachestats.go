@@ -1,7 +1,6 @@
 package iotrace
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"pario/internal/telemetry"
@@ -128,15 +127,4 @@ func (s CacheSnapshot) ZeroCopyRate() float64 {
 		return 0
 	}
 	return float64(s.BorrowHits) / float64(total)
-}
-
-// Format renders the counters as one line.
-func (s CacheSnapshot) Format() string {
-	line := fmt.Sprintf("readahead: hits=%d misses=%d (%.1f%% hit rate) prefetch issued=%d wasted=%d aborted=%d",
-		s.Hits, s.Misses, 100*s.HitRate(), s.PrefetchIssued, s.PrefetchWasted, s.PrefetchAborted)
-	if s.BorrowHits+s.BorrowCopies > 0 {
-		line += fmt.Sprintf(" views borrowed=%d copied=%d (%.1f%% zero-copy)",
-			s.BorrowHits, s.BorrowCopies, 100*s.ZeroCopyRate())
-	}
-	return line
 }

@@ -183,7 +183,7 @@ func TestDataServerUnknownOp(t *testing.T) {
 	defer cn.close()
 	hello := []byte("hello")
 	var resp Response
-	if err := cn.call(&Request{Op: OpListWrite, Handle: 1, Segs: []Seg{{Length: 5}}, Data: hello}, &resp); err != nil || !resp.OK {
+	if err := cn.call(&Request{Op: OpListWrite, Handle: 1, Segs: []chio.Seg{{Len: 5}}, Data: hello}, &resp); err != nil || !resp.OK {
 		t.Fatalf("seed write: %v %s", err, resp.Err)
 	}
 	for _, op := range []Op{64, 65, 68, 69, 70, 71, 72, 250} {
@@ -196,7 +196,7 @@ func TestDataServerUnknownOp(t *testing.T) {
 				t.Errorf("op %d accepted, want an error reply", op)
 			}
 			resp = Response{}
-			if err := cn.call(&Request{Op: OpListRead, Handle: 1, Segs: []Seg{{Length: 5}}}, &resp); err != nil {
+			if err := cn.call(&Request{Op: OpListRead, Handle: 1, Segs: []chio.Seg{{Len: 5}}}, &resp); err != nil {
 				t.Fatalf("list read after op %d: %v", op, err)
 			}
 			if !resp.OK || !bytes.Equal(resp.Data, hello) {

@@ -36,25 +36,25 @@ func TestHostileLengthsGetErrorReplies(t *testing.T) {
 	// The piece exists, so every read below reaches its handler's
 	// allocation rather than the piece-not-found shortcut.
 	hello := []byte("hello")
-	if resp := call(&Request{Op: OpListWrite, Handle: 1, Segs: []Seg{{Offset: 0, Length: 5}}, Data: hello}); !resp.OK {
+	if resp := call(&Request{Op: OpListWrite, Handle: 1, Segs: []chio.Seg{{Off: 0, Len: 5}}, Data: hello}); !resp.OK {
 		t.Fatal(resp.Err)
 	}
 	for _, req := range []*Request{
-		{Op: OpListRead, Handle: 1, Segs: []Seg{{Offset: 0, Length: -1}}},
-		{Op: OpListRead, Handle: 1, Segs: []Seg{{Offset: 0, Length: 1 << 40}}},
-		{Op: OpListRead, Handle: 1, Segs: []Seg{{Offset: -1, Length: 1}}},
-		{Op: OpListRead, Handle: 1, Segs: []Seg{{Length: maxRequestBytes/2 + 1}, {Length: maxRequestBytes/2 + 1}}},
-		{Op: OpListRead, Handle: 1, Segs: []Seg{{Offset: math.MaxInt64, Length: 2}}},
-		{Op: OpListRead, Handle: 1, Segs: []Seg{{Offset: 3, Length: 1}, {Offset: -3, Length: 1}}},
-		{Op: OpListWrite, Handle: 1, Segs: []Seg{{Offset: -1, Length: 5}}, Data: hello},
-		{Op: OpListWrite, Handle: 1, Segs: []Seg{{Offset: 0, Length: -5}}, Data: hello},
-		{Op: OpListWrite, Handle: 1, Segs: []Seg{{Offset: 2 << 30, Length: 5}}, Data: hello},
-		{Op: OpPieceWriteDupSync, Handle: 1, Segs: []Seg{{Offset: -1, Length: 5}}, Data: hello},
-		{Op: OpPieceWriteDupAsync, Handle: 1, Segs: []Seg{{Offset: 2 << 30, Length: 5}}, Data: hello},
+		{Op: OpListRead, Handle: 1, Segs: []chio.Seg{{Off: 0, Len: -1}}},
+		{Op: OpListRead, Handle: 1, Segs: []chio.Seg{{Off: 0, Len: 1 << 40}}},
+		{Op: OpListRead, Handle: 1, Segs: []chio.Seg{{Off: -1, Len: 1}}},
+		{Op: OpListRead, Handle: 1, Segs: []chio.Seg{{Len: maxRequestBytes/2 + 1}, {Len: maxRequestBytes/2 + 1}}},
+		{Op: OpListRead, Handle: 1, Segs: []chio.Seg{{Off: math.MaxInt64, Len: 2}}},
+		{Op: OpListRead, Handle: 1, Segs: []chio.Seg{{Off: 3, Len: 1}, {Off: -3, Len: 1}}},
+		{Op: OpListWrite, Handle: 1, Segs: []chio.Seg{{Off: -1, Len: 5}}, Data: hello},
+		{Op: OpListWrite, Handle: 1, Segs: []chio.Seg{{Off: 0, Len: -5}}, Data: hello},
+		{Op: OpListWrite, Handle: 1, Segs: []chio.Seg{{Off: 2 << 30, Len: 5}}, Data: hello},
+		{Op: OpPieceWriteDupSync, Handle: 1, Segs: []chio.Seg{{Off: -1, Len: 5}}, Data: hello},
+		{Op: OpPieceWriteDupAsync, Handle: 1, Segs: []chio.Seg{{Off: 2 << 30, Len: 5}}, Data: hello},
 		{Op: OpPieceRead, Handle: 1, Length: 5},
 		{Op: OpPieceWrite, Handle: 1, Data: hello},
-		{Op: OpPieceReadv, Handle: 1, Segs: []Seg{{Offset: 0, Length: 5}}},
-		{Op: OpPieceWritev, Handle: 1, Segs: []Seg{{Offset: 0, Length: 5}}, Data: hello},
+		{Op: OpPieceReadv, Handle: 1, Segs: []chio.Seg{{Off: 0, Len: 5}}},
+		{Op: OpPieceWritev, Handle: 1, Segs: []chio.Seg{{Off: 0, Len: 5}}, Data: hello},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -66,7 +66,7 @@ func TestHostileLengthsGetErrorReplies(t *testing.T) {
 		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
 			t.Errorf("%s %+v: allocated %d bytes", req.Op, req.Segs, grew)
 		}
-		resp = call(&Request{Op: OpListRead, Handle: 1, Segs: []Seg{{Offset: 0, Length: 5}}})
+		resp = call(&Request{Op: OpListRead, Handle: 1, Segs: []chio.Seg{{Off: 0, Len: 5}}})
 		if !resp.OK || !bytes.Equal(resp.Data, hello) {
 			t.Fatalf("after hostile %s: read = %q ok=%v err=%s", req.Op, resp.Data, resp.OK, resp.Err)
 		}
@@ -81,25 +81,25 @@ func TestHostileLengthsGetErrorReplies(t *testing.T) {
 // client has put on the wire; the retired ops' shapes now get
 // unknown-op replies, and the unsorted list seeds error replies.
 func FuzzDataServerDispatch(f *testing.F) {
-	segBytes := func(segs ...Seg) []byte {
+	segBytes := func(segs ...chio.Seg) []byte {
 		var b []byte
 		for _, s := range segs {
-			b = binary.LittleEndian.AppendUint64(b, uint64(s.Offset))
-			b = binary.LittleEndian.AppendUint64(b, uint64(s.Length))
+			b = binary.LittleEndian.AppendUint64(b, uint64(s.Off))
+			b = binary.LittleEndian.AppendUint64(b, uint64(s.Len))
 		}
 		return b
 	}
 	f.Add(uint8(OpPieceRead), int64(4), int64(8), []byte(nil), []byte(nil))
 	f.Add(uint8(OpPieceWrite), int64(10), int64(0), []byte("stripe piece data"), []byte(nil))
-	f.Add(uint8(OpPieceReadv), int64(0), int64(0), []byte(nil), segBytes(Seg{0, 4}, Seg{16, 4}))
-	f.Add(uint8(OpPieceWritev), int64(0), int64(0), []byte("BBBBAAAA"), segBytes(Seg{0, 4}, Seg{100, 4}))
-	f.Add(uint8(OpListRead), int64(0), int64(0), []byte(nil), segBytes(Seg{3000, 600}, Seg{0, 300}, Seg{3100, 100}, Seg{4090, 50}))
-	f.Add(uint8(OpListWrite), int64(0), int64(0), []byte("BBBBAAAA"), segBytes(Seg{100, 4}, Seg{0, 4}))
+	f.Add(uint8(OpPieceReadv), int64(0), int64(0), []byte(nil), segBytes(chio.Seg{Off: 0, Len: 4}, chio.Seg{Off: 16, Len: 4}))
+	f.Add(uint8(OpPieceWritev), int64(0), int64(0), []byte("BBBBAAAA"), segBytes(chio.Seg{Off: 0, Len: 4}, chio.Seg{Off: 100, Len: 4}))
+	f.Add(uint8(OpListRead), int64(0), int64(0), []byte(nil), segBytes(chio.Seg{Off: 3000, Len: 600}, chio.Seg{Off: 0, Len: 300}, chio.Seg{Off: 3100, Len: 100}, chio.Seg{Off: 4090, Len: 50}))
+	f.Add(uint8(OpListWrite), int64(0), int64(0), []byte("BBBBAAAA"), segBytes(chio.Seg{Off: 100, Len: 4}, chio.Seg{Off: 0, Len: 4}))
 	f.Add(uint8(OpPieceWriteDupSync), int64(0), int64(0), []byte("dup"), []byte(nil))
-	f.Add(uint8(OpPieceWriteDupAsync), int64(0), int64(0), []byte("BBBBAAAA"), segBytes(Seg{100, 4}, Seg{0, 4}))
+	f.Add(uint8(OpPieceWriteDupAsync), int64(0), int64(0), []byte("BBBBAAAA"), segBytes(chio.Seg{Off: 100, Len: 4}, chio.Seg{Off: 0, Len: 4}))
 	f.Add(uint8(OpPieceRead), int64(0), int64(-1), []byte(nil), []byte(nil))
 	f.Add(uint8(OpPieceRead), int64(0), int64(1<<40), []byte(nil), []byte(nil))
-	f.Add(uint8(OpListRead), int64(0), int64(0), []byte(nil), segBytes(Seg{0, -5}, Seg{math.MaxInt64, 2}))
+	f.Add(uint8(OpListRead), int64(0), int64(0), []byte(nil), segBytes(chio.Seg{Off: 0, Len: -5}, chio.Seg{Off: math.MaxInt64, Len: 2}))
 
 	// A disk-backed store: a write at an absurd offset is a sparse file
 	// there, not an allocation.
@@ -124,9 +124,9 @@ func FuzzDataServerDispatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, op uint8, off, length int64, data, rawSegs []byte) {
 		req := &Request{Op: Op(op), Handle: readHandle, Offset: off, Length: length, Data: data}
 		for ; len(rawSegs) >= 16; rawSegs = rawSegs[16:] {
-			req.Segs = append(req.Segs, Seg{
-				Offset: int64(binary.LittleEndian.Uint64(rawSegs)),
-				Length: int64(binary.LittleEndian.Uint64(rawSegs[8:])),
+			req.Segs = append(req.Segs, chio.Seg{
+				Off: int64(binary.LittleEndian.Uint64(rawSegs)),
+				Len: int64(binary.LittleEndian.Uint64(rawSegs[8:])),
 			})
 		}
 		if req.Op != OpListRead {
@@ -142,7 +142,7 @@ func FuzzDataServerDispatch(f *testing.F) {
 			return
 		}
 		for i := 1; i < len(req.Segs); i++ {
-			if prev := req.Segs[i-1]; req.Segs[i].Offset < prev.Offset+prev.Length {
+			if prev := req.Segs[i-1]; req.Segs[i].Off < prev.Off+prev.Len {
 				t.Fatalf("%s answered OK for segments %+v: %d starts before %d ends", req.Op, req.Segs, i, i-1)
 			}
 		}
@@ -154,15 +154,15 @@ func FuzzDataServerDispatch(f *testing.F) {
 		}
 		rest := resp.Data
 		for i, s := range req.Segs {
-			want := min(max(int64(len(piece))-s.Offset, 0), s.Length)
+			want := min(max(int64(len(piece))-s.Off, 0), s.Len)
 			if resp.SegLens[i] != want {
-				t.Fatalf("segment %d [%d,+%d): served %d, want %d", i, s.Offset, s.Length, resp.SegLens[i], want)
+				t.Fatalf("segment %d [%d,+%d): served %d, want %d", i, s.Off, s.Len, resp.SegLens[i], want)
 			}
 			if want == 0 {
 				continue
 			}
-			if int64(len(rest)) < want || !bytes.Equal(rest[:want], piece[s.Offset:s.Offset+want]) {
-				t.Fatalf("segment %d [%d,+%d): wrong bytes", i, s.Offset, s.Length)
+			if int64(len(rest)) < want || !bytes.Equal(rest[:want], piece[s.Off:s.Off+want]) {
+				t.Fatalf("segment %d [%d,+%d): wrong bytes", i, s.Off, s.Len)
 			}
 			rest = rest[want:]
 		}

@@ -218,25 +218,16 @@ func (ds *DataServer) dispatch(req *Request) *Response {
 	return errResp("data server: unknown op %d", req.Op)
 }
 
-// checkSegs validates a segment list off the wire: offsets and lengths
-// non-negative, the list ascending and disjoint (each segment starts at
-// or after the end of the one before it; a zero-length segment counts
-// at its offset), and the summed length within maxRequestBytes. It
-// returns the sum.
-func checkSegs(segs []Seg) (int64, error) {
-	var total, end int64
-	for _, s := range segs {
-		if s.Offset < 0 || s.Length < 0 || s.Offset > math.MaxInt64-s.Length {
-			return 0, fmt.Errorf("bad segment [%d,+%d)", s.Offset, s.Length)
-		}
-		if s.Offset < end {
-			return 0, fmt.Errorf("segment [%d,+%d) starts before the previous one ends at %d", s.Offset, s.Length, end)
-		}
-		if s.Length > maxRequestBytes-total {
-			return 0, fmt.Errorf("segments claim more than %d bytes", maxRequestBytes)
-		}
-		total += s.Length
-		end = s.Offset + s.Length
+// checkSegs validates a segment list off the wire: the one shape
+// chio.CheckSegs checks at every layer, and the summed length within
+// maxRequestBytes. It returns the sum.
+func checkSegs(segs []chio.Seg) (int64, error) {
+	total, err := chio.CheckSegs(segs)
+	if err != nil {
+		return 0, err
+	}
+	if total > maxRequestBytes {
+		return 0, fmt.Errorf("segments claim more than %d bytes", maxRequestBytes)
 	}
 	return total, nil
 }
@@ -248,7 +239,7 @@ func checkSegs(segs []Seg) (int64, error) {
 // enough (the serving connection's reused reply buffer); SegLens says
 // how much of each segment was served (short means hole or end of
 // piece, and the client zero-fills).
-func (ds *DataServer) handleRead(handle uint64, segs []Seg, buf []byte) *Response {
+func (ds *DataServer) handleRead(handle uint64, segs []chio.Seg, buf []byte) *Response {
 	total, err := checkSegs(segs)
 	if err != nil {
 		return errResp("list read: %v", err)
@@ -269,7 +260,7 @@ func (ds *DataServer) handleRead(handle uint64, segs []Seg, buf []byte) *Respons
 	}
 	var need int64
 	for i, s := range segs {
-		lens[i] = min(max(size-s.Offset, 0), s.Length)
+		lens[i] = min(max(size-s.Off, 0), s.Len)
 		need += lens[i]
 	}
 	if int64(cap(buf)) < need {
@@ -280,7 +271,7 @@ func (ds *DataServer) handleRead(handle uint64, segs []Seg, buf []byte) *Respons
 		if lens[i] == 0 {
 			continue
 		}
-		n, err := f.ReadAt(buf[len(buf):len(buf)+int(lens[i])], s.Offset)
+		n, err := f.ReadAt(buf[len(buf):len(buf)+int(lens[i])], s.Off)
 		if err != nil && err != io.EOF {
 			return errResp("list read: %v", err)
 		}
@@ -294,7 +285,7 @@ func (ds *DataServer) handleRead(handle uint64, segs []Seg, buf []byte) *Respons
 // segments' bytes concatenated in request order. No segment may end
 // more than maxRequestBytes past the piece's current end; a list
 // breaking that rule or checkSegs' is rejected whole.
-func (ds *DataServer) handleWrite(handle uint64, segs []Seg, data []byte) *Response {
+func (ds *DataServer) handleWrite(handle uint64, segs []chio.Seg, data []byte) *Response {
 	total, err := checkSegs(segs)
 	if err != nil {
 		return errResp("list write: %v", err)
@@ -320,19 +311,19 @@ func (ds *DataServer) handleWrite(handle uint64, segs []Seg, data []byte) *Respo
 	if err != nil {
 		return errResp("list write: %v", err)
 	}
-	if n := len(segs); n > 0 && segs[n-1].Offset+segs[n-1].Length-size > maxRequestBytes {
+	if n := len(segs); n > 0 && segs[n-1].Off+segs[n-1].Len-size > maxRequestBytes {
 		last := segs[n-1]
 		return errResp("list write: segment [%d,+%d) ends more than %d bytes past the piece's end %d",
-			last.Offset, last.Length, maxRequestBytes, size)
+			last.Off, last.Len, maxRequestBytes, size)
 	}
 	for _, s := range segs {
-		if s.Length == 0 {
+		if s.Len == 0 {
 			continue
 		}
-		if _, err := f.WriteAt(data[:s.Length], s.Offset); err != nil {
+		if _, err := f.WriteAt(data[:s.Len], s.Off); err != nil {
 			return errResp("list write: %v", err)
 		}
-		data = data[s.Length:]
+		data = data[s.Len:]
 	}
 	return &Response{OK: true, N: total}
 }

@@ -1,6 +1,10 @@
 package pvfs
 
-import "context"
+import (
+	"context"
+
+	"pario/internal/chio"
+)
 
 // This file is the client half of the one data op (list I/O in the
 // ROMIO/PVFS literature): everything a read or write needs from one
@@ -45,13 +49,13 @@ func (d *DataConn) ReadRuns(ctx context.Context, handle uint64, runs []StripeRun
 // k on the server. The runs' regions, in run order, tile the segments
 // in segment order, which is how readInto places a read's payload and
 // how a write's payload is laid out.
-func segments(runs []StripeRun) []Seg {
-	segs := make([]Seg, 0, len(runs))
+func segments(runs []StripeRun) []chio.Seg {
+	segs := make([]chio.Seg, 0, len(runs))
 	for _, r := range runs {
-		if n := len(segs); n > 0 && segs[n-1].Offset+segs[n-1].Length == r.ServerOff {
-			segs[n-1].Length += r.Length
+		if n := len(segs); n > 0 && segs[n-1].Off+segs[n-1].Len == r.ServerOff {
+			segs[n-1].Len += r.Length
 		} else {
-			segs = append(segs, Seg{Offset: r.ServerOff, Length: r.Length})
+			segs = append(segs, chio.Seg{Off: r.ServerOff, Len: r.Length})
 		}
 	}
 	return segs

@@ -57,14 +57,14 @@ func TestListReadPropertyRandomSegments(t *testing.T) {
 		if len(raw) > 16 {
 			raw = raw[:16]
 		}
-		segs := make([]Seg, len(raw))
+		segs := make([]chio.Seg, len(raw))
 		var off int64
 		for i, v := range raw {
 			// Gaps 0..127 and lengths 0..511, so sixteen segments span
 			// the hole and run past EOF.
 			off += int64(v) % 128
-			segs[i] = Seg{Offset: off, Length: int64(v>>7) % 512}
-			off += segs[i].Length
+			segs[i] = chio.Seg{Off: off, Len: int64(v>>7) % 512}
+			off += segs[i].Len
 		}
 		resp, err := d.call(bg, &Request{Op: OpListRead, Handle: handle, Segs: segs})
 		if err != nil {
@@ -76,22 +76,22 @@ func TestListReadPropertyRandomSegments(t *testing.T) {
 			return false
 		}
 		for i, s := range segs {
-			want := int64(eof) - s.Offset
+			want := int64(eof) - s.Off
 			if want < 0 {
 				want = 0
 			}
-			if want > s.Length {
-				want = s.Length
+			if want > s.Len {
+				want = s.Len
 			}
 			if lens[i] != want {
-				t.Logf("seg %d [%d,+%d): served %d, want %d", i, s.Offset, s.Length, lens[i], want)
+				t.Logf("seg %d [%d,+%d): served %d, want %d", i, s.Off, s.Len, lens[i], want)
 				return false
 			}
 			if int64(len(data)) < want {
 				return false
 			}
-			if want > 0 && !bytes.Equal(data[:want], content[s.Offset:s.Offset+want]) {
-				t.Logf("seg %d [%d,+%d): data mismatch", i, s.Offset, s.Length)
+			if want > 0 && !bytes.Equal(data[:want], content[s.Off:s.Off+want]) {
+				t.Logf("seg %d [%d,+%d): data mismatch", i, s.Off, s.Len)
 				return false
 			}
 			data = data[want:]
@@ -123,23 +123,23 @@ func TestListNonAscendingRejected(t *testing.T) {
 		return &resp
 	}
 	const handle = 1
-	if resp := call(&Request{Op: OpListWrite, Handle: handle, Data: []byte("AAAABBBB"), Segs: []Seg{
-		{Offset: 0, Length: 4},
-		{Offset: 100, Length: 4},
+	if resp := call(&Request{Op: OpListWrite, Handle: handle, Data: []byte("AAAABBBB"), Segs: []chio.Seg{
+		{Off: 0, Len: 4},
+		{Off: 100, Len: 4},
 	}}); !resp.OK {
 		t.Fatal(resp.Err)
 	}
 	for _, tc := range []struct {
 		name string
-		segs []Seg
+		segs []chio.Seg
 	}{
-		{"unsorted", []Seg{{Offset: 100, Length: 4}, {Offset: 0, Length: 4}}},
-		{"overlapping", []Seg{{Offset: 200, Length: 8}, {Offset: 204, Length: 8}}},
-		{"empty inside the previous", []Seg{{Offset: 0, Length: 8}, {Offset: 4, Length: 0}}},
+		{"unsorted", []chio.Seg{{Off: 100, Len: 4}, {Off: 0, Len: 4}}},
+		{"overlapping", []chio.Seg{{Off: 200, Len: 8}, {Off: 204, Len: 8}}},
+		{"empty inside the previous", []chio.Seg{{Off: 0, Len: 8}, {Off: 4, Len: 0}}},
 	} {
 		var total int64
 		for _, s := range tc.segs {
-			total += s.Length
+			total += s.Len
 		}
 		if resp := call(&Request{Op: OpListWrite, Handle: handle, Segs: tc.segs, Data: bytes.Repeat([]byte("X"), int(total))}); resp.OK || resp.Err == "" {
 			t.Errorf("%s list write: accepted, want an error reply", tc.name)
@@ -149,10 +149,10 @@ func TestListNonAscendingRejected(t *testing.T) {
 		}
 	}
 	// Nothing was stored: the piece still holds exactly the first write.
-	resp := call(&Request{Op: OpListRead, Handle: handle, Segs: []Seg{
-		{Offset: 0, Length: 4},
-		{Offset: 100, Length: 4},
-		{Offset: 200, Length: 12},
+	resp := call(&Request{Op: OpListRead, Handle: handle, Segs: []chio.Seg{
+		{Off: 0, Len: 4},
+		{Off: 100, Len: 4},
+		{Off: 200, Len: 12},
 	}})
 	if !resp.OK || string(resp.Data) != "AAAABBBB" || !slices.Equal(resp.SegLens, []int64{4, 4, 0}) {
 		t.Fatalf("ascending read = %q lens %v ok=%v err=%s, want \"AAAABBBB\" lens [4 4 0]",
@@ -240,9 +240,7 @@ func TestClientReadvAt(t *testing.T) {
 	}
 	defer g.Close()
 	calls := func() (n int64) {
-		for _, s := range m.Snapshot() {
-			n += s.Calls
-		}
+		m.Calls.Each(func(_ []string, c *telemetry.Counter) { n += c.Value() })
 		return n
 	}
 	before := calls()

@@ -16,6 +16,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"pario/internal/chio"
 )
 
 // DefaultStripeSize is the stripe unit used in the paper.
@@ -83,12 +85,6 @@ const (
 // cannot make it allocate without limit.
 const maxRequestBytes = 1 << 30
 
-// Seg is one server-local byte range of a list request.
-type Seg struct {
-	Offset int64
-	Length int64
-}
-
 // Request is the single wire request shape for both server kinds.
 type Request struct {
 	Op     Op
@@ -104,7 +100,7 @@ type Request struct {
 	// every Client sends, means the manager's configured default.
 	Stripe int64
 	// Segs carries the server-local ranges of a list request.
-	Segs []Seg
+	Segs []chio.Seg
 	// TraceID/SpanID propagate the client span that issued this
 	// request, so server-side work is attributable to the application
 	// call that caused it. Zero means untraced.

@@ -260,9 +260,7 @@ func TestRetryCompletesAfterConnDrop(t *testing.T) {
 		t.Fatal("retried read returned corrupt data")
 	}
 	var retries int64
-	for _, s := range metrics.Snapshot() {
-		retries += s.Retries
-	}
+	metrics.Retries.Each(func(_ []string, c *telemetry.Counter) { retries += c.Value() })
 	if retries == 0 {
 		t.Error("observer recorded no retries; dropped conn was not retried")
 	}

@@ -184,13 +184,13 @@ func TestWriteAtSkipsSizeRPCWhenNotExtending(t *testing.T) {
 	}
 	defer cl.Close()
 	metaAddr := tc.mgr.Addr()
-	metaCalls := func() int64 {
-		for _, s := range m.Snapshot() {
-			if s.Server == metaAddr {
-				return s.Calls
+	metaCalls := func() (n int64) {
+		m.Calls.Each(func(lvs []string, c *telemetry.Counter) {
+			if lvs[0] == metaAddr {
+				n += c.Value()
 			}
-		}
-		return 0
+		})
+		return n
 	}
 	fw, err := cl.Open("w")
 	if err != nil {
@@ -243,9 +243,9 @@ func TestMergeRunsBoundary(t *testing.T) {
 		if len(segs) != 1 {
 			t.Fatalf("server %d: %d wire segments, want 1 (runs %+v)", server, len(segs), list)
 		}
-		if segs[0].Offset != 0 || segs[0].Length != 2*stripe {
+		if segs[0].Off != 0 || segs[0].Len != 2*stripe {
 			t.Errorf("server %d: merged segment [%d,+%d), want [0,+%d)",
-				server, segs[0].Offset, segs[0].Length, 2*stripe)
+				server, segs[0].Off, segs[0].Len, 2*stripe)
 		}
 	}
 
@@ -264,7 +264,7 @@ func TestMergeRunsBoundary(t *testing.T) {
 		{Server: 0, ServerOff: stripe, BufOff: 0, Length: stripe},
 		{Server: 0, ServerOff: 2 * stripe, BufOff: stripe, Length: stripe},
 	}
-	if segs := segments(abut); len(segs) != 1 || segs[0].Offset != stripe || segs[0].Length != 2*stripe {
+	if segs := segments(abut); len(segs) != 1 || segs[0].Off != stripe || segs[0].Len != 2*stripe {
 		t.Fatalf("abutting runs gave segments %+v, want one [%d,+%d)", segs, stripe, 2*stripe)
 	}
 }

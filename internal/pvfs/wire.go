@@ -10,6 +10,8 @@ import (
 	"net"
 	"slices"
 	"sort"
+
+	"pario/internal/chio"
 )
 
 // The PVFS wire is one binary frame per request and one per response,
@@ -108,8 +110,8 @@ func appendRequest(b []byte, req *Request) []byte {
 	b = appendString(b, req.Name)
 	b = le.AppendUint32(b, uint32(len(req.Segs)))
 	for _, s := range req.Segs {
-		b = le.AppendUint64(b, uint64(s.Offset))
-		b = le.AppendUint64(b, uint64(s.Length))
+		b = le.AppendUint64(b, uint64(s.Off))
+		b = le.AppendUint64(b, uint64(s.Len))
 	}
 	le.PutUint32(b[at:], uint32(len(b)-start))
 	return b
@@ -152,7 +154,7 @@ func readRequest(r io.Reader, req *Request, fields *[]byte) error {
 		Data:     req.Data,
 	}
 	for n := d.u32(); n > 0 && d.err == nil; n-- {
-		req.Segs = append(req.Segs, Seg{Offset: int64(d.u64()), Length: int64(d.u64())})
+		req.Segs = append(req.Segs, chio.Seg{Off: int64(d.u64()), Len: int64(d.u64())})
 	}
 	if err := d.done(); err != nil {
 		return err
@@ -309,21 +311,21 @@ func payloadLimit(req *Request, ok bool) int64 {
 	}
 	var sum int64
 	for _, s := range req.Segs {
-		sum += min(max(s.Length, 0), maxRequestBytes-sum)
+		sum += min(max(s.Len, 0), maxRequestBytes-sum)
 	}
 	return sum
 }
 
 // checkSegLens validates a list read's per-segment byte counts against
 // the request's segments and the payload they must add up to.
-func checkSegLens(segs []Seg, lens []int64, payload int64) error {
+func checkSegLens(segs []chio.Seg, lens []int64, payload int64) error {
 	if len(lens) != len(segs) {
 		return fmt.Errorf("pvfs: list read returned %d segment lengths for %d segments", len(lens), len(segs))
 	}
 	var sum int64
 	for i, n := range lens {
-		if n < 0 || n > segs[i].Length {
-			return fmt.Errorf("pvfs: list read segment %d: bad length %d (want <= %d)", i, n, segs[i].Length)
+		if n < 0 || n > segs[i].Len {
+			return fmt.Errorf("pvfs: list read segment %d: bad length %d (want <= %d)", i, n, segs[i].Len)
 		}
 		sum += n
 	}
@@ -338,11 +340,11 @@ func checkSegLens(segs []Seg, lens []int64, payload int64) error {
 // regions tile each segment of segs in turn (see segments): segment
 // i's lens[i] served bytes fill its regions from the front, and the
 // unserved rest — a hole or the piece's end — is zeroed.
-func readInto(r io.Reader, segs []Seg, lens []int64, into [][]byte) error {
+func readInto(r io.Reader, segs []chio.Seg, lens []int64, into [][]byte) error {
 	k := 0
 	for i, s := range segs {
 		served := lens[i]
-		for left := s.Length; left > 0; k++ {
+		for left := s.Len; left > 0; k++ {
 			if k == len(into) {
 				return fmt.Errorf("pvfs: list read: segment %d has no destination", i)
 			}

@@ -22,7 +22,7 @@ import (
 type legacyRequest struct {
 	Op     Op
 	Handle uint64
-	Segs   []Seg
+	Segs   []chio.Seg
 	Data   []byte
 }
 
@@ -176,35 +176,35 @@ func FuzzWireFrame(f *testing.F) {
 	five := []byte("hello")
 	for _, req := range []*Request{
 		// TestHostileLengthsGetErrorReplies
-		{Op: OpListWrite, Handle: 1, Segs: []Seg{{Offset: 0, Length: 5}}, Data: five},
-		{Op: OpListRead, Handle: 1, Segs: []Seg{{Offset: 0, Length: 5}}},
-		{Op: OpListRead, Handle: 1, Segs: []Seg{{Offset: 0, Length: -1}}},
-		{Op: OpListRead, Handle: 1, Segs: []Seg{{Offset: 0, Length: 1 << 40}}},
-		{Op: OpListRead, Handle: 1, Segs: []Seg{{Offset: -1, Length: 1}}},
-		{Op: OpListRead, Handle: 1, Segs: []Seg{{Length: maxRequestBytes/2 + 1}, {Length: maxRequestBytes/2 + 1}}},
-		{Op: OpListRead, Handle: 1, Segs: []Seg{{Offset: math.MaxInt64, Length: 2}}},
-		{Op: OpListRead, Handle: 1, Segs: []Seg{{Offset: 3, Length: 1}, {Offset: -3, Length: 1}}},
-		{Op: OpListWrite, Handle: 1, Segs: []Seg{{Offset: -1, Length: 5}}, Data: five},
-		{Op: OpListWrite, Handle: 1, Segs: []Seg{{Offset: 0, Length: -5}}, Data: five},
-		{Op: OpListWrite, Handle: 1, Segs: []Seg{{Offset: 2 << 30, Length: 5}}, Data: five},
-		{Op: OpPieceWriteDupSync, Handle: 1, Segs: []Seg{{Offset: -1, Length: 5}}, Data: five},
-		{Op: OpPieceWriteDupAsync, Handle: 1, Segs: []Seg{{Offset: 2 << 30, Length: 5}}, Data: five},
+		{Op: OpListWrite, Handle: 1, Segs: []chio.Seg{{Off: 0, Len: 5}}, Data: five},
+		{Op: OpListRead, Handle: 1, Segs: []chio.Seg{{Off: 0, Len: 5}}},
+		{Op: OpListRead, Handle: 1, Segs: []chio.Seg{{Off: 0, Len: -1}}},
+		{Op: OpListRead, Handle: 1, Segs: []chio.Seg{{Off: 0, Len: 1 << 40}}},
+		{Op: OpListRead, Handle: 1, Segs: []chio.Seg{{Off: -1, Len: 1}}},
+		{Op: OpListRead, Handle: 1, Segs: []chio.Seg{{Len: maxRequestBytes/2 + 1}, {Len: maxRequestBytes/2 + 1}}},
+		{Op: OpListRead, Handle: 1, Segs: []chio.Seg{{Off: math.MaxInt64, Len: 2}}},
+		{Op: OpListRead, Handle: 1, Segs: []chio.Seg{{Off: 3, Len: 1}, {Off: -3, Len: 1}}},
+		{Op: OpListWrite, Handle: 1, Segs: []chio.Seg{{Off: -1, Len: 5}}, Data: five},
+		{Op: OpListWrite, Handle: 1, Segs: []chio.Seg{{Off: 0, Len: -5}}, Data: five},
+		{Op: OpListWrite, Handle: 1, Segs: []chio.Seg{{Off: 2 << 30, Len: 5}}, Data: five},
+		{Op: OpPieceWriteDupSync, Handle: 1, Segs: []chio.Seg{{Off: -1, Len: 5}}, Data: five},
+		{Op: OpPieceWriteDupAsync, Handle: 1, Segs: []chio.Seg{{Off: 2 << 30, Len: 5}}, Data: five},
 		{Op: OpPieceRead, Handle: 1, Length: 5},
 		{Op: OpPieceWrite, Handle: 1, Data: five},
-		{Op: OpPieceReadv, Handle: 1, Segs: []Seg{{Offset: 0, Length: 5}}},
-		{Op: OpPieceWritev, Handle: 1, Segs: []Seg{{Offset: 0, Length: 5}}, Data: five},
+		{Op: OpPieceReadv, Handle: 1, Segs: []chio.Seg{{Off: 0, Len: 5}}},
+		{Op: OpPieceWritev, Handle: 1, Segs: []chio.Seg{{Off: 0, Len: 5}}, Data: five},
 		// FuzzDataServerDispatch
 		{Op: OpPieceRead, Offset: 4, Length: 8},
 		{Op: OpPieceWrite, Offset: 10, Data: []byte("stripe piece data")},
-		{Op: OpPieceReadv, Segs: []Seg{{0, 4}, {16, 4}}},
-		{Op: OpPieceWritev, Segs: []Seg{{0, 4}, {100, 4}}, Data: []byte("BBBBAAAA")},
-		{Op: OpListRead, Segs: []Seg{{3000, 600}, {0, 300}, {3100, 100}, {4090, 50}}},
-		{Op: OpListWrite, Segs: []Seg{{100, 4}, {0, 4}}, Data: []byte("BBBBAAAA")},
+		{Op: OpPieceReadv, Segs: []chio.Seg{{Off: 0, Len: 4}, {Off: 16, Len: 4}}},
+		{Op: OpPieceWritev, Segs: []chio.Seg{{Off: 0, Len: 4}, {Off: 100, Len: 4}}, Data: []byte("BBBBAAAA")},
+		{Op: OpListRead, Segs: []chio.Seg{{Off: 3000, Len: 600}, {Off: 0, Len: 300}, {Off: 3100, Len: 100}, {Off: 4090, Len: 50}}},
+		{Op: OpListWrite, Segs: []chio.Seg{{Off: 100, Len: 4}, {Off: 0, Len: 4}}, Data: []byte("BBBBAAAA")},
 		{Op: OpPieceWriteDupSync, Data: []byte("dup")},
-		{Op: OpPieceWriteDupAsync, Segs: []Seg{{100, 4}, {0, 4}}, Data: []byte("BBBBAAAA")},
+		{Op: OpPieceWriteDupAsync, Segs: []chio.Seg{{Off: 100, Len: 4}, {Off: 0, Len: 4}}, Data: []byte("BBBBAAAA")},
 		{Op: OpPieceRead, Length: -1},
 		{Op: OpPieceRead, Length: 1 << 40},
-		{Op: OpListRead, Segs: []Seg{{0, -5}, {math.MaxInt64, 2}}},
+		{Op: OpListRead, Segs: []chio.Seg{{Off: 0, Len: -5}, {Off: math.MaxInt64, Len: 2}}},
 		// The manager's requests.
 		{Op: OpCreate, Name: "nt.000", Stripe: 64 << 10},
 		{Op: OpLoadReport, ServerID: 3, Load: 0.75, TraceID: 7, SpanID: 9},
@@ -223,7 +223,7 @@ func FuzzWireFrame(f *testing.F) {
 	}
 	f.Add(refusal(ErrWireVersion)[len(hello):])
 
-	listRead := &Request{Op: OpListRead, Segs: []Seg{{Offset: 0, Length: 5}, {Offset: 64, Length: 8}}}
+	listRead := &Request{Op: OpListRead, Segs: []chio.Seg{{Off: 0, Len: 5}, {Off: 64, Len: 8}}}
 	dst := make([]byte, 13)
 	into := [][]byte{dst[:2], dst[2:5], dst[5:]}
 	f.Fuzz(func(t *testing.T, frame []byte) {

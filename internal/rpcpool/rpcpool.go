@@ -15,15 +15,12 @@ package rpcpool
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
-	"strings"
 	"sync"
 	"time"
 
 	"pario/internal/telemetry"
-	"pario/internal/util"
 )
 
 // Defaults for Config fields left zero, and the retry backoff's base
@@ -171,80 +168,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		BatchRPCs: reg.CounterVec("pario_rpc_batch_rpcs_total",
 			"Round trips actually issued for coalesced batches.", "server"),
 	}
-}
-
-// ServerStats is one server's share of a Metrics set, folded across
-// ops and outcomes. The per-server view is what the paper's hot-spot
-// analysis needs: a disk-stressed server shows up as one address with
-// ballooning mean latency and retry counts while its peers stay flat.
-type ServerStats struct {
-	Server string
-	// Calls counts finished RPCs (each including all its retries);
-	// Errors those that failed after exhausting retries, Timeouts the
-	// failures classified as chio.ErrTimeout.
-	Calls, Errors, Timeouts int64
-	// Retries sums the retry attempts across all calls.
-	Retries int64
-	// TotalLatency sums end-to-end call latency (including backoff
-	// pauses); MaxLatency is the slowest call.
-	TotalLatency, MaxLatency time.Duration
-	// Batches, BatchRuns and BatchRPCs are the coalescing counters.
-	Batches, BatchRuns, BatchRPCs int64
-}
-
-// Snapshot folds the metric set per server, sorted by server address.
-func (m *Metrics) Snapshot() []ServerStats {
-	by := map[string]*ServerStats{}
-	at := func(server string) *ServerStats {
-		if by[server] == nil {
-			by[server] = &ServerStats{Server: server}
-		}
-		return by[server]
-	}
-	m.Calls.Each(func(lvs []string, c *telemetry.Counter) {
-		s, n := at(lvs[0]), c.Value()
-		s.Calls += n
-		if outcome := lvs[2]; outcome != "ok" {
-			s.Errors += n
-			if outcome == "timeout" {
-				s.Timeouts += n
-			}
-		}
-	})
-	m.Latency.Each(func(lvs []string, h *telemetry.Histogram) {
-		s := at(lvs[0])
-		s.TotalLatency += time.Duration(h.Sum() * float64(time.Second))
-		s.MaxLatency = max(s.MaxLatency, time.Duration(h.Max()*float64(time.Second)))
-	})
-	m.Retries.Each(func(lvs []string, c *telemetry.Counter) { at(lvs[0]).Retries += c.Value() })
-	m.Batches.Each(func(lvs []string, c *telemetry.Counter) { at(lvs[0]).Batches += c.Value() })
-	m.BatchRuns.Each(func(lvs []string, c *telemetry.Counter) { at(lvs[0]).BatchRuns += c.Value() })
-	m.BatchRPCs.Each(func(lvs []string, c *telemetry.Counter) { at(lvs[0]).BatchRPCs += c.Value() })
-	out := make([]ServerStats, 0, len(by))
-	for _, server := range util.SortedKeys(by) {
-		out = append(out, *by[server])
-	}
-	return out
-}
-
-// Format renders one line per server — calls, errors, retries, latency
-// mean/max, and what coalescing saved: the -rpc-stats exit dump.
-func (m *Metrics) Format() string {
-	var sb strings.Builder
-	for _, s := range m.Snapshot() {
-		var mean time.Duration
-		if s.Calls > 0 {
-			mean = s.TotalLatency / time.Duration(s.Calls)
-		}
-		fmt.Fprintf(&sb, "%s: calls=%d errors=%d (timeouts=%d) retries=%d latency mean=%v max=%v",
-			s.Server, s.Calls, s.Errors, s.Timeouts, s.Retries, mean, s.MaxLatency)
-		if s.Batches > 0 {
-			fmt.Fprintf(&sb, " coalesced runs=%d rpcs=%d saved=%d",
-				s.BatchRuns, s.BatchRPCs, s.BatchRuns-s.BatchRPCs)
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }
 
 // Outcome classifies an RPC result for the Calls counter.

@@ -13,6 +13,13 @@ import (
 	"pario/internal/chio"
 )
 
+// Figure 8's constants: the append size and the size past which the
+// file is truncated.
+const (
+	DefaultBlockSize   = 1 << 20
+	DefaultMaxFileSize = 2 << 30
+)
+
 // Config tunes the stressor; zero values take Figure 8's constants.
 type Config struct {
 	// File is the stress file name ("F" in Figure 8).
@@ -28,10 +35,10 @@ func (c Config) withDefaults() Config {
 		c.File = "stress.dat"
 	}
 	if c.BlockSize == 0 {
-		c.BlockSize = 1 << 20
+		c.BlockSize = DefaultBlockSize
 	}
 	if c.MaxFileSize == 0 {
-		c.MaxFileSize = 2 << 30
+		c.MaxFileSize = DefaultMaxFileSize
 	}
 	return c
 }

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"context"
-	"log/slog"
 	"math/rand/v2"
 	"sync"
 	"time"
@@ -25,7 +24,7 @@ type Span struct {
 	Err      string // non-empty when the unit failed
 
 	// Attrs carries low-cardinality key/value annotations (queue
-	// priority, depth at enqueue, cache status, ...). Nil on most
+	// depth at enqueue, cache status, ...). Nil on most
 	// spans; never mutated after Record.
 	Attrs map[string]string
 }
@@ -61,17 +60,14 @@ func SpanFromContext(ctx context.Context) (SpanContext, bool) {
 	return sc, ok
 }
 
-// Tracer records finished spans into a bounded in-memory ring buffer
-// and logs spans slower than a configurable threshold. A nil *Tracer
-// is valid and records nothing, so call sites need no guards.
+// Tracer records finished spans into a bounded in-memory ring buffer.
+// A nil *Tracer is valid and records nothing, so call sites need no
+// guards.
 type Tracer struct {
 	mu   sync.Mutex
 	buf  []Span
 	next int
 	full bool
-
-	slow    time.Duration
-	slowLog *slog.Logger
 
 	// Pinned traces survive ring eviction: once PinTrace(id) is
 	// called, the id's spans already in the ring are copied aside and
@@ -102,20 +98,7 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{buf: make([]Span, capacity)}
 }
 
-// SetSlowThreshold makes spans with Duration >= d emit one structured
-// log line (to logger, or the process default when nil). d <= 0
-// disables the slow log.
-func (t *Tracer) SetSlowThreshold(d time.Duration, logger *slog.Logger) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.slow = d
-	t.slowLog = logger
-	t.mu.Unlock()
-}
-
-// Record stores a finished span and applies the slow-span log.
+// Record stores a finished span.
 func (t *Tracer) Record(s Span) {
 	if t == nil {
 		return
@@ -130,17 +113,7 @@ func (t *Tracer) Record(s Span) {
 	if ps, ok := t.pinned[s.TraceID]; ok && len(ps) < maxPinnedSpans {
 		t.pinned[s.TraceID] = append(ps, s)
 	}
-	slow, logger := t.slow, t.slowLog
 	t.mu.Unlock()
-	if slow > 0 && s.Duration >= slow {
-		if logger == nil {
-			logger = slog.Default()
-		}
-		logger.Warn("slow-span",
-			"trace", IDString(s.TraceID), "span", IDString(s.SpanID),
-			"parent", IDString(s.Parent), "name", s.Name, "server", s.Server,
-			"dur", s.Duration, "bytes", s.Bytes, "err", s.Err)
-	}
 }
 
 // Recent returns the buffered spans, oldest first.

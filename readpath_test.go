@@ -89,18 +89,6 @@ func TestSequentialScanRPCReduction(t *testing.T) {
 		return sum
 	}
 
-	// dataRPCs sums RPCs to the data servers (the manager is metadata
-	// traffic, not part of the bar).
-	dataRPCs := func(m *rpcpool.Metrics) int64 {
-		var n int64
-		for _, s := range m.Snapshot() {
-			if s.Server != dep.Mgr.Addr() {
-				n += s.Calls
-			}
-		}
-		return n
-	}
-
 	// Baseline: the bare client, one RPC per application read.
 	bareM := rpcpool.NewMetrics(telemetry.NewRegistry())
 	bareCl, err := dep.Client(rpcpool.WithMetrics(bareM))
@@ -119,7 +107,7 @@ func TestSequentialScanRPCReduction(t *testing.T) {
 	fastSum := scan(readahead.Wrap(fastCl, readahead.WithBlockSize(raBlock), readahead.WithWindow(2)))
 	// Let in-flight prefetches settle before counting their RPCs.
 	time.Sleep(100 * time.Millisecond)
-	fastRPCs := dataRPCs(fastM)
+	fastRPCs := dataRPCs(fastM, dep.Mgr.Addr())
 	fastCl.Close()
 
 	if bareSum != wantSum {
@@ -128,7 +116,7 @@ func TestSequentialScanRPCReduction(t *testing.T) {
 	if fastSum != wantSum {
 		t.Fatal("readahead scan checksum mismatch")
 	}
-	bareRPCs := dataRPCs(bareM)
+	bareRPCs := dataRPCs(bareM, dep.Mgr.Addr())
 	if bareRPCs == 0 || fastRPCs == 0 {
 		t.Fatalf("implausible RPC counts: bare=%d readahead=%d", bareRPCs, fastRPCs)
 	}
@@ -181,16 +169,6 @@ func TestCollectiveScanRPCReduction(t *testing.T) {
 	seedCl.Close()
 	wantSum := sha256.Sum256(payload)
 
-	dataRPCs := func(m *rpcpool.Metrics) int64 {
-		var n int64
-		for _, s := range m.Snapshot() {
-			if s.Server != dep.Mgr.Addr() {
-				n += s.Calls
-			}
-		}
-		return n
-	}
-
 	// scan runs the interleaved lockstep workload through fs: in each
 	// round, all workers concurrently read their slice of the round's
 	// block. Returns the checksum of the reassembled file.
@@ -242,7 +220,7 @@ func TestCollectiveScanRPCReduction(t *testing.T) {
 		collio.WithWindow(200*time.Millisecond),
 		collio.WithMaxFanIn(workers))
 	collSum := scan(cfs)
-	collRPCs := dataRPCs(collM)
+	collRPCs := dataRPCs(collM, dep.Mgr.Addr())
 	collCl.Close()
 
 	if indepSum != wantSum {
@@ -251,7 +229,7 @@ func TestCollectiveScanRPCReduction(t *testing.T) {
 	if collSum != wantSum {
 		t.Fatal("collective scan checksum mismatch")
 	}
-	indepRPCs := dataRPCs(indepM)
+	indepRPCs := dataRPCs(indepM, dep.Mgr.Addr())
 	if indepRPCs == 0 || collRPCs == 0 {
 		t.Fatalf("implausible RPC counts: independent=%d collective=%d", indepRPCs, collRPCs)
 	}
@@ -652,19 +630,26 @@ func TestReadaheadPlansEachBlockOnce(t *testing.T) {
 				fi.Path, letters, seqs, fi.Letters, fi.Seqs)
 		}
 	}
-	var dataRPCs int64
-	for _, s := range m.Snapshot() {
-		if s.Server != dep.Mgr.Addr() {
-			dataRPCs += s.Calls
-		}
-	}
+	rpcs := dataRPCs(m, dep.Mgr.Addr())
 	st := ra.Stats().Snapshot()
 	t.Logf("%d fragments: %d prefetches (bound %d), %d hits, %d misses, %d data-server RPCs",
-		len(alias.Fragments), st.PrefetchIssued, maxPrefetch, st.Hits, st.Misses, dataRPCs)
+		len(alias.Fragments), st.PrefetchIssued, maxPrefetch, st.Hits, st.Misses, rpcs)
 	if st.PrefetchIssued > maxPrefetch {
 		t.Errorf("%d prefetches, want at most %d", st.PrefetchIssued, maxPrefetch)
 	}
-	if dataRPCs > maxDataRPCs {
-		t.Errorf("%d data-server RPCs, want at most %d", dataRPCs, maxDataRPCs)
+	if rpcs > maxDataRPCs {
+		t.Errorf("%d data-server RPCs, want at most %d", rpcs, maxDataRPCs)
 	}
+}
+
+// dataRPCs sums m's finished RPCs to every server but the manager at
+// mgr: data-server traffic, without the metadata calls.
+func dataRPCs(m *rpcpool.Metrics, mgr string) int64 {
+	var n int64
+	m.Calls.Each(func(lvs []string, c *telemetry.Counter) {
+		if lvs[0] != mgr {
+			n += c.Value()
+		}
+	})
+	return n
 }
