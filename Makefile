@@ -11,8 +11,10 @@ test:
 # Full hygiene gate: lint everything, run the whole suite with the
 # race detector (the transport layer is heavily concurrent), re-run
 # readahead's prefetch and concurrency tests twenty times under the
-# race detector (the planner claims blocks under the cache mutex that
-# its fetch goroutines and every reader share), re-run chio's
+# race detector (the planner claims runs of blocks under the cache
+# mutex that its fetch goroutines and every reader share; a reader
+# that waits on a run nobody fetches hangs, so the loop has a 2-minute
+# timeout instead of the default 10), re-run chio's
 # concurrency tests twenty times under the race detector (every file
 # type's Read, Write and Seek share one chio.Cursor, so a lapse in its
 # locking races every backend at once), re-run blastdb's Format
@@ -50,7 +52,7 @@ test:
 # runs, then run the live-cluster smokes, which boot their daemons,
 # load blastd and tear down through the one shared scripts/smoke_lib.sh.
 check: lint race
-	$(GO) test -race -count=20 -run 'Prefetch|Concurrent|Demand' ./internal/readahead/
+	$(GO) test -race -count=20 -timeout 120s -run 'Prefetch|Concurrent|Demand' ./internal/readahead/
 	$(GO) test -race -count=20 -run 'Concurrent' ./internal/chio/
 	$(GO) test -race -count=20 -run TestFormatStopsReadingOnError ./internal/blastdb/
 	$(GO) test -race -count=20 ./internal/mpi/

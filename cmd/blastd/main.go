@@ -95,7 +95,7 @@ func main() {
 	defer ranks.Close()
 	ranks.RegisterDegradedWrites(reg)
 
-	searchOpts, _ := tune.Options(reg)
+	searchOpts := tune.Options(reg)
 	searchOpts = append(searchOpts, pblast.WithTelemetry(pblast.NewTelemetry(reg)))
 
 	var serve []string

@@ -131,7 +131,7 @@ func main() {
 	if reg != nil {
 		metrics = rpcpool.NewMetrics(reg)
 	}
-	tuneOpts, _ := tune.Options(reg)
+	tuneOpts := tune.Options(reg)
 
 	// Rank 0 is the master's view of the store; every worker rank gets
 	// a client of its own.

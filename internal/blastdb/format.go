@@ -266,16 +266,15 @@ func OpenFragment(fs chio.FileSystem, path string) (*Fragment, error) {
 		f.Close()
 		return nil, fmt.Errorf("blastdb: %s: %w", path, err)
 	}
+	// The defline and index regions are adjacent: one read takes both.
 	dataLen, defLen := fr.h.DeflineOff-fr.h.DataOff, fr.h.IndexOff-fr.h.DeflineOff
-	if fr.deflines, err = readRegion(f, fr.h.DeflineOff, defLen); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("blastdb: short defline read of %s: %w", path, err)
-	}
-	idxBytes, err := readRegion(f, fr.h.IndexOff, uint64(fr.h.NumSeqs)*indexEntry)
+	tail, err := readRegion(f, fr.h.DeflineOff, defLen+uint64(fr.h.NumSeqs)*indexEntry)
 	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("blastdb: short index read of %s: %w", path, err)
+		return nil, fmt.Errorf("blastdb: short defline and index read of %s: %w", path, err)
 	}
+	fr.deflines = tail[:defLen:defLen]
+	idxBytes := tail[defLen:]
 	fr.index = make([]indexRec, fr.h.NumSeqs)
 	for i := range fr.index {
 		off := i * indexEntry

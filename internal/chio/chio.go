@@ -37,6 +37,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrNotExist is returned when a named file is absent.
@@ -135,13 +136,15 @@ type RangeHinter interface {
 type View struct {
 	Data     []byte
 	Borrowed bool
-	stale    func() bool
+	gen      *atomic.Uint64 // the reader's generation of the file; nil: never stale
+	at       uint64         // gen's value when the view was taken
 }
 
-// NewBorrowedView builds a borrowed view whose staleness is decided by
-// stale (nil means never stale).
-func NewBorrowedView(data []byte, stale func() bool) View {
-	return View{Data: data, Borrowed: true, stale: stale}
+// NewBorrowedView builds a borrowed view of data, taken when the
+// reader's generation counter gen for the file read at; a write that
+// supersedes the bytes must advance gen. A nil gen is never stale.
+func NewBorrowedView(data []byte, gen *atomic.Uint64, at uint64) View {
+	return View{Data: data, Borrowed: true, gen: gen, at: at}
 }
 
 // OwnedView wraps a caller-owned buffer in a never-stale view.
@@ -153,7 +156,7 @@ func OwnedView(data []byte) View {
 // write since the view was taken. The view's bytes are still the ones
 // read — staleness is about freshness, not validity.
 func (v View) Stale() bool {
-	return v.stale != nil && v.stale()
+	return v.gen != nil && v.gen.Load() != v.at
 }
 
 // ViewReaderAt is implemented by Files that can hand out zero-copy

@@ -277,20 +277,18 @@ func (w *WorkerFlags) RegisterFlags(fs *flag.FlagSet) {
 // Options turns the flags into search options — the same list whether
 // the workers run in this process or on other machines, so -scratch
 // means copy-to-local in both. With -readahead, every worker's cache
-// counts into the one returned sink, registered on reg (which may be
-// nil); without it the sink is nil.
-func (w *WorkerFlags) Options(reg *telemetry.Registry) ([]pblast.Option, *iotrace.CacheStats) {
+// counts into one sink, registered on reg (which may be nil).
+func (w *WorkerFlags) Options(reg *telemetry.Registry) []pblast.Option {
 	opts := []pblast.Option{
 		pblast.WithChunkBytes(w.Chunk),
 		pblast.WithCopyToLocal(w.Scratch != ""),
 	}
-	var stats *iotrace.CacheStats
 	if w.Readahead {
-		stats = &iotrace.CacheStats{}
+		stats := &iotrace.CacheStats{}
 		stats.Register(reg)
 		opts = append(opts, pblast.WithReadahead(readahead.WithStats(stats)))
 	}
-	return opts, stats
+	return opts
 }
 
 // ScratchFS opens rank's own directory under -scratch, or returns nil

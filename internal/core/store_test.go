@@ -166,7 +166,11 @@ func TestRankStoreConcurrentRanks(t *testing.T) {
 // alike, so neither can forget it.
 func TestWorkerFlagsOptions(t *testing.T) {
 	_, wf := parseStore(t, "-scratch", t.TempDir(), "-chunk", "4096", "-readahead")
-	opts, _ := wf.Options(nil)
+	reg := telemetry.NewRegistry()
+	opts := wf.Options(reg)
+	if _, ok := registryValue(reg, "pario_readahead_misses_total"); !ok {
+		t.Error("-readahead registered no readahead counters")
+	}
 	cfg := pblast.NewConfig("nt", opts...)
 	if !cfg.CopyToLocal {
 		t.Error("-scratch did not enable CopyToLocal")
@@ -180,12 +184,15 @@ func TestWorkerFlagsOptions(t *testing.T) {
 	}
 
 	_, wf = parseStore(t)
-	opts, stats := wf.Options(nil)
+	reg = telemetry.NewRegistry()
+	opts = wf.Options(reg)
 	if pblast.NewConfig("nt", opts...).CopyToLocal {
 		t.Error("CopyToLocal set without -scratch")
 	}
-	if stats != nil {
-		t.Error("a readahead counter sink without -readahead")
+	for _, s := range reg.Snapshot() {
+		if strings.HasPrefix(s.Name, "pario_readahead_") {
+			t.Errorf("a readahead counter %s without -readahead", s.Name)
+		}
 	}
 	if sc, err := wf.ScratchFS(1); sc != nil || err != nil {
 		t.Errorf("ScratchFS without -scratch = %v, %v", sc, err)
@@ -208,7 +215,7 @@ func TestWorkerFlagsOptions(t *testing.T) {
 func TestWorkerFlagsReadaheadMetrics(t *testing.T) {
 	_, wf := parseStore(t, "-readahead")
 	reg := telemetry.NewRegistry()
-	opts, stats := wf.Options(reg)
+	opts := wf.Options(reg)
 	fs := chio.NewMemFS()
 	buildDB(t, fs)
 	query, err := ExtractQuery(fs, "nt", 568, 7)
@@ -224,16 +231,24 @@ func TestWorkerFlagsReadaheadMetrics(t *testing.T) {
 	if _, err := ParallelSearch(context.Background(), query, cfg); err != nil {
 		t.Fatal(err)
 	}
-	misses := -1.0
-	for _, s := range reg.Snapshot() {
-		if s.Name == "pario_readahead_misses_total" {
-			misses = s.Value
-		}
-	}
+	misses, _ := registryValue(reg, "pario_readahead_misses_total")
 	if misses <= 0 {
 		t.Fatalf("pario_readahead_misses_total = %v after a readahead search, want > 0", misses)
 	}
-	if want := float64(stats.Snapshot().Misses); misses != want {
-		t.Errorf("registry reads %v misses, the sink %v", misses, want)
+	// Every family reads the one sink: the ratio agrees with the counts.
+	hits, _ := registryValue(reg, "pario_readahead_hits_total")
+	if ratio, _ := registryValue(reg, "pario_readahead_hit_ratio"); ratio != hits/(hits+misses) {
+		t.Errorf("registry reads hit ratio %v, its counters %v hits and %v misses", ratio, hits, misses)
 	}
+}
+
+// registryValue returns the value of reg's series called name, and
+// whether there is one.
+func registryValue(reg *telemetry.Registry, name string) (float64, bool) {
+	for _, s := range reg.Snapshot() {
+		if s.Name == name {
+			return s.Value, true
+		}
+	}
+	return 0, false
 }

@@ -2,12 +2,13 @@
 // prefetcher over any chio.FileSystem. BLAST workers scan their
 // database fragments mostly sequentially in reads much smaller than a
 // stripe, so the striped backends pay one round of server RPCs per
-// small read. This layer fetches whole blocks (defaulting to the
+// small read. This layer caches whole blocks (defaulting to the
 // paper's 64 KB stripe unit), serves subsequent small reads from an
-// LRU cache, and — once it detects a sequential scan — pipelines the
-// next several blocks asynchronously so the network transfer overlaps
-// with the worker's compute, the same overlap the paper attributes the
-// parallel-I/O speedup to.
+// LRU cache, and — once it detects a sequential scan — fetches the
+// next run of blocks asynchronously with one backend read, so the
+// network transfer overlaps with the worker's compute and each data
+// server serves a few large requests, the overlap and the access
+// pattern the paper attributes the parallel-I/O speedup to.
 //
 // Consistency: writes through this layer invalidate every overlapping
 // cached block (plus any cached short tail block, which a growing file
@@ -22,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"pario/internal/chio"
 	"pario/internal/iotrace"
@@ -30,15 +32,16 @@ import (
 // Defaults for options left unset.
 const (
 	// DefaultBlockSize is the cache block size — the paper's stripe
-	// unit, so one block fetch maps onto one stripe-aligned vectored
-	// read round.
+	// unit, so one block maps onto one stripe of the data servers.
 	DefaultBlockSize = 64 * 1024
 	// DefaultCapacity is the cache capacity in blocks (8 MB at the
 	// default block size).
 	DefaultCapacity = 128
-	// DefaultWindow is how many blocks ahead the prefetcher runs once a
-	// sequential scan is detected.
-	DefaultWindow = 4
+	// DefaultWindow is how many blocks ahead of a sequential scan the
+	// prefetcher keeps planned (1 MiB at the default block size). It
+	// refills the window once half of it has been read, so each refill
+	// is a run of at least half a window, fetched with one backend read.
+	DefaultWindow = 16
 )
 
 // Option tunes a readahead FS.
@@ -199,14 +202,22 @@ type block struct {
 	elem       *list.Element
 }
 
-// fetch tracks one in-flight block fetch so concurrent readers (and
-// the prefetcher) coalesce onto a single backend read. b and err are
-// written before done is closed.
-type fetch struct {
-	done chan struct{}
-	b    *block
-	err  error
+// run tracks one in-flight fetch of contiguous blocks, read with one
+// backend ReadAt, so concurrent readers (and the prefetcher) coalesce
+// onto it. Every block of the run maps to it in the in-flight table.
+// blocks and err are written before done is closed.
+type run struct {
+	done   chan struct{}
+	first  int64 // index of the run's first block
+	count  int64 // blocks in the run
+	gen    *atomic.Uint64
+	at     uint64   // gen when the run was claimed
+	blocks []*block // the run's blocks in order, once done without error
+	err    error
 }
+
+// block returns the run's block idx once the run is done.
+func (r *run) block(idx int64) *block { return r.blocks[idx-r.first] }
 
 // blockCache is the shared LRU block cache.
 type blockCache struct {
@@ -214,16 +225,18 @@ type blockCache struct {
 	capacity int
 	blocks   map[blockKey]*block
 	lru      *list.List // front = most recently used
-	inflight map[blockKey]*fetch
-	// gen counts invalidations per name; a fetch started before an
-	// invalidation must not populate the cache after it (its data may
-	// predate the write).
-	gen map[string]uint64
-	// tail maps a name to the index of its short (EOF) block once one
-	// has been published: the block holding the file's last byte, past
-	// which prefetch plans nothing. An empty EOF block only bounds the
-	// end, so it sets no mark. The mark outlives the block's eviction
-	// and goes with the next invalidation of the name.
+	inflight map[blockKey]*run
+	// gen holds one invalidation counter per name, bumped under mu and
+	// read without it: a fetch claimed before an invalidation must not
+	// populate the cache after it (its data may predate the write), and
+	// a borrowed view compares its captured value to report staleness.
+	// Cells are never removed, so a handle keeps its name's cell.
+	gen map[string]*atomic.Uint64
+	// tail maps a name to the index of the last block holding its data
+	// (-1 for an empty file), past which prefetch plans nothing. A
+	// fetch that returns some bytes and EOF sets it, and so does the
+	// size lookup of a handle's first prefetch. The mark outlives the
+	// block's eviction and goes with the next invalidation of the name.
 	tail map[string]int64
 }
 
@@ -235,10 +248,20 @@ func newBlockCache(capacity int) *blockCache {
 		capacity: capacity,
 		blocks:   make(map[blockKey]*block),
 		lru:      list.New(),
-		inflight: make(map[blockKey]*fetch),
-		gen:      make(map[string]uint64),
+		inflight: make(map[blockKey]*run),
+		gen:      make(map[string]*atomic.Uint64),
 		tail:     make(map[string]int64),
 	}
+}
+
+// genCell returns name's generation cell, creating it. Caller holds mu.
+func (c *blockCache) genCell(name string) *atomic.Uint64 {
+	g, ok := c.gen[name]
+	if !ok {
+		g = new(atomic.Uint64)
+		c.gen[name] = g
+	}
+	return g
 }
 
 // remove drops b from the cache. Caller holds mu.
@@ -271,7 +294,7 @@ func (c *blockCache) insert(b *block, stats *iotrace.CacheStats) {
 func (c *blockCache) invalidateRange(name string, off, length, blockSize int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.gen[name]++
+	c.genCell(name).Add(1)
 	delete(c.tail, name)
 	lo, hi := blockSpan(off, length, blockSize)
 	for key, b := range c.blocks {
@@ -288,7 +311,7 @@ func (c *blockCache) invalidateRange(name string, off, length, blockSize int64) 
 func (c *blockCache) invalidateAll(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.gen[name]++
+	c.genCell(name).Add(1)
 	delete(c.tail, name)
 	for key, b := range c.blocks {
 		if key.name == name {
@@ -297,18 +320,48 @@ func (c *blockCache) invalidateAll(name string) {
 	}
 }
 
+// present reports whether key is cached or being fetched. Caller
+// holds mu.
+func (c *blockCache) present(key blockKey) bool {
+	_, cached := c.blocks[key]
+	_, inflight := c.inflight[key]
+	return cached || inflight
+}
+
+// claim registers an in-flight run of name's blocks from idx up to
+// last, stopping before the first block that is cached or in flight,
+// at name's tail mark and after DefaultWindow blocks; the run holds at
+// least idx. The length cap bounds the buffer one cached block or
+// borrowed view can keep alive. Caller holds mu and has checked that
+// idx is neither cached nor in flight.
+func (c *blockCache) claim(name string, idx, last int64) *run {
+	last = min(last, idx+DefaultWindow-1)
+	if t, ok := c.tail[name]; ok {
+		last = min(last, max(idx, t))
+	}
+	g := c.genCell(name)
+	r := &run{done: make(chan struct{}), first: idx, gen: g, at: g.Load()}
+	for i := idx; i <= last && (i == idx || !c.present(blockKey{name, i})); i++ {
+		c.inflight[blockKey{name, i}] = r
+		r.count++
+	}
+	return r
+}
+
 // getBlock returns block idx of name: from the cache, by joining the
-// fetch already in flight, or by claiming the block and reading it
-// through inner, all decided under one hold of the cache mutex. A
-// cached block or a successful joined fetch counts as a hit, a fetch
-// of its own as a miss, exactly one per call. A failed joined fetch
-// falls back to one synchronous retry (counted as the miss) so a
-// transient prefetch error never surfaces to a reader that could
-// succeed.
-func (fs *FS) getBlock(inner chio.File, name string, idx int64) (*block, error) {
+// run already in flight, or by claiming a run of its own and reading
+// it through inner, all decided under one hold of the cache mutex. An
+// own run spans the missing blocks from idx up to last, the last block
+// the caller needs, and is returned so the caller takes those blocks
+// from it; every block of it counts as a miss. A cached block or one
+// from a successful joined run counts as a hit. A failed joined run
+// falls back to one synchronous retry of idx alone (counted as the
+// miss) so a transient prefetch error never surfaces to a reader that
+// could succeed.
+func (fs *FS) getBlock(inner chio.File, name string, idx, last int64) (*block, *run, error) {
 	c := fs.cache
 	key := blockKey{name, idx}
-	retry := false // a joined fetch failed and its miss is counted
+	retry := false // a joined run failed and its miss is counted
 	for {
 		c.mu.Lock()
 		if b, ok := c.blocks[key]; ok {
@@ -318,136 +371,100 @@ func (fs *FS) getBlock(inner chio.File, name string, idx int64) (*block, error) 
 			if !retry {
 				fs.stats.Hit()
 			}
-			return b, nil
+			return b, nil, nil
 		}
-		fl, joined := c.inflight[key]
+		r, joined := c.inflight[key]
 		if !joined {
-			claimed, gen := c.claim(key)
+			if retry {
+				last = idx
+			}
+			r = c.claim(name, idx, last)
 			c.mu.Unlock()
 			if !retry {
-				fs.stats.Miss()
+				for range r.count {
+					fs.stats.Miss()
+				}
 			}
-			return fs.runFetch(inner, name, idx, false, claimed, gen)
+			if err := fs.fetch(inner, name, r, false); err != nil {
+				return nil, nil, err
+			}
+			return r.block(idx), r, nil
 		}
 		c.mu.Unlock()
-		<-fl.done
-		if fl.err == nil {
+		<-r.done
+		if r.err == nil {
+			b := r.block(idx)
 			c.mu.Lock()
-			fl.b.accessed = true
+			b.accessed = true
 			c.mu.Unlock()
 			if !retry {
 				fs.stats.Hit()
 			}
-			return fl.b, nil
+			return b, nil, nil
 		}
 		if retry {
-			return nil, fl.err
+			return nil, nil, r.err
 		}
 		retry = true
 		fs.stats.Miss()
 	}
 }
 
-// claim registers an in-flight fetch of key and returns it with the
-// name's current generation. Caller holds mu and has checked that key
-// is neither cached nor in flight.
-func (c *blockCache) claim(key blockKey) (*fetch, uint64) {
-	fl := &fetch{done: make(chan struct{})}
-	c.inflight[key] = fl
-	return fl, c.gen[key.name]
-}
-
-// runFetch performs the backend read of a claimed block, publishes the
-// result unless a write bumped the name's generation past gen, and
-// releases the claim fl to every reader waiting on it.
-func (fs *FS) runFetch(inner chio.File, name string, idx int64, prefetched bool, fl *fetch, gen uint64) (*block, error) {
-	c := fs.cache
-	key := blockKey{name, idx}
-	buf := make([]byte, fs.blockSize)
-	n, err := inner.ReadAt(buf, idx*fs.blockSize)
+// fetch reads the claimed run r of name with one backend ReadAt into
+// one buffer, publishes each block as its own sub-slice of it (capacity
+// clipped to the block) unless a write bumped the name's generation
+// since the claim, and releases the claim to every reader waiting on
+// it. A failed read fails every block of the run. It is the one fetch
+// path of demand misses and prefetches alike.
+func (fs *FS) fetch(inner chio.File, name string, r *run, prefetched bool) error {
+	c, bs := fs.cache, fs.blockSize
+	buf := make([]byte, r.count*bs)
+	n, err := inner.ReadAt(buf, r.first*bs)
 	eof := err == io.EOF
 	if eof {
 		err = nil
 	}
+	end := int64(n)
+	c.mu.Lock()
+	for i := range r.count {
+		delete(c.inflight, blockKey{name, r.first + i})
+	}
 	if err != nil {
-		c.mu.Lock()
-		delete(c.inflight, key)
 		c.mu.Unlock()
 		if prefetched {
+			for range r.count {
+				fs.stats.PrefetchAborted()
+			}
+		}
+		r.err = err
+		close(r.done)
+		return err
+	}
+	fresh := r.gen.Load() == r.at // no write invalidated the name while we fetched
+	r.blocks = make([]*block, r.count)
+	for i := range r.count {
+		lo := min(i*bs, end)
+		hi := min(lo+bs, end)
+		b := &block{
+			key:        blockKey{name, r.first + i},
+			data:       buf[lo:hi:hi],
+			eof:        eof && hi == end,
+			prefetched: prefetched,
+			accessed:   !prefetched,
+		}
+		r.blocks[i] = b
+		if fresh {
+			c.insert(b, fs.stats)
+		} else if prefetched {
 			fs.stats.PrefetchAborted()
 		}
-		fl.err = err
-		close(fl.done)
-		return nil, err
 	}
-	b := &block{
-		key:        key,
-		data:       buf[:n:n],
-		eof:        eof,
-		prefetched: prefetched,
-		accessed:   !prefetched,
-	}
-	c.mu.Lock()
-	delete(c.inflight, key)
-	// Publish only if no write invalidated the name while we fetched.
-	if c.gen[name] == gen {
-		c.insert(b, fs.stats)
-		if eof && n > 0 {
-			c.tail[name] = idx
-		}
-	} else if prefetched {
-		fs.stats.PrefetchAborted()
+	if fresh && eof && end > 0 {
+		c.tail[name] = r.first + (end-1)/bs
 	}
 	c.mu.Unlock()
-	fl.b = b
-	close(fl.done)
-	return b, nil
-}
-
-// present reports whether key is cached or being fetched.
-func (c *blockCache) present(key blockKey) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, cached := c.blocks[key]
-	_, inflight := c.inflight[key]
-	return cached || inflight
-}
-
-// generation returns the current invalidation generation for name.
-// Borrowed views capture it at read time and compare later to detect
-// writes that superseded their bytes.
-func (c *blockCache) generation(name string) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gen[name]
-}
-
-// prefetch speculatively fetches blocks [from, to] (inclusive) of name
-// in the background, stopping at name's tail mark when it has one.
-// Under one hold of the cache mutex it claims every block that is
-// neither cached nor in flight, so a reader arriving before the
-// goroutine runs joins the fetch instead of starting its own. Errors
-// are dropped: the reader that eventually needs a failed block
-// retries synchronously.
-func (fs *FS) prefetch(inner chio.File, name string, from, to int64) {
-	c := fs.cache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if last, ok := c.tail[name]; ok {
-		to = min(to, last)
-	}
-	for idx := from; idx <= to; idx++ {
-		key := blockKey{name, idx}
-		if _, ok := c.blocks[key]; ok {
-			continue
-		}
-		if _, ok := c.inflight[key]; ok {
-			continue
-		}
-		fl, gen := c.claim(key)
-		fs.stats.PrefetchIssued()
-		go fs.runFetch(inner, name, idx, true, fl, gen)
-	}
+	close(r.done)
+	return nil
 }
 
 // file is an open handle through the readahead layer. Its streaming
@@ -457,6 +474,7 @@ type file struct {
 	fs    *FS
 	inner chio.File
 	name  string
+	gen   *atomic.Uint64 // the name's generation cell in the cache
 
 	mu      sync.Mutex
 	next    int64 // block index a sequential scan would touch next
@@ -465,7 +483,10 @@ type file struct {
 
 // file opens a handle on inner, the backend's file called name.
 func (fs *FS) file(inner chio.File, name string) *file {
-	f := &file{fs: fs, inner: inner, name: name}
+	fs.cache.mu.Lock()
+	gen := fs.cache.genCell(name)
+	fs.cache.mu.Unlock()
+	f := &file{fs: fs, inner: inner, name: name, gen: gen}
 	f.Init(f)
 	return f
 }
@@ -478,7 +499,8 @@ func (f *file) Size() (int64, error) { return f.inner.Seek(0, io.SeekEnd) }
 
 // ReadAt implements io.ReaderAt through the block cache. A read that
 // continues the previous one (block-wise) is treated as a sequential
-// scan and triggers prefetch of the following window.
+// scan and triggers prefetch of the following window. The blocks it
+// misses are fetched as runs, one backend read each.
 func (f *file) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("readahead: negative read offset")
@@ -487,17 +509,22 @@ func (f *file) ReadAt(p []byte, off int64) (int, error) {
 		return 0, nil
 	}
 	bs := f.fs.blockSize
-	if from, to := f.planRead(off, int64(len(p))); from <= to {
-		defer f.fs.prefetch(f.inner, f.name, from, to)
-	}
+	f.planRead(off, int64(len(p)))
+	_, last := blockSpan(off, int64(len(p)), bs)
 
 	n := 0
+	var own *run // the run this read fetched, holding the blocks after idx
 	for n < len(p) {
 		pos := off + int64(n)
 		idx := pos / bs
-		b, err := f.fs.getBlock(f.inner, f.name, idx)
-		if err != nil {
-			return n, err
+		var b *block
+		if own != nil && idx < own.first+own.count {
+			b = own.block(idx)
+		} else {
+			var err error
+			if b, own, err = f.fs.getBlock(f.inner, f.name, idx, last); err != nil {
+				return n, err
+			}
 		}
 		blockOff := pos - idx*bs
 		if blockOff >= int64(len(b.data)) {
@@ -515,41 +542,71 @@ func (f *file) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // planRead runs the shared pre-read bookkeeping for ReadAt and
-// ReadView. Sequential-scan detection: the read starts in the block
-// the previous read ended in or the one after it; if so, fire the
-// prefetch before serving the read so the next blocks' fetches
-// overlap this one's. Each block is planned once per handle: a
-// sequential read plans only the part of its window past the
-// high-water mark, and a non-sequential read resets the mark to just
-// after itself, so the next sequential read plans from there.
-//
-// Once the cache holds the file's short (EOF) block, nothing past it
-// is planned: such a block would fetch no data, and on PVFS each one
-// still costs the manager a size query. So that a read reaching the
-// tail for the first time learns where the file ends before it plans
-// past it, a read whose last block is neither cached nor in flight
-// gets its window back as [from, to] to issue once it has its own
-// blocks (from > to when there is nothing to issue). That read waits
-// for its block either way, and the window still runs ahead of the
-// reads that follow.
-func (f *file) planRead(off, length int64) (from, to int64) {
+// ReadView, before the read looks its blocks up, so the window's runs
+// overlap the read's own fetch. Sequential-scan detection: the read
+// starts in the block the previous read ended in or the one after it.
+// Each block is planned once per handle: the mark planned is the first
+// block not yet planned, and a sequential read refills the window — up
+// to window blocks past its own last block — only once half of the
+// window has been read, so each refill is a run of at least half a
+// window. A non-sequential read resets the mark to just after itself,
+// so the next sequential read plans from there.
+func (f *file) planRead(off, length int64) {
 	firstBlock, lastBlock := blockSpan(off, length, f.fs.blockSize)
 	f.mu.Lock()
 	seq := firstBlock == f.next || firstBlock == f.next-1
 	f.next = lastBlock + 1
 	if !seq {
 		f.planned = f.next
-		f.mu.Unlock()
-		return 0, -1
 	}
-	from, to = max(f.next, f.planned), lastBlock+int64(f.fs.window)
+	if !seq || f.planned-f.next > int64(f.fs.window/2) {
+		f.mu.Unlock()
+		return
+	}
+	from, to := max(f.next, f.planned), lastBlock+int64(f.fs.window)
 	f.planned = max(f.planned, to+1)
 	f.mu.Unlock()
-	if from <= to && f.fs.cache.present(blockKey{f.name, lastBlock}) {
-		f.fs.prefetch(f.inner, f.name, from, to)
-		return 0, -1
+	if from <= to {
+		f.prefetch(from, to)
 	}
-	return from, to
+}
+
+// prefetch speculatively fetches blocks [from, to] (inclusive) of the
+// file in the background, stopping at the tail mark. A name without a
+// mark first asks the backend for its size, so no run is planned past
+// the end of the file. Under one hold of the cache mutex it claims
+// every block that is neither cached nor in flight, each maximal
+// stretch of them as one run read with one backend ReadAt, so a reader
+// arriving before the run's goroutine starts joins it instead of
+// starting its own. Errors are dropped: the reader that eventually
+// needs a block of a failed run retries it synchronously.
+func (f *file) prefetch(from, to int64) {
+	c, bs := f.fs.cache, f.fs.blockSize
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, known := c.tail[f.name]; !known {
+		at := f.gen.Load()
+		c.mu.Unlock()
+		size, err := f.Size()
+		c.mu.Lock()
+		if err == nil && f.gen.Load() == at {
+			c.tail[f.name] = (size+bs-1)/bs - 1
+		}
+	}
+	if last, ok := c.tail[f.name]; ok {
+		to = min(to, last)
+	}
+	for idx := from; idx <= to; idx++ {
+		if c.present(blockKey{f.name, idx}) {
+			continue
+		}
+		r := c.claim(f.name, idx, to)
+		for range r.count {
+			f.fs.stats.PrefetchIssued()
+		}
+		go f.fs.fetch(f.inner, f.name, r, true)
+		idx += r.count - 1
+	}
 }
 
 // ReadView implements chio.ViewReaderAt. A range contained in a single
@@ -557,11 +614,11 @@ func (f *file) planRead(off, length int64) (from, to int64) {
 // no copy and with the rest of the block as its capacity: published
 // blocks are immutable (invalidation drops cache references, never
 // rewrites data), so the slice stays valid for as long as the caller
-// holds it, and the file generation captured here lets View.Stale
-// report when a write has since superseded any of the block. A
-// range straddling blocks falls back to an owned copy through ReadAt.
-// Both paths run the same sequential-detection and prefetch logic, so
-// a scan through ReadView prefetches exactly like one through ReadAt.
+// holds it, and the generation captured here lets View.Stale report
+// when a write has since superseded any of the block. A range
+// straddling blocks falls back to an owned copy through ReadAt. Both
+// paths run the same sequential-detection and prefetch logic, so a
+// scan through ReadView prefetches exactly like one through ReadAt.
 func (f *file) ReadView(off, n int64) (chio.View, error) {
 	if off < 0 {
 		return chio.View{}, fmt.Errorf("readahead: negative read offset")
@@ -582,11 +639,9 @@ func (f *file) ReadView(off, n int64) (chio.View, error) {
 	}
 	// Capture the generation before the block lookup: a write racing
 	// this read can only make the view look stale, never fresh.
-	gen := f.fs.cache.generation(f.name)
-	if from, to := f.planRead(off, n); from <= to {
-		defer f.fs.prefetch(f.inner, f.name, from, to)
-	}
-	b, err := f.fs.getBlock(f.inner, f.name, firstBlock)
+	at := f.gen.Load()
+	f.planRead(off, n)
+	b, _, err := f.fs.getBlock(f.inner, f.name, firstBlock, firstBlock)
 	if err != nil {
 		return chio.View{}, err
 	}
@@ -601,10 +656,7 @@ func (f *file) ReadView(off, n int64) (chio.View, error) {
 		err = io.EOF // short (EOF) block: serve what exists
 	}
 	f.fs.stats.BorrowHit()
-	cache, name := f.fs.cache, f.name
-	return chio.NewBorrowedView(data, func() bool {
-		return cache.generation(name) != gen
-	}), err
+	return chio.NewBorrowedView(data, f.gen, at), err
 }
 
 // WriteAt implements io.WriterAt: the write goes straight through, and

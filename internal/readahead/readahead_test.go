@@ -249,9 +249,10 @@ func TestPrefetchErrorDoesNotCorruptLaterReads(t *testing.T) {
 	}
 }
 
-// countingFS counts, per block index, the reads that reach the file
-// system under the readahead layer. When gate is non-nil, a read of any
-// block but block 0 waits for gate to close.
+// countingFS counts the reads that reach the file system under the
+// readahead layer: per block index, every read that covers the block,
+// and in all, every read. When gate is non-nil, a read that starts past
+// block 0 waits for gate to close.
 type countingFS struct {
 	chio.FileSystem
 	bs   int64
@@ -259,6 +260,7 @@ type countingFS struct {
 
 	mu    sync.Mutex
 	reads map[int64]int
+	total int
 }
 
 func newCountingFS(inner chio.FileSystem, bs int64) *countingFS {
@@ -273,12 +275,19 @@ func (c *countingFS) Open(name string) (chio.File, error) {
 	return &countingFile{File: f, fs: c}, nil
 }
 
-// readsOf returns how many reads of block idx reached the inner file
-// system.
+// readsOf returns how many reads that covered block idx reached the
+// inner file system.
 func (c *countingFS) readsOf(idx int64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.reads[idx]
+}
+
+// readCount returns how many reads reached the inner file system.
+func (c *countingFS) readCount() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.total
 }
 
 type countingFile struct {
@@ -287,11 +296,14 @@ type countingFile struct {
 }
 
 func (f *countingFile) ReadAt(p []byte, off int64) (int, error) {
-	idx := off / f.fs.bs
+	first, last := blockSpan(off, int64(len(p)), f.fs.bs)
 	f.fs.mu.Lock()
-	f.fs.reads[idx]++
+	for idx := first; idx <= last; idx++ {
+		f.fs.reads[idx]++
+	}
+	f.fs.total++
 	f.fs.mu.Unlock()
-	if f.fs.gate != nil && idx > 0 {
+	if f.fs.gate != nil && first > 0 {
 		<-f.fs.gate
 	}
 	return f.File.ReadAt(p, off)
@@ -299,9 +311,10 @@ func (f *countingFile) ReadAt(p []byte, off int64) (int, error) {
 
 // TestSequentialScanPrefetches pins the planner's counts. A sub-block
 // scan plans every block once per handle and each block reaches the
-// backend once, whether it is read through ReadAt or ReadView; the
-// window runs past EOF once, because the planner does not know the
-// file's size. A backward jump resets the plan to the new position, so
+// backend once, whether it is read through ReadAt or ReadView, in one
+// read per run: the window is refilled only once half of it has been
+// read. The first prefetch asks the file's size, so nothing past EOF
+// is planned. A backward jump resets the plan to the new position, so
 // the re-scan prefetches the blocks the first scan never reached.
 func TestSequentialScanPrefetches(t *testing.T) {
 	const (
@@ -343,27 +356,29 @@ func TestSequentialScanPrefetches(t *testing.T) {
 				}
 			}
 		}
-		check := func(when string, issued, misses int64) {
+		check := func(when string, issued, misses int64, reads int) {
 			t.Helper()
 			s := stats.Snapshot()
-			if s.PrefetchIssued != issued || s.Misses != misses {
-				t.Errorf("%s, %s: %d prefetches and %d misses, want %d and %d",
-					mode, when, s.PrefetchIssued, s.Misses, issued, misses)
+			if s.PrefetchIssued != issued || s.Misses != misses || inner.readCount() != reads {
+				t.Errorf("%s, %s: %d prefetches, %d misses and %d backend reads, want %d, %d and %d",
+					mode, when, s.PrefetchIssued, s.Misses, inner.readCount(), issued, misses, reads)
 			}
 		}
 
 		// A fresh handle is positioned at block 0, so the first read is
 		// not sequential: it misses and plans nothing. The next read plans
-		// start+1 .. start+window, and each later block one more.
+		// start+1 .. start+window as one run; each refill then plans the
+		// half window past the mark (11-12, 13-14, 15), one run each, and
+		// stops at the file's last block.
 		scan(start, blocks)
-		check("forward scan", blocks-1+window-start, 1)
+		check("forward scan", blocks-1-start, 1, 5)
 		// The jump back to block 0 misses and resets the mark, so the
-		// re-scan plans blocks 1 .. start-1; the rest of its window is
+		// re-scan plans blocks 1-4, then 5; the rest of its window is
 		// cached.
 		scan(0, start)
-		check("re-scan after a backward jump", blocks-2+window, 2)
+		check("re-scan after a backward jump", blocks-2, 2, 8)
 		for idx := int64(0); idx < blocks+window; idx++ {
-			if n := inner.readsOf(idx); idx < blocks && n != 1 || n > 1 {
+			if n := inner.readsOf(idx); idx < blocks && n != 1 || idx >= blocks && n != 0 {
 				t.Errorf("%s: block %d reached the backend %d times", mode, idx, n)
 			}
 		}
@@ -371,11 +386,12 @@ func TestSequentialScanPrefetches(t *testing.T) {
 	}
 }
 
-// TestDemandReadJoinsPlannedPrefetch pins the claim order: a block is
-// registered in flight before its prefetch goroutine starts, so a
-// reader that needs it before the goroutine runs — or while the fetch
-// is still under way — joins that fetch. The backend sees the block
-// once and the read counts as a hit.
+// TestDemandReadJoinsPlannedPrefetch pins the claim order: a run is
+// registered in flight, every block of it, before its prefetch
+// goroutine starts, so a reader that needs one of its blocks before
+// the goroutine runs — or while the fetch is still under way — joins
+// that run. The backend sees the blocks once, in one read, and the
+// reads count as hits.
 func TestDemandReadJoinsPlannedPrefetch(t *testing.T) {
 	const (
 		bs     = 1024
@@ -394,35 +410,306 @@ func TestDemandReadJoinsPlannedPrefetch(t *testing.T) {
 	}
 	defer f.Close()
 
-	// Reading block 0 plans blocks 1..window; their fetches wait at the
-	// gate.
-	buf := make([]byte, 256)
-	if _, err := f.ReadAt(buf, 0); err != nil {
+	// Reading block 0 plans blocks 1..window as one run; its fetch
+	// waits at the gate.
+	if _, err := f.ReadAt(make([]byte, 256), 0); err != nil {
 		t.Fatal(err)
 	}
-	// Open the gate once the demand read of block 1 has planned its own
-	// window (one more block), i.e. after it is past planning and on its
-	// way to the block lookup.
+	// A read of blocks 1-3 continues the scan and refills the window
+	// (blocks 5-7, its last block being in flight) before it looks its
+	// blocks up. Open the gate once that refill is issued, i.e. after the
+	// read is past planning and on its way to the block lookup.
 	opened := make(chan struct{})
 	go func() {
 		defer close(opened)
-		for stats.Snapshot().PrefetchIssued < window+1 {
+		for stats.Snapshot().PrefetchIssued < window+3 {
 			runtime.Gosched()
 		}
 		close(inner.gate)
 	}()
+	buf := make([]byte, 3*bs)
 	if _, err := f.ReadAt(buf, bs); err != nil {
 		t.Fatal(err)
 	}
 	<-opened
-	if !bytes.Equal(buf, data[bs:bs+256]) {
-		t.Fatal("demand read of block 1: data mismatch")
+	if !bytes.Equal(buf, data[bs:4*bs]) {
+		t.Fatal("demand read of blocks 1-3: data mismatch")
 	}
-	if n := inner.readsOf(1); n != 1 {
-		t.Errorf("block 1 reached the backend %d times, want 1", n)
+	for idx := int64(1); idx <= 3; idx++ {
+		if n := inner.readsOf(idx); n != 1 {
+			t.Errorf("block %d reached the backend %d times, want 1", idx, n)
+		}
 	}
-	if s := stats.Snapshot(); s.Hits != 1 || s.Misses != 1 {
-		t.Errorf("got %d hits and %d misses, want 1 and 1 (block 0 missed, block 1 joined its prefetch)", s.Hits, s.Misses)
+	if s := stats.Snapshot(); s.Hits != 3 || s.Misses != 1 {
+		t.Errorf("got %d hits and %d misses, want 3 and 1 (block 0 missed, blocks 1-3 joined the run)", s.Hits, s.Misses)
+	}
+}
+
+// TestPrefetchRunIsOneBackendRead: a planned window is fetched as one
+// backend read of the whole run, and a multi-block ReadAt fetches its
+// missing span as one read too, stopping at the blocks already cached.
+func TestPrefetchRunIsOneBackendRead(t *testing.T) {
+	const bs = 1024
+	data := pattern(17*bs, 15) // blocks 0-16
+	mem := chio.NewMemFS()
+	writeFile(t, mem, "db", data)
+	inner := newCountingFS(mem, bs)
+	stats := &iotrace.CacheStats{}
+	ra := Wrap(inner, WithBlockSize(bs), WithWindow(8), WithStats(stats))
+	f, err := ra.Open("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	// Block 0 misses; its window, blocks 1-8, is one run. Reading those
+	// refills the window with blocks 9-16, the second run, and reading
+	// that joins it; the file ends there, so nothing else is planned.
+	if _, err := f.ReadAt(make([]byte, 100), 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, first := range []int{1, 9} {
+		got := make([]byte, 8*bs)
+		if _, err := f.ReadAt(got, int64(first*bs)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data[first*bs:(first+8)*bs]) {
+			t.Fatalf("read of the run from block %d: data mismatch", first)
+		}
+	}
+	if n := inner.readCount(); n != 3 {
+		t.Errorf("%d backend reads, want 3 (block 0 and two runs of 8)", n)
+	}
+	if s := stats.Snapshot(); s.PrefetchIssued != 16 || s.Misses != 1 || s.Hits != 16 {
+		t.Errorf("%d prefetches, %d misses and %d hits, want 16, 1 and 16", s.PrefetchIssued, s.Misses, s.Hits)
+	}
+
+	// Without prefetch, a read of blocks 4-8 after one of block 8 takes
+	// its missing blocks 4-7 in one run, and block 8 is a hit.
+	stats = &iotrace.CacheStats{}
+	g, err := Wrap(inner, WithBlockSize(bs), WithWindow(0), WithStats(stats)).Open("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if _, err := g.ReadAt(make([]byte, 10), 8*bs); err != nil {
+		t.Fatal(err)
+	}
+	before := inner.readCount()
+	got := make([]byte, 5*bs)
+	if _, err := g.ReadAt(got, 4*bs); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data[4*bs:9*bs]) {
+		t.Fatal("multi-block demand read: data mismatch")
+	}
+	if n := inner.readCount() - before; n != 1 {
+		t.Errorf("multi-block demand read of 4 missing blocks took %d backend reads, want 1", n)
+	}
+	if s := stats.Snapshot(); s.Misses != 1+4 || s.Hits != 1 {
+		t.Errorf("%d misses and %d hits, want 5 (block 8, then blocks 4-7) and 1", s.Misses, s.Hits)
+	}
+}
+
+// TestDemandRunIsCapped: a run holds at most DefaultWindow blocks, so
+// one long ReadAt takes one backend read per DefaultWindow blocks and
+// no buffer a cached block keeps alive is larger than one window.
+func TestDemandRunIsCapped(t *testing.T) {
+	const bs = 1024
+	const blocks = 2*DefaultWindow + 8
+	data := pattern(blocks*bs, 16)
+	mem := chio.NewMemFS()
+	writeFile(t, mem, "db", data)
+	inner := newCountingFS(mem, bs)
+	stats := &iotrace.CacheStats{}
+	f, err := Wrap(inner, WithBlockSize(bs), WithWindow(0), WithStats(stats)).Open("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got := make([]byte, blocks*bs)
+	if _, err := f.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("long demand read: data mismatch")
+	}
+	if n := inner.readCount(); n != 3 {
+		t.Errorf("%d backend reads for %d blocks, want 3 (runs of %d, %d and 8)", n, blocks, DefaultWindow, DefaultWindow)
+	}
+	if s := stats.Snapshot(); s.Misses != blocks || s.Hits != 0 {
+		t.Errorf("%d misses and %d hits, want %d and 0", s.Misses, s.Hits, blocks)
+	}
+}
+
+// TestPrefetchRunStraddlingEOF: a demand run that reaches past the end
+// of the file publishes the short tail block and sets the tail mark, so
+// later scans plan nothing past it and nothing past it reaches the
+// backend again.
+func TestPrefetchRunStraddlingEOF(t *testing.T) {
+	const bs = 1024
+	data := pattern(9*bs+bs/2, 17) // block 9 is the short tail
+	mem := chio.NewMemFS()
+	writeFile(t, mem, "db", data)
+	inner := newCountingFS(mem, bs)
+	ra := Wrap(inner, WithBlockSize(bs), WithWindow(4))
+	f, err := ra.Open("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	// Blocks 8-11, one run: 1.5 blocks of data, then EOF.
+	got := make([]byte, 4*bs)
+	n, err := f.ReadAt(got, 8*bs)
+	if n != bs+bs/2 || err != io.EOF || !bytes.Equal(got[:n], data[8*bs:]) {
+		t.Fatalf("read across EOF = (%d, %v), want (%d, EOF) and the file's tail", n, err, bs+bs/2)
+	}
+	ra.cache.mu.Lock()
+	tail, marked := ra.cache.tail["db"]
+	b := ra.cache.blocks[blockKey{"db", 9}]
+	ra.cache.mu.Unlock()
+	if !marked || tail != 9 {
+		t.Errorf("tail mark = %d, %v; want 9", tail, marked)
+	}
+	if b == nil || !b.eof || len(b.data) != bs/2 || cap(b.data) != bs/2 {
+		t.Fatalf("short tail block not published as a %d-byte EOF block", bs/2)
+	}
+	v, err := f.(chio.ViewReaderAt).ReadView(9*bs+100, 50)
+	if err != nil || !v.Borrowed || !bytes.Equal(v.Data[:cap(v.Data)], data[9*bs+100:]) {
+		t.Fatalf("view of the tail block: borrowed=%v, %v; want the file's last bytes as its capacity", v.Borrowed, err)
+	}
+
+	// A full scan from the start refetches nothing past block 9.
+	buf := make([]byte, 256)
+	for off := 0; off < len(data); off += len(buf) {
+		if _, err := f.ReadAt(buf, int64(off)); err != nil && err != io.EOF {
+			t.Fatal(err)
+		}
+	}
+	for idx := int64(10); idx <= 14; idx++ {
+		if n := inner.readsOf(idx); n > 1 {
+			t.Errorf("block %d, past the end, reached the backend %d times, want at most the one run", idx, n)
+		}
+	}
+}
+
+// TestPrefetchRunFailureIsRetried: a run that fails fails every block
+// it claimed; each is then read again, one block at a time, by the
+// reader that needs it, and the bytes are right.
+func TestPrefetchRunFailureIsRetried(t *testing.T) {
+	const (
+		bs     = 1024
+		window = 4
+	)
+	data := pattern(16*bs, 19)
+	mem := chio.NewMemFS()
+	writeFile(t, mem, "db", data)
+	fault := chio.NewFaultFS(mem)
+	inner := newCountingFS(fault, bs)
+	inner.gate = make(chan struct{})
+	stats := &iotrace.CacheStats{}
+	ra := Wrap(inner, WithBlockSize(bs), WithWindow(window), WithStats(stats))
+	f, err := ra.Open("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	// Block 0 plans blocks 1-4 as one run, held at the gate; it fails.
+	if _, err := f.ReadAt(make([]byte, 256), 0); err != nil {
+		t.Fatal(err)
+	}
+	fault.Arm(errors.New("run fault"))
+	close(inner.gate)
+	for stats.Snapshot().PrefetchAborted < window {
+		runtime.Gosched()
+	}
+	fault.Disarm()
+
+	got := make([]byte, 256)
+	for off := bs; off < 16*bs; off += len(got) {
+		if _, err := f.ReadAt(got, int64(off)); err != nil {
+			t.Fatalf("read at %d after a failed run: %v", off, err)
+		}
+		if !bytes.Equal(got, data[off:off+len(got)]) {
+			t.Fatalf("read at %d after a failed run: data mismatch", off)
+		}
+	}
+	for idx := int64(1); idx <= window; idx++ {
+		if n := inner.readsOf(idx); n != 2 {
+			t.Errorf("block %d reached the backend %d times, want 2 (the failed run, then its retry)", idx, n)
+		}
+	}
+	if s := stats.Snapshot(); s.PrefetchAborted != window {
+		t.Errorf("%d prefetches aborted, want %d", s.PrefetchAborted, window)
+	}
+}
+
+// TestConcurrentEvictionKeepsRunView: blocks of one run share one
+// buffer, but a borrowed view of one of them reaches only its own block
+// and stays valid, byte for byte, after the run's other blocks (and its
+// own) are evicted by readers of another file (run with -race).
+func TestConcurrentEvictionKeepsRunView(t *testing.T) {
+	const bs = 1024
+	data := pattern(16*bs, 21)
+	other := pattern(64*bs, 22)
+	mem := chio.NewMemFS()
+	writeFile(t, mem, "db", data)
+	writeFile(t, mem, "other", other)
+	inner := newCountingFS(mem, bs)
+	ra := Wrap(inner, WithBlockSize(bs), WithCapacity(8), WithWindow(4))
+	f, err := ra.Open("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	// Block 0 plans blocks 1-4 as one run; read block 2 out of it.
+	if _, err := f.ReadAt(make([]byte, 10), 0); err != nil {
+		t.Fatal(err)
+	}
+	v, err := f.(chio.ViewReaderAt).ReadView(2*bs+100, 200)
+	if err != nil || !v.Borrowed {
+		t.Fatalf("view of block 2: borrowed=%v, %v", v.Borrowed, err)
+	}
+	if inner.readsOf(2) != 1 || inner.readsOf(1) != 1 || inner.readCount() != 2 {
+		t.Fatalf("block 2 did not come from the run of blocks 1-4")
+	}
+	if whole := v.Data[:cap(v.Data)]; !bytes.Equal(whole, data[2*bs+100:3*bs]) {
+		t.Fatalf("view capacity covers %d bytes, want the rest of block 2 only", len(whole))
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			o, err := ra.Open("other")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer o.Close()
+			buf := make([]byte, 512)
+			for off := g * 32 * bs; off < (g+1)*32*bs; off += len(buf) {
+				if _, err := o.ReadAt(buf, int64(off)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	ra.cache.mu.Lock()
+	for idx := int64(1); idx <= 4; idx++ {
+		if _, ok := ra.cache.blocks[blockKey{"db", idx}]; ok {
+			t.Errorf("block %d of the run is still cached; the scan of the other file should have evicted it", idx)
+		}
+	}
+	ra.cache.mu.Unlock()
+	if v.Stale() || !bytes.Equal(v.Data, data[2*bs+100:2*bs+300]) {
+		t.Fatal("a borrowed view of a run's block changed after the run was evicted")
 	}
 }
 
@@ -464,11 +751,11 @@ func TestBackendName(t *testing.T) {
 
 // TestPrefetchStopsAtShortTail: a fragment is opened by reading its
 // header, then its deflines and index, which end at EOF. The index read
-// continues the deflines read, so it plans a window, but it fetches the
-// short tail block before it issues that window, and the tail stops it:
-// no read wholly past the end reaches the backend, then or in a later
-// scan of the file. A write forgets the mark, and a scan of the grown
-// file prefetches its new blocks again.
+// continues the deflines read, so it plans a window, but the first
+// prefetch of the file asks its size, and the tail mark stops the
+// window: no read wholly past the end reaches the backend, then or in a
+// later scan of the file. A write forgets the mark, and a scan of the
+// grown file prefetches its new blocks again.
 func TestPrefetchStopsAtShortTail(t *testing.T) {
 	const (
 		bs     = 1024

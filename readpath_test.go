@@ -571,11 +571,12 @@ func TestStreamingContractMatchesReference(t *testing.T) {
 // fragment must deliver the letters and sequences its alias entry
 // records; the prefetcher may plan each block of a fragment once, plus
 // one block per fragment; and the blocks must reach the data servers in
-// no more RPCs than they took under the planner that re-planned its
-// window on every read (42: each of the 42 blocks in one RPC, while
-// that planner issued 700 to 1 500 prefetches on the same scan).
+// no more RPCs than they take when each window is fetched as one run
+// (15: per fragment, the header block, then one run that holds the
+// rest of the file, one list RPC per server; fetched block by block,
+// the same 42 blocks took 42 RPCs).
 func TestReadaheadPlansEachBlockOnce(t *testing.T) {
-	const maxDataRPCs = 42
+	const maxDataRPCs = 15
 	dep, err := core.StartPVFS(4, nil)
 	if err != nil {
 		t.Fatal(err)
