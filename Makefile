@@ -18,10 +18,13 @@ test:
 # concurrency tests twenty times under the race detector (every file
 # type's Read, Write and Seek share one chio.Cursor, so a lapse in its
 # locking races every backend at once), re-run blastdb's Format
-# leak test twenty times under the race detector (Format's parse-ahead
-# goroutine outlives its WaitGroup's Done by a moment, so the check
-# waits for Format's own goroutines to exit rather than counting every
-# goroutine once), re-run the mpi tests twenty times under the race
+# leak test and its concurrent-stream test twenty times under the race
+# detector (Format's parse-ahead goroutine outlives its WaitGroup's
+# Done by a moment, so the check waits for Format's own goroutines to
+# exit rather than counting every goroutine once; a fragment's index
+# and defline regions load lazily under a mutex that every Source of
+# it shares, so a lapse shows up only when several first Nexts race),
+# re-run the mpi tests twenty times under the race
 # detector (the mailbox's order and conservation, a Recv cancelled
 # without losing a message, the router's forwarding: every receive of
 # both transports waits on the one FIFO mailbox, so a lapse shows up
@@ -38,7 +41,7 @@ test:
 # races the shutdown only in some interleavings), re-run
 # the allocation guards of the search path, of a worker's repeat search
 # of one query (no second word table), the FASTA reader, the fragment
-# writer and the fragment reader (one view per block, not per subject)
+# writer and the fragment reader (no allocation per subject)
 # without the race detector (whose shadow memory
 # inflates alloc counts, so each guard skips itself under -race), fuzz
 # the data server's request handler, the PVFS wire frame decoders, the
@@ -54,7 +57,7 @@ test:
 check: lint race
 	$(GO) test -race -count=20 -timeout 120s -run 'Prefetch|Concurrent|Demand' ./internal/readahead/
 	$(GO) test -race -count=20 -run 'Concurrent' ./internal/chio/
-	$(GO) test -race -count=20 -run TestFormatStopsReadingOnError ./internal/blastdb/
+	$(GO) test -race -count=20 -run 'TestFormatStopsReadingOnError|TestConcurrentSourcesShareOneFragment' ./internal/blastdb/
 	$(GO) test -race -count=20 ./internal/mpi/
 	$(GO) test -race -count=10 -run 'Leave|Crash|Duplicate|Cancelled|Idle|Affinity|Overdue' ./internal/pblast/
 	$(GO) test -race -count=10 -run 'Heartbeat|Close' ./internal/pvfs/

@@ -23,7 +23,7 @@ import (
 func main() {
 	var (
 		db     = flag.String("db", "", "database name (required)")
-		verify = flag.Bool("verify", false, "verify every fragment's data checksum")
+		verify = flag.Bool("verify", false, "verify every fragment's index bounds and data checksum")
 	)
 	store := core.NewStore()
 	store.RegisterFlags(flag.CommandLine, core.AddrFlags|core.ModeFlags)

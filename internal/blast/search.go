@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strings"
 
 	"pario/internal/align"
 	"pario/internal/seq"
@@ -689,9 +690,11 @@ func (sr *searcher) finalize(res *Result, raw []rawHit, info DBInfo) {
 	res.Stats.RawScoreCut = nucKarlin.RawCutoff(p.EValue, effQuery, effDB)
 
 	for _, rh := range raw {
+		// The subject's strings may be substrings of a whole defline
+		// region (blastdb.FragmentSource): a kept hit copies its own.
 		hit := Hit{
-			SubjectID:   rh.subject.ID,
-			SubjectDesc: rh.subject.Desc,
+			SubjectID:   strings.Clone(rh.subject.ID),
+			SubjectDesc: strings.Clone(rh.subject.Desc),
 			SubjectLen:  rh.subject.Len(),
 		}
 		var sCodes []byte

@@ -249,6 +249,49 @@ func TestOpenFragmentRejectsForgedFragments(t *testing.T) {
 	}
 }
 
+// TestVerifyChecksumRejectsForgedIndex: open reads the header alone,
+// so it rejects the forged headers and nothing else; every forged
+// index then fails VerifyChecksum, which checks the index before the
+// data, so `dbinfo -verify` reports it corrupt. The error names the
+// fragment and is kept for every later call.
+func TestVerifyChecksumRejectsForgedIndex(t *testing.T) {
+	forgedHeader := map[string]bool{
+		"kind byte 1": true, "index before deflines": true, "deflines before data": true,
+		"data region past deflines": true, "index past any file": true,
+	}
+	_, rows := forgedFragments(t)
+	mem := chio.NewMemFS()
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			if err := chio.WriteFull(mem, "forged", row.bytes); err != nil {
+				t.Fatal(err)
+			}
+			fr, err := OpenFragment(mem, "forged")
+			if forgedHeader[row.name] {
+				if err == nil {
+					fr.Close()
+					t.Fatal("forged header opened")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("open read more than the header: %v", err)
+			}
+			defer fr.Close()
+			err = fr.VerifyChecksum()
+			if err == nil {
+				t.Fatal("forged index passed VerifyChecksum")
+			}
+			if !strings.Contains(err.Error(), "forged") {
+				t.Errorf("VerifyChecksum = %v, want an error naming the fragment", err)
+			}
+			if again := fr.VerifyChecksum(); again == nil || again.Error() != err.Error() {
+				t.Errorf("second VerifyChecksum = %v, want the kept %v", again, err)
+			}
+		})
+	}
+}
+
 // FuzzOpenFragment feeds whole fragment files to the reader, seeded
 // with a valid fragment and every forged row: each input must read
 // cleanly or fail with an error, never panic.
@@ -580,6 +623,10 @@ func TestChecksumVerification(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fr3.Close()
+	// Load the index first, so the short read is a data read.
+	if _, _, err := fr3.regions(false); err != nil {
+		t.Fatal(err)
+	}
 	fr3.f = halfReader{fr3.f}
 	if err := fr3.VerifyChecksum(); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("short read: VerifyChecksum = %v, want io.ErrUnexpectedEOF", err)

@@ -13,6 +13,8 @@ import (
 	"io"
 	"math"
 	"strings"
+	"sync"
+	"unsafe"
 
 	"pario/internal/chio"
 	"pario/internal/seq"
@@ -237,23 +239,34 @@ func (w *FragmentWriter) finish() error {
 	return err
 }
 
-// Fragment reads one fragment file.
+// Fragment reads one fragment file. Opening it reads the header alone;
+// the index and defline regions are read the first time something
+// needs them and then kept. The loading runs under mu, and every
+// FragmentSource of the fragment shares what it loaded, so a fragment
+// streamed by several sources at once reads each region once.
 type Fragment struct {
-	f        chio.File
-	h        header
-	index    []indexRec
-	deflines []byte
+	f    chio.File
+	path string
+	h    header
+
+	mu          sync.Mutex
+	index       []byte // the index region, every record checked; set once hasIndex
+	deflines    string // the defline region; set once hasDeflines
+	hasIndex    bool
+	hasDeflines bool
+	err         error // a failed load, which every later load returns
 }
 
-// OpenFragment opens and indexes a fragment. The index and defline
-// regions are loaded eagerly (they are small); sequence data is read
-// on demand so the large reads flow through the chio backend.
+// OpenFragment opens a fragment and reads its header: one read. The
+// index and defline regions are read on first use (regions), and
+// sequence data on demand, so the large reads flow through the chio
+// backend.
 func OpenFragment(fs chio.FileSystem, path string) (*Fragment, error) {
 	f, err := fs.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	fr := &Fragment{f: f}
+	fr := &Fragment{f: f, path: path}
 	hbuf := make([]byte, headerSize)
 	n, err := io.ReadFull(io.NewSectionReader(f, 0, headerSize), hbuf)
 	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
@@ -266,35 +279,85 @@ func OpenFragment(fs chio.FileSystem, path string) (*Fragment, error) {
 		f.Close()
 		return nil, fmt.Errorf("blastdb: %s: %w", path, err)
 	}
-	// The defline and index regions are adjacent: one read takes both.
-	dataLen, defLen := fr.h.DeflineOff-fr.h.DataOff, fr.h.IndexOff-fr.h.DeflineOff
-	tail, err := readRegion(f, fr.h.DeflineOff, defLen+uint64(fr.h.NumSeqs)*indexEntry)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("blastdb: short defline and index read of %s: %w", path, err)
-	}
-	fr.deflines = tail[:defLen:defLen]
-	idxBytes := tail[defLen:]
-	fr.index = make([]indexRec, fr.h.NumSeqs)
-	for i := range fr.index {
-		off := i * indexEntry
-		rec := indexRec{
-			DataOff:    binary.LittleEndian.Uint64(idxBytes[off:]),
-			Letters:    binary.LittleEndian.Uint64(idxBytes[off+8:]),
-			DeflineOff: binary.LittleEndian.Uint64(idxBytes[off+16:]),
-			DeflineLen: binary.LittleEndian.Uint32(idxBytes[off+24:]),
-		}
-		// Both spans must lie inside their regions, compared without
-		// sums that could wrap.
-		if rec.DeflineOff > defLen || uint64(rec.DeflineLen) > defLen-rec.DeflineOff ||
-			rec.DataOff > dataLen || rec.payloadLen() > dataLen-rec.DataOff {
-			f.Close()
-			return nil, fmt.Errorf("blastdb: %s: index record %d lies outside its regions", path, i)
-		}
-		fr.index[i] = rec
-	}
 	return fr, nil
 }
+
+// regions returns the checked index region and, when withDeflines is
+// set, the defline region, reading what the fragment does not hold
+// yet. A fragment that holds neither reads both in one read, as they
+// are adjacent. A failed read or check is kept: every later call
+// returns it.
+func (fr *Fragment) regions(withDeflines bool) (index []byte, deflines string, err error) {
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	if fr.err == nil {
+		fr.err = fr.load(withDeflines)
+	}
+	return fr.index, fr.deflines, fr.err
+}
+
+// load reads the regions regions asks for and does not hold; fr.mu is
+// held.
+func (fr *Fragment) load(withDeflines bool) error {
+	h := &fr.h
+	defLen, idxLen := h.IndexOff-h.DeflineOff, uint64(h.NumSeqs)*indexEntry
+	if !fr.hasIndex {
+		off, n := h.IndexOff, idxLen
+		if withDeflines {
+			off, n = h.DeflineOff, defLen+idxLen
+		}
+		b, err := readRegion(fr.f, off, n)
+		if err != nil {
+			return fmt.Errorf("blastdb: short region read of %s: %w", fr.path, err)
+		}
+		idx := b[n-idxLen:]
+		if err := fr.checkIndex(idx); err != nil {
+			return err
+		}
+		fr.index, fr.hasIndex = idx, true
+		if withDeflines {
+			fr.deflines, fr.hasDeflines = regionString(b[:defLen]), true
+		}
+	}
+	if withDeflines && !fr.hasDeflines {
+		b, err := readRegion(fr.f, h.DeflineOff, defLen)
+		if err != nil {
+			return fmt.Errorf("blastdb: short defline read of %s: %w", fr.path, err)
+		}
+		fr.deflines, fr.hasDeflines = regionString(b), true
+	}
+	return nil
+}
+
+// checkIndex requires both spans of every record of idx to lie inside
+// their regions, compared without sums that could wrap.
+func (fr *Fragment) checkIndex(idx []byte) error {
+	dataLen, defLen := fr.h.DeflineOff-fr.h.DataOff, fr.h.IndexOff-fr.h.DeflineOff
+	for i := range fr.NumSequences() {
+		rec := record(idx, i)
+		if rec.DeflineOff > defLen || uint64(rec.DeflineLen) > defLen-rec.DeflineOff ||
+			rec.DataOff > dataLen || rec.payloadLen() > dataLen-rec.DataOff {
+			return fmt.Errorf("blastdb: %s: index record %d lies outside its regions", fr.path, i)
+		}
+	}
+	return nil
+}
+
+// record decodes record i of an index region.
+func record(idx []byte, i int) indexRec {
+	b := idx[i*indexEntry : (i+1)*indexEntry]
+	return indexRec{
+		DataOff:    binary.LittleEndian.Uint64(b),
+		Letters:    binary.LittleEndian.Uint64(b[8:]),
+		DeflineOff: binary.LittleEndian.Uint64(b[16:]),
+		DeflineLen: binary.LittleEndian.Uint32(b[24:]),
+	}
+}
+
+// regionString returns a region's bytes as a string without copying
+// them: the buffer was read for the region alone and is never written
+// again.
+func regionString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // readRegion reads the n bytes at off, growing the buffer in steps of
 // at most 1 MiB as the bytes arrive instead of trusting the header
@@ -323,27 +386,37 @@ func readAtFull(f io.ReaderAt, p []byte, off int64) error {
 	return nil
 }
 
-// NumSequences returns the sequence count.
-func (fr *Fragment) NumSequences() int { return len(fr.index) }
+// NumSequences returns the sequence count the header records.
+func (fr *Fragment) NumSequences() int { return int(fr.h.NumSeqs) }
 
 // Letters returns the total letters stored.
 func (fr *Fragment) Letters() int64 { return int64(fr.h.TotalLetters) }
 
 // Sequence reads and decodes sequence i through a source positioned
-// at it, so random access takes a scan's one read path.
+// at it, so random access takes a scan's one read path. The sequence
+// owns its strings: keeping it keeps no defline region alive.
 func (fr *Fragment) Sequence(i int) (*seq.Sequence, error) {
-	if i < 0 || i >= len(fr.index) {
-		return nil, fmt.Errorf("blastdb: sequence index %d out of range [0,%d)", i, len(fr.index))
+	if i < 0 || i >= fr.NumSequences() {
+		return nil, fmt.Errorf("blastdb: sequence index %d out of range [0,%d)", i, fr.NumSequences())
 	}
-	src := FragmentSource{fr: fr, i: i}
-	return src.Next()
+	index, deflines, err := fr.regions(true)
+	if err != nil {
+		return nil, err
+	}
+	src := FragmentSource{fr: fr, i: i, index: index, deflines: deflines}
+	s := new(seq.Sequence)
+	if err := src.read(s); err != nil {
+		return nil, err
+	}
+	s.ID, s.Desc = strings.Clone(s.ID), strings.Clone(s.Desc)
+	return s, nil
 }
 
-// defline returns sequence i's parsed identifier and description.
-func (fr *Fragment) defline(i int) (id, desc string) {
-	rec := fr.index[i]
-	defline := string(fr.deflines[rec.DeflineOff : rec.DeflineOff+uint64(rec.DeflineLen)])
-	id, desc, _ = strings.Cut(defline, " ")
+// defline returns rec's identifier and description, substrings of the
+// defline region: no allocation, but a caller that keeps one keeps the
+// whole region.
+func defline(deflines string, rec indexRec) (id, desc string) {
+	id, desc, _ = strings.Cut(deflines[rec.DeflineOff:rec.DeflineOff+uint64(rec.DeflineLen)], " ")
 	return id, desc
 }
 
@@ -364,32 +437,62 @@ func (fr *Fragment) Source(bufBytes int) *FragmentSource {
 	return &FragmentSource{fr: fr, bufBytes: bufBytes}
 }
 
+// slabSize is how many sequences Next allocates at once. Each call
+// hands out a distinct element, valid for as long as the caller keeps
+// it, so a slab is freed once every sequence cut from it is.
+const slabSize = 256
+
 // FragmentSource streams a fragment's sequences. It holds one run of
 // data-region bytes, cuts each payload out of it, and refills it (fill)
 // when a payload does not fit or the run has gone stale.
 type FragmentSource struct {
 	fr       *Fragment
 	i        int
-	bufBytes int       // least size of a read into buf; 0 reads one payload
-	run      []byte    // the data-region bytes payloads are cut from
-	runStart int64     // data-region offset of run[0]
-	view     chio.View // the view run was taken from: its Stale covers the whole run
-	buf      []byte    // the reused buffer of a backend without views
-	copyOut  bool      // run lies in buf, so payloads are copied out of it
+	index    []byte         // fr's index region; nil until the first Next loads it
+	deflines string         // fr's defline region
+	slab     []seq.Sequence // the elements of the last slab not yet handed out
+	bufBytes int            // least size of a read into buf; 0 reads one payload
+	run      []byte         // the data-region bytes payloads are cut from
+	runStart int64          // data-region offset of run[0]
+	view     chio.View      // the view run was taken from: its Stale covers the whole run
+	buf      []byte         // the reused buffer of a backend without views
+	copyOut  bool           // run lies in buf, so payloads are copied out of it
 }
 
-// Next returns the next sequence or io.EOF.
+// Next returns the next sequence or io.EOF. The first call loads the
+// fragment's regions (regions), in one read when it holds neither.
+// The sequence's strings are substrings of the defline region.
 func (src *FragmentSource) Next() (*seq.Sequence, error) {
-	fr := src.fr
-	if src.i >= len(fr.index) {
+	n := src.fr.NumSequences()
+	if src.i >= n {
 		return nil, io.EOF
 	}
-	i, rec := src.i, fr.index[src.i]
+	if src.index == nil {
+		index, deflines, err := src.fr.regions(true)
+		if err != nil {
+			return nil, err
+		}
+		src.index, src.deflines = index, deflines
+	}
+	if len(src.slab) == 0 {
+		src.slab = make([]seq.Sequence, min(slabSize, n-src.i))
+	}
+	s := &src.slab[0]
+	if err := src.read(s); err != nil {
+		return nil, err
+	}
+	src.slab = src.slab[1:]
+	return s, nil
+}
+
+// read decodes sequence src.i into s and moves past it.
+func (src *FragmentSource) read(s *seq.Sequence) error {
+	rec := record(src.index, src.i)
 	start, plen := int64(rec.DataOff), int64(rec.payloadLen())
 	off := start - src.runStart
 	if off < 0 || off+plen > int64(len(src.run)) || src.view.Stale() {
 		if err := src.fill(start, plen); err != nil {
-			return nil, err
+			return err
 		}
 		off = 0
 	}
@@ -404,8 +507,10 @@ func (src *FragmentSource) Next() (*seq.Sequence, error) {
 	src.i++
 	// The sequence keeps its payload packed, and a borrowed one stays
 	// immutable: cache invalidation drops blocks, never rewrites them.
-	id, desc := fr.defline(i)
-	return seq.NewPacked2Bit(id, desc, payload, int(rec.Letters)), nil
+	// The inlined constructor's result is copied into s, not allocated.
+	id, desc := defline(src.deflines, rec)
+	*s = *seq.NewPacked2Bit(id, desc, payload, int(rec.Letters))
+	return nil
 }
 
 // fill makes the run start at data-region offset start and hold at
@@ -455,18 +560,24 @@ func (src *FragmentSource) fill(start, plen int64) error {
 	return nil
 }
 
-// VerifyChecksum re-reads the fragment's data region and compares its
-// CRC-32 against the value recorded at format time, detecting
-// corruption introduced in storage or transfer.
+// checksumBufs holds VerifyChecksum's 1 MiB read buffers, so a pass
+// over many fragments allocates none after the first.
+var checksumBufs = sync.Pool{New: func() any { return new([1 << 20]byte) }}
+
+// VerifyChecksum checks the fragment's index against its regions, then
+// re-reads the data region and compares its CRC-32 against the value
+// recorded at format time, detecting corruption introduced in storage
+// or transfer. It reads no defline byte.
 func (fr *Fragment) VerifyChecksum() error {
+	if _, _, err := fr.regions(false); err != nil {
+		return err
+	}
+	buf := checksumBufs.Get().(*[1 << 20]byte)
+	defer checksumBufs.Put(buf)
 	dataLen := int64(fr.h.DeflineOff - fr.h.DataOff)
 	var crc uint32
-	buf := make([]byte, 1<<20)
 	for off := int64(0); off < dataLen; {
-		n := int64(len(buf))
-		if off+n > dataLen {
-			n = dataLen - off
-		}
+		n := min(int64(len(buf)), dataLen-off)
 		if err := readAtFull(fr.f, buf[:n], int64(fr.h.DataOff)+off); err != nil {
 			return fmt.Errorf("blastdb: checksum read at %d: %w", off, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"sync"
 	"testing"
 
 	"pario/internal/chio"
@@ -115,7 +116,9 @@ func TestZeroCopyScanMatchesChunkedScan(t *testing.T) {
 
 // TestChunkedScanStaysChunkedWithoutViews guards the I/O pattern on
 // backends without a view capability: the source must keep issuing
-// large chunked reads, not per-sequence ones.
+// large chunked reads, not per-sequence ones. Only reads inside the
+// data region count; the stream's one read of the defline and index
+// regions lies past it.
 func TestChunkedScanStaysChunkedWithoutViews(t *testing.T) {
 	mem := chio.NewMemFS()
 	rng := util.NewRNG(34)
@@ -142,7 +145,7 @@ func TestChunkedScanStaysChunkedWithoutViews(t *testing.T) {
 	}
 	reads := 0
 	for _, ev := range trace.Events()[before:] {
-		if ev.Op == iotrace.OpRead {
+		if ev.Op == iotrace.OpRead && ev.Offset >= int64(fr.h.DataOff) && ev.Offset < int64(fr.h.DeflineOff) {
 			reads++
 		}
 	}
@@ -152,6 +155,139 @@ func TestChunkedScanStaysChunkedWithoutViews(t *testing.T) {
 	// The whole data region fits in one 1 MiB chunk: one data read.
 	if reads != 1 {
 		t.Fatalf("chunked scan issued %d data reads, want 1", reads)
+	}
+}
+
+// TestOpenFragmentReadsTheHeaderOnly pins the open contract: an open
+// is one read, of the header; VerifyChecksum then reads the index and
+// data regions and no defline byte; and the first Next of a fresh open
+// reads the defline and index regions together, in one read.
+func TestOpenFragmentReadsTheHeaderOnly(t *testing.T) {
+	mem := chio.NewMemFS()
+	buildFragment(t, mem, "frag", randomSeqs(util.NewRNG(39), 30, 100, 900))
+	trace := iotrace.NewTrace()
+	traced := &iotrace.FS{Inner: mem, Trace: trace}
+	reads := func(from int) []iotrace.Event {
+		var out []iotrace.Event
+		for _, ev := range trace.Events()[from:] {
+			if ev.Op == iotrace.OpRead {
+				out = append(out, ev)
+			}
+		}
+		return out
+	}
+
+	fr, err := OpenFragment(traced, "frag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fr.Close()
+	if got := reads(0); len(got) != 1 || got[0].Offset != 0 || got[0].Size != headerSize {
+		t.Fatalf("open read %+v, want one %d-byte read at 0", got, headerSize)
+	}
+	if fr.NumSequences() != 30 {
+		t.Fatalf("NumSequences = %d from the header, want 30", fr.NumSequences())
+	}
+	h := fr.h
+	before := len(trace.Events())
+	if err := fr.VerifyChecksum(); err != nil {
+		t.Fatal(err)
+	}
+	var data, index int64
+	for _, ev := range reads(before) {
+		switch {
+		case ev.Offset >= int64(h.DataOff) && ev.Offset+ev.Size <= int64(h.DeflineOff):
+			data += ev.Size
+		case ev.Offset == int64(h.IndexOff) && ev.Size == int64(h.NumSeqs)*indexEntry:
+			index++
+		default:
+			t.Errorf("VerifyChecksum read %d bytes at %d, outside the data region and the index (deflines at %d, index at %d)",
+				ev.Size, ev.Offset, h.DeflineOff, h.IndexOff)
+		}
+	}
+	if index != 1 || data != int64(h.DeflineOff-h.DataOff) {
+		t.Errorf("VerifyChecksum read the index %d times and %d data bytes, want once and %d", index, data, h.DeflineOff-h.DataOff)
+	}
+
+	fresh, err := OpenFragment(traced, "frag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	before = len(trace.Events())
+	if _, err := fresh.Source(1 << 20).Next(); err != nil {
+		t.Fatal(err)
+	}
+	var tail []iotrace.Event
+	for _, ev := range reads(before) {
+		if ev.Offset >= int64(h.DeflineOff) {
+			tail = append(tail, ev)
+		}
+	}
+	if want := int64(h.NumSeqs)*indexEntry + int64(h.IndexOff-h.DeflineOff); len(tail) != 1 ||
+		tail[0].Offset != int64(h.DeflineOff) || tail[0].Size != want {
+		t.Errorf("first Next read %+v past the data region, want one %d-byte read at %d", tail, want, h.DeflineOff)
+	}
+}
+
+// TestConcurrentSourcesShareOneFragment streams one Fragment through
+// four Sources on four goroutines: each yields the sequences of a
+// serial scan, and the regions, loaded under the fragment's mutex, are
+// read once between them.
+func TestConcurrentSourcesShareOneFragment(t *testing.T) {
+	mem := chio.NewMemFS()
+	seqs := randomSeqs(util.NewRNG(40), 300, 50, 400)
+	buildFragment(t, mem, "frag", seqs)
+	trace := iotrace.NewTrace()
+	fr, err := OpenFragment(&iotrace.FS{Inner: mem, Trace: trace}, "frag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fr.Close()
+	const streams = 4
+	got := make([][]*seq.Sequence, streams)
+	errs := make([]error, streams)
+	var wg sync.WaitGroup
+	for g := range streams {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			src := fr.Source(1 << 10)
+			for {
+				s, err := src.Next()
+				if err != nil {
+					if err != io.EOF {
+						errs[g] = err
+					}
+					return
+				}
+				s.Letters()
+				got[g] = append(got[g], s)
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range streams {
+		if errs[g] != nil {
+			t.Fatalf("stream %d: %v", g, errs[g])
+		}
+		if len(got[g]) != len(seqs) {
+			t.Fatalf("stream %d yielded %d sequences, want %d", g, len(got[g]), len(seqs))
+		}
+		for i, s := range got[g] {
+			if s.ID != seqs[i].ID || s.Desc != seqs[i].Desc || !bytes.Equal(s.Letters(), seqs[i].Data) {
+				t.Fatalf("stream %d, sequence %d differs from the serial scan", g, i)
+			}
+		}
+	}
+	regionReads := 0
+	for _, ev := range trace.Events() {
+		if ev.Op == iotrace.OpRead && ev.Offset >= int64(fr.h.DeflineOff) {
+			regionReads++
+		}
+	}
+	if regionReads != 1 {
+		t.Errorf("%d streams read the regions %d times, want once", streams, regionReads)
 	}
 }
 
@@ -215,10 +351,10 @@ func TestFragmentSourceOneViewPerBlock(t *testing.T) {
 }
 
 // TestFragmentSourceAllocs is the one read path's allocation budget
-// per sequence: through the readahead layer, the Sequence and its
-// defline (views are taken per block, not per subject); without views,
-// those two plus the payload's exact-size copy out of the reused
-// buffer.
+// per sequence: none through the readahead layer (views are taken per
+// block and Sequences per slab, not per subject, and the defline is a
+// substring of its region); without views, the payload's exact-size
+// copy out of the reused buffer.
 func TestFragmentSourceAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector inflates allocation counts")
@@ -233,8 +369,8 @@ func TestFragmentSourceAllocs(t *testing.T) {
 		bufBytes int
 		budget   float64
 	}{
-		{"readahead", ra, 0, 2},
-		{"copy", mem, 4096, 3},
+		{"readahead", ra, 0, 0},
+		{"copy", mem, 4096, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fr, err := OpenFragment(tc.fs, "frag")
@@ -282,7 +418,7 @@ func TestFragmentSourceSeesWriteIntoItsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := fr.index[1]
+	rec := record(fr.index, 1)
 	if _, err := w.WriteAt(make([]byte, rec.payloadLen()), int64(fr.h.DataOff+rec.DataOff)); err != nil {
 		t.Fatal(err)
 	}
@@ -325,6 +461,10 @@ func TestShortDataReadIsUnexpectedEOF(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer fr.Close()
+			// Load the regions first, so the short read is a data read.
+			if _, _, err := fr.regions(true); err != nil {
+				t.Fatal(err)
+			}
 			fr.f = tc.wrap(fr.f)
 			if _, err := fr.Source(0).Next(); !errors.Is(err, io.ErrUnexpectedEOF) {
 				t.Errorf("Next = %v, want io.ErrUnexpectedEOF", err)

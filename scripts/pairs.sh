@@ -11,10 +11,13 @@
 # 5) of `bench/run.sh --workload W --seed SEED --trace 0` are run at
 # that script's default run length, the ref first in odd pairs and
 # head first in even ones. Every run is printed; then, per end-to-end
-# metric, each pair's ratio head/ref, the median ratio, how many pairs
-# favour head, and the ref's median and interquartile range next to
-# head's median. A run whose output is wrong (correct false or
-# failed > 0) is reported and makes the exit status 1. `--against
+# metric, each pair's ratio head/ref, the median ratio with a 95 %
+# bootstrap interval (the 2.5th and 97.5th percentiles of the medians
+# of 2000 resamples, with replacement, of the pair ratios; awk's
+# generator is seeded with 1, so two prints of the same runs agree),
+# how many pairs favour head, and the ref's median and interquartile
+# range next to head's median. A run whose output is wrong (correct
+# false or failed > 0) is reported and makes the exit status 1. `--against
 # HEAD` is an A/A run: both sides are the same code, so its spread is
 # the noise floor of a claim.
 set -eu
@@ -27,7 +30,7 @@ while [ $# -gt 0 ]; do
     --against) ref="$2"; shift 2 ;;
     --pairs) pairs="$2"; shift 2 ;;
     --seed) seed="$2"; shift 2 ;;
-    -h | --help) sed -n '2,19p' "$0"; exit 0 ;;
+    -h | --help) sed -n '2,22p' "$0"; exit 0 ;;
     --*) echo "pairs: unknown flag $1" >&2; exit 2 ;;
     *) break ;;
     esac
@@ -105,7 +108,17 @@ for w in $workloads; do
                 for (i = 1; i < n; i++)
                     for (j = i; j > 0 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
             }
-            BEGIN { n = 0; wins = 0 }
+            # bootstrap(a, n, reps): the 95 % percentile interval of the
+            # median of reps resamples of a, as "lo hi".
+            function bootstrap(a, n, reps,    k, i, b, med) {
+                for (k = 0; k < reps; k++) {
+                    for (i = 0; i < n; i++) b[i] = a[int(rand() * n)]
+                    sort(b, n); med[k] = quantile(b, n, 0.5)
+                }
+                sort(med, reps)
+                return sprintf("%.3f %.3f", quantile(med, reps, 0.025), quantile(med, reps, 0.975))
+            }
+            BEGIN { n = 0; wins = 0; srand(1) }
             {
                 r[n] = $1; h[n] = $2; ratio[n] = ($1 > 0) ? $2 / $1 : 0
                 if ((better == "lower" && $2 < $1) || (better == "higher" && $2 > $1)) wins++
@@ -113,8 +126,9 @@ for w in $workloads; do
             }
             END {
                 sort(r, n); sort(h, n); sort(ratio, n)
-                printf "  %-10s ratios head/ref%s; median %.3f; head better in %d of %d (%s is better)\n",
-                    m, list, quantile(ratio, n, 0.5), wins, n, better
+                split(bootstrap(ratio, n, 2000), ci, " ")
+                printf "  %-10s ratios head/ref%s; median %.3f, 95%% interval [%.3f, %.3f]; head better in %d of %d (%s is better)\n",
+                    m, list, quantile(ratio, n, 0.5), ci[1], ci[2], wins, n, better
                 printf "  %-10s ref median %.4g, IQR %.4g (q1 %.4g, q3 %.4g); head median %.4g\n",
                     m, quantile(r, n, 0.5), quantile(r, n, 0.75) - quantile(r, n, 0.25),
                     quantile(r, n, 0.25), quantile(r, n, 0.75), quantile(h, n, 0.5)
