@@ -26,15 +26,16 @@ test:
 # it shares, so a lapse shows up only when several first Nexts race),
 # re-run the mpi tests twenty times under the race
 # detector (the mailbox's order and conservation, a Recv cancelled
-# without losing a message, the router's forwarding: every receive of
-# both transports waits on the one FIFO mailbox, so a lapse shows up
-# only as a rare interleaving of puts, gets and cancels), re-run
-# pblast's scheduler tests ten times under the race detector (leave,
-# crash, duplicate result, cancel, idle: every result is also its
-# sender's next ready, so a lapse in the loop's idle list or requeue
-# shows up only as a rare interleaving; affinity and overdue: pickTask
-# chooses among pending tasks by holder and among overdue ones by age,
-# so a wrong choice shows up only in some orders of results and
+# without losing a message, the router's forwarding, a gone rank's
+# TagGone after its last message: every receive of both transports
+# waits on the one FIFO mailbox, so a lapse shows up only as a rare
+# interleaving of puts, gets, closes and cancels), re-run pblast's
+# scheduler tests ten times under the race detector (leave, crash,
+# duplicate span, cancel, idle, a gone TCP worker: every result is also
+# its sender's next ready, and a gone rank's tasks are requeued, so a
+# lapse in the loop's idle list, gone set or requeue shows up only as a
+# rare interleaving; affinity: pickTask chooses among pending tasks by
+# holder, so a wrong choice shows up only in some orders of results and
 # readies), re-run pvfs's heartbeat and Close
 # tests ten times under the race detector (a data server's heartbeat
 # runs under a context that Close cancels, so a report in flight
@@ -59,7 +60,7 @@ check: lint race
 	$(GO) test -race -count=20 -run 'Concurrent' ./internal/chio/
 	$(GO) test -race -count=20 -run 'TestFormatStopsReadingOnError|TestConcurrentSourcesShareOneFragment' ./internal/blastdb/
 	$(GO) test -race -count=20 ./internal/mpi/
-	$(GO) test -race -count=10 -run 'Leave|Crash|Duplicate|Cancelled|Idle|Affinity|Overdue' ./internal/pblast/
+	$(GO) test -race -count=10 -run 'Leave|Crash|Duplicate|Cancelled|Idle|Affinity|Gone' ./internal/pblast/
 	$(GO) test -race -count=10 -run 'Heartbeat|Close' ./internal/pvfs/
 	$(GO) test -run TestSearchSubjectSteadyStateAllocs ./internal/blast/
 	$(GO) test -run TestSearcherRepeatAllocs ./internal/blast/

@@ -61,16 +61,16 @@ func main() {
 		status := "-"
 		if *verify {
 			fr, err := blastdb.OpenFragment(fs, fi.Path)
-			if err != nil {
-				fatal(err)
+			if err == nil {
+				err = fr.VerifyChecksum()
+				fr.Close()
 			}
-			if err := fr.VerifyChecksum(); err != nil {
+			status = "ok"
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "dbinfo:", err)
 				status = "CORRUPT"
 				bad++
-			} else {
-				status = "ok"
 			}
-			fr.Close()
 		}
 		fmt.Printf("%-24s %12d %14d %12s %s\n",
 			fi.Path, fi.Seqs, fi.Letters, util.FormatBytes(stat.Size), status)

@@ -157,7 +157,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		defer comm.Close()
 		fs := cfg.WorkerFS(core.PerRank(ranks.FS, fatal))(*rank)
 		if err := pblast.RunWorker(ctx, comm, cfg, fs, core.PerRank(tune.ScratchFS, fatal)(*rank)); err != nil {
 			fatal(err)

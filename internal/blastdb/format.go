@@ -57,12 +57,13 @@ func (h *header) marshal() []byte {
 	return buf
 }
 
+// unmarshal's errors get the package prefix and path from OpenFragment.
 func (h *header) unmarshal(buf []byte) error {
 	if len(buf) < headerSize || string(buf[:8]) != magic {
-		return fmt.Errorf("blastdb: bad magic (not a pario database fragment)")
+		return fmt.Errorf("bad magic (not a pario database fragment)")
 	}
 	if seq.Kind(buf[8]) != seq.Nucleotide {
-		return fmt.Errorf("blastdb: fragment holds sequence kind %d, not %s", buf[8], seq.Nucleotide)
+		return fmt.Errorf("fragment holds sequence kind %d, not %s", buf[8], seq.Nucleotide)
 	}
 	h.NumSeqs = binary.LittleEndian.Uint32(buf[12:])
 	h.DataOff = binary.LittleEndian.Uint64(buf[16:])
@@ -73,7 +74,7 @@ func (h *header) unmarshal(buf []byte) error {
 	// The regions follow the header in order, at offsets a file can
 	// have.
 	if h.DataOff != headerSize || h.DeflineOff < h.DataOff || h.IndexOff < h.DeflineOff || h.IndexOff > math.MaxInt64 {
-		return fmt.Errorf("blastdb: bad region offsets: data at %d, deflines at %d, index at %d",
+		return fmt.Errorf("bad region offsets: data at %d, deflines at %d, index at %d",
 			h.DataOff, h.DeflineOff, h.IndexOff)
 	}
 	return nil

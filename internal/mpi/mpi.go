@@ -4,7 +4,8 @@
 // arrive and dispatches on each one's sender and tag. Two transports
 // are provided: an in-process one (goroutines and channels) and a TCP
 // one (router process), so the parallel BLAST code runs unchanged in
-// one process or across many.
+// one process or across many. Both tell rank 0 when another rank is
+// gone, with a TagGone message after that rank's last one.
 package mpi
 
 import (
@@ -18,6 +19,11 @@ import (
 
 // ErrClosed is returned by operations on a closed communicator.
 var ErrClosed = errors.New("mpi: communicator closed")
+
+// TagGone tags the message the transport delivers to rank 0, after
+// every other from rank From, once From's endpoint is closed or its
+// connection has ended. Only the transport sends it.
+const TagGone = -1
 
 // Message is a received message with its envelope.
 type Message struct {
@@ -41,14 +47,15 @@ type Comm interface {
 	// to a cancelled Recv. Messages come out in arrival order, and
 	// those from one sender in the order it sent them.
 	Recv(ctx context.Context) (Message, error)
-	// Close shuts the endpoint down; blocked Recvs return ErrClosed.
+	// Close shuts the endpoint down; blocked Recvs return ErrClosed,
+	// and rank 0 receives TagGone from this rank.
 	Close() error
 }
 
 // mailbox is the FIFO receive queue both transports share. A message
 // leaves the queue only when a receive returns it, so a receive that
-// gives up when its context ends (a fault-tolerant master's overdue
-// tick, a worker told to leave) cannot take one with it.
+// gives up when its context ends (a worker told to leave, a master's
+// bounded wait for its workers' last words) cannot take one with it.
 type mailbox struct {
 	mu      sync.Mutex
 	pending []Message
@@ -105,11 +112,14 @@ func (mb *mailbox) get(ctx context.Context) (Message, error) {
 	}
 }
 
-func (mb *mailbox) close() {
+// close shuts the mailbox and reports whether it was open.
+func (mb *mailbox) close() bool {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
+	was := !mb.closed
 	mb.closed = true
 	mb.wake()
+	return was
 }
 
 // SendGob gob-encodes v and sends it.

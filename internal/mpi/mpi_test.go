@@ -35,7 +35,9 @@ func runWorld(t *testing.T, size int, fn func(c Comm) error) {
 	}
 }
 
-// runTCPWorld executes fn on every rank over the TCP transport.
+// runTCPWorld executes fn on every rank over the TCP transport. The
+// connections close once every rank has returned, so no rank is gone
+// while rank 0 still receives.
 func runTCPWorld(t *testing.T, size int, fn func(c Comm) error) {
 	t.Helper()
 	router, err := StartRouter("127.0.0.1:0", size)
@@ -54,7 +56,7 @@ func runTCPWorld(t *testing.T, size int, fn func(c Comm) error) {
 				errs[r] = err
 				return
 			}
-			defer c.Close()
+			t.Cleanup(func() { c.Close() })
 			errs[r] = fn(c)
 		}(r)
 	}
@@ -193,6 +195,31 @@ func TestRecvAfterCloseReturnsErrClosed(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Recv did not unblock on Close")
+	}
+}
+
+// Closing a rank of a world tells rank 0, after that rank's messages;
+// a Send to the closed rank is dropped, and one from it fails.
+func TestWorldReportsClosedRank(t *testing.T) {
+	w, err := NewWorld(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	c0, c1 := w.Comm(0), w.Comm(1)
+	for _, data := range []string{"a", "b"} {
+		if err := c1.Send(0, 1, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c1.Close()
+	c1.Close()
+	expectGone(t, c0, 1, "a", "b")
+	if err := c0.Send(1, 1, nil); err != nil {
+		t.Errorf("Send to a closed rank = %v, want nil", err)
+	}
+	if err := c1.Send(2, 1, nil); !errors.Is(err, ErrClosed) {
+		t.Errorf("Send from a closed rank = %v, want ErrClosed", err)
 	}
 }
 

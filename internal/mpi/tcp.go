@@ -71,6 +71,7 @@ type Router struct {
 	ln      net.Listener
 	size    int
 	mu      sync.Mutex
+	closing bool
 	conns   map[int]net.Conn
 	wmus    map[int]*sync.Mutex
 	pending map[int][]pendingFrame // frames for ranks that have not connected yet
@@ -120,10 +121,10 @@ func (r *Router) acceptLoop() {
 }
 
 func (r *Router) serve(conn net.Conn) {
+	defer conn.Close()
 	// First frame must be the hello announcing the client's rank.
 	from, to, _, _, err := readFrame(conn)
 	if err != nil || to != helloTo || from < 0 || from >= r.size {
-		conn.Close()
 		return
 	}
 	rank := from
@@ -137,7 +138,6 @@ func (r *Router) serve(conn net.Conn) {
 		// A rank joins once: it is never replaced, even after its
 		// connection ends.
 		r.mu.Unlock()
-		conn.Close()
 		return
 	}
 	r.conns[rank] = conn
@@ -145,48 +145,56 @@ func (r *Router) serve(conn net.Conn) {
 	queued := r.pending[rank]
 	delete(r.pending, rank)
 	r.mu.Unlock()
+	if rank != 0 {
+		defer r.forward(rank, 0, TagGone, nil) // however the connection ends, after its frames
+	}
 	for _, pf := range queued {
-		if err = writeFrame(conn, pf.from, rank, pf.tag, pf.payload); err != nil {
-			break
-		}
+		writeFrame(conn, pf.from, rank, pf.tag, pf.payload) // a broken conn fails the read below
 	}
 	wmu.Unlock()
-	if err != nil {
-		return
-	}
 	for {
 		_, to, tag, payload, err := readFrame(conn)
-		if err != nil || to < 0 || to >= r.size {
-			// Drop a peer whose stream is unreadable, or that addresses a
+		if err != nil || to < 0 || to >= r.size || tag == TagGone {
+			// Drop a peer whose stream is unreadable, that addresses a
 			// rank that can never connect (queued, the frame would hold
-			// router memory forever).
-			conn.Close()
+			// router memory forever), or that claims a departure only
+			// the router reports.
 			return
 		}
 		// Forward under the connection's own rank, never the sender's
 		// claim, so no rank can impersonate another.
-		r.mu.Lock()
-		dst, ok := r.conns[to]
-		if !ok {
-			// Destination not yet connected: queue the frame.
-			r.pending[to] = append(r.pending[to], pendingFrame{from: rank, tag: tag, payload: payload})
-			r.mu.Unlock()
-			continue
-		}
-		dmu := r.wmus[to]
-		r.mu.Unlock()
-		// A destination that has gone loses this frame, but the sender
-		// keeps being served: its frames to other ranks still matter.
-		dmu.Lock()
-		writeFrame(dst, rank, to, tag, payload)
-		dmu.Unlock()
+		r.forward(rank, to, tag, payload)
 	}
 }
 
-// Close shuts the router down.
+// forward delivers a frame from rank from to rank to, or queues it
+// until to joins. A destination that has gone loses the frame, but the
+// sender keeps being served: its frames to other ranks still matter.
+// Once Close has begun, frames are dropped.
+func (r *Router) forward(from, to, tag int, payload []byte) {
+	r.mu.Lock()
+	if r.closing {
+		r.mu.Unlock()
+		return
+	}
+	dst, ok := r.conns[to]
+	if !ok {
+		r.pending[to] = append(r.pending[to], pendingFrame{from: from, tag: tag, payload: payload})
+		r.mu.Unlock()
+		return
+	}
+	dmu := r.wmus[to]
+	r.mu.Unlock()
+	dmu.Lock()
+	writeFrame(dst, from, to, tag, payload)
+	dmu.Unlock()
+}
+
+// Close shuts the router down without reporting any rank gone.
 func (r *Router) Close() error {
 	err := r.ln.Close()
 	r.mu.Lock()
+	r.closing = true
 	for _, c := range r.conns {
 		c.Close()
 	}
@@ -263,9 +271,10 @@ func (c *tcpComm) Close() error {
 	return err
 }
 
-// DialRetry dials the router, retrying until it accepts or the
-// timeout elapses — workers in a distributed job typically start
-// before the master has brought the router up.
+// DialRetry dials the router every 10 ms until it accepts or the
+// timeout elapses: workers in a distributed job typically start before
+// the master has brought the router up, and a small job's router may
+// live for less than 100 ms.
 func DialRetry(addr string, rank, size int, timeout time.Duration) (Comm, error) {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -276,6 +285,6 @@ func DialRetry(addr string, rank, size int, timeout time.Duration) (Comm, error)
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("mpi: router %s not reachable within %v: %w", addr, timeout, err)
 		}
-		time.Sleep(100 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 	}
 }

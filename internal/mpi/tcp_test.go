@@ -157,6 +157,54 @@ func expect(t *testing.T, c Comm, from int, data string) {
 	}
 }
 
+// expectGone requires c's next messages to be from rank from carrying
+// data in order, then one TagGone from rank from, then nothing.
+func expectGone(t *testing.T, c Comm, from int, data ...string) {
+	t.Helper()
+	for _, d := range data {
+		expect(t, c, from, d)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if m, err := c.Recv(ctx); err != nil || m.From != from || m.Tag != TagGone {
+		t.Fatalf("rank %d got %+v, %v; want TagGone from rank %d", c.Rank(), m, err, from)
+	}
+	ctx, cancel = context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if m, err := c.Recv(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("rank %d got %+v, %v after TagGone; want nothing", c.Rank(), m, err)
+	}
+}
+
+// The router tells rank 0 that a rank whose connection ended is gone,
+// once and after that rank's frames, including when the rank sends
+// TagGone itself: that peer is dropped and cannot forge a departure.
+func TestRouterReportsGoneRank(t *testing.T) {
+	r, err := StartRouter("127.0.0.1:0", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	cs := dialAll(t, r, 2, 3)
+	for _, data := range []string{"a", "b"} {
+		if err := cs[1].Send(0, 1, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs[1].Close()
+	expectGone(t, cs[0], 1, "a", "b")
+
+	forger := rawPeer(t, r, 2)
+	if err := writeFrame(forger, 2, 0, TagGone, nil); err != nil {
+		t.Fatal(err)
+	}
+	forger.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := forger.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Errorf("peer sending TagGone: read = %v, want EOF from a closed connection", err)
+	}
+	expectGone(t, cs[0], 2)
+}
+
 // A frame for a rank whose connection has gone is dropped, and the
 // router goes on forwarding the sender's frames to everyone else: a
 // worker that leaves while the master still sends to it must not cut
@@ -238,7 +286,9 @@ func TestRouterTurnsAwayDuplicateRank(t *testing.T) {
 
 // FuzzRouterFrames feeds raw byte streams to the router's per-
 // connection loop. Whatever a peer sends, the router must not panic,
-// hang, or queue a frame for a rank outside [0, size).
+// hang, or queue a frame for a rank outside [0, size); and rank 0's
+// queue ends in one TagGone from the peer if it joined as a rank other
+// than 0, and holds none otherwise.
 func FuzzRouterFrames(f *testing.F) {
 	frame := func(from, to, tag int, payload []byte) []byte {
 		var b bytes.Buffer
@@ -257,6 +307,7 @@ func FuzzRouterFrames(f *testing.F) {
 	f.Add(append(hello(), frame(1, -5, 7, nil)...))
 	f.Add(append(hello(), frame(1, 3, 7, nil)...))
 	f.Add(append(hello(), hello()...))
+	f.Add(append(append(hello(), frame(1, 0, 7, nil)...), frame(1, 0, TagGone, nil)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &Router{
 			size:    3,
@@ -288,6 +339,20 @@ func FuzzRouterFrames(f *testing.F) {
 			if to < 0 || to >= r.size {
 				t.Fatalf("router queued frames for rank %d of %d", to, r.size)
 			}
+		}
+		q, gone := r.pending[0], 0
+		for _, pf := range q {
+			if pf.tag == TagGone {
+				gone++
+			}
+		}
+		_, zero := r.conns[0]
+		if len(r.conns) == 1 && !zero { // joined as a rank other than 0
+			if gone != 1 || q[len(q)-1].tag != TagGone || r.conns[q[len(q)-1].from] == nil {
+				t.Fatalf("rank 0's queue %v does not end in the one TagGone from the joined peer", q)
+			}
+		} else if gone != 0 {
+			t.Fatalf("rank 0's queue holds %d TagGone frames from a peer that never joined as a worker", gone)
 		}
 	})
 }

@@ -289,81 +289,3 @@ func TestAffinityDepartedHolder(t *testing.T) {
 		t.Errorf("result differs from the serial search:\nparallel %s\nserial   %s", hitShape(out.Result), hitShape(want))
 	}
 }
-
-// takeOne joins the stream on c, takes one task and returns its index
-// without ever reporting a result — a worker that dies holding it.
-func takeOne(t *testing.T, c mpi.Comm) int {
-	t.Helper()
-	if err := c.Send(0, tagReady, nil); err != nil {
-		t.Fatal(err)
-	}
-	var tk taskMsg
-	if _, err := mpi.RecvGob(context.Background(), c, &tk); err != nil {
-		t.Fatal(err)
-	}
-	return tk.Index
-}
-
-// Overdue tasks are re-sent longest-overdue first: by the time of their
-// last assignment, not by index and not in map order.
-func TestOverdueResentOldestFirst(t *testing.T) {
-	fs := chio.NewMemFS()
-	query := buildTestDB(t, fs, "nt", 3)
-	world, err := mpi.NewWorld(6) // master, four dying workers, one survivor
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer world.Close()
-	const timeout = 200 * time.Millisecond
-	cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}), WithTaskTimeout(timeout))
-	type result struct {
-		out *Outcome
-		err error
-	}
-	master := make(chan result, 1)
-	go func() {
-		out, err := searchStream(context.Background(), world.Comm(0), fs, query, cfg)
-		master <- result{out, err}
-	}()
-	// Ranks 1-3 take tasks 0, 1, 2 in turn; once all are overdue, rank
-	// 4 takes the oldest (0), which makes task 0 the newest assignment.
-	for r := 1; r <= 3; r++ {
-		if got := takeOne(t, world.Comm(r)); got != r-1 {
-			t.Fatalf("rank %d took task %d, want %d", r, got, r-1)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	time.Sleep(timeout + 50*time.Millisecond)
-	if got := takeOne(t, world.Comm(4)); got != 0 {
-		t.Fatalf("rank 4 was re-sent task %d, want the oldest, 0", got)
-	}
-	time.Sleep(timeout + 50*time.Millisecond)
-
-	// Rank 5 runs whatever it is sent and records the order.
-	c := world.Comm(5)
-	var order []int
-	if err := c.Send(0, tagReady, nil); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		var tk taskMsg
-		if _, err := mpi.RecvGob(context.Background(), c, &tk); err != nil {
-			t.Fatal(err)
-		}
-		if tk.Kind == taskDone {
-			break
-		}
-		order = append(order, tk.Index)
-		if err := mpi.SendGob(c, 0, tagResult, runTask(context.Background(), cfg, new(blast.Searcher), c.Rank(), &tk, fs, nil)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res := <-master
-	if res.err != nil {
-		t.Fatal(res.err)
-	}
-	checkFound(t, res.out)
-	if want := []int{1, 2, 0}; !reflect.DeepEqual(order, want) {
-		t.Errorf("overdue tasks re-sent in order %v, want %v", order, want)
-	}
-}

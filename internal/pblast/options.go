@@ -1,8 +1,6 @@
 package pblast
 
 import (
-	"time"
-
 	"pario/internal/blast"
 	"pario/internal/readahead"
 	"pario/internal/telemetry"
@@ -60,12 +58,6 @@ func WithCopyToLocal(v bool) Option {
 // WithChunkBytes sets the fragment streaming read size (0 = 16 MB).
 func WithChunkBytes(n int) Option {
 	return func(c *Config) { c.ChunkBytes = n }
-}
-
-// WithTaskTimeout enables fault-tolerant scheduling: tasks overdue by
-// d are re-handed to another idle worker.
-func WithTaskTimeout(d time.Duration) Option {
-	return func(c *Config) { c.TaskTimeout = d }
 }
 
 // WithTelemetry installs the scheduling telemetry sink: the master

@@ -15,20 +15,22 @@
 // whichever workers are idle. The protocol is mpiBLAST's worker loop:
 // a worker sends Ready once to join (so a distributed worker may start
 // while searches run), then receives a task and sends its result,
-// which doubles as its next Ready, until it is released; it sends
-// Leave when its context is cancelled, and the tasks it held are
-// re-queued. Each rank receives its messages in arrival order and
-// dispatches on their tags. A one-shot search opens a stream, submits
-// and closes it; a multi-query run is several concurrent Submits on
-// one stream, and the always-on blastd service keeps the same stream
-// open for its entire lifetime.
+// which doubles as its next Ready, until it is released. A worker that
+// is gone (cancelled, crashed or cut off) is reported by the transport
+// (mpi.TagGone) and its tasks are re-queued; when every worker is gone
+// the submissions in flight fail with ErrWorkersGone. Each rank
+// receives its messages in arrival order and dispatches on their tags.
+// A one-shot search opens a stream, submits and closes it; a
+// multi-query run is several concurrent Submits on one stream, and the
+// always-on blastd service keeps the same stream open for its entire
+// lifetime.
 // The stream sends each fragment's task to the worker that searched
 // that fragment last, whose cache most likely still holds its blocks,
 // and to any idle worker when that one is busy.
 //
 // Every rank runs with its own Config, built from the same options:
-// the master's Stream reads TaskTimeout and the scheduling telemetry
-// and records task spans with its tracer; each worker's RunWorker
+// the master's Stream reads the scheduling telemetry and records task
+// spans with its tracer; each worker's RunWorker
 // reads CopyToLocal and ChunkBytes, adds its kernel counters to the
 // telemetry and records search spans with its tracer. Nothing of a
 // Config crosses the wire: the query, parameters and fragment travel
@@ -54,13 +56,12 @@ import (
 )
 
 // Message tags. A worker sends Ready once to join; after that each
-// Result it sends is also its next Ready, and Leave is its last word.
-// The master sends workers only tasks, and itself a Wake.
+// Result it sends is also its next Ready. The master sends workers only
+// tasks, and itself a Wake; mpi.TagGone comes from the transport.
 const (
 	tagReady = iota + 10
 	tagTask
 	tagResult
-	tagLeave
 	tagWake
 )
 
@@ -83,11 +84,6 @@ type Config struct {
 	CopyToLocal bool
 	// ChunkBytes is the fragment streaming read size (0 = 16 MB).
 	ChunkBytes int
-	// TaskTimeout enables fault-tolerant scheduling: a task whose
-	// result has not arrived within this duration is handed to
-	// another idle worker, so a crashed worker cannot stall the job
-	// (duplicate results are discarded). Zero disables reassignment.
-	TaskTimeout time.Duration
 
 	// tel is the scheduling telemetry sink (WithTelemetry); a worker
 	// adds each search's kernel counters to it.
@@ -173,9 +169,8 @@ type Outcome struct {
 	SearchTime time.Duration
 	// Timeline records every accepted task in completion order.
 	Timeline []TaskEvent
-	// Reassigned counts tasks re-handed to another worker after their
-	// original assignee went silent or left (fault-tolerant
-	// scheduling and worker departure).
+	// Reassigned counts tasks re-handed to another worker after the
+	// transport reported their assignee gone.
 	Reassigned int
 }
 
@@ -192,13 +187,15 @@ func decodeGob(data []byte, v interface{}) error {
 //
 // The worker loop is mpiBLAST's: send Ready once, then take a task,
 // search it and send its result, which also asks for the next task,
-// until the master sends a done-task. Cancelling ctx makes the worker
-// leave: it withholds the result of a task its cancellation cut short,
-// announces its departure, the master re-queues any task still in
-// flight to it, and RunWorker returns ctx's error. When fs supports
-// chio.ContextBinder its in-flight parallel-FS reads abort too, so a
-// cancelled query releases the I/O path immediately.
+// until the master sends a done-task. RunWorker closes c however it
+// returns, so the transport reports this rank gone and the master
+// re-queues any task still in flight to it. Cancelling ctx makes the
+// worker leave: it withholds the result of a task its cancellation cut
+// short and returns ctx's error. When fs supports chio.ContextBinder
+// its in-flight parallel-FS reads abort too, so a cancelled query
+// releases the I/O path immediately.
 func RunWorker(ctx context.Context, c mpi.Comm, cfg Config, fs, scratch chio.FileSystem) error {
+	defer c.Close()
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -206,15 +203,13 @@ func RunWorker(ctx context.Context, c mpi.Comm, cfg Config, fs, scratch chio.Fil
 	if scratch != nil {
 		scratch = chio.BindContext(scratch, ctx)
 	}
-	// exit maps a failed send or receive to the worker's return. When
-	// ctx has ended the worker tells the master it is leaving and
-	// returns ctx's error. Otherwise a closed communicator means the
-	// master completed and shut the world down — a clean exit, not a
-	// fault (this worker may have been computing a reassigned
-	// duplicate).
+	// exit maps a failed send or receive to the worker's return: ctx's
+	// error once ctx has ended; otherwise a closed communicator means
+	// the master completed and shut the world down — a clean exit, not
+	// a fault (this worker may have been computing a withdrawn
+	// submission's task).
 	exit := func(err error) error {
 		if ctx.Err() != nil {
-			c.Send(0, tagLeave, nil) // best effort; master may be gone
 			return ctx.Err()
 		}
 		if errors.Is(err, mpi.ErrClosed) {
@@ -231,7 +226,7 @@ func RunWorker(ctx context.Context, c mpi.Comm, cfg Config, fs, scratch chio.Fil
 	var sr blast.Searcher
 	for {
 		// A task the master sends after ctx ends stays in the mailbox;
-		// the master re-queues it when our leave arrives.
+		// the master re-queues it when it hears this rank is gone.
 		var t taskMsg
 		if _, err := mpi.RecvGob(ctx, c, &t); err != nil {
 			return exit(err)

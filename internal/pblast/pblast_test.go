@@ -543,6 +543,9 @@ func TestOutcomeTimeline(t *testing.T) {
 			t.Errorf("task %d flagged reassigned in a healthy run", ev.Index)
 		}
 	}
+	if out.Reassigned != 0 {
+		t.Errorf("healthy run reassigned %d tasks", out.Reassigned)
+	}
 	if search != out.SearchTime {
 		t.Errorf("timeline search times sum to %v, outcome reports %v", search, out.SearchTime)
 	}
@@ -593,9 +596,10 @@ func TestOverTCPTransport(t *testing.T) {
 	checkFound(t, out)
 }
 
-// crashingWorker joins, takes exactly one task, then vanishes
-// without sending its result — a silent worker death.
+// crashingWorker joins, takes exactly one task, then closes c without
+// sending its result — a worker that dies holding the task.
 func crashingWorker(c mpi.Comm) error {
+	defer c.Close()
 	if err := c.Send(0, tagReady, nil); err != nil {
 		return err
 	}
@@ -613,9 +617,7 @@ func TestWorkerCrashReassignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := NewConfig("nt",
-		WithParams(blast.Params{Program: blast.BlastN}),
-		WithTaskTimeout(300*time.Millisecond))
+	cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}))
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
 	wg.Add(1)
@@ -650,100 +652,82 @@ func TestWorkerCrashReassignment(t *testing.T) {
 	}
 }
 
-func TestNoReassignmentWithoutTimeout(t *testing.T) {
-	// Sanity: the fault-tolerant path stays off by default and normal
-	// runs report zero reassignments.
-	fs := chio.NewMemFS()
-	query := buildTestDB(t, fs, "nt", 4)
-	out, err := searchPool(context.Background(), 3, query, NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN})), fs, sameFS(fs), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Reassigned != 0 {
-		t.Errorf("unexpected reassignments: %d", out.Reassigned)
-	}
-	checkFound(t, out)
-}
-
-func TestSlowWorkerDuplicateResultDiscarded(t *testing.T) {
-	// A worker that is merely slow (not dead) eventually returns a
-	// result for a task that was already reassigned and completed;
-	// the master must discard the duplicate and still merge cleanly.
-	fs := chio.NewMemFS()
-	query := buildTestDB(t, fs, "nt", 3)
-	world, err := mpi.NewWorld(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := NewConfig("nt",
-		WithParams(blast.Params{Program: blast.BlastN}),
-		WithTaskTimeout(200*time.Millisecond))
-	var wg sync.WaitGroup
-	errs := make([]error, 3)
-	// Rank 1: slow worker — handles its first task only after a long
-	// pause, then behaves normally.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c := world.Comm(1)
-		if err := c.Send(0, tagReady, nil); err != nil {
-			errs[1] = err
-			return
-		}
-		var tk taskMsg
-		if _, err := mpi.RecvGob(context.Background(), c, &tk); err != nil {
-			errs[1] = err
-			return
-		}
-		time.Sleep(700 * time.Millisecond) // long enough to be declared overdue
-		if tk.Kind == taskSearch {
-			rm := runTask(context.Background(), cfg, new(blast.Searcher), c.Rank(), &tk, fs, nil)
-			if err := mpi.SendGob(c, 0, tagResult, rm); err != nil && !errorsIsClosed(err) {
-				errs[1] = err
-				return
+// A TCP worker that goes while it holds a task is reported by the
+// router: the task runs on the other worker and Submit returns the
+// serial search's result. When both workers go holding tasks, Submit
+// fails naming them. Either way it returns within 2 s.
+func TestGoneTCPWorker(t *testing.T) {
+	for _, crashers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%d of 2", crashers), func(t *testing.T) {
+			mem := chio.NewMemFS()
+			query := buildTestDB(t, mem, "nt", 4)
+			alias, err := blastdb.ReadAlias(mem, "nt")
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		// Continue as a normal worker until released.
-		for {
-			var t2 taskMsg
-			if _, err := mpi.RecvGob(context.Background(), c, &t2); err != nil {
-				if !errorsIsClosed(err) {
-					errs[1] = err
+			router, err := mpi.StartRouter("127.0.0.1:0", 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer router.Close()
+			dial := func(rank int) mpi.Comm {
+				c, err := mpi.Dial(router.Addr(), rank, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { c.Close() })
+				return c
+			}
+			cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}))
+			st, err := StartStream(context.Background(), dial(0), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			type result struct {
+				out *Outcome
+				err error
+			}
+			submitted := make(chan result, 1)
+			go func() {
+				out, err := st.Submit(ctx, query, cfg.Params, alias)
+				submitted <- result{out, err}
+			}()
+			for r := 1; r <= crashers; r++ {
+				if err := crashingWorker(dial(r)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if crashers == 2 {
+				res := <-submitted
+				if !errors.Is(res.err, ErrWorkersGone) || !strings.Contains(fmt.Sprint(res.err), "ranks [1 2]") {
+					t.Fatalf("Submit with both workers gone returned %v, want ErrWorkersGone naming ranks [1 2]", res.err)
 				}
 				return
 			}
-			if t2.Kind == taskDone {
-				return
+			stayed := make(chan error, 1)
+			go func() { stayed <- RunWorker(context.Background(), dial(2), cfg, mem, nil) }()
+			res := <-submitted
+			if res.err != nil {
+				t.Fatalf("Submit failed because a worker was gone: %v", res.err)
 			}
-			rm := runTask(context.Background(), cfg, new(blast.Searcher), c.Rank(), &t2, fs, nil)
-			if err := mpi.SendGob(c, 0, tagResult, rm); err != nil {
-				if !errorsIsClosed(err) {
-					errs[1] = err
-				}
-				return
+			if res.out.Reassigned < 1 {
+				t.Errorf("reassigned %d tasks, want the one the gone worker held", res.out.Reassigned)
 			}
-		}
-	}()
-	wg.Add(1)
-	go func() { defer wg.Done(); errs[2] = RunWorker(context.Background(), world.Comm(2), cfg, fs, nil) }()
-	out, masterErr := searchStream(context.Background(), world.Comm(0), fs, query, cfg)
-	world.Close()
-	wg.Wait()
-	if masterErr != nil {
-		t.Fatalf("master: %v", masterErr)
-	}
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	checkFound(t, out)
-	if len(out.Timeline) != 3 {
-		t.Errorf("completed %d of 3 tasks", len(out.Timeline))
+			if want := serialSearch(t, mem, query, cfg.Params); !reflect.DeepEqual(res.out.Result, want) {
+				t.Errorf("result differs from the serial search:\nparallel %s\nserial   %s", hitShape(res.out.Result), hitShape(want))
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-stayed; err != nil {
+				t.Errorf("staying worker returned %v", err)
+			}
+		})
 	}
 }
-
-func errorsIsClosed(err error) bool { return errors.Is(err, mpi.ErrClosed) }
 
 func TestBatchMultiQuery(t *testing.T) {
 	fs := chio.NewMemFS()
@@ -875,8 +859,7 @@ func TestBatchMatchesIndividualRuns(t *testing.T) {
 
 func TestWorkerTaskFailureSurfacesToMaster(t *testing.T) {
 	// A worker whose file system errors mid-search must fail its task
-	// and the master must surface the error (fail-fast without a
-	// TaskTimeout policy).
+	// and the master must surface the error (fail-fast).
 	shared := chio.NewMemFS()
 	query := buildTestDB(t, shared, "nt", 3)
 	ffs := chio.NewFaultFS(shared)

@@ -125,9 +125,9 @@ func (p *Pool) Close() error {
 	p.mu.Lock()
 	p.closing = true
 	p.mu.Unlock()
-	// Cancel and shut the world down before joining the workers: with
-	// fault-tolerant scheduling, stragglers may still be computing
-	// reassigned duplicates and only learn of completion this way.
+	// Cancel and shut the world down before joining the workers: one
+	// the release phase stopped waiting for (still computing a withdrawn
+	// submission's task) learns of completion only this way.
 	p.cancel()
 	p.world.Close()
 	p.wg.Wait()

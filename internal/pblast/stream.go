@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -18,11 +19,15 @@ import (
 // finishes in-flight submissions but accepts no new ones.
 var ErrDraining = errors.New("pblast: stream draining")
 
+// ErrWorkersGone fails every submission in flight when the transport
+// has reported each worker rank gone; the error wrapping it names them.
+var ErrWorkersGone = errors.New("pblast: every worker is gone")
+
 // Stream is a continuously-fed master scheduler: it owns rank 0 of a
 // communicator and hands (query x fragment) tasks to whichever
 // workers are idle, for as long as the stream lives. Submissions may
 // arrive from any goroutine at any time; workers may join (with their
-// first Ready) and leave (when RunWorker's context is cancelled) while
+// first Ready) and go (the transport reports each gone rank) while
 // searches run. Close drains in-flight submissions and releases the
 // workers. This is the machinery behind the in-process Pool and,
 // through it, the always-on blastd service, and behind mpiblast's
@@ -65,8 +70,8 @@ type submission struct {
 
 // StartStream opens a stream on rank 0 of c. Workers running
 // RunWorker on the other ranks join with their first Ready — none need
-// exist yet. The stream reads only the master's part of cfg:
-// TaskTimeout, the scheduling telemetry and the tracer for task spans.
+// exist yet. The stream reads only the master's part of cfg: the
+// scheduling telemetry and the tracer for task spans.
 // How a task is read and searched is each worker's own Config; the
 // query, parameters and database arrive per submission.
 func StartStream(ctx context.Context, c mpi.Comm, cfg Config) (*Stream, error) {
@@ -221,23 +226,10 @@ type taskState struct {
 	rehanded bool
 }
 
-// overdueBefore orders overdue assignments for re-sending: the one
-// assigned longest ago first, then by submission, then by index.
-func (ts *taskState) overdueBefore(o *taskState) bool {
-	if !ts.at.Equal(o.at) {
-		return ts.at.Before(o.at)
-	}
-	if ts.sub.id != o.sub.id {
-		return ts.sub.id < o.sub.id
-	}
-	return ts.msg.Index < o.msg.Index
-}
-
 // loop is the scheduling goroutine: the single owner of all task and
-// worker state. It mirrors the fault-tolerant scheduler the one-shot
-// master used — pending -> assigned -> done with overdue reassignment
-// and duplicate-result discard — generalized to many concurrent
-// submissions and a worker set that changes underneath it.
+// worker state. Tasks go pending -> assigned -> done, many concurrent
+// submissions share the workers, and a worker the transport reports
+// gone gives its assigned tasks back to the front of the line.
 func (s *Stream) loop(ctx context.Context) {
 	defer close(s.loopDone)
 
@@ -249,7 +241,8 @@ func (s *Stream) loop(ctx context.Context) {
 	// to: that worker's cache most likely still holds its blocks.
 	// Entries are never cleared — a stale one costs one cold read.
 	holder := make(map[string]int)
-	active := make(map[int]bool) // has sent Ready and has not left
+	active := make(map[int]bool) // has sent Ready and is not gone
+	gone := make(map[int]bool)   // reported by the transport; heard no more
 	loopStart := time.Now()
 
 	// failAll completes every in-flight submission with err and
@@ -287,7 +280,7 @@ func (s *Stream) loop(ctx context.Context) {
 	// reports whether Close has been requested.
 	drainQueue := func() bool {
 		s.mu.Lock()
-		fresh, gone := s.queue, s.withdrawn
+		fresh, withdrawn := s.queue, s.withdrawn
 		s.queue, s.withdrawn = nil, nil
 		closing := s.closing
 		s.mu.Unlock()
@@ -299,7 +292,7 @@ func (s *Stream) loop(ctx context.Context) {
 				pending = append(pending, k)
 			}
 		}
-		for _, sub := range gone {
+		for _, sub := range withdrawn {
 			if subs[sub.id] == sub {
 				finishSub(sub, sub.cancelErr)
 			}
@@ -332,7 +325,7 @@ func (s *Stream) loop(ctx context.Context) {
 	}
 
 	// requeue puts an assigned task back at the head of the line —
-	// its holder departed.
+	// its holder is gone.
 	requeue := func(ts *taskState) {
 		recordTask(ts, ts.to, 0, "reassigned: worker left")
 		ts.state = statePending
@@ -344,9 +337,7 @@ func (s *Stream) loop(ctx context.Context) {
 
 	// pickTask chooses work for an idle worker: the oldest pending
 	// task whose fragment this worker searched last, else the oldest
-	// pending task, so an idle worker never waits; then — with
-	// TaskTimeout set — the longest-overdue assignment held by a
-	// different worker (it may have died).
+	// pending task, so an idle worker never waits.
 	pickTask := func(worker int) *taskState {
 		live, pick := pending[:0], -1
 		for _, k := range pending {
@@ -364,24 +355,7 @@ func (s *Stream) loop(ctx context.Context) {
 			pending = append(pending[:pick], pending[pick+1:]...)
 			return ts
 		}
-		if s.cfg.TaskTimeout <= 0 {
-			return nil
-		}
-		var late *taskState
-		for _, ts := range tasks {
-			if ts.state == stateAssigned && ts.to != worker &&
-				time.Since(ts.at) >= s.cfg.TaskTimeout &&
-				(late == nil || ts.overdueBefore(late)) {
-				late = ts
-			}
-		}
-		if late != nil {
-			recordTask(late, late.to, 0, "reassigned: overdue")
-			late.rehanded = true
-			late.sub.out.Reassigned++
-			s.cfg.tel.observeReassign()
-		}
-		return late
+		return nil
 	}
 
 	// dispatch pairs idle workers with assignable tasks and records
@@ -417,25 +391,26 @@ func (s *Stream) loop(ctx context.Context) {
 			failAll(err)
 			return
 		}
+		if len(gone) == s.c.Size()-1 {
+			ranks := make([]int, len(gone))
+			for i := range ranks {
+				ranks[i] = i + 1
+			}
+			failAll(fmt.Errorf("%w: ranks %v", ErrWorkersGone, ranks))
+			return
+		}
 		if err := dispatch(); err != nil {
 			failAll(err)
 			return
 		}
 
-		// With TaskTimeout set the receive also ends every TaskTimeout/2,
-		// so an idle loop still wakes to hand out overdue tasks.
-		rctx, cancel := ctx, context.CancelFunc(func() {})
-		if s.cfg.TaskTimeout > 0 {
-			rctx, cancel = context.WithTimeout(ctx, s.cfg.TaskTimeout/2)
-		}
-		m, err := s.c.Recv(rctx)
-		cancel()
-		if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-			continue // overdue tick: dispatch retries overdue tasks
-		}
+		m, err := s.c.Recv(ctx)
 		if err != nil {
 			failAll(err)
 			return
+		}
+		if gone[m.From] {
+			continue
 		}
 
 		switch m.Tag {
@@ -445,14 +420,10 @@ func (s *Stream) loop(ctx context.Context) {
 			// A worker joined.
 			active[m.From] = true
 			idle = append(idle, m.From)
-		case tagLeave:
+		case mpi.TagGone:
+			gone[m.From] = true
 			delete(active, m.From)
-			for i, w := range idle {
-				if w == m.From {
-					idle = append(idle[:i], idle[i+1:]...)
-					break
-				}
-			}
+			idle = slices.DeleteFunc(idle, func(w int) bool { return w == m.From })
 			// Hand its in-flight tasks to someone else.
 			for _, ts := range tasks {
 				if ts.state == stateAssigned && ts.to == m.From {
@@ -469,7 +440,7 @@ func (s *Stream) loop(ctx context.Context) {
 			}
 			ts := tasks[taskKey{rm.Sub, rm.Index}]
 			if ts == nil || ts.state == stateDone {
-				break // duplicate from a reassigned task, or failed submission
+				break // from a withdrawn or failed submission
 			}
 			recordTask(ts, m.From, rm.ReadBytes, rm.Err)
 			if rm.Err != "" {
@@ -502,10 +473,10 @@ func (s *Stream) loop(ctx context.Context) {
 
 	// Release phase: every worker currently waiting for work gets a
 	// done-task, then each late Ready or Result releases its sender,
-	// until all attached workers have been released (a short deadline
-	// per wait bounds the cost when workers have died); stragglers
-	// computing duplicates learn of completion when the communicator
-	// shuts down.
+	// until all attached workers have been released or are gone. A
+	// short deadline per wait bounds the cost of a worker that is still
+	// computing a withdrawn submission's task, or is stopped: it learns
+	// of completion when the communicator shuts down.
 	released := make(map[int]bool)
 	release := func(w int) error {
 		if released[w] {
@@ -544,7 +515,7 @@ func (s *Stream) loop(ctx context.Context) {
 				s.loopErr = err
 				return
 			}
-		case tagLeave:
+		case mpi.TagGone:
 			delete(active, m.From)
 		}
 		// Wakes are dropped on the floor.

@@ -40,7 +40,7 @@ func NewTelemetry(reg *telemetry.Registry) *Telemetry {
 		tasksDone: reg.Counter("pario_pblast_tasks_completed_total",
 			"Tasks whose results the master has accepted."),
 		reassigned: reg.Counter("pario_pblast_tasks_reassigned_total",
-			"Overdue tasks re-handed to another worker (fault-tolerant scheduling)."),
+			"Tasks re-handed to another worker after the transport reported their assignee gone."),
 		affinity: reg.CounterVec("pario_pblast_task_affinity_total",
 			"Task dispatches by the fragment's previous holder: held (this worker searched it last), moved (another worker did), cold (none has).",
 			"outcome"),

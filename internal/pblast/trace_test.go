@@ -141,10 +141,11 @@ func TestUntracedMasterKeepsWorkerQuiet(t *testing.T) {
 	}
 }
 
-func TestReassignedTaskDuplicateSpans(t *testing.T) {
-	// A slow worker's task goes overdue and is re-run elsewhere: the
-	// master must emit one task span per assignment, sharing the span ID
-	// minted at submission, with the abandoned one marked reassigned.
+// goneWorkerRun runs a traced search of three fragments in which rank
+// 1 takes one task and is gone without sending its result, and rank 2
+// runs the rest. It returns the tracer.
+func goneWorkerRun(t *testing.T) *telemetry.Tracer {
+	t.Helper()
 	fs := chio.NewMemFS()
 	query := buildTestDB(t, fs, "nt", 3)
 	tr := telemetry.NewTracer(128)
@@ -152,31 +153,14 @@ func TestReassignedTaskDuplicateSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := NewConfig("nt",
-		WithParams(blast.Params{Program: blast.BlastN}),
-		WithTaskTimeout(200*time.Millisecond), WithTracer(tr))
+	cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}), WithTracer(tr))
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
-	// Rank 1 takes one task and sits on it past the timeout.
-	wg.Add(1)
+	wg.Add(2)
+	go func() { defer wg.Done(); errs[1] = crashingWorker(world.Comm(1)) }()
 	go func() {
 		defer wg.Done()
-		c := world.Comm(1)
-		if err := c.Send(0, tagReady, nil); err != nil {
-			errs[1] = err
-			return
-		}
-		var tk taskMsg
-		if _, err := mpi.RecvGob(context.Background(), c, &tk); err != nil {
-			errs[1] = err
-			return
-		}
-		time.Sleep(600 * time.Millisecond) // declared overdue meanwhile
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		time.Sleep(100 * time.Millisecond) // let the slow rank claim first
+		time.Sleep(100 * time.Millisecond) // let rank 1 claim first
 		errs[2] = RunWorker(context.Background(), world.Comm(2), cfg, fs, nil)
 	}()
 
@@ -195,9 +179,16 @@ func TestReassignedTaskDuplicateSpans(t *testing.T) {
 	}
 	checkFound(t, out)
 	if out.Reassigned == 0 {
-		t.Fatal("no reassignment happened; the scenario did not trigger")
+		t.Fatal("the gone worker's task was not requeued")
 	}
+	return tr
+}
 
+func TestReassignedTaskDuplicateSpans(t *testing.T) {
+	// A worker is gone holding a task, which is re-run elsewhere: the
+	// master must emit one task span per assignment, sharing the span ID
+	// minted at submission, with the abandoned one marked reassigned.
+	tr := goneWorkerRun(t)
 	bySpanID := map[uint64][]telemetry.Span{}
 	for _, sp := range tr.Recent() {
 		if sp.Name == "task" {
@@ -212,7 +203,7 @@ func TestReassignedTaskDuplicateSpans(t *testing.T) {
 		sawDuplicate = true
 		var reassigned bool
 		for _, sp := range group {
-			if sp.Err == "reassigned: overdue" || sp.Err == "reassigned: worker left" {
+			if sp.Err == "reassigned: worker left" {
 				reassigned = true
 			}
 		}
@@ -229,56 +220,7 @@ func TestWorkerLeaveMidQuerySpan(t *testing.T) {
 	// A worker departs while holding an assigned task: the master
 	// requeues it and closes that assignment's span with the
 	// worker-left marker.
-	fs := chio.NewMemFS()
-	query := buildTestDB(t, fs, "nt", 3)
-	tr := telemetry.NewTracer(128)
-	world, err := mpi.NewWorld(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}), WithTracer(tr))
-	var wg sync.WaitGroup
-	errs := make([]error, 3)
-	// Rank 1 accepts one task, then announces departure without a result.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c := world.Comm(1)
-		if err := c.Send(0, tagReady, nil); err != nil {
-			errs[1] = err
-			return
-		}
-		var tk taskMsg
-		if _, err := mpi.RecvGob(context.Background(), c, &tk); err != nil {
-			errs[1] = err
-			return
-		}
-		c.Send(0, tagLeave, nil)
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		time.Sleep(100 * time.Millisecond)
-		errs[2] = RunWorker(context.Background(), world.Comm(2), cfg, fs, nil)
-	}()
-
-	ctx, root := tr.Start(context.Background(), "request")
-	out, masterErr := searchStream(ctx, world.Comm(0), fs, query, cfg)
-	root.Finish(nil)
-	world.Close()
-	wg.Wait()
-	if masterErr != nil {
-		t.Fatalf("master: %v", masterErr)
-	}
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	checkFound(t, out)
-	if out.Reassigned == 0 {
-		t.Fatal("departure did not trigger a requeue")
-	}
+	tr := goneWorkerRun(t)
 	var left bool
 	for _, sp := range tr.Recent() {
 		if sp.Name == "task" && sp.Err == "reassigned: worker left" {

@@ -5,7 +5,9 @@
 # and a CEFT one (mgr + 2 primary + 2 mirror), then
 #   - formatdb the same FASTA onto local disk, PVFS and CEFT, and
 #     dbinfo -verify each copy (PVFS through the legacy "-mgr without
-#     -io" spelling);
+#     -io" spelling), and a local copy whose fragment 0 has a zeroed
+#     magic, which dbinfo -verify lists as CORRUPT while it checks the
+#     other three;
 #   - pariocp a fragment out of CEFT, byte-compare it with the local
 #     one, and -ls it on both parallel stores;
 #   - search a two-query FASTA with mpiblast in-process (with and
@@ -23,6 +25,10 @@
 #     of a dinucleotide repeat hits the database's one repeat subject
 #     unfiltered and nothing under -F, and in-process and distributed
 #     mpiblast -F must print serial blastn -F's hit lines;
+#   - kill a worker process (SIGKILL) that holds a task in a
+#     distributed run: its task is re-run on the other worker and the
+#     master exits 0 within 20 s with serial blastn's hit lines; kill
+#     both, and the master exits 1 naming both ranks;
 #   - require blastn to refuse a megablast word longer than 31 bases,
 #     and mpiblast to refuse -trace in distributed mode.
 # Exercised by `make cli-smoke` (part of `make check`).
@@ -87,6 +93,18 @@ verify() {
 verify local -root "$TMP/local"
 verify pvfs $PVFS # no -io: -mgr alone has always meant PVFS here
 verify ceft -io ceft $CEFT
+
+# A fragment that cannot be opened is listed as CORRUPT, its error
+# printed once, and the fragments after it are still checked.
+cp -r "$TMP/local" "$TMP/broken"
+dd if=/dev/zero of="$TMP/broken/nt.000.pfr" bs=8 count=1 conv=notrunc 2>/dev/null
+code=0
+"$TMP/dbinfo" -db nt -verify -root "$TMP/broken" >"$TMP/dbinfo.broken" 2>"$TMP/dbinfo.broken.err" || code=$?
+[ "$code" = 1 ] && [ "$(grep -c ' CORRUPT$' "$TMP/dbinfo.broken")" -eq 1 ] &&
+    [ "$(grep -c ' ok$' "$TMP/dbinfo.broken")" -eq 3 ] &&
+    [ "$(grep -c 'nt\.000\.pfr: bad magic' "$TMP/dbinfo.broken.err")" -eq 1 ] ||
+    fail "dbinfo -verify with a zeroed magic: exit $code, want 1 CORRUPT and 3 ok fragments" \
+        "$TMP/dbinfo.broken" "$TMP/dbinfo.broken.err"
 
 # pariocp resolves local names against the working directory.
 mkdir -p "$TMP/out"
@@ -221,4 +239,62 @@ for run in inproc.F dist.F; do
         fail "$run hit lines differ from serial blastn -F" "$TMP/filtered.hits" "$TMP/$run.hits"
 done
 
-echo "cli-smoke: ok ($(wc -l <"$TMP/serial.hits") hit lines, 5 ways; $(wc -l <"$TMP/mega.hits") megablast hit lines, 2 ways; $(wc -l <"$TMP/filtered.hits") -F hit lines, 3 ways)"
+# Killed workers. hold_tasks DIR makes every fragment name in DIR a
+# FIFO that nothing drains, so a worker copying a fragment there holds
+# that task for good, blocked in the copy, and creates DIR/held once a
+# worker has opened one. kill_run NAME PORT VICTIMS starts a master
+# over PVFS under a 20 s timeout; each rank in VICTIMS, in turn, joins
+# with -scratch in a held directory and takes a task, then the other
+# worker rank joins normally, and every victim is killed with SIGKILL.
+# The master's exit status is left in $code.
+hold_tasks() {
+    mkdir -p "$1"
+    for i in 0 1 2 3; do
+        mkfifo "$1/nt.00$i.pfr"
+        (exec 3<"$1/nt.00$i.pfr" && : >"$1/held" && exec sleep 60) &
+        PIDS="$PIDS $!"
+    done
+}
+kill_run() {
+    name=$1 router="127.0.0.1:$2" victims=$3
+    timeout 20 "$TMP/mpiblast" -db nt -query "$TMP/q.fasta" -outfmt tabular -io pvfs $PVFS \
+        -router "$router" -start-router -size 3 -rank 0 -report "$TMP/$name.json" \
+        >"$TMP/$name.out" 2>"$TMP/$name.log" &
+    master=$!
+    PIDS="$PIDS $master"
+    VPIDS=""
+    for r in $victims; do
+        hold_tasks "$TMP/$name.held/worker$r"
+        "$TMP/mpiblast" -db nt -query "$TMP/q.fasta" -io pvfs $PVFS -scratch "$TMP/$name.held" \
+            -router "$router" -size 3 -rank "$r" >"$TMP/$name.w$r.log" 2>&1 &
+        VPIDS="$VPIDS $!"
+        PIDS="$PIDS $!"
+        wait_for 10 test -e "$TMP/$name.held/worker$r/held" ||
+            fail "worker $r of the $name run took no task" "$TMP/$name.log" "$TMP/$name.w$r.log"
+    done
+    WPIDS=""
+    for r in 1 2; do
+        case " $victims " in *" $r "*) continue ;; esac
+        "$TMP/mpiblast" -db nt -query "$TMP/q.fasta" -io pvfs $PVFS \
+            -router "$router" -size 3 -rank "$r" >"$TMP/$name.w$r.log" 2>&1 &
+        WPIDS="$WPIDS $!"
+        PIDS="$PIDS $!"
+    done
+    kill -KILL $VPIDS
+    code=0
+    wait "$master" || code=$?
+}
+kill_run kill1 "$((BASE + 24))" 1
+[ "$code" = 0 ] || fail "master exited $code after a worker was killed (124: still running after 20 s)" \
+    "$TMP/kill1.log" "$TMP/kill1.w2.log"
+wait $WPIDS || fail "the surviving worker of the kill1 run failed" "$TMP/kill1.w2.log"
+hits "$TMP/kill1.out" >"$TMP/kill1.hits"
+cmp -s "$TMP/serial.hits" "$TMP/kill1.hits" ||
+    fail "hit lines after a killed worker differ from serial blastn" "$TMP/serial.hits" "$TMP/kill1.hits"
+grep -q 'reassigned tasks *[1-9]' "$TMP/kill1.log" ||
+    fail "the killed worker's task was not reported reassigned" "$TMP/kill1.log"
+kill_run kill2 "$((BASE + 25))" "1 2"
+[ "$code" = 1 ] && grep -q 'every worker is gone: ranks \[1 2\]' "$TMP/kill2.log" ||
+    fail "master exited $code with both workers killed, want 1 naming ranks [1 2]" "$TMP/kill2.log"
+
+echo "cli-smoke: ok ($(wc -l <"$TMP/serial.hits") hit lines, 5 ways; $(wc -l <"$TMP/mega.hits") megablast hit lines, 2 ways; $(wc -l <"$TMP/filtered.hits") -F hit lines, 3 ways; killed workers: 1 re-run, 2 named)"
