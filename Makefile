@@ -36,7 +36,9 @@ test:
 # lapse in the loop's idle list, gone set or requeue shows up only as a
 # rare interleaving; affinity: pickTask chooses among pending tasks by
 # holder, so a wrong choice shows up only in some orders of results and
-# readies), re-run pvfs's heartbeat and Close
+# readies; each gone-worker test has its own 2 s deadline, and the loop
+# a 2-minute timeout, so a scheduler that hangs elsewhere ends the loop
+# in minutes, not after the default 10), re-run pvfs's heartbeat and Close
 # tests ten times under the race detector (a data server's heartbeat
 # runs under a context that Close cancels, so a report in flight
 # races the shutdown only in some interleavings), re-run
@@ -60,7 +62,7 @@ check: lint race
 	$(GO) test -race -count=20 -run 'Concurrent' ./internal/chio/
 	$(GO) test -race -count=20 -run 'TestFormatStopsReadingOnError|TestConcurrentSourcesShareOneFragment' ./internal/blastdb/
 	$(GO) test -race -count=20 ./internal/mpi/
-	$(GO) test -race -count=10 -run 'Leave|Crash|Duplicate|Cancelled|Idle|Affinity|Gone' ./internal/pblast/
+	$(GO) test -race -count=10 -timeout 120s -run 'Leave|Crash|Duplicate|Cancelled|Idle|Affinity|Gone' ./internal/pblast/
 	$(GO) test -race -count=10 -run 'Heartbeat|Close' ./internal/pvfs/
 	$(GO) test -run TestSearchSubjectSteadyStateAllocs ./internal/blast/
 	$(GO) test -run TestSearcherRepeatAllocs ./internal/blast/

@@ -1,11 +1,11 @@
 // Command blastn runs a single-process blastn search of a nucleotide
-// FASTA query against a pario database, optionally in megablast mode
-// and with DUST filtering of the query.
+// FASTA query against a pario database with 11-base seed words, or in
+// megablast mode with 28-base ones, optionally with DUST filtering.
 //
 // Usage:
 //
-//	blastn -db nt -query q.fasta [-evalue 10] [-word 11] [-megablast]
-//	       [-F] [-outfmt report|tabular] [-root DIR]
+//	blastn -db nt -query q.fasta [-evalue 10] [-megablast] [-F]
+//	       [-outfmt report|tabular] [-root DIR]
 package main
 
 import (
@@ -26,7 +26,6 @@ func main() {
 		db     = flag.String("db", "", "database name (required)")
 		query  = flag.String("query", "", "query FASTA file (- for stdin; required)")
 		evalue = flag.Float64("evalue", 10, "e-value report cutoff")
-		word   = flag.Int("word", 0, "seed word size (0 = 11, or 28 with -megablast; at most 16, or 31 with -megablast)")
 		outfmt = flag.String("outfmt", "report", "report|tabular")
 		mega   = flag.Bool("megablast", false, "megablast mode: 28-mer seeds + greedy extension")
 		filter = flag.Bool("F", false, "mask low-complexity query regions with DUST")
@@ -74,7 +73,6 @@ func main() {
 	params := blast.Params{
 		Program:       blast.BlastN,
 		EValue:        *evalue,
-		WordSize:      *word,
 		MaxTargetSeqs: *maxTgt,
 		Greedy:        *mega,
 		Filter:        *filter,

@@ -83,15 +83,14 @@ func denseDNA(rng *util.RNG, n int) []byte {
 	return data
 }
 
-// TestNucLookupMatchesReference drives both CSR forms (direct for
-// 2W <= nucDirectBits, stride above it, including the k < 8 stride
-// widths W = 9 and 10), scanning the packed subject, against the
-// reference map implementation scanning its codes, over queries with
-// planted repeats and optional masking, and requires identical seed
-// streams. The subjects cover every length mod 4; each carries matches
-// starting at s = 0…3 and one ending on its last base, so every stride
-// phase, the s >= 0 bound, the s+W <= n bound and Window64's tail path
-// all fire.
+// TestNucLookupMatchesReference drives the CSR table at both word
+// sizes the engine runs (blastn's 11, megablast's 28), scanning the
+// packed subject, against the reference map implementation scanning its
+// codes, over queries with planted repeats and optional masking, and
+// requires identical seed streams. The subjects cover every length mod
+// 4; each carries matches starting at s = 0…3 and one ending on its
+// last base, so every phase, the s >= 0 bound, the s+W <= n bound and
+// Window64's tail path all fire.
 func TestNucLookupMatchesReference(t *testing.T) {
 	rng := util.NewRNG(4242)
 	query := denseDNA(rng, 600)
@@ -121,16 +120,13 @@ func TestNucLookupMatchesReference(t *testing.T) {
 		masked[i] = true
 	}
 
-	for _, w := range []int{4, 8, 9, 10, 11, 12, 16, 28, 31} {
+	for _, w := range []int{blastnWord, megablastWord} {
 		for _, m := range [][]bool{nil, masked} {
 			name := "unmasked"
 			if m != nil {
 				name = "masked"
 			}
 			lt := buildNucLookup([][]byte{query}, w, [][]bool{m})
-			if direct := 2*w <= nucDirectBits; (lt.present == nil) != direct {
-				t.Errorf("w=%d: direct form = %v, want %v", w, lt.present == nil, direct)
-			}
 			ref := buildRefNucLookup(query, w, m)
 			for _, subject := range subjects {
 				n := len(subject)
@@ -155,9 +151,9 @@ func TestNucLookupMatchesReference(t *testing.T) {
 	}
 }
 
-// TestNucLookupStrideNoFalseHits feeds the stride form a subject built
-// from the query's own 8-mers in random flanks, so many aligned subject
-// k-mers pass the presence vector while the whole words around them
+// TestNucLookupStrideNoFalseHits feeds the table a subject built from
+// the query's own 8-mers in random flanks, so many aligned subject
+// 8-mers pass the presence vector while the whole words around them
 // mostly do not match: verification must reject every one of those and
 // the seed stream must still equal the reference's.
 func TestNucLookupStrideNoFalseHits(t *testing.T) {
@@ -170,27 +166,24 @@ func TestNucLookupStrideNoFalseHits(t *testing.T) {
 		subject = append(subject, query[q:q+8]...)
 	}
 	packed := seq.PackCodes(subject)
-	for _, w := range []int{11, 28} {
+	for _, w := range []int{blastnWord, megablastWord} {
 		lt := buildNucLookup([][]byte{query}, w, nil)
-		if lt.present == nil {
-			t.Fatalf("w=%d should build the stride form", w)
-		}
 		passed := 0
-		for a := 0; a+lt.k <= len(subject); a += 4 {
-			key := (int(packed[a/4]) | int(packed[a/4+1])<<8) & (1<<(2*lt.k) - 1)
+		for a := 0; a+nucKey <= len(subject); a += 4 {
+			key := int(packed[a/4]) | int(packed[a/4+1])<<8
 			if lt.present[key/64]&(1<<(key%64)) != 0 {
 				passed++
 			}
 		}
 		if passed <= 100 {
-			t.Fatalf("w=%d: only %d aligned subject k-mers pass the presence vector; test is vacuous", w, passed)
+			t.Fatalf("w=%d: only %d aligned subject 8-mers pass the presence vector; test is vacuous", w, passed)
 		}
 		ref := buildRefNucLookup(query, w, nil)
 		var got, want seedRecorder
 		lt.scan(packed, len(subject), &got)
 		ref.scan(subject, &want)
 		if !reflect.DeepEqual(got.views, want.views) {
-			t.Errorf("w=%d: stride form differs from reference: %d vs %d seeds",
+			t.Errorf("w=%d: table differs from reference: %d vs %d seeds",
 				w, len(got.view(0)), len(want.view(0)))
 		}
 	}
@@ -199,7 +192,7 @@ func TestNucLookupStrideNoFalseHits(t *testing.T) {
 // TestNucLookupEmptyQuery covers the degenerate builds.
 func TestNucLookupEmptyQuery(t *testing.T) {
 	var rec seedRecorder
-	for _, w := range []int{11, 28} {
+	for _, w := range []int{blastnWord, megablastWord} {
 		lt := buildNucLookup(nil, w, nil)
 		lt.scan(make([]byte, 25), 100, &rec)
 		lt = buildNucLookup([][]byte{make([]byte, w-1)}, w, nil)
@@ -295,10 +288,9 @@ func aRichQuery(rng *util.RNG) *seq.Sequence {
 }
 
 // TestOneTableSeedsMatchPerView pins the one-table scan to the
-// per-view scans it replaced: for the direct form (W=7) and the stride
-// form (W=10, W=11, W=28), with and without DUST, each view's seeds
-// from the packed subject must arrive exactly as its own table and the
-// map reference deliver them.
+// per-view scans it replaced: at W=11 and W=28, with and without DUST,
+// each view's seeds from the packed subject must arrive exactly as its
+// own table and the map reference deliver them.
 func TestOneTableSeedsMatchPerView(t *testing.T) {
 	rng := util.NewRNG(4244)
 	query := randomDNA(rng, "q", 300)
@@ -311,7 +303,7 @@ func TestOneTableSeedsMatchPerView(t *testing.T) {
 	polyA := nucSeq(strings.Repeat("A", 3000))
 	aRich := aRichQuery(rng)
 
-	for _, w := range []int{7, 10, 11, 28} {
+	for _, w := range []int{blastnWord, megablastWord} {
 		for _, filter := range []bool{false, true} {
 			name := fmt.Sprintf("w=%d/filter=%v", w, filter)
 			t.Run(name, func(t *testing.T) {
@@ -333,20 +325,19 @@ func TestOneTableSeedsMatchPerView(t *testing.T) {
 
 // FuzzOneTableSeeds compares the one-table scan against the per-view
 // reference scans on arbitrary query and subject bases (each byte's low
-// two bits pick the letter). sel picks the word size (bits 0-2: the
-// direct form's W = 7 and every stride width from the k < 8 cases up
-// to nucMaxWord) and turns DUST on (bit 3).
+// two bits pick the letter). sel picks the word size (bit 0: blastn's
+// 11 or megablast's 28) and turns DUST on (bit 1).
 func FuzzOneTableSeeds(f *testing.F) {
 	rng := util.NewRNG(4245)
 	pal := palindromeQuery(rng, 40)
 	f.Add(pal.Data, pal.Data[10:70], uint8(0))
-	f.Add(aRichQuery(rng).Data, []byte(strings.Repeat("A", 200)), uint8(3))
-	f.Add(aRichQuery(rng).Data, []byte(strings.Repeat("A", 200)), uint8(6|8))
-	f.Add([]byte("ACGTAC"), []byte("ACGTACGTACGT"), uint8(0))
-	f.Add([]byte("ACGTACGTACGTACGTACGT"), []byte("ACG"), uint8(6))
+	f.Add(aRichQuery(rng).Data, []byte(strings.Repeat("A", 200)), uint8(1))
+	f.Add(aRichQuery(rng).Data, []byte(strings.Repeat("A", 200)), uint8(1|2))
+	f.Add([]byte("ACGTACGTAC"), []byte("ACGTACGTACGTACGT"), uint8(0))
+	f.Add([]byte("ACGTACGTACGTACGTACGTACGTACGTACGT"), []byte("ACG"), uint8(1))
 	f.Add(pal.Data, pal.Data[13:71], uint8(1))
-	f.Add(pal.Data, pal.Data[2:79], uint8(2|8))
-	f.Add(pal.Data, pal.Data[:80], uint8(7))
+	f.Add(pal.Data, pal.Data[2:79], uint8(2))
+	f.Add(pal.Data, pal.Data[:80], uint8(1|2))
 	f.Fuzz(func(t *testing.T, query, subject []byte, sel uint8) {
 		const maxLen = 1 << 9 // all-A inputs seed len(query) x len(subject) times
 		if len(query) > maxLen || len(subject) > maxLen {
@@ -359,7 +350,7 @@ func FuzzOneTableSeeds(f *testing.F) {
 			}
 			return string(out)
 		}
-		w := []int{7, 9, 10, 11, 12, 16, 28, 31}[sel&7]
-		checkOneTableSeeds(t, nucSeq(letters(query)), nucSeq(letters(subject)), w, sel&8 != 0)
+		w := []int{blastnWord, megablastWord}[sel&1]
+		checkOneTableSeeds(t, nucSeq(letters(query)), nucSeq(letters(subject)), w, sel&2 != 0)
 	})
 }

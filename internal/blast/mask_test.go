@@ -244,33 +244,26 @@ func TestMegablastReverseStrand(t *testing.T) {
 
 func TestMegablastValidation(t *testing.T) {
 	n := Params{Program: BlastN, Greedy: true}.Defaults()
-	if n.WordSize != 28 {
-		t.Errorf("megablast default word = %d, want 28", n.WordSize)
+	if n.wordSize() != 28 {
+		t.Errorf("megablast word = %d, want 28", n.wordSize())
 	}
 	if err := n.Validate(); err != nil {
 		t.Errorf("megablast defaults invalid: %v", err)
 	}
 }
 
-// TestMegablastWordLimit pins megablast's word-size ceiling,
-// nucLookup's nucMaxWord: Validate must refuse W > 31 with an error
-// naming the limit (above 32 a word no longer fits the 64-bit packed
-// word the table verifies, and would silently lose seeds), and W = 31
-// must still find a query's full-length self-alignment, including its
-// poly-T run, whose words carry every key bit.
+// TestMegablastWordLimit pins megablast's 28-base words: a query must
+// find its full-length self-alignment, including its poly-T run, whose
+// words carry every key bit.
 func TestMegablastWordLimit(t *testing.T) {
 	rng := util.NewRNG(303)
 	query := randomDNA(rng, "poly-t", 200)
 	copy(query.Data[60:], strings.Repeat("T", 70))
 	subject := &seq.Sequence{ID: "self", Kind: seq.Nucleotide, Data: append([]byte(nil), query.Data...)}
-	search := func(w int) (*Result, error) {
-		return Search(query, &SliceSource{Seqs: []*seq.Sequence{subject}}, DBInfo{},
-			Params{Program: BlastN, Greedy: true, WordSize: w})
-	}
-
-	res, err := search(31)
+	res, err := Search(query, &SliceSource{Seqs: []*seq.Sequence{subject}}, DBInfo{},
+		Params{Program: BlastN, Greedy: true})
 	if err != nil {
-		t.Fatalf("W=31: %v", err)
+		t.Fatal(err)
 	}
 	self := false
 	for _, h := range res.Hits {
@@ -280,11 +273,6 @@ func TestMegablastWordLimit(t *testing.T) {
 		}
 	}
 	if !self {
-		t.Errorf("W=31 missed the full-length self-diagonal: %+v", res.Hits)
-	}
-	for _, w := range []int{32, 40} {
-		if _, err := search(w); err == nil || !strings.Contains(err.Error(), "31") {
-			t.Errorf("W=%d: Search error = %v, want one naming the limit 31", w, err)
-		}
+		t.Errorf("megablast missed the full-length self-diagonal: %+v", res.Hits)
 	}
 }

@@ -36,9 +36,12 @@ func ParseProgram(name string) (Program, error) {
 // search in the paper runs with. Scores are +1/-3 with gaps costing
 // 5 to open and 2 per letter; the ungapped and gapped extensions stop
 // 20 and 30 raw points below their best; an ungapped HSP of 25 bits
-// triggers the gapped extension. Both query strands are always
-// searched, and -F masks with DefaultDust.
+// triggers the gapped extension. Seed words are 11 bases long, or 28
+// in megablast mode. Both query strands are always searched, and -F
+// masks with DefaultDust.
 const (
+	blastnWord     = 11
+	megablastWord  = 28
 	nucMatch       = 1
 	nucMismatch    = -3
 	gapOpen        = 5
@@ -66,10 +69,6 @@ var gapTriggerRaw = int(math.Ceil((gapTriggerBits*math.Ln2 + math.Log(nucKarlin.
 type Params struct {
 	Program Program
 
-	// WordSize is the seed word length (11 for blastn, 28 for
-	// megablast).
-	WordSize int
-
 	// EValue is the report cutoff.
 	EValue float64
 	// MaxTargetSeqs caps the number of reported subject sequences
@@ -84,8 +83,8 @@ type Params struct {
 	// Filter enables DUST low-complexity masking of the query before
 	// seeding — NCBI blastall's -F option.
 	Filter bool
-	// Greedy enables megablast mode: long exact seed words (default
-	// 28) and greedy gapped extension (Zhang et al. 2000) instead of
+	// Greedy enables megablast mode: long exact seed words (28
+	// bases) and greedy gapped extension (Zhang et al. 2000) instead of
 	// the X-drop DP — much faster on highly similar sequences, less
 	// sensitive to diverged ones.
 	Greedy bool
@@ -94,12 +93,6 @@ type Params struct {
 // Defaults returns p with unset fields replaced by blastn's classic
 // defaults.
 func (p Params) Defaults() Params {
-	if p.WordSize == 0 {
-		p.WordSize = 11
-		if p.Greedy {
-			p.WordSize = 28
-		}
-	}
 	if p.EValue == 0 {
 		p.EValue = 10
 	}
@@ -107,23 +100,22 @@ func (p Params) Defaults() Params {
 }
 
 // Validate rejects parameter combinations the engine cannot run: any
-// program but blastn, a word size the lookup table cannot index, and
-// a non-positive e-value cutoff.
+// program but blastn and a non-positive e-value cutoff.
 func (p Params) Validate() error {
 	if p.Program != BlastN {
 		return fmt.Errorf("blast: unsupported program %s (only blastn is supported)", p.Program)
-	}
-	if p.WordSize < 2 {
-		return fmt.Errorf("blast: word size %d too small", p.WordSize)
-	}
-	if !p.Greedy && p.WordSize > 16 {
-		return fmt.Errorf("blast: blastn word size %d exceeds 16", p.WordSize)
-	}
-	if p.Greedy && p.WordSize > nucMaxWord {
-		return fmt.Errorf("blast: megablast word size %d exceeds %d", p.WordSize, nucMaxWord)
 	}
 	if p.EValue <= 0 {
 		return fmt.Errorf("blast: e-value cutoff must be positive")
 	}
 	return nil
+}
+
+// wordSize is the seed word length the mode implies: 11, or 28 for
+// megablast.
+func (p Params) wordSize() int {
+	if p.Greedy {
+		return megablastWord
+	}
+	return blastnWord
 }

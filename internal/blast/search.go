@@ -350,8 +350,8 @@ func newEngine(query *seq.Sequence, p Params) (*engine, error) {
 	}
 	addView(query, 1)
 	addView(query.ReverseComplement(), -1)
-	if query.Len() >= p.WordSize {
-		eng.table = buildNucLookup(codes, p.WordSize, masks)
+	if w := p.wordSize(); query.Len() >= w {
+		eng.table = buildNucLookup(codes, w, masks)
 	}
 	return eng, nil
 }
@@ -440,7 +440,7 @@ func (sr *searcher) reset(eng *engine) {
 // (searcher scratch is reused on the next subject); it is the single
 // steady-state allocation of a search.
 func (sr *searcher) searchSubject(subj *seq.Sequence) []rawHSP {
-	if subj.Len() < sr.eng.p.WordSize {
+	if subj.Len() < sr.eng.p.wordSize() {
 		return nil
 	}
 	sr.beginScan(subj)
@@ -554,7 +554,7 @@ func (sr *searcher) processSeed(ps *pairState, qpos, spos int) {
 		// midpoint pair is guaranteed aligned).
 		sr.stats.GappedExts++
 		q, s := ps.qv.codes, sr.subjectBytes()
-		mid := eng.p.WordSize / 2
+		mid := megablastWord / 2
 		raw, a0, a1, b0, b1 := align.GreedyExtendWS(&sr.ws, q, s, qpos+mid, spos+mid,
 			greedyScheme, xDropGapped*greedyScale)
 		gscore, qFrom, qTo, sFrom, sTo = raw/greedyScale, a0, a1, b0, b1
@@ -566,7 +566,7 @@ func (sr *searcher) processSeed(ps *pairState, qpos, spos int) {
 		sr.stats.UngappedExts++
 		sr.stats.PackedExts++
 		score, _, aTo, _, bTo := align.PackedExtend(ps.qv.packed, len(ps.qv.codes), sr.sp, sr.sLen,
-			qpos, spos, eng.p.WordSize, nucMatch, nucMismatch, xDropUngapped)
+			qpos, spos, blastnWord, nucMatch, nucMismatch, xDropUngapped)
 		c.lastExtEnd = int32(bTo)
 		if score < gapTriggerRaw {
 			return

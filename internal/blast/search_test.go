@@ -208,16 +208,6 @@ func TestParamsValidate(t *testing.T) {
 		t.Errorf("default params invalid: %v", err)
 	}
 	bad := p
-	bad.WordSize = 1
-	if err := bad.Validate(); err == nil {
-		t.Error("word size 1 accepted")
-	}
-	bad = p
-	bad.WordSize = 20
-	if err := bad.Validate(); err == nil {
-		t.Error("blastn word size 20 accepted")
-	}
-	bad = p
 	bad.EValue = -1
 	if err := bad.Validate(); err == nil {
 		t.Error("negative e-value accepted")
@@ -235,11 +225,11 @@ func TestParamsValidate(t *testing.T) {
 
 func TestDefaultsPerProgram(t *testing.T) {
 	n := Params{Program: BlastN}.Defaults()
-	if n.WordSize != 11 || n.EValue != 10 {
+	if n.wordSize() != 11 || n.EValue != 10 {
 		t.Errorf("blastn defaults wrong: %+v", n)
 	}
 	m := Params{Program: BlastN, Greedy: true}.Defaults()
-	if m.WordSize != 28 || m.EValue != 10 {
+	if m.wordSize() != 28 || m.EValue != 10 {
 		t.Errorf("megablast defaults wrong: %+v", m)
 	}
 }
@@ -297,14 +287,15 @@ type seedFunc func(qpos, spos int)
 func (f seedFunc) handleSeed(view, qpos, spos int) { f(qpos, spos) }
 
 func TestNucLookup(t *testing.T) {
-	q := (&seq.Sequence{Kind: seq.Nucleotide, Data: []byte("ACGTACGTACG")}).Codes()
-	lt := buildNucLookup([][]byte{q}, 4, nil)
+	q := (&seq.Sequence{Kind: seq.Nucleotide, Data: []byte("ACGTACGTACGTACG")}).Codes()
+	lt := buildNucLookup([][]byte{q}, blastnWord, nil)
 	var hits [][2]int
-	s := (&seq.Sequence{Kind: seq.Nucleotide, Data: []byte("TTACGTTT")}).Codes()
+	s := (&seq.Sequence{Kind: seq.Nucleotide, Data: []byte("TTACGTACGTACGTT")}).Codes()
 	lt.scan(seq.PackCodes(s), len(s), seedFunc(func(qp, sp int) { hits = append(hits, [2]int{qp, sp}) }))
-	// Subject words: "TACG" at 1 (query positions 3, 7) and "ACGT"
-	// at 2 (query positions 0, 4): four seed hits in scan order.
-	want := [][2]int{{3, 1}, {7, 1}, {0, 2}, {4, 2}}
+	// Subject words: "TACGTACGTAC" at 1 (query position 3),
+	// "ACGTACGTACG" at 2 (query positions 0, 4) and "CGTACGTACGT" at 3
+	// (query position 1): four seed hits in scan order.
+	want := [][2]int{{3, 1}, {0, 2}, {4, 2}, {1, 3}}
 	if len(hits) != len(want) {
 		t.Fatalf("hits = %v, want %v", hits, want)
 	}
@@ -316,14 +307,16 @@ func TestNucLookup(t *testing.T) {
 }
 
 func TestNucLookupShortInputs(t *testing.T) {
-	lt := buildNucLookup([][]byte{{0, 1}}, 4, nil)
+	codes := make([]byte, 2*blastnWord) // all A
+	lt := buildNucLookup([][]byte{codes[:blastnWord-1]}, blastnWord, nil)
 	called := false
-	lt.scan(seq.PackCodes([]byte{0, 1, 2, 3}), 4, seedFunc(func(qp, sp int) { called = true }))
+	lt.scan(seq.PackCodes(codes), len(codes), seedFunc(func(qp, sp int) { called = true }))
 	if called {
 		t.Error("short query should produce no hits")
 	}
-	lt2 := buildNucLookup([][]byte{{0, 1, 2, 3}}, 4, nil)
-	lt2.scan(seq.PackCodes([]byte{0}), 1, seedFunc(func(qp, sp int) { called = true }))
+	lt2 := buildNucLookup([][]byte{codes}, blastnWord, nil)
+	short := codes[:blastnWord-1]
+	lt2.scan(seq.PackCodes(short), len(short), seedFunc(func(qp, sp int) { called = true }))
 	if called {
 		t.Error("short subject should produce no hits")
 	}

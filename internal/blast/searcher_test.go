@@ -48,7 +48,7 @@ func TestSearcherReuseMatchesFresh(t *testing.T) {
 		{name: "A", query: queryA, p: blastn},
 		{name: "B", query: queryB, p: blastn},
 		{name: "A again", query: queryA, p: blastn},
-		{name: "A defaulted", query: queryA, p: Params{Program: BlastN, WordSize: 11, EValue: 10}, keepEngine: true},
+		{name: "A defaulted", query: queryA, p: Params{Program: BlastN, EValue: 10}, keepEngine: true},
 		{name: "A filtered", query: queryA, p: Params{Program: BlastN, Filter: true}},
 		{name: "A e-value", query: queryA, p: Params{Program: BlastN, EValue: 1e-30}},
 		{name: "A max targets", query: queryA, p: Params{Program: BlastN, EValue: 1e-30, MaxTargetSeqs: 3}},

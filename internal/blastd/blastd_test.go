@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -151,6 +152,36 @@ func TestCacheVersionBumpAndInvalidate(t *testing.T) {
 	}
 	if _, status, _ := c.Do(context.Background(), v1, fn); status != cacheMiss {
 		t.Fatal("invalidated entry still served")
+	}
+}
+
+// TestCacheKeyCoversParams sets each field of blast.Params in turn and
+// requires the cache key's parameter signature to change, so a field
+// added to Params cannot be left out of the key unnoticed. Threads is
+// the one exception: the search ignores it.
+func TestCacheKeyCoversParams(t *testing.T) {
+	base := paramsSignature(blast.Params{})
+	typ := reflect.TypeOf(blast.Params{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Name == "Threads" {
+			continue
+		}
+		var p blast.Params
+		v := reflect.ValueOf(&p).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.Int, reflect.Int64:
+			v.SetInt(1)
+		case reflect.Float64:
+			v.SetFloat(1)
+		case reflect.Bool:
+			v.SetBool(true)
+		default:
+			t.Fatalf("Params.%s has kind %s, which this test cannot set", f.Name, v.Kind())
+		}
+		if paramsSignature(p) == base {
+			t.Errorf("Params.%s does not change the cache key", f.Name)
+		}
 	}
 }
 

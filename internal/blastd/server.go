@@ -30,8 +30,8 @@ type Config struct {
 	FS chio.FileSystem
 	// WorkerFS builds each worker rank's view of the shared store.
 	WorkerFS func(rank int) chio.FileSystem
-	// Scratch builds each worker's local scratch (nil unless the
-	// search config copies fragments to local disk).
+	// Scratch builds each worker's local scratch, into which it copies
+	// each fragment before searching (nil, or returning nil, for none).
 	Scratch func(rank int) chio.FileSystem
 
 	// Search is the base pblast configuration (built with

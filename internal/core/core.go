@@ -84,8 +84,9 @@ type SearchConfig struct {
 	MasterFS chio.FileSystem
 	// WorkerFS returns each worker's view of the shared store.
 	WorkerFS func(rank int) chio.FileSystem
-	// Scratch returns each worker's local scratch (required when the
-	// search copies fragments to local disks).
+	// Scratch returns each worker's local scratch (nil, or returning
+	// nil, for none); a worker handed a scratch copies each fragment
+	// to it before searching.
 	Scratch func(rank int) chio.FileSystem
 	// Trace, when non-nil, records every worker's application-level
 	// I/O (Figure 4 instrumentation).

@@ -163,9 +163,7 @@ func TestParallelSearchCopyToLocal(t *testing.T) {
 	var mu sync.Mutex
 	scratches := map[int]chio.FileSystem{}
 	out, err := ParallelSearch(context.Background(), query, SearchConfig{
-		Search: pblast.NewConfig("nt",
-			pblast.WithParams(blast.Params{Program: blast.BlastN}),
-			pblast.WithCopyToLocal(true)),
+		Search:   pblast.NewConfig("nt", pblast.WithParams(blast.Params{Program: blast.BlastN})),
 		Workers:  2,
 		MasterFS: shared,
 		WorkerFS: func(int) chio.FileSystem { return shared },
@@ -185,7 +183,7 @@ func TestParallelSearchCopyToLocal(t *testing.T) {
 		t.Error("copy time missing")
 	}
 	if len(out.Result.Hits) == 0 {
-		t.Error("no hits with CopyToLocal")
+		t.Error("no hits from the scratch copies")
 	}
 }
 

@@ -275,14 +275,11 @@ func (w *WorkerFlags) RegisterFlags(fs *flag.FlagSet) {
 }
 
 // Options turns the flags into search options — the same list whether
-// the workers run in this process or on other machines, so -scratch
-// means copy-to-local in both. With -readahead, every worker's cache
+// the workers run in this process or on other machines (-scratch acts
+// through ScratchFS instead). With -readahead, every worker's cache
 // counts into one sink, registered on reg (which may be nil).
 func (w *WorkerFlags) Options(reg *telemetry.Registry) []pblast.Option {
-	opts := []pblast.Option{
-		pblast.WithChunkBytes(w.Chunk),
-		pblast.WithCopyToLocal(w.Scratch != ""),
-	}
+	opts := []pblast.Option{pblast.WithChunkBytes(w.Chunk)}
 	if w.Readahead {
 		stats := &iotrace.CacheStats{}
 		stats.Register(reg)
@@ -291,8 +288,9 @@ func (w *WorkerFlags) Options(reg *telemetry.Registry) []pblast.Option {
 	return opts
 }
 
-// ScratchFS opens rank's own directory under -scratch, or returns nil
-// when no scratch was given.
+// ScratchFS opens rank's own directory under -scratch, into which the
+// worker then copies each fragment, or returns nil when no scratch was
+// given.
 func (w *WorkerFlags) ScratchFS(rank int) (chio.FileSystem, error) {
 	if w.Scratch == "" {
 		return nil, nil

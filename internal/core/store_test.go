@@ -161,9 +161,9 @@ func TestRankStoreConcurrentRanks(t *testing.T) {
 	}
 }
 
-// -scratch means copy-to-local wherever the workers run: the one
-// options builder serves mpiblast's in-process and distributed modes
-// alike, so neither can forget it.
+// The one options builder serves mpiblast's in-process and distributed
+// modes alike; -scratch reaches the workers as ScratchFS, non-nil with
+// the flag and nil without it, and a worker handed one copies into it.
 func TestWorkerFlagsOptions(t *testing.T) {
 	_, wf := parseStore(t, "-scratch", t.TempDir(), "-chunk", "4096", "-readahead")
 	reg := telemetry.NewRegistry()
@@ -172,9 +172,6 @@ func TestWorkerFlagsOptions(t *testing.T) {
 		t.Error("-readahead registered no readahead counters")
 	}
 	cfg := pblast.NewConfig("nt", opts...)
-	if !cfg.CopyToLocal {
-		t.Error("-scratch did not enable CopyToLocal")
-	}
 	if cfg.ChunkBytes != 4096 {
 		t.Errorf("chunk %d, want 4096", cfg.ChunkBytes)
 	}
@@ -185,10 +182,7 @@ func TestWorkerFlagsOptions(t *testing.T) {
 
 	_, wf = parseStore(t)
 	reg = telemetry.NewRegistry()
-	opts = wf.Options(reg)
-	if pblast.NewConfig("nt", opts...).CopyToLocal {
-		t.Error("CopyToLocal set without -scratch")
-	}
+	wf.Options(reg)
 	for _, s := range reg.Snapshot() {
 		if strings.HasPrefix(s.Name, "pario_readahead_") {
 			t.Errorf("a readahead counter %s without -readahead", s.Name)

@@ -49,12 +49,6 @@ func WithThreads(n int) Option {
 	return func(c *Config) { c.Params.Threads = n }
 }
 
-// WithCopyToLocal reproduces the original mpiBLAST behaviour of
-// copying each fragment to worker-local scratch before searching.
-func WithCopyToLocal(v bool) Option {
-	return func(c *Config) { c.CopyToLocal = v }
-}
-
 // WithChunkBytes sets the fragment streaming read size (0 = 16 MB).
 func WithChunkBytes(n int) Option {
 	return func(c *Config) { c.ChunkBytes = n }

@@ -30,11 +30,11 @@
 //
 // Every rank runs with its own Config, built from the same options:
 // the master's Stream reads the scheduling telemetry and records task
-// spans with its tracer; each worker's RunWorker
-// reads CopyToLocal and ChunkBytes, adds its kernel counters to the
-// telemetry and records search spans with its tracer. Nothing of a
-// Config crosses the wire: the query, parameters and fragment travel
-// in each task.
+// spans with its tracer; each worker's RunWorker reads ChunkBytes, adds
+// its kernel counters to the telemetry and records search spans with
+// its tracer. A worker copies each fragment to local disk first exactly
+// when it is handed a scratch file system. Nothing of a Config crosses
+// the wire: the query, parameters and fragment travel in each task.
 package pblast
 
 import (
@@ -78,10 +78,6 @@ type Config struct {
 	DBName string
 	// Params are the BLAST parameters a caller submits queries with.
 	Params blast.Params
-	// CopyToLocal reproduces the original mpiBLAST behaviour: each
-	// worker first copies its fragment from the shared store to its
-	// local scratch file system and then searches the local copy.
-	CopyToLocal bool
 	// ChunkBytes is the fragment streaming read size (0 = 16 MB).
 	ChunkBytes int
 
@@ -179,11 +175,13 @@ func decodeGob(data []byte, v interface{}) error {
 }
 
 // RunWorker executes search tasks on any rank > 0 with this rank's own
-// cfg: CopyToLocal and ChunkBytes decide how it reads each fragment,
-// cfg's telemetry receives its search kernel's counters, and cfg's
-// tracer its search spans. fs is this worker's file system onto the
-// shared database store; scratch is the worker's local scratch space,
-// used only when cfg.CopyToLocal is set (pass nil otherwise).
+// cfg: ChunkBytes sets how it reads each fragment, cfg's telemetry
+// receives its search kernel's counters, and cfg's tracer its search
+// spans. fs is this worker's file system onto the shared database
+// store. scratch, when non-nil, is the worker's local scratch space:
+// the worker then reproduces the original mpiBLAST behaviour, copying
+// each fragment from the shared store into scratch and searching the
+// local copy. Pass nil to search the shared store directly.
 //
 // The worker loop is mpiBLAST's: send Ready once, then take a task,
 // search it and send its result, which also asks for the next task,
@@ -276,10 +274,7 @@ func runTask(ctx context.Context, cfg Config, sr *blast.Searcher, rank int, t *t
 		return rm
 	}
 	readFS := fs
-	if cfg.CopyToLocal {
-		if scratch == nil {
-			return fail(fmt.Errorf("pblast: CopyToLocal requested but no scratch FS"))
-		}
+	if scratch != nil {
 		copyStart := time.Now()
 		n, err := chio.Copy(scratch, t.Path, fs, t.Path, cfg.ChunkBytes)
 		if err != nil {

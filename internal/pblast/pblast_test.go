@@ -301,8 +301,7 @@ func TestCopyToLocalMeasuresCopyTime(t *testing.T) {
 	var mu sync.Mutex
 	scratches := map[int]chio.FileSystem{}
 	out, err := searchPool(context.Background(), 2, query, NewConfig("nt",
-		WithParams(blast.Params{Program: blast.BlastN}),
-		WithCopyToLocal(true)), shared, sameFS(shared), func(rank int) chio.FileSystem {
+		WithParams(blast.Params{Program: blast.BlastN})), shared, sameFS(shared), func(rank int) chio.FileSystem {
 		mu.Lock()
 		defer mu.Unlock()
 		if scratches[rank] == nil {
@@ -328,9 +327,9 @@ func TestCopyToLocalMeasuresCopyTime(t *testing.T) {
 	}
 }
 
-// Copy-to-local is the worker rank's own decision: a master whose
-// Config does not ask for it still gets copies from a worker whose
-// Config does.
+// Copy-to-local is the worker rank's own decision, made by the scratch
+// file system it is handed: a worker running the master's very Config
+// copies each fragment once it has a scratch.
 func TestWorkerConfigDecidesCopyToLocal(t *testing.T) {
 	shared := chio.NewMemFS()
 	query := buildTestDB(t, shared, "nt", 3)
@@ -343,7 +342,7 @@ func TestWorkerConfigDecidesCopyToLocal(t *testing.T) {
 	scratch := chio.NewMemFS()
 	werr := make(chan error, 1)
 	go func() {
-		werr <- RunWorker(context.Background(), world.Comm(1), master.Apply(WithCopyToLocal(true)), shared, scratch)
+		werr <- RunWorker(context.Background(), world.Comm(1), master, shared, scratch)
 	}()
 	out, err := searchStream(context.Background(), world.Comm(0), shared, query, master)
 	if err != nil {
@@ -396,17 +395,6 @@ func TestTempResultsStayBounded(t *testing.T) {
 	}
 	if len(tmp) == 0 || len(tmp) > workers*frags {
 		t.Errorf("%d temporary results after %d queries, want 1..%d", len(tmp), queries, workers*frags)
-	}
-}
-
-func TestCopyToLocalWithoutScratchFails(t *testing.T) {
-	shared := chio.NewMemFS()
-	query := buildTestDB(t, shared, "nt", 2)
-	_, err := searchPool(context.Background(), 1, query, NewConfig("nt",
-		WithParams(blast.Params{Program: blast.BlastN}),
-		WithCopyToLocal(true)), shared, sameFS(shared), nil)
-	if err == nil {
-		t.Fatal("expected failure without scratch FS")
 	}
 }
 
@@ -596,6 +584,50 @@ func TestOverTCPTransport(t *testing.T) {
 	checkFound(t, out)
 }
 
+// goneDeadline bounds each test in which a worker goes: a scheduler
+// that loses a gone worker's task, or a worker that does not report
+// itself gone, fails the test by name within seconds instead of
+// hanging it until go test's timeout.
+const goneDeadline = 2 * time.Second
+
+// within returns the next value from ch, or fails t naming what once
+// ctx has ended.
+func within[T any](t testing.TB, ctx context.Context, ch <-chan T, what string) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-ctx.Done():
+		t.Fatalf("%s: nothing within %v", what, goneDeadline)
+	}
+	var zero T
+	return zero
+}
+
+// waitDone turns wg.Wait into a channel that within can bound.
+func waitDone(wg *sync.WaitGroup) <-chan struct{} {
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	return done
+}
+
+// masterRun is the master's return from searchStream.
+type masterRun struct {
+	out *Outcome
+	err error
+}
+
+// goMaster runs searchStream on its own goroutine, so that within can
+// bound the wait for its return.
+func goMaster(ctx context.Context, c mpi.Comm, fs chio.FileSystem, query *seq.Sequence, cfg Config) <-chan masterRun {
+	ch := make(chan masterRun, 1)
+	go func() {
+		out, err := searchStream(ctx, c, fs, query, cfg)
+		ch <- masterRun{out, err}
+	}()
+	return ch
+}
+
 // crashingWorker joins, takes exactly one task, then closes c without
 // sending its result — a worker that dies holding the task.
 func crashingWorker(c mpi.Comm) error {
@@ -611,6 +643,8 @@ func crashingWorker(c mpi.Comm) error {
 }
 
 func TestWorkerCrashReassignment(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), goneDeadline)
+	defer cancel()
 	fs := chio.NewMemFS()
 	query := buildTestDB(t, fs, "nt", 6)
 	world, err := mpi.NewWorld(4) // master + crasher + 2 good workers
@@ -632,12 +666,13 @@ func TestWorkerCrashReassignment(t *testing.T) {
 			errs[r] = RunWorker(context.Background(), world.Comm(r), cfg, fs, nil)
 		}(r)
 	}
-	out, masterErr := searchStream(context.Background(), world.Comm(0), fs, query, cfg)
+	res := within(t, ctx, goMaster(ctx, world.Comm(0), fs, query, cfg), "master")
 	world.Close()
-	wg.Wait()
-	if masterErr != nil {
-		t.Fatalf("master failed despite fault tolerance: %v", masterErr)
+	if res.err != nil {
+		t.Fatalf("master failed despite fault tolerance: %v", res.err)
 	}
+	within(t, ctx, waitDone(&wg), "workers")
+	out := res.out
 	for r, err := range errs {
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
@@ -1039,6 +1074,8 @@ func (f *stallFS) Open(name string) (chio.File, error) {
 // the error its own cancellation caused: the master re-queues the task
 // and the query still returns the serial search's result.
 func TestLeavingWorkerWithholdsSpoiledResult(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), goneDeadline)
+	defer cancel()
 	mem := chio.NewMemFS()
 	query := buildTestDB(t, mem, "nt", 3)
 	world, err := mpi.NewWorld(3)
@@ -1051,25 +1088,17 @@ func TestLeavingWorkerWithholdsSpoiledResult(t *testing.T) {
 	defer leave()
 	left := make(chan error, 1)
 	go func() { left <- RunWorker(leaving, world.Comm(1), cfg, stall, nil) }()
-	type result struct {
-		out *Outcome
-		err error
-	}
-	master := make(chan result, 1)
-	go func() {
-		out, err := searchStream(context.Background(), world.Comm(0), mem, query, cfg)
-		master <- result{out, err}
-	}()
-	<-stall.entered // rank 1 holds a task
+	master := goMaster(ctx, world.Comm(0), mem, query, cfg)
+	within(t, ctx, stall.entered, "rank 1 taking a task")
 	stayed := make(chan error, 1)
 	go func() { stayed <- RunWorker(context.Background(), world.Comm(2), cfg, mem, nil) }()
 	leave()
-	if err := <-left; !errors.Is(err, context.Canceled) {
+	if err := within(t, ctx, left, "leaving worker"); !errors.Is(err, context.Canceled) {
 		t.Errorf("leaving worker returned %v, want context.Canceled", err)
 	}
-	res := <-master
+	res := within(t, ctx, master, "master")
 	world.Close()
-	if err := <-stayed; err != nil {
+	if err := within(t, ctx, stayed, "staying worker"); err != nil {
 		t.Errorf("staying worker returned %v", err)
 	}
 	if res.err != nil {

@@ -50,8 +50,9 @@ type Pool struct {
 // NewPool builds the mpi world (ranks 0..workers; rank 0 is the
 // scheduler), starts the stream and starts one worker on each other
 // rank. workerFS(rank) is each worker's view of the shared store;
-// scratch, when non-nil, returns the worker's local scratch for
-// CopyToLocal configurations. onWorkerError (nil for none) is told of
+// scratch, when non-nil, returns the worker's local scratch, and a
+// worker whose scratch is non-nil copies each fragment into it before
+// searching (see RunWorker). onWorkerError (nil for none) is told of
 // every worker that exits with an error while the pool is open.
 // Cancelling ctx aborts the pool's searches, including in-flight
 // parallel-FS I/O on backends that support chio.ContextBinder.

@@ -164,14 +164,17 @@ func goneWorkerRun(t *testing.T) *telemetry.Tracer {
 		errs[2] = RunWorker(context.Background(), world.Comm(2), cfg, fs, nil)
 	}()
 
-	ctx, root := tr.Start(context.Background(), "request")
-	out, masterErr := searchStream(ctx, world.Comm(0), fs, query, cfg)
+	bound, cancel := context.WithTimeout(context.Background(), goneDeadline)
+	defer cancel()
+	ctx, root := tr.Start(bound, "request")
+	res := within(t, bound, goMaster(ctx, world.Comm(0), fs, query, cfg), "master")
 	root.Finish(nil)
 	world.Close()
-	wg.Wait()
-	if masterErr != nil {
-		t.Fatalf("master: %v", masterErr)
+	if res.err != nil {
+		t.Fatalf("master: %v", res.err)
 	}
+	within(t, bound, waitDone(&wg), "workers")
+	out := res.out
 	for r, err := range errs {
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)

@@ -29,8 +29,7 @@
 #     distributed run: its task is re-run on the other worker and the
 #     master exits 0 within 20 s with serial blastn's hit lines; kill
 #     both, and the master exits 1 naming both ranks;
-#   - require blastn to refuse a megablast word longer than 31 bases,
-#     and mpiblast to refuse -trace in distributed mode.
+#   - require mpiblast to refuse -trace in distributed mode.
 # Exercised by `make cli-smoke` (part of `make check`).
 # shellcheck disable=SC2086 # $PVFS and $CEFT are flag lists
 SMOKE=cli-smoke
@@ -124,15 +123,6 @@ hits() { grep -v '^#' "$1"; }
 hits "$TMP/serial.out" >"$TMP/serial.hits"
 [ "$(grep -c '^qa' "$TMP/serial.hits")" -ge 1 ] && [ "$(grep -c '^qb' "$TMP/serial.hits")" -ge 1 ] ||
     fail "serial blastn did not hit with both queries" "$TMP/serial.out"
-
-# Megablast words are at most 31 bases: a longer -word must fail and
-# name the limit instead of silently losing seeds.
-if "$TMP/blastn" -db nt -query "$TMP/q.fasta" -root "$TMP/local" -megablast -word 32 \
-    >"$TMP/mega32.out" 2>"$TMP/mega32.log"; then
-    fail "blastn -megablast -word 32 was accepted" "$TMP/mega32.out"
-fi
-grep -q 'exceeds 31' "$TMP/mega32.log" ||
-    fail "blastn -megablast -word 32 failed without naming the limit" "$TMP/mega32.log"
 
 # -trace records in-process workers only: distributed mode must refuse
 # it with a usage error rather than silently write no trace.
