@@ -60,7 +60,7 @@ test:
 check: lint race
 	$(GO) test -race -count=20 -timeout 120s -run 'Prefetch|Concurrent|Demand' ./internal/readahead/
 	$(GO) test -race -count=20 -run 'Concurrent' ./internal/chio/
-	$(GO) test -race -count=20 -run 'TestFormatStopsReadingOnError|TestConcurrentSourcesShareOneFragment' ./internal/blastdb/
+	$(GO) test -race -count=20 -run 'TestFormatStopsReadingOnError|TestFormatFailedCloseSavesNoAlias|TestConcurrentSourcesShareOneFragment' ./internal/blastdb/
 	$(GO) test -race -count=20 ./internal/mpi/
 	$(GO) test -race -count=10 -timeout 120s -run 'Leave|Crash|Duplicate|Cancelled|Idle|Affinity|Gone' ./internal/pblast/
 	$(GO) test -race -count=10 -run 'Heartbeat|Close' ./internal/pvfs/

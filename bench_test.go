@@ -13,6 +13,7 @@
 package pario
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -36,6 +37,7 @@ import (
 	"pario/internal/sim"
 	"pario/internal/telemetry"
 	"pario/internal/util"
+	"pario/internal/workload"
 )
 
 const simScale = 0.05
@@ -392,6 +394,33 @@ func BenchmarkFragmentStream(b *testing.B) {
 				b.ReportMetric(float64(s.BorrowCopies-before.BorrowCopies)/float64(b.N), "copied/op")
 			}
 		})
+	}
+}
+
+// BenchmarkFormatDatabase formats 2 MB of nt-like FASTA text into 8
+// fragments on MemFS: the in-memory half of formatdb (parse, pack,
+// write, close), the blastdb.format_mem_mb_per_s rung of ingest_ceft.
+// Its allocs/op is about three per record plus a few per fragment, so
+// a fragment write buffer that goes back to growing per writer adds
+// about fifteen per fragment and fails bench-compare.
+func BenchmarkFormatDatabase(b *testing.B) {
+	var fasta bytes.Buffer
+	if _, _, err := workload.WriteFasta(&fasta, workload.NtLike("in8", 2<<20, 71)); err != nil {
+		b.Fatal(err)
+	}
+	format := func() {
+		if _, err := core.FormatDatabase(chio.NewMemFS(), "in8", seq.Nucleotide, 8, bytes.NewReader(fasta.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// One untimed format first, so the measured ones run in the steady
+	// state ingest_ceft repeats: write buffers already pooled.
+	format()
+	b.SetBytes(int64(fasta.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		format()
 	}
 }
 

@@ -152,12 +152,21 @@ func atoi64(fields []string, i int) (int64, error) {
 // records of nt's size (kilobases) hold little memory.
 const parseAhead = 64
 
+// closeWidth is how many fragments Format closes at once: every
+// fragment of the paper's and the benchmark's databases (8), and a
+// bound, so thousands of fragments on a local disk do not ask for a
+// thread per blocking write.
+const closeWidth = 16
+
 // Format splits the sequences next returns, until io.EOF, into
 // fragments fragments named after name, writing them plus the alias
 // file onto fs. Sequences are assigned greedily to the least-loaded
 // fragment (by letters), the same balancing mpiBLAST's database
-// segmentation performs. On an error every fragment is closed and no
-// alias is written; an error from next is returned as it is.
+// segmentation performs. The fragments are closed concurrently
+// (closeWidth at a time), and the alias is written once every one has
+// closed. On an error every fragment is closed and no alias is
+// written; an error from next is returned as it is, and of several
+// failed closes the first fragment's error.
 //
 // next runs on a goroutine of Format's own, up to parseAhead sequences
 // ahead of the appends, and is never called after Format returns.
@@ -238,13 +247,28 @@ func Format(fs chio.FileSystem, name string, kind seq.Kind, fragments int, next 
 	if readErr != nil {
 		return nil, readErr
 	}
+	// The fragments close together: each writes its own tail and
+	// header, so one's storage round trips overlap the others'.
+	errs := make([]error, len(writers))
+	var closing sync.WaitGroup
+	slots := make(chan struct{}, closeWidth)
 	for i, w := range writers {
 		a.Fragments = append(a.Fragments, FragmentInfo{
 			Path:    FragmentPath(name, i),
 			Seqs:    int64(w.NumSequences()),
 			Letters: w.Letters(),
 		})
-		if err := w.Close(); err != nil {
+		slots <- struct{}{}
+		closing.Add(1)
+		go func() {
+			defer closing.Done()
+			errs[i] = w.Close()
+			<-slots
+		}()
+	}
+	closing.Wait()
+	for _, err := range errs {
+		if err != nil {
 			return nil, err
 		}
 	}

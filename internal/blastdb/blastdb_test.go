@@ -130,18 +130,28 @@ func TestOpenFragmentBadMagic(t *testing.T) {
 // is valid only once its writer's Close returns nil. A writer abandoned
 // before its first flush leaves an empty file, and one abandoned after
 // it leaves data under a zeroed header; OpenFragment rejects both as
-// bad magic.
+// bad magic. The header stays zeroed when the writer's pooled buffer
+// last held a valid header.
 func TestAbandonedFragmentIsRejected(t *testing.T) {
 	fs := chio.NewMemFS()
 	for _, tc := range []struct {
-		name string
-		seqs int
-		size func(int64) bool
+		name  string
+		seqs  int
+		size  func(int64) bool
+		dirty bool
 	}{
-		{"before the first flush", 3, func(n int64) bool { return n == 0 }},
-		{"after the first flush", 600, func(n int64) bool { return n >= writeBuffer }},
+		{"before the first flush", 3, func(n int64) bool { return n == 0 }, false},
+		{"after the first flush", 600, func(n int64) bool { return n >= writeBuffer }, false},
+		{"after the first flush over a reused buffer", 600, func(n int64) bool { return n >= writeBuffer }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.dirty {
+				// The pool hands this buffer to the next writer on this
+				// goroutine (or, under -race, may drop it).
+				buf := new([writeBuffer]byte)
+				copy(buf[:], (&header{DataOff: headerSize, DeflineOff: headerSize, IndexOff: headerSize}).marshal())
+				writeBufs.Put(buf)
+			}
 			f, err := fs.Create("abandoned")
 			if err != nil {
 				t.Fatal(err)
@@ -778,6 +788,53 @@ func TestFormatStopsReadingOnError(t *testing.T) {
 				t.Errorf("k=%d: %d goroutines of Format's still running 5s after it returned", k, n)
 			}
 		}
+	}
+}
+
+// tailFailFS fails every Write to the files named in fail with that
+// file's error; WriteAt and the other files pass through.
+type tailFailFS struct {
+	chio.FileSystem
+	fail map[string]error
+}
+
+func (fs tailFailFS) Create(name string) (chio.File, error) {
+	f, err := fs.FileSystem.Create(name)
+	if err != nil || fs.fail[name] == nil {
+		return f, err
+	}
+	return tailFailFile{File: f, err: fs.fail[name]}, nil
+}
+
+type tailFailFile struct {
+	chio.File
+	err error
+}
+
+func (f tailFailFile) Write(p []byte) (int, error) { return 0, f.err }
+
+// TestFormatFailedCloseSavesNoAlias: fragments 5 and 7 of 8 fail the
+// tail write their Close makes (each fragment is under 1 MiB, so the
+// tail is its only Write). Format returns fragment 5's error, the
+// first in fragment order, writes no alias, and leaves none of its
+// goroutines running.
+func TestFormatFailedCloseSavesNoAlias(t *testing.T) {
+	err5, err7 := errors.New("fragment 5 tail"), errors.New("fragment 7 tail")
+	mem := chio.NewMemFS()
+	fs := tailFailFS{FileSystem: mem, fail: map[string]error{
+		FragmentPath("db", 5): err5,
+		FragmentPath("db", 7): err7,
+	}}
+	seqs := randomSeqs(util.NewRNG(71), 64, 100, 2000)
+	_, err := Format(fs, "db", seq.Nucleotide, 8, fastaOf(t, seqs).Read)
+	if !errors.Is(err, err5) {
+		t.Fatalf("Format = %v, want fragment 5's %v", err, err5)
+	}
+	if _, err := mem.Stat(AliasPath("db")); err == nil {
+		t.Error("an alias was saved for a database whose fragment failed to close")
+	}
+	if n := formatGoroutines(5 * time.Second); n != 0 {
+		t.Errorf("%d goroutines of Format's still running 5s after it returned", n)
 	}
 }
 

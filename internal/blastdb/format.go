@@ -98,6 +98,11 @@ func (rec *indexRec) payloadLen() uint64 {
 // and the block chio.Copy moves.
 const writeBuffer = 1 << 20
 
+// writeBufs holds the writeBuffer-byte buffers of FragmentWriters: a
+// writer takes one when it starts and puts it back on Close, so a
+// format allocates none after the first.
+var writeBufs = sync.Pool{New: func() any { return new([writeBuffer]byte) }}
+
 // FragmentWriter streams sequences into one fragment file. Every byte
 // it writes passes through one buffer, so the file sees writes of
 // exactly writeBuffer bytes at offsets 0, 1 MiB, 2 MiB, ..., then the
@@ -110,7 +115,8 @@ const writeBuffer = 1 << 20
 // reads as a database fragment.
 type FragmentWriter struct {
 	f        chio.File
-	buf      []byte // pending bytes, handed to f whenever writeBuffer of them collect
+	whole    *[writeBuffer]byte // buf's array, from writeBufs until Close
+	buf      []byte             // pending bytes, handed to f whenever writeBuffer of them collect
 	index    []indexRec
 	deflines []byte
 	packed   []byte // the sequence being appended, 2-bit packed
@@ -126,8 +132,12 @@ func NewFragmentWriter(f chio.File, kind seq.Kind) (*FragmentWriter, error) {
 	if kind != seq.Nucleotide {
 		return nil, fmt.Errorf("blastdb: cannot write a %s fragment, only %s", kind, seq.Nucleotide)
 	}
-	// Reserve the header region; final values are written on Close.
-	return &FragmentWriter{f: f, buf: make([]byte, headerSize)}, nil
+	// Reserve the header region, zeroed over the buffer's last use;
+	// final values are written on Close.
+	whole := writeBufs.Get().(*[writeBuffer]byte)
+	buf := whole[:headerSize]
+	clear(buf)
+	return &FragmentWriter{f: f, whole: whole, buf: buf}, nil
 }
 
 // write buffers p, handing the file each writeBuffer bytes as they
@@ -202,7 +212,10 @@ func (w *FragmentWriter) Close() error {
 		return nil
 	}
 	w.closed = true
-	if err := w.finish(); err != nil {
+	err := w.finish()
+	writeBufs.Put(w.whole)
+	w.whole, w.buf = nil, nil
+	if err != nil {
 		w.f.Close()
 		return err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"pario/internal/blastdb"
@@ -13,10 +14,18 @@ import (
 	"pario/internal/workload"
 )
 
-// countingFS counts the writes that reach each file created through it.
+// countingFS counts the writes that reach each file created through
+// it. Format closes its fragments concurrently, so the count is locked.
 type countingFS struct {
 	chio.FileSystem
+	mu     sync.Mutex
 	writes map[string]int
+}
+
+func (c *countingFS) count(name string) {
+	c.mu.Lock()
+	c.writes[name]++
+	c.mu.Unlock()
 }
 
 func (c *countingFS) Create(name string) (chio.File, error) {
@@ -33,12 +42,12 @@ type countingFile struct {
 }
 
 func (f *countingFile) Write(p []byte) (int, error) {
-	f.fs.writes[f.Name()]++
+	f.fs.count(f.Name())
 	return f.File.Write(p)
 }
 
 func (f *countingFile) WriteAt(p []byte, off int64) (int, error) {
-	f.fs.writes[f.Name()]++
+	f.fs.count(f.Name())
 	return f.File.WriteAt(p, off)
 }
 

@@ -39,6 +39,14 @@ var nucCodes [256]byte
 
 const nucValid = 4
 
+// nucPairs holds, for each two letters read as one little-endian
+// uint16, their two codes packed as one 4-bit code (the first letter
+// in the low bits) plus pairValid, and zero when either letter has no
+// code: AppendPack2Bit packs eight letters with four lookups.
+var nucPairs [1 << 16]byte
+
+const pairValid = 16
+
 func init() {
 	// Ambiguity letters fold to one of their bases: N and X (any), R
 	// (A/G), W (A/T), M (A/C), D, H and V to A; Y (C/T), S (G/C) and B
@@ -47,6 +55,12 @@ func init() {
 		for i := 0; i < len(letters); i++ {
 			nucCodes[letters[i]] = byte(code) | nucValid
 			nucCodes[letters[i]+'a'-'A'] = byte(code) | nucValid
+		}
+	}
+	for pair := range nucPairs {
+		c0, c1 := nucCodes[byte(pair)], nucCodes[byte(pair>>8)]
+		if c0&c1&nucValid != 0 {
+			nucPairs[pair] = c0&3 | (c1&3)<<2 | pairValid
 		}
 	}
 }

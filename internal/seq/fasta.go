@@ -65,9 +65,8 @@ func (fr *FastaReader) Read() (*Sequence, error) {
 		}
 	}
 	var data []byte
-	if letters := fr.letters; len(letters) > 0 {
-		data = make([]byte, len(letters))
-		copy(data, letters)
+	if len(fr.letters) > 0 {
+		data = bytes.Clone(fr.letters) // not zeroed first, as make would be
 	}
 	return &Sequence{ID: id, Desc: desc, Kind: fr.kind, Data: data}, nil
 }

@@ -279,11 +279,14 @@ func TestAppendPack2BitMatchesPerLetter(t *testing.T) {
 	}
 }
 
+// TestAppendPack2BitInvalidLetter puts a bad letter at every position
+// of the first two eight-letter groups, in inputs whose tails hold 0 to
+// 3 letters, and requires the error of the per-letter reference.
 func TestAppendPack2BitInvalidLetter(t *testing.T) {
 	for _, bad := range []byte{'*', '1', 'E', 0, 0xff} {
-		for n := 8; n <= 11; n++ {
-			for pos := 0; pos < 8; pos++ {
-				letters := bytes.Repeat([]byte("ACGTN"), 3)[:n]
+		for n := 8; n <= 19; n++ {
+			for pos := 0; pos < min(n, 16); pos++ {
+				letters := bytes.Repeat([]byte("ACGTN"), 4)[:n]
 				letters[pos] = bad
 				dst := []byte{7}
 				_, want := packPerLetter(nil, letters)
@@ -297,6 +300,29 @@ func TestAppendPack2BitInvalidLetter(t *testing.T) {
 				if packed, err := Pack2Bit(letters); packed != nil || err == nil || err.Error() != want.Error() {
 					t.Fatalf("Pack2Bit(%q) = %x, %v", letters, packed, err)
 				}
+			}
+		}
+	}
+}
+
+// TestAppendPack2BitEveryPair packs every two-byte input at each of the
+// four pair offsets of the second eight-letter group, among valid
+// letters, and requires the bytes or the error of the per-letter
+// reference: each entry of the pair table, valid or not, is checked in
+// every slot it fills.
+func TestAppendPack2BitEveryPair(t *testing.T) {
+	letters := []byte("ACGTNacgUxRykWMb")
+	dst := make([]byte, 0, 4)
+	for off := 8; off < 16; off += 2 {
+		for pair := 0; pair < 1<<16; pair++ {
+			letters[off], letters[off+1] = byte(pair), byte(pair>>8)
+			want, wantErr := packPerLetter(nil, letters)
+			got, err := AppendPack2Bit(dst[:0], letters)
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("pair %#04x at %d: error %v, per letter %v", pair, off, err, wantErr)
+			}
+			if err == nil && !bytes.Equal(got, want) {
+				t.Fatalf("pair %#04x at %d: %x, per letter %x", pair, off, got, want)
 			}
 		}
 	}

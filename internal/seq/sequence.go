@@ -1,6 +1,7 @@
 package seq
 
 import (
+	"encoding/binary"
 	"fmt"
 )
 
@@ -138,18 +139,21 @@ func AppendPack2Bit(dst, letters []byte) ([]byte, error) {
 	}
 	out = out[:n+need]
 	packed := out[n:]
-	// Four letters per step with one validity test for the group; a
-	// group holding an invalid letter falls through to the per-letter
-	// loop, which reports that letter.
-	i := 0
-	for ; i+4 <= len(letters); i += 4 {
-		c0, c1, c2, c3 := nucCodes[letters[i]], nucCodes[letters[i+1]], nucCodes[letters[i+2]], nucCodes[letters[i+3]]
-		if c0&c1&c2&c3&nucValid == 0 {
+	// Eight letters per step: four pair lookups and one validity test
+	// for the group. A group holding a letter with no code falls
+	// through to the per-letter loop, which reports that letter.
+	// len(to) >= 2 always holds; testing it drops the bounds checks.
+	src, to := letters, packed
+	for len(src) >= 8 && len(to) >= 2 {
+		w := binary.LittleEndian.Uint64(src)
+		p0, p1, p2, p3 := nucPairs[uint16(w)], nucPairs[uint16(w>>16)], nucPairs[uint16(w>>32)], nucPairs[uint16(w>>48)]
+		if p0&p1&p2&p3&pairValid == 0 {
 			break
 		}
-		packed[i/4] = c0&3 | (c1&3)<<2 | (c2&3)<<4 | (c3&3)<<6
+		to[0], to[1] = p0&15|p1<<4, p2&15|p3<<4
+		src, to = src[8:], to[2:]
 	}
-	for ; i < len(letters); i++ {
+	for i := len(letters) - len(src); i < len(letters); i++ {
 		c := nucCodes[letters[i]]
 		if c == 0 {
 			return dst, fmt.Errorf("seq: cannot 2-bit pack letter %q at position %d", letters[i], i+1)

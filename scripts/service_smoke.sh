@@ -5,6 +5,7 @@
 # small execution-slot budget, hammer it with 8 concurrent closed-loop
 # clients, and require:
 #   - zero failed requests across the run,
+#   - a query holding a digit answered 400 with a JSON error,
 #   - admission queue depth > 0 at peak (the slots saturated),
 #   - cache hits > 0 (repeat queries served from the result cache),
 #   - a clean drain on SIGTERM (in-flight work finishes, process exits).
@@ -29,6 +30,16 @@ wait_http "http://$HTTP/healthz" || fail "blastd never came up" "$TMP/blastd.log
 # exercise the result cache.
 FAILED=$(load "http://$HTTP" 8 4 0.3 1)
 [ "$FAILED" = 0 ] || fail "$FAILED failed requests under load" "$TMP/blastd.log"
+
+# One query holding a digit: the error reply (status from the error,
+# JSON body) runs on every pass, not only when the load hits a limit.
+BAD="$TMP/bad.json"
+code=$(curl -s -o "$BAD" -w '%{http_code}' --max-time 10 -X POST \
+    -H 'Content-Type: application/json' \
+    --data-binary '{"db":"nt","query":">bad\nACGT1234ACGT","client":"smoke-bad"}' \
+    "http://$HTTP/search" || true)
+[ "$code" = 400 ] || fail "a query holding a digit was answered $code, want 400" "$BAD"
+grep -q '"error":' "$BAD" || fail "the 400 reply carries no JSON error:" "$BAD"
 
 METRICS="$TMP/metrics.txt"
 curl -sf "http://$HTTP/metrics" >"$METRICS"
