@@ -18,8 +18,9 @@ test:
 # concurrency tests twenty times under the race detector (every file
 # type's Read, Write and Seek share one chio.Cursor, so a lapse in its
 # locking races every backend at once), re-run blastdb's Format
-# leak test and its concurrent-stream test twenty times under the race
-# detector (Format's parse-ahead goroutine outlives its WaitGroup's
+# leak tests (a failed read, close or create) and its concurrent-stream
+# test twenty times under the race detector (Format's parse-ahead,
+# create and close goroutines outlive their WaitGroup's
 # Done by a moment, so the check waits for Format's own goroutines to
 # exit rather than counting every goroutine once; a fragment's index
 # and defline regions load lazily under a mutex that every Source of
@@ -60,7 +61,7 @@ test:
 check: lint race
 	$(GO) test -race -count=20 -timeout 120s -run 'Prefetch|Concurrent|Demand' ./internal/readahead/
 	$(GO) test -race -count=20 -run 'Concurrent' ./internal/chio/
-	$(GO) test -race -count=20 -run 'TestFormatStopsReadingOnError|TestFormatFailedCloseSavesNoAlias|TestConcurrentSourcesShareOneFragment' ./internal/blastdb/
+	$(GO) test -race -count=20 -run 'TestFormatStopsReadingOnError|TestFormatFailedCloseSavesNoAlias|TestFormatFailedCreateClosesFragments|TestConcurrentSourcesShareOneFragment' ./internal/blastdb/
 	$(GO) test -race -count=20 ./internal/mpi/
 	$(GO) test -race -count=10 -timeout 120s -run 'Leave|Crash|Duplicate|Cancelled|Idle|Affinity|Gone' ./internal/pblast/
 	$(GO) test -race -count=10 -run 'Heartbeat|Close' ./internal/pvfs/

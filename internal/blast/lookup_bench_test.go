@@ -18,8 +18,10 @@ func (c *countSink) handleSeed(view, qpos, spos int) { c.n++ }
 // 2-bit packed subject against the map-based implementation it
 // replaced scanning the subject's codes, for classic blastn 11-mers
 // and megablast 28-mers. The subject carries planted query chunks so
-// the hit path is exercised, not just the miss path. SetBytes is the
-// letter count in both rows, so MB/s reads as bases/sec.
+// the hit path is exercised, not just the miss path. The both row
+// scans the table the engine builds, the query and its reverse
+// complement in one table, as every search does. SetBytes is the
+// letter count in every row, so MB/s reads as bases/sec.
 func BenchmarkNucLookupScan(b *testing.B) {
 	rng := util.NewRNG(99)
 	query := denseDNA(rng, 568)
@@ -28,6 +30,22 @@ func BenchmarkNucLookupScan(b *testing.B) {
 		copy(subject[off:], query[50:450])
 	}
 	packed := seq.PackCodes(subject)
+	letters := make([]byte, len(query))
+	for i, c := range query {
+		letters[i] = seq.NucLetter[c]
+	}
+	eng, err := newEngine(nucSeq(string(letters)), Params{Program: BlastN}.Defaults())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("both/w=11", func(b *testing.B) {
+		var sink countSink
+		b.ReportAllocs()
+		b.SetBytes(int64(len(subject)))
+		for i := 0; i < b.N; i++ {
+			eng.table.scan(packed, len(subject), &sink)
+		}
+	})
 	for _, w := range []int{11, 28} {
 		csr := buildNucLookup([][]byte{query}, w, nil)
 		ref := buildRefNucLookup(query, w, nil)

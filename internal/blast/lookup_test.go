@@ -151,6 +151,156 @@ func TestNucLookupMatchesReference(t *testing.T) {
 	}
 }
 
+// refSeeds returns the map reference's seeds of each strand view of
+// query over subject.
+func refSeeds(query, subject *seq.Sequence, w int) [][]seedPair {
+	views, _ := strandViews(query, false)
+	out := make([][]seedPair, len(views))
+	for v, codes := range views {
+		var rec seedRecorder
+		buildRefNucLookup(codes, w, nil).scan(subject.Codes(), &rec)
+		out[v] = rec.view(0)
+	}
+	return out
+}
+
+// edgeQuery is a random query whose bases 97-99 are "AAA": a chunk
+// planted from base 100 at a subject's start then also matches, in
+// the zero padding before the subject, the words that start one to
+// three bases earlier, so a scan that let a word start before the
+// subject would seed there.
+func edgeQuery(rng *util.RNG, n int) *seq.Sequence {
+	q := randomDNA(rng, "edge", n)
+	copy(q.Data[97:], "AAA")
+	return q
+}
+
+// TestNucLookupEdgesMatchReference compares the one table with the map
+// reference wherever the verify window is out of the ordinary: steps
+// whose window is zero-padded at the subject's start or in its last 7
+// payload bytes, payloads shorter than 8 bytes (padded at every step),
+// megablast words at phase 0, which fill the window's bits 8-63
+// exactly, and a two-strand table of more than 65 535 entries. Each
+// case also requires the seeds that make it non-vacuous.
+func TestNucLookupEdgesMatchReference(t *testing.T) {
+	rng := util.NewRNG(4246)
+	query := edgeQuery(rng, 600)
+
+	t.Run("short", func(t *testing.T) {
+		for _, w := range []int{blastnWord, megablastWord} {
+			for n := w; n < 4*nucKey; n++ {
+				subject := nucSeq(string(query.Data[100 : 100+n]))
+				checkOneTableSeeds(t, query, subject, w, false)
+				if fwd := refSeeds(query, subject, w)[0]; len(fwd) != n-w+1 || fwd[0].spos != 0 {
+					t.Fatalf("w=%d n=%d: reference seeds %v, want one at every s in 0..%d", w, n, fwd, n-w)
+				}
+			}
+		}
+	})
+
+	t.Run("ends", func(t *testing.T) {
+		for _, w := range []int{blastnWord, megablastWord} {
+			for n := 300; n < 308; n++ {
+				subject := randomDNA(rng, "ends", n)
+				plant(subject, query.Data[100:140], 0)
+				plant(subject, query.Data[300:340], n-40)
+				checkOneTableSeeds(t, query, subject, w, false)
+				fwd := refSeeds(query, subject, w)[0]
+				last := fwd[len(fwd)-1].spos
+				if fwd[0].spos != 0 || last != n-w {
+					t.Fatalf("w=%d n=%d: reference seeds span %d..%d, want 0..%d", w, n, fwd[0].spos, last, n-w)
+				}
+				// The last match's step reads a window padded past the
+				// payload's end, except at W = 28, whose matches
+				// always leave the window inside the payload.
+				if b, q := (last+3)/4, (n+3)/4; w == blastnWord && b+7 <= q {
+					t.Fatalf("n=%d: last seed's step %d reads a full window; the tail case is vacuous", n, b)
+				}
+			}
+		}
+	})
+
+	t.Run("megablast-phase0", func(t *testing.T) {
+		subject := randomDNA(rng, "phase0", 2000)
+		word := query.Data[100 : 100+megablastWord]
+		// Phase 0 at the subject's start, inside it and ending on its
+		// last base; one match at phase 3 keeps every phase's shift
+		// in play.
+		offs := []int{0, 400, 804, 1401, 1972}
+		for _, off := range offs {
+			plant(subject, word, off)
+		}
+		// Near misses: the word with its first, or its last, base
+		// changed, each at phase 0, must not seed.
+		other := map[byte]byte{'A': 'C', 'C': 'G', 'G': 'T', 'T': 'A'}
+		plant(subject, word, 1200)
+		subject.Data[1200] = other[subject.Data[1200]]
+		plant(subject, word, 1600)
+		subject.Data[1600+megablastWord-1] = other[subject.Data[1600+megablastWord-1]]
+		checkOneTableSeeds(t, query, subject, megablastWord, false)
+		got := map[int]bool{}
+		for _, sd := range refSeeds(query, subject, megablastWord)[0] {
+			got[sd.spos] = true
+		}
+		for _, off := range offs {
+			if !got[off] {
+				t.Errorf("reference has no seed at %d", off)
+			}
+		}
+		if got[1200] || got[1600] {
+			t.Errorf("reference seeds a near miss; the case is vacuous")
+		}
+	})
+
+	t.Run("large", func(t *testing.T) {
+		big := edgeQuery(rng, 9000)
+		views, masks := strandViews(big, false)
+		if lt := buildNucLookup(views, blastnWord, masks); len(lt.words) <= 1<<16-1 {
+			t.Fatalf("two-strand table holds %d entries, want more than 65 535", len(lt.words))
+		}
+		subject := randomDNA(rng, "large", 20000)
+		plant(subject, big.Data[100:200], 0)
+		plant(subject, big.Data[8000:8300], 5001)
+		plant(subject, big.ReverseComplement().Data[3000:3300], 12002)
+		plant(subject, big.Data[8800:8900], 19900)
+		if n := checkOneTableSeeds(t, big, subject, blastnWord, false); n[0] == 0 || n[1] == 0 {
+			t.Errorf("seeds %v per view; want both strands to fire", n)
+		}
+	})
+}
+
+// tableBytes counts the memory a table holds: its fixed fields plus
+// the capacity of each of its slices.
+func tableBytes(lt *nucLookup) int {
+	v := reflect.ValueOf(lt).Elem()
+	n := int(v.Type().Size())
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Slice {
+			n += f.Cap() * int(f.Type().Elem().Size())
+		}
+	}
+	return n
+}
+
+// TestNucLookupTableBytes bounds the table built for a 568-letter
+// query's two strands, the paper's blastn query, at 80 KiB: the
+// presence vector, its ranks, one bound per present key and 12 bytes
+// per entry. A per-key array of group bounds (256 KiB) or fatter
+// entries fail it.
+func TestNucLookupTableBytes(t *testing.T) {
+	views, masks := strandViews(randomDNA(util.NewRNG(4247), "q", 568), false)
+	for _, w := range []int{blastnWord, megablastWord} {
+		lt := buildNucLookup(views, w, masks)
+		if len(lt.words) == 0 {
+			t.Fatalf("w=%d: empty table", w)
+		}
+		if n := tableBytes(lt); n > 80<<10 {
+			t.Errorf("w=%d: table holds %d bytes (%d entries, %d groups), bound is 80 KiB",
+				w, n, len(lt.words), len(lt.bounds)-1)
+		}
+	}
+}
+
 // TestNucLookupStrideNoFalseHits feeds the table a subject built from
 // the query's own 8-mers in random flanks, so many aligned subject
 // 8-mers pass the presence vector while the whole words around them

@@ -152,21 +152,22 @@ func atoi64(fields []string, i int) (int64, error) {
 // records of nt's size (kilobases) hold little memory.
 const parseAhead = 64
 
-// closeWidth is how many fragments Format closes at once: every
-// fragment of the paper's and the benchmark's databases (8), and a
-// bound, so thousands of fragments on a local disk do not ask for a
-// thread per blocking write.
+// closeWidth is how many fragments Format creates or closes at once:
+// every fragment of the paper's and the benchmark's databases (8), and
+// a bound, so thousands of fragments on a local disk do not ask for a
+// thread per blocking call.
 const closeWidth = 16
 
 // Format splits the sequences next returns, until io.EOF, into
 // fragments fragments named after name, writing them plus the alias
 // file onto fs. Sequences are assigned greedily to the least-loaded
 // fragment (by letters), the same balancing mpiBLAST's database
-// segmentation performs. The fragments are closed concurrently
-// (closeWidth at a time), and the alias is written once every one has
-// closed. On an error every fragment is closed and no alias is
-// written; an error from next is returned as it is, and of several
-// failed closes the first fragment's error.
+// segmentation performs. The fragments are created concurrently and
+// closed concurrently (closeWidth at a time), and the alias is written
+// once every one has closed. On an error every fragment created is
+// closed and no alias is written; an error from next is returned as it
+// is, and of several failed creates or closes the first fragment's
+// error.
 //
 // next runs on a goroutine of Format's own, up to parseAhead sequences
 // ahead of the appends, and is never called after Format returns.
@@ -176,23 +177,52 @@ func Format(fs chio.FileSystem, name string, kind seq.Kind, fragments int, next 
 	if fragments < 1 {
 		return nil, fmt.Errorf("blastdb: fragment count %d < 1", fragments)
 	}
-	writers := make([]*FragmentWriter, 0, fragments)
+	// eachFragment runs fn for every fragment, closeWidth at a time, so
+	// that one fragment's storage round trips overlap the others', and
+	// returns the first fragment's error.
+	eachFragment := func(fn func(i int) error) error {
+		errs := make([]error, fragments)
+		var running sync.WaitGroup
+		slots := make(chan struct{}, closeWidth)
+		for i := range errs {
+			slots <- struct{}{}
+			running.Add(1)
+			go func() {
+				defer running.Done()
+				errs[i] = fn(i)
+				<-slots
+			}()
+		}
+		running.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	writers := make([]*FragmentWriter, fragments)
 	defer func() {
 		for _, w := range writers {
-			w.Close() // a no-op once the writer is closed
+			if w != nil {
+				w.Close() // a no-op once the writer is closed
+			}
 		}
 	}()
-	for i := 0; i < fragments; i++ {
+	if err := eachFragment(func(i int) error {
 		f, err := fs.Create(FragmentPath(name, i))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		w, err := NewFragmentWriter(f, kind)
 		if err != nil {
 			f.Close()
-			return nil, err
+			return err
 		}
-		writers = append(writers, w)
+		writers[i] = w
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
 	seqs := make(chan *seq.Sequence, parseAhead)
@@ -248,29 +278,16 @@ func Format(fs chio.FileSystem, name string, kind seq.Kind, fragments int, next 
 		return nil, readErr
 	}
 	// The fragments close together: each writes its own tail and
-	// header, so one's storage round trips overlap the others'.
-	errs := make([]error, len(writers))
-	var closing sync.WaitGroup
-	slots := make(chan struct{}, closeWidth)
+	// header.
 	for i, w := range writers {
 		a.Fragments = append(a.Fragments, FragmentInfo{
 			Path:    FragmentPath(name, i),
 			Seqs:    int64(w.NumSequences()),
 			Letters: w.Letters(),
 		})
-		slots <- struct{}{}
-		closing.Add(1)
-		go func() {
-			defer closing.Done()
-			errs[i] = w.Close()
-			<-slots
-		}()
 	}
-	closing.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := eachFragment(func(i int) error { return writers[i].Close() }); err != nil {
+		return nil, err
 	}
 	if err := a.Save(fs, name); err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"regexp"
@@ -835,6 +836,72 @@ func TestFormatFailedCloseSavesNoAlias(t *testing.T) {
 	}
 	if n := formatGoroutines(5 * time.Second); n != 0 {
 		t.Errorf("%d goroutines of Format's still running 5s after it returned", n)
+	}
+}
+
+// createFailFS fails the Create of the file named fail and counts the
+// files it did create, and those of them still open.
+type createFailFS struct {
+	chio.FileSystem
+	fail          string
+	err           error
+	created, open *atomic.Int64
+}
+
+func (fs createFailFS) Create(name string) (chio.File, error) {
+	if name == fs.fail {
+		return nil, fs.err
+	}
+	f, err := fs.FileSystem.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	fs.created.Add(1)
+	fs.open.Add(1)
+	return &countedFile{File: f, open: fs.open}, nil
+}
+
+type countedFile struct {
+	chio.File
+	open   *atomic.Int64
+	closed atomic.Bool
+}
+
+func (f *countedFile) Close() error {
+	if !f.closed.Swap(true) {
+		f.open.Add(-1)
+	}
+	return f.File.Close()
+}
+
+// TestFormatFailedCreateClosesFragments: when the Create of fragment k
+// of 8 fails, Format returns that error, every fragment file it did
+// create (the creates run concurrently, so even at k = 0 there are
+// some) is closed, no alias is written, and none of Format's
+// goroutines is left running.
+func TestFormatFailedCreateClosesFragments(t *testing.T) {
+	seqs := randomSeqs(util.NewRNG(72), 16, 100, 500)
+	for _, k := range []int{0, 3, 7} {
+		boom := fmt.Errorf("create fragment %d", k)
+		mem := chio.NewMemFS()
+		var created, open atomic.Int64
+		fs := createFailFS{FileSystem: mem, fail: FragmentPath("db", k), err: boom, created: &created, open: &open}
+		_, err := Format(fs, "db", seq.Nucleotide, 8, fastaOf(t, seqs).Read)
+		if err != boom {
+			t.Fatalf("k=%d: Format = %v, want %v", k, err, boom)
+		}
+		if created.Load() == 0 {
+			t.Fatalf("k=%d: no fragment file was created; the test is vacuous", k)
+		}
+		if n := open.Load(); n != 0 {
+			t.Errorf("k=%d: %d of %d created fragment files left open", k, n, created.Load())
+		}
+		if _, err := mem.Stat(AliasPath("db")); err == nil {
+			t.Errorf("k=%d: an alias was saved for a database whose fragment was never created", k)
+		}
+		if n := formatGoroutines(5 * time.Second); n != 0 {
+			t.Errorf("k=%d: %d goroutines of Format's still running 5s after it returned", k, n)
+		}
 	}
 }
 
