@@ -35,7 +35,9 @@ test:
 # duplicate span, cancel, idle, a gone TCP worker: every result is also
 # its sender's next ready, and a gone rank's tasks are requeued, so a
 # lapse in the loop's idle list, gone set or requeue shows up only as a
-# rare interleaving; affinity: pickTask chooses among pending tasks by
+# rare interleaving; Close with a worker held in a withdrawn task: the
+# loop must return without a receive, which a stray wait shows only in
+# some orders of the withdrawal's wake and Close's; affinity: pickTask chooses among pending tasks by
 # holder, so a wrong choice shows up only in some orders of results and
 # readies; each gone-worker test has its own 2 s deadline, and the loop
 # a 2-minute timeout, so a scheduler that hangs elsewhere ends the loop
@@ -63,7 +65,7 @@ check: lint race
 	$(GO) test -race -count=20 -run 'Concurrent' ./internal/chio/
 	$(GO) test -race -count=20 -run 'TestFormatStopsReadingOnError|TestFormatFailedCloseSavesNoAlias|TestFormatFailedCreateClosesFragments|TestConcurrentSourcesShareOneFragment' ./internal/blastdb/
 	$(GO) test -race -count=20 ./internal/mpi/
-	$(GO) test -race -count=10 -timeout 120s -run 'Leave|Crash|Duplicate|Cancelled|Idle|Affinity|Gone' ./internal/pblast/
+	$(GO) test -race -count=10 -timeout 120s -run 'Leave|Crash|Duplicate|Cancelled|Idle|Affinity|Gone|CloseMakesNoReceive' ./internal/pblast/
 	$(GO) test -race -count=10 -run 'Heartbeat|Close' ./internal/pvfs/
 	$(GO) test -run TestSearchSubjectSteadyStateAllocs ./internal/blast/
 	$(GO) test -run TestSearcherRepeatAllocs ./internal/blast/

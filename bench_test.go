@@ -63,8 +63,7 @@ func BenchmarkFig4TracePattern(b *testing.B) {
 			Search:   pblast.NewConfig("nt", pblast.WithParams(blast.Params{Program: blast.BlastN})),
 			Workers:  8,
 			MasterFS: fs,
-			WorkerFS: func(int) chio.FileSystem { return fs },
-			Trace:    trace,
+			WorkerFS: func(rank int) chio.FileSystem { return iotrace.Wrap(fs, trace, fmt.Sprintf("worker%d", rank)) },
 		})
 		if err != nil {
 			b.Fatal(err)

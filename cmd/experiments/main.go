@@ -117,8 +117,7 @@ func runFig4(dbSize, scatterPath string) {
 		Search:   pblast.NewConfig("nt", pblast.WithParams(blast.Params{Program: blast.BlastN})),
 		Workers:  fig4Workers,
 		MasterFS: fs,
-		WorkerFS: func(int) chio.FileSystem { return fs },
-		Trace:    trace,
+		WorkerFS: func(rank int) chio.FileSystem { return iotrace.Wrap(fs, trace, fmt.Sprintf("worker%d", rank)) },
 	})
 	if err != nil {
 		fatal(err)

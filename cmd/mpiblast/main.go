@@ -36,7 +36,6 @@ import (
 	"pario/internal/blastdb"
 	"pario/internal/chio"
 	"pario/internal/core"
-	"pario/internal/iotrace"
 	"pario/internal/mpi"
 	"pario/internal/obsreport"
 	"pario/internal/pblast"
@@ -57,7 +56,6 @@ func main() {
 		evalue   = flag.Float64("evalue", 10, "e-value cutoff")
 		mega     = flag.Bool("megablast", false, "megablast mode: 28-mer seeds + greedy extension")
 		filterLC = flag.Bool("F", false, "mask low-complexity query regions with DUST")
-		traceOut = flag.String("trace", "", "write a Figure 4 style I/O trace to this file")
 		outfmt   = flag.String("outfmt", "report", "report|tabular")
 
 		// Live observability endpoints and run reports.
@@ -84,10 +82,6 @@ func main() {
 	if *db == "" || *queryF == "" {
 		fmt.Fprintln(os.Stderr, "mpiblast: -db and -query are required")
 		flag.Usage()
-		os.Exit(2)
-	}
-	if *router != "" && *traceOut != "" {
-		fmt.Fprintln(os.Stderr, "mpiblast: -trace records in-process workers only; it cannot be used with -router")
 		os.Exit(2)
 	}
 	collectTargets, err := telemetry.ParseTargets(*collect)
@@ -177,7 +171,6 @@ func main() {
 		submit      func(context.Context, *seq.Sequence, blast.Params, *blastdb.Alias) (*pblast.Outcome, error)
 		closeStream func() error
 		nWorkers    = *workers
-		trace       *iotrace.Trace
 	)
 	start := time.Now()
 	if distributed {
@@ -199,16 +192,12 @@ func main() {
 		}
 		submit, closeStream, nWorkers = st.Submit, st.Close, *size-1
 	} else {
-		if *traceOut != "" {
-			trace = iotrace.NewTrace()
-		}
 		pool, err := core.OpenPool(ctx, core.SearchConfig{
 			Search:   cfg,
 			Workers:  *workers,
 			MasterFS: masterFS,
 			WorkerFS: core.PerRank(ranks.FS, fatal),
 			Scratch:  core.PerRank(tune.ScratchFS, fatal),
-			Trace:    trace,
 		})
 		if err != nil {
 			fatal(err)
@@ -261,19 +250,6 @@ func main() {
 	sort.SliceStable(run.Timeline, func(a, b int) bool { return run.Timeline[a].Start < run.Timeline[b].Start })
 	fmt.Fprintf(out, "# total elapsed %.2fs over %s backend\n",
 		run.WallTime.Seconds(), masterFS.BackendName())
-	if trace != nil {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := trace.WriteScatter(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(out, "# %s\n# trace written to %s\n", trace.Summarize().Format(), *traceOut)
-	}
 	if err := out.Flush(); err != nil {
 		fatal(err)
 	}

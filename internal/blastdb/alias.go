@@ -164,10 +164,10 @@ const closeWidth = 16
 // fragment (by letters), the same balancing mpiBLAST's database
 // segmentation performs. The fragments are created concurrently and
 // closed concurrently (closeWidth at a time), and the alias is written
-// once every one has closed. On an error every fragment created is
-// closed and no alias is written; an error from next is returned as it
-// is, and of several failed creates or closes the first fragment's
-// error.
+// once every one has closed. On an error no alias is written and every
+// fragment created but not yet closed is closed unfinished, so
+// OpenFragment rejects it; an error from next is returned as it is,
+// and of several failed creates or closes the first fragment's error.
 //
 // next runs on a goroutine of Format's own, up to parseAhead sequences
 // ahead of the appends, and is never called after Format returns.
@@ -205,7 +205,7 @@ func Format(fs chio.FileSystem, name string, kind seq.Kind, fragments int, next 
 	defer func() {
 		for _, w := range writers {
 			if w != nil {
-				w.Close() // a no-op once the writer is closed
+				w.abandon() // a no-op once the writer is closed
 			}
 		}
 	}()

@@ -877,8 +877,8 @@ func (f *countedFile) Close() error {
 // TestFormatFailedCreateClosesFragments: when the Create of fragment k
 // of 8 fails, Format returns that error, every fragment file it did
 // create (the creates run concurrently, so even at k = 0 there are
-// some) is closed, no alias is written, and none of Format's
-// goroutines is left running.
+// some) is closed and fails OpenFragment, no alias is written, and
+// none of Format's goroutines is left running.
 func TestFormatFailedCreateClosesFragments(t *testing.T) {
 	seqs := randomSeqs(util.NewRNG(72), 16, 100, 500)
 	for _, k := range []int{0, 3, 7} {
@@ -898,6 +898,16 @@ func TestFormatFailedCreateClosesFragments(t *testing.T) {
 		}
 		if _, err := mem.Stat(AliasPath("db")); err == nil {
 			t.Errorf("k=%d: an alias was saved for a database whose fragment was never created", k)
+		}
+		for i := range 8 {
+			path := FragmentPath("db", i)
+			if _, err := mem.Stat(path); err != nil {
+				continue // not created
+			}
+			if fr, err := OpenFragment(mem, path); err == nil {
+				t.Errorf("k=%d: %s of a failed Format opens as a fragment of %d sequences", k, path, fr.NumSequences())
+				fr.Close()
+			}
 		}
 		if n := formatGoroutines(5 * time.Second); n != 0 {
 			t.Errorf("k=%d: %d goroutines of Format's still running 5s after it returned", k, n)

@@ -211,14 +211,23 @@ func (w *FragmentWriter) Close() error {
 	if w.closed {
 		return nil
 	}
-	w.closed = true
 	err := w.finish()
+	if cerr := w.abandon(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// abandon returns the write buffer and closes the file without
+// finishing the fragment, which OpenFragment then rejects. It is a
+// no-op once the writer is closed.
+func (w *FragmentWriter) abandon() error {
+	if w.closed {
+		return nil
+	}
+	w.closed = true
 	writeBufs.Put(w.whole)
 	w.whole, w.buf = nil, nil
-	if err != nil {
-		w.f.Close()
-		return err
-	}
 	return w.f.Close()
 }
 

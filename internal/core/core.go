@@ -2,8 +2,9 @@
 // operations to build BLAST databases, deploy PVFS / CEFT-PVFS
 // "clusters" (one process per server, localhost TCP), and run the
 // paper's three parallel BLAST configurations — conventional local
-// I/O, -over-PVFS and -over-CEFT-PVFS — with optional application-
-// level I/O tracing (Figure 4 instrumentation).
+// I/O, -over-PVFS and -over-CEFT-PVFS. Figure 4's application-level
+// I/O trace is a wrapper a caller puts on its own WorkerFS
+// (iotrace.Wrap).
 package core
 
 import (
@@ -16,7 +17,6 @@ import (
 	"pario/internal/blastdb"
 	"pario/internal/ceft"
 	"pario/internal/chio"
-	"pario/internal/iotrace"
 	"pario/internal/pblast"
 	"pario/internal/pvfs"
 	"pario/internal/rpcpool"
@@ -88,46 +88,18 @@ type SearchConfig struct {
 	// nil, for none); a worker handed a scratch copies each fragment
 	// to it before searching.
 	Scratch func(rank int) chio.FileSystem
-	// Trace, when non-nil, records every worker's application-level
-	// I/O (Figure 4 instrumentation).
-	Trace *iotrace.Trace
-}
-
-// wrapWorkerFS applies SearchConfig's own wrapper, the Figure 4 I/O
-// trace, to every worker's view of the shared store and of its
-// scratch. The readahead layer the search configuration asks for is
-// stacked above it by the pblast pool.
-func wrapWorkerFS(cfg SearchConfig) (workerFS, scratch func(int) chio.FileSystem, err error) {
-	if cfg.MasterFS == nil || cfg.WorkerFS == nil {
-		return nil, nil, fmt.Errorf("core: SearchConfig needs MasterFS and WorkerFS")
-	}
-	if cfg.Trace == nil {
-		return cfg.WorkerFS, cfg.Scratch, nil
-	}
-	traced := func(inner func(int) chio.FileSystem) func(int) chio.FileSystem {
-		if inner == nil {
-			return nil
-		}
-		return func(rank int) chio.FileSystem {
-			fs := inner(rank)
-			if fs == nil {
-				return nil
-			}
-			return iotrace.Wrap(fs, cfg.Trace, fmt.Sprintf("worker%d", rank))
-		}
-	}
-	return traced(cfg.WorkerFS), traced(cfg.Scratch), nil
 }
 
 // OpenPool stands the configured search up in this process — cfg.Workers
 // workers over cfg's file systems — and leaves it open for any number
-// of Submit calls, concurrent or not; the caller closes it.
+// of Submit calls, concurrent or not; the caller closes it. The
+// readahead layer the search configuration asks for is stacked above
+// cfg.WorkerFS by the pblast pool.
 func OpenPool(ctx context.Context, cfg SearchConfig) (*pblast.Pool, error) {
-	workerFS, scratch, err := wrapWorkerFS(cfg)
-	if err != nil {
-		return nil, err
+	if cfg.MasterFS == nil || cfg.WorkerFS == nil {
+		return nil, fmt.Errorf("core: SearchConfig needs MasterFS and WorkerFS")
 	}
-	return pblast.NewPool(ctx, cfg.Search, cfg.Workers, workerFS, scratch, nil)
+	return pblast.NewPool(ctx, cfg.Search, cfg.Workers, cfg.WorkerFS, cfg.Scratch, nil)
 }
 
 // ParallelSearch runs the master/worker parallel BLAST in-process: a

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -129,9 +130,8 @@ func TestParallelSearchOverPVFSWithTrace(t *testing.T) {
 			mu.Lock()
 			clients = append(clients, &struct{ c interface{ Close() error } }{cl})
 			mu.Unlock()
-			return cl
+			return iotrace.Wrap(cl, trace, fmt.Sprintf("worker%d", rank))
 		},
-		Trace: trace,
 	})
 	defer func() {
 		for _, h := range clients {

@@ -15,10 +15,12 @@
 // whichever workers are idle. The protocol is mpiBLAST's worker loop:
 // a worker sends Ready once to join (so a distributed worker may start
 // while searches run), then receives a task and sends its result,
-// which doubles as its next Ready, until it is released. A worker that
-// is gone (cancelled, crashed or cut off) is reported by the transport
-// (mpi.TagGone) and its tasks are re-queued; when every worker is gone
-// the submissions in flight fail with ErrWorkersGone. Each rank
+// which doubles as its next Ready, until its communicator closes: the
+// end of a job reaches a worker only through the transport, never as a
+// message. A worker that is gone (cancelled, crashed or cut off) is
+// reported by the transport (mpi.TagGone) and its tasks are re-queued;
+// when every worker is gone the submissions in flight fail with
+// ErrWorkersGone. Each rank
 // receives its messages in arrival order and dispatches on their tags.
 // A one-shot search opens a stream, submits and closes it; a
 // multi-query run is several concurrent Submits on one stream, and the
@@ -65,12 +67,6 @@ const (
 	tagWake
 )
 
-// task kinds.
-const (
-	taskSearch = iota
-	taskDone
-)
-
 // Config controls a parallel search. Construct it with NewConfig and
 // the With* options; direct struct literals are deprecated.
 type Config struct {
@@ -98,7 +94,6 @@ type Config struct {
 // worker pool serves any mix of queries — and databases — without
 // re-broadcasting state.
 type taskMsg struct {
-	Kind  int
 	Sub   int64 // submission the task belongs to
 	Index int   // task index within the submission
 
@@ -185,11 +180,12 @@ func decodeGob(data []byte, v interface{}) error {
 //
 // The worker loop is mpiBLAST's: send Ready once, then take a task,
 // search it and send its result, which also asks for the next task,
-// until the master sends a done-task. RunWorker closes c however it
-// returns, so the transport reports this rank gone and the master
-// re-queues any task still in flight to it. Cancelling ctx makes the
-// worker leave: it withholds the result of a task its cancellation cut
-// short and returns ctx's error. When fs supports chio.ContextBinder
+// until c closes — World.Close in process, the router's end over TCP —
+// which is a clean return (nil), idle or mid-task. RunWorker closes c
+// however it returns, so the transport reports this rank gone and the
+// master re-queues any task still in flight to it. Cancelling ctx makes
+// the worker leave: it withholds the result of a task its cancellation
+// cut short and returns ctx's error. When fs supports chio.ContextBinder
 // its in-flight parallel-FS reads abort too, so a cancelled query
 // releases the I/O path immediately.
 func RunWorker(ctx context.Context, c mpi.Comm, cfg Config, fs, scratch chio.FileSystem) error {
@@ -228,9 +224,6 @@ func RunWorker(ctx context.Context, c mpi.Comm, cfg Config, fs, scratch chio.Fil
 		var t taskMsg
 		if _, err := mpi.RecvGob(ctx, c, &t); err != nil {
 			return exit(err)
-		}
-		if t.Kind == taskDone {
-			return nil
 		}
 		rm := runTask(ctx, cfg, &sr, c.Rank(), &t, fs, scratch)
 		if err := ctx.Err(); err != nil {

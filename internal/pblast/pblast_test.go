@@ -103,7 +103,7 @@ func searchPool(ctx context.Context, nWorkers int, query *seq.Sequence, cfg Conf
 // searchStream is the master's side of a run whose workers the test
 // runs itself on the other ranks of c: it opens a stream on rank 0 with
 // cfg, submits one query against the alias read through fs, and closes
-// the stream, releasing the workers.
+// the stream. The workers run on until the test closes c's transport.
 func searchStream(ctx context.Context, c mpi.Comm, fs chio.FileSystem, query *seq.Sequence, cfg Config) (*Outcome, error) {
 	alias, err := blastdb.ReadAlias(fs, cfg.DBName)
 	if err != nil {
@@ -348,6 +348,7 @@ func TestWorkerConfigDecidesCopyToLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	world.Close()
 	if err := <-werr; err != nil {
 		t.Fatalf("worker: %v", err)
 	}
@@ -575,6 +576,7 @@ func TestOverTCPTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	router.Close() // the workers' end signal
 	wg.Wait()
 	for r, err := range workerErrs {
 		if err != nil {
@@ -757,6 +759,7 @@ func TestGoneTCPWorker(t *testing.T) {
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}
+			router.Close() // the staying worker's end signal
 			if err := <-stayed; err != nil {
 				t.Errorf("staying worker returned %v", err)
 			}
@@ -971,8 +974,8 @@ func (c countingComm) Recv(ctx context.Context) (mpi.Message, error) {
 }
 
 // An idle stream and its workers block in Recv rather than polling,
-// even in the Pool's shape (cancellable contexts), and a cancel still
-// reaches an idle worker.
+// even in the Pool's shape (cancellable contexts); a cancel still
+// reaches an idle worker, and the world's close ends the other.
 func TestIdleStreamMakesNoReceives(t *testing.T) {
 	world, err := mpi.NewWorld(3)
 	if err != nil {
@@ -1019,8 +1022,67 @@ func TestIdleStreamMakesNoReceives(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+	world.Close()
 	if err := <-exited[1]; err != nil {
-		t.Errorf("released worker returned %v", err)
+		t.Errorf("idle worker returned %v when the world closed", err)
+	}
+}
+
+// Close makes no receive of its own: it drains the submissions and the
+// loop returns, even while a worker still computes a withdrawn
+// submission's task. The world's close then ends that worker cleanly.
+func TestCloseMakesNoReceive(t *testing.T) {
+	mem := chio.NewMemFS()
+	query := buildTestDB(t, mem, "nt", 4)
+	alias, err := blastdb.ReadAlias(mem, "nt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	world, err := mpi.NewWorld(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer world.Close()
+	var recvs atomic.Int64
+	cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}))
+	st, err := StartStream(context.Background(), countingComm{world.Comm(0), &recvs}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &gatedFS{FileSystem: mem, entered: make(chan struct{}), release: make(chan struct{})}
+	exited := make(chan error, 1)
+	go func() { exited <- RunWorker(context.Background(), world.Comm(1), cfg, gate, nil) }()
+	ctx, cancel := context.WithCancel(context.Background())
+	submitted := make(chan error, 1)
+	go func() {
+		_, err := st.Submit(ctx, query, cfg.Params, alias)
+		submitted <- err
+	}()
+	<-gate.entered
+	cancel()
+	if err := <-submitted; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Submit returned %v, want context.Canceled", err)
+	}
+	// Rank 0 has now been sent all it gets before Close: the worker's
+	// Ready and the wakes of the enqueue and the withdrawal. One Recv
+	// each, and a fourth that blocks.
+	const settled = 3 + 1
+	for deadline := time.Now().Add(5 * time.Second); recvs.Load() < settled; {
+		if time.Now().After(deadline) {
+			t.Fatalf("the loop made %d receives, want %d", recvs.Load(), settled)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := recvs.Load() - settled; n != 0 {
+		t.Errorf("Close made %d receives with a worker still in a withdrawn task, want 0", n)
+	}
+	close(gate.release)
+	world.Close()
+	if err := <-exited; err != nil {
+		t.Errorf("worker returned %v when the world closed", err)
 	}
 }
 

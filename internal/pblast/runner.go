@@ -118,19 +118,20 @@ func (p *Pool) exited(rank int, err error, onWorkerError func(rank int, err erro
 	}
 }
 
-// Close drains the stream (completing queued submissions), releases
-// the workers, and tears down the world. It returns the stream's
-// terminal error, or else the first worker failure. Call it once.
+// Close drains the stream (completing queued submissions), then ends
+// the workers by closing the world and joins them. It returns the
+// stream's terminal error, or else the first worker failure. Call it
+// once.
 func (p *Pool) Close() error {
 	err := p.stream.Close()
 	p.mu.Lock()
 	p.closing = true
 	p.mu.Unlock()
-	// Cancel and shut the world down before joining the workers: one
-	// the release phase stopped waiting for (still computing a withdrawn
-	// submission's task) learns of completion only this way.
-	p.cancel()
+	// The world's close is the workers' one end signal; the cancel also
+	// aborts the reads of one still computing a withdrawn submission's
+	// task.
 	p.world.Close()
+	p.cancel()
 	p.wg.Wait()
 	if err == nil {
 		err = p.err

@@ -28,10 +28,10 @@ var ErrWorkersGone = errors.New("pblast: every worker is gone")
 // workers are idle, for as long as the stream lives. Submissions may
 // arrive from any goroutine at any time; workers may join (with their
 // first Ready) and go (the transport reports each gone rank) while
-// searches run. Close drains in-flight submissions and releases the
-// workers. This is the machinery behind the in-process Pool and,
-// through it, the always-on blastd service, and behind mpiblast's
-// distributed master.
+// searches run. Close drains in-flight submissions; the workers run
+// until their communicator closes. This is the machinery behind the
+// in-process Pool and, through it, the always-on blastd service, and
+// behind mpiblast's distributed master.
 type Stream struct {
 	c   mpi.Comm
 	cfg Config
@@ -70,8 +70,9 @@ type submission struct {
 
 // StartStream opens a stream on rank 0 of c. Workers running
 // RunWorker on the other ranks join with their first Ready — none need
-// exist yet. The stream reads only the master's part of cfg: the
-// scheduling telemetry and the tracer for task spans.
+// exist yet — and serve until c's transport closes them: the stream
+// never tells a worker to stop. The stream reads only the master's
+// part of cfg: the scheduling telemetry and the tracer for task spans.
 // How a task is read and searched is each worker's own Config; the
 // query, parameters and database arrive per submission.
 func StartStream(ctx context.Context, c mpi.Comm, cfg Config) (*Stream, error) {
@@ -116,7 +117,6 @@ func (s *Stream) Submit(ctx context.Context, query *seq.Sequence, params blast.P
 	}
 	for i, fr := range alias.Fragments {
 		sub.tasks = append(sub.tasks, &taskMsg{
-			Kind:      taskSearch,
 			Index:     i,
 			Query:     *query,
 			Params:    params,
@@ -192,10 +192,13 @@ func (s *Stream) wake() {
 	s.c.Send(0, tagWake, nil) // best effort: a dead loop fails all waiters anyway
 }
 
-// Close drains the stream: new submissions are refused, in-flight
-// submissions run to completion, and every worker still attached is
-// released with a done-task. It returns the loop's terminal error, if
-// any. Close is idempotent and safe to call concurrently with Submit.
+// Close drains the stream: new submissions are refused and in-flight
+// submissions run to completion; then the loop returns without another
+// receive. The workers are left to the transport: closing the world (in
+// process) or the router (over TCP) ends each one, idle or still
+// computing a withdrawn submission's task. Close returns the loop's
+// terminal error, if any. It is idempotent and safe to call
+// concurrently with Submit.
 func (s *Stream) Close() error {
 	s.mu.Lock()
 	s.closing = true
@@ -241,8 +244,7 @@ func (s *Stream) loop(ctx context.Context) {
 	// to: that worker's cache most likely still holds its blocks.
 	// Entries are never cleared — a stale one costs one cold read.
 	holder := make(map[string]int)
-	active := make(map[int]bool) // has sent Ready and is not gone
-	gone := make(map[int]bool)   // reported by the transport; heard no more
+	gone := make(map[int]bool) // reported by the transport; heard no more
 	loopStart := time.Now()
 
 	// failAll completes every in-flight submission with err and
@@ -385,7 +387,7 @@ func (s *Stream) loop(ctx context.Context) {
 	for {
 		closing = drainQueue() || closing
 		if closing && len(subs) == 0 {
-			break
+			return
 		}
 		if err := ctx.Err(); err != nil {
 			failAll(err)
@@ -418,11 +420,9 @@ func (s *Stream) loop(ctx context.Context) {
 			// Just a nudge; the top of the loop drains the queue.
 		case tagReady:
 			// A worker joined.
-			active[m.From] = true
 			idle = append(idle, m.From)
 		case mpi.TagGone:
 			gone[m.From] = true
-			delete(active, m.From)
 			idle = slices.DeleteFunc(idle, func(w int) bool { return w == m.From })
 			// Hand its in-flight tasks to someone else.
 			for _, ts := range tasks {
@@ -469,55 +469,5 @@ func (s *Stream) loop(ctx context.Context) {
 			failAll(fmt.Errorf("pblast: master got unexpected tag %d", m.Tag))
 			return
 		}
-	}
-
-	// Release phase: every worker currently waiting for work gets a
-	// done-task, then each late Ready or Result releases its sender,
-	// until all attached workers have been released or are gone. A
-	// short deadline per wait bounds the cost of a worker that is still
-	// computing a withdrawn submission's task, or is stopped: it learns
-	// of completion when the communicator shuts down.
-	released := make(map[int]bool)
-	release := func(w int) error {
-		if released[w] {
-			return nil
-		}
-		if err := mpi.SendGob(s.c, w, tagTask, &taskMsg{Kind: taskDone}); err != nil {
-			return err
-		}
-		released[w] = true
-		return nil
-	}
-	for _, w := range idle {
-		if err := release(w); err != nil {
-			s.loopErr = err
-			return
-		}
-	}
-	allReleased := func() bool {
-		for w := range active {
-			if !released[w] {
-				return false
-			}
-		}
-		return true
-	}
-	for !allReleased() {
-		rctx, cancel := context.WithTimeout(ctx, 250*time.Millisecond)
-		m, err := s.c.Recv(rctx)
-		cancel()
-		if err != nil {
-			break
-		}
-		switch m.Tag {
-		case tagReady, tagResult:
-			if err := release(m.From); err != nil {
-				s.loopErr = err
-				return
-			}
-		case mpi.TagGone:
-			delete(active, m.From)
-		}
-		// Wakes are dropped on the floor.
 	}
 }

@@ -28,8 +28,7 @@
 #   - kill a worker process (SIGKILL) that holds a task in a
 #     distributed run: its task is re-run on the other worker and the
 #     master exits 0 within 20 s with serial blastn's hit lines; kill
-#     both, and the master exits 1 naming both ranks;
-#   - require mpiblast to refuse -trace in distributed mode.
+#     both, and the master exits 1 naming both ranks.
 # Exercised by `make cli-smoke` (part of `make check`).
 # shellcheck disable=SC2086 # $PVFS and $CEFT are flag lists
 SMOKE=cli-smoke
@@ -123,14 +122,6 @@ hits() { grep -v '^#' "$1"; }
 hits "$TMP/serial.out" >"$TMP/serial.hits"
 [ "$(grep -c '^qa' "$TMP/serial.hits")" -ge 1 ] && [ "$(grep -c '^qb' "$TMP/serial.hits")" -ge 1 ] ||
     fail "serial blastn did not hit with both queries" "$TMP/serial.out"
-
-# -trace records in-process workers only: distributed mode must refuse
-# it with a usage error rather than silently write no trace.
-code=0
-"$TMP/mpiblast" -db nt -query "$TMP/q.fasta" -router "127.0.0.1:$((BASE + 23))" -size 3 -rank 0 \
-    -trace "$TMP/dist.trace" >/dev/null 2>"$TMP/trace.log" || code=$?
-[ "$code" = 2 ] && grep -q 'in-process workers only' "$TMP/trace.log" ||
-    fail "mpiblast -router -trace did not exit 2 naming in-process workers (exit $code)" "$TMP/trace.log"
 
 # In-process: master and two workers in one process, over CEFT.
 "$TMP/mpiblast" -db nt -query "$TMP/q.fasta" -outfmt tabular -workers 2 \
