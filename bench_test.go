@@ -399,9 +399,10 @@ func BenchmarkFragmentStream(b *testing.B) {
 // BenchmarkFormatDatabase formats 2 MB of nt-like FASTA text into 8
 // fragments on MemFS: the in-memory half of formatdb (parse, pack,
 // write, close), the blastdb.format_mem_mb_per_s rung of ingest_ceft.
-// Its allocs/op is about three per record plus a few per fragment, so
+// Its allocs/op is about two per record plus a few per fragment, so
 // a fragment write buffer that goes back to growing per writer adds
-// about fifteen per fragment and fails bench-compare.
+// about fifteen per fragment, and a per-record letter copy about one
+// per record, and either fails bench-compare.
 func BenchmarkFormatDatabase(b *testing.B) {
 	var fasta bytes.Buffer
 	if _, _, err := workload.WriteFasta(&fasta, workload.NtLike("in8", 2<<20, 71)); err != nil {

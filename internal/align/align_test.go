@@ -8,6 +8,61 @@ import (
 	"pario/internal/util"
 )
 
+// GapCost returns the cost (positive) of a gap of length n.
+func (s *Scheme) GapCost(n int) int {
+	if n <= 0 {
+		return 0
+	}
+	return s.GapOpen + n*s.GapExtend
+}
+
+// SmithWatermanScore computes only the optimal local score using
+// linear memory. It is the reference oracle for property tests.
+func SmithWatermanScore(a, b []byte, s *Scheme) int {
+	n, m := len(a), len(b)
+	if n == 0 || m == 0 {
+		return 0
+	}
+	H := make([]int32, m+1)
+	E := make([]int32, m+1)
+	for j := range E {
+		E[j] = negInf
+	}
+	open := int32(s.GapOpen + s.GapExtend)
+	ext := int32(s.GapExtend)
+	var best int32
+	for i := 1; i <= n; i++ {
+		var diag, f int32 = 0, negInf
+		for j := 1; j <= m; j++ {
+			e := E[j] - ext
+			if h := H[j] - open; h > e {
+				e = h
+			}
+			E[j] = e
+			f -= ext
+			if h := H[j-1] - open; h > f {
+				f = h
+			}
+			h := diag + int32(s.Score(a[i-1], b[j-1]))
+			if e > h {
+				h = e
+			}
+			if f > h {
+				h = f
+			}
+			if h < 0 {
+				h = 0
+			}
+			diag = H[j]
+			H[j] = h
+			if h > best {
+				best = h
+			}
+		}
+	}
+	return int(best)
+}
+
 func codes(s string) []byte {
 	sq := &seq.Sequence{Kind: seq.Nucleotide, Data: []byte(s)}
 	return sq.Codes()

@@ -19,14 +19,6 @@ type Scheme struct {
 // Score returns the substitution score of dense codes a vs b.
 func (s *Scheme) Score(a, b byte) int { return s.Table[a][b] }
 
-// GapCost returns the cost (positive) of a gap of length n.
-func (s *Scheme) GapCost(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return s.GapOpen + n*s.GapExtend
-}
-
 // NucleotideScheme builds a match/mismatch scheme over the 2-bit DNA
 // alphabet. match must be positive and mismatch negative. The BLAST
 // default of the paper's era is match=1, mismatch=-3, gap open 5,

@@ -146,11 +146,17 @@ func atoi64(fields []string, i int) (int64, error) {
 	return v, nil
 }
 
-// parseAhead is how many sequences Format's reader may have parsed
-// beyond the one being appended: enough to keep parsing while a
-// fragment's full write buffer goes out to storage, few enough that
-// records of nt's size (kilobases) hold little memory.
-const parseAhead = 64
+// batchSize is how many sequences Format's reader hands the append
+// loop at once: one channel operation per batch, not per sequence.
+const batchSize = 32
+
+// parseAhead is how many full batches Format's reader may have waiting
+// beyond the one being appended, so it parses at most
+// (parseAhead+1)*batchSize sequences ahead of the appends: enough to
+// keep parsing while a fragment's full write buffer goes out to
+// storage, few enough that records of nt's size (kilobases) hold
+// little memory.
+const parseAhead = 2
 
 // closeWidth is how many fragments Format creates or closes at once:
 // every fragment of the paper's and the benchmark's databases (8), and
@@ -169,8 +175,9 @@ const closeWidth = 16
 // OpenFragment rejects it; an error from next is returned as it is,
 // and of several failed creates or closes the first fragment's error.
 //
-// next runs on a goroutine of Format's own, up to parseAhead sequences
-// ahead of the appends, and is never called after Format returns.
+// next runs on a goroutine of Format's own, which hands the sequences
+// to the appends in batches of batchSize, at most parseAhead batches
+// ahead, and is never called after Format returns.
 // Format owns every sequence next returns: next must not reuse one, or
 // its Data, for a later sequence.
 func Format(fs chio.FileSystem, name string, kind seq.Kind, fragments int, next func() (*seq.Sequence, error)) (*Alias, error) {
@@ -225,29 +232,34 @@ func Format(fs chio.FileSystem, name string, kind seq.Kind, fragments int, next 
 		return nil, err
 	}
 
-	seqs := make(chan *seq.Sequence, parseAhead)
+	batches := make(chan []*seq.Sequence, parseAhead)
 	stop := make(chan struct{})
-	var readErr error // set before seqs closes
+	var readErr error // set before batches closes
 	var reading sync.WaitGroup
 	reading.Add(1)
 	go func() {
 		defer reading.Done()
-		defer close(seqs)
-		for {
+		defer close(batches)
+		for err := error(nil); err == nil; {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			s, err := next()
-			if err != nil {
-				if err != io.EOF {
-					readErr = err
+			// A batch cut short by an error still goes out, so the
+			// sequences before the error are appended first.
+			batch := make([]*seq.Sequence, 0, batchSize)
+			for len(batch) < batchSize && err == nil {
+				var s *seq.Sequence
+				if s, err = next(); err == nil {
+					batch = append(batch, s)
 				}
-				return
+			}
+			if err != nil && err != io.EOF {
+				readErr = err
 			}
 			select {
-			case seqs <- s:
+			case batches <- batch:
 			case <-stop:
 				return
 			}
@@ -259,20 +271,22 @@ func Format(fs chio.FileSystem, name string, kind seq.Kind, fragments int, next 
 	}()
 
 	a := &Alias{Title: name, Kind: kind}
-	for s := range seqs {
-		s.Kind = kind
-		// Pick the least-loaded fragment.
-		best := 0
-		for i := 1; i < fragments; i++ {
-			if writers[i].Letters() < writers[best].Letters() {
-				best = i
+	for batch := range batches {
+		for _, s := range batch {
+			s.Kind = kind
+			// Pick the least-loaded fragment.
+			best := 0
+			for i := 1; i < fragments; i++ {
+				if writers[i].Letters() < writers[best].Letters() {
+					best = i
+				}
 			}
+			if err := writers[best].Append(s); err != nil {
+				return nil, err
+			}
+			a.Seqs++
+			a.Letters += int64(s.Len())
 		}
-		if err := writers[best].Append(s); err != nil {
-			return nil, err
-		}
-		a.Seqs++
-		a.Letters += int64(s.Len())
 	}
 	if readErr != nil {
 		return nil, readErr

@@ -792,6 +792,71 @@ func TestFormatStopsReadingOnError(t *testing.T) {
 	}
 }
 
+// TestFormatWhitespaceParity: whitespace inside sequence lines, CRLF
+// line ends, blank lines and comments change nothing Format writes:
+// the fragments and the alias are byte for byte those of the stripped
+// text. A letter with no 2-bit code fails Format with an error naming
+// the record, the letter and its position counted without whitespace,
+// also when the letter lies past the first write buffer's worth of the
+// record's letters.
+func TestFormatWhitespaceParity(t *testing.T) {
+	seqs := randomSeqs(util.NewRNG(76), 200, 0, 3000)
+	var clean, messy bytes.Buffer
+	if err := seq.WriteFasta(&clean, 70, seqs...); err != nil {
+		t.Fatal(err)
+	}
+	rng := util.NewRNG(77)
+	messy.WriteString("; a comment before the first record\r\n\r\n")
+	for _, s := range seqs {
+		fmt.Fprintf(&messy, ">%s\r\n", s.Defline())
+		for rest := s.Data; len(rest) > 0; {
+			line := rest[:min(len(rest), 1+rng.Intn(90))]
+			rest = rest[len(line):]
+			for _, b := range line {
+				if rng.Intn(12) == 0 {
+					messy.WriteString([]string{" ", "\t", "  \t"}[rng.Intn(3)])
+				}
+				messy.WriteByte(b)
+			}
+			messy.WriteString([]string{"\r\n", " \r\n", "\t\n", "\r\n\r\n", "\r\n; comment\r\n"}[rng.Intn(5)])
+		}
+	}
+	format := func(text []byte) *chio.MemFS {
+		t.Helper()
+		mem := chio.NewMemFS()
+		if _, err := Format(mem, "db", seq.Nucleotide, 3, seq.NewFastaReader(bytes.NewReader(text), seq.Nucleotide).Read); err != nil {
+			t.Fatal(err)
+		}
+		return mem
+	}
+	want, got := format(clean.Bytes()), format(messy.Bytes())
+	for _, name := range []string{AliasPath("db"), FragmentPath("db", 0), FragmentPath("db", 1), FragmentPath("db", 2)} {
+		w, err := chio.ReadFull(want, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := chio.ReadFull(got, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g, w) {
+			t.Errorf("%s of the text with whitespace differs from that of the stripped text", name)
+		}
+	}
+
+	long := bytes.Repeat([]byte("ACGT"), 1<<20+25) // past the first write buffer
+	long[4<<20+49] = '*'
+	for _, tc := range []struct{ text, want string }{
+		{">ok\nACGT\n>bad x\r\nAC G\tT\r\n A*G\r\n", "blastdb: bad: seq: cannot 2-bit pack letter '*' at position 6"},
+		{">long\n AC\tGT \r\n" + string(long[4:]) + "\n", "blastdb: long: seq: cannot 2-bit pack letter '*' at position 4194354"},
+	} {
+		_, err := Format(chio.NewMemFS(), "db", seq.Nucleotide, 1, seq.NewFastaReader(strings.NewReader(tc.text), seq.Nucleotide).Read)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Format = %v, want %s", err, tc.want)
+		}
+	}
+}
+
 // tailFailFS fails every Write to the files named in fail with that
 // file's error; WriteAt and the other files pass through.
 type tailFailFS struct {

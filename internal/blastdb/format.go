@@ -119,7 +119,6 @@ type FragmentWriter struct {
 	buf      []byte             // pending bytes, handed to f whenever writeBuffer of them collect
 	index    []indexRec
 	deflines []byte
-	packed   []byte // the sequence being appended, 2-bit packed
 	dataOff  uint64 // bytes of data appended so far
 	letters  uint64
 	crc      uint32
@@ -166,7 +165,10 @@ func (w *FragmentWriter) flush() error {
 	return err
 }
 
-// Append adds one sequence to the fragment.
+// Append adds one sequence to the fragment, packing its letters
+// straight into the write buffer. A letter with no 2-bit code fails
+// the append: the fragment is then unchanged if the payload fit in
+// the buffer, and must be abandoned if part of it was written out.
 func (w *FragmentWriter) Append(s *seq.Sequence) error {
 	if w.closed {
 		return fmt.Errorf("blastdb: append to closed fragment")
@@ -174,11 +176,10 @@ func (w *FragmentWriter) Append(s *seq.Sequence) error {
 	if s.Kind != seq.Nucleotide {
 		return fmt.Errorf("blastdb: %s sequence %q in %s fragment", s.Kind, s.ID, seq.Nucleotide)
 	}
-	packed, err := seq.AppendPack2Bit(w.packed[:0], s.Letters())
-	if err != nil {
-		return fmt.Errorf("blastdb: %s: %w", s.ID, err)
+	letters := s.Letters()
+	if err := w.pack(s.ID, letters); err != nil {
+		return err
 	}
-	w.packed = packed
 	deflineOff := len(w.deflines)
 	w.deflines = append(w.deflines, s.ID...)
 	if s.Desc != "" {
@@ -186,17 +187,42 @@ func (w *FragmentWriter) Append(s *seq.Sequence) error {
 	}
 	w.index = append(w.index, indexRec{
 		DataOff:    w.dataOff,
-		Letters:    uint64(s.Len()),
+		Letters:    uint64(len(letters)),
 		DeflineOff: uint64(deflineOff),
 		DeflineLen: uint32(len(w.deflines) - deflineOff),
 	})
-	if err := w.write(packed); err != nil {
-		return err
-	}
-	w.crc = crc32.Update(w.crc, crc32.IEEETable, packed)
-	w.dataOff += uint64(len(packed))
-	w.letters += uint64(s.Len())
+	w.dataOff += uint64(len(letters)+3) / 4
+	w.letters += uint64(len(letters))
 	return nil
+}
+
+// pack packs the letters of sequence id into the write buffer, a
+// whole number of bytes' worth at a time, handing the file each full
+// buffer, and adds the packed bytes to the checksum. A letter with no
+// code stops it, with the buffer as it was before that buffer's share
+// of letters.
+func (w *FragmentWriter) pack(id string, letters []byte) error {
+	for rest := letters; ; {
+		chunk := rest[:min(len(rest), 4*(writeBuffer-len(w.buf)))]
+		n := len(w.buf)
+		buf, err := seq.AppendPack2Bit(w.buf, chunk)
+		if err != nil {
+			if len(chunk) < len(letters) {
+				_, err = seq.Pack2Bit(letters) // the letter's position in the whole sequence
+			}
+			return fmt.Errorf("blastdb: %s: %w", id, err)
+		}
+		w.buf = buf
+		w.crc = crc32.Update(w.crc, crc32.IEEETable, buf[n:])
+		if len(w.buf) == writeBuffer {
+			if err := w.flush(); err != nil {
+				return err
+			}
+		}
+		if rest = rest[len(chunk):]; len(rest) == 0 {
+			return nil
+		}
+	}
 }
 
 // Letters returns the total letters appended so far.

@@ -3,10 +3,12 @@ package mpi
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -134,9 +136,10 @@ func (r *Router) serve(conn net.Conn) {
 	wmu := &sync.Mutex{}
 	wmu.Lock()
 	r.mu.Lock()
-	if _, dup := r.conns[rank]; dup {
+	if _, dup := r.conns[rank]; dup || r.closing {
 		// A rank joins once: it is never replaced, even after its
-		// connection ends.
+		// connection ends. None joins once Close has begun, which
+		// would leave its connection open.
 		r.mu.Unlock()
 		return
 	}
@@ -255,7 +258,14 @@ func (c *tcpComm) Send(to, tag int, data []byte) error {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return writeFrame(c.conn, c.rank, to, tag, data)
+	err := writeFrame(c.conn, c.rank, to, tag, data)
+	// A write fails with a broken pipe or a reset once the router has
+	// ended the connection, and with net.ErrClosed once Close has: the
+	// communicator is closed, as a Recv would find it.
+	if errors.Is(err, syscall.EPIPE) || errors.Is(err, syscall.ECONNRESET) || errors.Is(err, net.ErrClosed) {
+		return ErrClosed
+	}
+	return err
 }
 
 func (c *tcpComm) Recv(ctx context.Context) (Message, error) {

@@ -205,6 +205,60 @@ func TestRouterReportsGoneRank(t *testing.T) {
 	expectGone(t, cs[0], 2)
 }
 
+// A Send on a connection the router has ended, or that Close has,
+// returns ErrClosed, like a Recv on it. The router's end reaches the
+// sender as a reset, so the first Sends after it may still succeed.
+func TestSendAfterConnectionEnds(t *testing.T) {
+	r, err := StartRouter("127.0.0.1:0", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := dialAll(t, r, 2, 2)[1]
+	r.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := c.Recv(ctx); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Recv after the router closed = %v, want ErrClosed", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		err := c.Send(0, 1, []byte("late result"))
+		if err != nil {
+			if err != ErrClosed {
+				t.Errorf("Send after the router closed = %v, want ErrClosed", err)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Send still succeeds 5s after the router closed")
+		}
+	}
+	c.Close()
+	if err := c.Send(0, 1, nil); err != ErrClosed {
+		t.Errorf("Send after Close = %v, want ErrClosed", err)
+	}
+}
+
+// failingConn is a live connection whose writes fail with err.
+type failingConn struct {
+	net.Conn
+	err error
+}
+
+func (c failingConn) Write([]byte) (int, error) { return 0, c.err }
+
+// A write that fails on a connection nothing has ended keeps its own
+// error: only an ended connection reads as a closed communicator.
+func TestSendKeepsOtherWriteErrors(t *testing.T) {
+	local, remote := net.Pipe()
+	defer local.Close()
+	defer remote.Close()
+	boom := errors.New("boom")
+	c := &tcpComm{rank: 1, size: 2, conn: failingConn{local, boom}, box: &mailbox{}}
+	if err := c.Send(0, 1, []byte("x")); err != boom {
+		t.Errorf("Send = %v, want the write's own error", err)
+	}
+}
+
 // A frame for a rank whose connection has gone is dropped, and the
 // router goes on forwarding the sender's frames to everyone else: a
 // worker that leaves while the master still sends to it must not cut

@@ -1086,6 +1086,65 @@ func TestCloseMakesNoReceive(t *testing.T) {
 	}
 }
 
+// A TCP worker still computing a withdrawn task when the master's
+// stream closes and its router goes ends cleanly: the result it then
+// sends hits a connection the router has ended, which is the end
+// signal, not a failure.
+func TestRouterGoneWhileWorkerHoldsTask(t *testing.T) {
+	mem := chio.NewMemFS()
+	query := buildTestDB(t, mem, "nt", 4)
+	alias, err := blastdb.ReadAlias(mem, "nt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	router, err := mpi.StartRouter("127.0.0.1:0", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	dial := func(rank int) mpi.Comm {
+		c, err := mpi.Dial(router.Addr(), rank, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}))
+	st, err := StartStream(context.Background(), dial(0), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	gate := &gatedFS{FileSystem: mem, entered: make(chan struct{}), release: make(chan struct{})}
+	exited := make(chan error, 1)
+	go func() { exited <- RunWorker(context.Background(), dial(1), cfg, gate, nil) }()
+	ctx, cancel := context.WithCancel(context.Background())
+	submitted := make(chan error, 1)
+	go func() {
+		_, err := st.Submit(ctx, query, cfg.Params, alias)
+		submitted <- err
+	}()
+	<-gate.entered
+	cancel()
+	if err := <-submitted; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Submit returned %v, want context.Canceled", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	router.Close()
+	close(gate.release)
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Errorf("worker returned %v when the router ended its connection", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("worker still running 5s after its router closed")
+	}
+}
+
 // TestKernelMetricsMatchStats: the registry's kernel counters must
 // equal the work counters of the results the workers sent.
 func TestKernelMetricsMatchStats(t *testing.T) {

@@ -176,9 +176,6 @@ func (cl *Client) List(prefix string) ([]chio.FileInfo, error) {
 	return out, nil
 }
 
-// LoadMap fetches the manager's latest per-server load reports.
-func (cl *Client) LoadMap() (map[int]float64, error) { return cl.meta.LoadQuery(cl.ctx) }
-
 // file opens m on this client (and its bound context).
 func (cl *Client) file(m Meta) *File {
 	f := &File{cl: cl, meta: m}

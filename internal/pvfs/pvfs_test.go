@@ -360,6 +360,9 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
+// LoadMap fetches the manager's latest per-server load reports.
+func (cl *Client) LoadMap() (map[int]float64, error) { return cl.meta.LoadQuery(cl.ctx) }
+
 func TestLoadHeartbeatsReachManager(t *testing.T) {
 	tc := startCluster(t, 3, 64)
 	// Generate some traffic so loads are non-trivial, then wait for

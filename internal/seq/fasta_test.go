@@ -3,8 +3,12 @@ package seq
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
+
+	"pario/internal/util"
 )
 
 // TestFastaReaderEdgeCases pins the reader's output record by record:
@@ -80,6 +84,71 @@ func TestFastaReaderEdgeCases(t *testing.T) {
 	}
 }
 
+// TestFastaReaderSplitInput: how the input arrives does not change
+// what the reader returns. Each text is read whole, one byte per read,
+// and split in two at every offset (at a hundred of the long one), and
+// every reading must give the records and the error of the whole one. A reader's state runs across its reads: a record's lines, a
+// line's '\r's that end it only if a newline follows, and a comment.
+func TestFastaReaderSplitInput(t *testing.T) {
+	// long is several records whose lines mix letters, whitespace, '\r's
+	// and other bytes, among comments, some longer than the read buffer,
+	// so its letters also span slabs.
+	var long strings.Builder
+	rng := util.NewRNG(76)
+	bytesOf := []string{"ACGTTGCAACGTNacgt", " \t", "\r", "*\x00;>"}
+	for r := 0; r < 12; r++ {
+		fmt.Fprintf(&long, ">r%d desc %d\n", r, r)
+		for l := rng.Intn(30); l > 0; l-- {
+			n := rng.Intn(150)
+			if rng.Intn(40) == 0 {
+				n = 70000 + rng.Intn(70000)
+			}
+			if rng.Intn(8) == 0 {
+				long.WriteString(";")
+			}
+			for k := 0; k < n; k++ {
+				set := bytesOf[0]
+				if c := rng.Intn(40); c < 3 {
+					set = bytesOf[1+c]
+				}
+				long.WriteByte(set[rng.Intn(len(set))])
+			}
+			long.WriteString([]string{"\n", "\r\n", " \r\r\n", "\r \n"}[rng.Intn(4)])
+		}
+	}
+	type result struct {
+		seqs []*Sequence
+		err  error
+	}
+	read := func(r io.Reader) result {
+		seqs, err := NewFastaReader(r, Nucleotide).ReadAll()
+		return result{seqs, err}
+	}
+	for _, in := range []string{
+		">a\nAC\r\n;x \r\r",
+		">a\nAC\r\r\n>b\nG\rT\r",
+		">a\nAC\r \r\nG\tT\r\n;c\r\nTT\r",
+		";c\r\n>a d\r\n\r\nAC GT\r\n;\r\n\tA\r\n",
+		">a\n" + strings.Repeat("ACGTACGTACGTACGTACGTACGTACGTACG", 5) + "\r\r\n*\x00 A\n",
+		"not fasta\n",
+		long.String(),
+	} {
+		want := read(strings.NewReader(in))
+		check := func(how string, got result) {
+			t.Helper()
+			if fmt.Sprint(got.err) != fmt.Sprint(want.err) || !reflect.DeepEqual(got.seqs, want.seqs) {
+				t.Fatalf("%.30q read %s: %d records, error %v; read whole: %d records, error %v",
+					in, how, len(got.seqs), got.err, len(want.seqs), want.err)
+			}
+		}
+		check("a byte at a time", read(iotest.OneByteReader(strings.NewReader(in))))
+		step := max(1, len(in)/100)
+		for k := 1; k < len(in); k += step {
+			check(fmt.Sprintf("split at %d", k), read(io.MultiReader(strings.NewReader(in[:k]), strings.NewReader(in[k:]))))
+		}
+	}
+}
+
 func trunc(s string) string {
 	if len(s) > 40 {
 		return s[:40] + "..."
@@ -88,9 +157,9 @@ func trunc(s string) string {
 }
 
 // TestFastaReaderAllocsPerRecord is the reader's allocation budget: a
-// record costs its Sequence, its defline string and its letters,
-// however many lines it spans, once the reader's own buffers have
-// grown.
+// record costs its Sequence and its defline string, however many lines
+// it spans. Its letters go into a slab shared with the records around
+// it, whose allocations are rarer than one per record.
 func TestFastaReaderAllocsPerRecord(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector inflates allocation counts")
@@ -111,7 +180,7 @@ func TestFastaReaderAllocsPerRecord(t *testing.T) {
 	if err != nil || s.Len() != 20*len(line) {
 		t.Fatalf("last record: %v, %d letters", err, s.Len())
 	}
-	if allocs > 3 {
-		t.Errorf("Read = %.0f allocs per 20-line record, budget is 3", allocs)
+	if allocs > 2 {
+		t.Errorf("Read = %.2f allocs per 20-line record, budget is 2", allocs)
 	}
 }

@@ -20,6 +20,9 @@ func FuzzFastaReader(f *testing.F) {
 		"; comment\n>a\n;inner\nACGT\n",
 		">seq1 first sequence\nACGTACGT\nACGT\n>seq2\nTTTT\n\n>seq3 third\nGG GG\n",
 		">a\nACGT",
+		">a d\r\nAC GT\t\r\n \tGG \r\n\r\n>b\r\nTT\r",
+		">a\nAC\r \r\r\nG\tT\r\n;c \r\nA\r\r",
+		">a\r\nACGTACGTACGTACGTACGTACGTACGTACGTACGT\r\nA*G T\r\n",
 	} {
 		f.Add([]byte(text))
 	}

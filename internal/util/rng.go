@@ -23,13 +23,6 @@ func NewRNG(seed uint64) *RNG {
 	return r
 }
 
-// Split derives an independent generator from the current state without
-// disturbing the parent's future output. Used to give each database
-// fragment its own stream.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64())
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 random bits.

@@ -141,21 +141,6 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 }
 
-func TestRNGSplitIndependence(t *testing.T) {
-	parent := NewRNG(7)
-	child := parent.Split()
-	// The parent's sequence after splitting must match a fresh parent
-	// that also split once (i.e. Split consumes exactly one value).
-	ref := NewRNG(7)
-	ref.Uint64()
-	for i := 0; i < 100; i++ {
-		if parent.Uint64() != ref.Uint64() {
-			t.Fatal("Split disturbed parent stream")
-		}
-	}
-	_ = child.Uint64()
-}
-
 func TestRNGIntnBounds(t *testing.T) {
 	r := NewRNG(1)
 	for i := 0; i < 10000; i++ {
