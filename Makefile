@@ -30,7 +30,9 @@ test:
 # without losing a message, the router's forwarding, a gone rank's
 # TagGone after its last message: every receive of both transports
 # waits on the one FIFO mailbox, so a lapse shows up only as a rare
-# interleaving of puts, gets, closes and cancels), re-run pblast's
+# interleaving of puts, gets, closes and cancels; Close ends every
+# connection the router serves, one that never sent its hello too),
+# re-run pblast's
 # scheduler tests ten times under the race detector (leave, crash,
 # duplicate span, cancel, idle, a gone TCP worker: every result is also
 # its sender's next ready, and a gone rank's tasks are requeued, so a
@@ -39,7 +41,9 @@ test:
 # loop must return without a receive, which a stray wait shows only in
 # some orders of the withdrawal's wake and Close's; affinity: pickTask chooses among pending tasks by
 # holder, so a wrong choice shows up only in some orders of results and
-# readies; each gone-worker test has its own 2 s deadline, and the loop
+# readies; a stray result, whose submission and index come off the
+# wire, is dropped and still counts as its sender's Ready, in any order
+# of the stream's wakes; each gone-worker test has its own 2 s deadline, and the loop
 # a 2-minute timeout, so a scheduler that hangs elsewhere ends the loop
 # in minutes, not after the default 10), re-run pvfs's heartbeat and Close
 # tests ten times under the race detector (a data server's heartbeat
@@ -65,7 +69,7 @@ check: lint race
 	$(GO) test -race -count=20 -run 'Concurrent' ./internal/chio/
 	$(GO) test -race -count=20 -run 'TestFormatStopsReadingOnError|TestFormatFailedCloseSavesNoAlias|TestFormatFailedCreateClosesFragments|TestConcurrentSourcesShareOneFragment' ./internal/blastdb/
 	$(GO) test -race -count=20 ./internal/mpi/
-	$(GO) test -race -count=10 -timeout 120s -run 'Leave|Crash|Duplicate|Cancelled|Idle|Affinity|Gone|CloseMakesNoReceive' ./internal/pblast/
+	$(GO) test -race -count=10 -timeout 120s -run 'Leave|Crash|Duplicate|Cancelled|Idle|Affinity|Gone|CloseMakesNoReceive|StrayResult' ./internal/pblast/
 	$(GO) test -race -count=10 -run 'Heartbeat|Close' ./internal/pvfs/
 	$(GO) test -run TestSearchSubjectSteadyStateAllocs ./internal/blast/
 	$(GO) test -run TestSearcherRepeatAllocs ./internal/blast/

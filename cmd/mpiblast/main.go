@@ -192,13 +192,7 @@ func main() {
 		}
 		submit, closeStream, nWorkers = st.Submit, st.Close, *size-1
 	} else {
-		pool, err := core.OpenPool(ctx, core.SearchConfig{
-			Search:   cfg,
-			Workers:  *workers,
-			MasterFS: masterFS,
-			WorkerFS: core.PerRank(ranks.FS, fatal),
-			Scratch:  core.PerRank(tune.ScratchFS, fatal),
-		})
+		pool, err := pblast.NewPool(ctx, cfg, *workers, core.PerRank(ranks.FS, fatal), core.PerRank(tune.ScratchFS, fatal), nil)
 		if err != nil {
 			fatal(err)
 		}

@@ -90,18 +90,6 @@ type SearchConfig struct {
 	Scratch func(rank int) chio.FileSystem
 }
 
-// OpenPool stands the configured search up in this process — cfg.Workers
-// workers over cfg's file systems — and leaves it open for any number
-// of Submit calls, concurrent or not; the caller closes it. The
-// readahead layer the search configuration asks for is stacked above
-// cfg.WorkerFS by the pblast pool.
-func OpenPool(ctx context.Context, cfg SearchConfig) (*pblast.Pool, error) {
-	if cfg.MasterFS == nil || cfg.WorkerFS == nil {
-		return nil, fmt.Errorf("core: SearchConfig needs MasterFS and WorkerFS")
-	}
-	return pblast.NewPool(ctx, cfg.Search, cfg.Workers, cfg.WorkerFS, cfg.Scratch, nil)
-}
-
 // ParallelSearch runs the master/worker parallel BLAST in-process: a
 // new pool opened (so no client, cache or world carries over between
 // calls), the alias read through cfg.MasterFS, one query submitted, the
@@ -109,7 +97,10 @@ func OpenPool(ctx context.Context, cfg SearchConfig) (*pblast.Pool, error) {
 // Cancelling ctx aborts the search, including in-flight parallel-FS
 // I/O when the backends support chio.ContextBinder.
 func ParallelSearch(ctx context.Context, query *seq.Sequence, cfg SearchConfig) (*pblast.Outcome, error) {
-	pool, err := OpenPool(ctx, cfg)
+	if cfg.MasterFS == nil || cfg.WorkerFS == nil {
+		return nil, fmt.Errorf("core: SearchConfig needs MasterFS and WorkerFS")
+	}
+	pool, err := pblast.NewPool(ctx, cfg.Search, cfg.Workers, cfg.WorkerFS, cfg.Scratch, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -9,12 +9,10 @@ import (
 	"testing"
 
 	"pario/internal/blast"
-	"pario/internal/blastdb"
 	"pario/internal/ceft"
 	"pario/internal/chio"
 	"pario/internal/iotrace"
 	"pario/internal/pblast"
-	"pario/internal/seq"
 )
 
 const testDBLetters = 400_000
@@ -323,65 +321,5 @@ func TestTabularAndReportOverParallelResult(t *testing.T) {
 	}
 	if buf.Len() == 0 {
 		t.Error("tabular output empty")
-	}
-}
-
-func TestOpenPoolConcurrentQueries(t *testing.T) {
-	fs := chio.NewMemFS()
-	buildDB(t, fs)
-	q1, err := ExtractQuery(fs, "nt", 568, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q2, err := ExtractQuery(fs, "nt", 300, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := SearchConfig{
-		Search:   pblast.NewConfig("nt", pblast.WithParams(blast.Params{Program: blast.BlastN})),
-		Workers:  3,
-		MasterFS: fs,
-		WorkerFS: func(int) chio.FileSystem { return fs },
-	}
-	alias, err := blastdb.ReadAlias(fs, "nt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := OpenPool(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := []*seq.Sequence{q1, q2}
-	outs := make([]*pblast.Outcome, len(queries))
-	errs := make([]error, len(queries))
-	var wg sync.WaitGroup
-	for i, q := range queries {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			outs[i], errs[i] = pool.Submit(context.Background(), q, cfg.Search.Params, alias)
-		}()
-	}
-	wg.Wait()
-	if err := pool.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range queries {
-		if errs[i] != nil {
-			t.Fatalf("query %d: %v", i, errs[i])
-		}
-		solo, err := ParallelSearch(context.Background(), q, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, want := outs[i].Result, solo.Result
-		if len(got.Hits) == 0 || len(got.Hits) != len(want.Hits) {
-			t.Fatalf("query %d: %d hits on the shared pool, %d alone", i, len(got.Hits), len(want.Hits))
-		}
-		for h := range got.Hits {
-			if got.Hits[h].SubjectID != want.Hits[h].SubjectID {
-				t.Errorf("query %d hit %d: %s on the shared pool, %s alone", i, h, got.Hits[h].SubjectID, want.Hits[h].SubjectID)
-			}
-		}
 	}
 }

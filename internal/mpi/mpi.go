@@ -1,7 +1,10 @@
 // Package mpi is a small message-passing substrate in the spirit of
 // the MPI subset mpiBLAST uses: ranked processes and tagged point-to-
-// point Send/Recv, where a rank receives its messages in the order they
-// arrive and dispatches on each one's sender and tag. Two transports
+// point Send/Recv of byte payloads, where a rank receives its messages
+// in the order they arrive and dispatches on each one's sender and tag.
+// The transport carries bytes only: how a payload is laid out is its
+// sender's and receiver's business, as an MPI application describes
+// its own message layout. Two transports
 // are provided: an in-process one (goroutines and channels) and a TCP
 // one (router process), so the parallel BLAST code runs unchanged in
 // one process or across many. Both tell rank 0 when another rank is
@@ -9,11 +12,8 @@
 package mpi
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
-	"fmt"
 	"sync"
 )
 
@@ -120,26 +120,4 @@ func (mb *mailbox) close() bool {
 	mb.closed = true
 	mb.wake()
 	return was
-}
-
-// SendGob gob-encodes v and sends it.
-func SendGob(c Comm, to, tag int, v interface{}) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return fmt.Errorf("mpi: encoding: %w", err)
-	}
-	return c.Send(to, tag, buf.Bytes())
-}
-
-// RecvGob receives the next message and gob-decodes it into v,
-// returning the envelope.
-func RecvGob(ctx context.Context, c Comm, v interface{}) (Message, error) {
-	m, err := c.Recv(ctx)
-	if err != nil {
-		return m, err
-	}
-	if err := gob.NewDecoder(bytes.NewReader(m.Data)).Decode(v); err != nil {
-		return m, fmt.Errorf("mpi: decoding: %w", err)
-	}
-	return m, nil
 }

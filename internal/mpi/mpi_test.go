@@ -155,26 +155,6 @@ func TestSelfSend(t *testing.T) {
 	}
 }
 
-func TestGobRoundTrip(t *testing.T) {
-	type task struct {
-		ID    int
-		Files []string
-	}
-	runWorld(t, 2, func(c Comm) error {
-		if c.Rank() == 0 {
-			return SendGob(c, 1, 3, task{ID: 42, Files: []string{"a", "b"}})
-		}
-		var got task
-		if _, err := RecvGob(context.Background(), c, &got); err != nil {
-			return err
-		}
-		if got.ID != 42 || len(got.Files) != 2 || got.Files[1] != "b" {
-			return fmt.Errorf("gob round trip: %+v", got)
-		}
-		return nil
-	})
-}
-
 func TestRecvAfterCloseReturnsErrClosed(t *testing.T) {
 	w, err := NewWorld(2)
 	if err != nil {

@@ -74,6 +74,7 @@ type Router struct {
 	size    int
 	mu      sync.Mutex
 	closing bool
+	open    map[net.Conn]struct{} // every connection being served, hello or not
 	conns   map[int]net.Conn
 	wmus    map[int]*sync.Mutex
 	pending map[int][]pendingFrame // frames for ranks that have not connected yet
@@ -98,6 +99,7 @@ func StartRouter(addr string, size int) (*Router, error) {
 	r := &Router{
 		ln:      ln,
 		size:    size,
+		open:    make(map[net.Conn]struct{}),
 		conns:   make(map[int]net.Conn),
 		wmus:    make(map[int]*sync.Mutex),
 		pending: make(map[int][]pendingFrame),
@@ -109,16 +111,31 @@ func StartRouter(addr string, size int) (*Router, error) {
 // Addr returns the router's listen address for clients to dial.
 func (r *Router) Addr() string { return r.ln.Addr().String() }
 
-// acceptLoop serves every connection until Close. serve turns away a
-// malformed hello and a second connection for a rank that has joined,
-// so a stray dial cannot use up a rank's place.
+// acceptLoop serves every connection until Close, holding each in open
+// while it is served, so that Close ends a peer that never sends its
+// hello too. serve turns away a malformed hello and a second
+// connection for a rank that has joined, so a stray dial cannot use up
+// a rank's place.
 func (r *Router) acceptLoop() {
 	for {
 		conn, err := r.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
-		go r.serve(conn)
+		r.mu.Lock()
+		if r.closing {
+			r.mu.Unlock()
+			conn.Close()
+			return
+		}
+		r.open[conn] = struct{}{}
+		r.mu.Unlock()
+		go func() {
+			r.serve(conn)
+			r.mu.Lock()
+			delete(r.open, conn)
+			r.mu.Unlock()
+		}()
 	}
 }
 
@@ -136,10 +153,9 @@ func (r *Router) serve(conn net.Conn) {
 	wmu := &sync.Mutex{}
 	wmu.Lock()
 	r.mu.Lock()
-	if _, dup := r.conns[rank]; dup || r.closing {
+	if _, dup := r.conns[rank]; dup {
 		// A rank joins once: it is never replaced, even after its
-		// connection ends. None joins once Close has begun, which
-		// would leave its connection open.
+		// connection ends.
 		r.mu.Unlock()
 		return
 	}
@@ -198,7 +214,7 @@ func (r *Router) Close() error {
 	err := r.ln.Close()
 	r.mu.Lock()
 	r.closing = true
-	for _, c := range r.conns {
+	for c := range r.open {
 		c.Close()
 	}
 	r.mu.Unlock()

@@ -338,6 +338,38 @@ func TestRouterTurnsAwayDuplicateRank(t *testing.T) {
 	expect(t, c2, 0, "joined")
 }
 
+// A peer that connects and never sends its hello is ended by Close
+// like a joined one: its side reads EOF.
+func TestRouterCloseEndsPeerWithoutHello(t *testing.T) {
+	r, err := StartRouter("127.0.0.1:0", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", r.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Close only once the router serves the connection: one still in
+	// the listen backlog would be reset, not ended.
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		r.mu.Lock()
+		served := len(r.open)
+		r.mu.Unlock()
+		if served == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("router never accepted the connection")
+		}
+	}
+	r.Close()
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("read after Close = %v, want EOF from a closed connection", err)
+	}
+}
+
 // FuzzRouterFrames feeds raw byte streams to the router's per-
 // connection loop. Whatever a peer sends, the router must not panic,
 // hang, or queue a frame for a rank outside [0, size); and rank 0's

@@ -165,8 +165,23 @@ type Outcome struct {
 	Reassigned int
 }
 
-func decodeGob(data []byte, v interface{}) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
+// send and decode are the worker wire's one codec: a task or a result
+// travels as one self-contained gob message, and the transport carries
+// only its bytes. Each names the peer, so a codec that keeps state per
+// peer changes these two alone.
+func send(c mpi.Comm, to, tag int, v any) error {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return fmt.Errorf("pblast: encoding: %w", err)
+	}
+	return c.Send(to, tag, buf.Bytes())
+}
+
+func decode(m mpi.Message, v any) error {
+	if err := gob.NewDecoder(bytes.NewReader(m.Data)).Decode(v); err != nil {
+		return fmt.Errorf("pblast: decoding a message from rank %d: %w", m.From, err)
+	}
+	return nil
 }
 
 // RunWorker executes search tasks on any rank > 0 with this rank's own
@@ -222,14 +237,18 @@ func RunWorker(ctx context.Context, c mpi.Comm, cfg Config, fs, scratch chio.Fil
 		// A task the master sends after ctx ends stays in the mailbox;
 		// the master re-queues it when it hears this rank is gone.
 		var t taskMsg
-		if _, err := mpi.RecvGob(ctx, c, &t); err != nil {
+		m, err := c.Recv(ctx)
+		if err == nil {
+			err = decode(m, &t)
+		}
+		if err != nil {
 			return exit(err)
 		}
 		rm := runTask(ctx, cfg, &sr, c.Rank(), &t, fs, scratch)
 		if err := ctx.Err(); err != nil {
 			return exit(err) // the master re-queues the task
 		}
-		if err := mpi.SendGob(c, 0, tagResult, rm); err != nil {
+		if err := send(c, 0, tagResult, rm); err != nil {
 			return exit(err)
 		}
 	}

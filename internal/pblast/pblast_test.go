@@ -637,11 +637,12 @@ func crashingWorker(c mpi.Comm) error {
 	if err := c.Send(0, tagReady, nil); err != nil {
 		return err
 	}
-	var tk taskMsg
-	if _, err := mpi.RecvGob(context.Background(), c, &tk); err != nil {
+	m, err := c.Recv(context.Background())
+	if err != nil {
 		return err
 	}
-	return nil // dies holding the task
+	var tk taskMsg
+	return decode(m, &tk) // dies holding the task
 }
 
 func TestWorkerCrashReassignment(t *testing.T) {
@@ -908,6 +909,110 @@ func TestWorkerTaskFailureSurfacesToMaster(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "task") {
 		t.Errorf("error does not identify the failed task: %v", err)
+	}
+}
+
+// A result that names no task in flight is dropped without a panic
+// and still counts as its sender's next Ready: one for a finished
+// submission, one for a submission that never was, and two whose index
+// lies outside their submission. Each time the sender gets the next
+// task, and the query completes.
+func TestStrayResultsAreDiscarded(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), goneDeadline)
+	defer cancel()
+	mem := chio.NewMemFS()
+	query := buildTestDB(t, mem, "nt", 5)
+	alias, err := blastdb.ReadAlias(mem, "nt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	world, err := mpi.NewWorld(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer world.Close()
+	cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}))
+	st, err := StartStream(ctx, world.Comm(0), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func() <-chan masterRun {
+		ch := make(chan masterRun, 1)
+		go func() {
+			out, err := st.Submit(ctx, query, cfg.Params, alias)
+			ch <- masterRun{out, err}
+		}()
+		return ch
+	}
+	// The test drives rank 1 by hand.
+	w := world.Comm(1)
+	nextTask := func() taskMsg {
+		t.Helper()
+		var tk taskMsg
+		m, err := w.Recv(ctx)
+		if err == nil {
+			err = decode(m, &tk)
+		}
+		if err != nil {
+			t.Fatalf("worker got no next task: %v", err)
+		}
+		return tk
+	}
+	send := func(rm *resultMsg) {
+		t.Helper()
+		if err := send(w, 0, tagResult, rm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sr blast.Searcher
+	answer := func(tk taskMsg) { send(runTask(ctx, cfg, &sr, 1, &tk, mem, nil)) }
+	wantFound := func(run masterRun) {
+		t.Helper()
+		if run.err != nil {
+			t.Fatal(run.err)
+		}
+		checkFound(t, run.out)
+		if len(run.out.Timeline) != 5 {
+			t.Errorf("completed %d of 5 tasks", len(run.out.Timeline))
+		}
+	}
+
+	first := submit()
+	if err := w.Send(0, tagReady, nil); err != nil {
+		t.Fatal(err)
+	}
+	tk := nextTask()
+	finished := tk.Sub
+	for range 4 {
+		answer(tk)
+		tk = nextTask()
+	}
+	answer(tk)
+	wantFound(within(t, ctx, first, "first query"))
+
+	second := submit()
+	held := []taskMsg{nextTask()}
+	live := held[0].Sub
+	for _, stray := range []resultMsg{
+		{Sub: finished, Index: 0},
+		{Sub: live + 100, Index: 0},
+		{Sub: live, Index: 5},
+		{Sub: live, Index: -1},
+	} {
+		send(&stray)
+		held = append(held, nextTask())
+	}
+	seen := make(map[int]bool)
+	for _, tk := range held {
+		if tk.Sub != live || seen[tk.Index] {
+			t.Fatalf("task %d of submission %d handed out after %d tasks of submission %d", tk.Index, tk.Sub, len(seen), live)
+		}
+		seen[tk.Index] = true
+		answer(tk)
+	}
+	wantFound(within(t, ctx, second, "second query"))
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

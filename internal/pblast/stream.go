@@ -48,10 +48,8 @@ type Stream struct {
 
 // submission is one query's worth of tasks moving through the stream.
 type submission struct {
-	id     int64
-	query  seq.Sequence
-	params blast.Params
-	tasks  []*taskMsg
+	id    int64
+	tasks []taskState // one per fragment, in alias order
 	// trace is the submitter's span context (zero when untraced): the
 	// parent of the per-task spans the loop records.
 	trace telemetry.SpanContext
@@ -110,25 +108,45 @@ func (s *Stream) Submit(ctx context.Context, query *seq.Sequence, params blast.P
 	if len(alias.Fragments) == 0 {
 		return nil, fmt.Errorf("pblast: database %s has no fragments", alias.Title)
 	}
+	n := len(alias.Fragments)
 	sub := &submission{
-		query:  *query,
-		params: params,
-		done:   make(chan struct{}),
+		tasks:     make([]taskState, n),
+		remaining: n,
+		results:   make([]*blast.Result, n),
+		out:       &Outcome{},
+		done:      make(chan struct{}),
 	}
+	// A traced submission's tasks carry its trace ID, each with its own
+	// span ID, minted here so the master and the worker agree on the
+	// task span's identity across the wire.
+	sub.trace, _ = telemetry.SpanFromContext(ctx)
+	s.mu.Lock()
+	if s.closing {
+		s.mu.Unlock()
+		return nil, ErrDraining
+	}
+	sub.id = s.nextSub
+	s.nextSub++
 	for i, fr := range alias.Fragments {
-		sub.tasks = append(sub.tasks, &taskMsg{
+		t := &sub.tasks[i]
+		t.sub = sub
+		t.msg = taskMsg{
+			Sub:       sub.id,
 			Index:     i,
 			Query:     *query,
 			Params:    params,
 			Path:      fr.Path,
 			DBLetters: alias.Letters,
 			DBSeqs:    alias.Seqs,
-		})
+			TraceID:   sub.trace.TraceID,
+		}
+		if sub.trace.TraceID != 0 {
+			t.msg.SpanID = telemetry.NewID()
+		}
 	}
-	stampTrace(ctx, sub)
-	if err := s.enqueue(sub); err != nil {
-		return nil, err
-	}
+	s.queue = append(s.queue, sub)
+	s.mu.Unlock()
+	s.wake()
 	// The merge runs on the submitting goroutine, off the scheduling
 	// loop.
 	select {
@@ -144,45 +162,9 @@ func (s *Stream) Submit(ctx context.Context, query *seq.Sequence, params blast.P
 	if sub.err != nil {
 		return nil, sub.err
 	}
-	sub.out.Result = blast.Merge(&sub.query, sub.results, sub.params)
+	sub.out.Result = blast.Merge(query, sub.results, params)
 	sub.out.WallTime = time.Since(start)
 	return sub.out, nil
-}
-
-// stampTrace propagates the submitter's span context (if any) onto the
-// submission and its tasks: every task gets the trace ID plus its own
-// span ID, minted here so the master and the worker agree on the task
-// span's identity across the wire.
-func stampTrace(ctx context.Context, sub *submission) {
-	sc, ok := telemetry.SpanFromContext(ctx)
-	if !ok {
-		return
-	}
-	sub.trace = sc
-	for _, t := range sub.tasks {
-		t.TraceID = sc.TraceID
-		t.SpanID = telemetry.NewID()
-	}
-}
-
-func (s *Stream) enqueue(sub *submission) error {
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		return ErrDraining
-	}
-	sub.id = s.nextSub
-	s.nextSub++
-	for _, t := range sub.tasks {
-		t.Sub = sub.id
-	}
-	sub.remaining = len(sub.tasks)
-	sub.results = make([]*blast.Result, len(sub.tasks))
-	sub.out = &Outcome{}
-	s.queue = append(s.queue, sub)
-	s.mu.Unlock()
-	s.wake()
-	return nil
 }
 
 // wake nudges the scheduling loop out of a blocking receive by
@@ -215,15 +197,12 @@ const (
 	stateDone
 )
 
-type taskKey struct {
-	sub int64
-	idx int
-}
-
+// taskState is one task as the loop tracks it, held in its
+// submission's table at the task's index.
 type taskState struct {
 	sub      *submission
-	msg      *taskMsg
-	state    int
+	msg      taskMsg
+	state    int       // statePending until dispatched
 	at       time.Time // last assignment time
 	to       int       // rank holding the task
 	rehanded bool
@@ -236,9 +215,8 @@ type taskState struct {
 func (s *Stream) loop(ctx context.Context) {
 	defer close(s.loopDone)
 
-	tasks := make(map[taskKey]*taskState)
-	subs := make(map[int64]*submission)
-	var pending []taskKey // FIFO; requeued tasks go to the front
+	subs := make(map[int64]*submission) // in flight; each holds its tasks
+	var pending []*taskState            // FIFO; requeued tasks go to the front
 	var idle []int
 	// holder maps a fragment path to the rank it was last dispatched
 	// to: that worker's cache most likely still holds its blocks.
@@ -269,16 +247,13 @@ func (s *Stream) loop(ctx context.Context) {
 	// finishSub completes a submission (err == nil means success).
 	finishSub := func(sub *submission, err error) {
 		sub.err = err
-		for _, t := range sub.tasks {
-			delete(tasks, taskKey{sub.id, t.Index})
-		}
 		delete(subs, sub.id)
 		close(sub.done)
 	}
 
-	// drainQueue absorbs newly-enqueued submissions into the task
-	// table, finishes withdrawn ones still in flight (their pending
-	// tasks drop out of pickTask, late results are discarded), and
+	// drainQueue takes newly-enqueued submissions in flight and queues
+	// their tasks, finishes withdrawn ones still in flight (their
+	// pending tasks drop out of pickTask, late results are discarded), and
 	// reports whether Close has been requested.
 	drainQueue := func() bool {
 		s.mu.Lock()
@@ -288,10 +263,8 @@ func (s *Stream) loop(ctx context.Context) {
 		s.mu.Unlock()
 		for _, sub := range fresh {
 			subs[sub.id] = sub
-			for _, t := range sub.tasks {
-				k := taskKey{sub.id, t.Index}
-				tasks[k] = &taskState{sub: sub, msg: t, state: statePending}
-				pending = append(pending, k)
+			for i := range sub.tasks {
+				pending = append(pending, &sub.tasks[i])
 			}
 		}
 		for _, sub := range withdrawn {
@@ -334,27 +307,28 @@ func (s *Stream) loop(ctx context.Context) {
 		ts.rehanded = true
 		ts.sub.out.Reassigned++
 		s.cfg.tel.observeReassign()
-		pending = append([]taskKey{{ts.sub.id, ts.msg.Index}}, pending...)
+		pending = slices.Insert(pending, 0, ts)
 	}
 
 	// pickTask chooses work for an idle worker: the oldest pending
 	// task whose fragment this worker searched last, else the oldest
-	// pending task, so an idle worker never waits.
+	// pending task, so an idle worker never waits. A finished
+	// submission's tasks drop out here.
 	pickTask := func(worker int) *taskState {
 		live, pick := pending[:0], -1
-		for _, k := range pending {
-			if ts := tasks[k]; ts != nil && ts.state == statePending {
+		for _, ts := range pending {
+			if ts.state == statePending && subs[ts.sub.id] == ts.sub {
 				if pick < 0 && holder[ts.msg.Path] == worker {
 					pick = len(live)
 				}
-				live = append(live, k)
+				live = append(live, ts)
 			}
 		}
 		pending = live
 		if len(pending) > 0 {
 			pick = max(pick, 0)
-			ts := tasks[pending[pick]]
-			pending = append(pending[:pick], pending[pick+1:]...)
+			ts := pending[pick]
+			pending = slices.Delete(pending, pick, pick+1)
 			return ts
 		}
 		return nil
@@ -369,7 +343,7 @@ func (s *Stream) loop(ctx context.Context) {
 			if ts == nil {
 				return nil
 			}
-			if err := mpi.SendGob(s.c, w, tagTask, ts.msg); err != nil {
+			if err := send(s.c, w, tagTask, &ts.msg); err != nil {
 				return err
 			}
 			ts.state = stateAssigned
@@ -425,30 +399,33 @@ func (s *Stream) loop(ctx context.Context) {
 			gone[m.From] = true
 			idle = slices.DeleteFunc(idle, func(w int) bool { return w == m.From })
 			// Hand its in-flight tasks to someone else.
-			for _, ts := range tasks {
-				if ts.state == stateAssigned && ts.to == m.From {
-					requeue(ts)
+			for _, sub := range subs {
+				for i := range sub.tasks {
+					if ts := &sub.tasks[i]; ts.state == stateAssigned && ts.to == m.From {
+						requeue(ts)
+					}
 				}
 			}
 		case tagResult:
 			// Every result, kept or not, is also its sender's next Ready.
 			idle = append(idle, m.From)
 			var rm resultMsg
-			if err := decodeGob(m.Data, &rm); err != nil {
+			if err := decode(m, &rm); err != nil {
 				failAll(err)
 				return
 			}
-			ts := tasks[taskKey{rm.Sub, rm.Index}]
-			if ts == nil || ts.state == stateDone {
-				break // from a withdrawn or failed submission
+			// The index comes off the wire: check it before use.
+			sub := subs[rm.Sub]
+			if sub == nil || rm.Index < 0 || rm.Index >= len(sub.tasks) || sub.tasks[rm.Index].state == stateDone {
+				break // from a finished submission, for a done task, or for none
 			}
+			ts := &sub.tasks[rm.Index]
 			recordTask(ts, m.From, rm.ReadBytes, rm.Err)
 			if rm.Err != "" {
-				finishSub(ts.sub, fmt.Errorf("pblast: task %d failed: %s", rm.Index, rm.Err))
+				finishSub(sub, fmt.Errorf("pblast: task %d failed: %s", rm.Index, rm.Err))
 				break
 			}
 			ts.state = stateDone
-			sub := ts.sub
 			sub.results[rm.Index] = rm.Result
 			sub.remaining--
 			sub.out.CopyTime += rm.CopyTime

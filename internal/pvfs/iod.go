@@ -37,8 +37,9 @@ type DataServer struct {
 	throttleNsPerKiB int64
 
 	// load accounting: inflight is the instantaneous request count;
-	// a sampler goroutine folds it into loadEWMA (the exported load
-	// metric, a smoothed queue-depth estimate).
+	// a sampler goroutine, loadEWMA's only writer, folds it into
+	// loadEWMA (the exported load metric, a smoothed queue-depth
+	// estimate).
 	inflight int64
 	loadEWMA uint64 // math.Float64bits of the smoothed load
 
@@ -133,13 +134,8 @@ func (ds *DataServer) sampleLoop() {
 			return
 		case <-t.C:
 			depth := float64(atomic.LoadInt64(&ds.inflight))
-			for {
-				old := atomic.LoadUint64(&ds.loadEWMA)
-				next := math.Float64bits((1-alpha)*math.Float64frombits(old) + alpha*depth)
-				if atomic.CompareAndSwapUint64(&ds.loadEWMA, old, next) {
-					break
-				}
-			}
+			// The only writer: a plain store after the load suffices.
+			atomic.StoreUint64(&ds.loadEWMA, math.Float64bits((1-alpha)*ds.Load()+alpha*depth))
 			if ds.tel != nil {
 				now := time.Now()
 				bytes := ds.tel.servedBytes()
