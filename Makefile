@@ -27,11 +27,12 @@ test:
 # it shares, so a lapse shows up only when several first Nexts race),
 # re-run the mpi tests twenty times under the race
 # detector (the mailbox's order and conservation, a Recv cancelled
-# without losing a message, the router's forwarding, a gone rank's
-# TagGone after its last message: every receive of both transports
-# waits on the one FIFO mailbox, so a lapse shows up only as a rare
-# interleaving of puts, gets, closes and cancels; Close ends every
-# connection the router serves, one that never sent its hello too),
+# without losing a message, rank 0's listener putting each
+# connection's frames into its mailbox, a gone rank's TagGone after
+# its last message: every receive of both transports waits on the one
+# FIFO mailbox, so a lapse shows up only as a rare interleaving of
+# puts, gets, closes and cancels; rank 0's Close ends every connection
+# it serves, one that never sent its hello too),
 # re-run pblast's
 # scheduler tests ten times under the race detector (leave, crash,
 # duplicate span, cancel, idle, a gone TCP worker: every result is also
@@ -43,7 +44,8 @@ test:
 # holder, so a wrong choice shows up only in some orders of results and
 # readies; a stray result, whose submission and index come off the
 # wire, is dropped and still counts as its sender's Ready, in any order
-# of the stream's wakes; each gone-worker test has its own 2 s deadline, and the loop
+# of the stream's wakes; a worker whose message the master cannot read
+# is dropped alone, through the same path as a gone one; each gone-worker test has its own 2 s deadline, and the loop
 # a 2-minute timeout, so a scheduler that hangs elsewhere ends the loop
 # in minutes, not after the default 10), re-run pvfs's heartbeat and Close
 # tests ten times under the race detector (a data server's heartbeat
@@ -55,7 +57,7 @@ test:
 # without the race detector (whose shadow memory
 # inflates alloc counts, so each guard skips itself under -race), fuzz
 # the data server's request handler, the PVFS wire frame decoders, the
-# one-table seed scan, the message router, the fragment reader, the
+# one-table seed scan, rank 0's per-connection frame reader, the fragment reader, the
 # FASTA reader, the metrics text parser and blastd's JSON request body
 # for a few seconds each (minimising each new input for at most 100
 # runs: the default 60 s minimisation would stall a 5 s slot at 0
@@ -69,7 +71,7 @@ check: lint race
 	$(GO) test -race -count=20 -run 'Concurrent' ./internal/chio/
 	$(GO) test -race -count=20 -run 'TestFormatStopsReadingOnError|TestFormatFailedCloseSavesNoAlias|TestFormatFailedCreateClosesFragments|TestConcurrentSourcesShareOneFragment' ./internal/blastdb/
 	$(GO) test -race -count=20 ./internal/mpi/
-	$(GO) test -race -count=10 -timeout 120s -run 'Leave|Crash|Duplicate|Cancelled|Idle|Affinity|Gone|CloseMakesNoReceive|StrayResult' ./internal/pblast/
+	$(GO) test -race -count=10 -timeout 120s -run 'Leave|Crash|Duplicate|Cancelled|Idle|Affinity|Gone|CloseMakesNoReceive|StrayResult|UnreadableWorker' ./internal/pblast/
 	$(GO) test -race -count=10 -run 'Heartbeat|Close' ./internal/pvfs/
 	$(GO) test -run TestSearchSubjectSteadyStateAllocs ./internal/blast/
 	$(GO) test -run TestSearcherRepeatAllocs ./internal/blast/

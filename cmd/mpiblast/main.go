@@ -65,10 +65,9 @@ func main() {
 
 		// Distributed mode: run this process as one rank of a
 		// multi-process (multi-machine) job over the TCP transport.
-		router      = flag.String("router", "", "message router address; enables distributed mode")
-		startRouter = flag.Bool("start-router", false, "rank 0 also starts the router at -router")
-		rank        = flag.Int("rank", 0, "this process's rank (0 = master)")
-		size        = flag.Int("size", 0, "total ranks including the master (distributed mode)")
+		router = flag.String("router", "", "address the master (rank 0) listens on and the workers dial; enables distributed mode")
+		rank   = flag.Int("rank", 0, "this process's rank (0 = master)")
+		size   = flag.Int("size", 0, "total ranks including the master (distributed mode)")
 	)
 	// Which file system the workers read (-io and its addresses,
 	// transport and CEFT tuning) and how each worker reads it (chunk,
@@ -146,7 +145,7 @@ func main() {
 	if distributed && *rank > 0 {
 		// Worker rank: serve tasks through the same read-path stack an
 		// in-process worker gets, and exit. Retry the dial so workers may
-		// start before the master's router is up.
+		// start before the master listens.
 		comm, err := mpi.DialRetry(*router, *rank, *size, 30*time.Second)
 		if err != nil {
 			fatal(err)
@@ -174,14 +173,7 @@ func main() {
 	)
 	start := time.Now()
 	if distributed {
-		if *startRouter {
-			r, err := mpi.StartRouter(*router, *size)
-			if err != nil {
-				fatal(err)
-			}
-			defer r.Close()
-		}
-		comm, err := mpi.Dial(*router, 0, *size)
+		comm, err := mpi.Listen(*router, *size)
 		if err != nil {
 			fatal(err)
 		}

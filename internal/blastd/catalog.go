@@ -59,22 +59,20 @@ func (c *dbCatalog) Lookup(name string) (*dbInfo, error) {
 	return info, nil
 }
 
-// Refresh re-reads a database's alias from storage and reports
-// whether its version changed. The caller is responsible for
-// invalidating caches when it did.
-func (c *dbCatalog) Refresh(name string) (info *dbInfo, changed bool, err error) {
+// Refresh re-reads a database's alias from storage and makes it the
+// current one. The caller is responsible for invalidating caches.
+func (c *dbCatalog) Refresh(name string) (*dbInfo, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.known != nil && !c.known[name] {
-		return nil, false, fmt.Errorf("%w: %q", ErrDBNotFound, name)
+		return nil, fmt.Errorf("%w: %q", ErrDBNotFound, name)
 	}
-	old := c.dbs[name]
-	info, err = c.loadLocked(name)
+	info, err := c.loadLocked(name)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	c.dbs[name] = info
-	return info, old == nil || old.Version != info.Version, nil
+	return info, nil
 }
 
 func (c *dbCatalog) loadLocked(name string) (*dbInfo, error) {

@@ -497,7 +497,7 @@ func parseQuery(text string) (*seq.Sequence, error) {
 // InvalidateDB re-reads the database's alias and drops cached results
 // for it. It reports the new version and how many entries were shed.
 func (s *Server) InvalidateDB(name string) (version string, invalidated int, err error) {
-	info, _, err := s.catalog.Refresh(name)
+	info, err := s.catalog.Refresh(name)
 	if err != nil {
 		return "", 0, err
 	}

@@ -65,7 +65,7 @@ func (c *inprocComm) Send(to, tag int, data []byte) error {
 	}
 	// Copy so the sender may reuse its buffer, matching the TCP
 	// transport's semantics. A message for a closed endpoint is
-	// dropped, as the router drops a frame for a gone rank.
+	// dropped, as rank 0's Listener drops a frame for a gone rank.
 	c.world.boxes[to].put(Message{From: c.rank, Tag: tag, Data: append([]byte(nil), data...)})
 	return nil
 }

@@ -6,8 +6,8 @@
 // sender's and receiver's business, as an MPI application describes
 // its own message layout. Two transports
 // are provided: an in-process one (goroutines and channels) and a TCP
-// one (router process), so the parallel BLAST code runs unchanged in
-// one process or across many. Both tell rank 0 when another rank is
+// one (rank 0 listens, the others dial it), so the parallel BLAST code
+// runs unchanged in one process or across many. Both tell rank 0 when another rank is
 // gone, with a TagGone message after that rank's last one.
 package mpi
 

@@ -35,30 +35,20 @@ func runWorld(t *testing.T, size int, fn func(c Comm) error) {
 	}
 }
 
-// runTCPWorld executes fn on every rank over the TCP transport. The
-// connections close once every rank has returned, so no rank is gone
-// while rank 0 still receives.
+// runTCPWorld executes fn on every rank over the TCP transport, once
+// every rank has joined. The connections close once every rank has
+// returned, so no rank is gone while rank 0 still receives.
 func runTCPWorld(t *testing.T, size int, fn func(c Comm) error) {
 	t.Helper()
-	router, err := StartRouter("127.0.0.1:0", size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer router.Close()
+	cs := dialAll(t, listen(t, size), size)
 	var wg sync.WaitGroup
 	errs := make([]error, size)
-	for r := 0; r < size; r++ {
+	for r, c := range cs {
 		wg.Add(1)
-		go func(r int) {
+		go func() {
 			defer wg.Done()
-			c, err := Dial(router.Addr(), r, size)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			t.Cleanup(func() { c.Close() })
 			errs[r] = fn(c)
-		}(r)
+		}()
 	}
 	wg.Wait()
 	for r, err := range errs {
@@ -221,37 +211,6 @@ func TestWorldSizeValidation(t *testing.T) {
 	}
 }
 
-func TestTCPEarlySendBeforePeerConnects(t *testing.T) {
-	// Rank 0 connects and sends immediately; rank 1 connects late.
-	// The router must queue the frame.
-	router, err := StartRouter("127.0.0.1:0", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer router.Close()
-	c0, err := Dial(router.Addr(), 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c0.Close()
-	if err := c0.Send(1, 9, []byte("early")); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond)
-	c1, err := Dial(router.Addr(), 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	m, err := c1.Recv(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(m.Data) != "early" {
-		t.Errorf("got %q", m.Data)
-	}
-}
-
 func TestManyMessagesStress(t *testing.T) {
 	for name, run := range transports(t) {
 		t.Run(name, func(t *testing.T) {
@@ -289,9 +248,8 @@ func TestManyMessagesStress(t *testing.T) {
 }
 
 func TestDialRetryWaitsForRouter(t *testing.T) {
-	addr := "127.0.0.1:0"
 	// Pick a concrete free port by binding and releasing it.
-	probe, err := StartRouter(addr, 1)
+	probe, err := Listen("127.0.0.1:0", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,26 +258,26 @@ func TestDialRetryWaitsForRouter(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		c, err := DialRetry(concrete, 0, 2, 5*time.Second)
+		c, err := DialRetry(concrete, 1, 2, 5*time.Second)
 		if err == nil {
 			c.Close()
 		}
 		done <- err
 	}()
-	// Start the router late; the dialer must keep retrying.
+	// Listen late; the dialer must keep retrying.
 	time.Sleep(300 * time.Millisecond)
-	router, err := StartRouter(concrete, 2)
+	l, err := Listen(concrete, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer router.Close()
+	defer l.Close()
 	if err := <-done; err != nil {
 		t.Fatalf("DialRetry failed: %v", err)
 	}
 }
 
 func TestDialRetryTimesOut(t *testing.T) {
-	if _, err := DialRetry("127.0.0.1:1", 0, 2, 300*time.Millisecond); err == nil {
+	if _, err := DialRetry("127.0.0.1:1", 1, 2, 300*time.Millisecond); err == nil {
 		t.Fatal("expected timeout error")
 	}
 }
@@ -336,20 +294,7 @@ func pair(t *testing.T, transport string) (Comm, Comm) {
 		t.Cleanup(w.Close)
 		return w.Comm(0), w.Comm(1)
 	}
-	router, err := StartRouter("127.0.0.1:0", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { router.Close() })
-	var cs [2]Comm
-	for r := range cs {
-		c, err := Dial(router.Addr(), r, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		cs[r] = c
-	}
+	cs := dialAll(t, listen(t, 2), 2)
 	return cs[0], cs[1]
 }
 

@@ -12,9 +12,13 @@ import (
 	"time"
 )
 
-// TCP transport: a router process accepts one connection per rank and
-// forwards tagged frames between them. This mirrors how a LAM/MPICH
-// job of the paper's era multiplexed messages over the interconnect.
+// TCP transport: rank 0 listens and every other rank dials it, so a
+// worker talks to the master alone, as mpiBLAST's workers do. Rank 0
+// puts each connection's frames straight into its own mailbox and
+// writes its sends on the destination's connection; no frame is
+// forwarded. LAM and MPICH, in the paper's era, let any two ranks of a
+// job talk; mpiBLAST used only the master-worker links, which are all
+// this transport provides.
 //
 // Wire frame: magic(4) from(4) to(4) tag(4) len(4) payload(len),
 // all little-endian. A hello frame (to == helloTo) announces a
@@ -68,160 +72,156 @@ func readFrame(r io.Reader) (from, to, tag int, payload []byte, err error) {
 	return
 }
 
-// Router forwards frames between rank connections.
-type Router struct {
-	ln      net.Listener
-	size    int
+// Listener is rank 0's endpoint over TCP: the Comm that accepts ranks
+// 1..size-1 on its address. Each connection's frames go into rank 0's
+// mailbox stamped with the connection's rank, and the connection's end
+// puts that rank's TagGone after them.
+type Listener struct {
+	ln   net.Listener
+	size int
+	box  *mailbox
+	wmu  sync.Mutex // one Send writes at a time
+
 	mu      sync.Mutex
 	closing bool
 	open    map[net.Conn]struct{} // every connection being served, hello or not
-	conns   map[int]net.Conn
-	wmus    map[int]*sync.Mutex
-	pending map[int][]pendingFrame // frames for ranks that have not connected yet
+	conns   map[int]net.Conn      // every rank that joined; nil once its connection ended
 }
 
-type pendingFrame struct {
-	from, tag int
-	payload   []byte
-}
-
-// StartRouter listens on addr (e.g. "127.0.0.1:0") for size ranks and
-// begins forwarding. It returns immediately; clients may connect at
-// any time afterwards.
-func StartRouter(addr string, size int) (*Router, error) {
+// Listen listens on addr (e.g. "127.0.0.1:0") as rank 0 of size ranks.
+// It returns at once; the other ranks may dial at any time afterwards.
+func Listen(addr string, size int) (*Listener, error) {
 	if size < 1 {
-		return nil, fmt.Errorf("mpi: router size %d < 1", size)
+		return nil, fmt.Errorf("mpi: world size %d < 1", size)
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	r := &Router{
-		ln:      ln,
-		size:    size,
-		open:    make(map[net.Conn]struct{}),
-		conns:   make(map[int]net.Conn),
-		wmus:    make(map[int]*sync.Mutex),
-		pending: make(map[int][]pendingFrame),
-	}
-	go r.acceptLoop()
-	return r, nil
+	l := &Listener{ln: ln, size: size, box: &mailbox{}, open: make(map[net.Conn]struct{}), conns: make(map[int]net.Conn)}
+	go l.acceptLoop()
+	return l, nil
 }
 
-// Addr returns the router's listen address for clients to dial.
-func (r *Router) Addr() string { return r.ln.Addr().String() }
+// Addr returns the address the other ranks dial.
+func (l *Listener) Addr() string { return l.ln.Addr().String() }
+
+func (l *Listener) Rank() int { return 0 }
+func (l *Listener) Size() int { return l.size }
 
 // acceptLoop serves every connection until Close, holding each in open
 // while it is served, so that Close ends a peer that never sends its
-// hello too. serve turns away a malformed hello and a second
-// connection for a rank that has joined, so a stray dial cannot use up
-// a rank's place.
-func (r *Router) acceptLoop() {
+// hello too.
+func (l *Listener) acceptLoop() {
 	for {
-		conn, err := r.ln.Accept()
+		conn, err := l.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
-		r.mu.Lock()
-		if r.closing {
-			r.mu.Unlock()
+		l.mu.Lock()
+		if l.closing {
+			l.mu.Unlock()
 			conn.Close()
 			return
 		}
-		r.open[conn] = struct{}{}
-		r.mu.Unlock()
+		l.open[conn] = struct{}{}
+		l.mu.Unlock()
 		go func() {
-			r.serve(conn)
-			r.mu.Lock()
-			delete(r.open, conn)
-			r.mu.Unlock()
+			l.serve(conn)
+			l.mu.Lock()
+			delete(l.open, conn)
+			l.mu.Unlock()
 		}()
 	}
 }
 
-func (r *Router) serve(conn net.Conn) {
+// serve reads one peer's frames into rank 0's mailbox. A malformed
+// hello and a second connection for a rank that has joined are turned
+// away, so a stray dial cannot use up a rank's place.
+func (l *Listener) serve(conn net.Conn) {
 	defer conn.Close()
-	// First frame must be the hello announcing the client's rank.
-	from, to, _, _, err := readFrame(conn)
-	if err != nil || to != helloTo || from < 0 || from >= r.size {
+	rank, to, _, _, err := readFrame(conn)
+	if err != nil || to != helloTo || rank < 1 || rank >= l.size {
 		return
 	}
-	rank := from
-	// Hold the rank's write lock from before it is published until the
-	// queued frames are flushed, so a frame forwarded directly cannot
-	// overtake an earlier queued one from the same sender.
-	wmu := &sync.Mutex{}
-	wmu.Lock()
-	r.mu.Lock()
-	if _, dup := r.conns[rank]; dup {
+	l.mu.Lock()
+	if _, dup := l.conns[rank]; dup {
 		// A rank joins once: it is never replaced, even after its
 		// connection ends.
-		r.mu.Unlock()
+		l.mu.Unlock()
 		return
 	}
-	r.conns[rank] = conn
-	r.wmus[rank] = wmu
-	queued := r.pending[rank]
-	delete(r.pending, rank)
-	r.mu.Unlock()
-	if rank != 0 {
-		defer r.forward(rank, 0, TagGone, nil) // however the connection ends, after its frames
-	}
-	for _, pf := range queued {
-		writeFrame(conn, pf.from, rank, pf.tag, pf.payload) // a broken conn fails the read below
-	}
-	wmu.Unlock()
+	l.conns[rank] = conn
+	l.mu.Unlock()
+	defer func() {
+		// However the connection ends, after its frames. Once Close
+		// has closed the mailbox, the put reports nothing.
+		l.mu.Lock()
+		l.conns[rank] = nil
+		l.mu.Unlock()
+		l.box.put(Message{From: rank, Tag: TagGone})
+	}()
 	for {
 		_, to, tag, payload, err := readFrame(conn)
-		if err != nil || to < 0 || to >= r.size || tag == TagGone {
+		if err != nil || to != 0 || tag == TagGone {
 			// Drop a peer whose stream is unreadable, that addresses a
-			// rank that can never connect (queued, the frame would hold
-			// router memory forever), or that claims a departure only
-			// the router reports.
+			// rank other than 0, or that claims a departure only the
+			// transport reports.
 			return
 		}
-		// Forward under the connection's own rank, never the sender's
-		// claim, so no rank can impersonate another.
-		r.forward(rank, to, tag, payload)
+		// Stamp the connection's own rank, never the sender's claim,
+		// so no rank can impersonate another.
+		if l.box.put(Message{From: rank, Tag: tag, Data: payload}) != nil {
+			return // closed
+		}
 	}
 }
 
-// forward delivers a frame from rank from to rank to, or queues it
-// until to joins. A destination that has gone loses the frame, but the
-// sender keeps being served: its frames to other ranks still matter.
-// Once Close has begun, frames are dropped.
-func (r *Router) forward(from, to, tag int, payload []byte) {
-	r.mu.Lock()
-	if r.closing {
-		r.mu.Unlock()
-		return
+// Send writes data on rank to's connection. A frame for a rank that
+// has not joined or has gone is dropped, as World drops one for a
+// closed rank; a failed write ends that rank's connection, so the rank
+// is reported gone and rank 0 goes on with the others.
+func (l *Listener) Send(to, tag int, data []byte) error {
+	if to < 0 || to >= l.size {
+		return fmt.Errorf("mpi: send to invalid rank %d", to)
 	}
-	dst, ok := r.conns[to]
-	if !ok {
-		r.pending[to] = append(r.pending[to], pendingFrame{from: from, tag: tag, payload: payload})
-		r.mu.Unlock()
-		return
+	if to == 0 {
+		return l.box.put(Message{From: 0, Tag: tag, Data: append([]byte(nil), data...)})
 	}
-	dmu := r.wmus[to]
-	r.mu.Unlock()
-	dmu.Lock()
-	writeFrame(dst, from, to, tag, payload)
-	dmu.Unlock()
+	l.mu.Lock()
+	conn, closing := l.conns[to], l.closing
+	l.mu.Unlock()
+	if closing {
+		return ErrClosed
+	}
+	if conn == nil {
+		return nil
+	}
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	if writeFrame(conn, 0, to, tag, data) != nil {
+		conn.Close()
+	}
+	return nil
 }
 
-// Close shuts the router down without reporting any rank gone.
-func (r *Router) Close() error {
-	err := r.ln.Close()
-	r.mu.Lock()
-	r.closing = true
-	for c := range r.open {
+func (l *Listener) Recv(ctx context.Context) (Message, error) { return l.box.get(ctx) }
+
+// Close stops listening and ends every connection, joined or not: that
+// is each other rank's end signal. It reports no rank gone.
+func (l *Listener) Close() error {
+	err := l.ln.Close()
+	l.mu.Lock()
+	l.closing = true
+	l.box.close()
+	for c := range l.open {
 		c.Close()
 	}
-	r.mu.Unlock()
+	l.mu.Unlock()
 	return err
 }
 
-// tcpComm is a Comm over a router connection.
+// tcpComm is the Comm of a rank other than 0: its connection to rank 0.
 type tcpComm struct {
 	rank, size int
 	conn       net.Conn
@@ -230,12 +230,12 @@ type tcpComm struct {
 	closeOnce  sync.Once
 }
 
-// Dial connects rank to the router at addr in a world of size ranks.
-// It returns once the connection is established; frames sent to a rank
-// that has not connected yet wait at the router.
+// Dial connects rank, one of 1..size-1, to rank 0 listening at addr.
+// It returns once the connection is established; rank 0 drops what it
+// sends a rank before that rank's hello has arrived.
 func Dial(addr string, rank, size int) (Comm, error) {
-	if rank < 0 || rank >= size {
-		return nil, fmt.Errorf("mpi: rank %d out of range [0,%d)", rank, size)
+	if rank < 1 || rank >= size {
+		return nil, fmt.Errorf("mpi: rank %d out of range [1,%d): rank 0 listens", rank, size)
 	}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -252,12 +252,12 @@ func Dial(addr string, rank, size int) (Comm, error) {
 
 func (c *tcpComm) readLoop() {
 	for {
-		from, _, tag, payload, err := readFrame(c.conn)
+		_, _, tag, payload, err := readFrame(c.conn)
 		if err != nil {
 			c.box.close()
 			return
 		}
-		c.box.put(Message{From: from, Tag: tag, Data: payload})
+		c.box.put(Message{From: 0, Tag: tag, Data: payload})
 	}
 }
 
@@ -272,10 +272,13 @@ func (c *tcpComm) Send(to, tag int, data []byte) error {
 		// Loopback without a network round trip.
 		return c.box.put(Message{From: c.rank, Tag: tag, Data: append([]byte(nil), data...)})
 	}
+	if to != 0 {
+		return fmt.Errorf("mpi: rank %d is connected to rank 0 only, not to rank %d", c.rank, to)
+	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	err := writeFrame(c.conn, c.rank, to, tag, data)
-	// A write fails with a broken pipe or a reset once the router has
+	// A write fails with a broken pipe or a reset once rank 0 has
 	// ended the connection, and with net.ErrClosed once Close has: the
 	// communicator is closed, as a Recv would find it.
 	if errors.Is(err, syscall.EPIPE) || errors.Is(err, syscall.ECONNRESET) || errors.Is(err, net.ErrClosed) {
@@ -284,9 +287,7 @@ func (c *tcpComm) Send(to, tag int, data []byte) error {
 	return err
 }
 
-func (c *tcpComm) Recv(ctx context.Context) (Message, error) {
-	return c.box.get(ctx)
-}
+func (c *tcpComm) Recv(ctx context.Context) (Message, error) { return c.box.get(ctx) }
 
 func (c *tcpComm) Close() error {
 	var err error
@@ -297,10 +298,10 @@ func (c *tcpComm) Close() error {
 	return err
 }
 
-// DialRetry dials the router every 10 ms until it accepts or the
-// timeout elapses: workers in a distributed job typically start before
-// the master has brought the router up, and a small job's router may
-// live for less than 100 ms.
+// DialRetry dials rank 0 every 10 ms until it accepts or the timeout
+// elapses: workers in a distributed job typically start before the
+// master listens, and a small job's master may listen for less than
+// 100 ms.
 func DialRetry(addr string, rank, size int, timeout time.Duration) (Comm, error) {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -309,7 +310,7 @@ func DialRetry(addr string, rank, size int, timeout time.Duration) (Comm, error)
 			return c, nil
 		}
 		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("mpi: router %s not reachable within %v: %w", addr, timeout, err)
+			return nil, fmt.Errorf("mpi: rank 0 at %s not reachable within %v: %w", addr, timeout, err)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

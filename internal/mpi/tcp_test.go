@@ -5,18 +5,30 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
-	"sync"
 	"testing"
 	"time"
 )
 
-// rawPeer connects to the router as rank without a tcpComm, so a test
-// can write frames whose headers a well-behaved client never would.
-func rawPeer(t *testing.T, r *Router, rank int) net.Conn {
+// listen starts rank 0 of a world of size on a free loopback port,
+// closed with the test.
+func listen(t *testing.T, size int) *Listener {
 	t.Helper()
-	conn, err := net.Dial("tcp", r.Addr())
+	l, err := Listen("127.0.0.1:0", size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	return l
+}
+
+// rawPeer connects to l as rank without a tcpComm, so a test can write
+// frames whose headers a well-behaved client never would.
+func rawPeer(t *testing.T, l *Listener, rank int) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", l.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,117 +39,43 @@ func rawPeer(t *testing.T, r *Router, rank int) net.Conn {
 	return conn
 }
 
-func TestRouterStampsSenderRank(t *testing.T) {
-	r, err := StartRouter("127.0.0.1:0", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	c1, err := Dial(r.Addr(), 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	spoofer := rawPeer(t, r, 0)
-	if err := writeFrame(spoofer, 2, 1, 5, []byte("spoofed")); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	m, err := c1.Recv(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.From != 0 {
-		t.Errorf("frame claiming rank 2 arrived from %d, want the sender's rank 0", m.From)
-	}
-}
-
-func TestRouterDropsPeerSendingOutOfRange(t *testing.T) {
-	for _, to := range []int{-7, 2} {
-		r, err := StartRouter("127.0.0.1:0", 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		conn := rawPeer(t, r, 0)
-		if err := writeFrame(conn, 0, to, 1, []byte("nowhere")); err != nil {
-			t.Fatal(err)
-		}
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
-			t.Errorf("to=%d: sender's read = %v, want EOF from a closed connection", to, err)
-		}
-		r.mu.Lock()
-		if len(r.pending) != 0 {
-			t.Errorf("to=%d: router queued frames for %d ranks", to, len(r.pending))
-		}
-		r.mu.Unlock()
-	}
-}
-
-// Frames queued for a rank that has not connected yet, and frames sent
-// to it while it connects, arrive in the order the sender sent them.
-func TestRouterKeepsOrderWhileReceiverConnects(t *testing.T) {
-	const n = 2000
-	r, err := StartRouter("127.0.0.1:0", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	c0, err := Dial(r.Addr(), 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c0.Close()
-	started := make(chan struct{})
-	sent := make(chan error, 1)
-	go func() {
-		for i := 0; i < n; i++ {
-			if i == n/10 {
-				close(started)
-			}
-			if err := c0.Send(1, 1, binary.LittleEndian.AppendUint32(nil, uint32(i))); err != nil {
-				sent <- err
-				return
-			}
-		}
-		sent <- nil
-	}()
-	<-started
-	c1, err := Dial(r.Addr(), 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for i := 0; i < n; i++ {
-		m, err := c1.Recv(ctx)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if got := binary.LittleEndian.Uint32(m.Data); got != uint32(i) {
-			t.Fatalf("frame %d arrived in position %d", got, i)
-		}
-	}
-	if err := <-sent; err != nil {
-		t.Fatal(err)
-	}
-}
-
-// dialAll connects ranks 0..n-1 of a world of size, closed with the
-// test.
-func dialAll(t *testing.T, r *Router, n, size int) []Comm {
+// waitJoined waits until rank's connection is live at l: rank 0 drops
+// what it sends a rank before then.
+func waitJoined(t *testing.T, l *Listener, rank int) {
 	t.Helper()
-	cs := make([]Comm, n)
-	for rank := range cs {
-		c, err := Dial(r.Addr(), rank, size)
-		if err != nil {
-			t.Fatal(err)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		l.mu.Lock()
+		live := l.conns[rank] != nil
+		l.mu.Unlock()
+		if live {
+			return
 		}
-		t.Cleanup(func() { c.Close() })
-		cs[rank] = c
+		if time.Now().After(deadline) {
+			t.Fatalf("rank %d never joined", rank)
+		}
+	}
+}
+
+// dial connects rank to l, closed with the test, and waits until it
+// has joined.
+func dial(t *testing.T, l *Listener, rank int) Comm {
+	t.Helper()
+	c, err := Dial(l.Addr(), rank, l.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	waitJoined(t, l, rank)
+	return c
+}
+
+// dialAll returns ranks 0..n-1 of l's world, rank 0 being l itself,
+// once every one has joined.
+func dialAll(t *testing.T, l *Listener, n int) []Comm {
+	t.Helper()
+	cs := []Comm{l}
+	for rank := 1; rank < n; rank++ {
+		cs = append(cs, dial(t, l, rank))
 	}
 	return cs
 }
@@ -157,6 +95,16 @@ func expect(t *testing.T, c Comm, from int, data string) {
 	}
 }
 
+// expectNothing requires c to receive nothing for 100 ms.
+func expectNothing(t *testing.T, c Comm) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if m, err := c.Recv(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("rank %d got %+v, %v; want nothing", c.Rank(), m, err)
+	}
+}
+
 // expectGone requires c's next messages to be from rank from carrying
 // data in order, then one TagGone from rank from, then nothing.
 func expectGone(t *testing.T, c Comm, from int, data ...string) {
@@ -169,72 +117,109 @@ func expectGone(t *testing.T, c Comm, from int, data ...string) {
 	if m, err := c.Recv(ctx); err != nil || m.From != from || m.Tag != TagGone {
 		t.Fatalf("rank %d got %+v, %v; want TagGone from rank %d", c.Rank(), m, err, from)
 	}
-	ctx, cancel = context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	if m, err := c.Recv(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("rank %d got %+v, %v after TagGone; want nothing", c.Rank(), m, err)
+	expectNothing(t, c)
+}
+
+// expectDropped requires rank 0 to have ended conn: its side reads EOF.
+func expectDropped(t *testing.T, conn net.Conn, what string) {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("%s: read = %v, want EOF from a closed connection", what, err)
 	}
 }
 
-// The router tells rank 0 that a rank whose connection ended is gone,
-// once and after that rank's frames, including when the rank sends
-// TagGone itself: that peer is dropped and cannot forge a departure.
-func TestRouterReportsGoneRank(t *testing.T) {
-	r, err := StartRouter("127.0.0.1:0", 3)
-	if err != nil {
+// Rank 0 stamps each frame with the rank of the connection it came
+// on, whatever rank the frame claims.
+func TestRouterStampsSenderRank(t *testing.T) {
+	l := listen(t, 3)
+	spoofer := rawPeer(t, l, 1)
+	if err := writeFrame(spoofer, 2, 0, 5, []byte("spoofed")); err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	cs := dialAll(t, r, 2, 3)
+	expect(t, l, 1, "spoofed")
+}
+
+// A peer that addresses any rank but 0 (another worker, or a rank
+// outside the world) is dropped with its frame, and reported gone.
+func TestRouterDropsPeerSendingOutOfRange(t *testing.T) {
+	for _, to := range []int{-7, 2, 3} {
+		l := listen(t, 3)
+		conn := rawPeer(t, l, 1)
+		if err := writeFrame(conn, 1, to, 1, []byte("nowhere")); err != nil {
+			t.Fatal(err)
+		}
+		expectDropped(t, conn, fmt.Sprintf("frame to rank %d", to))
+		expectGone(t, l, 1)
+	}
+}
+
+// A worker is connected to rank 0 alone: its Send to another worker is
+// refused before anything is written, and its connection stays usable.
+func TestWorkerSendsOnlyToRankZero(t *testing.T) {
+	cs := dialAll(t, listen(t, 3), 3)
+	if err := cs[1].Send(2, 1, []byte("sideways")); err == nil || errors.Is(err, ErrClosed) {
+		t.Fatalf("worker's Send to another worker = %v, want a refusal", err)
+	}
+	expectNothing(t, cs[2])
+	if err := cs[1].Send(0, 1, []byte("up")); err != nil {
+		t.Fatal(err)
+	}
+	expect(t, cs[0], 1, "up")
+}
+
+// Rank 0 learns that a rank whose connection ended is gone, once and
+// after that rank's frames, including when the rank sends TagGone
+// itself: that peer is dropped and cannot forge a departure.
+func TestRouterReportsGoneRank(t *testing.T) {
+	l := listen(t, 3)
+	cs := dialAll(t, l, 2)
 	for _, data := range []string{"a", "b"} {
 		if err := cs[1].Send(0, 1, []byte(data)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	cs[1].Close()
-	expectGone(t, cs[0], 1, "a", "b")
+	expectGone(t, l, 1, "a", "b")
 
-	forger := rawPeer(t, r, 2)
+	forger := rawPeer(t, l, 2)
 	if err := writeFrame(forger, 2, 0, TagGone, nil); err != nil {
 		t.Fatal(err)
 	}
-	forger.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := forger.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
-		t.Errorf("peer sending TagGone: read = %v, want EOF from a closed connection", err)
-	}
-	expectGone(t, cs[0], 2)
+	expectDropped(t, forger, "peer sending TagGone")
+	expectGone(t, l, 2)
 }
 
-// A Send on a connection the router has ended, or that Close has,
-// returns ErrClosed, like a Recv on it. The router's end reaches the
-// sender as a reset, so the first Sends after it may still succeed.
+// A Send on a connection rank 0 has ended, or that Close has, returns
+// ErrClosed, like a Recv on it. Rank 0's end reaches the sender as a
+// reset, so the first Sends after it may still succeed.
 func TestSendAfterConnectionEnds(t *testing.T) {
-	r, err := StartRouter("127.0.0.1:0", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := dialAll(t, r, 2, 2)[1]
-	r.Close()
+	l := listen(t, 2)
+	c := dialAll(t, l, 2)[1]
+	l.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if _, err := c.Recv(ctx); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Recv after the router closed = %v, want ErrClosed", err)
+		t.Fatalf("Recv after rank 0 closed = %v, want ErrClosed", err)
 	}
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		err := c.Send(0, 1, []byte("late result"))
 		if err != nil {
 			if err != ErrClosed {
-				t.Errorf("Send after the router closed = %v, want ErrClosed", err)
+				t.Errorf("Send after rank 0 closed = %v, want ErrClosed", err)
 			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("Send still succeeds 5s after the router closed")
+			t.Fatal("Send still succeeds 5s after rank 0 closed")
 		}
 	}
 	c.Close()
 	if err := c.Send(0, 1, nil); err != ErrClosed {
 		t.Errorf("Send after Close = %v, want ErrClosed", err)
+	}
+	if err := l.Send(1, 1, nil); err != ErrClosed {
+		t.Errorf("rank 0's Send after its Close = %v, want ErrClosed", err)
 	}
 }
 
@@ -259,55 +244,45 @@ func TestSendKeepsOtherWriteErrors(t *testing.T) {
 	}
 }
 
-// A frame for a rank whose connection has gone is dropped, and the
-// router goes on forwarding the sender's frames to everyone else: a
+// Rank 0's Send to a rank that has not joined, or has gone, is
+// dropped and returns nil, and rank 0 goes on reaching the others: a
 // worker that leaves while the master still sends to it must not cut
-// the master off from the rest.
-func TestRouterForwardSurvivesGoneDestination(t *testing.T) {
-	r, err := StartRouter("127.0.0.1:0", 3)
-	if err != nil {
-		t.Fatal(err)
+// the master off from the rest. Nothing is kept for a late joiner.
+func TestSendToAbsentRankIsDropped(t *testing.T) {
+	l := listen(t, 3)
+	cs := dialAll(t, l, 2)
+	if err := l.Send(2, 1, []byte("early")); err != nil {
+		t.Fatalf("Send to a rank that has not joined = %v, want nil", err)
 	}
-	defer r.Close()
-	cs := dialAll(t, r, 3, 3)
-	// Round trips prove every rank is connected before rank 2 goes.
-	for rank := 1; rank <= 2; rank++ {
-		if err := cs[rank].Send(0, 1, []byte("up")); err != nil {
-			t.Fatal(err)
-		}
-		expect(t, cs[0], rank, "up")
-	}
-	cs[2].Close()
-	time.Sleep(100 * time.Millisecond) // the router sees rank 2's EOF
+	c2 := dial(t, l, 2)
+	expectNothing(t, c2)
+	c2.Close()
+	expectGone(t, l, 2)
 	for i := 0; i < 3; i++ {
-		if err := cs[0].Send(2, 1, []byte("lost")); err != nil {
-			t.Fatal(err)
+		if err := l.Send(2, 1, []byte("lost")); err != nil {
+			t.Fatalf("Send to a gone rank = %v, want nil", err)
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
-	if err := cs[0].Send(1, 1, []byte("after")); err != nil {
+	if err := l.Send(1, 1, []byte("after")); err != nil {
 		t.Fatal(err)
 	}
 	expect(t, cs[1], 0, "after")
 }
 
-// The router accepts connections until Close and turns away a second
-// connection for a rank that has joined, and a malformed hello, without
-// either using up a place: rank 1 keeps its traffic and rank 2 still
-// joins afterwards. No rank joins twice.
+// Rank 0 accepts connections until Close and turns away a second
+// connection for a rank that has joined, and a malformed hello (one
+// claiming rank 0 or a rank outside the world), without either using
+// up a place or reporting a rank gone: rank 1 keeps its traffic and
+// rank 2 still joins afterwards. No rank joins twice.
 func TestRouterTurnsAwayDuplicateRank(t *testing.T) {
-	r, err := StartRouter("127.0.0.1:0", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	cs := dialAll(t, r, 2, 3)
+	l := listen(t, 3)
+	cs := dialAll(t, l, 2)
 	if err := cs[1].Send(0, 1, []byte("up")); err != nil {
 		t.Fatal(err)
 	}
-	expect(t, cs[0], 1, "up")
+	expect(t, l, 1, "up")
 
-	dup, err := Dial(r.Addr(), 1, 3)
+	dup, err := Dial(l.Addr(), 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,64 +292,62 @@ func TestRouterTurnsAwayDuplicateRank(t *testing.T) {
 	if _, err := dup.Recv(ctx); !errors.Is(err, ErrClosed) {
 		t.Fatalf("second connection for rank 1: Recv = %v, want ErrClosed", err)
 	}
-	bad := rawPeer(t, r, 7) // no rank 7 in a world of 3
-	bad.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := bad.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
-		t.Fatalf("malformed hello: read = %v, want EOF from a closed connection", err)
-	}
+	expectDropped(t, rawPeer(t, l, 0), "hello claiming rank 0")
+	expectDropped(t, rawPeer(t, l, 7), "hello claiming rank 7 of 3")
 
-	if err := cs[0].Send(1, 1, []byte("still")); err != nil {
+	if err := l.Send(1, 1, []byte("still")); err != nil {
 		t.Fatal(err)
 	}
 	expect(t, cs[1], 0, "still")
-	c2, err := Dial(r.Addr(), 2, 3)
-	if err != nil {
+	c2 := dial(t, l, 2)
+	if err := c2.Send(0, 1, []byte("joined")); err != nil {
 		t.Fatal(err)
 	}
-	defer c2.Close()
-	if err := cs[0].Send(2, 1, []byte("joined")); err != nil {
+	expect(t, l, 2, "joined")
+	if err := l.Send(2, 1, []byte("welcome")); err != nil {
 		t.Fatal(err)
 	}
-	expect(t, c2, 0, "joined")
+	expect(t, c2, 0, "welcome")
 }
 
 // A peer that connects and never sends its hello is ended by Close
-// like a joined one: its side reads EOF.
+// like a joined one: its side reads EOF, and rank 0 hears of no rank
+// gone.
 func TestRouterCloseEndsPeerWithoutHello(t *testing.T) {
-	r, err := StartRouter("127.0.0.1:0", 2)
+	l, err := Listen("127.0.0.1:0", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.Dial("tcp", r.Addr())
+	conn, err := net.Dial("tcp", l.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// Close only once the router serves the connection: one still in
-	// the listen backlog would be reset, not ended.
+	// Close only once rank 0 serves the connection: one still in the
+	// listen backlog would be reset, not ended.
 	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
-		r.mu.Lock()
-		served := len(r.open)
-		r.mu.Unlock()
+		l.mu.Lock()
+		served := len(l.open)
+		l.mu.Unlock()
 		if served == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("router never accepted the connection")
+			t.Fatal("rank 0 never accepted the connection")
 		}
 	}
-	r.Close()
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
-		t.Fatalf("read after Close = %v, want EOF from a closed connection", err)
+	l.Close()
+	expectDropped(t, conn, "read after Close")
+	if m, err := l.Recv(context.Background()); !errors.Is(err, ErrClosed) {
+		t.Fatalf("rank 0's Recv after Close = %+v, %v; want ErrClosed", m, err)
 	}
 }
 
-// FuzzRouterFrames feeds raw byte streams to the router's per-
-// connection loop. Whatever a peer sends, the router must not panic,
-// hang, or queue a frame for a rank outside [0, size); and rank 0's
-// queue ends in one TagGone from the peer if it joined as a rank other
-// than 0, and holds none otherwise.
+// FuzzRouterFrames feeds raw byte streams to rank 0's per-connection
+// loop. Whatever a peer sends, serve must not panic or hang; every
+// message it puts in rank 0's mailbox is stamped with the rank the
+// peer joined as, and the mailbox ends in exactly one TagGone if the
+// peer joined, and holds nothing otherwise.
 func FuzzRouterFrames(f *testing.F) {
 	frame := func(from, to, tag int, payload []byte) []byte {
 		var b bytes.Buffer
@@ -394,51 +367,49 @@ func FuzzRouterFrames(f *testing.F) {
 	f.Add(append(hello(), frame(1, 3, 7, nil)...))
 	f.Add(append(hello(), hello()...))
 	f.Add(append(append(hello(), frame(1, 0, 7, nil)...), frame(1, 0, TagGone, nil)...))
+	f.Add(append(hello(), frame(1, 2, 7, []byte("sideways"))...))
+	f.Add(frame(0, helloTo, 0, nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := &Router{
-			size:    3,
-			conns:   make(map[int]net.Conn),
-			wmus:    make(map[int]*sync.Mutex),
-			pending: make(map[int][]pendingFrame),
-		}
+		l := &Listener{size: 3, box: &mailbox{}, conns: make(map[int]net.Conn)}
 		peer, conn := net.Pipe()
 		served := make(chan struct{})
 		go func() {
 			defer close(served)
-			r.serve(conn)
+			l.serve(conn)
 		}()
-		go io.Copy(io.Discard, peer) // frames the router sends back
 		wrote := make(chan struct{})
 		go func() {
 			defer close(wrote)
-			peer.Write(data) // fails once the router drops the peer
+			peer.Write(data) // fails once rank 0 drops the peer
 			peer.Close()
 		}()
 		for _, ch := range []chan struct{}{wrote, served} {
 			select {
 			case <-ch:
 			case <-time.After(5 * time.Second):
-				t.Fatal("router neither read the peer's bytes nor dropped it")
+				t.Fatal("rank 0 neither read the peer's bytes nor dropped it")
 			}
 		}
-		for to := range r.pending {
-			if to < 0 || to >= r.size {
-				t.Fatalf("router queued frames for rank %d of %d", to, r.size)
+		q := l.box.pending
+		if len(l.conns) == 0 {
+			if len(q) != 0 {
+				t.Fatalf("rank 0's mailbox holds %v from a peer that never joined", q)
+			}
+			return
+		}
+		gone := 0
+		for rank := range l.conns {
+			for _, m := range q {
+				if m.From != rank {
+					t.Fatalf("message %+v from a peer that joined as rank %d", m, rank)
+				}
+				if m.Tag == TagGone {
+					gone++
+				}
 			}
 		}
-		q, gone := r.pending[0], 0
-		for _, pf := range q {
-			if pf.tag == TagGone {
-				gone++
-			}
-		}
-		_, zero := r.conns[0]
-		if len(r.conns) == 1 && !zero { // joined as a rank other than 0
-			if gone != 1 || q[len(q)-1].tag != TagGone || r.conns[q[len(q)-1].from] == nil {
-				t.Fatalf("rank 0's queue %v does not end in the one TagGone from the joined peer", q)
-			}
-		} else if gone != 0 {
-			t.Fatalf("rank 0's queue holds %d TagGone frames from a peer that never joined as a worker", gone)
+		if gone != 1 || q[len(q)-1].Tag != TagGone {
+			t.Fatalf("rank 0's mailbox %v does not end in the one TagGone from the joined peer", q)
 		}
 	})
 }

@@ -18,7 +18,8 @@
 // which doubles as its next Ready, until its communicator closes: the
 // end of a job reaches a worker only through the transport, never as a
 // message. A worker that is gone (cancelled, crashed or cut off) is
-// reported by the transport (mpi.TagGone) and its tasks are re-queued;
+// reported by the transport (mpi.TagGone), a worker whose message the
+// master cannot read is dropped alone, and either's tasks are re-queued;
 // when every worker is gone the submissions in flight fail with
 // ErrWorkersGone. Each rank
 // receives its messages in arrival order and dispatches on their tags.
@@ -195,7 +196,7 @@ func decode(m mpi.Message, v any) error {
 //
 // The worker loop is mpiBLAST's: send Ready once, then take a task,
 // search it and send its result, which also asks for the next task,
-// until c closes — World.Close in process, the router's end over TCP —
+// until c closes — World.Close in process, rank 0's Close over TCP —
 // which is a clean return (nil), idle or mid-task. RunWorker closes c
 // however it returns, so the transport reports this rank gone and the
 // master re-queues any task still in flight to it. Cancelling ctx makes

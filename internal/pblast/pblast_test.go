@@ -546,7 +546,7 @@ func TestOverTCPTransport(t *testing.T) {
 	// here).
 	fs := chio.NewMemFS()
 	query := buildTestDB(t, fs, "nt", 4)
-	router, err := mpi.StartRouter("127.0.0.1:0", 3)
+	router, err := mpi.Listen("127.0.0.1:0", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,12 +567,7 @@ func TestOverTCPTransport(t *testing.T) {
 			workerErrs[r] = RunWorker(context.Background(), c, cfg, fs, nil)
 		}(r)
 	}
-	c0, err := mpi.Dial(router.Addr(), 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c0.Close()
-	out, err := searchStream(context.Background(), c0, fs, query, cfg)
+	out, err := searchStream(context.Background(), router, fs, query, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -703,7 +698,7 @@ func TestGoneTCPWorker(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			router, err := mpi.StartRouter("127.0.0.1:0", 3)
+			router, err := mpi.Listen("127.0.0.1:0", 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -717,7 +712,7 @@ func TestGoneTCPWorker(t *testing.T) {
 				return c
 			}
 			cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}))
-			st, err := StartStream(context.Background(), dial(0), cfg)
+			st, err := StartStream(context.Background(), router, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -1016,6 +1011,90 @@ func TestStrayResultsAreDiscarded(t *testing.T) {
 	}
 }
 
+// A worker whose message the master cannot read, a result that does
+// not decode or a tag no worker sends, is dropped alone: its task runs
+// on the other worker, Submit returns the serial search's result, the
+// dropped rank gets no further task, and the next Submit succeeds too.
+func TestUnreadableWorkerIsDropped(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		tag  int
+		data []byte
+	}{
+		{"garbage result", tagResult, []byte("garbage")},
+		{"unexpected tag", tagTask, nil},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), goneDeadline)
+			defer cancel()
+			mem := chio.NewMemFS()
+			query := buildTestDB(t, mem, "nt", 4)
+			alias, err := blastdb.ReadAlias(mem, "nt")
+			if err != nil {
+				t.Fatal(err)
+			}
+			world, err := mpi.NewWorld(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer world.Close()
+			cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}))
+			st, err := StartStream(ctx, world.Comm(0), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			submit := func() <-chan masterRun {
+				ch := make(chan masterRun, 1)
+				go func() {
+					out, err := st.Submit(ctx, query, cfg.Params, alias)
+					ch <- masterRun{out, err}
+				}()
+				return ch
+			}
+			// The test drives rank 2 by hand; it joins alone, so it
+			// takes the first task.
+			bad := world.Comm(2)
+			first := submit()
+			if err := bad.Send(0, tagReady, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := bad.Recv(ctx); err != nil {
+				t.Fatalf("rank 2 got no task: %v", err)
+			}
+			stayed := make(chan error, 1)
+			go func() { stayed <- RunWorker(context.Background(), world.Comm(1), cfg, mem, nil) }()
+			if err := bad.Send(0, row.tag, row.data); err != nil {
+				t.Fatal(err)
+			}
+			want := serialSearch(t, mem, query, cfg.Params)
+			wantSerial := func(run <-chan masterRun, what string) {
+				t.Helper()
+				res := within(t, ctx, run, what)
+				if res.err != nil {
+					t.Fatalf("%s: %v", what, res.err)
+				}
+				if !reflect.DeepEqual(res.out.Result, want) {
+					t.Errorf("%s differs from the serial search:\nparallel %s\nserial   %s", what, hitShape(res.out.Result), hitShape(want))
+				}
+			}
+			wantSerial(first, "first query")
+			wantSerial(submit(), "second query")
+			short, stop := context.WithTimeout(ctx, 100*time.Millisecond)
+			defer stop()
+			if m, err := bad.Recv(short); !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("dropped rank 2 got %+v, %v; want nothing", m, err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			world.Close()
+			if err := within(t, ctx, stayed, "staying worker"); err != nil {
+				t.Errorf("staying worker returned %v", err)
+			}
+		})
+	}
+}
+
 // gatedFS holds a worker inside its first Open until release closes,
 // counting every Open.
 type gatedFS struct {
@@ -1202,7 +1281,7 @@ func TestRouterGoneWhileWorkerHoldsTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	router, err := mpi.StartRouter("127.0.0.1:0", 2)
+	router, err := mpi.Listen("127.0.0.1:0", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1216,7 +1295,7 @@ func TestRouterGoneWhileWorkerHoldsTask(t *testing.T) {
 		return c
 	}
 	cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}))
-	st, err := StartStream(context.Background(), dial(0), cfg)
+	st, err := StartStream(context.Background(), router, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,15 +19,17 @@ import (
 // finishes in-flight submissions but accepts no new ones.
 var ErrDraining = errors.New("pblast: stream draining")
 
-// ErrWorkersGone fails every submission in flight when the transport
-// has reported each worker rank gone; the error wrapping it names them.
+// ErrWorkersGone fails every submission in flight when each worker
+// rank is gone, reported by the transport or dropped for a message the
+// master cannot read; the error wrapping it names them.
 var ErrWorkersGone = errors.New("pblast: every worker is gone")
 
 // Stream is a continuously-fed master scheduler: it owns rank 0 of a
 // communicator and hands (query x fragment) tasks to whichever
 // workers are idle, for as long as the stream lives. Submissions may
 // arrive from any goroutine at any time; workers may join (with their
-// first Ready) and go (the transport reports each gone rank) while
+// first Ready) and go (the transport reports each gone rank; a worker
+// whose message the master cannot read is dropped alone) while
 // searches run. Close drains in-flight submissions; the workers run
 // until their communicator closes. This is the machinery behind the
 // in-process Pool and, through it, the always-on blastd service, and
@@ -176,9 +178,9 @@ func (s *Stream) wake() {
 
 // Close drains the stream: new submissions are refused and in-flight
 // submissions run to completion; then the loop returns without another
-// receive. The workers are left to the transport: closing the world (in
-// process) or the router (over TCP) ends each one, idle or still
-// computing a withdrawn submission's task. Close returns the loop's
+// receive. The workers are left to the transport: closing the world
+// (in process) or rank 0's mpi.Listener (over TCP) ends each one, idle
+// or still computing a withdrawn submission's task. Close returns the loop's
 // terminal error, if any. It is idempotent and safe to call
 // concurrently with Submit.
 func (s *Stream) Close() error {
@@ -210,8 +212,9 @@ type taskState struct {
 
 // loop is the scheduling goroutine: the single owner of all task and
 // worker state. Tasks go pending -> assigned -> done, many concurrent
-// submissions share the workers, and a worker the transport reports
-// gone gives its assigned tasks back to the front of the line.
+// submissions share the workers, and a worker that is gone (reported
+// by the transport, or dropped by the loop) gives its assigned tasks
+// back to the front of the line.
 func (s *Stream) loop(ctx context.Context) {
 	defer close(s.loopDone)
 
@@ -222,7 +225,7 @@ func (s *Stream) loop(ctx context.Context) {
 	// to: that worker's cache most likely still holds its blocks.
 	// Entries are never cleared — a stale one costs one cold read.
 	holder := make(map[string]int)
-	gone := make(map[int]bool) // reported by the transport; heard no more
+	gone := make(map[int]bool) // reported by the transport or dropped; heard no more
 	loopStart := time.Now()
 
 	// failAll completes every in-flight submission with err and
@@ -308,6 +311,22 @@ func (s *Stream) loop(ctx context.Context) {
 		ts.sub.out.Reassigned++
 		s.cfg.tel.observeReassign()
 		pending = slices.Insert(pending, 0, ts)
+	}
+
+	// drop stops hearing a worker: the transport reported it gone, or it
+	// sent what no worker sends. It leaves the idle list, its assigned
+	// tasks go back to the front of the line, and whatever else it
+	// sends is ignored.
+	drop := func(w int) {
+		gone[w] = true
+		idle = slices.DeleteFunc(idle, func(i int) bool { return i == w })
+		for _, sub := range subs {
+			for i := range sub.tasks {
+				if ts := &sub.tasks[i]; ts.state == stateAssigned && ts.to == w {
+					requeue(ts)
+				}
+			}
+		}
 	}
 
 	// pickTask chooses work for an idle worker: the oldest pending
@@ -396,24 +415,15 @@ func (s *Stream) loop(ctx context.Context) {
 			// A worker joined.
 			idle = append(idle, m.From)
 		case mpi.TagGone:
-			gone[m.From] = true
-			idle = slices.DeleteFunc(idle, func(w int) bool { return w == m.From })
-			// Hand its in-flight tasks to someone else.
-			for _, sub := range subs {
-				for i := range sub.tasks {
-					if ts := &sub.tasks[i]; ts.state == stateAssigned && ts.to == m.From {
-						requeue(ts)
-					}
-				}
-			}
+			drop(m.From)
 		case tagResult:
+			var rm resultMsg
+			if decode(m, &rm) != nil {
+				drop(m.From) // its peers' results still count
+				break
+			}
 			// Every result, kept or not, is also its sender's next Ready.
 			idle = append(idle, m.From)
-			var rm resultMsg
-			if err := decode(m, &rm); err != nil {
-				failAll(err)
-				return
-			}
 			// The index comes off the wire: check it before use.
 			sub := subs[rm.Sub]
 			if sub == nil || rm.Index < 0 || rm.Index >= len(sub.tasks) || sub.tasks[rm.Index].state == stateDone {
@@ -443,8 +453,7 @@ func (s *Stream) loop(ctx context.Context) {
 				finishSub(sub, nil)
 			}
 		default:
-			failAll(fmt.Errorf("pblast: master got unexpected tag %d", m.Tag))
-			return
+			drop(m.From) // no worker sends it
 		}
 	}
 }

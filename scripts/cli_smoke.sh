@@ -148,8 +148,9 @@ cmp -s "$TMP/mega.hits" "$TMP/mega.readahead.hits" ||
     fail "megablast hit lines over readahead differ from serial blastn -megablast" \
         "$TMP/mega.hits" "$TMP/mega.readahead.hits"
 
-# Distributed: rank 0 starts the router and drives every query of the
-# given file through one stream; ranks 1 and 2 are separate processes.
+# Distributed: rank 0 listens at -router and drives every query of the
+# given file through one stream; ranks 1 and 2 are separate processes
+# that dial it.
 distributed() {
     name="$1"
     router="127.0.0.1:$2"
@@ -163,7 +164,7 @@ distributed() {
         PIDS="$PIDS $!"
     done
     "$TMP/mpiblast" -db nt -query "$query" -outfmt tabular \
-        -router "$router" -start-router -size 3 -rank 0 "$@" \
+        -router "$router" -size 3 -rank 0 "$@" \
         >"$TMP/$name.out" 2>"$TMP/$name.log" ||
         fail "distributed mpiblast ($name) failed" "$TMP/$name.log" "$TMP/$name.w1.log" "$TMP/$name.w2.log"
     for pid in $WPIDS; do
@@ -239,7 +240,7 @@ hold_tasks() {
 kill_run() {
     name=$1 router="127.0.0.1:$2" victims=$3
     timeout 20 "$TMP/mpiblast" -db nt -query "$TMP/q.fasta" -outfmt tabular -io pvfs $PVFS \
-        -router "$router" -start-router -size 3 -rank 0 -report "$TMP/$name.json" \
+        -router "$router" -size 3 -rank 0 -report "$TMP/$name.json" \
         >"$TMP/$name.out" 2>"$TMP/$name.log" &
     master=$!
     PIDS="$PIDS $master"
