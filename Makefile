@@ -45,7 +45,8 @@ test:
 # readies; a stray result, whose submission and index come off the
 # wire, is dropped and still counts as its sender's Ready, in any order
 # of the stream's wakes; a worker whose message the master cannot read
-# is dropped alone, through the same path as a gone one; each gone-worker test has its own 2 s deadline, and the loop
+# is ended alone through the transport, and its TagGone then takes the
+# path of a gone one; each gone-worker test has its own 2 s deadline, and the loop
 # a 2-minute timeout, so a scheduler that hangs elsewhere ends the loop
 # in minutes, not after the default 10), re-run pvfs's heartbeat and Close
 # tests ten times under the race detector (a data server's heartbeat
@@ -56,8 +57,12 @@ test:
 # writer and the fragment reader (no allocation per subject)
 # without the race detector (whose shadow memory
 # inflates alloc counts, so each guard skips itself under -race), fuzz
-# the data server's request handler, the PVFS wire frame decoders, the
-# one-table seed scan, rank 0's per-connection frame reader, the fragment reader, the
+# the data server's request handler and the PVFS wire frame decoders
+# (a connection's version word, then a 61-byte request or 13-byte
+# response header, fields and payload; each with a version-1 seed that
+# must be refused), the one-table seed scan, rank 0's per-connection
+# reader of mpi frames (magic, tag, length, payload; a hello's tag is
+# its rank; a seed in the old from/to layout never joins), the fragment reader, the
 # FASTA reader, the metrics text parser and blastd's JSON request body
 # for a few seconds each (minimising each new input for at most 100
 # runs: the default 60 s minimisation would stall a 5 s slot at 0

@@ -554,7 +554,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /admin/invalidate", func(w http.ResponseWriter, r *http.Request) {
 		db := r.URL.Query().Get("db")
 		if db == "" {
-			http.Error(w, `{"error":"missing db parameter"}`, http.StatusBadRequest)
+			writeError(w, fmt.Errorf("%w: missing db parameter", ErrBadQuery))
 			return
 		}
 		version, n, err := s.InvalidateDB(db)

@@ -240,22 +240,12 @@ func Dial(mgrAddr string, primaryAddrs, mirrorAddrs []string, o Options, opts ..
 	// rpcpool.WithTracer, so application reads and the RPC spans they
 	// fan out into land in the same buffer.
 	cl.Client = pvfs.NewClient(meta, replicated{cl}, rpcpool.Apply(opts...).Tracer)
-	// Probe every data server in parallel, but only require one live
-	// member per mirror pair: a degraded cluster must stay dialable
-	// (reads fail over to the surviving partner).
-	alive := make([]bool, 2*g)
-	var wg sync.WaitGroup
-	for i, d := range cl.conns {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := d.Ping(context.Background())
-			alive[i] = err == nil
-		}()
-	}
-	wg.Wait()
+	// Probe every data server as pvfs.Dial does, but only require one
+	// live member per mirror pair: a degraded cluster must stay
+	// dialable (reads fail over to the surviving partner).
+	errs := pvfs.WarmEach(cl.conns)
 	for i := 0; i < g; i++ {
-		if !alive[i] && !alive[g+i] {
+		if errs[i] != nil && errs[g+i] != nil {
 			cl.Close()
 			return nil, fmt.Errorf("ceft: mirror pair %d unreachable (primary %s, mirror %s): %w",
 				i, primaryAddrs[i], mirrorAddrs[i], chio.ErrServerDown)

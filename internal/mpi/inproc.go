@@ -74,6 +74,13 @@ func (c *inprocComm) Recv(ctx context.Context) (Message, error) {
 	return c.world.boxes[c.rank].get(ctx)
 }
 
+// Drop closes rank's mailbox for it.
+func (c *inprocComm) Drop(rank int) {
+	if c.rank == 0 && rank > 0 && rank < c.Size() {
+		(&inprocComm{world: c.world, rank: rank}).Close()
+	}
+}
+
 // Close shuts this rank's mailbox; the first Close of a rank other
 // than 0 tells rank 0 it is gone.
 func (c *inprocComm) Close() error {

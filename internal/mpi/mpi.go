@@ -50,6 +50,9 @@ type Comm interface {
 	// Close shuts the endpoint down; blocked Recvs return ErrClosed,
 	// and rank 0 receives TagGone from this rank.
 	Close() error
+	// Drop, on rank 0, ends rank's endpoint as the rank's own Close
+	// would, TagGone included. On any other rank it does nothing.
+	Drop(rank int)
 }
 
 // mailbox is the FIFO receive queue both transports share. A message

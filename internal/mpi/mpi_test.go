@@ -298,6 +298,34 @@ func pair(t *testing.T, transport string) (Comm, Comm) {
 	return cs[0], cs[1]
 }
 
+// Rank 0's Drop ends a rank as the rank's own Close would, over both
+// transports: the rank's blocked Recv returns ErrClosed, and rank 0
+// hears what the rank sent, then TagGone. Another rank's Drop, and
+// rank 0's of itself, do nothing.
+func TestDropEndsRank(t *testing.T) {
+	for _, transport := range []string{"inproc", "tcp"} {
+		t.Run(transport, func(t *testing.T) {
+			c0, c1 := pair(t, transport)
+			recv := recvInBackground(context.Background(), c1)
+			if err := c1.Send(0, 1, []byte("last")); err != nil {
+				t.Fatal(err)
+			}
+			expect(t, c0, 1, "last")
+			c1.Drop(0)
+			c0.Drop(0)
+			if err := c1.Send(0, 1, []byte("still")); err != nil {
+				t.Fatal(err)
+			}
+			expect(t, c0, 1, "still")
+			c0.Drop(1)
+			if err := recv(); !errors.Is(err, ErrClosed) {
+				t.Fatalf("the dropped rank's Recv = %v, want ErrClosed", err)
+			}
+			expectGone(t, c0, 1)
+		})
+	}
+}
+
 // recvInBackground starts a Recv on c and returns a function that
 // waits (bounded) for its error, after the caller has unblocked it.
 func recvInBackground(ctx context.Context, c Comm) func() error {

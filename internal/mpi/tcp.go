@@ -20,22 +20,18 @@ import (
 // job talk; mpiBLAST used only the master-worker links, which are all
 // this transport provides.
 //
-// Wire frame: magic(4) from(4) to(4) tag(4) len(4) payload(len),
-// all little-endian. A hello frame (to == helloTo) announces a
-// client's rank after connecting.
+// Wire frame: magic(4) tag(4) len(4) payload(len), all little-endian.
+// A connection opens with a hello, a frame whose tag is the dialling
+// rank and whose payload is empty: the one frame that names a rank.
+// The magic differs from that of the layout with from and to fields,
+// so rank 0 turns away a peer that still speaks it.
+const frameMagic = 0x3269706d // "mpi2" in little-endian byte order
 
-const (
-	frameMagic = 0x7061696f // "paio"
-	helloTo    = -2
-)
-
-func writeFrame(w io.Writer, from, to, tag int, payload []byte) error {
-	var hdr [20]byte
+func writeFrame(w io.Writer, tag int, payload []byte) error {
+	var hdr [12]byte
 	binary.LittleEndian.PutUint32(hdr[0:], frameMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(int32(from)))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(int32(to)))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(int32(tag)))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(int32(tag)))
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(payload)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -43,8 +39,8 @@ func writeFrame(w io.Writer, from, to, tag int, payload []byte) error {
 	return err
 }
 
-func readFrame(r io.Reader) (from, to, tag int, payload []byte, err error) {
-	var hdr [20]byte
+func readFrame(r io.Reader) (tag int, payload []byte, err error) {
+	var hdr [12]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return
 	}
@@ -52,10 +48,8 @@ func readFrame(r io.Reader) (from, to, tag int, payload []byte, err error) {
 		err = fmt.Errorf("mpi: bad frame magic")
 		return
 	}
-	from = int(int32(binary.LittleEndian.Uint32(hdr[4:])))
-	to = int(int32(binary.LittleEndian.Uint32(hdr[8:])))
-	tag = int(int32(binary.LittleEndian.Uint32(hdr[12:])))
-	n := int(binary.LittleEndian.Uint32(hdr[16:]))
+	tag = int(int32(binary.LittleEndian.Uint32(hdr[4:])))
+	n := int(binary.LittleEndian.Uint32(hdr[8:]))
 	if n > 1<<30 {
 		err = fmt.Errorf("mpi: frame of %d bytes exceeds limit", n)
 		return
@@ -136,12 +130,13 @@ func (l *Listener) acceptLoop() {
 }
 
 // serve reads one peer's frames into rank 0's mailbox. A malformed
-// hello and a second connection for a rank that has joined are turned
+// hello (one with a payload, or naming rank 0 or a rank outside the
+// world) and a second connection for a rank that has joined are turned
 // away, so a stray dial cannot use up a rank's place.
 func (l *Listener) serve(conn net.Conn) {
 	defer conn.Close()
-	rank, to, _, _, err := readFrame(conn)
-	if err != nil || to != helloTo || rank < 1 || rank >= l.size {
+	rank, hello, err := readFrame(conn)
+	if err != nil || len(hello) > 0 || rank < 1 || rank >= l.size {
 		return
 	}
 	l.mu.Lock()
@@ -162,15 +157,14 @@ func (l *Listener) serve(conn net.Conn) {
 		l.box.put(Message{From: rank, Tag: TagGone})
 	}()
 	for {
-		_, to, tag, payload, err := readFrame(conn)
-		if err != nil || to != 0 || tag == TagGone {
-			// Drop a peer whose stream is unreadable, that addresses a
-			// rank other than 0, or that claims a departure only the
-			// transport reports.
+		tag, payload, err := readFrame(conn)
+		if err != nil || tag == TagGone {
+			// Drop a peer whose stream is unreadable, or that claims a
+			// departure only the transport reports.
 			return
 		}
-		// Stamp the connection's own rank, never the sender's claim,
-		// so no rank can impersonate another.
+		// Stamp the rank the connection's hello named: no frame
+		// names a sender.
 		if l.box.put(Message{From: rank, Tag: tag, Data: payload}) != nil {
 			return // closed
 		}
@@ -199,13 +193,23 @@ func (l *Listener) Send(to, tag int, data []byte) error {
 	}
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
-	if writeFrame(conn, 0, to, tag, data) != nil {
+	if writeFrame(conn, tag, data) != nil {
 		conn.Close()
 	}
 	return nil
 }
 
 func (l *Listener) Recv(ctx context.Context) (Message, error) { return l.box.get(ctx) }
+
+// Drop ends rank's connection, if it has one: the rank reads the end
+// as its own Close, and serve reports it gone after its last frame.
+func (l *Listener) Drop(rank int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if conn := l.conns[rank]; conn != nil {
+		conn.Close()
+	}
+}
 
 // Close stops listening and ends every connection, joined or not: that
 // is each other rank's end signal. It reports no rank gone.
@@ -242,7 +246,7 @@ func Dial(addr string, rank, size int) (Comm, error) {
 		return nil, err
 	}
 	c := &tcpComm{rank: rank, size: size, conn: conn, box: &mailbox{}}
-	if err := writeFrame(conn, rank, helloTo, 0, nil); err != nil {
+	if err := writeFrame(conn, rank, nil); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -252,7 +256,7 @@ func Dial(addr string, rank, size int) (Comm, error) {
 
 func (c *tcpComm) readLoop() {
 	for {
-		_, _, tag, payload, err := readFrame(c.conn)
+		tag, payload, err := readFrame(c.conn)
 		if err != nil {
 			c.box.close()
 			return
@@ -277,7 +281,7 @@ func (c *tcpComm) Send(to, tag int, data []byte) error {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	err := writeFrame(c.conn, c.rank, to, tag, data)
+	err := writeFrame(c.conn, tag, data)
 	// A write fails with a broken pipe or a reset once rank 0 has
 	// ended the connection, and with net.ErrClosed once Close has: the
 	// communicator is closed, as a Recv would find it.
@@ -288,6 +292,8 @@ func (c *tcpComm) Send(to, tag int, data []byte) error {
 }
 
 func (c *tcpComm) Recv(ctx context.Context) (Message, error) { return c.box.get(ctx) }
+
+func (c *tcpComm) Drop(int) {}
 
 func (c *tcpComm) Close() error {
 	var err error

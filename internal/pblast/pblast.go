@@ -18,10 +18,11 @@
 // which doubles as its next Ready, until its communicator closes: the
 // end of a job reaches a worker only through the transport, never as a
 // message. A worker that is gone (cancelled, crashed or cut off) is
-// reported by the transport (mpi.TagGone), a worker whose message the
-// master cannot read is dropped alone, and either's tasks are re-queued;
-// when every worker is gone the submissions in flight fail with
-// ErrWorkersGone. Each rank
+// reported by the transport (mpi.TagGone), and its tasks are re-queued.
+// A worker whose message the master cannot read is ended alone through
+// the transport (mpi.Comm.Drop), so its Recv returns mpi.ErrClosed and
+// it is reported gone the same way. When every worker is gone the
+// submissions in flight fail with ErrWorkersGone. Each rank
 // receives its messages in arrival order and dispatches on their tags.
 // A one-shot search opens a stream, submits and closes it; a
 // multi-query run is several concurrent Submits on one stream, and the

@@ -1011,18 +1011,21 @@ func TestStrayResultsAreDiscarded(t *testing.T) {
 	}
 }
 
-// A worker whose message the master cannot read, a result that does
-// not decode or a tag no worker sends, is dropped alone: its task runs
-// on the other worker, Submit returns the serial search's result, the
-// dropped rank gets no further task, and the next Submit succeeds too.
+// A worker whose message the master cannot read — a result that does
+// not decode, or a tag no worker sends — is ended alone through the
+// transport, over either transport: its Recv returns mpi.ErrClosed
+// within 2 s, its task is re-run on the other worker, and both queries
+// match the serial search.
 func TestUnreadableWorkerIsDropped(t *testing.T) {
 	for _, row := range []struct {
 		name string
 		tag  int
 		data []byte
+		tcp  bool
 	}{
-		{"garbage result", tagResult, []byte("garbage")},
-		{"unexpected tag", tagTask, nil},
+		{"garbage result", tagResult, []byte("garbage"), false},
+		{"unexpected tag", tagTask, nil, false},
+		{"garbage result over tcp", tagResult, []byte("garbage"), true},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), goneDeadline)
@@ -1033,13 +1036,38 @@ func TestUnreadableWorkerIsDropped(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			world, err := mpi.NewWorld(3)
-			if err != nil {
-				t.Fatal(err)
+			// comm returns rank r's endpoint; end closes rank 0's,
+			// every other rank's end signal.
+			var comm func(r int) mpi.Comm
+			var end func()
+			if row.tcp {
+				l, err := mpi.Listen("127.0.0.1:0", 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer l.Close()
+				comm = func(r int) mpi.Comm {
+					if r == 0 {
+						return l
+					}
+					c, err := mpi.Dial(l.Addr(), r, 3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { c.Close() })
+					return c
+				}
+				end = func() { l.Close() }
+			} else {
+				world, err := mpi.NewWorld(3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer world.Close()
+				comm, end = world.Comm, world.Close
 			}
-			defer world.Close()
 			cfg := NewConfig("nt", WithParams(blast.Params{Program: blast.BlastN}))
-			st, err := StartStream(ctx, world.Comm(0), cfg)
+			st, err := StartStream(ctx, comm(0), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -1053,7 +1081,7 @@ func TestUnreadableWorkerIsDropped(t *testing.T) {
 			}
 			// The test drives rank 2 by hand; it joins alone, so it
 			// takes the first task.
-			bad := world.Comm(2)
+			bad := comm(2)
 			first := submit()
 			if err := bad.Send(0, tagReady, nil); err != nil {
 				t.Fatal(err)
@@ -1062,7 +1090,7 @@ func TestUnreadableWorkerIsDropped(t *testing.T) {
 				t.Fatalf("rank 2 got no task: %v", err)
 			}
 			stayed := make(chan error, 1)
-			go func() { stayed <- RunWorker(context.Background(), world.Comm(1), cfg, mem, nil) }()
+			go func(c mpi.Comm) { stayed <- RunWorker(context.Background(), c, cfg, mem, nil) }(comm(1))
 			if err := bad.Send(0, row.tag, row.data); err != nil {
 				t.Fatal(err)
 			}
@@ -1079,15 +1107,15 @@ func TestUnreadableWorkerIsDropped(t *testing.T) {
 			}
 			wantSerial(first, "first query")
 			wantSerial(submit(), "second query")
-			short, stop := context.WithTimeout(ctx, 100*time.Millisecond)
+			ended, stop := context.WithTimeout(context.Background(), goneDeadline)
 			defer stop()
-			if m, err := bad.Recv(short); !errors.Is(err, context.DeadlineExceeded) {
-				t.Errorf("dropped rank 2 got %+v, %v; want nothing", m, err)
+			if m, err := bad.Recv(ended); !errors.Is(err, mpi.ErrClosed) {
+				t.Errorf("dropped rank 2 got %+v, %v; want mpi.ErrClosed within %v", m, err, goneDeadline)
 			}
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}
-			world.Close()
+			end()
 			if err := within(t, ctx, stayed, "staying worker"); err != nil {
 				t.Errorf("staying worker returned %v", err)
 			}

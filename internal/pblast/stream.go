@@ -19,9 +19,9 @@ import (
 // finishes in-flight submissions but accepts no new ones.
 var ErrDraining = errors.New("pblast: stream draining")
 
-// ErrWorkersGone fails every submission in flight when each worker
-// rank is gone, reported by the transport or dropped for a message the
-// master cannot read; the error wrapping it names them.
+// ErrWorkersGone fails every submission in flight when the transport
+// has reported each worker rank gone, dropped ones included; the error
+// wrapping it names them.
 var ErrWorkersGone = errors.New("pblast: every worker is gone")
 
 // Stream is a continuously-fed master scheduler: it owns rank 0 of a
@@ -29,7 +29,8 @@ var ErrWorkersGone = errors.New("pblast: every worker is gone")
 // workers are idle, for as long as the stream lives. Submissions may
 // arrive from any goroutine at any time; workers may join (with their
 // first Ready) and go (the transport reports each gone rank; a worker
-// whose message the master cannot read is dropped alone) while
+// whose message the master cannot read is dropped alone, through the
+// transport, and so reported gone too) while
 // searches run. Close drains in-flight submissions; the workers run
 // until their communicator closes. This is the machinery behind the
 // in-process Pool and, through it, the always-on blastd service, and
@@ -212,9 +213,9 @@ type taskState struct {
 
 // loop is the scheduling goroutine: the single owner of all task and
 // worker state. Tasks go pending -> assigned -> done, many concurrent
-// submissions share the workers, and a worker that is gone (reported
-// by the transport, or dropped by the loop) gives its assigned tasks
-// back to the front of the line.
+// submissions share the workers, and a worker the transport reports
+// gone (the loop drops one it cannot read through the transport) gives
+// its assigned tasks back to the front of the line.
 func (s *Stream) loop(ctx context.Context) {
 	defer close(s.loopDone)
 
@@ -225,7 +226,7 @@ func (s *Stream) loop(ctx context.Context) {
 	// to: that worker's cache most likely still holds its blocks.
 	// Entries are never cleared — a stale one costs one cold read.
 	holder := make(map[string]int)
-	gone := make(map[int]bool) // reported by the transport or dropped; heard no more
+	gone := make(map[int]bool) // reported by the transport; heard no more
 	loopStart := time.Now()
 
 	// failAll completes every in-flight submission with err and
@@ -300,33 +301,6 @@ func (s *Stream) loop(ctx context.Context) {
 			Err:      errStr,
 			Attrs:    map[string]string{"task": fmt.Sprintf("%d", ts.msg.Index)},
 		})
-	}
-
-	// requeue puts an assigned task back at the head of the line —
-	// its holder is gone.
-	requeue := func(ts *taskState) {
-		recordTask(ts, ts.to, 0, "reassigned: worker left")
-		ts.state = statePending
-		ts.rehanded = true
-		ts.sub.out.Reassigned++
-		s.cfg.tel.observeReassign()
-		pending = slices.Insert(pending, 0, ts)
-	}
-
-	// drop stops hearing a worker: the transport reported it gone, or it
-	// sent what no worker sends. It leaves the idle list, its assigned
-	// tasks go back to the front of the line, and whatever else it
-	// sends is ignored.
-	drop := func(w int) {
-		gone[w] = true
-		idle = slices.DeleteFunc(idle, func(i int) bool { return i == w })
-		for _, sub := range subs {
-			for i := range sub.tasks {
-				if ts := &sub.tasks[i]; ts.state == stateAssigned && ts.to == w {
-					requeue(ts)
-				}
-			}
-		}
 	}
 
 	// pickTask chooses work for an idle worker: the oldest pending
@@ -415,11 +389,29 @@ func (s *Stream) loop(ctx context.Context) {
 			// A worker joined.
 			idle = append(idle, m.From)
 		case mpi.TagGone:
-			drop(m.From)
+			// The transport reports the worker gone: it leaves the idle
+			// list, each task it held goes back to the head of the line,
+			// and nothing it sent after is heard.
+			gone[m.From] = true
+			idle = slices.DeleteFunc(idle, func(i int) bool { return i == m.From })
+			for _, sub := range subs {
+				for i := range sub.tasks {
+					if ts := &sub.tasks[i]; ts.state == stateAssigned && ts.to == m.From {
+						recordTask(ts, ts.to, 0, "reassigned: worker left")
+						ts.state = statePending
+						ts.rehanded = true
+						ts.sub.out.Reassigned++
+						s.cfg.tel.observeReassign()
+						pending = slices.Insert(pending, 0, ts)
+					}
+				}
+			}
 		case tagResult:
 			var rm resultMsg
 			if decode(m, &rm) != nil {
-				drop(m.From) // its peers' results still count
+				// Its peers' results still count: end only the sender,
+				// whose TagGone then gives its tasks back.
+				s.c.Drop(m.From)
 				break
 			}
 			// Every result, kept or not, is also its sender's next Ready.
@@ -453,7 +445,7 @@ func (s *Stream) loop(ctx context.Context) {
 				finishSub(sub, nil)
 			}
 		default:
-			drop(m.From) // no worker sends it
+			s.c.Drop(m.From) // no worker sends it
 		}
 	}
 }

@@ -64,31 +64,13 @@ func Dial(mgrAddr string, dataAddrs []string, opts ...rpcpool.Option) (*Client, 
 	cfg := rpcpool.Apply(opts...)
 	meta := &MetaConn{t: newTransport(mgrAddr, cfg)}
 	st := make(direct, len(dataAddrs))
-	all := []*transport{meta.t}
 	for i, a := range dataAddrs {
 		st[i] = &DataConn{t: newTransport(a, cfg)}
-		all = append(all, st[i].t)
 	}
 	cl := NewClient(meta, st, cfg.Tracer)
 	// Establish one connection per server up front so a bad address
 	// fails Dial instead of the first operation.
-	warmCtx := context.Background()
-	if cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		warmCtx, cancel = context.WithTimeout(warmCtx, cfg.Timeout)
-		defer cancel()
-	}
-	errs := make([]error, len(all))
-	var wg sync.WaitGroup
-	for i, tr := range all {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = tr.warm(warmCtx)
-		}()
-	}
-	wg.Wait()
-	if err := firstErr(errs); err != nil {
+	if err := firstErr(append(WarmEach(st), meta.t.warm())); err != nil {
 		cl.Close()
 		return nil, err
 	}
@@ -122,11 +104,28 @@ func (cl *Client) Close() error {
 	return first
 }
 
+// ServerCountError reports a client that stripes over another number
+// of data servers than the manager says its files are striped over:
+// such a client would read and write every stripe on the wrong server.
+type ServerCountError struct {
+	Manager int // Meta.NumServers
+	Client  int // the client's dialled count
+}
+
+func (e *ServerCountError) Error() string {
+	return fmt.Sprintf("pvfs: the manager stripes files over %d data servers, this client has %d", e.Manager, e.Client)
+}
+
 // Create implements chio.FileSystem: it allocates (or truncates) the
-// file and clears any stale pieces on the data servers.
+// file and clears any stale pieces on the data servers. A client with
+// another server count than the manager's fails with *ServerCountError
+// after the manager's truncation, before any data server is touched.
 func (cl *Client) Create(name string) (chio.File, error) {
 	m, err := cl.meta.Create(cl.ctx, name)
 	if err != nil {
+		return nil, err
+	}
+	if err := cl.checkServers(m); err != nil {
 		return nil, err
 	}
 	if err := cl.st.RemovePieces(cl.ctx, m.Handle); err != nil {
@@ -135,13 +134,26 @@ func (cl *Client) Create(name string) (chio.File, error) {
 	return cl.file(m), nil
 }
 
-// Open implements chio.FileSystem.
+// Open implements chio.FileSystem. A client with another server count
+// than the manager's fails with *ServerCountError.
 func (cl *Client) Open(name string) (chio.File, error) {
-	m, err := cl.meta.Lookup(cl.ctx, name)
+	m, err := cl.meta.Stat(cl.ctx, name)
+	if err == nil {
+		err = cl.checkServers(m)
+	}
 	if err != nil {
 		return nil, err
 	}
 	return cl.file(m), nil
+}
+
+// checkServers refuses m when the manager stripes it over another
+// number of servers than this client has.
+func (cl *Client) checkServers(m Meta) error {
+	if n := cl.st.NumServers(); m.NumServers != n {
+		return &ServerCountError{Manager: m.NumServers, Client: n}
+	}
+	return nil
 }
 
 // Stat implements chio.FileSystem.

@@ -3,6 +3,7 @@ package pvfs
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"pario/internal/chio"
 	"pario/internal/rpcpool"
@@ -19,7 +20,7 @@ type MetaConn struct {
 // DialMeta connects to a manager.
 func DialMeta(addr string, opts ...rpcpool.Option) (*MetaConn, error) {
 	m := newMetaConn(addr, rpcpool.Apply(opts...))
-	if err := m.t.warm(context.Background()); err != nil {
+	if err := m.t.warm(); err != nil {
 		m.t.close()
 		return nil, err
 	}
@@ -49,41 +50,29 @@ func (m *MetaConn) call(ctx context.Context, req *Request) (*Response, error) {
 	return resp, nil
 }
 
-// Create creates or truncates a file and returns its metadata.
-func (m *MetaConn) Create(ctx context.Context, name string) (Meta, error) {
-	resp, err := m.call(ctx, &Request{Op: OpCreate, Name: name})
+// meta sends op on name and returns the metadata it is answered with.
+func (m *MetaConn) meta(ctx context.Context, op Op, name string) (Meta, error) {
+	resp, err := m.call(ctx, &Request{Op: op, Name: name})
 	if err != nil {
 		return Meta{}, err
 	}
 	return resp.Meta, nil
 }
 
-// Lookup returns an existing file's metadata.
-func (m *MetaConn) Lookup(ctx context.Context, name string) (Meta, error) {
-	resp, err := m.call(ctx, &Request{Op: OpLookup, Name: name})
-	if err != nil {
-		return Meta{}, err
-	}
-	return resp.Meta, nil
+// Create creates or truncates a file and returns its metadata.
+func (m *MetaConn) Create(ctx context.Context, name string) (Meta, error) {
+	return m.meta(ctx, OpCreate, name)
 }
 
 // Stat returns an existing file's metadata.
 func (m *MetaConn) Stat(ctx context.Context, name string) (Meta, error) {
-	resp, err := m.call(ctx, &Request{Op: OpStat, Name: name})
-	if err != nil {
-		return Meta{}, err
-	}
-	return resp.Meta, nil
+	return m.meta(ctx, OpStat, name)
 }
 
 // Remove deletes the name and returns the removed metadata (so the
 // caller can clear pieces).
 func (m *MetaConn) Remove(ctx context.Context, name string) (Meta, error) {
-	resp, err := m.call(ctx, &Request{Op: OpRemove, Name: name})
-	if err != nil {
-		return Meta{}, err
-	}
-	return resp.Meta, nil
+	return m.meta(ctx, OpRemove, name)
 }
 
 // GrowSize records that the file now extends to at least size bytes.
@@ -126,7 +115,7 @@ type DataConn struct {
 // DialData connects to a data server.
 func DialData(addr string, opts ...rpcpool.Option) (*DataConn, error) {
 	d := &DataConn{t: newTransport(addr, rpcpool.Apply(opts...))}
-	if err := d.t.warm(context.Background()); err != nil {
+	if err := d.t.warm(); err != nil {
 		d.t.close()
 		return nil, err
 	}
@@ -134,8 +123,8 @@ func DialData(addr string, opts ...rpcpool.Option) (*DataConn, error) {
 }
 
 // DialDataLazy returns a DataConn without probing the server; the
-// first request dials. CEFT uses it so a degraded cluster — one dead
-// server in a mirror pair — can still be dialed.
+// first request dials. CEFT uses it, and WarmEach, so a degraded
+// cluster — one dead server in a mirror pair — can still be dialed.
 func DialDataLazy(addr string, opts ...rpcpool.Option) *DataConn {
 	return &DataConn{t: newTransport(addr, rpcpool.Apply(opts...))}
 }
@@ -157,17 +146,25 @@ func (d *DataConn) call(ctx context.Context, req *Request) (*Response, error) {
 	return resp, nil
 }
 
+// WarmEach opens one pooled connection to each server of conns, all at
+// once, and returns one error slot per connection: the probe Dial makes
+// of every server, with no round trip.
+func WarmEach(conns []*DataConn) []error {
+	errs := make([]error, len(conns))
+	var wg sync.WaitGroup
+	for i, d := range conns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = d.t.warm()
+		}()
+	}
+	wg.Wait()
+	return errs
+}
+
 // RemovePiece deletes the server's piece of the handle.
 func (d *DataConn) RemovePiece(ctx context.Context, handle uint64) error {
 	_, err := d.call(ctx, &Request{Op: OpPieceRemove, Handle: handle})
 	return err
-}
-
-// Ping round-trips to the server and returns its ID.
-func (d *DataConn) Ping(ctx context.Context) (int, error) {
-	resp, err := d.call(ctx, &Request{Op: OpPing})
-	if err != nil {
-		return 0, err
-	}
-	return int(resp.N), nil
 }

@@ -61,10 +61,6 @@ func TestMetaConnLifecycle(t *testing.T) {
 	if err != nil || got.Size != 1000 {
 		t.Fatalf("stat after grow: %+v %v", got, err)
 	}
-	got, err = m.Lookup(bg, "f")
-	if err != nil || got.Size != 1000 {
-		t.Fatalf("lookup after grow: %+v %v", got, err)
-	}
 	metas, err := m.List(bg, "")
 	if err != nil || len(metas) != 1 || metas[0].Name != "f" {
 		t.Fatalf("list: %+v %v", metas, err)
@@ -73,8 +69,8 @@ func TestMetaConnLifecycle(t *testing.T) {
 	if err != nil || removed.Handle != meta.Handle {
 		t.Fatalf("remove: %+v %v", removed, err)
 	}
-	if _, err := m.Lookup(bg, "f"); !errors.Is(err, chio.ErrNotExist) {
-		t.Errorf("lookup after remove: %v", err)
+	if _, err := m.Stat(bg, "f"); !errors.Is(err, chio.ErrNotExist) {
+		t.Errorf("stat after remove: %v", err)
 	}
 	if _, err := m.Remove(bg, "f"); !errors.Is(err, chio.ErrNotExist) {
 		t.Errorf("double remove: %v", err)
@@ -111,9 +107,6 @@ func TestDataConnPieceOps(t *testing.T) {
 	}
 	defer d.Close()
 
-	if id, err := d.Ping(bg); err != nil || id != 3 {
-		t.Fatalf("ping: %d %v", id, err)
-	}
 	payload := []byte("stripe piece data")
 	run := []StripeRun{{ServerOff: 10, Length: int64(len(payload))}}
 	if err := d.WriteRuns(bg, 77, run, payload); err != nil {
@@ -154,6 +147,9 @@ func TestDataServerLoadDecays(t *testing.T) {
 	}
 }
 
+// TestMetaServerUnknownOp sends retired OpLookup's value and one never
+// assigned. Each must get an error reply on a connection that then
+// still serves a stat.
 func TestMetaServerUnknownOp(t *testing.T) {
 	ms := startMeta(t, 1)
 	cn, err := dialConn(ms.Addr())
@@ -162,12 +158,23 @@ func TestMetaServerUnknownOp(t *testing.T) {
 	}
 	defer cn.close()
 	var resp Response
-	err = cn.call(&Request{Op: 200}, &resp)
-	if err != nil {
-		t.Fatal(err)
+	if err := cn.call(&Request{Op: OpCreate, Name: "f"}, &resp); err != nil || !resp.OK {
+		t.Fatalf("seed create: %v %s", err, resp.Err)
 	}
-	if resp.OK {
-		t.Error("unknown op accepted")
+	for _, op := range []Op{2, 200} {
+		t.Run(op.String(), func(t *testing.T) {
+			var resp Response
+			if err := cn.call(&Request{Op: op, Name: "f"}, &resp); err != nil {
+				t.Fatalf("connection lost: %v", err)
+			}
+			if resp.OK || resp.Err == "" {
+				t.Errorf("op %d accepted, want an error reply", op)
+			}
+			resp = Response{}
+			if err := cn.call(&Request{Op: OpStat, Name: "f"}, &resp); err != nil || !resp.OK {
+				t.Fatalf("stat after op %d: %v %s", op, err, resp.Err)
+			}
+		})
 	}
 }
 
@@ -186,7 +193,7 @@ func TestDataServerUnknownOp(t *testing.T) {
 	if err := cn.call(&Request{Op: OpListWrite, Handle: 1, Segs: []chio.Seg{{Len: 5}}, Data: hello}, &resp); err != nil || !resp.OK {
 		t.Fatalf("seed write: %v %s", err, resp.Err)
 	}
-	for _, op := range []Op{64, 65, 68, 69, 70, 71, 72, 250} {
+	for _, op := range []Op{64, 65, 67, 68, 69, 70, 71, 72, 250} {
 		t.Run(op.String(), func(t *testing.T) {
 			var resp Response
 			if err := cn.call(&Request{Op: op}, &resp); err != nil {
@@ -215,7 +222,7 @@ func TestForcedCloseUnblocksClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if _, err := d.Ping(bg); err != nil {
+	if err := d.RemovePiece(bg, 1); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
@@ -228,8 +235,8 @@ func TestForcedCloseUnblocksClients(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close hung with a client attached")
 	}
-	if _, err := d.Ping(bg); err == nil {
-		t.Error("ping succeeded against a closed server")
+	if err := d.RemovePiece(bg, 1); err == nil {
+		t.Error("a request succeeded against a closed server")
 	}
 }
 

@@ -3,6 +3,7 @@ package pvfs
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"runtime"
 	"testing"
@@ -74,12 +75,16 @@ func TestHostileLengthsGetErrorReplies(t *testing.T) {
 }
 
 // FuzzDataServerDispatch drives the data server's request handler with
-// arbitrary ops, offsets, lengths, payloads and segment lists. It must
-// never panic, it may answer a list read or write OK only when the list
-// is ascending and disjoint, and whatever a read returns must be the
-// piece's bytes. The seeds are the request shapes every generation of
-// client has put on the wire; the retired ops' shapes now get
-// unknown-op replies, and the unsorted list seeds error replies.
+// arbitrary ops, lengths, payloads and segment lists, each sent as a
+// connection's opening: a version word, then the request frame. It
+// must never panic; a version word but this wire's must be refused
+// before any frame is read; it may answer a list read or write OK only
+// when the list is ascending and disjoint; and whatever a read returns
+// must be the piece's bytes. The seeds are the request shapes every
+// generation of client has put on the wire, in this wire's layout; the
+// retired ops' shapes now get unknown-op replies, and the unsorted list
+// seeds error replies. One seed opens with version 1, whose ping a
+// server of this version refuses.
 func FuzzDataServerDispatch(f *testing.F) {
 	segBytes := func(segs ...chio.Seg) []byte {
 		var b []byte
@@ -89,17 +94,19 @@ func FuzzDataServerDispatch(f *testing.F) {
 		}
 		return b
 	}
-	f.Add(uint8(OpPieceRead), int64(4), int64(8), []byte(nil), []byte(nil))
-	f.Add(uint8(OpPieceWrite), int64(10), int64(0), []byte("stripe piece data"), []byte(nil))
-	f.Add(uint8(OpPieceReadv), int64(0), int64(0), []byte(nil), segBytes(chio.Seg{Off: 0, Len: 4}, chio.Seg{Off: 16, Len: 4}))
-	f.Add(uint8(OpPieceWritev), int64(0), int64(0), []byte("BBBBAAAA"), segBytes(chio.Seg{Off: 0, Len: 4}, chio.Seg{Off: 100, Len: 4}))
-	f.Add(uint8(OpListRead), int64(0), int64(0), []byte(nil), segBytes(chio.Seg{Off: 3000, Len: 600}, chio.Seg{Off: 0, Len: 300}, chio.Seg{Off: 3100, Len: 100}, chio.Seg{Off: 4090, Len: 50}))
-	f.Add(uint8(OpListWrite), int64(0), int64(0), []byte("BBBBAAAA"), segBytes(chio.Seg{Off: 100, Len: 4}, chio.Seg{Off: 0, Len: 4}))
-	f.Add(uint8(OpPieceWriteDupSync), int64(0), int64(0), []byte("dup"), []byte(nil))
-	f.Add(uint8(OpPieceWriteDupAsync), int64(0), int64(0), []byte("BBBBAAAA"), segBytes(chio.Seg{Off: 100, Len: 4}, chio.Seg{Off: 0, Len: 4}))
-	f.Add(uint8(OpPieceRead), int64(0), int64(-1), []byte(nil), []byte(nil))
-	f.Add(uint8(OpPieceRead), int64(0), int64(1<<40), []byte(nil), []byte(nil))
-	f.Add(uint8(OpListRead), int64(0), int64(0), []byte(nil), segBytes(chio.Seg{Off: 0, Len: -5}, chio.Seg{Off: math.MaxInt64, Len: 2}))
+	f.Add(wireVersion, uint8(OpPieceRead), int64(8), []byte(nil), []byte(nil))
+	f.Add(wireVersion, uint8(OpPieceWrite), int64(0), []byte("stripe piece data"), []byte(nil))
+	f.Add(wireVersion, uint8(OpPieceReadv), int64(0), []byte(nil), segBytes(chio.Seg{Off: 0, Len: 4}, chio.Seg{Off: 16, Len: 4}))
+	f.Add(wireVersion, uint8(OpPieceWritev), int64(0), []byte("BBBBAAAA"), segBytes(chio.Seg{Off: 0, Len: 4}, chio.Seg{Off: 100, Len: 4}))
+	f.Add(wireVersion, uint8(OpListRead), int64(0), []byte(nil), segBytes(chio.Seg{Off: 3000, Len: 600}, chio.Seg{Off: 0, Len: 300}, chio.Seg{Off: 3100, Len: 100}, chio.Seg{Off: 4090, Len: 50}))
+	f.Add(wireVersion, uint8(OpListWrite), int64(0), []byte("BBBBAAAA"), segBytes(chio.Seg{Off: 100, Len: 4}, chio.Seg{Off: 0, Len: 4}))
+	f.Add(wireVersion, uint8(OpPieceWriteDupSync), int64(0), []byte("dup"), []byte(nil))
+	f.Add(wireVersion, uint8(OpPieceWriteDupAsync), int64(0), []byte("BBBBAAAA"), segBytes(chio.Seg{Off: 100, Len: 4}, chio.Seg{Off: 0, Len: 4}))
+	f.Add(wireVersion, uint8(OpPieceRead), int64(-1), []byte(nil), []byte(nil))
+	f.Add(wireVersion, uint8(OpPieceRead), int64(1<<40), []byte(nil), []byte(nil))
+	f.Add(wireVersion, uint8(OpListRead), int64(0), []byte(nil), segBytes(chio.Seg{Off: 0, Len: -5}, chio.Seg{Off: math.MaxInt64, Len: 2}))
+	f.Add(wireVersion, uint8(OpPing), int64(0), []byte(nil), []byte(nil))
+	f.Add(uint32(1), uint8(OpPing), int64(0), []byte(nil), []byte(nil))
 
 	// A disk-backed store: a write at an absurd offset is a sparse file
 	// there, not an allocation.
@@ -121,8 +128,8 @@ func FuzzDataServerDispatch(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	f.Fuzz(func(t *testing.T, op uint8, off, length int64, data, rawSegs []byte) {
-		req := &Request{Op: Op(op), Handle: readHandle, Offset: off, Length: length, Data: data}
+	f.Fuzz(func(t *testing.T, version uint32, op uint8, length int64, data, rawSegs []byte) {
+		req := &Request{Op: Op(op), Handle: readHandle, Length: length, Data: data}
 		for ; len(rawSegs) >= 16; rawSegs = rawSegs[16:] {
 			req.Segs = append(req.Segs, chio.Seg{
 				Off: int64(binary.LittleEndian.Uint64(rawSegs)),
@@ -133,6 +140,20 @@ func FuzzDataServerDispatch(f *testing.F) {
 			// Everything else may write or remove; keep it off the piece
 			// the reads are checked against.
 			req.Handle = writeHandle
+		}
+		opening := le.AppendUint32(le.AppendUint32(nil, wireMagic), version)
+		r := bytes.NewReader(append(appendRequest(opening, req), req.Data...))
+		if err := readHello(r); err != nil {
+			if version == wireVersion || !errors.Is(err, ErrWireVersion) {
+				t.Fatalf("version word %d read as %v", version, err)
+			}
+			return
+		}
+		if version != wireVersion {
+			t.Fatalf("version word %d accepted", version)
+		}
+		if err := readRequest(r, req, new([]byte)); err != nil {
+			t.Fatalf("%s request does not decode: %v", req.Op, err)
 		}
 		resp := ds.handle(req)
 		if resp == nil {

@@ -28,7 +28,6 @@ type DataServer struct {
 	wg      sync.WaitGroup
 	tracker *connTracker
 	closed  chan struct{}
-	started time.Time
 	tel     *serverMetrics
 
 	// Throttle emulates a slow or overloaded disk: each served byte
@@ -92,7 +91,6 @@ func StartDataServer(cfg DataServerConfig) (*DataServer, error) {
 		store:    cfg.Store,
 		ln:       ln,
 		closed:   make(chan struct{}),
-		started:  time.Now(),
 		hbPeriod: cfg.HeartbeatPeriod,
 		tracker:  newConnTracker(),
 	}
@@ -208,8 +206,6 @@ func (ds *DataServer) dispatch(req *Request) *Response {
 			return errResp("piece remove: %v", err)
 		}
 		return &Response{OK: true}
-	case OpPing:
-		return &Response{OK: true, N: int64(ds.ID)}
 	}
 	return errResp("data server: unknown op %d", req.Op)
 }
@@ -321,7 +317,7 @@ func (ds *DataServer) handleWrite(handle uint64, segs []chio.Seg, data []byte) *
 		}
 		data = data[s.Len:]
 	}
-	return &Response{OK: true, N: total}
+	return &Response{OK: true}
 }
 
 func isNotExist(err error) bool {

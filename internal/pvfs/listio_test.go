@@ -33,7 +33,7 @@ func TestListReadPropertyRandomSegments(t *testing.T) {
 	for i := 1000; i < 2000; i++ {
 		content[i] = 0 // the hole reads back as zeros
 	}
-	resp, err := cl.meta.call(bg, &Request{Op: OpCreate, Name: "prop", Stripe: 64})
+	resp, err := cl.meta.call(bg, &Request{Op: OpCreate, Name: "prop"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestClientReadvAt(t *testing.T) {
 }
 
 // TestWireOpValuesStable pins every data-op wire value, the retired
-// ops' reserved ones included. The list ops were appended after the
+// ops' reserved ones (64, 65, 67 and 68 to 72) included. The list ops were appended after the
 // vectored ops precisely so that old clients and new servers (and vice
 // versa) keep agreeing on what 64..72 mean; a renumbering would pass
 // every same-binary test and corrupt every mixed-version deployment.
@@ -271,6 +271,27 @@ func TestWireOpValuesStable(t *testing.T) {
 		OpPieceWritev:        72,
 		OpListRead:           73,
 		OpListWrite:          74,
+	}
+	for op, v := range want {
+		if uint8(op) != v {
+			t.Errorf("%s = %d, want %d (wire values must never shift)", op, uint8(op), v)
+		}
+	}
+}
+
+// TestMetaOpValuesStable pins every metadata-op wire value, retired
+// OpLookup's reserved 2 included: a manager answers 2 like any unknown
+// op, and no new op may take it.
+func TestMetaOpValuesStable(t *testing.T) {
+	want := map[Op]uint8{
+		OpCreate:     1,
+		OpLookup:     2,
+		OpStat:       3,
+		OpRemove:     4,
+		OpList:       5,
+		OpSetSize:    6,
+		OpLoadReport: 7,
+		OpLoadQuery:  8,
 	}
 	for op, v := range want {
 		if uint8(op) != v {

@@ -115,26 +115,16 @@ func (ms *MetaServer) dispatch(req *Request) *Response {
 	case OpCreate:
 		m, ok := ms.files[req.Name]
 		if !ok {
-			stripe := ms.stripe
-			if req.Stripe > 0 {
-				stripe = req.Stripe
-			}
 			m = &Meta{
 				Name:       req.Name,
 				Handle:     ms.nextHandle,
-				StripeSize: stripe,
+				StripeSize: ms.stripe,
 				NumServers: ms.numServers,
 			}
 			ms.nextHandle++
 			ms.files[req.Name] = m
 		}
 		m.Size = 0 // create truncates
-		return &Response{OK: true, Meta: *m}
-	case OpLookup:
-		m, ok := ms.files[req.Name]
-		if !ok {
-			return notFoundResp(req.Name)
-		}
 		return &Response{OK: true, Meta: *m}
 	case OpStat:
 		m, ok := ms.files[req.Name]

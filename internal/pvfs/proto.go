@@ -26,9 +26,12 @@ const DefaultStripeSize = 64 * 1024
 // Op codes of the wire protocol.
 type Op uint8
 
-// Metadata server ops.
+// Metadata server ops. Values are wire constants and never shift, as
+// for the data server ops below.
 const (
 	OpCreate Op = iota + 1
+	// OpLookup is retired (Stat's twin: the manager answered both with
+	// the same handler); value 2 is reserved.
 	OpLookup
 	OpStat
 	OpRemove
@@ -41,7 +44,7 @@ const (
 // Data server ops. Piece data moves with segment lists only:
 // OpListRead and OpListWrite. A contiguous access is a one-segment
 // list. Values are wire constants and never shift; new ops are
-// appended. The seven retired ops keep their values reserved, and a
+// appended. The eight retired ops keep their values reserved, and a
 // data server answers them like any unknown op.
 const (
 	// OpPieceRead is retired (a contiguous read); value 64 is reserved.
@@ -49,6 +52,8 @@ const (
 	// OpPieceWrite is retired (a contiguous write); value 65 is reserved.
 	OpPieceWrite
 	OpPieceRemove
+	// OpPing is retired (a round trip whose reply nothing read); value
+	// 67 is reserved.
 	OpPing
 	// OpPieceWriteDupSync is retired (a write the server forwarded to
 	// its mirror partner before acknowledging); value 68 is reserved.
@@ -90,15 +95,12 @@ type Request struct {
 	Op     Op
 	Name   string
 	Handle uint64
-	Offset int64
+	// Length carries the size OpSetSize grows a file to.
 	Length int64
 	Data   []byte
 	// Load carries a heartbeat value for OpLoadReport.
 	Load     float64
 	ServerID int
-	// Stripe carries a stripe-size hint for OpCreate; zero, which
-	// every Client sends, means the manager's configured default.
-	Stripe int64
 	// Segs carries the server-local ranges of a list request.
 	Segs []chio.Seg
 	// TraceID/SpanID propagate the client span that issued this
@@ -132,8 +134,6 @@ func (o Op) String() string {
 	switch o {
 	case OpCreate:
 		return "create"
-	case OpLookup:
-		return "lookup"
 	case OpStat:
 		return "stat"
 	case OpRemove:
@@ -148,8 +148,6 @@ func (o Op) String() string {
 		return "load_query"
 	case OpPieceRemove:
 		return "piece_remove"
-	case OpPing:
-		return "ping"
 	case OpListRead:
 		return "list_read"
 	case OpListWrite:
@@ -175,7 +173,6 @@ type Response struct {
 	Meta     Meta
 	Metas    []Meta
 	Data     []byte
-	N        int64
 	// SegLens answers a list read: the byte count served for each
 	// requested segment (Data holds the concatenation).
 	SegLens []int64
@@ -252,10 +249,6 @@ func (cn *conn) close() error { return cn.c.Close() }
 // Close lets a *conn satisfy io.Closer so the transport pool can
 // manage it.
 func (cn *conn) Close() error { return cn.close() }
-
-// setDeadline bounds (or, with the zero time, unbounds) the next
-// request/response exchange on the underlying socket.
-func (cn *conn) setDeadline(t time.Time) error { return cn.c.SetDeadline(t) }
 
 // serve runs the request loop of a server connection, dispatching to
 // handle until the peer disconnects. A peer that does not open with

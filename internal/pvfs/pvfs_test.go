@@ -474,3 +474,37 @@ func TestDialClientNoServers(t *testing.T) {
 		t.Error("no data servers accepted")
 	}
 }
+
+// A client dialled with 2 of a 4-server manager's data servers would
+// stripe every file over the wrong servers: without the check it read
+// holes and other stripes' bytes. Open and Create refuse it, naming
+// both counts, and Create touches no piece.
+func TestClientServerCountMustMatchManager(t *testing.T) {
+	tc := startCluster(t, 4, 64)
+	payload := make([]byte, 4096)
+	for i := range payload {
+		payload[i] = byte(i*7 + 1)
+	}
+	if err := chio.WriteFull(tc.client, "f", payload); err != nil {
+		t.Fatal(err)
+	}
+	short, err := Dial(tc.mgr.Addr(), []string{tc.iods[0].Addr(), tc.iods[1].Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer short.Close()
+	want := func(op string, err error) {
+		t.Helper()
+		var sce *ServerCountError
+		if !errors.As(err, &sce) || sce.Manager != 4 || sce.Client != 2 {
+			t.Fatalf("%s by a client of 2 of 4 servers: %v, want a ServerCountError naming 4 and 2", op, err)
+		}
+	}
+	_, err = short.Open("f")
+	want("Open", err)
+	_, err = short.Create("g")
+	want("Create", err)
+	if got, err := chio.ReadFull(tc.client, "f"); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("f after the refusals: %d bytes, %v; want it intact", len(got), err)
+	}
+}

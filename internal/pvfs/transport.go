@@ -63,9 +63,10 @@ func newTransport(addr string, cfg rpcpool.Config) *transport {
 }
 
 // warm verifies the server is reachable by establishing one pooled
-// connection, so Dial fails fast on a bad address.
-func (t *transport) warm(ctx context.Context) error {
-	if err := t.pool.Warm(ctx); err != nil {
+// connection, so Dial fails fast on a bad address. The pool's context
+// bounds only a wait for a free slot, which a fresh pool never makes.
+func (t *transport) warm() error {
+	if err := t.pool.Warm(context.Background()); err != nil {
 		return classifyErr(t.addr, err)
 	}
 	return nil
@@ -215,8 +216,8 @@ func (t *transport) attempt(ctx context.Context, req *Request, resp *Response) e
 	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
 		deadline = d
 	}
-	cn.setDeadline(deadline)
-	stop := context.AfterFunc(ctx, func() { cn.setDeadline(time.Now().Add(-time.Second)) })
+	cn.c.SetDeadline(deadline)
+	stop := context.AfterFunc(ctx, func() { cn.c.SetDeadline(time.Now().Add(-time.Second)) })
 	err = cn.call(req, resp)
 	stop()
 	if err != nil {
@@ -226,7 +227,7 @@ func (t *transport) attempt(ctx context.Context, req *Request, resp *Response) e
 		}
 		return err
 	}
-	cn.setDeadline(time.Time{})
+	cn.c.SetDeadline(time.Time{})
 	t.pool.Put(cn)
 	return nil
 }

@@ -378,29 +378,3 @@ func TestFileCloseInvalidatesHandle(t *testing.T) {
 		t.Error("Read after Close succeeded")
 	}
 }
-
-func TestStripeSizeOptionOverridesManager(t *testing.T) {
-	// The manager defaults to 1024-byte stripes; a create carrying a
-	// stripe hint of 256 makes a file striped at 256 bytes, while a
-	// client's create, which carries none, keeps the manager's default.
-	tc := startCluster(t, 2, 1024)
-	m, err := DialMeta(tc.mgr.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if _, err := m.call(bg, &Request{Op: OpCreate, Name: "small", Stripe: 256}); err != nil {
-		t.Fatal(err)
-	}
-	if err := chio.WriteFull(tc.client, "dflt", make([]byte, 512)); err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.Lookup(bg, "small")
-	if err != nil || got.StripeSize != 256 {
-		t.Errorf("overridden stripe = %d (%v), want 256", got.StripeSize, err)
-	}
-	got, err = m.Lookup(bg, "dflt")
-	if err != nil || got.StripeSize != 1024 {
-		t.Errorf("default stripe = %d (%v), want 1024", got.StripeSize, err)
-	}
-}

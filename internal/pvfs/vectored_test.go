@@ -105,7 +105,7 @@ func TestDecomposeRunsAscendingProperty(t *testing.T) {
 func TestVectoredReadWriteRoundTrip(t *testing.T) {
 	tc := startCluster(t, 1, 64)
 	cl := tc.client
-	resp, err := cl.meta.call(bg, &Request{Op: OpCreate, Name: "v", Stripe: 64})
+	resp, err := cl.meta.call(bg, &Request{Op: OpCreate, Name: "v"})
 	if err != nil {
 		t.Fatal(err)
 	}

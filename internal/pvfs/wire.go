@@ -24,15 +24,14 @@ import (
 //
 // Request header (requestHeaderLen bytes):
 //
-//	u8 Op | u64 Handle | i64 Offset | i64 Length | f64 Load |
-//	i64 ServerID | i64 Stripe | u64 TraceID | u64 SpanID |
-//	u32 fields length | u64 payload length
+//	u8 Op | u64 Handle | i64 Length | f64 Load | i64 ServerID |
+//	u64 TraceID | u64 SpanID | u32 fields length | u64 payload length
 //
 // Request fields: str Name, list Segs (i64 Offset, i64 Length each).
 //
 // Response header (responseHeaderLen bytes):
 //
-//	u8 flags (flagOK, flagNotFound, flagRefused) | i64 N |
+//	u8 flags (flagOK, flagNotFound, flagRefused) |
 //	u32 fields length | u64 payload length
 //
 // Response fields: str Err; Meta (str Name, u64 Handle, i64 Size,
@@ -45,10 +44,10 @@ import (
 // re-encodes to the same bytes.
 const (
 	wireMagic   uint32 = 0x53465650 // "PVFS" in little-endian byte order
-	wireVersion uint32 = 1
+	wireVersion uint32 = 2
 
-	requestHeaderLen  = 77
-	responseHeaderLen = 21
+	requestHeaderLen  = 61
+	responseHeaderLen = 13
 
 	// maxFieldBytes bounds a frame's fields section.
 	maxFieldBytes = 16 << 20
@@ -96,11 +95,9 @@ func readHello(r io.Reader) error {
 func appendRequest(b []byte, req *Request) []byte {
 	b = append(b, byte(req.Op))
 	b = le.AppendUint64(b, req.Handle)
-	b = le.AppendUint64(b, uint64(req.Offset))
 	b = le.AppendUint64(b, uint64(req.Length))
 	b = le.AppendUint64(b, math.Float64bits(req.Load))
 	b = le.AppendUint64(b, uint64(req.ServerID))
-	b = le.AppendUint64(b, uint64(req.Stripe))
 	b = le.AppendUint64(b, req.TraceID)
 	b = le.AppendUint64(b, req.SpanID)
 	at := len(b)
@@ -126,7 +123,7 @@ func readRequest(r io.Reader, req *Request, fields *[]byte) error {
 	if _, err := io.ReadFull(r, h[:]); err != nil {
 		return err
 	}
-	nf, np := le.Uint32(h[65:]), le.Uint64(h[69:])
+	nf, np := le.Uint32(h[49:]), le.Uint64(h[53:])
 	if nf > maxFieldBytes {
 		return fmt.Errorf("pvfs: request fields claim %d bytes, limit %d", nf, maxFieldBytes)
 	}
@@ -142,13 +139,11 @@ func readRequest(r io.Reader, req *Request, fields *[]byte) error {
 	*req = Request{
 		Op:       Op(h[0]),
 		Handle:   le.Uint64(h[1:]),
-		Offset:   int64(le.Uint64(h[9:])),
-		Length:   int64(le.Uint64(h[17:])),
-		Load:     math.Float64frombits(le.Uint64(h[25:])),
-		ServerID: int(int64(le.Uint64(h[33:]))),
-		Stripe:   int64(le.Uint64(h[41:])),
-		TraceID:  le.Uint64(h[49:]),
-		SpanID:   le.Uint64(h[57:]),
+		Length:   int64(le.Uint64(h[9:])),
+		Load:     math.Float64frombits(le.Uint64(h[17:])),
+		ServerID: int(int64(le.Uint64(h[25:]))),
+		TraceID:  le.Uint64(h[33:]),
+		SpanID:   le.Uint64(h[41:]),
 		Name:     d.str(),
 		Segs:     req.Segs[:0],
 		Data:     req.Data,
@@ -178,7 +173,6 @@ func appendResponse(b []byte, resp *Response) []byte {
 
 func appendResponseFrame(b []byte, flags byte, resp *Response) []byte {
 	b = append(b, flags)
-	b = le.AppendUint64(b, uint64(resp.N))
 	at := len(b)
 	b = le.AppendUint32(b, 0) // fields length, patched below
 	b = le.AppendUint64(b, uint64(len(resp.Data)))
@@ -242,7 +236,7 @@ func readResponse(r io.Reader, req *Request, resp *Response, fields *[]byte) err
 	if flags&^(flagOK|flagNotFound|flagRefused) != 0 {
 		return fmt.Errorf("pvfs: unknown response flags %#x", flags)
 	}
-	nf, np := le.Uint32(h[9:]), le.Uint64(h[13:])
+	nf, np := le.Uint32(h[1:]), le.Uint64(h[5:])
 	ok := flags&flagOK != 0
 	if nf > maxFieldBytes {
 		return fmt.Errorf("pvfs: response fields claim %d bytes, limit %d", nf, maxFieldBytes)
@@ -257,7 +251,6 @@ func readResponse(r io.Reader, req *Request, resp *Response, fields *[]byte) err
 	}
 	d := fieldReader{b: buf}
 	resp.OK, resp.NotFound = ok, flags&flagNotFound != 0
-	resp.N = int64(le.Uint64(h[1:]))
 	resp.Err = d.str()
 	resp.Meta = d.meta()
 	resp.SegLens = resp.SegLens[:0]

@@ -10,6 +10,7 @@ import (
 	"math"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -53,13 +54,13 @@ func TestWireVersionMismatch(t *testing.T) {
 		}
 		defer c.Close()
 		c.SetDeadline(time.Now().Add(timeout))
-		if err := gob.NewEncoder(c).Encode(&legacyRequest{Op: OpPing}); err != nil {
+		if err := gob.NewEncoder(c).Encode(&legacyRequest{Op: OpPieceRemove}); err != nil {
 			t.Fatal(err)
 		}
 		r := bufio.NewReader(c)
 		err = readHello(r)
 		if err == nil {
-			err = readResponse(r, &Request{Op: OpPing}, new(Response), new([]byte))
+			err = readResponse(r, &Request{Op: OpPieceRemove}, new(Response), new([]byte))
 		}
 		if !errors.Is(err, ErrWireVersion) {
 			t.Fatalf("the server's answer to a gob request reads as %v, want ErrWireVersion", err)
@@ -72,7 +73,7 @@ func TestWireVersionMismatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer d.Close()
-		if _, err := d.Ping(context.Background()); err != nil {
+		if err := d.RemovePiece(context.Background(), 1); err != nil {
 			t.Fatalf("the server stopped serving after a refusal: %v", err)
 		}
 	})
@@ -109,9 +110,9 @@ func TestWireVersionMismatch(t *testing.T) {
 		}
 		defer d.Close()
 		start := time.Now()
-		_, err = d.Ping(context.Background())
+		err = d.RemovePiece(context.Background(), 1)
 		if !errors.Is(err, ErrWireVersion) {
-			t.Fatalf("ping of a gob server: %v, want ErrWireVersion", err)
+			t.Fatalf("a request to a gob server: %v, want ErrWireVersion", err)
 		}
 		if elapsed := time.Since(start); elapsed >= timeout {
 			t.Errorf("the mismatch took %v, not under the %v timeout", elapsed, timeout)
@@ -166,12 +167,15 @@ func TestListReadAllocatesNoPayload(t *testing.T) {
 	}
 }
 
-// FuzzWireFrame feeds raw bytes to the request decoder a server runs
-// and to the response decoder a client runs. Neither may panic; a
-// frame that fails must not have allocated what it only declared; and
-// a frame that decodes must re-encode to the same bytes. The seeds are
-// the frames of the hostile-lengths rows and of the data-server fuzz
-// seeds, and the responses a server gives.
+// FuzzWireFrame feeds raw bytes, a connection's opening, to the
+// request decoder a server runs and to the response decoder a client
+// runs: each reads the version word, then one frame. Neither may
+// panic; a version word but this wire's must be refused; a frame that
+// fails must not have allocated what it only declared; and an opening
+// that decodes must re-encode to the same bytes. The seeds are the
+// frames of the hostile-lengths rows and of the data-server fuzz seeds,
+// the responses a server gives, and version 1's create with its stripe
+// hint, which is refused.
 func FuzzWireFrame(f *testing.F) {
 	five := []byte("hello")
 	for _, req := range []*Request{
@@ -194,8 +198,8 @@ func FuzzWireFrame(f *testing.F) {
 		{Op: OpPieceReadv, Handle: 1, Segs: []chio.Seg{{Off: 0, Len: 5}}},
 		{Op: OpPieceWritev, Handle: 1, Segs: []chio.Seg{{Off: 0, Len: 5}}, Data: five},
 		// FuzzDataServerDispatch
-		{Op: OpPieceRead, Offset: 4, Length: 8},
-		{Op: OpPieceWrite, Offset: 10, Data: []byte("stripe piece data")},
+		{Op: OpPieceRead, Length: 8},
+		{Op: OpPieceWrite, Data: []byte("stripe piece data")},
 		{Op: OpPieceReadv, Segs: []chio.Seg{{Off: 0, Len: 4}, {Off: 16, Len: 4}}},
 		{Op: OpPieceWritev, Segs: []chio.Seg{{Off: 0, Len: 4}, {Off: 100, Len: 4}}, Data: []byte("BBBBAAAA")},
 		{Op: OpListRead, Segs: []chio.Seg{{Off: 3000, Len: 600}, {Off: 0, Len: 300}, {Off: 3100, Len: 100}, {Off: 4090, Len: 50}}},
@@ -206,10 +210,11 @@ func FuzzWireFrame(f *testing.F) {
 		{Op: OpPieceRead, Length: 1 << 40},
 		{Op: OpListRead, Segs: []chio.Seg{{Off: 0, Len: -5}, {Off: math.MaxInt64, Len: 2}}},
 		// The manager's requests.
-		{Op: OpCreate, Name: "nt.000", Stripe: 64 << 10},
+		{Op: OpCreate, Name: "nt.000"},
+		{Op: OpSetSize, Name: "nt.000", Length: 1 << 20},
 		{Op: OpLoadReport, ServerID: 3, Load: 0.75, TraceID: 7, SpanID: 9},
 	} {
-		f.Add(append(appendRequest(nil, req), req.Data...))
+		f.Add(append(appendRequest(slices.Clone(hello), req), req.Data...))
 	}
 	for _, resp := range []*Response{
 		errResp("list read: bad segment [0,+-1)"),
@@ -217,24 +222,41 @@ func FuzzWireFrame(f *testing.F) {
 		{OK: true, SegLens: []int64{5, 0}, Data: five},
 		{OK: true, Meta: Meta{Name: "nt.000", Handle: 4, Size: 1 << 20, StripeSize: 64 << 10, NumServers: 4}},
 		{OK: true, Metas: []Meta{{Name: "a", Handle: 1}, {Name: "b", Handle: 2}}, Loads: map[int]float64{0: 0.5, 3: 2}},
-		{OK: true, N: 5},
+		{OK: true},
 	} {
-		f.Add(append(appendResponse(nil, resp), resp.Data...))
+		f.Add(append(appendResponse(slices.Clone(hello), resp), resp.Data...))
 	}
-	f.Add(refusal(ErrWireVersion)[len(hello):])
+	f.Add(refusal(ErrWireVersion))
+	// Version 1's 77-byte header: Op, Handle, Offset, Length, Load,
+	// ServerID, Stripe (64 KiB), TraceID, SpanID, the fields' and the
+	// payload's lengths; then the fields: Name "nt.000", no Segs.
+	v1 := le.AppendUint32(le.AppendUint32(nil, wireMagic), 1)
+	v1 = append(v1, byte(OpCreate))
+	v1 = append(v1, make([]byte, 5*8)...)
+	v1 = le.AppendUint64(v1, 64<<10)
+	v1 = append(v1, make([]byte, 2*8)...)
+	v1 = le.AppendUint64(le.AppendUint32(v1, 14), 0)
+	v1 = le.AppendUint32(appendString(v1, "nt.000"), 0)
+	f.Add(v1)
 
 	listRead := &Request{Op: OpListRead, Segs: []chio.Seg{{Off: 0, Len: 5}, {Off: 64, Len: 8}}}
 	dst := make([]byte, 13)
 	into := [][]byte{dst[:2], dst[2:5], dst[5:]}
-	f.Fuzz(func(t *testing.T, frame []byte) {
+	f.Fuzz(func(t *testing.T, opening []byte) {
 		// declared runs a decoder over frame and checks that a failure
 		// allocated less than the bound TestHostileLengthsGetErrorReplies
 		// sets, and returns the bytes a success consumed.
 		declared := func(decode func(r io.Reader) error) ([]byte, bool) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			r := bytes.NewReader(frame)
-			err := decode(r)
+			r := bytes.NewReader(opening)
+			err := readHello(r)
+			if word := opening[:min(len(opening), len(hello))]; len(word) == len(hello) && !bytes.Equal(word, hello) && !errors.Is(err, ErrWireVersion) {
+				t.Fatalf("version word % x read as %v, want ErrWireVersion", word, err)
+			}
+			if err == nil {
+				err = decode(r)
+			}
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
@@ -242,19 +264,19 @@ func FuzzWireFrame(f *testing.F) {
 				}
 				return nil, false
 			}
-			return frame[:len(frame)-r.Len()], true
+			return opening[:len(opening)-r.Len()], true
 		}
 
 		var req Request
 		if used, ok := declared(func(r io.Reader) error { return readRequest(r, &req, new([]byte)) }); ok {
-			if again := append(appendRequest(nil, &req), req.Data...); !bytes.Equal(again, used) {
+			if again := append(appendRequest(slices.Clone(hello), &req), req.Data...); !bytes.Equal(again, used) {
 				t.Fatalf("request re-encodes differently:\n got %x\nwant %x", again, used)
 			}
 		}
 		for _, asked := range []*Request{listRead, {Op: OpStat}} {
 			var resp Response
 			if used, ok := declared(func(r io.Reader) error { return readResponse(r, asked, &resp, new([]byte)) }); ok {
-				if again := append(appendResponse(nil, &resp), resp.Data...); !bytes.Equal(again, used) {
+				if again := append(appendResponse(slices.Clone(hello), &resp), resp.Data...); !bytes.Equal(again, used) {
 					t.Fatalf("%s response re-encodes differently:\n got %x\nwant %x", asked.Op, again, used)
 				}
 			}

@@ -8,6 +8,9 @@
 #   - a query holding a digit answered 400 with a JSON error,
 #   - admission queue depth > 0 at peak (the slots saturated),
 #   - cache hits > 0 (repeat queries served from the result cache),
+#   - POST /admin/invalidate?db=nt after nt is re-formatted answered 200
+#     with the new version, and a repeat of an earlier query then a
+#     cache miss; a missing or unknown db answered with a JSON error,
 #   - a clean drain on SIGTERM (in-flight work finishes, process exits).
 # Exercised by `make service-smoke` (part of `make check`).
 # shellcheck disable=SC2086 # $CEFT is a flag list
@@ -50,6 +53,37 @@ cache_hits=$(awk '$1 == "pario_blastd_cache_hits_total" {print $2}' "$METRICS")
 [ "${cache_hits%%.*}" -ge 1 ] 2>/dev/null ||
     fail "no cache hits recorded (hits=$cache_hits)" "$METRICS"
 
+# Invalidation: re-format nt with other content, then re-version it.
+# The reply names the new version, and the first pool query, asked
+# before, is answered afresh under it.
+post() {
+    out=$1
+    shift
+    curl -s -o "$TMP/$out.json" -w '%{http_code}' --max-time 60 -X POST "$@" || true
+}
+field() { grep -o "\"$2\":\"\{0,1\}[^\",}]*" "$TMP/$1.json" | head -n 1 | sed 's/.*:"\{0,1\}//'; }
+bodies 1 0 0 | head -n 1 >"$TMP/query.body"
+code=$(post before -H 'Content-Type: application/json' --data-binary @"$TMP/query.body" "http://$HTTP/search")
+[ "$code" = 200 ] || fail "the query before invalidation was answered $code" "$TMP/before.json"
+"$TMP/formatdb" -db nt -fragments 8 -generate 1MB -io ceft $CEFT >"$TMP/reformat.log" 2>&1 ||
+    fail "re-formatting nt failed" "$TMP/reformat.log"
+code=$(post invalidate "http://$HTTP/admin/invalidate?db=nt")
+[ "$code" = 200 ] || fail "invalidating nt was answered $code" "$TMP/invalidate.json"
+old=$(field before db_version) new=$(field invalidate version)
+[ -n "$new" ] && [ "$new" != "$old" ] ||
+    fail "invalidating nt gave version '$new', want a new one (was '$old')" "$TMP/invalidate.json"
+misses() { curl -sf "http://$HTTP/metrics" | awk '$1 == "pario_blastd_cache_misses_total" {print int($2)}'; }
+m0=$(misses)
+code=$(post after -H 'Content-Type: application/json' --data-binary @"$TMP/query.body" "http://$HTTP/search")
+[ "$code" = 200 ] || fail "the query after invalidation was answered $code" "$TMP/after.json"
+[ "$(field after db_version)" = "$new" ] && [ "$(field after cached)" = false ] && [ "$(misses)" -gt "$m0" ] ||
+    fail "the repeated query after invalidation was not a cache miss under version $new" "$TMP/after.json"
+for q in "" "?db=nope"; do
+    got=$(post bad-invalidate -w '%{http_code} %{content_type}' "http://$HTTP/admin/invalidate$q")
+    case "$got" in 4??" application/json"*) ;; *) fail "invalidate$q was answered '$got', want a 4xx in JSON" "$TMP/bad-invalidate.json" ;; esac
+    grep -q '"error":' "$TMP/bad-invalidate.json" || fail "invalidate$q: no JSON error" "$TMP/bad-invalidate.json"
+done
+
 # Clean drain: SIGTERM under a trickle of load; the process must log
 # a clean drain and exit on its own.
 (load "http://$HTTP" 2 2 1 2 >/dev/null 2>&1 || true) &
@@ -62,4 +96,4 @@ grep -q "drained cleanly" "$TMP/blastd.log" ||
     fail "no clean-drain record in the log:" "$TMP/blastd.log"
 wait "$TRICKLE"
 
-echo "service-smoke: ok (queue peak $depth_peak, cache hits $cache_hits)"
+echo "service-smoke: ok (queue peak $depth_peak, cache hits $cache_hits, nt re-versioned $old -> $new)"
